@@ -3,7 +3,8 @@
 Expressions are immutable trees in the spectral variable ``x``, the
 deformation variable ``t`` and named parameters.  The engine supports exact
 symbolic differentiation, pointwise evaluation, compilation to fast Python
-callables, adaptive contour quadrature along piecewise-linear paths, and a
+callables, adaptive contour quadrature along piecewise-linear paths (on
+Chebyshev panels with tail-coefficient error control), and a
 plain-text infix grammar whose parser and printer round-trip structurally.
 
 Design constraints:
@@ -26,6 +27,9 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
+from numpy.polynomial import chebyshev
 
 __all__ = [
     "Expr",
@@ -78,7 +82,7 @@ class SingularEvaluationError(ExprError):
 
 
 class QuadratureError(ExprError):
-    """Adaptive quadrature failed to converge on a path segment."""
+    """A quadrature panel stayed unresolved at the depth cap or budget."""
 
 
 class ParseError(ExprError):
@@ -578,72 +582,86 @@ class Path:
         return list(zip(self.points[:-1], self.points[1:]))
 
 
-# Gauss 7 / Kronrod 15 nodes and weights on [-1, 1].
-_XGK = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-)
-_WGK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-)
-_WG = (
-    0.129484966168870, 0.279705391489277,
-    0.381830050505119, 0.417959183673469,
-)
+# A panel is sampled at the second-kind Chebyshev points of [-1, 1], written
+# symmetrically so the midpoint and the end points are exact.  The tables map
+# the samples to the Chebyshev coefficients of their interpolant and to its
+# integral from -1 at the same points (last row: Clenshaw-Curtis weights).
+def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    m = n - 1
+    nodes = np.sin(np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+    to_coeffs = np.linalg.inv(chebyshev.chebvander(nodes, m))
+    integral = chebyshev.chebint(np.eye(n), lbnd=-1)
+    return nodes, to_coeffs, chebyshev.chebvander(nodes, n) @ integral @ to_coeffs
 
 
-def _gk15_pair(fn: Callable[[complex], complex], a: complex, b: complex
-               ) -> tuple[complex, complex]:
-    """Kronrod-15 and Gauss-7 estimates over the straight segment [a, b]."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    f0 = fn(c)
-    k = _WGK[7] * f0
-    g = _WG[3] * f0
-    for idx in range(7):
-        xi = _XGK[idx]
-        fp = fn(c + h * xi)
-        fm = fn(c - h * xi)
-        k += _WGK[idx] * (fp + fm)
-        if idx % 2 == 1:
-            g += _WG[idx // 2] * (fp + fm)
-    return h * k, h * g
+_CHEB_NODES, _CHEB_TO_COEFFS, _CHEB_CUMSUM = _chebyshev_tables(25)
+# The last three coefficients (the tail) estimate the interpolation error.
+# Samples whose tail is within this multiple of eps of their largest modulus
+# are resolved to rounding, and no bisection can improve them.
+_CHEB_TAIL = _CHEB_TO_COEFFS[-3:]
+_ROUNDING_FLOOR = 100 * np.finfo(float).eps
+# Near a singularity on the path the samples are dominated by the rounding
+# of the points themselves, and panels bisect without settling; this budget
+# turns that into a prompt QuadratureError instead of millions of samples.
+_MAX_PANELS = 2000
+
+
+def _integrate_panels(stages: Sequence[Callable[[list, list], Sequence[complex]]],
+                      a: complex, b: complex, abs_tol: float,
+                      max_depth: int = 48) -> list[complex]:
+    """Integrals over the straight segment [a, b] of each stage, on adaptive
+    Chebyshev panels taken left to right.
+
+    A stage is called as ``stage(z, prior)`` with ``z`` one panel's points
+    and ``prior`` the running integrals from ``a`` of the earlier stages
+    there, so f exp(int h) needs no integration inside the integrand.  A
+    panel is bisected while some stage's error bound |q - p| * tail exceeds
+    ``abs_tol`` times the panel's share of [a, b] and the rounding floor.
+    Raises :class:`QuadratureError` when a panel at ``max_depth`` is still
+    unresolved or [a, b] needs more than ``_MAX_PANELS`` panels."""
+    totals = [0j] * len(stages)
+    if a == b:
+        return totals
+    tail_tol = abs_tol / abs(b - a)
+    stack = [(complex(a), complex(b), 0)]
+    panels = 0
+    while stack:
+        panels += 1
+        if panels > _MAX_PANELS:
+            raise QuadratureError(
+                f"quadrature needs more than {_MAX_PANELS} panels on [{a}, {b}]")
+        p, q, depth = stack.pop()
+        mid = 0.5 * (p + q)
+        half = 0.5 * (q - p)
+        z = (mid + half * _CHEB_NODES).tolist()
+        prior: list[np.ndarray] = []
+        for total, stage in zip(totals, stages):
+            vals = np.asarray(stage(z, prior), dtype=complex)
+            tail = float(np.abs(_CHEB_TAIL @ vals).max())
+            floor = _ROUNDING_FLOOR * float(np.abs(vals).max())
+            if not (tail <= tail_tol or tail <= floor):  # also catches nan
+                break
+            prior.append(total + half * (_CHEB_CUMSUM @ vals))
+        else:
+            totals = [complex(running[-1]) for running in prior]
+            continue
+        if depth >= max_depth:
+            raise QuadratureError(f"quadrature did not converge on segment [{p}, {q}]")
+        stack.append((mid, q, depth + 1))
+        stack.append((p, mid, depth + 1))
+    return totals
 
 
 def integrate_callable(fn: Callable[[complex], complex], path: Path,
                        abs_tol: float = 1e-12, max_depth: int = 48) -> complex:
-    """Adaptive Gauss-Kronrod quadrature of a callable along ``path``.
-
-    Deterministic for a fixed path.  Raises :class:`QuadratureError` when a
-    segment fails to converge (typically a singularity too close to the
-    path)."""
-    total = 0j
-    for a0, b0 in path.segments:
-        if a0 == b0:
-            continue
-        seg_tol = abs_tol / max(1, len(path.segments))
-        stack = [(a0, b0, 0)]
-        acc = 0j
-        while stack:
-            a, b, depth = stack.pop()
-            k, g = _gk15_pair(fn, a, b)
-            err = abs(k - g)
-            local_tol = max(seg_tol * abs(b - a) / abs(b0 - a0), 1e-16 * (1 + abs(k)))
-            if err <= local_tol or depth >= max_depth:
-                if depth >= max_depth and err > 1e-6 * (1 + abs(k)):
-                    raise QuadratureError(
-                        f"quadrature did not converge on segment [{a}, {b}]"
-                    )
-                acc += k
-            else:
-                m = 0.5 * (a + b)
-                stack.append((a, m, depth + 1))
-                stack.append((m, b, depth + 1))
-        total += acc
-    return total
+    """Adaptive quadrature of a callable along ``path``: the definite-integral
+    view of :func:`_integrate_panels`, each segment taking an equal share of
+    ``abs_tol``.  Deterministic for a fixed path; raises
+    :class:`QuadratureError` on a singularity on or too close to the path."""
+    stage = lambda z, prior: [fn(w) for w in z]
+    seg_tol = abs_tol / len(path.segments)
+    return sum((_integrate_panels((stage,), a, b, seg_tol, max_depth)[0]
+                for a, b in path.segments), 0j)
 
 
 def integrate_along_path(e: Expr, var: str, path: Path, b: Binding,

@@ -17,14 +17,15 @@ and the change of variables
 turns the second-order equation in x into  w'' + P(tau) w' + Q(tau) w = 0
 with coefficients that no longer depend on the deformation parameter.
 This module recovers (g, P_i, f, h, R, M) numerically-symbolically from the
-scalar pair alone, builds evaluable tau/gauge maps by quadrature, and forms
-P and Q by the chain rule:
+scalar pair alone, builds evaluable tau/gauge maps by cumulative integration
+on adaptive Chebyshev panels (tail-coefficient error control; log E, then
+f E, in one pass per point), and forms P and Q by the chain rule:
 
     P = (tau_xx + (p1 + 2G) tau_x) / tau_x^2
     Q = (G' + G^2 + p1 G + q1) / tau_x^2,     G = +-R (by component),
 
 with tau_x = (f + t h) exp(int h) taken symbolically, so the only numerics
-in P and Q are the single quadrature defining exp(int h).
+in P and Q are the integral defining exp(int h).
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from . import expr as fe
-from .expr import Binding, Expr, Path, T
+from .expr import Binding, Expr, T
 from .scalarize import ScalarPair
 
 __all__ = [
@@ -274,81 +277,73 @@ def classify_case(dec: Decomposition) -> str:
 # Change of variables
 
 class _VarChange:
-    """Quadrature-backed tau and gauge maps for one decomposition and
-    basepoint.  All integrals run along straight segments from the
-    basepoint; values are memoized per evaluation point."""
+    """Tau and gauge maps for one decomposition and basepoint, integrated
+    along the straight segment from the basepoint on adaptive Chebyshev
+    panels.  One pass per point integrates h to log E at the panel points,
+    then f E at the same points to S, so the work is linear in the panels.
+    Values are built-in ``complex``, memoized per point."""
 
     def __init__(self, dec: Decomposition, basepoint_x: complex,
                  quad_tol: float = 1e-13):
-        self.dec = dec
         self.x0 = complex(basepoint_x)
         self.quad_tol = quad_tol
         params = dict(dec.params)
         self._h = fe.compile_expr(dec.h, params)
         self._f = fe.compile_expr(dec.f, params)
         self._G = fe.compile_expr(dec.gauge_exponent(), params)
-        self._M = fe.compile_expr(dec.M, params)
-        self._cache_E: dict[complex, complex] = {}
-        self._cache_S: dict[complex, complex] = {}
+        self._es_stages = ((self._h_at,) if dec.f_zero
+                           else (self._h_at, self._fE_at))
+        self._cache_ES: dict[complex, tuple[complex, complex]] = {}
         self._cache_gauge: dict[complex, complex] = {}
 
-    def _hfn(self, z: complex) -> complex:
-        return self._h(z, 0j)
+    def _h_at(self, z, prior):
+        return [self._h(w, 0j) for w in z]
+
+    def _fE_at(self, z, prior):
+        return np.exp(prior[0]) * [self._f(w, 0j) for w in z]
+
+    def _G_at(self, z, prior):
+        return [self._G(w, 0j) for w in z]
+
+    def _ES(self, x: complex) -> tuple[complex, complex]:
+        got = self._cache_ES.get(x)
+        if got is None:
+            # S is 0 when f vanishes and there is no second stage.
+            log_e, s = (*fe._integrate_panels(self._es_stages, self.x0, x,
+                                              self.quad_tol), 0j)[:2]
+            got = self._cache_ES[x] = (cmath.exp(log_e), s)
+        return got
 
     def E(self, x: complex) -> complex:
         """exp(int_{x0}^{x} h), normalized to 1 at the basepoint."""
-        x = complex(x)
-        got = self._cache_E.get(x)
-        if got is None:
-            if x == self.x0:
-                got = 1.0 + 0j
-            else:
-                val = fe.integrate_callable(self._hfn, Path([self.x0, x]),
-                                            abs_tol=self.quad_tol)
-                got = cmath.exp(val)
-            self._cache_E[x] = got
-        return got
+        return self._ES(complex(x))[0]
 
     def S(self, x: complex) -> complex:
         """int_{x0}^{x} f exp(int h); the additive part of tau."""
-        x = complex(x)
-        got = self._cache_S.get(x)
-        if got is None:
-            if x == self.x0 or self.dec.f_zero:
-                got = 0j
-            else:
-                got = fe.integrate_callable(
-                    lambda z: self._f(z, 0j) * self.E(z),
-                    Path([self.x0, x]), abs_tol=self.quad_tol)
-            self._cache_S[x] = got
-        return got
+        return self._ES(complex(x))[1]
 
     def tau(self, x: complex, t: complex) -> complex:
-        return complex(t) * self.E(x) + self.S(x)
+        e, s = self._ES(complex(x))
+        return complex(t) * e + s
 
     def tau_x(self, x: complex, t: complex) -> complex:
+        x = complex(x)
         return (self._f(x, 0j) + complex(t) * self._h(x, 0j)) * self.E(x)
 
     def solve_t(self, x: complex, tau_target: complex) -> complex:
         """The deformation value carrying (x, .) to a prescribed tau."""
-        e = self.E(x)
+        e, s = self._ES(complex(x))
         if e == 0:
             raise DegenerateTauPointError(f"exp(int h) vanished at x = {x}")
-        return (complex(tau_target) - self.S(x)) / e
+        return (complex(tau_target) - s) / e
 
     def gauge(self, x: complex) -> complex:
         """exp(int_{x0}^{x} G) with G = +R (first component) or -R (second)."""
         x = complex(x)
         got = self._cache_gauge.get(x)
         if got is None:
-            if x == self.x0:
-                got = 1.0 + 0j
-            else:
-                val = fe.integrate_callable(lambda z: self._G(z, 0j),
-                                            Path([self.x0, x]),
-                                            abs_tol=self.quad_tol)
-                got = cmath.exp(val)
-            self._cache_gauge[x] = got
+            (val,) = fe._integrate_panels((self._G_at,), self.x0, x, self.quad_tol)
+            got = self._cache_gauge[x] = cmath.exp(val)
         return got
 
 
@@ -421,31 +416,18 @@ def build_reduced(sp: ScalarPair, dec: Decomposition,
     return ReducedEquation(sp, dec, basepoint_x)
 
 
-_VC_CACHE: dict[tuple[int, complex], _VarChange] = {}
-
-
-def _vc_for(dec: Decomposition, basepoint_x: complex) -> _VarChange:
-    key = (id(dec), complex(basepoint_x))
-    vc = _VC_CACHE.get(key)
-    if vc is None or vc.dec is not dec:
-        vc = _VarChange(dec, basepoint_x)
-        _VC_CACHE[key] = vc
-    return vc
-
-
 def tau_map(dec: Decomposition, x: complex, t: complex,
             basepoint_x: complex) -> complex:
     """t exp(int_{x0}^{x} h) + int_{x0}^{x} f exp(int h), by quadrature."""
-    return _vc_for(dec, basepoint_x).tau(x, t)
+    return _VarChange(dec, basepoint_x).tau(x, t)
 
 
 def gauge(dec: Decomposition, x: complex, basepoint_x: complex,
           component: str | None = None) -> complex:
     """The gauge factor exp(+-int_{x0}^{x} R) relating phi to w."""
     if component is not None and component != dec.component:
-        flipped = Decomposition(**{**dec.__dict__, "component": component})
-        return _vc_for(flipped, basepoint_x).gauge(x)
-    return _vc_for(dec, basepoint_x).gauge(x)
+        dec = Decomposition(**{**dec.__dict__, "component": component})
+    return _VarChange(dec, basepoint_x).gauge(x)
 
 
 def reduced_coefficients(sp: ScalarPair, dec: Decomposition,

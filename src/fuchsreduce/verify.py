@@ -338,11 +338,8 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
     u = (x1 - x0) / length
     t_fixed = complex(t_fixed)
 
-    hfn = fe.compile_expr(dec.h, params)
-    ffn = fe.compile_expr(dec.f, params)
-    gfn = fe.compile_expr(dec.gauge_exponent(), params)
-
     vc = prep.red._vc
+    hfn, ffn, gfn = vc._h, vc._f, vc._G
     e0 = vc.E(x0)
     s0 = vc.S(x0)
     g0 = vc.gauge(x0)

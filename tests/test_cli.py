@@ -89,7 +89,14 @@ class TestVerify:
         assert "FAIL" in out
 
     def test_unreachable_tolerance_exits_1(self):
-        rc, out, _ = run_cli(["verify", "PII.y0", "--tol-independence", "1e-15"])
+        # PII.y0's t-independence deviation is at the rounding level
+        # (below 1e-15), so only a gate under double precision is unreachable.
+        rc, out, _ = run_cli(["verify", "PII.y0", "--tol-independence", "1e-18"])
+        assert rc == 1
+
+    def test_unreachable_crossval_tolerance_exits_1(self):
+        # The cross-validation residual is a finite-difference figure near 3e-8.
+        rc, out, _ = run_cli(["verify", "PII.y0", "--tol-crossval", "1e-12"])
         assert rc == 1
 
     def test_unknown_entry_exits_2(self):

@@ -129,6 +129,67 @@ class TestQuadrature:
             fe.integrate_along_path(X * T, "x", Path([0.0, 1.0]), Binding())
 
 
+class TestChebyshevPanels:
+    """The panel integrator against mpmath, its failure path and its cost."""
+
+    @pytest.mark.parametrize("fn, a, b", [
+        (lambda z: cmath.exp(z) / (z + 2), 0.0, 1.5 + 0.5j),
+        (lambda z: cmath.cos(3 * z), -1.0, 2.0),
+        (lambda z: z**7 - 2 * z, 0.5, 1.0 + 1.0j),
+        (lambda z: cmath.sqrt(z) * cmath.log(z), 1.0, 4.0 + 2.0j),
+        # a pole 0.05 off the path
+        (lambda z: 1 / (z - 1.5 - 0.05j), 1.0, 2.0),
+    ], ids=["exp-ratio", "cos", "polynomial", "sqrt-log", "near-pole"])
+    def test_matches_mpmath(self, fn, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        # mpmath runs along a detour that keeps every singularity on the
+        # same side as the straight path does, so the integral is the same.
+        mid = 0.5 * (a + b) - 0.1j
+        with mpmath.workdps(30):
+            oracle = complex(mpmath.quad(lambda z: fn(complex(z)), [a, mid, b]))
+        got = fe.integrate_callable(fn, Path([a, b]))
+        assert type(got) is complex
+        assert abs(got - oracle) <= 1e-13 * max(1.0, abs(oracle))
+
+    def test_pole_on_path_raises(self):
+        calls = []
+
+        def fn(z):
+            calls.append(z)
+            return 1 / (z - 1.3)
+
+        with pytest.raises(fe.QuadratureError):
+            fe.integrate_callable(fn, Path([1.0, 2.0]))
+        assert len(calls) <= 100_000
+
+    def test_unresolved_panel_at_depth_cap_raises(self):
+        with pytest.raises(fe.QuadratureError):
+            fe.integrate_callable(lambda z: 1 / (z - 1.5 - 0.05j), Path([1.0, 2.0]),
+                                  max_depth=2)
+
+    @pytest.mark.parametrize("entry_id", ["PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"])
+    def test_tau_point_work_is_linear(self, prep, entry_id):
+        # E and S at one point cost one pass of panels, not a quadrature of
+        # E inside the integrand of S.
+        from fuchsreduce import reduction
+
+        p = prep(entry_id)
+        vc = reduction._VarChange(p.dec, p.red.basepoint_x)
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(x, t):
+                calls[0] += 1
+                return fn(x, t)
+            return wrapper
+
+        vc._h, vc._f = counted(vc._h), counted(vc._f)
+        x = complex(p.box_x.re_lo, p.box_x.im_hi)
+        vc.E(x)
+        vc.S(x)
+        assert 0 < calls[0] <= 400
+
+
 class TestNumericallyZero:
     def test_exact_cancellation(self):
         e = X - X

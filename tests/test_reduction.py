@@ -223,6 +223,24 @@ class TestGauge:
         assert up * dn == pytest.approx(1.0, abs=1e-10)
 
 
+class TestBuiltinComplexValues:
+    @pytest.mark.parametrize("entry_id", ["PII.y0", "PV.y_m1"])
+    def test_maps_return_builtin_complex(self, entry_id):
+        import numpy as np
+
+        sp, dec, entry = decomposition_for(entry_id)
+        red = reduction.build_reduced(sp, dec, entry.basepoint_x)
+        vc = red._vc
+        for x in (entry.basepoint_x, np.complex128(1.7 + 0.1j), 2.2):
+            t = np.complex128(0.9)
+            values = [vc.E(x), vc.S(x), vc.gauge(x), vc.tau(x, t),
+                      vc.solve_t(x, 1.3), vc.tau_x(x, t),
+                      red.tau_at(x, t), red.solve_t(x, 1.3), red.tau_x_at(x, t),
+                      red.gauge_at(x), reduction.tau_map(dec, x, t, entry.basepoint_x),
+                      reduction.gauge(dec, x, entry.basepoint_x)]
+            assert all(type(v) is complex for v in values)
+
+
 class TestReducedCoefficients:
     def test_flat_entry_airy_form(self):
         sp, dec, entry = decomposition_for("PII.y0")
