@@ -18,6 +18,7 @@ class Config:
     tol_independence: float = 1e-8
     tol_match: float = 1e-8
     tol_crossval: float = 1e-6
+    tol_frame: float = 1e-9
     target_param_tol: float = 1e-6
 
     frobenius_grid: int = 5
@@ -35,7 +36,8 @@ class Config:
 
     def __post_init__(self):
         for name in ("tol_frobenius", "tol_flow", "tol_independence",
-                     "tol_match", "tol_crossval", "target_param_tol"):
+                     "tol_match", "tol_crossval", "tol_frame",
+                     "target_param_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.output not in ("text", "json"):
@@ -59,6 +61,7 @@ class Config:
             "independence": self.tol_independence,
             "match": self.tol_match,
             "crossval": self.tol_crossval,
+            "frame": self.tol_frame,
             "target_param": self.target_param_tol,
         }
 

@@ -82,7 +82,8 @@ class SingularEvaluationError(ExprError):
 
 
 class QuadratureError(ExprError):
-    """A quadrature panel stayed unresolved at the depth cap or budget."""
+    """A quadrature panel stayed unresolved at the depth cap or budget, or
+    the integrand divided by zero at a panel point."""
 
 
 class ParseError(ExprError):
@@ -618,7 +619,8 @@ def _integrate_panels(stages: Sequence[Callable[[list, list], Sequence[complex]]
     panel is bisected while some stage's error bound |q - p| * tail exceeds
     ``abs_tol`` times the panel's share of [a, b] and the rounding floor.
     Raises :class:`QuadratureError` when a panel at ``max_depth`` is still
-    unresolved or [a, b] needs more than ``_MAX_PANELS`` panels."""
+    unresolved, [a, b] needs more than ``_MAX_PANELS`` panels or a stage
+    divides by zero at a panel point (a pole exactly on the path)."""
     totals = [0j] * len(stages)
     if a == b:
         return totals
@@ -636,7 +638,11 @@ def _integrate_panels(stages: Sequence[Callable[[list, list], Sequence[complex]]
         z = (mid + half * _CHEB_NODES).tolist()
         prior: list[np.ndarray] = []
         for total, stage in zip(totals, stages):
-            vals = np.asarray(stage(z, prior), dtype=complex)
+            try:
+                vals = np.asarray(stage(z, prior), dtype=complex)
+            except ZeroDivisionError as exc:
+                raise QuadratureError(
+                    f"integrand is singular on the panel [{p}, {q}]") from exc
             tail = float(np.abs(_CHEB_TAIL @ vals).max())
             floor = _ROUNDING_FLOOR * float(np.abs(vals).max())
             if not (tail <= tail_tol or tail <= floor):  # also catches nan

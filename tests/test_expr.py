@@ -162,6 +162,13 @@ class TestChebyshevPanels:
             fe.integrate_callable(fn, Path([1.0, 2.0]))
         assert len(calls) <= 100_000
 
+    def test_pole_on_panel_point_raises_quadrature_error(self):
+        # The first panel's midpoint is the pole, so the integrand itself
+        # divides by zero; the integrator reports it as a quadrature failure.
+        with pytest.raises(fe.QuadratureError) as info:
+            fe.integrate_callable(lambda x: 1 / (x - 1.5), Path([1, 2]))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
     def test_unresolved_panel_at_depth_cap_raises(self):
         with pytest.raises(fe.QuadratureError):
             fe.integrate_callable(lambda z: 1 / (z - 1.5 - 0.05j), Path([1.0, 2.0]),

@@ -209,6 +209,101 @@ class TestCrossValidate:
         assert resid <= 1e-6
 
 
+class TestCrossValidateBatched:
+    """The batched tau inversion: its cost and its failure paths."""
+
+    @pytest.mark.parametrize("n_points", [201, 801])
+    @pytest.mark.parametrize("entry_id", ["PII.y0", "PIII.y1", "PVdeg.kitaev_sqrt"])
+    def test_dense_output_calls_do_not_grow_with_points(self, prep, monkeypatch,
+                                                        entry_id, n_points):
+        calls = [0]
+        real_trace = verify._trace
+
+        def counted_trace(*args, **kwargs):
+            trace = real_trace(*args, **kwargs)
+            sol = trace.sol
+
+            def counted(s):
+                calls[0] += 1
+                return sol(s)
+
+            trace.sol = counted
+            return trace
+
+        monkeypatch.setattr(verify, "_trace", counted_trace)
+        assert verify.cross_validate(prep(entry_id), n_points=n_points) <= 1e-6
+        assert 0 < calls[0] <= 12
+
+    @pytest.mark.parametrize("entry_id", ["PII.y0", "PIII.y1", "PVdeg.kitaev_sqrt"])
+    def test_matches_scalar_newton(self, prep, entry_id):
+        # Reference: the per-target scalar Newton loop that the batched
+        # inversion replaced, on the same trace, targets and guesses.
+        p = prep(entry_id)
+        t = complex(0.5 * (p.box_t.re_lo + p.box_t.re_hi), 0.0)
+        trace = verify.solve_linear_system(p, t, verify._default_cross_path(p),
+                                           initial=(1.0, 0.4 + 0.1j))
+        length = trace.length
+        u = (trace.x_end - trace.x_start) / length
+
+        def tau_re(s):
+            e, ssum, _ = trace.channels(s)
+            return (t * e + ssum).real
+
+        def scalar_newton(target, s):
+            for _ in range(8):
+                g = tau_re(s) - target
+                dg = (p.red._phi(trace.x_of(s), t) * trace.channels(s)[0] * u).real
+                if dg == 0:
+                    break
+                step = g / dg
+                s = min(max(s - step, 0.0), length)
+                if abs(step) < 1e-13 * (1 + length):
+                    break
+            return s
+
+        # A coarse table leaves Newton several steps to take.
+        s_coarse = np.linspace(0.0, length, 9)
+        tau_coarse = np.array([tau_re(s) for s in s_coarse])
+        order = np.argsort(tau_coarse)
+        lo, hi = sorted((tau_coarse[0], tau_coarse[-1]))
+        taus = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 41)
+        guesses = np.interp(taus, tau_coarse[order], s_coarse[order])
+        batched = verify._invert_tau(trace, p.red._phi, t, taus, guesses)
+        reference = [scalar_newton(tau, s) for tau, s in zip(taus, guesses)]
+        assert np.max(np.abs(batched - reference)) <= 1e-12 * (1 + length)
+
+    def test_unconverged_newton_raises(self, prep, monkeypatch):
+        # tau_x ten times too large makes every Newton step ten times too
+        # short, so the targets cannot settle within the step budget.
+        p = prep("PII.y0")
+        phi = p.red._phi
+        monkeypatch.setattr(p.red, "_phi", lambda x, t: 10 * phi(x, t))
+        with pytest.raises(verify.VerifyError, match="did not converge"):
+            verify.cross_validate(p)
+
+    def test_nonfinite_sample_fails_report(self, monkeypatch):
+        # One NaN Q sample inside the stencil range must fail the stage,
+        # not drop out of the max.
+        real_trace = verify._trace
+
+        def poison_then_trace(prep, *args, **kwargs):
+            q_num = prep.red._q_num
+            calls = [0]
+
+            def q_nan(x, t):
+                calls[0] += 1
+                return complex("nan") if calls[0] == 100 else q_num(x, t)
+
+            monkeypatch.setattr(prep.red, "_q_num", q_nan)
+            return real_trace(prep, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "_trace", poison_then_trace)
+        rep = verify.full_report("PII.y0")
+        assert not rep.passed
+        assert rep.cross_validation_residual is None
+        assert [e for e in rep.errors if e.startswith("cross-validation: non-finite")]
+
+
 class TestFullReport:
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_positive_entries_pass(self, report, entry_id):
@@ -228,6 +323,8 @@ class TestFullReport:
         assert not rep.passed
         assert rep.frobenius_max >= 1e-2
         assert rep.t_independence_max is None or rep.t_independence_max >= 1e-3
+        # The batched tau inversion converges on the negative control too.
+        assert rep.cross_validation_residual is not None
 
     def test_report_serializes(self, report):
         doc = report("PII.y0").to_json()
@@ -249,6 +346,18 @@ class TestFullReport:
         assert rep.match.kind == "whittaker"
         assert rep.match.kappa == pytest.approx(0.75, abs=1e-6)
         assert rep.match.mu_sq == pytest.approx(1 / 16, abs=1e-6)
+
+    def test_frame_gate_lives_in_config(self):
+        assert Config().tolerances_json()["frame"] == 1e-9
+        # PII.y0's frame residual is about 1e-16, so a stricter gate fails
+        # the report without any stage error.
+        strict = verify.full_report("PII.y0", Config(tol_frame=1e-18))
+        assert strict.tolerances["frame"] == 1e-18
+        assert strict.frame_residual > 1e-18
+        assert not strict.passed
+        assert strict.errors == []
+        with pytest.raises(ValueError):
+            Config(tol_frame=0.0)
 
     def test_probe_box_override(self):
         cfg = Config(box_x=(1.3, 2.2, -0.1, 0.1), box_t=(0.6, 1.2, -0.1, 0.1))
