@@ -10,6 +10,10 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 
+# full_report gates the least-squares fit of the documented tau frame at
+# this residual; it is reported with the tolerances but not configurable.
+FRAME_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Config:
@@ -18,7 +22,6 @@ class Config:
     tol_independence: float = 1e-8
     tol_match: float = 1e-8
     tol_crossval: float = 1e-6
-    tol_frame: float = 1e-9
     target_param_tol: float = 1e-6
 
     frobenius_grid: int = 5
@@ -36,8 +39,7 @@ class Config:
 
     def __post_init__(self):
         for name in ("tol_frobenius", "tol_flow", "tol_independence",
-                     "tol_match", "tol_crossval", "tol_frame",
-                     "target_param_tol"):
+                     "tol_match", "tol_crossval", "target_param_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.output not in ("text", "json"):
@@ -61,7 +63,7 @@ class Config:
             "independence": self.tol_independence,
             "match": self.tol_match,
             "crossval": self.tol_crossval,
-            "frame": self.tol_frame,
+            "frame": FRAME_TOL,
             "target_param": self.target_param_tol,
         }
 

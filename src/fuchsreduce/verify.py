@@ -31,7 +31,7 @@ from . import catalog as cat
 from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
-from .config import Config, DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, FRAME_TOL, Config
 from .expr import Path
 from .reduction import Decomposition, ReducedEquation
 from .scalarize import ScalarPair
@@ -311,9 +311,10 @@ class SolutionTrace:
     def state(self, s: float) -> np.ndarray:
         return self.sol(float(s))
 
-    def x_of(self, s: float) -> complex:
+    def x_of(self, s):
+        """x at arclength s; s may be a float or an array."""
         u = (self.x_end - self.x_start) / self.length
-        return self.x_start + u * float(s)
+        return self.x_start + u * s
 
     def phi(self, s: float) -> complex:
         """The solution component the scalar reduction applies to."""
@@ -504,7 +505,7 @@ def _invert_tau(trace: SolutionTrace, phi: Callable, t_fixed: complex,
             break
         st = trace.sol(s[active])
         g = (t_fixed * st[2] + st[3]).real - taus[active]
-        xs = (trace.x_start + u * s[active]).tolist()
+        xs = trace.x_of(s[active]).tolist()
         ph = np.array([phi(x, t_fixed) for x in xs])
         dg = (ph * st[2] * u).real
         moving = dg != 0
@@ -568,8 +569,7 @@ def cross_validate(prep_or_entry, t_fixed: complex | None = None,
 
     st = trace.sol(s)
     e = st[2]
-    u = (trace.x_end - trace.x_start) / trace.length
-    xs = (trace.x_start + u * s).tolist()
+    xs = trace.x_of(s).tolist()
     ph = np.array([red._phi(x, t_fixed) for x in xs])
     p_num = np.array([red._p_num(x, t_fixed) for x in xs])
     q_num = np.array([red._q_num(x, t_fixed) for x in xs])
@@ -694,7 +694,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
         rep.exponent_a = prep.dec.exponent_A
         rep.frame = (prep.frame_a, prep.frame_b)
         rep.frame_residual = prep.frame_residual
-        ok &= prep.frame_residual <= config.tol_frame
+        ok &= prep.frame_residual <= FRAME_TOL
     except Exception as exc:  # noqa: BLE001
         rep.errors.append(f"reduction: {exc}")
         ok = False

@@ -347,17 +347,15 @@ class TestFullReport:
         assert rep.match.kappa == pytest.approx(0.75, abs=1e-6)
         assert rep.match.mu_sq == pytest.approx(1 / 16, abs=1e-6)
 
-    def test_frame_gate_lives_in_config(self):
+    def test_frame_gate_is_reported_and_applied(self, monkeypatch):
         assert Config().tolerances_json()["frame"] == 1e-9
         # PII.y0's frame residual is about 1e-16, so a stricter gate fails
         # the report without any stage error.
-        strict = verify.full_report("PII.y0", Config(tol_frame=1e-18))
-        assert strict.tolerances["frame"] == 1e-18
+        monkeypatch.setattr(verify, "FRAME_TOL", 1e-18)
+        strict = verify.full_report("PII.y0")
         assert strict.frame_residual > 1e-18
         assert not strict.passed
         assert strict.errors == []
-        with pytest.raises(ValueError):
-            Config(tol_frame=0.0)
 
     def test_probe_box_override(self):
         cfg = Config(box_x=(1.3, 2.2, -0.1, 0.1), box_t=(0.6, 1.2, -0.1, 0.1))
