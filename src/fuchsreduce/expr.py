@@ -3,9 +3,11 @@
 Expressions are immutable trees in the spectral variable ``x``, the
 deformation variable ``t`` and named parameters.  The engine supports exact
 symbolic differentiation, pointwise evaluation, compilation to fast Python
-callables, adaptive contour quadrature along piecewise-linear paths (on
-Chebyshev panels with tail-coefficient error control), and a
-plain-text infix grammar whose parser and printer round-trip structurally.
+callables (straight-line code with subtrees shared by structure; one
+expression or a tuple of them per function), adaptive contour quadrature
+along piecewise-linear paths (on Chebyshev panels with tail-coefficient
+error control), and a plain-text infix grammar whose parser and printer
+round-trip structurally.
 
 Design constraints:
 
@@ -492,18 +494,26 @@ def substitute(e: Expr, x: Expr | complex | None = None,
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
-def compile_expr(e: Expr, params: Mapping[str, complex] | None = None
-                 ) -> Callable[[complex, complex], complex]:
-    """Compile to a Python function ``f(x, t) -> complex``.
+def compile_expr(e: Expr | tuple[Expr, ...],
+                 params: Mapping[str, complex] | None = None
+                 ) -> Callable[[complex, complex], complex | tuple[complex, ...]]:
+    """Compile to a Python function ``f(x, t) -> complex``; given a tuple
+    of expressions, ``f`` returns the tuple of their values, computed by
+    one straight-line body.
 
-    Parameters are baked in as constants.  Shared subtrees are emitted once
-    (straight-line code), so repeated evaluation is much faster than tree
+    Parameters are baked in as constants.  Subtrees are shared by structure
+    (hash-consing by value numbering): each interior node is one assignment
+    keyed on its right-hand side text, so two nodes share a variable
+    exactly when they would emit the same line, and sharing never changes
+    a bit of the result.  ``Expr`` equality is not the key: it equates
+    ``const(0j)`` and ``const(complex(0, -0.0))``, which emit the different
+    values ``0j`` and ``-0j``.  Repeated evaluation is much faster than tree
     walking.  Singular inputs raise the native ZeroDivisionError/ValueError.
     """
     params = params or {}
     lines: list[str] = []
     names: dict[int, str] = {}
-    counter = [0]
+    numbered: dict[str, str] = {}
 
     def emit(n: Expr) -> str:
         got = names.get(id(n))
@@ -540,15 +550,18 @@ def compile_expr(e: Expr, params: Mapping[str, complex] | None = None
                 s = f"_sqrt({kids[0]})"
             else:  # pragma: no cover
                 raise ValueError(f"unknown node kind {k!r}")
-            v = f"v{counter[0]}"
-            counter[0] += 1
-            lines.append(f"    {v} = {s}")
-            names[id(n)] = v
-            return v
+            v = numbered.get(s)
+            if v is None:
+                v = numbered[s] = f"v{len(numbered)}"
+                lines.append(f"    {v} = {s}")
+            s = v
         names[id(n)] = s
         return s
 
-    result = emit(e)
+    if isinstance(e, tuple):
+        result = "(" + "".join(f"{emit(part)}, " for part in e) + ")"
+    else:
+        result = emit(e)
     src = "def _f(x, t):\n" + "\n".join(lines) + f"\n    return {result}\n"
     ns = {
         "_exp": cmath.exp,

@@ -82,7 +82,6 @@ class Decomposition:
     P2: Expr | None
     P3: Expr | None
     exponent_A: complex | None
-    constant_B: complex
     f_zero: bool
     h_zero: bool
     M_zero: bool
@@ -243,7 +242,7 @@ def decompose(sp: ScalarPair, basepoint_x: complex,
 
     return Decomposition(
         f=f, h=h, R=R, M=M, g_of_t=g, P1=P1, P2=P2, P3=P3,
-        exponent_A=exponent_a, constant_B=1.0 + 0j,
+        exponent_A=exponent_a,
         f_zero=f_zero, h_zero=h_zero, M_zero=M_zero, M_constant=M_constant,
         component=sp.component, params=params,
     )
@@ -350,9 +349,13 @@ class _VarChange:
 class ReducedEquation:
     """Evaluable coefficients of the reduced equation w'' + P w' + Q w = 0.
 
-    P and Q are built from symbolic numerators over the quadrature-defined
-    normalization exp(int h); they are functions of (x, t) that, for a
-    completely integrable input, depend on the point only through tau."""
+    P and Q are symbolic numerators over the quadrature-defined
+    normalization E = exp(int h):  P = p_num / (phi^2 E) and
+    Q = q_num / (phi E)^2 with phi = f + t h.  phi, p_num and q_num are
+    compiled together as one straight-line function, ``_coeff_parts``,
+    which shares their common subexpressions; ``_phi`` alone serves the
+    tau inversion.  P and Q are functions of (x, t) that, for a completely
+    integrable input, depend on the point only through tau."""
 
     def __init__(self, sp: ScalarPair, dec: Decomposition, basepoint_x: complex):
         self.sp = sp
@@ -372,8 +375,7 @@ class ReducedEquation:
             fe.add(fe.mul(sp.p1, G), sp.q1),
         )
         self._phi = fe.compile_expr(phi, params)
-        self._p_num = fe.compile_expr(p_num, params)
-        self._q_num = fe.compile_expr(q_num, params)
+        self._coeff_parts = fe.compile_expr((phi, p_num, q_num), params)
 
     # -- change of variables -------------------------------------------------
     def tau_at(self, x: complex, t: complex) -> complex:
@@ -389,26 +391,31 @@ class ReducedEquation:
         return self._vc.tau_x(x, t)
 
     # -- reduced coefficients ------------------------------------------------
-    def Pcoef_at(self, x: complex, t: complex) -> complex:
-        x, t = complex(x), complex(t)
-        ph = self._phi(x, t)
-        e = self._vc.E(x)
-        den = ph * ph * e
-        if abs(den) < 1e-14:
-            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
-        return self._p_num(x, t) / den
-
-    def Qcoef_at(self, x: complex, t: complex) -> complex:
-        x, t = complex(x), complex(t)
-        ph = self._phi(x, t)
-        e = self._vc.E(x)
-        den = (ph * e) ** 2
-        if abs(den) < 1e-20:
-            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
-        return self._q_num(x, t) / den
-
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
-        return self.Pcoef_at(x, t), self.Qcoef_at(x, t)
+        """(P, Q) at one point; raises DegenerateTauPointError where
+        tau_x = 0."""
+        x, t = complex(x), complex(t)
+        try:
+            ph, p_num, q_num = self._coeff_parts(x, t)
+        except (ArithmeticError, ValueError, fe.ExprError):
+            # A numerator can fail where tau_x also vanishes.  Such a point
+            # is degenerate, as it is when the gates run first.
+            self._denominators(self._phi(x, t), x, t)
+            raise
+        den_p, den_q = self._denominators(ph, x, t)
+        return p_num / den_p, q_num / den_q
+
+    def _denominators(self, ph: complex, x: complex, t: complex
+                      ) -> tuple[complex, complex]:
+        """phi^2 E and (phi E)^2, gated in that order against tau_x = 0."""
+        e = self._vc.E(x)
+        den_p = ph * ph * e
+        if abs(den_p) < 1e-14:
+            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
+        den_q = (ph * e) ** 2
+        if abs(den_q) < 1e-20:
+            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
+        return den_p, den_q
 
 
 def build_reduced(sp: ScalarPair, dec: Decomposition,

@@ -82,10 +82,6 @@ class ScalarPair:
             return self.q2
         return fe.neg(self.q2)
 
-    def gauge_sign(self) -> int:
-        """Sign of the integral of R in the gauge factor exp(+-int R)."""
-        return 1 if self.component == "first" else -1
-
 
 # Cache of compiled Frobenius residual entries, keyed by LaxPair identity.
 _FROBENIUS_CACHE: dict[int, tuple[object, list[Callable[[complex, complex], complex]]]] = {}

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import catalog as cat
 from . import expr as fe
@@ -51,6 +50,15 @@ __all__ = [
     "cross_validate",
     "full_report",
 ]
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use: importing
+    scipy.integrate costs more than the rest of the package, and only the
+    solution traces need it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 class VerifyError(Exception):
@@ -570,9 +578,7 @@ def cross_validate(prep_or_entry, t_fixed: complex | None = None,
     st = trace.sol(s)
     e = st[2]
     xs = trace.x_of(s).tolist()
-    ph = np.array([red._phi(x, t_fixed) for x in xs])
-    p_num = np.array([red._p_num(x, t_fixed) for x in xs])
-    q_num = np.array([red._q_num(x, t_fixed) for x in xs])
+    ph, p_num, q_num = np.array([red._coeff_parts(x, t_fixed) for x in xs]).T
 
     h = float(taus[1] - taus[0])
     # Stencil stride balances interpolation/solver noise (~eps/H^2) against

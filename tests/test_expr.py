@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,106 @@ class TestEvaluate:
         f = fe.compile_expr(e)
         b = Binding(x=1.7 + 0.3j, t=0.9 - 0.1j)
         assert f(b.x, b.t) == pytest.approx(fe.evaluate(e, b), rel=1e-14)
+
+
+def _raw(kind, *children, value=None):
+    """A node built without the folding helpers, so zero constants stay."""
+    return fe.Expr(kind, value, children)
+
+
+def _clone(e):
+    """A structurally equal copy that shares no node object with ``e``."""
+    return fe.Expr(e.kind, e.value, tuple(_clone(c) for c in e.children))
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _call(f, *args):
+    """f(*args), or the class of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by class
+        return type(exc)
+
+
+class TestCompileSharing:
+    def test_structurally_equal_subtrees_emit_once(self):
+        e = fe.add(fe.mul(X, T), fe.mul(X, T))
+        f = fe.compile_expr(e)
+        # x, t, one product and one sum
+        assert f.__code__.co_nlocals == 4
+        assert f(1.5 + 0.5j, 2.0 - 1j) == 2 * ((1.5 + 0.5j) * (2.0 - 1j))
+
+    def test_tuple_returns_values_in_order(self):
+        parts = (fe.mul(X, T), X, fe.const(2), fe.add(fe.mul(X, T), T))
+        f = fe.compile_expr(parts)
+        x, t = 0.3 - 1.1j, 1.7 + 0.2j
+        assert f(x, t) == (x * t, x, 2 + 0j, x * t + t)
+        assert f.__code__.co_nlocals == 4
+
+    def test_signed_zero_constants_are_not_merged(self):
+        # Expr equality holds for 0j and complex(0, -0.0), but they emit
+        # different values, 0j and -0j, so they must not share a variable.
+        a = fe.sqrt(_raw("add", X, fe.const(0j)))
+        b = fe.sqrt(_raw("add", X, fe.const(complex(0.0, -0.0))))
+        assert a == b
+        fa, fb, fab = fe.compile_expr(a), fe.compile_expr(b), fe.compile_expr((a, b))
+        for x in (complex(-0.0, -0.0), complex(0.0, -0.0), -4 + 0j, 2 - 3j):
+            assert [_bits(v) for v in fab(x, 0j)] == [_bits(fa(x, 0j)), _bits(fb(x, 0j))]
+
+    def test_tuple_compile_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        leaves = st.sampled_from([X, T, fe.const(0j), fe.const(-0j),
+                                  fe.const(complex(0.0, -0.0)),
+                                  fe.const(1.5 - 0.5j), fe.const(-2 + 1j)])
+
+        def extend(kids):
+            return st.one_of(
+                st.builds(_raw, st.sampled_from(["neg", "exp", "log", "sqrt"]), kids),
+                st.builds(_raw, st.sampled_from(["add", "mul", "div"]), kids, kids),
+                st.builds(lambda n, a: _raw("ipow", a, value=n),
+                          st.sampled_from([-2, 2, 3]), kids),
+                st.builds(lambda q, a: _raw("fpow", a, value=q),
+                          st.sampled_from([Fraction(1, 2), Fraction(-1, 3)]), kids),
+            )
+
+        trees = st.recursive(leaves, extend, max_leaves=10)
+
+        @st.composite
+        def pairs(draw):
+            # The second tree often holds a copy of the first, so the two
+            # share subtrees by structure but not by identity.
+            a, c = draw(trees), draw(trees)
+            return a, draw(st.sampled_from([c, _raw("add", _clone(a), c),
+                                            _raw("mul", c, _clone(a))]))
+
+        points = st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0),
+                                  0.7 + 0.2j, -1.3 - 0.4j, 2.5 + 0j])
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(pairs(), points, points)
+        def check(pair, x, t):
+            single = [_call(fe.compile_expr(e), x, t) for e in pair]
+            fused = _call(fe.compile_expr(pair), x, t)
+            raised = [v for v in single if isinstance(v, type)]
+            if raised:
+                # The body runs the first expression's lines first.
+                assert fused is raised[0]
+                return
+            assert [_bits(v) for v in fused] == [_bits(v) for v in single]
+            for e, got in zip(pair, single):
+                try:
+                    want = fe.evaluate(e, Binding(x=x, t=t))
+                except Exception:  # noqa: BLE001 - no reference value here
+                    continue
+                if cmath.isfinite(want):
+                    assert abs(got - want) <= 1e-12 * abs(want)
+
+        check()
 
 
 class TestQuadrature:

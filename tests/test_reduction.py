@@ -134,10 +134,6 @@ class TestDecompose:
         with pytest.raises(reduction.DecompositionError, match="depends on x"):
             reduction.decompose(sp, 1.0)
 
-    def test_constant_b_pinned(self):
-        _, dec, _ = decomposition_for("PIII.y1")
-        assert dec.constant_B == 1.0
-
 
 class TestClassify:
     @pytest.mark.parametrize("entry_id,case", [
@@ -276,6 +272,23 @@ class TestReducedCoefficients:
         red = reduction.build_reduced(sp, dec, 1.0)
         with pytest.raises(reduction.DegenerateTauPointError):
             red.coefficients_at(0.0, 0.5)
+
+    def test_degenerate_point_with_numerator_pole(self):
+        # p1 = 1/x puts a pole in the P and Q numerators at x = 0, where
+        # tau_x vanishes too: the point is degenerate, not a division error.
+        zero = fe.const(0)
+        sp = ScalarPair(p1=1 / X, q1=zero, p2=X, q2=zero)
+        dec = reduction.decompose(sp, 1.0)
+        red = reduction.build_reduced(sp, dec, 1.0)
+        with pytest.raises(reduction.DegenerateTauPointError):
+            red.coefficients_at(0.0, 0.5)
+        with pytest.raises(ZeroDivisionError):
+            red._coeff_parts(0.0, 0.5)
+
+    def test_fused_coefficients_share_subexpressions(self, prep):
+        # phi, p_num and q_num of PIII.y1 have 162 structurally distinct
+        # interior nodes together (compiled one by one: 27 + 187 + 265).
+        assert prep("PIII.y1").red._coeff_parts.__code__.co_nlocals <= 170
 
 
 class TestBasepointCovariance:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -287,14 +291,15 @@ class TestCrossValidateBatched:
         real_trace = verify._trace
 
         def poison_then_trace(prep, *args, **kwargs):
-            q_num = prep.red._q_num
+            coeff_parts = prep.red._coeff_parts
             calls = [0]
 
             def q_nan(x, t):
                 calls[0] += 1
-                return complex("nan") if calls[0] == 100 else q_num(x, t)
+                ph, p_num, q_num = coeff_parts(x, t)
+                return ph, p_num, complex("nan") if calls[0] == 100 else q_num
 
-            monkeypatch.setattr(prep.red, "_q_num", q_nan)
+            monkeypatch.setattr(prep.red, "_coeff_parts", q_nan)
             return real_trace(prep, *args, **kwargs)
 
         monkeypatch.setattr(verify, "_trace", poison_then_trace)
@@ -302,6 +307,25 @@ class TestCrossValidateBatched:
         assert not rep.passed
         assert rep.cross_validation_residual is None
         assert [e for e in rep.errors if e.startswith("cross-validation: non-finite")]
+
+
+class TestLazyScipy:
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # solve_ivp stays a module attribute, so it can be wrapped from
+        # outside, but scipy.integrate is imported only on its first call.
+        import fuchsreduce
+
+        src = os.path.dirname(os.path.dirname(fuchsreduce.__file__))
+        code = ("import sys, fuchsreduce\n"
+                "from fuchsreduce import verify\n"
+                "print('scipy.integrate' in sys.modules, "
+                "'solve_ivp' in verify.__dict__)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "True"]
 
 
 class TestFullReport:
