@@ -4,10 +4,11 @@ Expressions are immutable trees in the spectral variable ``x``, the
 deformation variable ``t`` and named parameters.  The engine supports exact
 symbolic differentiation, pointwise evaluation, compilation to fast Python
 callables (straight-line code with subtrees shared by structure; one
-expression or a tuple of them per function), adaptive contour quadrature
-along piecewise-linear paths (on Chebyshev panels with tail-coefficient
-error control), and a plain-text infix grammar whose parser and printer
-round-trip structurally.
+expression or a tuple of them per function; an array form runs the same
+code object on numpy arrays of points), adaptive contour quadrature along
+piecewise-linear paths (on Chebyshev panels with tail-coefficient error
+control; many segments from one start integrated together), and a
+plain-text infix grammar whose parser and printer round-trip structurally.
 
 Design constraints:
 
@@ -26,6 +27,8 @@ shared and evaluated concurrently without locking.
 from __future__ import annotations
 
 import cmath
+import functools
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -62,6 +65,7 @@ __all__ = [
     "free_symbols",
     "substitute",
     "compile_expr",
+    "array_form",
     "integrate_along_path",
     "integrate_callable",
     "numerically_zero",
@@ -494,6 +498,77 @@ def substitute(e: Expr, x: Expr | complex | None = None,
 # ---------------------------------------------------------------------------
 # Compilation to fast callables
 
+def _literal(value: complex) -> str:
+    """A constant as Python source that binds as one operand: ``repr``
+    leaves a pure imaginary value bare, and ``-2j ** 2`` is -(2j ** 2)."""
+    text = repr(complex(value))
+    return text if text.startswith("(") else f"({text})"
+
+
+def _principal_pow_array(base, exponent: float):
+    """:func:`_principal_pow` on an array of bases.  A zero base with a
+    non-positive exponent raises FloatingPointError, which sends the batch
+    back to the scalar form."""
+    base = np.asarray(base, dtype=complex)
+    zero = base == 0
+    if not zero.any():
+        return np.exp(exponent * np.log(base))
+    if exponent <= 0:
+        raise FloatingPointError("0 raised to a non-positive fractional power")
+    out = np.zeros_like(base)
+    out[~zero] = np.exp(exponent * np.log(base[~zero]))
+    return out
+
+
+# What compiled code raises at a singular point: ZeroDivisionError or
+# OverflowError (ArithmeticErrors, as is numpy's FloatingPointError),
+# ValueError from a log of zero, SingularEvaluationError from _powf.
+_SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
+
+_SCALAR_NAMESPACE = {"_exp": cmath.exp, "_log": cmath.log, "_sqrt": cmath.sqrt,
+                     "_powf": _principal_pow}
+# The globals of every array form.  Compiled bodies only read these names,
+# so one dict serves them all.
+_ARRAY_GLOBALS = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
+                  "_powf": _principal_pow_array}
+
+
+def array_form(fn: Callable) -> Callable:
+    """The array form ``array(x, t)`` of a function made by
+    :func:`compile_expr`: the same code object, run with numpy ufuncs in
+    place of ``cmath``, so it cannot drift from ``fn``.
+
+    ``x`` and ``t`` broadcast against each other; the result has their
+    shape (a tuple of such arrays for a tuple compile).  It is evaluated
+    under ``np.errstate`` raising on divide, overflow and invalid.  A batch
+    that raises or yields a non-finite value is evaluated again by ``fn``,
+    point by point, so it ends in the scalar values or in the exception
+    ``fn`` raises at the first bad point."""
+    vec = types.FunctionType(fn.__code__, _ARRAY_GLOBALS)
+
+    def array(x, t):
+        x = np.asarray(x, dtype=complex)
+        t = np.asarray(t, dtype=complex)
+        shape = np.broadcast_shapes(x.shape, t.shape)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                out = vec(x, t)
+            parts = [v if np.shape(v) == shape
+                     else np.broadcast_to(np.asarray(v, dtype=complex), shape)
+                     for v in (out if isinstance(out, tuple) else (out,))]
+            if all(np.isfinite(v).all() for v in parts):
+                return tuple(parts) if isinstance(out, tuple) else parts[0]
+        except _SAMPLE_ERRORS:
+            pass
+        xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
+        rows = np.array([fn(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
+        if rows.ndim == 1:
+            return rows.reshape(shape)
+        return tuple(col.reshape(shape) for col in rows.T)
+
+    return array
+
+
 def compile_expr(e: Expr | tuple[Expr, ...],
                  params: Mapping[str, complex] | None = None
                  ) -> Callable[[complex, complex], complex | tuple[complex, ...]]:
@@ -501,15 +576,16 @@ def compile_expr(e: Expr | tuple[Expr, ...],
     of expressions, ``f`` returns the tuple of their values, computed by
     one straight-line body.
 
-    Parameters are baked in as constants.  Subtrees are shared by structure
-    (hash-consing by value numbering): each interior node is one assignment
-    keyed on its right-hand side text, so two nodes share a variable
-    exactly when they would emit the same line, and sharing never changes
-    a bit of the result.  ``Expr`` equality is not the key: it equates
-    ``const(0j)`` and ``const(complex(0, -0.0))``, which emit the different
-    values ``0j`` and ``-0j``.  Repeated evaluation is much faster than tree
-    walking.  Singular inputs raise the native ZeroDivisionError/ValueError.
-    """
+    Parameters are baked in as constants, each emitted as one parenthesized
+    operand.  Subtrees are shared by structure (hash-consing by value
+    numbering): each interior node is one assignment keyed on its
+    right-hand side text, so two nodes share a variable exactly when they
+    would emit the same line, and sharing never changes a bit of the
+    result.  ``Expr`` equality is not the key: it equates ``const(0j)`` and
+    ``const(complex(0, -0.0))``, which emit the different values ``0j`` and
+    ``-0j``.  Repeated evaluation is much faster than tree walking.
+    Singular inputs raise the native ZeroDivisionError/ValueError.
+    :func:`array_form` runs the same code on numpy arrays of points."""
     params = params or {}
     lines: list[str] = []
     names: dict[int, str] = {}
@@ -521,13 +597,13 @@ def compile_expr(e: Expr | tuple[Expr, ...],
             return got
         k = n.kind
         if k == "const":
-            s = repr(n.value)
+            s = _literal(n.value)
         elif k == "var":
             s = n.value
         elif k == "param":
             if n.value not in params:
                 raise UnboundSymbolError(f"parameter {n.value!r} is unbound")
-            s = repr(complex(params[n.value]))
+            s = _literal(params[n.value])
         else:
             kids = [emit(c) for c in n.children]
             if k == "neg":
@@ -563,12 +639,7 @@ def compile_expr(e: Expr | tuple[Expr, ...],
     else:
         result = emit(e)
     src = "def _f(x, t):\n" + "\n".join(lines) + f"\n    return {result}\n"
-    ns = {
-        "_exp": cmath.exp,
-        "_log": cmath.log,
-        "_sqrt": cmath.sqrt,
-        "_powf": _principal_pow,
-    }
+    ns = dict(_SCALAR_NAMESPACE)
     exec(compile(src, "<fuchsreduce-expr>", "exec"), ns)
     return ns["_f"]
 
@@ -612,63 +683,162 @@ _CHEB_NODES, _CHEB_TO_COEFFS, _CHEB_CUMSUM = _chebyshev_tables(25)
 # The last three coefficients (the tail) estimate the interpolation error.
 # Samples whose tail is within this multiple of eps of their largest modulus
 # are resolved to rounding, and no bisection can improve them.
-_CHEB_TAIL = _CHEB_TO_COEFFS[-3:]
+# One product with ``_CHEB_APPLY`` gives both: its first three columns map a
+# row of samples to its tail, the others to its running integral.
+_CHEB_APPLY = np.hstack([_CHEB_TO_COEFFS[-3:].T, _CHEB_CUMSUM.T]).astype(complex)
 _ROUNDING_FLOOR = 100 * np.finfo(float).eps
+_max_rows = functools.partial(np.maximum.reduce, axis=1)
 # Near a singularity on the path the samples are dominated by the rounding
 # of the points themselves, and panels bisect without settling; this budget
 # turns that into a prompt QuadratureError instead of millions of samples.
 _MAX_PANELS = 2000
 
 
-def _integrate_panels(stages: Sequence[Callable[[list, list], Sequence[complex]]],
-                      a: complex, b: complex, abs_tol: float,
-                      max_depth: int = 48) -> list[complex]:
-    """Integrals over the straight segment [a, b] of each stage, on adaptive
-    Chebyshev panels taken left to right.
+class _Segment:
+    """The state of one segment [a, b] in :func:`_integrate_panels`: its
+    stack of pending panels (p, q, depth), the running integrals from ``a``,
+    the number of panels taken so far and, once it is done, its result."""
 
-    A stage is called as ``stage(z, prior)`` with ``z`` one panel's points
-    and ``prior`` the running integrals from ``a`` of the earlier stages
-    there, so f exp(int h) needs no integration inside the integrand.  A
-    panel is bisected while some stage's error bound |q - p| * tail exceeds
-    ``abs_tol`` times the panel's share of [a, b] and the rounding floor.
-    Raises :class:`QuadratureError` when a panel at ``max_depth`` is still
-    unresolved, [a, b] needs more than ``_MAX_PANELS`` panels or a stage
-    divides by zero at a panel point (a pole exactly on the path)."""
-    totals = [0j] * len(stages)
-    if a == b:
-        return totals
-    tail_tol = abs_tol / abs(b - a)
-    stack = [(complex(a), complex(b), 0)]
-    panels = 0
-    while stack:
-        panels += 1
-        if panels > _MAX_PANELS:
-            raise QuadratureError(
-                f"quadrature needs more than {_MAX_PANELS} panels on [{a}, {b}]")
-        p, q, depth = stack.pop()
-        mid = 0.5 * (p + q)
-        half = 0.5 * (q - p)
-        z = (mid + half * _CHEB_NODES).tolist()
-        prior: list[np.ndarray] = []
-        for total, stage in zip(totals, stages):
-            try:
-                vals = np.asarray(stage(z, prior), dtype=complex)
-            except ZeroDivisionError as exc:
-                raise QuadratureError(
-                    f"integrand is singular on the panel [{p}, {q}]") from exc
-            tail = float(np.abs(_CHEB_TAIL @ vals).max())
-            floor = _ROUNDING_FLOOR * float(np.abs(vals).max())
-            if not (tail <= tail_tol or tail <= floor):  # also catches nan
-                break
-            prior.append(total + half * (_CHEB_CUMSUM @ vals))
+    __slots__ = ("b", "tail_tol", "stack", "totals", "taken", "result")
+
+    def __init__(self, a: complex, b: complex, abs_tol: float, n_stages: int):
+        self.b = b
+        self.totals = [0j] * n_stages
+        self.taken = 0
+        self.result: list[complex] | Exception | None = None
+        if a == b:
+            self.stack = []
+            self.result = self.totals
         else:
-            totals = [complex(running[-1]) for running in prior]
-            continue
-        if depth >= max_depth:
-            raise QuadratureError(f"quadrature did not converge on segment [{p}, {q}]")
-        stack.append((mid, q, depth + 1))
-        stack.append((p, mid, depth + 1))
-    return totals
+            self.tail_tol = abs_tol / abs(b - a)
+            self.stack = [(a, b, 0)]
+
+    def fail(self, err: Exception) -> None:
+        self.result = err
+        self.stack.clear()
+
+
+def _stage_rows(stage: Callable, z: np.ndarray, prior: list[np.ndarray]
+                ) -> tuple[np.ndarray, list[Exception | None] | None]:
+    """One stage's samples on the panel rows ``z``, and per row the
+    exception it raised (None when no row raised).  A batch that raises is
+    evaluated again row by row, so a singular sample fails only its row."""
+    try:
+        return np.asarray(stage(z, prior), dtype=complex), None
+    except _SAMPLE_ERRORS as exc:
+        if len(z) == 1:
+            return np.zeros(z.shape, dtype=complex), [exc]
+    vals = np.zeros(z.shape, dtype=complex)
+    errors: list[Exception | None] = []
+    for j in range(len(z)):
+        row, err = _stage_rows(stage, z[j:j + 1], [pr[j:j + 1] for pr in prior])
+        vals[j] = row[0]
+        errors.append(None if err is None else err[0])
+    return vals, errors
+
+
+def _integrate_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
+                      a: complex, ends: Sequence[complex], abs_tol: float,
+                      max_depth: int = 48) -> list[list[complex] | Exception]:
+    """Integrals of each stage over the straight segments [a, b], one per
+    end point ``b`` in ``ends``, on adaptive Chebyshev panels taken left to
+    right.
+
+    Every round takes the next panel of each unfinished segment, and each
+    stage is called once per round as ``stage(z, prior)``: ``z`` holds one
+    row of panel points per segment and ``prior`` the running integrals
+    from ``a`` of the earlier stages at the same points, so f exp(int h)
+    needs no integration inside the integrand.  The stage returns its
+    samples in the shape of ``z``.  A later stage sees only the rows the
+    earlier ones accepted.  A panel is bisected while some stage's
+    error bound |q - p| * tail exceeds ``abs_tol`` times the panel's share
+    of [a, b] and the rounding floor.  So each segment takes the panels and
+    the decisions that integrating it alone would.
+
+    Returns, per end point, the list of stage integrals, or the exception
+    that ended that segment: :class:`QuadratureError` when a panel at
+    ``max_depth`` is still unresolved, the segment needs more than
+    ``_MAX_PANELS`` panels or a stage divides by zero at one of its points
+    (a pole exactly on the path), else whatever a stage raised there.  A
+    failing segment never stops the others."""
+    a = complex(a)
+    segments = [_Segment(a, complex(b), abs_tol, len(stages)) for b in ends]
+    live = [seg for seg in segments if seg.stack]
+    while live:
+        rows: list[_Segment] = []
+        for seg in live:
+            seg.taken += 1
+            if seg.taken <= _MAX_PANELS:
+                rows.append(seg)
+            else:
+                seg.fail(QuadratureError(
+                    f"quadrature needs more than {_MAX_PANELS} panels on [{a}, {seg.b}]"))
+        panels = [seg.stack.pop() for seg in rows]
+        if rows:
+            mids = [0.5 * (p + q) for p, q, _ in panels]
+            # One array per round holds, per row: mid, half-width and the
+            # running stage integrals.
+            state = np.array([(mid, 0.5 * (q - p), *seg.totals)
+                              for mid, (p, q, _), seg in zip(mids, panels, rows)])
+            half = state[:, 1:2]
+            z = state[:, :1] + half * _CHEB_NODES
+            sel = list(range(len(rows)))    # rows every stage so far accepted
+            prior: list[np.ndarray] = []
+            for k, stage in enumerate(stages):
+                vals, errors = _stage_rows(stage, z, prior)
+                applied = vals @ _CHEB_APPLY
+                tails = _max_rows(np.abs(applied[:, :3])).tolist()
+                ok = [tail <= rows[j].tail_tol for j, tail in zip(sel, tails)]
+                if not all(ok):     # a nan tail fails both tests: bisect
+                    peaks = _max_rows(np.abs(vals)).tolist()
+                    ok = [keep or tail <= _ROUNDING_FLOOR * peak
+                          for keep, tail, peak in zip(ok, tails, peaks)]
+                for j, err in enumerate(errors or ()):
+                    if err is not None:
+                        ok[j] = False
+                        if isinstance(err, ZeroDivisionError):
+                            lo, hi = panels[sel[j]][:2]
+                            singular = QuadratureError(
+                                f"integrand is singular on the panel [{lo}, {hi}]")
+                            singular.__cause__ = err
+                            err = singular
+                        rows[sel[j]].fail(err)
+                if not all(ok):
+                    sel = [j for j, keep in zip(sel, ok) if keep]
+                    if not sel:
+                        break
+                    z, applied, half, state = z[ok], applied[ok], half[ok], state[ok]
+                    prior = [pr[ok] for pr in prior]
+                prior.append(state[:, 2 + k:3 + k] + half * applied[:, 3:])
+            for j, *row in zip(sel, *(pr[:, -1].tolist() for pr in prior)):
+                rows[j].totals = row
+            accepted = set(sel)
+            for j, seg in enumerate(rows):
+                if j in accepted or seg.result is not None:
+                    continue
+                lo, hi, depth = panels[j]
+                if depth >= max_depth:
+                    seg.fail(QuadratureError(
+                        f"quadrature did not converge on segment [{lo}, {hi}]"))
+                else:
+                    seg.stack.append((mids[j], hi, depth + 1))
+                    seg.stack.append((lo, mids[j], depth + 1))
+        for seg in live:
+            if not seg.stack and seg.result is None:
+                seg.result = seg.totals
+        live = [seg for seg in live if seg.stack]
+    return [seg.result for seg in segments]
+
+
+def _integrate_segment(stages: Sequence[Callable[[np.ndarray, list], object]],
+                       a: complex, b: complex, abs_tol: float,
+                       max_depth: int = 48) -> list[complex]:
+    """The stage integrals over one segment [a, b] by
+    :func:`_integrate_panels`; raises the exception that ended it."""
+    (got,) = _integrate_panels(stages, a, (b,), abs_tol, max_depth)
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def integrate_callable(fn: Callable[[complex], complex], path: Path,
@@ -677,9 +847,9 @@ def integrate_callable(fn: Callable[[complex], complex], path: Path,
     view of :func:`_integrate_panels`, each segment taking an equal share of
     ``abs_tol``.  Deterministic for a fixed path; raises
     :class:`QuadratureError` on a singularity on or too close to the path."""
-    stage = lambda z, prior: [fn(w) for w in z]
+    stage = lambda z, prior: [[fn(w) for w in row] for row in z.tolist()]
     seg_tol = abs_tol / len(path.segments)
-    return sum((_integrate_panels((stage,), a, b, seg_tol, max_depth)[0]
+    return sum((_integrate_segment((stage,), a, b, seg_tol, max_depth)[0]
                 for a, b in path.segments), 0j)
 
 

@@ -275,12 +275,26 @@ def classify_case(dec: Decomposition) -> str:
 # ---------------------------------------------------------------------------
 # Change of variables
 
+# Segments per multi-segment integration.  The transient arrays grow with
+# the batch, and from about 100 rows on OpenBLAS (unless pinned to one
+# thread) hands the panel products to worker threads, which on 2 cores cost
+# far more than the products themselves.
+_PREFETCH_BATCH = 64
+
+
 class _VarChange:
     """Tau and gauge maps for one decomposition and basepoint, integrated
     along the straight segment from the basepoint on adaptive Chebyshev
     panels.  One pass per point integrates h to log E at the panel points,
     then f E at the same points to S, so the work is linear in the panels.
-    Values are built-in ``complex``, memoized per point."""
+    Values are built-in ``complex``, memoized per point.
+
+    A point missing from the memo is integrated alone, with the scalar
+    compiled h and f.  :meth:`prefetch` fills the memo for many points at
+    once instead: multi-segment integrations that evaluate the array forms
+    of h and f on the current panel of every segment together.  A
+    point whose segment fails there is left out of the memo, so asking for
+    it later takes the single-point path and raises as it would have."""
 
     def __init__(self, dec: Decomposition, basepoint_x: complex,
                  quad_tol: float = 1e-13):
@@ -290,28 +304,53 @@ class _VarChange:
         self._h = fe.compile_expr(dec.h, params)
         self._f = fe.compile_expr(dec.f, params)
         self._G = fe.compile_expr(dec.gauge_exponent(), params)
-        self._es_stages = ((self._h_at,) if dec.f_zero
-                           else (self._h_at, self._fE_at))
+        self._h_array = fe.array_form(self._h)
+        self._f_array = fe.array_form(self._f)
+        # Stages of one pass (see fe._integrate_panels): h, then f E.  The
+        # scalar ones serve a single point, the array ones a batch.
+        self._es_scalar = (self._h_at,) if dec.f_zero else (self._h_at, self._fE_at)
+        self._es_array = (self._h_rows,) if dec.f_zero else (self._h_rows, self._fE_rows)
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
         self._cache_gauge: dict[complex, complex] = {}
 
     def _h_at(self, z, prior):
-        return [self._h(w, 0j) for w in z]
+        return [[self._h(w, 0j) for w in row] for row in z.tolist()]
 
     def _fE_at(self, z, prior):
-        return np.exp(prior[0]) * [self._f(w, 0j) for w in z]
+        return np.exp(prior[0]) * [[self._f(w, 0j) for w in row] for row in z.tolist()]
 
     def _G_at(self, z, prior):
-        return [self._G(w, 0j) for w in z]
+        return [[self._G(w, 0j) for w in row] for row in z.tolist()]
+
+    def _h_rows(self, z, prior):
+        return self._h_array(z, 0j)
+
+    def _fE_rows(self, z, prior):
+        return np.exp(prior[0]) * self._f_array(z, 0j)
+
+    def _es_value(self, integrals: list[complex]) -> tuple[complex, complex]:
+        # S is 0 when f vanishes and there is no second stage.
+        log_e, s = (*integrals, 0j)[:2]
+        return cmath.exp(log_e), s
 
     def _ES(self, x: complex) -> tuple[complex, complex]:
         got = self._cache_ES.get(x)
         if got is None:
-            # S is 0 when f vanishes and there is no second stage.
-            log_e, s = (*fe._integrate_panels(self._es_stages, self.x0, x,
-                                              self.quad_tol), 0j)[:2]
-            got = self._cache_ES[x] = (cmath.exp(log_e), s)
+            got = self._cache_ES[x] = self._es_value(
+                fe._integrate_segment(self._es_scalar, self.x0, x, self.quad_tol))
         return got
+
+    def prefetch(self, xs) -> None:
+        """Memoize E and S at all of ``xs`` by multi-segment integrations
+        in array form, ``_PREFETCH_BATCH`` points at a time; points that
+        fail stay unmemoized."""
+        todo = list(dict.fromkeys(x for x in map(complex, xs) if x not in self._cache_ES))
+        for k in range(0, len(todo), _PREFETCH_BATCH):
+            batch = todo[k:k + _PREFETCH_BATCH]
+            for x, got in zip(batch, fe._integrate_panels(self._es_array, self.x0, batch,
+                                                          self.quad_tol)):
+                if not isinstance(got, Exception):
+                    self._cache_ES[x] = self._es_value(got)
 
     def E(self, x: complex) -> complex:
         """exp(int_{x0}^{x} h), normalized to 1 at the basepoint."""
@@ -341,7 +380,7 @@ class _VarChange:
         x = complex(x)
         got = self._cache_gauge.get(x)
         if got is None:
-            (val,) = fe._integrate_panels((self._G_at,), self.x0, x, self.quad_tol)
+            (val,) = fe._integrate_segment((self._G_at,), self.x0, x, self.quad_tol)
             got = self._cache_gauge[x] = cmath.exp(val)
         return got
 
@@ -354,7 +393,9 @@ class ReducedEquation:
     Q = q_num / (phi E)^2 with phi = f + t h.  phi, p_num and q_num are
     compiled together as one straight-line function, ``_coeff_parts``,
     which shares their common subexpressions; ``_phi`` alone serves the
-    tau inversion.  P and Q are functions of (x, t) that, for a completely
+    tau inversion.  Their array forms, ``_coeff_parts_array`` and
+    ``_phi_array``, serve cross-validation, which evaluates all its points
+    at once.  P and Q are functions of (x, t) that, for a completely
     integrable input, depend on the point only through tau."""
 
     def __init__(self, sp: ScalarPair, dec: Decomposition, basepoint_x: complex):
@@ -376,6 +417,8 @@ class ReducedEquation:
         )
         self._phi = fe.compile_expr(phi, params)
         self._coeff_parts = fe.compile_expr((phi, p_num, q_num), params)
+        self._phi_array = fe.array_form(self._phi)
+        self._coeff_parts_array = fe.array_form(self._coeff_parts)
 
     # -- change of variables -------------------------------------------------
     def tau_at(self, x: complex, t: complex) -> complex:
@@ -389,6 +432,11 @@ class ReducedEquation:
 
     def tau_x_at(self, x: complex, t: complex) -> complex:
         return self._vc.tau_x(x, t)
+
+    def prefetch(self, xs) -> None:
+        """Memoize the tau map at all of ``xs`` in one batch, so later
+        calls at these points are cache hits (see ``_VarChange.prefetch``)."""
+        self._vc.prefetch(xs)
 
     # -- reduced coefficients ------------------------------------------------
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:

@@ -21,6 +21,7 @@ choices never affect pass/fail or matched parameters.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -153,7 +154,14 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32,
     tau formula at x2 and is accepted when it stays within an inflated
     deformation box away from singular values.  Returns the max of
     (|dP| + |dQ|) / scale over the pairs plus the sampled coefficient table
-    (in the quadrature frame)."""
+    (in the quadrature frame).
+
+    Candidate triples (x1, t1, x2) are drawn in chunks, in the order and
+    from the stream one at a time would use, and never past the budget of
+    200 attempts per pair.  E and S at all x of a chunk are integrated in
+    one batch (``ReducedEquation.prefetch``); the per-candidate checks then
+    run one at a time on the memoized values, so the batch changes the
+    cost, not which pairs are tried or accepted."""
     entry = prep.entry
     red = prep.red
     rng = np.random.default_rng(seed)
@@ -164,32 +172,43 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32,
     attempts = 0
     max_attempts = 200 * n_pairs
     while accepted < n_pairs and attempts < max_attempts:
-        attempts += 1
-        x1 = prep.box_x.random(rng)
-        t1 = prep.box_t.random(rng)
-        x2 = prep.box_x.random(rng)
-        if abs(x2 - x1) < 0.05:
-            continue
-        try:
-            tau = red.tau_at(x1, t1)
-            t2 = red.solve_t(x2, tau)
-            if not region.contains(t2):
+        # A quarter more attempts than the acceptance rate so far says the
+        # missing pairs need (one per pair before any is seen).
+        wanted = 1.25 * (n_pairs - accepted) * (attempts + 1) / (accepted + 1)
+        chunk = []
+        for _ in range(min(max_attempts - attempts, max(8, math.ceil(wanted)))):
+            x1 = prep.box_x.random(rng)
+            t1 = prep.box_t.random(rng)
+            x2 = prep.box_x.random(rng)
+            chunk.append((x1, t1, x2))
+        red.prefetch([x for x1, _, x2 in chunk if abs(x2 - x1) >= 0.05
+                      for x in (x1, x2)])
+        for x1, t1, x2 in chunk:
+            if accepted == n_pairs:
+                break
+            attempts += 1
+            if abs(x2 - x1) < 0.05:
                 continue
-            if any(abs(t2 - s) < 0.15 for s in entry.singular_t):
+            try:
+                tau = red.tau_at(x1, t1)
+                t2 = red.solve_t(x2, tau)
+                if not region.contains(t2):
+                    continue
+                if any(abs(t2 - s) < 0.15 for s in entry.singular_t):
+                    continue
+                if abs(red.tau_x_at(x1, t1)) < 1e-8 or abs(red.tau_x_at(x2, t2)) < 1e-8:
+                    continue
+                p1c, q1c = red.coefficients_at(x1, t1)
+                p2c, q2c = red.coefficients_at(x2, t2)
+            except (fe.SingularEvaluationError, fe.QuadratureError,
+                    red_mod.DegenerateTauPointError, ZeroDivisionError, ValueError):
                 continue
-            if abs(red.tau_x_at(x1, t1)) < 1e-8 or abs(red.tau_x_at(x2, t2)) < 1e-8:
-                continue
-            p1c, q1c = red.coefficients_at(x1, t1)
-            p2c, q2c = red.coefficients_at(x2, t2)
-        except (fe.SingularEvaluationError, fe.QuadratureError,
-                red_mod.DegenerateTauPointError, ZeroDivisionError, ValueError):
-            continue
-        scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
-        dev = (abs(p1c - p2c) + abs(q1c - q2c)) / scale
-        max_dev = max(max_dev, dev)
-        samples.append((tau, p1c, q1c))
-        samples.append((tau, p2c, q2c))
-        accepted += 1
+            scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
+            dev = (abs(p1c - p2c) + abs(q1c - q2c)) / scale
+            max_dev = max(max_dev, dev)
+            samples.append((tau, p1c, q1c))
+            samples.append((tau, p2c, q2c))
+            accepted += 1
     if accepted < n_pairs:
         raise VerifyError(
             f"could only place {accepted}/{n_pairs} tau-matched pairs inside "
@@ -355,11 +374,12 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
 
     if entry.lax is not None:
         a = entry.lax.a
-        fns = [fe.compile_expr(a[i][j], params) for i in range(2) for j in range(2)]
+        a_entries = fe.compile_expr(tuple(a[i][j] for i in range(2) for j in range(2)),
+                                    params)
 
         def rhs(s, y):
             x = x0 + u * s
-            a11, a12, a21, a22 = (f(x, t_fixed) for f in fns)
+            a11, a12, a21, a22 = a_entries(x, t_fixed)
             p, q, ee = y[0], y[1], y[2]
             return [
                 u * (a11 * p + a12 * q),
@@ -371,15 +391,15 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
 
         kind = "system"
     else:
-        p1fn = fe.compile_expr(prep.sp.p1, params)
-        q1fn = fe.compile_expr(prep.sp.q1, params)
+        p1_q1 = fe.compile_expr((prep.sp.p1, prep.sp.q1), params)
 
         def rhs(s, y):
             x = x0 + u * s
             p, dp, ee = y[0], y[1], y[2]
+            p1, q1 = p1_q1(x, t_fixed)
             return [
                 u * dp,
-                u * (-p1fn(x, t_fixed) * dp - q1fn(x, t_fixed) * p),
+                u * (-p1 * dp - q1 * p),
                 u * hfn(x, t_fixed) * ee,
                 u * ffn(x, t_fixed) * ee,
                 u * gfn(x, t_fixed) * y[4],
@@ -431,14 +451,14 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
     params = dict(prep.dec.params)
     comp = 0 if entry.component == "first" else 1
     b = entry.lax.b
-    bfns = [fe.compile_expr(b[i][j], params) for i in range(2) for j in range(2)]
+    b_entries = fe.compile_expr(tuple(b[i][j] for i in range(2) for j in range(2)), params)
     a = entry.lax.a
-    afns = [fe.compile_expr(a[i][j], params) for i in range(2) for j in range(2)]
+    a_entries = fe.compile_expr(tuple(a[i][j] for i in range(2) for j in range(2)), params)
     x_anchor = complex(x_anchor)
     t_center = complex(t_center)
 
     def rhs_t(t, y):
-        b11, b12, b21, b22 = (f(x_anchor, complex(t)) for f in bfns)
+        b11, b12, b21, b22 = b_entries(x_anchor, complex(t))
         return [b11 * y[0] + b12 * y[1], b21 * y[0] + b22 * y[1]]
 
     phi0 = np.array([1.0 + 0j, 0.4 + 0.1j])
@@ -455,7 +475,7 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
             y0 = res.y[:, -1]
 
         def rhs_x(s, y, tk=tk):
-            a11, a12, a21, a22 = (f(x_anchor + s, tk) for f in afns)
+            a11, a12, a21, a22 = a_entries(x_anchor + s, tk)
             return [a11 * y[0] + a12 * y[1], a21 * y[0] + a22 * y[1]]
 
         legs = []
@@ -491,7 +511,7 @@ def _default_cross_path(prep: Prepared) -> Path:
     return Path([prep.red.basepoint_x, complex(prep.box_x.re_hi - 0.05, 0.0)])
 
 
-def _invert_tau(trace: SolutionTrace, phi: Callable, t_fixed: complex,
+def _invert_tau(trace: SolutionTrace, phi_array: Callable, t_fixed: complex,
                 taus: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Arclengths at which Re tau = Re(t E + S) on the trace takes the
     values ``taus``, by Newton from the guesses ``s`` (all targets at once).
@@ -499,9 +519,9 @@ def _invert_tau(trace: SolutionTrace, phi: Callable, t_fixed: complex,
     Each target takes at most 8 steps s -= (Re tau - target) / Re(tau_x u),
     clamped to [0, L], until its step falls below 1e-13 (1 + L); tau_x is
     phi(x, t) E.  A step evaluates the dense output once, on the targets
-    still moving, and phi once per such target.  Raises
-    :class:`VerifyError` when a target is left unconverged, by the step
-    budget or by a zero derivative."""
+    still moving, and ``phi_array`` (the array form of phi) once on all of
+    them.  Raises :class:`VerifyError` when a target is left unconverged,
+    by the step budget or by a zero derivative."""
     length = trace.length
     u = (trace.x_end - trace.x_start) / length
     s = np.array(s, dtype=float)
@@ -513,8 +533,7 @@ def _invert_tau(trace: SolutionTrace, phi: Callable, t_fixed: complex,
             break
         st = trace.sol(s[active])
         g = (t_fixed * st[2] + st[3]).real - taus[active]
-        xs = trace.x_of(s[active]).tolist()
-        ph = np.array([phi(x, t_fixed) for x in xs])
+        ph = phi_array(trace.x_of(s[active]), t_fixed)
         dg = (ph * st[2] * u).real
         moving = dg != 0
         active = active[moving]
@@ -544,9 +563,11 @@ def cross_validate(prep_or_entry, t_fixed: complex | None = None,
     Newton (:func:`_invert_tau`) started from linear interpolation on a
     257-point tau table of the trace, and the trace is then read once at
     all of them.  So the dense output is called at most 10 times, however
-    many points are asked for.  Raises :class:`VerifyError` when a target
-    does not converge or when w, P, Q or the stencil residual is not finite
-    at some tau."""
+    many points are asked for.  phi, p_num and q_num come from one call of
+    the array form of ``_coeff_parts`` (``_coeff_parts_array``) on all the
+    points.  Raises
+    :class:`VerifyError` when a target does not converge or when w, P, Q or
+    the stencil residual is not finite at some tau."""
     prep = (prep_or_entry if isinstance(prep_or_entry, Prepared)
             else prepare(prep_or_entry, config))
     red = prep.red
@@ -572,13 +593,12 @@ def cross_validate(prep_or_entry, t_fixed: complex | None = None,
     taus = np.linspace(lo, hi, n)
 
     order = np.argsort(tau_grid)
-    s = _invert_tau(trace, red._phi, t_fixed, taus,
+    s = _invert_tau(trace, red._phi_array, t_fixed, taus,
                     np.interp(taus, tau_grid[order], s_grid[order]))
 
     st = trace.sol(s)
     e = st[2]
-    xs = trace.x_of(s).tolist()
-    ph, p_num, q_num = np.array([red._coeff_parts(x, t_fixed) for x in xs]).T
+    ph, p_num, q_num = red._coeff_parts_array(trace.x_of(s), t_fixed)
 
     h = float(taus[1] - taus[0])
     # Stencil stride balances interpolation/solver noise (~eps/H^2) against

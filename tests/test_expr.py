@@ -4,9 +4,10 @@ import random
 import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from fuchsreduce import expr as fe
+from fuchsreduce import catalog, expr as fe
 from fuchsreduce.expr import Binding, Path, T, X
 
 
@@ -118,6 +119,30 @@ def _call(f, *args):
         return type(exc)
 
 
+def _raw_trees(st):
+    """Hypothesis strategy: raw trees over x, t with signed-zero constants,
+    every node kind and exponents that can hit a pole or a branch cut."""
+    leaves = st.sampled_from([X, T, fe.const(0j), fe.const(-0j),
+                              fe.const(complex(0.0, -0.0)),
+                              fe.const(1.5 - 0.5j), fe.const(-2 + 1j)])
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(_raw, st.sampled_from(["neg", "exp", "log", "sqrt"]), kids),
+            st.builds(_raw, st.sampled_from(["add", "mul", "div"]), kids, kids),
+            st.builds(lambda n, a: _raw("ipow", a, value=n),
+                      st.sampled_from([-2, 2, 3]), kids),
+            st.builds(lambda q, a: _raw("fpow", a, value=q),
+                      st.sampled_from([Fraction(1, 2), Fraction(-1, 3)]), kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+_PROPERTY_POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0),
+                    0.7 + 0.2j, -1.3 - 0.4j, 2.5 + 0j]
+
+
 class TestCompileSharing:
     def test_structurally_equal_subtrees_emit_once(self):
         e = fe.add(fe.mul(X, T), fe.mul(X, T))
@@ -146,21 +171,7 @@ class TestCompileSharing:
     def test_tuple_compile_property(self):
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        leaves = st.sampled_from([X, T, fe.const(0j), fe.const(-0j),
-                                  fe.const(complex(0.0, -0.0)),
-                                  fe.const(1.5 - 0.5j), fe.const(-2 + 1j)])
-
-        def extend(kids):
-            return st.one_of(
-                st.builds(_raw, st.sampled_from(["neg", "exp", "log", "sqrt"]), kids),
-                st.builds(_raw, st.sampled_from(["add", "mul", "div"]), kids, kids),
-                st.builds(lambda n, a: _raw("ipow", a, value=n),
-                          st.sampled_from([-2, 2, 3]), kids),
-                st.builds(lambda q, a: _raw("fpow", a, value=q),
-                          st.sampled_from([Fraction(1, 2), Fraction(-1, 3)]), kids),
-            )
-
-        trees = st.recursive(leaves, extend, max_leaves=10)
+        trees = _raw_trees(st)
 
         @st.composite
         def pairs(draw):
@@ -170,8 +181,7 @@ class TestCompileSharing:
             return a, draw(st.sampled_from([c, _raw("add", _clone(a), c),
                                             _raw("mul", c, _clone(a))]))
 
-        points = st.sampled_from([0j, complex(-0.0, -0.0), complex(0.0, -0.0),
-                                  0.7 + 0.2j, -1.3 - 0.4j, 2.5 + 0j])
+        points = st.sampled_from(_PROPERTY_POINTS)
 
         @hyp.settings(max_examples=400, deadline=None, derandomize=True,
                       database=None)
@@ -192,6 +202,107 @@ class TestCompileSharing:
                     continue
                 if cmath.isfinite(want):
                     assert abs(got - want) <= 1e-12 * abs(want)
+
+        check()
+
+
+class TestCompileConstants:
+    def test_negative_imaginary_parameter_power(self):
+        # repr(complex(0, -2)) is '-2j', and '-2j ** 2' is -(2j ** 2) = 4.
+        a = complex(0.0, -2.0)
+        e = fe.ipow(fe.param("a"), 2)
+        want = fe.evaluate(e, Binding(x=0j, t=0j, params={"a": a}))
+        f = fe.compile_expr(e, {"a": a})
+        assert want == -4
+        assert f(0j, 0j) == want
+        assert list(fe.array_form(f)(np.array([0j, 1j]), 0j)) == [want, want]
+
+    @pytest.mark.parametrize("value", [complex(0.0, -0.5), complex(-0.0, -0.5), 3j,
+                                       -1 + 0j])
+    def test_constant_power_matches_evaluate(self, value):
+        # ipow folds constant bases, so build the node raw.
+        e = fe.add(X, _raw("ipow", fe.const(value), value=2))
+        want = fe.evaluate(e, Binding(x=1 + 1j, t=0j))
+        f = fe.compile_expr(e)
+        assert f(1 + 1j, 0j) == want
+        assert fe.array_form(f)(np.array([1 + 1j]), 0j)[0] == pytest.approx(want, rel=1e-15)
+
+
+class TestArrayForm:
+    """``array_form``: the same compiled body evaluated on arrays."""
+
+    def test_matches_scalar_on_catalog_coefficients(self, prep):
+        rng = np.random.default_rng(3)
+        for entry_id in ("PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"):
+            red = prep(entry_id).red
+            box = prep(entry_id).box_x
+            xs = (rng.uniform(box.re_lo, box.re_hi, 50)
+                  + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
+            ts = rng.uniform(0.5, 1.5, 50) + 0j
+            got = red._coeff_parts_array(xs, ts)
+            want = np.array([red._coeff_parts(x, t) for x, t in zip(xs.tolist(), ts.tolist())]).T
+            assert all(g.shape == (50,) for g in got)
+            scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+            assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scale)
+
+    def test_broadcasts_and_keeps_shape(self):
+        f = fe.compile_expr((fe.const(2), fe.mul(X, T), T))
+        xs = np.array([[1 + 1j, 2], [3, 4j]])
+        two, xt, t = fe.array_form(f)(xs, 0.5)
+        assert two.shape == xt.shape == t.shape == (2, 2)
+        assert np.all(two == 2) and np.all(t == 0.5)
+        assert np.all(xt == xs * 0.5)
+        assert fe.array_form(fe.compile_expr(X))(1 + 2j, 0).shape == ()
+
+    @pytest.mark.parametrize("e, bad, error", [
+        (fe.div(fe.const(1), fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))), 1.5,
+         ZeroDivisionError),
+        (fe.log(fe.sub(X, fe.const(1.5))), 1.5, ValueError),
+        (fe.exp(fe.mul(fe.const(1000), X)), 1.0, OverflowError),
+        (fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(-1, 2)), 1.5,
+         fe.SingularEvaluationError),
+        (fe.ipow(fe.sub(X, fe.const(1.5)), -2), 1.5, ZeroDivisionError),
+    ], ids=["pole-under-reciprocal", "log-zero", "exp-overflow", "zero-fpow",
+            "zero-ipow"])
+    def test_singular_point_raises_scalar_exception(self, e, bad, error):
+        # numpy would return inf or nan here (and 1/(1/0) is a finite 0);
+        # the batch goes back to the scalar form, which raises.
+        f = fe.compile_expr(e)
+        array = fe.array_form(f)
+        with pytest.raises(error):
+            f(bad, 0j)
+        with pytest.raises(error):
+            array(np.array([0.5, bad, 1.25]), 0j)
+        assert np.all(np.isfinite(array(np.array([0.25, 0.5]), 0j)))
+
+    def test_zero_base_positive_fractional_power(self):
+        f = fe.compile_expr(fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(1, 2)))
+        got = fe.array_form(f)(np.array([1.5, 2.5]), 0j)
+        assert got[0] == 0 and got[1] == pytest.approx(1.0)
+
+    def test_array_form_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        points = st.sampled_from(_PROPERTY_POINTS)
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(_raw_trees(st), st.lists(points, min_size=1, max_size=5), points)
+        def check(e, xs, t):
+            f = fe.compile_expr(e)
+            scalar = [_call(f, x, t) for x in xs]
+            got = _call(fe.array_form(f), np.array(xs), t)
+            raised = [v for v in scalar if isinstance(v, type)]
+            if raised:
+                # The scalar form is run point by point, in order.
+                assert got is raised[0]
+                return
+            assert got.shape == (len(xs),)
+            for g, want in zip(got.tolist(), scalar):
+                if cmath.isfinite(want):
+                    assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
+                else:
+                    assert _bits(g) == _bits(want)
 
         check()
 
@@ -296,6 +407,97 @@ class TestChebyshevPanels:
         vc.E(x)
         vc.S(x)
         assert 0 < calls[0] <= 400
+
+
+def _scalar_stage(fn):
+    return lambda z, prior: [[fn(w) for w in row] for row in z.tolist()]
+
+
+class TestMultiSegmentPanels:
+    """``_integrate_panels`` over many end points sharing one start."""
+
+    @pytest.mark.parametrize("entry_id", catalog.list_entries()
+                             + catalog.list_negative_entries())
+    def test_agrees_with_one_call_per_segment(self, prep, entry_id):
+        from fuchsreduce import reduction
+
+        p = prep(entry_id)
+        vc = reduction._VarChange(p.dec, p.red.basepoint_x)
+        rng = np.random.default_rng(64)
+        xs = [p.box_x.random(rng) for _ in range(64)]
+        batched = fe._integrate_panels((vc._h_rows, vc._fE_rows), vc.x0, xs, vc.quad_tol)
+        for x, got in zip(xs, batched):
+            want = fe._integrate_segment((vc._h_at, vc._fE_at), vc.x0, x, vc.quad_tol)
+            assert len(got) == 2
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15 * max(1.0, abs(w))
+
+    def test_pole_on_one_panel_point_fails_only_that_segment(self):
+        from fuchsreduce import reduction
+
+        # h = 1/(x - 3/2): the first panel of [1, 2] has its midpoint on the
+        # pole; the other segments never reach it.
+        h = fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))
+        dec = reduction.Decomposition(
+            f=fe.const(1), h=h, R=fe.const(0), M=fe.const(0), g_of_t=None,
+            P1=None, P2=None, P3=None, exponent_A=None, f_zero=False,
+            h_zero=False, M_zero=True, M_constant=True, component="first")
+        vc = reduction._VarChange(dec, 1.0)
+        ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
+        got = fe._integrate_panels((vc._h_rows, vc._fE_rows), 1.0, ends, 1e-13)
+        assert isinstance(got[0], fe.QuadratureError)
+        assert isinstance(got[0].__cause__, ZeroDivisionError)
+        vc.prefetch(ends)
+        assert set(vc._cache_ES) == set(ends[1:])
+        single = reduction._VarChange(dec, 1.0)
+        for x in ends[1:]:
+            assert vc.E(x) == pytest.approx(single.E(x), rel=1e-15)
+            assert vc.S(x) == pytest.approx(single.S(x), rel=1e-15)
+        with pytest.raises(fe.QuadratureError) as info:
+            vc.E(2.0)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_depth_cap_applies_per_segment(self):
+        # Only [1, 2] passes 0.05 from the pole; [1, 1.2] resolves at once.
+        stage = _scalar_stage(lambda z: 1 / (z - 1.5 - 0.05j))
+        got = fe._integrate_panels((stage,), 1.0, [2.0, 1.2], 1e-12, max_depth=2)
+        assert isinstance(got[0], fe.QuadratureError)
+        assert "did not converge" in str(got[0])
+        want = fe._integrate_segment((stage,), 1.0, 1.2, 1e-12)[0]
+        assert got[1][0] == pytest.approx(want, rel=1e-15)
+
+    def test_panel_budget_applies_per_segment(self, monkeypatch):
+        stage = _scalar_stage(lambda z: cmath.exp(8 * z))
+        ends = [1.0 + 0.1 * k for k in range(1, 9)]
+        panels = [0] * len(ends)
+        for k, b in enumerate(ends):
+            counted = _scalar_stage(lambda z: cmath.exp(8 * z))
+
+            def counting(z, prior, k=k, counted=counted):
+                panels[k] += len(z)
+                return counted(z, prior)
+
+            fe._integrate_panels((counting,), 1.0, [b], 1e-13)
+        # Each segment fits the budget alone, all of them together do not.
+        budget = max(panels)
+        assert sum(panels) > budget
+        monkeypatch.setattr(fe, "_MAX_PANELS", budget)
+        assert not any(isinstance(v, Exception)
+                       for v in fe._integrate_panels((stage,), 1.0, ends, 1e-13))
+        monkeypatch.setattr(fe, "_MAX_PANELS", budget - 1)
+        got = fe._integrate_panels((stage,), 1.0, ends, 1e-13)
+        over = [isinstance(v, fe.QuadratureError) for v in got]
+        assert over == [n > budget - 1 for n in panels]
+        assert all("more than" in str(v) for v in got if isinstance(v, Exception))
+
+    def test_stage_exception_class_is_kept(self):
+        # Not a division by zero: the stage's own error ends the segment.
+        stage = _scalar_stage(lambda z: cmath.log(z - 1.5))
+        got = fe._integrate_panels((stage,), 1.0, [2.0, 1.4], 1e-12)
+        assert isinstance(got[0], ValueError)
+        assert not isinstance(got[1], Exception)
+        with pytest.raises(ValueError):
+            fe._integrate_segment((stage,), 1.0, 2.0, 1e-12)
 
 
 class TestNumericallyZero:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fuchsreduce import catalog, expr as fe, verify
+from fuchsreduce import catalog, expr as fe, reduction as red_mod, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, Path
@@ -50,6 +51,101 @@ class TestTIndependence:
     def test_frame_fit_validates(self, prep):
         for entry_id in ALL_IDS:
             assert prep(entry_id).frame_residual <= 1e-9
+
+
+def _scalar_t_independence(prep, n_pairs, seed):
+    """Reference: the one-candidate-at-a-time loop that the batched stage
+    replaced, with E and S integrated point by point on a memo miss."""
+    entry = prep.entry
+    red = prep.red
+    rng = np.random.default_rng(seed)
+    region = prep.box_t.inflated(3.0)
+    samples = []
+    max_dev = 0.0
+    accepted = 0
+    attempts = 0
+    max_attempts = 200 * n_pairs
+    while accepted < n_pairs and attempts < max_attempts:
+        attempts += 1
+        x1 = prep.box_x.random(rng)
+        t1 = prep.box_t.random(rng)
+        x2 = prep.box_x.random(rng)
+        if abs(x2 - x1) < 0.05:
+            continue
+        try:
+            tau = red.tau_at(x1, t1)
+            t2 = red.solve_t(x2, tau)
+            if not region.contains(t2):
+                continue
+            if any(abs(t2 - s) < 0.15 for s in entry.singular_t):
+                continue
+            if abs(red.tau_x_at(x1, t1)) < 1e-8 or abs(red.tau_x_at(x2, t2)) < 1e-8:
+                continue
+            p1c, q1c = red.coefficients_at(x1, t1)
+            p2c, q2c = red.coefficients_at(x2, t2)
+        except (fe.SingularEvaluationError, fe.QuadratureError,
+                red_mod.DegenerateTauPointError, ZeroDivisionError, ValueError):
+            continue
+        scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
+        max_dev = max(max_dev, (abs(p1c - p2c) + abs(q1c - q2c)) / scale)
+        samples.append((tau, p1c, q1c))
+        samples.append((tau, p2c, q2c))
+        accepted += 1
+    if accepted < n_pairs:
+        raise verify.VerifyError(
+            f"could only place {accepted}/{n_pairs} tau-matched pairs inside "
+            f"the probe region for {entry.id}")
+    return max_dev, samples
+
+
+def _record_tau_calls(prep):
+    """The (x1, t1) of every candidate that reaches tau_at, in order."""
+    calls = []
+    tau_at = prep.red.tau_at
+
+    def recorded(x, t):
+        calls.append((x, t))
+        return tau_at(x, t)
+
+    prep.red.tau_at = recorded
+    return calls
+
+
+class TestTIndependenceBatched:
+    """The chunked, prefetched stage against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_same_candidates_pairs_and_samples(self, entry_id, seed):
+        ref_prep, new_prep = verify.prepare(entry_id), verify.prepare(entry_id)
+        ref_calls, new_calls = _record_tau_calls(ref_prep), _record_tau_calls(new_prep)
+        ref_dev, ref = _scalar_t_independence(ref_prep, 32, seed)
+        new_dev, new = verify.check_t_independence(new_prep, n_pairs=32, seed=seed)
+        assert new_calls == ref_calls
+        assert len(new) == len(ref) == 64
+        assert abs(new_dev - ref_dev) <= 1e-14
+        for got, want in zip(new, ref):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-14 * (1 + abs(w))
+
+    def test_placement_failure_message_and_budget(self):
+        # A deformation box this small leaves most t2 outside the region:
+        # both loops place 2 of 3 pairs within the 200-per-pair budget.
+        def small_box():
+            p = verify.prepare("PII.y0")
+            c = p.box_t.center
+            box = catalog.ComplexRect(c.real, c.real + 0.12, c.imag, c.imag + 0.12)
+            return dataclasses.replace(p, box_t=box)
+
+        ref_prep, new_prep = small_box(), small_box()
+        ref_calls, new_calls = _record_tau_calls(ref_prep), _record_tau_calls(new_prep)
+        with pytest.raises(verify.VerifyError, match="could only place 2/3") as ref:
+            _scalar_t_independence(ref_prep, 3, 5)
+        with pytest.raises(verify.VerifyError, match="could only place 2/3") as new:
+            verify.check_t_independence(new_prep, n_pairs=3, seed=5)
+        assert str(new.value) == str(ref.value)
+        assert new_calls == ref_calls
+        assert 100 < len(new_calls) <= 600
 
 
 class TestMatchClassical:
@@ -272,7 +368,7 @@ class TestCrossValidateBatched:
         lo, hi = sorted((tau_coarse[0], tau_coarse[-1]))
         taus = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 41)
         guesses = np.interp(taus, tau_coarse[order], s_coarse[order])
-        batched = verify._invert_tau(trace, p.red._phi, t, taus, guesses)
+        batched = verify._invert_tau(trace, p.red._phi_array, t, taus, guesses)
         reference = [scalar_newton(tau, s) for tau, s in zip(taus, guesses)]
         assert np.max(np.abs(batched - reference)) <= 1e-12 * (1 + length)
 
@@ -280,8 +376,8 @@ class TestCrossValidateBatched:
         # tau_x ten times too large makes every Newton step ten times too
         # short, so the targets cannot settle within the step budget.
         p = prep("PII.y0")
-        phi = p.red._phi
-        monkeypatch.setattr(p.red, "_phi", lambda x, t: 10 * phi(x, t))
+        phi_array = p.red._phi_array
+        monkeypatch.setattr(p.red, "_phi_array", lambda x, t: 10 * phi_array(x, t))
         with pytest.raises(verify.VerifyError, match="did not converge"):
             verify.cross_validate(p)
 
@@ -291,15 +387,17 @@ class TestCrossValidateBatched:
         real_trace = verify._trace
 
         def poison_then_trace(prep, *args, **kwargs):
-            coeff_parts = prep.red._coeff_parts
-            calls = [0]
+            coeff_parts_array = prep.red._coeff_parts_array
 
             def q_nan(x, t):
-                calls[0] += 1
-                ph, p_num, q_num = coeff_parts(x, t)
-                return ph, p_num, complex("nan") if calls[0] == 100 else q_num
+                # cross_validate evaluates all points in one call, in order;
+                # the 100th point gets the NaN.
+                ph, p_num, q_num = coeff_parts_array(x, t)
+                q_num = q_num.copy()
+                q_num[99] = complex("nan")
+                return ph, p_num, q_num
 
-            monkeypatch.setattr(prep.red, "_coeff_parts", q_nan)
+            monkeypatch.setattr(prep.red, "_coeff_parts_array", q_nan)
             return real_trace(prep, *args, **kwargs)
 
         monkeypatch.setattr(verify, "_trace", poison_then_trace)
