@@ -29,9 +29,6 @@ from .reduction import (
     build_reduced,
     classify_case,
     decompose,
-    gauge,
-    reduced_coefficients,
-    tau_map,
 )
 from .scalarize import ScalarPair, frobenius_residual, scalar_coefficients
 from .targets import ClassicalTarget
@@ -42,7 +39,6 @@ from .verify import (
     full_report,
     match_classical,
     prepare,
-    solve_linear_system,
 )
 
 __version__ = "0.1.0"

@@ -12,8 +12,15 @@ matrices:
   gauge) and the expected classical target, used as oracles and for
   human-readable manifests.
 
-The catalog is constructed once and never mutated afterwards; concurrent
-reads are safe.
+The catalog is constructed once and never mutated afterwards.  Entries
+attach their compiled kernels lazily, on first use, as cached properties:
+the flow residual functions, the scalar pair and the decomposition for the
+entry's own boxes (which in turn carries the compiled tau/gauge and
+coefficient kernels).  Default entries keep them for the life of the
+process; an entry built with parameter overrides takes them with it when
+it is collected.  Concurrent reads are safe: a first use racing another
+may compute a kernel twice, which is harmless because the result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,9 +28,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping
 
 from . import expr as fe
+from . import reduction as red_mod
+from . import scalarize as scal
 from .expr import Binding, Expr, T, X
 from .scalarize import ScalarPair
 from .targets import ClassicalTarget
@@ -111,6 +121,22 @@ class LaxPair:
     singular_x: tuple[complex, ...] = ()
     singular_t: tuple[complex, ...] = ()
 
+    @cached_property
+    def a_entries(self) -> Callable:
+        """(x, t) -> (a11, a12, a21, a22), compiled."""
+        return fe.compile_expr((*self.a[0], *self.a[1]), dict(self.params))
+
+    @cached_property
+    def b_entries(self) -> Callable:
+        """(x, t) -> (b11, b12, b21, b22), compiled."""
+        return fe.compile_expr((*self.b[0], *self.b[1]), dict(self.params))
+
+    @cached_property
+    def frobenius_fns(self) -> list[Callable]:
+        """The four entries of dA/dt - dB/dx + [A, B], compiled."""
+        return [fe.compile_expr(r, dict(self.params))
+                for r in scal.frobenius_residual_exprs(self)]
+
 
 @dataclass
 class CatalogEntry:
@@ -170,17 +196,28 @@ class CatalogEntry:
         ts = self.box_t.diagonal(n)
         return [(x, t) for x in xs for t in ts]
 
+    @cached_property
+    def flow_fns(self) -> list[Callable]:
+        """The flow residual expressions, compiled."""
+        return [fe.compile_expr(e, self.params) for e in self.flow_exprs]
+
+    @cached_property
+    def scalar_pair(self) -> ScalarPair:
+        """The scalar pair the reduction acts on: scalarized from the
+        matrices, or the direct one."""
+        if self.lax is None:
+            return self.scalar
+        return scal.scalar_coefficients(self.lax, self.component,
+                                        probes=self.probe_bindings())
+
+    @cached_property
+    def decomposition(self) -> red_mod.Decomposition:
+        """The decomposition of the scalar pair on the entry's own boxes."""
+        return red_mod.decompose(self.scalar_pair, self.box_x, self.box_t)
+
 
 def _c(v) -> Expr:
     return fe.const(complex(v))
-
-
-def _pow(base: Expr, k) -> Expr:
-    return fe.pow_any(base, k)
-
-
-def _as_complex(v) -> complex:
-    return complex(v)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +290,6 @@ def _piv_template(y: Expr, z: Expr, u: Expr, theta0, theta_inf) -> tuple:
     return a, b, flows
 
 
-def _piv_template_y_const_minus2t(z: Expr, u: Expr, theta0, theta_inf) -> tuple:
-    # y = -2t makes a couple of flow terms 0/0-free only after substitution;
-    # the generic template handles it fine since y never vanishes on the
-    # probe boxes (t is bounded away from 0).
-    y = -2 * T
-    return _piv_template(y, z, u, theta0, theta_inf)
-
-
 def _pv_template(y: Expr, z: Expr, u: Expr, theta0, theta1, theta_inf) -> tuple:
     th0 = _c(theta0)
     th1 = _c(theta1)
@@ -330,7 +359,7 @@ def _build_pii_y0(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PII.y0", family="PII", component="first",
-        params={k: _as_complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
         lax=lax, scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
@@ -359,7 +388,7 @@ def _build_pii_y_inv_t(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PII.y_inv_t", family="PII", component="second",
-        params={k: _as_complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
         lax=lax, scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
@@ -376,21 +405,21 @@ def _build_piii_y1(p) -> CatalogEntry:
     th0 = thi - 1
     y = _c(1)
     z = _c((1 - 2 * F(thi)) / 4) if isinstance(thi, (int, Fraction)) else _c((1 - 2 * thi) / 4)
-    w = fe.exp(2 * T) * _pow(T, thi)
+    w = fe.exp(2 * T) * fe.pow_any(T, thi)
     a, b, flows = _piii_template(y, z, w, th0, thi)
     lax = LaxPair(a, b, params={}, singular_x=(0j, 1 + 0j, -1 + 0j), singular_t=(0j,))
-    thi_c = _as_complex(thi)
+    thi_c = complex(thi)
     red = {
         "f": _c(0),
         "h": (X + 1) / (X * (X - 1)),
         "R": _c((thi_c - 1) / 2) / X - _c((2 * thi_c - 1) / 2) / (X - 1),
         "M": _c(-1),
         "tau": (X - 1) ** 2 * T / X,
-        "gauge": _pow(X, _half_of(thi, -1)) * _pow(X - 1, _half_of(1, -2 * F(thi)) if isinstance(thi, (int, Fraction)) else (1 - 2 * thi) / 2),
+        "gauge": fe.pow_any(X, _half_of(thi, -1)) * fe.pow_any(X - 1, _half_of(1, -2 * F(thi)) if isinstance(thi, (int, Fraction)) else (1 - 2 * thi) / 2),
     }
     return CatalogEntry(
         id="PIII.y1", family="PIII", component="first",
-        params={"theta_inf": thi_c, "theta0": _as_complex(th0)},
+        params={"theta_inf": thi_c, "theta0": complex(th0)},
         params_exact={"theta_inf": thi},
         closed_forms={"y": y, "z": z, "w": w},
         lax=lax, scalar=None, flow_exprs=flows,
@@ -413,7 +442,8 @@ def _build_piv_y_m2t(p) -> CatalogEntry:
     th0, thi = p["theta0"], p["theta_inf"]
     z = _c(1)
     u = _c(1)
-    a, b, flows = _piv_template_y_const_minus2t(z, u, th0, thi)
+    # y = -2t never vanishes on the probe boxes (t is bounded away from 0).
+    a, b, flows = _piv_template(-2 * T, z, u, th0, thi)
     lax = LaxPair(a, b, params={}, singular_x=(0j,), singular_t=())
     red = {
         "f": _c(1),
@@ -421,11 +451,11 @@ def _build_piv_y_m2t(p) -> CatalogEntry:
         "R": fe.neg(1 / (2 * X)),
         "M": _c(0),
         "tau": T * X + X**2 / 2,
-        "gauge": _pow(X, F(-1, 2)),
+        "gauge": fe.pow_any(X, F(-1, 2)),
     }
     return CatalogEntry(
         id="PIV.y_m2t", family="PIV", component="first",
-        params={k: _as_complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
         closed_forms={"y": -2 * T, "z": z, "u": u},
         lax=lax, scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
@@ -451,12 +481,12 @@ def _build_piv_y_m2t3(p) -> CatalogEntry:
         "h": 1 / (3 * X),
         "R": fe.neg(1 / (6 * X)),
         "M": 2 * T / 3,
-        "tau": T * _pow(X, F(1, 3)) + F(3, 4) * _pow(X, F(4, 3)),
-        "gauge": _pow(X, F(-1, 6)),
+        "tau": T * fe.pow_any(X, F(1, 3)) + F(3, 4) * fe.pow_any(X, F(4, 3)),
+        "gauge": fe.pow_any(X, F(-1, 6)),
     }
     return CatalogEntry(
         id="PIV.y_m2t3", family="PIV", component="first",
-        params={k: _as_complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
         lax=lax, scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
@@ -477,12 +507,12 @@ def _build_pv_y_lin(p) -> CatalogEntry:
         raise ValueError("theta1 = 1 degenerates the solution y = 1 - t/(theta1 - 1)")
     th0 = F(0) if isinstance(th1, (int, Fraction)) else 0.0
     thi = (F(2) - F(th1)) if isinstance(th1, (int, Fraction)) else 2 - th1
-    th1_c = _as_complex(th1)
+    th1_c = complex(th1)
     y = 1 - T / _c(th1_c - 1)
     z = _c(0)
     # The flow for u forces exp(+t); checked against the integrability
     # condition directly.
-    u = _pow(T, (F(2) - F(th1)) if isinstance(th1, (int, Fraction)) else 2 - th1) \
+    u = fe.pow_any(T, (F(2) - F(th1)) if isinstance(th1, (int, Fraction)) else 2 - th1) \
         * fe.exp(T) / (_c(th1_c - 1) - T)
     a, b, flows = _pv_template(y, z, u, th0, th1, thi)
     lax = LaxPair(a, b, params={},
@@ -494,11 +524,11 @@ def _build_pv_y_lin(p) -> CatalogEntry:
         "R": _c((th1_c - 2) / 2) / (X - 1),
         "M": _c(-0.5),
         "tau": T * (X - 1),
-        "gauge": _pow(X - 1, (F(th1) - 2) / 2 if isinstance(th1, (int, Fraction)) else (th1 - 2) / 2),
+        "gauge": fe.pow_any(X - 1, (F(th1) - 2) / 2 if isinstance(th1, (int, Fraction)) else (th1 - 2) / 2),
     }
     return CatalogEntry(
         id="PV.y_lin", family="PV", component="first",
-        params={"theta1": th1_c, "theta0": 0j, "theta_inf": _as_complex(thi)},
+        params={"theta1": th1_c, "theta0": 0j, "theta_inf": complex(thi)},
         params_exact={"theta1": th1},
         closed_forms={"y": y, "z": z, "u": u},
         lax=lax, scalar=None, flow_exprs=flows,
@@ -514,7 +544,7 @@ def _build_pv_y_m1(p) -> CatalogEntry:
     thi = p["theta_inf"]
     th0 = F(1, 2)
     th1 = F(1, 2)
-    thi_c = _as_complex(thi)
+    thi_c = complex(thi)
     y = _c(-1)
     z = fe.neg((T + 2 + 2 * _c(thi_c)) / 8)
     u = fe.exp(T / 2)
@@ -529,7 +559,7 @@ def _build_pv_y_m1(p) -> CatalogEntry:
         "M": _c(-0.25),
         "tau": T * fe.sqrt(X * (X - 1))
         - _c(1 - thi_c) * fe.log((fe.sqrt(X) - fe.sqrt(X - 1)) / (fe.sqrt(X) + fe.sqrt(X - 1))),
-        "gauge": _pow(X * (X - 1), F(-1, 4)),
+        "gauge": fe.pow_any(X * (X - 1), F(-1, 4)),
     }
     return CatalogEntry(
         id="PV.y_m1", family="PV", component="first",
@@ -548,7 +578,7 @@ def _build_pv_y_m1(p) -> CatalogEntry:
 def _build_pvdeg_kitaev(p) -> CatalogEntry:
     kap = p["kappa"]
     mu = p["mu"]
-    kap_c, mu_c = _as_complex(kap), _as_complex(mu)
+    kap_c, mu_c = complex(kap), complex(mu)
     k_ = _c(kap_c)
     m_ = _c(mu_c)
     # Scalar pair in the square-root deformation variable z (stored in the
@@ -587,9 +617,9 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
         "h": 1 / (2 * (X - 1)),
         "R": fe.neg(1 / (4 * (X - 1))),
         "M": 1 / (2 * T),
-        "tau": T * _pow(X - 1, F(1, 2))
+        "tau": T * fe.pow_any(X - 1, F(1, 2))
         - (_c(1j) / (2 * k_)) * fe.log((fe.sqrt(X - 1) - _c(1j)) / (fe.sqrt(X - 1) + _c(1j))),
-        "gauge": _pow(X - 1, F(-1, 4)),
+        "gauge": fe.pow_any(X - 1, F(-1, 4)),
     }
     return CatalogEntry(
         id="PVdeg.kitaev_sqrt", family="PV_Kitaev", component="first",
@@ -627,7 +657,7 @@ def _build_negative_pii_bad_y1(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="negative.PII_bad_y1", family="PII", component="first",
-        params={k: _as_complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
         lax=lax, scalar=None, flow_exprs=flows,
         basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
@@ -695,25 +725,14 @@ def instantiate(entry_id: str, overrides: Mapping | None = None):
     return (entry.lax if entry.lax is not None else entry.scalar), entry
 
 
-# Keyed by identity; the entry itself is pinned in the value so a recycled
-# id can never serve another entry's compiled flows.
-_FLOW_CACHE: dict[int, tuple[CatalogEntry, list[Callable[[complex, complex], complex]]]] = {}
-
-
 def flow_residual(entry_or_id, t_probe: complex) -> float:
     """Max modulus of the nonlinear flow residuals at one deformation value.
 
     Vanishes (to rounding) when the entry's closed forms really solve the
     family's compatibility flow."""
     entry = entry_or_id if isinstance(entry_or_id, CatalogEntry) else lookup(entry_or_id)
-    cached = _FLOW_CACHE.get(id(entry))
-    if cached is not None and cached[0] is entry:
-        fns = cached[1]
-    else:
-        fns = [fe.compile_expr(e, entry.params) for e in entry.flow_exprs]
-        _FLOW_CACHE[id(entry)] = (entry, fns)
     t = complex(t_probe)
-    return max(abs(f(0j, t)) for f in fns)
+    return max(abs(f(0j, t)) for f in entry.flow_fns)
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,7 @@ def cmd_reduce(args, out, err) -> int:
         entry = cat.lookup(args.entry, overrides)
         prep = ver.prepare(entry, config)
         dev, samples = ver.check_t_independence(
-            prep, n_pairs=config.independence_pairs,
-            tol=config.tol_independence, seed=config.entry_seed(entry.id))
+            prep, n_pairs=config.independence_pairs, seed=config.entry_seed(entry.id))
         paper = [prep.to_paper_frame(*s) for s in samples]
         target, resid = ver.match_classical(paper, tol=config.tol_match)
     except cat.EntryNotFoundError as exc:

@@ -8,7 +8,7 @@ therefore every report and CSV byte, reproducible.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # full_report gates the least-squares fit of the documented tau frame at
 # this residual; it is reported with the tolerances but not configurable.
@@ -48,9 +48,6 @@ class Config:
             box = getattr(self, name)
             if box is not None and (len(box) != 4 or box[0] >= box[1] or box[2] > box[3]):
                 raise ValueError(f"{name} must be (re_lo, re_hi, im_lo, im_hi)")
-
-    def with_overrides(self, **kw) -> "Config":
-        return replace(self, **kw)
 
     def entry_seed(self, entry_id: str) -> int:
         """Stable per-entry seed so --all fan-out order cannot matter."""

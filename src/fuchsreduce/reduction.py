@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -47,10 +48,7 @@ __all__ = [
     "DegenerateTauPointError",
     "decompose",
     "classify_case",
-    "tau_map",
-    "gauge",
     "build_reduced",
-    "reduced_coefficients",
 ]
 
 
@@ -71,7 +69,13 @@ class Decomposition:
     in t alone.  ``exponent_A`` is the constant A with
     ``g = B^-1 exp(-2 M t) t^A`` when M is constant (None otherwise or when
     no off-diagonal data is available).  The free constant B is pinned to 1
-    by normalizing g at a reference deformation value."""
+    by normalizing g at a reference deformation value.  ``sp`` is the
+    scalar pair the data was recovered from.
+
+    The underscored cached properties are the compiled kernels of the tau
+    and gauge maps and of the reduced coefficients (see
+    :class:`ReducedEquation`), compiled on first use and kept for the life
+    of the decomposition.  ``dataclasses.replace`` starts without them."""
 
     f: Expr
     h: Expr
@@ -88,24 +92,64 @@ class Decomposition:
     M_constant: bool
     component: str
     params: Mapping[str, complex] = field(default_factory=dict)
+    sp: ScalarPair | None = field(default=None, repr=False, compare=False)
 
     def gauge_exponent(self) -> Expr:
         """The integrand G of the gauge factor exp(int G dx)."""
         return self.R if self.component == "first" else fe.neg(self.R)
 
+    def _compile(self, e):
+        return fe.compile_expr(e, dict(self.params))
 
-def _default_boxes():
-    from .catalog import DEFAULT_T_BOX, DEFAULT_X_BOX
+    @cached_property
+    def _h(self):
+        return self._compile(self.h)
 
-    return DEFAULT_X_BOX, DEFAULT_T_BOX
+    @cached_property
+    def _f(self):
+        return self._compile(self.f)
+
+    @cached_property
+    def _G(self):
+        return self._compile(self.gauge_exponent())
+
+    @cached_property
+    def _phi(self):
+        return self._compile(fe.add(self.f, fe.mul(T, self.h)))
+
+    @cached_property
+    def _coeff_parts(self):
+        G = self.gauge_exponent()
+        p1, q1 = self.sp.p1, self.sp.q1
+        phi = fe.add(self.f, fe.mul(T, self.h))
+        p_num = fe.add(
+            fe.add(fe.differentiate(self.f, "x"), fe.mul(T, fe.differentiate(self.h, "x"))),
+            fe.mul(phi, fe.add(self.h, fe.add(p1, fe.mul(fe.const(2), G)))),
+        )
+        q_num = fe.add(
+            fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
+            fe.add(fe.mul(p1, G), q1),
+        )
+        return self._compile((phi, p_num, q_num))
+
+    @cached_property
+    def _h_array(self):
+        return fe.array_form(self._h)
+
+    @cached_property
+    def _f_array(self):
+        return fe.array_form(self._f)
+
+    @cached_property
+    def _phi_array(self):
+        return fe.array_form(self._phi)
+
+    @cached_property
+    def _coeff_parts_array(self):
+        return fe.array_form(self._coeff_parts)
 
 
-def _probe_bindings(params, xs, ts):
-    return [Binding(x=x, t=t, params=params) for x, t in zip(xs, ts)]
-
-
-def decompose(sp: ScalarPair, basepoint_x: complex,
-              box_x=None, box_t=None,
+def decompose(sp: ScalarPair, box_x, box_t,
               affine_tol: float = 1e-9,
               split_tol: float = 1e-8,
               zero_tol: float = 1e-10) -> Decomposition:
@@ -118,11 +162,8 @@ def decompose(sp: ScalarPair, basepoint_x: complex,
     q2 = R + M (f + t h) at two x probes, validated on a joint probe grid.
     When h vanishes identically the split has a one-parameter gauge freedom
     (R -> R + c f, M -> M - c); it is pinned by M(t_ref) = 0, which
-    reproduces the documented closed forms for every shipped entry."""
-    if box_x is None or box_t is None:
-        bx, bt = _default_boxes()
-        box_x = box_x or bx
-        box_t = box_t or bt
+    reproduces the documented closed forms for every shipped entry.
+    ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``)."""
     params = dict(sp.params)
 
     tdiag = box_t.diagonal(7)
@@ -142,7 +183,8 @@ def decompose(sp: ScalarPair, basepoint_x: complex,
         raise DecompositionError(
             "the off-diagonal ratio p2 is not affine in the deformation variable")
 
-    probes12 = _probe_bindings(params, box_x.diagonal(12), list(reversed(box_t.diagonal(12))))
+    probes12 = [Binding(x=x, t=t, params=params)
+                for x, t in zip(box_x.diagonal(12), reversed(box_t.diagonal(12)))]
     f_zero = fe.numerically_zero(f, x_probes, tol=zero_tol, reference=p2_t1)
     h_zero = fe.numerically_zero(h, x_probes, tol=zero_tol, reference=p2_t1)
 
@@ -244,7 +286,7 @@ def decompose(sp: ScalarPair, basepoint_x: complex,
         f=f, h=h, R=R, M=M, g_of_t=g, P1=P1, P2=P2, P3=P3,
         exponent_A=exponent_a,
         f_zero=f_zero, h_zero=h_zero, M_zero=M_zero, M_constant=M_constant,
-        component=sp.component, params=params,
+        component=sp.component, params=params, sp=sp,
     )
 
 
@@ -300,12 +342,8 @@ class _VarChange:
                  quad_tol: float = 1e-13):
         self.x0 = complex(basepoint_x)
         self.quad_tol = quad_tol
-        params = dict(dec.params)
-        self._h = fe.compile_expr(dec.h, params)
-        self._f = fe.compile_expr(dec.f, params)
-        self._G = fe.compile_expr(dec.gauge_exponent(), params)
-        self._h_array = fe.array_form(self._h)
-        self._f_array = fe.array_form(self._f)
+        self._h, self._f, self._G = dec._h, dec._f, dec._G
+        self._h_array, self._f_array = dec._h_array, dec._f_array
         # Stages of one pass (see fe._integrate_panels): h, then f E.  The
         # scalar ones serve a single point, the array ones a batch.
         self._es_scalar = (self._h_at,) if dec.f_zero else (self._h_at, self._fE_at)
@@ -395,30 +433,22 @@ class ReducedEquation:
     which shares their common subexpressions; ``_phi`` alone serves the
     tau inversion.  Their array forms, ``_coeff_parts_array`` and
     ``_phi_array``, serve cross-validation, which evaluates all its points
-    at once.  P and Q are functions of (x, t) that, for a completely
-    integrable input, depend on the point only through tau."""
+    at once.  All of them are the decomposition's compiled kernels, so
+    building a ReducedEquation compiles nothing; its own state is the
+    basepoint and the E/S and gauge memos.  P and Q are functions of
+    (x, t) that, for a completely integrable input, depend on the point
+    only through tau."""
 
     def __init__(self, sp: ScalarPair, dec: Decomposition, basepoint_x: complex):
+        if dec.sp is not sp:
+            raise ValueError("the decomposition was not recovered from this scalar pair")
         self.sp = sp
         self.dec = dec
         self.basepoint_x = complex(basepoint_x)
         self.case_tag = classify_case(dec)
         self._vc = _VarChange(dec, basepoint_x)
-        params = dict(dec.params)
-        G = dec.gauge_exponent()
-        phi = fe.add(dec.f, fe.mul(T, dec.h))
-        p_num = fe.add(
-            fe.add(fe.differentiate(dec.f, "x"), fe.mul(T, fe.differentiate(dec.h, "x"))),
-            fe.mul(phi, fe.add(dec.h, fe.add(sp.p1, fe.mul(fe.const(2), G)))),
-        )
-        q_num = fe.add(
-            fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
-            fe.add(fe.mul(sp.p1, G), sp.q1),
-        )
-        self._phi = fe.compile_expr(phi, params)
-        self._coeff_parts = fe.compile_expr((phi, p_num, q_num), params)
-        self._phi_array = fe.array_form(self._phi)
-        self._coeff_parts_array = fe.array_form(self._coeff_parts)
+        self._phi, self._phi_array = dec._phi, dec._phi_array
+        self._coeff_parts, self._coeff_parts_array = dec._coeff_parts, dec._coeff_parts_array
 
     # -- change of variables -------------------------------------------------
     def tau_at(self, x: complex, t: complex) -> complex:
@@ -469,26 +499,3 @@ class ReducedEquation:
 def build_reduced(sp: ScalarPair, dec: Decomposition,
                   basepoint_x: complex) -> ReducedEquation:
     return ReducedEquation(sp, dec, basepoint_x)
-
-
-def tau_map(dec: Decomposition, x: complex, t: complex,
-            basepoint_x: complex) -> complex:
-    """t exp(int_{x0}^{x} h) + int_{x0}^{x} f exp(int h), by quadrature."""
-    return _VarChange(dec, basepoint_x).tau(x, t)
-
-
-def gauge(dec: Decomposition, x: complex, basepoint_x: complex,
-          component: str | None = None) -> complex:
-    """The gauge factor exp(+-int_{x0}^{x} R) relating phi to w."""
-    if component is not None and component != dec.component:
-        dec = Decomposition(**{**dec.__dict__, "component": component})
-    return _VarChange(dec, basepoint_x).gauge(x)
-
-
-def reduced_coefficients(sp: ScalarPair, dec: Decomposition,
-                         red: ReducedEquation, x: complex, t: complex
-                         ) -> tuple[complex, complex]:
-    """(P, Q) at one point; raises DegenerateTauPointError where tau_x = 0."""
-    if red.sp is not sp or red.dec is not dec:
-        red = build_reduced(sp, dec, red.basepoint_x)
-    return red.coefficients_at(x, t)

@@ -26,6 +26,7 @@ numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import expr as fe
@@ -82,9 +83,10 @@ class ScalarPair:
             return self.q2
         return fe.neg(self.q2)
 
-
-# Cache of compiled Frobenius residual entries, keyed by LaxPair identity.
-_FROBENIUS_CACHE: dict[int, tuple[object, list[Callable[[complex, complex], complex]]]] = {}
+    @cached_property
+    def p1_q1(self) -> Callable[[complex, complex], tuple[complex, complex]]:
+        """(x, t) -> (p1, q1), compiled."""
+        return fe.compile_expr((self.p1, self.q1), dict(self.params))
 
 
 def _matmul(a, b):
@@ -116,25 +118,16 @@ def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
     return out
 
 
-def _frobenius_fns(lp: "LaxPair") -> list[Callable[[complex, complex], complex]]:
-    cached = _FROBENIUS_CACHE.get(id(lp))
-    if cached is not None and cached[0] is lp:
-        return cached[1]
-    fns = [fe.compile_expr(r, dict(lp.params)) for r in frobenius_residual_exprs(lp)]
-    _FROBENIUS_CACHE[id(lp)] = (lp, fns)
-    return fns
-
-
 def frobenius_residual(lp: "LaxPair", x: complex, t: complex) -> float:
     """Max-entry modulus of the integrability defect at one point.
 
     Zero (to rounding) exactly when the two linear systems are jointly
     solvable near (x, t)."""
-    return max(abs(f(complex(x), complex(t))) for f in _frobenius_fns(lp))
+    return max(abs(f(complex(x), complex(t))) for f in lp.frobenius_fns)
 
 
 def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, complex]]) -> float:
-    fns = _frobenius_fns(lp)
+    fns = lp.frobenius_fns
     return max(
         abs(f(complex(x), complex(t))) for (x, t) in points for f in fns
     )

@@ -46,7 +46,6 @@ __all__ = [
     "prepare",
     "check_t_independence",
     "match_classical",
-    "solve_linear_system",
     "joint_solution",
     "cross_validate",
     "full_report",
@@ -75,7 +74,11 @@ class MatchError(VerifyError):
 
 @dataclass
 class Prepared:
-    """Everything derived from one entry that later stages share."""
+    """Everything derived from one entry that later stages share.
+
+    ``sp`` and ``dec`` (with its compiled kernels) are shared per entry
+    when the config keeps the entry's boxes; ``red`` (with its E/S and
+    gauge memos) and the frame fit are built per :func:`prepare` call."""
 
     entry: cat.CatalogEntry
     sp: ScalarPair
@@ -84,14 +87,8 @@ class Prepared:
     frame_a: complex
     frame_b: complex
     frame_residual: float
-    box_x: cat.ComplexRect | None = None
-    box_t: cat.ComplexRect | None = None
-
-    def __post_init__(self):
-        if self.box_x is None:
-            self.box_x = self.entry.box_x
-        if self.box_t is None:
-            self.box_t = self.entry.box_t
+    box_x: cat.ComplexRect
+    box_t: cat.ComplexRect
 
     def to_paper_frame(self, tau: complex, P: complex, Q: complex
                        ) -> tuple[complex, complex, complex]:
@@ -124,17 +121,25 @@ def _tau_frame(entry: cat.CatalogEntry, red: ReducedEquation
 
 def prepare(entry_or_id, config: Config = DEFAULT_CONFIG,
             overrides=None) -> Prepared:
+    """The shared workspace of the verify stages for one entry.
+
+    The scalar pair and, unless the config overrides a probe box, the
+    decomposition are the entry's own (``CatalogEntry.scalar_pair`` and
+    ``.decomposition``), derived and compiled once per entry; a box
+    override decomposes afresh.  The basepoint does not enter the
+    decomposition.  The reduced equation, with fresh E/S and gauge memos,
+    and the 4-point frame fit are built on every call, so no call sees
+    another's points."""
     entry = (entry_or_id if isinstance(entry_or_id, cat.CatalogEntry)
              else cat.lookup(entry_or_id, overrides))
     box_x = cat.ComplexRect(*config.box_x) if config.box_x else entry.box_x
     box_t = cat.ComplexRect(*config.box_t) if config.box_t else entry.box_t
-    if entry.lax is not None:
-        sp = scal.scalar_coefficients(entry.lax, entry.component,
-                                      probes=entry.probe_bindings())
+    sp = entry.scalar_pair
+    if config.box_x or config.box_t:
+        dec = red_mod.decompose(sp, box_x, box_t)
     else:
-        sp = entry.scalar
+        dec = entry.decomposition
     basepoint = config.basepoint if config.basepoint is not None else entry.basepoint_x
-    dec = red_mod.decompose(sp, basepoint, box_x, box_t)
     red = red_mod.build_reduced(sp, dec, basepoint)
     a, b, resid = _tau_frame(entry, red)
     return Prepared(entry=entry, sp=sp, dec=dec, red=red,
@@ -145,8 +150,7 @@ def prepare(entry_or_id, config: Config = DEFAULT_CONFIG,
 # ---------------------------------------------------------------------------
 # Deformation-independence check
 
-def check_t_independence(prep: Prepared, n_pairs: int = 32,
-                         tol: float = 1e-8, seed: int = 42
+def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
                          ) -> tuple[float, list[tuple[complex, complex, complex]]]:
     """Compare P, Q at tau-matched pairs in different deformation states.
 
@@ -356,11 +360,13 @@ class SolutionTrace:
 def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
            initial: tuple[complex, complex],
            rtol: float = 1e-12, atol: float = 1e-13) -> SolutionTrace:
+    """Adaptive high-order dense solve of the x-system at fixed deformation.
+
+    For direct scalar entries the companion system of the second-order
+    equation is integrated instead (initial = (phi, phi'))."""
     if len(x_path.points) != 2:
         raise VerifyError("solution traces run along a single straight segment")
     entry = prep.entry
-    dec = prep.dec
-    params = dict(dec.params)
     x0, x1 = x_path.points
     length = abs(x1 - x0)
     u = (x1 - x0) / length
@@ -373,9 +379,7 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
     g0 = vc.gauge(x0)
 
     if entry.lax is not None:
-        a = entry.lax.a
-        a_entries = fe.compile_expr(tuple(a[i][j] for i in range(2) for j in range(2)),
-                                    params)
+        a_entries = entry.lax.a_entries
 
         def rhs(s, y):
             x = x0 + u * s
@@ -391,7 +395,7 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
 
         kind = "system"
     else:
-        p1_q1 = fe.compile_expr((prep.sp.p1, prep.sp.q1), params)
+        p1_q1 = prep.sp.p1_q1
 
         def rhs(s, y):
             x = x0 + u * s
@@ -420,19 +424,6 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
                          observable_index=obs)
 
 
-def solve_linear_system(entry_or_prep, t_fixed: complex, x_path: Path,
-                        initial: tuple[complex, complex] = (1.0, 0.0),
-                        rtol: float = 1e-12, atol: float = 1e-13,
-                        config: Config = DEFAULT_CONFIG) -> SolutionTrace:
-    """Adaptive high-order dense solve of the x-system at fixed deformation.
-
-    For direct scalar entries the companion system of the second-order
-    equation is integrated instead (initial = (phi, phi'))."""
-    prep = (entry_or_prep if isinstance(entry_or_prep, Prepared)
-            else prepare(entry_or_prep, config))
-    return _trace(prep, t_fixed, x_path, initial, rtol=rtol, atol=atol)
-
-
 def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
                    dt: float = 5e-3, span: float = 0.6,
                    rtol: float = 1e-12, atol: float = 1e-13
@@ -448,12 +439,9 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
     entry = prep.entry
     if entry.lax is None:
         raise VerifyError("joint solutions need the full 2x2 system")
-    params = dict(prep.dec.params)
     comp = 0 if entry.component == "first" else 1
-    b = entry.lax.b
-    b_entries = fe.compile_expr(tuple(b[i][j] for i in range(2) for j in range(2)), params)
-    a = entry.lax.a
-    a_entries = fe.compile_expr(tuple(a[i][j] for i in range(2) for j in range(2)), params)
+    b_entries = entry.lax.b_entries
+    a_entries = entry.lax.a_entries
     x_anchor = complex(x_anchor)
     t_center = complex(t_center)
 
@@ -729,8 +717,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     if prep is not None:
         try:
             dev, samples = check_t_independence(
-                prep, n_pairs=config.independence_pairs,
-                tol=config.tol_independence, seed=seed)
+                prep, n_pairs=config.independence_pairs, seed=seed)
             rep.t_independence_max = dev
             ok &= dev <= config.tol_independence
             samples_paper = [prep.to_paper_frame(*s) for s in samples]

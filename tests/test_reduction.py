@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import pytest
 
@@ -20,7 +21,7 @@ def scalar_pair_for(entry_id, overrides=None):
 
 def decomposition_for(entry_id):
     sp, entry = scalar_pair_for(entry_id)
-    dec = reduction.decompose(sp, entry.basepoint_x, entry.box_x, entry.box_t)
+    dec = reduction.decompose(sp, entry.box_x, entry.box_t)
     return sp, dec, entry
 
 
@@ -123,7 +124,7 @@ class TestDecompose:
         zero = fe.const(0)
         sp = ScalarPair(p1=zero, q1=zero, p2=X * T**2, q2=zero)
         with pytest.raises(reduction.DecompositionError):
-            reduction.decompose(sp, 1.0)
+            reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
 
     def test_x_dependent_profile_rejected(self):
         # b_off = x + t cannot factor as g(t) P3(x).
@@ -132,7 +133,7 @@ class TestDecompose:
         sp = ScalarPair(p1=zero, q1=zero, p2=fe.const(1), q2=zero,
                         off_diag=(off, off), diag=(zero, zero))
         with pytest.raises(reduction.DecompositionError, match="depends on x"):
-            reduction.decompose(sp, 1.0)
+            reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
 
 
 class TestClassify:
@@ -153,21 +154,22 @@ class TestClassify:
 
 class TestTauMap:
     def test_flat_entry_closed_form(self):
-        _, dec, entry = decomposition_for("PII.y0")
+        sp, dec, entry = decomposition_for("PII.y0")
         # Closed form x^2 + t, anchored so tau(basepoint) = t.
-        got = reduction.tau_map(dec, 2.0, 1.0, entry.basepoint_x)
+        got = reduction.build_reduced(sp, dec, entry.basepoint_x).tau_at(2.0, 1.0)
         assert got == pytest.approx(4.0, abs=1e-10)
 
     def test_tau_equals_t_when_f_h_vanish(self):
         zero = fe.const(0)
         sp = ScalarPair(p1=zero, q1=zero, p2=zero, q2=zero)
-        dec = reduction.decompose(sp, 1.0)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         for x in (1.2, 1.9, 2.4):
-            assert reduction.tau_map(dec, x, 0.77, 1.0) == pytest.approx(0.77, abs=1e-12)
+            got = reduction.build_reduced(sp, dec, 1.0).tau_at(x, 0.77)
+            assert got == pytest.approx(0.77, abs=1e-12)
 
     def test_piii_value_and_frame(self):
-        _, dec, entry = decomposition_for("PIII.y1")
-        got = reduction.tau_map(dec, 2.0, 3.0, entry.basepoint_x)
+        sp, dec, entry = decomposition_for("PIII.y1")
+        got = reduction.build_reduced(sp, dec, entry.basepoint_x).tau_at(2.0, 3.0)
         # At the basepoint the normalization makes tau = t exactly; the
         # documented closed form (x-1)^2 t / x evaluates to 1.5 there and
         # differs by the constant frame factor 1/2.
@@ -195,27 +197,30 @@ class TestTauMap:
 
 class TestGauge:
     def test_flat_entry_gauge_is_one(self):
-        _, dec, entry = decomposition_for("PII.y0")
+        sp, dec, entry = decomposition_for("PII.y0")
         for x in (1.2, 1.8, 2.4):
-            assert reduction.gauge(dec, x, entry.basepoint_x) == pytest.approx(1.0)
+            got = reduction.build_reduced(sp, dec, entry.basepoint_x).gauge_at(x)
+            assert got == pytest.approx(1.0)
 
     def test_inverse_sqrt_gauge(self):
-        _, dec, _ = decomposition_for("PIV.y_m2t")
-        got = reduction.gauge(dec, 4.0, 1.0)
+        sp, dec, _ = decomposition_for("PIV.y_m2t")
+        got = reduction.build_reduced(sp, dec, 1.0).gauge_at(4.0)
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_piii_gauge_against_quadrature_oracle(self):
         # Quadrature of the closed form R = 3/(4x) - 2/(x-1) at theta = 5/2:
         # exp(int R) = x^(3/4) (x-1)^(-2), normalized at the basepoint.
-        _, dec, entry = decomposition_for("PIII.y1")
-        got = reduction.gauge(dec, 4.0, 2.0)
+        sp, dec, entry = decomposition_for("PIII.y1")
+        got = reduction.build_reduced(sp, dec, 2.0).gauge_at(4.0)
         formula = lambda x: x ** 0.75 * (x - 1) ** (-2.0)
         assert got == pytest.approx(formula(4.0) / formula(2.0), rel=1e-10)
 
     def test_second_component_flips_sign(self):
-        _, dec, _ = decomposition_for("PIV.y_m2t")
-        up = reduction.gauge(dec, 4.0, 1.0, component="first")
-        dn = reduction.gauge(dec, 4.0, 1.0, component="second")
+        sp, dec, _ = decomposition_for("PIV.y_m2t")
+        up = reduction.build_reduced(
+            sp, dataclasses.replace(dec, component="first"), 1.0).gauge_at(4.0)
+        dn = reduction.build_reduced(
+            sp, dataclasses.replace(dec, component="second"), 1.0).gauge_at(4.0)
         assert up * dn == pytest.approx(1.0, abs=1e-10)
 
 
@@ -232,8 +237,9 @@ class TestBuiltinComplexValues:
             values = [vc.E(x), vc.S(x), vc.gauge(x), vc.tau(x, t),
                       vc.solve_t(x, 1.3), vc.tau_x(x, t),
                       red.tau_at(x, t), red.solve_t(x, 1.3), red.tau_x_at(x, t),
-                      red.gauge_at(x), reduction.tau_map(dec, x, t, entry.basepoint_x),
-                      reduction.gauge(dec, x, entry.basepoint_x)]
+                      red.gauge_at(x),
+                      reduction.build_reduced(sp, dec, entry.basepoint_x).tau_at(x, t),
+                      reduction.build_reduced(sp, dec, entry.basepoint_x).gauge_at(x)]
             assert all(type(v) is complex for v in values)
 
 
@@ -242,7 +248,7 @@ class TestReducedCoefficients:
         sp, dec, entry = decomposition_for("PII.y0")
         red = reduction.build_reduced(sp, dec, entry.basepoint_x)
         for x, t in ((1.4, 0.7), (2.0 + 0.1j, 1.2 - 0.05j)):
-            P, Q = reduction.reduced_coefficients(sp, dec, red, x, t)
+            P, Q = red.coefficients_at(x, t)
             assert abs(P) <= 1e-12
             assert Q == pytest.approx(-(x**2 + t) / 4, rel=1e-10)
 
@@ -259,7 +265,7 @@ class TestReducedCoefficients:
     def test_flat_system_chain_rule_sanity(self):
         zero = fe.const(0)
         sp = ScalarPair(p1=zero, q1=zero, p2=fe.const(1), q2=zero)
-        dec = reduction.decompose(sp, 0.0)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(sp, dec, 0.0)
         P, Q = red.coefficients_at(0.9, 0.4)
         assert P == 0 and Q == 0
@@ -268,7 +274,7 @@ class TestReducedCoefficients:
         zero = fe.const(0)
         # p2 = x: tau_x vanishes at x = 0
         sp = ScalarPair(p1=zero, q1=zero, p2=X, q2=zero)
-        dec = reduction.decompose(sp, 1.0)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(sp, dec, 1.0)
         with pytest.raises(reduction.DegenerateTauPointError):
             red.coefficients_at(0.0, 0.5)
@@ -278,7 +284,7 @@ class TestReducedCoefficients:
         # tau_x vanishes too: the point is degenerate, not a division error.
         zero = fe.const(0)
         sp = ScalarPair(p1=1 / X, q1=zero, p2=X, q2=zero)
-        dec = reduction.decompose(sp, 1.0)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(sp, dec, 1.0)
         with pytest.raises(reduction.DegenerateTauPointError):
             red.coefficients_at(0.0, 0.5)
@@ -306,6 +312,5 @@ class TestBasepointCovariance:
         assert t1[2] == pytest.approx(c * t0[2] + d, abs=1e-9)
         assert t1[3] == pytest.approx(c * t0[3] + d, abs=1e-9)
         # gauge rescales by a constant between basepoints
-        g_ratio = [reduction.gauge(dec, x, entry.basepoint_x + 0.3)
-                   / reduction.gauge(dec, x, entry.basepoint_x) for x, _ in pts[:2]]
+        g_ratio = [red1.gauge_at(x) / red0.gauge_at(x) for x, _ in pts[:2]]
         assert g_ratio[0] == pytest.approx(g_ratio[1], rel=1e-9)

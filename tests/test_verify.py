@@ -233,8 +233,7 @@ class TestSolveLinearSystem:
         entry_zero.lax = LaxPair(grid, grid)
         prep_zero = copy.copy(base)
         prep_zero.entry = entry_zero
-        trace = verify.solve_linear_system(prep_zero, 0.5, Path([1.0, 2.0]),
-                                           initial=(1.0, 0.0))
+        trace = verify._trace(prep_zero, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
         for s in np.linspace(0, trace.length, 7):
             state = trace.state(s)
             assert state[0] == pytest.approx(1.0, abs=1e-12)
@@ -242,10 +241,9 @@ class TestSolveLinearSystem:
 
     def test_round_trip_returns_to_start(self, prep):
         p = prep("PII.y0")
-        fwd = verify.solve_linear_system(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+        fwd = verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
         end = fwd.state(fwd.length)[:2]
-        back = verify.solve_linear_system(p, 0.5, Path([2.0, 1.0]),
-                                          initial=(end[0], end[1]))
+        back = verify._trace(p, 0.5, Path([2.0, 1.0]), initial=(end[0], end[1]))
         start = back.state(back.length)[:2]
         assert abs(start[0] - 1.0) <= 1e-8
         assert abs(start[1] - 0.0) <= 1e-8
@@ -254,7 +252,7 @@ class TestSolveLinearSystem:
         # Independent oracle: same system, different solver family and
         # tolerance, no shared dense machinery.
         p = prep("PII.y0")
-        trace = verify.solve_linear_system(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+        trace = verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
         a = p.entry.lax.a
         fns = [fe.compile_expr(a[i][j], p.entry.params) for i in range(2) for j in range(2)]
 
@@ -272,7 +270,7 @@ class TestSolveLinearSystem:
         # The E, S, gauge channels integrate the same quantities the
         # quadrature-based maps compute; they must agree.
         p = prep("PIII.y1")
-        trace = verify.solve_linear_system(p, 0.9, Path([2.0, 2.4]))
+        trace = verify._trace(p, 0.9, Path([2.0, 2.4]), initial=(1.0, 0.0))
         for s in (0.1, 0.25, 0.4):
             x = trace.x_of(s)
             e, ssum, g = trace.channels(s)
@@ -293,7 +291,7 @@ class TestCrossValidate:
         p = prep("PIV.y_m2t")
         entry = p.entry
         t_fixed = 1.0
-        trace = verify.solve_linear_system(p, t_fixed, Path([1.0, 2.4]))
+        trace = verify._trace(p, t_fixed, Path([1.0, 2.4]), initial=(1.0, 0.0))
         ss = np.linspace(0.05, trace.length - 0.05, 80)
         taus = []
         ws = []
@@ -340,8 +338,8 @@ class TestCrossValidateBatched:
         # inversion replaced, on the same trace, targets and guesses.
         p = prep(entry_id)
         t = complex(0.5 * (p.box_t.re_lo + p.box_t.re_hi), 0.0)
-        trace = verify.solve_linear_system(p, t, verify._default_cross_path(p),
-                                           initial=(1.0, 0.4 + 0.1j))
+        trace = verify._trace(p, t, verify._default_cross_path(p),
+                              initial=(1.0, 0.4 + 0.1j))
         length = trace.length
         u = (trace.x_end - trace.x_start) / length
 
