@@ -127,6 +127,11 @@ class LaxPair:
         return fe.compile_expr((*self.a[0], *self.a[1]), dict(self.params))
 
     @cached_property
+    def a_entries_array(self) -> Callable:
+        """The array form of :attr:`a_entries`."""
+        return fe.array_form(self.a_entries)
+
+    @cached_property
     def b_entries(self) -> Callable:
         """(x, t) -> (b11, b12, b21, b22), compiled."""
         return fe.compile_expr((*self.b[0], *self.b[1]), dict(self.params))

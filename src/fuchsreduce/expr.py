@@ -7,8 +7,9 @@ callables (straight-line code with subtrees shared by structure; one
 expression or a tuple of them per function; an array form runs the same
 code object on numpy arrays of points), adaptive contour quadrature along
 piecewise-linear paths (on Chebyshev panels with tail-coefficient error
-control; many segments from one start integrated together), and a
-plain-text infix grammar whose parser and printer round-trip structurally.
+control; many segments from one start integrated together), the solve of a
+2x2 linear ODE along a segment on the same panels, and a plain-text infix
+grammar whose parser and printer round-trip structurally.
 
 Design constraints:
 
@@ -88,8 +89,9 @@ class SingularEvaluationError(ExprError):
 
 
 class QuadratureError(ExprError):
-    """A quadrature panel stayed unresolved at the depth cap or budget, or
-    the integrand divided by zero at a panel point."""
+    """A quadrature or linear-solve panel stayed unresolved at the depth cap
+    or budget, the integrand divided by zero at a panel point, or the
+    linear solve met a non-finite value."""
 
 
 class ParseError(ExprError):
@@ -839,6 +841,115 @@ def _integrate_segment(stages: Sequence[Callable[[np.ndarray, list], object]],
     if isinstance(got, Exception):
         raise got
     return got
+
+
+class _PiecewiseChebyshev:
+    """Dense output of :func:`_solve_linear_panels`: per panel of [0, L]
+    in arclength, the Chebyshev coefficients of every row.  Called like
+    scipy's ``OdeSolution``: a float gives the rows' values (shape (k,)),
+    an array of m arclengths a (k, m) array.  Rows listed in ``log_rows``
+    hold logarithms and are returned exponentiated."""
+
+    def __init__(self, edges: list[float], coeffs: list[np.ndarray],
+                 log_rows: Sequence[int]):
+        self.edges = np.array(edges)
+        self.coeffs = np.array(coeffs)      # (panels, rows, nodes)
+        self.log_rows = list(log_rows)
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        flat = np.atleast_1d(s)
+        j = np.clip(np.searchsorted(self.edges, flat, side="right") - 1,
+                    0, len(self.coeffs) - 1)
+        lo, hi = self.edges[j], self.edges[j + 1]
+        basis = chebyshev.chebvander((2 * flat - lo - hi) / (hi - lo), len(_CHEB_NODES) - 1)
+        vals = np.einsum("mn,mkn->km", basis, self.coeffs[j])
+        vals[self.log_rows] = np.exp(vals[self.log_rows])
+        return vals[:, 0] if s.ndim == 0 else vals
+
+
+def _solve_linear_panels(matrix: Callable[[np.ndarray], Sequence],
+                         stages: Sequence[Callable[[np.ndarray, list], object]],
+                         a: complex, b: complex, y0: Sequence[complex],
+                         totals: Sequence[complex], rtol: float, atol: float,
+                         quad_tol: float, log_rows: Sequence[int] = (),
+                         max_depth: int = 48) -> _PiecewiseChebyshev:
+    """Solve y' = A(z) y for a 2-vector y along the segment [a, b] from
+    y(a) = ``y0``, and integrate ``stages`` along it, on adaptive Chebyshev
+    panels taken left to right.
+
+    ``matrix(z)`` returns the entries (a11, a12, a21, a22) of A on an array
+    of panel points.  On a panel [p, q] of half-width ``half`` the values
+    of y at the nodes solve the integral form y = y(p) + half W (A y) of
+    the equation, with W = ``_CHEB_CUMSUM``: one 50x50 linear system
+    (Greengard, SIAM J. Numer. Anal. 28, 1991).  The stages are then
+    integrated on the same nodes as in :func:`_integrate_panels`,
+    ``stage(z, prior)`` seeing the running integrals of the earlier ones,
+    which start from ``totals``.  A panel is accepted when the tail of y is
+    at most ``atol + rtol max|y|`` on it and every stage passes the
+    quadrature's tail rule with ``quad_tol``; otherwise it is bisected.
+
+    Returns the dense output over the arclength [0, |b - a|] with rows
+    (y1, y2, stage integrals), the stage integrals in ``log_rows``
+    exponentiated.  Raises :class:`QuadratureError` when a panel at
+    ``max_depth`` is unresolved, the segment needs more than
+    ``_MAX_PANELS`` panels, or a coefficient, sample or solution value is
+    not finite; what ``matrix`` or a stage raises passes through."""
+    a, b = complex(a), complex(b)
+    length = abs(b - a)
+    u = (b - a) / length
+    n = len(_CHEB_NODES)
+    eye = np.eye(2 * n)
+    tail_tol = quad_tol / length
+    y = np.asarray(y0, dtype=complex)
+    totals = list(totals)
+    edges: list[float] = [0.0]
+    coeffs: list[np.ndarray] = []
+    stack = [(0.0, length, 0)]
+    taken = 0
+    while stack:
+        taken += 1
+        if taken > _MAX_PANELS:
+            raise QuadratureError(
+                f"the linear system needs more than {_MAX_PANELS} panels on [{a}, {b}]")
+        lo, hi, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) * u
+        z = a + u * mid + half * _CHEB_NODES
+        entries = [np.broadcast_to(np.asarray(v, dtype=complex), (n,)) for v in matrix(z)]
+        if not all(np.isfinite(v).all() for v in entries):
+            raise QuadratureError(f"non-finite coefficient on the panel [{z[0]}, {z[-1]}]")
+        hw = half * _CHEB_CUMSUM
+        a11, a12, a21, a22 = entries
+        system = eye - np.block([[hw * a11, hw * a12], [hw * a21, hw * a22]])
+        ys = np.linalg.solve(system, np.repeat(y, n)).reshape(2, n)
+        if not np.isfinite(ys).all():
+            raise QuadratureError(f"non-finite solution on the panel [{z[0]}, {z[-1]}]")
+        tail = float(np.max(np.abs(ys @ _CHEB_APPLY[:, :3])))
+        ok = tail <= atol + rtol * float(np.max(np.abs(ys)))
+        prior: list[np.ndarray] = []
+        for k, stage in enumerate(stages if ok else ()):
+            vals = np.broadcast_to(np.asarray(stage(z, prior), dtype=complex), (n,))
+            if not np.isfinite(vals).all():
+                raise QuadratureError(f"non-finite sample on the panel [{z[0]}, {z[-1]}]")
+            applied = vals @ _CHEB_APPLY
+            tail = float(np.max(np.abs(applied[:3])))
+            if tail > tail_tol and tail > _ROUNDING_FLOOR * float(np.max(np.abs(vals))):
+                ok = False
+                break
+            prior.append(totals[k] + half * applied[3:])
+        if ok:
+            coeffs.append(np.vstack([ys, *prior]) @ _CHEB_TO_COEFFS.T)
+            edges.append(hi)
+            y = ys[:, -1]
+            totals = [pr[-1] for pr in prior]
+        elif depth >= max_depth:
+            raise QuadratureError(
+                f"the linear system did not converge on the panel [{z[0]}, {z[-1]}]")
+        else:
+            stack.append((mid, hi, depth + 1))
+            stack.append((lo, mid, depth + 1))
+    return _PiecewiseChebyshev(edges, coeffs, log_rows)
 
 
 def integrate_callable(fn: Callable[[complex], complex], path: Path,

@@ -141,6 +141,10 @@ class Decomposition:
         return fe.array_form(self._f)
 
     @cached_property
+    def _G_array(self):
+        return fe.array_form(self._G)
+
+    @cached_property
     def _phi_array(self):
         return fe.array_form(self._phi)
 
@@ -192,8 +196,16 @@ def decompose(sp: ScalarPair, box_x, box_t,
     q2d = sp.q2_decomposable()
     phi = fe.add(f, fe.mul(T, h))
 
+    # The probes below revisit the same few (expression, x, t); each is
+    # walked once.  Keyed on identity: the expressions live for the call.
+    evaluated: dict[tuple[int, complex | None, complex | None], complex] = {}
+
     def _eval(e: Expr, x=None, t=None) -> complex:
-        return fe.evaluate(e, Binding(x=x, t=t, params=params))
+        key = (id(e), x, t)
+        got = evaluated.get(key)
+        if got is None:
+            got = evaluated[key] = fe.evaluate(e, Binding(x=x, t=t, params=params))
+        return got
 
     if f_zero and h_zero:
         R = fe.substitute(q2d, t=t1)
@@ -343,9 +355,11 @@ class _VarChange:
         self.x0 = complex(basepoint_x)
         self.quad_tol = quad_tol
         self._h, self._f, self._G = dec._h, dec._f, dec._G
-        self._h_array, self._f_array = dec._h_array, dec._f_array
+        self._h_array, self._f_array, self._G_array = dec._h_array, dec._f_array, dec._G_array
         # Stages of one pass (see fe._integrate_panels): h, then f E.  The
-        # scalar ones serve a single point, the array ones a batch.
+        # scalar ones serve a single point, the array ones a batch; the
+        # array ones and ``_G_rows`` are also the stages of the solution
+        # trace (``verify._trace``).
         self._es_scalar = (self._h_at,) if dec.f_zero else (self._h_at, self._fE_at)
         self._es_array = (self._h_rows,) if dec.f_zero else (self._h_rows, self._fE_rows)
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
@@ -365,6 +379,9 @@ class _VarChange:
 
     def _fE_rows(self, z, prior):
         return np.exp(prior[0]) * self._f_array(z, 0j)
+
+    def _G_rows(self, z, prior):
+        return self._G_array(z, 0j)
 
     def _es_value(self, integrals: list[complex]) -> tuple[complex, complex]:
         # S is 0 when f vanishes and there is no second stage.
@@ -439,10 +456,7 @@ class ReducedEquation:
     (x, t) that, for a completely integrable input, depend on the point
     only through tau."""
 
-    def __init__(self, sp: ScalarPair, dec: Decomposition, basepoint_x: complex):
-        if dec.sp is not sp:
-            raise ValueError("the decomposition was not recovered from this scalar pair")
-        self.sp = sp
+    def __init__(self, dec: Decomposition, basepoint_x: complex):
         self.dec = dec
         self.basepoint_x = complex(basepoint_x)
         self.case_tag = classify_case(dec)
@@ -496,6 +510,5 @@ class ReducedEquation:
         return den_p, den_q
 
 
-def build_reduced(sp: ScalarPair, dec: Decomposition,
-                  basepoint_x: complex) -> ReducedEquation:
-    return ReducedEquation(sp, dec, basepoint_x)
+def build_reduced(dec: Decomposition, basepoint_x: complex) -> ReducedEquation:
+    return ReducedEquation(dec, basepoint_x)

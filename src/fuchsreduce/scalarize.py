@@ -88,6 +88,11 @@ class ScalarPair:
         """(x, t) -> (p1, q1), compiled."""
         return fe.compile_expr((self.p1, self.q1), dict(self.params))
 
+    @cached_property
+    def p1_q1_array(self) -> Callable:
+        """The array form of :attr:`p1_q1`."""
+        return fe.array_form(self.p1_q1)
+
 
 def _matmul(a, b):
     return (

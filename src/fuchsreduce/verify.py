@@ -10,7 +10,10 @@ For each catalog entry this module certifies, with explicit tolerances:
    identification over the basis {1, tau, 1/tau, 1/tau^2}),
 5. a numerically integrated solution, gauge-stripped and re-parametrized
    by tau, satisfies the reduced equation (cross-validation by finite
-   differences on a dense trace).
+   differences on a dense trace).  The trace solves the x-system on
+   adaptive Chebyshev panels and integrates E, S and the gauge on the same
+   nodes (``expr._solve_linear_panels``), so this path never imports
+   ``scipy.integrate``.
 
 Coefficient samples are reported in the frame of the documented closed-form
 tau; the quadrature-defined tau differs from it by an affine map (a, b)
@@ -54,8 +57,8 @@ __all__ = [
 
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first use: importing
-    scipy.integrate costs more than the rest of the package, and only the
-    solution traces need it."""
+    scipy.integrate costs more than the rest of the package, and only
+    :func:`joint_solution` needs it."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
@@ -140,7 +143,7 @@ def prepare(entry_or_id, config: Config = DEFAULT_CONFIG,
     else:
         dec = entry.decomposition
     basepoint = config.basepoint if config.basepoint is not None else entry.basepoint_x
-    red = red_mod.build_reduced(sp, dec, basepoint)
+    red = red_mod.build_reduced(dec, basepoint)
     a, b, resid = _tau_frame(entry, red)
     return Prepared(entry=entry, sp=sp, dec=dec, red=red,
                     frame_a=a, frame_b=b, frame_residual=resid,
@@ -329,12 +332,16 @@ class SolutionTrace:
     """Dense solution of the x-system along a straight segment, augmented
     with the running quantities E = exp(int h), S = int f E and the gauge
     factor, so tau, gauge and the reduced coefficients are available at any
-    point of the trace at solver accuracy."""
+    point of the trace at solver accuracy.
+
+    ``sol(s)`` gives the rows (phi1, phi2, E, S, gauge) at arclength s, a
+    float or an array, from the piecewise-Chebyshev dense output of the
+    panel solve."""
 
     x_start: complex
     x_end: complex
     t_fixed: complex
-    sol: object                     # scipy OdeSolution over s in [0, L]
+    sol: object                     # expr._PiecewiseChebyshev over s in [0, L]
     length: float
     kind: str                        # "system" | "scalar"
     observable_index: int = 0        # which state entry the reduction acts on
@@ -360,67 +367,47 @@ class SolutionTrace:
 def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
            initial: tuple[complex, complex],
            rtol: float = 1e-12, atol: float = 1e-13) -> SolutionTrace:
-    """Adaptive high-order dense solve of the x-system at fixed deformation.
+    """Dense solve of the x-system at fixed deformation along one straight
+    segment, with the E, S and gauge channels, on adaptive Chebyshev panels
+    (``expr._solve_linear_panels``).
 
-    For direct scalar entries the companion system of the second-order
-    equation is integrated instead (initial = (phi, phi'))."""
+    Each panel solves the collocated integral form of the system (for
+    direct scalar entries the companion system of the second-order
+    equation, initial = (phi, phi')) and integrates h, f E and G on the
+    same nodes, starting from ``E``, ``S`` and ``gauge`` at the segment's
+    start.  A singular sample raises the compiled kernel's own exception;
+    an unresolved panel, an exhausted panel budget or a non-finite value
+    raises :class:`VerifyError`."""
     if len(x_path.points) != 2:
         raise VerifyError("solution traces run along a single straight segment")
     entry = prep.entry
     x0, x1 = x_path.points
-    length = abs(x1 - x0)
-    u = (x1 - x0) / length
     t_fixed = complex(t_fixed)
-
     vc = prep.red._vc
-    hfn, ffn, gfn = vc._h, vc._f, vc._G
-    e0 = vc.E(x0)
-    s0 = vc.S(x0)
-    g0 = vc.gauge(x0)
-
+    totals = (cmath.log(vc.E(x0)), vc.S(x0), cmath.log(vc.gauge(x0)))
     if entry.lax is not None:
-        a_entries = entry.lax.a_entries
-
-        def rhs(s, y):
-            x = x0 + u * s
-            a11, a12, a21, a22 = a_entries(x, t_fixed)
-            p, q, ee = y[0], y[1], y[2]
-            return [
-                u * (a11 * p + a12 * q),
-                u * (a21 * p + a22 * q),
-                u * hfn(x, t_fixed) * ee,
-                u * ffn(x, t_fixed) * ee,
-                u * gfn(x, t_fixed) * y[4],
-            ]
-
+        a_entries = entry.lax.a_entries_array
+        matrix = lambda z: a_entries(z, t_fixed)
         kind = "system"
     else:
-        p1_q1 = prep.sp.p1_q1
+        p1_q1 = prep.sp.p1_q1_array
 
-        def rhs(s, y):
-            x = x0 + u * s
-            p, dp, ee = y[0], y[1], y[2]
-            p1, q1 = p1_q1(x, t_fixed)
-            return [
-                u * dp,
-                u * (-p1 * dp - q1 * p),
-                u * hfn(x, t_fixed) * ee,
-                u * ffn(x, t_fixed) * ee,
-                u * gfn(x, t_fixed) * y[4],
-            ]
+        def matrix(z):
+            p1, q1 = p1_q1(z, t_fixed)
+            return 0, 1, -q1, -p1
 
         kind = "scalar"
-
-    y0 = np.array([initial[0], initial[1], e0, s0, g0], dtype=complex)
-    res = solve_ivp(rhs, (0.0, length), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
-    if not res.success:
-        raise VerifyError(f"linear-system integration failed: {res.message}")
+    try:
+        sol = fe._solve_linear_panels(
+            matrix, (vc._h_rows, vc._fE_rows, vc._G_rows), x0, x1, initial,
+            totals, rtol, atol, vc.quad_tol, log_rows=(2, 4))
+    except fe.QuadratureError as exc:
+        raise VerifyError(f"linear-system integration failed: {exc}") from exc
     obs = 0
     if kind == "system" and prep.sp.component == "second":
         obs = 1
     return SolutionTrace(x_start=x0, x_end=x1, t_fixed=t_fixed,
-                         sol=res.sol, length=length, kind=kind,
+                         sol=sol, length=abs(x1 - x0), kind=kind,
                          observable_index=obs)
 
 
@@ -542,8 +529,8 @@ def cross_validate(prep_or_entry, t_fixed: complex | None = None,
                    config: Config = DEFAULT_CONFIG) -> float:
     """Check the reduced equation on an actual solution.
 
-    Integrates the linear system at a fixed deformation value, strips the
-    gauge, re-parametrizes the trace by tau and tests w'' + P w' + Q w = 0
+    Solves the linear system at a fixed deformation value on Chebyshev
+    panels (:func:`_trace`), strips the gauge, re-parametrizes the trace by tau and tests w'' + P w' + Q w = 0
     with 5-point finite differences on a uniform tau grid.  Returns the max
     residual relative to max |w|.
 

@@ -216,7 +216,7 @@ def test_criterion_7_property_suites(prep):
     import fuchsreduce.reduction as red_mod
 
     p = prep("PV.y_m1")
-    red1 = red_mod.build_reduced(p.sp, p.dec, p.entry.basepoint_x + 0.25)
+    red1 = red_mod.build_reduced(p.dec, p.entry.basepoint_x + 0.25)
     pts = [(1.4, 0.8), (1.9, 1.1), (2.3, 0.6), (1.6, 1.3)]
     t0 = [p.red.tau_at(x, t) for x, t in pts]
     t1 = [red1.tau_at(x, t) for x, t in pts]

@@ -156,7 +156,7 @@ class TestTauMap:
     def test_flat_entry_closed_form(self):
         sp, dec, entry = decomposition_for("PII.y0")
         # Closed form x^2 + t, anchored so tau(basepoint) = t.
-        got = reduction.build_reduced(sp, dec, entry.basepoint_x).tau_at(2.0, 1.0)
+        got = reduction.build_reduced(dec, entry.basepoint_x).tau_at(2.0, 1.0)
         assert got == pytest.approx(4.0, abs=1e-10)
 
     def test_tau_equals_t_when_f_h_vanish(self):
@@ -164,12 +164,12 @@ class TestTauMap:
         sp = ScalarPair(p1=zero, q1=zero, p2=zero, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         for x in (1.2, 1.9, 2.4):
-            got = reduction.build_reduced(sp, dec, 1.0).tau_at(x, 0.77)
+            got = reduction.build_reduced(dec, 1.0).tau_at(x, 0.77)
             assert got == pytest.approx(0.77, abs=1e-12)
 
     def test_piii_value_and_frame(self):
         sp, dec, entry = decomposition_for("PIII.y1")
-        got = reduction.build_reduced(sp, dec, entry.basepoint_x).tau_at(2.0, 3.0)
+        got = reduction.build_reduced(dec, entry.basepoint_x).tau_at(2.0, 3.0)
         # At the basepoint the normalization makes tau = t exactly; the
         # documented closed form (x-1)^2 t / x evaluates to 1.5 there and
         # differs by the constant frame factor 1/2.
@@ -183,7 +183,7 @@ class TestTauMap:
     def test_first_integral_property(self, entry_id):
         # dtau/dx - (f + t h) dtau/dt = 0, by finite differences.
         sp, dec, entry = decomposition_for(entry_id)
-        red = reduction.build_reduced(sp, dec, entry.basepoint_x)
+        red = reduction.build_reduced(dec, entry.basepoint_x)
         pts = list(zip(entry.box_x.diagonal(4), reversed(entry.box_t.diagonal(4))))
         pts += [(x + 0.11, t + 0.07j) for x, t in pts]  # 16 points total
         hstep = 1e-5
@@ -199,28 +199,28 @@ class TestGauge:
     def test_flat_entry_gauge_is_one(self):
         sp, dec, entry = decomposition_for("PII.y0")
         for x in (1.2, 1.8, 2.4):
-            got = reduction.build_reduced(sp, dec, entry.basepoint_x).gauge_at(x)
+            got = reduction.build_reduced(dec, entry.basepoint_x).gauge_at(x)
             assert got == pytest.approx(1.0)
 
     def test_inverse_sqrt_gauge(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
-        got = reduction.build_reduced(sp, dec, 1.0).gauge_at(4.0)
+        got = reduction.build_reduced(dec, 1.0).gauge_at(4.0)
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_piii_gauge_against_quadrature_oracle(self):
         # Quadrature of the closed form R = 3/(4x) - 2/(x-1) at theta = 5/2:
         # exp(int R) = x^(3/4) (x-1)^(-2), normalized at the basepoint.
         sp, dec, entry = decomposition_for("PIII.y1")
-        got = reduction.build_reduced(sp, dec, 2.0).gauge_at(4.0)
+        got = reduction.build_reduced(dec, 2.0).gauge_at(4.0)
         formula = lambda x: x ** 0.75 * (x - 1) ** (-2.0)
         assert got == pytest.approx(formula(4.0) / formula(2.0), rel=1e-10)
 
     def test_second_component_flips_sign(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
         up = reduction.build_reduced(
-            sp, dataclasses.replace(dec, component="first"), 1.0).gauge_at(4.0)
+            dataclasses.replace(dec, component="first"), 1.0).gauge_at(4.0)
         dn = reduction.build_reduced(
-            sp, dataclasses.replace(dec, component="second"), 1.0).gauge_at(4.0)
+            dataclasses.replace(dec, component="second"), 1.0).gauge_at(4.0)
         assert up * dn == pytest.approx(1.0, abs=1e-10)
 
 
@@ -230,7 +230,7 @@ class TestBuiltinComplexValues:
         import numpy as np
 
         sp, dec, entry = decomposition_for(entry_id)
-        red = reduction.build_reduced(sp, dec, entry.basepoint_x)
+        red = reduction.build_reduced(dec, entry.basepoint_x)
         vc = red._vc
         for x in (entry.basepoint_x, np.complex128(1.7 + 0.1j), 2.2):
             t = np.complex128(0.9)
@@ -238,15 +238,15 @@ class TestBuiltinComplexValues:
                       vc.solve_t(x, 1.3), vc.tau_x(x, t),
                       red.tau_at(x, t), red.solve_t(x, 1.3), red.tau_x_at(x, t),
                       red.gauge_at(x),
-                      reduction.build_reduced(sp, dec, entry.basepoint_x).tau_at(x, t),
-                      reduction.build_reduced(sp, dec, entry.basepoint_x).gauge_at(x)]
+                      reduction.build_reduced(dec, entry.basepoint_x).tau_at(x, t),
+                      reduction.build_reduced(dec, entry.basepoint_x).gauge_at(x)]
             assert all(type(v) is complex for v in values)
 
 
 class TestReducedCoefficients:
     def test_flat_entry_airy_form(self):
         sp, dec, entry = decomposition_for("PII.y0")
-        red = reduction.build_reduced(sp, dec, entry.basepoint_x)
+        red = reduction.build_reduced(dec, entry.basepoint_x)
         for x, t in ((1.4, 0.7), (2.0 + 0.1j, 1.2 - 0.05j)):
             P, Q = red.coefficients_at(x, t)
             assert abs(P) <= 1e-12
@@ -255,7 +255,7 @@ class TestReducedCoefficients:
     def test_constant_targets(self):
         for entry_id, qval in (("PIV.y_m2t", -1.0), ("PV.y_m1", -0.25)):
             sp, dec, entry = decomposition_for(entry_id)
-            red = reduction.build_reduced(sp, dec, entry.basepoint_x)
+            red = reduction.build_reduced(dec, entry.basepoint_x)
             scale = {"PIV.y_m2t": 1.0, "PV.y_m1": 2 ** 0.5}[entry_id]
             for x, t in ((1.5, 0.8), (2.2, 1.3)):
                 P, Q = red.coefficients_at(x, t)
@@ -266,7 +266,7 @@ class TestReducedCoefficients:
         zero = fe.const(0)
         sp = ScalarPair(p1=zero, q1=zero, p2=fe.const(1), q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
-        red = reduction.build_reduced(sp, dec, 0.0)
+        red = reduction.build_reduced(dec, 0.0)
         P, Q = red.coefficients_at(0.9, 0.4)
         assert P == 0 and Q == 0
 
@@ -275,7 +275,7 @@ class TestReducedCoefficients:
         # p2 = x: tau_x vanishes at x = 0
         sp = ScalarPair(p1=zero, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
-        red = reduction.build_reduced(sp, dec, 1.0)
+        red = reduction.build_reduced(dec, 1.0)
         with pytest.raises(reduction.DegenerateTauPointError):
             red.coefficients_at(0.0, 0.5)
 
@@ -285,7 +285,7 @@ class TestReducedCoefficients:
         zero = fe.const(0)
         sp = ScalarPair(p1=1 / X, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
-        red = reduction.build_reduced(sp, dec, 1.0)
+        red = reduction.build_reduced(dec, 1.0)
         with pytest.raises(reduction.DegenerateTauPointError):
             red.coefficients_at(0.0, 0.5)
         with pytest.raises(ZeroDivisionError):
@@ -301,8 +301,8 @@ class TestBasepointCovariance:
     @pytest.mark.parametrize("entry_id", ["PII.y0", "PIII.y1", "PV.y_m1"])
     def test_affine_relation_between_basepoints(self, entry_id):
         sp, dec, entry = decomposition_for(entry_id)
-        red0 = reduction.build_reduced(sp, dec, entry.basepoint_x)
-        red1 = reduction.build_reduced(sp, dec, entry.basepoint_x + 0.3)
+        red0 = reduction.build_reduced(dec, entry.basepoint_x)
+        red1 = reduction.build_reduced(dec, entry.basepoint_x + 0.3)
         pts = [(1.4, 0.8), (1.9, 1.1), (2.3, 0.6), (1.6, 1.3)]
         t0 = [red0.tau_at(x, t) for x, t in pts]
         t1 = [red1.tau_at(x, t) for x, t in pts]

@@ -280,6 +280,124 @@ class TestSolveLinearSystem:
             assert g == pytest.approx(vc.gauge(x), rel=1e-9)
 
 
+def _dop853_trace(prep, t_fixed, x_path, initial):
+    """The five channels (phi1, phi2, E, S, gauge) of a trace by a DOP853
+    dense solve at the panel trace's tolerances: an independent oracle."""
+    x0, x1 = x_path.points
+    length = abs(x1 - x0)
+    u = (x1 - x0) / length
+    t_fixed = complex(t_fixed)
+    vc = prep.red._vc
+
+    def rhs(s, y):
+        x = x0 + u * s
+        if prep.entry.lax is not None:
+            a11, a12, a21, a22 = prep.entry.lax.a_entries(x, t_fixed)
+        else:
+            p1, q1 = prep.sp.p1_q1(x, t_fixed)
+            a11, a12, a21, a22 = 0, 1, -q1, -p1
+        return [u * (a11 * y[0] + a12 * y[1]), u * (a21 * y[0] + a22 * y[1]),
+                u * vc._h(x, t_fixed) * y[2], u * vc._f(x, t_fixed) * y[2],
+                u * vc._G(x, t_fixed) * y[4]]
+
+    y0 = np.array([*initial, vc.E(x0), vc.S(x0), vc.gauge(x0)], dtype=complex)
+    res = verify.solve_ivp(rhs, (0.0, length), y0, method="DOP853",
+                           rtol=1e-12, atol=1e-13, dense_output=True)
+    assert res.success
+    return res.sol
+
+
+def _entry_with_a(prep, a):
+    """A copy of the workspace whose entry has x-matrix ``a`` (E, S and the
+    gauge still come from the original decomposition)."""
+    import copy
+
+    entry = copy.copy(prep.entry)
+    entry.lax = LaxPair(a, a)
+    out = copy.copy(prep)
+    out.entry = entry
+    return out
+
+
+class TestPanelTrace:
+    """The Chebyshev-panel solve behind ``_trace``: accuracy against an
+    independent DOP853 solve, its dense output and its failure paths."""
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_channels_match_dop853(self, prep, entry_id):
+        p = prep(entry_id)
+        t = complex(0.5 * (p.box_t.re_lo + p.box_t.re_hi), 0.0)
+        off_basepoint = Path([p.box_x.re_lo + 0.1 + 0.05j, p.box_x.re_hi - 0.1 - 0.05j])
+        assert off_basepoint.points[0] != p.red.basepoint_x
+        for path in (verify._default_cross_path(p), off_basepoint):
+            trace = verify._trace(p, t, path, initial=(1.0, 0.4 + 0.1j))
+            oracle = _dop853_trace(p, t, path, (1.0, 0.4 + 0.1j))
+            s = np.linspace(0.0, trace.length, 301)
+            ours, ref = trace.sol(s), oracle(s)
+            # S is zero up to rounding when f vanishes, so every channel's
+            # scale is at least 1 (the size of E and of the initial vector).
+            scale = np.maximum(np.max(np.abs(ref), axis=1), 1.0)
+            assert (np.max(np.abs(ours - ref), axis=1) <= 1e-10 * scale).all()
+
+    def test_scalar_and_array_calls_agree(self, prep):
+        p = prep("PII.y0")
+        trace = verify._trace(p, 1.0, verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
+        s = np.linspace(0.0, trace.length, 17)
+        table = trace.sol(s)
+        assert table.shape == (5, 17)
+        for k, sk in enumerate(s):
+            one = trace.sol(float(sk))
+            assert one.shape == (5,)
+            np.testing.assert_allclose(one, table[:, k], rtol=1e-14, atol=0)
+
+    def test_panel_edges_agree_from_both_sides(self, prep):
+        p = prep("PII.y0")
+        trace = verify._trace(p, 1.0, verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
+        edges = trace.sol.edges[1:-1]
+        assert len(edges) >= 1
+        for edge in edges:
+            left = trace.sol(np.nextafter(edge, 0.0))
+            right = trace.sol(float(edge))
+            assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(right))
+
+    def test_pole_on_a_panel_node_raises_the_kernel_class(self, prep):
+        # 1.5 is the middle node of the first panel of [1, 2].
+        zero = fe.const(0)
+        pole = fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5)))
+        p = _entry_with_a(prep("PII.y0"), ((zero, pole), (zero, zero)))
+        with pytest.raises(ZeroDivisionError):
+            verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 1.0))
+
+    def test_unresolvable_system_hits_the_depth_cap(self, prep):
+        # a12 = 1e6 [Im(x) < 0]: log(x - 2) - log(2 - x) jumps by 2 pi i
+        # where the path crosses Im x = 0.  The kink it puts in phi1 stays
+        # above the tail tolerance on every panel down to the depth cap.
+        c = fe.const(2.0)
+        jump = fe.sub(fe.sub(fe.log(fe.sub(fe.X, c)), fe.log(fe.sub(c, fe.X))),
+                      fe.const(-1j * np.pi))
+        step = fe.mul(fe.const(1e6 / (2j * np.pi)), jump)
+        zero = fe.const(0)
+        p = _entry_with_a(prep("PII.y0"), ((zero, step), (zero, zero)))
+        with pytest.raises(verify.VerifyError, match="did not converge"):
+            verify._trace(p, 0.5, Path([1.5 - 0.3j, 1.5 + 0.7j]), initial=(1.0, 1.0))
+
+    def test_panel_budget_raises(self, prep, monkeypatch):
+        zero, k = fe.const(0), fe.const(200.0)
+        p = _entry_with_a(prep("PII.y0"), ((zero, k), (fe.neg(k), zero)))
+        monkeypatch.setattr(fe, "_MAX_PANELS", 8)
+        with pytest.raises(verify.VerifyError, match="more than 8 panels"):
+            verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+
+    def test_nan_coefficient_raises(self, prep):
+        # (1e200 x)^2 overflows to inf, and inf - inf is nan.
+        big = fe.mul(fe.const(1e200), fe.X)
+        nan = fe.sub(fe.mul(big, big), fe.mul(big, big))
+        zero = fe.const(0)
+        p = _entry_with_a(prep("PII.y0"), ((nan, zero), (zero, zero)))
+        with pytest.raises(verify.VerifyError, match="non-finite"):
+            verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+
+
 class TestCrossValidate:
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_reduced_equation_on_trace(self, prep, entry_id):
@@ -405,23 +523,43 @@ class TestCrossValidateBatched:
         assert [e for e in rep.errors if e.startswith("cross-validation: non-finite")]
 
 
+def _run_python(code: str, **env_overrides) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this
+    checkout's package."""
+    import fuchsreduce
+
+    src = os.path.dirname(os.path.dirname(fuchsreduce.__file__))
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+_VERIFY_ALL = ("from fuchsreduce import cli\n"
+               "cli.main(['verify', '--all', '--with-negative', '--json'])\n")
+
+
 class TestLazyScipy:
     def test_import_leaves_scipy_integrate_unloaded(self):
         # solve_ivp stays a module attribute, so it can be wrapped from
         # outside, but scipy.integrate is imported only on its first call.
-        import fuchsreduce
+        out = _run_python("import sys, fuchsreduce\n"
+                          "from fuchsreduce import verify\n"
+                          "print('scipy.integrate' in sys.modules, "
+                          "'solve_ivp' in verify.__dict__)\n")
+        assert out.split() == ["False", "True"]
 
-        src = os.path.dirname(os.path.dirname(fuchsreduce.__file__))
-        code = ("import sys, fuchsreduce\n"
-                "from fuchsreduce import verify\n"
-                "print('scipy.integrate' in sys.modules, "
-                "'solve_ivp' in verify.__dict__)\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["False", "True"]
+    def test_verify_all_leaves_scipy_integrate_unloaded(self):
+        out = _run_python(_VERIFY_ALL + "import sys\n"
+                          "print('scipy.integrate' in sys.modules)\n")
+        assert out.split()[-1] == "False"
+
+    def test_verify_all_bytes_do_not_depend_on_blas_threads(self):
+        one = _run_python(_VERIFY_ALL, OPENBLAS_NUM_THREADS="1")
+        two = _run_python(_VERIFY_ALL, OPENBLAS_NUM_THREADS="2")
+        assert one.startswith("[")
+        assert one == two
 
 
 class TestFullReport:
