@@ -502,8 +502,13 @@ def substitute(e: Expr, x: Expr | complex | None = None,
 
 def _literal(value: complex) -> str:
     """A constant as Python source that binds as one operand: ``repr``
-    leaves a pure imaginary value bare, and ``-2j ** 2`` is -(2j ** 2)."""
-    text = repr(complex(value))
+    leaves a pure imaginary value bare, and ``-2j ** 2`` is -(2j ** 2).
+    A non-finite value is parsed from its ``repr`` at run time, since
+    ``nan`` and ``inf`` are not Python literals."""
+    value = complex(value)
+    text = repr(value)
+    if not cmath.isfinite(value):
+        return f"complex({text.strip('()')!r})"
     return text if text.startswith("(") else f"({text})"
 
 
@@ -682,6 +687,9 @@ def _chebyshev_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _CHEB_NODES, _CHEB_TO_COEFFS, _CHEB_CUMSUM = _chebyshev_tables(25)
+# Chebyshev coefficients (a column) to those of the derivative on [-1, 1];
+# the last row is zero, so a differentiated series keeps its length.
+_CHEB_DIFF = np.vstack([chebyshev.chebder(np.eye(25)), np.zeros(25)])
 # The last three coefficients (the tail) estimate the interpolation error.
 # Samples whose tail is within this multiple of eps of their largest modulus
 # are resolved to rounding, and no bisection can improve them.
@@ -847,33 +855,43 @@ class _PiecewiseChebyshev:
     """Dense output of :func:`_solve_linear_panels`: per panel of [0, L]
     in arclength, the Chebyshev coefficients of every row.  Called like
     scipy's ``OdeSolution``: a float gives the rows' values (shape (k,)),
-    an array of m arclengths a (k, m) array.  Rows listed in ``log_rows``
-    hold logarithms and are returned exponentiated."""
+    an array of m arclengths a (k, m) array.  With ``derivatives`` = d > 0
+    the result gains a leading axis of length d + 1: the rows and their
+    first d derivatives in arclength, each the exact derivative of the
+    panel's series (``_CHEB_DIFF``)."""
 
-    def __init__(self, edges: list[float], coeffs: list[np.ndarray],
-                 log_rows: Sequence[int]):
+    def __init__(self, edges: list[float], coeffs: list[np.ndarray]):
         self.edges = np.array(edges)
         self.coeffs = np.array(coeffs)      # (panels, rows, nodes)
-        self.log_rows = list(log_rows)
 
-    def __call__(self, s):
+    def __call__(self, s, derivatives: int = 0):
         s = np.asarray(s, dtype=float)
         flat = np.atleast_1d(s)
         j = np.clip(np.searchsorted(self.edges, flat, side="right") - 1,
                     0, len(self.coeffs) - 1)
         lo, hi = self.edges[j], self.edges[j + 1]
         basis = chebyshev.chebvander((2 * flat - lo - hi) / (hi - lo), len(_CHEB_NODES) - 1)
-        vals = np.einsum("mn,mkn->km", basis, self.coeffs[j])
-        vals[self.log_rows] = np.exp(vals[self.log_rows])
-        return vals[:, 0] if s.ndim == 0 else vals
+        vals = np.empty((derivatives + 1, self.coeffs.shape[1], len(flat)), dtype=complex)
+        # Panel by panel, so a derivative series is formed once per panel;
+        # einsum sums each point alone, so a value does not depend on the
+        # batch it is asked for in.
+        for p in np.flatnonzero(np.bincount(j)):
+            at = j == p
+            c = self.coeffs[p]
+            diff = 2 / (self.edges[p + 1] - self.edges[p]) * _CHEB_DIFF.T
+            for d in range(derivatives + 1):
+                if d:
+                    c = c @ diff
+                vals[d][:, at] = np.einsum("mn,kn->km", basis[at], c)
+        vals = vals if derivatives else vals[0]
+        return vals[..., 0] if s.ndim == 0 else vals
 
 
 def _solve_linear_panels(matrix: Callable[[np.ndarray], Sequence],
                          stages: Sequence[Callable[[np.ndarray, list], object]],
                          a: complex, b: complex, y0: Sequence[complex],
                          totals: Sequence[complex], rtol: float, atol: float,
-                         quad_tol: float, log_rows: Sequence[int] = (),
-                         max_depth: int = 48) -> _PiecewiseChebyshev:
+                         quad_tol: float, max_depth: int = 48) -> _PiecewiseChebyshev:
     """Solve y' = A(z) y for a 2-vector y along the segment [a, b] from
     y(a) = ``y0``, and integrate ``stages`` along it, on adaptive Chebyshev
     panels taken left to right.
@@ -890,9 +908,8 @@ def _solve_linear_panels(matrix: Callable[[np.ndarray], Sequence],
     quadrature's tail rule with ``quad_tol``; otherwise it is bisected.
 
     Returns the dense output over the arclength [0, |b - a|] with rows
-    (y1, y2, stage integrals), the stage integrals in ``log_rows``
-    exponentiated.  Raises :class:`QuadratureError` when a panel at
-    ``max_depth`` is unresolved, the segment needs more than
+    (y1, y2, stage integrals).  Raises :class:`QuadratureError` when a
+    panel at ``max_depth`` is unresolved, the segment needs more than
     ``_MAX_PANELS`` panels, or a coefficient, sample or solution value is
     not finite; what ``matrix`` or a stage raises passes through."""
     a, b = complex(a), complex(b)
@@ -949,7 +966,7 @@ def _solve_linear_panels(matrix: Callable[[np.ndarray], Sequence],
         else:
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
-    return _PiecewiseChebyshev(edges, coeffs, log_rows)
+    return _PiecewiseChebyshev(edges, coeffs)
 
 
 def integrate_callable(fn: Callable[[complex], complex], path: Path,

@@ -145,10 +145,6 @@ class Decomposition:
         return fe.array_form(self._G)
 
     @cached_property
-    def _phi_array(self):
-        return fe.array_form(self._phi)
-
-    @cached_property
     def _coeff_parts_array(self):
         return fe.array_form(self._coeff_parts)
 
@@ -448,11 +444,11 @@ class ReducedEquation:
     Q = q_num / (phi E)^2 with phi = f + t h.  phi, p_num and q_num are
     compiled together as one straight-line function, ``_coeff_parts``,
     which shares their common subexpressions; ``_phi`` alone serves the
-    tau inversion.  Their array forms, ``_coeff_parts_array`` and
-    ``_phi_array``, serve cross-validation, which evaluates all its points
-    at once.  All of them are the decomposition's compiled kernels, so
-    building a ReducedEquation compiles nothing; its own state is the
-    basepoint and the E/S and gauge memos.  P and Q are functions of
+    degeneracy gate of :meth:`coefficients_at`.  The array form
+    ``_coeff_parts_array`` serves cross-validation, which evaluates all
+    its points at once.  All of them are the decomposition's compiled
+    kernels, so building a ReducedEquation compiles nothing; its own state
+    is the basepoint and the E/S and gauge memos.  P and Q are functions of
     (x, t) that, for a completely integrable input, depend on the point
     only through tau."""
 
@@ -461,7 +457,7 @@ class ReducedEquation:
         self.basepoint_x = complex(basepoint_x)
         self.case_tag = classify_case(dec)
         self._vc = _VarChange(dec, basepoint_x)
-        self._phi, self._phi_array = dec._phi, dec._phi_array
+        self._phi = dec._phi
         self._coeff_parts, self._coeff_parts_array = dec._coeff_parts, dec._coeff_parts_array
 
     # -- change of variables -------------------------------------------------

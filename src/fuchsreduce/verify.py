@@ -9,11 +9,12 @@ For each catalog entry this module certifies, with explicit tolerances:
 4. the reduced equation is a recognized classical target (least-squares
    identification over the basis {1, tau, 1/tau, 1/tau^2}),
 5. a numerically integrated solution, gauge-stripped and re-parametrized
-   by tau, satisfies the reduced equation (cross-validation by finite
-   differences on a dense trace).  The trace solves the x-system on
-   adaptive Chebyshev panels and integrates E, S and the gauge on the same
-   nodes (``expr._solve_linear_panels``), so this path never imports
-   ``scipy.integrate``.
+   by tau, satisfies the reduced equation (cross-validation on a dense
+   trace).  The trace solves the x-system on adaptive Chebyshev panels and
+   integrates log E, S and log g on the same nodes
+   (``expr._solve_linear_panels``); the derivatives the check needs are
+   exact derivatives of those Chebyshev series, and this path never
+   imports ``scipy.integrate``.
 
 Coefficient samples are reported in the frame of the documented closed-form
 tau; the quadrature-defined tau differs from it by an affine map (a, b)
@@ -330,54 +331,41 @@ def match_classical(samples: Sequence[tuple[complex, complex, complex]],
 @dataclass
 class SolutionTrace:
     """Dense solution of the x-system along a straight segment, augmented
-    with the running quantities E = exp(int h), S = int f E and the gauge
-    factor, so tau, gauge and the reduced coefficients are available at any
+    with the running integrals log E = int h, S = int f E and log g = int G,
+    so tau, the gauge and the reduced coefficients are available at any
     point of the trace at solver accuracy.
 
-    ``sol(s)`` gives the rows (phi1, phi2, E, S, gauge) at arclength s, a
-    float or an array, from the piecewise-Chebyshev dense output of the
-    panel solve."""
+    ``sol(s)`` gives the rows (phi1, phi2, log E, S, log g) at arclength s,
+    a float or an array, and ``sol(s, derivatives=d)`` adds their first d
+    derivatives in s, from the piecewise-Chebyshev series of the panel
+    solve."""
 
     x_start: complex
     x_end: complex
-    t_fixed: complex
     sol: object                     # expr._PiecewiseChebyshev over s in [0, L]
     length: float
-    kind: str                        # "system" | "scalar"
     observable_index: int = 0        # which state entry the reduction acts on
-
-    def state(self, s: float) -> np.ndarray:
-        return self.sol(float(s))
 
     def x_of(self, s):
         """x at arclength s; s may be a float or an array."""
         u = (self.x_end - self.x_start) / self.length
         return self.x_start + u * s
 
-    def phi(self, s: float) -> complex:
-        """The solution component the scalar reduction applies to."""
-        return complex(self.state(s)[self.observable_index])
-
-    def channels(self, s: float) -> tuple[complex, complex, complex]:
-        """(E, S, gauge) at arclength s."""
-        st = self.state(s)
-        return complex(st[2]), complex(st[3]), complex(st[4])
-
 
 def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
            initial: tuple[complex, complex],
            rtol: float = 1e-12, atol: float = 1e-13) -> SolutionTrace:
     """Dense solve of the x-system at fixed deformation along one straight
-    segment, with the E, S and gauge channels, on adaptive Chebyshev panels
-    (``expr._solve_linear_panels``).
+    segment, with the log E, S and log g channels, on adaptive Chebyshev
+    panels (``expr._solve_linear_panels``).
 
     Each panel solves the collocated integral form of the system (for
     direct scalar entries the companion system of the second-order
     equation, initial = (phi, phi')) and integrates h, f E and G on the
-    same nodes, starting from ``E``, ``S`` and ``gauge`` at the segment's
-    start.  A singular sample raises the compiled kernel's own exception;
-    an unresolved panel, an exhausted panel budget or a non-finite value
-    raises :class:`VerifyError`."""
+    same nodes, starting from log ``E``, ``S`` and log ``gauge`` at the
+    segment's start.  A singular sample raises the compiled kernel's own
+    exception; an unresolved panel, an exhausted panel budget or a
+    non-finite value raises :class:`VerifyError`."""
     if len(x_path.points) != 2:
         raise VerifyError("solution traces run along a single straight segment")
     entry = prep.entry
@@ -388,7 +376,6 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
     if entry.lax is not None:
         a_entries = entry.lax.a_entries_array
         matrix = lambda z: a_entries(z, t_fixed)
-        kind = "system"
     else:
         p1_q1 = prep.sp.p1_q1_array
 
@@ -396,18 +383,14 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
             p1, q1 = p1_q1(z, t_fixed)
             return 0, 1, -q1, -p1
 
-        kind = "scalar"
     try:
         sol = fe._solve_linear_panels(
             matrix, (vc._h_rows, vc._fE_rows, vc._G_rows), x0, x1, initial,
-            totals, rtol, atol, vc.quad_tol, log_rows=(2, 4))
+            totals, rtol, atol, vc.quad_tol)
     except fe.QuadratureError as exc:
         raise VerifyError(f"linear-system integration failed: {exc}") from exc
-    obs = 0
-    if kind == "system" and prep.sp.component == "second":
-        obs = 1
-    return SolutionTrace(x_start=x0, x_end=x1, t_fixed=t_fixed,
-                         sol=sol, length=abs(x1 - x0), kind=kind,
+    obs = 1 if entry.lax is not None and prep.sp.component == "second" else 0
+    return SolutionTrace(x_start=x0, x_end=x1, sol=sol, length=abs(x1 - x0),
                          observable_index=obs)
 
 
@@ -486,119 +469,71 @@ def _default_cross_path(prep: Prepared) -> Path:
     return Path([prep.red.basepoint_x, complex(prep.box_x.re_hi - 0.05, 0.0)])
 
 
-def _invert_tau(trace: SolutionTrace, phi_array: Callable, t_fixed: complex,
-                taus: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Arclengths at which Re tau = Re(t E + S) on the trace takes the
-    values ``taus``, by Newton from the guesses ``s`` (all targets at once).
-
-    Each target takes at most 8 steps s -= (Re tau - target) / Re(tau_x u),
-    clamped to [0, L], until its step falls below 1e-13 (1 + L); tau_x is
-    phi(x, t) E.  A step evaluates the dense output once, on the targets
-    still moving, and ``phi_array`` (the array form of phi) once on all of
-    them.  Raises :class:`VerifyError` when a target is left unconverged,
-    by the step budget or by a zero derivative."""
-    length = trace.length
-    u = (trace.x_end - trace.x_start) / length
-    s = np.array(s, dtype=float)
-    active = np.arange(len(s))
-    converged = np.zeros(len(s), dtype=bool)
-    step_tol = 1e-13 * (1 + length)
-    for _ in range(8):
-        if active.size == 0:
-            break
-        st = trace.sol(s[active])
-        g = (t_fixed * st[2] + st[3]).real - taus[active]
-        ph = phi_array(trace.x_of(s[active]), t_fixed)
-        dg = (ph * st[2] * u).real
-        moving = dg != 0
-        active = active[moving]
-        step = g[moving] / dg[moving]
-        s[active] = np.clip(s[active] - step, 0.0, length)
-        small = np.abs(step) < step_tol
-        converged[active[small]] = True
-        active = active[~small]
-    if not converged.all():
-        raise VerifyError(
-            f"tau inversion did not converge for {len(s) - int(converged.sum())} "
-            f"of {len(s)} targets")
-    return s
-
-
 def cross_validate(prep_or_entry, t_fixed: complex | None = None,
                    x_path: Path | None = None, n_points: int | None = None,
                    config: Config = DEFAULT_CONFIG) -> float:
     """Check the reduced equation on an actual solution.
 
     Solves the linear system at a fixed deformation value on Chebyshev
-    panels (:func:`_trace`), strips the gauge, re-parametrizes the trace by tau and tests w'' + P w' + Q w = 0
-    with 5-point finite differences on a uniform tau grid.  Returns the max
-    residual relative to max |w|.
+    panels (:func:`_trace`) and tests w'' + P w' + Q w = 0 with
+    w = phi / g, re-parametrized by tau = t E + S.  Of ``n_points``
+    arclengths uniform over the trace it keeps those where Re tau lies in
+    the 2%-interior of its range.  phi, log E, S and log g and their first
+    two arclength derivatives are exact derivatives of the trace's
+    Chebyshev series, so tau' = t E (log E)' + S', w_tau = w' / tau' and
+    w_tautau = (w'' - w_tau tau'') / tau'^2 carry no differencing error.
+    phi, p_num and q_num come from one call of the array form of
+    ``_coeff_parts`` (``_coeff_parts_array``) on all the points.  Returns
+    the max residual relative to max |w|.
 
-    The arclengths of all tau targets are found together by a batched
-    Newton (:func:`_invert_tau`) started from linear interpolation on a
-    257-point tau table of the trace, and the trace is then read once at
-    all of them.  So the dense output is called at most 10 times, however
-    many points are asked for.  phi, p_num and q_num come from one call of
-    the array form of ``_coeff_parts`` (``_coeff_parts_array``) on all the
-    points.  Raises
-    :class:`VerifyError` when a target does not converge or when w, P, Q or
-    the stencil residual is not finite at some tau."""
+    The stage detects a trace that does not solve the system, and S, E or
+    gauge channels inconsistent with the coefficients of ``_coeff_parts``.
+    It cannot detect a wrong reduction: with P and Q taken from the
+    trace's own deformation slice the residual is the scalarized
+    x-equation along the solution, whatever f, h and R are.  Raises
+    :class:`VerifyError` when w, P, Q or the residual is not finite at some
+    point."""
     prep = (prep_or_entry if isinstance(prep_or_entry, Prepared)
             else prepare(prep_or_entry, config))
-    red = prep.red
-    if t_fixed is None:
-        t_fixed = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi), 0.0)
-    if x_path is None:
-        x_path = _default_cross_path(prep)
+    t_fixed = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi) if t_fixed is None
+                      else t_fixed)
     n = n_points if n_points is not None else max(config.trace_points, 201)
-
-    trace = _trace(prep, t_fixed, x_path, initial=(1.0, 0.4 + 0.1j))
-    t_fixed = complex(t_fixed)
-
-    # Dense-output states are (5, m) arrays; tau = t E + S.
-    s_grid = np.linspace(0.0, trace.length, 257)
-    grid_states = trace.sol(s_grid)
-    tau_grid = (t_fixed * grid_states[2] + grid_states[3]).real
-    # tau is monotone along the chosen paths; work on a slightly interior
-    # window so Newton never leaves the trace.
-    lo, hi = sorted((tau_grid[0], tau_grid[-1]))
-    span = hi - lo
-    lo += 0.02 * span
-    hi -= 0.02 * span
-    taus = np.linspace(lo, hi, n)
-
-    order = np.argsort(tau_grid)
-    s = _invert_tau(trace, red._phi_array, t_fixed, taus,
-                    np.interp(taus, tau_grid[order], s_grid[order]))
-
-    st = trace.sol(s)
-    e = st[2]
-    ph, p_num, q_num = red._coeff_parts_array(trace.x_of(s), t_fixed)
-
-    h = float(taus[1] - taus[0])
-    # Stencil stride balances interpolation/solver noise (~eps/H^2) against
-    # truncation (~H^4).
-    stride = max(1, round(0.007 / h))
-    H = stride * h
-    k = np.arange(2 * stride, n - 2 * stride)
+    trace = _trace(prep, t_fixed, x_path or _default_cross_path(prep),
+                   initial=(1.0, 0.4 + 0.1j))
+    s = np.linspace(0.0, trace.length, n)
+    # Rows (phi1, phi2, log E, S, log g), each with its s-derivatives 0..2.
+    rows = trace.sol(s, derivatives=2)
     with np.errstate(all="ignore"):
-        ws = st[trace.observable_index] / st[4]
+        tau = (t_fixed * np.exp(rows[0, 2]) + rows[0, 3]).real
+        # Keep the points whose Re tau lies in the 2%-interior of its range
+        # (a NaN is kept, to be reported).  Near a turning point of tau the
+        # tau-derivatives divide the series' rounding by tau'^2.
+        lo, hi = sorted((tau[0], tau[-1]))
+        pad = 0.02 * (hi - lo)
+        keep = ~((tau < lo + pad) | (tau > hi - pad))
+        s, rows = s[keep], rows[..., keep]
+        phi, phi1, phi2 = rows[:, trace.observable_index]
+        le, le1, le2 = rows[:, 2]
+        _, s1, s2 = rows[:, 3]
+        lg, lg1, lg2 = rows[:, 4]
+        ph, p_num, q_num = prep.red._coeff_parts_array(trace.x_of(s), t_fixed)
+        e = np.exp(le)
+        tau1 = t_fixed * e * le1 + s1
+        tau2 = t_fixed * e * (le2 + le1 * le1) + s2
+        inv_g = np.exp(-lg)
+        w = phi * inv_g
+        w1 = (phi1 - phi * lg1) * inv_g
+        w2 = (phi2 - 2 * phi1 * lg1 + phi * (lg1 * lg1 - lg2)) * inv_g
+        w_tau = w1 / tau1
+        w_tautau = (w2 - w_tau * tau2) / (tau1 * tau1)
         den = ph * ph * e
-        Pv = p_num / den
-        Qv = q_num / (den * e)
-        wm2, wm1, w0, wp1, wp2 = (ws[k - 2 * stride], ws[k - stride], ws[k],
-                                  ws[k + stride], ws[k + 2 * stride])
-        d1 = (wm2 - 8 * wm1 + 8 * wp1 - wp2) / (12 * H)
-        d2 = (-wm2 + 16 * wm1 - 30 * w0 + 16 * wp1 - wp2) / (12 * H * H)
-        r = d2 + Pv[k] * d1 + Qv[k] * w0
-    finite = np.isfinite(ws) & np.isfinite(Pv) & np.isfinite(Qv)
-    finite[k] &= np.isfinite(r)
+        r = w_tautau + p_num / den * w_tau + q_num / (den * e) * w
+    finite = np.isfinite(w) & np.isfinite(r)
     if not finite.all():
         first = int(np.argmin(finite))
         raise VerifyError(
-            f"non-finite w, P, Q or stencil residual at tau = {taus[first]:.6g}")
-    wmax = float(np.max(np.abs(ws)))
-    return float(np.max(np.abs(r), initial=0.0)) / wmax
+            f"non-finite w, P, Q or residual at x = {complex(trace.x_of(s[first])):.6g}")
+    return float(np.max(np.abs(r))) / float(np.max(np.abs(w)))
 
 
 # ---------------------------------------------------------------------------

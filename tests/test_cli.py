@@ -95,8 +95,10 @@ class TestVerify:
         assert rc == 1
 
     def test_unreachable_crossval_tolerance_exits_1(self):
-        # The cross-validation residual is a finite-difference figure near 3e-8.
-        rc, out, _ = run_cli(["verify", "PII.y0", "--tol-crossval", "1e-12"])
+        # The cross-validation residual is at the rounding level of the
+        # trace's series (about 7e-13), so only a gate under double
+        # precision is unreachable.
+        rc, out, _ = run_cli(["verify", "PII.y0", "--tol-crossval", "1e-16"])
         assert rc == 1
 
     def test_unknown_entry_exits_2(self):

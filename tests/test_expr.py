@@ -227,6 +227,20 @@ class TestCompileConstants:
         assert f(1 + 1j, 0j) == want
         assert fe.array_form(f)(np.array([1 + 1j]), 0j)[0] == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("e, params", [
+        (fe.add(X, fe.const(math.nan)), {}),
+        (fe.add(X, fe.param("a")), {"a": math.inf}),
+        (fe.add(X, fe.const(complex(0.0, -math.inf))), {}),
+    ])
+    def test_non_finite_value_matches_evaluate(self, e, params):
+        # repr gives '(nan+0j)', '(inf+0j)', '-infj': nan and inf are not
+        # Python literals, so emitted bare they would raise NameError.
+        xs = [1 + 0j, 2 - 1j]
+        want = [repr(fe.evaluate(e, Binding(x=x, t=0j, params=params))) for x in xs]
+        f = fe.compile_expr(e, params)
+        assert [repr(f(x, 0j)) for x in xs] == want
+        assert [repr(complex(v)) for v in fe.array_form(f)(np.array(xs), 0j)] == want
+
 
 class TestArrayForm:
     """``array_form``: the same compiled body evaluated on arrays."""
