@@ -4,8 +4,9 @@ Expressions are immutable trees in the spectral variable ``x``, the
 deformation variable ``t`` and named parameters.  The engine supports exact
 symbolic differentiation, pointwise evaluation, compilation to fast Python
 callables (straight-line code with subtrees shared by structure; one
-expression or a tuple of them per function; an array form runs the same
-code object on numpy arrays of points), adaptive contour quadrature along
+expression or a tuple of them per function, or the same lines staged as
+an x-only part and the rest; an array form runs the same code object on
+numpy arrays of points), adaptive contour quadrature along
 piecewise-linear paths (on Chebyshev panels with tail-coefficient error
 control; many segments from one start integrated together), the solve of a
 2x2 linear ODE along a segment on the same panels, and a plain-text infix
@@ -66,6 +67,7 @@ __all__ = [
     "free_symbols",
     "substitute",
     "compile_expr",
+    "compile_staged",
     "array_form",
     "integrate_along_path",
     "integrate_callable",
@@ -540,18 +542,31 @@ _ARRAY_GLOBALS = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
                   "_powf": _principal_pow_array}
 
 
-def array_form(fn: Callable) -> Callable:
+def array_form(fn: Callable | tuple[Callable, Callable]) -> Callable:
     """The array form ``array(x, t)`` of a function made by
     :func:`compile_expr`: the same code object, run with numpy ufuncs in
-    place of ``cmath``, so it cannot drift from ``fn``.
+    place of ``cmath``, so it cannot drift from ``fn``.  Given the pair
+    ``(pre, post)`` of :func:`compile_staged`, it runs the array forms of
+    ``pre`` on x and then ``post``, and its scalar function is
+    ``post(x, t, pre(x))``.
 
     ``x`` and ``t`` broadcast against each other; the result has their
     shape (a tuple of such arrays for a tuple compile).  It is evaluated
     under ``np.errstate`` raising on divide, overflow and invalid.  A batch
-    that raises or yields a non-finite value is evaluated again by ``fn``,
-    point by point, so it ends in the scalar values or in the exception
-    ``fn`` raises at the first bad point."""
-    vec = types.FunctionType(fn.__code__, _ARRAY_GLOBALS)
+    that raises or yields a non-finite value is evaluated again by the
+    scalar function, point by point, so it ends in the scalar values or in
+    the exception the scalar function raises at the first bad point."""
+    if isinstance(fn, tuple):
+        pre, post = fn
+        vec_pre, vec_post = (types.FunctionType(f.__code__, _ARRAY_GLOBALS) for f in fn)
+
+        def scalar(x, t):
+            return post(x, t, pre(x))
+
+        def vec(x, t):
+            return vec_post(x, t, vec_pre(x))
+    else:
+        scalar, vec = fn, types.FunctionType(fn.__code__, _ARRAY_GLOBALS)
 
     def array(x, t):
         x = np.asarray(x, dtype=complex)
@@ -568,7 +583,7 @@ def array_form(fn: Callable) -> Callable:
         except _SAMPLE_ERRORS:
             pass
         xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
-        rows = np.array([fn(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
+        rows = np.array([scalar(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
         if rows.ndim == 1:
             return rows.reshape(shape)
         return tuple(col.reshape(shape) for col in rows.T)
@@ -576,12 +591,19 @@ def array_form(fn: Callable) -> Callable:
     return array
 
 
-def compile_expr(e: Expr | tuple[Expr, ...],
-                 params: Mapping[str, complex] | None = None
-                 ) -> Callable[[complex, complex], complex | tuple[complex, ...]]:
-    """Compile to a Python function ``f(x, t) -> complex``; given a tuple
-    of expressions, ``f`` returns the tuple of their values, computed by
-    one straight-line body.
+# The subset of {x, t} a compiled line depends on, as a bit mask.
+_X_DEP, _T_DEP = 1, 2
+
+# One assignment ``name = rhs`` of a compiled body and its dependency mask.
+# A plain tuple: keeping more per line (a NamedTuple, the operand list)
+# made compile_expr measurably slower.
+_Line = tuple[str, str, int]
+
+
+def _value_numbered(e: Expr | tuple[Expr, ...], params: Mapping[str, complex] | None
+                    ) -> tuple[list[_Line], list[str], str, set[str]]:
+    """The straight-line body of ``e``, the operands it returns, its return
+    text and the operands that lines depending on t read.
 
     Parameters are baked in as constants, each emitted as one parenthesized
     operand.  Subtrees are shared by structure (hash-consing by value
@@ -590,13 +612,14 @@ def compile_expr(e: Expr | tuple[Expr, ...],
     would emit the same line, and sharing never changes a bit of the
     result.  ``Expr`` equality is not the key: it equates ``const(0j)`` and
     ``const(complex(0, -0.0))``, which emit the different values ``0j`` and
-    ``-0j``.  Repeated evaluation is much faster than tree walking.
-    Singular inputs raise the native ZeroDivisionError/ValueError.
-    :func:`array_form` runs the same code on numpy arrays of points."""
+    ``-0j``.  Lines come in evaluation order, operands first."""
     params = params or {}
-    lines: list[str] = []
+    lines: list[_Line] = []
     names: dict[int, str] = {}
     numbered: dict[str, str] = {}
+    # The dependency mask of each emitted name; a literal is in no entry.
+    free: dict[str, int] = {"x": _X_DEP, "t": _T_DEP}
+    read_with_t: set[str] = set()
 
     def emit(n: Expr) -> str:
         got = names.get(id(n))
@@ -636,19 +659,75 @@ def compile_expr(e: Expr | tuple[Expr, ...],
             v = numbered.get(s)
             if v is None:
                 v = numbered[s] = f"v{len(numbered)}"
-                lines.append(f"    {v} = {s}")
+                dep = 0
+                for kid in kids:
+                    dep |= free.get(kid, 0)
+                free[v] = dep
+                if dep & _T_DEP:
+                    read_with_t.update(kids)
+                lines.append((v, s, dep))
             s = v
         names[id(n)] = s
         return s
 
+    outputs = [emit(part) for part in (e if isinstance(e, tuple) else (e,))]
     if isinstance(e, tuple):
-        result = "(" + "".join(f"{emit(part)}, " for part in e) + ")"
+        result = "(" + "".join(f"{out}, " for out in outputs) + ")"
     else:
-        result = emit(e)
-    src = "def _f(x, t):\n" + "\n".join(lines) + f"\n    return {result}\n"
+        result = outputs[0]
+    return lines, outputs, result, read_with_t
+
+
+def _define(src: str, name: str) -> Callable:
     ns = dict(_SCALAR_NAMESPACE)
     exec(compile(src, "<fuchsreduce-expr>", "exec"), ns)
-    return ns["_f"]
+    return ns[name]
+
+
+def _body(lines: Iterable[_Line]) -> str:
+    return "\n".join([f"    {name} = {rhs}" for name, rhs, _ in lines])
+
+
+def compile_expr(e: Expr | tuple[Expr, ...],
+                 params: Mapping[str, complex] | None = None
+                 ) -> Callable[[complex, complex], complex | tuple[complex, ...]]:
+    """Compile to a Python function ``f(x, t) -> complex``; given a tuple
+    of expressions, ``f`` returns the tuple of their values, computed by
+    one straight-line body of value-numbered lines (see
+    :func:`_value_numbered`), so a subtree shared by structure is computed
+    once, and parameters are baked in as constants.  Repeated evaluation
+    is much faster than tree walking.  Singular inputs raise the native
+    ZeroDivisionError/ValueError.  :func:`array_form` runs the same code on
+    numpy arrays of points, and :func:`compile_staged` splits the same
+    lines in two stages."""
+    lines, _, result, _ = _value_numbered(e, params)
+    return _define(f"def _f(x, t):\n{_body(lines)}\n    return {result}\n", "_f")
+
+
+def compile_staged(e: Expr | tuple[Expr, ...],
+                   params: Mapping[str, complex] | None = None
+                   ) -> tuple[Callable, Callable]:
+    """The lines of :func:`compile_expr` split in two stages, ``(pre,
+    post)`` with ``post(x, t, pre(x)) == compile_expr(e, params)(x, t)``
+    bit for bit.
+
+    ``pre(x)`` runs, in order, every line that depends on x alone (or on
+    nothing), and returns the tuple of those values that later lines or
+    the result read; ``post(x, t, xv)`` unpacks them and runs the rest.
+    A caller that meets the same x at many t computes ``pre(x)`` once.
+    Every line runs in one stage or the other, so a point raises in the
+    pair exactly when it raises in ``compile_expr``'s function (possibly
+    at another line, since the x-only lines now run first).
+    :func:`array_form` runs the pair on numpy arrays of points."""
+    lines, outputs, result, read = _value_numbered(e, params)
+    staged = [line for line in lines if not line[2] & _T_DEP]
+    rest = [line for line in lines if line[2] & _T_DEP]
+    read.update(outputs)
+    carried = "(" + "".join(f"{name}, " for name, _, _ in staged if name in read) + ")"
+    pre = _define(f"def _pre(x):\n{_body(staged)}\n    return {carried}\n", "_pre")
+    post = _define(f"def _post(x, t, xv):\n    {carried} = xv\n{_body(rest)}\n"
+                   f"    return {result}\n", "_post")
+    return pre, post
 
 
 # ---------------------------------------------------------------------------

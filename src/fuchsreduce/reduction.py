@@ -75,7 +75,11 @@ class Decomposition:
     The underscored cached properties are the compiled kernels of the tau
     and gauge maps and of the reduced coefficients (see
     :class:`ReducedEquation`), compiled on first use and kept for the life
-    of the decomposition.  ``dataclasses.replace`` starts without them."""
+    of the decomposition.  ``_coeff_parts`` is the staged pair
+    ``(pre, post)`` of :func:`expr.compile_staged` for (phi, p_num,
+    q_num): ``pre(x)`` computes the lines that depend on x alone (f', h',
+    G, G', G^2 and most of p1 and q1), ``post(x, t, pre(x))`` the rest.
+    ``dataclasses.replace`` starts without them."""
 
     f: Expr
     h: Expr
@@ -130,7 +134,7 @@ class Decomposition:
             fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        return self._compile((phi, p_num, q_num))
+        return fe.compile_staged((phi, p_num, q_num), dict(self.params))
 
     @cached_property
     def _h_array(self):
@@ -442,15 +446,18 @@ class ReducedEquation:
     P and Q are symbolic numerators over the quadrature-defined
     normalization E = exp(int h):  P = p_num / (phi^2 E) and
     Q = q_num / (phi E)^2 with phi = f + t h.  phi, p_num and q_num are
-    compiled together as one straight-line function, ``_coeff_parts``,
-    which shares their common subexpressions; ``_phi`` alone serves the
-    degeneracy gate of :meth:`coefficients_at`.  The array form
+    compiled together, sharing their common subexpressions, and staged on
+    x (``Decomposition._coeff_parts``): ``_pre(x)`` runs the lines that
+    depend on x alone and ``_post(x, t, xv)`` the rest.
+    :meth:`coefficients_at` memoizes ``(E(x), _pre(x))`` per x, so on a
+    lattice of (x, t) the x-only lines run once per x.  ``_phi`` alone
+    serves the degeneracy gate when the kernel raises.  The array form
     ``_coeff_parts_array`` serves cross-validation, which evaluates all
     its points at once.  All of them are the decomposition's compiled
     kernels, so building a ReducedEquation compiles nothing; its own state
-    is the basepoint and the E/S and gauge memos.  P and Q are functions of
-    (x, t) that, for a completely integrable input, depend on the point
-    only through tau."""
+    is the basepoint and the E/S, gauge and x-stage memos.  P and Q are
+    functions of (x, t) that, for a completely integrable input, depend on
+    the point only through tau."""
 
     def __init__(self, dec: Decomposition, basepoint_x: complex):
         self.dec = dec
@@ -458,7 +465,9 @@ class ReducedEquation:
         self.case_tag = classify_case(dec)
         self._vc = _VarChange(dec, basepoint_x)
         self._phi = dec._phi
-        self._coeff_parts, self._coeff_parts_array = dec._coeff_parts, dec._coeff_parts_array
+        (self._pre, self._post), self._coeff_parts_array = dec._coeff_parts, dec._coeff_parts_array
+        # x -> (E(x), pre(x)), filled by coefficients_at.
+        self._cache_x: dict[complex, tuple[complex, tuple]] = {}
 
     # -- change of variables -------------------------------------------------
     def tau_at(self, x: complex, t: complex) -> complex:
@@ -481,22 +490,26 @@ class ReducedEquation:
     # -- reduced coefficients ------------------------------------------------
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
         """(P, Q) at one point; raises DegenerateTauPointError where
-        tau_x = 0."""
+        tau_x = 0.  E and the x-stage values are memoized per x once both
+        stages have run there."""
         x, t = complex(x), complex(t)
+        got = self._cache_x.get(x)
         try:
-            ph, p_num, q_num = self._coeff_parts(x, t)
+            xv = self._pre(x) if got is None else got[1]
+            ph, p_num, q_num = self._post(x, t, xv)
         except (ArithmeticError, ValueError, fe.ExprError):
             # A numerator can fail where tau_x also vanishes.  Such a point
             # is degenerate, as it is when the gates run first.
-            self._denominators(self._phi(x, t), x, t)
+            self._denominators(self._phi(x, t), self._vc.E(x), x, t)
             raise
-        den_p, den_q = self._denominators(ph, x, t)
+        if got is None:
+            got = self._cache_x[x] = (self._vc.E(x), xv)
+        den_p, den_q = self._denominators(ph, got[0], x, t)
         return p_num / den_p, q_num / den_q
 
-    def _denominators(self, ph: complex, x: complex, t: complex
+    def _denominators(self, ph: complex, e: complex, x: complex, t: complex
                       ) -> tuple[complex, complex]:
         """phi^2 E and (phi E)^2, gated in that order against tau_x = 0."""
-        e = self._vc.E(x)
         den_p = ph * ph * e
         if abs(den_p) < 1e-14:
             raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")

@@ -119,12 +119,12 @@ def _call(f, *args):
         return type(exc)
 
 
-def _raw_trees(st):
+def _raw_trees(st, extra_leaves=()):
     """Hypothesis strategy: raw trees over x, t with signed-zero constants,
     every node kind and exponents that can hit a pole or a branch cut."""
     leaves = st.sampled_from([X, T, fe.const(0j), fe.const(-0j),
                               fe.const(complex(0.0, -0.0)),
-                              fe.const(1.5 - 0.5j), fe.const(-2 + 1j)])
+                              fe.const(1.5 - 0.5j), fe.const(-2 + 1j), *extra_leaves])
 
     def extend(kids):
         return st.one_of(
@@ -206,6 +206,108 @@ class TestCompileSharing:
         check()
 
 
+def _reprs(value):
+    """The ``repr`` of each value of a scalar or tuple result."""
+    return [repr(complex(v)) for v in (value if isinstance(value, tuple) else (value,))]
+
+
+def _array_reprs(value):
+    """The ``repr`` of every element of an array result, part by part."""
+    return [_reprs(tuple(v.ravel())) for v in (value if isinstance(value, tuple) else (value,))]
+
+
+A = fe.param("a")
+_STAGED_PARAMS = {"a": 0.5 - 1.25j}
+
+
+def _check_staged(e, params, xs, ts):
+    """``compile_staged`` against ``compile_expr`` on every (x, t) of
+    ``xs`` x ``ts``: the same values by ``repr`` where neither raises, the
+    same raising points, values within rounding of ``evaluate``; and the
+    array forms of the two agree by ``repr`` on the whole lattice."""
+    fused = fe.compile_expr(e, params)
+    pre, post = fe.compile_staged(e, params)
+    for x in xs:
+        for t in ts:
+            want = _call(fused, x, t)
+            got = _call(lambda: post(x, t, pre(x)))
+            assert isinstance(got, type) == isinstance(want, type), (x, t)
+            if isinstance(want, type):
+                continue
+            assert _reprs(got) == _reprs(want)
+            parts = e if isinstance(e, tuple) else (e,)
+            for part, value in zip(parts, got if isinstance(e, tuple) else (got,)):
+                try:
+                    ref = fe.evaluate(part, Binding(x=x, t=t, params=params))
+                except Exception:  # noqa: BLE001 - no reference value here
+                    continue
+                if cmath.isfinite(ref):
+                    assert abs(value - ref) <= 1e-12 * abs(ref)
+    grid = np.array(xs)[:, None], np.array(ts)[None, :]
+    want = _call(fe.array_form(fused), *grid)
+    got = _call(fe.array_form((pre, post)), *grid)
+    if isinstance(want, type) or isinstance(got, type):
+        # Both fall back to their scalar functions point by point, which
+        # raise at the same first point (perhaps at another line).
+        assert isinstance(want, type) and isinstance(got, type)
+        return
+    assert _array_reprs(got) == _array_reprs(want)
+
+
+class TestCompileStaged:
+    """``compile_staged``: the lines of ``compile_expr`` in an x-stage and
+    an (x, t) stage."""
+
+    @pytest.mark.parametrize("e, n_pre_lines, n_carried", [
+        # x-only result: post has no lines and returns the carried value.
+        (fe.add(fe.mul(fe.exp(X), X), A), 3, 1),
+        # t-only result: the x-stage is empty.
+        (fe.add(fe.mul(T, T), A), 0, 0),
+        # constant result: its lines run in the x-stage.
+        (fe.mul(_raw("exp", fe.const(2)), A), 2, 1),
+        # x and t read directly by post, returned bare too.
+        ((fe.mul(X, T), X, T, fe.const(2)), 0, 0),
+        # shared x-only subtree read by two t-lines and returned.
+        ((fe.mul(fe.exp(X), T), fe.add(fe.exp(X), T), fe.exp(X)), 1, 1),
+        # an x-only line read only by another x-only line is not carried.
+        (fe.mul(fe.sqrt(fe.log(X)), T), 2, 1),
+    ], ids=["x-only", "t-only", "constant", "bare-x-t", "shared", "internal"])
+    def test_stage_shapes(self, e, n_pre_lines, n_carried):
+        pre, post = fe.compile_staged(e, _STAGED_PARAMS)
+        assert pre.__code__.co_nlocals - 1 == n_pre_lines
+        assert len(pre(0.7 + 0.2j)) == n_carried
+        # Every line runs in one stage or the other, once.
+        n_lines = fe.compile_expr(e, _STAGED_PARAMS).__code__.co_nlocals - 2
+        assert n_pre_lines + post.__code__.co_nlocals - 3 - n_carried == n_lines
+        _check_staged(e, _STAGED_PARAMS, _PROPERTY_POINTS, _PROPERTY_POINTS)
+
+    def test_staged_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        trees = _raw_trees(st, extra_leaves=[A])
+
+        @st.composite
+        def dags(draw):
+            # Later parts reuse earlier ones by identity and by structure,
+            # and bare x, t or a parameter may be returned.
+            a, c = draw(trees), draw(trees)
+            shared = draw(st.sampled_from([c, _raw("add", a, c), _raw("mul", c, _clone(a)),
+                                           _raw("div", _raw("mul", a, T), _clone(a))]))
+            return draw(st.sampled_from([a, shared, (a, shared), (shared, X, T, A)]))
+
+        values = st.sampled_from([0.5 - 1.25j, 0j, -2 + 0j])
+        points = st.lists(st.sampled_from(_PROPERTY_POINTS), min_size=1, max_size=3,
+                          unique=True)
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(dags(), values, points, points)
+        def check(e, a, xs, ts):
+            _check_staged(e, {"a": a}, xs, ts)
+
+        check()
+
+
 class TestCompileConstants:
     def test_negative_imaginary_parameter_power(self):
         # repr(complex(0, -2)) is '-2j', and '-2j ** 2' is -(2j ** 2) = 4.
@@ -254,7 +356,8 @@ class TestArrayForm:
                   + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
             ts = rng.uniform(0.5, 1.5, 50) + 0j
             got = red._coeff_parts_array(xs, ts)
-            want = np.array([red._coeff_parts(x, t) for x, t in zip(xs.tolist(), ts.tolist())]).T
+            want = np.array([red._post(x, t, red._pre(x))
+                             for x, t in zip(xs.tolist(), ts.tolist())]).T
             assert all(g.shape == (50,) for g in got)
             scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
             assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scale)
@@ -578,6 +681,61 @@ class TestDerivativeProperty:
             assert abs(exact - approx) <= 1e-6 * (1 + scale)
             checked += 1
         assert checked == 100
+
+
+def _cauchy_derivative(e, var, b, radius, n):
+    """d e / d var at ``b`` by the Cauchy integral on the circle of
+    ``radius`` about it, with the n-point trapezoid rule:
+    (1/r) mean_k e(z0 + r w_k) / w_k, w_k = exp(2 pi i k / n).  Its error
+    falls geometrically in n while e is holomorphic on a larger disk."""
+    total = 0j
+    for k in range(n):
+        w = cmath.exp(2j * cmath.pi * k / n)
+        moved = {"x": b.x, "t": b.t, var: getattr(b, var) + radius * w}
+        total += fe.evaluate(e, Binding(params=b.params, **moved)) / w
+    return total / (n * radius)
+
+
+class TestDifferentiateCauchy:
+    def test_differentiate_against_cauchy_integral(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        points = st.sampled_from([0.7 + 0.2j, -1.3 - 0.4j, 2.5 + 0j, 1.1 - 0.9j])
+        radius = 0.05
+        checked = [0]
+
+        trees = _raw_trees(st, extra_leaves=[fe.param("a"), X, T])
+
+        @st.composite
+        def cases(draw):
+            # A tree and one of the variables it contains.
+            e = draw(trees.filter(lambda e: fe.free_symbols(e) & {"x", "t"}))
+            return e, draw(st.sampled_from(sorted(fe.free_symbols(e) & {"x", "t"})))
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(cases(), points, points)
+        def check(case, x, t):
+            e, var = case
+            b = Binding(x=x, t=t, params={"a": 0.5 - 1.25j})
+            try:
+                exact = fe.evaluate(fe.differentiate(e, var), b)
+                coarse, fine = (_cauchy_derivative(e, var, b, radius, n) for n in (32, 64))
+            except fe.SingularEvaluationError:
+                return
+            scale = abs(fe.evaluate(e, b)) / radius + abs(exact)
+            if not (cmath.isfinite(exact) and cmath.isfinite(fine) and scale < 1e12):
+                return
+            # The two rules agree only when no pole or branch cut is near
+            # the circle; elsewhere the trapezoid rule is no oracle.
+            if abs(fine - coarse) > 1e-12 * scale:
+                return
+            assert abs(exact - fine) <= 1e-11 * scale
+            checked[0] += exact != 0
+
+        check()
+        # Derivatives that are not identically zero, checked.
+        assert checked[0] >= 150
 
 
 def random_any_expr(rng, depth=0):

@@ -62,19 +62,60 @@ class TestKernelLifetime:
     def test_prepare_shares_kernels_not_memos(self):
         entry = catalog.lookup("PII.y0")
         first = verify.prepare(entry)
+        first.red.coefficients_at(1.7 + 0.1j, 0.9)
+        assert list(first.red._cache_x) == [1.7 + 0.1j]
         second = verify.prepare(entry)
+        assert second.red._cache_x == {}
         assert first.dec is second.dec is entry.decomposition
         assert first.red is not second.red
+        assert (first.red._pre, first.red._post) == (second.red._pre, second.red._post)
         first.red.tau_at(1.7 + 0.1j, 0.9)
         second.red.tau_at(2.1 - 0.05j, 1.1)
+        second.red.coefficients_at(2.1 - 0.05j, 1.1)
         assert 2.1 - 0.05j not in first.red._vc._cache_ES
         assert 1.7 + 0.1j not in second.red._vc._cache_ES
+        assert list(first.red._cache_x) == [1.7 + 0.1j]
+        assert list(second.red._cache_x) == [2.1 - 0.05j]
+        # The x-stage memo is the ReducedEquation's own: it goes with it.
+        red = weakref.ref(first.red)
+        del first
+        gc.collect()
+        assert red() is None
 
     def test_box_override_decomposes_afresh(self):
         entry = catalog.lookup("PII.y0")
         prep = verify.prepare(entry, Config(box_x=(1.2, 2.4, -0.1, 0.1)))
         assert prep.dec is not entry.decomposition
         assert prep.sp is entry.scalar_pair
+
+
+class TestStagedKernel:
+    def test_x_stage_runs_once_per_x(self, monkeypatch):
+        # coefficients_at on a 32 x 128 lattice runs the x-stage of the
+        # kernel once per x and the (x, t) stage once per point.
+        prep = verify.prepare("PIII.y1")
+        red = prep.red
+        calls = {"pre": 0, "post": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(red, "_pre", counting("pre", red._pre))
+        monkeypatch.setattr(red, "_post", counting("post", red._post))
+        box_x, box_t = prep.box_x, prep.box_t
+        xs = [complex(box_x.re_lo + (k + 0.5) / 32 * (box_x.re_hi - box_x.re_lo), 0.05)
+              for k in range(32)]
+        ts = [complex(box_t.re_lo + (k + 0.5) / 128 * (box_t.re_hi - box_t.re_lo), -0.02)
+              for k in range(128)]
+        for x in xs:
+            for t in ts:
+                red.tau_at(x, t)
+                red.coefficients_at(x, t)
+        assert calls == {"pre": 32, "post": 4096}
+        assert list(red._cache_x) == xs
 
 
 class TestConcurrentFirstUse:

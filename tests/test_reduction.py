@@ -288,13 +288,42 @@ class TestReducedCoefficients:
         red = reduction.build_reduced(dec, 1.0)
         with pytest.raises(reduction.DegenerateTauPointError):
             red.coefficients_at(0.0, 0.5)
+        # The pole is x-only, so the raw kernel raises in its x-stage.
         with pytest.raises(ZeroDivisionError):
-            red._coeff_parts(0.0, 0.5)
+            red._pre(0.0)
+        with pytest.raises(ZeroDivisionError):
+            red._post(0.0, 0.5, red._pre(0.0))
+        assert 0j not in red._cache_x
+
+    @pytest.mark.parametrize("p1, error", [(1 / (X - 2), ZeroDivisionError),
+                                           (fe.log(X - 2), ValueError)])
+    def test_x_stage_error_at_regular_point(self, p1, error):
+        # p1 is singular at x = 2, where tau_x = 2: the point is not
+        # degenerate, so the kernel's own exception comes through, and the
+        # x-stage memo keeps nothing for that x.
+        zero = fe.const(0)
+        sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+        red = reduction.build_reduced(dec, 1.0)
+        assert red.tau_x_at(2.0, 0.5) == 2
+        for t in (0.5, 0.7):
+            with pytest.raises(error):
+                red.coefficients_at(2.0, t)
+        assert 2 + 0j not in red._cache_x
+        red.coefficients_at(2.5, 0.5)
+        assert list(red._cache_x) == [2.5 + 0j]
 
     def test_fused_coefficients_share_subexpressions(self, prep):
         # phi, p_num and q_num of PIII.y1 have 162 structurally distinct
         # interior nodes together (compiled one by one: 27 + 187 + 265).
-        assert prep("PIII.y1").red._coeff_parts.__code__.co_nlocals <= 170
+        # The two stages hold them once between them; post also has the
+        # unpacked x-stage values and the arguments x, t and xv.
+        red = prep("PIII.y1").red
+        pre, post = red._pre.__code__, red._post.__code__
+        carried = len(red._pre(2.0))
+        assert pre.co_nlocals - 1 + post.co_nlocals - 3 - carried <= 162
+        # Most of the lines depend on x alone.
+        assert pre.co_nlocals - 1 >= 100
 
 
 class TestBasepointCovariance:
