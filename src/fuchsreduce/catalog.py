@@ -29,7 +29,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from . import expr as fe
 from . import reduction as red_mod
@@ -40,6 +42,7 @@ from .targets import ClassicalTarget
 
 __all__ = [
     "ComplexRect",
+    "random_points",
     "LaxPair",
     "CatalogEntry",
     "EntryNotFoundError",
@@ -101,6 +104,22 @@ class ComplexRect:
         )
 
 
+def random_points(rng, boxes: Sequence[ComplexRect], m: int
+                  ) -> list[tuple[complex, ...]]:
+    """m rounds of one point per box, drawn with one generator call.
+
+    The bounds (re, im of each box in turn) are tiled m times and passed
+    to one ``rng.uniform(lo, hi)``, which yields exactly the doubles, and
+    leaves the generator in exactly the state, of m rounds of
+    ``box.random(rng) for box in boxes``."""
+    k = len(boxes)
+    lo = np.tile([v for b in boxes for v in (b.re_lo, b.im_lo)], m)
+    hi = np.tile([v for b in boxes for v in (b.re_hi, b.im_hi)], m)
+    u = rng.uniform(lo, hi).tolist()
+    points = [complex(re, im) for re, im in zip(u[::2], u[1::2])]
+    return [tuple(points[i:i + k]) for i in range(0, k * m, k)]
+
+
 DEFAULT_X_BOX = ComplexRect(1.1, 2.5, -0.2, 0.2)
 DEFAULT_T_BOX = ComplexRect(0.5, 1.5, -0.2, 0.2)
 
@@ -137,10 +156,13 @@ class LaxPair:
         return fe.compile_expr((*self.b[0], *self.b[1]), dict(self.params))
 
     @cached_property
-    def frobenius_fns(self) -> list[Callable]:
-        """The four entries of dA/dt - dB/dx + [A, B], compiled."""
-        return [fe.compile_expr(r, dict(self.params))
-                for r in scal.frobenius_residual_exprs(self)]
+    def frobenius_fns(self) -> Callable:
+        """(x, t) -> the four entries of dA/dt - dB/dx + [A, B]: one
+        compiled kernel returning the tuple, so subexpressions the entries
+        share are computed once (bit for bit the values of one kernel per
+        entry)."""
+        return fe.compile_expr(tuple(scal.frobenius_residual_exprs(self)),
+                               dict(self.params))
 
 
 @dataclass
@@ -202,9 +224,11 @@ class CatalogEntry:
         return [(x, t) for x in xs for t in ts]
 
     @cached_property
-    def flow_fns(self) -> list[Callable]:
-        """The flow residual expressions, compiled."""
-        return [fe.compile_expr(e, self.params) for e in self.flow_exprs]
+    def flow_fns(self) -> Callable:
+        """(x, t) -> the values of the flow residual expressions: one
+        compiled kernel returning the tuple (bit for bit the values of one
+        kernel per expression)."""
+        return fe.compile_expr(tuple(self.flow_exprs), self.params)
 
     @cached_property
     def scalar_pair(self) -> ScalarPair:
@@ -737,7 +761,7 @@ def flow_residual(entry_or_id, t_probe: complex) -> float:
     family's compatibility flow."""
     entry = entry_or_id if isinstance(entry_or_id, CatalogEntry) else lookup(entry_or_id)
     t = complex(t_probe)
-    return max(abs(f(0j, t)) for f in entry.flow_fns)
+    return max(abs(v) for v in entry.flow_fns(0j, t))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,14 @@ class Config:
                      "tol_match", "tol_crossval", "target_param_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # A zero count would leave a stage that measures nothing: no flow
+        # probe or Frobenius point to maximize over, or no tau-matched pair
+        # (a t-independence maximum of 0.0 that passes its gate).
+        for name in ("frobenius_grid", "flow_probes", "independence_pairs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.sample_count < 0:
+            raise ValueError("sample_count must be non-negative")
         if self.output not in ("text", "json"):
             raise ValueError("output must be 'text' or 'json'")
         for name in ("box_x", "box_t"):

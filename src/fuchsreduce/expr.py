@@ -600,10 +600,16 @@ _X_DEP, _T_DEP = 1, 2
 _Line = tuple[str, str, int]
 
 
-def _value_numbered(e: Expr | tuple[Expr, ...], params: Mapping[str, complex] | None
+def _value_numbered(e: Expr | tuple[Expr, ...], params: Mapping[str, complex] | None,
+                    staged: bool = False
                     ) -> tuple[list[_Line], list[str], str, set[str]]:
     """The straight-line body of ``e``, the operands it returns, its return
     text and the operands that lines depending on t read.
+
+    Only ``staged`` calls (:func:`compile_staged`) tag each line with its
+    dependency mask and collect the operands t-dependent lines read;
+    otherwise every mask is 0 and the set is empty, and the lines and
+    return text are the same.
 
     Parameters are baked in as constants, each emitted as one parenthesized
     operand.  Subtrees are shared by structure (hash-consing by value
@@ -660,11 +666,12 @@ def _value_numbered(e: Expr | tuple[Expr, ...], params: Mapping[str, complex] | 
             if v is None:
                 v = numbered[s] = f"v{len(numbered)}"
                 dep = 0
-                for kid in kids:
-                    dep |= free.get(kid, 0)
-                free[v] = dep
-                if dep & _T_DEP:
-                    read_with_t.update(kids)
+                if staged:
+                    for kid in kids:
+                        dep |= free.get(kid, 0)
+                    free[v] = dep
+                    if dep & _T_DEP:
+                        read_with_t.update(kids)
                 lines.append((v, s, dep))
             s = v
         names[id(n)] = s
@@ -719,7 +726,7 @@ def compile_staged(e: Expr | tuple[Expr, ...],
     pair exactly when it raises in ``compile_expr``'s function (possibly
     at another line, since the x-only lines now run first).
     :func:`array_form` runs the pair on numpy arrays of points."""
-    lines, outputs, result, read = _value_numbered(e, params)
+    lines, outputs, result, read = _value_numbered(e, params, staged=True)
     staged = [line for line in lines if not line[2] & _T_DEP]
     rest = [line for line in lines if line[2] & _T_DEP]
     read.update(outputs)

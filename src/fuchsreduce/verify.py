@@ -164,12 +164,17 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
     (|dP| + |dQ|) / scale over the pairs plus the sampled coefficient table
     (in the quadrature frame).
 
-    Candidate triples (x1, t1, x2) are drawn in chunks, in the order and
-    from the stream one at a time would use, and never past the budget of
-    200 attempts per pair.  E and S at all x of a chunk are integrated in
-    one batch (``ReducedEquation.prefetch``); the per-candidate checks then
-    run one at a time on the memoized values, so the batch changes the
-    cost, not which pairs are tried or accepted."""
+    Candidate triples (x1, t1, x2) are drawn in chunks, never past the
+    budget of 200 attempts per pair.  Each chunk is one generator call
+    (:func:`catalog.random_points`) that yields exactly the stream, in the
+    order, that drawing one coordinate at a time would.  E and S at all x
+    of a chunk are integrated in one batch (``ReducedEquation.prefetch``);
+    the per-candidate checks then run one at a time on the memoized
+    values, so the batch changes the cost, not which pairs are tried or
+    accepted.  ``n_pairs < 1`` raises ValueError: a stage that compares no
+    pair measures nothing."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
     entry = prep.entry
     red = prep.red
     rng = np.random.default_rng(seed)
@@ -183,12 +188,8 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
         # A quarter more attempts than the acceptance rate so far says the
         # missing pairs need (one per pair before any is seen).
         wanted = 1.25 * (n_pairs - accepted) * (attempts + 1) / (accepted + 1)
-        chunk = []
-        for _ in range(min(max_attempts - attempts, max(8, math.ceil(wanted)))):
-            x1 = prep.box_x.random(rng)
-            t1 = prep.box_t.random(rng)
-            x2 = prep.box_x.random(rng)
-            chunk.append((x1, t1, x2))
+        chunk = cat.random_points(rng, (prep.box_x, prep.box_t, prep.box_x),
+                                  min(max_attempts - attempts, max(8, math.ceil(wanted))))
         red.prefetch([x for x1, _, x2 in chunk if abs(x2 - x1) >= 0.05
                       for x in (x1, x2)])
         for x1, t1, x2 in chunk:
@@ -245,6 +246,20 @@ def _detect_first_derivative_form(taus, Ps, qscale, tol):
     return ("unrecognized", 0j)
 
 
+def _distinct_taus(taus: Sequence[complex]) -> list[complex]:
+    """Each tau more than 1e-10 from every tau kept before it, in order.
+
+    Exact repeats (every accepted pair adds its tau twice) are dropped
+    before the scan, which keeps the same list: a repeat is as close to
+    the kept values as its first occurrence, and that is either kept or
+    within 1e-10 of a kept value."""
+    uniq: list[complex] = []
+    for tau in dict.fromkeys(taus):
+        if all(abs(tau - u) > 1e-10 for u in uniq):
+            uniq.append(tau)
+    return uniq
+
+
 def match_classical(samples: Sequence[tuple[complex, complex, complex]],
                     tol: float = 1e-8) -> tuple[ClassicalTarget, float]:
     """Identify the reduced equation from (tau, P, Q) samples.
@@ -257,10 +272,7 @@ def match_classical(samples: Sequence[tuple[complex, complex, complex]],
     if len(samples) < 8:
         raise MatchError("need at least 8 coefficient samples")
     taus = [s[0] for s in samples]
-    uniq: list[complex] = []
-    for tau in taus:
-        if all(abs(tau - u) > 1e-10 for u in uniq):
-            uniq.append(tau)
+    uniq = _distinct_taus(taus)
     if len(uniq) < 8:
         raise MatchError("need at least 8 distinct tau values")
     tau_scale = max(abs(t) for t in taus)
@@ -606,8 +618,8 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     rng = np.random.default_rng(seed)
     try:
         rep.flow_max = max(
-            cat.flow_residual(entry, entry.box_t.random(rng))
-            for _ in range(config.flow_probes)
+            cat.flow_residual(entry, t)
+            for (t,) in cat.random_points(rng, (entry.box_t,), config.flow_probes)
         )
         ok &= rep.flow_max <= config.tol_flow
     except Exception as exc:  # noqa: BLE001 - reports must never raise

@@ -46,6 +46,27 @@ class TestFrobenius:
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got >= 1e-2
 
+    @pytest.mark.parametrize("entry_id", (*LAX_IDS, "negative.PII_bad_y1"))
+    def test_fused_kernel_is_bit_identical(self, entry_id):
+        # On the report's 5 x 5 grid and the 12 joint probes, the one tuple
+        # kernel gives the bits of one kernel per entry, and the grid
+        # maximum is the maximum over the per-entry kernels.
+        entry = catalog.lookup(entry_id)
+        lp = entry.lax
+        singles = [fe.compile_expr(r, dict(lp.params))
+                   for r in scalarize.frobenius_residual_exprs(lp)]
+        points = entry.grid_points(5) + [(b.x, b.t) for b in entry.probe_bindings()]
+        for x, t in points:
+            want = [f(complex(x), complex(t)) for f in singles]
+            assert [repr(v) for v in lp.frobenius_fns(complex(x), complex(t))] == \
+                [repr(v) for v in want]
+            worst = repr(max(abs(v) for v in want))
+            assert repr(scalarize.frobenius_residual(lp, x, t)) == worst
+            assert repr(scalarize.frobenius_residual_grid(lp, [(x, t)])) == worst
+        grid = entry.grid_points(5)
+        want_max = max(abs(f(complex(x), complex(t))) for x, t in grid for f in singles)
+        assert repr(scalarize.frobenius_residual_grid(lp, grid)) == repr(want_max)
+
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_probe_grid_25_points(self, entry_id):
         entry = catalog.lookup(entry_id)

@@ -53,6 +53,12 @@ class TestTIndependence:
         for entry_id in ALL_IDS:
             assert prep(entry_id).frame_residual <= 1e-9
 
+    @pytest.mark.parametrize("n_pairs", [0, -1])
+    def test_no_pairs_is_an_error(self, prep, n_pairs):
+        # With no pair to compare the stage would report 0.0, under its gate.
+        with pytest.raises(ValueError, match="n_pairs"):
+            verify.check_t_independence(prep("negative.PII_bad_y1"), n_pairs=n_pairs)
+
 
 def _scalar_t_independence(prep, n_pairs, seed):
     """Reference: the one-candidate-at-a-time loop that the batched stage
@@ -147,6 +153,51 @@ class TestTIndependenceBatched:
         assert str(new.value) == str(ref.value)
         assert new_calls == ref_calls
         assert 100 < len(new_calls) <= 600
+
+
+def _scan_distinct(taus):
+    """The dedup match_classical ran before exact repeats were dropped."""
+    uniq = []
+    for tau in taus:
+        if all(abs(tau - u) > 1e-10 for u in uniq):
+            uniq.append(tau)
+    return uniq
+
+
+class TestDistinctTaus:
+    CASES = {
+        "exact repeats": [1.5 + 0.2j, 1.5 + 0.2j, 2 - 1j, 1.5 + 0.2j, 2 - 1j],
+        "pairs as sampled": [z for z in (0.3 + 1j, 0.7 - 2j, 1.1 + 0j) for _ in (0, 1)],
+        "signed zeros": [complex(1.0, -0.0), complex(1.0, 0.0), complex(1.0, -0.0)],
+        "within 1e-10": [1.0, 1.0 + 6e-11, 1.0 - 6e-11, 1.0 + 6e-11, 1.0 + 1.2e-10,
+                         1.0 + 1.2e-10, 1.0 + 6e-11j],
+        "just above 1e-10": [1.0, 1.0 + 1.01e-10, 1.0 + 2.02e-10, 1.0 + 1.01e-10,
+                             1.0 - 1.01e-10, 1.0 + 1.01e-10j, 1.0 - 1.01e-10],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_as_scan(self, name):
+        taus = self.CASES[name]
+        assert [repr(z) for z in verify._distinct_taus(taus)] == \
+            [repr(z) for z in _scan_distinct(taus)]
+
+    def test_same_as_scan_on_clustered_draws(self):
+        # Values on a 0.5e-10 lattice with exact repeats: every kind of
+        # near and exact coincidence, in many orders.
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            k = rng.integers(0, 8, size=rng.integers(1, 40))
+            taus = [complex(1.25 + 0.5e-10 * a, 0.5e-10 * b)
+                    for a, b in zip(k, rng.permutation(k))]
+            assert [repr(z) for z in verify._distinct_taus(taus)] == \
+                [repr(z) for z in _scan_distinct(taus)]
+
+    def test_report_samples(self, prep):
+        p = prep("PV.y_m1")
+        _, samples = verify.check_t_independence(p, n_pairs=32, seed=42)
+        taus = [p.to_paper_frame(*s)[0] for s in samples]
+        assert verify._distinct_taus(taus) == _scan_distinct(taus)
+        assert len(verify._distinct_taus(taus)) == 32
 
 
 class TestMatchClassical:
@@ -622,6 +673,31 @@ class TestFullReport:
         assert rep.match.kind == "constant"
         with pytest.raises(ValueError):
             Config(box_x=(2.0, 1.0, 0.0, 0.0))
+
+
+class TestConfigCounts:
+    @pytest.mark.parametrize("field, bad, floor", [
+        ("independence_pairs", 0, 1),
+        ("flow_probes", 0, 1),
+        ("frobenius_grid", 0, 1),
+        ("sample_count", -1, 0),
+    ])
+    def test_count_below_floor_is_rejected(self, field, bad, floor):
+        with pytest.raises(ValueError, match=field):
+            Config(**{field: bad})
+        with pytest.raises(ValueError, match=field):
+            Config(**{field: bad - 5})
+        assert getattr(Config(**{field: floor}), field) == floor
+
+    def test_one_of_each_still_reports(self):
+        # The smallest counts Config accepts give a report with every
+        # stage measured (match needs more pairs, and says so).
+        cfg = Config(independence_pairs=1, flow_probes=1, frobenius_grid=1)
+        rep = verify.full_report("negative.PII_bad_y1", cfg)
+        assert rep.flow_max >= 1e-2
+        assert rep.frobenius_max >= 1e-2
+        assert rep.t_independence_max >= 1e-3
+        assert not rep.passed
 
 
 class TestTargets:
