@@ -15,7 +15,6 @@ from .catalog import (
     ComplexRect,
     LaxPair,
     flow_residual,
-    instantiate,
     list_entries,
     list_negative_entries,
     lookup,
@@ -30,7 +29,7 @@ from .reduction import (
     classify_case,
     decompose,
 )
-from .scalarize import ScalarPair, frobenius_residual, scalar_coefficients
+from .scalarize import ScalarPair, scalar_coefficients
 from .targets import ClassicalTarget
 from .verify import (
     VerificationReport,

@@ -49,7 +49,6 @@ __all__ = [
     "list_entries",
     "list_negative_entries",
     "lookup",
-    "instantiate",
     "flow_residual",
     "manifest",
     "manifest_json",
@@ -141,19 +140,14 @@ class LaxPair:
     singular_t: tuple[complex, ...] = ()
 
     @cached_property
-    def a_entries(self) -> Callable:
-        """(x, t) -> (a11, a12, a21, a22), compiled."""
-        return fe.compile_expr((*self.a[0], *self.a[1]), dict(self.params))
-
-    @cached_property
     def a_entries_array(self) -> Callable:
-        """The array form of :attr:`a_entries`."""
-        return fe.array_form(self.a_entries)
+        """(x, t) -> (a11, a12, a21, a22), compiled, in array form."""
+        return fe.array_form(fe.compile_expr((*self.a[0], *self.a[1]), dict(self.params)))
 
     @cached_property
-    def b_entries(self) -> Callable:
-        """(x, t) -> (b11, b12, b21, b22), compiled."""
-        return fe.compile_expr((*self.b[0], *self.b[1]), dict(self.params))
+    def b_entries_array(self) -> Callable:
+        """(x, t) -> (b11, b12, b21, b22), compiled, in array form."""
+        return fe.array_form(fe.compile_expr((*self.b[0], *self.b[1]), dict(self.params)))
 
     @cached_property
     def frobenius_fns(self) -> Callable:
@@ -746,12 +740,6 @@ def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
         got = _BUILDERS[entry_id](dict(_DEFAULT_PARAMS[entry_id]))
         _DEFAULT_CACHE[entry_id] = got
     return got
-
-
-def instantiate(entry_id: str, overrides: Mapping | None = None):
-    """Return (LaxPair or ScalarPair, entry) with all closed forms substituted."""
-    entry = lookup(entry_id, overrides)
-    return (entry.lax if entry.lax is not None else entry.scalar), entry
 
 
 def flow_residual(entry_or_id, t_probe: complex) -> float:

@@ -6,11 +6,11 @@ symbolic differentiation, pointwise evaluation, compilation to fast Python
 callables (straight-line code with subtrees shared by structure; one
 expression or a tuple of them per function, or the same lines staged as
 an x-only part and the rest; an array form runs the same code object on
-numpy arrays of points), adaptive contour quadrature along
-piecewise-linear paths (on Chebyshev panels with tail-coefficient error
-control; many segments from one start integrated together), the solve of a
-2x2 linear ODE along a segment on the same panels, and a plain-text infix
-grammar whose parser and printer round-trip structurally.
+numpy arrays of points), one walker of adaptive Chebyshev panels with
+tail-coefficient error control (contour quadrature along piecewise-linear
+paths, many segments from one start together, optionally with the solve
+of a 2x2 linear ODE along them), and a plain-text infix grammar whose
+parser and printer round-trip structurally.
 
 Design constraints:
 
@@ -64,12 +64,10 @@ __all__ = [
     "sqrt",
     "differentiate",
     "evaluate",
-    "free_symbols",
     "substitute",
     "compile_expr",
     "compile_staged",
     "array_form",
-    "integrate_along_path",
     "integrate_callable",
     "numerically_zero",
     "to_string",
@@ -431,20 +429,6 @@ def evaluate(e: Expr, b: Binding) -> complex:
     raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
 
 
-def free_symbols(e: Expr) -> set[str]:
-    """Names of the free symbols: ``'x'``, ``'t'`` and parameter names."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if n.kind == "var":
-            out.add(n.value)
-        elif n.kind == "param":
-            out.add(n.value)
-        stack.extend(n.children)
-    return out
-
-
 def substitute(e: Expr, x: Expr | complex | None = None,
                t: Expr | complex | None = None,
                params: Mapping[str, complex] | None = None) -> Expr:
@@ -791,17 +775,25 @@ _MAX_PANELS = 2000
 
 
 class _Segment:
-    """The state of one segment [a, b] in :func:`_integrate_panels`: its
-    stack of pending panels (p, q, depth), the running integrals from ``a``,
-    the number of panels taken so far and, once it is done, its result."""
+    """The state of one segment [a, b] in :func:`_walk_panels`: its stack
+    of pending panels (p, q, depth), the running stage integrals from
+    ``a``, the number of panels taken so far and, once it is done, its
+    result.  With a linear system it also holds y at the end of the panels
+    accepted so far and their dense output: the arclength edges and the
+    Chebyshev coefficients of every row."""
 
-    __slots__ = ("b", "tail_tol", "stack", "totals", "taken", "result")
+    __slots__ = ("b", "tail_tol", "stack", "totals", "taken", "result",
+                 "y", "edges", "coeffs")
 
-    def __init__(self, a: complex, b: complex, abs_tol: float, n_stages: int):
+    def __init__(self, a: complex, b: complex, abs_tol: float,
+                 y: np.ndarray | None, totals: list[complex]):
         self.b = b
-        self.totals = [0j] * n_stages
+        self.y = y
+        self.totals = list(totals)
+        self.edges = [0.0]
+        self.coeffs: list[np.ndarray] = []
         self.taken = 0
-        self.result: list[complex] | Exception | None = None
+        self.result: object = None
         if a == b:
             self.stack = []
             self.result = self.totals
@@ -833,32 +825,87 @@ def _stage_rows(stage: Callable, z: np.ndarray, prior: list[np.ndarray]
     return vals, errors
 
 
-def _integrate_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
-                      a: complex, ends: Sequence[complex], abs_tol: float,
-                      max_depth: int = 48) -> list[list[complex] | Exception]:
+def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
+               rows: list[_Segment], rtol: float, atol: float
+               ) -> list[np.ndarray | None]:
+    """Per panel row of ``z``, y at its points: the solution of y' = A(z) y
+    from y at the start of the panel (``seg.y``), or None when the panel
+    must be bisected.  On a panel of half-width ``half`` the values of y at
+    the nodes solve the integral form y = y(p) + half W (A y) of the
+    equation, with W = ``_CHEB_CUMSUM``: one 50x50 linear system per row
+    (Greengard, SIAM J. Numer. Anal. 28, 1991).  A row passes when the tail
+    of y is at most ``atol + rtol max|y|`` on it.  A non-finite coefficient
+    or solution value fails the row's segment (None too)."""
+    n = len(_CHEB_NODES)
+    eye = np.eye(2 * n)
+    entries = [np.broadcast_to(np.asarray(v, dtype=complex), z.shape) for v in matrix(z)]
+    out: list[np.ndarray | None] = []
+    for j, seg in enumerate(rows):
+        a11, a12, a21, a22 = (v[j] for v in entries)
+        ys = None
+        if not all(np.isfinite(v).all() for v in (a11, a12, a21, a22)):
+            seg.fail(QuadratureError(
+                f"non-finite coefficient on the panel [{z[j, 0]}, {z[j, -1]}]"))
+        else:
+            hw = halves[j] * _CHEB_CUMSUM
+            system = eye - np.block([[hw * a11, hw * a12], [hw * a21, hw * a22]])
+            ys = np.linalg.solve(system, np.repeat(seg.y, n)).reshape(2, n)
+            if not np.isfinite(ys).all():
+                seg.fail(QuadratureError(
+                    f"non-finite solution on the panel [{z[j, 0]}, {z[j, -1]}]"))
+                ys = None
+            elif (float(np.max(np.abs(ys @ _CHEB_APPLY[:, :3])))
+                  > atol + rtol * float(np.max(np.abs(ys)))):
+                ys = None
+        out.append(ys)
+    return out
+
+
+def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
+                 a: complex, ends: Sequence[complex], abs_tol: float,
+                 system: tuple[Callable, Sequence[complex], float, float] | None = None,
+                 max_depth: int = 48) -> list:
     """Integrals of each stage over the straight segments [a, b], one per
     end point ``b`` in ``ends``, on adaptive Chebyshev panels taken left to
-    right.
+    right, and, given a linear ``system``, its solution along each segment.
 
-    Every round takes the next panel of each unfinished segment, and each
-    stage is called once per round as ``stage(z, prior)``: ``z`` holds one
-    row of panel points per segment and ``prior`` the running integrals
-    from ``a`` of the earlier stages at the same points, so f exp(int h)
-    needs no integration inside the integrand.  The stage returns its
-    samples in the shape of ``z``.  A later stage sees only the rows the
-    earlier ones accepted.  A panel is bisected while some stage's
-    error bound |q - p| * tail exceeds ``abs_tol`` times the panel's share
-    of [a, b] and the rounding floor.  So each segment takes the panels and
-    the decisions that integrating it alone would.
+    Every round takes the next panel [p, q] of each unfinished segment and
+    samples it at z = mid + half * nodes, with mid = (p + q) / 2 and
+    half = (q - p) / 2.  Each stage is called once per round as
+    ``stage(z, prior)``: ``z`` holds one row of panel points per segment
+    and ``prior`` the running integrals from ``a`` of the earlier stages at
+    the same points, so f exp(int h) needs no integration inside the
+    integrand.  The stage returns its samples in the shape of ``z``.  A
+    later stage sees only the rows the earlier ones accepted.  A stage
+    accepts a row when its error bound |q - p| * tail is at most
+    ``abs_tol`` times the panel's share of [a, b] or the tail is within the
+    rounding floor of the samples; a panel some stage rejects is bisected.
+    So each segment takes the panels and the decisions that walking it
+    alone would.
 
-    Returns, per end point, the list of stage integrals, or the exception
-    that ended that segment: :class:`QuadratureError` when a panel at
-    ``max_depth`` is still unresolved, the segment needs more than
-    ``_MAX_PANELS`` panels or a stage divides by zero at one of its points
-    (a pole exactly on the path), else whatever a stage raised there.  A
-    failing segment never stops the others."""
+    ``system`` = (matrix, start, rtol, atol) adds the equation y' = A(z) y
+    for a 2-vector y, solved on every row before the stages are sampled
+    (:func:`_collocate`).  ``matrix(z)`` returns the entries (a11, a12,
+    a21, a22) of A on the panel points, each in the shape of ``z`` or
+    broadcastable to it; what it raises ends the walk.  ``start`` holds
+    y(a) and then the values at ``a`` from which the stage integrals run.
+
+    Returns, per end point, without a system the list of stage integrals
+    and with one the dense output (:class:`_PiecewiseChebyshev`) of the
+    rows (y1, y2, stage integrals) over the arclength [0, |b - a|]; or the
+    exception that ended that segment: :class:`QuadratureError` when a
+    panel at ``max_depth`` is still unresolved, the segment needs more than
+    ``_MAX_PANELS`` panels, a stage divides by zero at one of its points (a
+    pole exactly on the path) or a coefficient or solution value is not
+    finite, else whatever a stage raised there.  A failing segment never
+    stops the others; one of zero length gives the stage integrals at a."""
     a = complex(a)
-    segments = [_Segment(a, complex(b), abs_tol, len(stages)) for b in ends]
+    if system is None:
+        y0, start = None, [0j] * len(stages)
+    else:
+        matrix, start, rtol, atol = system
+        y0, start = np.asarray(start[:2], dtype=complex), list(start[2:])
+    segments = [_Segment(a, complex(b), abs_tol, y0, start) for b in ends]
     live = [seg for seg in segments if seg.stack]
     while live:
         rows: list[_Segment] = []
@@ -868,7 +915,7 @@ def _integrate_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                 rows.append(seg)
             else:
                 seg.fail(QuadratureError(
-                    f"quadrature needs more than {_MAX_PANELS} panels on [{a}, {seg.b}]"))
+                    f"the panel walk needs more than {_MAX_PANELS} panels on [{a}, {seg.b}]"))
         panels = [seg.stack.pop() for seg in rows]
         if rows:
             mids = [0.5 * (p + q) for p, q, _ in panels]
@@ -878,9 +925,15 @@ def _integrate_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                               for mid, (p, q, _), seg in zip(mids, panels, rows)])
             half = state[:, 1:2]
             z = state[:, :1] + half * _CHEB_NODES
-            sel = list(range(len(rows)))    # rows every stage so far accepted
+            sel = list(range(len(rows)))    # rows every test so far accepted
+            if system is not None:
+                ys = _collocate(matrix, z, state[:, 1], rows, rtol, atol)
+                ok = [sol is not None for sol in ys]
+                if not all(ok):
+                    sel = [j for j, keep in zip(sel, ok) if keep]
+                    z, half, state = z[ok], half[ok], state[ok]
             prior: list[np.ndarray] = []
-            for k, stage in enumerate(stages):
+            for k, stage in enumerate(stages if sel else ()):
                 vals, errors = _stage_rows(stage, z, prior)
                 applied = vals @ _CHEB_APPLY
                 tails = _max_rows(np.abs(applied[:, :3])).tolist()
@@ -908,6 +961,13 @@ def _integrate_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                 prior.append(state[:, 2 + k:3 + k] + half * applied[:, 3:])
             for j, *row in zip(sel, *(pr[:, -1].tolist() for pr in prior)):
                 rows[j].totals = row
+            if system is not None:
+                for i, j in enumerate(sel):
+                    seg = rows[j]
+                    seg.y = ys[j][:, -1]
+                    seg.coeffs.append(np.vstack([ys[j], *(pr[i] for pr in prior)])
+                                      @ _CHEB_TO_COEFFS.T)
+                    seg.edges.append(abs(panels[j][1] - a))
             accepted = set(sel)
             for j, seg in enumerate(rows):
                 if j in accepted or seg.result is not None:
@@ -915,33 +975,33 @@ def _integrate_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                 lo, hi, depth = panels[j]
                 if depth >= max_depth:
                     seg.fail(QuadratureError(
-                        f"quadrature did not converge on segment [{lo}, {hi}]"))
+                        f"the panel walk did not converge on [{lo}, {hi}]"))
                 else:
                     seg.stack.append((mids[j], hi, depth + 1))
                     seg.stack.append((lo, mids[j], depth + 1))
         for seg in live:
             if not seg.stack and seg.result is None:
-                seg.result = seg.totals
+                seg.result = (seg.totals if system is None
+                              else _PiecewiseChebyshev(seg.edges, seg.coeffs))
         live = [seg for seg in live if seg.stack]
     return [seg.result for seg in segments]
 
 
-def _integrate_segment(stages: Sequence[Callable[[np.ndarray, list], object]],
-                       a: complex, b: complex, abs_tol: float,
-                       max_depth: int = 48) -> list[complex]:
-    """The stage integrals over one segment [a, b] by
-    :func:`_integrate_panels`; raises the exception that ended it."""
-    (got,) = _integrate_panels(stages, a, (b,), abs_tol, max_depth)
-    if isinstance(got, Exception):
-        raise got
+def _walk_all(*args, **kwargs) -> list:
+    """The results of :func:`_walk_panels`, one per end point; raises the
+    exception that ended the first segment that failed."""
+    got = _walk_panels(*args, **kwargs)
+    for res in got:
+        if isinstance(res, Exception):
+            raise res
     return got
 
 
 class _PiecewiseChebyshev:
-    """Dense output of :func:`_solve_linear_panels`: per panel of [0, L]
-    in arclength, the Chebyshev coefficients of every row.  Called like
-    scipy's ``OdeSolution``: a float gives the rows' values (shape (k,)),
-    an array of m arclengths a (k, m) array.  With ``derivatives`` = d > 0
+    """Dense output of :func:`_walk_panels` with a linear system: per panel
+    of [0, L] in arclength, the Chebyshev coefficients of every row.
+    Called like scipy's ``OdeSolution``: a float gives the rows' values
+    (shape (k,)), an array of m arclengths a (k, m) array.  With ``derivatives`` = d > 0
     the result gains a leading axis of length d + 1: the rows and their
     first d derivatives in arclength, each the exact derivative of the
     panel's series (``_CHEB_DIFF``)."""
@@ -973,125 +1033,16 @@ class _PiecewiseChebyshev:
         return vals[..., 0] if s.ndim == 0 else vals
 
 
-def _solve_linear_panels(matrix: Callable[[np.ndarray], Sequence],
-                         stages: Sequence[Callable[[np.ndarray, list], object]],
-                         a: complex, b: complex, y0: Sequence[complex],
-                         totals: Sequence[complex], rtol: float, atol: float,
-                         quad_tol: float, max_depth: int = 48) -> _PiecewiseChebyshev:
-    """Solve y' = A(z) y for a 2-vector y along the segment [a, b] from
-    y(a) = ``y0``, and integrate ``stages`` along it, on adaptive Chebyshev
-    panels taken left to right.
-
-    ``matrix(z)`` returns the entries (a11, a12, a21, a22) of A on an array
-    of panel points.  On a panel [p, q] of half-width ``half`` the values
-    of y at the nodes solve the integral form y = y(p) + half W (A y) of
-    the equation, with W = ``_CHEB_CUMSUM``: one 50x50 linear system
-    (Greengard, SIAM J. Numer. Anal. 28, 1991).  The stages are then
-    integrated on the same nodes as in :func:`_integrate_panels`,
-    ``stage(z, prior)`` seeing the running integrals of the earlier ones,
-    which start from ``totals``.  A panel is accepted when the tail of y is
-    at most ``atol + rtol max|y|`` on it and every stage passes the
-    quadrature's tail rule with ``quad_tol``; otherwise it is bisected.
-
-    Returns the dense output over the arclength [0, |b - a|] with rows
-    (y1, y2, stage integrals).  Raises :class:`QuadratureError` when a
-    panel at ``max_depth`` is unresolved, the segment needs more than
-    ``_MAX_PANELS`` panels, or a coefficient, sample or solution value is
-    not finite; what ``matrix`` or a stage raises passes through."""
-    a, b = complex(a), complex(b)
-    length = abs(b - a)
-    u = (b - a) / length
-    n = len(_CHEB_NODES)
-    eye = np.eye(2 * n)
-    tail_tol = quad_tol / length
-    y = np.asarray(y0, dtype=complex)
-    totals = list(totals)
-    edges: list[float] = [0.0]
-    coeffs: list[np.ndarray] = []
-    stack = [(0.0, length, 0)]
-    taken = 0
-    while stack:
-        taken += 1
-        if taken > _MAX_PANELS:
-            raise QuadratureError(
-                f"the linear system needs more than {_MAX_PANELS} panels on [{a}, {b}]")
-        lo, hi, depth = stack.pop()
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo) * u
-        z = a + u * mid + half * _CHEB_NODES
-        entries = [np.broadcast_to(np.asarray(v, dtype=complex), (n,)) for v in matrix(z)]
-        if not all(np.isfinite(v).all() for v in entries):
-            raise QuadratureError(f"non-finite coefficient on the panel [{z[0]}, {z[-1]}]")
-        hw = half * _CHEB_CUMSUM
-        a11, a12, a21, a22 = entries
-        system = eye - np.block([[hw * a11, hw * a12], [hw * a21, hw * a22]])
-        ys = np.linalg.solve(system, np.repeat(y, n)).reshape(2, n)
-        if not np.isfinite(ys).all():
-            raise QuadratureError(f"non-finite solution on the panel [{z[0]}, {z[-1]}]")
-        tail = float(np.max(np.abs(ys @ _CHEB_APPLY[:, :3])))
-        ok = tail <= atol + rtol * float(np.max(np.abs(ys)))
-        prior: list[np.ndarray] = []
-        for k, stage in enumerate(stages if ok else ()):
-            vals = np.broadcast_to(np.asarray(stage(z, prior), dtype=complex), (n,))
-            if not np.isfinite(vals).all():
-                raise QuadratureError(f"non-finite sample on the panel [{z[0]}, {z[-1]}]")
-            applied = vals @ _CHEB_APPLY
-            tail = float(np.max(np.abs(applied[:3])))
-            if tail > tail_tol and tail > _ROUNDING_FLOOR * float(np.max(np.abs(vals))):
-                ok = False
-                break
-            prior.append(totals[k] + half * applied[3:])
-        if ok:
-            coeffs.append(np.vstack([ys, *prior]) @ _CHEB_TO_COEFFS.T)
-            edges.append(hi)
-            y = ys[:, -1]
-            totals = [pr[-1] for pr in prior]
-        elif depth >= max_depth:
-            raise QuadratureError(
-                f"the linear system did not converge on the panel [{z[0]}, {z[-1]}]")
-        else:
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-    return _PiecewiseChebyshev(edges, coeffs)
-
-
 def integrate_callable(fn: Callable[[complex], complex], path: Path,
                        abs_tol: float = 1e-12, max_depth: int = 48) -> complex:
     """Adaptive quadrature of a callable along ``path``: the definite-integral
-    view of :func:`_integrate_panels`, each segment taking an equal share of
+    view of :func:`_walk_panels`, each segment taking an equal share of
     ``abs_tol``.  Deterministic for a fixed path; raises
     :class:`QuadratureError` on a singularity on or too close to the path."""
     stage = lambda z, prior: [[fn(w) for w in row] for row in z.tolist()]
     seg_tol = abs_tol / len(path.segments)
-    return sum((_integrate_segment((stage,), a, b, seg_tol, max_depth)[0]
+    return sum((_walk_all((stage,), a, (b,), seg_tol, max_depth=max_depth)[0][0]
                 for a, b in path.segments), 0j)
-
-
-def integrate_along_path(e: Expr, var: str, path: Path, b: Binding,
-                         abs_tol: float = 1e-12) -> complex:
-    """Integrate ``e`` in ``var`` along a piecewise-linear contour.
-
-    The other variable and all parameters are taken from ``b``; the caller
-    routes the path around singular points of the integrand."""
-    if var not in ("x", "t"):
-        raise ValueError("var must be 'x' or 't'")
-    syms = free_symbols(e)
-    pnames = syms - {"x", "t"}
-    missing = [p for p in pnames if p not in b.params]
-    if missing:
-        raise UnboundSymbolError(f"parameters {missing} are unbound")
-    f = compile_expr(e, dict(b.params))
-    if var == "x":
-        if "t" in syms and b.t is None:
-            raise UnboundSymbolError("variable 't' is unbound")
-        tval = b.t if b.t is not None else 0j
-        fn = lambda z: f(z, tval)
-    else:
-        if "x" in syms and b.x is None:
-            raise UnboundSymbolError("variable 'x' is unbound")
-        xval = b.x if b.x is not None else 0j
-        fn = lambda z: f(xval, z)
-    return integrate_callable(fn, path, abs_tol=abs_tol)
 
 
 def numerically_zero(e: Expr, probes: Sequence[Binding], tol: float = 1e-10,

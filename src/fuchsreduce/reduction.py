@@ -356,10 +356,10 @@ class _VarChange:
         self.quad_tol = quad_tol
         self._h, self._f, self._G = dec._h, dec._f, dec._G
         self._h_array, self._f_array, self._G_array = dec._h_array, dec._f_array, dec._G_array
-        # Stages of one pass (see fe._integrate_panels): h, then f E.  The
-        # scalar ones serve a single point, the array ones a batch; the
-        # array ones and ``_G_rows`` are also the stages of the solution
-        # trace (``verify._trace``).
+        # Stages of one pass of the panel walker (fe._walk_panels): h, then
+        # f E.  The scalar ones serve a single point, the array ones a
+        # batch; the array ones and ``_G_rows`` are also the stages of the
+        # solution trace (``verify._trace``), which runs on the same walker.
         self._es_scalar = (self._h_at,) if dec.f_zero else (self._h_at, self._fE_at)
         self._es_array = (self._h_rows,) if dec.f_zero else (self._h_rows, self._fE_rows)
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
@@ -392,7 +392,7 @@ class _VarChange:
         got = self._cache_ES.get(x)
         if got is None:
             got = self._cache_ES[x] = self._es_value(
-                fe._integrate_segment(self._es_scalar, self.x0, x, self.quad_tol))
+                fe._walk_all(self._es_scalar, self.x0, (x,), self.quad_tol)[0])
         return got
 
     def prefetch(self, xs) -> None:
@@ -402,8 +402,8 @@ class _VarChange:
         todo = list(dict.fromkeys(x for x in map(complex, xs) if x not in self._cache_ES))
         for k in range(0, len(todo), _PREFETCH_BATCH):
             batch = todo[k:k + _PREFETCH_BATCH]
-            for x, got in zip(batch, fe._integrate_panels(self._es_array, self.x0, batch,
-                                                          self.quad_tol)):
+            for x, got in zip(batch, fe._walk_panels(self._es_array, self.x0, batch,
+                                                     self.quad_tol)):
                 if not isinstance(got, Exception):
                     self._cache_ES[x] = self._es_value(got)
 
@@ -435,7 +435,7 @@ class _VarChange:
         x = complex(x)
         got = self._cache_gauge.get(x)
         if got is None:
-            (val,) = fe._integrate_segment((self._G_at,), self.x0, x, self.quad_tol)
+            (val,) = fe._walk_all((self._G_at,), self.x0, (x,), self.quad_tol)[0]
             got = self._cache_gauge[x] = cmath.exp(val)
         return got
 

@@ -39,9 +39,7 @@ __all__ = [
     "ScalarPair",
     "ScalarizeError",
     "VanishingOffDiagonalError",
-    "frobenius_residual",
     "scalar_coefficients",
-    "scalar_residual",
 ]
 
 
@@ -123,18 +121,11 @@ def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
     return out
 
 
-def frobenius_residual(lp: "LaxPair", x: complex, t: complex) -> float:
-    """Max-entry modulus of the integrability defect at one point.
-
-    Zero (to rounding) exactly when the two linear systems are jointly
-    solvable near (x, t).  One call of the fused kernel
-    ``lp.frobenius_fns`` gives all four entries."""
-    return max(abs(v) for v in lp.frobenius_fns(complex(x), complex(t)))
-
-
 def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, complex]]) -> float:
-    """:func:`frobenius_residual` maximized over ``points``: one fused
-    kernel call per point, entries taken in the same order."""
+    """Max-entry modulus of the integrability defect, maximized over
+    ``points``.  Zero (to rounding) exactly when the two linear systems are
+    jointly solvable near every point.  One call of the fused kernel
+    ``lp.frobenius_fns`` per point gives all four entries."""
     fn = lp.frobenius_fns
     return max(abs(v) for (x, t) in points for v in fn(complex(x), complex(t)))
 
@@ -189,35 +180,3 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
         diag=(a11, b11),
     )
 
-
-def scalar_residual(sp: ScalarPair, phi: Callable[[complex, complex], complex],
-                    x: complex, t: complex,
-                    hx: float = 2e-2, ht: float = 5e-3) -> float:
-    """Check both scalar equations on a numeric joint solution.
-
-    ``phi`` samples a solution component of the 2x2 system near (x, t);
-    x-derivatives use 7-point central stencils (width ``hx``), the
-    t-derivative a 5-point stencil (width ``ht``).  Returns the larger of
-    the two equation residuals, relative to the local solution scale."""
-    x = complex(x)
-    t = complex(t)
-    px = [phi(x + k * hx, t) for k in (-3, -2, -1, 0, 1, 2, 3)]
-    pt = [phi(x, t + k * ht) for k in (-2, -1, 1, 2)]
-    f = px[3]
-    d1 = (-px[0] + 9 * px[1] - 45 * px[2] + 45 * px[4] - 9 * px[5] + px[6]) / (60 * hx)
-    d2 = (2 * px[0] - 27 * px[1] + 270 * px[2] - 490 * px[3]
-          + 270 * px[4] - 27 * px[5] + 2 * px[6]) / (180 * hx * hx)
-    dt1 = (pt[0] - 8 * pt[1] + 8 * pt[2] - pt[3]) / (12 * ht)
-
-    ps = dict(sp.params)
-    bnd = Binding(x=x, t=t, params=ps)
-    p1 = fe.evaluate(sp.p1, bnd)
-    q1 = fe.evaluate(sp.q1, bnd)
-    p2 = fe.evaluate(sp.p2, bnd)
-    q2 = fe.evaluate(sp.q2, bnd)
-
-    r_second_order = d2 + p1 * d1 + q1 * f
-    r_cross = d1 - p2 * dt1 - q2 * f
-    scale1 = max(abs(d2), abs(q1 * f), 1.0)
-    scale2 = max(abs(d1), abs(p2 * dt1), 1.0)
-    return max(abs(r_second_order) / scale1, abs(r_cross) / scale2)

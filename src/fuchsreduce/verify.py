@@ -10,11 +10,11 @@ For each catalog entry this module certifies, with explicit tolerances:
    identification over the basis {1, tau, 1/tau, 1/tau^2}),
 5. a numerically integrated solution, gauge-stripped and re-parametrized
    by tau, satisfies the reduced equation (cross-validation on a dense
-   trace).  The trace solves the x-system on adaptive Chebyshev panels and
-   integrates log E, S and log g on the same nodes
-   (``expr._solve_linear_panels``); the derivatives the check needs are
-   exact derivatives of those Chebyshev series, and this path never
-   imports ``scipy.integrate``.
+   trace).  The trace solves the x-system and integrates log E, S and
+   log g on the Chebyshev panels of ``expr._walk_panels``, the walker
+   that also serves E, S, the gauge and :func:`joint_solution`; the
+   check differentiates those Chebyshev series exactly, and no function
+   here imports ``scipy.integrate``.
 
 Coefficient samples are reported in the frame of the documented closed-form
 tau; the quadrature-defined tau differs from it by an affine map (a, b)
@@ -58,8 +58,10 @@ __all__ = [
 
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first use: importing
-    scipy.integrate costs more than the rest of the package, and only
-    :func:`joint_solution` needs it."""
+    scipy.integrate costs more than the rest of the package.  Nothing in
+    the package calls it.  It is the DOP853 oracle the tests hold the panel
+    solves against, and a module attribute, so a tracer can wrap it from
+    outside."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
@@ -368,18 +370,19 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
            initial: tuple[complex, complex],
            rtol: float = 1e-12, atol: float = 1e-13) -> SolutionTrace:
     """Dense solve of the x-system at fixed deformation along one straight
-    segment, with the log E, S and log g channels, on adaptive Chebyshev
-    panels (``expr._solve_linear_panels``).
+    segment, with the log E, S and log g channels: a one-segment walk of
+    the panel walker (``expr._walk_panels``) with a linear system.
 
     Each panel solves the collocated integral form of the system (for
     direct scalar entries the companion system of the second-order
     equation, initial = (phi, phi')) and integrates h, f E and G on the
     same nodes, starting from log ``E``, ``S`` and log ``gauge`` at the
-    segment's start.  A singular sample raises the compiled kernel's own
-    exception; an unresolved panel, an exhausted panel budget or a
-    non-finite value raises :class:`VerifyError`."""
-    if len(x_path.points) != 2:
-        raise VerifyError("solution traces run along a single straight segment")
+    segment's start.  A singular coefficient raises the compiled kernel's
+    own exception; an unresolved panel, an exhausted panel budget, a
+    singular h, f E or G sample or a non-finite coefficient or solution
+    value raises :class:`VerifyError`."""
+    if len(x_path.points) != 2 or x_path.points[0] == x_path.points[1]:
+        raise VerifyError("solution traces run along one straight segment of nonzero length")
     entry = prep.entry
     x0, x1 = x_path.points
     t_fixed = complex(t_fixed)
@@ -396,9 +399,8 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
             return 0, 1, -q1, -p1
 
     try:
-        sol = fe._solve_linear_panels(
-            matrix, (vc._h_rows, vc._fE_rows, vc._G_rows), x0, x1, initial,
-            totals, rtol, atol, vc.quad_tol)
+        sol = fe._walk_all((vc._h_rows, vc._fE_rows, vc._G_rows), x0, (x1,),
+                           vc.quad_tol, (matrix, (*initial, *totals), rtol, atol))[0]
     except fe.QuadratureError as exc:
         raise VerifyError(f"linear-system integration failed: {exc}") from exc
     obs = 1 if entry.lax is not None and prep.sp.component == "second" else 0
@@ -412,62 +414,47 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
                    ) -> Callable[[complex, complex], complex]:
     """A sampler phi(x, t) of one joint solution of both linear systems.
 
-    The initial vector is transported in t along the deformation system at
-    the anchor point, then each deformation slice is integrated in x both
-    below and above the anchor; valid for t on the stencil
-    t_center + k dt, |k| <= 2, and |x - x_anchor| <= span.  The sampler
-    returns the solution component the entry's reduction acts on.  Only
-    available for entries with full matrix data."""
+    On the panel walker (``expr._walk_panels``), the initial vector is
+    transported along y_t = B(x_anchor, t) y on the straight segments of
+    the complex t-plane from ``t_center`` to t_k = t_center + k dt,
+    |k| <= 2; each slice t_k is then solved along y_x = A(x, t_k) y on the
+    horizontal legs from the anchor to x_anchor +- span.  phi takes t = t_k
+    and x on a leg, each to 1e-12, raises :class:`VerifyError` elsewhere,
+    and returns the solution component the entry's reduction acts on.
+    Only available for entries with full matrix data."""
     entry = prep.entry
     if entry.lax is None:
         raise VerifyError("joint solutions need the full 2x2 system")
     comp = 0 if entry.component == "first" else 1
-    b_entries = entry.lax.b_entries
-    a_entries = entry.lax.a_entries
+    b_entries = entry.lax.b_entries_array
+    a_entries = entry.lax.a_entries_array
     x_anchor = complex(x_anchor)
     t_center = complex(t_center)
 
-    def rhs_t(t, y):
-        b11, b12, b21, b22 = b_entries(x_anchor, complex(t))
-        return [b11 * y[0] + b12 * y[1], b21 * y[0] + b22 * y[1]]
-
-    phi0 = np.array([1.0 + 0j, 0.4 + 0.1j])
-    slices: dict[float, tuple] = {}
-    for k in (-2, -1, 0, 1, 2):
-        tk = t_center + k * dt
-        if k == 0:
-            y0 = phi0
-        else:
-            res = solve_ivp(rhs_t, (t_center.real, tk.real),
-                            phi0, method="DOP853", rtol=rtol, atol=atol)
-            if not res.success:
-                raise VerifyError(f"deformation transport failed: {res.message}")
-            y0 = res.y[:, -1]
-
-        def rhs_x(s, y, tk=tk):
-            a11, a12, a21, a22 = a_entries(x_anchor + s, tk)
-            return [a11 * y[0] + a12 * y[1], a21 * y[0] + a22 * y[1]]
-
-        legs = []
-        for direction in (span, -span):
-            res = solve_ivp(rhs_x, (0.0, direction),
-                            np.asarray(y0, dtype=complex), method="DOP853",
-                            rtol=rtol, atol=atol, dense_output=True)
-            if not res.success:
-                raise VerifyError(f"x-integration failed: {res.message}")
-            legs.append(res)
-        slices[k * dt] = tuple(legs)
+    phi0 = (1.0 + 0j, 0.4 + 0.1j)
+    steps = (-2, -1, 1, 2)
+    try:
+        moved = fe._walk_all((), t_center, [t_center + k * dt for k in steps], atol,
+                             (lambda t: b_entries(x_anchor, t), phi0, rtol, atol))
+        starts = {0: phi0}
+        starts.update((k, sol(sol.edges[-1])) for k, sol in zip(steps, moved))
+        slices = {k: fe._walk_all((), x_anchor, (x_anchor + span, x_anchor - span), atol,
+                                  (lambda z, tk=t_center + k * dt: a_entries(z, tk),
+                                   y0, rtol, atol))
+                  for k, y0 in starts.items()}
+    except fe.QuadratureError as exc:
+        raise VerifyError(f"joint solution failed: {exc}") from exc
 
     def phi(x: complex, t: complex) -> complex:
-        off = (complex(t) - t_center).real
-        key = min(slices, key=lambda d: abs(d - off))
-        if abs(key - off) > dt * 0.5 + 1e-12:
-            raise VerifyError(f"t = {t} outside the transported stencil")
-        s = (complex(x) - x_anchor).real
-        if abs(s) > span + 1e-12:
-            raise VerifyError(f"x = {x} outside the solved span")
-        leg = slices[key][0 if s >= 0 else 1]
-        return complex(leg.sol(s)[comp])
+        off = complex(t) - t_center
+        k = min(slices, key=lambda k: abs(off - k * dt))
+        if abs(off - k * dt) > 1e-12:
+            raise VerifyError(f"t = {t} is off the transported stencil")
+        s = complex(x) - x_anchor
+        if abs(s.imag) > 1e-12 or abs(s.real) > span + 1e-12:
+            raise VerifyError(f"x = {x} is off the solved legs")
+        leg = slices[k][0 if s.real >= 0 else 1]
+        return complex(leg(abs(s.real))[comp])
 
     return phi
 

@@ -8,6 +8,7 @@ import pytest
 from fuchsreduce import catalog, expr as fe
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
+from fuchsreduce.scalarize import ScalarPair
 
 EXPECTED_IDS = [
     "PII.y0",
@@ -44,10 +45,13 @@ class TestRegistry:
 
 
 class TestInstantiate:
+    """Entries as `lookup` builds them: matrices, closed forms, overrides."""
+
     def test_pii_y0_matrix_entries(self):
         # Oracle: assemble the matrix by hand from the substituted solution
         # y = 0, z = -t/2, u = 1, theta = 1/2.
-        lp, entry = catalog.instantiate("PII.y0")
+        entry = catalog.lookup("PII.y0")
+        lp = entry.lax
         for x, t in ((1.3, 0.7), (2.0 + 0.1j, 0.9 - 0.05j)):
             b = Binding(x=x, t=t, params=entry.params)
             assert fe.evaluate(lp.a[0][0], b) == pytest.approx(x**2)
@@ -59,25 +63,25 @@ class TestInstantiate:
             assert fe.evaluate(lp.b[1][0], b) == pytest.approx(t / 2)
 
     def test_piii_default_z(self):
-        lp, entry = catalog.instantiate("PIII.y1")
+        entry = catalog.lookup("PIII.y1")
         z = entry.closed_forms["z"]
         assert fe.evaluate(z, Binding(t=0.9)) == pytest.approx(-1.0)
 
     def test_piv_variant_z(self):
-        lp, entry = catalog.instantiate("PIV.y_m2t")
+        entry = catalog.lookup("PIV.y_m2t")
         assert fe.evaluate(entry.closed_forms["z"], Binding(t=0.7)) == pytest.approx(1.0)
 
     def test_kitaev_returns_scalar_pair(self):
-        obj, entry = catalog.instantiate("PVdeg.kitaev_sqrt")
+        entry = catalog.lookup("PVdeg.kitaev_sqrt")
         assert entry.lax is None
-        assert obj is entry.scalar
+        assert isinstance(entry.scalar, ScalarPair)
         assert entry.pre_substitution == "t = z^2"
 
     def test_parameter_override_rebuilds(self):
-        lp, entry = catalog.instantiate("PIII.y1", {"theta_inf": Fraction(7, 2)})
+        entry = catalog.lookup("PIII.y1", {"theta_inf": Fraction(7, 2)})
         assert fe.evaluate(entry.closed_forms["z"], Binding(t=1.0)) == pytest.approx(-1.5)
         # default instance untouched
-        _, default = catalog.instantiate("PIII.y1")
+        default = catalog.lookup("PIII.y1")
         assert fe.evaluate(default.closed_forms["z"], Binding(t=1.0)) == pytest.approx(-1.0)
 
 

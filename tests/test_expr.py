@@ -65,7 +65,7 @@ class TestEvaluate:
         # u = 1, y = 0, i.e. exactly x.
         from fuchsreduce import catalog
 
-        lp, entry = catalog.instantiate("PII.y0")
+        lp = catalog.lookup("PII.y0").lax
         a12 = lp.a[0][1]
         assert fe.evaluate(a12, Binding(x=1.5, t=0.4)) == pytest.approx(1.5)
 
@@ -424,38 +424,40 @@ class TestArrayForm:
         check()
 
 
+def _integral_in_x(e, path, t=0j):
+    f = fe.compile_expr(e)
+    return fe.integrate_callable(lambda x: f(x, t), path)
+
+
 class TestQuadrature:
     def test_log_antiderivative(self):
-        v = fe.integrate_along_path(1 / X, "x", Path([1.0, math.e]), Binding())
+        v = _integral_in_x(1 / X, Path([1.0, math.e]))
         assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_shifted_pole(self):
-        v = fe.integrate_along_path(1 / (X - 1), "x", Path([2.0, 5.0]), Binding())
+        v = _integral_in_x(1 / (X - 1), Path([2.0, 5.0]))
         assert v == pytest.approx(math.log(4), abs=1e-12)
 
     def test_linear(self):
-        v = fe.integrate_along_path(2 * X, "x", Path([0.0, 3.0]), Binding())
+        v = _integral_in_x(2 * X, Path([0.0, 3.0]))
         assert v == pytest.approx(9.0, abs=1e-12)
 
     def test_path_reversal_cancels(self):
         e = fe.exp(X) / (X + 2)
-        fwd = fe.integrate_along_path(e, "x", Path([0.0, 1.5 + 0.5j]), Binding())
-        bwd = fe.integrate_along_path(e, "x", Path([1.5 + 0.5j, 0.0]), Binding())
+        fwd = _integral_in_x(e, Path([0.0, 1.5 + 0.5j]))
+        bwd = _integral_in_x(e, Path([1.5 + 0.5j, 0.0]))
         assert abs(fwd + bwd) <= 1e-11
 
     def test_path_independence_right_half_plane(self):
         e = 1 / X
-        direct = fe.integrate_along_path(e, "x", Path([1.0, 2.0]), Binding())
-        detour = fe.integrate_along_path(e, "x", Path([1.0, 1.5 - 0.8j, 2.0]), Binding())
+        direct = _integral_in_x(e, Path([1.0, 2.0]))
+        detour = _integral_in_x(e, Path([1.0, 1.5 - 0.8j, 2.0]))
         assert abs(direct - detour) <= 1e-11
 
     def test_t_variable_integration(self):
-        v = fe.integrate_along_path(X * T, "t", Path([0.0, 2.0]), Binding(x=3.0))
+        f = fe.compile_expr(X * T)
+        v = fe.integrate_callable(lambda t: f(3.0, t), Path([0.0, 2.0]))
         assert v == pytest.approx(6.0, abs=1e-11)
-
-    def test_unbound_in_integrand(self):
-        with pytest.raises(fe.UnboundSymbolError):
-            fe.integrate_along_path(X * T, "x", Path([0.0, 1.0]), Binding())
 
 
 class TestChebyshevPanels:
@@ -531,7 +533,7 @@ def _scalar_stage(fn):
 
 
 class TestMultiSegmentPanels:
-    """``_integrate_panels`` over many end points sharing one start."""
+    """The panel walker over many end points sharing one start."""
 
     @pytest.mark.parametrize("entry_id", catalog.list_entries()
                              + catalog.list_negative_entries())
@@ -542,9 +544,9 @@ class TestMultiSegmentPanels:
         vc = reduction._VarChange(p.dec, p.red.basepoint_x)
         rng = np.random.default_rng(64)
         xs = [p.box_x.random(rng) for _ in range(64)]
-        batched = fe._integrate_panels((vc._h_rows, vc._fE_rows), vc.x0, xs, vc.quad_tol)
+        batched = fe._walk_panels((vc._h_rows, vc._fE_rows), vc.x0, xs, vc.quad_tol)
         for x, got in zip(xs, batched):
-            want = fe._integrate_segment((vc._h_at, vc._fE_at), vc.x0, x, vc.quad_tol)
+            want = fe._walk_all((vc._h_at, vc._fE_at), vc.x0, (x,), vc.quad_tol)[0]
             assert len(got) == 2
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-15 * max(1.0, abs(w))
@@ -561,7 +563,7 @@ class TestMultiSegmentPanels:
             h_zero=False, M_zero=True, M_constant=True, component="first")
         vc = reduction._VarChange(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
-        got = fe._integrate_panels((vc._h_rows, vc._fE_rows), 1.0, ends, 1e-13)
+        got = fe._walk_panels((vc._h_rows, vc._fE_rows), 1.0, ends, 1e-13)
         assert isinstance(got[0], fe.QuadratureError)
         assert isinstance(got[0].__cause__, ZeroDivisionError)
         vc.prefetch(ends)
@@ -577,10 +579,10 @@ class TestMultiSegmentPanels:
     def test_depth_cap_applies_per_segment(self):
         # Only [1, 2] passes 0.05 from the pole; [1, 1.2] resolves at once.
         stage = _scalar_stage(lambda z: 1 / (z - 1.5 - 0.05j))
-        got = fe._integrate_panels((stage,), 1.0, [2.0, 1.2], 1e-12, max_depth=2)
+        got = fe._walk_panels((stage,), 1.0, [2.0, 1.2], 1e-12, max_depth=2)
         assert isinstance(got[0], fe.QuadratureError)
         assert "did not converge" in str(got[0])
-        want = fe._integrate_segment((stage,), 1.0, 1.2, 1e-12)[0]
+        want = fe._walk_all((stage,), 1.0, (1.2,), 1e-12)[0][0]
         assert got[1][0] == pytest.approx(want, rel=1e-15)
 
     def test_panel_budget_applies_per_segment(self, monkeypatch):
@@ -594,15 +596,15 @@ class TestMultiSegmentPanels:
                 panels[k] += len(z)
                 return counted(z, prior)
 
-            fe._integrate_panels((counting,), 1.0, [b], 1e-13)
+            fe._walk_panels((counting,), 1.0, [b], 1e-13)
         # Each segment fits the budget alone, all of them together do not.
         budget = max(panels)
         assert sum(panels) > budget
         monkeypatch.setattr(fe, "_MAX_PANELS", budget)
         assert not any(isinstance(v, Exception)
-                       for v in fe._integrate_panels((stage,), 1.0, ends, 1e-13))
+                       for v in fe._walk_panels((stage,), 1.0, ends, 1e-13))
         monkeypatch.setattr(fe, "_MAX_PANELS", budget - 1)
-        got = fe._integrate_panels((stage,), 1.0, ends, 1e-13)
+        got = fe._walk_panels((stage,), 1.0, ends, 1e-13)
         over = [isinstance(v, fe.QuadratureError) for v in got]
         assert over == [n > budget - 1 for n in panels]
         assert all("more than" in str(v) for v in got if isinstance(v, Exception))
@@ -610,11 +612,11 @@ class TestMultiSegmentPanels:
     def test_stage_exception_class_is_kept(self):
         # Not a division by zero: the stage's own error ends the segment.
         stage = _scalar_stage(lambda z: cmath.log(z - 1.5))
-        got = fe._integrate_panels((stage,), 1.0, [2.0, 1.4], 1e-12)
+        got = fe._walk_panels((stage,), 1.0, [2.0, 1.4], 1e-12)
         assert isinstance(got[0], ValueError)
         assert not isinstance(got[1], Exception)
         with pytest.raises(ValueError):
-            fe._integrate_segment((stage,), 1.0, 2.0, 1e-12)
+            fe._walk_all((stage,), 1.0, (2.0,), 1e-12)
 
 
 class TestNumericallyZero:
@@ -657,6 +659,17 @@ def random_rational_expr(rng, depth=0):
     if op == "mul":
         return a * b
     return a / b
+
+
+def _variables(e):
+    """The variables, ``'x'`` and ``'t'``, that occur in ``e``."""
+    out, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if n.kind == "var":
+            out.add(n.value)
+        stack.extend(n.children)
+    return out
 
 
 class TestDerivativeProperty:
@@ -709,8 +722,8 @@ class TestDifferentiateCauchy:
         @st.composite
         def cases(draw):
             # A tree and one of the variables it contains.
-            e = draw(trees.filter(lambda e: fe.free_symbols(e) & {"x", "t"}))
-            return e, draw(st.sampled_from(sorted(fe.free_symbols(e) & {"x", "t"})))
+            e = draw(trees.filter(lambda e: _variables(e)))
+            return e, draw(st.sampled_from(sorted(_variables(e))))
 
         @hyp.settings(max_examples=300, deadline=None, derandomize=True,
                       database=None)
@@ -814,7 +827,7 @@ class TestSubstitute:
         e = X * T + T**2
         s = fe.substitute(e, t=2.0)
         assert fe.evaluate(s, Binding(x=1.5)) == pytest.approx(7.0)
-        assert "t" not in fe.free_symbols(s)
+        assert "t" not in _variables(s)
 
     def test_substitute_param(self):
         e = fe.param("alpha") * X

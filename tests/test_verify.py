@@ -340,6 +340,11 @@ class TestSolveLinearSystem:
             assert g == pytest.approx(vc.gauge(x), rel=1e-9)
 
 
+def _compiled_a(lax):
+    """(x, t) -> (a11, a12, a21, a22), compiled for the scalar oracles."""
+    return fe.compile_expr((*lax.a[0], *lax.a[1]), dict(lax.params))
+
+
 def _dop853_trace(prep, t_fixed, x_path, initial):
     """The five channels (phi1, phi2, E, S, gauge) of a trace by a DOP853
     dense solve at the panel trace's tolerances: an independent oracle."""
@@ -348,11 +353,13 @@ def _dop853_trace(prep, t_fixed, x_path, initial):
     u = (x1 - x0) / length
     t_fixed = complex(t_fixed)
     vc = prep.red._vc
+    if prep.entry.lax is not None:
+        a_entries = _compiled_a(prep.entry.lax)
 
     def rhs(s, y):
         x = x0 + u * s
         if prep.entry.lax is not None:
-            a11, a12, a21, a22 = prep.entry.lax.a_entries(x, t_fixed)
+            a11, a12, a21, a22 = a_entries(x, t_fixed)
         else:
             p1, q1 = prep.sp.p1_q1(x, t_fixed)
             a11, a12, a21, a22 = 0, 1, -q1, -p1
@@ -380,8 +387,9 @@ def _entry_with_a(prep, a):
 
 
 class TestPanelTrace:
-    """The Chebyshev-panel solve behind ``_trace``: accuracy against an
-    independent DOP853 solve, its dense output and its failure paths."""
+    """The panel walker's linear-system solve behind ``_trace``
+    (``expr._walk_panels``): accuracy against an independent DOP853 solve,
+    its dense output and its failure paths."""
 
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_channels_match_dop853(self, prep, entry_id):
@@ -448,6 +456,10 @@ class TestPanelTrace:
         with pytest.raises(verify.VerifyError, match="more than 8 panels"):
             verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
 
+    def test_zero_length_path_raises(self, prep):
+        with pytest.raises(verify.VerifyError, match="nonzero length"):
+            verify._trace(prep("PII.y0"), 0.5, Path([1.5, 1.5]), initial=(1.0, 0.0))
+
     def test_nan_coefficient_raises(self, prep):
         # (1e200 x)^2 overflows to inf, and inf - inf is nan.
         big = fe.mul(fe.const(1e200), fe.X)
@@ -456,6 +468,60 @@ class TestPanelTrace:
         p = _entry_with_a(prep("PII.y0"), ((nan, zero), (zero, zero)))
         with pytest.raises(verify.VerifyError, match="non-finite"):
             verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+
+
+def _dop853_joint(prep, x_anchor, t_center, dt=5e-3, span=0.6):
+    """phi(x, t) of :func:`verify.joint_solution` by DOP853 dense solves at
+    the same tolerances: the transport along the straight t-segment, then
+    each x-leg, as a function of the fraction u of the segment or leg."""
+    lax = prep.entry.lax
+    a_entries = _compiled_a(lax)
+    b = fe.compile_expr((*lax.b[0], *lax.b[1]), dict(lax.params))
+    comp = 0 if prep.entry.component == "first" else 1
+
+    def solve(matrix, y0):
+        res = verify.solve_ivp(lambda u, y: _times(matrix(u), y), (0.0, 1.0),
+                               np.asarray(y0, dtype=complex), method="DOP853",
+                               rtol=1e-12, atol=1e-13, dense_output=True)
+        assert res.success
+        return res.sol
+
+    legs = {}
+    for k in (-2, -1, 0, 1, 2):
+        tk = t_center + k * dt
+        y0 = solve(lambda u: [k * dt * v for v in b(x_anchor, t_center + u * k * dt)],
+                   [1.0, 0.4 + 0.1j])(1.0)
+        for side in (1, -1):
+            legs[k, side] = solve(lambda u, tk=tk, side=side: [
+                side * span * v for v in a_entries(x_anchor + u * side * span, tk)], y0)
+
+    def phi(x, k):
+        s = (x - x_anchor).real
+        return legs[k, 1 if s >= 0 else -1](abs(s) / span)[comp]
+
+    return phi
+
+
+def _times(m, y):
+    a11, a12, a21, a22 = m
+    return [a11 * y[0] + a12 * y[1], a21 * y[0] + a22 * y[1]]
+
+
+class TestJointSolution:
+    @pytest.mark.parametrize("entry_id, x_anchor, t_center", [
+        ("PII.y0", 1.6 + 0.1j, 0.7 + 0.1j),
+        ("PIII.y1", 2.0 - 0.15j, 0.9 + 0.1j),
+        ("PV.y_m1", 1.8, 0.9),
+    ])
+    def test_legs_match_dop853(self, prep, entry_id, x_anchor, t_center):
+        p = prep(entry_id)
+        ours = verify.joint_solution(p, x_anchor, t_center)
+        oracle = _dop853_joint(p, x_anchor, t_center)
+        xs = [x_anchor + s for s in np.linspace(-0.6, 0.6, 25)]
+        for k in (-2, -1, 0, 1, 2):
+            got = np.array([ours(x, t_center + k * 5e-3) for x in xs])
+            ref = np.array([oracle(x, k) for x in xs])
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), k
 
 
 class TestCrossValidate:
@@ -605,6 +671,15 @@ class TestLazyScipy:
         out = _run_python(_VERIFY_ALL + "import sys\n"
                           "print('scipy.integrate' in sys.modules)\n")
         assert out.split()[-1] == "False"
+
+    def test_joint_solution_leaves_scipy_integrate_unloaded(self):
+        out = _run_python("import sys\n"
+                          "from fuchsreduce import verify\n"
+                          "p = verify.prepare('PIII.y1')\n"
+                          "phi = verify.joint_solution(p, 2.0 - 0.15j, 0.9 + 0.1j)\n"
+                          "phi(2.3 - 0.15j, 0.9 + 0.1j + 5e-3)\n"
+                          "print('scipy.integrate' in sys.modules)\n")
+        assert out.split() == ["False"]
 
     def test_verify_all_bytes_do_not_depend_on_blas_threads(self):
         one = _run_python(_VERIFY_ALL, OPENBLAS_NUM_THREADS="1")
