@@ -796,7 +796,8 @@ class _Segment:
         self.result: object = None
         if a == b:
             self.stack = []
-            self.result = self.totals
+            self.result = self.totals if y is None else QuadratureError(
+                f"a linear system is solved only on a segment of nonzero length, not [{a}, {b}]")
         else:
             self.tail_tol = abs_tol / abs(b - a)
             self.stack = [(a, b, 0)]
@@ -898,7 +899,8 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     ``_MAX_PANELS`` panels, a stage divides by zero at one of its points (a
     pole exactly on the path) or a coefficient or solution value is not
     finite, else whatever a stage raised there.  A failing segment never
-    stops the others; one of zero length gives the stage integrals at a."""
+    stops the others.  A segment of zero length gives the stage integrals
+    at a without a system and a :class:`QuadratureError` with one."""
     a = complex(a)
     if system is None:
         y0, start = None, [0j] * len(stages)

@@ -378,11 +378,11 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
     equation, initial = (phi, phi')) and integrates h, f E and G on the
     same nodes, starting from log ``E``, ``S`` and log ``gauge`` at the
     segment's start.  A singular coefficient raises the compiled kernel's
-    own exception; an unresolved panel, an exhausted panel budget, a
-    singular h, f E or G sample or a non-finite coefficient or solution
-    value raises :class:`VerifyError`."""
-    if len(x_path.points) != 2 or x_path.points[0] == x_path.points[1]:
-        raise VerifyError("solution traces run along one straight segment of nonzero length")
+    own exception; a segment of zero length, an unresolved panel, an
+    exhausted panel budget, a singular h, f E or G sample or a non-finite
+    coefficient or solution value raises :class:`VerifyError`."""
+    if len(x_path.points) != 2:
+        raise VerifyError("solution traces run along one straight segment")
     entry = prep.entry
     x0, x1 = x_path.points
     t_fixed = complex(t_fixed)
@@ -421,7 +421,8 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
     horizontal legs from the anchor to x_anchor +- span.  phi takes t = t_k
     and x on a leg, each to 1e-12, raises :class:`VerifyError` elsewhere,
     and returns the solution component the entry's reduction acts on.
-    Only available for entries with full matrix data."""
+    Only available for entries with full matrix data; a zero ``dt`` or
+    ``span`` leaves nothing to walk and raises :class:`VerifyError`."""
     entry = prep.entry
     if entry.lax is None:
         raise VerifyError("joint solutions need the full 2x2 system")

@@ -618,6 +618,18 @@ class TestMultiSegmentPanels:
         with pytest.raises(ValueError):
             fe._walk_all((stage,), 1.0, (2.0,), 1e-12)
 
+    def test_zero_length_segment(self):
+        # Without a system it gives the start values; with one it fails
+        # alone, as any segment the walker cannot solve.
+        stage = _scalar_stage(lambda z: z)
+        assert fe._walk_panels((stage,), 1.0, [1.0], 1e-12) == [[0j]]
+        identity = (lambda z: (0, 0, 0, 0), (1.0, 2.0, 0.5), 1e-12, 1e-13)
+        got = fe._walk_panels((stage,), 1.0, [1.0, 1.5], 1e-12, identity)
+        assert isinstance(got[0], fe.QuadratureError)
+        assert "nonzero length" in str(got[0])
+        assert got[1](0.5)[:2].tolist() == [1.0, 2.0]
+        assert got[1](0.5)[2] == pytest.approx(0.5 + (1.5 ** 2 - 1) / 2, rel=1e-14)
+
 
 class TestNumericallyZero:
     def test_exact_cancellation(self):

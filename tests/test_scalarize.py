@@ -228,27 +228,30 @@ class TestScalarResidual:
         r = scalar_residual(sp, lambda x, t: 1.0 + 0j, 1.0, 1.0)
         assert r == 0.0
 
-    @pytest.mark.parametrize("entry_id,x,t", [
-        ("PII.y0", 1.5, 0.5),
-        ("PII.y_inv_t", 1.5, 0.8),
-        ("PIII.y1", 2.0, 0.9),
-        ("PIV.y_m2t", 1.4, 0.9),
-        ("PIV.y_m2t3", 1.4, 1.1),
-        ("PV.y_lin", 2.0, 0.9),
-        ("PV.y_m1", 1.8, 0.9),
+    # The anchor of the x-legs: the entry's basepoint, so the residual is
+    # checked up to 0.56 along a leg, or x itself off the real axis, where
+    # a horizontal leg from the basepoint does not reach x.
+    @pytest.mark.parametrize("entry_id,x,t,anchor", [
+        ("PII.y0", 1.5, 0.5, "basepoint"),
+        ("PII.y_inv_t", 1.5, 0.8, "basepoint"),
+        ("PIII.y1", 2.0, 0.9, "basepoint"),
+        ("PIV.y_m2t", 1.4, 0.9, "basepoint"),
+        ("PIV.y_m2t3", 1.4, 1.1, "basepoint"),
+        ("PV.y_lin", 2.0, 0.9, "basepoint"),
+        ("PV.y_m1", 1.8, 0.9, "basepoint"),
         # Off the real axis in both variables: the t-transport runs along
         # the complex segment and the x-legs at Im x.  (PII cases are left
         # out: with B evaluated at Re t they still pass, at 5.7e-9 to
         # 4.0e-8, so they cannot show the transport's imaginary part.)
-        ("PIII.y1", 2.0 - 0.15j, 0.9 + 0.1j),
-        ("PIII.y1", 1.6 + 0.1j, 1.2 - 0.1j),
-        ("PIV.y_m2t3", 1.4 - 0.1j, 1.1 + 0.15j),
-        ("PV.y_lin", 2.1 + 0.15j, 0.8 - 0.1j),
-        ("PV.y_m1", 1.8 + 0.1j, 0.9 - 0.1j),
+        ("PIII.y1", 2.0 - 0.15j, 0.9 + 0.1j, "x"),
+        ("PIII.y1", 1.6 + 0.1j, 1.2 - 0.1j, "x"),
+        ("PIV.y_m2t3", 1.4 - 0.1j, 1.1 + 0.15j, "x"),
+        ("PV.y_lin", 2.1 + 0.15j, 0.8 - 0.1j, "x"),
+        ("PV.y_m1", 1.8 + 0.1j, 0.9 - 0.1j, "x"),
     ])
-    def test_joint_solution_satisfies_both_equations(self, prep, entry_id, x, t):
+    def test_joint_solution_satisfies_both_equations(self, prep, entry_id, x, t, anchor):
         p = prep(entry_id)
-        phi = verify.joint_solution(p, x, t)
+        phi = verify.joint_solution(p, p.entry.basepoint_x if anchor == "basepoint" else x, t)
         assert scalar_residual(p.sp, phi, x, t) <= 1e-7
 
     def test_joint_solution_refuses_points_it_did_not_solve(self, prep):
@@ -263,6 +266,11 @@ class TestScalarResidual:
             phi(2.0 + 0.1j, 0.9 + 0.02)
         with pytest.raises(verify.VerifyError, match="stencil"):
             phi(2.0 + 0.1j, 0.9 + 0.002j)
+
+    @pytest.mark.parametrize("kwargs", [{"dt": 0.0}, {"span": 0.0}])
+    def test_joint_solution_refuses_an_empty_stencil(self, prep, kwargs):
+        with pytest.raises(verify.VerifyError, match="nonzero length"):
+            verify.joint_solution(prep("PIII.y1"), 2.0, 0.9, **kwargs)
 
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_p2_is_offdiagonal_ratio(self, entry_id):
