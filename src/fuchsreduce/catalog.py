@@ -3,8 +3,9 @@
 Each entry specializes a standard isomonodromic linearization (Miwa-Jimbo
 for P_II/P_III/P_IV/P_V, Kitaev for the degenerate P_V) at an algebraic
 solution of the underlying Painleve flow, with every time-dependent
-coefficient substituted in closed form.  Entries record, alongside the
-matrices:
+coefficient substituted in closed form and the family's parameters
+substituted as constants when the entry is built.  Entries record,
+alongside the matrices:
 
 * the nonlinear flow system whose residuals certify the closed forms,
 * probe boxes and basepoints used by every numeric check downstream,
@@ -129,25 +130,20 @@ class LaxPair:
 
     Both matrices are traceless, and every entry is a finite sum of
     products of one-variable factors (guaranteed by construction from the
-    family templates).  ``singular_x``/``singular_t`` list the points every
-    probe, path and grid must avoid (poles of entries plus zeros of the
-    off-diagonal entries used for scalarization)."""
+    family templates)."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
-    params: Mapping[str, complex] = field(default_factory=dict)
-    singular_x: tuple[complex, ...] = ()
-    singular_t: tuple[complex, ...] = ()
 
     @cached_property
     def a_entries_array(self) -> Callable:
         """(x, t) -> (a11, a12, a21, a22), compiled, in array form."""
-        return fe.array_form(fe.compile_expr((*self.a[0], *self.a[1]), dict(self.params)))
+        return fe.array_form(fe.compile_expr((*self.a[0], *self.a[1])))
 
     @cached_property
     def b_entries_array(self) -> Callable:
         """(x, t) -> (b11, b12, b21, b22), compiled, in array form."""
-        return fe.array_form(fe.compile_expr((*self.b[0], *self.b[1]), dict(self.params)))
+        return fe.array_form(fe.compile_expr((*self.b[0], *self.b[1])))
 
     @cached_property
     def frobenius_fns(self) -> Callable:
@@ -155,19 +151,23 @@ class LaxPair:
         compiled kernel returning the tuple, so subexpressions the entries
         share are computed once (bit for bit the values of one kernel per
         entry)."""
-        return fe.compile_expr(tuple(scal.frobenius_residual_exprs(self)),
-                               dict(self.params))
+        return fe.compile_expr(tuple(scal.frobenius_residual_exprs(self)))
 
 
 @dataclass
 class CatalogEntry:
-    """One shipped reduction case.  Immutable after construction."""
+    """One shipped reduction case.  Immutable after construction.
+
+    Its parameters are substituted into every expression when the entry is
+    built, so ``params_exact`` only records them.  ``singular_x`` and
+    ``singular_t`` list the points every probe, path and grid must avoid
+    (poles of entries plus zeros of the off-diagonal entries used for
+    scalarization)."""
 
     id: str
     family: str
     component: str                      # which solution component scalarizes
-    params: dict[str, complex]
-    params_exact: dict[str, Fraction | complex]
+    params_exact: dict[str, Fraction | float | complex]
     closed_forms: dict[str, Expr]       # y, z, u/w as functions of t
     lax: LaxPair | None
     scalar: ScalarPair | None           # direct scalar pair (Kitaev route)
@@ -175,6 +175,8 @@ class CatalogEntry:
     basepoint_x: complex
     box_x: ComplexRect
     box_t: ComplexRect
+    singular_x: tuple[complex, ...]
+    singular_t: tuple[complex, ...]
     expected_target: ClassicalTarget
     expected_case: str
     expected_exponent_a: complex | None
@@ -184,26 +186,11 @@ class CatalogEntry:
     documented_target_scale: str | None = None
 
     @property
-    def singular_x(self) -> tuple[complex, ...]:
-        if self.lax is not None:
-            return self.lax.singular_x
-        return self.metadata_singular_x
-
-    @property
-    def singular_t(self) -> tuple[complex, ...]:
-        if self.lax is not None:
-            return self.lax.singular_t
-        return self.metadata_singular_t
-
-    metadata_singular_x: tuple[complex, ...] = ()
-    metadata_singular_t: tuple[complex, ...] = ()
-
-    @property
     def is_negative(self) -> bool:
         return self.id.startswith("negative.")
 
     def binding(self, x: complex | None = None, t: complex | None = None) -> Binding:
-        return Binding(x=x, t=t, params=self.params)
+        return Binding(x=x, t=t)
 
     def probe_bindings(self, n: int = 12) -> list[Binding]:
         """Deterministic joint (x, t) probes; the two diagonals run in
@@ -222,7 +209,7 @@ class CatalogEntry:
         """(x, t) -> the values of the flow residual expressions: one
         compiled kernel returning the tuple (bit for bit the values of one
         kernel per expression)."""
-        return fe.compile_expr(tuple(self.flow_exprs), self.params)
+        return fe.compile_expr(tuple(self.flow_exprs))
 
     @cached_property
     def scalar_pair(self) -> ScalarPair:
@@ -355,13 +342,15 @@ _DEFAULT_PARAMS: dict[str, dict[str, Fraction]] = {
 
 
 def _merge_params(entry_id: str, overrides: Mapping | None) -> dict:
+    """The entry's default parameters with ``overrides`` applied.  An int
+    becomes a Fraction, so the builders' arithmetic stays exact on every
+    rational; floats and complex values pass through."""
     params = dict(_DEFAULT_PARAMS[entry_id])
-    if overrides:
-        for key, val in overrides.items():
-            if key not in params:
-                raise EntryNotFoundError(
-                    f"entry {entry_id!r} has no parameter {key!r}")
-            params[key] = val
+    for key, val in (overrides or {}).items():
+        if key not in params:
+            raise EntryNotFoundError(
+                f"entry {entry_id!r} has no parameter {key!r}")
+        params[key] = Fraction(val) if isinstance(val, int) else val
     return params
 
 
@@ -371,7 +360,6 @@ def _build_pii_y0(p) -> CatalogEntry:
     z = fe.neg(T / 2)
     u = _c(1)
     a, b, flows = _pii_template(y, z, u, theta)
-    lax = LaxPair(a, b, params={}, singular_x=(0j,), singular_t=())
     red = {
         "f": 2 * X,
         "h": _c(0),
@@ -382,10 +370,11 @@ def _build_pii_y0(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PII.y0", family="PII", component="first",
-        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j,), singular_t=(),
         expected_target=ClassicalTarget.airy(4 ** (1 / 3)),
         documented_target_scale="4^(1/3)",
         expected_case="EQ3", expected_exponent_a=0j,
@@ -400,7 +389,6 @@ def _build_pii_y_inv_t(p) -> CatalogEntry:
     z = fe.neg(T / 2)
     u = T
     a, b, flows = _pii_template(y, z, u, theta)
-    lax = LaxPair(a, b, params={}, singular_x=(0j,), singular_t=(0j,))
     red = {
         "f": 2 * X,
         "h": _c(0),
@@ -411,10 +399,11 @@ def _build_pii_y_inv_t(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PII.y_inv_t", family="PII", component="second",
-        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j,), singular_t=(0j,),
         expected_target=ClassicalTarget.airy(4 ** (1 / 3)),
         documented_target_scale="4^(1/3)",
         expected_case="EQ3", expected_exponent_a=0j,
@@ -427,10 +416,9 @@ def _build_piii_y1(p) -> CatalogEntry:
     thi = p["theta_inf"]
     th0 = thi - 1
     y = _c(1)
-    z = _c((1 - 2 * F(thi)) / 4) if isinstance(thi, (int, Fraction)) else _c((1 - 2 * thi) / 4)
+    z = _c((1 - 2 * thi) / 4)
     w = fe.exp(2 * T) * fe.pow_any(T, thi)
     a, b, flows = _piii_template(y, z, w, th0, thi)
-    lax = LaxPair(a, b, params={}, singular_x=(0j, 1 + 0j, -1 + 0j), singular_t=(0j,))
     thi_c = complex(thi)
     red = {
         "f": _c(0),
@@ -438,27 +426,20 @@ def _build_piii_y1(p) -> CatalogEntry:
         "R": _c((thi_c - 1) / 2) / X - _c((2 * thi_c - 1) / 2) / (X - 1),
         "M": _c(-1),
         "tau": (X - 1) ** 2 * T / X,
-        "gauge": fe.pow_any(X, _half_of(thi, -1)) * fe.pow_any(X - 1, _half_of(1, -2 * F(thi)) if isinstance(thi, (int, Fraction)) else (1 - 2 * thi) / 2),
+        "gauge": fe.pow_any(X, (thi - 1) / 2) * fe.pow_any(X - 1, (1 - 2 * thi) / 2),
     }
     return CatalogEntry(
         id="PIII.y1", family="PIII", component="first",
-        params={"theta_inf": thi_c, "theta0": complex(th0)},
-        params_exact={"theta_inf": thi},
+        params_exact=dict(p),
         closed_forms={"y": y, "z": z, "w": w},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j, 1 + 0j, -1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.whittaker((thi_c - 1) / 2, 1 / 16),
         expected_case="EQ2", expected_exponent_a=thi_c - 1,
         reduction_closed_forms=red,
         metadata={"solution": "y = 1 with theta0 = theta_inf - 1"},
     )
-
-
-def _half_of(a, b) -> Fraction | complex:
-    """(a + b)/2 keeping exactness when both inputs are rational."""
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return (F(a) + F(b)) / 2
-    return (complex(a) + complex(b)) / 2
 
 
 def _build_piv_y_m2t(p) -> CatalogEntry:
@@ -467,7 +448,6 @@ def _build_piv_y_m2t(p) -> CatalogEntry:
     u = _c(1)
     # y = -2t never vanishes on the probe boxes (t is bounded away from 0).
     a, b, flows = _piv_template(-2 * T, z, u, th0, thi)
-    lax = LaxPair(a, b, params={}, singular_x=(0j,), singular_t=())
     red = {
         "f": _c(1),
         "h": 1 / X,
@@ -478,10 +458,11 @@ def _build_piv_y_m2t(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PIV.y_m2t", family="PIV", component="first",
-        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params_exact=dict(p),
         closed_forms={"y": -2 * T, "z": z, "u": u},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j,), singular_t=(),
         expected_target=ClassicalTarget.constant(1),
         expected_case="mixed", expected_exponent_a=0j,
         reduction_closed_forms=red,
@@ -498,7 +479,6 @@ def _build_piv_y_m2t3(p) -> CatalogEntry:
     z = -2 * T**2 / 9
     u = fe.exp(-2 * T**2 / 3)
     a, b, flows = _piv_template(y, z, u, th0, thi)
-    lax = LaxPair(a, b, params={}, singular_x=(0j,), singular_t=(0j,))
     red = {
         "f": _c(1),
         "h": 1 / (3 * X),
@@ -509,10 +489,11 @@ def _build_piv_y_m2t3(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PIV.y_m2t3", family="PIV", component="first",
-        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j,), singular_t=(0j,),
         expected_target=ClassicalTarget.airy((3 / 4) ** (1 / 3)),
         documented_target_scale="(3/4)^(1/3)",
         expected_case="generic_EQ", expected_exponent_a=None,
@@ -528,34 +509,29 @@ def _build_pv_y_lin(p) -> CatalogEntry:
     th1 = p["theta1"]
     if complex(th1) == 1:
         raise ValueError("theta1 = 1 degenerates the solution y = 1 - t/(theta1 - 1)")
-    th0 = F(0) if isinstance(th1, (int, Fraction)) else 0.0
-    thi = (F(2) - F(th1)) if isinstance(th1, (int, Fraction)) else 2 - th1
+    thi = 2 - th1
     th1_c = complex(th1)
     y = 1 - T / _c(th1_c - 1)
     z = _c(0)
     # The flow for u forces exp(+t); checked against the integrability
     # condition directly.
-    u = fe.pow_any(T, (F(2) - F(th1)) if isinstance(th1, (int, Fraction)) else 2 - th1) \
-        * fe.exp(T) / (_c(th1_c - 1) - T)
-    a, b, flows = _pv_template(y, z, u, th0, th1, thi)
-    lax = LaxPair(a, b, params={},
-                  singular_x=(0j, 1 + 0j),
-                  singular_t=(0j, th1_c - 1))
+    u = fe.pow_any(T, thi) * fe.exp(T) / (_c(th1_c - 1) - T)
+    a, b, flows = _pv_template(y, z, u, 0, th1, thi)
     red = {
         "f": _c(0),
         "h": 1 / (X - 1),
         "R": _c((th1_c - 2) / 2) / (X - 1),
         "M": _c(-0.5),
         "tau": T * (X - 1),
-        "gauge": fe.pow_any(X - 1, (F(th1) - 2) / 2 if isinstance(th1, (int, Fraction)) else (th1 - 2) / 2),
+        "gauge": fe.pow_any(X - 1, (th1 - 2) / 2),
     }
     return CatalogEntry(
         id="PV.y_lin", family="PV", component="first",
-        params={"theta1": th1_c, "theta0": 0j, "theta_inf": complex(thi)},
-        params_exact={"theta1": th1},
+        params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j, 1 + 0j), singular_t=(0j, th1_c - 1),
         expected_target=ClassicalTarget.whittaker((1 - th1_c) / 2, th1_c**2 / 4),
         expected_case="EQ2", expected_exponent_a=1 - th1_c,
         reduction_closed_forms=red,
@@ -572,9 +548,6 @@ def _build_pv_y_m1(p) -> CatalogEntry:
     z = fe.neg((T + 2 + 2 * _c(thi_c)) / 8)
     u = fe.exp(T / 2)
     a, b, flows = _pv_template(y, z, u, th0, th1, thi)
-    lax = LaxPair(a, b, params={},
-                  singular_x=(0j, 1 + 0j),
-                  singular_t=(0j,))
     red = {
         "f": _c(1 - thi_c) / (X * (X - 1)),
         "h": (1 / X + 1 / (X - 1)) / 2,
@@ -586,11 +559,11 @@ def _build_pv_y_m1(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PV.y_m1", family="PV", component="first",
-        params={"theta_inf": thi_c, "theta0": 0.5 + 0j, "theta1": 0.5 + 0j},
-        params_exact={"theta_inf": thi},
+        params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j, 1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.constant(0.25),
         expected_case="generic_EQ", expected_exponent_a=0j,
         reduction_closed_forms=red,
@@ -599,9 +572,7 @@ def _build_pv_y_m1(p) -> CatalogEntry:
 
 
 def _build_pvdeg_kitaev(p) -> CatalogEntry:
-    kap = p["kappa"]
-    mu = p["mu"]
-    kap_c, mu_c = complex(kap), complex(mu)
+    kap_c, mu_c = complex(p["kappa"]), complex(p["mu"])
     k_ = _c(kap_c)
     m_ = _c(mu_c)
     # Scalar pair in the square-root deformation variable z (stored in the
@@ -617,8 +588,7 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
     )
     p2 = 1 / (2 * k_ * X * (X - 1)) + T / (2 * (X - 1))
     q2 = fe.neg(1 / (4 * (X - 1))) + (1 / (2 * T)) * p2
-    sp = ScalarPair(p1=p1, q1=q1, p2=p2, q2=q2, component="first",
-                    params={"kappa": kap_c, "mu": mu_c})
+    sp = ScalarPair(p1=p1, q1=q1, p2=p2, q2=q2, component="first")
 
     # Closed forms of the matrix residue data at y = 1 + kappa*z; the first
     # coefficient ODE certifies them (the a1 relation with the free constant
@@ -646,18 +616,16 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="PVdeg.kitaev_sqrt", family="PV_Kitaev", component="first",
-        params={"kappa": kap_c, "mu": mu_c, "theta_inf": theta_inf},
         params_exact=dict(p),
         closed_forms={"a2": a2, "a1": a1},
         lax=None, scalar=sp, flow_exprs=(flow,),
         basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j, 1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.constant(2 * mu_c * kap_c**2),
         expected_case="generic_EQ", expected_exponent_a=None,
         reduction_closed_forms=red,
         pre_substitution="t = z^2",
         metadata={"solution": "y = 1 + kappa*sqrt(t), degenerate fifth flow (delta = 0)"},
-        metadata_singular_x=(0j, 1 + 0j),
-        metadata_singular_t=(0j,),
     )
 
 
@@ -669,7 +637,6 @@ def _build_negative_pii_bad_y1(p) -> CatalogEntry:
     z = fe.neg(T / 2)
     u = _c(1)
     a, b, flows = _pii_template(y, z, u, theta)
-    lax = LaxPair(a, b, params={}, singular_x=(0j, 1 + 0j), singular_t=())
     red = {
         "f": 2 * X - 2,
         "h": _c(0),
@@ -680,10 +647,11 @@ def _build_negative_pii_bad_y1(p) -> CatalogEntry:
     }
     return CatalogEntry(
         id="negative.PII_bad_y1", family="PII", component="first",
-        params={k: complex(v) for k, v in p.items()}, params_exact=dict(p),
+        params_exact=dict(p),
         closed_forms={"y": y, "z": z, "u": u},
-        lax=lax, scalar=None, flow_exprs=flows,
+        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
         basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
+        singular_x=(0j, 1 + 0j), singular_t=(),
         expected_target=ClassicalTarget.none(),
         expected_case="EQ3", expected_exponent_a=None,
         reduction_closed_forms=red,
@@ -733,8 +701,7 @@ def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
     if entry_id not in _BUILDERS:
         raise EntryNotFoundError(f"no catalog entry named {entry_id!r}")
     if overrides:
-        params = _merge_params(entry_id, overrides)
-        return _BUILDERS[entry_id](params)
+        return _BUILDERS[entry_id](_merge_params(entry_id, overrides))
     got = _DEFAULT_CACHE.get(entry_id)
     if got is None:
         got = _BUILDERS[entry_id](dict(_DEFAULT_PARAMS[entry_id]))
@@ -761,8 +728,6 @@ def _complex_json(z: complex) -> dict:
 
 def _param_json(v) -> object:
     if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int):
         return str(v)
     return _complex_json(complex(v))
 

@@ -736,9 +736,6 @@ class Path:
             raise ValueError("a path needs at least two waypoints")
         object.__setattr__(self, "points", pts)
 
-    def reversed(self) -> "Path":
-        return Path(tuple(reversed(self.points)))
-
     @property
     def segments(self) -> list[tuple[complex, complex]]:
         return list(zip(self.points[:-1], self.points[1:]))

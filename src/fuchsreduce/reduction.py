@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -95,31 +94,27 @@ class Decomposition:
     M_zero: bool
     M_constant: bool
     component: str
-    params: Mapping[str, complex] = field(default_factory=dict)
     sp: ScalarPair | None = field(default=None, repr=False, compare=False)
 
     def gauge_exponent(self) -> Expr:
         """The integrand G of the gauge factor exp(int G dx)."""
         return self.R if self.component == "first" else fe.neg(self.R)
 
-    def _compile(self, e):
-        return fe.compile_expr(e, dict(self.params))
-
     @cached_property
     def _h(self):
-        return self._compile(self.h)
+        return fe.compile_expr(self.h)
 
     @cached_property
     def _f(self):
-        return self._compile(self.f)
+        return fe.compile_expr(self.f)
 
     @cached_property
     def _G(self):
-        return self._compile(self.gauge_exponent())
+        return fe.compile_expr(self.gauge_exponent())
 
     @cached_property
     def _phi(self):
-        return self._compile(fe.add(self.f, fe.mul(T, self.h)))
+        return fe.compile_expr(fe.add(self.f, fe.mul(T, self.h)))
 
     @cached_property
     def _coeff_parts(self):
@@ -134,7 +129,7 @@ class Decomposition:
             fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        return fe.compile_staged((phi, p_num, q_num), dict(self.params))
+        return fe.compile_staged((phi, p_num, q_num))
 
     @cached_property
     def _h_array(self):
@@ -168,8 +163,6 @@ def decompose(sp: ScalarPair, box_x, box_t,
     (R -> R + c f, M -> M - c); it is pinned by M(t_ref) = 0, which
     reproduces the documented closed forms for every shipped entry.
     ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``)."""
-    params = dict(sp.params)
-
     tdiag = box_t.diagonal(7)
     xdiag = box_x.diagonal(7)
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
@@ -181,13 +174,13 @@ def decompose(sp: ScalarPair, box_x, box_t,
     h = fe.div(fe.sub(p2_t2, p2_t1), fe.const(t2 - t1))
     f = fe.sub(p2_t1, fe.mul(fe.const(t1), h))
 
-    x_probes = [Binding(x=x, params=params) for x in xdiag]
+    x_probes = [Binding(x=x) for x in xdiag]
     affine_defect = fe.sub(fe.add(f, fe.mul(fe.const(t3), h)), p2_t3)
     if not fe.numerically_zero(affine_defect, x_probes, tol=affine_tol, reference=p2_t3):
         raise DecompositionError(
             "the off-diagonal ratio p2 is not affine in the deformation variable")
 
-    probes12 = [Binding(x=x, t=t, params=params)
+    probes12 = [Binding(x=x, t=t)
                 for x, t in zip(box_x.diagonal(12), reversed(box_t.diagonal(12)))]
     f_zero = fe.numerically_zero(f, x_probes, tol=zero_tol, reference=p2_t1)
     h_zero = fe.numerically_zero(h, x_probes, tol=zero_tol, reference=p2_t1)
@@ -204,7 +197,7 @@ def decompose(sp: ScalarPair, box_x, box_t,
         key = (id(e), x, t)
         got = evaluated.get(key)
         if got is None:
-            got = evaluated[key] = fe.evaluate(e, Binding(x=x, t=t, params=params))
+            got = evaluated[key] = fe.evaluate(e, Binding(x=x, t=t))
         return got
 
     if f_zero and h_zero:
@@ -262,7 +255,7 @@ def decompose(sp: ScalarPair, box_x, box_t,
         raise DecompositionError(
             f"inconsistent R/M split (residual above {split_tol:g})")
 
-    t_probes = [Binding(t=t, params=params) for t in box_t.diagonal(9)]
+    t_probes = [Binding(t=t) for t in box_t.diagonal(9)]
     M_zero = fe.numerically_zero(M, t_probes, tol=zero_tol)
     M_constant = M_zero or fe.numerically_zero(
         fe.differentiate(M, "t"), t_probes, tol=zero_tol, reference=M)
@@ -289,7 +282,7 @@ def decompose(sp: ScalarPair, box_x, box_t,
             dlog_g = fe.div(fe.differentiate(g, "t"), g)
             vals = []
             for tp in (tdiag[2], tdiag[4]):
-                b = Binding(t=tp, params=params)
+                b = Binding(t=tp)
                 vals.append(tp * (fe.evaluate(dlog_g, b) + 2 * fe.evaluate(M, b)))
             if abs(vals[0] - vals[1]) <= 1e-7 * (1 + abs(vals[0])):
                 exponent_a = vals[0]
@@ -298,7 +291,7 @@ def decompose(sp: ScalarPair, box_x, box_t,
         f=f, h=h, R=R, M=M, g_of_t=g, P1=P1, P2=P2, P3=P3,
         exponent_A=exponent_a,
         f_zero=f_zero, h_zero=h_zero, M_zero=M_zero, M_constant=M_constant,
-        component=sp.component, params=params, sp=sp,
+        component=sp.component, sp=sp,
     )
 
 
@@ -472,9 +465,6 @@ class ReducedEquation:
     # -- change of variables -------------------------------------------------
     def tau_at(self, x: complex, t: complex) -> complex:
         return self._vc.tau(x, t)
-
-    def gauge_at(self, x: complex) -> complex:
-        return self._vc.gauge(x)
 
     def solve_t(self, x: complex, tau_target: complex) -> complex:
         return self._vc.solve_t(x, tau_target)

@@ -25,9 +25,9 @@ numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import expr as fe
 from .expr import Binding, Expr
@@ -67,7 +67,6 @@ class ScalarPair:
     p2: Expr
     q2: Expr
     component: str = "first"
-    params: Mapping[str, complex] = field(default_factory=dict)
     off_diag: tuple[Expr, Expr] | None = None  # (a12, b12) or (a21, b21)
     diag: tuple[Expr, Expr] | None = None      # (a11, b11)
 
@@ -84,7 +83,7 @@ class ScalarPair:
     @cached_property
     def p1_q1(self) -> Callable[[complex, complex], tuple[complex, complex]]:
         """(x, t) -> (p1, q1), compiled."""
-        return fe.compile_expr((self.p1, self.q1), dict(self.params))
+        return fe.compile_expr((self.p1, self.q1))
 
     @cached_property
     def p1_q1_array(self) -> Callable:
@@ -175,7 +174,6 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
     return ScalarPair(
         p1=p1, q1=q1, p2=p2, q2=q2,
         component=component,
-        params=dict(lp.params),
         off_diag=(aoff, boff),
         diag=(a11, b11),
     )

@@ -38,7 +38,6 @@ from . import scalarize as scal
 from .config import DEFAULT_CONFIG, FRAME_TOL, Config
 from .expr import Path
 from .reduction import Decomposition, ReducedEquation
-from .scalarize import ScalarPair
 from .targets import ClassicalTarget
 
 __all__ = [
@@ -82,12 +81,12 @@ class MatchError(VerifyError):
 class Prepared:
     """Everything derived from one entry that later stages share.
 
-    ``sp`` and ``dec`` (with its compiled kernels) are shared per entry
-    when the config keeps the entry's boxes; ``red`` (with its E/S and
-    gauge memos) and the frame fit are built per :func:`prepare` call."""
+    ``dec`` (with its compiled kernels and the scalar pair ``dec.sp`` it
+    was recovered from) is shared per entry when the config keeps the
+    entry's boxes; ``red`` (with its E/S and gauge memos) and the frame
+    fit are built per :func:`prepare` call."""
 
     entry: cat.CatalogEntry
-    sp: ScalarPair
     dec: Decomposition
     red: ReducedEquation
     frame_a: complex
@@ -125,8 +124,7 @@ def _tau_frame(entry: cat.CatalogEntry, red: ReducedEquation
     return a, b, resid
 
 
-def prepare(entry_or_id, config: Config = DEFAULT_CONFIG,
-            overrides=None) -> Prepared:
+def prepare(entry_or_id, config: Config = DEFAULT_CONFIG) -> Prepared:
     """The shared workspace of the verify stages for one entry.
 
     The scalar pair and, unless the config overrides a probe box, the
@@ -137,18 +135,17 @@ def prepare(entry_or_id, config: Config = DEFAULT_CONFIG,
     and the 4-point frame fit are built on every call, so no call sees
     another's points."""
     entry = (entry_or_id if isinstance(entry_or_id, cat.CatalogEntry)
-             else cat.lookup(entry_or_id, overrides))
+             else cat.lookup(entry_or_id))
     box_x = cat.ComplexRect(*config.box_x) if config.box_x else entry.box_x
     box_t = cat.ComplexRect(*config.box_t) if config.box_t else entry.box_t
-    sp = entry.scalar_pair
     if config.box_x or config.box_t:
-        dec = red_mod.decompose(sp, box_x, box_t)
+        dec = red_mod.decompose(entry.scalar_pair, box_x, box_t)
     else:
         dec = entry.decomposition
     basepoint = config.basepoint if config.basepoint is not None else entry.basepoint_x
     red = red_mod.build_reduced(dec, basepoint)
     a, b, resid = _tau_frame(entry, red)
-    return Prepared(entry=entry, sp=sp, dec=dec, red=red,
+    return Prepared(entry=entry, dec=dec, red=red,
                     frame_a=a, frame_b=b, frame_residual=resid,
                     box_x=box_x, box_t=box_t)
 
@@ -392,7 +389,7 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
         a_entries = entry.lax.a_entries_array
         matrix = lambda z: a_entries(z, t_fixed)
     else:
-        p1_q1 = prep.sp.p1_q1_array
+        p1_q1 = prep.dec.sp.p1_q1_array
 
         def matrix(z):
             p1, q1 = p1_q1(z, t_fixed)
@@ -403,7 +400,7 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
                            vc.quad_tol, (matrix, (*initial, *totals), rtol, atol))[0]
     except fe.QuadratureError as exc:
         raise VerifyError(f"linear-system integration failed: {exc}") from exc
-    obs = 1 if entry.lax is not None and prep.sp.component == "second" else 0
+    obs = 1 if entry.lax is not None and prep.dec.sp.component == "second" else 0
     return SolutionTrace(x_start=x0, x_end=x1, sol=sol, length=abs(x1 - x0),
                          observable_index=obs)
 

@@ -121,8 +121,8 @@ def test_criterion_3_decomposition_reproduction(prep):
     p0, p1 = prep("PII.y0"), prep("PII.y_inv_t")
     for b in p0.entry.probe_bindings(16):
         for name in ("p1", "q1", "p2", "q2"):
-            v0 = fe.evaluate(getattr(p0.sp, name), b)
-            v1 = fe.evaluate(getattr(p1.sp, name), b)
+            v0 = fe.evaluate(getattr(p0.dec.sp, name), b)
+            v1 = fe.evaluate(getattr(p1.dec.sp, name), b)
             assert abs(v0 - v1) <= 1e-9 * (1 + abs(v0))
     print(f"PASS criterion 3 (decomposition reproduction): max deviation {worst:.3e} <= 1e-9")
 
@@ -202,7 +202,7 @@ def test_criterion_7_property_suites(prep):
     # first-integral property of the characteristic flow, 16 points/entry
     for entry_id in POSITIVE_IDS:
         p = prep(entry_id)
-        fh = fe.compile_expr(p.dec.f + fe.T * p.dec.h, dict(p.dec.params))
+        fh = fe.compile_expr(p.dec.f + fe.T * p.dec.h)
         pts = list(zip(p.entry.box_x.diagonal(4),
                        reversed(p.entry.box_t.diagonal(4))))
         pts += [(x + 0.13, t - 0.06j) for x, t in pts]

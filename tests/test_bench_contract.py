@@ -1,0 +1,69 @@
+"""What the benchmark under ``bench/`` uses of the package.
+
+The bench traces by replacing the module and class attributes that
+``bench/tracing.py`` lists in ``LAYER_FUNCTIONS``, and its ops call the
+package through ``bench/workloads.py``.  Both files are loaded here by
+path, as the bench worker loads them, so a deleted or renamed function
+fails here rather than in a benchmark run.  There it would raise
+``KeyError`` in ``Tracer.installed``, which the worker enters for every
+failed param-sweep op, and end the run.
+"""
+
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import fuchsreduce
+from fuchsreduce import verify
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: dataclasses look their module up while it loads.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchHookPoints:
+    """The bench traces by replacing module and class attributes; a
+    function that stops being one blinds its per-layer counters."""
+
+    def test_layer_functions_are_owner_attributes(self):
+        tracing = _load_bench("tracing")
+        for _, owner_path, fn_name in tracing.LAYER_FUNCTIONS:
+            owner = fuchsreduce
+            for part in owner_path.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner.__dict__.get(fn_name)), f"{owner_path}.{fn_name}"
+
+    def test_tracer_sees_the_derivation_of_a_fresh_entry(self):
+        tracing = _load_bench("tracing")
+        tracer = tracing.Tracer()
+        with tracer.installed(fuchsreduce):
+            rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(9, 2)})
+        assert rep.passed, rep.errors
+        counts = tracer.call_counts()
+        for name in ("scalarize.scalar_coefficients", "reduction.decompose",
+                     "reduction.build_reduced", "verify.prepare"):
+            assert counts[name] >= 1, name
+
+
+@pytest.mark.parametrize("name", ("catalog-verify", "param-sweep", "coeff-grid"))
+def test_warmup_op_runs_and_checks_under_the_tracer(name):
+    # Each workload's warm-up op reaches what its ops read of the package
+    # (for coeff-grid: CatalogEntry.binding and Prepared.frame_a, frame_b
+    # and red), run as the worker runs a failed op: under the tracer.
+    workloads = _load_bench("workloads")
+    workload = workloads.build(name, fuchsreduce, seed=1)
+    op = workload.warmup
+    if isinstance(op, workloads.CoeffGridOp):
+        op.prepare_oracle()
+    with _load_bench("tracing").Tracer().installed(fuchsreduce):
+        assert op.check(op.run()) is None

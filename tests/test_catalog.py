@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -9,6 +10,22 @@ from fuchsreduce import catalog, expr as fe
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.scalarize import ScalarPair
+
+DATA = FsPath(__file__).resolve().parent / "data"
+OVERRIDE_MANIFESTS = DATA / "override_manifests.json"
+# Entry parameters and override values whose manifests are pinned in
+# OVERRIDE_MANIFESTS: exact, int, float and complex overrides.
+OVERRIDE_PAIRS = (
+    ("PIII.y1", "theta_inf"),
+    ("PV.y_lin", "theta1"),
+    ("PV.y_m1", "theta_inf"),
+    ("PVdeg.kitaev_sqrt", "kappa"),
+    ("PVdeg.kitaev_sqrt", "mu"),
+    ("PII.y0", "theta"),
+    ("PIV.y_m2t", "theta0"),
+    ("PIV.y_m2t3", "theta_inf"),
+)
+OVERRIDE_VALUES = (Fraction(7, 2), 3, 3.0, 2.5, 2.5 + 0j, 2 + 0.5j, -2)
 
 EXPECTED_IDS = [
     "PII.y0",
@@ -53,7 +70,7 @@ class TestInstantiate:
         entry = catalog.lookup("PII.y0")
         lp = entry.lax
         for x, t in ((1.3, 0.7), (2.0 + 0.1j, 0.9 - 0.05j)):
-            b = Binding(x=x, t=t, params=entry.params)
+            b = Binding(x=x, t=t)
             assert fe.evaluate(lp.a[0][0], b) == pytest.approx(x**2)
             assert fe.evaluate(lp.a[0][1], b) == pytest.approx(x)
             assert fe.evaluate(lp.a[1][0], b) == pytest.approx(t * x - 1)
@@ -127,7 +144,7 @@ class TestFlow:
         # On the 16 probes full_report draws for this entry at two seeds,
         # the one tuple kernel gives the bits of one kernel per expression.
         entry = catalog.lookup(entry_id)
-        singles = [fe.compile_expr(e, entry.params) for e in entry.flow_exprs]
+        singles = [fe.compile_expr(e) for e in entry.flow_exprs]
         for seed in (42, 7):
             rng = np.random.default_rng(Config(seed=seed).entry_seed(entry_id))
             for (t,) in catalog.random_points(rng, (entry.box_t,), 16):
@@ -153,6 +170,38 @@ class TestManifests:
     def test_target_scale_string(self):
         doc = json.loads(catalog.manifest_json(catalog.lookup("PII.y0")))
         assert doc["target"]["scale_closed_form"] == "4^(1/3)"
+
+
+def _override_manifest(entry_id: str, name: str, value) -> dict:
+    """The manifest of one override entry, or the exception its lookup
+    raises.  The manifest is stored parsed, so the data file stays
+    readable; dumping it again gives back its keys, their order and every
+    float's repr."""
+    doc = {"entry": entry_id, "param": name, "value": repr(value)}
+    try:
+        doc["manifest"] = json.loads(catalog.manifest_json(catalog.lookup(entry_id, {name: value})))
+    except Exception as exc:  # noqa: BLE001 - a rejection is pinned too
+        doc["error"] = f"{type(exc).__name__}: {exc}"
+    return doc
+
+
+class TestOverrideManifests:
+    """Parameters are substituted when an entry is built, from exact, int,
+    float and complex overrides alike; the manifests of all of them are
+    pinned byte for byte.  Regenerate with
+
+        PYTHONPATH=src python tests/test_catalog.py
+
+    and say in CHANGES.md which strings moved and why."""
+
+    @pytest.mark.parametrize("entry_id, name", OVERRIDE_PAIRS)
+    def test_manifests_match_data(self, entry_id, name):
+        pinned = {(d["entry"], d["param"], d["value"]): d
+                  for d in json.loads(OVERRIDE_MANIFESTS.read_text())}
+        for value in OVERRIDE_VALUES:
+            got = _override_manifest(entry_id, name, value)
+            want = pinned[entry_id, name, repr(value)]
+            assert json.dumps(got) == json.dumps(want), value
 
 
 class TestProbeGeometry:
@@ -190,3 +239,10 @@ class TestRandomPoints:
         box = self.BOXES[2]
         rows = catalog.random_points(np.random.default_rng(3), (box,), 40)
         assert all(z.imag == 0.25 and box.contains(z) for (z,) in rows)
+
+
+if __name__ == "__main__":
+    docs = [_override_manifest(entry_id, name, value)
+            for entry_id, name in OVERRIDE_PAIRS for value in OVERRIDE_VALUES]
+    OVERRIDE_MANIFESTS.write_text(json.dumps(docs, indent=1) + "\n")
+    sys.stdout.write(f"wrote {OVERRIDE_MANIFESTS}\n")

@@ -851,7 +851,3 @@ class TestPath:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             Path([1.0])
-
-    def test_reversed(self):
-        p = Path([0.0, 1.0, 2.0 + 1j])
-        assert p.reversed().points == (2.0 + 1j, 1.0, 0.0)

@@ -7,7 +7,6 @@ it is collected, and no report depends on what ran before it.
 """
 
 import gc
-import importlib.util
 import json
 import os
 import subprocess
@@ -15,14 +14,12 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import fuchsreduce
 from fuchsreduce import catalog, expr as fe, verify
 from fuchsreduce.config import Config
 
 ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
-BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 class TestKernelLifetime:
@@ -86,7 +83,7 @@ class TestKernelLifetime:
         entry = catalog.lookup("PII.y0")
         prep = verify.prepare(entry, Config(box_x=(1.2, 2.4, -0.1, 0.1)))
         assert prep.dec is not entry.decomposition
-        assert prep.sp is entry.scalar_pair
+        assert prep.dec.sp is entry.scalar_pair
 
 
 class TestStagedKernel:
@@ -182,34 +179,3 @@ class TestHistoryIndependence:
         here = [json.dumps(verify.full_report(e, Config(seed=s)).to_json())
                 for e, s in (("PIII.y1", 7), ("PVdeg.kitaev_sqrt", 42))]
         assert here == first
-
-
-def _load_bench_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestBenchHookPoints:
-    """The bench traces by replacing module and class attributes; a
-    function that stops being one blinds its per-layer counters."""
-
-    def test_layer_functions_are_owner_attributes(self):
-        tracing = _load_bench_tracing()
-        for _, owner_path, fn_name in tracing.LAYER_FUNCTIONS:
-            owner = fuchsreduce
-            for part in owner_path.split("."):
-                owner = getattr(owner, part)
-            assert fn_name in owner.__dict__, f"{owner_path}.{fn_name}"
-
-    def test_tracer_sees_the_derivation_of_a_fresh_entry(self):
-        tracing = _load_bench_tracing()
-        tracer = tracing.Tracer()
-        with tracer.installed(fuchsreduce):
-            rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(9, 2)})
-        assert rep.passed, rep.errors
-        counts = tracer.call_counts()
-        for name in ("scalarize.scalar_coefficients", "reduction.decompose",
-                     "reduction.build_reduced", "verify.prepare"):
-            assert counts[name] >= 1, name

@@ -28,17 +28,17 @@ def decomposition_for(entry_id):
 class TestDecompose:
     def test_flat_case_values(self):
         _, dec, entry = decomposition_for("PII.y0")
-        b = Binding(x=1.5, params=entry.params)
+        b = Binding(x=1.5)
         assert fe.evaluate(dec.f, b) == pytest.approx(3.0)
         assert abs(fe.evaluate(dec.h, b)) <= 1e-14
         assert abs(fe.evaluate(dec.R, b)) <= 1e-14
-        assert abs(fe.evaluate(dec.M, Binding(t=0.8, params=entry.params))) <= 1e-14
+        assert abs(fe.evaluate(dec.M, Binding(t=0.8))) <= 1e-14
         assert dec.exponent_A == pytest.approx(0.0)
 
     def test_quadratic_deformation_values(self):
         _, dec, entry = decomposition_for("PIV.y_m2t3")
-        bx = Binding(x=1.5, params=entry.params)
-        bt = Binding(t=0.9, params=entry.params)
+        bx = Binding(x=1.5)
+        bt = Binding(t=0.9)
         assert fe.evaluate(dec.M, bt) == pytest.approx(0.6)          # 2t/3
         assert fe.evaluate(dec.f, bx) == pytest.approx(1.0)
         assert fe.evaluate(dec.h, bx) == pytest.approx(1 / 4.5)      # 1/(3x)
@@ -47,8 +47,8 @@ class TestDecompose:
     def test_rational_solution_values(self):
         _, dec, entry = decomposition_for("PV.y_m1")
         x = 1.6
-        bx = Binding(x=x, params=entry.params)
-        bt = Binding(t=1.1, params=entry.params)
+        bx = Binding(x=x)
+        bt = Binding(t=1.1)
         assert fe.evaluate(dec.M, bt) == pytest.approx(-0.25)
         assert fe.evaluate(dec.h, bx) == pytest.approx(0.5 * (1 / x + 1 / (x - 1)))
         assert fe.evaluate(dec.R, bx) == pytest.approx(-1 / (4 * x) - 1 / (4 * (x - 1)))
@@ -101,7 +101,7 @@ class TestDecompose:
         _, dec, entry = decomposition_for(entry_id)
         dlog = fe.differentiate(dec.g_of_t, "t") / dec.g_of_t
         for tval in (0.6, 0.9, 1.3):
-            b = Binding(t=tval, params=entry.params)
+            b = Binding(t=tval)
             assert fe.evaluate(dlog, b) == pytest.approx(
                 -2 * fe.evaluate(dec.M, b), rel=1e-8, abs=1e-10)
 
@@ -110,7 +110,7 @@ class TestDecompose:
         _, dec, entry = decomposition_for("PIII.y1")
         dlog = fe.differentiate(dec.g_of_t, "t") / dec.g_of_t
         for tval in (0.6, 0.9, 1.3):
-            b = Binding(t=tval, params=entry.params)
+            b = Binding(t=tval)
             rem = fe.evaluate(dlog, b) + 2 * fe.evaluate(dec.M, b)
             assert rem * tval == pytest.approx(dec.exponent_A, rel=1e-8)
 
@@ -175,7 +175,7 @@ class TestTauMap:
         # differs by the constant frame factor 1/2.
         assert got == pytest.approx(3.0, abs=1e-10)
         cf = fe.evaluate(entry.reduction_closed_forms["tau"],
-                         Binding(x=2.0, t=3.0, params=entry.params))
+                         Binding(x=2.0, t=3.0))
         assert cf == pytest.approx(1.5)
         assert cf / got == pytest.approx(0.5, abs=1e-10)
 
@@ -187,7 +187,7 @@ class TestTauMap:
         pts = list(zip(entry.box_x.diagonal(4), reversed(entry.box_t.diagonal(4))))
         pts += [(x + 0.11, t + 0.07j) for x, t in pts]  # 16 points total
         hstep = 1e-5
-        fh = fe.compile_expr(dec.f + T * dec.h, dict(dec.params))
+        fh = fe.compile_expr(dec.f + T * dec.h)
         for x, t in pts[:16]:
             dx = (red.tau_at(x + hstep, t) - red.tau_at(x - hstep, t)) / (2 * hstep)
             dt = (red.tau_at(x, t + hstep) - red.tau_at(x, t - hstep)) / (2 * hstep)
@@ -199,28 +199,28 @@ class TestGauge:
     def test_flat_entry_gauge_is_one(self):
         sp, dec, entry = decomposition_for("PII.y0")
         for x in (1.2, 1.8, 2.4):
-            got = reduction.build_reduced(dec, entry.basepoint_x).gauge_at(x)
+            got = reduction.build_reduced(dec, entry.basepoint_x)._vc.gauge(x)
             assert got == pytest.approx(1.0)
 
     def test_inverse_sqrt_gauge(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
-        got = reduction.build_reduced(dec, 1.0).gauge_at(4.0)
+        got = reduction.build_reduced(dec, 1.0)._vc.gauge(4.0)
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_piii_gauge_against_quadrature_oracle(self):
         # Quadrature of the closed form R = 3/(4x) - 2/(x-1) at theta = 5/2:
         # exp(int R) = x^(3/4) (x-1)^(-2), normalized at the basepoint.
         sp, dec, entry = decomposition_for("PIII.y1")
-        got = reduction.build_reduced(dec, 2.0).gauge_at(4.0)
+        got = reduction.build_reduced(dec, 2.0)._vc.gauge(4.0)
         formula = lambda x: x ** 0.75 * (x - 1) ** (-2.0)
         assert got == pytest.approx(formula(4.0) / formula(2.0), rel=1e-10)
 
     def test_second_component_flips_sign(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
         up = reduction.build_reduced(
-            dataclasses.replace(dec, component="first"), 1.0).gauge_at(4.0)
+            dataclasses.replace(dec, component="first"), 1.0)._vc.gauge(4.0)
         dn = reduction.build_reduced(
-            dataclasses.replace(dec, component="second"), 1.0).gauge_at(4.0)
+            dataclasses.replace(dec, component="second"), 1.0)._vc.gauge(4.0)
         assert up * dn == pytest.approx(1.0, abs=1e-10)
 
 
@@ -237,9 +237,9 @@ class TestBuiltinComplexValues:
             values = [vc.E(x), vc.S(x), vc.gauge(x), vc.tau(x, t),
                       vc.solve_t(x, 1.3), vc.tau_x(x, t),
                       red.tau_at(x, t), red.solve_t(x, 1.3), red.tau_x_at(x, t),
-                      red.gauge_at(x),
+                      red._vc.gauge(x),
                       reduction.build_reduced(dec, entry.basepoint_x).tau_at(x, t),
-                      reduction.build_reduced(dec, entry.basepoint_x).gauge_at(x)]
+                      reduction.build_reduced(dec, entry.basepoint_x)._vc.gauge(x)]
             assert all(type(v) is complex for v in values)
 
 
@@ -341,5 +341,5 @@ class TestBasepointCovariance:
         assert t1[2] == pytest.approx(c * t0[2] + d, abs=1e-9)
         assert t1[3] == pytest.approx(c * t0[3] + d, abs=1e-9)
         # gauge rescales by a constant between basepoints
-        g_ratio = [red1.gauge_at(x) / red0.gauge_at(x) for x, _ in pts[:2]]
+        g_ratio = [red1._vc.gauge(x) / red0._vc.gauge(x) for x, _ in pts[:2]]
         assert g_ratio[0] == pytest.approx(g_ratio[1], rel=1e-9)

@@ -53,7 +53,7 @@ class TestFrobenius:
         # maximum is the maximum over the per-entry kernels.
         entry = catalog.lookup(entry_id)
         lp = entry.lax
-        singles = [fe.compile_expr(r, dict(lp.params))
+        singles = [fe.compile_expr(r)
                    for r in scalarize.frobenius_residual_exprs(lp)]
         points = entry.grid_points(5) + [(b.x, b.t) for b in entry.probe_bindings()]
         for x, t in points:
@@ -79,7 +79,7 @@ class TestScalarCoefficients:
         lp = entry.lax
         sp = scalarize.scalar_coefficients(lp, "first", probes=entry.probe_bindings())
         for x, t in ((1.4, 0.6), (2.2 + 0.1j, 1.1 - 0.1j)):
-            b = Binding(x=x, t=t, params=entry.params)
+            b = Binding(x=x, t=t)
             assert fe.evaluate(sp.p1, b) == pytest.approx(-1 / x)
             assert fe.evaluate(sp.q1, b) == pytest.approx(-(x**2) * (x**2 + t))
             assert fe.evaluate(sp.p2, b) == pytest.approx(2 * x)
@@ -89,7 +89,7 @@ class TestScalarCoefficients:
         entry = catalog.lookup("PIV.y_m2t")
         lp = entry.lax
         sp = scalarize.scalar_coefficients(lp, "first")
-        b = Binding(x=1.7, t=0.8, params=entry.params)
+        b = Binding(x=1.7, t=0.8)
         assert fe.evaluate(sp.q2, b) == pytest.approx(-1 / (2 * 1.7))
 
     def test_piii_displayed_equation(self):
@@ -99,7 +99,7 @@ class TestScalarCoefficients:
         sp = scalarize.scalar_coefficients(lp, "first")
         thi = 2.5
         for x, t in ((1.7 + 0.1j, 0.9 - 0.05j), (2.3, 1.2)):
-            b = Binding(x=x, t=t, params=entry.params)
+            b = Binding(x=x, t=t)
             assert fe.evaluate(sp.p1, b) == pytest.approx(2 / x - 1 / (x + 1), rel=1e-10)
             q1_disp = (-t**2 / 4 + 1 / (4 * (x + 1))
                        + (2 * t * (thi - 1) - 1) / (4 * x)
@@ -117,7 +117,7 @@ class TestScalarCoefficients:
         lp = entry.lax
         sp = scalarize.scalar_coefficients(lp, "first")
         x, t = 1.6 + 0.08j, 1.05 - 0.04j
-        b = Binding(x=x, t=t, params=entry.params)
+        b = Binding(x=x, t=t)
         assert fe.evaluate(sp.p1, b) == pytest.approx(t / (x * (3 * x + t)), rel=1e-10)
         q1_disp = -(7 / (36 * x**2) - t / (6 * x**2 * (3 * x + t))
                     + (3 * x + t) ** 2 * (3 * x + 4 * t) / (27 * x))
@@ -131,7 +131,7 @@ class TestScalarCoefficients:
         sp = scalarize.scalar_coefficients(lp, "first")
         th1 = 3.0
         x, t = 1.8 - 0.06j, 0.8 + 0.03j
-        b = Binding(x=x, t=t, params=entry.params)
+        b = Binding(x=x, t=t)
         assert fe.evaluate(sp.p1, b) == pytest.approx(1 / (x - 1), rel=1e-10)
         q1_disp = -(t**2 / 4 + t * (th1 - 1) / (2 * (x - 1)) + th1**2 / (4 * (x - 1) ** 2))
         assert fe.evaluate(sp.q1, b) == pytest.approx(q1_disp, rel=1e-10)
@@ -149,8 +149,8 @@ class TestScalarCoefficients:
         sp0 = scalarize.scalar_coefficients(lp0, "first")
         sp1 = scalarize.scalar_coefficients(lp1, "second")
         for x, t in ((1.5, 0.8), (2.1 + 0.1j, 1.2 - 0.1j)):
-            b0 = Binding(x=x, t=t, params=e0.params)
-            b1 = Binding(x=x, t=t, params=e1.params)
+            b0 = Binding(x=x, t=t)
+            b1 = Binding(x=x, t=t)
             for name in ("p1", "q1", "p2", "q2"):
                 v0 = fe.evaluate(getattr(sp0, name), b0)
                 v1 = fe.evaluate(getattr(sp1, name), b1)
@@ -207,8 +207,7 @@ def scalar_residual(sp, phi, x, t, hx=2e-2, ht=5e-3):
           + 270 * px[4] - 27 * px[5] + 2 * px[6]) / (180 * hx * hx)
     dt1 = (pt[0] - 8 * pt[1] + 8 * pt[2] - pt[3]) / (12 * ht)
 
-    ps = dict(sp.params)
-    bnd = Binding(x=x, t=t, params=ps)
+    bnd = Binding(x=x, t=t)
     p1 = fe.evaluate(sp.p1, bnd)
     q1 = fe.evaluate(sp.q1, bnd)
     p2 = fe.evaluate(sp.p2, bnd)
@@ -252,7 +251,7 @@ class TestScalarResidual:
     def test_joint_solution_satisfies_both_equations(self, prep, entry_id, x, t, anchor):
         p = prep(entry_id)
         phi = verify.joint_solution(p, p.entry.basepoint_x if anchor == "basepoint" else x, t)
-        assert scalar_residual(p.sp, phi, x, t) <= 1e-7
+        assert scalar_residual(p.dec.sp, phi, x, t) <= 1e-7
 
     def test_joint_solution_refuses_points_it_did_not_solve(self, prep):
         p = prep("PIII.y1")
