@@ -27,6 +27,7 @@ deterministic.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -97,12 +98,6 @@ class ComplexRect:
             for k in range(n)
         ]
 
-    def random(self, rng) -> complex:
-        return complex(
-            rng.uniform(self.re_lo, self.re_hi),
-            rng.uniform(self.im_lo, self.im_hi),
-        )
-
 
 def random_points(rng, boxes: Sequence[ComplexRect], m: int
                   ) -> list[tuple[complex, ...]]:
@@ -110,8 +105,8 @@ def random_points(rng, boxes: Sequence[ComplexRect], m: int
 
     The bounds (re, im of each box in turn) are tiled m times and passed
     to one ``rng.uniform(lo, hi)``, which yields exactly the doubles, and
-    leaves the generator in exactly the state, of m rounds of
-    ``box.random(rng) for box in boxes``."""
+    leaves the generator in exactly the state, of m rounds of one draw per
+    box, ``complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))``."""
     k = len(boxes)
     lo = np.tile([v for b in boxes for v in (b.re_lo, b.im_lo)], m)
     hi = np.tile([v for b in boxes for v in (b.re_hi, b.im_hi)], m)
@@ -344,12 +339,17 @@ _DEFAULT_PARAMS: dict[str, dict[str, Fraction]] = {
 def _merge_params(entry_id: str, overrides: Mapping | None) -> dict:
     """The entry's default parameters with ``overrides`` applied.  An int
     becomes a Fraction, so the builders' arithmetic stays exact on every
-    rational; floats and complex values pass through."""
+    rational; floats and complex values pass through.  A value that is not
+    a number (a str, None) or is a bool raises ValueError naming the
+    parameter."""
     params = dict(_DEFAULT_PARAMS[entry_id])
     for key, val in (overrides or {}).items():
         if key not in params:
             raise EntryNotFoundError(
                 f"entry {entry_id!r} has no parameter {key!r}")
+        if not isinstance(val, numbers.Number) or isinstance(val, bool):
+            raise ValueError(
+                f"parameter {key!r} of entry {entry_id!r} must be a number, not {val!r}")
         params[key] = Fraction(val) if isinstance(val, int) else val
     return params
 

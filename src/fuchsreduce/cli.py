@@ -256,20 +256,26 @@ def cmd_sample(args, out, err) -> int:
         err.write(f"error: decomposition failed for {args.entry}: {exc}\n")
         return 2
 
+    # Candidates are drawn in chunks, one generator call each, which yields
+    # exactly the stream of drawing x, then t, per candidate.
     rng = np.random.default_rng(config.entry_seed(entry.id))
     rows = []
     attempts = 0
-    while len(rows) < n and attempts < 200 * max(n, 1):
-        attempts += 1
-        x = entry.box_x.random(rng)
-        t = entry.box_t.random(rng)
-        try:
-            tau = prep.red.tau_at(x, t)
-            P, Q = prep.red.coefficients_at(x, t)
-        except Exception:  # noqa: BLE001 - skip degenerate draws
-            continue
-        tau, P, Q = prep.to_paper_frame(tau, P, Q)
-        rows.append((tau, P, Q, x, t))
+    max_attempts = 200 * max(n, 1)
+    while len(rows) < n and attempts < max_attempts:
+        chunk = cat.random_points(rng, (entry.box_x, entry.box_t),
+                                  min(max_attempts - attempts, max(8, n - len(rows))))
+        for x, t in chunk:
+            if len(rows) == n:
+                break
+            attempts += 1
+            try:
+                tau = prep.red.tau_at(x, t)
+                P, Q = prep.red.coefficients_at(x, t)
+            except Exception:  # noqa: BLE001 - skip degenerate draws
+                continue
+            tau, P, Q = prep.to_paper_frame(tau, P, Q)
+            rows.append((tau, P, Q, x, t))
     if len(rows) < n:
         err.write(f"error: could not collect {n} samples for {entry.id}\n")
         return 2

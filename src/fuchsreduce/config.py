@@ -27,7 +27,6 @@ class Config:
     frobenius_grid: int = 5
     flow_probes: int = 16
     independence_pairs: int = 32
-    trace_points: int = 201
     sample_count: int = 64
 
     seed: int = 42

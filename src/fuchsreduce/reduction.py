@@ -17,9 +17,10 @@ and the change of variables
 turns the second-order equation in x into  w'' + P(tau) w' + Q(tau) w = 0
 with coefficients that no longer depend on the deformation parameter.
 This module recovers (g, P_i, f, h, R, M) numerically-symbolically from the
-scalar pair alone, builds evaluable tau/gauge maps by cumulative integration
-on adaptive Chebyshev panels (tail-coefficient error control; log E, then
-f E, in one pass per point), and forms P and Q by the chain rule:
+scalar pair alone.  One object, :class:`ReducedEquation`, builds evaluable
+tau/gauge maps by cumulative integration on adaptive Chebyshev panels, with
+one stage form (array samples of h, f E and G on rows of panel points), and
+forms P and Q by the chain rule:
 
     P = (tau_xx + (p1 + 2G) tau_x) / tau_x^2
     Q = (G' + G^2 + p1 G + q1) / tau_x^2,     G = +-R (by component),
@@ -74,7 +75,8 @@ class Decomposition:
     The underscored cached properties are the compiled kernels of the tau
     and gauge maps and of the reduced coefficients (see
     :class:`ReducedEquation`), compiled on first use and kept for the life
-    of the decomposition.  ``_coeff_parts`` is the staged pair
+    of the decomposition; h, f and G only in array form, whose per-point
+    fallback is the one scalar function.  ``_coeff_parts`` is the staged pair
     ``(pre, post)`` of :func:`expr.compile_staged` for (phi, p_num,
     q_num): ``pre(x)`` computes the lines that depend on x alone (f', h',
     G, G', G^2 and most of p1 and q1), ``post(x, t, pre(x))`` the rest.
@@ -101,18 +103,6 @@ class Decomposition:
         return self.R if self.component == "first" else fe.neg(self.R)
 
     @cached_property
-    def _h(self):
-        return fe.compile_expr(self.h)
-
-    @cached_property
-    def _f(self):
-        return fe.compile_expr(self.f)
-
-    @cached_property
-    def _G(self):
-        return fe.compile_expr(self.gauge_exponent())
-
-    @cached_property
     def _phi(self):
         return fe.compile_expr(fe.add(self.f, fe.mul(T, self.h)))
 
@@ -133,15 +123,15 @@ class Decomposition:
 
     @cached_property
     def _h_array(self):
-        return fe.array_form(self._h)
+        return fe.array_form(fe.compile_expr(self.h))
 
     @cached_property
     def _f_array(self):
-        return fe.array_form(self._f)
+        return fe.array_form(fe.compile_expr(self.f))
 
     @cached_property
     def _G_array(self):
-        return fe.array_form(self._G)
+        return fe.array_form(fe.compile_expr(self.gauge_exponent()))
 
     @cached_property
     def _coeff_parts_array(self):
@@ -320,7 +310,7 @@ def classify_case(dec: Decomposition) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Change of variables
+# Change of variables and reduced equation
 
 # Segments per multi-segment integration.  The transient arrays grow with
 # the batch, and from about 100 rows on OpenBLAS (unless pinned to one
@@ -329,44 +319,52 @@ def classify_case(dec: Decomposition) -> str:
 _PREFETCH_BATCH = 64
 
 
-class _VarChange:
-    """Tau and gauge maps for one decomposition and basepoint, integrated
-    along the straight segment from the basepoint on adaptive Chebyshev
-    panels.  One pass per point integrates h to log E at the panel points,
-    then f E at the same points to S, so the work is linear in the panels.
-    Values are built-in ``complex``, memoized per point.
+class ReducedEquation:
+    """The change of variables and the reduced equation w'' + P w' + Q w = 0
+    of one decomposition and basepoint.
 
-    A point missing from the memo is integrated alone, with the scalar
-    compiled h and f.  :meth:`prefetch` fills the memo for many points at
-    once instead: multi-segment integrations that evaluate the array forms
-    of h and f on the current panel of every segment together.  A
-    point whose segment fails there is left out of the memo, so asking for
-    it later takes the single-point path and raises as it would have."""
+    E = exp(int h), S = int f E (tau = t E + S) and the gauge exp(int G)
+    are integrated along the straight segment from the basepoint on
+    adaptive Chebyshev panels (``expr._walk_panels``), always with the
+    array stages ``_h_rows``, ``_fE_rows`` and ``_G_rows``: one pass per
+    point integrates h to log E at the panel points, then f E at the same
+    points to S.  A memo miss walks its point alone; :meth:`prefetch` walks
+    many at once and leaves out of the memo a point whose segment fails,
+    so asking for it later raises as it would have.  ``verify._trace``
+    runs the same stages with a linear system.  Values are built-in
+    ``complex``, memoized per point.
 
-    def __init__(self, dec: Decomposition, basepoint_x: complex,
-                 quad_tol: float = 1e-13):
-        self.x0 = complex(basepoint_x)
-        self.quad_tol = quad_tol
-        self._h, self._f, self._G = dec._h, dec._f, dec._G
+    P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h.
+    phi, p_num and q_num are compiled together, sharing their common
+    subexpressions, and staged on x (``Decomposition._coeff_parts``):
+    ``_pre(x)`` runs the lines that depend on x alone and
+    ``_post(x, t, xv)`` the rest.  :meth:`coefficients_at` memoizes
+    ``(E(x), _pre(x))`` per x, so on a lattice of (x, t) the x-only lines
+    run once per x.  ``_phi`` alone serves the degeneracy gates, and the
+    array form ``_coeff_parts_array`` cross-validation.  All kernels are
+    the decomposition's, so building a ReducedEquation compiles nothing;
+    its own state is the basepoint and the E/S, gauge and x-stage memos.
+    For a completely integrable input P and Q depend on (x, t) only
+    through tau."""
+
+    # Absolute tolerance of every E, S and gauge integral.
+    quad_tol = 1e-13
+
+    def __init__(self, dec: Decomposition, basepoint_x: complex):
+        self.dec = dec
+        self.basepoint_x = complex(basepoint_x)
+        self.case_tag = classify_case(dec)
         self._h_array, self._f_array, self._G_array = dec._h_array, dec._f_array, dec._G_array
-        # Stages of one pass of the panel walker (fe._walk_panels): h, then
-        # f E.  The scalar ones serve a single point, the array ones a
-        # batch; the array ones and ``_G_rows`` are also the stages of the
-        # solution trace (``verify._trace``), which runs on the same walker.
-        self._es_scalar = (self._h_at,) if dec.f_zero else (self._h_at, self._fE_at)
-        self._es_array = (self._h_rows,) if dec.f_zero else (self._h_rows, self._fE_rows)
+        self._phi = dec._phi
+        (self._pre, self._post), self._coeff_parts_array = dec._coeff_parts, dec._coeff_parts_array
+        # Stages of one pass of the panel walker: h, then f E.
+        self._es_stages = (self._h_rows,) if dec.f_zero else (self._h_rows, self._fE_rows)
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
         self._cache_gauge: dict[complex, complex] = {}
+        # x -> (E(x), pre(x)), filled by coefficients_at.
+        self._cache_x: dict[complex, tuple[complex, tuple]] = {}
 
-    def _h_at(self, z, prior):
-        return [[self._h(w, 0j) for w in row] for row in z.tolist()]
-
-    def _fE_at(self, z, prior):
-        return np.exp(prior[0]) * [[self._f(w, 0j) for w in row] for row in z.tolist()]
-
-    def _G_at(self, z, prior):
-        return [[self._G(w, 0j) for w in row] for row in z.tolist()]
-
+    # -- change of variables -------------------------------------------------
     def _h_rows(self, z, prior):
         return self._h_array(z, 0j)
 
@@ -385,18 +383,18 @@ class _VarChange:
         got = self._cache_ES.get(x)
         if got is None:
             got = self._cache_ES[x] = self._es_value(
-                fe._walk_all(self._es_scalar, self.x0, (x,), self.quad_tol)[0])
+                fe._walk_all(self._es_stages, self.basepoint_x, (x,), self.quad_tol)[0])
         return got
 
     def prefetch(self, xs) -> None:
-        """Memoize E and S at all of ``xs`` by multi-segment integrations
-        in array form, ``_PREFETCH_BATCH`` points at a time; points that
-        fail stay unmemoized."""
+        """Memoize E and S at all of ``xs`` by multi-segment integrations,
+        ``_PREFETCH_BATCH`` points at a time; points that fail stay
+        unmemoized."""
         todo = list(dict.fromkeys(x for x in map(complex, xs) if x not in self._cache_ES))
         for k in range(0, len(todo), _PREFETCH_BATCH):
             batch = todo[k:k + _PREFETCH_BATCH]
-            for x, got in zip(batch, fe._walk_panels(self._es_array, self.x0, batch,
-                                                     self.quad_tol)):
+            for x, got in zip(batch, fe._walk_panels(self._es_stages, self.basepoint_x,
+                                                     batch, self.quad_tol)):
                 if not isinstance(got, Exception):
                     self._cache_ES[x] = self._es_value(got)
 
@@ -408,13 +406,18 @@ class _VarChange:
         """int_{x0}^{x} f exp(int h); the additive part of tau."""
         return self._ES(complex(x))[1]
 
-    def tau(self, x: complex, t: complex) -> complex:
+    def gauge(self, x: complex) -> complex:
+        """exp(int_{x0}^{x} G) with G = +R (first component) or -R (second)."""
+        x = complex(x)
+        got = self._cache_gauge.get(x)
+        if got is None:
+            (val,) = fe._walk_all((self._G_rows,), self.basepoint_x, (x,), self.quad_tol)[0]
+            got = self._cache_gauge[x] = cmath.exp(val)
+        return got
+
+    def tau_at(self, x: complex, t: complex) -> complex:
         e, s = self._ES(complex(x))
         return complex(t) * e + s
-
-    def tau_x(self, x: complex, t: complex) -> complex:
-        x = complex(x)
-        return (self._f(x, 0j) + complex(t) * self._h(x, 0j)) * self.E(x)
 
     def solve_t(self, x: complex, tau_target: complex) -> complex:
         """The deformation value carrying (x, .) to a prescribed tau."""
@@ -423,59 +426,9 @@ class _VarChange:
             raise DegenerateTauPointError(f"exp(int h) vanished at x = {x}")
         return (complex(tau_target) - s) / e
 
-    def gauge(self, x: complex) -> complex:
-        """exp(int_{x0}^{x} G) with G = +R (first component) or -R (second)."""
-        x = complex(x)
-        got = self._cache_gauge.get(x)
-        if got is None:
-            (val,) = fe._walk_all((self._G_at,), self.x0, (x,), self.quad_tol)[0]
-            got = self._cache_gauge[x] = cmath.exp(val)
-        return got
-
-
-class ReducedEquation:
-    """Evaluable coefficients of the reduced equation w'' + P w' + Q w = 0.
-
-    P and Q are symbolic numerators over the quadrature-defined
-    normalization E = exp(int h):  P = p_num / (phi^2 E) and
-    Q = q_num / (phi E)^2 with phi = f + t h.  phi, p_num and q_num are
-    compiled together, sharing their common subexpressions, and staged on
-    x (``Decomposition._coeff_parts``): ``_pre(x)`` runs the lines that
-    depend on x alone and ``_post(x, t, xv)`` the rest.
-    :meth:`coefficients_at` memoizes ``(E(x), _pre(x))`` per x, so on a
-    lattice of (x, t) the x-only lines run once per x.  ``_phi`` alone
-    serves the degeneracy gate when the kernel raises.  The array form
-    ``_coeff_parts_array`` serves cross-validation, which evaluates all
-    its points at once.  All of them are the decomposition's compiled
-    kernels, so building a ReducedEquation compiles nothing; its own state
-    is the basepoint and the E/S, gauge and x-stage memos.  P and Q are
-    functions of (x, t) that, for a completely integrable input, depend on
-    the point only through tau."""
-
-    def __init__(self, dec: Decomposition, basepoint_x: complex):
-        self.dec = dec
-        self.basepoint_x = complex(basepoint_x)
-        self.case_tag = classify_case(dec)
-        self._vc = _VarChange(dec, basepoint_x)
-        self._phi = dec._phi
-        (self._pre, self._post), self._coeff_parts_array = dec._coeff_parts, dec._coeff_parts_array
-        # x -> (E(x), pre(x)), filled by coefficients_at.
-        self._cache_x: dict[complex, tuple[complex, tuple]] = {}
-
-    # -- change of variables -------------------------------------------------
-    def tau_at(self, x: complex, t: complex) -> complex:
-        return self._vc.tau(x, t)
-
-    def solve_t(self, x: complex, tau_target: complex) -> complex:
-        return self._vc.solve_t(x, tau_target)
-
     def tau_x_at(self, x: complex, t: complex) -> complex:
-        return self._vc.tau_x(x, t)
-
-    def prefetch(self, xs) -> None:
-        """Memoize the tau map at all of ``xs`` in one batch, so later
-        calls at these points are cache hits (see ``_VarChange.prefetch``)."""
-        self._vc.prefetch(xs)
+        x = complex(x)
+        return self._phi(x, complex(t)) * self.E(x)
 
     # -- reduced coefficients ------------------------------------------------
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
@@ -490,10 +443,10 @@ class ReducedEquation:
         except (ArithmeticError, ValueError, fe.ExprError):
             # A numerator can fail where tau_x also vanishes.  Such a point
             # is degenerate, as it is when the gates run first.
-            self._denominators(self._phi(x, t), self._vc.E(x), x, t)
+            self._denominators(self._phi(x, t), self.E(x), x, t)
             raise
         if got is None:
-            got = self._cache_x[x] = (self._vc.E(x), xv)
+            got = self._cache_x[x] = (self.E(x), xv)
         den_p, den_q = self._denominators(ph, got[0], x, t)
         return p_num / den_p, q_num / den_q
 

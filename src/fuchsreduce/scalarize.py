@@ -81,14 +81,9 @@ class ScalarPair:
         return fe.neg(self.q2)
 
     @cached_property
-    def p1_q1(self) -> Callable[[complex, complex], tuple[complex, complex]]:
-        """(x, t) -> (p1, q1), compiled."""
-        return fe.compile_expr((self.p1, self.q1))
-
-    @cached_property
     def p1_q1_array(self) -> Callable:
-        """The array form of :attr:`p1_q1`."""
-        return fe.array_form(self.p1_q1)
+        """(x, t) -> (p1, q1), compiled in array form."""
+        return fe.array_form(fe.compile_expr((self.p1, self.q1)))
 
 
 def _matmul(a, b):

@@ -374,17 +374,20 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
     direct scalar entries the companion system of the second-order
     equation, initial = (phi, phi')) and integrates h, f E and G on the
     same nodes, starting from log ``E``, ``S`` and log ``gauge`` at the
-    segment's start.  A singular coefficient raises the compiled kernel's
-    own exception; a segment of zero length, an unresolved panel, an
-    exhausted panel budget, a singular h, f E or G sample or a non-finite
-    coefficient or solution value raises :class:`VerifyError`."""
+    segment's start.  The stages are the reduced equation's own
+    (``prep.red._h_rows``, ``_fE_rows``, ``_G_rows``), the ones its E, S
+    and gauge maps walk, so the channels and the maps share one kernel.
+    A singular coefficient raises the compiled kernel's own exception; a
+    segment of zero length, an unresolved panel, an exhausted panel
+    budget, a singular h, f E or G sample or a non-finite coefficient or
+    solution value raises :class:`VerifyError`."""
     if len(x_path.points) != 2:
         raise VerifyError("solution traces run along one straight segment")
     entry = prep.entry
     x0, x1 = x_path.points
     t_fixed = complex(t_fixed)
-    vc = prep.red._vc
-    totals = (cmath.log(vc.E(x0)), vc.S(x0), cmath.log(vc.gauge(x0)))
+    red = prep.red
+    totals = (cmath.log(red.E(x0)), red.S(x0), cmath.log(red.gauge(x0)))
     if entry.lax is not None:
         a_entries = entry.lax.a_entries_array
         matrix = lambda z: a_entries(z, t_fixed)
@@ -396,8 +399,8 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
             return 0, 1, -q1, -p1
 
     try:
-        sol = fe._walk_all((vc._h_rows, vc._fE_rows, vc._G_rows), x0, (x1,),
-                           vc.quad_tol, (matrix, (*initial, *totals), rtol, atol))[0]
+        sol = fe._walk_all((red._h_rows, red._fE_rows, red._G_rows), x0, (x1,),
+                           red.quad_tol, (matrix, (*initial, *totals), rtol, atol))[0]
     except fe.QuadratureError as exc:
         raise VerifyError(f"linear-system integration failed: {exc}") from exc
     obs = 1 if entry.lax is not None and prep.dec.sp.component == "second" else 0
@@ -460,6 +463,10 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
 # ---------------------------------------------------------------------------
 # Cross-validation on a dense trace
 
+# Arclengths at which cross-validation samples its trace.
+_TRACE_POINTS = 201
+
+
 def _default_cross_path(prep: Prepared) -> Path:
     # From the basepoint toward the far edge of the x box: keeps exp(int h)
     # of order one and tau_x bounded away from zero for every entry.
@@ -467,13 +474,12 @@ def _default_cross_path(prep: Prepared) -> Path:
 
 
 def cross_validate(prep_or_entry, t_fixed: complex | None = None,
-                   x_path: Path | None = None, n_points: int | None = None,
-                   config: Config = DEFAULT_CONFIG) -> float:
+                   x_path: Path | None = None, config: Config = DEFAULT_CONFIG) -> float:
     """Check the reduced equation on an actual solution.
 
     Solves the linear system at a fixed deformation value on Chebyshev
     panels (:func:`_trace`) and tests w'' + P w' + Q w = 0 with
-    w = phi / g, re-parametrized by tau = t E + S.  Of ``n_points``
+    w = phi / g, re-parametrized by tau = t E + S.  Of ``_TRACE_POINTS``
     arclengths uniform over the trace it keeps those where Re tau lies in
     the 2%-interior of its range.  phi, log E, S and log g and their first
     two arclength derivatives are exact derivatives of the trace's
@@ -494,10 +500,9 @@ def cross_validate(prep_or_entry, t_fixed: complex | None = None,
             else prepare(prep_or_entry, config))
     t_fixed = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi) if t_fixed is None
                       else t_fixed)
-    n = n_points if n_points is not None else max(config.trace_points, 201)
     trace = _trace(prep, t_fixed, x_path or _default_cross_path(prep),
                    initial=(1.0, 0.4 + 0.1j))
-    s = np.linspace(0.0, trace.length, n)
+    s = np.linspace(0.0, trace.length, _TRACE_POINTS)
     # Rows (phi1, phi2, log E, S, log g), each with its s-derivatives 0..2.
     rows = trace.sol(s, derivatives=2)
     with np.errstate(all="ignore"):

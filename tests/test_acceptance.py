@@ -92,8 +92,8 @@ def test_criterion_2_flow_consistency():
     for entry_id in POSITIVE_IDS:
         entry = catalog.lookup(entry_id)
         rng = np.random.default_rng(1000 + len(entry_id))
-        for _ in range(16):
-            worst = max(worst, catalog.flow_residual(entry, entry.box_t.random(rng)))
+        for (t,) in catalog.random_points(rng, (entry.box_t,), 16):
+            worst = max(worst, catalog.flow_residual(entry, t))
         assert worst <= 1e-10, entry_id
     print(f"PASS criterion 2 (flow consistency): max flow residual {worst:.3e} <= 1e-10")
 
@@ -164,7 +164,7 @@ def test_criterion_6_cross_validation(prep):
     on dense traces of >= 200 points."""
     worst = 0.0
     for entry_id in POSITIVE_IDS:
-        resid = verify.cross_validate(prep(entry_id), n_points=201)
+        resid = verify.cross_validate(prep(entry_id))
         worst = max(worst, resid)
         assert resid <= 1e-6, entry_id
     print(f"PASS criterion 6 (cross-validation): max residual {worst:.3e} <= 1e-6")

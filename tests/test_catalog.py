@@ -131,8 +131,8 @@ class TestFlow:
         entry = catalog.lookup(entry_id)
         rng = np.random.default_rng(91)
         worst = max(
-            catalog.flow_residual(entry, entry.box_t.random(rng))
-            for _ in range(16)
+            catalog.flow_residual(entry, t)
+            for (t,) in catalog.random_points(rng, (entry.box_t,), 16)
         )
         assert worst <= 1e-10
 
@@ -204,6 +204,13 @@ class TestOverrideManifests:
             assert json.dumps(got) == json.dumps(want), value
 
 
+class TestOverrideValues:
+    @pytest.mark.parametrize("value", ["1/2", None, True])
+    def test_non_numbers_are_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="'theta_inf'"):
+            catalog.lookup("PIII.y1", {"theta_inf": value})
+
+
 class TestProbeGeometry:
     @pytest.mark.parametrize("entry_id", (*EXPECTED_IDS, "negative.PII_bad_y1"))
     def test_boxes_avoid_singular_sets(self, entry_id):
@@ -213,6 +220,12 @@ class TestProbeGeometry:
         for s in entry.singular_t:
             assert not entry.box_t.contains(s, pad=0.05)
         assert all(abs(complex(entry.basepoint_x) - s) > 0.2 for s in entry.singular_x)
+
+
+def _random_point(box, rng) -> complex:
+    """One point of ``box``, drawn one coordinate at a time: the reference
+    stream of :func:`catalog.random_points`."""
+    return complex(rng.uniform(box.re_lo, box.re_hi), rng.uniform(box.im_lo, box.im_hi))
 
 
 class TestRandomPoints:
@@ -228,7 +241,7 @@ class TestRandomPoints:
     @pytest.mark.parametrize("seed", [0, 42, 2024])
     def test_same_doubles_and_state_as_one_draw_at_a_time(self, boxes, m, seed):
         ref, new = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [tuple(box.random(ref) for box in boxes) for _ in range(m)]
+        want = [tuple(_random_point(box, ref) for box in boxes) for _ in range(m)]
         got = catalog.random_points(new, boxes, m)
         assert got == want
         assert [repr(z) for row in got for z in row] == [repr(z) for row in want for z in row]

@@ -508,23 +508,24 @@ class TestChebyshevPanels:
     @pytest.mark.parametrize("entry_id", ["PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"])
     def test_tau_point_work_is_linear(self, prep, entry_id):
         # E and S at one point cost one pass of panels, not a quadrature of
-        # E inside the integrand of S.
+        # E inside the integrand of S.  Counted: the points of the panel
+        # rows that h and f are sampled on.
         from fuchsreduce import reduction
 
         p = prep(entry_id)
-        vc = reduction._VarChange(p.dec, p.red.basepoint_x)
+        red = reduction.build_reduced(p.dec, p.red.basepoint_x)
         calls = [0]
 
         def counted(fn):
-            def wrapper(x, t):
-                calls[0] += 1
-                return fn(x, t)
+            def wrapper(z, t):
+                calls[0] += np.size(z)
+                return fn(z, t)
             return wrapper
 
-        vc._h, vc._f = counted(vc._h), counted(vc._f)
+        red._h_array, red._f_array = counted(red._h_array), counted(red._f_array)
         x = complex(p.box_x.re_lo, p.box_x.im_hi)
-        vc.E(x)
-        vc.S(x)
+        red.E(x)
+        red.S(x)
         assert 0 < calls[0] <= 400
 
 
@@ -541,39 +542,44 @@ class TestMultiSegmentPanels:
         from fuchsreduce import reduction
 
         p = prep(entry_id)
-        vc = reduction._VarChange(p.dec, p.red.basepoint_x)
+        red = reduction.build_reduced(p.dec, p.red.basepoint_x)
+        stages, x0 = (red._h_rows, red._fE_rows), red.basepoint_x
         rng = np.random.default_rng(64)
-        xs = [p.box_x.random(rng) for _ in range(64)]
-        batched = fe._walk_panels((vc._h_rows, vc._fE_rows), vc.x0, xs, vc.quad_tol)
+        xs = [x for (x,) in catalog.random_points(rng, (p.box_x,), 64)]
+        batched = fe._walk_panels(stages, x0, xs, red.quad_tol)
         for x, got in zip(xs, batched):
-            want = fe._walk_all((vc._h_at, vc._fE_at), vc.x0, (x,), vc.quad_tol)[0]
+            want = fe._walk_all(stages, x0, (x,), red.quad_tol)[0]
             assert len(got) == 2
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-15 * max(1.0, abs(w))
 
     def test_pole_on_one_panel_point_fails_only_that_segment(self):
         from fuchsreduce import reduction
+        from fuchsreduce.scalarize import ScalarPair
 
         # h = 1/(x - 3/2): the first panel of [1, 2] has its midpoint on the
-        # pole; the other segments never reach it.
+        # pole; the other segments never reach it.  The scalar pair only
+        # gives the reduced equation coefficients to compile.
         h = fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))
+        zero = fe.const(0)
         dec = reduction.Decomposition(
             f=fe.const(1), h=h, R=fe.const(0), M=fe.const(0), g_of_t=None,
             P1=None, P2=None, P3=None, exponent_A=None, f_zero=False,
-            h_zero=False, M_zero=True, M_constant=True, component="first")
-        vc = reduction._VarChange(dec, 1.0)
+            h_zero=False, M_zero=True, M_constant=True, component="first",
+            sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(fe.const(1), fe.mul(T, h)), q2=zero))
+        red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
-        got = fe._walk_panels((vc._h_rows, vc._fE_rows), 1.0, ends, 1e-13)
+        got = fe._walk_panels((red._h_rows, red._fE_rows), 1.0, ends, 1e-13)
         assert isinstance(got[0], fe.QuadratureError)
         assert isinstance(got[0].__cause__, ZeroDivisionError)
-        vc.prefetch(ends)
-        assert set(vc._cache_ES) == set(ends[1:])
-        single = reduction._VarChange(dec, 1.0)
+        red.prefetch(ends)
+        assert set(red._cache_ES) == set(ends[1:])
+        single = reduction.build_reduced(dec, 1.0)
         for x in ends[1:]:
-            assert vc.E(x) == pytest.approx(single.E(x), rel=1e-15)
-            assert vc.S(x) == pytest.approx(single.S(x), rel=1e-15)
+            assert red.E(x) == pytest.approx(single.E(x), rel=1e-15)
+            assert red.S(x) == pytest.approx(single.S(x), rel=1e-15)
         with pytest.raises(fe.QuadratureError) as info:
-            vc.E(2.0)
+            red.E(2.0)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
     def test_depth_cap_applies_per_segment(self):

@@ -69,8 +69,8 @@ class TestKernelLifetime:
         first.red.tau_at(1.7 + 0.1j, 0.9)
         second.red.tau_at(2.1 - 0.05j, 1.1)
         second.red.coefficients_at(2.1 - 0.05j, 1.1)
-        assert 2.1 - 0.05j not in first.red._vc._cache_ES
-        assert 1.7 + 0.1j not in second.red._vc._cache_ES
+        assert 2.1 - 0.05j not in first.red._cache_ES
+        assert 1.7 + 0.1j not in second.red._cache_ES
         assert list(first.red._cache_x) == [1.7 + 0.1j]
         assert list(second.red._cache_x) == [2.1 - 0.05j]
         # The x-stage memo is the ReducedEquation's own: it goes with it.

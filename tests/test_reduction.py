@@ -199,28 +199,28 @@ class TestGauge:
     def test_flat_entry_gauge_is_one(self):
         sp, dec, entry = decomposition_for("PII.y0")
         for x in (1.2, 1.8, 2.4):
-            got = reduction.build_reduced(dec, entry.basepoint_x)._vc.gauge(x)
+            got = reduction.build_reduced(dec, entry.basepoint_x).gauge(x)
             assert got == pytest.approx(1.0)
 
     def test_inverse_sqrt_gauge(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
-        got = reduction.build_reduced(dec, 1.0)._vc.gauge(4.0)
+        got = reduction.build_reduced(dec, 1.0).gauge(4.0)
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_piii_gauge_against_quadrature_oracle(self):
         # Quadrature of the closed form R = 3/(4x) - 2/(x-1) at theta = 5/2:
         # exp(int R) = x^(3/4) (x-1)^(-2), normalized at the basepoint.
         sp, dec, entry = decomposition_for("PIII.y1")
-        got = reduction.build_reduced(dec, 2.0)._vc.gauge(4.0)
+        got = reduction.build_reduced(dec, 2.0).gauge(4.0)
         formula = lambda x: x ** 0.75 * (x - 1) ** (-2.0)
         assert got == pytest.approx(formula(4.0) / formula(2.0), rel=1e-10)
 
     def test_second_component_flips_sign(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
         up = reduction.build_reduced(
-            dataclasses.replace(dec, component="first"), 1.0)._vc.gauge(4.0)
+            dataclasses.replace(dec, component="first"), 1.0).gauge(4.0)
         dn = reduction.build_reduced(
-            dataclasses.replace(dec, component="second"), 1.0)._vc.gauge(4.0)
+            dataclasses.replace(dec, component="second"), 1.0).gauge(4.0)
         assert up * dn == pytest.approx(1.0, abs=1e-10)
 
 
@@ -231,15 +231,12 @@ class TestBuiltinComplexValues:
 
         sp, dec, entry = decomposition_for(entry_id)
         red = reduction.build_reduced(dec, entry.basepoint_x)
-        vc = red._vc
         for x in (entry.basepoint_x, np.complex128(1.7 + 0.1j), 2.2):
             t = np.complex128(0.9)
-            values = [vc.E(x), vc.S(x), vc.gauge(x), vc.tau(x, t),
-                      vc.solve_t(x, 1.3), vc.tau_x(x, t),
+            values = [red.E(x), red.S(x), red.gauge(x),
                       red.tau_at(x, t), red.solve_t(x, 1.3), red.tau_x_at(x, t),
-                      red._vc.gauge(x),
                       reduction.build_reduced(dec, entry.basepoint_x).tau_at(x, t),
-                      reduction.build_reduced(dec, entry.basepoint_x)._vc.gauge(x)]
+                      reduction.build_reduced(dec, entry.basepoint_x).gauge(x)]
             assert all(type(v) is complex for v in values)
 
 
@@ -341,5 +338,5 @@ class TestBasepointCovariance:
         assert t1[2] == pytest.approx(c * t0[2] + d, abs=1e-9)
         assert t1[3] == pytest.approx(c * t0[3] + d, abs=1e-9)
         # gauge rescales by a constant between basepoints
-        g_ratio = [red1._vc.gauge(x) / red0._vc.gauge(x) for x, _ in pts[:2]]
+        g_ratio = [red1.gauge(x) / red0.gauge(x) for x, _ in pts[:2]]
         assert g_ratio[0] == pytest.approx(g_ratio[1], rel=1e-9)

@@ -74,9 +74,7 @@ def _scalar_t_independence(prep, n_pairs, seed):
     max_attempts = 200 * n_pairs
     while accepted < n_pairs and attempts < max_attempts:
         attempts += 1
-        x1 = prep.box_x.random(rng)
-        t1 = prep.box_t.random(rng)
-        x2 = prep.box_x.random(rng)
+        ((x1, t1, x2),) = catalog.random_points(rng, (prep.box_x, prep.box_t, prep.box_x), 1)
         if abs(x2 - x1) < 0.05:
             continue
         try:
@@ -334,10 +332,9 @@ class TestSolveLinearSystem:
         for s in (0.1, 0.25, 0.4):
             x = trace.x_of(s)
             e, ssum, g = _channels(trace.sol(s))[2:]
-            vc = p.red._vc
-            assert e == pytest.approx(vc.E(x), rel=1e-9)
-            assert abs(ssum - vc.S(x)) <= 1e-9
-            assert g == pytest.approx(vc.gauge(x), rel=1e-9)
+            assert e == pytest.approx(p.red.E(x), rel=1e-9)
+            assert abs(ssum - p.red.S(x)) <= 1e-9
+            assert g == pytest.approx(p.red.gauge(x), rel=1e-9)
 
 
 def _compiled_a(lax):
@@ -352,22 +349,25 @@ def _dop853_trace(prep, t_fixed, x_path, initial):
     length = abs(x1 - x0)
     u = (x1 - x0) / length
     t_fixed = complex(t_fixed)
-    vc = prep.red._vc
+    red, dec = prep.red, prep.dec
+    h, f, G = (fe.compile_expr(e) for e in (dec.h, dec.f, dec.gauge_exponent()))
     if prep.entry.lax is not None:
         a_entries = _compiled_a(prep.entry.lax)
+    else:
+        p1_q1 = fe.compile_expr((dec.sp.p1, dec.sp.q1))
 
     def rhs(s, y):
         x = x0 + u * s
         if prep.entry.lax is not None:
             a11, a12, a21, a22 = a_entries(x, t_fixed)
         else:
-            p1, q1 = prep.dec.sp.p1_q1(x, t_fixed)
+            p1, q1 = p1_q1(x, t_fixed)
             a11, a12, a21, a22 = 0, 1, -q1, -p1
         return [u * (a11 * y[0] + a12 * y[1]), u * (a21 * y[0] + a22 * y[1]),
-                u * vc._h(x, t_fixed) * y[2], u * vc._f(x, t_fixed) * y[2],
-                u * vc._G(x, t_fixed) * y[4]]
+                u * h(x, t_fixed) * y[2], u * f(x, t_fixed) * y[2],
+                u * G(x, t_fixed) * y[4]]
 
-    y0 = np.array([*initial, vc.E(x0), vc.S(x0), vc.gauge(x0)], dtype=complex)
+    y0 = np.array([*initial, red.E(x0), red.S(x0), red.gauge(x0)], dtype=complex)
     res = verify.solve_ivp(rhs, (0.0, length), y0, method="DOP853",
                            rtol=1e-12, atol=1e-13, dense_output=True)
     assert res.success
