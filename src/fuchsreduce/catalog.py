@@ -76,9 +76,9 @@ class ComplexRect:
     def center(self) -> complex:
         return complex(0.5 * (self.re_lo + self.re_hi), 0.5 * (self.im_lo + self.im_hi))
 
-    def contains(self, z: complex, pad: float = 0.0) -> bool:
-        return (self.re_lo - pad <= z.real <= self.re_hi + pad
-                and self.im_lo - pad <= z.imag <= self.im_hi + pad)
+    def contains(self, z: complex) -> bool:
+        return (self.re_lo <= z.real <= self.re_hi
+                and self.im_lo <= z.imag <= self.im_hi)
 
     def inflated(self, factor: float) -> "ComplexRect":
         c = self.center
@@ -764,16 +764,3 @@ def manifest(entry: CatalogEntry) -> dict:
 def manifest_json(entry: CatalogEntry) -> str:
     return json.dumps(manifest(entry), indent=2, sort_keys=False) + "\n"
 
-
-def write_manifests(directory) -> list[str]:
-    """Write one manifest file per entry; returns the paths written."""
-    from pathlib import Path as _P
-
-    outdir = _P(directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for entry_id in (*_POSITIVE_IDS, *_NEGATIVE_IDS):
-        path = outdir / f"{entry_id}.json"
-        path.write_text(manifest_json(lookup(entry_id)))
-        written.append(str(path))
-    return written

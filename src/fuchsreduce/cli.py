@@ -74,19 +74,17 @@ def _config_from_args(args) -> Config:
         val = getattr(args, f"tol_{name}", None)
         if val is not None:
             kw[f"tol_{name}"] = val
-    if getattr(args, "basepoint", None):
+    if args.basepoint:
         kw["basepoint"] = _parse_basepoint(args.basepoint)
-    if getattr(args, "box_x", None):
+    if args.box_x:
         kw["box_x"] = _parse_box(args.box_x)
-    if getattr(args, "box_t", None):
+    if args.box_t:
         kw["box_t"] = _parse_box(args.box_t)
-    if getattr(args, "json", False):
-        kw["output"] = "json"
     return Config(**kw)
 
 
 def _overrides_from_args(args) -> dict | None:
-    if not getattr(args, "param", None):
+    if not args.param:
         return None
     return dict(_parse_param(p) for p in args.param)
 
@@ -140,8 +138,7 @@ def cmd_reduce(args, out, err) -> int:
     try:
         entry = cat.lookup(args.entry, overrides)
         prep = ver.prepare(entry, config)
-        dev, samples = ver.check_t_independence(
-            prep, n_pairs=config.independence_pairs, seed=config.entry_seed(entry.id))
+        dev, samples = ver.check_t_independence(prep, seed=config.entry_seed(entry.id))
         paper = [prep.to_paper_frame(*s) for s in samples]
         target, resid = ver.match_classical(paper, tol=config.tol_match)
     except cat.EntryNotFoundError as exc:
@@ -217,7 +214,7 @@ def cmd_verify(args, out, err) -> int:
         return 2
 
     reports.sort(key=lambda r: r.entry_id)
-    if config.output == "json":
+    if args.json:
         out.write(_dump_json([r.to_json() for r in reports]))
     else:
         for rep in reports:
@@ -242,7 +239,7 @@ def cmd_verify(args, out, err) -> int:
 def cmd_sample(args, out, err) -> int:
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
-    n = args.count if args.count is not None else config.sample_count
+    n = args.count
     if n < 0:
         err.write("error: --count must be nonnegative\n")
         return 2
@@ -305,25 +302,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_params=True):
+    def add_inputs(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
-        p.add_argument("--tol-frobenius", type=float, default=None)
-        p.add_argument("--tol-flow", type=float, default=None)
-        p.add_argument("--tol-independence", type=float, default=None)
-        p.add_argument("--tol-match", type=float, default=None)
-        p.add_argument("--tol-crossval", type=float, default=None)
         p.add_argument("--basepoint", type=str, default=None,
                        help="override the reduction basepoint, re[,im]")
         p.add_argument("--box-x", type=str, default=None, metavar="RE0,RE1,IM0,IM1",
                        help="override the spectral probe box")
         p.add_argument("--box-t", type=str, default=None, metavar="RE0,RE1,IM0,IM1",
                        help="override the deformation probe box")
-        if with_params:
-            p.add_argument("--param", action="append", default=None,
-                           metavar="NAME=RATIONAL",
-                           help="override an entry parameter (exact rational)")
+        p.add_argument("--param", action="append", default=None,
+                       metavar="NAME=RATIONAL",
+                       help="override an entry parameter (exact rational)")
 
     p_list = sub.add_parser("list", help="enumerate catalog entries")
     p_list.add_argument("--family", type=str, default=None,
@@ -332,7 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_red = sub.add_parser("reduce", help="print the reduction data for an entry")
     p_red.add_argument("entry")
-    add_common(p_red)
+    add_inputs(p_red)
+    p_red.add_argument("--tol-match", type=float, default=None)
 
     p_ver = sub.add_parser("verify", help="run the verification pipeline")
     p_ver.add_argument("entry", nargs="?")
@@ -342,13 +332,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="with --all, also run the negative controls")
     p_ver.add_argument("--out-dir", type=str, default=None,
                        help="write one JSON report per entry")
-    add_common(p_ver)
+    add_inputs(p_ver)
+    p_ver.add_argument("--json", action="store_true",
+                       help="machine-readable output")
+    p_ver.add_argument("--tol-frobenius", type=float, default=None)
+    p_ver.add_argument("--tol-flow", type=float, default=None)
+    p_ver.add_argument("--tol-independence", type=float, default=None)
+    p_ver.add_argument("--tol-match", type=float, default=None)
+    p_ver.add_argument("--tol-crossval", type=float, default=None)
 
     p_s = sub.add_parser("sample", help="write (tau, P, Q) samples as CSV")
     p_s.add_argument("entry")
     p_s.add_argument("--out", type=str, default=None)
-    p_s.add_argument("--count", type=int, default=None)
-    add_common(p_s)
+    p_s.add_argument("--count", type=int, default=64)
+    add_inputs(p_s)
     return ap
 
 

@@ -7,6 +7,8 @@ therefore every report and CSV byte, reproducible.
 
 from __future__ import annotations
 
+import cmath
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -17,6 +19,12 @@ FRAME_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Config:
+    """The report's gates, all shown by :meth:`tolerances_json`, and the
+    inputs of a run: the probe seed and the basepoint and probe-box
+    overrides (None keeps the entry's own).  A gate, box bound or basepoint
+    that is not finite, or a gate that is not positive, raises ValueError
+    naming the field."""
+
     tol_frobenius: float = 1e-10
     tol_flow: float = 1e-10
     tol_independence: float = 1e-8
@@ -24,13 +32,7 @@ class Config:
     tol_crossval: float = 1e-6
     target_param_tol: float = 1e-6
 
-    frobenius_grid: int = 5
-    flow_probes: int = 16
-    independence_pairs: int = 32
-    sample_count: int = 64
-
     seed: int = 42
-    output: str = "text"          # "text" | "json"
     basepoint: complex | None = None
     # probe-box overrides as (re_lo, re_hi, im_lo, im_hi)
     box_x: tuple[float, float, float, float] | None = None
@@ -39,22 +41,16 @@ class Config:
     def __post_init__(self):
         for name in ("tol_frobenius", "tol_flow", "tol_independence",
                      "tol_match", "tol_crossval", "target_param_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # A zero count would leave a stage that measures nothing: no flow
-        # probe or Frobenius point to maximize over, or no tau-matched pair
-        # (a t-independence maximum of 0.0 that passes its gate).
-        for name in ("frobenius_grid", "flow_probes", "independence_pairs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be non-negative")
-        if self.output not in ("text", "json"):
-            raise ValueError("output must be 'text' or 'json'")
+            # NaN fails both comparisons, so it is rejected along with inf.
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.basepoint is not None and not cmath.isfinite(self.basepoint):
+            raise ValueError("basepoint must be finite")
         for name in ("box_x", "box_t"):
             box = getattr(self, name)
-            if box is not None and (len(box) != 4 or box[0] >= box[1] or box[2] > box[3]):
-                raise ValueError(f"{name} must be (re_lo, re_hi, im_lo, im_hi)")
+            if box is not None and (len(box) != 4 or not all(map(math.isfinite, box))
+                                    or box[0] >= box[1] or box[2] > box[3]):
+                raise ValueError(f"{name} must be finite (re_lo, re_hi, im_lo, im_hi)")
 
     def entry_seed(self, entry_id: str) -> int:
         """Stable per-entry seed so --all fan-out order cannot matter."""

@@ -769,6 +769,8 @@ _max_rows = functools.partial(np.maximum.reduce, axis=1)
 # of the points themselves, and panels bisect without settling; this budget
 # turns that into a prompt QuadratureError instead of millions of samples.
 _MAX_PANELS = 2000
+# A panel still unresolved after this many bisections fails its segment.
+_MAX_DEPTH = 48
 
 
 class _Segment:
@@ -861,8 +863,7 @@ def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
 
 def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                  a: complex, ends: Sequence[complex], abs_tol: float,
-                 system: tuple[Callable, Sequence[complex], float, float] | None = None,
-                 max_depth: int = 48) -> list:
+                 system: tuple[Callable, Sequence[complex], float, float] | None = None) -> list:
     """Integrals of each stage over the straight segments [a, b], one per
     end point ``b`` in ``ends``, on adaptive Chebyshev panels taken left to
     right, and, given a linear ``system``, its solution along each segment.
@@ -892,7 +893,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     and with one the dense output (:class:`_PiecewiseChebyshev`) of the
     rows (y1, y2, stage integrals) over the arclength [0, |b - a|]; or the
     exception that ended that segment: :class:`QuadratureError` when a
-    panel at ``max_depth`` is still unresolved, the segment needs more than
+    panel at depth ``_MAX_DEPTH`` is still unresolved, the segment needs more than
     ``_MAX_PANELS`` panels, a stage divides by zero at one of its points (a
     pole exactly on the path) or a coefficient or solution value is not
     finite, else whatever a stage raised there.  A failing segment never
@@ -972,7 +973,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                 if j in accepted or seg.result is not None:
                     continue
                 lo, hi, depth = panels[j]
-                if depth >= max_depth:
+                if depth >= _MAX_DEPTH:
                     seg.fail(QuadratureError(
                         f"the panel walk did not converge on [{lo}, {hi}]"))
                 else:
@@ -1032,15 +1033,14 @@ class _PiecewiseChebyshev:
         return vals[..., 0] if s.ndim == 0 else vals
 
 
-def integrate_callable(fn: Callable[[complex], complex], path: Path,
-                       abs_tol: float = 1e-12, max_depth: int = 48) -> complex:
+def integrate_callable(fn: Callable[[complex], complex], path: Path) -> complex:
     """Adaptive quadrature of a callable along ``path``: the definite-integral
-    view of :func:`_walk_panels`, each segment taking an equal share of
-    ``abs_tol``.  Deterministic for a fixed path; raises
+    view of :func:`_walk_panels`, each segment taking an equal share of the
+    absolute tolerance 1e-12.  Deterministic for a fixed path; raises
     :class:`QuadratureError` on a singularity on or too close to the path."""
     stage = lambda z, prior: [[fn(w) for w in row] for row in z.tolist()]
-    seg_tol = abs_tol / len(path.segments)
-    return sum((_walk_all((stage,), a, (b,), seg_tol, max_depth=max_depth)[0][0]
+    seg_tol = 1e-12 / len(path.segments)
+    return sum((_walk_all((stage,), a, (b,), seg_tol)[0][0]
                 for a, b in path.segments), 0j)
 
 

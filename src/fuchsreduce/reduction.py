@@ -70,7 +70,8 @@ class Decomposition:
     ``g = B^-1 exp(-2 M t) t^A`` when M is constant (None otherwise or when
     no off-diagonal data is available).  The free constant B is pinned to 1
     by normalizing g at a reference deformation value.  ``sp`` is the
-    scalar pair the data was recovered from.
+    scalar pair the data was recovered from; it is required, because the
+    reduced coefficients are compiled from its p1 and q1.
 
     The underscored cached properties are the compiled kernels of the tau
     and gauge maps and of the reduced coefficients (see
@@ -96,7 +97,7 @@ class Decomposition:
     M_zero: bool
     M_constant: bool
     component: str
-    sp: ScalarPair | None = field(default=None, repr=False, compare=False)
+    sp: ScalarPair = field(repr=False, compare=False)
 
     def gauge_exponent(self) -> Expr:
         """The integrand G of the gauge factor exp(int G dx)."""
@@ -138,10 +139,7 @@ class Decomposition:
         return fe.array_form(self._coeff_parts)
 
 
-def decompose(sp: ScalarPair, box_x, box_t,
-              affine_tol: float = 1e-9,
-              split_tol: float = 1e-8,
-              zero_tol: float = 1e-10) -> Decomposition:
+def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     """Recover (f, h, R, M) and, when off-diagonal data is present, the
     profile g and the factors P_i.
 
@@ -166,14 +164,14 @@ def decompose(sp: ScalarPair, box_x, box_t,
 
     x_probes = [Binding(x=x) for x in xdiag]
     affine_defect = fe.sub(fe.add(f, fe.mul(fe.const(t3), h)), p2_t3)
-    if not fe.numerically_zero(affine_defect, x_probes, tol=affine_tol, reference=p2_t3):
+    if not fe.numerically_zero(affine_defect, x_probes, tol=1e-9, reference=p2_t3):
         raise DecompositionError(
             "the off-diagonal ratio p2 is not affine in the deformation variable")
 
     probes12 = [Binding(x=x, t=t)
                 for x, t in zip(box_x.diagonal(12), reversed(box_t.diagonal(12)))]
-    f_zero = fe.numerically_zero(f, x_probes, tol=zero_tol, reference=p2_t1)
-    h_zero = fe.numerically_zero(h, x_probes, tol=zero_tol, reference=p2_t1)
+    f_zero = fe.numerically_zero(f, x_probes, reference=p2_t1)
+    h_zero = fe.numerically_zero(h, x_probes, reference=p2_t1)
 
     # --- R and M from q2 = R + M (f + t h)
     q2d = sp.q2_decomposable()
@@ -241,14 +239,13 @@ def decompose(sp: ScalarPair, box_x, box_t,
                        fe.mul(M, fe.substitute(phi, t=t1)))
 
     split_defect = fe.sub(q2d, fe.add(R, fe.mul(M, phi)))
-    if not fe.numerically_zero(split_defect, probes12, tol=split_tol, reference=q2d):
-        raise DecompositionError(
-            f"inconsistent R/M split (residual above {split_tol:g})")
+    if not fe.numerically_zero(split_defect, probes12, tol=1e-8, reference=q2d):
+        raise DecompositionError("inconsistent R/M split (residual above 1e-08)")
 
     t_probes = [Binding(t=t) for t in box_t.diagonal(9)]
-    M_zero = fe.numerically_zero(M, t_probes, tol=zero_tol)
+    M_zero = fe.numerically_zero(M, t_probes)
     M_constant = M_zero or fe.numerically_zero(
-        fe.differentiate(M, "t"), t_probes, tol=zero_tol, reference=M)
+        fe.differentiate(M, "t"), t_probes, reference=M)
 
     # --- g and the P_i (only with off-diagonal source data)
     g = P1 = P2 = P3 = None

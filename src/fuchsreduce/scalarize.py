@@ -125,8 +125,7 @@ def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, compl
 
 
 def scalar_coefficients(lp: "LaxPair", component: str = "first",
-                        probes: Sequence[Binding] | None = None,
-                        zero_tol: float = 1e-10) -> ScalarPair:
+                        probes: Sequence[Binding] | None = None) -> ScalarPair:
     """Build the scalar pair for one solution component.
 
     ``probes`` (when given) are used to reject systems whose relevant
@@ -143,7 +142,7 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
 
     if probes is not None:
         for name, entry in (("a-offdiag", aoff), ("b-offdiag", boff)):
-            if fe.numerically_zero(entry, probes, tol=zero_tol):
+            if fe.numerically_zero(entry, probes):
                 raise VanishingOffDiagonalError(
                     f"{name} entry vanishes on the probe set; "
                     f"cannot scalarize the {component} component"

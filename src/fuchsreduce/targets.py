@@ -16,7 +16,7 @@ class ClassicalTarget:
     """A deformation-free normal form.
 
     kind:
-      * ``airy``             w'' = xi w after tau = scale * xi (+ recentering)
+      * ``airy``             w'' = xi w after tau = scale * xi
       * ``whittaker``        v'' = (1/4 - kappa/tau + (4 mu^2 - 1)/(4 tau^2)) v
       * ``constant``         w'' = c w                (Q identically -c)
       * ``linear_potential`` w'' = (a + b tau) w      (Q = -(a + b tau))
@@ -25,7 +25,6 @@ class ClassicalTarget:
 
     kind: str
     scale: complex | None = None      # airy
-    shift: complex | None = None      # airy recentering, tau = scale*xi + shift
     kappa: complex | None = None      # whittaker
     mu_sq: complex | None = None      # whittaker
     c: complex | None = None          # constant
@@ -33,8 +32,8 @@ class ClassicalTarget:
     b: complex | None = None          # linear_potential
 
     @staticmethod
-    def airy(scale, shift=0) -> "ClassicalTarget":
-        return ClassicalTarget("airy", scale=_cplx(scale), shift=_cplx(shift))
+    def airy(scale) -> "ClassicalTarget":
+        return ClassicalTarget("airy", scale=_cplx(scale))
 
     @staticmethod
     def whittaker(kappa, mu_sq) -> "ClassicalTarget":
@@ -53,8 +52,7 @@ class ClassicalTarget:
         return ClassicalTarget("none")
 
     def parameters(self) -> dict[str, complex]:
-        """The defining parameters, by kind (shift excluded: it is a frame
-        convention, not part of the normal form)."""
+        """The defining parameters, by kind."""
         if self.kind == "airy":
             return {"scale": self.scale}
         if self.kind == "whittaker":

@@ -363,9 +363,12 @@ class SolutionTrace:
         return self.x_start + u * s
 
 
+# A linear-system panel passes when the tail of y is at most _ATOL + _RTOL max|y|.
+_RTOL, _ATOL = 1e-12, 1e-13
+
+
 def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
-           initial: tuple[complex, complex],
-           rtol: float = 1e-12, atol: float = 1e-13) -> SolutionTrace:
+           initial: tuple[complex, complex]) -> SolutionTrace:
     """Dense solve of the x-system at fixed deformation along one straight
     segment, with the log E, S and log g channels: a one-segment walk of
     the panel walker (``expr._walk_panels``) with a linear system.
@@ -400,7 +403,7 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
 
     try:
         sol = fe._walk_all((red._h_rows, red._fE_rows, red._G_rows), x0, (x1,),
-                           red.quad_tol, (matrix, (*initial, *totals), rtol, atol))[0]
+                           red.quad_tol, (matrix, (*initial, *totals), _RTOL, _ATOL))[0]
     except fe.QuadratureError as exc:
         raise VerifyError(f"linear-system integration failed: {exc}") from exc
     obs = 1 if entry.lax is not None and prep.dec.sp.component == "second" else 0
@@ -409,8 +412,7 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
 
 
 def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
-                   dt: float = 5e-3, span: float = 0.6,
-                   rtol: float = 1e-12, atol: float = 1e-13
+                   dt: float = 5e-3, span: float = 0.6
                    ) -> Callable[[complex, complex], complex]:
     """A sampler phi(x, t) of one joint solution of both linear systems.
 
@@ -435,13 +437,13 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
     phi0 = (1.0 + 0j, 0.4 + 0.1j)
     steps = (-2, -1, 1, 2)
     try:
-        moved = fe._walk_all((), t_center, [t_center + k * dt for k in steps], atol,
-                             (lambda t: b_entries(x_anchor, t), phi0, rtol, atol))
+        moved = fe._walk_all((), t_center, [t_center + k * dt for k in steps], _ATOL,
+                             (lambda t: b_entries(x_anchor, t), phi0, _RTOL, _ATOL))
         starts = {0: phi0}
         starts.update((k, sol(sol.edges[-1])) for k, sol in zip(steps, moved))
-        slices = {k: fe._walk_all((), x_anchor, (x_anchor + span, x_anchor - span), atol,
+        slices = {k: fe._walk_all((), x_anchor, (x_anchor + span, x_anchor - span), _ATOL,
                                   (lambda z, tk=t_center + k * dt: a_entries(z, tk),
-                                   y0, rtol, atol))
+                                   y0, _RTOL, _ATOL))
                   for k, y0 in starts.items()}
     except fe.QuadratureError as exc:
         raise VerifyError(f"joint solution failed: {exc}") from exc
@@ -473,12 +475,13 @@ def _default_cross_path(prep: Prepared) -> Path:
     return Path([prep.red.basepoint_x, complex(prep.box_x.re_hi - 0.05, 0.0)])
 
 
-def cross_validate(prep_or_entry, t_fixed: complex | None = None,
-                   x_path: Path | None = None, config: Config = DEFAULT_CONFIG) -> float:
+def cross_validate(prep: Prepared) -> float:
     """Check the reduced equation on an actual solution.
 
-    Solves the linear system at a fixed deformation value on Chebyshev
-    panels (:func:`_trace`) and tests w'' + P w' + Q w = 0 with
+    Solves the linear system of ``prep`` at t fixed to the midpoint of the
+    real range of its t box, along the segment from the basepoint toward
+    the far edge of its x box (:func:`_default_cross_path`), on Chebyshev
+    panels (:func:`_trace`), and tests w'' + P w' + Q w = 0 with
     w = phi / g, re-parametrized by tau = t E + S.  Of ``_TRACE_POINTS``
     arclengths uniform over the trace it keeps those where Re tau lies in
     the 2%-interior of its range.  phi, log E, S and log g and their first
@@ -496,12 +499,8 @@ def cross_validate(prep_or_entry, t_fixed: complex | None = None,
     x-equation along the solution, whatever f, h and R are.  Raises
     :class:`VerifyError` when w, P, Q or the residual is not finite at some
     point."""
-    prep = (prep_or_entry if isinstance(prep_or_entry, Prepared)
-            else prepare(prep_or_entry, config))
-    t_fixed = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi) if t_fixed is None
-                      else t_fixed)
-    trace = _trace(prep, t_fixed, x_path or _default_cross_path(prep),
-                   initial=(1.0, 0.4 + 0.1j))
+    t_fixed = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi))
+    trace = _trace(prep, t_fixed, _default_cross_path(prep), initial=(1.0, 0.4 + 0.1j))
     s = np.linspace(0.0, trace.length, _TRACE_POINTS)
     # Rows (phi1, phi2, log E, S, log g), each with its s-derivatives 0..2.
     rows = trace.sol(s, derivatives=2)
@@ -609,7 +608,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     try:
         rep.flow_max = max(
             cat.flow_residual(entry, t)
-            for (t,) in cat.random_points(rng, (entry.box_t,), config.flow_probes)
+            for (t,) in cat.random_points(rng, (entry.box_t,), 16)
         )
         ok &= rep.flow_max <= config.tol_flow
     except Exception as exc:  # noqa: BLE001 - reports must never raise
@@ -618,8 +617,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
 
     if entry.lax is not None:
         try:
-            rep.frobenius_max = scal.frobenius_residual_grid(
-                entry.lax, entry.grid_points(config.frobenius_grid))
+            rep.frobenius_max = scal.frobenius_residual_grid(entry.lax, entry.grid_points())
             ok &= rep.frobenius_max <= config.tol_frobenius
         except Exception as exc:  # noqa: BLE001
             rep.errors.append(f"frobenius: {exc}")
@@ -640,8 +638,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     samples_paper = None
     if prep is not None:
         try:
-            dev, samples = check_t_independence(
-                prep, n_pairs=config.independence_pairs, seed=seed)
+            dev, samples = check_t_independence(prep, seed=seed)
             rep.t_independence_max = dev
             ok &= dev <= config.tol_independence
             samples_paper = [prep.to_paper_frame(*s) for s in samples]
@@ -663,7 +660,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
 
     if prep is not None:
         try:
-            rep.cross_validation_residual = cross_validate(prep, config=config)
+            rep.cross_validation_residual = cross_validate(prep)
             ok &= rep.cross_validation_residual <= config.tol_crossval
         except Exception as exc:  # noqa: BLE001
             rep.errors.append(f"cross-validation: {exc}")

@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import json
 
 import pytest
 
 from fuchsreduce import cli
+from fuchsreduce.config import Config
 
 
 def run_cli(argv):
@@ -105,6 +107,57 @@ class TestVerify:
         rc, _, err = run_cli(["verify", "nope.entry"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--tol-match", "nan"], "tol_match"),
+        (["--tol-crossval", "inf"], "tol_crossval"),
+        (["--box-x", "nan,2.5,-0.2,0.2"], "box_x"),
+        (["--box-t", "0.5,1.5,-0.2,inf"], "box_t"),
+        (["--basepoint", "nan"], "basepoint"),
+    ])
+    def test_non_finite_input_exits_2_naming_the_field(self, flags, field):
+        rc, out, err = run_cli(["verify", "PII.y0", *flags])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and field in err
+
+
+class TestFlags:
+    """Each subcommand accepts exactly the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "PII.y0", "--json"],
+        ["reduce", "PII.y0", "--tol-independence", "1e-3"],
+        ["sample", "PII.y0", "--json"],
+        ["sample", "PII.y0", "--tol-crossval", "1e-3"],
+    ])
+    def test_unread_flags_are_rejected(self, argv):
+        rc, out, _ = run_cli(argv)
+        assert (rc, out) == (2, "")
+
+    def test_reduce_rejects_a_non_finite_match_tolerance(self):
+        rc, _, err = run_cli(["reduce", "PII.y0", "--tol-match", "nan"])
+        assert rc == 2
+        assert "tol_match" in err
+
+    def test_every_config_field_is_a_flag_or_a_reported_gate(self):
+        # A field that no flag sets and no report shows is a setting that
+        # nothing in the program turns.
+        argv = ["verify", "PII.y0", "--seed", "7", "--basepoint", "1.8,0.1",
+                "--box-x", "1.3,2.2,-0.1,0.1", "--box-t", "0.6,1.2,-0.1,0.1",
+                "--tol-frobenius", "1e-3", "--tol-flow", "1e-3",
+                "--tol-independence", "1e-3", "--tol-match", "1e-3",
+                "--tol-crossval", "1e-3"]
+        from_cli = cli._config_from_args(cli._build_parser().parse_args(argv))
+        default = Config()
+        for f in dataclasses.fields(Config):
+            value = getattr(default, f.name)
+            if getattr(from_cli, f.name) != value:
+                continue
+            try:
+                moved = dataclasses.replace(default, **{f.name: 2 * value})
+            except (TypeError, ValueError):
+                moved = default
+            assert moved.tolerances_json() != default.tolerances_json(), f.name
+
 
 class TestSample:
     def test_flat_entry_rows_satisfy_target(self, tmp_path):
@@ -131,6 +184,16 @@ class TestSample:
         for ln in path.read_text().splitlines()[1:]:
             vals = [float(v) for v in ln.split(",")]
             assert abs(complex(vals[4], vals[5]) - (-1.0)) <= 1e-10
+
+    def test_default_count_is_64(self):
+        rc, out, _ = run_cli(["sample", "PII.y0"])
+        assert rc == 0
+        assert len(out.splitlines()) == 65
+
+    def test_negative_count_exits_2(self):
+        rc, out, err = run_cli(["sample", "PII.y0", "--count", "-1"])
+        assert (rc, out) == (2, "")
+        assert "--count" in err
 
     def test_zero_samples_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

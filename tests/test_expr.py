@@ -500,10 +500,10 @@ class TestChebyshevPanels:
             fe.integrate_callable(lambda x: 1 / (x - 1.5), Path([1, 2]))
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
-    def test_unresolved_panel_at_depth_cap_raises(self):
+    def test_unresolved_panel_at_depth_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(fe, "_MAX_DEPTH", 2)
         with pytest.raises(fe.QuadratureError):
-            fe.integrate_callable(lambda z: 1 / (z - 1.5 - 0.05j), Path([1.0, 2.0]),
-                                  max_depth=2)
+            fe.integrate_callable(lambda z: 1 / (z - 1.5 - 0.05j), Path([1.0, 2.0]))
 
     @pytest.mark.parametrize("entry_id", ["PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"])
     def test_tau_point_work_is_linear(self, prep, entry_id):
@@ -582,13 +582,14 @@ class TestMultiSegmentPanels:
             red.E(2.0)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
 
-    def test_depth_cap_applies_per_segment(self):
+    def test_depth_cap_applies_per_segment(self, monkeypatch):
         # Only [1, 2] passes 0.05 from the pole; [1, 1.2] resolves at once.
         stage = _scalar_stage(lambda z: 1 / (z - 1.5 - 0.05j))
-        got = fe._walk_panels((stage,), 1.0, [2.0, 1.2], 1e-12, max_depth=2)
+        want = fe._walk_all((stage,), 1.0, (1.2,), 1e-12)[0][0]
+        monkeypatch.setattr(fe, "_MAX_DEPTH", 2)
+        got = fe._walk_panels((stage,), 1.0, [2.0, 1.2], 1e-12)
         assert isinstance(got[0], fe.QuadratureError)
         assert "did not converge" in str(got[0])
-        want = fe._walk_all((stage,), 1.0, (1.2,), 1e-12)[0][0]
         assert got[1][0] == pytest.approx(want, rel=1e-15)
 
     def test_panel_budget_applies_per_segment(self, monkeypatch):

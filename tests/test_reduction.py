@@ -135,6 +135,14 @@ class TestDecompose:
         with pytest.raises(reduction.DecompositionError, match="depends on x"):
             reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
 
+    def test_scalar_pair_is_required(self):
+        # The reduced coefficients compile from dec.sp, so a decomposition
+        # without one is refused when it is built, not when it is reduced.
+        _, dec, _ = decomposition_for("PII.y0")
+        kw = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec) if f.name != "sp"}
+        with pytest.raises(TypeError, match="'sp'"):
+            reduction.Decomposition(**kw)
+
 
 class TestClassify:
     @pytest.mark.parametrize("entry_id,case", [

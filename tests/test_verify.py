@@ -751,29 +751,29 @@ class TestFullReport:
             Config(box_x=(2.0, 1.0, 0.0, 0.0))
 
 
-class TestConfigCounts:
-    @pytest.mark.parametrize("field, bad, floor", [
-        ("independence_pairs", 0, 1),
-        ("flow_probes", 0, 1),
-        ("frobenius_grid", 0, 1),
-        ("sample_count", -1, 0),
-    ])
-    def test_count_below_floor_is_rejected(self, field, bad, floor):
-        with pytest.raises(ValueError, match=field):
-            Config(**{field: bad})
-        with pytest.raises(ValueError, match=field):
-            Config(**{field: bad - 5})
-        assert getattr(Config(**{field: floor}), field) == floor
+class TestConfigValues:
+    GATES = ("tol_frobenius", "tol_flow", "tol_independence", "tol_match",
+             "tol_crossval", "target_param_tol")
 
-    def test_one_of_each_still_reports(self):
-        # The smallest counts Config accepts give a report with every
-        # stage measured (match needs more pairs, and says so).
-        cfg = Config(independence_pairs=1, flow_probes=1, frobenius_grid=1)
-        rep = verify.full_report("negative.PII_bad_y1", cfg)
-        assert rep.flow_max >= 1e-2
-        assert rep.frobenius_max >= 1e-2
-        assert rep.t_independence_max >= 1e-3
-        assert not rep.passed
+    @pytest.mark.parametrize("name", GATES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_gate_must_be_finite_and_positive(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            Config(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["box_x", "box_t"])
+    @pytest.mark.parametrize("box", [(float("nan"), 2.5, -0.2, 0.2),
+                                     (1.1, float("inf"), -0.2, 0.2),
+                                     (1.1, 2.5, -0.2, float("nan"))])
+    def test_box_bounds_must_be_finite(self, name, box):
+        with pytest.raises(ValueError, match=name):
+            Config(**{name: box})
+
+    @pytest.mark.parametrize("basepoint", [complex(float("nan"), 0.0),
+                                           complex(1.8, float("inf"))])
+    def test_basepoint_must_be_finite(self, basepoint):
+        with pytest.raises(ValueError, match="basepoint"):
+            Config(basepoint=basepoint)
 
 
 class TestTargets:
