@@ -13,11 +13,12 @@ alongside the matrices:
   gauge) and the expected classical target, used as oracles and for
   human-readable manifests.
 
-The catalog is constructed once and never mutated afterwards.  Entries
-attach their compiled kernels lazily, on first use, as cached properties:
-the flow residual functions, the scalar pair and the decomposition for the
-entry's own boxes (which in turn carries the compiled tau/gauge and
-coefficient kernels).  Default entries keep them for the life of the
+The default entries are built once, at import, and never mutated
+afterwards; :func:`lookup` returns them, or builds an entry afresh for
+parameter overrides.  Entries attach their compiled kernels lazily, on
+first use, as cached properties: the flow residual functions, the scalar
+pair and the decomposition for the entry's own boxes (which in turn
+carries the compiled tau/gauge and coefficient kernels).  Default entries keep them for the life of the
 process; an entry built with parameter overrides takes them with it when
 it is collected.  Concurrent reads are safe: a first use racing another
 may compute a kernel twice, which is harmless because the result is
@@ -26,7 +27,6 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +53,6 @@ __all__ = [
     "lookup",
     "flow_residual",
     "manifest",
-    "manifest_json",
 ]
 
 F = Fraction
@@ -684,7 +683,10 @@ _POSITIVE_IDS = (
 
 _NEGATIVE_IDS = ("negative.PII_bad_y1",)
 
-_DEFAULT_CACHE: dict[str, CatalogEntry] = {}
+# Every entry at its default parameters, built once at import.
+_DEFAULTS: dict[str, CatalogEntry] = {
+    entry_id: build(dict(_DEFAULT_PARAMS[entry_id])) for entry_id, build in _BUILDERS.items()
+}
 
 
 def list_entries() -> list[str]:
@@ -702,19 +704,14 @@ def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
         raise EntryNotFoundError(f"no catalog entry named {entry_id!r}")
     if overrides:
         return _BUILDERS[entry_id](_merge_params(entry_id, overrides))
-    got = _DEFAULT_CACHE.get(entry_id)
-    if got is None:
-        got = _BUILDERS[entry_id](dict(_DEFAULT_PARAMS[entry_id]))
-        _DEFAULT_CACHE[entry_id] = got
-    return got
+    return _DEFAULTS[entry_id]
 
 
-def flow_residual(entry_or_id, t_probe: complex) -> float:
+def flow_residual(entry: CatalogEntry, t_probe: complex) -> float:
     """Max modulus of the nonlinear flow residuals at one deformation value.
 
     Vanishes (to rounding) when the entry's closed forms really solve the
     family's compatibility flow."""
-    entry = entry_or_id if isinstance(entry_or_id, CatalogEntry) else lookup(entry_or_id)
     t = complex(t_probe)
     return max(abs(v) for v in entry.flow_fns(0j, t))
 
@@ -759,8 +756,3 @@ def manifest(entry: CatalogEntry) -> dict:
     if entry.pre_substitution is not None:
         doc["pre_substitution"] = entry.pre_substitution
     return doc
-
-
-def manifest_json(entry: CatalogEntry) -> str:
-    return json.dumps(manifest(entry), indent=2, sort_keys=False) + "\n"
-

@@ -1,8 +1,11 @@
 """Minimal symbolic expression engine over the complex numbers.
 
 Expressions are immutable trees in the spectral variable ``x``, the
-deformation variable ``t`` and named parameters.  The engine supports exact
-symbolic differentiation, pointwise evaluation, compilation to fast Python
+deformation variable ``t`` and named parameters.  :func:`substitute` is
+the one way to give a parameter its value: evaluation and compilation
+read only ``x`` and ``t`` and raise :class:`UnboundSymbolError` on a
+parameter left in a tree.  The engine supports exact symbolic
+differentiation, pointwise evaluation, compilation to fast Python
 callables (straight-line code with subtrees shared by structure; one
 expression or a tuple of them per function, or the same lines staged as
 an x-only part and the rest; an array form runs the same code object on
@@ -31,7 +34,7 @@ from __future__ import annotations
 import cmath
 import functools
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -80,7 +83,8 @@ class ExprError(Exception):
 
 
 class UnboundSymbolError(ExprError):
-    """A variable or parameter required for evaluation has no value."""
+    """A variable required for evaluation or compilation has no value, or
+    a parameter was left in the tree (bind it with :func:`substitute`)."""
 
 
 class SingularEvaluationError(ExprError):
@@ -363,15 +367,15 @@ def differentiate(e: Expr, var: str) -> Expr:
 
 @dataclass(frozen=True)
 class Binding:
-    """Values for the free symbols of an expression.
+    """Values of the variables ``x`` and ``t`` for :func:`evaluate`.
 
     Evaluation fails loudly (:class:`UnboundSymbolError`) if a required
-    symbol is unbound.
+    variable is unbound or the tree still holds a parameter (bind those
+    with :func:`substitute`).
     """
 
     x: complex | None = None
     t: complex | None = None
-    params: Mapping[str, complex] = field(default_factory=dict)
 
 
 def _principal_pow(base: complex, exponent: float) -> complex:
@@ -395,10 +399,7 @@ def evaluate(e: Expr, b: Binding) -> complex:
             raise UnboundSymbolError(f"variable {e.value!r} is unbound")
         return complex(v)
     if k == "param":
-        try:
-            return complex(b.params[e.value])
-        except KeyError:
-            raise UnboundSymbolError(f"parameter {e.value!r} is unbound") from None
+        raise UnboundSymbolError(f"parameter {e.value!r} is unbound")
     if k == "neg":
         return -evaluate(e.children[0], b)
     if k == "add":
@@ -432,7 +433,9 @@ def evaluate(e: Expr, b: Binding) -> complex:
 def substitute(e: Expr, x: Expr | complex | None = None,
                t: Expr | complex | None = None,
                params: Mapping[str, complex] | None = None) -> Expr:
-    """Replace variables/parameters and re-fold constants."""
+    """Replace variables/parameters and re-fold constants.  The only
+    parameter binder: :func:`evaluate` and the compilers reject a
+    parameter left in the tree."""
     rx = _coerce(x) if x is not None else None
     rt = _coerce(t) if t is not None else None
 
@@ -584,8 +587,7 @@ _X_DEP, _T_DEP = 1, 2
 _Line = tuple[str, str, int]
 
 
-def _value_numbered(e: Expr | tuple[Expr, ...], params: Mapping[str, complex] | None,
-                    staged: bool = False
+def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
                     ) -> tuple[list[_Line], list[str], str, set[str]]:
     """The straight-line body of ``e``, the operands it returns, its return
     text and the operands that lines depending on t read.
@@ -595,15 +597,13 @@ def _value_numbered(e: Expr | tuple[Expr, ...], params: Mapping[str, complex] | 
     otherwise every mask is 0 and the set is empty, and the lines and
     return text are the same.
 
-    Parameters are baked in as constants, each emitted as one parenthesized
-    operand.  Subtrees are shared by structure (hash-consing by value
-    numbering): each interior node is one assignment keyed on its
-    right-hand side text, so two nodes share a variable exactly when they
-    would emit the same line, and sharing never changes a bit of the
-    result.  ``Expr`` equality is not the key: it equates ``const(0j)`` and
+    A parameter left in the tree raises :class:`UnboundSymbolError`.
+    Subtrees are shared by structure (hash-consing by value numbering):
+    each interior node is one assignment keyed on its right-hand side
+    text, so two nodes share a variable exactly when they would emit the
+    same line, and sharing never changes a bit of the result.  ``Expr`` equality is not the key: it equates ``const(0j)`` and
     ``const(complex(0, -0.0))``, which emit the different values ``0j`` and
     ``-0j``.  Lines come in evaluation order, operands first."""
-    params = params or {}
     lines: list[_Line] = []
     names: dict[int, str] = {}
     numbered: dict[str, str] = {}
@@ -621,9 +621,7 @@ def _value_numbered(e: Expr | tuple[Expr, ...], params: Mapping[str, complex] | 
         elif k == "var":
             s = n.value
         elif k == "param":
-            if n.value not in params:
-                raise UnboundSymbolError(f"parameter {n.value!r} is unbound")
-            s = _literal(params[n.value])
+            raise UnboundSymbolError(f"parameter {n.value!r} is unbound")
         else:
             kids = [emit(c) for c in n.children]
             if k == "neg":
@@ -679,28 +677,26 @@ def _body(lines: Iterable[_Line]) -> str:
     return "\n".join([f"    {name} = {rhs}" for name, rhs, _ in lines])
 
 
-def compile_expr(e: Expr | tuple[Expr, ...],
-                 params: Mapping[str, complex] | None = None
+def compile_expr(e: Expr | tuple[Expr, ...]
                  ) -> Callable[[complex, complex], complex | tuple[complex, ...]]:
     """Compile to a Python function ``f(x, t) -> complex``; given a tuple
     of expressions, ``f`` returns the tuple of their values, computed by
     one straight-line body of value-numbered lines (see
     :func:`_value_numbered`), so a subtree shared by structure is computed
-    once, and parameters are baked in as constants.  Repeated evaluation
-    is much faster than tree walking.  Singular inputs raise the native
-    ZeroDivisionError/ValueError.  :func:`array_form` runs the same code on
+    once.  Parameters must be bound beforehand (:func:`substitute`); one
+    left in the tree raises :class:`UnboundSymbolError`.  Repeated
+    evaluation is much faster than tree walking.  Singular inputs raise the
+    native ZeroDivisionError/ValueError.  :func:`array_form` runs the same code on
     numpy arrays of points, and :func:`compile_staged` splits the same
     lines in two stages."""
-    lines, _, result, _ = _value_numbered(e, params)
+    lines, _, result, _ = _value_numbered(e)
     return _define(f"def _f(x, t):\n{_body(lines)}\n    return {result}\n", "_f")
 
 
-def compile_staged(e: Expr | tuple[Expr, ...],
-                   params: Mapping[str, complex] | None = None
-                   ) -> tuple[Callable, Callable]:
+def compile_staged(e: Expr | tuple[Expr, ...]) -> tuple[Callable, Callable]:
     """The lines of :func:`compile_expr` split in two stages, ``(pre,
-    post)`` with ``post(x, t, pre(x)) == compile_expr(e, params)(x, t)``
-    bit for bit.
+    post)`` with ``post(x, t, pre(x)) == compile_expr(e)(x, t)`` bit for
+    bit; a parameter left in the tree raises :class:`UnboundSymbolError`.
 
     ``pre(x)`` runs, in order, every line that depends on x alone (or on
     nothing), and returns the tuple of those values that later lines or
@@ -710,7 +706,7 @@ def compile_staged(e: Expr | tuple[Expr, ...],
     pair exactly when it raises in ``compile_expr``'s function (possibly
     at another line, since the x-only lines now run first).
     :func:`array_form` runs the pair on numpy arrays of points."""
-    lines, outputs, result, read = _value_numbered(e, params, staged=True)
+    lines, outputs, result, read = _value_numbered(e, staged=True)
     staged = [line for line in lines if not line[2] & _T_DEP]
     rest = [line for line in lines if line[2] & _T_DEP]
     read.update(outputs)
@@ -771,6 +767,8 @@ _max_rows = functools.partial(np.maximum.reduce, axis=1)
 _MAX_PANELS = 2000
 # A panel still unresolved after this many bisections fails its segment.
 _MAX_DEPTH = 48
+# A linear-system panel passes when the tail of y is at most _ATOL + _RTOL max|y|.
+_RTOL, _ATOL = 1e-12, 1e-13
 
 
 class _Segment:
@@ -826,15 +824,14 @@ def _stage_rows(stage: Callable, z: np.ndarray, prior: list[np.ndarray]
 
 
 def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
-               rows: list[_Segment], rtol: float, atol: float
-               ) -> list[np.ndarray | None]:
+               rows: list[_Segment]) -> list[np.ndarray | None]:
     """Per panel row of ``z``, y at its points: the solution of y' = A(z) y
     from y at the start of the panel (``seg.y``), or None when the panel
     must be bisected.  On a panel of half-width ``half`` the values of y at
     the nodes solve the integral form y = y(p) + half W (A y) of the
     equation, with W = ``_CHEB_CUMSUM``: one 50x50 linear system per row
     (Greengard, SIAM J. Numer. Anal. 28, 1991).  A row passes when the tail
-    of y is at most ``atol + rtol max|y|`` on it.  A non-finite coefficient
+    of y is at most ``_ATOL + _RTOL max|y|`` on it.  A non-finite coefficient
     or solution value fails the row's segment (None too)."""
     n = len(_CHEB_NODES)
     eye = np.eye(2 * n)
@@ -855,7 +852,7 @@ def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
                     f"non-finite solution on the panel [{z[j, 0]}, {z[j, -1]}]"))
                 ys = None
             elif (float(np.max(np.abs(ys @ _CHEB_APPLY[:, :3])))
-                  > atol + rtol * float(np.max(np.abs(ys)))):
+                  > _ATOL + _RTOL * float(np.max(np.abs(ys)))):
                 ys = None
         out.append(ys)
     return out
@@ -863,7 +860,7 @@ def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
 
 def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                  a: complex, ends: Sequence[complex], abs_tol: float,
-                 system: tuple[Callable, Sequence[complex], float, float] | None = None) -> list:
+                 system: tuple[Callable, Sequence[complex]] | None = None) -> list:
     """Integrals of each stage over the straight segments [a, b], one per
     end point ``b`` in ``ends``, on adaptive Chebyshev panels taken left to
     right, and, given a linear ``system``, its solution along each segment.
@@ -882,11 +879,12 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     So each segment takes the panels and the decisions that walking it
     alone would.
 
-    ``system`` = (matrix, start, rtol, atol) adds the equation y' = A(z) y
-    for a 2-vector y, solved on every row before the stages are sampled
-    (:func:`_collocate`).  ``matrix(z)`` returns the entries (a11, a12,
-    a21, a22) of A on the panel points, each in the shape of ``z`` or
-    broadcastable to it; what it raises ends the walk.  ``start`` holds
+    ``system`` = (matrix, start) adds the equation y' = A(z) y for a
+    2-vector y, solved on every row before the stages are sampled
+    (:func:`_collocate`, to the fixed ``_RTOL`` and ``_ATOL``).
+    ``matrix(z)`` returns the entries (a11, a12, a21, a22) of A on the
+    panel points, each in the shape of ``z`` or broadcastable to it; what
+    it raises ends the walk.  ``start`` holds
     y(a) and then the values at ``a`` from which the stage integrals run.
 
     Returns, per end point, without a system the list of stage integrals
@@ -903,7 +901,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     if system is None:
         y0, start = None, [0j] * len(stages)
     else:
-        matrix, start, rtol, atol = system
+        matrix, start = system
         y0, start = np.asarray(start[:2], dtype=complex), list(start[2:])
     segments = [_Segment(a, complex(b), abs_tol, y0, start) for b in ends]
     live = [seg for seg in segments if seg.stack]
@@ -927,7 +925,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
             z = state[:, :1] + half * _CHEB_NODES
             sel = list(range(len(rows)))    # rows every test so far accepted
             if system is not None:
-                ys = _collocate(matrix, z, state[:, 1], rows, rtol, atol)
+                ys = _collocate(matrix, z, state[:, 1], rows)
                 ok = [sol is not None for sol in ys]
                 if not all(ok):
                     sel = [j for j, keep in zip(sel, ok) if keep]

@@ -68,7 +68,6 @@ class ScalarPair:
     q2: Expr
     component: str = "first"
     off_diag: tuple[Expr, Expr] | None = None  # (a12, b12) or (a21, b21)
-    diag: tuple[Expr, Expr] | None = None      # (a11, b11)
 
     def __post_init__(self):
         if self.component not in ("first", "second"):
@@ -169,6 +168,5 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
         p1=p1, q1=q1, p2=p2, q2=q2,
         component=component,
         off_diag=(aoff, boff),
-        diag=(a11, b11),
     )
 

@@ -36,13 +36,11 @@ from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
 from .config import DEFAULT_CONFIG, FRAME_TOL, Config
-from .expr import Path
 from .reduction import Decomposition, ReducedEquation
 from .targets import ClassicalTarget
 
 __all__ = [
     "Prepared",
-    "SolutionTrace",
     "VerificationReport",
     "VerifyError",
     "MatchError",
@@ -124,8 +122,9 @@ def _tau_frame(entry: cat.CatalogEntry, red: ReducedEquation
     return a, b, resid
 
 
-def prepare(entry_or_id, config: Config = DEFAULT_CONFIG) -> Prepared:
-    """The shared workspace of the verify stages for one entry.
+def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepared:
+    """The shared workspace of the verify stages for one entry (look an id
+    up with :func:`catalog.lookup` first).
 
     The scalar pair and, unless the config overrides a probe box, the
     decomposition are the entry's own (``CatalogEntry.scalar_pair`` and
@@ -134,8 +133,6 @@ def prepare(entry_or_id, config: Config = DEFAULT_CONFIG) -> Prepared:
     decomposition.  The reduced equation, with fresh E/S and gauge memos,
     and the 4-point frame fit are built on every call, so no call sees
     another's points."""
-    entry = (entry_or_id if isinstance(entry_or_id, cat.CatalogEntry)
-             else cat.lookup(entry_or_id))
     box_x = cat.ComplexRect(*config.box_x) if config.box_x else entry.box_x
     box_t = cat.ComplexRect(*config.box_t) if config.box_t else entry.box_t
     if config.box_x or config.box_t:
@@ -339,56 +336,27 @@ def match_classical(samples: Sequence[tuple[complex, complex, complex]],
 # ---------------------------------------------------------------------------
 # Numerical solution of the linear system (with change-of-variable channels)
 
-@dataclass
-class SolutionTrace:
-    """Dense solution of the x-system along a straight segment, augmented
-    with the running integrals log E = int h, S = int f E and log g = int G,
-    so tau, the gauge and the reduced coefficients are available at any
-    point of the trace at solver accuracy.
-
-    ``sol(s)`` gives the rows (phi1, phi2, log E, S, log g) at arclength s,
-    a float or an array, and ``sol(s, derivatives=d)`` adds their first d
-    derivatives in s, from the piecewise-Chebyshev series of the panel
-    solve."""
-
-    x_start: complex
-    x_end: complex
-    sol: object                     # expr._PiecewiseChebyshev over s in [0, L]
-    length: float
-    observable_index: int = 0        # which state entry the reduction acts on
-
-    def x_of(self, s):
-        """x at arclength s; s may be a float or an array."""
-        u = (self.x_end - self.x_start) / self.length
-        return self.x_start + u * s
-
-
-# A linear-system panel passes when the tail of y is at most _ATOL + _RTOL max|y|.
-_RTOL, _ATOL = 1e-12, 1e-13
-
-
-def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
-           initial: tuple[complex, complex]) -> SolutionTrace:
-    """Dense solve of the x-system at fixed deformation along one straight
-    segment, with the log E, S and log g channels: a one-segment walk of
-    the panel walker (``expr._walk_panels``) with a linear system.
+def _trace(prep: Prepared, t_fixed: complex, x0: complex, x1: complex,
+           initial: tuple[complex, complex]) -> fe._PiecewiseChebyshev:
+    """Dense solve of the x-system at fixed deformation along the straight
+    segment [x0, x1], with the log E, S and log g channels: a one-segment
+    walk of the panel walker (``expr._walk_panels``) with a linear system.
+    Returns the walker's dense output over the arclength [0, |x1 - x0|],
+    whose rows are (phi1, phi2, log E, S, log g).
 
     Each panel solves the collocated integral form of the system (for
     direct scalar entries the companion system of the second-order
     equation, initial = (phi, phi')) and integrates h, f E and G on the
-    same nodes, starting from log ``E``, ``S`` and log ``gauge`` at the
-    segment's start.  The stages are the reduced equation's own
-    (``prep.red._h_rows``, ``_fE_rows``, ``_G_rows``), the ones its E, S
-    and gauge maps walk, so the channels and the maps share one kernel.
-    A singular coefficient raises the compiled kernel's own exception; a
-    segment of zero length, an unresolved panel, an exhausted panel
-    budget, a singular h, f E or G sample or a non-finite coefficient or
-    solution value raises :class:`VerifyError`."""
-    if len(x_path.points) != 2:
-        raise VerifyError("solution traces run along one straight segment")
+    same nodes, starting from log ``E``, ``S`` and log ``gauge`` at x0.
+    The stages are the reduced equation's own (``prep.red._h_rows``,
+    ``_fE_rows``, ``_G_rows``), the ones its E, S and gauge maps walk, so
+    the channels and the maps share one kernel.  A singular coefficient
+    raises the compiled kernel's own exception; a segment of zero length,
+    an unresolved panel, an exhausted panel budget, a singular h, f E or G
+    sample or a non-finite coefficient or solution value raises
+    :class:`VerifyError`."""
     entry = prep.entry
-    x0, x1 = x_path.points
-    t_fixed = complex(t_fixed)
+    x0, x1, t_fixed = complex(x0), complex(x1), complex(t_fixed)
     red = prep.red
     totals = (cmath.log(red.E(x0)), red.S(x0), cmath.log(red.gauge(x0)))
     if entry.lax is not None:
@@ -402,13 +370,10 @@ def _trace(prep: Prepared, t_fixed: complex, x_path: Path,
             return 0, 1, -q1, -p1
 
     try:
-        sol = fe._walk_all((red._h_rows, red._fE_rows, red._G_rows), x0, (x1,),
-                           red.quad_tol, (matrix, (*initial, *totals), _RTOL, _ATOL))[0]
+        return fe._walk_all((red._h_rows, red._fE_rows, red._G_rows), x0, (x1,),
+                            red.quad_tol, (matrix, (*initial, *totals)))[0]
     except fe.QuadratureError as exc:
         raise VerifyError(f"linear-system integration failed: {exc}") from exc
-    obs = 1 if entry.lax is not None and prep.dec.sp.component == "second" else 0
-    return SolutionTrace(x_start=x0, x_end=x1, sol=sol, length=abs(x1 - x0),
-                         observable_index=obs)
 
 
 def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
@@ -437,13 +402,12 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
     phi0 = (1.0 + 0j, 0.4 + 0.1j)
     steps = (-2, -1, 1, 2)
     try:
-        moved = fe._walk_all((), t_center, [t_center + k * dt for k in steps], _ATOL,
-                             (lambda t: b_entries(x_anchor, t), phi0, _RTOL, _ATOL))
+        moved = fe._walk_all((), t_center, [t_center + k * dt for k in steps], fe._ATOL,
+                             (lambda t: b_entries(x_anchor, t), phi0))
         starts = {0: phi0}
         starts.update((k, sol(sol.edges[-1])) for k, sol in zip(steps, moved))
-        slices = {k: fe._walk_all((), x_anchor, (x_anchor + span, x_anchor - span), _ATOL,
-                                  (lambda z, tk=t_center + k * dt: a_entries(z, tk),
-                                   y0, _RTOL, _ATOL))
+        slices = {k: fe._walk_all((), x_anchor, (x_anchor + span, x_anchor - span), fe._ATOL,
+                                  (lambda z, tk=t_center + k * dt: a_entries(z, tk), y0))
                   for k, y0 in starts.items()}
     except fe.QuadratureError as exc:
         raise VerifyError(f"joint solution failed: {exc}") from exc
@@ -469,10 +433,10 @@ def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
 _TRACE_POINTS = 201
 
 
-def _default_cross_path(prep: Prepared) -> Path:
+def _default_cross_path(prep: Prepared) -> tuple[complex, complex]:
     # From the basepoint toward the far edge of the x box: keeps exp(int h)
     # of order one and tau_x bounded away from zero for every entry.
-    return Path([prep.red.basepoint_x, complex(prep.box_x.re_hi - 0.05, 0.0)])
+    return prep.red.basepoint_x, complex(prep.box_x.re_hi - 0.05, 0.0)
 
 
 def cross_validate(prep: Prepared) -> float:
@@ -482,7 +446,8 @@ def cross_validate(prep: Prepared) -> float:
     real range of its t box, along the segment from the basepoint toward
     the far edge of its x box (:func:`_default_cross_path`), on Chebyshev
     panels (:func:`_trace`), and tests w'' + P w' + Q w = 0 with
-    w = phi / g, re-parametrized by tau = t E + S.  Of ``_TRACE_POINTS``
+    w = phi / g, re-parametrized by tau = t E + S, for the solution
+    component phi the entry's reduction acts on.  Of ``_TRACE_POINTS``
     arclengths uniform over the trace it keeps those where Re tau lies in
     the 2%-interior of its range.  phi, log E, S and log g and their first
     two arclength derivatives are exact derivatives of the trace's
@@ -500,10 +465,12 @@ def cross_validate(prep: Prepared) -> float:
     :class:`VerifyError` when w, P, Q or the residual is not finite at some
     point."""
     t_fixed = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi))
-    trace = _trace(prep, t_fixed, _default_cross_path(prep), initial=(1.0, 0.4 + 0.1j))
-    s = np.linspace(0.0, trace.length, _TRACE_POINTS)
+    x0, x1 = _default_cross_path(prep)
+    trace = _trace(prep, t_fixed, x0, x1, initial=(1.0, 0.4 + 0.1j))
+    length = abs(x1 - x0)
+    s = np.linspace(0.0, length, _TRACE_POINTS)
     # Rows (phi1, phi2, log E, S, log g), each with its s-derivatives 0..2.
-    rows = trace.sol(s, derivatives=2)
+    rows = trace(s, derivatives=2)
     with np.errstate(all="ignore"):
         tau = (t_fixed * np.exp(rows[0, 2]) + rows[0, 3]).real
         # Keep the points whose Re tau lies in the 2%-interior of its range
@@ -513,11 +480,12 @@ def cross_validate(prep: Prepared) -> float:
         pad = 0.02 * (hi - lo)
         keep = ~((tau < lo + pad) | (tau > hi - pad))
         s, rows = s[keep], rows[..., keep]
-        phi, phi1, phi2 = rows[:, trace.observable_index]
+        phi, phi1, phi2 = rows[:, 0 if prep.entry.component == "first" else 1]
         le, le1, le2 = rows[:, 2]
         _, s1, s2 = rows[:, 3]
         lg, lg1, lg2 = rows[:, 4]
-        ph, p_num, q_num = prep.red._coeff_parts_array(trace.x_of(s), t_fixed)
+        xs = x0 + (x1 - x0) / length * s
+        ph, p_num, q_num = prep.red._coeff_parts_array(xs, t_fixed)
         e = np.exp(le)
         tau1 = t_fixed * e * le1 + s1
         tau2 = t_fixed * e * (le2 + le1 * le1) + s2
@@ -533,7 +501,7 @@ def cross_validate(prep: Prepared) -> float:
     if not finite.all():
         first = int(np.argmin(finite))
         raise VerifyError(
-            f"non-finite w, P, Q or residual at x = {complex(trace.x_of(s[first])):.6g}")
+            f"non-finite w, P, Q or residual at x = {complex(xs[first]):.6g}")
     return float(np.max(np.abs(r))) / float(np.max(np.abs(w)))
 
 

@@ -2,12 +2,12 @@ import functools
 
 import pytest
 
-from fuchsreduce import verify
+from fuchsreduce import catalog, verify
 
 
 @functools.lru_cache(maxsize=None)
 def _prepared(entry_id: str):
-    return verify.prepare(entry_id)
+    return verify.prepare(catalog.lookup(entry_id))
 
 
 @functools.lru_cache(maxsize=None)

@@ -135,7 +135,7 @@ def test_criterion_4_deformation_independence(prep):
         dev, _ = verify.check_t_independence(prep(entry_id), n_pairs=32, seed=42)
         worst = max(worst, dev)
         assert dev <= 1e-8, entry_id
-    neg = verify.prepare("negative.PII_bad_y1")
+    neg = verify.prepare(catalog.lookup("negative.PII_bad_y1"))
     neg_dev, _ = verify.check_t_independence(neg, n_pairs=16, seed=42)
     neg_frob = scalarize.frobenius_residual_grid(
         catalog.lookup("negative.PII_bad_y1").lax,

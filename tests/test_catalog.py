@@ -28,6 +28,11 @@ OVERRIDE_PAIRS = (
 )
 OVERRIDE_VALUES = (Fraction(7, 2), 3, 3.0, 2.5, 2.5 + 0j, 2 + 0.5j, -2)
 
+
+def manifest_json(entry: catalog.CatalogEntry) -> str:
+    """The text of an entry's versioned manifest file."""
+    return json.dumps(catalog.manifest(entry), indent=2, sort_keys=False) + "\n"
+
 EXPECTED_IDS = [
     "PII.y0",
     "PII.y_inv_t",
@@ -119,13 +124,13 @@ class TestTraceless:
 
 class TestFlow:
     def test_pii_y0_exact_cancellation(self):
-        assert catalog.flow_residual("PII.y0", 0.7) == 0.0
+        assert catalog.flow_residual(catalog.lookup("PII.y0"), 0.7) == 0.0
 
     def test_piii_flow(self):
-        assert catalog.flow_residual("PIII.y1", 0.9) <= 1e-10
+        assert catalog.flow_residual(catalog.lookup("PIII.y1"), 0.9) <= 1e-10
 
     def test_piv_cubic_flow(self):
-        assert catalog.flow_residual("PIV.y_m2t3", 1.1) <= 1e-10
+        assert catalog.flow_residual(catalog.lookup("PIV.y_m2t3"), 1.1) <= 1e-10
 
     @pytest.mark.parametrize("entry_id", EXPECTED_IDS)
     def test_sixteen_random_probes(self, entry_id):
@@ -138,7 +143,7 @@ class TestFlow:
         assert worst <= 1e-10
 
     def test_negative_control_breaks_flow(self):
-        assert catalog.flow_residual("negative.PII_bad_y1", 0.7) >= 1e-2
+        assert catalog.flow_residual(catalog.lookup("negative.PII_bad_y1"), 0.7) >= 1e-2
 
     @pytest.mark.parametrize("entry_id", (*EXPECTED_IDS, "negative.PII_bad_y1"))
     def test_fused_kernel_is_bit_identical(self, entry_id):
@@ -162,10 +167,10 @@ class TestManifests:
     def test_files_match_regeneration(self):
         for entry_id in (*EXPECTED_IDS, "negative.PII_bad_y1"):
             on_disk = (MANIFESTS / f"{entry_id}.json").read_text()
-            assert on_disk == catalog.manifest_json(catalog.lookup(entry_id))
+            assert on_disk == manifest_json(catalog.lookup(entry_id))
 
     def test_manifest_is_valid_json_with_closed_forms(self):
-        doc = json.loads(catalog.manifest_json(catalog.lookup("PIV.y_m2t3")))
+        doc = json.loads(manifest_json(catalog.lookup("PIV.y_m2t3")))
         assert doc["id"] == "PIV.y_m2t3"
         assert doc["reduction"]["M"] == "2 * t / 3"
         # documented closed forms parse back through the grammar
@@ -173,7 +178,7 @@ class TestManifests:
             fe.parse(text)
 
     def test_target_scale_string(self):
-        doc = json.loads(catalog.manifest_json(catalog.lookup("PII.y0")))
+        doc = json.loads(manifest_json(catalog.lookup("PII.y0")))
         assert doc["target"]["scale_closed_form"] == "4^(1/3)"
 
 
@@ -184,7 +189,7 @@ def _override_manifest(entry_id: str, name: str, value) -> dict:
     float's repr."""
     doc = {"entry": entry_id, "param": name, "value": repr(value)}
     try:
-        doc["manifest"] = json.loads(catalog.manifest_json(catalog.lookup(entry_id, {name: value})))
+        doc["manifest"] = json.loads(manifest_json(catalog.lookup(entry_id, {name: value})))
     except Exception as exc:  # noqa: BLE001 - a rejection is pinned too
         doc["error"] = f"{type(exc).__name__}: {exc}"
     return doc
@@ -267,7 +272,7 @@ class TestRandomPoints:
 if __name__ == "__main__":
     for entry_id in (*catalog.list_entries(), *catalog.list_negative_entries()):
         path = MANIFESTS / f"{entry_id}.json"
-        path.write_text(catalog.manifest_json(catalog.lookup(entry_id)))
+        path.write_text(manifest_json(catalog.lookup(entry_id)))
         sys.stdout.write(f"wrote {path}\n")
     docs = [_override_manifest(entry_id, name, value)
             for entry_id, name in OVERRIDE_PAIRS for value in OVERRIDE_VALUES]

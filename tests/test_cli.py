@@ -213,6 +213,19 @@ class TestSample:
         rc, _, err = run_cli(["sample", "nope.id", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_box_overrides_bound_the_draws(self):
+        # Rows are drawn from the boxes the run decomposed on, not from the
+        # entry's default boxes.
+        rc, out, err = run_cli(["sample", "PII.y0", "--count", "4",
+                                "--box-x", "1.3,1.4,-0.01,0.01",
+                                "--box-t", "0.8,0.9,-0.02,0.02"])
+        assert rc == 0, err
+        rows = [[float(v) for v in ln.split(",")] for ln in out.splitlines()[1:]]
+        assert len(rows) == 4
+        for x_re, x_im, t_re, t_im in (vals[6:] for vals in rows):
+            assert 1.3 <= x_re <= 1.4 and -0.01 <= x_im <= 0.01
+            assert 0.8 <= t_re <= 0.9 and -0.02 <= t_im <= 0.02
+
 
 class TestDeterminism:
     def test_verify_json_byte_identical(self):

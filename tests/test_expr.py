@@ -14,11 +14,11 @@ from fuchsreduce.expr import Binding, Path, T, X
 def fd_derivative(e, var, b, step=1e-6):
     """Central finite difference, the independent oracle for differentiate."""
     if var == "x":
-        up = Binding(x=b.x + step, t=b.t, params=b.params)
-        dn = Binding(x=b.x - step, t=b.t, params=b.params)
+        up = Binding(x=b.x + step, t=b.t)
+        dn = Binding(x=b.x - step, t=b.t)
     else:
-        up = Binding(x=b.x, t=b.t + step, params=b.params)
-        dn = Binding(x=b.x, t=b.t - step, params=b.params)
+        up = Binding(x=b.x, t=b.t + step)
+        dn = Binding(x=b.x, t=b.t - step)
     return (fe.evaluate(e, up) - fe.evaluate(e, dn)) / (2 * step)
 
 
@@ -74,6 +74,19 @@ class TestEvaluate:
             fe.evaluate(X + fe.param("alpha"), Binding(x=1.0))
         with pytest.raises(fe.UnboundSymbolError):
             fe.evaluate(X + T, Binding(x=1.0))
+
+    def test_unbound_parameter_fails_compilation(self):
+        # substitute is the one parameter binder: a parameter left in the
+        # tree raises when it is compiled, as when it is evaluated.
+        e = X + fe.param("alpha")
+        with pytest.raises(fe.UnboundSymbolError, match="alpha"):
+            fe.compile_expr(e)
+        with pytest.raises(fe.UnboundSymbolError, match="alpha"):
+            fe.compile_staged((T, e))
+        with pytest.raises(fe.UnboundSymbolError, match="alpha"):
+            fe.array_form(fe.compile_expr((T, e)))
+        bound = fe.substitute(e, params={"alpha": 2.0})
+        assert fe.compile_expr(bound)(1.0, 0j) == 3.0
 
     def test_division_by_zero(self):
         with pytest.raises(fe.SingularEvaluationError):
@@ -217,16 +230,34 @@ def _array_reprs(value):
 
 
 A = fe.param("a")
-_STAGED_PARAMS = {"a": 0.5 - 1.25j}
+_A_VALUE = 0.5 - 1.25j
 
 
-def _check_staged(e, params, xs, ts):
+def _raw_bound(e, a, memo=None):
+    """``e`` (an expression or a tuple of them) with every ``A`` leaf
+    replaced by the raw constant leaf ``a``.  Unlike ``substitute`` it
+    refolds nothing, so the compilers see the tree's own shape, and a node
+    shared by identity stays shared."""
+    memo = {} if memo is None else memo
+    if isinstance(e, tuple):
+        return tuple(_raw_bound(part, a, memo) for part in e)
+    got = memo.get(id(e))
+    if got is None:
+        if e.kind == "param":
+            got = fe.Expr("const", complex(a))
+        else:
+            got = fe.Expr(e.kind, e.value, tuple(_raw_bound(c, a, memo) for c in e.children))
+        memo[id(e)] = got
+    return got
+
+
+def _check_staged(e, xs, ts):
     """``compile_staged`` against ``compile_expr`` on every (x, t) of
     ``xs`` x ``ts``: the same values by ``repr`` where neither raises, the
     same raising points, values within rounding of ``evaluate``; and the
     array forms of the two agree by ``repr`` on the whole lattice."""
-    fused = fe.compile_expr(e, params)
-    pre, post = fe.compile_staged(e, params)
+    fused = fe.compile_expr(e)
+    pre, post = fe.compile_staged(e)
     for x in xs:
         for t in ts:
             want = _call(fused, x, t)
@@ -238,7 +269,7 @@ def _check_staged(e, params, xs, ts):
             parts = e if isinstance(e, tuple) else (e,)
             for part, value in zip(parts, got if isinstance(e, tuple) else (got,)):
                 try:
-                    ref = fe.evaluate(part, Binding(x=x, t=t, params=params))
+                    ref = fe.evaluate(part, Binding(x=x, t=t))
                 except Exception:  # noqa: BLE001 - no reference value here
                     continue
                 if cmath.isfinite(ref):
@@ -273,13 +304,14 @@ class TestCompileStaged:
         (fe.mul(fe.sqrt(fe.log(X)), T), 2, 1),
     ], ids=["x-only", "t-only", "constant", "bare-x-t", "shared", "internal"])
     def test_stage_shapes(self, e, n_pre_lines, n_carried):
-        pre, post = fe.compile_staged(e, _STAGED_PARAMS)
+        e = _raw_bound(e, _A_VALUE)
+        pre, post = fe.compile_staged(e)
         assert pre.__code__.co_nlocals - 1 == n_pre_lines
         assert len(pre(0.7 + 0.2j)) == n_carried
         # Every line runs in one stage or the other, once.
-        n_lines = fe.compile_expr(e, _STAGED_PARAMS).__code__.co_nlocals - 2
+        n_lines = fe.compile_expr(e).__code__.co_nlocals - 2
         assert n_pre_lines + post.__code__.co_nlocals - 3 - n_carried == n_lines
-        _check_staged(e, _STAGED_PARAMS, _PROPERTY_POINTS, _PROPERTY_POINTS)
+        _check_staged(e, _PROPERTY_POINTS, _PROPERTY_POINTS)
 
     def test_staged_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -289,7 +321,7 @@ class TestCompileStaged:
         @st.composite
         def dags(draw):
             # Later parts reuse earlier ones by identity and by structure,
-            # and bare x, t or a parameter may be returned.
+            # and bare x, t or the A leaf may be returned.
             a, c = draw(trees), draw(trees)
             shared = draw(st.sampled_from([c, _raw("add", a, c), _raw("mul", c, _clone(a)),
                                            _raw("div", _raw("mul", a, T), _clone(a))]))
@@ -303,7 +335,7 @@ class TestCompileStaged:
                       database=None)
         @hyp.given(dags(), values, points, points)
         def check(e, a, xs, ts):
-            _check_staged(e, {"a": a}, xs, ts)
+            _check_staged(_raw_bound(e, a), xs, ts)
 
         check()
 
@@ -311,10 +343,12 @@ class TestCompileStaged:
 class TestCompileConstants:
     def test_negative_imaginary_parameter_power(self):
         # repr(complex(0, -2)) is '-2j', and '-2j ** 2' is -(2j ** 2) = 4.
+        # A bound parameter is a constant leaf; ipow folds constant bases,
+        # so build the node raw.
         a = complex(0.0, -2.0)
-        e = fe.ipow(fe.param("a"), 2)
-        want = fe.evaluate(e, Binding(x=0j, t=0j, params={"a": a}))
-        f = fe.compile_expr(e, {"a": a})
+        e = _raw("ipow", fe.Expr("const", a), value=2)
+        want = fe.evaluate(e, Binding(x=0j, t=0j))
+        f = fe.compile_expr(e)
         assert want == -4
         assert f(0j, 0j) == want
         assert list(fe.array_form(f)(np.array([0j, 1j]), 0j)) == [want, want]
@@ -338,8 +372,9 @@ class TestCompileConstants:
         # repr gives '(nan+0j)', '(inf+0j)', '-infj': nan and inf are not
         # Python literals, so emitted bare they would raise NameError.
         xs = [1 + 0j, 2 - 1j]
-        want = [repr(fe.evaluate(e, Binding(x=x, t=0j, params=params))) for x in xs]
-        f = fe.compile_expr(e, params)
+        e = fe.substitute(e, params=params)
+        want = [repr(fe.evaluate(e, Binding(x=x, t=0j))) for x in xs]
+        f = fe.compile_expr(e)
         assert [repr(f(x, 0j)) for x in xs] == want
         assert [repr(complex(v)) for v in fe.array_form(f)(np.array(xs), 0j)] == want
 
@@ -630,7 +665,7 @@ class TestMultiSegmentPanels:
         # alone, as any segment the walker cannot solve.
         stage = _scalar_stage(lambda z: z)
         assert fe._walk_panels((stage,), 1.0, [1.0], 1e-12) == [[0j]]
-        identity = (lambda z: (0, 0, 0, 0), (1.0, 2.0, 0.5), 1e-12, 1e-13)
+        identity = (lambda z: (0, 0, 0, 0), (1.0, 2.0, 0.5))
         got = fe._walk_panels((stage,), 1.0, [1.0, 1.5], 1e-12, identity)
         assert isinstance(got[0], fe.QuadratureError)
         assert "nonzero length" in str(got[0])
@@ -724,7 +759,7 @@ def _cauchy_derivative(e, var, b, radius, n):
     for k in range(n):
         w = cmath.exp(2j * cmath.pi * k / n)
         moved = {"x": b.x, "t": b.t, var: getattr(b, var) + radius * w}
-        total += fe.evaluate(e, Binding(params=b.params, **moved)) / w
+        total += fe.evaluate(e, Binding(**moved)) / w
     return total / (n * radius)
 
 
@@ -736,7 +771,7 @@ class TestDifferentiateCauchy:
         radius = 0.05
         checked = [0]
 
-        trees = _raw_trees(st, extra_leaves=[fe.param("a"), X, T])
+        trees = _raw_trees(st, extra_leaves=[fe.Expr("const", 0.5 - 1.25j), X, T])
 
         @st.composite
         def cases(draw):
@@ -749,7 +784,7 @@ class TestDifferentiateCauchy:
         @hyp.given(cases(), points, points)
         def check(case, x, t):
             e, var = case
-            b = Binding(x=x, t=t, params={"a": 0.5 - 1.25j})
+            b = Binding(x=x, t=t)
             try:
                 exact = fe.evaluate(fe.differentiate(e, var), b)
                 coarse, fine = (_cauchy_derivative(e, var, b, radius, n) for n in (32, 64))
@@ -838,7 +873,8 @@ class TestGrammar:
 
     def test_parameters_survive(self):
         e = fe.parse("alpha * x + beta")
-        assert fe.evaluate(e, Binding(x=2.0, params={"alpha": 3.0, "beta": 1.0})) == 7.0
+        s = fe.substitute(e, params={"alpha": 3.0, "beta": 1.0})
+        assert fe.evaluate(s, Binding(x=2.0)) == 7.0
 
 
 class TestSubstitute:

@@ -90,7 +90,7 @@ class TestStagedKernel:
     def test_x_stage_runs_once_per_x(self, monkeypatch):
         # coefficients_at on a 32 x 128 lattice runs the x-stage of the
         # kernel once per x and the (x, t) stage once per point.
-        prep = verify.prepare("PIII.y1")
+        prep = verify.prepare(catalog.lookup("PIII.y1"))
         red = prep.red
         calls = {"pre": 0, "post": 0}
 

@@ -131,7 +131,7 @@ class TestDecompose:
         zero = fe.const(0)
         off = X + T
         sp = ScalarPair(p1=zero, q1=zero, p2=fe.const(1), q2=zero,
-                        off_diag=(off, off), diag=(zero, zero))
+                        off_diag=(off, off))
         with pytest.raises(reduction.DecompositionError, match="depends on x"):
             reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
 

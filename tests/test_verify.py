@@ -11,7 +11,6 @@ from scipy.integrate import solve_ivp
 from fuchsreduce import catalog, expr as fe, reduction as red_mod, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import Config
-from fuchsreduce.expr import Binding, Path
 from fuchsreduce.targets import ClassicalTarget
 
 ALL_IDS = catalog.list_entries()
@@ -45,7 +44,7 @@ class TestTIndependence:
             assert Q == pytest.approx(-1.0, abs=1e-10)
 
     def test_negative_control_deviates(self):
-        p = verify.prepare("negative.PII_bad_y1")
+        p = verify.prepare(catalog.lookup("negative.PII_bad_y1"))
         dev, _ = verify.check_t_independence(p, n_pairs=16, seed=3)
         assert dev >= 1e-3
 
@@ -122,7 +121,7 @@ class TestTIndependenceBatched:
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_same_candidates_pairs_and_samples(self, entry_id, seed):
-        ref_prep, new_prep = verify.prepare(entry_id), verify.prepare(entry_id)
+        ref_prep, new_prep = verify.prepare(catalog.lookup(entry_id)), verify.prepare(catalog.lookup(entry_id))
         ref_calls, new_calls = _record_tau_calls(ref_prep), _record_tau_calls(new_prep)
         ref_dev, ref = _scalar_t_independence(ref_prep, 32, seed)
         new_dev, new = verify.check_t_independence(new_prep, n_pairs=32, seed=seed)
@@ -137,7 +136,7 @@ class TestTIndependenceBatched:
         # A deformation box this small leaves most t2 outside the region:
         # both loops place 2 of 3 pairs within the 200-per-pair budget.
         def small_box():
-            p = verify.prepare("PII.y0")
+            p = verify.prepare(catalog.lookup("PII.y0"))
             c = p.box_t.center
             box = catalog.ComplexRect(c.real, c.real + 0.12, c.imag, c.imag + 0.12)
             return dataclasses.replace(p, box_t=box)
@@ -291,18 +290,18 @@ class TestSolveLinearSystem:
         entry_zero.lax = LaxPair(grid, grid)
         prep_zero = copy.copy(base)
         prep_zero.entry = entry_zero
-        trace = verify._trace(prep_zero, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
-        for s in np.linspace(0, trace.length, 7):
-            state = trace.sol(s)
+        trace = verify._trace(prep_zero, 0.5, 1.0, 2.0, initial=(1.0, 0.0))
+        for s in np.linspace(0, trace.edges[-1], 7):
+            state = trace(s)
             assert state[0] == pytest.approx(1.0, abs=1e-12)
             assert state[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_round_trip_returns_to_start(self, prep):
         p = prep("PII.y0")
-        fwd = verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
-        end = fwd.sol(fwd.length)[:2]
-        back = verify._trace(p, 0.5, Path([2.0, 1.0]), initial=(end[0], end[1]))
-        start = back.sol(back.length)[:2]
+        fwd = verify._trace(p, 0.5, 1.0, 2.0, initial=(1.0, 0.0))
+        end = fwd(fwd.edges[-1])[:2]
+        back = verify._trace(p, 0.5, 2.0, 1.0, initial=(end[0], end[1]))
+        start = back(back.edges[-1])[:2]
         assert abs(start[0] - 1.0) <= 1e-8
         assert abs(start[1] - 0.0) <= 1e-8
 
@@ -310,7 +309,7 @@ class TestSolveLinearSystem:
         # Independent oracle: same system, different solver family and
         # tolerance, no shared dense machinery.
         p = prep("PII.y0")
-        trace = verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+        trace = verify._trace(p, 0.5, 1.0, 2.0, initial=(1.0, 0.0))
         a = p.entry.lax.a
         fns = [fe.compile_expr(a[i][j]) for i in range(2) for j in range(2)]
 
@@ -320,7 +319,7 @@ class TestSolveLinearSystem:
 
         res = solve_ivp(rhs, (1.0, 2.0), np.array([1.0 + 0j, 0.0 + 0j]),
                         method="RK45", rtol=1e-12, atol=1e-12)
-        ours = trace.sol(trace.length)[:2]
+        ours = trace(trace.edges[-1])[:2]
         assert abs(ours[0] - res.y[0, -1]) <= 1e-8 * max(1, abs(ours[0]))
         assert abs(ours[1] - res.y[1, -1]) <= 1e-8 * max(1, abs(ours[1]))
 
@@ -328,10 +327,10 @@ class TestSolveLinearSystem:
         # The E, S, gauge channels integrate the same quantities the
         # quadrature-based maps compute; they must agree.
         p = prep("PIII.y1")
-        trace = verify._trace(p, 0.9, Path([2.0, 2.4]), initial=(1.0, 0.0))
+        trace = verify._trace(p, 0.9, 2.0, 2.4, initial=(1.0, 0.0))
         for s in (0.1, 0.25, 0.4):
-            x = trace.x_of(s)
-            e, ssum, g = _channels(trace.sol(s))[2:]
+            x = 2.0 + s
+            e, ssum, g = _channels(trace(s))[2:]
             assert e == pytest.approx(p.red.E(x), rel=1e-9)
             assert abs(ssum - p.red.S(x)) <= 1e-9
             assert g == pytest.approx(p.red.gauge(x), rel=1e-9)
@@ -342,10 +341,10 @@ def _compiled_a(lax):
     return fe.compile_expr((*lax.a[0], *lax.a[1]))
 
 
-def _dop853_trace(prep, t_fixed, x_path, initial):
+def _dop853_trace(prep, t_fixed, x0, x1, initial):
     """The five channels (phi1, phi2, E, S, gauge) of a trace by a DOP853
     dense solve at the panel trace's tolerances: an independent oracle."""
-    x0, x1 = x_path.points
+    x0, x1 = complex(x0), complex(x1)
     length = abs(x1 - x0)
     u = (x1 - x0) / length
     t_fixed = complex(t_fixed)
@@ -395,13 +394,13 @@ class TestPanelTrace:
     def test_channels_match_dop853(self, prep, entry_id):
         p = prep(entry_id)
         t = complex(0.5 * (p.box_t.re_lo + p.box_t.re_hi), 0.0)
-        off_basepoint = Path([p.box_x.re_lo + 0.1 + 0.05j, p.box_x.re_hi - 0.1 - 0.05j])
-        assert off_basepoint.points[0] != p.red.basepoint_x
+        off_basepoint = (p.box_x.re_lo + 0.1 + 0.05j, p.box_x.re_hi - 0.1 - 0.05j)
+        assert off_basepoint[0] != p.red.basepoint_x
         for path in (verify._default_cross_path(p), off_basepoint):
-            trace = verify._trace(p, t, path, initial=(1.0, 0.4 + 0.1j))
-            oracle = _dop853_trace(p, t, path, (1.0, 0.4 + 0.1j))
-            s = np.linspace(0.0, trace.length, 301)
-            ours, ref = _channels(trace.sol(s)), oracle(s)
+            trace = verify._trace(p, t, *path, initial=(1.0, 0.4 + 0.1j))
+            oracle = _dop853_trace(p, t, *path, (1.0, 0.4 + 0.1j))
+            s = np.linspace(0.0, trace.edges[-1], 301)
+            ours, ref = _channels(trace(s)), oracle(s)
             # S is zero up to rounding when f vanishes, so every channel's
             # scale is at least 1 (the size of E and of the initial vector).
             scale = np.maximum(np.max(np.abs(ref), axis=1), 1.0)
@@ -409,23 +408,23 @@ class TestPanelTrace:
 
     def test_scalar_and_array_calls_agree(self, prep):
         p = prep("PII.y0")
-        trace = verify._trace(p, 1.0, verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
-        s = np.linspace(0.0, trace.length, 17)
-        table = _channels(trace.sol(s))
+        trace = verify._trace(p, 1.0, *verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
+        s = np.linspace(0.0, trace.edges[-1], 17)
+        table = _channels(trace(s))
         assert table.shape == (5, 17)
         for k, sk in enumerate(s):
-            one = _channels(trace.sol(float(sk)))
+            one = _channels(trace(float(sk)))
             assert one.shape == (5,)
             np.testing.assert_allclose(one, table[:, k], rtol=1e-14, atol=0)
 
     def test_panel_edges_agree_from_both_sides(self, prep):
         p = prep("PII.y0")
-        trace = verify._trace(p, 1.0, verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
-        edges = trace.sol.edges[1:-1]
+        trace = verify._trace(p, 1.0, *verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
+        edges = trace.edges[1:-1]
         assert len(edges) >= 1
         for edge in edges:
-            left = _channels(trace.sol(np.nextafter(edge, 0.0)))
-            right = _channels(trace.sol(float(edge)))
+            left = _channels(trace(np.nextafter(edge, 0.0)))
+            right = _channels(trace(float(edge)))
             assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(right))
 
     def test_pole_on_a_panel_node_raises_the_kernel_class(self, prep):
@@ -434,7 +433,7 @@ class TestPanelTrace:
         pole = fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5)))
         p = _entry_with_a(prep("PII.y0"), ((zero, pole), (zero, zero)))
         with pytest.raises(ZeroDivisionError):
-            verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 1.0))
+            verify._trace(p, 0.5, 1.0, 2.0, initial=(1.0, 1.0))
 
     def test_unresolvable_system_hits_the_depth_cap(self, prep):
         # a12 = 1e6 [Im(x) < 0]: log(x - 2) - log(2 - x) jumps by 2 pi i
@@ -447,18 +446,18 @@ class TestPanelTrace:
         zero = fe.const(0)
         p = _entry_with_a(prep("PII.y0"), ((zero, step), (zero, zero)))
         with pytest.raises(verify.VerifyError, match="did not converge"):
-            verify._trace(p, 0.5, Path([1.5 - 0.3j, 1.5 + 0.7j]), initial=(1.0, 1.0))
+            verify._trace(p, 0.5, 1.5 - 0.3j, 1.5 + 0.7j, initial=(1.0, 1.0))
 
     def test_panel_budget_raises(self, prep, monkeypatch):
         zero, k = fe.const(0), fe.const(200.0)
         p = _entry_with_a(prep("PII.y0"), ((zero, k), (fe.neg(k), zero)))
         monkeypatch.setattr(fe, "_MAX_PANELS", 8)
         with pytest.raises(verify.VerifyError, match="more than 8 panels"):
-            verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+            verify._trace(p, 0.5, 1.0, 2.0, initial=(1.0, 0.0))
 
     def test_zero_length_path_raises(self, prep):
         with pytest.raises(verify.VerifyError, match="nonzero length"):
-            verify._trace(prep("PII.y0"), 0.5, Path([1.5, 1.5]), initial=(1.0, 0.0))
+            verify._trace(prep("PII.y0"), 0.5, 1.5, 1.5, initial=(1.0, 0.0))
 
     def test_nan_coefficient_raises(self, prep):
         # (1e200 x)^2 overflows to inf, and inf - inf is nan.
@@ -467,7 +466,7 @@ class TestPanelTrace:
         zero = fe.const(0)
         p = _entry_with_a(prep("PII.y0"), ((nan, zero), (zero, zero)))
         with pytest.raises(verify.VerifyError, match="non-finite"):
-            verify._trace(p, 0.5, Path([1.0, 2.0]), initial=(1.0, 0.0))
+            verify._trace(p, 0.5, 1.0, 2.0, initial=(1.0, 0.0))
 
 
 def _dop853_joint(prep, x_anchor, t_center, dt=5e-3, span=0.6):
@@ -550,15 +549,16 @@ class TestCrossValidate:
         p = prep("PIV.y_m2t")
         entry = p.entry
         t_fixed = 1.0
-        trace = verify._trace(p, t_fixed, Path([1.0, 2.4]), initial=(1.0, 0.0))
-        ss = np.linspace(0.05, trace.length - 0.05, 80)
+        trace = verify._trace(p, t_fixed, 1.0, 2.4, initial=(1.0, 0.0))
+        obs = 0 if entry.component == "first" else 1
+        ss = np.linspace(0.05, trace.edges[-1] - 0.05, 80)
         taus = []
         ws = []
         for s in ss:
-            rows = _channels(trace.sol(s))
+            rows = _channels(trace(s))
             e, ssum, g = rows[2:]
             taus.append(p.frame_a * (t_fixed * e + ssum) + p.frame_b)
-            ws.append(rows[trace.observable_index] / g)
+            ws.append(rows[obs] / g)
         taus = np.asarray(taus)
         ws = np.asarray(ws)
         basis = np.column_stack([np.exp(taus), np.exp(-taus)])
@@ -590,10 +590,11 @@ class TestCrossValidateCanFail:
     def test_perturbed_trace_fails(self, prep, entry_id):
         p = prep(entry_id)
         t = complex(0.5 * (p.box_t.re_lo + p.box_t.re_hi), 0.0)
-        trace = verify._trace(p, t, verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
+        trace = verify._trace(p, t, *verify._default_cross_path(p), initial=(1.0, 0.4 + 0.1j))
+        obs = 0 if p.entry.component == "first" else 1
         ways = [_add_quadratic_to_observable]
         # log g is 0 on the PII entries, whose gauge is 1; S is 0 when f is.
-        if np.max(np.abs(trace.sol.coeffs[:, 4])) > 1e-12:
+        if np.max(np.abs(trace.coeffs[:, 4])) > 1e-12:
             ways.append(_scale_log_g)
         if not p.dec.f_zero:
             ways.append(_scale_s)
@@ -601,7 +602,7 @@ class TestCrossValidateCanFail:
         for perturb in ways:
             def perturbed_trace(*args, **kwargs):
                 got = real_trace(*args, **kwargs)
-                perturb(got.sol.coeffs, got.observable_index)
+                perturb(got.coeffs, obs)
                 return got
 
             with pytest.MonkeyPatch.context() as mp:
@@ -675,8 +676,8 @@ class TestLazyScipy:
 
     def test_joint_solution_leaves_scipy_integrate_unloaded(self):
         out = _run_python("import sys\n"
-                          "from fuchsreduce import verify\n"
-                          "p = verify.prepare('PIII.y1')\n"
+                          "from fuchsreduce import catalog, verify\n"
+                          "p = verify.prepare(catalog.lookup('PIII.y1'))\n"
                           "phi = verify.joint_solution(p, 2.0 - 0.15j, 0.9 + 0.1j)\n"
                           "phi(2.3 - 0.15j, 0.9 + 0.1j + 5e-3)\n"
                           "print('scipy.integrate' in sys.modules)\n")
