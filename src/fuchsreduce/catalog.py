@@ -122,22 +122,20 @@ DEFAULT_T_BOX = ComplexRect(0.5, 1.5, -0.2, 0.2)
 class LaxPair:
     """Coefficient matrices A(x,t), B(x,t) of the two linear systems.
 
-    Both matrices are traceless, and every entry is a finite sum of
-    products of one-variable factors (guaranteed by construction from the
-    family templates)."""
+    The matrices of the family templates are traceless, and every entry is
+    a finite sum of products of one-variable factors (guaranteed by
+    construction)."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
     @cached_property
-    def a_entries_array(self) -> Callable:
-        """(x, t) -> (a11, a12, a21, a22), compiled, in array form."""
-        return fe.array_form(fe.compile_expr((*self.a[0], *self.a[1])))
-
-    @cached_property
-    def b_entries_array(self) -> Callable:
-        """(x, t) -> (b11, b12, b21, b22), compiled, in array form."""
-        return fe.array_form(fe.compile_expr((*self.b[0], *self.b[1])))
+    def a_dadt_array(self) -> Callable:
+        """(x, t) -> (a11, a12, a21, a22) and then the same entries of
+        dA/dt, compiled, in array form: the ``matrix`` of a linear-system
+        walk (``expr._walk_panels``)."""
+        a = (*self.a[0], *self.a[1])
+        return fe.array_form(fe.compile_expr((*a, *(fe.differentiate(e, "t") for e in a))))
 
     @cached_property
     def frobenius_fns(self) -> Callable:
@@ -213,6 +211,25 @@ class CatalogEntry:
             return self.scalar
         return scal.scalar_coefficients(self.lax, self.component,
                                         probes=self.probe_bindings())
+
+    @cached_property
+    def linear_systems(self) -> LaxPair:
+        """The x- and t-systems the entry's solutions solve: its matrices or,
+        for a direct scalar pair, the companion system of phi'' + p1 phi'
+        + q1 phi = 0 on (phi, phi') with the t-system that phi' = p2 phi_t
+        + q2 phi implies.  That relation reads phi_t = alpha phi + beta phi'
+        with alpha = -q2/p2 and beta = 1/p2; differentiating it in x and
+        eliminating phi'' gives (phi')_t = (alpha' - beta q1) phi
+        + (alpha + beta' - beta p1) phi'."""
+        if self.lax is not None:
+            return self.lax
+        p1, q1, p2, q2 = self.scalar.p1, self.scalar.q1, self.scalar.p2, self.scalar.q2
+        alpha, beta = -q2 / p2, 1 / p2
+        a = ((_c(0), _c(1)), (-q1, -p1))
+        b = ((alpha, beta),
+             (fe.differentiate(alpha, "x") - beta * q1,
+              alpha + fe.differentiate(beta, "x") - beta * p1))
+        return LaxPair(a, b)
 
     @cached_property
     def decomposition(self) -> red_mod.Decomposition:

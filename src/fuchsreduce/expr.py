@@ -11,9 +11,9 @@ expression or a tuple of them per function, or the same lines staged as
 an x-only part and the rest; an array form runs the same code object on
 numpy arrays of points), one walker of adaptive Chebyshev panels with
 tail-coefficient error control (contour quadrature along piecewise-linear
-paths, many segments from one start together, optionally with the solve
-of a 2x2 linear ODE along them), and a plain-text infix grammar whose
-parser and printer round-trip structurally.
+paths, many segments from one start together, or the solve of a 2x2
+linear ODE and its t-variation along them), and a plain-text infix
+grammar whose parser and printer round-trip structurally.
 
 Design constraints:
 
@@ -529,31 +529,18 @@ _ARRAY_GLOBALS = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
                   "_powf": _principal_pow_array}
 
 
-def array_form(fn: Callable | tuple[Callable, Callable]) -> Callable:
+def array_form(fn: Callable) -> Callable:
     """The array form ``array(x, t)`` of a function made by
     :func:`compile_expr`: the same code object, run with numpy ufuncs in
-    place of ``cmath``, so it cannot drift from ``fn``.  Given the pair
-    ``(pre, post)`` of :func:`compile_staged`, it runs the array forms of
-    ``pre`` on x and then ``post``, and its scalar function is
-    ``post(x, t, pre(x))``.
+    place of ``cmath``, so it cannot drift from ``fn``.
 
     ``x`` and ``t`` broadcast against each other; the result has their
     shape (a tuple of such arrays for a tuple compile).  It is evaluated
     under ``np.errstate`` raising on divide, overflow and invalid.  A batch
-    that raises or yields a non-finite value is evaluated again by the
-    scalar function, point by point, so it ends in the scalar values or in
-    the exception the scalar function raises at the first bad point."""
-    if isinstance(fn, tuple):
-        pre, post = fn
-        vec_pre, vec_post = (types.FunctionType(f.__code__, _ARRAY_GLOBALS) for f in fn)
-
-        def scalar(x, t):
-            return post(x, t, pre(x))
-
-        def vec(x, t):
-            return vec_post(x, t, vec_pre(x))
-    else:
-        scalar, vec = fn, types.FunctionType(fn.__code__, _ARRAY_GLOBALS)
+    that raises or yields a non-finite value is evaluated again by ``fn``,
+    point by point, so it ends in the scalar values or in the exception
+    ``fn`` raises at the first bad point."""
+    vec = types.FunctionType(fn.__code__, _ARRAY_GLOBALS)
 
     def array(x, t):
         x = np.asarray(x, dtype=complex)
@@ -570,7 +557,7 @@ def array_form(fn: Callable | tuple[Callable, Callable]) -> Callable:
         except _SAMPLE_ERRORS:
             pass
         xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
-        rows = np.array([scalar(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
+        rows = np.array([fn(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
         if rows.ndim == 1:
             return rows.reshape(shape)
         return tuple(col.reshape(shape) for col in rows.T)
@@ -704,8 +691,7 @@ def compile_staged(e: Expr | tuple[Expr, ...]) -> tuple[Callable, Callable]:
     A caller that meets the same x at many t computes ``pre(x)`` once.
     Every line runs in one stage or the other, so a point raises in the
     pair exactly when it raises in ``compile_expr``'s function (possibly
-    at another line, since the x-only lines now run first).
-    :func:`array_form` runs the pair on numpy arrays of points."""
+    at another line, since the x-only lines now run first)."""
     lines, outputs, result, read = _value_numbered(e, staged=True)
     staged = [line for line in lines if not line[2] & _T_DEP]
     rest = [line for line in lines if line[2] & _T_DEP]
@@ -767,7 +753,8 @@ _max_rows = functools.partial(np.maximum.reduce, axis=1)
 _MAX_PANELS = 2000
 # A panel still unresolved after this many bisections fails its segment.
 _MAX_DEPTH = 48
-# A linear-system panel passes when the tail of y is at most _ATOL + _RTOL max|y|.
+# A linear-system panel passes when the tails of Phi and of Psi are each at
+# most _ATOL + _RTOL times its own largest modulus on the panel.
 _RTOL, _ATOL = 1e-12, 1e-13
 
 
@@ -775,9 +762,9 @@ class _Segment:
     """The state of one segment [a, b] in :func:`_walk_panels`: its stack
     of pending panels (p, q, depth), the running stage integrals from
     ``a``, the number of panels taken so far and, once it is done, its
-    result.  With a linear system it also holds y at the end of the panels
-    accepted so far and their dense output: the arclength edges and the
-    Chebyshev coefficients of every row."""
+    result.  With a linear system it also holds y = (Phi, Psi) at the end
+    of the panels accepted so far and their dense output: the arclength
+    edges and the Chebyshev coefficients of every row."""
 
     __slots__ = ("b", "tail_tol", "stack", "totals", "taken", "result",
                  "y", "edges", "coeffs")
@@ -825,34 +812,43 @@ def _stage_rows(stage: Callable, z: np.ndarray, prior: list[np.ndarray]
 
 def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
                rows: list[_Segment]) -> list[np.ndarray | None]:
-    """Per panel row of ``z``, y at its points: the solution of y' = A(z) y
-    from y at the start of the panel (``seg.y``), or None when the panel
-    must be bisected.  On a panel of half-width ``half`` the values of y at
-    the nodes solve the integral form y = y(p) + half W (A y) of the
-    equation, with W = ``_CHEB_CUMSUM``: one 50x50 linear system per row
-    (Greengard, SIAM J. Numer. Anal. 28, 1991).  A row passes when the tail
-    of y is at most ``_ATOL + _RTOL max|y|`` on it.  A non-finite coefficient
-    or solution value fails the row's segment (None too)."""
+    """Per panel row of ``z``, y = (Phi, Psi) at its points, or None when
+    the panel must be bisected.  Phi solves Phi' = A(z) Phi and Psi, its
+    variation in t, Psi' = A Psi + A_t Phi, both from their values at the
+    start of the panel (``seg.y``).  On a panel of half-width ``half`` the
+    values at the nodes solve the integral forms Phi = Phi(p) + half W (A
+    Phi) and Psi = Psi(p) + half W (A Psi + A_t Phi), with W =
+    ``_CHEB_CUMSUM`` (Greengard, SIAM J. Numer. Anal. 28, 1991).  The
+    collocated system is block lower-triangular, so each row takes one 50x50
+    matrix I - half W A and two solves: Phi, then Psi with the forcing
+    half W (A_t Phi).  A row passes when the tail of Phi is at most
+    ``_ATOL + _RTOL max|Phi|`` on it, and that of Psi likewise.  A
+    non-finite coefficient or solution value fails the row's segment (None
+    too)."""
     n = len(_CHEB_NODES)
     eye = np.eye(2 * n)
     entries = [np.broadcast_to(np.asarray(v, dtype=complex), z.shape) for v in matrix(z)]
     out: list[np.ndarray | None] = []
     for j, seg in enumerate(rows):
-        a11, a12, a21, a22 = (v[j] for v in entries)
+        a11, a12, a21, a22, d11, d12, d21, d22 = (v[j] for v in entries)
         ys = None
-        if not all(np.isfinite(v).all() for v in (a11, a12, a21, a22)):
+        if not all(np.isfinite(v[j]).all() for v in entries):
             seg.fail(QuadratureError(
                 f"non-finite coefficient on the panel [{z[j, 0]}, {z[j, -1]}]"))
         else:
             hw = halves[j] * _CHEB_CUMSUM
             system = eye - np.block([[hw * a11, hw * a12], [hw * a21, hw * a22]])
-            ys = np.linalg.solve(system, np.repeat(seg.y, n)).reshape(2, n)
+            phi1, phi2 = np.linalg.solve(system, np.repeat(seg.y[:2], n)).reshape(2, n)
+            forcing = np.concatenate([hw @ (d11 * phi1 + d12 * phi2),
+                                      hw @ (d21 * phi1 + d22 * phi2)])
+            psi = np.linalg.solve(system, np.repeat(seg.y[2:], n) + forcing)
+            ys = np.vstack([phi1, phi2, psi.reshape(2, n)])
             if not np.isfinite(ys).all():
                 seg.fail(QuadratureError(
                     f"non-finite solution on the panel [{z[j, 0]}, {z[j, -1]}]"))
                 ys = None
-            elif (float(np.max(np.abs(ys @ _CHEB_APPLY[:, :3])))
-                  > _ATOL + _RTOL * float(np.max(np.abs(ys)))):
+            elif (np.abs(ys @ _CHEB_APPLY[:, :3]).reshape(2, 6).max(axis=1)
+                  > _ATOL + _RTOL * np.abs(ys).reshape(2, 2 * n).max(axis=1)).any():
                 ys = None
         out.append(ys)
     return out
@@ -863,7 +859,8 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                  system: tuple[Callable, Sequence[complex]] | None = None) -> list:
     """Integrals of each stage over the straight segments [a, b], one per
     end point ``b`` in ``ends``, on adaptive Chebyshev panels taken left to
-    right, and, given a linear ``system``, its solution along each segment.
+    right; or, given a linear ``system`` and no stages, its solution along
+    each segment.
 
     Every round takes the next panel [p, q] of each unfinished segment and
     samples it at z = mid + half * nodes, with mid = (p + q) / 2 and
@@ -879,17 +876,17 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     So each segment takes the panels and the decisions that walking it
     alone would.
 
-    ``system`` = (matrix, start) adds the equation y' = A(z) y for a
-    2-vector y, solved on every row before the stages are sampled
-    (:func:`_collocate`, to the fixed ``_RTOL`` and ``_ATOL``).
-    ``matrix(z)`` returns the entries (a11, a12, a21, a22) of A on the
+    ``system`` = (matrix, start) is the x-equation Phi' = A Phi of a
+    2-vector together with its t-variation Psi' = A Psi + A_t Phi, solved
+    on every row (:func:`_collocate`, to the fixed ``_RTOL`` and
+    ``_ATOL``; ``abs_tol`` is not read).  ``matrix(z)`` returns the
+    entries (a11, a12, a21, a22) of A and then those of A_t = dA/dt on the
     panel points, each in the shape of ``z`` or broadcastable to it; what
-    it raises ends the walk.  ``start`` holds
-    y(a) and then the values at ``a`` from which the stage integrals run.
+    it raises ends the walk.  ``start`` holds (Phi(a), Psi(a)).
 
     Returns, per end point, without a system the list of stage integrals
     and with one the dense output (:class:`_PiecewiseChebyshev`) of the
-    rows (y1, y2, stage integrals) over the arclength [0, |b - a|]; or the
+    rows (Phi1, Phi2, Psi1, Psi2) over the arclength [0, |b - a|]; or the
     exception that ended that segment: :class:`QuadratureError` when a
     panel at depth ``_MAX_DEPTH`` is still unresolved, the segment needs more than
     ``_MAX_PANELS`` panels, a stage divides by zero at one of its points (a
@@ -901,8 +898,8 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     if system is None:
         y0, start = None, [0j] * len(stages)
     else:
-        matrix, start = system
-        y0, start = np.asarray(start[:2], dtype=complex), list(start[2:])
+        matrix, y0 = system
+        y0, start = np.asarray(y0, dtype=complex), []
     segments = [_Segment(a, complex(b), abs_tol, y0, start) for b in ends]
     live = [seg for seg in segments if seg.stack]
     while live:
@@ -926,12 +923,14 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
             sel = list(range(len(rows)))    # rows every test so far accepted
             if system is not None:
                 ys = _collocate(matrix, z, state[:, 1], rows)
-                ok = [sol is not None for sol in ys]
-                if not all(ok):
-                    sel = [j for j, keep in zip(sel, ok) if keep]
-                    z, half, state = z[ok], half[ok], state[ok]
+                sel = [j for j in sel if ys[j] is not None]
+                for j in sel:
+                    seg = rows[j]
+                    seg.y = ys[j][:, -1]
+                    seg.coeffs.append(ys[j] @ _CHEB_TO_COEFFS.T)
+                    seg.edges.append(abs(panels[j][1] - a))
             prior: list[np.ndarray] = []
-            for k, stage in enumerate(stages if sel else ()):
+            for k, stage in enumerate(stages):
                 vals, errors = _stage_rows(stage, z, prior)
                 applied = vals @ _CHEB_APPLY
                 tails = _max_rows(np.abs(applied[:, :3])).tolist()
@@ -959,13 +958,6 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                 prior.append(state[:, 2 + k:3 + k] + half * applied[:, 3:])
             for j, *row in zip(sel, *(pr[:, -1].tolist() for pr in prior)):
                 rows[j].totals = row
-            if system is not None:
-                for i, j in enumerate(sel):
-                    seg = rows[j]
-                    seg.y = ys[j][:, -1]
-                    seg.coeffs.append(np.vstack([ys[j], *(pr[i] for pr in prior)])
-                                      @ _CHEB_TO_COEFFS.T)
-                    seg.edges.append(abs(panels[j][1] - a))
             accepted = set(sel)
             for j, seg in enumerate(rows):
                 if j in accepted or seg.result is not None:
@@ -997,7 +989,8 @@ def _walk_all(*args, **kwargs) -> list:
 
 class _PiecewiseChebyshev:
     """Dense output of :func:`_walk_panels` with a linear system: per panel
-    of [0, L] in arclength, the Chebyshev coefficients of every row.
+    of [0, L] in arclength, the Chebyshev coefficients of the rows (Phi1,
+    Phi2, Psi1, Psi2).
     Called like scipy's ``OdeSolution``: a float gives the rows' values
     (shape (k,)), an array of m arclengths a (k, m) array.  With ``derivatives`` = d > 0
     the result gains a leading axis of length d + 1: the rows and their

@@ -69,10 +69,15 @@ class Decomposition:
     in t alone.  ``exponent_A`` is the constant A with
     ``g = B^-1 exp(-2 M t) t^A`` when M is constant (None otherwise or when
     no off-diagonal data is available).  The free constant B is pinned to 1
-    by normalizing g at a reference deformation value.  ``sp`` is the
-    scalar pair the data was recovered from; it is required, because the
-    reduced coefficients are compiled from its p1 and q1.
+    by normalizing g at a reference deformation value.  ``box_x`` and
+    ``box_t`` are the probe boxes (``catalog.ComplexRect``) the data was
+    recovered on.  ``sp`` is the scalar pair the data was recovered from;
+    it is required, because the reduced coefficients are compiled from its
+    p1 and q1.
 
+    The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant``
+    are measured on the probe boxes from f, h and M (:func:`_zero_in_x`,
+    :func:`_m_flags`), so a copy with another f, h or M measures its own.
     The underscored cached properties are the compiled kernels of the tau
     and gauge maps and of the reduced coefficients (see
     :class:`ReducedEquation`), compiled on first use and kept for the life
@@ -81,7 +86,7 @@ class Decomposition:
     ``(pre, post)`` of :func:`expr.compile_staged` for (phi, p_num,
     q_num): ``pre(x)`` computes the lines that depend on x alone (f', h',
     G, G', G^2 and most of p1 and q1), ``post(x, t, pre(x))`` the rest.
-    ``dataclasses.replace`` starts without them."""
+    ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
     h: Expr
@@ -92,16 +97,38 @@ class Decomposition:
     P2: Expr | None
     P3: Expr | None
     exponent_A: complex | None
-    f_zero: bool
-    h_zero: bool
-    M_zero: bool
-    M_constant: bool
+    box_x: object
+    box_t: object
     component: str
     sp: ScalarPair = field(repr=False, compare=False)
 
     def gauge_exponent(self) -> Expr:
         """The integrand G of the gauge factor exp(int G dx)."""
         return self.R if self.component == "first" else fe.neg(self.R)
+
+    @cached_property
+    def _p2_t1(self) -> Expr:
+        return fe.substitute(self.sp.p2, t=self.box_t.diagonal(7)[1])
+
+    @cached_property
+    def f_zero(self) -> bool:
+        return _zero_in_x(self.f, self.box_x, self._p2_t1)
+
+    @cached_property
+    def h_zero(self) -> bool:
+        return _zero_in_x(self.h, self.box_x, self._p2_t1)
+
+    @cached_property
+    def _m_flags(self) -> tuple[bool, bool]:
+        return _m_flags(self.M, self.box_t)
+
+    @property
+    def M_zero(self) -> bool:
+        return self._m_flags[0]
+
+    @property
+    def M_constant(self) -> bool:
+        return self._m_flags[1]
 
     @cached_property
     def _phi(self):
@@ -134,9 +161,21 @@ class Decomposition:
     def _G_array(self):
         return fe.array_form(fe.compile_expr(self.gauge_exponent()))
 
-    @cached_property
-    def _coeff_parts_array(self):
-        return fe.array_form(self._coeff_parts)
+
+def _zero_in_x(e: Expr, box_x, p2_t1: Expr) -> bool:
+    """Whether ``e``, in x alone, vanishes at 7 points of the diagonal of
+    ``box_x``, relative to the size of p2 there at the first probe t."""
+    return fe.numerically_zero(e, [Binding(x=x) for x in box_x.diagonal(7)],
+                               reference=p2_t1)
+
+
+def _m_flags(M: Expr, box_t) -> tuple[bool, bool]:
+    """(M_zero, M_constant): whether M, in t alone, vanishes, or its t
+    derivative does, at 9 points of the diagonal of ``box_t``."""
+    t_probes = [Binding(t=t) for t in box_t.diagonal(9)]
+    m_zero = fe.numerically_zero(M, t_probes)
+    return m_zero, m_zero or fe.numerically_zero(fe.differentiate(M, "t"), t_probes,
+                                                  reference=M)
 
 
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
@@ -170,8 +209,8 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
 
     probes12 = [Binding(x=x, t=t)
                 for x, t in zip(box_x.diagonal(12), reversed(box_t.diagonal(12)))]
-    f_zero = fe.numerically_zero(f, x_probes, reference=p2_t1)
-    h_zero = fe.numerically_zero(h, x_probes, reference=p2_t1)
+    f_zero = _zero_in_x(f, box_x, p2_t1)
+    h_zero = _zero_in_x(h, box_x, p2_t1)
 
     # --- R and M from q2 = R + M (f + t h)
     q2d = sp.q2_decomposable()
@@ -243,9 +282,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
         raise DecompositionError("inconsistent R/M split (residual above 1e-08)")
 
     t_probes = [Binding(t=t) for t in box_t.diagonal(9)]
-    M_zero = fe.numerically_zero(M, t_probes)
-    M_constant = M_zero or fe.numerically_zero(
-        fe.differentiate(M, "t"), t_probes, reference=M)
+    m_flags = _m_flags(M, box_t)
 
     # --- g and the P_i (only with off-diagonal source data)
     g = P1 = P2 = P3 = None
@@ -265,7 +302,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
         if not fe.numerically_zero(factor_defect, probes12, tol=1e-9, reference=aoff):
             raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
 
-        if M_constant:
+        if m_flags[1]:
             dlog_g = fe.div(fe.differentiate(g, "t"), g)
             vals = []
             for tp in (tdiag[2], tdiag[4]):
@@ -274,12 +311,14 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
             if abs(vals[0] - vals[1]) <= 1e-7 * (1 + abs(vals[0])):
                 exponent_a = vals[0]
 
-    return Decomposition(
+    dec = Decomposition(
         f=f, h=h, R=R, M=M, g_of_t=g, P1=P1, P2=P2, P3=P3,
-        exponent_A=exponent_a,
-        f_zero=f_zero, h_zero=h_zero, M_zero=M_zero, M_constant=M_constant,
+        exponent_A=exponent_a, box_x=box_x, box_t=box_t,
         component=sp.component, sp=sp,
     )
+    # The flags measured above, as the properties would measure them.
+    dec.__dict__.update(_p2_t1=p2_t1, f_zero=f_zero, h_zero=h_zero, _m_flags=m_flags)
+    return dec
 
 
 def classify_case(dec: Decomposition) -> str:
@@ -327,9 +366,11 @@ class ReducedEquation:
     point integrates h to log E at the panel points, then f E at the same
     points to S.  A memo miss walks its point alone; :meth:`prefetch` walks
     many at once and leaves out of the memo a point whose segment fails,
-    so asking for it later raises as it would have.  ``verify._trace``
-    runs the same stages with a linear system.  Values are built-in
-    ``complex``, memoized per point.
+    so asking for it later raises as it would have.  Values are built-in
+    ``complex``, memoized per point.  The case flags that pick the stages
+    are the decomposition's, measured from its own f, h and M, so a
+    decomposition built with ``dataclasses.replace`` walks the stages its
+    f calls for.
 
     P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h.
     phi, p_num and q_num are compiled together, sharing their common
@@ -337,10 +378,10 @@ class ReducedEquation:
     ``_pre(x)`` runs the lines that depend on x alone and
     ``_post(x, t, xv)`` the rest.  :meth:`coefficients_at` memoizes
     ``(E(x), _pre(x))`` per x, so on a lattice of (x, t) the x-only lines
-    run once per x.  ``_phi`` alone serves the degeneracy gates, and the
-    array form ``_coeff_parts_array`` cross-validation.  All kernels are
-    the decomposition's, so building a ReducedEquation compiles nothing;
-    its own state is the basepoint and the E/S, gauge and x-stage memos.
+    run once per x.  ``_phi`` alone serves the degeneracy gates.  All
+    kernels are the decomposition's, so building a ReducedEquation
+    compiles nothing; its own state is the basepoint and the E/S, gauge
+    and x-stage memos.
     For a completely integrable input P and Q depend on (x, t) only
     through tau."""
 
@@ -353,7 +394,7 @@ class ReducedEquation:
         self.case_tag = classify_case(dec)
         self._h_array, self._f_array, self._G_array = dec._h_array, dec._f_array, dec._G_array
         self._phi = dec._phi
-        (self._pre, self._post), self._coeff_parts_array = dec._coeff_parts, dec._coeff_parts_array
+        self._pre, self._post = dec._coeff_parts
         # Stages of one pass of the panel walker: h, then f E.
         self._es_stages = (self._h_rows,) if dec.f_zero else (self._h_rows, self._fE_rows)
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}

@@ -26,8 +26,7 @@ numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import expr as fe
 from .expr import Binding, Expr
@@ -78,11 +77,6 @@ class ScalarPair:
         if self.component == "first":
             return self.q2
         return fe.neg(self.q2)
-
-    @cached_property
-    def p1_q1_array(self) -> Callable:
-        """(x, t) -> (p1, q1), compiled in array form."""
-        return fe.array_form(fe.compile_expr((self.p1, self.q1)))
 
 
 def _matmul(a, b):

@@ -8,13 +8,13 @@ For each catalog entry this module certifies, with explicit tolerances:
    different deformation states agree (the actual reduction claim),
 4. the reduced equation is a recognized classical target (least-squares
    identification over the basis {1, tau, 1/tau, 1/tau^2}),
-5. a numerically integrated solution, gauge-stripped and re-parametrized
-   by tau, satisfies the reduced equation (cross-validation on a dense
-   trace).  The trace solves the x-system and integrates log E, S and
-   log g on the Chebyshev panels of ``expr._walk_panels``, the walker
-   that also serves E, S, the gauge and :func:`joint_solution`; the
-   check differentiates those Chebyshev series exactly, and no function
-   here imports ``scipy.integrate``.
+5. on one actual solution of both systems, w = phi / g is a function of
+   tau times a function of t (cross-validation, the tau-covariance
+   check).  One leg solves the x-system together with its exact
+   t-variation on the Chebyshev panels of ``expr._walk_panels``, the
+   walker that also serves E, S and the gauge, and the check
+   differentiates the leg's Chebyshev series exactly; no function here
+   imports ``scipy.integrate``.
 
 Coefficient samples are reported in the frame of the documented closed-form
 tau; the quadrature-defined tau differs from it by an affine map (a, b)
@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "prepare",
     "check_t_independence",
     "match_classical",
-    "joint_solution",
     "cross_validate",
     "full_report",
 ]
@@ -334,175 +333,90 @@ def match_classical(samples: Sequence[tuple[complex, complex, complex]],
 
 
 # ---------------------------------------------------------------------------
-# Numerical solution of the linear system (with change-of-variable channels)
+# Cross-validation: tau-covariance of one solution
 
-def _trace(prep: Prepared, t_fixed: complex, x0: complex, x1: complex,
-           initial: tuple[complex, complex]) -> fe._PiecewiseChebyshev:
-    """Dense solve of the x-system at fixed deformation along the straight
-    segment [x0, x1], with the log E, S and log g channels: a one-segment
-    walk of the panel walker (``expr._walk_panels``) with a linear system.
-    Returns the walker's dense output over the arclength [0, |x1 - x0|],
-    whose rows are (phi1, phi2, log E, S, log g).
-
-    Each panel solves the collocated integral form of the system (for
-    direct scalar entries the companion system of the second-order
-    equation, initial = (phi, phi')) and integrates h, f E and G on the
-    same nodes, starting from log ``E``, ``S`` and log ``gauge`` at x0.
-    The stages are the reduced equation's own (``prep.red._h_rows``,
-    ``_fE_rows``, ``_G_rows``), the ones its E, S and gauge maps walk, so
-    the channels and the maps share one kernel.  A singular coefficient
-    raises the compiled kernel's own exception; a segment of zero length,
-    an unresolved panel, an exhausted panel budget, a singular h, f E or G
-    sample or a non-finite coefficient or solution value raises
-    :class:`VerifyError`."""
-    entry = prep.entry
-    x0, x1, t_fixed = complex(x0), complex(x1), complex(t_fixed)
-    red = prep.red
-    totals = (cmath.log(red.E(x0)), red.S(x0), cmath.log(red.gauge(x0)))
-    if entry.lax is not None:
-        a_entries = entry.lax.a_entries_array
-        matrix = lambda z: a_entries(z, t_fixed)
-    else:
-        p1_q1 = prep.dec.sp.p1_q1_array
-
-        def matrix(z):
-            p1, q1 = p1_q1(z, t_fixed)
-            return 0, 1, -q1, -p1
-
-    try:
-        return fe._walk_all((red._h_rows, red._fE_rows, red._G_rows), x0, (x1,),
-                            red.quad_tol, (matrix, (*initial, *totals)))[0]
-    except fe.QuadratureError as exc:
-        raise VerifyError(f"linear-system integration failed: {exc}") from exc
+# Phi at the start of the walked leg.
+_PHI0 = (1.0 + 0j, 0.4 + 0.1j)
+# Interior points of the leg at which cross-validation samples mu.
+_MU_POINTS = 9
 
 
-def joint_solution(prep: Prepared, x_anchor: complex, t_center: complex,
-                   dt: float = 5e-3, span: float = 0.6
-                   ) -> Callable[[complex, complex], complex]:
-    """A sampler phi(x, t) of one joint solution of both linear systems.
+def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
+              ) -> fe._PiecewiseChebyshev:
+    """One solution of the entry's systems (``entry.linear_systems``) at
+    fixed t along the straight segment [x0, x1], with its t-derivative.
 
-    On the panel walker (``expr._walk_panels``), the initial vector is
-    transported along y_t = B(x_anchor, t) y on the straight segments of
-    the complex t-plane from ``t_center`` to t_k = t_center + k dt,
-    |k| <= 2; each slice t_k is then solved along y_x = A(x, t_k) y on the
-    horizontal legs from the anchor to x_anchor +- span.  phi takes t = t_k
-    and x on a leg, each to 1e-12, raises :class:`VerifyError` elsewhere,
-    and returns the solution component the entry's reduction acts on.
-    Only available for entries with full matrix data; a zero ``dt`` or
-    ``span`` leaves nothing to walk and raises :class:`VerifyError`."""
-    entry = prep.entry
-    if entry.lax is None:
-        raise VerifyError("joint solutions need the full 2x2 system")
-    comp = 0 if entry.component == "first" else 1
-    b_entries = entry.lax.b_entries_array
-    a_entries = entry.lax.a_entries_array
-    x_anchor = complex(x_anchor)
-    t_center = complex(t_center)
-
-    phi0 = (1.0 + 0j, 0.4 + 0.1j)
-    steps = (-2, -1, 1, 2)
-    try:
-        moved = fe._walk_all((), t_center, [t_center + k * dt for k in steps], fe._ATOL,
-                             (lambda t: b_entries(x_anchor, t), phi0))
-        starts = {0: phi0}
-        starts.update((k, sol(sol.edges[-1])) for k, sol in zip(steps, moved))
-        slices = {k: fe._walk_all((), x_anchor, (x_anchor + span, x_anchor - span), fe._ATOL,
-                                  (lambda z, tk=t_center + k * dt: a_entries(z, tk), y0))
-                  for k, y0 in starts.items()}
-    except fe.QuadratureError as exc:
-        raise VerifyError(f"joint solution failed: {exc}") from exc
-
-    def phi(x: complex, t: complex) -> complex:
-        off = complex(t) - t_center
-        k = min(slices, key=lambda k: abs(off - k * dt))
-        if abs(off - k * dt) > 1e-12:
-            raise VerifyError(f"t = {t} is off the transported stencil")
-        s = complex(x) - x_anchor
-        if abs(s.imag) > 1e-12 or abs(s.real) > span + 1e-12:
-            raise VerifyError(f"x = {x} is off the solved legs")
-        leg = slices[k][0 if s.real >= 0 else 1]
-        return complex(leg(abs(s.real))[comp])
-
-    return phi
-
-
-# ---------------------------------------------------------------------------
-# Cross-validation on a dense trace
-
-# Arclengths at which cross-validation samples its trace.
-_TRACE_POINTS = 201
-
-
-def _default_cross_path(prep: Prepared) -> tuple[complex, complex]:
-    # From the basepoint toward the far edge of the x box: keeps exp(int h)
-    # of order one and tau_x bounded away from zero for every entry.
-    return prep.red.basepoint_x, complex(prep.box_x.re_hi - 0.05, 0.0)
+    On the panel walker (``expr._walk_panels``) it solves Phi' = A Phi
+    from Phi(x0) = ``_PHI0`` together with the t-variation
+    Psi' = A Psi + (dA/dt) Phi from Psi(x0) = B(x0, t) Phi(x0).  So Psi is
+    the exact t-derivative of the solutions transported in t; it equals
+    B Phi along the segment only where the two systems are compatible.
+    Returns the dense output over the arclength [0, |x1 - x0|], with rows
+    (Phi1, Phi2, Psi1, Psi2).  A singular coefficient raises the compiled
+    kernel's own exception, or ``evaluate``'s at (x0, t); a segment of zero
+    length, an unresolved panel, an exhausted panel budget or a non-finite
+    coefficient or solution value raises :class:`expr.QuadratureError`."""
+    systems = prep.entry.linear_systems
+    x0, x1, t = complex(x0), complex(x1), complex(t)
+    at = fe.Binding(x=x0, t=t)
+    b11, b12, b21, b22 = (fe.evaluate(e, at) for row in systems.b for e in row)
+    u, v = _PHI0
+    start = (u, v, b11 * u + b12 * v, b21 * u + b22 * v)
+    a_dadt = systems.a_dadt_array
+    return fe._walk_all((), x0, (x1,), fe._ATOL, (lambda z: a_dadt(z, t), start))[0]
 
 
 def cross_validate(prep: Prepared) -> float:
-    """Check the reduced equation on an actual solution.
+    """Check the reduction on an actual solution: the tau-covariance of
+    w = phi / g.
 
-    Solves the linear system of ``prep`` at t fixed to the midpoint of the
-    real range of its t box, along the segment from the basepoint toward
-    the far edge of its x box (:func:`_default_cross_path`), on Chebyshev
-    panels (:func:`_trace`), and tests w'' + P w' + Q w = 0 with
-    w = phi / g, re-parametrized by tau = t E + S, for the solution
-    component phi the entry's reduction acts on.  Of ``_TRACE_POINTS``
-    arclengths uniform over the trace it keeps those where Re tau lies in
-    the 2%-interior of its range.  phi, log E, S and log g and their first
-    two arclength derivatives are exact derivatives of the trace's
-    Chebyshev series, so tau' = t E (log E)' + S', w_tau = w' / tau' and
-    w_tautau = (w'' - w_tau tau'') / tau'^2 carry no differencing error.
-    phi, p_num and q_num come from one call of the array form of
-    ``_coeff_parts`` (``_coeff_parts_array``) on all the points.  Returns
-    the max residual relative to max |w|.
+    If w = c(t) W(tau(x, t)) with g = exp(int G) the gauge and
+    tau = t E + S, then tau_t = tau_x / (f + t h), so
+    mu = phi_t / phi - (phi_x / phi - G) / (f + t h) equals c'/c and
+    depends on t alone.  The stage walks one solution (:func:`_walk_leg`)
+    at t the midpoint of the real range of the t box, along the leg from
+    the centre of the x box to 0.1 short of its right edge.  phi is the
+    component the reduction acts on; phi and phi_x come from the leg's
+    Chebyshev series, phi_t from Psi.  Returns the spread
+    max |mu - mean mu| / max(1, |mean mu|) over ``_MU_POINTS`` interior
+    points of the leg.
 
-    The stage detects a trace that does not solve the system, and S, E or
-    gauge channels inconsistent with the coefficients of ``_coeff_parts``.
-    It cannot detect a wrong reduction: with P and Q taken from the
-    trace's own deformation slice the residual is the scalarized
-    x-equation along the solution, whatever f, h and R are.  Raises
-    :class:`VerifyError` when w, P, Q or the residual is not finite at some
-    point."""
-    t_fixed = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi))
-    x0, x1 = _default_cross_path(prep)
-    trace = _trace(prep, t_fixed, x0, x1, initial=(1.0, 0.4 + 0.1j))
-    length = abs(x1 - x0)
-    s = np.linspace(0.0, length, _TRACE_POINTS)
-    # Rows (phi1, phi2, log E, S, log g), each with its s-derivatives 0..2.
-    rows = trace(s, derivatives=2)
-    with np.errstate(all="ignore"):
-        tau = (t_fixed * np.exp(rows[0, 2]) + rows[0, 3]).real
-        # Keep the points whose Re tau lies in the 2%-interior of its range
-        # (a NaN is kept, to be reported).  Near a turning point of tau the
-        # tau-derivatives divide the series' rounding by tau'^2.
-        lo, hi = sorted((tau[0], tau[-1]))
-        pad = 0.02 * (hi - lo)
-        keep = ~((tau < lo + pad) | (tau > hi - pad))
-        s, rows = s[keep], rows[..., keep]
-        phi, phi1, phi2 = rows[:, 0 if prep.entry.component == "first" else 1]
-        le, le1, le2 = rows[:, 2]
-        _, s1, s2 = rows[:, 3]
-        lg, lg1, lg2 = rows[:, 4]
+    A wrong f, h or R, or a t-system that is not compatible with the
+    x-system, makes mu depend on x.  A change of R by a constant multiple
+    of f when h vanishes is the split's gauge freedom (R -> R + c f,
+    M -> M - c); it shifts mu by a constant and passes.  Raises
+    :class:`VerifyError`, naming the leg and t, when a coefficient is
+    singular on the leg or at its start, when the walk fails, or when mu is
+    not finite at some point."""
+    x0 = prep.box_x.center
+    x1 = complex(prep.box_x.re_hi - 0.1, x0.imag)
+    t = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi))
+    where = f"the leg [{x0:.6g}, {x1:.6g}] at t = {t:.6g}"
+    dec = prep.dec
+    try:
+        leg = _walk_leg(prep, t, x0, x1)
+        length = abs(x1 - x0)
+        s = np.linspace(0.0, length, _MU_POINTS + 2)[1:-1]
         xs = x0 + (x1 - x0) / length * s
-        ph, p_num, q_num = prep.red._coeff_parts_array(xs, t_fixed)
-        e = np.exp(le)
-        tau1 = t_fixed * e * le1 + s1
-        tau2 = t_fixed * e * (le2 + le1 * le1) + s2
-        inv_g = np.exp(-lg)
-        w = phi * inv_g
-        w1 = (phi1 - phi * lg1) * inv_g
-        w2 = (phi2 - 2 * phi1 * lg1 + phi * (lg1 * lg1 - lg2)) * inv_g
-        w_tau = w1 / tau1
-        w_tautau = (w2 - w_tau * tau2) / (tau1 * tau1)
-        den = ph * ph * e
-        r = w_tautau + p_num / den * w_tau + q_num / (den * e) * w
-    finite = np.isfinite(w) & np.isfinite(r)
+        G = dec._G_array(xs, 0j)
+        f_th = dec._f_array(xs, 0j) + t * dec._h_array(xs, 0j)
+    except fe.QuadratureError as exc:
+        raise VerifyError(f"the walk on {where} failed: {exc}") from exc
+    except fe._SAMPLE_ERRORS as exc:
+        raise VerifyError(f"singular coefficient on {where}: {exc}") from exc
+    comp = 0 if prep.entry.component == "first" else 1
+    rows = leg(s, derivatives=1)
+    phi, psi = rows[0, comp], rows[0, 2 + comp]
+    phi_x = rows[1, comp] * length / (x1 - x0)
+    with np.errstate(all="ignore"):
+        mu = psi / phi - (phi_x / phi - G) / f_th
+        mean = complex(np.mean(mu))
+        spread = float(np.max(np.abs(mu - mean))) / max(1.0, abs(mean))
+    finite = np.isfinite(mu)
     if not finite.all():
-        first = int(np.argmin(finite))
         raise VerifyError(
-            f"non-finite w, P, Q or residual at x = {complex(xs[first]):.6g}")
-    return float(np.max(np.abs(r))) / float(np.max(np.abs(w)))
+            f"non-finite mu at x = {complex(xs[np.argmin(finite)]):.6g} on {where}")
+    return spread
 
 
 # ---------------------------------------------------------------------------

@@ -160,8 +160,9 @@ def test_criterion_5_classical_targets(prep):
 
 
 def test_criterion_6_cross_validation(prep):
-    """Transformed numeric solutions satisfy the reduced equation to 1e-6
-    on dense traces of >= 200 points."""
+    """On one numeric solution of both systems, w = phi/g is a function of
+    tau times a function of t: the spread of mu along one x-leg is at most
+    1e-6."""
     worst = 0.0
     for entry_id in POSITIVE_IDS:
         resid = verify.cross_validate(prep(entry_id))

@@ -224,11 +224,6 @@ def _reprs(value):
     return [repr(complex(v)) for v in (value if isinstance(value, tuple) else (value,))]
 
 
-def _array_reprs(value):
-    """The ``repr`` of every element of an array result, part by part."""
-    return [_reprs(tuple(v.ravel())) for v in (value if isinstance(value, tuple) else (value,))]
-
-
 A = fe.param("a")
 _A_VALUE = 0.5 - 1.25j
 
@@ -254,8 +249,7 @@ def _raw_bound(e, a, memo=None):
 def _check_staged(e, xs, ts):
     """``compile_staged`` against ``compile_expr`` on every (x, t) of
     ``xs`` x ``ts``: the same values by ``repr`` where neither raises, the
-    same raising points, values within rounding of ``evaluate``; and the
-    array forms of the two agree by ``repr`` on the whole lattice."""
+    same raising points, values within rounding of ``evaluate``."""
     fused = fe.compile_expr(e)
     pre, post = fe.compile_staged(e)
     for x in xs:
@@ -274,15 +268,6 @@ def _check_staged(e, xs, ts):
                     continue
                 if cmath.isfinite(ref):
                     assert abs(value - ref) <= 1e-12 * abs(ref)
-    grid = np.array(xs)[:, None], np.array(ts)[None, :]
-    want = _call(fe.array_form(fused), *grid)
-    got = _call(fe.array_form((pre, post)), *grid)
-    if isinstance(want, type) or isinstance(got, type):
-        # Both fall back to their scalar functions point by point, which
-        # raise at the same first point (perhaps at another line).
-        assert isinstance(want, type) and isinstance(got, type)
-        return
-    assert _array_reprs(got) == _array_reprs(want)
 
 
 class TestCompileStaged:
@@ -383,17 +368,20 @@ class TestArrayForm:
     """``array_form``: the same compiled body evaluated on arrays."""
 
     def test_matches_scalar_on_catalog_coefficients(self, prep):
+        # The walk matrix (A, then dA/dt) of three entries; PVdeg's is the
+        # companion system of its direct scalar pair, with constant entries.
         rng = np.random.default_rng(3)
         for entry_id in ("PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"):
-            red = prep(entry_id).red
+            systems = catalog.lookup(entry_id).linear_systems
+            a = (*systems.a[0], *systems.a[1])
+            scalar = fe.compile_expr((*a, *(fe.differentiate(e, "t") for e in a)))
             box = prep(entry_id).box_x
             xs = (rng.uniform(box.re_lo, box.re_hi, 50)
                   + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
             ts = rng.uniform(0.5, 1.5, 50) + 0j
-            got = red._coeff_parts_array(xs, ts)
-            want = np.array([red._post(x, t, red._pre(x))
-                             for x, t in zip(xs.tolist(), ts.tolist())]).T
-            assert all(g.shape == (50,) for g in got)
+            got = systems.a_dadt_array(xs, ts)
+            want = np.array([scalar(x, t) for x, t in zip(xs.tolist(), ts.tolist())]).T
+            assert len(got) == 8 and all(g.shape == (50,) for g in got)
             scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
             assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scale)
 
@@ -599,8 +587,8 @@ class TestMultiSegmentPanels:
         zero = fe.const(0)
         dec = reduction.Decomposition(
             f=fe.const(1), h=h, R=fe.const(0), M=fe.const(0), g_of_t=None,
-            P1=None, P2=None, P3=None, exponent_A=None, f_zero=False,
-            h_zero=False, M_zero=True, M_constant=True, component="first",
+            P1=None, P2=None, P3=None, exponent_A=None, box_x=catalog.DEFAULT_X_BOX,
+            box_t=catalog.DEFAULT_T_BOX, component="first",
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(fe.const(1), fe.mul(T, h)), q2=zero))
         red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
@@ -665,12 +653,11 @@ class TestMultiSegmentPanels:
         # alone, as any segment the walker cannot solve.
         stage = _scalar_stage(lambda z: z)
         assert fe._walk_panels((stage,), 1.0, [1.0], 1e-12) == [[0j]]
-        identity = (lambda z: (0, 0, 0, 0), (1.0, 2.0, 0.5))
-        got = fe._walk_panels((stage,), 1.0, [1.0, 1.5], 1e-12, identity)
+        constant = (lambda z: (0,) * 8, (1.0, 2.0, 0.5, -1.0))
+        got = fe._walk_panels((), 1.0, [1.0, 1.5], 1e-12, constant)
         assert isinstance(got[0], fe.QuadratureError)
         assert "nonzero length" in str(got[0])
-        assert got[1](0.5)[:2].tolist() == [1.0, 2.0]
-        assert got[1](0.5)[2] == pytest.approx(0.5 + (1.5 ** 2 - 1) / 2, rel=1e-14)
+        assert got[1](0.5).tolist() == [1.0, 2.0, 0.5, -1.0]
 
 
 class TestNumericallyZero:

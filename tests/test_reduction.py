@@ -144,6 +144,32 @@ class TestDecompose:
             reduction.Decomposition(**kw)
 
 
+class TestCaseFlags:
+    def test_replaced_f_measures_its_own_flags(self):
+        # PIII.y1 has f = 0, so its reduced equation walks h alone.  A copy
+        # with f + 1e-3 must not inherit f_zero, or S would be dropped.
+        _, dec, entry = decomposition_for("PIII.y1")
+        assert dec.f_zero
+        mutated = dataclasses.replace(dec, f=dec.f + 1e-3)
+        assert not mutated.f_zero
+        assert (mutated.h_zero, mutated.M_zero, mutated.M_constant) == \
+            (dec.h_zero, dec.M_zero, dec.M_constant)
+        red = reduction.build_reduced(mutated, entry.basepoint_x)
+        assert red._es_stages == (red._h_rows, red._fE_rows)
+        # S = 1e-3 int E, where the unmutated equation has S = 0.
+        assert abs(red.S(2.3)) > 1e-4
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    def test_flags_measured_by_decompose_are_the_properties(self, entry_id):
+        # decompose stores what it measured while splitting; a copy that
+        # measures afresh from the same f, h and M agrees.
+        _, dec, _ = decomposition_for(entry_id)
+        fresh = dataclasses.replace(dec)
+        assert "f_zero" not in fresh.__dict__
+        for name in ("f_zero", "h_zero", "M_zero", "M_constant"):
+            assert getattr(fresh, name) == getattr(dec, name), name
+
+
 class TestClassify:
     @pytest.mark.parametrize("entry_id,case", [
         ("PII.y0", "EQ3"),
