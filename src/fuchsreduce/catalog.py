@@ -13,16 +13,21 @@ alongside the matrices:
   gauge) and the expected classical target, used as oracles and for
   human-readable manifests.
 
+Each entry is declared once, by one line of ``_ENTRIES`` (id, builder,
+default parameters, in listing order); an id starting with ``negative.``
+is a negative control.  A builder rejects, with a ValueError naming it,
+a parameter value at which its family degenerates.
+
 The default entries are built once, at import, and never mutated
 afterwards; :func:`lookup` returns them, or builds an entry afresh for
 parameter overrides.  Entries attach their compiled kernels lazily, on
 first use, as cached properties: the flow residual functions, the scalar
 pair and the decomposition for the entry's own boxes (which in turn
-carries the compiled tau/gauge and coefficient kernels).  Default entries keep them for the life of the
-process; an entry built with parameter overrides takes them with it when
-it is collected.  Concurrent reads are safe: a first use racing another
-may compute a kernel twice, which is harmless because the result is
-deterministic.
+carries the compiled tau/gauge and coefficient kernels).  Default
+entries keep them for the life of the process; an entry built with
+parameter overrides takes them with it when it is collected.  Concurrent
+reads are safe: a first use racing another may compute a kernel twice,
+which is harmless because the result is deterministic.
 """
 
 from __future__ import annotations
@@ -339,26 +344,13 @@ def _pv_template(y: Expr, z: Expr, u: Expr, theta0, theta1, theta_inf) -> tuple:
 # ---------------------------------------------------------------------------
 # Entry builders
 
-_DEFAULT_PARAMS: dict[str, dict[str, Fraction]] = {
-    "PII.y0": {"theta": F(1, 2)},
-    "PII.y_inv_t": {"theta": F(-1, 2)},
-    "PIII.y1": {"theta_inf": F(5, 2)},
-    "PIV.y_m2t": {"theta0": F(1, 2), "theta_inf": F(1, 2)},
-    "PIV.y_m2t3": {"theta0": F(-1, 6), "theta_inf": F(1, 2)},
-    "PV.y_lin": {"theta1": F(3)},
-    "PV.y_m1": {"theta_inf": F(1, 2)},
-    "PVdeg.kitaev_sqrt": {"kappa": F(1), "mu": F(1, 2)},
-    "negative.PII_bad_y1": {"theta": F(1, 2)},
-}
-
-
 def _merge_params(entry_id: str, overrides: Mapping | None) -> dict:
     """The entry's default parameters with ``overrides`` applied.  An int
     becomes a Fraction, so the builders' arithmetic stays exact on every
     rational; floats and complex values pass through.  A value that is not
     a number (a str, None) or is a bool raises ValueError naming the
     parameter."""
-    params = dict(_DEFAULT_PARAMS[entry_id])
+    params = dict(_ENTRIES[entry_id][1])
     for key, val in (overrides or {}).items():
         if key not in params:
             raise EntryNotFoundError(
@@ -588,7 +580,13 @@ def _build_pv_y_m1(p) -> CatalogEntry:
 
 
 def _build_pvdeg_kitaev(p) -> CatalogEntry:
+    """The Kitaev pair at y = 1 + kappa sqrt(t).  kappa = 0 degenerates:
+    y = 1 is constant, a2 = -mu kappa/(2t) vanishes, so the flow residual
+    is 0 for any pair, and the term 1/(2 kappa x (x - 1)) of p2 and f is
+    undefined."""
     kap_c, mu_c = complex(p["kappa"]), complex(p["mu"])
+    if kap_c == 0:
+        raise ValueError("kappa = 0 degenerates the solution y = 1 + kappa*sqrt(t)")
     k_ = _c(kap_c)
     m_ = _c(mu_c)
     # Scalar pair in the square-root deformation variable z (stored in the
@@ -675,52 +673,40 @@ def _build_negative_pii_bad_y1(p) -> CatalogEntry:
     )
 
 
-_BUILDERS: dict[str, Callable[[Mapping], CatalogEntry]] = {
-    "PII.y0": _build_pii_y0,
-    "PII.y_inv_t": _build_pii_y_inv_t,
-    "PIII.y1": _build_piii_y1,
-    "PIV.y_m2t": _build_piv_y_m2t,
-    "PIV.y_m2t3": _build_piv_y_m2t3,
-    "PV.y_lin": _build_pv_y_lin,
-    "PV.y_m1": _build_pv_y_m1,
-    "PVdeg.kitaev_sqrt": _build_pvdeg_kitaev,
-    "negative.PII_bad_y1": _build_negative_pii_bad_y1,
+# Each entry id, in listing order, with its builder and default parameters.
+_ENTRIES: dict[str, tuple[Callable[[Mapping], CatalogEntry], dict[str, Fraction]]] = {
+    "PII.y0": (_build_pii_y0, {"theta": F(1, 2)}),
+    "PII.y_inv_t": (_build_pii_y_inv_t, {"theta": F(-1, 2)}),
+    "PIII.y1": (_build_piii_y1, {"theta_inf": F(5, 2)}),
+    "PIV.y_m2t": (_build_piv_y_m2t, {"theta0": F(1, 2), "theta_inf": F(1, 2)}),
+    "PIV.y_m2t3": (_build_piv_y_m2t3, {"theta0": F(-1, 6), "theta_inf": F(1, 2)}),
+    "PV.y_lin": (_build_pv_y_lin, {"theta1": F(3)}),
+    "PV.y_m1": (_build_pv_y_m1, {"theta_inf": F(1, 2)}),
+    "PVdeg.kitaev_sqrt": (_build_pvdeg_kitaev, {"kappa": F(1), "mu": F(1, 2)}),
+    "negative.PII_bad_y1": (_build_negative_pii_bad_y1, {"theta": F(1, 2)}),
 }
-
-_POSITIVE_IDS = (
-    "PII.y0",
-    "PII.y_inv_t",
-    "PIII.y1",
-    "PIV.y_m2t",
-    "PIV.y_m2t3",
-    "PV.y_lin",
-    "PV.y_m1",
-    "PVdeg.kitaev_sqrt",
-)
-
-_NEGATIVE_IDS = ("negative.PII_bad_y1",)
 
 # Every entry at its default parameters, built once at import.
 _DEFAULTS: dict[str, CatalogEntry] = {
-    entry_id: build(dict(_DEFAULT_PARAMS[entry_id])) for entry_id, build in _BUILDERS.items()
+    entry_id: build(dict(params)) for entry_id, (build, params) in _ENTRIES.items()
 }
 
 
 def list_entries() -> list[str]:
     """The shipped positive entry ids, in stable order."""
-    return list(_POSITIVE_IDS)
+    return [i for i, e in _DEFAULTS.items() if not e.is_negative]
 
 
 def list_negative_entries() -> list[str]:
-    return list(_NEGATIVE_IDS)
+    return [i for i, e in _DEFAULTS.items() if e.is_negative]
 
 
 def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
     """Fetch an entry, optionally overriding its exact parameters."""
-    if entry_id not in _BUILDERS:
+    if entry_id not in _ENTRIES:
         raise EntryNotFoundError(f"no catalog entry named {entry_id!r}")
     if overrides:
-        return _BUILDERS[entry_id](_merge_params(entry_id, overrides))
+        return _ENTRIES[entry_id][0](_merge_params(entry_id, overrides))
     return _DEFAULTS[entry_id]
 
 

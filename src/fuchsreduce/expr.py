@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
@@ -490,15 +491,19 @@ def substitute(e: Expr, x: Expr | complex | None = None,
 # Compilation to fast callables
 
 def _literal(value: complex) -> str:
-    """A constant as Python source that binds as one operand: ``repr``
-    leaves a pure imaginary value bare, and ``-2j ** 2`` is -(2j ** 2).
-    A non-finite value is parsed from its ``repr`` at run time, since
-    ``nan`` and ``inf`` are not Python literals."""
+    """A constant as Python source that binds as one operand (``-2j ** 2``
+    is -(2j ** 2)) and folds to one constant with the sign of every part.
+    ``repr`` loses a zero's sign (``(-1-0j)`` is -1 + 0j); ``(re - |im|j)``
+    keeps re and gives im = -|im| or +0.0, its negation ``(-(-re - |im|j))``
+    im = +|im| or -0.0.  A non-finite value is parsed from its ``repr`` at
+    run time, since ``nan`` and ``inf`` are not Python literals."""
     value = complex(value)
-    text = repr(value)
     if not cmath.isfinite(value):
-        return f"complex({text.strip('()')!r})"
-    return text if text.startswith("(") else f"({text})"
+        return f"complex({repr(value).strip('()')!r})"
+    re, im = value.real, value.imag
+    if im > 0 or (im == 0 and math.copysign(1.0, im) < 0):
+        return f"(-({-re!r} - {abs(im)!r}j))"
+    return f"({re!r} - {abs(im)!r}j)"
 
 
 def _principal_pow_array(base, exponent: float):

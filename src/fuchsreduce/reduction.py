@@ -65,15 +65,17 @@ class DegenerateTauPointError(Exception):
 class Decomposition:
     """The factorization data of a scalar pair.  Immutable by convention.
 
-    ``f``, ``h``, ``R`` are expressions in x alone; ``M`` and ``g_of_t``
-    in t alone.  ``exponent_A`` is the constant A with
-    ``g = B^-1 exp(-2 M t) t^A`` when M is constant (None otherwise or when
-    no off-diagonal data is available).  The free constant B is pinned to 1
-    by normalizing g at a reference deformation value.  ``box_x`` and
-    ``box_t`` are the probe boxes (``catalog.ComplexRect``) the data was
-    recovered on.  ``sp`` is the scalar pair the data was recovered from;
-    it is required, because the reduced coefficients are compiled from its
-    p1 and q1.
+    ``f``, ``h``, ``R``, ``P1``, ``P2``, ``P3`` are expressions in x
+    alone; ``M`` and ``g_of_t`` in t alone, with a_off = g (P1 + t P2) and
+    b_off = g P3 for the scalar pair's off-diagonal pair (for a pair given
+    without one, g = 1, P1 = f, P2 = h and P3 = 1).  ``exponent_A`` is the
+    constant A with ``g = B^-1 exp(-2 M t) t^A`` when M is constant (None
+    otherwise).  The free constant B is pinned to 1 by normalizing g at a
+    reference deformation value.  ``box_x`` and ``box_t`` are the probe
+    boxes (``catalog.ComplexRect``) the data was recovered on.  ``sp`` is
+    the scalar pair the data was recovered from; it is required, because
+    the reduced coefficients are compiled from its p1 and q1, and its
+    component signs the gauge exponent.
 
     The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant``
     are measured on the probe boxes from f, h and M (:func:`_zero_in_x`,
@@ -92,19 +94,18 @@ class Decomposition:
     h: Expr
     R: Expr
     M: Expr
-    g_of_t: Expr | None
-    P1: Expr | None
-    P2: Expr | None
-    P3: Expr | None
+    g_of_t: Expr
+    P1: Expr
+    P2: Expr
+    P3: Expr
     exponent_A: complex | None
     box_x: object
     box_t: object
-    component: str
     sp: ScalarPair = field(repr=False, compare=False)
 
     def gauge_exponent(self) -> Expr:
-        """The integrand G of the gauge factor exp(int G dx)."""
-        return self.R if self.component == "first" else fe.neg(self.R)
+        """The integrand G of exp(int G dx): R, or -R for the second component."""
+        return self.R if self.sp.component == "first" else fe.neg(self.R)
 
     @cached_property
     def _p2_t1(self) -> Expr:
@@ -179,13 +180,14 @@ def _m_flags(M: Expr, box_t) -> tuple[bool, bool]:
 
 
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
-    """Recover (f, h, R, M) and, when off-diagonal data is present, the
-    profile g and the factors P_i.
+    """Recover (f, h, R, M), the profile g and the factors P_i.
 
     f and h come from sampling the ratio p2 = a_off/b_off at two deformation
     values (exact, since p2 is affine in t); a third value is a consistency
     residual.  R and M come from a 2x2 linear solve of
     q2 = R + M (f + t h) at two x probes, validated on a joint probe grid.
+    g and P3 come from b_off (``sp.off_diag``) and P1 = f P3, P2 = h P3;
+    g must not depend on x, and a_off must factor as g (P1 + t P2).
     When h vanishes identically the split has a one-parameter gauge freedom
     (R -> R + c f, M -> M - c); it is pinned by M(t_ref) = 0, which
     reproduces the documented closed forms for every shipped entry.
@@ -284,37 +286,34 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     t_probes = [Binding(t=t) for t in box_t.diagonal(9)]
     m_flags = _m_flags(M, box_t)
 
-    # --- g and the P_i (only with off-diagonal source data)
-    g = P1 = P2 = P3 = None
-    exponent_a: complex | None = None
-    if sp.off_diag is not None:
-        aoff, boff = sp.off_diag
-        P3 = fe.substitute(boff, t=t1)  # normalizes g(t1) = 1, i.e. B = 1
-        xa = max(xdiag, key=lambda x: abs(_eval(P3, x=x)))
-        g = fe.div(fe.substitute(boff, x=xa), fe.const(_eval(P3, x=xa)))
-        xb = max((x for x in xdiag if x != xa), key=lambda x: abs(_eval(P3, x=x)))
-        g_alt = fe.div(fe.substitute(boff, x=xb), fe.const(_eval(P3, x=xb)))
-        if not fe.numerically_zero(fe.sub(g, g_alt), t_probes, tol=1e-9, reference=g):
-            raise DecompositionError("the deformation profile g depends on x")
-        P1 = fe.mul(f, P3)
-        P2 = fe.mul(h, P3)
-        factor_defect = fe.sub(aoff, fe.mul(g, fe.add(P1, fe.mul(T, P2))))
-        if not fe.numerically_zero(factor_defect, probes12, tol=1e-9, reference=aoff):
-            raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
+    # --- g and the P_i from the off-diagonal pair
+    aoff, boff = sp.off_diag
+    P3 = fe.substitute(boff, t=t1)  # normalizes g(t1) = 1, i.e. B = 1
+    xa = max(xdiag, key=lambda x: abs(_eval(P3, x=x)))
+    g = fe.div(fe.substitute(boff, x=xa), fe.const(_eval(P3, x=xa)))
+    xb = max((x for x in xdiag if x != xa), key=lambda x: abs(_eval(P3, x=x)))
+    g_alt = fe.div(fe.substitute(boff, x=xb), fe.const(_eval(P3, x=xb)))
+    if not fe.numerically_zero(fe.sub(g, g_alt), t_probes, tol=1e-9, reference=g):
+        raise DecompositionError("the deformation profile g depends on x")
+    P1 = fe.mul(f, P3)
+    P2 = fe.mul(h, P3)
+    factor_defect = fe.sub(aoff, fe.mul(g, fe.add(P1, fe.mul(T, P2))))
+    if not fe.numerically_zero(factor_defect, probes12, tol=1e-9, reference=aoff):
+        raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
 
-        if m_flags[1]:
-            dlog_g = fe.div(fe.differentiate(g, "t"), g)
-            vals = []
-            for tp in (tdiag[2], tdiag[4]):
-                b = Binding(t=tp)
-                vals.append(tp * (fe.evaluate(dlog_g, b) + 2 * fe.evaluate(M, b)))
-            if abs(vals[0] - vals[1]) <= 1e-7 * (1 + abs(vals[0])):
-                exponent_a = vals[0]
+    exponent_a: complex | None = None
+    if m_flags[1]:
+        dlog_g = fe.div(fe.differentiate(g, "t"), g)
+        vals = []
+        for tp in (tdiag[2], tdiag[4]):
+            b = Binding(t=tp)
+            vals.append(tp * (fe.evaluate(dlog_g, b) + 2 * fe.evaluate(M, b)))
+        if abs(vals[0] - vals[1]) <= 1e-7 * (1 + abs(vals[0])):
+            exponent_a = vals[0]
 
     dec = Decomposition(
         f=f, h=h, R=R, M=M, g_of_t=g, P1=P1, P2=P2, P3=P3,
-        exponent_A=exponent_a, box_x=box_x, box_t=box_t,
-        component=sp.component, sp=sp,
+        exponent_A=exponent_a, box_x=box_x, box_t=box_t, sp=sp,
     )
     # The flags measured above, as the properties would measure them.
     dec.__dict__.update(_p2_t1=p2_t1, f_zero=f_zero, h_zero=h_zero, _m_flags=m_flags)

@@ -59,6 +59,10 @@ class ScalarPair:
     ``phi' = p2 dphi/dt + q2 phi``.  For the second component this carries
     an extra sign relative to the combination ``a11 - b11 a21/b21``; use
     :meth:`q2_decomposable` when splitting off the deformation profile.
+
+    ``off_diag`` is the pair (a_off, b_off) it was scalarized from, (a12,
+    b12) or (a21, b21).  A pair built without one gets ``(p2, 1)``, the
+    first rows of the x- and t-systems on (phi, phi_t), (q2, p2) and (0, 1).
     """
 
     p1: Expr
@@ -66,11 +70,13 @@ class ScalarPair:
     p2: Expr
     q2: Expr
     component: str = "first"
-    off_diag: tuple[Expr, Expr] | None = None  # (a12, b12) or (a21, b21)
+    off_diag: tuple[Expr, Expr] = None
 
     def __post_init__(self):
         if self.component not in ("first", "second"):
             raise ValueError("component must be 'first' or 'second'")
+        if self.off_diag is None:
+            object.__setattr__(self, "off_diag", (self.p2, fe.const(1)))
 
     def q2_decomposable(self) -> Expr:
         """The combination that splits as R(x) + M(t) (f(x) + t h(x))."""

@@ -103,7 +103,9 @@ def _tau_frame(entry: cat.CatalogEntry, red: ReducedEquation
     """Affine map from the quadrature tau to the documented closed-form tau.
 
     Fitted from two points, validated on two more; the validation residual
-    doubles as the basepoint-covariance certificate."""
+    doubles as the basepoint-covariance certificate.  It checks tau alone,
+    so it fails a wrong f or h but cannot see R, which does not enter tau;
+    the stages on the coefficients and the solution check R."""
     cf = entry.reduction_closed_forms["tau"]
     xs = entry.box_x.diagonal(9)
     ts = entry.box_t.diagonal(9)

@@ -66,6 +66,23 @@ class TestRegistry:
         with pytest.raises(catalog.EntryNotFoundError):
             catalog.lookup("PII.y0", {"bogus": Fraction(1)})
 
+    def test_each_table_key_is_its_entry_id(self):
+        for entry_id, (build, params) in catalog._ENTRIES.items():
+            assert build(dict(params)).id == entry_id
+
+    def test_listing_follows_the_table(self):
+        listed = catalog.list_entries() + catalog.list_negative_entries()
+        assert listed == list(catalog._ENTRIES)
+
+    @pytest.mark.parametrize("entry_id, name, value", [
+        ("PV.y_lin", "theta1", Fraction(1)),
+        ("PVdeg.kitaev_sqrt", "kappa", Fraction(0)),
+        ("PVdeg.kitaev_sqrt", "kappa", 0.0),
+    ])
+    def test_degenerate_parameter_is_rejected_by_name(self, entry_id, name, value):
+        with pytest.raises(ValueError, match=f"{name} = .* degenerates"):
+            catalog.lookup(entry_id, {name: value})
+
 
 class TestInstantiate:
     """Entries as `lookup` builds them: matrices, closed forms, overrides."""

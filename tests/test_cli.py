@@ -107,6 +107,16 @@ class TestVerify:
         rc, _, err = run_cli(["verify", "nope.entry"])
         assert rc == 2
 
+    @pytest.mark.parametrize("entry_id, param", [
+        ("PV.y_lin", "theta1=1"),
+        ("PVdeg.kitaev_sqrt", "kappa=0"),
+    ])
+    def test_degenerate_parameter_exits_2(self, entry_id, param):
+        rc, out, err = run_cli(["verify", entry_id, "--param", param])
+        assert (rc, out) == (2, "")
+        name, _, value = param.partition("=")
+        assert err.startswith(f"error: {name} = {value} degenerates the solution")
+
     @pytest.mark.parametrize("flags, field", [
         (["--tol-match", "nan"], "tol_match"),
         (["--tol-crossval", "inf"], "tol_crossval"),

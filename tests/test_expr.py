@@ -348,6 +348,26 @@ class TestCompileConstants:
         assert f(1 + 1j, 0j) == want
         assert fe.array_form(f)(np.array([1 + 1j]), 0j)[0] == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("re", [0.0, -0.0, 1.5, -1.5])
+    @pytest.mark.parametrize("im", [0.0, -0.0, 2.5, -2.5])
+    def test_signed_zeros_match_evaluate_bit_for_bit(self, re, im):
+        # repr(complex(-1, -0.0)) is '(-1-0j)', which reads as -1 + 0j.
+        # x = -0 - 0j adds nothing but keeps every zero of the constant.
+        x = complex(-0.0, -0.0)
+        for e in (fe.const(complex(re, im)), fe.add(X, fe.const(complex(re, im)))):
+            want = _bits(fe.evaluate(e, Binding(x=x, t=0j)))
+            f = fe.compile_expr(e)
+            assert _bits(f(x, 0j)) == want
+            got = fe.array_form(f)(np.array([x, x]), 0j)
+            assert [_bits(complex(v)) for v in got] == [want, want]
+
+    def test_negative_zero_imaginary_part_picks_the_branch(self):
+        # sqrt(-1 - 0j) is -1j on the principal branch, sqrt(-1 + 0j) is 1j.
+        e = fe.sqrt(X + fe.const(complex(-1, -0.0)))
+        x = complex(0, -0.0)
+        assert fe.evaluate(e, Binding(x=x, t=0j)) == -1j
+        assert fe.compile_expr(e)(x, 0j) == -1j
+
     @pytest.mark.parametrize("e, params", [
         (fe.add(X, fe.const(math.nan)), {}),
         (fe.add(X, fe.param("a")), {"a": math.inf}),
@@ -586,9 +606,9 @@ class TestMultiSegmentPanels:
         h = fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))
         zero = fe.const(0)
         dec = reduction.Decomposition(
-            f=fe.const(1), h=h, R=fe.const(0), M=fe.const(0), g_of_t=None,
-            P1=None, P2=None, P3=None, exponent_A=None, box_x=catalog.DEFAULT_X_BOX,
-            box_t=catalog.DEFAULT_T_BOX, component="first",
+            f=fe.const(1), h=h, R=fe.const(0), M=fe.const(0), g_of_t=fe.const(1),
+            P1=fe.const(1), P2=h, P3=fe.const(1), exponent_A=None,
+            box_x=catalog.DEFAULT_X_BOX, box_t=catalog.DEFAULT_T_BOX,
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(fe.const(1), fe.mul(T, h)), q2=zero))
         red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]

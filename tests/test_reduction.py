@@ -75,7 +75,7 @@ class TestDecompose:
                 v1 = fe.evaluate(getattr(sp1, name), b)
                 assert abs(v0 - v1) <= 1e-10 * (1 + abs(v0))
 
-    @pytest.mark.parametrize("entry_id", ALL_IDS)
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_split_and_factor_invariants(self, entry_id):
         sp, dec, entry = decomposition_for(entry_id)
         probes = entry.probe_bindings(16)
@@ -83,16 +83,28 @@ class TestDecompose:
         split = sp.q2_decomposable() - (dec.R + dec.M * phi)
         assert fe.numerically_zero(split, probes, tol=1e-9,
                                    reference=sp.q2_decomposable())
-        if sp.off_diag is not None:
-            aoff, boff = sp.off_diag
-            assert fe.numerically_zero(dec.f - dec.P1 / dec.P3, probes,
-                                       tol=1e-10, reference=dec.f)
-            assert fe.numerically_zero(dec.h - dec.P2 / dec.P3, probes,
-                                       tol=1e-10, reference=dec.f)
-            assert fe.numerically_zero(aoff - dec.g_of_t * (dec.P1 + T * dec.P2),
-                                       probes, tol=1e-9, reference=aoff)
-            assert fe.numerically_zero(boff - dec.g_of_t * dec.P3,
-                                       probes, tol=1e-9, reference=boff)
+        aoff, boff = sp.off_diag
+        assert fe.numerically_zero(dec.f - dec.P1 / dec.P3, probes,
+                                   tol=1e-10, reference=dec.f)
+        assert fe.numerically_zero(dec.h - dec.P2 / dec.P3, probes,
+                                   tol=1e-10, reference=dec.f)
+        assert fe.numerically_zero(aoff - dec.g_of_t * (dec.P1 + T * dec.P2),
+                                   probes, tol=1e-9, reference=aoff)
+        assert fe.numerically_zero(boff - dec.g_of_t * dec.P3,
+                                   probes, tol=1e-9, reference=boff)
+
+    def test_kitaev_factorization_is_trivial(self):
+        # The Kitaev pair is given without matrices, so its off-diagonal
+        # pair is (p2, 1): g = 1, P3 = 1, P1 = f and P2 = h.
+        _, dec, entry = decomposition_for("PVdeg.kitaev_sqrt")
+        probes = entry.probe_bindings(16)
+        for b in probes:
+            assert fe.evaluate(dec.g_of_t, b) == 1
+            assert fe.evaluate(dec.P3, b) == 1
+        assert fe.numerically_zero(dec.P1 - dec.f, probes, tol=1e-14, reference=dec.f)
+        assert fe.numerically_zero(dec.P2 - dec.h, probes, tol=1e-14, reference=dec.h)
+        # M = 1/(2t) is not constant, so there is no exponent A.
+        assert dec.exponent_A is None
 
     @pytest.mark.parametrize("entry_id", ["PIV.y_m2t3", "PV.y_m1"])
     def test_profile_matches_deformation_exponential(self, entry_id):
@@ -251,10 +263,10 @@ class TestGauge:
 
     def test_second_component_flips_sign(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
-        up = reduction.build_reduced(
-            dataclasses.replace(dec, component="first"), 1.0).gauge(4.0)
-        dn = reduction.build_reduced(
-            dataclasses.replace(dec, component="second"), 1.0).gauge(4.0)
+        up = reduction.build_reduced(dataclasses.replace(
+            dec, sp=dataclasses.replace(dec.sp, component="first")), 1.0).gauge(4.0)
+        dn = reduction.build_reduced(dataclasses.replace(
+            dec, sp=dataclasses.replace(dec.sp, component="second")), 1.0).gauge(4.0)
         assert up * dn == pytest.approx(1.0, abs=1e-10)
 
 

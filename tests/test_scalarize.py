@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fuchsreduce import catalog, expr as fe, scalarize, verify
 from fuchsreduce.catalog import LaxPair
+from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
 
 LAX_IDS = ["PII.y0", "PII.y_inv_t", "PIII.y1", "PIV.y_m2t", "PIV.y_m2t3",
@@ -71,6 +74,35 @@ class TestFrobenius:
         entry = catalog.lookup(entry_id)
         worst = scalarize.frobenius_residual_grid(entry.lax, entry.grid_points(5))
         assert worst <= 1e-10
+
+    @pytest.mark.parametrize("overrides", [
+        None, {"kappa": Fraction(1, 2)}, {"kappa": Fraction(3)}, {"kappa": Fraction(-6)},
+        {"mu": Fraction(-6)}, {"mu": Fraction(11, 2)},
+    ])
+    def test_kitaev_systems_are_compatible(self, overrides):
+        # full_report runs no Frobenius stage on the Kitaev pair, whose
+        # systems are built from its scalar pair; this gates them instead.
+        # Largest reading 7.5e-14, at kappa = -6 (6.7e-15 at the defaults).
+        entry = catalog.lookup("PVdeg.kitaev_sqrt", overrides)
+        worst = scalarize.frobenius_residual_grid(entry.linear_systems, entry.grid_points())
+        assert worst <= Config().tol_frobenius
+
+
+class TestOffDiagonalPair:
+    @pytest.mark.parametrize("entry_id", catalog.list_entries() + catalog.list_negative_entries())
+    def test_every_entry_carries_a_pair_of_expressions(self, entry_id):
+        off = catalog.lookup(entry_id).scalar_pair.off_diag
+        assert isinstance(off, tuple) and len(off) == 2
+        assert all(isinstance(e, fe.Expr) for e in off)
+
+    def test_pair_built_without_one_gets_p2_and_one(self):
+        # The cross relation as the first row of the system on (phi, phi_t):
+        # a12 = p2 and b12 = 1, which give back p2 = a12 / b12.
+        zero = fe.const(0)
+        p2 = X + T / X
+        sp = scalarize.ScalarPair(p1=zero, q1=zero, p2=p2, q2=zero)
+        assert sp.off_diag[0] is p2
+        assert sp.off_diag[1].kind == "const" and sp.off_diag[1].value == 1
 
 
 class TestScalarCoefficients:

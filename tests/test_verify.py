@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from fuchsreduce import catalog, expr as fe, reduction as red_mod, verify
 from fuchsreduce.catalog import LaxPair
-from fuchsreduce.config import Config
+from fuchsreduce.config import FRAME_TOL, Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.targets import ClassicalTarget
 
@@ -657,8 +657,10 @@ def _gauge_equivalent(dec, mutated) -> bool:
 
 class TestStageSensitivity:
     """Mutations of f, h and R, built with ``dataclasses.replace`` on the
-    decomposition: cross-validation and t-independence each fail every one
-    that changes the reduction and pass the gauge-equivalent ones."""
+    decomposition, through four stages: cross-validation, t-independence
+    and match each fail every one that changes the reduction and pass the
+    gauge-equivalent ones.  The frame fit compares tau alone, so it fails
+    every mutation of f or h that changes the reduction and cannot see R."""
 
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_mutations(self, prep, entry_id):
@@ -667,18 +669,41 @@ class TestStageSensitivity:
         equivalent = []
         for name, mutate in _MUTATIONS.items():
             dec = mutate(p.dec)
-            mutated = dataclasses.replace(p, dec=dec,
-                                          red=red_mod.build_reduced(dec, p.red.basepoint_x))
+            red = red_mod.build_reduced(dec, p.red.basepoint_x)
+            a, b, frame = verify._tau_frame(p.entry, red)
+            mutated = dataclasses.replace(p, dec=dec, red=red, frame_a=a, frame_b=b,
+                                          frame_residual=frame)
             cross = verify.cross_validate(mutated)
-            dev, _ = verify.check_t_independence(mutated)
+            dev, samples = verify.check_t_independence(mutated)
+            matched = _matches(mutated, samples, cfg)
             if _gauge_equivalent(p.dec, dec):
                 equivalent.append(name)
                 assert cross <= 1e-12 and dev <= 1e-12, (name, cross, dev)
+                assert frame <= FRAME_TOL and matched, (name, frame)
             else:
                 # Smallest readings: 1.44e-5 and 1.59e-5, both on PIV.y_m2t3.
                 assert cross > cfg.tol_crossval and dev > cfg.tol_independence, (
                     name, cross, dev)
+                assert not matched, name
+                if name.startswith("R"):
+                    # Largest reading 2.9e-16: tau does not depend on R.
+                    assert frame <= FRAME_TOL, (name, frame)
+                else:
+                    # Smallest reading 1.59e-5, PII.y_inv_t's f+eps.
+                    assert frame > FRAME_TOL, (name, frame)
         assert equivalent == (["h*(1+eps)", "R+eps*x"] if entry_id.startswith("PII.") else [])
+
+
+def _matches(prep, samples, cfg) -> bool:
+    """Whether the samples, mapped by the frame of ``prep``, match the
+    entry's documented target, as ``full_report`` gates it."""
+    try:
+        target, resid = verify.match_classical(
+            [prep.to_paper_frame(*s) for s in samples], tol=cfg.tol_match)
+    except verify.MatchError:
+        return False
+    return resid <= cfg.tol_match and target.agrees_with(
+        prep.entry.expected_target, tol=cfg.target_param_tol)
 
 
 def test_no_solve_is_larger_than_50x50(monkeypatch):
