@@ -347,12 +347,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The parser, built once at import.  Parsing leaves it unchanged: every
+# call gets a fresh namespace, and ``--param`` starts from None, not from a
+# shared list.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

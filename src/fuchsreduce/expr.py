@@ -8,12 +8,13 @@ parameter left in a tree.  The engine supports exact symbolic
 differentiation, pointwise evaluation, compilation to fast Python
 callables (straight-line code with subtrees shared by structure; one
 expression or a tuple of them per function, or the same lines staged as
-an x-only part and the rest; an array form runs the same code object on
-numpy arrays of points), one walker of adaptive Chebyshev panels with
-tail-coefficient error control (contour quadrature along piecewise-linear
-paths, many segments from one start together, or the solve of a 2x2
-linear ODE and its t-variation along them), and a plain-text infix
-grammar whose parser and printer round-trip structurally.
+an x-only part, a t-only part and the rest; an array form runs the same
+code object on numpy arrays of points), one walker of adaptive Chebyshev
+panels with tail-coefficient error control (contour quadrature along
+piecewise-linear paths, many segments from one start together, or the
+solve of a 2x2 linear ODE and its t-variation along them), and a
+plain-text infix grammar whose parser and printer round-trip
+structurally.
 
 Design constraints:
 
@@ -484,7 +485,12 @@ def substitute(e: Expr, x: Expr | complex | None = None,
         memo[id(n)] = out
         return out
 
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        # rec's closure holds rec: a cycle that would keep memo alive
+        # until the cyclic collector runs.
+        del rec
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +588,14 @@ _Line = tuple[str, str, int]
 def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
                     ) -> tuple[list[_Line], list[str], str, set[str]]:
     """The straight-line body of ``e``, the operands it returns, its return
-    text and the operands that lines depending on t read.
+    text and the operands that lines depending on both x and t read.
 
     Only ``staged`` calls (:func:`compile_staged`) tag each line with its
-    dependency mask and collect the operands t-dependent lines read;
+    dependency mask and collect the operands the (x, t) lines read;
     otherwise every mask is 0 and the set is empty, and the lines and
-    return text are the same.
+    return text are the same.  A line that reads neither x nor t is tagged
+    as x-dependent: it runs in the x-stage, so a line reading it and t is
+    an (x, t) line.
 
     A parameter left in the tree raises :class:`UnboundSymbolError`.
     Subtrees are shared by structure (hash-consing by value numbering):
@@ -601,7 +609,7 @@ def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
     numbered: dict[str, str] = {}
     # The dependency mask of each emitted name; a literal is in no entry.
     free: dict[str, int] = {"x": _X_DEP, "t": _T_DEP}
-    read_with_t: set[str] = set()
+    read_with_xt: set[str] = set()
 
     def emit(n: Expr) -> str:
         got = names.get(id(n))
@@ -643,26 +651,32 @@ def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
                 if staged:
                     for kid in kids:
                         dep |= free.get(kid, 0)
+                    dep = dep or _X_DEP
                     free[v] = dep
-                    if dep & _T_DEP:
-                        read_with_t.update(kids)
+                    if dep == _X_DEP | _T_DEP:
+                        read_with_xt.update(kids)
                 lines.append((v, s, dep))
             s = v
         names[id(n)] = s
         return s
 
-    outputs = [emit(part) for part in (e if isinstance(e, tuple) else (e,))]
+    try:
+        outputs = [emit(part) for part in (e if isinstance(e, tuple) else (e,))]
+    finally:
+        # emit's closure holds emit; drop the cycle with the id -> name memo.
+        del emit
     if isinstance(e, tuple):
         result = "(" + "".join(f"{out}, " for out in outputs) + ")"
     else:
         result = outputs[0]
-    return lines, outputs, result, read_with_t
+    return lines, outputs, result, read_with_xt
 
 
 def _define(src: str, name: str) -> Callable:
     ns = dict(_SCALAR_NAMESPACE)
     exec(compile(src, "<fuchsreduce-expr>", "exec"), ns)
-    return ns[name]
+    # Popped, so the function is not held by its own globals (a cycle).
+    return ns.pop(name)
 
 
 def _body(lines: Iterable[_Line]) -> str:
@@ -680,32 +694,45 @@ def compile_expr(e: Expr | tuple[Expr, ...]
     evaluation is much faster than tree walking.  Singular inputs raise the
     native ZeroDivisionError/ValueError.  :func:`array_form` runs the same code on
     numpy arrays of points, and :func:`compile_staged` splits the same
-    lines in two stages."""
+    lines in three stages."""
     lines, _, result, _ = _value_numbered(e)
     return _define(f"def _f(x, t):\n{_body(lines)}\n    return {result}\n", "_f")
 
 
-def compile_staged(e: Expr | tuple[Expr, ...]) -> tuple[Callable, Callable]:
-    """The lines of :func:`compile_expr` split in two stages, ``(pre,
-    post)`` with ``post(x, t, pre(x)) == compile_expr(e)(x, t)`` bit for
-    bit; a parameter left in the tree raises :class:`UnboundSymbolError`.
+def compile_staged(e: Expr | tuple[Expr, ...]
+                   ) -> tuple[Callable, Callable, Callable]:
+    """The lines of :func:`compile_expr` split in three stages, ``(pre_x,
+    pre_t, post)`` with ``post(x, t, pre_x(x), pre_t(t)) ==
+    compile_expr(e)(x, t)`` bit for bit; a parameter left in the tree
+    raises :class:`UnboundSymbolError`.
 
-    ``pre(x)`` runs, in order, every line that depends on x alone (or on
-    nothing), and returns the tuple of those values that later lines or
-    the result read; ``post(x, t, xv)`` unpacks them and runs the rest.
-    A caller that meets the same x at many t computes ``pre(x)`` once.
-    Every line runs in one stage or the other, so a point raises in the
-    pair exactly when it raises in ``compile_expr``'s function (possibly
-    at another line, since the x-only lines now run first)."""
+    ``pre_x(x)`` runs, in order, every line that does not depend on t: the
+    lines in x alone and those in neither variable.  ``pre_t(t)`` runs the
+    lines in t alone that read no such constant line (a line in t reading
+    one runs in ``post``).  Each returns the tuple of its values that later
+    lines or the result read; ``post(x, t, xv, tv)`` unpacks both and runs
+    the lines that depend on x and t.  A caller that meets the same x, or
+    the same t, at many points computes its stage once.  Every line runs in
+    exactly one stage, so a point raises in the triple exactly when it
+    raises in ``compile_expr``'s function (possibly at another line, since
+    the x-only and t-only lines now run first)."""
     lines, outputs, result, read = _value_numbered(e, staged=True)
-    staged = [line for line in lines if not line[2] & _T_DEP]
-    rest = [line for line in lines if line[2] & _T_DEP]
     read.update(outputs)
-    carried = "(" + "".join(f"{name}, " for name, _, _ in staged if name in read) + ")"
-    pre = _define(f"def _pre(x):\n{_body(staged)}\n    return {carried}\n", "_pre")
-    post = _define(f"def _post(x, t, xv):\n    {carried} = xv\n{_body(rest)}\n"
+    stages: dict[int, list[_Line]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
+    for line in lines:
+        stages[line[2]].append(line)
+
+    def carried(dep: int) -> str:
+        return "(" + "".join(f"{name}, " for name, _, _ in stages[dep] if name in read) + ")"
+
+    pre_x = _define(f"def _pre_x(x):\n{_body(stages[_X_DEP])}\n"
+                    f"    return {carried(_X_DEP)}\n", "_pre_x")
+    pre_t = _define(f"def _pre_t(t):\n{_body(stages[_T_DEP])}\n"
+                    f"    return {carried(_T_DEP)}\n", "_pre_t")
+    post = _define(f"def _post(x, t, xv, tv):\n    {carried(_X_DEP)} = xv\n"
+                   f"    {carried(_T_DEP)} = tv\n{_body(stages[_X_DEP | _T_DEP])}\n"
                    f"    return {result}\n", "_post")
-    return pre, post
+    return pre_x, pre_t, post
 
 
 # ---------------------------------------------------------------------------

@@ -84,10 +84,12 @@ class Decomposition:
     and gauge maps and of the reduced coefficients (see
     :class:`ReducedEquation`), compiled on first use and kept for the life
     of the decomposition; h, f and G only in array form, whose per-point
-    fallback is the one scalar function.  ``_coeff_parts`` is the staged pair
-    ``(pre, post)`` of :func:`expr.compile_staged` for (phi, p_num,
-    q_num): ``pre(x)`` computes the lines that depend on x alone (f', h',
-    G, G', G^2 and most of p1 and q1), ``post(x, t, pre(x))`` the rest.
+    fallback is the one scalar function.  ``_coeff_parts`` is the staged
+    triple ``(pre_x, pre_t, post)`` of :func:`expr.compile_staged` for
+    (phi, p_num, q_num): ``pre_x(x)`` computes the lines that depend on x
+    alone (f', h', G, G', G^2 and most of p1 and q1), ``pre_t(t)`` those
+    that depend on t alone (the parts of p1 and q1 in t alone), and
+    ``post(x, t, pre_x(x), pre_t(t))`` the rest.
     ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
@@ -353,6 +355,9 @@ def classify_case(dec: Decomposition) -> str:
 # far more than the products themselves.
 _PREFETCH_BATCH = 64
 
+# The gates of phi^2 E and of (phi E)^2 against tau_x = 0, in that order.
+_DEN_P_MIN, _DEN_Q_MIN = 1e-14, 1e-20
+
 
 class ReducedEquation:
     """The change of variables and the reduced equation w'' + P w' + Q w = 0
@@ -373,14 +378,22 @@ class ReducedEquation:
 
     P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h.
     phi, p_num and q_num are compiled together, sharing their common
-    subexpressions, and staged on x (``Decomposition._coeff_parts``):
-    ``_pre(x)`` runs the lines that depend on x alone and
-    ``_post(x, t, xv)`` the rest.  :meth:`coefficients_at` memoizes
-    ``(E(x), _pre(x))`` per x, so on a lattice of (x, t) the x-only lines
-    run once per x.  ``_phi`` alone serves the degeneracy gates.  All
-    kernels are the decomposition's, so building a ReducedEquation
-    compiles nothing; its own state is the basepoint and the E/S, gauge
-    and x-stage memos.
+    subexpressions, and staged on x and on t
+    (``Decomposition._coeff_parts``): ``_pre_x(x)`` runs the lines that
+    depend on x alone, ``_pre_t(t)`` those that depend on t alone and
+    ``_post(x, t, xv, tv)`` the rest.  :meth:`coefficients_at` memoizes
+    ``(E(x), _pre_x(x))`` per x and ``_pre_t(t)`` per t, so on a lattice of
+    (x, t) the x-only lines run once per x and the t-only lines once per
+    t; a stage that raises stores nothing.  The memos are keyed on the
+    built-in ``complex`` value, as the E/S memo is: +0 and -0 in a part
+    compare equal, so a point whose part is -0 reuses the stage computed
+    at +0 (and vice versa).  ``_phi`` alone serves the degeneracy gates.
+    All kernels are the decomposition's, so building a ReducedEquation
+    compiles nothing; its own state is the basepoint and the E/S, gauge,
+    x-stage and t-stage memos.  It holds no reference to itself (the
+    walker's stages are bound per walk), so its memos are freed as soon as
+    the last reference to it goes, without waiting for the cyclic
+    collector.
     For a completely integrable input P and Q depend on (x, t) only
     through tau."""
 
@@ -393,15 +406,20 @@ class ReducedEquation:
         self.case_tag = classify_case(dec)
         self._h_array, self._f_array, self._G_array = dec._h_array, dec._f_array, dec._G_array
         self._phi = dec._phi
-        self._pre, self._post = dec._coeff_parts
-        # Stages of one pass of the panel walker: h, then f E.
-        self._es_stages = (self._h_rows,) if dec.f_zero else (self._h_rows, self._fE_rows)
+        self._pre_x, self._pre_t, self._post = dec._coeff_parts
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
         self._cache_gauge: dict[complex, complex] = {}
-        # x -> (E(x), pre(x)), filled by coefficients_at.
+        # x -> (E(x), pre_x(x)) and t -> pre_t(t), filled by coefficients_at.
         self._cache_x: dict[complex, tuple[complex, tuple]] = {}
+        self._cache_t: dict[complex, tuple] = {}
 
     # -- change of variables -------------------------------------------------
+    @property
+    def _es_stages(self):
+        """Stages of one pass of the panel walker: h, then f E.  Built per
+        walk: stored, these bound methods would make a cycle through self."""
+        return (self._h_rows,) if self.dec.f_zero else (self._h_rows, self._fE_rows)
+
     def _h_rows(self, z, prior):
         return self._h_array(z, 0j)
 
@@ -453,7 +471,8 @@ class ReducedEquation:
         return got
 
     def tau_at(self, x: complex, t: complex) -> complex:
-        e, s = self._ES(complex(x))
+        x = complex(x)
+        e, s = self._cache_ES.get(x) or self._ES(x)
         return complex(t) * e + s
 
     def solve_t(self, x: complex, tau_target: complex) -> complex:
@@ -471,12 +490,16 @@ class ReducedEquation:
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
         """(P, Q) at one point; raises DegenerateTauPointError where
         tau_x = 0.  E and the x-stage values are memoized per x once both
-        stages have run there."""
+        stages have run there, the t-stage values per t once they are
+        computed."""
         x, t = complex(x), complex(t)
         got = self._cache_x.get(x)
+        tv = self._cache_t.get(t)
         try:
-            xv = self._pre(x) if got is None else got[1]
-            ph, p_num, q_num = self._post(x, t, xv)
+            xv = self._pre_x(x) if got is None else got[1]
+            if tv is None:
+                tv = self._cache_t[t] = self._pre_t(t)
+            ph, p_num, q_num = self._post(x, t, xv, tv)
         except (ArithmeticError, ValueError, fe.ExprError):
             # A numerator can fail where tau_x also vanishes.  Such a point
             # is degenerate, as it is when the gates run first.
@@ -484,17 +507,20 @@ class ReducedEquation:
             raise
         if got is None:
             got = self._cache_x[x] = (self.E(x), xv)
-        den_p, den_q = self._denominators(ph, got[0], x, t)
+        e = got[0]
+        den_p = ph * ph * e
+        if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
+            self._denominators(ph, e, x, t)  # raises DegenerateTauPointError
         return p_num / den_p, q_num / den_q
 
     def _denominators(self, ph: complex, e: complex, x: complex, t: complex
                       ) -> tuple[complex, complex]:
         """phi^2 E and (phi E)^2, gated in that order against tau_x = 0."""
         den_p = ph * ph * e
-        if abs(den_p) < 1e-14:
+        if abs(den_p) < _DEN_P_MIN:
             raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
         den_q = (ph * e) ** 2
-        if abs(den_q) < 1e-20:
+        if abs(den_q) < _DEN_Q_MIN:
             raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
         return den_p, den_q
 

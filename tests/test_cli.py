@@ -169,6 +169,24 @@ class TestFlags:
             assert moved.tolerances_json() != default.tolerances_json(), f.name
 
 
+class TestParser:
+    def test_consecutive_calls_see_only_their_own_params(self, monkeypatch):
+        # main parses with the one parser built at import.  Each call sees
+        # only its own --param values, and prints what a fresh parser's
+        # call prints.
+        argvs = [["reduce", "PIII.y1", "--param", "theta_inf=7/2"],
+                 ["reduce", "PIII.y1", "--param", "theta_inf=11/2"],
+                 ["reduce", "PIII.y1"]]
+        shared = [run_cli(argv) for argv in argvs]
+        assert [rc for rc, _, _ in shared] == [0, 0, 0]
+        assert len({out for _, out, _ in shared}) == 3
+        assert [cli._PARSER.parse_args(argv).param for argv in argvs] == \
+            [["theta_inf=7/2"], ["theta_inf=11/2"], None]
+        for argv, got in zip(argvs, shared):
+            monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+            assert run_cli(argv) == got
+
+
 class TestSample:
     def test_flat_entry_rows_satisfy_target(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -251,11 +251,11 @@ def _check_staged(e, xs, ts):
     ``xs`` x ``ts``: the same values by ``repr`` where neither raises, the
     same raising points, values within rounding of ``evaluate``."""
     fused = fe.compile_expr(e)
-    pre, post = fe.compile_staged(e)
+    pre_x, pre_t, post = fe.compile_staged(e)
     for x in xs:
         for t in ts:
             want = _call(fused, x, t)
-            got = _call(lambda: post(x, t, pre(x)))
+            got = _call(lambda: post(x, t, pre_x(x), pre_t(t)))
             assert isinstance(got, type) == isinstance(want, type), (x, t)
             if isinstance(want, type):
                 continue
@@ -271,31 +271,41 @@ def _check_staged(e, xs, ts):
 
 
 class TestCompileStaged:
-    """``compile_staged``: the lines of ``compile_expr`` in an x-stage and
-    an (x, t) stage."""
+    """``compile_staged``: the lines of ``compile_expr`` in an x-stage, a
+    t-stage and an (x, t) stage."""
 
-    @pytest.mark.parametrize("e, n_pre_lines, n_carried", [
+    @pytest.mark.parametrize("e, n_x_lines, n_t_lines, n_x_carried, n_t_carried", [
         # x-only result: post has no lines and returns the carried value.
-        (fe.add(fe.mul(fe.exp(X), X), A), 3, 1),
-        # t-only result: the x-stage is empty.
-        (fe.add(fe.mul(T, T), A), 0, 0),
+        (fe.add(fe.mul(fe.exp(X), X), A), 3, 0, 1, 0),
+        # t-only result: every line is in the t-stage, the x-stage is empty.
+        (fe.add(fe.mul(T, T), A), 0, 2, 0, 1),
+        (fe.add(fe.mul(fe.exp(T), T), fe.log(fe.exp(T))), 0, 4, 0, 1),
         # constant result: its lines run in the x-stage.
-        (fe.mul(_raw("exp", fe.const(2)), A), 2, 1),
+        (fe.mul(_raw("exp", fe.const(2)), A), 2, 0, 1, 0),
+        # a t-line reading a constant line runs in post.
+        (fe.mul(_raw("exp", fe.const(2)), T), 1, 0, 1, 0),
         # x and t read directly by post, returned bare too.
-        ((fe.mul(X, T), X, T, fe.const(2)), 0, 0),
-        # shared x-only subtree read by two t-lines and returned.
-        ((fe.mul(fe.exp(X), T), fe.add(fe.exp(X), T), fe.exp(X)), 1, 1),
-        # an x-only line read only by another x-only line is not carried.
-        (fe.mul(fe.sqrt(fe.log(X)), T), 2, 1),
-    ], ids=["x-only", "t-only", "constant", "bare-x-t", "shared", "internal"])
-    def test_stage_shapes(self, e, n_pre_lines, n_carried):
+        ((fe.mul(X, T), X, T, fe.const(2)), 0, 0, 0, 0),
+        # shared x-only subtree read by two (x, t) lines and returned.
+        ((fe.mul(fe.exp(X), T), fe.add(fe.exp(X), T), fe.exp(X)), 1, 0, 1, 0),
+        # shared t-only subtree read by an (x, t) line and returned.
+        ((fe.mul(fe.exp(T), X), fe.exp(T)), 0, 1, 0, 1),
+        # a line read only by another line of its stage is not carried.
+        (fe.mul(fe.sqrt(fe.log(X)), T), 2, 0, 1, 0),
+        (fe.mul(fe.sqrt(fe.log(T)), X), 0, 2, 0, 1),
+    ], ids=["x-only", "t-only", "t-only-shared", "constant", "constant-times-t",
+            "bare-x-t", "shared", "shared-t", "internal", "internal-t"])
+    def test_stage_shapes(self, e, n_x_lines, n_t_lines, n_x_carried, n_t_carried):
         e = _raw_bound(e, _A_VALUE)
-        pre, post = fe.compile_staged(e)
-        assert pre.__code__.co_nlocals - 1 == n_pre_lines
-        assert len(pre(0.7 + 0.2j)) == n_carried
-        # Every line runs in one stage or the other, once.
+        pre_x, pre_t, post = fe.compile_staged(e)
+        assert pre_x.__code__.co_nlocals - 1 == n_x_lines
+        assert pre_t.__code__.co_nlocals - 1 == n_t_lines
+        assert len(pre_x(0.7 + 0.2j)) == n_x_carried
+        assert len(pre_t(0.7 + 0.2j)) == n_t_carried
+        # Every line runs in exactly one stage, once.
         n_lines = fe.compile_expr(e).__code__.co_nlocals - 2
-        assert n_pre_lines + post.__code__.co_nlocals - 3 - n_carried == n_lines
+        n_post_lines = post.__code__.co_nlocals - 4 - n_x_carried - n_t_carried
+        assert n_x_lines + n_t_lines + n_post_lines == n_lines
         _check_staged(e, _PROPERTY_POINTS, _PROPERTY_POINTS)
 
     def test_staged_property(self):

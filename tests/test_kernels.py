@@ -15,6 +15,8 @@ import threading
 import weakref
 from fractions import Fraction
 
+import pytest
+
 import fuchsreduce
 from fuchsreduce import catalog, expr as fe, verify
 from fuchsreduce.config import Config
@@ -65,7 +67,9 @@ class TestKernelLifetime:
         assert second.red._cache_x == {}
         assert first.dec is second.dec is entry.decomposition
         assert first.red is not second.red
-        assert (first.red._pre, first.red._post) == (second.red._pre, second.red._post)
+        kernels = ("_pre_x", "_pre_t", "_post")
+        assert [getattr(first.red, k) for k in kernels] == \
+            [getattr(second.red, k) for k in kernels]
         first.red.tau_at(1.7 + 0.1j, 0.9)
         second.red.tau_at(2.1 - 0.05j, 1.1)
         second.red.coefficients_at(2.1 - 0.05j, 1.1)
@@ -73,7 +77,9 @@ class TestKernelLifetime:
         assert 1.7 + 0.1j not in second.red._cache_ES
         assert list(first.red._cache_x) == [1.7 + 0.1j]
         assert list(second.red._cache_x) == [2.1 - 0.05j]
-        # The x-stage memo is the ReducedEquation's own: it goes with it.
+        assert list(first.red._cache_t) == [0.9 + 0j]
+        assert list(second.red._cache_t) == [1.1 + 0j]
+        # The stage memos are the ReducedEquation's own: they go with it.
         red = weakref.ref(first.red)
         del first
         gc.collect()
@@ -86,13 +92,54 @@ class TestKernelLifetime:
         assert prep.dec.sp is entry.scalar_pair
 
 
+@pytest.fixture
+def gc_disabled():
+    """The cyclic collector off, after collecting what earlier code left:
+    anything a test then frees must go by reference counting."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """An op frees what it made when it returns: no reference cycle keeps
+    memos, compiled kernels or an override entry alive until the cyclic
+    collector runs."""
+
+    @pytest.mark.parametrize("entry_id, overrides", [
+        ("PIII.y1", None), ("PIII.y1", {"theta_inf": Fraction(3, 2)})],
+        ids=["default", "override"])
+    def test_full_report(self, gc_disabled, entry_id, overrides):
+        verify.full_report(entry_id, overrides=overrides)
+        assert gc.collect() == 0
+
+    def test_prepare_of_a_fresh_entry(self, gc_disabled):
+        prep = verify.prepare(catalog.lookup("PV.y_m1", {"theta_inf": Fraction(5, 2)}))
+        del prep
+        assert gc.collect() == 0
+
+    def test_memos_go_with_their_op(self, gc_disabled):
+        prep = verify.prepare(catalog.lookup("PII.y0"))
+        prep.red.tau_at(1.7 + 0.1j, 0.9)
+        prep.red.coefficients_at(1.7 + 0.1j, 0.9)
+        red = weakref.ref(prep.red)
+        del prep
+        assert red() is None
+
+
 class TestStagedKernel:
     def test_x_stage_runs_once_per_x(self, monkeypatch):
         # coefficients_at on a 32 x 128 lattice runs the x-stage of the
-        # kernel once per x and the (x, t) stage once per point.
+        # kernel once per x, the t-stage once per t and the (x, t) stage
+        # once per point.
         prep = verify.prepare(catalog.lookup("PIII.y1"))
         red = prep.red
-        calls = {"pre": 0, "post": 0}
+        calls = {"pre_x": 0, "pre_t": 0, "post": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -100,8 +147,8 @@ class TestStagedKernel:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(red, "_pre", counting("pre", red._pre))
-        monkeypatch.setattr(red, "_post", counting("post", red._post))
+        for name in calls:
+            monkeypatch.setattr(red, f"_{name}", counting(name, getattr(red, f"_{name}")))
         box_x, box_t = prep.box_x, prep.box_t
         xs = [complex(box_x.re_lo + (k + 0.5) / 32 * (box_x.re_hi - box_x.re_lo), 0.05)
               for k in range(32)]
@@ -111,8 +158,9 @@ class TestStagedKernel:
             for t in ts:
                 red.tau_at(x, t)
                 red.coefficients_at(x, t)
-        assert calls == {"pre": 32, "post": 4096}
+        assert calls == {"pre_x": 32, "pre_t": 128, "post": 4096}
         assert list(red._cache_x) == xs
+        assert list(red._cache_t) == ts
 
 
 class TestConcurrentFirstUse:

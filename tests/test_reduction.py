@@ -333,9 +333,9 @@ class TestReducedCoefficients:
             red.coefficients_at(0.0, 0.5)
         # The pole is x-only, so the raw kernel raises in its x-stage.
         with pytest.raises(ZeroDivisionError):
-            red._pre(0.0)
+            red._pre_x(0.0)
         with pytest.raises(ZeroDivisionError):
-            red._post(0.0, 0.5, red._pre(0.0))
+            red._post(0.0, 0.5, red._pre_x(0.0), red._pre_t(0.5))
         assert 0j not in red._cache_x
 
     @pytest.mark.parametrize("p1, error", [(1 / (X - 2), ZeroDivisionError),
@@ -356,17 +356,42 @@ class TestReducedCoefficients:
         red.coefficients_at(2.5, 0.5)
         assert list(red._cache_x) == [2.5 + 0j]
 
+    @pytest.mark.parametrize("p1, error", [(1 / (T - 2), ZeroDivisionError),
+                                           (fe.log(T - 2), ValueError)])
+    def test_t_stage_error_at_regular_point(self, p1, error):
+        # p1 is singular at t = 2, where tau_x = x: the point is not
+        # degenerate, so the kernel's own exception comes through from its
+        # t-stage, and the t-stage memo keeps nothing for that t.
+        zero = fe.const(0)
+        sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+        red = reduction.build_reduced(dec, 1.0)
+        assert red.tau_x_at(1.5, 2.0) == 1.5
+        with pytest.raises(error):
+            red._pre_t(2.0)
+        for x in (1.5, 1.7):
+            with pytest.raises(error):
+                red.coefficients_at(x, 2.0)
+        assert 2 + 0j not in red._cache_t
+        assert red._cache_x == {}
+        red.coefficients_at(1.5, 0.5)
+        assert list(red._cache_t) == [0.5 + 0j]
+        assert list(red._cache_x) == [1.5 + 0j]
+
     def test_fused_coefficients_share_subexpressions(self, prep):
         # phi, p_num and q_num of PIII.y1 have 162 structurally distinct
         # interior nodes together (compiled one by one: 27 + 187 + 265).
-        # The two stages hold them once between them; post also has the
-        # unpacked x-stage values and the arguments x, t and xv.
+        # The three stages hold them once between them; post also has the
+        # unpacked x- and t-stage values and the arguments x, t, xv and tv.
         red = prep("PIII.y1").red
-        pre, post = red._pre.__code__, red._post.__code__
-        carried = len(red._pre(2.0))
-        assert pre.co_nlocals - 1 + post.co_nlocals - 3 - carried <= 162
-        # Most of the lines depend on x alone.
-        assert pre.co_nlocals - 1 >= 100
+        pre_x, pre_t, post = (red._pre_x.__code__, red._pre_t.__code__,
+                              red._post.__code__)
+        carried = len(red._pre_x(2.0)) + len(red._pre_t(0.5))
+        n_x, n_t = pre_x.co_nlocals - 1, pre_t.co_nlocals - 1
+        assert n_x + n_t + post.co_nlocals - 4 - carried <= 162
+        # Most of the lines depend on x alone, and the t-stage is not empty.
+        assert n_x >= 100
+        assert n_t >= 10
 
 
 class TestBasepointCovariance:
