@@ -97,6 +97,10 @@ def _atomic_write(path: FsPath, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -107,7 +111,7 @@ def _atomic_write(path: FsPath, text: str) -> None:
 
 
 def _family_matches(entry_family: str, wanted: str) -> bool:
-    return entry_family == wanted or entry_family.startswith(wanted)
+    return entry_family == wanted or entry_family.startswith(wanted + "_")
 
 
 def cmd_list(args, out) -> int:
@@ -314,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="enumerate catalog entries")
     p_list.add_argument("--family", type=str, default=None,
-                        help="filter by family prefix (e.g. PV)")
+                        help="filter by family (PV also lists its subfamilies PV_*)")
     p_list.add_argument("--json", action="store_true")
 
     p_red = sub.add_parser("reduce", help="print the reduction data for an entry")

@@ -1,20 +1,18 @@
 """Minimal symbolic expression engine over the complex numbers.
 
-Expressions are immutable trees in the spectral variable ``x``, the
-deformation variable ``t`` and named parameters.  :func:`substitute` is
-the one way to give a parameter its value: evaluation and compilation
-read only ``x`` and ``t`` and raise :class:`UnboundSymbolError` on a
-parameter left in a tree.  The engine supports exact symbolic
-differentiation, pointwise evaluation, compilation to fast Python
-callables (straight-line code with subtrees shared by structure; one
-expression or a tuple of them per function, or the same lines staged as
-an x-only part, a t-only part and the rest; an array form runs the same
-code object on numpy arrays of points), one walker of adaptive Chebyshev
+Expressions are immutable trees of complex constants, the spectral
+variable ``x`` and the deformation variable ``t``; a family parameter is
+written into a tree as a constant when the tree is built.  The engine
+supports exact symbolic differentiation, substitution of ``x`` or ``t``,
+pointwise evaluation, compilation to fast Python callables
+(straight-line code with subtrees shared by structure; one expression or
+a tuple of them per function, or the same lines staged as an x-only
+part, a t-only part and the rest; an array form runs the same code
+object on numpy arrays of points), one walker of adaptive Chebyshev
 panels with tail-coefficient error control (contour quadrature along
 piecewise-linear paths, many segments from one start together, or the
-solve of a 2x2 linear ODE and its t-variation along them), and a
-plain-text infix grammar whose parser and printer round-trip
-structurally.
+solve of a 2x2 linear ODE and its t-variation along them), and an infix
+printer.
 
 Design constraints:
 
@@ -38,7 +36,7 @@ import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -51,11 +49,9 @@ __all__ = [
     "UnboundSymbolError",
     "SingularEvaluationError",
     "QuadratureError",
-    "ParseError",
     "X",
     "T",
     "const",
-    "param",
     "add",
     "sub",
     "mul",
@@ -76,7 +72,6 @@ __all__ = [
     "integrate_callable",
     "numerically_zero",
     "to_string",
-    "parse",
 ]
 
 
@@ -85,8 +80,7 @@ class ExprError(Exception):
 
 
 class UnboundSymbolError(ExprError):
-    """A variable required for evaluation or compilation has no value, or
-    a parameter was left in the tree (bind it with :func:`substitute`)."""
+    """A variable required for evaluation has no value."""
 
 
 class SingularEvaluationError(ExprError):
@@ -100,15 +94,12 @@ class QuadratureError(ExprError):
     linear solve met a non-finite value."""
 
 
-class ParseError(ExprError):
-    """The expression text does not conform to the grammar."""
-
-
 class Expr:
     """Immutable expression node.
 
-    ``kind`` is one of ``const``, ``var``, ``param``, ``neg``, ``add``,
-    ``mul``, ``div``, ``ipow``, ``fpow``, ``exp``, ``log``, ``sqrt``.
+    ``kind`` is one of ``const``, ``var`` (``x`` or ``t``), ``neg``,
+    ``add``, ``mul``, ``div``, ``ipow``, ``fpow``, ``exp``, ``log``,
+    ``sqrt``.
     ``value`` holds the payload for leaves and power exponents; ``children``
     holds sub-expressions.  Construct nodes through the module-level helper
     functions, which apply local constant folding.
@@ -199,12 +190,6 @@ def _is_const(e: Expr, c: complex | None = None) -> bool:
 
 def const(value) -> Expr:
     return Expr("const", complex(value))
-
-
-def param(name: str) -> Expr:
-    if name in ("x", "t", "i"):
-        raise ValueError(f"{name!r} is reserved and cannot name a parameter")
-    return Expr("param", name)
 
 
 X = Expr("var", "x")
@@ -326,7 +311,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     if var not in ("x", "t"):
         raise ValueError("var must be 'x' or 't'")
     k = e.kind
-    if k in ("const", "param"):
+    if k == "const":
         return _ZERO
     if k == "var":
         return _ONE if e.value == var else _ZERO
@@ -372,8 +357,7 @@ class Binding:
     """Values of the variables ``x`` and ``t`` for :func:`evaluate`.
 
     Evaluation fails loudly (:class:`UnboundSymbolError`) if a required
-    variable is unbound or the tree still holds a parameter (bind those
-    with :func:`substitute`).
+    variable is unbound.
     """
 
     x: complex | None = None
@@ -400,8 +384,6 @@ def evaluate(e: Expr, b: Binding) -> complex:
         if v is None:
             raise UnboundSymbolError(f"variable {e.value!r} is unbound")
         return complex(v)
-    if k == "param":
-        raise UnboundSymbolError(f"parameter {e.value!r} is unbound")
     if k == "neg":
         return -evaluate(e.children[0], b)
     if k == "add":
@@ -433,11 +415,9 @@ def evaluate(e: Expr, b: Binding) -> complex:
 
 
 def substitute(e: Expr, x: Expr | complex | None = None,
-               t: Expr | complex | None = None,
-               params: Mapping[str, complex] | None = None) -> Expr:
-    """Replace variables/parameters and re-fold constants.  The only
-    parameter binder: :func:`evaluate` and the compilers reject a
-    parameter left in the tree."""
+               t: Expr | complex | None = None) -> Expr:
+    """Replace ``x`` and/or ``t`` by an expression or a value and re-fold
+    constants."""
     rx = _coerce(x) if x is not None else None
     rt = _coerce(t) if t is not None else None
 
@@ -451,11 +431,6 @@ def substitute(e: Expr, x: Expr | complex | None = None,
         if k == "var":
             r = rx if n.value == "x" else rt
             out = n if r is None else r
-        elif k == "param":
-            if params is not None and n.value in params:
-                out = const(params[n.value])
-            else:
-                out = n
         elif k == "const":
             out = n
         else:
@@ -597,7 +572,6 @@ def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
     as x-dependent: it runs in the x-stage, so a line reading it and t is
     an (x, t) line.
 
-    A parameter left in the tree raises :class:`UnboundSymbolError`.
     Subtrees are shared by structure (hash-consing by value numbering):
     each interior node is one assignment keyed on its right-hand side
     text, so two nodes share a variable exactly when they would emit the
@@ -620,8 +594,6 @@ def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
             s = _literal(n.value)
         elif k == "var":
             s = n.value
-        elif k == "param":
-            raise UnboundSymbolError(f"parameter {n.value!r} is unbound")
         else:
             kids = [emit(c) for c in n.children]
             if k == "neg":
@@ -689,8 +661,7 @@ def compile_expr(e: Expr | tuple[Expr, ...]
     of expressions, ``f`` returns the tuple of their values, computed by
     one straight-line body of value-numbered lines (see
     :func:`_value_numbered`), so a subtree shared by structure is computed
-    once.  Parameters must be bound beforehand (:func:`substitute`); one
-    left in the tree raises :class:`UnboundSymbolError`.  Repeated
+    once.  Repeated
     evaluation is much faster than tree walking.  Singular inputs raise the
     native ZeroDivisionError/ValueError.  :func:`array_form` runs the same code on
     numpy arrays of points, and :func:`compile_staged` splits the same
@@ -703,8 +674,7 @@ def compile_staged(e: Expr | tuple[Expr, ...]
                    ) -> tuple[Callable, Callable, Callable]:
     """The lines of :func:`compile_expr` split in three stages, ``(pre_x,
     pre_t, post)`` with ``post(x, t, pre_x(x), pre_t(t)) ==
-    compile_expr(e)(x, t)`` bit for bit; a parameter left in the tree
-    raises :class:`UnboundSymbolError`.
+    compile_expr(e)(x, t)`` bit for bit.
 
     ``pre_x(x)`` runs, in order, every line that does not depend on t: the
     lines in x alone and those in neither variable.  ``pre_t(t)`` runs the
@@ -1109,7 +1079,7 @@ def _print_const(c: complex) -> tuple[str, bool]:
 
 def _atomish(e: Expr) -> bool:
     """Nodes that print as self-delimiting units."""
-    if e.kind in ("var", "param", "exp", "log", "sqrt"):
+    if e.kind in ("var", "exp", "log", "sqrt"):
         return True
     if e.kind == "const":
         return _print_const(e.value)[1]
@@ -1117,13 +1087,14 @@ def _atomish(e: Expr) -> bool:
 
 
 def to_string(e: Expr) -> str:
-    """Infix rendering; ``parse(to_string(e))`` rebuilds ``e`` structurally."""
+    """Infix rendering: ``^`` for powers, ``i`` for the imaginary unit and
+    rational exponents as ``(p/q)``.  Read left-associatively with the
+    usual precedence (unary minus below ``^``), the text rebuilds ``e``
+    structurally through the constructors."""
     k = e.kind
     if k == "const":
         return _print_const(e.value)[0]
     if k == "var":
-        return e.value
-    if k == "param":
         return e.value
     if k == "neg":
         c = e.children[0]
@@ -1132,8 +1103,8 @@ def to_string(e: Expr) -> str:
             return f"-({s})"
         return f"-{s}"
     if k == "add":
-        # The parser is left-associative, so only right-hand adds need
-        # parentheses to round-trip structurally.
+        # Read left-associatively, only right-hand adds need parentheses
+        # to rebuild the same tree.
         a, b = e.children
         sa = to_string(a)
         if b.kind == "neg":
@@ -1179,170 +1150,3 @@ def to_string(e: Expr) -> str:
         return f"{k}({to_string(e.children[0])})"
     raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
 
-
-# ---------------------------------------------------------------------------
-# Parser
-
-_TOKEN_CHARS = set("+-*/^()")
-
-
-def _tokenize(text: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_exp = False
-            while j < n:
-                cj = text[j]
-                if cj.isdigit() or cj == ".":
-                    j += 1
-                elif cj in "eE" and j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "+-"):
-                    seen_exp = True
-                    j += 2
-                elif seen_exp and cj.isdigit():
-                    j += 1
-                else:
-                    break
-            try:
-                value = float(text[i:j])
-            except ValueError as exc:
-                raise ParseError(f"malformed number {text[i:j]!r}") from exc
-            tokens.append(("num", value))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j]))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, object]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, object]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[0]!r}")
-        return tok
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.parse_term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.parse_factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
-
-    def parse_factor(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.next()
-            return neg(self.parse_factor())
-        if self.peek()[0] == "+":
-            self.next()
-            return self.parse_factor()
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek()[0] != "^":
-            return base
-        self.next()
-        num, den = self.parse_exponent()
-        q = Fraction(num, den)
-        return fpow(base, q) if q.denominator != 1 else ipow(base, int(q))
-
-    def parse_exponent(self) -> tuple[int, int]:
-        tok = self.peek()
-        if tok[0] == "num":
-            self.next()
-            v = tok[1]
-            if v != int(v):
-                raise ParseError("exponents must be integers or (p/q) rationals")
-            return int(v), 1
-        if tok[0] == "(":
-            self.next()
-            sign = 1
-            if self.peek()[0] == "-":
-                self.next()
-                sign = -1
-            numtok = self.expect("num")
-            v = numtok[1]
-            if v != int(v):
-                raise ParseError("exponents must be integers or (p/q) rationals")
-            num = sign * int(v)
-            den = 1
-            if self.peek()[0] == "/":
-                self.next()
-                dentok = self.expect("num")
-                dv = dentok[1]
-                if dv != int(dv) or dv == 0:
-                    raise ParseError("rational exponent denominator must be a nonzero integer")
-                den = int(dv)
-            self.expect(")")
-            return num, den
-        raise ParseError("malformed exponent")
-
-    def parse_atom(self) -> Expr:
-        kind, value = self.next()
-        if kind == "num":
-            return const(value)
-        if kind == "(":
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if kind == "ident":
-            if value == "x":
-                return X
-            if value == "t":
-                return T
-            if value == "i":
-                return const(1j)
-            if value in ("exp", "log", "sqrt"):
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return {"exp": exp, "log": log, "sqrt": sqrt}[value](arg)
-            return param(value)
-        raise ParseError(f"unexpected token {kind!r}")
-
-
-def parse(text: str) -> Expr:
-    """Parse the plain-text grammar back into an expression tree."""
-    p = _Parser(_tokenize(text))
-    node = p.parse_expr()
-    if p.peek()[0] != "end":
-        raise ParseError(f"trailing input at token {p.pos}")
-    return node

@@ -7,10 +7,6 @@ from dataclasses import dataclass
 __all__ = ["ClassicalTarget"]
 
 
-def _cplx(v) -> complex:
-    return complex(v)
-
-
 @dataclass(frozen=True)
 class ClassicalTarget:
     """A deformation-free normal form.
@@ -33,19 +29,19 @@ class ClassicalTarget:
 
     @staticmethod
     def airy(scale) -> "ClassicalTarget":
-        return ClassicalTarget("airy", scale=_cplx(scale))
+        return ClassicalTarget("airy", scale=complex(scale))
 
     @staticmethod
     def whittaker(kappa, mu_sq) -> "ClassicalTarget":
-        return ClassicalTarget("whittaker", kappa=_cplx(kappa), mu_sq=_cplx(mu_sq))
+        return ClassicalTarget("whittaker", kappa=complex(kappa), mu_sq=complex(mu_sq))
 
     @staticmethod
     def constant(c) -> "ClassicalTarget":
-        return ClassicalTarget("constant", c=_cplx(c))
+        return ClassicalTarget("constant", c=complex(c))
 
     @staticmethod
     def linear_potential(a, b) -> "ClassicalTarget":
-        return ClassicalTarget("linear_potential", a=_cplx(a), b=_cplx(b))
+        return ClassicalTarget("linear_potential", a=complex(a), b=complex(b))
 
     @staticmethod
     def none() -> "ClassicalTarget":

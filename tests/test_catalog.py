@@ -10,6 +10,7 @@ from fuchsreduce import catalog, expr as fe
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.scalarize import ScalarPair
+from test_expr import read_infix
 
 DATA = FsPath(__file__).resolve().parent / "data"
 MANIFESTS = FsPath(__file__).resolve().parents[1] / "src" / "fuchsreduce" / "manifests"
@@ -190,9 +191,16 @@ class TestManifests:
         doc = json.loads(manifest_json(catalog.lookup("PIV.y_m2t3")))
         assert doc["id"] == "PIV.y_m2t3"
         assert doc["reduction"]["M"] == "2 * t / 3"
-        # documented closed forms parse back through the grammar
-        for key, text in {**doc["closed_forms"], **doc["reduction"]}.items():
-            fe.parse(text)
+
+    @pytest.mark.parametrize("entry_id", [*EXPECTED_IDS, "negative.PII_bad_y1"])
+    def test_closed_forms_read_back_to_the_entry_trees(self, entry_id):
+        entry = catalog.lookup(entry_id)
+        doc = catalog.manifest(entry)
+        for printed, trees in ((doc["closed_forms"], entry.closed_forms),
+                               (doc["reduction"], entry.reduction_closed_forms)):
+            assert printed.keys() == trees.keys()
+            for key, text in printed.items():
+                assert read_infix(text) == trees[key], (key, text)
 
     def test_target_scale_string(self):
         doc = json.loads(manifest_json(catalog.lookup("PII.y0")))

@@ -1,6 +1,10 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,10 +42,17 @@ class TestList:
         assert docs[0]["schema"] == "fuchs-reduce/1"
 
     def test_family_filter(self):
-        rc, out, _ = run_cli(["list", "--family", "PV"])
-        assert rc == 0
-        ids = [ln.split()[0] for ln in out.splitlines() if ln.strip()]
-        assert ids == ["PV.y_lin", "PV.y_m1", "PVdeg.kitaev_sqrt"]
+        for family, want in (
+            # PVdeg's family is PV_Kitaev, a subfamily of PV.
+            ("PV", ["PV.y_lin", "PV.y_m1", "PVdeg.kitaev_sqrt"]),
+            # A bare prefix is no family: PII is not PIII, PI is none of them.
+            ("PII", ["PII.y0", "PII.y_inv_t", "negative.PII_bad_y1"]),
+            ("PI", []),
+        ):
+            rc, out, _ = run_cli(["list", "--family", family])
+            assert rc == 0
+            ids = [ln.split()[0] for ln in out.splitlines() if ln.strip()]
+            assert ids == want, family
 
 
 class TestReduce:
@@ -253,6 +264,28 @@ class TestSample:
         for x_re, x_im, t_re, t_im in (vals[6:] for vals in rows):
             assert 1.3 <= x_re <= 1.4 and -0.01 <= x_im <= 0.01
             assert 0.8 <= t_re <= 0.9 and -0.02 <= t_im <= 0.02
+
+
+class TestOutputFiles:
+    def test_written_files_get_the_umask_mode(self, tmp_path):
+        # In a child process, so this process's umask is never changed.
+        # The second round overwrites the files of the first.
+        script = f"""
+import os
+from fuchsreduce import cli
+os.umask(0o022)
+for _ in range(2):
+    assert cli.main(["sample", "PII.y0", "--out", {str(tmp_path / "s.csv")!r},
+                     "--count", "2"]) == 0
+    assert cli.main(["verify", "PII.y0", "--out-dir", {str(tmp_path / "out")!r}]) == 0
+    print(oct(os.stat({str(tmp_path / "s.csv")!r}).st_mode & 0o777),
+          oct(os.stat({str(tmp_path / "out" / "PII.y0.json")!r}).st_mode & 0o777))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        modes = [ln.split() for ln in done.stdout.splitlines() if ln.startswith("0o")]
+        assert modes == [["0o644", "0o644"]] * 2
 
 
 class TestDeterminism:
