@@ -86,7 +86,13 @@ def _config_from_args(args) -> Config:
 def _overrides_from_args(args) -> dict | None:
     if not args.param:
         return None
-    return dict(_parse_param(p) for p in args.param)
+    overrides = {}
+    for text in args.param:
+        name, value = _parse_param(text)
+        if name in overrides:
+            raise ValueError(f"--param {name} is given more than once")
+        overrides[name] = value
+    return overrides
 
 
 def _dump_json(doc) -> str:
@@ -184,6 +190,12 @@ def _target_doc(entry: cat.CatalogEntry, matched) -> dict:
 def cmd_verify(args, out, err) -> int:
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
+    if args.all and args.entry:
+        err.write(f"error: give an entry id or --all, not both ({args.entry})\n")
+        return 2
+    if args.with_negative and not args.all:
+        err.write("error: --with-negative needs --all\n")
+        return 2
     if args.all:
         ids = [*cat.list_entries(), *cat.list_negative_entries()] if args.with_negative \
             else cat.list_entries()
@@ -200,7 +212,7 @@ def cmd_verify(args, out, err) -> int:
         for entry_id in ids:
             rep = ver.full_report(entry_id, config, overrides)
             reports.append(rep)
-            expected_fail = args.all and rep.entry_id.startswith("negative.")
+            expected_fail = args.all and cat.lookup(entry_id).is_negative
             # Under --all the negative controls must fail; anywhere else a
             # failing report is a failure.
             if rep.passed == expected_fail:

@@ -500,7 +500,7 @@ class ReducedEquation:
             if tv is None:
                 tv = self._cache_t[t] = self._pre_t(t)
             ph, p_num, q_num = self._post(x, t, xv, tv)
-        except (ArithmeticError, ValueError, fe.ExprError):
+        except fe._SAMPLE_ERRORS:
             # A numerator can fail where tau_x also vanishes.  Such a point
             # is degenerate, as it is when the gates run first.
             self._denominators(self._phi(x, t), self.E(x), x, t)

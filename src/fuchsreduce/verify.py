@@ -35,7 +35,7 @@ from . import catalog as cat
 from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
-from .config import DEFAULT_CONFIG, FRAME_TOL, Config
+from .config import DEFAULT_CONFIG, Config
 from .reduction import Decomposition, ReducedEquation
 from .targets import ClassicalTarget
 
@@ -377,9 +377,10 @@ def cross_validate(prep: Prepared) -> float:
     mu = phi_t / phi - (phi_x / phi - G) / (f + t h) equals c'/c and
     depends on t alone.  The stage walks one solution (:func:`_walk_leg`)
     at t the midpoint of the real range of the t box, along the leg from
-    the centre of the x box to 0.1 short of its right edge.  phi is the
-    component the reduction acts on; phi and phi_x come from the leg's
-    Chebyshev series, phi_t from Psi.  Returns the spread
+    the centre of the x box to 1/14 of its real width short of its right
+    edge (2.4 on the default box), a leg of nonzero length on every box.
+    phi is the component the reduction acts on; phi and phi_x come from
+    the leg's Chebyshev series, phi_t from Psi.  Returns the spread
     max |mu - mean mu| / max(1, |mean mu|) over ``_MU_POINTS`` interior
     points of the leg.
 
@@ -391,7 +392,8 @@ def cross_validate(prep: Prepared) -> float:
     singular on the leg or at its start, when the walk fails, or when mu is
     not finite at some point."""
     x0 = prep.box_x.center
-    x1 = complex(prep.box_x.re_hi - 0.1, x0.imag)
+    x1 = complex(prep.box_x.re_hi - (prep.box_x.re_hi - prep.box_x.re_lo) / 14,
+                 x0.imag)
     t = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi))
     where = f"the leg [{x0:.6g}, {x1:.6g}] at t = {t:.6g}"
     dec = prep.dec
@@ -424,25 +426,43 @@ def cross_validate(prep: Prepared) -> float:
 # ---------------------------------------------------------------------------
 # Aggregated report
 
+# Each gated field of a report, with the key of its tolerance.
+_GATES = (("flow_max", "flow"), ("frobenius_max", "frobenius"),
+          ("frame_residual", "frame"), ("t_independence_max", "independence"),
+          ("match_residual", "match"), ("cross_validation_residual", "crossval"))
+
+
 @dataclass
 class VerificationReport:
+    """The record of :func:`full_report`; its verdict follows from it
+    alone (see :attr:`passed`)."""
+
     entry_id: str
     family: str
-    passed: bool
-    frobenius_max: float | None
-    flow_max: float | None
-    t_independence_max: float | None
-    match: ClassicalTarget | None
-    match_residual: float | None
     expected_target: ClassicalTarget | None
-    cross_validation_residual: float | None
-    case_tag: str | None
-    exponent_a: complex | None
-    frame: tuple[complex, complex] | None
-    frame_residual: float | None
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 42
+    tolerances: dict
+    seed: int
+    frobenius_max: float | None = None
+    flow_max: float | None = None
+    t_independence_max: float | None = None
+    match: ClassicalTarget | None = None
+    match_residual: float | None = None
+    cross_validation_residual: float | None = None
+    case_tag: str | None = None
+    exponent_a: complex | None = None
+    frame: tuple[complex, complex] | None = None
+    frame_residual: float | None = None
     errors: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        """No stage error, every recorded gate value at most its tolerance
+        (NaN fails), and a recorded match agrees with the expected target."""
+        tols = self.tolerances
+        gated = ((getattr(self, name), tols[key]) for name, key in _GATES)
+        return (not self.errors and all(v is None or v <= tol for v, tol in gated)
+                and (self.match is None or self.match.agrees_with(
+                    self.expected_target, tol=tols["target_param"])))
 
     def to_json(self) -> dict:
         def cj(z):
@@ -478,77 +498,42 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     entry = cat.lookup(entry_id, overrides)
     seed = config.entry_seed(entry.id)
     rep = VerificationReport(
-        entry_id=entry.id, family=entry.family, passed=False,
-        frobenius_max=None, flow_max=None, t_independence_max=None,
-        match=None, match_residual=None,
+        entry_id=entry.id, family=entry.family,
         expected_target=entry.expected_target,
-        cross_validation_residual=None, case_tag=None, exponent_a=None,
-        frame=None, frame_residual=None,
         tolerances=config.tolerances_json(), seed=config.seed,
     )
-    ok = True
+
+    def stage(name, run):
+        """``run()``, or None with the exception recorded as a stage error."""
+        try:
+            return run()
+        except Exception as exc:  # noqa: BLE001 - reports must never raise
+            rep.errors.append(f"{name}: {exc}")
+            return None
 
     rng = np.random.default_rng(seed)
-    try:
-        rep.flow_max = max(
-            cat.flow_residual(entry, t)
-            for (t,) in cat.random_points(rng, (entry.box_t,), 16)
-        )
-        ok &= rep.flow_max <= config.tol_flow
-    except Exception as exc:  # noqa: BLE001 - reports must never raise
-        rep.errors.append(f"flow: {exc}")
-        ok = False
-
+    rep.flow_max = stage("flow", lambda: max(
+        cat.flow_residual(entry, t)
+        for (t,) in cat.random_points(rng, (entry.box_t,), 16)))
     if entry.lax is not None:
-        try:
-            rep.frobenius_max = scal.frobenius_residual_grid(entry.lax, entry.grid_points())
-            ok &= rep.frobenius_max <= config.tol_frobenius
-        except Exception as exc:  # noqa: BLE001
-            rep.errors.append(f"frobenius: {exc}")
-            ok = False
+        rep.frobenius_max = stage("frobenius", lambda: scal.frobenius_residual_grid(
+            entry.lax, entry.grid_points()))
 
-    prep = None
-    try:
-        prep = prepare(entry, config)
-        rep.case_tag = prep.red.case_tag
-        rep.exponent_a = prep.dec.exponent_A
-        rep.frame = (prep.frame_a, prep.frame_b)
-        rep.frame_residual = prep.frame_residual
-        ok &= prep.frame_residual <= FRAME_TOL
-    except Exception as exc:  # noqa: BLE001
-        rep.errors.append(f"reduction: {exc}")
-        ok = False
+    prep = stage("reduction", lambda: prepare(entry, config))
+    if prep is None:
+        return rep
+    rep.case_tag = prep.red.case_tag
+    rep.exponent_a = prep.dec.exponent_A
+    rep.frame = (prep.frame_a, prep.frame_b)
+    rep.frame_residual = prep.frame_residual
 
-    samples_paper = None
-    if prep is not None:
-        try:
-            dev, samples = check_t_independence(prep, seed=seed)
-            rep.t_independence_max = dev
-            ok &= dev <= config.tol_independence
-            samples_paper = [prep.to_paper_frame(*s) for s in samples]
-        except Exception as exc:  # noqa: BLE001
-            rep.errors.append(f"t-independence: {exc}")
-            ok = False
+    def independence():
+        rep.t_independence_max, samples = check_t_independence(prep, seed=seed)
+        return [prep.to_paper_frame(*s) for s in samples]
 
+    samples_paper = stage("t-independence", independence)
     if samples_paper is not None:
-        try:
-            target, resid = match_classical(samples_paper, tol=config.tol_match)
-            rep.match = target
-            rep.match_residual = resid
-            ok &= resid <= config.tol_match
-            ok &= target.agrees_with(entry.expected_target,
-                                     tol=config.target_param_tol)
-        except Exception as exc:  # noqa: BLE001
-            rep.errors.append(f"match: {exc}")
-            ok = False
-
-    if prep is not None:
-        try:
-            rep.cross_validation_residual = cross_validate(prep)
-            ok &= rep.cross_validation_residual <= config.tol_crossval
-        except Exception as exc:  # noqa: BLE001
-            rep.errors.append(f"cross-validation: {exc}")
-            ok = False
-
-    rep.passed = bool(ok)
+        rep.match, rep.match_residual = stage("match", lambda: match_classical(
+            samples_paper, tol=config.tol_match)) or (None, None)
+    rep.cross_validation_residual = stage("cross-validation", lambda: cross_validate(prep))
     return rep

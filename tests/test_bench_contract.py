@@ -9,6 +9,7 @@ fails here rather than in a benchmark run.  There it would raise
 failed param-sweep op, and end the run.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from fractions import Fraction
@@ -17,7 +18,9 @@ from pathlib import Path
 import pytest
 
 import fuchsreduce
-from fuchsreduce import verify
+from fuchsreduce import catalog, verify
+from fuchsreduce.config import Config
+from fuchsreduce.targets import ClassicalTarget
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -67,3 +70,30 @@ def test_warmup_op_runs_and_checks_under_the_tracer(name):
         op.prepare_oracle()
     with _load_bench("tracing").Tracer().installed(fuchsreduce):
         assert op.check(op.run()) is None
+
+
+def _variants(rep):
+    """The report and copies of it that break its verdict one way each."""
+    yield rep
+    for name, key in verify._GATES:
+        if getattr(rep, name) is not None:
+            yield dataclasses.replace(rep, **{name: 2 * rep.tolerances[key]})
+            yield dataclasses.replace(rep, **{name: float("nan")})
+    yield dataclasses.replace(rep, errors=[*rep.errors, "flow: injected"])
+    if rep.match is not None:
+        yield dataclasses.replace(rep, match=ClassicalTarget.none())
+
+
+@pytest.mark.parametrize("seed", (42, 7))
+def test_bench_reads_the_verdict_the_report_records(seed):
+    # The bench decides a failed op from the report's JSON alone
+    # (workloads._report_failure).  A report whose recorded values say fail
+    # must say so in "passed" too.
+    workloads = _load_bench("workloads")
+    reports = [verify.full_report(i, Config(seed=seed))
+               for i in (*catalog.list_entries(), *catalog.list_negative_entries())]
+    docs = [v.to_json() for rep in reports for v in _variants(rep)]
+    assert len(docs) == 133
+    for doc in docs:
+        got = workloads._report_failure(doc, True, ClassicalTarget)
+        assert (got is None) == doc["passed"], (doc["entry"], got)

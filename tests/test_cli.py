@@ -118,6 +118,23 @@ class TestVerify:
         rc, _, err = run_cli(["verify", "nope.entry"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, conflict", [
+        (["verify", "PII.y0", "--all"], "--all"),
+        (["verify", "PII.y0", "--with-negative"], "--with-negative"),
+        (["verify", "--with-negative"], "--with-negative"),
+    ])
+    def test_conflicting_selectors_exit_2(self, argv, conflict):
+        rc, out, err = run_cli(argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and conflict in err
+
+    @pytest.mark.parametrize("command", ["reduce", "verify", "sample"])
+    def test_repeated_param_exits_2_naming_it(self, command):
+        rc, out, err = run_cli([command, "PII.y0", "--param", "theta=1/2",
+                                "--param", "theta=3/2"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and "theta" in err
+
     @pytest.mark.parametrize("entry_id, param", [
         ("PV.y_lin", "theta1=1"),
         ("PVdeg.kitaev_sqrt", "kappa=0"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fuchsreduce import catalog, expr as fe, reduction as red_mod, verify
+from fuchsreduce import catalog, config, expr as fe, reduction as red_mod, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import FRAME_TOL, Config
 from fuchsreduce.expr import Binding
@@ -541,6 +541,21 @@ class TestCrossValidate:
         assert rep.passed, rep.errors
         assert rep.cross_validation_residual <= 1e-9
 
+    @pytest.mark.parametrize("box_x", [(2.0, 2.2, -0.1, 0.1), (1.1, 1.3, 0.0, 0.0),
+                                       (1.1, 1.30001, 0.0, 0.0)])
+    @pytest.mark.parametrize("entry_id", ["PIII.y1", "PII.y0", "PVdeg.kitaev_sqrt",
+                                          "negative.PII_bad_y1"])
+    def test_narrow_x_box(self, entry_id, box_x):
+        # The leg spans a fixed share of the box's real width, so it has
+        # nonzero length on a box 0.2 wide and its mu is constant to
+        # rounding there as on the default box.
+        p = verify.prepare(catalog.lookup(entry_id), Config(box_x=box_x))
+        got = verify.cross_validate(p)
+        if p.entry.is_negative:
+            assert got >= 1e-3
+        else:
+            assert got <= 1e-12
+
     def test_singular_coefficient_names_the_leg(self):
         # kappa t + 1 = 0 at the stage's t = 1 when kappa = -1: q1 and the
         # t-system have a pole for every x.
@@ -820,8 +835,9 @@ class TestFullReport:
         assert Config().tolerances_json()["frame"] == 1e-9
         # PII.y0's frame residual is about 1e-16, so a stricter gate fails
         # the report without any stage error.
-        monkeypatch.setattr(verify, "FRAME_TOL", 1e-18)
+        monkeypatch.setattr(config, "FRAME_TOL", 1e-18)
         strict = verify.full_report("PII.y0")
+        assert strict.tolerances["frame"] == 1e-18
         assert strict.frame_residual > 1e-18
         assert not strict.passed
         assert strict.errors == []
