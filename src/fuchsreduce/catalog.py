@@ -43,6 +43,7 @@ import numpy as np
 from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
+from .config import SCHEMA
 from .expr import Binding, Expr, T, X
 from .scalarize import ScalarPair
 from .targets import ClassicalTarget
@@ -735,7 +736,7 @@ def _param_json(v) -> object:
 def manifest(entry: CatalogEntry) -> dict:
     """Human-readable description of an entry (stable key order)."""
     doc: dict = {
-        "schema": "fuchs-reduce/1",
+        "schema": SCHEMA,
         "id": entry.id,
         "family": entry.family,
         "component": entry.component,

@@ -2,12 +2,15 @@
 
 Commands:
     list                       enumerate catalog entries
-    reduce <id>                print the reduction data and matched target
+    reduce <id>                print the entry's report and its documented forms
     verify <id> | --all        run the verification pipeline, write reports
     sample <id> --out FILE     write plot-ready (tau, P, Q) samples as CSV
 
 Exit codes: 0 success / all verifications passed, 1 verification failure,
 2 operational error (unknown entry, bad arguments, I/O failure).
+``reduce <id>`` runs the one pipeline ``verify <id>`` runs: it prints the
+same report, with the catalog's closed forms of the reduction added under
+``"documented"``, and exits as ``verify <id>`` does.
 
 Output is byte-identical across runs for a fixed seed.  Complex numbers
 serialize as {"re": ..., "im": ...}; expression strings use the engine's
@@ -29,7 +32,6 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import catalog as cat
-from . import expr as fe
 from . import verify as ver
 from .config import Config
 
@@ -50,36 +52,36 @@ def _parse_param(text: str) -> tuple[str, Fraction]:
     return name, value
 
 
-def _parse_basepoint(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"--basepoint expects re or re,im, got {text!r}")
+def _parse_floats(text: str, flag: str, form: str, sizes) -> list[float]:
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) not in sizes:
+        raise ValueError(f"{flag} expects {form}, got {text!r}")
+    return vals
 
 
-def _parse_box(text: str) -> tuple[float, float, float, float]:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"box override expects re_lo,re_hi,im_lo,im_hi, got {text!r}")
-    return tuple(parts)
+# The report's gates a run may set, each as a ``--tol-<name>`` flag of
+# ``reduce`` and ``verify`` and as the ``tol_<name>`` field of Config.
+_GATE_FLAGS = ("frobenius", "flow", "independence", "match", "crossval")
 
 
 def _config_from_args(args) -> Config:
     kw = {}
     if args.seed is not None:
         kw["seed"] = args.seed
-    for name in ("frobenius", "flow", "independence", "match", "crossval"):
+    for name in _GATE_FLAGS:
         val = getattr(args, f"tol_{name}", None)
         if val is not None:
             kw[f"tol_{name}"] = val
     if args.basepoint:
-        kw["basepoint"] = _parse_basepoint(args.basepoint)
-    if args.box_x:
-        kw["box_x"] = _parse_box(args.box_x)
-    if args.box_t:
-        kw["box_t"] = _parse_box(args.box_t)
+        kw["basepoint"] = complex(*_parse_floats(args.basepoint, "--basepoint",
+                                                 "re or re,im", (1, 2)))
+    for name, flag in (("box_x", "--box-x"), ("box_t", "--box-t")):
+        text = getattr(args, name)
+        if text:
+            kw[name] = tuple(_parse_floats(text, flag, "re_lo,re_hi,im_lo,im_hi", (4,)))
     return Config(**kw)
 
 
@@ -146,45 +148,14 @@ def cmd_reduce(args, out, err) -> int:
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
     try:
-        entry = cat.lookup(args.entry, overrides)
-        prep = ver.prepare(entry, config)
-        dev, samples = ver.check_t_independence(prep, seed=config.entry_seed(entry.id))
-        paper = [prep.to_paper_frame(*s) for s in samples]
-        target, resid = ver.match_classical(paper, tol=config.tol_match)
+        rep = ver.full_report(args.entry, config, overrides)
     except cat.EntryNotFoundError as exc:
         err.write(f"error: {exc}\n")
         return 2
-    except Exception as exc:  # noqa: BLE001
-        err.write(f"error: reduction failed for {args.entry}: {exc}\n")
-        return 2
-
-    red_cf = entry.reduction_closed_forms
-    doc = {
-        "schema": "fuchs-reduce/1",
-        "entry": entry.id,
-        "f": fe.to_string(red_cf["f"]),
-        "h": fe.to_string(red_cf["h"]),
-        "R": fe.to_string(red_cf["R"]),
-        "M": fe.to_string(red_cf["M"]),
-        "case": prep.red.case_tag,
-        "tau": fe.to_string(red_cf["tau"]),
-        "gauge": fe.to_string(red_cf["gauge"]),
-        "target": _target_doc(entry, target),
-        "t_independence_max": dev,
-        "match_residual": resid,
-    }
-    if prep.dec.exponent_A is not None:
-        doc["exponent_a"] = {"re": prep.dec.exponent_A.real,
-                             "im": prep.dec.exponent_A.imag}
+    doc = rep.to_json()
+    doc["documented"] = cat.manifest(cat.lookup(args.entry, overrides))["reduction"]
     out.write(_dump_json(doc))
-    return 0
-
-
-def _target_doc(entry: cat.CatalogEntry, matched) -> dict:
-    doc = matched.to_json()
-    if matched.kind == "airy" and entry.documented_target_scale:
-        doc["scale"] = entry.documented_target_scale
-    return doc
+    return 0 if rep.passed else 1
 
 
 def cmd_verify(args, out, err) -> int:
@@ -333,10 +304,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="filter by family (PV also lists its subfamilies PV_*)")
     p_list.add_argument("--json", action="store_true")
 
-    p_red = sub.add_parser("reduce", help="print the reduction data for an entry")
+    def add_gates(p):
+        for name in _GATE_FLAGS:
+            p.add_argument(f"--tol-{name}", type=float, default=None)
+
+    p_red = sub.add_parser("reduce", help="print one entry's report, with the "
+                                          "catalog's documented reduction forms")
     p_red.add_argument("entry")
     add_inputs(p_red)
-    p_red.add_argument("--tol-match", type=float, default=None)
+    add_gates(p_red)
 
     p_ver = sub.add_parser("verify", help="run the verification pipeline")
     p_ver.add_argument("entry", nargs="?")
@@ -349,11 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_inputs(p_ver)
     p_ver.add_argument("--json", action="store_true",
                        help="machine-readable output")
-    p_ver.add_argument("--tol-frobenius", type=float, default=None)
-    p_ver.add_argument("--tol-flow", type=float, default=None)
-    p_ver.add_argument("--tol-independence", type=float, default=None)
-    p_ver.add_argument("--tol-match", type=float, default=None)
-    p_ver.add_argument("--tol-crossval", type=float, default=None)
+    add_gates(p_ver)
 
     p_s = sub.add_parser("sample", help="write (tau, P, Q) samples as CSV")
     p_s.add_argument("entry")
@@ -394,3 +366,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

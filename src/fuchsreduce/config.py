@@ -12,6 +12,9 @@ import math
 import zlib
 from dataclasses import dataclass
 
+# The schema tag of every report and manifest.
+SCHEMA = "fuchs-reduce/1"
+
 # full_report gates the least-squares fit of the documented tau frame at
 # this residual; it is reported with the tolerances but not configurable.
 FRAME_TOL = 1e-9

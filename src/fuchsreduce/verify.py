@@ -35,7 +35,7 @@ from . import catalog as cat
 from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
-from .config import DEFAULT_CONFIG, Config
+from .config import DEFAULT_CONFIG, SCHEMA, Config
 from .reduction import Decomposition, ReducedEquation
 from .targets import ClassicalTarget
 
@@ -469,7 +469,7 @@ class VerificationReport:
             return None if z is None else {"re": complex(z).real, "im": complex(z).imag}
 
         return {
-            "schema": "fuchs-reduce/1",
+            "schema": SCHEMA,
             "entry": self.entry_id,
             "family": self.family,
             "passed": self.passed,

@@ -60,21 +60,45 @@ class TestReduce:
         rc, out, _ = run_cli(["reduce", "PII.y0"])
         assert rc == 0
         doc = json.loads(out)
-        assert doc["f"] == "2 * x"
-        assert doc["h"] == "0"
-        assert doc["R"] == "0"
-        assert doc["M"] == "0"
+        assert doc["documented"]["f"] == "2 * x"
+        assert doc["documented"]["h"] == "0"
+        assert doc["documented"]["R"] == "0"
+        assert doc["documented"]["M"] == "0"
         assert doc["case"] == "EQ3"
-        assert doc["target"]["kind"] == "airy"
-        assert doc["target"]["scale"] == "4^(1/3)"
+        assert doc["passed"] is True
+        assert doc["match"]["kind"] == "airy"
+        assert doc["match"]["scale"]["re"] == pytest.approx(4 ** (1 / 3), abs=1e-7)
 
     def test_parameter_override(self):
         rc, out, _ = run_cli(["reduce", "PIII.y1", "--param", "theta_inf=5/2"])
         assert rc == 0
         doc = json.loads(out)
-        assert doc["target"]["kind"] == "whittaker"
-        assert doc["target"]["kappa"]["re"] == pytest.approx(0.75, abs=1e-7)
-        assert doc["target"]["mu_sq"]["re"] == pytest.approx(1 / 16, abs=1e-7)
+        assert doc["match"]["kind"] == "whittaker"
+        assert doc["match"]["kappa"]["re"] == pytest.approx(0.75, abs=1e-7)
+        assert doc["match"]["mu_sq"]["re"] == pytest.approx(1 / 16, abs=1e-7)
+
+    def test_negative_control_exits_1(self):
+        rc, out, _ = run_cli(["reduce", "negative.PII_bad_y1"])
+        assert rc == 1
+        assert json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("argv", [
+        *([entry, "--seed", seed] for entry in (
+            "PII.y0", "PII.y_inv_t", "PIII.y1", "PIV.y_m2t", "PIV.y_m2t3",
+            "PV.y_lin", "PV.y_m1", "PVdeg.kitaev_sqrt", "negative.PII_bad_y1")
+          for seed in ("42", "7")),
+        ["PIII.y1", "--param", "theta_inf=5/2"],
+        ["PVdeg.kitaev_sqrt", "--param", "kappa=-1"],
+    ], ids=" ".join)
+    def test_prints_the_report_verify_prints(self, argv):
+        # reduce is a view of the one report: the same record and the same
+        # exit code as verify, plus the catalog's documented forms.
+        rc_red, out_red, _ = run_cli(["reduce", *argv])
+        rc_ver, out_ver, _ = run_cli(["verify", *argv, "--json"])
+        doc = json.loads(out_red)
+        del doc["documented"]
+        assert doc == json.loads(out_ver)[0]
+        assert rc_red == rc_ver
 
     def test_missing_entry_exits_2(self):
         rc, _, err = run_cli(["reduce", "missing.id"])
@@ -140,10 +164,11 @@ class TestVerify:
         ("PVdeg.kitaev_sqrt", "kappa=0"),
     ])
     def test_degenerate_parameter_exits_2(self, entry_id, param):
-        rc, out, err = run_cli(["verify", entry_id, "--param", param])
-        assert (rc, out) == (2, "")
         name, _, value = param.partition("=")
-        assert err.startswith(f"error: {name} = {value} degenerates the solution")
+        for command in ("reduce", "verify"):
+            rc, out, err = run_cli([command, entry_id, "--param", param])
+            assert (rc, out) == (2, ""), command
+            assert err.startswith(f"error: {name} = {value} degenerates the solution")
 
     @pytest.mark.parametrize("flags, field", [
         (["--tol-match", "nan"], "tol_match"),
@@ -153,9 +178,21 @@ class TestVerify:
         (["--basepoint", "nan"], "basepoint"),
     ])
     def test_non_finite_input_exits_2_naming_the_field(self, flags, field):
-        rc, out, err = run_cli(["verify", "PII.y0", *flags])
-        assert (rc, out) == (2, "")
-        assert err.startswith("error: ") and field in err
+        for command in ("reduce", "verify"):
+            rc, out, err = run_cli([command, "PII.y0", *flags])
+            assert (rc, out) == (2, ""), command
+            assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--box-x", "a,2.5,-0.2,0.2"),
+        ("--box-t", "1,2,3"),
+        ("--basepoint", "abc"),
+    ])
+    def test_unparsable_input_exits_2_naming_the_flag(self, flag, value):
+        for command in ("reduce", "verify"):
+            rc, out, err = run_cli([command, "PII.y0", flag, value])
+            assert (rc, out) == (2, ""), command
+            assert err.startswith(f"error: {flag} ") and value in err
 
 
 class TestFlags:
@@ -163,7 +200,8 @@ class TestFlags:
 
     @pytest.mark.parametrize("argv", [
         ["reduce", "PII.y0", "--json"],
-        ["reduce", "PII.y0", "--tol-independence", "1e-3"],
+        ["reduce", "PII.y0", "--all"],
+        ["reduce", "PII.y0", "--out-dir", "d"],
         ["sample", "PII.y0", "--json"],
         ["sample", "PII.y0", "--tol-crossval", "1e-3"],
     ])
@@ -195,6 +233,25 @@ class TestFlags:
             except (TypeError, ValueError):
                 moved = default
             assert moved.tolerances_json() != default.tolerances_json(), f.name
+
+
+class TestModuleEntry:
+    """``python -m fuchsreduce`` and ``python -m fuchsreduce.cli`` run the CLI."""
+
+    @staticmethod
+    def run_module(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, "-m", *argv], env=env,
+                              capture_output=True, text=True)
+
+    def test_package_runs_the_cli(self):
+        done = self.run_module("fuchsreduce", "reduce", "negative.PII_bad_y1")
+        assert done.returncode == 1
+        assert json.loads(done.stdout)["entry"] == "negative.PII_bad_y1"
+
+    def test_cli_module_runs_the_cli(self):
+        done = self.run_module("fuchsreduce.cli", "list")
+        assert (done.returncode, done.stdout) == (0, run_cli(["list"])[1])
 
 
 class TestParser:
