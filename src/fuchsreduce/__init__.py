@@ -21,7 +21,7 @@ from .catalog import (
     manifest,
 )
 from .config import Config, DEFAULT_CONFIG
-from .expr import Binding, Expr, Path
+from .expr import Binding, Expr
 from .reduction import (
     Decomposition,
     ReducedEquation,

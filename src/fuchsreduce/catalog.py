@@ -43,7 +43,7 @@ import numpy as np
 from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
-from .config import SCHEMA
+from .config import SCHEMA, complex_json
 from .expr import Binding, Expr, T, X
 from .scalarize import ScalarPair
 from .targets import ClassicalTarget
@@ -64,8 +64,8 @@ __all__ = [
 F = Fraction
 
 
-class EntryNotFoundError(KeyError):
-    pass
+class EntryNotFoundError(LookupError):
+    """No catalog entry, or no parameter of an entry, has the given name."""
 
 
 @dataclass(frozen=True)
@@ -723,14 +723,10 @@ def flow_residual(entry: CatalogEntry, t_probe: complex) -> float:
 # ---------------------------------------------------------------------------
 # Manifests
 
-def _complex_json(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
-
-
 def _param_json(v) -> object:
     if isinstance(v, Fraction):
         return str(v)
-    return _complex_json(complex(v))
+    return complex_json(v)
 
 
 def manifest(entry: CatalogEntry) -> dict:
@@ -746,17 +742,17 @@ def manifest(entry: CatalogEntry) -> dict:
         "reduction": {k: fe.to_string(v) for k, v in sorted(entry.reduction_closed_forms.items())},
         "case": entry.expected_case,
         "target": entry.expected_target.to_json(),
-        "basepoint_x": _complex_json(entry.basepoint_x),
+        "basepoint_x": complex_json(entry.basepoint_x),
         "box_x": [entry.box_x.re_lo, entry.box_x.re_hi, entry.box_x.im_lo, entry.box_x.im_hi],
         "box_t": [entry.box_t.re_lo, entry.box_t.re_hi, entry.box_t.im_lo, entry.box_t.im_hi],
-        "singular_x": [_complex_json(z) for z in entry.singular_x],
-        "singular_t": [_complex_json(z) for z in entry.singular_t],
+        "singular_x": [complex_json(z) for z in entry.singular_x],
+        "singular_t": [complex_json(z) for z in entry.singular_t],
         "metadata": dict(sorted(entry.metadata.items())),
     }
     if entry.documented_target_scale is not None:
         doc["target"]["scale_closed_form"] = entry.documented_target_scale
     if entry.expected_exponent_a is not None:
-        doc["exponent_a"] = _complex_json(entry.expected_exponent_a)
+        doc["exponent_a"] = complex_json(entry.expected_exponent_a)
     if entry.pre_substitution is not None:
         doc["pre_substitution"] = entry.pre_substitution
     return doc

@@ -7,7 +7,10 @@ Commands:
     sample <id> --out FILE     write plot-ready (tau, P, Q) samples as CSV
 
 Exit codes: 0 success / all verifications passed, 1 verification failure,
-2 operational error (unknown entry, bad arguments, I/O failure).
+2 operational error (unknown entry or parameter, bad arguments, I/O
+failure).  A command raises ValueError, OSError or
+``catalog.EntryNotFoundError`` for an operational error, and :func:`main`
+alone turns it into the one line ``error: <message>`` on stderr and exit 2.
 ``reduce <id>`` runs the one pipeline ``verify <id>`` runs: it prints the
 same report, with the catalog's closed forms of the reduction added under
 ``"documented"``, and exits as ``verify <id>`` does.
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import catalog as cat
 from . import verify as ver
-from .config import Config
+from .config import GATES, Config
 
 __all__ = ["Config", "main", "console_entry"]
 
@@ -62,16 +65,11 @@ def _parse_floats(text: str, flag: str, form: str, sizes) -> list[float]:
     return vals
 
 
-# The report's gates a run may set, each as a ``--tol-<name>`` flag of
-# ``reduce`` and ``verify`` and as the ``tol_<name>`` field of Config.
-_GATE_FLAGS = ("frobenius", "flow", "independence", "match", "crossval")
-
-
 def _config_from_args(args) -> Config:
     kw = {}
     if args.seed is not None:
         kw["seed"] = args.seed
-    for name in _GATE_FLAGS:
+    for name in GATES:
         val = getattr(args, f"tol_{name}", None)
         if val is not None:
             kw[f"tol_{name}"] = val
@@ -144,59 +142,44 @@ def cmd_list(args, out) -> int:
     return 0
 
 
-def cmd_reduce(args, out, err) -> int:
+def cmd_reduce(args, out) -> int:
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
-    try:
-        rep = ver.full_report(args.entry, config, overrides)
-    except cat.EntryNotFoundError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
+    rep = ver.full_report(args.entry, config, overrides)
     doc = rep.to_json()
     doc["documented"] = cat.manifest(cat.lookup(args.entry, overrides))["reduction"]
     out.write(_dump_json(doc))
     return 0 if rep.passed else 1
 
 
-def cmd_verify(args, out, err) -> int:
+def cmd_verify(args, out) -> int:
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
     if args.all and args.entry:
-        err.write(f"error: give an entry id or --all, not both ({args.entry})\n")
-        return 2
+        raise ValueError(f"give an entry id or --all, not both ({args.entry})")
     if args.with_negative and not args.all:
-        err.write("error: --with-negative needs --all\n")
-        return 2
+        raise ValueError("--with-negative needs --all")
     if args.all:
         ids = [*cat.list_entries(), *cat.list_negative_entries()] if args.with_negative \
             else cat.list_entries()
     elif args.entry:
         ids = [args.entry]
     else:
-        err.write("error: give an entry id or --all\n")
-        return 2
+        raise ValueError("give an entry id or --all")
 
     outdir = FsPath(args.out_dir) if args.out_dir else None
     all_ok = True
     reports = []
-    try:
-        for entry_id in ids:
-            rep = ver.full_report(entry_id, config, overrides)
-            reports.append(rep)
-            expected_fail = args.all and cat.lookup(entry_id).is_negative
-            # Under --all the negative controls must fail; anywhere else a
-            # failing report is a failure.
-            if rep.passed == expected_fail:
-                all_ok = False
-            if outdir is not None:
-                _atomic_write(outdir / f"{rep.entry_id}.json",
-                              _dump_json(rep.to_json()))
-    except cat.EntryNotFoundError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
+    for entry_id in ids:
+        rep = ver.full_report(entry_id, config, overrides)
+        reports.append(rep)
+        expected_fail = args.all and cat.lookup(entry_id).is_negative
+        # Under --all the negative controls must fail; anywhere else a
+        # failing report is a failure.
+        if rep.passed == expected_fail:
+            all_ok = False
+        if outdir is not None:
+            _atomic_write(outdir / f"{rep.entry_id}.json", _dump_json(rep.to_json()))
 
     reports.sort(key=lambda r: r.entry_id)
     if args.json:
@@ -221,22 +204,17 @@ def cmd_verify(args, out, err) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_sample(args, out, err) -> int:
+def cmd_sample(args, out) -> int:
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
     n = args.count
     if n < 0:
-        err.write("error: --count must be nonnegative\n")
-        return 2
+        raise ValueError("--count must be nonnegative")
+    entry = cat.lookup(args.entry, overrides)
     try:
-        entry = cat.lookup(args.entry, overrides)
         prep = ver.prepare(entry, config)
-    except cat.EntryNotFoundError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
     except Exception as exc:  # noqa: BLE001
-        err.write(f"error: decomposition failed for {args.entry}: {exc}\n")
-        return 2
+        raise ValueError(f"decomposition failed for {args.entry}: {exc}") from exc
 
     # Candidates are drawn in chunks, one generator call each, which yields
     # exactly the stream of drawing x, then t, per candidate.
@@ -259,8 +237,7 @@ def cmd_sample(args, out, err) -> int:
             tau, P, Q = prep.to_paper_frame(tau, P, Q)
             rows.append((tau, P, Q, x, t))
     if len(rows) < n:
-        err.write(f"error: could not collect {n} samples for {entry.id}\n")
-        return 2
+        raise ValueError(f"could not collect {n} samples for {entry.id}")
 
     lines = ["tau_re,tau_im,P_re,P_im,Q_re,Q_im,x_re,x_im,t_re,t_im"]
     for tau, P, Q, x, t in rows:
@@ -268,14 +245,10 @@ def cmd_sample(args, out, err) -> int:
                 x.real, x.imag, t.real, t.imag)
         lines.append(",".join(repr(v) for v in vals))
     text = "\n".join(lines) + "\n"
-    try:
-        if args.out:
-            _atomic_write(FsPath(args.out), text)
-        else:
-            out.write(text)
-    except OSError as exc:
-        err.write(f"error: {exc}\n")
-        return 2
+    if args.out:
+        _atomic_write(FsPath(args.out), text)
+    else:
+        out.write(text)
     return 0
 
 
@@ -305,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--json", action="store_true")
 
     def add_gates(p):
-        for name in _GATE_FLAGS:
+        for name in GATES:
             p.add_argument(f"--tol-{name}", type=float, default=None)
 
     p_red = sub.add_parser("reduce", help="print one entry's report, with the "
@@ -335,6 +308,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_COMMANDS = {"list": cmd_list, "reduce": cmd_reduce, "verify": cmd_verify,
+             "sample": cmd_sample}
+
 # The parser, built once at import.  Parsing leaves it unchanged: every
 # call gets a fresh namespace, and ``--param`` starts from None, not from a
 # shared list.
@@ -349,17 +325,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.command == "list":
-            return cmd_list(args, out)
-        if args.command == "reduce":
-            return cmd_reduce(args, out, err)
-        if args.command == "verify":
-            return cmd_verify(args, out, err)
-        if args.command == "sample":
-            return cmd_sample(args, out, err)
-        err.write(f"error: unknown command {args.command!r}\n")
-        return 2
-    except ValueError as exc:
+        return _COMMANDS[args.command](args, out)
+    except (ValueError, OSError, cat.EntryNotFoundError) as exc:
         err.write(f"error: {exc}\n")
         return 2
 

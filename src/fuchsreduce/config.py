@@ -1,7 +1,11 @@
 """Run configuration shared by the verification pipeline and the CLI.
 
 Tolerances are engineering choices surfaced here; none are prescribed by
-the underlying theory.  The seed makes every randomized probe draw, and
+the underlying theory.  :data:`GATES` names the gates a run may set: each
+name is a ``Config.tol_<name>`` field, a ``--tol-<name>`` flag of
+``reduce`` and ``verify`` and a key of the report's ``tolerances``.  The
+two fixed gates, :data:`FRAME_TOL` and :data:`TARGET_PARAM_TOL`, are
+reported with them.  The seed makes every randomized probe draw, and
 therefore every report and CSV byte, reproducible.
 """
 
@@ -15,25 +19,38 @@ from dataclasses import dataclass
 # The schema tag of every report and manifest.
 SCHEMA = "fuchs-reduce/1"
 
+
+def complex_json(z) -> dict:
+    """A complex number as the JSON object {"re": ..., "im": ...}."""
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
+# The settable gates, in the order of the report's ``tolerances``.
+GATES = ("frobenius", "flow", "independence", "match", "crossval")
+
 # full_report gates the least-squares fit of the documented tau frame at
-# this residual; it is reported with the tolerances but not configurable.
+# this residual, and a matched target's parameters against the documented
+# ones at this relative distance.  Both are reported with the tolerances
+# but not configurable.
 FRAME_TOL = 1e-9
+TARGET_PARAM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class Config:
-    """The report's gates, all shown by :meth:`tolerances_json`, and the
-    inputs of a run: the probe seed and the basepoint and probe-box
-    overrides (None keeps the entry's own).  A gate, box bound or basepoint
-    that is not finite, or a gate that is not positive, raises ValueError
-    naming the field."""
+    """The report's settable gates (one ``tol_<name>`` per name in
+    :data:`GATES`), all shown by :meth:`tolerances_json`, and the inputs of
+    a run: the probe seed and the basepoint and probe-box overrides (None
+    keeps the entry's own).  A gate, box bound or basepoint that is not
+    finite, or a gate that is not positive, raises ValueError naming the
+    field."""
 
     tol_frobenius: float = 1e-10
     tol_flow: float = 1e-10
     tol_independence: float = 1e-8
     tol_match: float = 1e-8
     tol_crossval: float = 1e-6
-    target_param_tol: float = 1e-6
 
     seed: int = 42
     basepoint: complex | None = None
@@ -42,11 +59,10 @@ class Config:
     box_t: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        for name in ("tol_frobenius", "tol_flow", "tol_independence",
-                     "tol_match", "tol_crossval", "target_param_tol"):
+        for name in GATES:
             # NaN fails both comparisons, so it is rejected along with inf.
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+            if not 0 < getattr(self, f"tol_{name}") < math.inf:
+                raise ValueError(f"tol_{name} must be finite and positive")
         if self.basepoint is not None and not cmath.isfinite(self.basepoint):
             raise ValueError("basepoint must be finite")
         for name in ("box_x", "box_t"):
@@ -60,15 +76,8 @@ class Config:
         return (self.seed ^ zlib.crc32(entry_id.encode())) & 0x7FFFFFFF
 
     def tolerances_json(self) -> dict:
-        return {
-            "frobenius": self.tol_frobenius,
-            "flow": self.tol_flow,
-            "independence": self.tol_independence,
-            "match": self.tol_match,
-            "crossval": self.tol_crossval,
-            "frame": FRAME_TOL,
-            "target_param": self.target_param_tol,
-        }
+        return {**{name: getattr(self, f"tol_{name}") for name in GATES},
+                "frame": FRAME_TOL, "target_param": TARGET_PARAM_TOL}
 
 
 DEFAULT_CONFIG = Config()

@@ -44,7 +44,6 @@ from numpy.polynomial import chebyshev
 __all__ = [
     "Expr",
     "Binding",
-    "Path",
     "ExprError",
     "UnboundSymbolError",
     "SingularEvaluationError",
@@ -706,24 +705,7 @@ def compile_staged(e: Expr | tuple[Expr, ...]
 
 
 # ---------------------------------------------------------------------------
-# Paths and quadrature
-
-@dataclass(frozen=True)
-class Path:
-    """Piecewise-linear integration contour through complex waypoints."""
-
-    points: tuple[complex, ...]
-
-    def __init__(self, points: Iterable[complex]):
-        pts = tuple(complex(p) for p in points)
-        if len(pts) < 2:
-            raise ValueError("a path needs at least two waypoints")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def segments(self) -> list[tuple[complex, complex]]:
-        return list(zip(self.points[:-1], self.points[1:]))
-
+# Quadrature
 
 # A panel is sampled at the second-kind Chebyshev points of [-1, 1], written
 # symmetrically so the midpoint and the end points are exact.  The tables map
@@ -1026,15 +1008,21 @@ class _PiecewiseChebyshev:
         return vals[..., 0] if s.ndim == 0 else vals
 
 
-def integrate_callable(fn: Callable[[complex], complex], path: Path) -> complex:
-    """Adaptive quadrature of a callable along ``path``: the definite-integral
-    view of :func:`_walk_panels`, each segment taking an equal share of the
-    absolute tolerance 1e-12.  Deterministic for a fixed path; raises
-    :class:`QuadratureError` on a singularity on or too close to the path."""
+def integrate_callable(fn: Callable[[complex], complex],
+                       points: Iterable[complex]) -> complex:
+    """Adaptive quadrature of a callable along the polygon through the
+    waypoints ``points``: the definite-integral view of
+    :func:`_walk_panels`, each segment taking an equal share of the
+    absolute tolerance 1e-12.  Deterministic for fixed waypoints; raises
+    ValueError for fewer than two waypoints and :class:`QuadratureError` on
+    a singularity on or too close to the polygon."""
+    pts = [complex(p) for p in points]
+    if len(pts) < 2:
+        raise ValueError("a path needs at least two waypoints")
     stage = lambda z, prior: [[fn(w) for w in row] for row in z.tolist()]
-    seg_tol = 1e-12 / len(path.segments)
+    seg_tol = 1e-12 / (len(pts) - 1)
     return sum((_walk_all((stage,), a, (b,), seg_tol)[0][0]
-                for a, b in path.segments), 0j)
+                for a, b in zip(pts, pts[1:])), 0j)
 
 
 def numerically_zero(e: Expr, probes: Sequence[Binding], tol: float = 1e-10,

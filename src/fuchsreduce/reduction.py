@@ -387,7 +387,10 @@ class ReducedEquation:
     t; a stage that raises stores nothing.  The memos are keyed on the
     built-in ``complex`` value, as the E/S memo is: +0 and -0 in a part
     compare equal, so a point whose part is -0 reuses the stage computed
-    at +0 (and vice versa).  ``_phi`` alone serves the degeneracy gates.
+    at +0 (and vice versa).  The gates of :meth:`coefficients_at` on
+    phi^2 E and (phi E)^2 are the one rule for a degenerate point, where
+    tau_x = phi E vanishes; ``_phi`` alone serves them when a numerator
+    fails first.
     All kernels are the decomposition's, so building a ReducedEquation
     compiles nothing; its own state is the basepoint and the E/S, gauge,
     x-stage and t-stage memos.  It holds no reference to itself (the
@@ -481,10 +484,6 @@ class ReducedEquation:
         if e == 0:
             raise DegenerateTauPointError(f"exp(int h) vanished at x = {x}")
         return (complex(tau_target) - s) / e
-
-    def tau_x_at(self, x: complex, t: complex) -> complex:
-        x = complex(x)
-        return self._phi(x, complex(t)) * self.E(x)
 
     # -- reduced coefficients ------------------------------------------------
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:

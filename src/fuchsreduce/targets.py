@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import complex_json
+
 __all__ = ["ClassicalTarget"]
 
 
@@ -72,7 +74,5 @@ class ClassicalTarget:
         return True
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        for key, val in self.parameters().items():
-            out[key] = {"re": val.real, "im": val.imag}
-        return out
+        return {"kind": self.kind,
+                **{key: complex_json(val) for key, val in self.parameters().items()}}

@@ -35,7 +35,7 @@ from . import catalog as cat
 from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
-from .config import DEFAULT_CONFIG, SCHEMA, Config
+from .config import DEFAULT_CONFIG, SCHEMA, Config, complex_json
 from .reduction import Decomposition, ReducedEquation
 from .targets import ClassicalTarget
 
@@ -157,9 +157,11 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
 
     Pairs (x1, t1), (x2, t2) share tau exactly: t2 solves the affine-in-t
     tau formula at x2 and is accepted when it stays within an inflated
-    deformation box away from singular values.  Returns the max of
-    (|dP| + |dQ|) / scale over the pairs plus the sampled coefficient table
-    (in the quadrature frame).
+    deformation box away from singular values and both points have
+    coefficients: a point where tau_x vanishes is rejected by the gates of
+    ``ReducedEquation.coefficients_at``, the one degeneracy rule.  Returns
+    the max of (|dP| + |dQ|) / scale over the pairs plus the sampled
+    coefficient table (in the quadrature frame).
 
     Candidate triples (x1, t1, x2) are drawn in chunks, never past the
     budget of 200 attempts per pair.  Each chunk is one generator call
@@ -201,8 +203,6 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
                 if not region.contains(t2):
                     continue
                 if any(abs(t2 - s) < 0.15 for s in entry.singular_t):
-                    continue
-                if abs(red.tau_x_at(x1, t1)) < 1e-8 or abs(red.tau_x_at(x2, t2)) < 1e-8:
                     continue
                 p1c, q1c = red.coefficients_at(x1, t1)
                 p2c, q2c = red.coefficients_at(x2, t2)
@@ -465,9 +465,6 @@ class VerificationReport:
                     self.expected_target, tol=tols["target_param"])))
 
     def to_json(self) -> dict:
-        def cj(z):
-            return None if z is None else {"re": complex(z).real, "im": complex(z).imag}
-
         return {
             "schema": SCHEMA,
             "entry": self.entry_id,
@@ -482,9 +479,9 @@ class VerificationReport:
                                 else self.expected_target.to_json()),
             "cross_validation_residual": self.cross_validation_residual,
             "case": self.case_tag,
-            "exponent_a": cj(self.exponent_a),
-            "frame": (None if self.frame is None
-                      else {"a": cj(self.frame[0]), "b": cj(self.frame[1])}),
+            "exponent_a": None if self.exponent_a is None else complex_json(self.exponent_a),
+            "frame": (None if self.frame is None else
+                      {"a": complex_json(self.frame[0]), "b": complex_json(self.frame[1])}),
             "frame_residual": self.frame_residual,
             "tolerances": dict(self.tolerances),
             "seed": self.seed,

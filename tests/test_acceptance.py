@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fuchsreduce import catalog, cli, expr as fe, scalarize, verify
-from fuchsreduce.expr import Binding, Path
+from fuchsreduce.expr import Binding
 
 POSITIVE_IDS = catalog.list_entries()
 
@@ -196,8 +196,8 @@ def test_criterion_7_property_suites(prep):
 
     # quadrature path reversal
     f = fe.compile_expr(fe.exp(fe.X) / (fe.X + 3))
-    fwd = fe.integrate_callable(lambda x: f(x, 0j), Path([0.0, 2.0 + 0.4j]))
-    bwd = fe.integrate_callable(lambda x: f(x, 0j), Path([2.0 + 0.4j, 0.0]))
+    fwd = fe.integrate_callable(lambda x: f(x, 0j), [0.0, 2.0 + 0.4j])
+    bwd = fe.integrate_callable(lambda x: f(x, 0j), [2.0 + 0.4j, 0.0])
     assert abs(fwd + bwd) <= 1e-11
 
     # first-integral property of the characteristic flow, 16 points/entry

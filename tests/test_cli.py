@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fuchsreduce import cli
+from fuchsreduce import cli, config
 from fuchsreduce.config import Config
 
 
@@ -101,9 +101,8 @@ class TestReduce:
         assert rc_red == rc_ver
 
     def test_missing_entry_exits_2(self):
-        rc, _, err = run_cli(["reduce", "missing.id"])
-        assert rc == 2
-        assert "missing.id" in err
+        rc, out, err = run_cli(["reduce", "missing.id"])
+        assert (rc, out, err) == (2, "", "error: no catalog entry named 'missing.id'\n")
 
     def test_bad_param_exits_2(self):
         rc, _, err = run_cli(["reduce", "PIII.y1", "--param", "theta_inf=1.5x"])
@@ -139,8 +138,20 @@ class TestVerify:
         assert rc == 1
 
     def test_unknown_entry_exits_2(self):
-        rc, _, err = run_cli(["verify", "nope.entry"])
-        assert rc == 2
+        rc, out, err = run_cli(["verify", "missing.id"])
+        assert (rc, out, err) == (2, "", "error: no catalog entry named 'missing.id'\n")
+
+    @pytest.mark.parametrize("command", ["reduce", "verify", "sample"])
+    def test_unknown_param_exits_2_naming_it(self, command):
+        rc, out, err = run_cli([command, "PII.y0", "--param", "nope=1"])
+        assert (rc, out, err) == (2, "", "error: entry 'PII.y0' has no parameter 'nope'\n")
+
+    def test_unwritable_out_dir_exits_2(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        rc, out, err = run_cli(["verify", "PII.y0", "--out-dir", str(blocker / "reports")])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, conflict", [
         (["verify", "PII.y0", "--all"], "--all"),
@@ -164,8 +175,11 @@ class TestVerify:
         ("PVdeg.kitaev_sqrt", "kappa=0"),
     ])
     def test_degenerate_parameter_exits_2(self, entry_id, param):
+        # The builder's rejection is an operational error, the same line
+        # for every command; sample's "decomposition failed" is only for
+        # a built entry that does not decompose.
         name, _, value = param.partition("=")
-        for command in ("reduce", "verify"):
+        for command in ("reduce", "verify", "sample"):
             rc, out, err = run_cli([command, entry_id, "--param", param])
             assert (rc, out) == (2, ""), command
             assert err.startswith(f"error: {name} = {value} degenerates the solution")
@@ -213,6 +227,25 @@ class TestFlags:
         rc, _, err = run_cli(["reduce", "PII.y0", "--tol-match", "nan"])
         assert rc == 2
         assert "tol_match" in err
+
+    def test_each_gate_is_a_field_a_flag_and_a_tolerance(self):
+        # config.GATES is the one list: each name is a Config field, a flag
+        # of reduce and verify (not of sample) and a reported tolerance, in
+        # the same order everywhere.
+        fields = [f.name for f in dataclasses.fields(Config)]
+        assert [n for n in fields if n.startswith("tol_")] == [
+            f"tol_{name}" for name in config.GATES]
+        for command in ("reduce", "verify"):
+            flags = [arg for name in config.GATES for arg in (f"--tol-{name}", "1e-3")]
+            args = vars(cli._PARSER.parse_args([command, "PII.y0", *flags]))
+            assert [(k, v) for k, v in args.items() if k.startswith("tol_")] == [
+                (f"tol_{name}", 1e-3) for name in config.GATES], command
+        for name in config.GATES:
+            rc, _, _ = run_cli(["sample", "PII.y0", f"--tol-{name}", "1e-3"])
+            assert rc == 2, name
+        keys = list(Config().tolerances_json())
+        assert keys[:len(config.GATES)] == list(config.GATES)
+        assert keys[len(config.GATES):] == ["frame", "target_param"]
 
     def test_every_config_field_is_a_flag_or_a_reported_gate(self):
         # A field that no flag sets and no report shows is a setting that
@@ -323,8 +356,9 @@ class TestSample:
         assert err.startswith("error:")
 
     def test_unknown_entry_exits_2(self, tmp_path):
-        rc, _, err = run_cli(["sample", "nope.id", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
+        rc, out, err = run_cli(["sample", "missing.id", "--out", str(tmp_path / "x.csv")])
+        assert (rc, out, err) == (2, "", "error: no catalog entry named 'missing.id'\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_box_overrides_bound_the_draws(self):
         # Rows are drawn from the boxes the run decomposed on, not from the

@@ -4,7 +4,7 @@ import dataclasses
 import pytest
 
 from fuchsreduce import catalog, expr as fe, reduction, scalarize
-from fuchsreduce.expr import Binding, Path, T, X
+from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
 
 ALL_IDS = catalog.list_entries()
@@ -280,7 +280,7 @@ class TestBuiltinComplexValues:
         for x in (entry.basepoint_x, np.complex128(1.7 + 0.1j), 2.2):
             t = np.complex128(0.9)
             values = [red.E(x), red.S(x), red.gauge(x),
-                      red.tau_at(x, t), red.solve_t(x, 1.3), red.tau_x_at(x, t),
+                      red.tau_at(x, t), red.solve_t(x, 1.3),
                       reduction.build_reduced(dec, entry.basepoint_x).tau_at(x, t),
                       reduction.build_reduced(dec, entry.basepoint_x).gauge(x)]
             assert all(type(v) is complex for v in values)
@@ -348,7 +348,7 @@ class TestReducedCoefficients:
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        assert red.tau_x_at(2.0, 0.5) == 2
+        assert red._phi(2.0, 0.5) * red.E(2.0) == 2
         for t in (0.5, 0.7):
             with pytest.raises(error):
                 red.coefficients_at(2.0, t)
@@ -366,7 +366,7 @@ class TestReducedCoefficients:
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        assert red.tau_x_at(1.5, 2.0) == 1.5
+        assert red._phi(1.5, 2.0) * red.E(1.5) == 1.5
         with pytest.raises(error):
             red._pre_t(2.0)
         for x in (1.5, 1.7):
