@@ -25,15 +25,15 @@ first use, as cached properties: the flow residual functions, the scalar
 pair and the decomposition for the entry's own boxes (which in turn
 carries the compiled tau/gauge and coefficient kernels).  Default
 entries keep them for the life of the process; an entry built with
-parameter overrides takes them with it when it is collected.  Concurrent
-reads are safe: a first use racing another may compute a kernel twice,
-which is harmless because the result is deterministic.
+parameter or box overrides takes them with it when it is collected.
+Concurrent reads are safe: a first use racing another may compute a
+kernel twice, which is harmless because the result is deterministic.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -190,16 +190,21 @@ class CatalogEntry:
     def binding(self, x: complex | None = None, t: complex | None = None) -> Binding:
         return Binding(x=x, t=t)
 
+    def with_boxes(self, config) -> "CatalogEntry":
+        """This entry on a run's boxes (``config.box_x``, ``.box_t``): itself if
+        the config keeps them, else a copy, which derives its own scalar pair,
+        decomposition and kernels; applied to its own result it returns it."""
+        boxes = {name: rect for name in ("box_x", "box_t")
+                 if (box := getattr(config, name)) is not None
+                 and (rect := ComplexRect(*box)) != getattr(self, name)}
+        return replace(self, **boxes) if boxes else self
+
     def probe_bindings(self, n: int = 12) -> list[Binding]:
-        """Deterministic joint (x, t) probes; the two diagonals run in
-        opposite directions so x and t do not stay proportional."""
-        xs = self.box_x.diagonal(n)
-        ts = list(reversed(self.box_t.diagonal(n)))
-        return [self.binding(x=x, t=t) for x, t in zip(xs, ts)]
+        """Deterministic joint (x, t) probes (``reduction.joint_probes``)."""
+        return red_mod.joint_probes(self.box_x, self.box_t, n)
 
     def grid_points(self, n: int = 5) -> list[tuple[complex, complex]]:
-        xs = self.box_x.diagonal(n)
-        ts = self.box_t.diagonal(n)
+        xs, ts = self.box_x.diagonal(n), self.box_t.diagonal(n)
         return [(x, t) for x in xs for t in ts]
 
     @cached_property

@@ -35,6 +35,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import catalog as cat
+from . import expr as fe
 from . import verify as ver
 from .config import GATES, Config
 
@@ -186,13 +187,9 @@ def cmd_verify(args, out) -> int:
         out.write(_dump_json([r.to_json() for r in reports]))
     else:
         for rep in reports:
-            sub = []
-            if rep.frobenius_max is not None:
-                sub.append(f"frobenius={rep.frobenius_max:.3e}")
-            if rep.flow_max is not None:
-                sub.append(f"flow={rep.flow_max:.3e}")
-            if rep.t_independence_max is not None:
-                sub.append(f"t-indep={rep.t_independence_max:.3e}")
+            sub = [f"{name}={val:.3e}" for name, val in (
+                ("frobenius", rep.frobenius_max), ("flow", rep.flow_max),
+                ("t-indep", rep.t_independence_max)) if val is not None]
             if rep.match is not None:
                 sub.append(f"match={rep.match.kind}")
             if rep.cross_validation_residual is not None:
@@ -205,6 +202,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_sample(args, out) -> int:
+    """CSV rows (tau, P, Q, x, t) at seeded draws from the run's boxes; a draw
+    raising one of ``expr._SAMPLE_ERRORS`` is skipped, any other exception propagates."""
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
     n = args.count
@@ -223,7 +222,7 @@ def cmd_sample(args, out) -> int:
     attempts = 0
     max_attempts = 200 * max(n, 1)
     while len(rows) < n and attempts < max_attempts:
-        chunk = cat.random_points(rng, (prep.box_x, prep.box_t),
+        chunk = cat.random_points(rng, (prep.entry.box_x, prep.entry.box_t),
                                   min(max_attempts - attempts, max(8, n - len(rows))))
         for x, t in chunk:
             if len(rows) == n:
@@ -232,7 +231,7 @@ def cmd_sample(args, out) -> int:
             try:
                 tau = prep.red.tau_at(x, t)
                 P, Q = prep.red.coefficients_at(x, t)
-            except Exception:  # noqa: BLE001 - skip degenerate draws
+            except fe._SAMPLE_ERRORS:
                 continue
             tau, P, Q = prep.to_paper_frame(tau, P, Q)
             rows.append((tau, P, Q, x, t))
@@ -263,11 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_inputs(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--basepoint", type=str, default=None,
-                       help="override the reduction basepoint, re[,im]")
+                       help="override the reduction basepoint, re[,im]; give a "
+                            "negative value as --basepoint=-1,0.5")
         p.add_argument("--box-x", type=str, default=None, metavar="RE0,RE1,IM0,IM1",
-                       help="override the spectral probe box")
+                       help="override the spectral probe box; give negative "
+                            "bounds as --box-x=-2.5,-1.1,-0.2,0.2")
         p.add_argument("--box-t", type=str, default=None, metavar="RE0,RE1,IM0,IM1",
-                       help="override the deformation probe box")
+                       help="override the deformation probe box; give negative "
+                            "bounds as --box-t=-1.5,-0.5,-0.2,0.2")
         p.add_argument("--param", action="append", default=None,
                        metavar="NAME=RATIONAL",
                        help="override an entry parameter (exact rational)")

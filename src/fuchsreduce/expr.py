@@ -501,9 +501,9 @@ def _principal_pow_array(base, exponent: float):
     return out
 
 
-# What compiled code raises at a singular point: ZeroDivisionError or
-# OverflowError (ArithmeticErrors, as is numpy's FloatingPointError),
-# ValueError from a log of zero, SingularEvaluationError from _powf.
+# What compiled code raises at a singular point, and so what rejects a probe
+# draw: ZeroDivisionError or OverflowError (ArithmeticErrors, as is numpy's
+# FloatingPointError), ValueError from a log of zero, and any ExprError.
 _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
 
 _SCALAR_NAMESPACE = {"_exp": cmath.exp, "_log": cmath.log, "_sqrt": cmath.sqrt,

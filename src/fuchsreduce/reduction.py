@@ -47,6 +47,7 @@ __all__ = [
     "DecompositionError",
     "DegenerateTauPointError",
     "decompose",
+    "joint_probes",
     "classify_case",
     "build_reduced",
 ]
@@ -56,9 +57,36 @@ class DecompositionError(Exception):
     pass
 
 
-class DegenerateTauPointError(Exception):
+class DegenerateTauPointError(fe.SingularEvaluationError):
     """tau_x vanishes at the requested point; the reduced coefficients are
-    undefined there and the point should be skipped."""
+    undefined there and the point is skipped, as every singular one is."""
+
+
+def joint_probes(box_x, box_t, n: int) -> list[Binding]:
+    """n joint (x, t) probes on the box diagonals, run in opposite directions."""
+    return [Binding(x=x, t=t) for x, t in zip(box_x.diagonal(n), reversed(box_t.diagonal(n)))]
+
+
+class _Probes:
+    """The probe sets of :func:`decompose` and the case flags: 7 points on each
+    box diagonal (t1 = ``ts[1]``), 9 t and 12 joint probes, and p2 at t1."""
+
+    def __init__(self, sp: ScalarPair, box_x, box_t):
+        self.xs, self.ts = box_x.diagonal(7), box_t.diagonal(7)
+        self.x7 = [Binding(x=x) for x in self.xs]
+        self.t9 = [Binding(t=t) for t in box_t.diagonal(9)]
+        self.joint12 = joint_probes(box_x, box_t, 12)
+        self.p2_t1 = fe.substitute(sp.p2, t=self.ts[1])
+
+    def zero_in_x(self, e: Expr) -> bool:
+        """Whether ``e``, in x alone, vanishes at the x probes (relative to p2)."""
+        return fe.numerically_zero(e, self.x7, reference=self.p2_t1)
+
+    def m_flags(self, M: Expr) -> tuple[bool, bool]:
+        """(M_zero, M_constant): whether M or dM/dt vanishes at the t probes."""
+        m_zero = fe.numerically_zero(M, self.t9)
+        return m_zero, m_zero or fe.numerically_zero(fe.differentiate(M, "t"), self.t9,
+                                                      reference=M)
 
 
 @dataclass
@@ -77,19 +105,18 @@ class Decomposition:
     the reduced coefficients are compiled from its p1 and q1, and its
     component signs the gauge exponent.
 
-    The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant``
-    are measured on the probe boxes from f, h and M (:func:`_zero_in_x`,
-    :func:`_m_flags`), so a copy with another f, h or M measures its own.
-    The underscored cached properties are the compiled kernels of the tau
-    and gauge maps and of the reduced coefficients (see
-    :class:`ReducedEquation`), compiled on first use and kept for the life
-    of the decomposition; h, f and G only in array form, whose per-point
-    fallback is the one scalar function.  ``_coeff_parts`` is the staged
-    triple ``(pre_x, pre_t, post)`` of :func:`expr.compile_staged` for
-    (phi, p_num, q_num): ``pre_x(x)`` computes the lines that depend on x
-    alone (f', h', G, G', G^2 and most of p1 and q1), ``pre_t(t)`` those
-    that depend on t alone (the parts of p1 and q1 in t alone), and
-    ``post(x, t, pre_x(x), pre_t(t))`` the rest.
+    The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant`` are
+    measured from f, h and M on the probe sets ``_probes``, so a copy with
+    another f, h or M measures its own.  The other underscored cached
+    properties are the compiled kernels of the tau and gauge maps and of the
+    reduced coefficients (see :class:`ReducedEquation`), compiled on first
+    use and kept for the life of the decomposition; h, f and G only in array
+    form, whose per-point fallback is the one scalar function.
+    ``_coeff_parts`` is the staged triple ``(pre_x, pre_t, post)`` of
+    :func:`expr.compile_staged` for (phi, p_num, q_num): ``pre_x(x)``
+    computes the lines that depend on x alone (f', h', G, G', G^2 and most
+    of p1 and q1), ``pre_t(t)`` those that depend on t alone (the parts of
+    p1 and q1 in t alone), and ``post(x, t, pre_x(x), pre_t(t))`` the rest.
     ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
@@ -110,20 +137,20 @@ class Decomposition:
         return self.R if self.sp.component == "first" else fe.neg(self.R)
 
     @cached_property
-    def _p2_t1(self) -> Expr:
-        return fe.substitute(self.sp.p2, t=self.box_t.diagonal(7)[1])
+    def _probes(self) -> _Probes:
+        return _Probes(self.sp, self.box_x, self.box_t)
 
     @cached_property
     def f_zero(self) -> bool:
-        return _zero_in_x(self.f, self.box_x, self._p2_t1)
+        return self._probes.zero_in_x(self.f)
 
     @cached_property
     def h_zero(self) -> bool:
-        return _zero_in_x(self.h, self.box_x, self._p2_t1)
+        return self._probes.zero_in_x(self.h)
 
     @cached_property
     def _m_flags(self) -> tuple[bool, bool]:
-        return _m_flags(self.M, self.box_t)
+        return self._probes.m_flags(self.M)
 
     @property
     def M_zero(self) -> bool:
@@ -165,22 +192,6 @@ class Decomposition:
         return fe.array_form(fe.compile_expr(self.gauge_exponent()))
 
 
-def _zero_in_x(e: Expr, box_x, p2_t1: Expr) -> bool:
-    """Whether ``e``, in x alone, vanishes at 7 points of the diagonal of
-    ``box_x``, relative to the size of p2 there at the first probe t."""
-    return fe.numerically_zero(e, [Binding(x=x) for x in box_x.diagonal(7)],
-                               reference=p2_t1)
-
-
-def _m_flags(M: Expr, box_t) -> tuple[bool, bool]:
-    """(M_zero, M_constant): whether M, in t alone, vanishes, or its t
-    derivative does, at 9 points of the diagonal of ``box_t``."""
-    t_probes = [Binding(t=t) for t in box_t.diagonal(9)]
-    m_zero = fe.numerically_zero(M, t_probes)
-    return m_zero, m_zero or fe.numerically_zero(fe.differentiate(M, "t"), t_probes,
-                                                  reference=M)
-
-
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     """Recover (f, h, R, M), the profile g and the factors P_i.
 
@@ -194,27 +205,23 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     (R -> R + c f, M -> M - c); it is pinned by M(t_ref) = 0, which
     reproduces the documented closed forms for every shipped entry.
     ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``)."""
-    tdiag = box_t.diagonal(7)
-    xdiag = box_x.diagonal(7)
+    probes = _Probes(sp, box_x, box_t)
+    tdiag, xdiag = probes.ts, probes.xs
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
 
     # --- f and h from the affine-in-t ratio p2
-    p2_t1 = fe.substitute(sp.p2, t=t1)
+    p2_t1 = probes.p2_t1
     p2_t2 = fe.substitute(sp.p2, t=t2)
     p2_t3 = fe.substitute(sp.p2, t=t3)
     h = fe.div(fe.sub(p2_t2, p2_t1), fe.const(t2 - t1))
     f = fe.sub(p2_t1, fe.mul(fe.const(t1), h))
 
-    x_probes = [Binding(x=x) for x in xdiag]
     affine_defect = fe.sub(fe.add(f, fe.mul(fe.const(t3), h)), p2_t3)
-    if not fe.numerically_zero(affine_defect, x_probes, tol=1e-9, reference=p2_t3):
+    if not fe.numerically_zero(affine_defect, probes.x7, tol=1e-9, reference=p2_t3):
         raise DecompositionError(
             "the off-diagonal ratio p2 is not affine in the deformation variable")
 
-    probes12 = [Binding(x=x, t=t)
-                for x, t in zip(box_x.diagonal(12), reversed(box_t.diagonal(12)))]
-    f_zero = _zero_in_x(f, box_x, p2_t1)
-    h_zero = _zero_in_x(h, box_x, p2_t1)
+    f_zero, h_zero = probes.zero_in_x(f), probes.zero_in_x(h)
 
     # --- R and M from q2 = R + M (f + t h)
     q2d = sp.q2_decomposable()
@@ -282,11 +289,10 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
                        fe.mul(M, fe.substitute(phi, t=t1)))
 
     split_defect = fe.sub(q2d, fe.add(R, fe.mul(M, phi)))
-    if not fe.numerically_zero(split_defect, probes12, tol=1e-8, reference=q2d):
+    if not fe.numerically_zero(split_defect, probes.joint12, tol=1e-8, reference=q2d):
         raise DecompositionError("inconsistent R/M split (residual above 1e-08)")
 
-    t_probes = [Binding(t=t) for t in box_t.diagonal(9)]
-    m_flags = _m_flags(M, box_t)
+    m_flags = probes.m_flags(M)
 
     # --- g and the P_i from the off-diagonal pair
     aoff, boff = sp.off_diag
@@ -295,12 +301,12 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     g = fe.div(fe.substitute(boff, x=xa), fe.const(_eval(P3, x=xa)))
     xb = max((x for x in xdiag if x != xa), key=lambda x: abs(_eval(P3, x=x)))
     g_alt = fe.div(fe.substitute(boff, x=xb), fe.const(_eval(P3, x=xb)))
-    if not fe.numerically_zero(fe.sub(g, g_alt), t_probes, tol=1e-9, reference=g):
+    if not fe.numerically_zero(fe.sub(g, g_alt), probes.t9, tol=1e-9, reference=g):
         raise DecompositionError("the deformation profile g depends on x")
     P1 = fe.mul(f, P3)
     P2 = fe.mul(h, P3)
     factor_defect = fe.sub(aoff, fe.mul(g, fe.add(P1, fe.mul(T, P2))))
-    if not fe.numerically_zero(factor_defect, probes12, tol=1e-9, reference=aoff):
+    if not fe.numerically_zero(factor_defect, probes.joint12, tol=1e-9, reference=aoff):
         raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
 
     exponent_a: complex | None = None
@@ -318,7 +324,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
         exponent_A=exponent_a, box_x=box_x, box_t=box_t, sp=sp,
     )
     # The flags measured above, as the properties would measure them.
-    dec.__dict__.update(_p2_t1=p2_t1, f_zero=f_zero, h_zero=h_zero, _m_flags=m_flags)
+    dec.__dict__.update(_probes=probes, f_zero=f_zero, h_zero=h_zero, _m_flags=m_flags)
     return dec
 
 

@@ -36,7 +36,6 @@ from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
 from .config import DEFAULT_CONFIG, SCHEMA, Config, complex_json
-from .reduction import Decomposition, ReducedEquation
 from .targets import ClassicalTarget
 
 __all__ = [
@@ -76,21 +75,17 @@ class MatchError(VerifyError):
 
 @dataclass
 class Prepared:
-    """Everything derived from one entry that later stages share.
-
-    ``dec`` (with its compiled kernels and the scalar pair ``dec.sp`` it
-    was recovered from) is shared per entry when the config keeps the
-    entry's boxes; ``red`` (with its E/S and gauge memos) and the frame
-    fit are built per :func:`prepare` call."""
+    """Everything derived from one entry that later stages share: the
+    entry on the run's boxes (:meth:`catalog.CatalogEntry.with_boxes`),
+    which every stage probes, the reduced equation ``red`` on its
+    decomposition ``red.dec``, and the frame fit; ``red`` (with its E/S and
+    gauge memos) and the frame fit are built per :func:`prepare` call."""
 
     entry: cat.CatalogEntry
-    dec: Decomposition
-    red: ReducedEquation
+    red: red_mod.ReducedEquation
     frame_a: complex
     frame_b: complex
     frame_residual: float
-    box_x: cat.ComplexRect
-    box_t: cat.ComplexRect
 
     def to_paper_frame(self, tau: complex, P: complex, Q: complex
                        ) -> tuple[complex, complex, complex]:
@@ -98,14 +93,14 @@ class Prepared:
         return self.frame_a * tau + self.frame_b, P / a, Q / (a * a)
 
 
-def _tau_frame(entry: cat.CatalogEntry, red: ReducedEquation
+def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
                ) -> tuple[complex, complex, float]:
     """Affine map from the quadrature tau to the documented closed-form tau.
 
-    Fitted from two points, validated on two more; the validation residual
-    doubles as the basepoint-covariance certificate.  It checks tau alone,
-    so it fails a wrong f or h but cannot see R, which does not enter tau;
-    the stages on the coefficients and the solution check R."""
+    Fitted from two points and validated on two more, on the entry's boxes;
+    the residual doubles as the basepoint-covariance certificate.  It checks
+    tau alone, so it fails a wrong f or h but cannot see R, which does not
+    enter tau; the stages on the coefficients and the solution check R."""
     cf = entry.reduction_closed_forms["tau"]
     xs = entry.box_x.diagonal(9)
     ts = entry.box_t.diagonal(9)
@@ -127,25 +122,18 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
     """The shared workspace of the verify stages for one entry (look an id
     up with :func:`catalog.lookup` first).
 
-    The scalar pair and, unless the config overrides a probe box, the
-    decomposition are the entry's own (``CatalogEntry.scalar_pair`` and
-    ``.decomposition``), derived and compiled once per entry; a box
-    override decomposes afresh.  The basepoint does not enter the
-    decomposition.  The reduced equation, with fresh E/S and gauge memos,
-    and the 4-point frame fit are built on every call, so no call sees
-    another's points."""
-    box_x = cat.ComplexRect(*config.box_x) if config.box_x else entry.box_x
-    box_t = cat.ComplexRect(*config.box_t) if config.box_t else entry.box_t
-    if config.box_x or config.box_t:
-        dec = red_mod.decompose(entry.scalar_pair, box_x, box_t)
-    else:
-        dec = entry.decomposition
+    The entry is taken on the config's probe boxes
+    (:meth:`catalog.CatalogEntry.with_boxes`: itself when the config keeps
+    them), and its scalar pair and decomposition (``.scalar_pair`` and
+    ``.decomposition``) are derived and compiled once per entry.  The
+    basepoint does not enter the decomposition.  The reduced equation,
+    with fresh E/S and gauge memos, and the 4-point frame fit are built on
+    every call, so no call sees another's points."""
+    entry = entry.with_boxes(config)
     basepoint = config.basepoint if config.basepoint is not None else entry.basepoint_x
-    red = red_mod.build_reduced(dec, basepoint)
+    red = red_mod.build_reduced(entry.decomposition, basepoint)
     a, b, resid = _tau_frame(entry, red)
-    return Prepared(entry=entry, dec=dec, red=red,
-                    frame_a=a, frame_b=b, frame_residual=resid,
-                    box_x=box_x, box_t=box_t)
+    return Prepared(entry=entry, red=red, frame_a=a, frame_b=b, frame_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +146,10 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
     Pairs (x1, t1), (x2, t2) share tau exactly: t2 solves the affine-in-t
     tau formula at x2 and is accepted when it stays within an inflated
     deformation box away from singular values and both points have
-    coefficients: a point where tau_x vanishes is rejected by the gates of
-    ``ReducedEquation.coefficients_at``, the one degeneracy rule.  Returns
-    the max of (|dP| + |dQ|) / scale over the pairs plus the sampled
-    coefficient table (in the quadrature frame).
+    coefficients; a draw raising one of ``expr._SAMPLE_ERRORS`` (a point
+    where tau_x vanishes among them) is rejected.  Returns the max of
+    (|dP| + |dQ|) / scale over the pairs plus the sampled coefficient table
+    (in the quadrature frame).
 
     Candidate triples (x1, t1, x2) are drawn in chunks, never past the
     budget of 200 attempts per pair.  Each chunk is one generator call
@@ -177,7 +165,7 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
     entry = prep.entry
     red = prep.red
     rng = np.random.default_rng(seed)
-    region = prep.box_t.inflated(3.0)
+    region = entry.box_t.inflated(3.0)
     samples: list[tuple[complex, complex, complex]] = []
     max_dev = 0.0
     accepted = 0
@@ -187,7 +175,7 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
         # A quarter more attempts than the acceptance rate so far says the
         # missing pairs need (one per pair before any is seen).
         wanted = 1.25 * (n_pairs - accepted) * (attempts + 1) / (accepted + 1)
-        chunk = cat.random_points(rng, (prep.box_x, prep.box_t, prep.box_x),
+        chunk = cat.random_points(rng, (entry.box_x, entry.box_t, entry.box_x),
                                   min(max_attempts - attempts, max(8, math.ceil(wanted))))
         red.prefetch([x for x1, _, x2 in chunk if abs(x2 - x1) >= 0.05
                       for x in (x1, x2)])
@@ -200,14 +188,12 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
             try:
                 tau = red.tau_at(x1, t1)
                 t2 = red.solve_t(x2, tau)
-                if not region.contains(t2):
-                    continue
-                if any(abs(t2 - s) < 0.15 for s in entry.singular_t):
+                if not region.contains(t2) or any(abs(t2 - s) < 0.15
+                                                  for s in entry.singular_t):
                     continue
                 p1c, q1c = red.coefficients_at(x1, t1)
                 p2c, q2c = red.coefficients_at(x2, t2)
-            except (fe.SingularEvaluationError, fe.QuadratureError,
-                    red_mod.DegenerateTauPointError, ZeroDivisionError, ValueError):
+            except fe._SAMPLE_ERRORS:
                 continue
             scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
             dev = (abs(p1c - p2c) + abs(q1c - q2c)) / scale
@@ -391,12 +377,12 @@ def cross_validate(prep: Prepared) -> float:
     :class:`VerifyError`, naming the leg and t, when a coefficient is
     singular on the leg or at its start, when the walk fails, or when mu is
     not finite at some point."""
-    x0 = prep.box_x.center
-    x1 = complex(prep.box_x.re_hi - (prep.box_x.re_hi - prep.box_x.re_lo) / 14,
-                 x0.imag)
-    t = complex(0.5 * (prep.box_t.re_lo + prep.box_t.re_hi))
+    box_x, box_t = prep.entry.box_x, prep.entry.box_t
+    x0 = box_x.center
+    x1 = complex(box_x.re_hi - (box_x.re_hi - box_x.re_lo) / 14, x0.imag)
+    t = complex(0.5 * (box_t.re_lo + box_t.re_hi))
     where = f"the leg [{x0:.6g}, {x1:.6g}] at t = {t:.6g}"
-    dec = prep.dec
+    dec = prep.red.dec
     try:
         leg = _walk_leg(prep, t, x0, x1)
         length = abs(x1 - x0)
@@ -491,8 +477,9 @@ class VerificationReport:
 
 def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
-    """Run every stage for one entry; failures are recorded, not raised."""
-    entry = cat.lookup(entry_id, overrides)
+    """Run every stage for one entry, on the config's boxes (applied once, by
+    :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised."""
+    entry = cat.lookup(entry_id, overrides).with_boxes(config)
     seed = config.entry_seed(entry.id)
     rep = VerificationReport(
         entry_id=entry.id, family=entry.family,
@@ -520,7 +507,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     if prep is None:
         return rep
     rep.case_tag = prep.red.case_tag
-    rep.exponent_a = prep.dec.exponent_A
+    rep.exponent_a = prep.red.dec.exponent_A
     rep.frame = (prep.frame_a, prep.frame_b)
     rep.frame_residual = prep.frame_residual
 

@@ -108,12 +108,12 @@ def test_criterion_3_decomposition_reproduction(prep):
         for b in entry.probe_bindings(16):
             for name in ("f", "h", "R"):
                 want = table[name](b.x)
-                got = fe.evaluate(getattr(p.dec, name), b)
+                got = fe.evaluate(getattr(p.red.dec, name), b)
                 dev = abs(got - want) / (1 + abs(want))
                 worst = max(worst, dev)
                 assert dev <= 1e-9, (entry_id, name)
             want = table["M"](b.t)
-            got = fe.evaluate(p.dec.M, b)
+            got = fe.evaluate(p.red.dec.M, b)
             dev = abs(got - want) / (1 + abs(want))
             worst = max(worst, dev)
             assert dev <= 1e-9, (entry_id, "M")
@@ -121,8 +121,8 @@ def test_criterion_3_decomposition_reproduction(prep):
     p0, p1 = prep("PII.y0"), prep("PII.y_inv_t")
     for b in p0.entry.probe_bindings(16):
         for name in ("p1", "q1", "p2", "q2"):
-            v0 = fe.evaluate(getattr(p0.dec.sp, name), b)
-            v1 = fe.evaluate(getattr(p1.dec.sp, name), b)
+            v0 = fe.evaluate(getattr(p0.red.dec.sp, name), b)
+            v1 = fe.evaluate(getattr(p1.red.dec.sp, name), b)
             assert abs(v0 - v1) <= 1e-9 * (1 + abs(v0))
     print(f"PASS criterion 3 (decomposition reproduction): max deviation {worst:.3e} <= 1e-9")
 
@@ -203,7 +203,7 @@ def test_criterion_7_property_suites(prep):
     # first-integral property of the characteristic flow, 16 points/entry
     for entry_id in POSITIVE_IDS:
         p = prep(entry_id)
-        fh = fe.compile_expr(p.dec.f + fe.T * p.dec.h)
+        fh = fe.compile_expr(p.red.dec.f + fe.T * p.red.dec.h)
         pts = list(zip(p.entry.box_x.diagonal(4),
                        reversed(p.entry.box_t.diagonal(4))))
         pts += [(x + 0.13, t - 0.06j) for x, t in pts]
@@ -217,7 +217,7 @@ def test_criterion_7_property_suites(prep):
     import fuchsreduce.reduction as red_mod
 
     p = prep("PV.y_m1")
-    red1 = red_mod.build_reduced(p.dec, p.entry.basepoint_x + 0.25)
+    red1 = red_mod.build_reduced(p.red.dec, p.entry.basepoint_x + 0.25)
     pts = [(1.4, 0.8), (1.9, 1.1), (2.3, 0.6), (1.6, 1.3)]
     t0 = [p.red.tau_at(x, t) for x, t in pts]
     t1 = [red1.tau_at(x, t) for x, t in pts]

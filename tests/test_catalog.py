@@ -262,6 +262,26 @@ class TestProbeGeometry:
         assert all(abs(complex(entry.basepoint_x) - s) > 0.2 for s in entry.singular_x)
 
 
+class TestWithBoxes:
+    def test_keeping_the_boxes_returns_the_entry(self):
+        entry = catalog.lookup("PII.y0")
+        assert entry.with_boxes(Config()) is entry
+        own = (entry.box_x.re_lo, entry.box_x.re_hi, entry.box_x.im_lo, entry.box_x.im_hi)
+        assert entry.with_boxes(Config(box_x=own)) is entry
+
+    def test_override_copy_is_idempotent(self):
+        entry = catalog.lookup("PIII.y1")
+        cfg = Config(box_x=(1.3, 2.3, 0.0, 0.3), box_t=(0.8, 1.8, -0.1, 0.3))
+        copy = entry.with_boxes(cfg)
+        assert copy is not entry
+        assert copy.box_x == catalog.ComplexRect(1.3, 2.3, 0.0, 0.3)
+        assert copy.box_t == catalog.ComplexRect(0.8, 1.8, -0.1, 0.3)
+        assert copy.with_boxes(cfg) is copy
+        assert (copy.id, copy.lax, copy.params_exact) == (entry.id, entry.lax, entry.params_exact)
+        # Only the overridden box changes.
+        assert entry.with_boxes(Config(box_t=(0.8, 1.8, -0.1, 0.3))).box_x == entry.box_x
+
+
 def _random_point(box, rng) -> complex:
     """One point of ``box``, drawn one coordinate at a time: the reference
     stream of :func:`catalog.random_points`."""

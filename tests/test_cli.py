@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fuchsreduce import cli, config
+from fuchsreduce import cli, config, reduction
 from fuchsreduce.config import Config
 
 
@@ -137,6 +137,18 @@ class TestVerify:
         rc, out, _ = run_cli(["verify", "PII.y0", "--tol-crossval", "1e-16"])
         assert rc == 1
 
+    def test_reduction_failure_prints_the_stage_error(self):
+        # theta_inf = 1/2 makes an off-diagonal entry vanish: the report
+        # fails at the reduction stage, with the flow and Frobenius
+        # residuals still printed.
+        rc, out, err = run_cli(["verify", "PIII.y1", "--param", "theta_inf=1/2"])
+        assert (rc, err) == (1, "")
+        status, error = out.splitlines()
+        assert status.startswith("FAIL PIII.y1 ")
+        assert "frobenius=" in status and "flow=" in status and "t-indep" not in status
+        assert error == ("     PIII.y1: reduction: a-offdiag entry vanishes on the probe "
+                         "set; cannot scalarize the first component")
+
     def test_unknown_entry_exits_2(self):
         rc, out, err = run_cli(["verify", "missing.id"])
         assert (rc, out, err) == (2, "", "error: no catalog entry named 'missing.id'\n")
@@ -211,6 +223,18 @@ class TestVerify:
 
 class TestFlags:
     """Each subcommand accepts exactly the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "PII.y0", "--box-x=-2.5,-1.1,-0.2,0.2"],
+        ["verify", "PII.y0", "--basepoint=-1,0.5"],
+        ["sample", "PII.y0", "--count", "3", "--basepoint=-1,0.5"],
+    ])
+    def test_negative_values_in_the_equals_form(self, argv):
+        # Given as a separate argument, a value starting with "-" reads as a
+        # flag; joined to its flag by "=" it is a value.
+        rc, out, err = run_cli(argv)
+        assert (rc, err) == (0, ""), err
+        assert out
 
     @pytest.mark.parametrize("argv", [
         ["reduce", "PII.y0", "--json"],
@@ -359,6 +383,16 @@ class TestSample:
         rc, out, err = run_cli(["sample", "missing.id", "--out", str(tmp_path / "x.csv")])
         assert (rc, out, err) == (2, "", "error: no catalog entry named 'missing.id'\n")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_a_defect_in_a_draw_propagates(self, monkeypatch):
+        # Only a singular or degenerate point (expr._SAMPLE_ERRORS) skips a
+        # draw; any other exception is a defect, not an operational error.
+        def broken(self, x, t):
+            raise TypeError("broken coefficients")
+
+        monkeypatch.setattr(reduction.ReducedEquation, "coefficients_at", broken)
+        with pytest.raises(TypeError, match="broken coefficients"):
+            run_cli(["sample", "PII.y0", "--count", "4"])
 
     def test_box_overrides_bound_the_draws(self):
         # Rows are drawn from the boxes the run decomposed on, not from the

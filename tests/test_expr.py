@@ -393,7 +393,7 @@ class TestArrayForm:
             systems = catalog.lookup(entry_id).linear_systems
             a = (*systems.a[0], *systems.a[1])
             scalar = fe.compile_expr((*a, *(fe.differentiate(e, "t") for e in a)))
-            box = prep(entry_id).box_x
+            box = prep(entry_id).entry.box_x
             xs = (rng.uniform(box.re_lo, box.re_hi, 50)
                   + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
             ts = rng.uniform(0.5, 1.5, 50) + 0j
@@ -554,7 +554,7 @@ class TestChebyshevPanels:
         from fuchsreduce import reduction
 
         p = prep(entry_id)
-        red = reduction.build_reduced(p.dec, p.red.basepoint_x)
+        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
         calls = [0]
 
         def counted(fn):
@@ -564,7 +564,7 @@ class TestChebyshevPanels:
             return wrapper
 
         red._h_array, red._f_array = counted(red._h_array), counted(red._f_array)
-        x = complex(p.box_x.re_lo, p.box_x.im_hi)
+        x = complex(p.entry.box_x.re_lo, p.entry.box_x.im_hi)
         red.E(x)
         red.S(x)
         assert 0 < calls[0] <= 400
@@ -583,10 +583,10 @@ class TestMultiSegmentPanels:
         from fuchsreduce import reduction
 
         p = prep(entry_id)
-        red = reduction.build_reduced(p.dec, p.red.basepoint_x)
+        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
         stages, x0 = (red._h_rows, red._fE_rows), red.basepoint_x
         rng = np.random.default_rng(64)
-        xs = [x for (x,) in catalog.random_points(rng, (p.box_x,), 64)]
+        xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), 64)]
         batched = fe._walk_panels(stages, x0, xs, red.quad_tol)
         for x, got in zip(xs, batched):
             want = fe._walk_all(stages, x0, (x,), red.quad_tol)[0]
@@ -686,12 +686,12 @@ class TestNumericallyZero:
 
     def test_entry_with_vanishing_h(self, prep):
         # h vanishes identically for the first flat reduction case.
-        dec = prep("PII.y0").dec
+        dec = prep("PII.y0").red.dec
         probes = [Binding(x=1.0 + 0.15 * k, t=0.5) for k in range(9)]
         assert fe.numerically_zero(dec.h, probes)
 
     def test_nonzero_f_detected(self, prep):
-        dec = prep("PII.y0").dec
+        dec = prep("PII.y0").red.dec
         probes = [Binding(x=1.0 + 0.125 * k, t=0.5) for k in range(9)]
         assert not fe.numerically_zero(dec.f, probes)
 

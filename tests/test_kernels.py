@@ -65,7 +65,7 @@ class TestKernelLifetime:
         assert list(first.red._cache_x) == [1.7 + 0.1j]
         second = verify.prepare(entry)
         assert second.red._cache_x == {}
-        assert first.dec is second.dec is entry.decomposition
+        assert first.red.dec is second.red.dec is entry.decomposition
         assert first.red is not second.red
         kernels = ("_pre_x", "_pre_t", "_post")
         assert [getattr(first.red, k) for k in kernels] == \
@@ -86,10 +86,16 @@ class TestKernelLifetime:
         assert red() is None
 
     def test_box_override_decomposes_afresh(self):
+        # An override is a copy of the entry on the run's boxes, which
+        # scalarizes and decomposes on its own boxes.
         entry = catalog.lookup("PII.y0")
         prep = verify.prepare(entry, Config(box_x=(1.2, 2.4, -0.1, 0.1)))
-        assert prep.dec is not entry.decomposition
-        assert prep.dec.sp is entry.scalar_pair
+        assert prep.entry is not entry
+        assert prep.entry.box_x == catalog.ComplexRect(1.2, 2.4, -0.1, 0.1)
+        assert prep.red.dec is not entry.decomposition
+        assert prep.red.dec is prep.entry.decomposition
+        assert prep.red.dec.sp is prep.entry.scalar_pair
+        assert prep.red.dec.sp is not entry.scalar_pair
 
 
 @pytest.fixture
@@ -111,11 +117,12 @@ class TestNoCyclicGarbage:
     memos, compiled kernels or an override entry alive until the cyclic
     collector runs."""
 
-    @pytest.mark.parametrize("entry_id, overrides", [
-        ("PIII.y1", None), ("PIII.y1", {"theta_inf": Fraction(3, 2)})],
-        ids=["default", "override"])
-    def test_full_report(self, gc_disabled, entry_id, overrides):
-        verify.full_report(entry_id, overrides=overrides)
+    @pytest.mark.parametrize("entry_id, overrides, config", [
+        ("PIII.y1", None, Config()), ("PIII.y1", {"theta_inf": Fraction(3, 2)}, Config()),
+        ("PIII.y1", None, Config(box_t=(0.8, 1.8, -0.1, 0.3)))],
+        ids=["default", "override", "box-override"])
+    def test_full_report(self, gc_disabled, entry_id, overrides, config):
+        verify.full_report(entry_id, config, overrides=overrides)
         assert gc.collect() == 0
 
     def test_prepare_of_a_fresh_entry(self, gc_disabled):
@@ -149,7 +156,7 @@ class TestStagedKernel:
 
         for name in calls:
             monkeypatch.setattr(red, f"_{name}", counting(name, getattr(red, f"_{name}")))
-        box_x, box_t = prep.box_x, prep.box_t
+        box_x, box_t = prep.entry.box_x, prep.entry.box_t
         xs = [complex(box_x.re_lo + (k + 0.5) / 32 * (box_x.re_hi - box_x.re_lo), 0.05)
               for k in range(32)]
         ts = [complex(box_t.re_lo + (k + 0.5) / 128 * (box_t.re_hi - box_t.re_lo), -0.02)

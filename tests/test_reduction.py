@@ -197,6 +197,23 @@ class TestClassify:
         _, dec, _ = decomposition_for(entry_id)
         assert reduction.classify_case(dec) == case
 
+    @pytest.mark.parametrize("f, M, case", [
+        (fe.const(0), fe.const(-1), "EQ1"),
+        (None, fe.const(-1), "EQ1"),
+        (None, T, "generic_EQ"),
+    ], ids=["f=h=0, M constant", "h=0, M constant", "h=0, M varies"])
+    def test_cases_no_entry_reaches(self, f, M, case):
+        # PII.y0 has h = 0, f = 2x and M = 0; a copy re-measures its flags.
+        _, dec, entry = decomposition_for("PII.y0")
+        copy = dataclasses.replace(dec, f=dec.f if f is None else f, M=M)
+        assert reduction.build_reduced(copy, entry.basepoint_x).case_tag == case
+
+    def test_vanishing_f_h_with_varying_M_is_not_reducible(self):
+        _, dec, entry = decomposition_for("PII.y0")
+        copy = dataclasses.replace(dec, f=fe.const(0), M=T)
+        with pytest.raises(reduction.DecompositionError, match="outside the reducible class"):
+            reduction.build_reduced(copy, entry.basepoint_x)
+
 
 class TestTauMap:
     def test_flat_entry_closed_form(self):

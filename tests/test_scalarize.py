@@ -287,7 +287,7 @@ class TestScalarResidual:
         values = leg_values(p, x, t, p.entry.basepoint_x if anchor == "basepoint" else x)
         # Up to 9e-10 where x is the leg's start: the second derivative of
         # a panel's series at its end point scales rounding by about n^4.
-        assert scalar_residual(p.dec.sp, values, x, t) <= 1e-8
+        assert scalar_residual(p.red.dec.sp, values, x, t) <= 1e-8
 
     @pytest.mark.parametrize("kwargs", [{"x1": 2.0}, {"x1": 2.0, "t": 0.9 + 0.1j}])
     def test_joint_solution_refuses_an_empty_stencil(self, prep, kwargs):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fuchsreduce import catalog, config, expr as fe, reduction as red_mod, verify
+from fuchsreduce import catalog, config, expr as fe, reduction as red_mod, scalarize, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import FRAME_TOL, Config
 from fuchsreduce.expr import Binding
@@ -53,6 +53,25 @@ class TestTIndependence:
         for entry_id in ALL_IDS:
             assert prep(entry_id).frame_residual <= 1e-9
 
+    def test_overflowing_draw_is_rejected(self):
+        # Every exception of expr._SAMPLE_ERRORS rejects a draw, an
+        # OverflowError among them; the stage still places all its pairs.
+        p = verify.prepare(catalog.lookup("PII.y0"))
+        real = p.red.coefficients_at
+        raised = []
+
+        def overflow_once(x, t):
+            if not raised:
+                raised.append((x, t))
+                raise OverflowError("overflow in a draw")
+            return real(x, t)
+
+        p.red.coefficients_at = overflow_once
+        dev, samples = verify.check_t_independence(p, n_pairs=32)
+        assert len(raised) == 1
+        assert len(samples) == 64
+        assert dev <= 1e-8
+
     @pytest.mark.parametrize("n_pairs", [0, -1])
     def test_no_pairs_is_an_error(self, prep, n_pairs):
         # With no pair to compare the stage would report 0.0, under its gate.
@@ -66,7 +85,7 @@ def _scalar_t_independence(prep, n_pairs, seed):
     entry = prep.entry
     red = prep.red
     rng = np.random.default_rng(seed)
-    region = prep.box_t.inflated(3.0)
+    region = entry.box_t.inflated(3.0)
     samples = []
     max_dev = 0.0
     accepted = 0
@@ -74,7 +93,7 @@ def _scalar_t_independence(prep, n_pairs, seed):
     max_attempts = 200 * n_pairs
     while accepted < n_pairs and attempts < max_attempts:
         attempts += 1
-        ((x1, t1, x2),) = catalog.random_points(rng, (prep.box_x, prep.box_t, prep.box_x), 1)
+        ((x1, t1, x2),) = catalog.random_points(rng, (entry.box_x, entry.box_t, entry.box_x), 1)
         if abs(x2 - x1) < 0.05:
             continue
         try:
@@ -135,10 +154,10 @@ class TestTIndependenceBatched:
         # A deformation box this small leaves most t2 outside the region:
         # both loops place 2 of 3 pairs within the 200-per-pair budget.
         def small_box():
-            p = verify.prepare(catalog.lookup("PII.y0"))
-            c = p.box_t.center
-            box = catalog.ComplexRect(c.real, c.real + 0.12, c.imag, c.imag + 0.12)
-            return dataclasses.replace(p, box_t=box)
+            entry = catalog.lookup("PII.y0")
+            c = entry.box_t.center
+            box = (c.real, c.real + 0.12, c.imag, c.imag + 0.12)
+            return verify.prepare(entry, Config(box_t=box))
 
         ref_prep, new_prep = small_box(), small_box()
         ref_calls, new_calls = _record_tau_calls(ref_prep), _record_tau_calls(new_prep)
@@ -260,6 +279,12 @@ class TestMatchClassical:
         assert target.a == pytest.approx(2.0, abs=1e-10)
         assert target.b == pytest.approx(0.5, abs=1e-10)
         assert resid <= 1e-10
+        doc = target.to_json()
+        assert list(doc) == ["kind", "a", "b"]
+        assert doc["a"]["re"] == pytest.approx(2.0, abs=1e-10)
+        assert doc["b"]["re"] == pytest.approx(0.5, abs=1e-10)
+        assert target.agrees_with(ClassicalTarget.linear_potential(2.0, 0.5))
+        assert not target.agrees_with(ClassicalTarget.linear_potential(2.0, 0.6))
 
     def test_unrecognized_returns_none(self):
         taus = np.linspace(1.0, 3.0, 16)
@@ -283,13 +308,13 @@ def _walk(a, t, x0, x1, start):
 def _stage_leg(p):
     """The leg cross-validation walks: from the centre of the x box to 0.1
     short of its right edge."""
-    x0 = p.box_x.center
-    return x0, complex(p.box_x.re_hi - 0.1, x0.imag)
+    x0 = p.entry.box_x.center
+    return x0, complex(p.entry.box_x.re_hi - 0.1, x0.imag)
 
 
 def _stage_t(p):
     """The t cross-validation walks at: the midpoint of the real range."""
-    return complex(0.5 * (p.box_t.re_lo + p.box_t.re_hi), 0.0)
+    return complex(0.5 * (p.entry.box_t.re_lo + p.entry.box_t.re_hi), 0.0)
 
 
 def _compiled_a_dadt(a):
@@ -382,7 +407,7 @@ class TestPanelTrace:
     def test_channels_match_dop853(self, prep, entry_id):
         p = prep(entry_id)
         t = _stage_t(p)
-        off_axis = (p.box_x.re_lo + 0.1 + 0.05j, p.box_x.re_hi - 0.1 - 0.05j)
+        off_axis = (p.entry.box_x.re_lo + 0.1 + 0.05j, p.entry.box_x.re_hi - 0.1 - 0.05j)
         for path in (_stage_leg(p), off_axis):
             leg = verify._walk_leg(p, t, *path)
             oracle = _dop853_leg(p, t, *path)
@@ -681,15 +706,15 @@ class TestStageSensitivity:
         cfg = Config()
         equivalent = []
         for name, mutate in _MUTATIONS.items():
-            dec = mutate(p.dec)
+            dec = mutate(p.red.dec)
             red = red_mod.build_reduced(dec, p.red.basepoint_x)
             a, b, frame = verify._tau_frame(p.entry, red)
-            mutated = dataclasses.replace(p, dec=dec, red=red, frame_a=a, frame_b=b,
+            mutated = dataclasses.replace(p, red=red, frame_a=a, frame_b=b,
                                           frame_residual=frame)
             cross = verify.cross_validate(mutated)
             dev, samples = verify.check_t_independence(mutated)
             matched = _matches(mutated, samples, cfg)
-            if _gauge_equivalent(p.dec, dec):
+            if _gauge_equivalent(p.red.dec, dec):
                 equivalent.append(name)
                 assert cross <= 1e-12 and dev <= 1e-12, (name, cross, dev)
                 assert frame <= FRAME_TOL and matched, (name, frame)
@@ -839,6 +864,42 @@ class TestFullReport:
         assert strict.frame_residual > 1e-18
         assert not strict.passed
         assert strict.errors == []
+
+    def test_reduction_failure_is_recorded(self):
+        # theta_inf = 1/2 makes the a-offdiag entry vanish: the reduction
+        # stage fails, the stages before it are recorded and none after it
+        # runs.
+        rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(1, 2)})
+        assert rep.errors == ["reduction: a-offdiag entry vanishes on the probe set; "
+                              "cannot scalarize the first component"]
+        assert rep.flow_max is not None and rep.frobenius_max is not None
+        assert (rep.case_tag, rep.frame, rep.t_independence_max, rep.match,
+                rep.cross_validation_residual) == (None,) * 5
+        assert not rep.passed
+
+    def test_box_override_reaches_every_stage(self, monkeypatch):
+        # The flow, Frobenius, frame and later stages all probe the run's
+        # boxes, not the entry's own.
+        box_t = (0.8, 1.8, -0.1, 0.3)
+        cfg = Config(box_t=box_t)
+        rect = catalog.ComplexRect(*box_t)
+        flow_ts = []
+        real_flow = catalog.flow_residual
+
+        def recording(entry, t):
+            flow_ts.append(t)
+            return real_flow(entry, t)
+
+        monkeypatch.setattr(catalog, "flow_residual", recording)
+        rep = verify.full_report("PII.y0", cfg)
+        assert rep.passed, rep.errors
+        assert len(flow_ts) == 16 and all(rect.contains(t) for t in flow_ts)
+        entry = catalog.lookup("PII.y0")
+        grid = [(x, t) for x in entry.box_x.diagonal(5) for t in rect.diagonal(5)]
+        assert rep.frobenius_max == scalarize.frobenius_residual_grid(entry.lax, grid)
+        p = verify.prepare(entry, cfg)
+        assert p.entry.box_t == rect and p.entry.box_x == entry.box_x
+        assert rep.frame == (p.frame_a, p.frame_b)
 
     def test_probe_box_override(self):
         cfg = Config(box_x=(1.3, 2.2, -0.1, 0.1), box_t=(0.6, 1.2, -0.1, 0.1))
