@@ -25,7 +25,9 @@ first use, as cached properties: the flow residual functions, the scalar
 pair and the decomposition for the entry's own boxes (which in turn
 carries the compiled tau/gauge and coefficient kernels).  Default
 entries keep them for the life of the process; an entry built with
-parameter or box overrides takes them with it when it is collected.
+parameter or box overrides takes them with it when it is collected.  A
+copy on other boxes (:meth:`CatalogEntry.with_boxes`) starts with the
+flow kernel and linear systems its entry has built, which no box enters.
 Concurrent reads are safe: a first use racing another may compute a
 kernel twice, which is harmless because the result is deterministic.
 """
@@ -192,12 +194,24 @@ class CatalogEntry:
 
     def with_boxes(self, config) -> "CatalogEntry":
         """This entry on a run's boxes (``config.box_x``, ``.box_t``): itself if
-        the config keeps them, else a copy, which derives its own scalar pair,
-        decomposition and kernels; applied to its own result it returns it."""
+        the config keeps them, else a copy, which derives its own scalar pair
+        and decomposition (both probe the boxes) and the kernels compiled from
+        them; applied to its own result it returns it.  The copy starts with
+        the box-independent ``flow_fns`` and ``linear_systems`` (with the
+        kernels the systems carry) this entry has already built."""
         boxes = {name: rect for name in ("box_x", "box_t")
                  if (box := getattr(config, name)) is not None
                  and (rect := ComplexRect(*box)) != getattr(self, name)}
-        return replace(self, **boxes) if boxes else self
+        if not boxes:
+            return self
+        copy = replace(self, **boxes)
+        # Saves the flow kernel and a direct pair's companion systems with
+        # their compiled A, dA/dt; a matrix entry's systems are its lax,
+        # which replace already shares.
+        copy.__dict__.update({name: self.__dict__[name]
+                              for name in ("flow_fns", "linear_systems")
+                              if name in self.__dict__})
+        return copy
 
     def probe_bindings(self, n: int = 12) -> list[Binding]:
         """Deterministic joint (x, t) probes (``reduction.joint_probes``)."""

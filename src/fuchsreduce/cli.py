@@ -203,7 +203,9 @@ def cmd_verify(args, out) -> int:
 
 def cmd_sample(args, out) -> int:
     """CSV rows (tau, P, Q, x, t) at seeded draws from the run's boxes; a draw
-    raising one of ``expr._SAMPLE_ERRORS`` is skipped, any other exception propagates."""
+    raising one of ``expr._SAMPLE_ERRORS`` is skipped, any other exception propagates.
+    A documented failure of ``prepare`` (``verify.PREPARE_ERRORS``) exits 2 as
+    "decomposition failed"; any other exception there propagates too."""
     config = _config_from_args(args)
     overrides = _overrides_from_args(args)
     n = args.count
@@ -212,7 +214,7 @@ def cmd_sample(args, out) -> int:
     entry = cat.lookup(args.entry, overrides)
     try:
         prep = ver.prepare(entry, config)
-    except Exception as exc:  # noqa: BLE001
+    except ver.PREPARE_ERRORS as exc:
         raise ValueError(f"decomposition failed for {args.entry}: {exc}") from exc
 
     # Candidates are drawn in chunks, one generator call each, which yields

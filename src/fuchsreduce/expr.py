@@ -776,22 +776,29 @@ class _Segment:
 
 
 def _stage_rows(stage: Callable, z: np.ndarray, prior: list[np.ndarray]
-                ) -> tuple[np.ndarray, list[Exception | None] | None]:
-    """One stage's samples on the panel rows ``z``, and per row the
-    exception it raised (None when no row raised).  A batch that raises is
-    evaluated again row by row, so a singular sample fails only its row."""
+                ) -> tuple[list[np.ndarray], list[Exception | None] | None]:
+    """One stage's values on the panel rows ``z`` -- its samples, then the
+    values it passes on (see :func:`_walk_panels`), each in the shape of
+    ``z`` -- and per row the exception it raised (None when no row raised).
+    A batch that raises is evaluated again row by row, so a singular sample
+    fails only its row (whose values are zeros)."""
     try:
-        return np.asarray(stage(z, prior), dtype=complex), None
+        out = stage(z, prior)
+        return [np.asarray(v, dtype=complex)
+                for v in (out if isinstance(out, tuple) else (out,))], None
     except _SAMPLE_ERRORS as exc:
         if len(z) == 1:
-            return np.zeros(z.shape, dtype=complex), [exc]
-    vals = np.zeros(z.shape, dtype=complex)
+            return [np.zeros(z.shape, dtype=complex)], [exc]
+    parts: list[np.ndarray] = []
     errors: list[Exception | None] = []
     for j in range(len(z)):
         row, err = _stage_rows(stage, z[j:j + 1], [pr[j:j + 1] for pr in prior])
-        vals[j] = row[0]
+        if err is None:
+            parts = parts or [np.zeros(z.shape, dtype=complex) for _ in row]
+            for part, v in zip(parts, row):
+                part[j] = v[0]
         errors.append(None if err is None else err[0])
-    return vals, errors
+    return parts or [np.zeros(z.shape, dtype=complex)], errors
 
 
 def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
@@ -850,10 +857,13 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     samples it at z = mid + half * nodes, with mid = (p + q) / 2 and
     half = (q - p) / 2.  Each stage is called once per round as
     ``stage(z, prior)``: ``z`` holds one row of panel points per segment
-    and ``prior`` the running integrals from ``a`` of the earlier stages at
-    the same points, so f exp(int h) needs no integration inside the
-    integrand.  The stage returns its samples in the shape of ``z``.  A
-    later stage sees only the rows the earlier ones accepted.  A stage
+    and ``prior``, per earlier stage, its running integral from ``a`` at
+    the same points followed by the values it passed on, so f exp(int h)
+    needs no integration inside the integrand.  The stage returns its
+    samples in the shape of ``z``, or a tuple of its samples and of more
+    values at the same points that it passes on to the later stages (so
+    one kernel call can serve several stages).  A later stage sees only
+    the rows the earlier ones accepted.  A stage
     accepts a row when its error bound |q - p| * tail is at most
     ``abs_tol`` times the panel's share of [a, b] or the tail is within the
     rounding floor of the samples; a panel some stage rejects is bisected.
@@ -914,8 +924,9 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                     seg.coeffs.append(ys[j] @ _CHEB_TO_COEFFS.T)
                     seg.edges.append(abs(panels[j][1] - a))
             prior: list[np.ndarray] = []
+            integrals: list[np.ndarray] = []
             for k, stage in enumerate(stages):
-                vals, errors = _stage_rows(stage, z, prior)
+                (vals, *passed), errors = _stage_rows(stage, z, prior)
                 applied = vals @ _CHEB_APPLY
                 tails = _max_rows(np.abs(applied[:, :3])).tolist()
                 ok = [tail <= rows[j].tail_tol for j, tail in zip(sel, tails)]
@@ -939,8 +950,10 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                         break
                     z, applied, half, state = z[ok], applied[ok], half[ok], state[ok]
                     prior = [pr[ok] for pr in prior]
-                prior.append(state[:, 2 + k:3 + k] + half * applied[:, 3:])
-            for j, *row in zip(sel, *(pr[:, -1].tolist() for pr in prior)):
+                    passed = [v[ok] for v in passed]
+                integrals.append(state[:, 2 + k:3 + k] + half * applied[:, 3:])
+                prior += [integrals[-1], *passed]
+            for j, *row in zip(sel, *(it[:, -1].tolist() for it in integrals)):
                 rows[j].totals = row
             accepted = set(sel)
             for j, seg in enumerate(rows):
@@ -1025,17 +1038,90 @@ def integrate_callable(fn: Callable[[complex], complex],
                 for a, b in zip(pts, pts[1:])), 0j)
 
 
+def _probe_values(e: Expr, xs: list, ts: list, memo: dict[int, list[complex]]
+                  ) -> list[complex]:
+    """The values of ``e`` at every probe, ``xs[k]`` and ``ts[k]`` bound at
+    probe k: per node the Python complex operation :func:`evaluate` applies,
+    its operands taken in the same order, so each value is bit for bit
+    :func:`evaluate`'s.  ``memo`` maps ``id`` of a node already visited to
+    its list, so a subtree shared within ``e`` (or with an earlier call on
+    the same memo) is computed once.  Raises where :func:`evaluate` raises
+    at some probe, though not necessarily the same exception."""
+    got = memo.get(id(e))
+    if got is not None:
+        return got
+    k = e.kind
+    if k == "const":
+        vals = [e.value] * len(xs)
+    elif k == "var":
+        bound = xs if e.value == "x" else ts
+        if None in bound:
+            raise UnboundSymbolError(f"variable {e.value!r} is unbound")
+        vals = [complex(v) for v in bound]
+    elif k == "div":
+        den = _probe_values(e.children[1], xs, ts, memo)
+        if 0 in den:
+            raise SingularEvaluationError("division by zero")
+        vals = [u / v for u, v in zip(_probe_values(e.children[0], xs, ts, memo), den)]
+    else:
+        a = _probe_values(e.children[0], xs, ts, memo)
+        if k == "mul":
+            vals = [u * v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
+        elif k == "add":
+            vals = [u + v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
+        elif k == "neg":
+            vals = [-u for u in a]
+        elif k == "ipow":
+            n = e.value
+            if n < 0 and 0 in a:
+                raise SingularEvaluationError("pole: 0 raised to a negative power")
+            vals = [u ** n for u in a]
+        elif k == "fpow":
+            q = float(e.value)
+            vals = [_principal_pow(u, q) for u in a]
+        elif k == "exp":
+            vals = [cmath.exp(u) for u in a]
+        elif k == "log":
+            if 0 in a:
+                raise SingularEvaluationError("log of zero")
+            vals = [cmath.log(u) for u in a]
+        elif k == "sqrt":
+            vals = [cmath.sqrt(u) for u in a]
+        else:  # pragma: no cover
+            raise ValueError(f"unknown node kind {k!r}")
+    memo[id(e)] = vals
+    return vals
+
+
 def numerically_zero(e: Expr, probes: Sequence[Binding], tol: float = 1e-10,
                      reference: Expr | None = None) -> bool:
     """Decide whether ``e`` vanishes on a probe set.
 
     True iff ``max |e|`` over the probes is at most ``tol * (1 + scale)``
     where ``scale`` is the max modulus of ``reference`` over the same probes
-    (1 when no reference is given)."""
-    mx = max(abs(evaluate(e, p)) for p in probes)
-    scale = 1.0
-    if reference is not None:
-        scale = max(abs(evaluate(reference, p)) for p in probes)
+    (1 when no reference is given).
+
+    One pass over the expression DAG evaluates each node object once for
+    the whole probe set, a subtree shared by identity within ``e``, within
+    ``reference`` or between them included (:func:`_probe_values`), with
+    the operations of
+    :func:`evaluate`: every value, and so the verdict, is the per-probe
+    walk's.  When the pass raises, the per-probe walk runs instead
+    (``e`` at every probe, then ``reference``), so the exception is the
+    one it raises."""
+    xs = [p.x for p in probes]
+    ts = [p.t for p in probes]
+    memo: dict[int, list[complex]] = {}
+    try:
+        mx = max([abs(v) for v in _probe_values(e, xs, ts, memo)])
+        scale = 1.0
+        if reference is not None:
+            scale = max([abs(v) for v in _probe_values(reference, xs, ts, memo)])
+    except Exception:  # noqa: BLE001 - the per-probe walk raises it again
+        mx = max(abs(evaluate(e, p)) for p in probes)
+        scale = 1.0
+        if reference is not None:
+            scale = max(abs(evaluate(reference, p)) for p in probes)
     return mx <= tol * (1.0 + scale)
 
 

@@ -27,6 +27,13 @@ forms P and Q by the chain rule:
 
 with tau_x = (f + t h) exp(int h) taken symbolically, so the only numerics
 in P and Q are the integral defining exp(int h).
+
+The cold path of a fresh entry evaluates each shared subexpression once:
+:func:`decompose` decides its identities with ``expr.numerically_zero``,
+which walks each expression DAG once over the whole probe set; h and f are
+compiled together, into one kernel called once per panel point of an E/S
+walk; and a kernel no path has asked for (the gauge exponent, phi) is
+not compiled.
 """
 
 from __future__ import annotations
@@ -110,8 +117,13 @@ class Decomposition:
     another f, h or M measures its own.  The other underscored cached
     properties are the compiled kernels of the tau and gauge maps and of the
     reduced coefficients (see :class:`ReducedEquation`), compiled on first
-    use and kept for the life of the decomposition; h, f and G only in array
-    form, whose per-point fallback is the one scalar function.
+    use and kept for the life of the decomposition.  ``_hf_array`` is one
+    kernel for the pair (h, f), so the lines of h that f contains run once
+    per point, and ``_G_array`` the kernel of G, both only in array form,
+    whose per-point fallback is the one scalar function.  ``_phi`` (phi =
+    f + t h) is compiled only when the exception path of
+    :meth:`ReducedEquation.coefficients_at` first needs it, ``_G_array``
+    when the gauge or cross-validation does.
     ``_coeff_parts`` is the staged triple ``(pre_x, pre_t, post)`` of
     :func:`expr.compile_staged` for (phi, p_num, q_num): ``pre_x(x)``
     computes the lines that depend on x alone (f', h', G, G', G^2 and most
@@ -180,12 +192,8 @@ class Decomposition:
         return fe.compile_staged((phi, p_num, q_num))
 
     @cached_property
-    def _h_array(self):
-        return fe.array_form(fe.compile_expr(self.h))
-
-    @cached_property
-    def _f_array(self):
-        return fe.array_form(fe.compile_expr(self.f))
+    def _hf_array(self):
+        return fe.array_form(fe.compile_expr((self.h, self.f)))
 
     @cached_property
     def _G_array(self):
@@ -372,9 +380,17 @@ class ReducedEquation:
     E = exp(int h), S = int f E (tau = t E + S) and the gauge exp(int G)
     are integrated along the straight segment from the basepoint on
     adaptive Chebyshev panels (``expr._walk_panels``), always with the
-    array stages ``_h_rows``, ``_fE_rows`` and ``_G_rows``: one pass per
+    array stages ``_hf_rows``, ``_fE_rows`` and ``_G_rows``: one pass per
     point integrates h to log E at the panel points, then f E at the same
-    points to S.  A memo miss walks its point alone; :meth:`prefetch` walks
+    points to S.  ``_hf_rows`` calls the one (h, f) kernel once per panel
+    point and passes the f samples on, so ``_fE_rows`` evaluates no kernel:
+    it takes f on the rows the h stage accepted.  The samples are those of
+    separate h and f kernels bit for bit, except where f's numpy batch
+    falls back to the scalar form (``expr.array_form``): h is then taken
+    from the scalar form too, which can move E and S in the last places,
+    and a row where f raises fails in the h stage, before h's tail could
+    have bisected its panel.  No shipped entry meets either.
+    A memo miss walks its point alone; :meth:`prefetch` walks
     many at once and leaves out of the memo a point whose segment fails,
     so asking for it later raises as it would have.  Values are built-in
     ``complex``, memoized per point.  The case flags that pick the stages
@@ -395,11 +411,13 @@ class ReducedEquation:
     compare equal, so a point whose part is -0 reuses the stage computed
     at +0 (and vice versa).  The gates of :meth:`coefficients_at` on
     phi^2 E and (phi E)^2 are the one rule for a degenerate point, where
-    tau_x = phi E vanishes; ``_phi`` alone serves them when a numerator
-    fails first.
+    tau_x = phi E vanishes; the decomposition's ``_phi`` alone serves them
+    when a numerator fails first, and is compiled then.
     All kernels are the decomposition's, so building a ReducedEquation
-    compiles nothing; its own state is the basepoint and the E/S, gauge,
-    x-stage and t-stage memos.  It holds no reference to itself (the
+    compiles nothing that the decomposition has already compiled, and
+    only the (h, f) kernel and ``_coeff_parts`` on a first build; the
+    gauge's G and ``_phi`` wait for their first use.  Its own state is
+    the basepoint and the E/S, gauge, x-stage and t-stage memos.  It holds no reference to itself (the
     walker's stages are bound per walk), so its memos are freed as soon as
     the last reference to it goes, without waiting for the cyclic
     collector.
@@ -413,8 +431,7 @@ class ReducedEquation:
         self.dec = dec
         self.basepoint_x = complex(basepoint_x)
         self.case_tag = classify_case(dec)
-        self._h_array, self._f_array, self._G_array = dec._h_array, dec._f_array, dec._G_array
-        self._phi = dec._phi
+        self._hf_array = dec._hf_array
         self._pre_x, self._pre_t, self._post = dec._coeff_parts
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
         self._cache_gauge: dict[complex, complex] = {}
@@ -427,16 +444,17 @@ class ReducedEquation:
     def _es_stages(self):
         """Stages of one pass of the panel walker: h, then f E.  Built per
         walk: stored, these bound methods would make a cycle through self."""
-        return (self._h_rows,) if self.dec.f_zero else (self._h_rows, self._fE_rows)
+        return (self._hf_rows,) if self.dec.f_zero else (self._hf_rows, self._fE_rows)
 
-    def _h_rows(self, z, prior):
-        return self._h_array(z, 0j)
+    def _hf_rows(self, z, prior):
+        # The samples of h, and those of f passed on to the f E stage.
+        return self._hf_array(z, 0j)
 
     def _fE_rows(self, z, prior):
-        return np.exp(prior[0]) * self._f_array(z, 0j)
+        return np.exp(prior[0]) * prior[1]
 
     def _G_rows(self, z, prior):
-        return self._G_array(z, 0j)
+        return self.dec._G_array(z, 0j)
 
     def _es_value(self, integrals: list[complex]) -> tuple[complex, complex]:
         # S is 0 when f vanishes and there is no second stage.
@@ -508,7 +526,7 @@ class ReducedEquation:
         except fe._SAMPLE_ERRORS:
             # A numerator can fail where tau_x also vanishes.  Such a point
             # is degenerate, as it is when the gates run first.
-            self._denominators(self._phi(x, t), self.E(x), x, t)
+            self._denominators(self.dec._phi(x, t), self.E(x), x, t)
             raise
         if got is None:
             got = self._cache_x[x] = (self.E(x), xv)

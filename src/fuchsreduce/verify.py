@@ -118,6 +118,13 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
     return a, b, resid
 
 
+# What :func:`prepare` raises for an entry the pipeline cannot reduce: the
+# scalarization, the decomposition or the frame fit fails, or a kernel meets
+# a singular point.
+PREPARE_ERRORS = (scal.ScalarizeError, red_mod.DecompositionError, VerifyError,
+                  *fe._SAMPLE_ERRORS)
+
+
 def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepared:
     """The shared workspace of the verify stages for one entry (look an id
     up with :func:`catalog.lookup` first).
@@ -128,7 +135,12 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
     ``.decomposition``) are derived and compiled once per entry.  The
     basepoint does not enter the decomposition.  The reduced equation,
     with fresh E/S and gauge memos, and the 4-point frame fit are built on
-    every call, so no call sees another's points."""
+    every call, so no call sees another's points.
+
+    An entry the pipeline cannot reduce raises one of ``PREPARE_ERRORS``
+    (:class:`scalarize.ScalarizeError`, :class:`reduction.DecompositionError`,
+    :class:`VerifyError` or one of ``expr._SAMPLE_ERRORS``); any other
+    exception is a defect and propagates as it is."""
     entry = entry.with_boxes(config)
     basepoint = config.basepoint if config.basepoint is not None else entry.basepoint_x
     red = red_mod.build_reduced(entry.decomposition, basepoint)
@@ -389,7 +401,8 @@ def cross_validate(prep: Prepared) -> float:
         s = np.linspace(0.0, length, _MU_POINTS + 2)[1:-1]
         xs = x0 + (x1 - x0) / length * s
         G = dec._G_array(xs, 0j)
-        f_th = dec._f_array(xs, 0j) + t * dec._h_array(xs, 0j)
+        h, f = dec._hf_array(xs, 0j)
+        f_th = f + t * h
     except fe.QuadratureError as exc:
         raise VerifyError(f"the walk on {where} failed: {exc}") from exc
     except fe._SAMPLE_ERRORS as exc:

@@ -394,6 +394,23 @@ class TestSample:
         with pytest.raises(TypeError, match="broken coefficients"):
             run_cli(["sample", "PII.y0", "--count", "4"])
 
+    def test_a_defect_in_prepare_propagates(self, monkeypatch):
+        # "decomposition failed" is for an entry the pipeline cannot
+        # reduce; a programming error while preparing is not one.
+        def broken(dec, basepoint_x):
+            raise TypeError("broken reduction")
+
+        monkeypatch.setattr(reduction, "build_reduced", broken)
+        with pytest.raises(TypeError, match="broken reduction"):
+            run_cli(["sample", "PII.y0", "--count", "2"])
+
+    def test_an_entry_that_does_not_reduce_exits_2(self):
+        rc, out, err = run_cli(["sample", "PIII.y1", "--param", "theta_inf=1/2",
+                                "--count", "2"])
+        assert (rc, out) == (2, "")
+        assert err == ("error: decomposition failed for PIII.y1: a-offdiag entry "
+                       "vanishes on the probe set; cannot scalarize the first component\n")
+
     def test_box_overrides_bound_the_draws(self):
         # Rows are drawn from the boxes the run decomposed on, not from the
         # entry's default boxes.

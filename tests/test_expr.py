@@ -547,27 +547,36 @@ class TestChebyshevPanels:
             fe.integrate_callable(lambda z: 1 / (z - 1.5 - 0.05j), [1.0, 2.0])
 
     @pytest.mark.parametrize("entry_id", ["PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"])
-    def test_tau_point_work_is_linear(self, prep, entry_id):
+    def test_tau_point_work_is_linear(self, prep, entry_id, monkeypatch):
         # E and S at one point cost one pass of panels, not a quadrature of
-        # E inside the integrand of S.  Counted: the points of the panel
-        # rows that h and f are sampled on.
+        # E inside the integrand of S, and the one (h, f) kernel evaluates
+        # each point of each panel taken once.  Counted: the points the
+        # kernel is called on, and the panels the walk takes.
         from fuchsreduce import reduction
 
         p = prep(entry_id)
         red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
-        calls = [0]
+        points = [0]
+        kernel = red._hf_array
 
-        def counted(fn):
-            def wrapper(z, t):
-                calls[0] += np.size(z)
-                return fn(z, t)
-            return wrapper
+        def counted(z, t):
+            points[0] += np.size(z)
+            return kernel(z, t)
 
-        red._h_array, red._f_array = counted(red._h_array), counted(red._f_array)
+        segments = []
+
+        class Recorded(fe._Segment):
+            def __init__(self, *args):
+                super().__init__(*args)
+                segments.append(self)
+
+        red._hf_array = counted
+        monkeypatch.setattr(fe, "_Segment", Recorded)
         x = complex(p.entry.box_x.re_lo, p.entry.box_x.im_hi)
         red.E(x)
         red.S(x)
-        assert 0 < calls[0] <= 400
+        (seg,) = segments
+        assert 0 < points[0] == seg.taken * len(fe._CHEB_NODES) <= 200
 
 
 def _scalar_stage(fn):
@@ -584,7 +593,7 @@ class TestMultiSegmentPanels:
 
         p = prep(entry_id)
         red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
-        stages, x0 = (red._h_rows, red._fE_rows), red.basepoint_x
+        stages, x0 = (red._hf_rows, red._fE_rows), red.basepoint_x
         rng = np.random.default_rng(64)
         xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), 64)]
         batched = fe._walk_panels(stages, x0, xs, red.quad_tol)
@@ -610,7 +619,7 @@ class TestMultiSegmentPanels:
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(fe.const(1), fe.mul(T, h)), q2=zero))
         red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
-        got = fe._walk_panels((red._h_rows, red._fE_rows), 1.0, ends, 1e-13)
+        got = fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends, 1e-13)
         assert isinstance(got[0], fe.QuadratureError)
         assert isinstance(got[0].__cause__, ZeroDivisionError)
         red.prefetch(ends)
@@ -694,6 +703,91 @@ class TestNumericallyZero:
         dec = prep("PII.y0").red.dec
         probes = [Binding(x=1.0 + 0.125 * k, t=0.5) for k in range(9)]
         assert not fe.numerically_zero(dec.f, probes)
+
+    @staticmethod
+    def _per_probe(e, probes, tol=1e-10, reference=None):
+        """The verdict, or (class, message) of the exception, of the walk
+        of ``evaluate`` over the probes one at a time."""
+        try:
+            mx = max(abs(fe.evaluate(e, p)) for p in probes)
+            scale = 1.0
+            if reference is not None:
+                scale = max(abs(fe.evaluate(reference, p)) for p in probes)
+        except Exception as exc:  # noqa: BLE001 - compared by class and message
+            return type(exc), str(exc)
+        return mx <= tol * (1.0 + scale)
+
+    @staticmethod
+    def _one_pass(*args, **kwargs):
+        try:
+            return fe.numerically_zero(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - compared by class and message
+            return type(exc), str(exc)
+
+    def test_shared_subtrees_and_a_singular_probe(self):
+        s = fe.div(fe.const(1), X - 1.5)
+        e = s * s - fe.log(s * T) + fe.sqrt(s)
+        reference = s * T + fe.ipow(T - 0.5, -2)
+        regular = [Binding(x=1.0 + 0.2j * k, t=0.9 - 0.1j * k) for k in range(6)]
+        for probes in (regular, regular + [Binding(x=1.5, t=0.9)],
+                       regular + [Binding(x=1.2, t=0.5)],
+                       regular + [Binding(x=1.2)], []):
+            for ref in (None, reference):
+                for tol in (1e-10, 1e3):
+                    assert self._one_pass(e, probes, tol, ref) == \
+                        self._per_probe(e, probes, tol, ref)
+        assert self._one_pass(e, regular + [Binding(x=1.5, t=0.9)]) == \
+            (fe.SingularEvaluationError, "division by zero")
+        assert self._one_pass(e, regular, reference=reference, tol=1e3) is True
+
+    def test_same_as_per_probe_walk_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        trees = _raw_trees(st)
+
+        @st.composite
+        def dags(draw):
+            # e and the reference share subtrees by identity, and e reuses
+            # one subtree of its own.
+            a, c = draw(trees), draw(trees)
+            e = draw(st.sampled_from([_raw("add", a, _raw("mul", a, c)),
+                                      _raw("div", _raw("neg", a), a), c]))
+            reference = draw(st.sampled_from([None, a, _raw("sqrt", c)]))
+            return e, reference
+
+        point = st.sampled_from(_PROPERTY_POINTS)
+        probe = st.builds(Binding, point, st.one_of(point, st.none()))
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(dags(), st.lists(probe, min_size=1, max_size=4),
+                   st.sampled_from([1e-10, 1.0, 1e6]))
+        def check(dag, probes, tol):
+            e, reference = dag
+            assert self._one_pass(e, probes, tol, reference) == \
+                self._per_probe(e, probes, tol, reference)
+            want = [_call(fe.evaluate, e, p) for p in probes]
+            if not any(isinstance(v, type) for v in want):
+                got = fe._probe_values(e, [p.x for p in probes], [p.t for p in probes], {})
+                assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+        check()
+
+    def test_one_pass_visits_each_node_once(self, monkeypatch):
+        # 60 doublings of x: a DAG of 120 interior nodes whose tree has 2^60
+        # leaves.  Only a walk that evaluates each node once can finish, and
+        # it never falls back to evaluate.
+        e = X
+        for _ in range(60):
+            e = fe.mul(fe.add(e, e), fe.const(0.5))
+        probes = [Binding(x=1.0 + 0.25j * k) for k in range(8)]
+
+        def no_walk(*args):
+            raise AssertionError("per-probe walk")
+
+        monkeypatch.setattr(fe, "evaluate", no_walk)
+        assert fe.numerically_zero(fe.sub(e, X), probes, reference=e)
+        assert not fe.numerically_zero(e, probes)
 
 
 def random_rational_expr(rng, depth=0):

@@ -97,6 +97,38 @@ class TestKernelLifetime:
         assert prep.red.dec.sp is prep.entry.scalar_pair
         assert prep.red.dec.sp is not entry.scalar_pair
 
+    @pytest.mark.parametrize("entry_id, box_t", [
+        ("PIII.y1", (0.6, 1.6, -0.2, 0.2)), ("PVdeg.kitaev_sqrt", (0.7, 1.7, -0.2, 0.2))])
+    def test_box_override_compiles_only_its_decomposition(self, monkeypatch, entry_id, box_t):
+        # The copy on the run's boxes keeps the entry's flow kernel and
+        # linear systems (with the Kitaev pair's compiled A, dA/dt); only
+        # the scalar pair and the decomposition probe the boxes.  Its report
+        # is the one of a copy that builds everything afresh.
+        for other in ALL_WITH_NEGATIVE:
+            verify.full_report(other)
+        config = Config(box_t=box_t)
+        entry = catalog.lookup(entry_id)
+        # Overrides equal to the defaults build a new entry with nothing cached.
+        afresh = json.dumps(verify.full_report(
+            entry_id, config, overrides=dict(entry.params_exact)).to_json())
+        compiled = []
+        real_compile = fe.compile_expr
+
+        def recording(e):
+            compiled.append(e)
+            return real_compile(e)
+
+        monkeypatch.setattr(fe, "compile_expr", recording)
+        assert json.dumps(verify.full_report(entry_id, config).to_json()) == afresh
+        copy = entry.with_boxes(config)
+        assert copy.flow_fns is entry.flow_fns
+        assert copy.linear_systems.a_dadt_array is entry.linear_systems.a_dadt_array
+        dec = copy.decomposition
+        assert compiled == [(dec.h, dec.f), dec.gauge_exponent()]
+        # Nothing is carried that the entry has not built.
+        fresh = catalog.lookup(entry_id, dict(entry.params_exact))
+        assert "flow_fns" not in fresh.with_boxes(config).__dict__
+
 
 @pytest.fixture
 def gc_disabled():

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 
+import numpy as np
 import pytest
 
 from fuchsreduce import catalog, expr as fe, reduction, scalarize
@@ -167,7 +168,7 @@ class TestCaseFlags:
         assert (mutated.h_zero, mutated.M_zero, mutated.M_constant) == \
             (dec.h_zero, dec.M_zero, dec.M_constant)
         red = reduction.build_reduced(mutated, entry.basepoint_x)
-        assert red._es_stages == (red._h_rows, red._fE_rows)
+        assert red._es_stages == (red._hf_rows, red._fE_rows)
         # S = 1e-3 int E, where the unmutated equation has S = 0.
         assert abs(red.S(2.3)) > 1e-4
 
@@ -256,6 +257,80 @@ class TestTauMap:
             dt = (red.tau_at(x, t + hstep) - red.tau_at(x, t - hstep)) / (2 * hstep)
             resid = dx - fh(x, t) * dt
             assert abs(resid) <= 1e-7 * (1 + abs(dx))
+
+
+def _two_kernel_stages(dec):
+    """The E/S stages of separately compiled h and f: the h stage samples h,
+    and the f E stage samples f again on the rows the h stage accepted."""
+    h = fe.array_form(fe.compile_expr(dec.h))
+    f = fe.array_form(fe.compile_expr(dec.f))
+
+    def h_rows(z, prior):
+        return h(z, 0j)
+
+    def fE_rows(z, prior):
+        return np.exp(prior[0]) * f(z, 0j)
+
+    return (h_rows,) if dec.f_zero else (h_rows, fE_rows)
+
+
+class TestOnePassStages:
+    """One (h, f) kernel call per panel point gives the E and S of h and f
+    sampled by kernels of their own, bit for bit."""
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_same_E_and_S_as_two_kernels(self, prep, entry_id):
+        p = prep(entry_id)
+        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
+        reference = _two_kernel_stages(red.dec)
+        rng = np.random.default_rng(24)
+        xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), 64)]
+        x0, tol = red.basepoint_x, red.quad_tol
+
+        def bits(results):
+            return [[repr(v) for v in got] for got in results]
+
+        one = fe._walk_all(red._es_stages, x0, xs[:1], tol)
+        assert bits(one) == bits(fe._walk_all(reference, x0, xs[:1], tol))
+        batch = fe._walk_panels(red._es_stages, x0, xs, tol)
+        want = fe._walk_panels(reference, x0, xs, tol)
+        assert bits(batch) == bits(want)
+        red.prefetch(xs)
+        for x, (log_e, *s) in zip(xs, want):
+            assert red.E(x) == cmath.exp(log_e)
+            assert red.S(x) == (s[0] if s else 0j)
+
+    def test_a_fallback_of_f_takes_h_from_the_scalar_form(self):
+        # f = h + 1/((x - x + 1e200) 1e200) overflows in numpy but not in
+        # Python, whose complex product is inf + 0j and 1/(inf + 0j) = 0, so
+        # every batch of the (h, f) kernel is evaluated again point by
+        # point, h included.  numpy's
+        # complex division and Python's round differently, so these h
+        # samples differ from those of h's own kernel in the last places
+        # (and E and S with them), though never by more than rounding.
+        h = fe.div(fe.const(1), fe.add(fe.mul(X, X), fe.const(0.3)))
+        big = fe.const(1e200)
+        f = fe.add(h, fe.div(fe.const(1), fe.mul(fe.add(fe.sub(X, X), big), big)))
+        zero = fe.const(0)
+        dec = reduction.Decomposition(
+            f=f, h=h, R=zero, M=zero, g_of_t=fe.const(1), P1=f, P2=h, P3=fe.const(1),
+            exponent_A=None, box_x=catalog.DEFAULT_X_BOX, box_t=catalog.DEFAULT_T_BOX,
+            sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(f, fe.mul(T, h)), q2=zero))
+        xs = (np.linspace(1.1, 2.5, 64) + 0.1j).tolist()
+        h_scalar, f_scalar = fe.compile_expr(h), fe.compile_expr(f)
+        h_own = fe.array_form(h_scalar)(xs, 0j)
+        got_h, got_f = dec._hf_array(xs, 0j)
+        assert got_h.tolist() == [h_scalar(x, 0j) for x in xs]
+        assert got_f.tolist() == [f_scalar(x, 0j) for x in xs] == got_h.tolist()
+        assert (got_h != h_own).any()
+        assert np.abs(got_h - h_own).max() <= 2e-16 * np.abs(h_own).max()
+
+        red = reduction.build_reduced(dec, 1.0)
+        ends = [2.0 + 0.1j, 1.5 - 0.2j]
+        got = fe._walk_panels(red._es_stages, 1.0, ends, red.quad_tol)
+        want = fe._walk_panels(_two_kernel_stages(dec), 1.0, ends, red.quad_tol)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-14, abs=0)
 
 
 class TestGauge:
@@ -365,7 +440,7 @@ class TestReducedCoefficients:
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        assert red._phi(2.0, 0.5) * red.E(2.0) == 2
+        assert red.dec._phi(2.0, 0.5) * red.E(2.0) == 2
         for t in (0.5, 0.7):
             with pytest.raises(error):
                 red.coefficients_at(2.0, t)
@@ -383,7 +458,7 @@ class TestReducedCoefficients:
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        assert red._phi(1.5, 2.0) * red.E(1.5) == 1.5
+        assert red.dec._phi(1.5, 2.0) * red.E(1.5) == 1.5
         with pytest.raises(error):
             red._pre_t(2.0)
         for x in (1.5, 1.7):

@@ -207,6 +207,32 @@ class TestDistinctTaus:
             assert [repr(z) for z in verify._distinct_taus(taus)] == \
                 [repr(z) for z in _scan_distinct(taus)]
 
+    def test_same_as_scan_property(self):
+        # Spread values mixed with exact repeats and copies moved by less
+        # than, about or more than 1e-10, in any order.
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        base = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+        offset = st.sampled_from([0, 3e-11, 9.9e-11, 1e-10, 1.01e-10, 2e-10, 1e-9])
+        direction = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / 2 ** 0.5])
+
+        @st.composite
+        def taus(draw):
+            values = draw(st.lists(base, min_size=0, max_size=24))
+            for _ in range(draw(st.integers(0, 6)) if values else 0):
+                value = draw(st.sampled_from(values))
+                values.append(value + draw(offset) * draw(direction))
+            return draw(st.permutations(values))
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(taus())
+        def check(values):
+            assert [repr(z) for z in verify._distinct_taus(values)] == \
+                [repr(z) for z in _scan_distinct(values)]
+
+        check()
+
     def test_report_samples(self, prep):
         p = prep("PV.y_m1")
         _, samples = verify.check_t_independence(p, n_pairs=32, seed=42)
