@@ -34,6 +34,7 @@ kernel twice, which is harmless because the result is deterministic.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -368,7 +369,8 @@ def _merge_params(entry_id: str, overrides: Mapping | None) -> dict:
     """The entry's default parameters with ``overrides`` applied.  An int
     becomes a Fraction, so the builders' arithmetic stays exact on every
     rational; floats and complex values pass through.  A value that is not
-    a number (a str, None) or is a bool raises ValueError naming the
+    a number (a str, None), is a bool, or is not finite as a complex (nan,
+    inf, or a rational too large for a float) raises ValueError naming the
     parameter."""
     params = dict(_ENTRIES[entry_id][1])
     for key, val in (overrides or {}).items():
@@ -378,6 +380,13 @@ def _merge_params(entry_id: str, overrides: Mapping | None) -> dict:
         if not isinstance(val, numbers.Number) or isinstance(val, bool):
             raise ValueError(
                 f"parameter {key!r} of entry {entry_id!r} must be a number, not {val!r}")
+        try:
+            finite = cmath.isfinite(complex(val))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"parameter {key!r} of entry {entry_id!r} must be a finite number")
         params[key] = Fraction(val) if isinstance(val, int) else val
     return params
 

@@ -4,11 +4,13 @@ Expressions are immutable trees of complex constants, the spectral
 variable ``x`` and the deformation variable ``t``; a family parameter is
 written into a tree as a constant when the tree is built.  The engine
 supports exact symbolic differentiation, substitution of ``x`` or ``t``,
-pointwise evaluation, compilation to fast Python callables
-(straight-line code with subtrees shared by structure; one expression or
-a tuple of them per function, or the same lines staged as an x-only
-part, a t-only part and the rest; an array form runs the same code
-object on numpy arrays of points), one walker of adaptive Chebyshev
+evaluation by one tree walker (over a list of points at once, each node
+object once; :func:`evaluate` is its one-point case, and over several
+points an exception is the first bad point's), compilation to fast Python
+callables (straight-line code with subtrees shared by structure; one
+expression or a tuple of them per function, or the same lines staged as
+an x-only part, a t-only part and the rest; an array form runs the same
+code object on numpy arrays of points), one walker of adaptive Chebyshev
 panels with tail-coefficient error control (contour quadrature along
 piecewise-linear paths, many segments from one start together, or the
 solve of a 2x2 linear ODE and its t-variation along them), and an infix
@@ -373,44 +375,87 @@ def _principal_pow(base: complex, exponent: float) -> complex:
 
 
 def evaluate(e: Expr, b: Binding) -> complex:
-    """Evaluate ``e`` at a binding.  Pure: identical inputs give
-    bit-identical outputs."""
+    """Evaluate ``e`` at a binding: the one-point case of the probe-set
+    walk :func:`_probe_values`, the one interpreter of the node kinds.
+    Pure: identical inputs give bit-identical outputs."""
+    return _probe_values(e, [b.x], [b.t], {})[0]
+
+
+def _probe_values(e: Expr, xs: list, ts: list, memo: dict[int, list[complex]]
+                  ) -> list[complex]:
+    """The values of ``e`` at every point, ``xs[k]`` and ``ts[k]`` bound
+    at point k (None leaves a variable unbound).  Each node applies one
+    Python complex operation per point, children left to right except that
+    a ``div`` takes its denominator first; a node checks all points before
+    any value is formed, and raises :class:`UnboundSymbolError` or
+    :class:`SingularEvaluationError` when one of them is unbound or
+    singular there (any other exception is the operation's own).  ``memo``
+    maps ``id`` of a node already visited to its list, so a subtree shared
+    within ``e`` (or with an earlier call on the same memo) is computed
+    once.  Over several points it raises where some point is bad, not
+    necessarily at the first one: :func:`_values_at` applies the per-point
+    rule."""
+    got = memo.get(id(e))
+    if got is not None:
+        return got
     k = e.kind
     if k == "const":
-        return e.value
-    if k == "var":
-        v = b.x if e.value == "x" else b.t
-        if v is None:
+        vals = [e.value] * len(xs)
+    elif k == "var":
+        bound = xs if e.value == "x" else ts
+        if None in bound:
             raise UnboundSymbolError(f"variable {e.value!r} is unbound")
-        return complex(v)
-    if k == "neg":
-        return -evaluate(e.children[0], b)
-    if k == "add":
-        return evaluate(e.children[0], b) + evaluate(e.children[1], b)
-    if k == "mul":
-        return evaluate(e.children[0], b) * evaluate(e.children[1], b)
-    if k == "div":
-        den = evaluate(e.children[1], b)
-        if den == 0:
+        vals = [complex(v) for v in bound]
+    elif k == "div":
+        den = _probe_values(e.children[1], xs, ts, memo)
+        if 0 in den:
             raise SingularEvaluationError("division by zero")
-        return evaluate(e.children[0], b) / den
-    if k == "ipow":
-        base = evaluate(e.children[0], b)
-        if base == 0 and e.value < 0:
-            raise SingularEvaluationError("pole: 0 raised to a negative power")
-        return base ** e.value
-    if k == "fpow":
-        return _principal_pow(evaluate(e.children[0], b), float(e.value))
-    if k == "exp":
-        return cmath.exp(evaluate(e.children[0], b))
-    if k == "log":
-        v = evaluate(e.children[0], b)
-        if v == 0:
-            raise SingularEvaluationError("log of zero")
-        return cmath.log(v)
-    if k == "sqrt":
-        return cmath.sqrt(evaluate(e.children[0], b))
-    raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
+        vals = [u / v for u, v in zip(_probe_values(e.children[0], xs, ts, memo), den)]
+    else:
+        a = _probe_values(e.children[0], xs, ts, memo)
+        if k == "mul":
+            vals = [u * v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
+        elif k == "add":
+            vals = [u + v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
+        elif k == "neg":
+            vals = [-u for u in a]
+        elif k == "ipow":
+            n = e.value
+            if n < 0 and 0 in a:
+                raise SingularEvaluationError("pole: 0 raised to a negative power")
+            vals = [u ** n for u in a]
+        elif k == "fpow":
+            q = float(e.value)
+            vals = [_principal_pow(u, q) for u in a]
+        elif k == "exp":
+            vals = [cmath.exp(u) for u in a]
+        elif k == "log":
+            if 0 in a:
+                raise SingularEvaluationError("log of zero")
+            vals = [cmath.log(u) for u in a]
+        elif k == "sqrt":
+            vals = [cmath.sqrt(u) for u in a]
+        else:  # pragma: no cover
+            raise ValueError(f"unknown node kind {k!r}")
+    memo[id(e)] = vals
+    return vals
+
+
+def _values_at(e: Expr, xs: list, ts: list, memo: dict[int, list[complex]]
+               ) -> list[complex]:
+    """:func:`_probe_values` with the per-point rule: when the walk over
+    several points raises, the points are walked again one at a time, in
+    order, so the exception is the first bad point's, as a loop of
+    :func:`evaluate` over the points would raise it."""
+    try:
+        return _probe_values(e, xs, ts, memo)
+    except Exception as exc:  # noqa: BLE001 - the per-point walk raises it again
+        if len(xs) == 1:
+            raise
+        err = exc
+    for x, t in zip(xs, ts):
+        _probe_values(e, [x], [t], {})
+    raise err  # pragma: no cover - some point raises above
 
 
 def substitute(e: Expr, x: Expr | complex | None = None,
@@ -1038,61 +1083,6 @@ def integrate_callable(fn: Callable[[complex], complex],
                 for a, b in zip(pts, pts[1:])), 0j)
 
 
-def _probe_values(e: Expr, xs: list, ts: list, memo: dict[int, list[complex]]
-                  ) -> list[complex]:
-    """The values of ``e`` at every probe, ``xs[k]`` and ``ts[k]`` bound at
-    probe k: per node the Python complex operation :func:`evaluate` applies,
-    its operands taken in the same order, so each value is bit for bit
-    :func:`evaluate`'s.  ``memo`` maps ``id`` of a node already visited to
-    its list, so a subtree shared within ``e`` (or with an earlier call on
-    the same memo) is computed once.  Raises where :func:`evaluate` raises
-    at some probe, though not necessarily the same exception."""
-    got = memo.get(id(e))
-    if got is not None:
-        return got
-    k = e.kind
-    if k == "const":
-        vals = [e.value] * len(xs)
-    elif k == "var":
-        bound = xs if e.value == "x" else ts
-        if None in bound:
-            raise UnboundSymbolError(f"variable {e.value!r} is unbound")
-        vals = [complex(v) for v in bound]
-    elif k == "div":
-        den = _probe_values(e.children[1], xs, ts, memo)
-        if 0 in den:
-            raise SingularEvaluationError("division by zero")
-        vals = [u / v for u, v in zip(_probe_values(e.children[0], xs, ts, memo), den)]
-    else:
-        a = _probe_values(e.children[0], xs, ts, memo)
-        if k == "mul":
-            vals = [u * v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
-        elif k == "add":
-            vals = [u + v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
-        elif k == "neg":
-            vals = [-u for u in a]
-        elif k == "ipow":
-            n = e.value
-            if n < 0 and 0 in a:
-                raise SingularEvaluationError("pole: 0 raised to a negative power")
-            vals = [u ** n for u in a]
-        elif k == "fpow":
-            q = float(e.value)
-            vals = [_principal_pow(u, q) for u in a]
-        elif k == "exp":
-            vals = [cmath.exp(u) for u in a]
-        elif k == "log":
-            if 0 in a:
-                raise SingularEvaluationError("log of zero")
-            vals = [cmath.log(u) for u in a]
-        elif k == "sqrt":
-            vals = [cmath.sqrt(u) for u in a]
-        else:  # pragma: no cover
-            raise ValueError(f"unknown node kind {k!r}")
-    memo[id(e)] = vals
-    return vals
-
-
 def numerically_zero(e: Expr, probes: Sequence[Binding], tol: float = 1e-10,
                      reference: Expr | None = None) -> bool:
     """Decide whether ``e`` vanishes on a probe set.
@@ -1101,27 +1091,19 @@ def numerically_zero(e: Expr, probes: Sequence[Binding], tol: float = 1e-10,
     where ``scale`` is the max modulus of ``reference`` over the same probes
     (1 when no reference is given).
 
-    One pass over the expression DAG evaluates each node object once for
-    the whole probe set, a subtree shared by identity within ``e``, within
-    ``reference`` or between them included (:func:`_probe_values`), with
-    the operations of
-    :func:`evaluate`: every value, and so the verdict, is the per-probe
-    walk's.  When the pass raises, the per-probe walk runs instead
-    (``e`` at every probe, then ``reference``), so the exception is the
-    one it raises."""
+    ``e`` and then ``reference`` are each walked once over the whole probe
+    set (:func:`_values_at`) on one memo, so a node object shared by
+    identity within ``e``, within ``reference`` or between them is
+    evaluated once.  The values are :func:`evaluate`'s at each probe, and
+    an exception is the one a loop of :func:`evaluate` (``e`` at every
+    probe, then ``reference``) raises first."""
     xs = [p.x for p in probes]
     ts = [p.t for p in probes]
     memo: dict[int, list[complex]] = {}
-    try:
-        mx = max([abs(v) for v in _probe_values(e, xs, ts, memo)])
-        scale = 1.0
-        if reference is not None:
-            scale = max([abs(v) for v in _probe_values(reference, xs, ts, memo)])
-    except Exception:  # noqa: BLE001 - the per-probe walk raises it again
-        mx = max(abs(evaluate(e, p)) for p in probes)
-        scale = 1.0
-        if reference is not None:
-            scale = max(abs(evaluate(reference, p)) for p in probes)
+    mx = max([abs(v) for v in _values_at(e, xs, ts, memo)])
+    scale = 1.0
+    if reference is not None:
+        scale = max([abs(v) for v in _values_at(reference, xs, ts, memo)])
     return mx <= tol * (1.0 + scale)
 
 

@@ -29,11 +29,12 @@ with tau_x = (f + t h) exp(int h) taken symbolically, so the only numerics
 in P and Q are the integral defining exp(int h).
 
 The cold path of a fresh entry evaluates each shared subexpression once:
-:func:`decompose` decides its identities with ``expr.numerically_zero``,
-which walks each expression DAG once over the whole probe set; h and f are
+:func:`decompose` decides its identities with ``expr.numerically_zero`` and
+reads its pivots from walks of the expression DAGs over fixed point sets
+(each node once per set, an exception the first bad point's); h and f are
 compiled together, into one kernel called once per panel point of an E/S
-walk; and a kernel no path has asked for (the gauge exponent, phi) is
-not compiled.
+walk; and the gauge exponent's kernel is compiled only when a path asks
+for it.
 """
 
 from __future__ import annotations
@@ -120,10 +121,8 @@ class Decomposition:
     use and kept for the life of the decomposition.  ``_hf_array`` is one
     kernel for the pair (h, f), so the lines of h that f contains run once
     per point, and ``_G_array`` the kernel of G, both only in array form,
-    whose per-point fallback is the one scalar function.  ``_phi`` (phi =
-    f + t h) is compiled only when the exception path of
-    :meth:`ReducedEquation.coefficients_at` first needs it, ``_G_array``
-    when the gauge or cross-validation does.
+    whose per-point fallback is the one scalar function; ``_G_array`` is
+    compiled only when the gauge or cross-validation first needs it.
     ``_coeff_parts`` is the staged triple ``(pre_x, pre_t, post)`` of
     :func:`expr.compile_staged` for (phi, p_num, q_num): ``pre_x(x)``
     computes the lines that depend on x alone (f', h', G, G', G^2 and most
@@ -171,10 +170,6 @@ class Decomposition:
     @property
     def M_constant(self) -> bool:
         return self._m_flags[1]
-
-    @cached_property
-    def _phi(self):
-        return fe.compile_expr(fe.add(self.f, fe.mul(T, self.h)))
 
     @cached_property
     def _coeff_parts(self):
@@ -235,16 +230,12 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     q2d = sp.q2_decomposable()
     phi = fe.add(f, fe.mul(T, h))
 
-    # The probes below revisit the same few (expression, x, t); each is
-    # walked once.  Keyed on identity: the expressions live for the call.
-    evaluated: dict[tuple[int, complex | None, complex | None], complex] = {}
+    # Each probe scan below is one walk over a fixed point set, read by
+    # index; the x probes share one memo.
+    x7_memo: dict = {}
 
-    def _eval(e: Expr, x=None, t=None) -> complex:
-        key = (id(e), x, t)
-        got = evaluated.get(key)
-        if got is None:
-            got = evaluated[key] = fe.evaluate(e, Binding(x=x, t=t))
-        return got
+    def at_x7(e: Expr) -> list[complex]:
+        return fe._values_at(e, xdiag, [None] * len(xdiag), x7_memo)
 
     if f_zero and h_zero:
         R = fe.substitute(q2d, t=t1)
@@ -252,46 +243,45 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     elif h_zero:
         # Split ambiguity (R -> R + c f, M -> M - c); pin M(t1) = 0.
         R = fe.substitute(q2d, t=t1)
-        xa = max(xdiag, key=lambda x: abs(_eval(f, x=x)))
-        if abs(_eval(f, x=xa)) < 1e-12:
+        xa, f_xa = max(zip(xdiag, at_x7(f)), key=lambda p: abs(p[1]))
+        if abs(f_xa) < 1e-12:
             raise DecompositionError("cannot split q2: f vanishes at all probes")
-        r_xa = _eval(R, x=xa)
-        M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)),
-                   fe.const(_eval(f, x=xa)))
+        r_xa = fe.evaluate(R, Binding(x=xa))
+        M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)), fe.const(f_xa))
     else:
         # Generic split: solve for M(t1), M(t2) at two x probes.  The 2x2
         # determinant is (t1 - t2) (f(xa) h(xb) - f(xb) h(xa)), so the solve
         # only works when f and h are not proportional; otherwise the split
         # itself has a one-parameter ambiguity (M -> M + c/(t + f/h),
         # R -> R - c h) and the constant-M representative is taken instead.
+        # phi at (x, t1) and (x, t2), x by x: entries 2i and 2i + 1.
+        phi_x7 = fe._values_at(phi, [x for x in xdiag for _ in (t1, t2)],
+                               [t1, t2] * len(xdiag), {})
         best = None
         for ia in range(len(xdiag)):
             for ib in range(ia + 1, len(xdiag)):
-                xa, xb = xdiag[ia], xdiag[ib]
-                a11 = _eval(phi, x=xa, t=t1)
-                a12 = -_eval(phi, x=xa, t=t2)
-                a21 = _eval(phi, x=xb, t=t1)
-                a22 = -_eval(phi, x=xb, t=t2)
+                a11, a12 = phi_x7[2 * ia], -phi_x7[2 * ia + 1]
+                a21, a22 = phi_x7[2 * ib], -phi_x7[2 * ib + 1]
                 det = a11 * a22 - a12 * a21
                 if best is None or abs(det) > abs(best[0]):
-                    best = (det, xa, xb, a11, a12, a21, a22)
+                    best = (det, xdiag[ia], xdiag[ib], a11, a12, a21, a22)
         det, xa, xb, a11, a12, a21, a22 = best
         scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-30)
         if abs(det) > 1e-8 * scale * scale:
-            r1 = _eval(q2d, x=xa, t=t1) - _eval(q2d, x=xa, t=t2)
-            r2 = _eval(q2d, x=xb, t=t1) - _eval(q2d, x=xb, t=t2)
+            q11, q12, q21, q22 = fe._values_at(q2d, [xa, xa, xb, xb], [t1, t2, t1, t2], {})
+            r1, r2 = q11 - q12, q21 - q22
             m1 = (r1 * a22 - a12 * r2) / det
             R = fe.sub(fe.substitute(q2d, t=t1),
                        fe.mul(fe.const(m1), fe.substitute(phi, t=t1)))
-            r_xa = _eval(R, x=xa)
+            r_xa = fe.evaluate(R, Binding(x=xa))
             M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)),
                        fe.substitute(phi, x=xa))
         else:
-            xa = max(xdiag, key=lambda x: abs(_eval(h, x=x)))
-            h_xa = _eval(h, x=xa)
+            xa, h_xa = max(zip(xdiag, at_x7(h)), key=lambda p: abs(p[1]))
             if abs(h_xa) < 1e-12:
                 raise DecompositionError("cannot split q2: h vanishes at all probes")
-            m0 = (_eval(q2d, x=xa, t=t2) - _eval(q2d, x=xa, t=t1)) / ((t2 - t1) * h_xa)
+            q_t2, q_t1 = fe._values_at(q2d, [xa, xa], [t2, t1], {})
+            m0 = (q_t2 - q_t1) / ((t2 - t1) * h_xa)
             M = fe.const(m0)
             R = fe.sub(fe.substitute(q2d, t=t1),
                        fe.mul(M, fe.substitute(phi, t=t1)))
@@ -305,10 +295,11 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     # --- g and the P_i from the off-diagonal pair
     aoff, boff = sp.off_diag
     P3 = fe.substitute(boff, t=t1)  # normalizes g(t1) = 1, i.e. B = 1
-    xa = max(xdiag, key=lambda x: abs(_eval(P3, x=x)))
-    g = fe.div(fe.substitute(boff, x=xa), fe.const(_eval(P3, x=xa)))
-    xb = max((x for x in xdiag if x != xa), key=lambda x: abs(_eval(P3, x=x)))
-    g_alt = fe.div(fe.substitute(boff, x=xb), fe.const(_eval(P3, x=xb)))
+    p3_x7 = list(zip(xdiag, at_x7(P3)))
+    xa, p3_xa = max(p3_x7, key=lambda p: abs(p[1]))
+    g = fe.div(fe.substitute(boff, x=xa), fe.const(p3_xa))
+    xb, p3_xb = max((p for p in p3_x7 if p[0] != xa), key=lambda p: abs(p[1]))
+    g_alt = fe.div(fe.substitute(boff, x=xb), fe.const(p3_xb))
     if not fe.numerically_zero(fe.sub(g, g_alt), probes.t9, tol=1e-9, reference=g):
         raise DecompositionError("the deformation profile g depends on x")
     P1 = fe.mul(f, P3)
@@ -411,16 +402,17 @@ class ReducedEquation:
     compare equal, so a point whose part is -0 reuses the stage computed
     at +0 (and vice versa).  The gates of :meth:`coefficients_at` on
     phi^2 E and (phi E)^2 are the one rule for a degenerate point, where
-    tau_x = phi E vanishes; the decomposition's ``_phi`` alone serves them
-    when a numerator fails first, and is compiled then.
+    tau_x = phi E vanishes; a point where the kernel itself raises is
+    rejected by the kernel's own exception (``expr._SAMPLE_ERRORS``), as
+    every singular point is.
     All kernels are the decomposition's, so building a ReducedEquation
     compiles nothing that the decomposition has already compiled, and
     only the (h, f) kernel and ``_coeff_parts`` on a first build; the
-    gauge's G and ``_phi`` wait for their first use.  Its own state is
-    the basepoint and the E/S, gauge, x-stage and t-stage memos.  It holds no reference to itself (the
-    walker's stages are bound per walk), so its memos are freed as soon as
-    the last reference to it goes, without waiting for the cyclic
-    collector.
+    gauge's G waits for its first use.  Its own state is the basepoint
+    and the E/S, gauge, x-stage and t-stage memos.  It holds no reference
+    to itself (the walker's stages are bound per walk), so its memos are
+    freed as soon as the last reference to it goes, without waiting for
+    the cyclic collector.
     For a completely integrable input P and Q depend on (x, t) only
     through tau."""
 
@@ -512,40 +504,24 @@ class ReducedEquation:
     # -- reduced coefficients ------------------------------------------------
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
         """(P, Q) at one point; raises DegenerateTauPointError where
-        tau_x = 0.  E and the x-stage values are memoized per x once both
-        stages have run there, the t-stage values per t once they are
-        computed."""
+        tau_x = 0, and a kernel's own exception (one of
+        ``expr._SAMPLE_ERRORS``) where it is singular.  E and the x-stage
+        values are memoized per x once both stages have run there, the
+        t-stage values per t once they are computed."""
         x, t = complex(x), complex(t)
         got = self._cache_x.get(x)
         tv = self._cache_t.get(t)
-        try:
-            xv = self._pre_x(x) if got is None else got[1]
-            if tv is None:
-                tv = self._cache_t[t] = self._pre_t(t)
-            ph, p_num, q_num = self._post(x, t, xv, tv)
-        except fe._SAMPLE_ERRORS:
-            # A numerator can fail where tau_x also vanishes.  Such a point
-            # is degenerate, as it is when the gates run first.
-            self._denominators(self.dec._phi(x, t), self.E(x), x, t)
-            raise
+        xv = self._pre_x(x) if got is None else got[1]
+        if tv is None:
+            tv = self._cache_t[t] = self._pre_t(t)
+        ph, p_num, q_num = self._post(x, t, xv, tv)
         if got is None:
             got = self._cache_x[x] = (self.E(x), xv)
         e = got[0]
         den_p = ph * ph * e
         if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
-            self._denominators(ph, e, x, t)  # raises DegenerateTauPointError
+            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
         return p_num / den_p, q_num / den_q
-
-    def _denominators(self, ph: complex, e: complex, x: complex, t: complex
-                      ) -> tuple[complex, complex]:
-        """phi^2 E and (phi E)^2, gated in that order against tau_x = 0."""
-        den_p = ph * ph * e
-        if abs(den_p) < _DEN_P_MIN:
-            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
-        den_q = (ph * e) ** 2
-        if abs(den_q) < _DEN_Q_MIN:
-            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
-        return den_p, den_q
 
 
 def build_reduced(dec: Decomposition, basepoint_x: complex) -> ReducedEquation:

@@ -84,6 +84,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match=f"{name} = .* degenerates"):
             catalog.lookup(entry_id, {name: value})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), complex(1, float("inf")),
+                                       Fraction(10) ** 400],
+                             ids=["inf", "nan", "complex-inf", "rational-1e400"])
+    def test_non_finite_parameter_is_rejected_by_name(self, value):
+        with pytest.raises(ValueError, match="parameter 'theta1' of entry 'PV.y_lin' "
+                                             "must be a finite number"):
+            catalog.lookup("PV.y_lin", {"theta1": value})
+
 
 class TestInstantiate:
     """Entries as `lookup` builds them: matrices, closed forms, overrides."""

@@ -196,6 +196,18 @@ class TestVerify:
             assert (rc, out) == (2, ""), command
             assert err.startswith(f"error: {name} = {value} degenerates the solution")
 
+    @pytest.mark.parametrize("entry_id, param", [
+        ("PV.y_lin", "theta1=1e400"),
+        ("PIII.y1", "theta_inf=1e400"),
+        ("PII.y0", "theta=-1e400"),
+    ])
+    def test_parameter_overflowing_a_float_exits_2(self, entry_id, param):
+        name = param.partition("=")[0]
+        rc, out, err = run_cli(["verify", entry_id, "--param", param])
+        assert (rc, out) == (2, "")
+        assert err == (f"error: parameter {name!r} of entry {entry_id!r} "
+                       "must be a finite number\n")
+
     @pytest.mark.parametrize("flags, field", [
         (["--tol-match", "nan"], "tol_match"),
         (["--tol-crossval", "inf"], "tol_crossval"),

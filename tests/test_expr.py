@@ -54,6 +54,49 @@ class TestDifferentiate:
         assert fe.evaluate(d, b) == pytest.approx((4 / 3) * 2.2 ** (1 / 3), rel=1e-12)
 
 
+def _tree_walk(e, b):
+    """Reference semantics of a tree at one binding: the recursive walker,
+    one node at a time, children left to right except that a ``div``
+    takes its denominator first.  ``evaluate`` and the probe-set walk
+    must agree with it bit for bit and exception for exception."""
+    k = e.kind
+    if k == "const":
+        return e.value
+    if k == "var":
+        v = b.x if e.value == "x" else b.t
+        if v is None:
+            raise fe.UnboundSymbolError(f"variable {e.value!r} is unbound")
+        return complex(v)
+    if k == "neg":
+        return -_tree_walk(e.children[0], b)
+    if k == "add":
+        return _tree_walk(e.children[0], b) + _tree_walk(e.children[1], b)
+    if k == "mul":
+        return _tree_walk(e.children[0], b) * _tree_walk(e.children[1], b)
+    if k == "div":
+        den = _tree_walk(e.children[1], b)
+        if den == 0:
+            raise fe.SingularEvaluationError("division by zero")
+        return _tree_walk(e.children[0], b) / den
+    if k == "ipow":
+        base = _tree_walk(e.children[0], b)
+        if base == 0 and e.value < 0:
+            raise fe.SingularEvaluationError("pole: 0 raised to a negative power")
+        return base ** e.value
+    if k == "fpow":
+        return fe._principal_pow(_tree_walk(e.children[0], b), float(e.value))
+    if k == "exp":
+        return cmath.exp(_tree_walk(e.children[0], b))
+    if k == "log":
+        v = _tree_walk(e.children[0], b)
+        if v == 0:
+            raise fe.SingularEvaluationError("log of zero")
+        return cmath.log(v)
+    if k == "sqrt":
+        return cmath.sqrt(_tree_walk(e.children[0], b))
+    raise ValueError(f"unknown node kind {k!r}")
+
+
 class TestEvaluate:
     def test_arithmetic(self):
         assert fe.evaluate(X**2 + T, Binding(x=2, t=1)) == 5
@@ -95,6 +138,32 @@ class TestEvaluate:
         b = Binding(x=1.7 + 0.3j, t=0.9 - 0.1j)
         assert f(b.x, b.t) == pytest.approx(fe.evaluate(e, b), rel=1e-14)
 
+    def test_same_as_reference_walker_property(self):
+        # evaluate is the one-point probe-set walk, which visits a shared
+        # node once; the reference revisits it.  Same bits, same exception.
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        trees = _raw_trees(st)
+
+        @st.composite
+        def dags(draw):
+            a, c = draw(trees), draw(trees)
+            return draw(st.sampled_from([
+                _raw("add", a, _raw("mul", a, c)), _raw("div", _raw("neg", a), a),
+                _raw("add", _raw("log", c), _raw("div", a, c)), c]))
+
+        point = st.sampled_from(_PROPERTY_POINTS)
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(dags(), point, st.one_of(point, st.none()))
+        def check(e, x, t):
+            b = Binding(x, t)
+            want, got = _outcome(_tree_walk, e, b), _outcome(fe.evaluate, e, b)
+            assert got == want
+
+        check()
+
 
 def _raw(kind, *children, value=None):
     """A node built without the folding helpers, so zero constants stay."""
@@ -116,6 +185,19 @@ def _call(f, *args):
         return f(*args)
     except Exception as exc:  # noqa: BLE001 - compared by class
         return type(exc)
+
+
+def _call_message(f, *args):
+    """f(*args), or the class and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - compared by class and message
+        return type(exc), str(exc)
+
+
+def _outcome(f, *args):
+    """The bits of f(*args), or the class and message of what it raised."""
+    return _call_message(lambda: _bits(f(*args)))
 
 
 def _raw_trees(st, extra_leaves=()):
@@ -706,13 +788,13 @@ class TestNumericallyZero:
 
     @staticmethod
     def _per_probe(e, probes, tol=1e-10, reference=None):
-        """The verdict, or (class, message) of the exception, of the walk
-        of ``evaluate`` over the probes one at a time."""
+        """The verdict, or (class, message) of the exception, of the
+        reference walk over the probes one at a time."""
         try:
-            mx = max(abs(fe.evaluate(e, p)) for p in probes)
+            mx = max(abs(_tree_walk(e, p)) for p in probes)
             scale = 1.0
             if reference is not None:
-                scale = max(abs(fe.evaluate(reference, p)) for p in probes)
+                scale = max(abs(_tree_walk(reference, p)) for p in probes)
         except Exception as exc:  # noqa: BLE001 - compared by class and message
             return type(exc), str(exc)
         return mx <= tol * (1.0 + scale)
@@ -766,7 +848,7 @@ class TestNumericallyZero:
             e, reference = dag
             assert self._one_pass(e, probes, tol, reference) == \
                 self._per_probe(e, probes, tol, reference)
-            want = [_call(fe.evaluate, e, p) for p in probes]
+            want = [_call(_tree_walk, e, p) for p in probes]
             if not any(isinstance(v, type) for v in want):
                 got = fe._probe_values(e, [p.x for p in probes], [p.t for p in probes], {})
                 assert [_bits(v) for v in got] == [_bits(v) for v in want]
@@ -776,18 +858,40 @@ class TestNumericallyZero:
     def test_one_pass_visits_each_node_once(self, monkeypatch):
         # 60 doublings of x: a DAG of 120 interior nodes whose tree has 2^60
         # leaves.  Only a walk that evaluates each node once can finish, and
-        # it never falls back to evaluate.
+        # every node it visits is visited for all 8 probes together, never
+        # for one probe at a time.
         e = X
         for _ in range(60):
             e = fe.mul(fe.add(e, e), fe.const(0.5))
         probes = [Binding(x=1.0 + 0.25j * k) for k in range(8)]
+        walk, sizes = fe._probe_values, []
 
-        def no_walk(*args):
-            raise AssertionError("per-probe walk")
+        def recorded(node, xs, ts, memo):
+            sizes.append(len(xs))
+            return walk(node, xs, ts, memo)
 
-        monkeypatch.setattr(fe, "evaluate", no_walk)
+        monkeypatch.setattr(fe, "_probe_values", recorded)
         assert fe.numerically_zero(fe.sub(e, X), probes, reference=e)
         assert not fe.numerically_zero(e, probes)
+        assert sizes and set(sizes) == {8}
+
+    def test_several_points_raise_the_first_points_exception(self):
+        # At x = 2 the log is regular and the division fails; at x = 1 the
+        # log fails first.  The walk over both points meets the log of the
+        # second point before the division of the first, but raises as a
+        # loop over the points in order would: the first point's error.
+        e = fe.log(X - 1) + 1 / (X - 2)
+        xs, ts = [2.0, 1.0], [None, None]
+        with pytest.raises(fe.SingularEvaluationError, match="log of zero"):
+            fe._probe_values(e, xs, ts, {})
+        first = (fe.SingularEvaluationError, "division by zero")
+        assert _call_message(_tree_walk, e, Binding(x=2.0)) == first
+        assert _call_message(fe._values_at, e, xs, ts, {}) == first
+        probes = [Binding(x=x) for x in xs]
+        assert self._one_pass(e, probes) == first
+        assert self._one_pass(fe.const(1), probes, reference=e) == first
+        assert _call_message(fe._values_at, e, xs[::-1], ts, {}) == \
+            (fe.SingularEvaluationError, "log of zero")
 
 
 def random_rational_expr(rng, depth=0):

@@ -148,6 +148,18 @@ class TestDecompose:
         with pytest.raises(reduction.DecompositionError, match="depends on x"):
             reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
 
+    def test_singular_P3_raises_the_earlier_probes_error(self):
+        # b_off at t1 is singular at two of the 7 x probes: at xs[2] in its
+        # log, at xs[4] in the division, which the walk over all probes
+        # meets first.  decompose raises what the earlier probe raises.
+        xs = catalog.DEFAULT_X_BOX.diagonal(7)
+        boff = 1 / (X - xs[4]) + fe.log(X - xs[2])
+        zero = fe.const(0)
+        sp = ScalarPair(p1=zero, q1=zero, p2=fe.const(1), q2=zero,
+                        off_diag=(boff, boff))
+        with pytest.raises(fe.SingularEvaluationError, match="^log of zero$"):
+            reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+
     def test_scalar_pair_is_required(self):
         # The reduced coefficients compile from dec.sp, so a decomposition
         # without one is refused when it is built, not when it is reduced.
@@ -416,13 +428,15 @@ class TestReducedCoefficients:
 
     def test_degenerate_point_with_numerator_pole(self):
         # p1 = 1/x puts a pole in the P and Q numerators at x = 0, where
-        # tau_x vanishes too: the point is degenerate, not a division error.
+        # tau_x vanishes too.  The kernel raises before the gates run, and
+        # its own exception rejects the point, as at any singular point.
         zero = fe.const(0)
         sp = ScalarPair(p1=1 / X, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        with pytest.raises(reduction.DegenerateTauPointError):
+        with pytest.raises(ZeroDivisionError):
             red.coefficients_at(0.0, 0.5)
+        assert fe.evaluate(dec.f + T * dec.h, Binding(x=0.0, t=0.5)) == 0
         # The pole is x-only, so the raw kernel raises in its x-stage.
         with pytest.raises(ZeroDivisionError):
             red._pre_x(0.0)
@@ -440,7 +454,8 @@ class TestReducedCoefficients:
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        assert red.dec._phi(2.0, 0.5) * red.E(2.0) == 2
+        tau_x = fe.evaluate(dec.f + T * dec.h, Binding(x=2.0, t=0.5)) * red.E(2.0)
+        assert tau_x == 2
         for t in (0.5, 0.7):
             with pytest.raises(error):
                 red.coefficients_at(2.0, t)
@@ -458,7 +473,8 @@ class TestReducedCoefficients:
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        assert red.dec._phi(1.5, 2.0) * red.E(1.5) == 1.5
+        tau_x = fe.evaluate(dec.f + T * dec.h, Binding(x=1.5, t=2.0)) * red.E(1.5)
+        assert tau_x == 1.5
         with pytest.raises(error):
             red._pre_t(2.0)
         for x in (1.5, 1.7):
