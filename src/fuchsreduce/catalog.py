@@ -20,16 +20,20 @@ a parameter value at which its family degenerates.
 
 The default entries are built once, at import, and never mutated
 afterwards; :func:`lookup` returns them, or builds an entry afresh for
-parameter overrides.  Entries attach their compiled kernels lazily, on
-first use, as cached properties: the flow residual functions, the scalar
-pair and the decomposition for the entry's own boxes (which in turn
-carries the compiled tau/gauge and coefficient kernels).  Default
-entries keep them for the life of the process; an entry built with
-parameter or box overrides takes them with it when it is collected.  A
-copy on other boxes (:meth:`CatalogEntry.with_boxes`) starts with the
-flow kernel and linear systems its entry has built, which no box enters.
-Concurrent reads are safe: a first use racing another may compute a
-kernel twice, which is harmless because the result is deterministic.
+parameter overrides.  Entries attach their kernels lazily, on first use,
+as cached properties: the flow residual kernel, the scalar pair and the
+decomposition for the entry's own boxes (which in turn carries the
+tau/gauge and coefficient kernels).  An expression kernel
+(:class:`expr.Kernel`) walks its DAG on its first call and compiles on
+its second, so an entry that serves one report compiles only the kernels
+that report calls more than once, and one that serves many runs compiled
+code from its second report on.  Default entries keep their kernels for
+the life of the process; an entry built with parameter or box overrides
+takes them with it when it is collected.  A copy on other boxes
+(:meth:`CatalogEntry.with_boxes`) starts with the flow kernel and linear
+systems its entry has built, which no box enters.  Concurrent reads are
+safe: a first use racing another may compute a kernel twice, which is
+harmless because the result is deterministic.
 """
 
 from __future__ import annotations
@@ -133,26 +137,28 @@ class LaxPair:
 
     The matrices of the family templates are traceless, and every entry is
     a finite sum of products of one-variable factors (guaranteed by
-    construction)."""
+    construction).  Its two kernels (:class:`expr.Kernel`, each built on
+    first use) walk on their first call and are compiled on their second:
+    the Frobenius grid calls its kernel once per report, a linear-system
+    walk its A, dA/dt once per panel round."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
     @cached_property
-    def a_dadt_array(self) -> Callable:
-        """(x, t) -> (a11, a12, a21, a22) and then the same entries of
-        dA/dt, compiled, in array form: the ``matrix`` of a linear-system
+    def a_dadt_array(self) -> fe.Kernel:
+        """The kernel of (a11, a12, a21, a22) and then the same entries of
+        dA/dt, called in array form: the ``matrix`` of a linear-system
         walk (``expr._walk_panels``)."""
         a = (*self.a[0], *self.a[1])
-        return fe.array_form(fe.compile_expr((*a, *(fe.differentiate(e, "t") for e in a))))
+        return fe.Kernel((*a, *(fe.differentiate(e, "t") for e in a)))
 
     @cached_property
-    def frobenius_fns(self) -> Callable:
-        """(x, t) -> the four entries of dA/dt - dB/dx + [A, B]: one
-        compiled kernel returning the tuple, so subexpressions the entries
-        share are computed once (bit for bit the values of one kernel per
-        entry)."""
-        return fe.compile_expr(tuple(scal.frobenius_residual_exprs(self)))
+    def frobenius_fns(self) -> fe.Kernel:
+        """The kernel of the four entries of dA/dt - dB/dx + [A, B]: one
+        tuple, so subexpressions the entries share are computed once (bit
+        for bit the values of one kernel per entry)."""
+        return fe.Kernel(tuple(scal.frobenius_residual_exprs(self)))
 
 
 @dataclass
@@ -163,7 +169,10 @@ class CatalogEntry:
     built, so ``params_exact`` only records them.  ``singular_x`` and
     ``singular_t`` list the points every probe, path and grid must avoid
     (poles of entries plus zeros of the off-diagonal entries used for
-    scalarization)."""
+    scalarization).  Its flow kernel (``flow_fns``, an
+    :class:`expr.Kernel` built on first use) is called once per report:
+    a report walks it, and a second report on the same entry compiles
+    it."""
 
     id: str
     family: str
@@ -223,11 +232,10 @@ class CatalogEntry:
         return [(x, t) for x in xs for t in ts]
 
     @cached_property
-    def flow_fns(self) -> Callable:
-        """(x, t) -> the values of the flow residual expressions: one
-        compiled kernel returning the tuple (bit for bit the values of one
-        kernel per expression)."""
-        return fe.compile_expr(tuple(self.flow_exprs))
+    def flow_fns(self) -> fe.Kernel:
+        """The kernel of the flow residual expressions: one tuple (bit for
+        bit the values of one kernel per expression)."""
+        return fe.Kernel(tuple(self.flow_exprs))
 
     @cached_property
     def scalar_pair(self) -> ScalarPair:
@@ -739,13 +747,16 @@ def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
     return _DEFAULTS[entry_id]
 
 
-def flow_residual(entry: CatalogEntry, t_probe: complex) -> float:
-    """Max modulus of the nonlinear flow residuals at one deformation value.
+def flow_residual(entry: CatalogEntry, ts: Sequence[complex]) -> float:
+    """Max modulus of the nonlinear flow residuals over the deformation
+    values ``ts``: the max over the residuals at each t, then the max of
+    those across the t's, in order.  One call of the flow kernel evaluates
+    them all.
 
     Vanishes (to rounding) when the entry's closed forms really solve the
     family's compatibility flow."""
-    t = complex(t_probe)
-    return max(abs(v) for v in entry.flow_fns(0j, t))
+    rows = entry.flow_fns.at([0j] * len(ts), ts)
+    return max(max(abs(v) for v in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ written into a tree as a constant when the tree is built.  The engine
 supports exact symbolic differentiation, substitution of ``x`` or ``t``,
 evaluation by one tree walker (over a list of points at once, each node
 object once; :func:`evaluate` is its one-point case, and over several
-points an exception is the first bad point's), compilation to fast Python
+points an exception is the first bad point's; an array mode applies the
+numpy operations of the compiled array code), compilation to fast Python
 callables (straight-line code with subtrees shared by structure; one
 expression or a tuple of them per function, or the same lines staged as
-an x-only part, a t-only part and the rest; an array form runs the same
-code object on numpy arrays of points), one walker of adaptive Chebyshev
-panels with tail-coefficient error control (contour quadrature along
-piecewise-linear paths, many segments from one start together, or the
-solve of a 2x2 linear ODE and its t-variation along them), and an infix
-printer.
+an x-only part, a t-only part and the rest), kernels that are compiled on
+reuse (:class:`Kernel`: the first call walks, the second compiles, and
+both give the compiled code's values and exceptions; its array form runs
+the compiled code object on numpy arrays of points), one walker of
+adaptive Chebyshev panels with tail-coefficient error control (contour
+quadrature along piecewise-linear paths, many segments from one start
+together, or the solve of a 2x2 linear ODE and its t-variation along
+them), and an infix printer.
 
 Design constraints:
 
@@ -69,7 +72,7 @@ __all__ = [
     "substitute",
     "compile_expr",
     "compile_staged",
-    "array_form",
+    "Kernel",
     "integrate_callable",
     "numerically_zero",
     "to_string",
@@ -381,8 +384,7 @@ def evaluate(e: Expr, b: Binding) -> complex:
     return _probe_values(e, [b.x], [b.t], {})[0]
 
 
-def _probe_values(e: Expr, xs: list, ts: list, memo: dict[int, list[complex]]
-                  ) -> list[complex]:
+def _probe_values(e: Expr, xs, ts, memo: dict[int, object], array: bool = False):
     """The values of ``e`` at every point, ``xs[k]`` and ``ts[k]`` bound
     at point k (None leaves a variable unbound).  Each node applies one
     Python complex operation per point, children left to right except that
@@ -390,72 +392,120 @@ def _probe_values(e: Expr, xs: list, ts: list, memo: dict[int, list[complex]]
     any value is formed, and raises :class:`UnboundSymbolError` or
     :class:`SingularEvaluationError` when one of them is unbound or
     singular there (any other exception is the operation's own).  ``memo``
-    maps ``id`` of a node already visited to its list, so a subtree shared
-    within ``e`` (or with an earlier call on the same memo) is computed
-    once.  Over several points it raises where some point is bad, not
-    necessarily at the first one: :func:`_values_at` applies the per-point
-    rule."""
+    maps ``id`` of a node already visited to its values, so a subtree
+    shared within ``e`` (or with an earlier call on the same memo) is
+    computed once.  Over several points it raises where some point is bad,
+    not necessarily at the first one: :func:`_values_at` applies the
+    per-point rule.
+
+    With ``array`` the points are numpy arrays ``xs`` and ``ts`` (they
+    broadcast), and each node applies, once, the operation the array form
+    of its compiled line applies (the functions of ``_ARRAY_GLOBALS``) and
+    checks nothing; a constant's value is its Python complex.  So a walk
+    raises, or gives a value that is not finite, exactly when the compiled
+    code does on the same arrays, and otherwise gives its values bit for
+    bit (:class:`Kernel`)."""
     got = memo.get(id(e))
     if got is not None:
         return got
     k = e.kind
     if k == "const":
-        vals = [e.value] * len(xs)
+        vals = e.value if array else [e.value] * len(xs)
     elif k == "var":
         bound = xs if e.value == "x" else ts
-        if None in bound:
+        if array:
+            vals = bound
+        elif None in bound:
             raise UnboundSymbolError(f"variable {e.value!r} is unbound")
-        vals = [complex(v) for v in bound]
+        else:
+            vals = [complex(v) for v in bound]
     elif k == "div":
-        den = _probe_values(e.children[1], xs, ts, memo)
-        if 0 in den:
+        den = _probe_values(e.children[1], xs, ts, memo, array)
+        if array:
+            vals = _probe_values(e.children[0], xs, ts, memo, array) / den
+        elif 0 in den:
             raise SingularEvaluationError("division by zero")
-        vals = [u / v for u, v in zip(_probe_values(e.children[0], xs, ts, memo), den)]
+        else:
+            vals = [u / v for u, v in zip(_probe_values(e.children[0], xs, ts, memo), den)]
     else:
-        a = _probe_values(e.children[0], xs, ts, memo)
+        a = _probe_values(e.children[0], xs, ts, memo, array)
         if k == "mul":
-            vals = [u * v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
+            b = _probe_values(e.children[1], xs, ts, memo, array)
+            vals = a * b if array else [u * v for u, v in zip(a, b)]
         elif k == "add":
-            vals = [u + v for u, v in zip(a, _probe_values(e.children[1], xs, ts, memo))]
+            b = _probe_values(e.children[1], xs, ts, memo, array)
+            vals = a + b if array else [u + v for u, v in zip(a, b)]
         elif k == "neg":
-            vals = [-u for u in a]
+            vals = -a if array else [-u for u in a]
         elif k == "ipow":
             n = e.value
-            if n < 0 and 0 in a:
+            if array:
+                vals = a ** n
+            elif n < 0 and 0 in a:
                 raise SingularEvaluationError("pole: 0 raised to a negative power")
-            vals = [u ** n for u in a]
-        elif k == "fpow":
-            q = float(e.value)
-            vals = [_principal_pow(u, q) for u in a]
-        elif k == "exp":
-            vals = [cmath.exp(u) for u in a]
-        elif k == "log":
-            if 0 in a:
+            else:
+                vals = [u ** n for u in a]
+        elif k in ("fpow", "exp", "log", "sqrt"):
+            # The function the compiled line calls, by the same name.
+            fn = (_ARRAY_GLOBALS if array else _SCALAR_NAMESPACE)["_" + k]
+            if k == "fpow":
+                q = float(e.value)
+                vals = fn(a, q) if array else [fn(u, q) for u in a]
+            elif array:
+                vals = fn(a)
+            elif k == "log" and 0 in a:
                 raise SingularEvaluationError("log of zero")
-            vals = [cmath.log(u) for u in a]
-        elif k == "sqrt":
-            vals = [cmath.sqrt(u) for u in a]
+            else:
+                vals = [fn(u) for u in a]
         else:  # pragma: no cover
             raise ValueError(f"unknown node kind {k!r}")
     memo[id(e)] = vals
     return vals
 
 
-def _values_at(e: Expr, xs: list, ts: list, memo: dict[int, list[complex]]
-               ) -> list[complex]:
+def _values_at(e: Expr | tuple[Expr, ...], xs: list, ts: list,
+               memo: dict[int, object]) -> list:
     """:func:`_probe_values` with the per-point rule: when the walk over
     several points raises, the points are walked again one at a time, in
     order, so the exception is the first bad point's, as a loop of
-    :func:`evaluate` over the points would raise it."""
+    :func:`evaluate` over the points would raise it.  Given a tuple of
+    expressions, their lists of values, each walked on the one memo; a
+    point is then walked expression by expression, so the exception is the
+    one a loop over the points, evaluating each expression in turn, would
+    raise first."""
+    parts = e if isinstance(e, tuple) else (e,)
     try:
-        return _probe_values(e, xs, ts, memo)
+        vals = [_probe_values(part, xs, ts, memo) for part in parts]
+        return vals if isinstance(e, tuple) else vals[0]
     except Exception as exc:  # noqa: BLE001 - the per-point walk raises it again
         if len(xs) == 1:
             raise
         err = exc
     for x, t in zip(xs, ts):
-        _probe_values(e, [x], [t], {})
+        point: dict[int, object] = {}
+        for part in parts:
+            _probe_values(part, [x], [t], point)
     raise err  # pragma: no cover - some point raises above
+
+
+class _ProbeSet:
+    """Points walked together on one memo: every tree walked over them
+    (:meth:`values`) computes each node object once, whichever walk met it
+    first.  The trees walked are held, so no ``id`` in the memo can be
+    taken by a new node while the probe set lives."""
+
+    __slots__ = ("xs", "ts", "_memo", "_held")
+
+    def __init__(self, probes: Sequence[Binding]):
+        self.xs = [p.x for p in probes]
+        self.ts = [p.t for p in probes]
+        self._memo: dict[int, object] = {}
+        self._held: list = []
+
+    def values(self, e: Expr | tuple[Expr, ...]) -> list:
+        """:func:`_values_at` of ``e`` over the points, on the shared memo."""
+        self._held.append(e)
+        return _values_at(e, self.xs, self.ts, self._memo)
 
 
 def substitute(e: Expr, x: Expr | complex | None = None,
@@ -551,48 +601,13 @@ def _principal_pow_array(base, exponent: float):
 # FloatingPointError), ValueError from a log of zero, and any ExprError.
 _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
 
+# The functions compiled lines call, each named after its node kind.
 _SCALAR_NAMESPACE = {"_exp": cmath.exp, "_log": cmath.log, "_sqrt": cmath.sqrt,
-                     "_powf": _principal_pow}
+                     "_fpow": _principal_pow}
 # The globals of every array form.  Compiled bodies only read these names,
 # so one dict serves them all.
 _ARRAY_GLOBALS = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
-                  "_powf": _principal_pow_array}
-
-
-def array_form(fn: Callable) -> Callable:
-    """The array form ``array(x, t)`` of a function made by
-    :func:`compile_expr`: the same code object, run with numpy ufuncs in
-    place of ``cmath``, so it cannot drift from ``fn``.
-
-    ``x`` and ``t`` broadcast against each other; the result has their
-    shape (a tuple of such arrays for a tuple compile).  It is evaluated
-    under ``np.errstate`` raising on divide, overflow and invalid.  A batch
-    that raises or yields a non-finite value is evaluated again by ``fn``,
-    point by point, so it ends in the scalar values or in the exception
-    ``fn`` raises at the first bad point."""
-    vec = types.FunctionType(fn.__code__, _ARRAY_GLOBALS)
-
-    def array(x, t):
-        x = np.asarray(x, dtype=complex)
-        t = np.asarray(t, dtype=complex)
-        shape = np.broadcast_shapes(x.shape, t.shape)
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                out = vec(x, t)
-            parts = [v if np.shape(v) == shape
-                     else np.broadcast_to(np.asarray(v, dtype=complex), shape)
-                     for v in (out if isinstance(out, tuple) else (out,))]
-            if all(np.isfinite(v).all() for v in parts):
-                return tuple(parts) if isinstance(out, tuple) else parts[0]
-        except _SAMPLE_ERRORS:
-            pass
-        xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
-        rows = np.array([fn(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
-        if rows.ndim == 1:
-            return rows.reshape(shape)
-        return tuple(col.reshape(shape) for col in rows.T)
-
-    return array
+                  "_fpow": _principal_pow_array}
 
 
 # The subset of {x, t} a compiled line depends on, as a bit mask.
@@ -651,7 +666,7 @@ def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
             elif k == "ipow":
                 s = f"{kids[0]} ** {n.value}"
             elif k == "fpow":
-                s = f"_powf({kids[0]}, {float(n.value)!r})"
+                s = f"_fpow({kids[0]}, {float(n.value)!r})"
             elif k == "exp":
                 s = f"_exp({kids[0]})"
             elif k == "log":
@@ -707,9 +722,9 @@ def compile_expr(e: Expr | tuple[Expr, ...]
     :func:`_value_numbered`), so a subtree shared by structure is computed
     once.  Repeated
     evaluation is much faster than tree walking.  Singular inputs raise the
-    native ZeroDivisionError/ValueError.  :func:`array_form` runs the same code on
-    numpy arrays of points, and :func:`compile_staged` splits the same
-    lines in three stages."""
+    native ZeroDivisionError/ValueError.  A :class:`Kernel` runs the same
+    code on numpy arrays of points, and :func:`compile_staged` splits the
+    same lines in three stages."""
     lines, _, result, _ = _value_numbered(e)
     return _define(f"def _f(x, t):\n{_body(lines)}\n    return {result}\n", "_f")
 
@@ -747,6 +762,116 @@ def compile_staged(e: Expr | tuple[Expr, ...]
                    f"    {carried(_T_DEP)} = tv\n{_body(stages[_X_DEP | _T_DEP])}\n"
                    f"    return {result}\n", "_post")
     return pre_x, pre_t, post
+
+
+class Kernel:
+    """Expressions to evaluate at many points, compiled on reuse: ``e`` is
+    one expression, or a tuple of them as for :func:`compile_expr`.
+
+    The first call walks the DAG (:func:`_probe_values`, over all its
+    points at once); the second compiles ``compile_expr(e)``, once, and
+    every call from then on runs the compiled code.  So a kernel that an
+    entry calls once per report costs no ``compile`` on an entry that makes
+    one report, and from an entry's second report on it runs compiled.
+    Compiling on the first call instead would make every fresh entry pay
+    for ``compile``; walking on every call would make a long-lived entry
+    pay for the slower walk on every report.  The
+    tier never shows in a result: a walk applies, node by node, the
+    operations of the compiled lines, and a walk that raises (or an array
+    walk whose values are not all finite) is answered by the compiled
+    path, so every value and every exception is the compiled kernel's, bit
+    for bit.
+
+    :meth:`at` gives the values at a list of points; calling the kernel,
+    ``kernel(x, t)``, is its array form.  A kernel holds no reference to
+    itself.  Concurrent calls are safe: a first call racing another may
+    walk or compile twice, which is harmless because the result is the
+    same."""
+
+    __slots__ = ("expr", "_walked", "_fn", "_vec")
+
+    def __init__(self, e: Expr | tuple[Expr, ...]):
+        self.expr = e
+        self._walked = False
+        self._fn: Callable | None = None     # compile_expr(e), once compiled
+        self._vec: Callable | None = None    # its code on _ARRAY_GLOBALS
+
+    def _walks(self) -> bool:
+        """Whether this call walks: only the first, and only if nothing has
+        compiled the kernel yet."""
+        if self._walked or self._fn is not None:
+            return False
+        self._walked = True
+        return True
+
+    def _compiled(self) -> Callable:
+        fn = self._fn
+        if fn is None:
+            fn = self._fn = compile_expr(self.expr)
+        return fn
+
+    def _walk(self, xs, ts, array: bool = False):
+        """The values the compiled function returns, from one walk on one
+        memo: one value per point (a tuple per point for a tuple kernel),
+        or with ``array`` its array-form output."""
+        memo: dict[int, object] = {}
+        if not isinstance(self.expr, tuple):
+            return _probe_values(self.expr, xs, ts, memo, array)
+        cols = [_probe_values(e, xs, ts, memo, array) for e in self.expr]
+        return tuple(cols) if array else list(zip(*cols))
+
+    def at(self, xs: Sequence[complex], ts: Sequence[complex]) -> list:
+        """The values at the points ``(xs[k], ts[k])``, in order: per point
+        what ``compile_expr(e)(x, t)`` returns, and the exception it raises
+        at the first point where it raises."""
+        xs = [complex(x) for x in xs]
+        ts = [complex(t) for t in ts]
+        if self._walks():
+            try:
+                return self._walk(xs, ts)
+            except _SAMPLE_ERRORS:
+                pass    # the compiled path answers, with its own exception
+        fn = self._compiled()
+        return [fn(x, t) for x, t in zip(xs, ts)]
+
+    def __call__(self, x, t):
+        """The array form: the values at numpy arrays of points.
+
+        ``x`` and ``t`` broadcast against each other; the result has their
+        shape (a tuple of such arrays for a tuple kernel).  It is evaluated
+        under ``np.errstate`` raising on divide, overflow and invalid.  A
+        batch that raises or yields a non-finite value is evaluated again by
+        the compiled scalar function, point by point, so it ends in the
+        scalar values or in the exception that function raises at the first
+        bad point."""
+        x = np.asarray(x, dtype=complex)
+        t = np.asarray(t, dtype=complex)
+        shape = np.broadcast_shapes(x.shape, t.shape)
+        vec = self._vec
+        if vec is None:
+            if self._walks():
+                vec = functools.partial(self._walk, array=True)
+            else:
+                vec = self._vec = types.FunctionType(self._compiled().__code__,
+                                                     _ARRAY_GLOBALS)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                out = vec(x, t)
+            parts = [v if np.shape(v) == shape
+                     else np.broadcast_to(np.asarray(v, dtype=complex), shape)
+                     for v in (out if isinstance(out, tuple) else (out,))]
+            if all(np.isfinite(v).all() for v in parts):
+                return tuple(parts) if isinstance(out, tuple) else parts[0]
+        except _SAMPLE_ERRORS:
+            pass
+        # The batch raised or is not finite: on the compiled code, or on the
+        # walk, which applies the same numpy operations and so fails alike.
+        fn = self._compiled()
+        xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
+        rows = np.array([fn(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
+        if rows.ndim == 1:
+            return rows.reshape(shape)
+        return tuple(col.reshape(shape) for col in rows.T)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,8 +1208,8 @@ def integrate_callable(fn: Callable[[complex], complex],
                 for a, b in zip(pts, pts[1:])), 0j)
 
 
-def numerically_zero(e: Expr, probes: Sequence[Binding], tol: float = 1e-10,
-                     reference: Expr | None = None) -> bool:
+def numerically_zero(e: Expr, probes: Sequence[Binding] | _ProbeSet,
+                     tol: float = 1e-10, reference: Expr | None = None) -> bool:
     """Decide whether ``e`` vanishes on a probe set.
 
     True iff ``max |e|`` over the probes is at most ``tol * (1 + scale)``
@@ -1094,16 +1219,15 @@ def numerically_zero(e: Expr, probes: Sequence[Binding], tol: float = 1e-10,
     ``e`` and then ``reference`` are each walked once over the whole probe
     set (:func:`_values_at`) on one memo, so a node object shared by
     identity within ``e``, within ``reference`` or between them is
-    evaluated once.  The values are :func:`evaluate`'s at each probe, and
-    an exception is the one a loop of :func:`evaluate` (``e`` at every
-    probe, then ``reference``) raises first."""
-    xs = [p.x for p in probes]
-    ts = [p.t for p in probes]
-    memo: dict[int, list[complex]] = {}
-    mx = max([abs(v) for v in _values_at(e, xs, ts, memo)])
+    evaluated once; given a ``_ProbeSet``, on its memo, which the other
+    walks over the same points share.  The values are :func:`evaluate`'s
+    at each probe, and an exception is the one a loop of :func:`evaluate`
+    (``e`` at every probe, then ``reference``) raises first."""
+    points = probes if isinstance(probes, _ProbeSet) else _ProbeSet(probes)
+    mx = max([abs(v) for v in points.values(e)])
     scale = 1.0
     if reference is not None:
-        scale = max([abs(v) for v in _values_at(reference, xs, ts, memo)])
+        scale = max([abs(v) for v in points.values(reference)])
     return mx <= tol * (1.0 + scale)
 
 

@@ -31,10 +31,12 @@ in P and Q are the integral defining exp(int h).
 The cold path of a fresh entry evaluates each shared subexpression once:
 :func:`decompose` decides its identities with ``expr.numerically_zero`` and
 reads its pivots from walks of the expression DAGs over fixed point sets
-(each node once per set, an exception the first bad point's); h and f are
-compiled together, into one kernel called once per panel point of an E/S
-walk; and the gauge exponent's kernel is compiled only when a path asks
-for it.
+(one memo per set for the whole call, so each node once per set; an
+exception the first bad point's); h and f form one kernel called once per
+panel point of an E/S walk; and every kernel but the staged coefficients
+is an ``expr.Kernel``, which walks on its first call and compiles on its
+second, so a kernel a report calls once (the gauge exponent's, in
+cross-validation) compiles only on an entry that serves a second report.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ def joint_probes(box_x, box_t, n: int) -> list[Binding]:
 
 class _Probes:
     """The probe sets of :func:`decompose` and the case flags: 7 points on each
-    box diagonal (t1 = ``ts[1]``), 9 t and 12 joint probes, and p2 at t1."""
+    box diagonal (t1 = ``ts[1]``), 9 t and 12 joint probes, and p2 at t1.
+    The flags are measured on ``points``: the probe set as bindings, or an
+    ``expr._ProbeSet`` of it whose memo other walks share."""
 
     def __init__(self, sp: ScalarPair, box_x, box_t):
         self.xs, self.ts = box_x.diagonal(7), box_t.diagonal(7)
@@ -86,14 +90,15 @@ class _Probes:
         self.joint12 = joint_probes(box_x, box_t, 12)
         self.p2_t1 = fe.substitute(sp.p2, t=self.ts[1])
 
-    def zero_in_x(self, e: Expr) -> bool:
+    def zero_in_x(self, e: Expr, points) -> bool:
         """Whether ``e``, in x alone, vanishes at the x probes (relative to p2)."""
-        return fe.numerically_zero(e, self.x7, reference=self.p2_t1)
+        return fe.numerically_zero(e, points, reference=self.p2_t1)
 
-    def m_flags(self, M: Expr) -> tuple[bool, bool]:
+    @staticmethod
+    def m_flags(M: Expr, points) -> tuple[bool, bool]:
         """(M_zero, M_constant): whether M or dM/dt vanishes at the t probes."""
-        m_zero = fe.numerically_zero(M, self.t9)
-        return m_zero, m_zero or fe.numerically_zero(fe.differentiate(M, "t"), self.t9,
+        m_zero = fe.numerically_zero(M, points)
+        return m_zero, m_zero or fe.numerically_zero(fe.differentiate(M, "t"), points,
                                                       reference=M)
 
 
@@ -116,14 +121,14 @@ class Decomposition:
     The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant`` are
     measured from f, h and M on the probe sets ``_probes``, so a copy with
     another f, h or M measures its own.  The other underscored cached
-    properties are the compiled kernels of the tau and gauge maps and of the
-    reduced coefficients (see :class:`ReducedEquation`), compiled on first
+    properties are the kernels of the tau and gauge maps and of the
+    reduced coefficients (see :class:`ReducedEquation`), built on first
     use and kept for the life of the decomposition.  ``_hf_array`` is one
-    kernel for the pair (h, f), so the lines of h that f contains run once
-    per point, and ``_G_array`` the kernel of G, both only in array form,
-    whose per-point fallback is the one scalar function; ``_G_array`` is
-    compiled only when the gauge or cross-validation first needs it.
-    ``_coeff_parts`` is the staged triple ``(pre_x, pre_t, post)`` of
+    :class:`expr.Kernel` for the pair (h, f), so the lines of h that f
+    contains run once per point, and ``_G_array`` the kernel of G, both
+    called only in array form; each walks on its first call and is
+    compiled on its second.  ``_coeff_parts`` is compiled at once, the
+    staged triple ``(pre_x, pre_t, post)`` of
     :func:`expr.compile_staged` for (phi, p_num, q_num): ``pre_x(x)``
     computes the lines that depend on x alone (f', h', G, G', G^2 and most
     of p1 and q1), ``pre_t(t)`` those that depend on t alone (the parts of
@@ -153,15 +158,15 @@ class Decomposition:
 
     @cached_property
     def f_zero(self) -> bool:
-        return self._probes.zero_in_x(self.f)
+        return self._probes.zero_in_x(self.f, self._probes.x7)
 
     @cached_property
     def h_zero(self) -> bool:
-        return self._probes.zero_in_x(self.h)
+        return self._probes.zero_in_x(self.h, self._probes.x7)
 
     @cached_property
     def _m_flags(self) -> tuple[bool, bool]:
-        return self._probes.m_flags(self.M)
+        return self._probes.m_flags(self.M, self._probes.t9)
 
     @property
     def M_zero(self) -> bool:
@@ -187,12 +192,12 @@ class Decomposition:
         return fe.compile_staged((phi, p_num, q_num))
 
     @cached_property
-    def _hf_array(self):
-        return fe.array_form(fe.compile_expr((self.h, self.f)))
+    def _hf_array(self) -> fe.Kernel:
+        return fe.Kernel((self.h, self.f))
 
     @cached_property
-    def _G_array(self):
-        return fe.array_form(fe.compile_expr(self.gauge_exponent()))
+    def _G_array(self) -> fe.Kernel:
+        return fe.Kernel(self.gauge_exponent())
 
 
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
@@ -211,6 +216,11 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     probes = _Probes(sp, box_x, box_t)
     tdiag, xdiag = probes.ts, probes.xs
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
+    # One memo per probe set for the whole call: every walk over the x,
+    # t or joint probes below computes each node object once.
+    at_x = fe._ProbeSet(probes.x7)
+    at_t = fe._ProbeSet(probes.t9)
+    joint = fe._ProbeSet(probes.joint12)
 
     # --- f and h from the affine-in-t ratio p2
     p2_t1 = probes.p2_t1
@@ -220,30 +230,25 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     f = fe.sub(p2_t1, fe.mul(fe.const(t1), h))
 
     affine_defect = fe.sub(fe.add(f, fe.mul(fe.const(t3), h)), p2_t3)
-    if not fe.numerically_zero(affine_defect, probes.x7, tol=1e-9, reference=p2_t3):
+    if not fe.numerically_zero(affine_defect, at_x, tol=1e-9, reference=p2_t3):
         raise DecompositionError(
             "the off-diagonal ratio p2 is not affine in the deformation variable")
 
-    f_zero, h_zero = probes.zero_in_x(f), probes.zero_in_x(h)
+    f_zero, h_zero = probes.zero_in_x(f, at_x), probes.zero_in_x(h, at_x)
 
     # --- R and M from q2 = R + M (f + t h)
     q2d = sp.q2_decomposable()
     phi = fe.add(f, fe.mul(T, h))
 
     # Each probe scan below is one walk over a fixed point set, read by
-    # index; the x probes share one memo.
-    x7_memo: dict = {}
-
-    def at_x7(e: Expr) -> list[complex]:
-        return fe._values_at(e, xdiag, [None] * len(xdiag), x7_memo)
-
+    # index.
     if f_zero and h_zero:
         R = fe.substitute(q2d, t=t1)
         M = fe.const(0)
     elif h_zero:
         # Split ambiguity (R -> R + c f, M -> M - c); pin M(t1) = 0.
         R = fe.substitute(q2d, t=t1)
-        xa, f_xa = max(zip(xdiag, at_x7(f)), key=lambda p: abs(p[1]))
+        xa, f_xa = max(zip(xdiag, at_x.values(f)), key=lambda p: abs(p[1]))
         if abs(f_xa) < 1e-12:
             raise DecompositionError("cannot split q2: f vanishes at all probes")
         r_xa = fe.evaluate(R, Binding(x=xa))
@@ -277,7 +282,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
             M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)),
                        fe.substitute(phi, x=xa))
         else:
-            xa, h_xa = max(zip(xdiag, at_x7(h)), key=lambda p: abs(p[1]))
+            xa, h_xa = max(zip(xdiag, at_x.values(h)), key=lambda p: abs(p[1]))
             if abs(h_xa) < 1e-12:
                 raise DecompositionError("cannot split q2: h vanishes at all probes")
             q_t2, q_t1 = fe._values_at(q2d, [xa, xa], [t2, t1], {})
@@ -287,34 +292,35 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
                        fe.mul(M, fe.substitute(phi, t=t1)))
 
     split_defect = fe.sub(q2d, fe.add(R, fe.mul(M, phi)))
-    if not fe.numerically_zero(split_defect, probes.joint12, tol=1e-8, reference=q2d):
+    if not fe.numerically_zero(split_defect, joint, tol=1e-8, reference=q2d):
         raise DecompositionError("inconsistent R/M split (residual above 1e-08)")
 
-    m_flags = probes.m_flags(M)
+    m_flags = probes.m_flags(M, at_t)
 
     # --- g and the P_i from the off-diagonal pair
     aoff, boff = sp.off_diag
     P3 = fe.substitute(boff, t=t1)  # normalizes g(t1) = 1, i.e. B = 1
-    p3_x7 = list(zip(xdiag, at_x7(P3)))
+    p3_x7 = list(zip(xdiag, at_x.values(P3)))
     xa, p3_xa = max(p3_x7, key=lambda p: abs(p[1]))
     g = fe.div(fe.substitute(boff, x=xa), fe.const(p3_xa))
     xb, p3_xb = max((p for p in p3_x7 if p[0] != xa), key=lambda p: abs(p[1]))
     g_alt = fe.div(fe.substitute(boff, x=xb), fe.const(p3_xb))
-    if not fe.numerically_zero(fe.sub(g, g_alt), probes.t9, tol=1e-9, reference=g):
+    if not fe.numerically_zero(fe.sub(g, g_alt), at_t, tol=1e-9, reference=g):
         raise DecompositionError("the deformation profile g depends on x")
     P1 = fe.mul(f, P3)
     P2 = fe.mul(h, P3)
     factor_defect = fe.sub(aoff, fe.mul(g, fe.add(P1, fe.mul(T, P2))))
-    if not fe.numerically_zero(factor_defect, probes.joint12, tol=1e-9, reference=aoff):
+    if not fe.numerically_zero(factor_defect, joint, tol=1e-9, reference=aoff):
         raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
 
     exponent_a: complex | None = None
     if m_flags[1]:
         dlog_g = fe.div(fe.differentiate(g, "t"), g)
-        vals = []
-        for tp in (tdiag[2], tdiag[4]):
-            b = Binding(t=tp)
-            vals.append(tp * (fe.evaluate(dlog_g, b) + 2 * fe.evaluate(M, b)))
+        # One walk over both t's; an exception is the one evaluating
+        # dlog_g, then M, at each t in turn would raise first.
+        tps = [tdiag[2], tdiag[4]]
+        dlog_gs, ms = fe._values_at((dlog_g, M), [None, None], tps, {})
+        vals = [tp * (dl + 2 * m) for tp, dl, m in zip(tps, dlog_gs, ms)]
         if abs(vals[0] - vals[1]) <= 1e-7 * (1 + abs(vals[0])):
             exponent_a = vals[0]
 
@@ -377,7 +383,7 @@ class ReducedEquation:
     point and passes the f samples on, so ``_fE_rows`` evaluates no kernel:
     it takes f on the rows the h stage accepted.  The samples are those of
     separate h and f kernels bit for bit, except where f's numpy batch
-    falls back to the scalar form (``expr.array_form``): h is then taken
+    falls back to the scalar form (``expr.Kernel``): h is then taken
     from the scalar form too, which can move E and S in the last places,
     and a row where f raises fails in the h stage, before h's tail could
     have bisected its panel.  No shipped entry meets either.
@@ -406,9 +412,11 @@ class ReducedEquation:
     rejected by the kernel's own exception (``expr._SAMPLE_ERRORS``), as
     every singular point is.
     All kernels are the decomposition's, so building a ReducedEquation
-    compiles nothing that the decomposition has already compiled, and
-    only the (h, f) kernel and ``_coeff_parts`` on a first build; the
-    gauge's G waits for its first use.  Its own state is the basepoint
+    compiles nothing that the decomposition has already compiled: on a
+    first build only ``_coeff_parts``, and the (h, f) kernel at its second
+    call, which the first E/S walk of more than one panel round makes;
+    the gauge's G is walked on its first call and compiled on its second.
+    Its own state is the basepoint
     and the E/S, gauge, x-stage and t-stage memos.  It holds no reference
     to itself (the walker's stages are bound per walk), so its memos are
     freed as soon as the last reference to it goes, without waiting for

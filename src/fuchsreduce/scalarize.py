@@ -118,9 +118,9 @@ def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, compl
     """Max-entry modulus of the integrability defect, maximized over
     ``points``.  Zero (to rounding) exactly when the two linear systems are
     jointly solvable near every point.  One call of the fused kernel
-    ``lp.frobenius_fns`` per point gives all four entries."""
-    fn = lp.frobenius_fns
-    return max(abs(v) for (x, t) in points for v in fn(complex(x), complex(t)))
+    ``lp.frobenius_fns`` gives all four entries at every point."""
+    rows = lp.frobenius_fns.at([x for x, _ in points], [t for _, t in points])
+    return max(abs(v) for row in rows for v in row)
 
 
 def scalar_coefficients(lp: "LaxPair", component: str = "first",

@@ -358,9 +358,8 @@ def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
     coefficient or solution value raises :class:`expr.QuadratureError`."""
     systems = prep.entry.linear_systems
     x0, x1, t = complex(x0), complex(x1), complex(t)
-    memo: dict = {}
-    b11, b12, b21, b22 = (fe._values_at(e, [x0], [t], memo)[0]
-                          for row in systems.b for e in row)
+    b11, b12, b21, b22 = (v[0] for v in fe._values_at(
+        tuple(e for row in systems.b for e in row), [x0], [t], {}))
     u, v = _PHI0
     start = (u, v, b11 * u + b12 * v, b21 * u + b22 * v)
     a_dadt = systems.a_dadt_array
@@ -510,9 +509,8 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
             return None
 
     rng = np.random.default_rng(seed)
-    rep.flow_max = stage("flow", lambda: max(
-        cat.flow_residual(entry, t)
-        for (t,) in cat.random_points(rng, (entry.box_t,), 16)))
+    rep.flow_max = stage("flow", lambda: cat.flow_residual(
+        entry, [t for (t,) in cat.random_points(rng, (entry.box_t,), 16)]))
     if entry.lax is not None:
         rep.frobenius_max = stage("frobenius", lambda: scal.frobenius_residual_grid(
             entry.lax, entry.grid_points()))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -11,6 +12,8 @@ from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.scalarize import ScalarPair
 from test_expr import read_infix
+
+NAN = float("nan")
 
 DATA = FsPath(__file__).resolve().parent / "data"
 MANIFESTS = FsPath(__file__).resolve().parents[1] / "src" / "fuchsreduce" / "manifests"
@@ -150,38 +153,58 @@ class TestTraceless:
 
 class TestFlow:
     def test_pii_y0_exact_cancellation(self):
-        assert catalog.flow_residual(catalog.lookup("PII.y0"), 0.7) == 0.0
+        assert catalog.flow_residual(catalog.lookup("PII.y0"), [0.7]) == 0.0
 
     def test_piii_flow(self):
-        assert catalog.flow_residual(catalog.lookup("PIII.y1"), 0.9) <= 1e-10
+        assert catalog.flow_residual(catalog.lookup("PIII.y1"), [0.9]) <= 1e-10
 
     def test_piv_cubic_flow(self):
-        assert catalog.flow_residual(catalog.lookup("PIV.y_m2t3"), 1.1) <= 1e-10
+        assert catalog.flow_residual(catalog.lookup("PIV.y_m2t3"), [1.1]) <= 1e-10
 
     @pytest.mark.parametrize("entry_id", EXPECTED_IDS)
     def test_sixteen_random_probes(self, entry_id):
         entry = catalog.lookup(entry_id)
         rng = np.random.default_rng(91)
-        worst = max(
-            catalog.flow_residual(entry, t)
-            for (t,) in catalog.random_points(rng, (entry.box_t,), 16)
-        )
+        ts = [t for (t,) in catalog.random_points(rng, (entry.box_t,), 16)]
+        worst = catalog.flow_residual(entry, ts)
         assert worst <= 1e-10
+        # One call over the 16 t's is the max of one call per t.
+        assert repr(worst) == repr(max(catalog.flow_residual(entry, [t]) for t in ts))
 
     def test_negative_control_breaks_flow(self):
-        assert catalog.flow_residual(catalog.lookup("negative.PII_bad_y1"), 0.7) >= 1e-2
+        assert catalog.flow_residual(catalog.lookup("negative.PII_bad_y1"), [0.7]) >= 1e-2
+
+    @pytest.mark.parametrize("rows, want", [
+        ([(1.0,), (NAN,), (2.0,)], 2.0), ([(NAN,), (1.0,)], NAN),
+        ([(1.0, NAN), (0.5, 0.25)], 1.0), ([(NAN, 1.0), (3.0, 0.0)], NAN)])
+    def test_max_per_t_then_across_ts_in_order(self, rows, want):
+        # The reduction a loop of one call per t made: the max over each
+        # t's residuals, then the max across the t's in draw order, so a
+        # NaN reads as it did (Python's max keeps a NaN only when first).
+        class Rows:
+            def at(self, xs, ts):
+                assert xs == [0j] * len(rows)
+                return rows
+
+        entry = dataclasses.replace(catalog.lookup("PII.y0"))
+        entry.__dict__["flow_fns"] = Rows()
+        got = catalog.flow_residual(entry, [0.5] * len(rows))
+        assert repr(got) == repr(want)
+        assert repr(got) == repr(max(max(abs(v) for v in row) for row in rows))
 
     @pytest.mark.parametrize("entry_id", (*EXPECTED_IDS, "negative.PII_bad_y1"))
     def test_fused_kernel_is_bit_identical(self, entry_id):
         # On the 16 probes full_report draws for this entry at two seeds,
-        # the one tuple kernel gives the bits of one kernel per expression.
+        # the one tuple kernel gives the bits of one kernel per expression,
+        # on its first (walked) call and on its later (compiled) calls.
         entry = catalog.lookup(entry_id)
         singles = [fe.compile_expr(e) for e in entry.flow_exprs]
-        for seed in (42, 7):
+        kernel = fe.Kernel(entry.flow_fns.expr)
+        for seed in (42, 7, 1):
             rng = np.random.default_rng(Config(seed=seed).entry_seed(entry_id))
-            for (t,) in catalog.random_points(rng, (entry.box_t,), 16):
-                want = [repr(f(0j, t)) for f in singles]
-                assert [repr(v) for v in entry.flow_fns(0j, t)] == want
+            ts = [t for (t,) in catalog.random_points(rng, (entry.box_t,), 16)]
+            want = [[repr(f(0j, t)) for f in singles] for t in ts]
+            assert [[repr(v) for v in row] for row in kernel.at([0j] * 16, ts)] == want
 
 
 class TestManifests:

@@ -286,10 +286,65 @@ class TestCompileSharing:
 
         check()
 
+    def test_kernel_at_property(self):
+        # A kernel's first call walks the trees and its later calls run
+        # compiled code; both give, point by point, the compiled function's
+        # bits, or raise what it raises at the first bad point (class and
+        # message).
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        trees = _raw_trees(st)
+        points = st.sampled_from(_PROPERTY_POINTS)
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(st.one_of(trees, st.tuples(trees, trees)),
+                   st.lists(points, min_size=1, max_size=4), points)
+        def check(e, xs, t):
+            f = fe.compile_expr(e)
+            want = _call_message(lambda: [_result_bits(f(x, t)) for x in xs])
+            kernel = fe.Kernel(e)
+            for _ in range(2):
+                got = _call_message(lambda: [_result_bits(v)
+                                             for v in kernel.at(xs, [t] * len(xs))])
+                assert got == want
+            assert kernel._fn is not None
+
+        check()
+
 
 def _reprs(value):
     """The ``repr`` of each value of a scalar or tuple result."""
     return [repr(complex(v)) for v in (value if isinstance(value, tuple) else (value,))]
+
+
+def _result_bits(value):
+    """The type, shape and bits of a kernel's result: a value, an array, or
+    a list or tuple of them."""
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, [_result_bits(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.shape, [_bits(complex(v)) for v in value.ravel()]
+    return type(value).__name__, _bits(complex(value))
+
+
+def both_tiers(call, *args):
+    """``call(*args)`` twice, ``call`` being a new kernel (its array form)
+    or its ``at``: the first call walks the tree and the second runs the
+    compiled code.  Both give the same bits or raise the same class and
+    message; the second's result is returned, or its exception raised."""
+    outcomes = []
+    for _ in range(2):
+        try:
+            outcomes.append((call(*args), None))
+        except Exception as exc:  # noqa: BLE001 - compared by class and message
+            outcomes.append((None, exc))
+    (walked, walk_err), (compiled, err) = outcomes
+    if err is not None or walk_err is not None:
+        assert (type(walk_err), str(walk_err)) == (type(err), str(err))
+        raise err
+    assert _result_bits(walked) == _result_bits(compiled)
+    return compiled
 
 
 # A placeholder leaf: it prints, and _raw_bound replaces it before any
@@ -416,7 +471,7 @@ class TestCompileConstants:
         f = fe.compile_expr(e)
         assert want == -4
         assert f(0j, 0j) == want
-        assert list(fe.array_form(f)(np.array([0j, 1j]), 0j)) == [want, want]
+        assert list(both_tiers(fe.Kernel(e), np.array([0j, 1j]), 0j)) == [want, want]
 
     @pytest.mark.parametrize("value", [complex(0.0, -0.5), complex(-0.0, -0.5), 3j,
                                        -1 + 0j])
@@ -426,7 +481,8 @@ class TestCompileConstants:
         want = fe.evaluate(e, Binding(x=1 + 1j, t=0j))
         f = fe.compile_expr(e)
         assert f(1 + 1j, 0j) == want
-        assert fe.array_form(f)(np.array([1 + 1j]), 0j)[0] == pytest.approx(want, rel=1e-15)
+        got = both_tiers(fe.Kernel(e), np.array([1 + 1j]), 0j)
+        assert got[0] == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("re", [0.0, -0.0, 1.5, -1.5])
     @pytest.mark.parametrize("im", [0.0, -0.0, 2.5, -2.5])
@@ -438,7 +494,7 @@ class TestCompileConstants:
             want = _bits(fe.evaluate(e, Binding(x=x, t=0j)))
             f = fe.compile_expr(e)
             assert _bits(f(x, 0j)) == want
-            got = fe.array_form(f)(np.array([x, x]), 0j)
+            got = both_tiers(fe.Kernel(e), np.array([x, x]), 0j)
             assert [_bits(complex(v)) for v in got] == [want, want]
 
     def test_negative_zero_imaginary_part_picks_the_branch(self):
@@ -455,17 +511,22 @@ class TestCompileConstants:
     ])
     def test_non_finite_value_matches_evaluate(self, e, params):
         # repr gives '(nan+0j)', '(inf+0j)', '-infj': nan and inf are not
-        # Python literals, so emitted bare they would raise NameError.
+        # Python literals, so emitted bare they would raise NameError.  The
+        # array batch is not finite, so both tiers fall back to the scalar
+        # values.
         xs = [1 + 0j, 2 - 1j]
         e = fe.substitute(e, **params)
         want = [repr(fe.evaluate(e, Binding(x=x, t=0j))) for x in xs]
         f = fe.compile_expr(e)
         assert [repr(f(x, 0j)) for x in xs] == want
-        assert [repr(complex(v)) for v in fe.array_form(f)(np.array(xs), 0j)] == want
+        assert [repr(complex(v)) for v in both_tiers(fe.Kernel(e), np.array(xs), 0j)] == want
+        assert [repr(v) for v in both_tiers(fe.Kernel(e).at, xs, [0j, 0j])] == want
 
 
 class TestArrayForm:
-    """``array_form``: the same compiled body evaluated on arrays."""
+    """A kernel's array form: the same compiled body evaluated on arrays,
+    and on its first call the walk that applies the same numpy
+    operations."""
 
     def test_matches_scalar_on_catalog_coefficients(self, prep):
         # The walk matrix (A, then dA/dt) of three entries; PVdeg's is the
@@ -479,20 +540,20 @@ class TestArrayForm:
             xs = (rng.uniform(box.re_lo, box.re_hi, 50)
                   + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
             ts = rng.uniform(0.5, 1.5, 50) + 0j
-            got = systems.a_dadt_array(xs, ts)
+            got = both_tiers(fe.Kernel(systems.a_dadt_array.expr), xs, ts)
             want = np.array([scalar(x, t) for x, t in zip(xs.tolist(), ts.tolist())]).T
             assert len(got) == 8 and all(g.shape == (50,) for g in got)
             scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
             assert np.all(np.abs(np.array(got) - want) <= 1e-13 * scale)
 
     def test_broadcasts_and_keeps_shape(self):
-        f = fe.compile_expr((fe.const(2), fe.mul(X, T), T))
+        kernel = fe.Kernel((fe.const(2), fe.mul(X, T), T))
         xs = np.array([[1 + 1j, 2], [3, 4j]])
-        two, xt, t = fe.array_form(f)(xs, 0.5)
+        two, xt, t = both_tiers(kernel, xs, 0.5)
         assert two.shape == xt.shape == t.shape == (2, 2)
         assert np.all(two == 2) and np.all(t == 0.5)
         assert np.all(xt == xs * 0.5)
-        assert fe.array_form(fe.compile_expr(X))(1 + 2j, 0).shape == ()
+        assert both_tiers(fe.Kernel(X), 1 + 2j, 0).shape == ()
 
     @pytest.mark.parametrize("e, bad, error", [
         (fe.div(fe.const(1), fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))), 1.5,
@@ -506,18 +567,20 @@ class TestArrayForm:
             "zero-ipow"])
     def test_singular_point_raises_scalar_exception(self, e, bad, error):
         # numpy would return inf or nan here (and 1/(1/0) is a finite 0);
-        # the batch goes back to the scalar form, which raises.
+        # the batch goes back to the scalar form, which raises.  The walk
+        # on a kernel's first call raises too, and is answered the same way.
         f = fe.compile_expr(e)
-        array = fe.array_form(f)
         with pytest.raises(error):
             f(bad, 0j)
         with pytest.raises(error):
-            array(np.array([0.5, bad, 1.25]), 0j)
-        assert np.all(np.isfinite(array(np.array([0.25, 0.5]), 0j)))
+            both_tiers(fe.Kernel(e), np.array([0.5, bad, 1.25]), 0j)
+        with pytest.raises(error):
+            both_tiers(fe.Kernel(e).at, [0.5, bad, 1.25], [0j] * 3)
+        assert np.all(np.isfinite(both_tiers(fe.Kernel(e), np.array([0.25, 0.5]), 0j)))
 
     def test_zero_base_positive_fractional_power(self):
-        f = fe.compile_expr(fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(1, 2)))
-        got = fe.array_form(f)(np.array([1.5, 2.5]), 0j)
+        kernel = fe.Kernel(fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(1, 2)))
+        got = both_tiers(kernel, np.array([1.5, 2.5]), 0j)
         assert got[0] == 0 and got[1] == pytest.approx(1.0)
 
     def test_array_form_property(self):
@@ -531,7 +594,7 @@ class TestArrayForm:
         def check(e, xs, t):
             f = fe.compile_expr(e)
             scalar = [_call(f, x, t) for x in xs]
-            got = _call(fe.array_form(f), np.array(xs), t)
+            got = _call(both_tiers, fe.Kernel(e), np.array(xs), t)
             raised = [v for v in scalar if isinstance(v, type)]
             if raised:
                 # The scalar form is run point by point, in order.
@@ -701,6 +764,9 @@ class TestMultiSegmentPanels:
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(fe.const(1), fe.mul(T, h)), q2=zero))
         red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
+        # The walk's first kernel call walks the tree, which raises at the
+        # pole; the compiled kernel answers with its ZeroDivisionError.
+        assert not dec._hf_array._walked
         got = fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends, 1e-13)
         assert isinstance(got[0], fe.QuadratureError)
         assert isinstance(got[0].__cause__, ZeroDivisionError)
@@ -866,9 +932,9 @@ class TestNumericallyZero:
         probes = [Binding(x=1.0 + 0.25j * k) for k in range(8)]
         walk, sizes = fe._probe_values, []
 
-        def recorded(node, xs, ts, memo):
+        def recorded(node, xs, ts, memo, *mode):
             sizes.append(len(xs))
-            return walk(node, xs, ts, memo)
+            return walk(node, xs, ts, memo, *mode)
 
         monkeypatch.setattr(fe, "_probe_values", recorded)
         assert fe.numerically_zero(fe.sub(e, X), probes, reference=e)

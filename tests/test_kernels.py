@@ -1,9 +1,14 @@
-"""Compiled kernels live on the objects they are compiled from.
+"""Kernels live on the objects they are built from, and compile on reuse.
 
-A catalog entry owns its scalar pair, its decomposition and their compiled
-functions; a prepare call owns only its memos.  So a second report on an
-entry compiles nothing, an override entry takes its kernels with it when
-it is collected, and no report depends on what ran before it.
+A catalog entry owns its scalar pair, its decomposition and their kernels;
+a prepare call owns only its memos.  An expression kernel
+(``expr.Kernel``) walks its DAG on its first call and compiles on its
+second, and both tiers give the compiled code's values and exceptions bit
+for bit.  So a fresh entry's report compiles only the staged coefficients
+and (h, f), which it calls many times; on a default entry each kernel
+compiles at most once and a third report compiles nothing; an override
+entry takes its kernels with it when it is collected; and no report
+depends on what ran before it.
 """
 
 import gc
@@ -15,6 +20,7 @@ import threading
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fuchsreduce
@@ -43,20 +49,61 @@ class TestKernelLifetime:
             assert entry_ref() is None
             assert lax_ref() is None
 
-    def test_second_report_compiles_nothing(self, monkeypatch):
-        for entry_id in ALL_WITH_NEGATIVE:
-            verify.full_report(entry_id)
-        calls = [0]
+    def test_third_report_compiles_nothing(self, monkeypatch):
+        # A kernel walks on its first call and compiles on its second: over
+        # two reports on every entry each kernel compiles at most once, and
+        # a third report compiles nothing.
+        compiled = []
         real_compile = fe.compile_expr
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return real_compile(*args, **kwargs)
+        def recording(e):
+            compiled.append(e)
+            return real_compile(e)
 
-        monkeypatch.setattr(fe, "compile_expr", counting)
+        monkeypatch.setattr(fe, "compile_expr", recording)
+        for seed in (42, 7):
+            for entry_id in ALL_WITH_NEGATIVE:
+                verify.full_report(entry_id, Config(seed=seed))
+        # The list holds every expression, so no id is reused.
+        assert len({id(e) for e in compiled}) == len(compiled)
+        count = len(compiled)
         for entry_id in ALL_WITH_NEGATIVE:
-            verify.full_report(entry_id, Config(seed=7))
-        assert calls[0] == 0
+            verify.full_report(entry_id, Config(seed=1))
+        assert len(compiled) == count
+
+    def test_fresh_report_compiles_only_staged_and_hf(self, monkeypatch):
+        # A --param report builds a fresh entry.  Its report walks the
+        # kernels it calls once (flow, Frobenius, A and dA/dt on the
+        # one-round leg, G) and compiles only the staged coefficients and
+        # (h, f), which the E/S walks call again and again.
+        entries, exprs, staged = [], [], []
+        real_lookup, real_compile, real_staged = (
+            catalog.lookup, fe.compile_expr, fe.compile_staged)
+
+        def recording_lookup(entry_id, overrides=None):
+            entries.append(real_lookup(entry_id, overrides))
+            return entries[-1]
+
+        def recording_compile(e):
+            exprs.append(e)
+            return real_compile(e)
+
+        def recording_staged(e):
+            staged.append(e)
+            return real_staged(e)
+
+        monkeypatch.setattr(catalog, "lookup", recording_lookup)
+        monkeypatch.setattr(fe, "compile_expr", recording_compile)
+        monkeypatch.setattr(fe, "compile_staged", recording_staged)
+        rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(5, 2)})
+        assert rep.passed, rep.errors
+        (entry,) = entries
+        dec = entry.decomposition
+        assert exprs == [(dec.h, dec.f)] and exprs[0] is dec._hf_array.expr
+        assert len(staged) == 1 and len(staged[0]) == 3
+        walked = [entry.flow_fns, entry.lax.frobenius_fns, entry.lax.a_dadt_array,
+                  dec._G_array]
+        assert [(k._walked, k._fn) for k in walked] == [(True, None)] * 4
 
     def test_prepare_shares_kernels_not_memos(self):
         entry = catalog.lookup("PII.y0")
@@ -103,9 +150,11 @@ class TestKernelLifetime:
         # The copy on the run's boxes keeps the entry's flow kernel and
         # linear systems (with the Kitaev pair's compiled A, dA/dt); only
         # the scalar pair and the decomposition probe the boxes.  Its report
-        # is the one of a copy that builds everything afresh.
-        for other in ALL_WITH_NEGATIVE:
-            verify.full_report(other)
+        # is the one of a copy that builds everything afresh.  Two reports
+        # on every entry first, so the entry's kernels are compiled.
+        for _ in range(2):
+            for other in ALL_WITH_NEGATIVE:
+                verify.full_report(other)
         config = Config(box_t=box_t)
         entry = catalog.lookup(entry_id)
         # Overrides equal to the defaults build a new entry with nothing cached.
@@ -124,7 +173,8 @@ class TestKernelLifetime:
         assert copy.flow_fns is entry.flow_fns
         assert copy.linear_systems.a_dadt_array is entry.linear_systems.a_dadt_array
         dec = copy.decomposition
-        assert compiled == [(dec.h, dec.f), dec.gauge_exponent()]
+        # G is called once, in cross-validation, so it is walked.
+        assert compiled == [(dec.h, dec.f)]
         # Nothing is carried that the entry has not built.
         fresh = catalog.lookup(entry_id, dict(entry.params_exact))
         assert "flow_fns" not in fresh.with_boxes(config).__dict__
@@ -266,3 +316,83 @@ class TestHistoryIndependence:
         here = [json.dumps(verify.full_report(e, Config(seed=s)).to_json())
                 for e, s in (("PIII.y1", 7), ("PVdeg.kitaev_sqrt", 42))]
         assert here == first
+
+
+def _reprs(value):
+    """The ``repr`` of every value of a kernel's result, with the shapes."""
+    if isinstance(value, (tuple, list)):
+        return [type(value).__name__, [_reprs(v) for v in value]]
+    if isinstance(value, np.ndarray):
+        return [value.shape, [repr(complex(v)) for v in value.ravel()]]
+    return repr(value)
+
+
+# The five expression kernels of an entry: Frobenius, flow, the walk
+# matrix A, dA/dt, and the decomposition's (h, f) and G.
+_KERNELS = ("frobenius_fns", "flow_fns", "a_dadt_array", "_hf_array", "_G_array")
+
+
+def _new_kernel_call(entry, name):
+    """A new kernel of the expressions of the entry's kernel ``name``, and
+    a call of it like the one a report makes: the scalar entry point on
+    the report's grid or 16 deformation values, or the array form on three
+    rows of panel points in the x box."""
+    if name == "frobenius_fns":
+        # The matrices, or the companion system of a direct scalar pair.
+        kernel = fe.Kernel(entry.linear_systems.frobenius_fns.expr)
+        points = entry.grid_points()
+        return kernel, kernel.at, ([x for x, _ in points], [t for _, t in points])
+    if name == "flow_fns":
+        kernel = fe.Kernel(entry.flow_fns.expr)
+        return kernel, kernel.at, ([0j] * 16, entry.box_t.diagonal(16))
+    rows = np.array(entry.box_x.diagonal(3))[:, None] + 0.05 * fe._CHEB_NODES
+    if name == "a_dadt_array":
+        kernel = fe.Kernel(entry.linear_systems.a_dadt_array.expr)
+        return kernel, kernel, (rows, entry.box_t.center)
+    kernel = fe.Kernel(getattr(entry.decomposition, name).expr)
+    return kernel, kernel, (rows, 0j)
+
+
+class TestTierEquivalence:
+    """A kernel's first call walks and its later calls run compiled code;
+    the two give the same values, bit for bit, and raise the same
+    exceptions."""
+
+    @pytest.mark.parametrize("name", _KERNELS)
+    @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
+    def test_walked_and_compiled_calls_agree(self, entry_id, name):
+        kernel, call, args = _new_kernel_call(catalog.lookup(entry_id), name)
+        walked = call(*args)
+        assert kernel._walked and kernel._fn is None
+        compiled = call(*args)
+        assert kernel._fn is not None
+        assert _reprs(walked) == _reprs(compiled)
+        assert _reprs(call(*args)) == _reprs(compiled)
+
+    def test_singular_frobenius_grid_raises_alike(self):
+        # theta1 = 2 puts a pole of PV.y_lin's matrices on the 5 x 5 grid.
+        # The walk raises there, so the first call is answered by the
+        # compiled kernel: both calls raise its exception, which the
+        # report records.
+        overrides = {"theta1": Fraction(2)}
+        entry = catalog.lookup("PV.y_lin", overrides)
+        kernel = entry.lax.frobenius_fns
+        points = entry.grid_points()
+        xs, ts = [x for x, _ in points], [t for _, t in points]
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+                kernel.at(xs, ts)
+        assert kernel._fn is not None
+        rep = verify.full_report("PV.y_lin", overrides=overrides)
+        assert "frobenius: complex division by zero" in rep.errors
+
+    def test_singular_batch_raises_alike(self):
+        # A pole on one point of a batch: numpy's batch raises, and both
+        # tiers end in the compiled scalar exception at that point.
+        e = fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5)))
+        for call in (lambda k: k(np.array([1.25, 1.5, 1.75]), 0j),
+                     lambda k: k.at([1.25, 1.5, 1.75], [0j] * 3)):
+            kernel = fe.Kernel(e)
+            for _ in range(2):
+                with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+                    call(kernel)

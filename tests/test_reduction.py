@@ -7,6 +7,7 @@ import pytest
 from fuchsreduce import catalog, expr as fe, reduction, scalarize
 from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
+from test_expr import both_tiers
 
 ALL_IDS = catalog.list_entries()
 
@@ -272,10 +273,10 @@ class TestTauMap:
 
 
 def _two_kernel_stages(dec):
-    """The E/S stages of separately compiled h and f: the h stage samples h,
+    """The E/S stages of separate h and f kernels: the h stage samples h,
     and the f E stage samples f again on the rows the h stage accepted."""
-    h = fe.array_form(fe.compile_expr(dec.h))
-    f = fe.array_form(fe.compile_expr(dec.f))
+    h = fe.Kernel(dec.h)
+    f = fe.Kernel(dec.f)
 
     def h_rows(z, prior):
         return h(z, 0j)
@@ -330,8 +331,11 @@ class TestOnePassStages:
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(f, fe.mul(T, h)), q2=zero))
         xs = (np.linspace(1.1, 2.5, 64) + 0.1j).tolist()
         h_scalar, f_scalar = fe.compile_expr(h), fe.compile_expr(f)
-        h_own = fe.array_form(h_scalar)(xs, 0j)
-        got_h, got_f = dec._hf_array(xs, 0j)
+        h_own = fe.Kernel(h)(xs, 0j)
+        # The batch falls back to the scalar values on the kernel's first
+        # (walked) call and on its later (compiled) calls alike.
+        assert dec._hf_array._fn is None
+        got_h, got_f = both_tiers(dec._hf_array, xs, 0j)
         assert got_h.tolist() == [h_scalar(x, 0j) for x in xs]
         assert got_f.tolist() == [f_scalar(x, 0j) for x in xs] == got_h.tolist()
         assert (got_h != h_own).any()

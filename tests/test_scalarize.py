@@ -52,22 +52,27 @@ class TestFrobenius:
     @pytest.mark.parametrize("entry_id", (*LAX_IDS, "negative.PII_bad_y1"))
     def test_fused_kernel_is_bit_identical(self, entry_id):
         # On the report's 5 x 5 grid and the 12 joint probes, the one tuple
-        # kernel gives the bits of one kernel per entry, and the grid
+        # kernel gives the bits of one kernel per entry, on its first
+        # (walked) call and on its later (compiled) calls, and the grid
         # maximum is the maximum over the per-entry kernels.
         entry = catalog.lookup(entry_id)
         lp = entry.lax
         singles = [fe.compile_expr(r)
                    for r in scalarize.frobenius_residual_exprs(lp)]
         points = entry.grid_points(5) + [(b.x, b.t) for b in entry.probe_bindings()]
+        xs, ts = [complex(x) for x, _ in points], [complex(t) for _, t in points]
+        want = [[repr(f(x, t)) for f in singles] for x, t in zip(xs, ts)]
+        kernel = fe.Kernel(lp.frobenius_fns.expr)
+        for _ in range(3):
+            assert [[repr(v) for v in row] for row in kernel.at(xs, ts)] == want
         for x, t in points:
-            want = [f(complex(x), complex(t)) for f in singles]
-            assert [repr(v) for v in lp.frobenius_fns(complex(x), complex(t))] == \
-                [repr(v) for v in want]
-            worst = repr(max(abs(v) for v in want))
+            worst = repr(max(abs(f(complex(x), complex(t))) for f in singles))
             assert repr(scalarize.frobenius_residual_grid(lp, [(x, t)])) == worst
         grid = entry.grid_points(5)
         want_max = max(abs(f(complex(x), complex(t))) for x, t in grid for f in singles)
         assert repr(scalarize.frobenius_residual_grid(lp, grid)) == repr(want_max)
+        fresh = LaxPair(lp.a, lp.b)
+        assert repr(scalarize.frobenius_residual_grid(fresh, grid)) == repr(want_max)
 
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_probe_grid_25_points(self, entry_id):

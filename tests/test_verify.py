@@ -670,27 +670,38 @@ class TestCrossValidateBatched:
 
     def test_nonfinite_sample_fails_report(self, monkeypatch):
         # One NaN G sample among the 9 points of the leg must fail the
-        # stage, not drop out of the spread.
-        compile_g = red_mod.Decomposition._G_array.func
+        # stage, not drop out of the spread, whichever tier of the G
+        # kernel gives the samples: its first call walks, a later one runs
+        # compiled code.
+        kernel_of_g = red_mod.Decomposition._G_array.func
 
-        def poisoned(dec):
-            g = compile_g(dec)
+        class Poisoned(fe.Kernel):
+            __slots__ = ()
 
-            def g_nan(x, t):
-                got = g(x, t)
+            def __call__(self, x, t):
+                got = super().__call__(x, t)
                 if np.shape(x) == (9,):
                     got = got.copy()
                     got[4] = complex("nan")
                 return got
 
-            return g_nan
+        for compiled in (False, True):
+            kernels = []
 
-        monkeypatch.setattr(red_mod.Decomposition, "_G_array", property(poisoned))
-        rep = verify.full_report("PII.y0")
-        assert not rep.passed
-        assert rep.cross_validation_residual is None
-        assert rep.errors == ["cross-validation: non-finite mu at x = 2.1+0j on the leg "
-                              "[1.8+0j, 2.4+0j] at t = 1+0j"]
+            def poisoned(dec):
+                kernel = Poisoned(kernel_of_g(dec).expr)
+                if compiled:
+                    kernel(np.zeros(2), 0j)     # the first call walks
+                kernels.append(kernel)
+                return kernel
+
+            monkeypatch.setattr(red_mod.Decomposition, "_G_array", property(poisoned))
+            rep = verify.full_report("PII.y0")
+            assert not rep.passed
+            assert rep.cross_validation_residual is None
+            assert rep.errors == ["cross-validation: non-finite mu at x = 2.1+0j on the leg "
+                                  "[1.8+0j, 2.4+0j] at t = 1+0j"]
+            assert [k._fn is not None for k in kernels] == [compiled]
 
 
 _MUTATIONS = {
@@ -909,16 +920,18 @@ class TestFullReport:
         box_t = (0.8, 1.8, -0.1, 0.3)
         cfg = Config(box_t=box_t)
         rect = catalog.ComplexRect(*box_t)
-        flow_ts = []
+        flow_calls = []
         real_flow = catalog.flow_residual
 
-        def recording(entry, t):
-            flow_ts.append(t)
-            return real_flow(entry, t)
+        def recording(entry, ts):
+            flow_calls.append(list(ts))
+            return real_flow(entry, ts)
 
         monkeypatch.setattr(catalog, "flow_residual", recording)
         rep = verify.full_report("PII.y0", cfg)
         assert rep.passed, rep.errors
+        # One call takes the report's 16 t's.
+        (flow_ts,) = flow_calls
         assert len(flow_ts) == 16 and all(rect.contains(t) for t in flow_ts)
         entry = catalog.lookup("PII.y0")
         grid = [(x, t) for x in entry.box_x.diagonal(5) for t in rect.diagonal(5)]
