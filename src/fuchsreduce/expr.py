@@ -139,7 +139,13 @@ class Expr:
         return h
 
     def __repr__(self):
-        return f"Expr({to_string(self)!r})"
+        """The infix text of a tree of at most ``_REPR_NODES`` nodes, else
+        a summary, so a repr takes time linear in the DAG (the text of a
+        DAG whose subtrees are shared is exponential in its depth)."""
+        tree, dag = _tree_sizes(self)
+        if tree <= _REPR_NODES:
+            return f"Expr({to_string(self)!r})"
+        return f"<Expr {self.kind}: {tree} tree nodes, {dag} distinct>"
 
     # Arithmetic sugar; every operator funnels through the folding helpers.
     def __add__(self, other):
@@ -171,6 +177,26 @@ class Expr:
 
     def __pow__(self, exponent):
         return pow_any(self, exponent)
+
+
+# The largest tree that Expr.__repr__ prints in full.
+_REPR_NODES = 500
+
+
+def _tree_sizes(e: Expr) -> tuple[int, int]:
+    """The number of nodes of ``e`` as a tree and of distinct node objects
+    in its DAG, in one pass over the DAG."""
+    sizes: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        todo = [c for c in n.children if id(c) not in sizes]
+        if todo:
+            stack += todo
+        else:
+            stack.pop()
+            sizes[id(n)] = 1 + sum(sizes[id(c)] for c in n.children)
+    return sizes[id(e)], len(sizes)
 
 
 def _coerce(value) -> Expr:
@@ -1121,6 +1147,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                     z, applied, half, state = z[ok], applied[ok], half[ok], state[ok]
                     prior = [pr[ok] for pr in prior]
                     passed = [v[ok] for v in passed]
+                    integrals = [it[ok] for it in integrals]
                 integrals.append(state[:, 2 + k:3 + k] + half * applied[:, 3:])
                 prior += [integrals[-1], *passed]
             for j, *row in zip(sel, *(it[:, -1].tolist() for it in integrals)):

@@ -33,10 +33,14 @@ The cold path of a fresh entry evaluates each shared subexpression once:
 reads its pivots from walks of the expression DAGs over fixed point sets
 (one memo per set for the whole call, so each node once per set; an
 exception the first bad point's); h and f form one kernel called once per
-panel point of an E/S walk; and every kernel but the staged coefficients
-is an ``expr.Kernel``, which walks on its first call and compiles on its
+panel point of an E/S walk; and every kernel a report runs is an
+``expr.Kernel``, which walks on its first call and compiles on its
 second, so a kernel a report calls once (the gauge exponent's, in
-cross-validation) compiles only on an entry that serves a second report.
+cross-validation, and the reduced coefficients', in one batch for the
+t-independence stage) compiles only on an entry that serves a second
+report.  A fresh entry's report compiles (h, f) alone.  The coefficients
+staged on x and on t, which only the point API ``coefficients_at`` runs,
+are compiled on its first call.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -125,14 +130,16 @@ class Decomposition:
     reduced coefficients (see :class:`ReducedEquation`), built on first
     use and kept for the life of the decomposition.  ``_hf_array`` is one
     :class:`expr.Kernel` for the pair (h, f), so the lines of h that f
-    contains run once per point, and ``_G_array`` the kernel of G, both
+    contains run once per point, ``_G_array`` the kernel of G and
+    ``_coeff_array`` that of (phi, p_num, q_num), phi = f + t h, all
     called only in array form; each walks on its first call and is
-    compiled on its second.  ``_coeff_parts`` is compiled at once, the
-    staged triple ``(pre_x, pre_t, post)`` of
-    :func:`expr.compile_staged` for (phi, p_num, q_num): ``pre_x(x)``
-    computes the lines that depend on x alone (f', h', G, G', G^2 and most
-    of p1 and q1), ``pre_t(t)`` those that depend on t alone (the parts of
-    p1 and q1 in t alone), and ``post(x, t, pre_x(x), pre_t(t))`` the rest.
+    compiled on its second.  ``_coeff_parts`` is the same triple compiled
+    as the staged functions ``(pre_x, pre_t, post)`` of
+    :func:`expr.compile_staged`, at its first use (the first
+    ``coefficients_at`` call): ``pre_x(x)`` computes the lines that depend
+    on x alone (f', h', G, G', G^2 and most of p1 and q1), ``pre_t(t)``
+    those that depend on t alone (the parts of p1 and q1 in t alone), and
+    ``post(x, t, pre_x(x), pre_t(t))`` the rest.
     ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
@@ -176,8 +183,9 @@ class Decomposition:
     def M_constant(self) -> bool:
         return self._m_flags[1]
 
-    @cached_property
-    def _coeff_parts(self):
+    def _coefficient_exprs(self) -> tuple[Expr, Expr, Expr]:
+        """(phi, p_num, q_num), built afresh for each coefficient kernel, so
+        a decomposition that compiles only the staged one keeps no tree."""
         G = self.gauge_exponent()
         p1, q1 = self.sp.p1, self.sp.q1
         phi = fe.add(self.f, fe.mul(T, self.h))
@@ -189,7 +197,15 @@ class Decomposition:
             fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        return fe.compile_staged((phi, p_num, q_num))
+        return phi, p_num, q_num
+
+    @cached_property
+    def _coeff_array(self) -> fe.Kernel:
+        return fe.Kernel(self._coefficient_exprs())
+
+    @cached_property
+    def _coeff_parts(self):
+        return fe.compile_staged(self._coefficient_exprs())
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
@@ -370,6 +386,25 @@ _PREFETCH_BATCH = 64
 _DEN_P_MIN, _DEN_Q_MIN = 1e-14, 1e-20
 
 
+class _Stage:
+    """One of the staged coefficient functions of a ReducedEquation
+    (``_pre_x``, ``_pre_t`` or ``_post``, by index): the first read binds
+    all three, the decomposition's ``_coeff_parts``, as plain attributes of
+    the instance, which shadow this descriptor from then on.  Unlike
+    ``functools.cached_property`` it never reads the instance
+    ``__dict__``, which would slow every attribute read of the instance
+    after it."""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __get__(self, red, owner=None):
+        if red is None:
+            return self
+        red._pre_x, red._pre_t, red._post = stages = red.dec._coeff_parts
+        return stages[self.index]
+
+
 class ReducedEquation:
     """The change of variables and the reduced equation w'' + P w' + Q w = 0
     of one decomposition and basepoint.
@@ -396,27 +431,32 @@ class ReducedEquation:
     f calls for.
 
     P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h.
-    phi, p_num and q_num are compiled together, sharing their common
-    subexpressions, and staged on x and on t
-    (``Decomposition._coeff_parts``): ``_pre_x(x)`` runs the lines that
-    depend on x alone, ``_pre_t(t)`` those that depend on t alone and
-    ``_post(x, t, xv, tv)`` the rest.  :meth:`coefficients_at` memoizes
+    :meth:`coefficients_batch` takes many points in one call of the
+    decomposition's array kernel of (phi, p_num, q_num) (a report's
+    t-independence stage makes one such call).  :meth:`coefficients_at`
+    takes one point, on the same three expressions compiled together,
+    sharing their common subexpressions, and staged on x and on t
+    (``Decomposition._coeff_parts``, compiled at the first call of any
+    ReducedEquation of the decomposition and bound to this one at its
+    first call, see ``_Stage``): ``_pre_x(x)`` runs the lines that depend on x alone,
+    ``_pre_t(t)`` those that depend on t alone and ``_post(x, t, xv,
+    tv)`` the rest.  The two forms agree to rounding, not bit for bit.
+    :meth:`coefficients_at` memoizes
     ``(E(x), _pre_x(x))`` per x and ``_pre_t(t)`` per t, so on a lattice of
     (x, t) the x-only lines run once per x and the t-only lines once per
     t; a stage that raises stores nothing.  The memos are keyed on the
     built-in ``complex`` value, as the E/S memo is: +0 and -0 in a part
     compare equal, so a point whose part is -0 reuses the stage computed
-    at +0 (and vice versa).  The gates of :meth:`coefficients_at` on
-    phi^2 E and (phi E)^2 are the one rule for a degenerate point, where
-    tau_x = phi E vanishes; a point where the kernel itself raises is
-    rejected by the kernel's own exception (``expr._SAMPLE_ERRORS``), as
-    every singular point is.
-    All kernels are the decomposition's, so building a ReducedEquation
-    compiles nothing that the decomposition has already compiled: on a
-    first build only ``_coeff_parts``, and the (h, f) kernel at its second
-    call, which the first E/S walk of more than one panel round makes;
-    the gauge's G is walked on its first call and compiled on its second.
-    Its own state is the basepoint
+    at +0 (and vice versa).  The gates on phi^2 E and (phi E)^2
+    (:func:`_reduced`, written out in :meth:`coefficients_at`) are the one
+    rule for a degenerate point, where tau_x = phi E vanishes; a point
+    where the kernel itself raises is rejected by the kernel's own
+    exception (``expr._SAMPLE_ERRORS``), as every singular point is.
+    All kernels are the decomposition's, and building a ReducedEquation
+    compiles nothing: the (h, f) kernel compiles at its second call,
+    which the first E/S walk of more than one panel round makes; the
+    gauge's G and the array coefficients are walked on their first call
+    and compiled on their second.  Its own state is the basepoint
     and the E/S, gauge, x-stage and t-stage memos.  It holds no reference
     to itself (the walker's stages are bound per walk), so its memos are
     freed as soon as the last reference to it goes, without waiting for
@@ -432,7 +472,6 @@ class ReducedEquation:
         self.basepoint_x = complex(basepoint_x)
         self.case_tag = classify_case(dec)
         self._hf_array = dec._hf_array
-        self._pre_x, self._pre_t, self._post = dec._coeff_parts
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
         self._cache_gauge: dict[complex, complex] = {}
         # x -> (E(x), pre_x(x)) and t -> pre_t(t), filled by coefficients_at.
@@ -510,6 +549,10 @@ class ReducedEquation:
         return (complex(tau_target) - s) / e
 
     # -- reduced coefficients ------------------------------------------------
+    # The stages of the decomposition's staged kernel, bound on first read:
+    # only coefficients_at runs them, so no report compiles them.
+    _pre_x, _pre_t, _post = _Stage(0), _Stage(1), _Stage(2)
+
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
         """(P, Q) at one point; raises DegenerateTauPointError where
         tau_x = 0, and a kernel's own exception (one of
@@ -525,11 +568,50 @@ class ReducedEquation:
         ph, p_num, q_num = self._post(x, t, xv, tv)
         if got is None:
             got = self._cache_x[x] = (self.E(x), xv)
+        # The gates of _reduced, written out: a call per point would cost
+        # a lattice of coefficients_at calls a few percent.
         e = got[0]
         den_p = ph * ph * e
         if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
             raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
         return p_num / den_p, q_num / den_q
+
+    def coefficients_batch(self, xs: Sequence[complex], ts: Sequence[complex]) -> list:
+        """Per point ``(xs[k], ts[k])``, in order, (P, Q) or the exception
+        that rejects it, from one call of the array kernel of (phi, p_num,
+        q_num) (``Decomposition._coeff_array``) and the gates of
+        :meth:`coefficients_at`.  When the batch raises, each point runs
+        alone, so a singular point rejects only itself.  The values are
+        :meth:`coefficients_at`'s up to the rounding of numpy's array
+        arithmetic, and a point's do not depend on the batch it is in.
+        Memoizes nothing but E and S."""
+        xs, ts = [complex(x) for x in xs], [complex(t) for t in ts]
+        try:
+            es = [self.E(x) for x in xs]
+            cols = self.dec._coeff_array(np.array(xs, dtype=complex),
+                                         np.array(ts, dtype=complex))
+        except fe._SAMPLE_ERRORS as exc:
+            if len(xs) == 1:
+                return [exc]
+            return [got for k in range(len(xs))
+                    for got in self.coefficients_batch(xs[k:k + 1], ts[k:k + 1])]
+        out: list = []
+        for x, t, e, ph, p_num, q_num in zip(xs, ts, es, *(c.tolist() for c in cols)):
+            try:
+                out.append(_reduced(x, t, ph, p_num, q_num, e))
+            except fe._SAMPLE_ERRORS as exc:
+                out.append(exc)
+        return out
+
+
+def _reduced(x, t, ph: complex, p_num: complex, q_num: complex, e: complex
+             ) -> tuple[complex, complex]:
+    """P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 at (x, t), with the
+    one rule for a degenerate point: the gates on phi^2 E and (phi E)^2."""
+    den_p = ph * ph * e
+    if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
+        raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
+    return p_num / den_p, q_num / den_q
 
 
 def build_reduced(dec: Decomposition, basepoint_x: complex) -> ReducedEquation:

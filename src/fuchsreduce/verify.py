@@ -5,7 +5,9 @@ For each catalog entry this module certifies, with explicit tolerances:
 1. the closed forms solve the nonlinear flow (flow residuals),
 2. the two linear systems are compatible (Frobenius residuals),
 3. the reduced coefficients P, Q computed at tau-matched points in
-   different deformation states agree (the actual reduction claim),
+   different deformation states agree (the actual reduction claim); the
+   points of all pairs go through one call of the coefficient kernel in
+   array form (``ReducedEquation.coefficients_batch``),
 4. the reduced equation is a recognized classical target (least-squares
    identification over the basis {1, tau, 1/tau, 1/tau^2}),
 5. on one actual solution of both systems, w = phi / g is a function of
@@ -151,6 +153,19 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
 # ---------------------------------------------------------------------------
 # Deformation-independence check
 
+def _with_coefficients(red: red_mod.ReducedEquation, candidates: list[tuple]
+                       ) -> list[tuple]:
+    """The candidates (tau, x1, t1, x2, t2) whose two points both have
+    coefficients, in order, as (tau, P1, Q1, P2, Q2): one
+    :meth:`reduction.ReducedEquation.coefficients_batch` call over all
+    their points."""
+    got = red.coefficients_batch([z for c in candidates for z in (c[1], c[3])],
+                                 [z for c in candidates for z in (c[2], c[4])])
+    return [(c[0], *first, *second)
+            for c, first, second in zip(candidates, got[::2], got[1::2])
+            if not isinstance(first, Exception) and not isinstance(second, Exception)]
+
+
 def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
                          ) -> tuple[float, list[tuple[complex, complex, complex]]]:
     """Compare P, Q at tau-matched pairs in different deformation states.
@@ -167,32 +182,38 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
     budget of 200 attempts per pair.  Each chunk is one generator call
     (:func:`catalog.random_points`) that yields exactly the stream, in the
     order, that drawing one coordinate at a time would.  E and S at all x
-    of a chunk are integrated in one batch (``ReducedEquation.prefetch``);
-    the per-candidate checks then run one at a time on the memoized
-    values, so the batch changes the cost, not which pairs are tried or
-    accepted.  ``n_pairs < 1`` raises ValueError: a stage that compares no
-    pair measures nothing."""
+    of a chunk are integrated in one batch (``ReducedEquation.prefetch``),
+    and tau and t2 are then read from the memo candidate by candidate.
+    The coefficients wait until ``n_pairs`` candidates have passed the
+    region test: then all their points go through one
+    :meth:`reduction.ReducedEquation.coefficients_batch` call, a candidate
+    with a point that raises or is degenerate is dropped, and the draw
+    goes on from where it stopped until the pairs are complete or the
+    budget is spent.  So the pairs are the first ``n_pairs`` valid
+    candidates in stream order, and a report whose candidates all have
+    coefficients makes one coefficient call.  ``n_pairs < 1`` raises
+    ValueError: a stage that compares no pair measures nothing."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     entry = prep.entry
     red = prep.red
     rng = np.random.default_rng(seed)
     region = entry.box_t.inflated(3.0)
-    samples: list[tuple[complex, complex, complex]] = []
-    max_dev = 0.0
-    accepted = 0
+    pairs: list[tuple] = []     # (tau, P1, Q1, P2, Q2), accepted
+    pending: list[tuple] = []   # (tau, x1, t1, x2, t2), past the region test
     attempts = 0
     max_attempts = 200 * n_pairs
-    while accepted < n_pairs and attempts < max_attempts:
+    while len(pairs) < n_pairs and attempts < max_attempts:
         # A quarter more attempts than the acceptance rate so far says the
         # missing pairs need (one per pair before any is seen).
-        wanted = 1.25 * (n_pairs - accepted) * (attempts + 1) / (accepted + 1)
+        placed = len(pairs) + len(pending)
+        wanted = 1.25 * (n_pairs - placed) * (attempts + 1) / (placed + 1)
         chunk = cat.random_points(rng, (entry.box_x, entry.box_t, entry.box_x),
                                   min(max_attempts - attempts, max(8, math.ceil(wanted))))
         red.prefetch([x for x1, _, x2 in chunk if abs(x2 - x1) >= 0.05
                       for x in (x1, x2)])
         for x1, t1, x2 in chunk:
-            if accepted == n_pairs:
+            if len(pairs) == n_pairs:
                 break
             attempts += 1
             if abs(x2 - x1) < 0.05:
@@ -200,23 +221,26 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
             try:
                 tau = red.tau_at(x1, t1)
                 t2 = red.solve_t(x2, tau)
-                if not region.contains(t2) or any(abs(t2 - s) < 0.15
-                                                  for s in entry.singular_t):
-                    continue
-                p1c, q1c = red.coefficients_at(x1, t1)
-                p2c, q2c = red.coefficients_at(x2, t2)
             except fe._SAMPLE_ERRORS:
                 continue
-            scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
-            dev = (abs(p1c - p2c) + abs(q1c - q2c)) / scale
-            max_dev = max(max_dev, dev)
-            samples.append((tau, p1c, q1c))
-            samples.append((tau, p2c, q2c))
-            accepted += 1
-    if accepted < n_pairs:
+            if not region.contains(t2) or any(abs(t2 - s) < 0.15 for s in entry.singular_t):
+                continue
+            pending.append((tau, x1, t1, x2, t2))
+            if len(pairs) + len(pending) == n_pairs:
+                pairs += _with_coefficients(red, pending)
+                pending.clear()
+    if pending:     # the budget ran out first
+        pairs += _with_coefficients(red, pending)
+    if len(pairs) < n_pairs:
         raise VerifyError(
-            f"could only place {accepted}/{n_pairs} tau-matched pairs inside "
+            f"could only place {len(pairs)}/{n_pairs} tau-matched pairs inside "
             f"the probe region for {entry.id}")
+    samples: list[tuple[complex, complex, complex]] = []
+    max_dev = 0.0
+    for tau, p1c, q1c, p2c, q2c in pairs:
+        scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
+        max_dev = max(max_dev, (abs(p1c - p2c) + abs(q1c - q2c)) / scale)
+        samples += [(tau, p1c, q1c), (tau, p2c, q2c)]
     return max_dev, samples
 
 

@@ -3,6 +3,7 @@ import cmath
 import math
 import random
 import struct
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -748,6 +749,19 @@ class TestMultiSegmentPanels:
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-15 * max(1.0, abs(w))
 
+    def test_later_stage_rejection_keeps_each_row_its_totals(self):
+        # The second stage bisects [0, 3] long after the first accepts its
+        # panels, while [0, 0.3] is accepted by both: the rows a later
+        # stage drops must drop the earlier stages' integrals too, or the
+        # second end is handed the first's integral of z (4.5, not 0.045).
+        stages = (lambda z, prior: z, lambda z, prior: np.exp(6 * z) * np.cos(12 * z))
+        ends = [3.0, 0.3]
+        batched = fe._walk_panels(stages, 0.0, ends, 1e-12)
+        for b, got in zip(ends, batched):
+            (want,) = fe._walk_panels(stages, 0.0, [b], 1e-12)
+            assert got == pytest.approx(want, rel=1e-15)
+        assert batched[1][0] == pytest.approx(0.045, rel=1e-15)
+
     def test_pole_on_one_panel_point_fails_only_that_segment(self):
         from fuchsreduce import reduction
         from fuchsreduce.scalarize import ScalarPair
@@ -1150,6 +1164,22 @@ class TestGrammar:
             s = fe.to_string(e)
             assert read_infix(s) == e, s
             done += 1
+
+    def test_repr_is_the_infix_text_of_a_small_tree(self):
+        e = (X + 1) / (X * (X - 1))
+        assert repr(e) == f"Expr({fe.to_string(e)!r})"
+
+    def test_repr_of_a_deep_dag_returns_promptly(self):
+        # The 60-doubling DAG of TestNumericallyZero: 181 distinct nodes
+        # (120 interior), 2^62 - 3 as a tree.  A failing test reprs its
+        # arguments, so the repr must not render the tree.
+        e = X
+        for _ in range(60):
+            e = fe.mul(fe.add(e, e), fe.const(0.5))
+        start = time.perf_counter()
+        text = repr(e)
+        assert time.perf_counter() - start < 1.0
+        assert text == f"<Expr mul: {2 ** 62 - 3} tree nodes, 181 distinct>"
 
 
 class TestSubstitute:

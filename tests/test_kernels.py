@@ -4,9 +4,10 @@ A catalog entry owns its scalar pair, its decomposition and their kernels;
 a prepare call owns only its memos.  An expression kernel
 (``expr.Kernel``) walks its DAG on its first call and compiles on its
 second, and both tiers give the compiled code's values and exceptions bit
-for bit.  So a fresh entry's report compiles only the staged coefficients
-and (h, f), which it calls many times; on a default entry each kernel
-compiles at most once and a third report compiles nothing; an override
+for bit.  So a fresh entry's report compiles only (h, f), which it calls
+many times (the t-independence stage's coefficients are one kernel call
+per report); on a default entry each kernel compiles at most once and a
+third report compiles nothing; an override
 entry takes its kernels with it when it is collected; and no report
 depends on what ran before it.
 """
@@ -71,11 +72,13 @@ class TestKernelLifetime:
             verify.full_report(entry_id, Config(seed=1))
         assert len(compiled) == count
 
-    def test_fresh_report_compiles_only_staged_and_hf(self, monkeypatch):
+    def test_fresh_report_compiles_only_hf(self, monkeypatch):
         # A --param report builds a fresh entry.  Its report walks the
         # kernels it calls once (flow, Frobenius, A and dA/dt on the
-        # one-round leg, G) and compiles only the staged coefficients and
-        # (h, f), which the E/S walks call again and again.
+        # one-round leg, G, and the coefficients of the t-independence
+        # stage's one batch) and compiles only (h, f), which the E/S walks
+        # call again and again.  The staged coefficients, which only the
+        # point API coefficients_at runs, are not even built.
         entries, exprs, staged = [], [], []
         real_lookup, real_compile, real_staged = (
             catalog.lookup, fe.compile_expr, fe.compile_staged)
@@ -100,14 +103,50 @@ class TestKernelLifetime:
         (entry,) = entries
         dec = entry.decomposition
         assert exprs == [(dec.h, dec.f)] and exprs[0] is dec._hf_array.expr
-        assert len(staged) == 1 and len(staged[0]) == 3
+        assert staged == [] and "_coeff_parts" not in dec.__dict__
         walked = [entry.flow_fns, entry.lax.frobenius_fns, entry.lax.a_dadt_array,
-                  dec._G_array]
-        assert [(k._walked, k._fn) for k in walked] == [(True, None)] * 4
+                  dec._G_array, dec._coeff_array]
+        assert [(k._walked, k._fn) for k in walked] == [(True, None)] * 5
+
+    @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
+    def test_coefficient_kernel_tiers(self, monkeypatch, entry_id):
+        # On a fresh copy of a default entry, served as the entry by
+        # lookup: each report calls the coefficient kernel once; the first
+        # walks it, the second compiles it and the third compiles nothing.
+        # The three reports are byte-identical.
+        entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
+        monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
+        dec = entry.decomposition
+        calls, compiled = [], []
+        real_call, real_compile = fe.Kernel.__call__, fe.compile_expr
+
+        def recording_call(kernel, x, t):
+            if kernel is dec._coeff_array:
+                calls.append(np.shape(x))
+            return real_call(kernel, x, t)
+
+        def recording_compile(e):
+            compiled.append(e)
+            return real_compile(e)
+
+        monkeypatch.setattr(fe.Kernel, "__call__", recording_call)
+        monkeypatch.setattr(fe, "compile_expr", recording_compile)
+        reports, tiers = [], []
+        for _ in range(3):
+            count = len(compiled)
+            reports.append(json.dumps(verify.full_report(entry_id).to_json()))
+            tiers.append(dec._coeff_array.expr in compiled[count:])
+        assert calls == [(64,)] * 3
+        assert tiers == [False, True, False]
+        assert len(set(reports)) == 1
+        assert "_coeff_parts" not in dec.__dict__
 
     def test_prepare_shares_kernels_not_memos(self):
         entry = catalog.lookup("PII.y0")
         first = verify.prepare(entry)
+        # The staged stages are bound on the first coefficients_at call,
+        # once per ReducedEquation.
+        assert "_pre_x" not in first.red.__dict__
         first.red.coefficients_at(1.7 + 0.1j, 0.9)
         assert list(first.red._cache_x) == [1.7 + 0.1j]
         second = verify.prepare(entry)
@@ -116,7 +155,8 @@ class TestKernelLifetime:
         assert first.red is not second.red
         kernels = ("_pre_x", "_pre_t", "_post")
         assert [getattr(first.red, k) for k in kernels] == \
-            [getattr(second.red, k) for k in kernels]
+            [getattr(second.red, k) for k in kernels] == list(entry.decomposition._coeff_parts)
+        assert all(k in first.red.__dict__ for k in kernels)
         first.red.tau_at(1.7 + 0.1j, 0.9)
         second.red.tau_at(2.1 - 0.05j, 1.1)
         second.red.coefficients_at(2.1 - 0.05j, 1.1)
@@ -327,16 +367,18 @@ def _reprs(value):
     return repr(value)
 
 
-# The five expression kernels of an entry: Frobenius, flow, the walk
-# matrix A, dA/dt, and the decomposition's (h, f) and G.
-_KERNELS = ("frobenius_fns", "flow_fns", "a_dadt_array", "_hf_array", "_G_array")
+# The expression kernels of an entry: Frobenius, flow, the walk matrix A,
+# dA/dt, and the decomposition's (h, f), G and (phi, p_num, q_num).
+_KERNELS = ("frobenius_fns", "flow_fns", "a_dadt_array", "_hf_array", "_G_array",
+            "_coeff_array")
 
 
 def _new_kernel_call(entry, name):
     """A new kernel of the expressions of the entry's kernel ``name``, and
     a call of it like the one a report makes: the scalar entry point on
     the report's grid or 16 deformation values, or the array form on three
-    rows of panel points in the x box."""
+    rows of panel points in the x box (for the coefficients, each with its
+    own t in the t box)."""
     if name == "frobenius_fns":
         # The matrices, or the companion system of a direct scalar pair.
         kernel = fe.Kernel(entry.linear_systems.frobenius_fns.expr)
@@ -350,6 +392,8 @@ def _new_kernel_call(entry, name):
         kernel = fe.Kernel(entry.linear_systems.a_dadt_array.expr)
         return kernel, kernel, (rows, entry.box_t.center)
     kernel = fe.Kernel(getattr(entry.decomposition, name).expr)
+    if name == "_coeff_array":
+        return kernel, kernel, (rows, rows[::-1] - entry.box_x.center + entry.box_t.center)
     return kernel, kernel, (rows, 0j)
 
 

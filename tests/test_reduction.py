@@ -448,6 +448,28 @@ class TestReducedCoefficients:
             red._post(0.0, 0.5, red._pre_x(0.0), red._pre_t(0.5))
         assert 0j not in red._cache_x
 
+    def test_batch_rejects_only_its_bad_points(self):
+        # p1 = 1/(x - 2) has a pole at x = 2, and p2 = x makes tau_x vanish
+        # at x = 0.  The batch raises at the pole and runs again point by
+        # point: each bad point is rejected by what coefficients_at raises
+        # there, and the others get coefficients_at's values to rounding.
+        zero = fe.const(0)
+        sp = ScalarPair(p1=1 / (X - 2), q1=zero, p2=X, q2=zero)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+        red = reduction.build_reduced(dec, 1.0)
+        xs, ts = [1.5 + 0.1j, 2.0, 0.0, 2.5], [0.5, 0.5, 0.5, 0.7 - 0.2j]
+        got = red.coefficients_batch(xs, ts)
+        for x, t, value in zip(xs, ts, got):
+            try:
+                want = red.coefficients_at(x, t)
+            except fe._SAMPLE_ERRORS as exc:
+                assert type(value) is type(exc)
+                assert str(value) == str(exc)
+                continue
+            assert value == pytest.approx(want, rel=1e-14)
+        assert [type(v) for v in got[1:3]] == [ZeroDivisionError,
+                                                reduction.DegenerateTauPointError]
+
     @pytest.mark.parametrize("p1, error", [(1 / (X - 2), ZeroDivisionError),
                                            (fe.log(X - 2), ValueError)])
     def test_x_stage_error_at_regular_point(self, p1, error):

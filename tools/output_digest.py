@@ -8,6 +8,7 @@ change.  Run it from the checkout to digest (it imports that checkout's
 
     python tools/output_digest.py          # the digest
     python tools/output_digest.py --each   # also one line per run
+    python tools/output_digest.py --compare ../parent
 
 Each run is ``fuchsreduce.cli.main(argv)`` in process; the digest covers
 (argv, exit code, stdout, stderr) of every run, in this order:
@@ -21,6 +22,16 @@ Each run is ``fuchsreduce.cli.main(argv)`` in process; the digest covers
 
 A run that raises out of ``main`` is recorded by its exception class and
 message in place of the exit code.
+
+``--compare <checkout>`` is for a change that moves numbers but no
+verdict.  It makes the runs in this checkout and in the other one (each in
+a child interpreter on that checkout's ``src/`` and ``bench/``) and prints,
+per run, whether the two agree on the exit code and, in every report, on
+``passed``, ``errors``, ``case``, the match kind and ``expected_target``
+(a run that prints no report, such as ``sample``, must agree on its whole
+output).  It then prints, for every numeric report field that moves, its
+largest absolute move and its largest relative move, |a - b| / max(|a|,
+|b|), with the values and the run, and both digests.
 """
 
 from __future__ import annotations
@@ -29,20 +40,23 @@ import argparse
 import hashlib
 import io
 import json
+import math
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-from fuchsreduce import catalog, cli  # noqa: E402
-import workloads  # noqa: E402
 
 SAMPLE_ENTRIES = ("PII.y0", "PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt")
 BOX_T = "--box-t=0.7,1.7,-0.2,0.2"
+# The report keys that carry a verdict; none may move under --compare.
+VERDICT_KEYS = ("passed", "errors", "case", "match kind", "expected_target")
 
 
 def runs() -> list[list[str]]:
+    from fuchsreduce import catalog
+    import workloads
+
     argvs = [["verify", "--all", "--with-negative", "--json", "--seed", str(seed)]
              for seed in (42, 7, 1)]
     argvs += [["verify", entry_id, "--param", f"{name}={value}", "--json"]
@@ -54,6 +68,8 @@ def runs() -> list[list[str]]:
 
 
 def outcome(argv: list[str]) -> list:
+    from fuchsreduce import cli
+
     out, err = io.StringIO(), io.StringIO()
     try:
         code: object = cli.main(argv, out=out, err=err)
@@ -62,18 +78,120 @@ def outcome(argv: list[str]) -> list:
     return [argv, code, out.getvalue(), err.getvalue()]
 
 
+def outcomes_of(checkout: Path) -> list[list]:
+    """Every run's outcome, made in a child interpreter on ``checkout``."""
+    done = subprocess.run([sys.executable, __file__, "--outcomes", "--root", str(checkout)],
+                          capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def digest(results: list[list]) -> str:
+    total = hashlib.sha256()
+    for res in results:
+        total.update((json.dumps(res) + "\n").encode())
+    return total.hexdigest()
+
+
+def reports(stdout: str) -> list[dict] | None:
+    """The reports a run printed, or None when it printed none."""
+    try:
+        doc = json.loads(stdout)
+    except ValueError:
+        return None
+    docs = doc if isinstance(doc, list) else [doc]
+    return docs if all(isinstance(d, dict) and "passed" in d for d in docs) else None
+
+
+def verdict(report: dict) -> dict:
+    match = report.get("match")
+    return {"passed": report["passed"], "errors": report["errors"], "case": report["case"],
+            "match kind": None if match is None else match["kind"],
+            "expected_target": report["expected_target"]}
+
+
+def numbers(doc, path: str = "") -> dict[str, float]:
+    """The numeric leaves of a report by dotted path (list items by index)."""
+    if isinstance(doc, bool) or doc is None or isinstance(doc, str):
+        return {}
+    if isinstance(doc, (int, float)):
+        return {path: float(doc)}
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    out: dict[str, float] = {}
+    for key, value in items:
+        out.update(numbers(value, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def relative_move(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare(other: Path) -> int:
+    here, there = outcomes_of(ROOT), outcomes_of(other)
+    if [r[0] for r in here] != [r[0] for r in there]:
+        print("the two checkouts make different runs")
+        return 1
+    # Per field: the largest relative move (with its values and run) and
+    # the largest absolute one.
+    moves: dict[str, list] = {}
+    agreeing = 0
+    for (argv, code, out, err), (_, code2, out2, err2) in zip(here, there):
+        ours, theirs = reports(out), reports(out2)
+        differ = [] if code == code2 else ["exit code"]
+        if ours is None or theirs is None or len(ours) != len(theirs):
+            differ += [] if (out, err) == (out2, err2) else ["output"]
+        else:
+            for a, b in zip(ours, theirs):
+                va, vb = verdict(a), verdict(b)
+                differ += [k for k in VERDICT_KEYS if va[k] != vb[k] and k not in differ]
+                na, nb = numbers(a), numbers(b)
+                for key in sorted(na.keys() & nb.keys()):
+                    rel = relative_move(na[key], nb[key])
+                    if rel == 0:
+                        continue
+                    got = moves.setdefault(key, [0.0, None, 0.0])
+                    if rel > got[0]:
+                        got[:2] = rel, (f"{nb[key]!r} -> {na[key]!r} in "
+                                        f"{' '.join(argv)} [{a['entry']}]")
+                    got[2] = max(got[2], abs(na[key] - nb[key]))
+        agreeing += not differ
+        print(f"{'agree' if not differ else 'DIFFER: ' + ', '.join(differ):<40} {' '.join(argv)}")
+    print(f"{agreeing} of {len(here)} runs agree on the exit code and on "
+          f"{', '.join(VERDICT_KEYS)} (or on their whole output)")
+    print("per numeric report field that moves: the largest absolute move, then the "
+          "largest relative move |a - b| / max(|a|, |b|), there -> here, and where:")
+    for key, (rel, where, absolute) in sorted(moves.items()):
+        print(f"  {key:<20} abs {absolute:.1e}  rel {rel:.1e}  {where}")
+    print(f"digest here  {digest(here)}")
+    print(f"digest there {digest(there)}")
+    return 0 if agreeing == len(here) else 1
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--each", action="store_true",
                     help="also print the sha256 of each run before the total")
+    ap.add_argument("--compare", metavar="CHECKOUT", type=Path,
+                    help="compare verdicts and numbers with the runs of another checkout")
+    ap.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
+    ap.add_argument("--outcomes", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    total = hashlib.sha256()
-    for argv in runs():
-        line = (json.dumps(outcome(argv)) + "\n").encode()
-        total.update(line)
-        if args.each:
-            print(hashlib.sha256(line).hexdigest()[:16], " ".join(argv))
-    print(total.hexdigest())
+    sys.path[:0] = [str(args.root / "src"), str(args.root / "bench")]
+    if args.compare is not None:
+        return compare(args.compare.resolve())
+    results = [outcome(argv) for argv in runs()]
+    for res in results:
+        line = json.dumps(res)
+        if args.outcomes:
+            print(line)
+        elif args.each:
+            print(hashlib.sha256((line + "\n").encode()).hexdigest()[:16], " ".join(res[0]))
+    if not args.outcomes:
+        print(digest(results))
     return 0
 
 
