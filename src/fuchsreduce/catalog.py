@@ -11,28 +11,33 @@ alongside the matrices:
 * probe boxes and basepoints used by every numeric check downstream,
 * the documented closed forms of the reduction data (f, h, R, M, tau,
   gauge) and the expected classical target, used as oracles and for
-  human-readable manifests.
+  human-readable manifests (:func:`manifest`; ``reduce`` and ``list
+  --json`` print them, and the tests pin them in
+  ``tests/data/manifests/``).
 
 Each entry is declared once, by one line of ``_ENTRIES`` (id, builder,
 default parameters, in listing order); an id starting with ``negative.``
 is a negative control.  A builder rejects, with a ValueError naming it,
 a parameter value at which its family degenerates.
 
-The default entries are built once, at import, and never mutated
-afterwards; :func:`lookup` returns them, or builds an entry afresh for
-parameter overrides.  Entries attach their kernels lazily, on first use,
-as cached properties: the flow residual kernel, the scalar pair and the
-decomposition for the entry's own boxes (which in turn carries the
-tau/gauge and coefficient kernels).  An expression kernel
-(:class:`expr.Kernel`) walks its DAG on its first call and compiles on
-its second, so an entry that serves one report compiles only the kernels
-that report calls more than once, and one that serves many runs compiled
-code from its second report on.  Default entries keep their kernels for
-the life of the process; an entry built with parameter or box overrides
-takes them with it when it is collected.  A copy on other boxes
-(:meth:`CatalogEntry.with_boxes`) starts with the flow kernel and linear
-systems its entry has built, which no box enters.  Concurrent reads are
-safe: a first use racing another may compute a kernel twice, which is
+The default entries are built once, at import, and change afterwards
+only by what they build or record on first use; :func:`lookup` returns
+them, or builds an entry afresh for parameter overrides.  Entries attach
+their kernels lazily, on first use, as cached properties: the flow
+residual kernel, the scalar pair and the decomposition for the entry's
+own boxes (which in turn carries the tau/gauge and coefficient kernels).
+An expression kernel (:class:`expr.Kernel`) walks its DAG on its first
+call and compiles on its second, so an entry that serves one report
+compiles only the kernels that report calls more than once, and one that
+serves many runs compiled code from its second report on, except in the
+stages that run once per entry (``CatalogEntry.certified``), whose
+kernels are walked and never compiled.  Default entries keep their
+kernels and records for the life of the process; an entry built with
+parameter or box overrides takes them with it when it is collected.  A
+copy on other boxes (:meth:`CatalogEntry.with_boxes`) starts with the
+flow kernel and linear systems its entry has built, which no box enters,
+and an empty record.  Concurrent reads are safe: a first use racing
+another may compute a kernel or a recorded stage twice, which is
 harmless because the result is deterministic.
 """
 
@@ -139,8 +144,10 @@ class LaxPair:
     a finite sum of products of one-variable factors (guaranteed by
     construction).  Its two kernels (:class:`expr.Kernel`, each built on
     first use) walk on their first call and are compiled on their second:
-    the Frobenius grid calls its kernel once per report, a linear-system
-    walk its A, dA/dt once per panel round."""
+    the Frobenius grid calls its kernel once, a linear-system walk its A,
+    dA/dt once per panel round.  A report runs the Frobenius grid and the
+    cross-validation walk once per entry (``CatalogEntry.certified``), so
+    on the shipped entries both kernels are walked and never compiled."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -163,7 +170,8 @@ class LaxPair:
 
 @dataclass
 class CatalogEntry:
-    """One shipped reduction case.  Immutable after construction.
+    """One shipped reduction case.  Immutable after construction, but for
+    the kernels it builds on first use and its record ``certified``.
 
     Its parameters are substituted into every expression when the entry is
     built, so ``params_exact`` only records them.  ``singular_x`` and
@@ -172,7 +180,17 @@ class CatalogEntry:
     scalarization).  Its flow kernel (``flow_fns``, an
     :class:`expr.Kernel` built on first use) is called once per report:
     a report walks it, and a second report on the same entry compiles
-    it."""
+    it.
+
+    ``certified`` records the outcomes of the report stages that depend on
+    the entry alone, never on the probe seed: the Frobenius grid, the tau
+    frame fit at the entry's own basepoint and the cross-validation leg
+    (see :func:`verify.full_report`), by stage name, so it holds at most 3
+    values.  Each of them runs until it first succeeds, and later reports
+    read its outcome; a run that raises records nothing.  The flow and
+    t-independence stages draw their points from the seed and run on
+    every report.  ``dataclasses.replace`` and :meth:`with_boxes` copies
+    start with an empty record."""
 
     id: str
     family: str
@@ -194,6 +212,8 @@ class CatalogEntry:
     pre_substitution: str | None = None
     metadata: dict[str, str] = field(default_factory=dict)
     documented_target_scale: str | None = None
+    certified: dict[str, object] = field(default_factory=dict, init=False,
+                                         compare=False, repr=False)
 
     @property
     def is_negative(self) -> bool:

@@ -20,8 +20,14 @@ For each catalog entry this module certifies, with explicit tolerances:
 
 Coefficient samples are reported in the frame of the documented closed-form
 tau; the quadrature-defined tau differs from it by an affine map (a, b)
-which is fitted from three points and checked on a fourth, so basepoint
+which is fitted from two points and checked on two more, so basepoint
 choices never affect pass/fail or matched parameters.
+
+The Frobenius grid, the frame fit and cross-validation depend on the entry
+alone, not on the probe seed, so each runs once per entry: its outcome is
+kept in the entry's record (``CatalogEntry.certified``) and read by every
+later report.  The flow and t-independence stages draw their points from
+the seed and run on every report.
 """
 
 from __future__ import annotations
@@ -81,7 +87,8 @@ class Prepared:
     entry on the run's boxes (:meth:`catalog.CatalogEntry.with_boxes`),
     which every stage probes, the reduced equation ``red`` on its
     decomposition ``red.dec``, and the frame fit; ``red`` (with its E/S and
-    gauge memos) and the frame fit are built per :func:`prepare` call."""
+    gauge memos) is built per :func:`prepare` call, the frame fit once per
+    entry and basepoint (see :func:`prepare`)."""
 
     entry: cat.CatalogEntry
     red: red_mod.ReducedEquation
@@ -120,6 +127,19 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
     return a, b, resid
 
 
+def _once(entry: cat.CatalogEntry, stage: str, run):
+    """The outcome of a stage that depends on the entry alone: ``run()``
+    on the first call for this entry and stage, kept in the entry's record
+    (``CatalogEntry.certified``) and read from it on every later call.  A
+    run that raises keeps nothing, so the next call runs it again and
+    raises the same way.  Two threads making the first call at once may
+    both run it, which is harmless because the outcome is deterministic."""
+    record = entry.certified
+    if stage not in record:
+        record[stage] = run()
+    return record[stage]
+
+
 # What :func:`prepare` raises for an entry the pipeline cannot reduce: the
 # scalarization, the decomposition or the frame fit fails, or a kernel meets
 # a singular point.
@@ -136,8 +156,11 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
     them), and its scalar pair and decomposition (``.scalar_pair`` and
     ``.decomposition``) are derived and compiled once per entry.  The
     basepoint does not enter the decomposition.  The reduced equation,
-    with fresh E/S and gauge memos, and the 4-point frame fit are built on
-    every call, so no call sees another's points.
+    with fresh E/S and gauge memos, is built on every call, so no call
+    sees another's points.  The 4-point frame fit at the entry's own
+    basepoint runs once per entry and is kept in its record
+    (:func:`_once`); at any other basepoint it runs on every call and is
+    not kept.
 
     An entry the pipeline cannot reduce raises one of ``PREPARE_ERRORS``
     (:class:`scalarize.ScalarizeError`, :class:`reduction.DecompositionError`,
@@ -146,7 +169,10 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
     entry = entry.with_boxes(config)
     basepoint = config.basepoint if config.basepoint is not None else entry.basepoint_x
     red = red_mod.build_reduced(entry.decomposition, basepoint)
-    a, b, resid = _tau_frame(entry, red)
+    if basepoint == entry.basepoint_x:
+        a, b, resid = _once(entry, "frame", lambda: _tau_frame(entry, red))
+    else:
+        a, b, resid = _tau_frame(entry, red)
     return Prepared(entry=entry, red=red, frame_a=a, frame_b=b, frame_residual=resid)
 
 
@@ -515,7 +541,13 @@ class VerificationReport:
 def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
     """Run every stage for one entry, on the config's boxes (applied once, by
-    :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised."""
+    :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised.
+
+    The Frobenius and cross-validation stages, like the frame fit of
+    :func:`prepare`, run once per entry (:func:`_once`): a later report on
+    the same entry reads their outcomes from its record.  So on a default
+    entry they run at its first report, and on every report of a fresh
+    entry (parameter overrides) or of a copy on other boxes."""
     entry = cat.lookup(entry_id, overrides).with_boxes(config)
     seed = config.entry_seed(entry.id)
     rep = VerificationReport(
@@ -536,8 +568,9 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     rep.flow_max = stage("flow", lambda: cat.flow_residual(
         entry, [t for (t,) in cat.random_points(rng, (entry.box_t,), 16)]))
     if entry.lax is not None:
-        rep.frobenius_max = stage("frobenius", lambda: scal.frobenius_residual_grid(
-            entry.lax, entry.grid_points()))
+        rep.frobenius_max = stage("frobenius", lambda: _once(
+            entry, "frobenius",
+            lambda: scal.frobenius_residual_grid(entry.lax, entry.grid_points())))
 
     prep = stage("reduction", lambda: prepare(entry, config))
     if prep is None:
@@ -555,5 +588,6 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     if samples_paper is not None:
         rep.match, rep.match_residual = stage("match", lambda: match_classical(
             samples_paper, tol=config.tol_match)) or (None, None)
-    rep.cross_validation_residual = stage("cross-validation", lambda: cross_validate(prep))
+    rep.cross_validation_residual = stage("cross-validation", lambda: _once(
+        entry, "cross-validation", lambda: cross_validate(prep)))
     return rep

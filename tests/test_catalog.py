@@ -16,7 +16,7 @@ from test_expr import read_infix
 NAN = float("nan")
 
 DATA = FsPath(__file__).resolve().parent / "data"
-MANIFESTS = FsPath(__file__).resolve().parents[1] / "src" / "fuchsreduce" / "manifests"
+MANIFESTS = DATA / "manifests"
 OVERRIDE_MANIFESTS = DATA / "override_manifests.json"
 # Entry parameters and override values whose manifests are pinned in
 # OVERRIDE_MANIFESTS: exact, int, float and complex overrides.

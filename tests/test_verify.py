@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -718,8 +719,11 @@ class TestCrossValidateBatched:
         # One NaN G sample among the 9 points of the leg must fail the
         # stage, not drop out of the spread, whichever tier of the G
         # kernel gives the samples: its first call walks, a later one runs
-        # compiled code.
+        # compiled code.  Each report is on a fresh entry (overrides equal
+        # to the defaults), whose record holds no cross-validation outcome
+        # that a report on the default entry could have kept.
         kernel_of_g = red_mod.Decomposition._G_array.func
+        defaults = dict(catalog.lookup("PII.y0").params_exact)
 
         class Poisoned(fe.Kernel):
             __slots__ = ()
@@ -742,7 +746,7 @@ class TestCrossValidateBatched:
                 return kernel
 
             monkeypatch.setattr(red_mod.Decomposition, "_G_array", property(poisoned))
-            rep = verify.full_report("PII.y0")
+            rep = verify.full_report("PII.y0", overrides=defaults)
             assert not rep.passed
             assert rep.cross_validation_residual is None
             assert rep.errors == ["cross-validation: non-finite mu at x = 2.1+0j on the leg "
@@ -830,7 +834,9 @@ def _matches(prep, samples, cfg) -> bool:
 def test_no_solve_is_larger_than_50x50(monkeypatch):
     # Above about 100 rows an OpenBLAS that is not pinned to one thread
     # hands a solve to worker threads, which on 2 cores stalls it for up
-    # to 0.1 s; the panel walk keeps every system at 50x50.
+    # to 0.1 s; the panel walk keeps every system at 50x50.  Fresh entries
+    # (overrides equal to the defaults), so every stage walks, the ones a
+    # default entry runs once included.
     sizes = []
     solve = np.linalg.solve
 
@@ -840,7 +846,7 @@ def test_no_solve_is_larger_than_50x50(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recorded)
     for entry_id in ALL_IDS + catalog.list_negative_entries():
-        verify.full_report(entry_id)
+        verify.full_report(entry_id, overrides=dict(catalog.lookup(entry_id).params_exact))
     assert sizes
     assert max(max(s) for s in sizes) <= 50
 
@@ -993,6 +999,87 @@ class TestFullReport:
         assert rep.match.kind == "constant"
         with pytest.raises(ValueError):
             Config(box_x=(2.0, 1.0, 0.0, 0.0))
+
+
+class TestCertifiedRecord:
+    """The stages that depend on the entry alone (Frobenius, frame fit,
+    cross-validation) run once per entry, and their outcomes are kept in
+    its record, ``CatalogEntry.certified``."""
+
+    STAGES = ("frobenius", "frame", "cross-validation")
+
+    @staticmethod
+    def _fresh(entry_id, config=Config()):
+        # Overrides equal to the defaults build a new entry, with an empty
+        # record.
+        params = dict(catalog.lookup(entry_id).params_exact)
+        return json.dumps(verify.full_report(entry_id, config, overrides=params).to_json())
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_warm_record_reports_as_a_fresh_entry(self, monkeypatch, entry_id):
+        entry = catalog.lookup(entry_id)
+        verify.full_report(entry_id)
+        assert set(entry.certified) == (
+            {"frame", "cross-validation"} | ({"frobenius"} if entry.lax is not None else set()))
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for module, name in ((verify, "cross_validate"), (verify, "_tau_frame"),
+                             (scalarize, "frobenius_residual_grid")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        warm = [json.dumps(verify.full_report(entry_id, Config(seed=s)).to_json())
+                for s in (42, 7, 1)]
+        assert calls == []
+        assert warm == [self._fresh(entry_id, Config(seed=s)) for s in (42, 7, 1)]
+        assert len(calls) == 3 * len(entry.certified)
+
+    def test_box_and_basepoint_runs_leave_the_record_alone(self, monkeypatch):
+        # Poisoned outcomes in the default entry's record: a run on other
+        # boxes reads none of them, and a run at another basepoint does not
+        # read the frame.  Frobenius and cross-validation do not depend on
+        # the basepoint, so that run reads them; they are restored first.
+        entry = catalog.lookup("PIII.y1")
+        verify.full_report("PIII.y1")
+        kept = dict(entry.certified)
+        poison = {"frobenius": 1.0, "frame": (3j, 3j, 1.0), "cross-validation": 1.0}
+        for stage, value in poison.items():
+            monkeypatch.setitem(entry.certified, stage, value)
+        box_t = Config(box_t=(0.8, 1.8, -0.1, 0.3))
+        assert json.dumps(verify.full_report("PIII.y1", box_t).to_json()) == \
+            self._fresh("PIII.y1", box_t)
+        assert entry.certified == poison
+        entry.certified.update(kept, frame=poison["frame"])
+        basepoint = Config(basepoint=1.7)
+        assert json.dumps(verify.full_report("PIII.y1", basepoint).to_json()) == \
+            self._fresh("PIII.y1", basepoint)
+        assert entry.certified == {**kept, "frame": poison["frame"]}
+
+    @pytest.mark.parametrize("entry_id, overrides, stage", [
+        ("PV.y_lin", {"theta1": Fraction(2)}, "frobenius"),
+        ("PVdeg.kitaev_sqrt", {"kappa": Fraction(-1)}, "cross-validation")])
+    def test_raising_stage_is_run_again(self, monkeypatch, entry_id, overrides, stage):
+        # One entry serves both reports: the stage that raised kept nothing,
+        # so the second report runs it again and records the same error.
+        entry = catalog.lookup(entry_id, overrides)
+        monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
+        first, second = (verify.full_report(entry_id) for _ in range(2))
+        assert any(e.startswith(f"{stage}: ") for e in first.errors)
+        assert second.errors == first.errors
+        assert stage not in entry.certified
+
+    def test_record_stays_bounded(self, monkeypatch):
+        # 50 reports at distinct seeds, half of them at distinct basepoints.
+        entry = catalog.lookup("PII.y0", dict(catalog.lookup("PII.y0").params_exact))
+        monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
+        for k in range(50):
+            cfg = Config(seed=k, basepoint=None if k % 2 else 1.5 + 0.02 * k)
+            assert verify.full_report("PII.y0", cfg).passed
+        assert set(entry.certified) <= set(self.STAGES)
 
 
 class TestConfigValues:
