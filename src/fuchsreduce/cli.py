@@ -25,6 +25,7 @@ target equation directly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -324,8 +325,10 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    # argparse writes help to sys.stdout and usage errors to sys.stderr.
     try:
-        args = _PARSER.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -8,12 +8,14 @@ evaluation by one tree walker (over a list of points at once, each node
 object once; :func:`evaluate` is its one-point case, and over several
 points an exception is the first bad point's; an array mode applies the
 numpy operations of the compiled array code), compilation to fast Python
-callables (straight-line code with subtrees shared by structure; one
-expression or a tuple of them per function, or the same lines staged as
-an x-only part, a t-only part and the rest), kernels that are compiled on
-reuse (:class:`Kernel`: the first call walks, the second compiles, and
-both give the compiled code's values and exceptions; its array form runs
-the compiled code object on numpy arrays of points), one walker of
+callables (one compiled form: straight-line code with subtrees shared by
+structure, for one expression or a tuple of them, staged as an x-only
+part, a t-only part and the rest, and called as one function of (x, t)),
+kernels that are compiled on reuse (:class:`Kernel`: the first call
+walks, the second compiles, and both give the compiled code's values and
+exceptions; the compiled form serves a point call, a staged point call
+and an array call, which runs the same code objects on numpy arrays of
+points), one walker of
 adaptive Chebyshev panels with tail-coefficient error control (contour
 quadrature along piecewise-linear paths, many segments from one start
 together, or the solve of a 2x2 linear ODE and its t-variation along
@@ -71,7 +73,6 @@ __all__ = [
     "evaluate",
     "substitute",
     "compile_expr",
-    "compile_staged",
     "Kernel",
     "integrate_callable",
     "numerically_zero",
@@ -645,22 +646,20 @@ _X_DEP, _T_DEP = 1, 2
 _Line = tuple[str, str, int]
 
 
-def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
+def _value_numbered(e: Expr | tuple[Expr, ...]
                     ) -> tuple[list[_Line], list[str], str, set[str]]:
     """The straight-line body of ``e``, the operands it returns, its return
     text and the operands that lines depending on both x and t read.
 
-    Only ``staged`` calls (:func:`compile_staged`) tag each line with its
-    dependency mask and collect the operands the (x, t) lines read;
-    otherwise every mask is 0 and the set is empty, and the lines and
-    return text are the same.  A line that reads neither x nor t is tagged
-    as x-dependent: it runs in the x-stage, so a line reading it and t is
-    an (x, t) line.
+    Each line is tagged with its dependency mask.  A line that reads
+    neither x nor t is tagged as x-dependent: it runs in the x-stage, so a
+    line reading it and t is an (x, t) line.
 
     Subtrees are shared by structure (hash-consing by value numbering):
     each interior node is one assignment keyed on its right-hand side
     text, so two nodes share a variable exactly when they would emit the
-    same line, and sharing never changes a bit of the result.  ``Expr`` equality is not the key: it equates ``const(0j)`` and
+    same line, and sharing never changes a bit of the result.  ``Expr``
+    equality is not the key: it equates ``const(0j)`` and
     ``const(complex(0, -0.0))``, which emit the different values ``0j`` and
     ``-0j``.  Lines come in evaluation order, operands first."""
     lines: list[_Line] = []
@@ -705,13 +704,11 @@ def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
             if v is None:
                 v = numbered[s] = f"v{len(numbered)}"
                 dep = 0
-                if staged:
-                    for kid in kids:
-                        dep |= free.get(kid, 0)
-                    dep = dep or _X_DEP
-                    free[v] = dep
-                    if dep == _X_DEP | _T_DEP:
-                        read_with_xt.update(kids)
+                for kid in kids:
+                    dep |= free.get(kid, 0)
+                dep = free[v] = dep or _X_DEP
+                if dep == _X_DEP | _T_DEP:
+                    read_with_xt.update(kids)
                 lines.append((v, s, dep))
             s = v
         names[id(n)] = s
@@ -729,65 +726,57 @@ def _value_numbered(e: Expr | tuple[Expr, ...], staged: bool = False
     return lines, outputs, result, read_with_xt
 
 
-def _define(src: str, name: str) -> Callable:
-    ns = dict(_SCALAR_NAMESPACE)
-    exec(compile(src, "<fuchsreduce-expr>", "exec"), ns)
-    # Popped, so the function is not held by its own globals (a cycle).
-    return ns.pop(name)
+class _Staged(tuple):
+    """The compiled form of an expression: its three stage functions
+    ``(pre_x, pre_t, post)``, called as the function ``f(x, t) = post(x, t,
+    pre_x(x), pre_t(t))``."""
+
+    __slots__ = ()
+
+    def __call__(self, x, t):
+        pre_x, pre_t, post = self
+        return post(x, t, pre_x(x), pre_t(t))
 
 
-def _body(lines: Iterable[_Line]) -> str:
-    return "\n".join([f"    {name} = {rhs}" for name, rhs, _ in lines])
-
-
-def compile_expr(e: Expr | tuple[Expr, ...]
-                 ) -> Callable[[complex, complex], complex | tuple[complex, ...]]:
+def compile_expr(e: Expr | tuple[Expr, ...]) -> _Staged:
     """Compile to a Python function ``f(x, t) -> complex``; given a tuple
     of expressions, ``f`` returns the tuple of their values, computed by
     one straight-line body of value-numbered lines (see
     :func:`_value_numbered`), so a subtree shared by structure is computed
-    once.  Repeated
-    evaluation is much faster than tree walking.  Singular inputs raise the
-    native ZeroDivisionError/ValueError.  A :class:`Kernel` runs the same
-    code on numpy arrays of points, and :func:`compile_staged` splits the
-    same lines in three stages."""
-    lines, _, result, _ = _value_numbered(e)
-    return _define(f"def _f(x, t):\n{_body(lines)}\n    return {result}\n", "_f")
+    once.  Repeated evaluation is much faster than tree walking.  Singular
+    inputs raise the native ZeroDivisionError/ValueError.
 
-
-def compile_staged(e: Expr | tuple[Expr, ...]
-                   ) -> tuple[Callable, Callable, Callable]:
-    """The lines of :func:`compile_expr` split in three stages, ``(pre_x,
-    pre_t, post)`` with ``post(x, t, pre_x(x), pre_t(t)) ==
-    compile_expr(e)(x, t)`` bit for bit.
-
-    ``pre_x(x)`` runs, in order, every line that does not depend on t: the
-    lines in x alone and those in neither variable.  ``pre_t(t)`` runs the
-    lines in t alone that read no such constant line (a line in t reading
-    one runs in ``post``).  Each returns the tuple of its values that later
-    lines or the result read; ``post(x, t, xv, tv)`` unpacks both and runs
-    the lines that depend on x and t.  A caller that meets the same x, or
-    the same t, at many points computes its stage once.  Every line runs in
-    exactly one stage, so a point raises in the triple exactly when it
-    raises in ``compile_expr``'s function (possibly at another line, since
-    the x-only and t-only lines now run first)."""
-    lines, outputs, result, read = _value_numbered(e, staged=True)
+    The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
+    post)`` of three functions, from one ``compile`` call, and calling it
+    is ``post(x, t, pre_x(x), pre_t(t))``.  ``pre_x(x)`` runs, in order,
+    every line that does not depend on t: the lines in x alone and those in
+    neither variable.  ``pre_t(t)`` runs the lines in t alone that read no
+    such constant line (a line in t reading one runs in ``post``).  Each
+    returns the tuple of its values that later lines or the result read;
+    ``post(x, t, xv, tv)`` unpacks both and runs the lines that depend on x
+    and t.  A caller that meets the same x, or the same t, at many points
+    can compute its stage once.  Every line runs once, in exactly one
+    stage, so the values do not depend on the staging, bit for bit, and a
+    point raises exactly when one of its lines does.  A :class:`Kernel`
+    runs the same three code objects on numpy arrays of points."""
+    lines, outputs, result, read = _value_numbered(e)
     read.update(outputs)
-    stages: dict[int, list[_Line]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
-    for line in lines:
-        stages[line[2]].append(line)
-
-    def carried(dep: int) -> str:
-        return "(" + "".join(f"{name}, " for name, _, _ in stages[dep] if name in read) + ")"
-
-    pre_x = _define(f"def _pre_x(x):\n{_body(stages[_X_DEP])}\n"
-                    f"    return {carried(_X_DEP)}\n", "_pre_x")
-    pre_t = _define(f"def _pre_t(t):\n{_body(stages[_T_DEP])}\n"
-                    f"    return {carried(_T_DEP)}\n", "_pre_t")
-    post = _define(f"def _post(x, t, xv, tv):\n    {carried(_X_DEP)} = xv\n"
-                   f"    {carried(_T_DEP)} = tv\n{_body(stages[_X_DEP | _T_DEP])}\n"
-                   f"    return {result}\n", "_post")
-    return pre_x, pre_t, post
+    stages: dict[int, list[str]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
+    carried: dict[int, str] = {_X_DEP: "(", _T_DEP: "("}
+    for name, rhs, dep in lines:
+        stages[dep].append(f"    {name} = {rhs}\n")
+        if dep in carried and name in read:
+            carried[dep] += f"{name}, "
+    xv, tv = carried[_X_DEP] + ")", carried[_T_DEP] + ")"
+    src = "".join([
+        "def _pre_x(x):\n", *stages[_X_DEP], f"    return {xv}\n",
+        "def _pre_t(t):\n", *stages[_T_DEP], f"    return {tv}\n",
+        f"def _post(x, t, xv, tv):\n    {xv} = xv\n    {tv} = tv\n",
+        *stages[_X_DEP | _T_DEP], f"    return {result}\n"])
+    ns = dict(_SCALAR_NAMESPACE)
+    exec(compile(src, "<fuchsreduce-expr>", "exec"), ns)
+    # Popped, so no function is held by its own globals (a cycle).
+    return _Staged((ns.pop("_pre_x"), ns.pop("_pre_t"), ns.pop("_post")))
 
 
 class Kernel:
@@ -808,8 +797,12 @@ class Kernel:
     path, so every value and every exception is the compiled kernel's, bit
     for bit.
 
-    :meth:`at` gives the values at a list of points; calling the kernel,
-    ``kernel(x, t)``, is its array form.  A kernel holds no reference to
+    The one compiled form serves three uses: :meth:`at` calls it at each
+    of a list of points; a caller that meets the same x or t at many
+    points calls its stages (``_compiled()``, as
+    ``reduction.ReducedEquation.coefficients_at`` does); and calling the
+    kernel, ``kernel(x, t)``, is its array form, the same three code
+    objects run on ``_ARRAY_GLOBALS``.  A kernel holds no reference to
     itself.  Concurrent calls are safe: a first call racing another may
     walk or compile twice, which is harmless because the result is the
     same."""
@@ -819,8 +812,8 @@ class Kernel:
     def __init__(self, e: Expr | tuple[Expr, ...]):
         self.expr = e
         self._walked = False
-        self._fn: Callable | None = None     # compile_expr(e), once compiled
-        self._vec: Callable | None = None    # its code on _ARRAY_GLOBALS
+        self._fn: _Staged | None = None     # compile_expr(e), once compiled
+        self._vec: _Staged | None = None    # its stages on _ARRAY_GLOBALS
 
     def _walks(self) -> bool:
         """Whether this call walks: only the first, and only if nothing has
@@ -830,7 +823,7 @@ class Kernel:
         self._walked = True
         return True
 
-    def _compiled(self) -> Callable:
+    def _compiled(self) -> _Staged:
         fn = self._fn
         if fn is None:
             fn = self._fn = compile_expr(self.expr)
@@ -878,8 +871,8 @@ class Kernel:
             if self._walks():
                 vec = functools.partial(self._walk, array=True)
             else:
-                vec = self._vec = types.FunctionType(self._compiled().__code__,
-                                                     _ARRAY_GLOBALS)
+                vec = self._vec = _Staged(types.FunctionType(stage.__code__, _ARRAY_GLOBALS)
+                                          for stage in self._compiled())
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 out = vec(x, t)

@@ -38,9 +38,10 @@ panel point of an E/S walk; and every kernel a report runs is an
 second, so a kernel a report calls once (the gauge exponent's, in
 cross-validation, and the reduced coefficients', in one batch for the
 t-independence stage) compiles only on an entry that serves a second
-report.  A fresh entry's report compiles (h, f) alone.  The coefficients
-staged on x and on t, which only the point API ``coefficients_at`` runs,
-are compiled on its first call.
+report.  A fresh entry's report compiles (h, f) alone.  The reduced
+coefficients have one kernel, whose one compiled form serves both the
+batch and the point API ``coefficients_at``; the point API compiles it on
+its first call, if nothing has yet.
 """
 
 from __future__ import annotations
@@ -131,15 +132,15 @@ class Decomposition:
     use and kept for the life of the decomposition.  ``_hf_array`` is one
     :class:`expr.Kernel` for the pair (h, f), so the lines of h that f
     contains run once per point, ``_G_array`` the kernel of G and
-    ``_coeff_array`` that of (phi, p_num, q_num), phi = f + t h, all
-    called only in array form; each walks on its first call and is
-    compiled on its second.  ``_coeff_parts`` is the same triple compiled
-    as the staged functions ``(pre_x, pre_t, post)`` of
-    :func:`expr.compile_staged`, at its first use (the first
-    ``coefficients_at`` call): ``pre_x(x)`` computes the lines that depend
-    on x alone (f', h', G, G', G^2 and most of p1 and q1), ``pre_t(t)``
-    those that depend on t alone (the parts of p1 and q1 in t alone), and
-    ``post(x, t, pre_x(x), pre_t(t))`` the rest.
+    ``_coeff_array`` that of (phi, p_num, q_num), phi = f + t h; each
+    walks on its first call and is compiled on its second.  The coefficient
+    kernel's compiled form is also run stage by stage, by
+    ``ReducedEquation.coefficients_at``, which compiles it at its first
+    call if nothing has yet, so its lines compile once whichever API comes
+    first: ``pre_x(x)`` computes the lines that depend on x alone (f', h',
+    G, G', G^2 and most of p1 and q1), ``pre_t(t)`` those that depend on t
+    alone (the parts of p1 and q1 in t alone), and ``post(x, t, pre_x(x),
+    pre_t(t))`` the rest.
     ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
@@ -183,9 +184,8 @@ class Decomposition:
     def M_constant(self) -> bool:
         return self._m_flags[1]
 
-    def _coefficient_exprs(self) -> tuple[Expr, Expr, Expr]:
-        """(phi, p_num, q_num), built afresh for each coefficient kernel, so
-        a decomposition that compiles only the staged one keeps no tree."""
+    @cached_property
+    def _coeff_array(self) -> fe.Kernel:
         G = self.gauge_exponent()
         p1, q1 = self.sp.p1, self.sp.q1
         phi = fe.add(self.f, fe.mul(T, self.h))
@@ -197,15 +197,7 @@ class Decomposition:
             fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        return phi, p_num, q_num
-
-    @cached_property
-    def _coeff_array(self) -> fe.Kernel:
-        return fe.Kernel(self._coefficient_exprs())
-
-    @cached_property
-    def _coeff_parts(self):
-        return fe.compile_staged(self._coefficient_exprs())
+        return fe.Kernel((phi, p_num, q_num))
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
@@ -389,8 +381,9 @@ _DEN_P_MIN, _DEN_Q_MIN = 1e-14, 1e-20
 class _Stage:
     """One of the staged coefficient functions of a ReducedEquation
     (``_pre_x``, ``_pre_t`` or ``_post``, by index): the first read binds
-    all three, the decomposition's ``_coeff_parts``, as plain attributes of
-    the instance, which shadow this descriptor from then on.  Unlike
+    all three, the stages of the compiled form of the decomposition's
+    ``_coeff_array`` (compiled then if nothing has yet), as plain
+    attributes of the instance, which shadow this descriptor from then on.  Unlike
     ``functools.cached_property`` it never reads the instance
     ``__dict__``, which would slow every attribute read of the instance
     after it."""
@@ -401,7 +394,7 @@ class _Stage:
     def __get__(self, red, owner=None):
         if red is None:
             return self
-        red._pre_x, red._pre_t, red._post = stages = red.dec._coeff_parts
+        red._pre_x, red._pre_t, red._post = stages = red.dec._coeff_array._compiled()
         return stages[self.index]
 
 
@@ -434,13 +427,15 @@ class ReducedEquation:
     :meth:`coefficients_batch` takes many points in one call of the
     decomposition's array kernel of (phi, p_num, q_num) (a report's
     t-independence stage makes one such call).  :meth:`coefficients_at`
-    takes one point, on the same three expressions compiled together,
-    sharing their common subexpressions, and staged on x and on t
-    (``Decomposition._coeff_parts``, compiled at the first call of any
-    ReducedEquation of the decomposition and bound to this one at its
-    first call, see ``_Stage``): ``_pre_x(x)`` runs the lines that depend on x alone,
-    ``_pre_t(t)`` those that depend on t alone and ``_post(x, t, xv,
-    tv)`` the rest.  The two forms agree to rounding, not bit for bit.
+    takes one point, on the stages of the same kernel's compiled form,
+    the three expressions compiled together, sharing their common
+    subexpressions, and staged on x and on t (compiled at the first
+    ``coefficients_at`` call of any ReducedEquation of the decomposition,
+    unless a second batch call has compiled it already, and bound to this
+    one at its first call, see ``_Stage``): ``_pre_x(x)`` runs the lines
+    that depend on x alone, ``_pre_t(t)`` those that depend on t alone and
+    ``_post(x, t, xv, tv)`` the rest.  The two forms agree to rounding, not
+    bit for bit: the batch runs the same lines in numpy arithmetic.
     :meth:`coefficients_at` memoizes
     ``(E(x), _pre_x(x))`` per x and ``_pre_t(t)`` per t, so on a lattice of
     (x, t) the x-only lines run once per x and the t-only lines once per
@@ -549,8 +544,8 @@ class ReducedEquation:
         return (complex(tau_target) - s) / e
 
     # -- reduced coefficients ------------------------------------------------
-    # The stages of the decomposition's staged kernel, bound on first read:
-    # only coefficients_at runs them, so no report compiles them.
+    # The stages of the decomposition's coefficient kernel, bound on first
+    # read: only coefficients_at reads them, and no report calls it.
     _pre_x, _pre_t, _post = _Stage(0), _Stage(1), _Stage(2)
 
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:

@@ -53,8 +53,9 @@ class TestBenchHookPoints:
             rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(9, 2)})
         assert rep.passed, rep.errors
         counts = tracer.call_counts()
+        # A fresh report compiles (h, f) through the traced compile_expr.
         for name in ("scalarize.scalar_coefficients", "reduction.decompose",
-                     "reduction.build_reduced", "verify.prepare"):
+                     "reduction.build_reduced", "verify.prepare", "expr.compile_expr"):
             assert counts[name] >= 1, name
 
 

@@ -340,6 +340,18 @@ class TestParser:
             monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
             assert run_cli(argv) == got
 
+    def test_help_goes_to_the_given_out(self, capsys):
+        rc, out, err = run_cli(["--help"])
+        assert (rc, err) == (0, "")
+        assert out.startswith("usage: fuchs-reduce")
+        assert capsys.readouterr() == ("", "")
+
+    def test_usage_error_goes_to_the_given_err(self, capsys):
+        rc, out, err = run_cli(["bogus"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage: fuchs-reduce") and "invalid choice: 'bogus'" in err
+        assert capsys.readouterr() == ("", "")
+
 
 class TestSample:
     def test_flat_entry_rows_satisfy_target(self, tmp_path):

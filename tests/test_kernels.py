@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import fuchsreduce
-from fuchsreduce import catalog, expr as fe, verify
+from fuchsreduce import catalog, expr as fe, reduction, verify
 from fuchsreduce.config import Config
 
 ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
@@ -77,11 +77,10 @@ class TestKernelLifetime:
         # kernels it calls once (flow, Frobenius, A and dA/dt on the
         # one-round leg, G, and the coefficients of the t-independence
         # stage's one batch) and compiles only (h, f), which the E/S walks
-        # call again and again.  The staged coefficients, which only the
-        # point API coefficients_at runs, are not even built.
-        entries, exprs, staged = [], [], []
-        real_lookup, real_compile, real_staged = (
-            catalog.lookup, fe.compile_expr, fe.compile_staged)
+        # call again and again.  The coefficient kernel, which the point API
+        # coefficients_at runs staged, is not compiled.
+        entries, exprs = [], []
+        real_lookup, real_compile = catalog.lookup, fe.compile_expr
 
         def recording_lookup(entry_id, overrides=None):
             entries.append(real_lookup(entry_id, overrides))
@@ -91,19 +90,14 @@ class TestKernelLifetime:
             exprs.append(e)
             return real_compile(e)
 
-        def recording_staged(e):
-            staged.append(e)
-            return real_staged(e)
-
         monkeypatch.setattr(catalog, "lookup", recording_lookup)
         monkeypatch.setattr(fe, "compile_expr", recording_compile)
-        monkeypatch.setattr(fe, "compile_staged", recording_staged)
         rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(5, 2)})
         assert rep.passed, rep.errors
         (entry,) = entries
         dec = entry.decomposition
         assert exprs == [(dec.h, dec.f)] and exprs[0] is dec._hf_array.expr
-        assert staged == [] and "_coeff_parts" not in dec.__dict__
+        assert dec._coeff_array.expr not in exprs
         walked = [entry.flow_fns, entry.lax.frobenius_fns, entry.lax.a_dadt_array,
                   dec._G_array, dec._coeff_array]
         assert [(k._walked, k._fn) for k in walked] == [(True, None)] * 5
@@ -144,8 +138,8 @@ class TestKernelLifetime:
     def test_prepare_shares_kernels_not_memos(self):
         entry = catalog.lookup("PII.y0")
         first = verify.prepare(entry)
-        # The staged stages are bound on the first coefficients_at call,
-        # once per ReducedEquation.
+        # The stages of the coefficient kernel's compiled form are bound on
+        # the first coefficients_at call, once per ReducedEquation.
         assert "_pre_x" not in first.red.__dict__
         first.red.coefficients_at(1.7 + 0.1j, 0.9)
         assert list(first.red._cache_x) == [1.7 + 0.1j]
@@ -155,7 +149,7 @@ class TestKernelLifetime:
         assert first.red is not second.red
         kernels = ("_pre_x", "_pre_t", "_post")
         assert [getattr(first.red, k) for k in kernels] == \
-            [getattr(second.red, k) for k in kernels] == list(entry.decomposition._coeff_parts)
+            [getattr(second.red, k) for k in kernels] == list(entry.decomposition._coeff_array._fn)
         assert all(k in first.red.__dict__ for k in kernels)
         first.red.tau_at(1.7 + 0.1j, 0.9)
         second.red.tau_at(2.1 - 0.05j, 1.1)
@@ -171,6 +165,51 @@ class TestKernelLifetime:
         del first
         gc.collect()
         assert red() is None
+
+    @pytest.mark.parametrize("batch_first", [True, False])
+    def test_coefficient_lines_compile_once(self, monkeypatch, batch_first):
+        # coefficients_batch and coefficients_at run one coefficient kernel:
+        # two batch calls and a 3 x 4 lattice of point calls, in either
+        # order, compile its lines once, and the point API gives the
+        # compiled form's values through the one degeneracy rule.
+        entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
+        dec = entry.decomposition
+        red = reduction.build_reduced(dec, entry.basepoint_x)
+        xs, ts = entry.box_x.diagonal(3), entry.box_t.diagonal(4)
+        points = [(x, t) for x in xs for t in ts]
+        red.prefetch(xs)    # E and S, so no (h, f) call is recorded below
+        compiled = []
+        real_compile = fe.compile_expr
+
+        def recording(e):
+            compiled.append(e)
+            return real_compile(e)
+
+        monkeypatch.setattr(fe, "compile_expr", recording)
+        # Every compile() call of the expression engine, whichever function
+        # makes it.
+        sources = []
+        monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
+                            or compile(src, *args), raising=False)
+
+        def batches():
+            return [red.coefficients_batch(*zip(*points)) for _ in range(2)]
+
+        def lattice():
+            return [red.coefficients_at(x, t) for x, t in points]
+
+        if batch_first:
+            batched, at = batches(), lattice()
+        else:
+            at, batched = lattice(), batches()
+        assert len(compiled) == 1 and compiled[0] is dec._coeff_array.expr
+        assert len(sources) == 1
+        assert batched[0] == batched[1]
+        assert all(isinstance(pq, tuple) for pq in batched[0])
+        fn = dec._coeff_array._compiled()
+        assert (len(compiled), len(sources)) == (1, 1)
+        want = [reduction._reduced(x, t, *fn(x, t), red.E(x)) for x, t in points]
+        assert _reprs(at) == _reprs(want)
 
     def test_box_override_decomposes_afresh(self):
         # An override is a copy of the entry on the run's boxes, which
