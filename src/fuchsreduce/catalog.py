@@ -120,16 +120,16 @@ def random_points(rng, boxes: Sequence[ComplexRect], m: int
                   ) -> list[tuple[complex, ...]]:
     """m rounds of one point per box, drawn with one generator call.
 
-    The bounds (re, im of each box in turn) are tiled m times and passed
-    to one ``rng.uniform(lo, hi)``, which yields exactly the doubles, and
-    leaves the generator in exactly the state, of m rounds of one draw per
-    box, ``complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))``."""
-    k = len(boxes)
-    lo = np.tile([v for b in boxes for v in (b.re_lo, b.im_lo)], m)
-    hi = np.tile([v for b in boxes for v in (b.re_hi, b.im_hi)], m)
-    u = rng.uniform(lo, hi).tolist()
-    points = [complex(re, im) for re, im in zip(u[::2], u[1::2])]
-    return [tuple(points[i:i + k]) for i in range(0, k * m, k)]
+    The bounds (re, im of each box in turn) are broadcast over the m rows
+    of one ``rng.uniform(lo, hi, size=(m, 2k))``, which yields exactly the
+    doubles, and leaves the generator in exactly the state, of m rounds of
+    one draw per box, ``complex(rng.uniform(re_lo, re_hi),
+    rng.uniform(im_lo, im_hi))``; each row, read as k complex numbers, is
+    one round."""
+    lo = [v for b in boxes for v in (b.re_lo, b.im_lo)]
+    hi = [v for b in boxes for v in (b.re_hi, b.im_hi)]
+    u = rng.uniform(lo, hi, size=(m, len(lo)))
+    return list(map(tuple, u.view(complex).tolist()))
 
 
 DEFAULT_X_BOX = ComplexRect(1.1, 2.5, -0.2, 0.2)

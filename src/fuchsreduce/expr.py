@@ -918,6 +918,12 @@ _CHEB_DIFF = np.vstack([chebyshev.chebder(np.eye(25)), np.zeros(25)])
 # One product with ``_CHEB_APPLY`` gives both: its first three columns map a
 # row of samples to its tail, the others to its running integral.
 _CHEB_APPLY = np.hstack([_CHEB_TO_COEFFS[-3:].T, _CHEB_CUMSUM.T]).astype(complex)
+# The product is formed on blocks of 2 to this many rows.  A product of one
+# row goes through BLAS's matrix-vector kernel, whose sums round differently
+# from the matrix-matrix kernel's, and from about 100 rows on OpenBLAS
+# (unless pinned to one thread) hands the product to worker threads, which
+# on 2 cores cost far more than the product itself.
+_PRODUCT_ROWS = 64
 _ROUNDING_FLOOR = 100 * np.finfo(float).eps
 _max_rows = functools.partial(np.maximum.reduce, axis=1)
 # Near a singularity on the path the samples are dominated by the rounding
@@ -1034,6 +1040,19 @@ def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
     return out
 
 
+def _panel_product(vals: np.ndarray) -> np.ndarray:
+    """``vals @ _CHEB_APPLY`` on blocks of 2 to ``_PRODUCT_ROWS`` rows, a
+    lone row doubled, so each row of the product has the bits of every
+    other block size: a row's tail and running integral do not depend on
+    the rows it is walked with."""
+    if len(vals) == 1:
+        return (vals.repeat(2, axis=0) @ _CHEB_APPLY)[:1]
+    if len(vals) <= _PRODUCT_ROWS:
+        return vals @ _CHEB_APPLY
+    return np.concatenate([_panel_product(vals[k:k + _PRODUCT_ROWS])
+                           for k in range(0, len(vals), _PRODUCT_ROWS)])
+
+
 def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
                  a: complex, ends: Sequence[complex], abs_tol: float,
                  system: tuple[Callable, Sequence[complex]] | None = None) -> list:
@@ -1057,7 +1076,12 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     ``abs_tol`` times the panel's share of [a, b] or the tail is within the
     rounding floor of the samples; a panel some stage rejects is bisected.
     So each segment takes the panels and the decisions that walking it
-    alone would.
+    alone would, and, with stages that compute each row on its own (the
+    array forms of ``Kernel`` are elementwise), the same bits: the panel
+    product never meets a 1-row block or one of BLAS's threaded sizes
+    (:func:`_panel_product`).  The one exception is a stage whose batch
+    falls back to scalar values (``Kernel.__call__``), as every row of
+    that batch does.
 
     ``system`` = (matrix, start) is the x-equation Phi' = A Phi of a
     2-vector together with its t-variation Psi' = A Psi + A_t Phi, solved
@@ -1116,7 +1140,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
             integrals: list[np.ndarray] = []
             for k, stage in enumerate(stages):
                 (vals, *passed), errors = _stage_rows(stage, z, prior)
-                applied = vals @ _CHEB_APPLY
+                applied = _panel_product(vals)
                 tails = _max_rows(np.abs(applied[:, :3])).tolist()
                 ok = [tail <= rows[j].tail_tol for j, tail in zip(sel, tails)]
                 if not all(ok):     # a nan tail fails both tests: bisect

@@ -368,11 +368,10 @@ def classify_case(dec: Decomposition) -> str:
 # ---------------------------------------------------------------------------
 # Change of variables and reduced equation
 
-# Segments per multi-segment integration.  The transient arrays grow with
-# the batch, and from about 100 rows on OpenBLAS (unless pinned to one
-# thread) hands the panel products to worker threads, which on 2 cores cost
-# far more than the products themselves.
-_PREFETCH_BATCH = 64
+# Segments per multi-segment integration.  A point's E and S do not depend
+# on its batch (``expr._panel_product``); the limit bounds the transient
+# arrays, which grow with the batch.
+_PREFETCH_BATCH = 128
 
 # The gates of phi^2 E and of (phi E)^2 against tau_x = 0, in that order.
 _DEN_P_MIN, _DEN_Q_MIN = 1e-14, 1e-20
@@ -414,10 +413,14 @@ class ReducedEquation:
     falls back to the scalar form (``expr.Kernel``): h is then taken
     from the scalar form too, which can move E and S in the last places,
     and a row where f raises fails in the h stage, before h's tail could
-    have bisected its panel.  No shipped entry meets either.
+    have bisected its panel.  No shipped entry meets either.  When f
+    vanishes the pass is h alone (S = 0); when h vanishes it is f alone,
+    sampled by the same kernel, and E is 1 exactly.
     A memo miss walks its point alone; :meth:`prefetch` walks
     many at once and leaves out of the memo a point whose segment fails,
-    so asking for it later raises as it would have.  Values are built-in
+    so asking for it later raises as it would have.  A point's E and S
+    are the same bits either way, whatever points share its walk
+    (``expr._walk_panels``).  Values are built-in
     ``complex``, memoized per point.  The case flags that pick the stages
     are the decomposition's, measured from its own f, h and M, so a
     decomposition built with ``dataclasses.replace`` walks the stages its
@@ -476,9 +479,13 @@ class ReducedEquation:
     # -- change of variables -------------------------------------------------
     @property
     def _es_stages(self):
-        """Stages of one pass of the panel walker: h, then f E.  Built per
+        """Stages of one pass of the panel walker: h, then f E; h alone
+        when f vanishes, and f alone when h vanishes (E = 1).  Built per
         walk: stored, these bound methods would make a cycle through self."""
-        return (self._hf_rows,) if self.dec.f_zero else (self._hf_rows, self._fE_rows)
+        dec = self.dec
+        if dec.f_zero:
+            return (self._hf_rows,)
+        return (self._f_rows,) if dec.h_zero else (self._hf_rows, self._fE_rows)
 
     def _hf_rows(self, z, prior):
         # The samples of h, and those of f passed on to the f E stage.
@@ -487,13 +494,21 @@ class ReducedEquation:
     def _fE_rows(self, z, prior):
         return np.exp(prior[0]) * prior[1]
 
+    def _f_rows(self, z, prior):
+        return self._hf_array(z, 0j)[1]
+
     def _G_rows(self, z, prior):
         return self.dec._G_array(z, 0j)
 
     def _es_value(self, integrals: list[complex]) -> tuple[complex, complex]:
-        # S is 0 when f vanishes and there is no second stage.
-        log_e, s = (*integrals, 0j)[:2]
-        return cmath.exp(log_e), s
+        # The stages of _es_stages: S is 0 when f vanishes, E is 1 when h
+        # does, and neither has a stage then.
+        dec = self.dec
+        if dec.f_zero:
+            return cmath.exp(integrals[0]), 0j
+        if dec.h_zero:
+            return 1 + 0j, integrals[0]
+        return cmath.exp(integrals[0]), integrals[1]
 
     def _ES(self, x: complex) -> tuple[complex, complex]:
         got = self._cache_ES.get(x)

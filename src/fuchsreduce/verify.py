@@ -106,14 +106,16 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
                ) -> tuple[complex, complex, float]:
     """Affine map from the quadrature tau to the documented closed-form tau.
 
-    Fitted from two points and validated on two more, on the entry's boxes;
-    the residual doubles as the basepoint-covariance certificate.  It checks
+    Fitted from two points and validated on two more, on the entry's boxes,
+    whose E and S are integrated in one walk; the residual doubles as the
+    basepoint-covariance certificate.  It checks
     tau alone, so it fails a wrong f or h but cannot see R, which does not
     enter tau; the stages on the coefficients and the solution check R."""
     cf = entry.reduction_closed_forms["tau"]
     xs = entry.box_x.diagonal(9)
     ts = entry.box_t.diagonal(9)
     pts = [(xs[1], ts[5]), (xs[6], ts[2]), (xs[3], ts[7]), (xs[7], ts[1])]
+    red.prefetch([x for x, _ in pts])
     ours = [red.tau_at(x, t) for x, t in pts]
     paper = fe._values_at(cf, [x for x, _ in pts], [t for _, t in pts], {})
     if abs(ours[1] - ours[0]) < 1e-12:

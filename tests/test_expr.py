@@ -759,8 +759,7 @@ class TestMultiSegmentPanels:
         for x, got in zip(xs, batched):
             want = fe._walk_all(stages, x0, (x,), red.quad_tol)[0]
             assert len(got) == 2
-            for g, w in zip(got, want):
-                assert abs(g - w) <= 1e-15 * max(1.0, abs(w))
+            assert repr(got) == repr(want)
 
     def test_later_stage_rejection_keeps_each_row_its_totals(self):
         # The second stage bisects [0, 3] long after the first accepts its

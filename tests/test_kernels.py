@@ -230,12 +230,15 @@ class TestKernelLifetime:
         # linear systems (with the Kitaev pair's compiled A, dA/dt); only
         # the scalar pair and the decomposition probe the boxes.  Its report
         # is the one of a copy that builds everything afresh.  Two reports
-        # on every entry first, so the entry's kernels are compiled.
-        for _ in range(2):
-            for other in ALL_WITH_NEGATIVE:
-                verify.full_report(other)
-        config = Config(box_t=box_t)
+        # on the entry first, each with the entry's record cleared, so that
+        # the stages it certifies once (the Frobenius grid and
+        # cross-validation) also call their kernels twice, and every kernel
+        # of the entry is compiled whatever ran before.
         entry = catalog.lookup(entry_id)
+        for _ in range(2):
+            entry.certified.clear()
+            verify.full_report(entry_id)
+        config = Config(box_t=box_t)
         # Overrides equal to the defaults build a new entry with nothing cached.
         afresh = json.dumps(verify.full_report(
             entry_id, config, overrides=dict(entry.params_exact)).to_json())
@@ -262,8 +265,14 @@ class TestKernelLifetime:
 @pytest.fixture
 def gc_disabled():
     """The cyclic collector off, after collecting what earlier code left:
-    anything a test then frees must go by reference counting."""
+    anything a test then frees must go by reference counting.  A failed
+    test's traceback is dropped first: pytest keeps it in
+    ``sys.last_traceback`` until the next test's call, where it would be
+    freed as cyclic garbage."""
     enabled = gc.isenabled()
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        if hasattr(sys, name):
+            delattr(sys, name)
     gc.collect()
     gc.disable()
     try:

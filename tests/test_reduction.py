@@ -274,7 +274,8 @@ class TestTauMap:
 
 def _two_kernel_stages(dec):
     """The E/S stages of separate h and f kernels: the h stage samples h,
-    and the f E stage samples f again on the rows the h stage accepted."""
+    and the f E stage samples f again on the rows the h stage accepted;
+    when h vanishes, the one stage f."""
     h = fe.Kernel(dec.h)
     f = fe.Kernel(dec.f)
 
@@ -284,7 +285,21 @@ def _two_kernel_stages(dec):
     def fE_rows(z, prior):
         return np.exp(prior[0]) * f(z, 0j)
 
-    return (h_rows,) if dec.f_zero else (h_rows, fE_rows)
+    def f_rows(z, prior):
+        return f(z, 0j)
+
+    if dec.f_zero:
+        return (h_rows,)
+    return (f_rows,) if dec.h_zero else (h_rows, fE_rows)
+
+
+def _E_and_S(dec, integrals):
+    """E and S from the integrals of the stages of _two_kernel_stages."""
+    if dec.f_zero:
+        return cmath.exp(integrals[0]), 0j
+    if dec.h_zero:
+        return 1 + 0j, integrals[0]
+    return cmath.exp(integrals[0]), integrals[1]
 
 
 class TestOnePassStages:
@@ -309,9 +324,21 @@ class TestOnePassStages:
         want = fe._walk_panels(reference, x0, xs, tol)
         assert bits(batch) == bits(want)
         red.prefetch(xs)
-        for x, (log_e, *s) in zip(xs, want):
-            assert red.E(x) == cmath.exp(log_e)
-            assert red.S(x) == (s[0] if s else 0j)
+        for x, integrals in zip(xs, want):
+            assert (red.E(x), red.S(x)) == _E_and_S(red.dec, integrals)
+
+    @pytest.mark.parametrize("entry_id", ["PII.y0", "PII.y_inv_t"])
+    def test_vanishing_h_walks_f_alone(self, prep, entry_id):
+        # h is 0 (PII.y0) or a rounding residue (PII.y_inv_t): E is 1
+        # exactly, and S the integral of f alone.
+        red = prep(entry_id).red
+        assert red.dec.h_zero and not red.dec.f_zero
+        assert red._es_stages == (red._f_rows,)
+        x = 1.9 + 0.1j
+        assert red.E(x) == 1
+        (s,) = fe._walk_all(_two_kernel_stages(red.dec), red.basepoint_x, (x,),
+                            red.quad_tol)[0]
+        assert repr(red.S(x)) == repr(s)
 
     def test_a_fallback_of_f_takes_h_from_the_scalar_form(self):
         # f = h + 1/((x - x + 1e200) 1e200) overflows in numpy but not in
@@ -347,6 +374,71 @@ class TestOnePassStages:
         want = fe._walk_panels(_two_kernel_stages(dec), 1.0, ends, red.quad_tol)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-14, abs=0)
+
+
+class _ProductRows(np.ndarray):
+    """``expr._CHEB_APPLY`` viewed so that every product with it records
+    the row count of its left operand."""
+
+    rows: list
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.rows.append(inputs[0].shape[0])
+        return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+
+
+class TestBatchIndependence:
+    """A point's E, S and gauge bits do not depend on the points it is
+    walked with: walked alone, in batches of any size or in reverse order,
+    prefetched or not.  (The one exception, a batch of a stage kernel that
+    falls back to scalar values in ``expr.Kernel.__call__``, meets no
+    shipped entry on these points.)"""
+
+    SIZES = (2, 63, 64, 65, 128, 200)
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_same_bits_in_any_batch(self, prep, entry_id):
+        p = prep(entry_id)
+        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
+        rng = np.random.default_rng(30)
+        xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), max(self.SIZES))]
+        x0, tol = red.basepoint_x, red.quad_tol
+
+        def bits(stages, points, size):
+            out = {}
+            for k in range(0, len(points), size):
+                batch = points[k:k + size]
+                for x, got in zip(batch, fe._walk_panels(stages, x0, batch, tol)):
+                    out[x] = repr(got)
+            return out
+
+        for stages in (red._es_stages, (red._G_rows,)):
+            alone = bits(stages, xs, 1)
+            for size in self.SIZES:
+                assert bits(stages, xs, size) == alone, size
+            assert bits(stages, xs[::-1], len(xs)) == alone
+        single = reduction.build_reduced(red.dec, x0)
+        red.prefetch(xs)
+        assert len(red._cache_ES) == len(xs)
+        for x in xs:
+            assert repr(red.E(x)) == repr(single.E(x))
+            assert repr(red.S(x)) == repr(single.S(x))
+
+    def test_panel_product_blocks(self, prep, monkeypatch):
+        # No product of the walk has one row (BLAS's matrix-vector kernel)
+        # or more than 64 (which OpenBLAS may thread).
+        p = prep("PIII.y1")
+        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
+        apply = fe._CHEB_APPLY.view(_ProductRows)
+        apply.rows = []
+        monkeypatch.setattr(fe, "_CHEB_APPLY", apply)
+        xs = [complex(1.2 + 0.005 * k, 0.1) for k in range(200)]
+        red.prefetch(xs)
+        red.E(2.45 - 0.1j)
+        red.gauge(2.45 - 0.1j)
+        assert apply.rows and min(apply.rows) >= 2 and max(apply.rows) <= 64
+        assert max(apply.rows) == 64
 
 
 class TestGauge:

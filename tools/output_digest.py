@@ -27,11 +27,14 @@ message in place of the exit code.
 verdict.  It makes the runs in this checkout and in the other one (each in
 a child interpreter on that checkout's ``src/`` and ``bench/``) and prints,
 per run, whether the two agree on the exit code and, in every report, on
-``passed``, ``errors``, ``case``, the match kind and ``expected_target``
-(a run that prints no report, such as ``sample``, must agree on its whole
-output).  It then prints, for every numeric report field that moves, its
-largest absolute move and its largest relative move, |a - b| / max(|a|,
-|b|), with the values and the run, and both digests.
+``passed``, ``errors``, ``case``, the match kind and ``expected_target``.
+A run that prints a CSV (``sample``) must agree on its stderr, its header,
+its row count and its x and t columns, and its other cells are compared
+as numbers, named ``sample.<column>``; any other run that prints no report
+must agree on its whole output.  It then prints, for every numeric report
+field or CSV column that moves, its largest absolute move and its largest
+relative move, |a - b| / max(|a|, |b|), with the values and the run, and
+both digests.
 """
 
 from __future__ import annotations
@@ -122,6 +125,41 @@ def numbers(doc, path: str = "") -> dict[str, float]:
     return out
 
 
+def csv_cells(stdout: str, other: str) -> list[tuple[dict, dict]] | None:
+    """Per row, the numeric cells of two CSVs by ``sample.<column>``, when
+    both have the same header, the same number of rows and the same x and
+    t columns; else None."""
+    try:
+        (head, *rows), (head2, *rows2) = ([line.split(",") for line in text.splitlines()]
+                                          for text in (stdout, other))
+        cells = [({f"sample.{k}": float(v) for k, v in zip(head, a)},
+                  {f"sample.{k}": float(v) for k, v in zip(head, b)})
+                 for a, b in zip(rows, rows2)]
+    except ValueError:
+        return None
+    if head != head2 or len(rows) != len(rows2) or len(head) < 2:
+        return None
+    fixed = [k for k, name in enumerate(head) if name[:2] in ("x_", "t_")]
+    if any(len(a) != len(head) or len(b) != len(head) or any(a[k] != b[k] for k in fixed)
+           for a, b in zip(rows, rows2)):
+        return None
+    return cells
+
+
+def fold(moves: dict[str, list], ours: dict[str, float], theirs: dict[str, float],
+         where: str) -> None:
+    """Record, per numeric field, the largest relative move (with its values
+    and ``where``) and the largest absolute one."""
+    for key in sorted(ours.keys() & theirs.keys()):
+        rel = relative_move(ours[key], theirs[key])
+        if rel == 0:
+            continue
+        got = moves.setdefault(key, [0.0, None, 0.0])
+        if rel > got[0]:
+            got[:2] = rel, f"{theirs[key]!r} -> {ours[key]!r} in {where}"
+        got[2] = max(got[2], abs(ours[key] - theirs[key]))
+
+
 def relative_move(a: float, b: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
@@ -142,28 +180,24 @@ def compare(other: Path) -> int:
     for (argv, code, out, err), (_, code2, out2, err2) in zip(here, there):
         ours, theirs = reports(out), reports(out2)
         differ = [] if code == code2 else ["exit code"]
-        if ours is None or theirs is None or len(ours) != len(theirs):
-            differ += [] if (out, err) == (out2, err2) else ["output"]
-        else:
+        run = " ".join(argv)
+        if ours is not None and theirs is not None and len(ours) == len(theirs):
             for a, b in zip(ours, theirs):
                 va, vb = verdict(a), verdict(b)
                 differ += [k for k in VERDICT_KEYS if va[k] != vb[k] and k not in differ]
-                na, nb = numbers(a), numbers(b)
-                for key in sorted(na.keys() & nb.keys()):
-                    rel = relative_move(na[key], nb[key])
-                    if rel == 0:
-                        continue
-                    got = moves.setdefault(key, [0.0, None, 0.0])
-                    if rel > got[0]:
-                        got[:2] = rel, (f"{nb[key]!r} -> {na[key]!r} in "
-                                        f"{' '.join(argv)} [{a['entry']}]")
-                    got[2] = max(got[2], abs(na[key] - nb[key]))
+                fold(moves, numbers(a), numbers(b), f"{run} [{a['entry']}]")
+        elif (out, err) != (out2, err2):
+            cells = csv_cells(out, out2) if err == err2 else None
+            if cells is None:
+                differ.append("output")
+            for k, (a, b) in enumerate(cells or ()):
+                fold(moves, a, b, f"{run} [row {k}]")
         agreeing += not differ
         print(f"{'agree' if not differ else 'DIFFER: ' + ', '.join(differ):<40} {' '.join(argv)}")
     print(f"{agreeing} of {len(here)} runs agree on the exit code and on "
-          f"{', '.join(VERDICT_KEYS)} (or on their whole output)")
-    print("per numeric report field that moves: the largest absolute move, then the "
-          "largest relative move |a - b| / max(|a|, |b|), there -> here, and where:")
+          f"{', '.join(VERDICT_KEYS)} (or on their CSV's x and t, or on their whole output)")
+    print("per numeric report field or CSV column that moves: the largest absolute move, "
+          "then the largest relative move |a - b| / max(|a|, |b|), there -> here, and where:")
     for key, (rel, where, absolute) in sorted(moves.items()):
         print(f"  {key:<20} abs {absolute:.1e}  rel {rel:.1e}  {where}")
     print(f"digest here  {digest(here)}")
