@@ -17,10 +17,12 @@ and the change of variables
 turns the second-order equation in x into  w'' + P(tau) w' + Q(tau) w = 0
 with coefficients that no longer depend on the deformation parameter.
 This module recovers (g, P_i, f, h, R, M) numerically-symbolically from the
-scalar pair alone.  One object, :class:`ReducedEquation`, builds evaluable
-tau/gauge maps by cumulative integration on adaptive Chebyshev panels, with
-one stage form (array samples of h, f E and G on rows of panel points), and
-forms P and Q by the chain rule:
+scalar pair alone, R and M by one rule in which the case picks only M(t1)
+(:func:`decompose`), so pairs that differ by a gauge in t reduce alike.
+One object, :class:`ReducedEquation`, builds evaluable tau/gauge maps by
+cumulative integration on adaptive Chebyshev panels, with one stage form
+(array samples of h, f E and G on rows of panel points), and forms P and Q
+by the chain rule:
 
     P = (tau_xx + (p1 + 2G) tau_x) / tau_x^2
     Q = (G' + G^2 + p1 G + q1) / tau_x^2,     G = +-R (by component),
@@ -49,6 +51,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -87,7 +90,7 @@ class _Probes:
     """The probe sets of :func:`decompose` and the case flags: 7 points on each
     box diagonal (t1 = ``ts[1]``), 9 t and 12 joint probes, and p2 at t1.
     The flags are measured on ``points``: the probe set as bindings, or an
-    ``expr._ProbeSet`` of it whose memo other walks share."""
+    ``expr._ProbeSet`` of it whose memo other walks share (M's always)."""
 
     def __init__(self, sp: ScalarPair, box_x, box_t):
         self.xs, self.ts = box_x.diagonal(7), box_t.diagonal(7)
@@ -101,11 +104,12 @@ class _Probes:
         return fe.numerically_zero(e, points, reference=self.p2_t1)
 
     @staticmethod
-    def m_flags(M: Expr, points) -> tuple[bool, bool]:
-        """(M_zero, M_constant): whether M or dM/dt vanishes at the t probes."""
+    def m_flags(M: Expr, points: fe._ProbeSet) -> tuple[bool, bool]:
+        """(M_zero, M_constant): whether M, and M less its value at the first
+        t probe, vanish at the t probes (one walk of M, on their memo)."""
         m_zero = fe.numerically_zero(M, points)
-        return m_zero, m_zero or fe.numerically_zero(fe.differentiate(M, "t"), points,
-                                                      reference=M)
+        m_0 = fe.const(points.values(M)[0])
+        return m_zero, m_zero or fe.numerically_zero(fe.sub(M, m_0), points, reference=M)
 
 
 @dataclass
@@ -174,7 +178,7 @@ class Decomposition:
 
     @cached_property
     def _m_flags(self) -> tuple[bool, bool]:
-        return self._probes.m_flags(self.M, self._probes.t9)
+        return self._probes.m_flags(self.M, fe._ProbeSet(self._probes.t9))
 
     @property
     def M_zero(self) -> bool:
@@ -213,13 +217,26 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
 
     f and h come from sampling the ratio p2 = a_off/b_off at two deformation
     values (exact, since p2 is affine in t); a third value is a consistency
-    residual.  R and M come from a 2x2 linear solve of
-    q2 = R + M (f + t h) at two x probes, validated on a joint probe grid.
+    residual.  R and M come from one rule, validated on a joint probe grid:
+    with phi = f + t h, xa the x probe of largest |phi(., t1)| and a pin m1,
+    R = q2(., t1) - m1 phi(., t1) and M(t) = (q2(xa, t) - R(xa)) / phi(xa, t),
+    so that M(t1) = m1.  The case chooses only the pin:
+
+    * h = 0: m1 = 0, which pins the freedom R -> R + c f, M -> M - c as the
+      documented closed forms of every shipped entry do;
+    * f, h independent: the one M(t1) the split allows, by a 2x2 solve at
+      t1, t2 and the two x probes of largest determinant;
+    * f = k h: the secant slope (q2(xa, t2) - q2(xa, t1)) / ((t2 - t1) h(xa))
+      of M (t + k).  The freedom M -> M + c/(t + k), R -> R - c h moves
+      M (t + k) by the constant c, so every admissible M has this slope: the
+      pin is a normalization, and as a constant M is its own slope, it
+      takes the constant M when there is one.
+
+    A t-only gauge of the Lax pair moves q2 by phi times a function of t,
+    which M absorbs.  When f and h both vanish, M = 0; when f = -t1 h,
+    phi(., t1) vanishes and the split is refused.
     g and P3 come from b_off (``sp.off_diag``) and P1 = f P3, P2 = h P3;
     g must not depend on x, and a_off must factor as g (P1 + t P2).
-    When h vanishes identically the split has a one-parameter gauge freedom
-    (R -> R + c f, M -> M - c); it is pinned by M(t_ref) = 0, which
-    reproduces the documented closed forms for every shipped entry.
     ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``)."""
     probes = _Probes(sp, box_x, box_t)
     tdiag, xdiag = probes.ts, probes.xs
@@ -244,60 +261,41 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
 
     f_zero, h_zero = probes.zero_in_x(f, at_x), probes.zero_in_x(h, at_x)
 
-    # --- R and M from q2 = R + M (f + t h)
+    # --- R and M from q2 = R + M (f + t h): the case picks only m1
     q2d = sp.q2_decomposable()
     phi = fe.add(f, fe.mul(T, h))
-
-    # Each probe scan below is one walk over a fixed point set, read by
-    # index.
     if f_zero and h_zero:
-        R = fe.substitute(q2d, t=t1)
-        M = fe.const(0)
-    elif h_zero:
-        # Split ambiguity (R -> R + c f, M -> M - c); pin M(t1) = 0.
-        R = fe.substitute(q2d, t=t1)
-        xa, f_xa = max(zip(xdiag, at_x.values(f)), key=lambda p: abs(p[1]))
-        if abs(f_xa) < 1e-12:
-            raise DecompositionError("cannot split q2: f vanishes at all probes")
-        r_xa = fe.evaluate(R, Binding(x=xa))
-        M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)), fe.const(f_xa))
+        R, M = fe.substitute(q2d, t=t1), fe.const(0)
     else:
-        # Generic split: solve for M(t1), M(t2) at two x probes.  The 2x2
-        # determinant is (t1 - t2) (f(xa) h(xb) - f(xb) h(xa)), so the solve
-        # only works when f and h are not proportional; otherwise the split
-        # itself has a one-parameter ambiguity (M -> M + c/(t + f/h),
-        # R -> R - c h) and the constant-M representative is taken instead.
         # phi at (x, t1) and (x, t2), x by x: entries 2i and 2i + 1.
         phi_x7 = fe._values_at(phi, [x for x in xdiag for _ in (t1, t2)],
                                [t1, t2] * len(xdiag), {})
-        best = None
-        for ia in range(len(xdiag)):
-            for ib in range(ia + 1, len(xdiag)):
-                a11, a12 = phi_x7[2 * ia], -phi_x7[2 * ia + 1]
-                a21, a22 = phi_x7[2 * ib], -phi_x7[2 * ib + 1]
-                det = a11 * a22 - a12 * a21
-                if best is None or abs(det) > abs(best[0]):
-                    best = (det, xdiag[ia], xdiag[ib], a11, a12, a21, a22)
-        det, xa, xb, a11, a12, a21, a22 = best
-        scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-30)
-        if abs(det) > 1e-8 * scale * scale:
-            q11, q12, q21, q22 = fe._values_at(q2d, [xa, xa, xb, xb], [t1, t2, t1, t2], {})
-            r1, r2 = q11 - q12, q21 - q22
-            m1 = (r1 * a22 - a12 * r2) / det
-            R = fe.sub(fe.substitute(q2d, t=t1),
-                       fe.mul(fe.const(m1), fe.substitute(phi, t=t1)))
-            r_xa = fe.evaluate(R, Binding(x=xa))
-            M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)),
-                       fe.substitute(phi, x=xa))
-        else:
-            xa, h_xa = max(zip(xdiag, at_x.values(h)), key=lambda p: abs(p[1]))
-            if abs(h_xa) < 1e-12:
-                raise DecompositionError("cannot split q2: h vanishes at all probes")
-            q_t2, q_t1 = fe._values_at(q2d, [xa, xa], [t2, t1], {})
-            m0 = (q_t2 - q_t1) / ((t2 - t1) * h_xa)
-            M = fe.const(m0)
-            R = fe.sub(fe.substitute(q2d, t=t1),
-                       fe.mul(M, fe.substitute(phi, t=t1)))
+        ia = max(range(len(xdiag)), key=lambda i: abs(phi_x7[2 * i]))
+        xa = xdiag[ia]
+        if abs(phi_x7[2 * ia]) < 1e-12:
+            raise DecompositionError("cannot split q2: f + t h vanishes at all probes")
+        m1 = 0j
+        if not h_zero:
+            # The 2x2 system for (M(t1), M(t2)) at the probe pair with the
+            # largest determinant, (t1 - t2) (f(xp) h(xq) - f(xq) h(xp)).
+            rows = [(phi_x7[2 * i], -phi_x7[2 * i + 1]) for i in range(len(xdiag))]
+            det, ip, iq = max(((rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0], i, j)
+                               for i, j in combinations(range(len(xdiag)), 2)),
+                              key=lambda d: abs(d[0]))
+            (a11, a12), (a21, a22) = rows[ip], rows[iq]
+            scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-30)
+            if abs(det) > 1e-8 * scale * scale:
+                q11, q12, q21, q22 = fe._values_at(q2d, [xdiag[ip]] * 2 + [xdiag[iq]] * 2,
+                                                   [t1, t2] * 2, {})
+                m1 = ((q11 - q12) * a22 - a12 * (q21 - q22)) / det
+            else:
+                # f = k h: the secant slope of M (t + k), which the
+                # freedom M -> M + c/(t + k) leaves unchanged.
+                q_t2, q_t1 = fe._values_at(q2d, [xa, xa], [t2, t1], {})
+                m1 = (q_t2 - q_t1) / ((t2 - t1) * at_x.values(h)[ia])
+        R = fe.sub(fe.substitute(q2d, t=t1), fe.mul(fe.const(m1), fe.substitute(phi, t=t1)))
+        r_xa = fe.evaluate(R, Binding(x=xa))
+        M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)), fe.substitute(phi, x=xa))
 
     split_defect = fe.sub(q2d, fe.add(R, fe.mul(M, phi)))
     if not fe.numerically_zero(split_defect, joint, tol=1e-8, reference=q2d):

@@ -120,7 +120,8 @@ class TestDecompose:
                 -2 * fe.evaluate(dec.M, b), rel=1e-8, abs=1e-10)
 
     def test_profile_remainder_is_exponent_over_t(self):
-        # With f = 0 the constant-M convention leaves dlog g + 2M = A/t.
+        # With f = 0 the split's freedom is M -> M + c/t; the secant pin
+        # recovers the constant M = -1, which leaves dlog g + 2M = A/t.
         _, dec, entry = decomposition_for("PIII.y1")
         dlog = fe.differentiate(dec.g_of_t, "t") / dec.g_of_t
         for tval in (0.6, 0.9, 1.3):
@@ -168,6 +169,47 @@ class TestDecompose:
         kw = {f.name: getattr(dec, f.name) for f in dataclasses.fields(dec) if f.name != "sp"}
         with pytest.raises(TypeError, match="'sp'"):
             reduction.Decomposition(**kw)
+
+
+class TestProportionalSplit:
+    """f = 2h, h = 1/x and R = 1/x^2: q2 = R + M (f + t h) fixes M only up to
+    M -> M + c/(t + 2), R -> R - c h, and decompose recovers a member of
+    that family for every M, constant or not."""
+
+    @staticmethod
+    def pair(f, h, M):
+        zero = fe.const(0)
+        phi = f + T * h
+        return ScalarPair(p1=zero, q1=zero, p2=phi, q2=1 / X**2 + M * phi)
+
+    @pytest.mark.parametrize("M", [fe.const(-1), -1 / (T + 3), -2 * T],
+                             ids=["-1", "-1/(t+3)", "-2t"])
+    def test_recovers_M_up_to_the_freedom(self, M):
+        h = 1 / X
+        dec = reduction.decompose(self.pair(2 * h, h, M), catalog.DEFAULT_X_BOX,
+                                  catalog.DEFAULT_T_BOX)
+        shifts = [(fe.evaluate(dec.M, Binding(t=t)) - fe.evaluate(M, Binding(t=t))) * (t + 2)
+                  for t in (0.6, 1.0, 1.4)]
+        c = shifts[0]
+        assert max(abs(s - c) for s in shifts) <= 1e-12
+        for x in catalog.DEFAULT_X_BOX.diagonal(5):
+            assert abs(fe.evaluate(dec.R, Binding(x=x)) - (1 / x**2 - c / x)) <= 1e-12
+        constant = M.kind == "const"
+        assert dec.M_constant == constant
+        if constant:
+            # The constant representative, when there is one, is the one taken.
+            assert abs(c) <= 1e-12
+        else:
+            assert dec.exponent_A is None
+
+    def test_f_plus_t1_h_vanishing_is_one_error(self):
+        # f = -t1 h: f + t h vanishes at the pin's t1 = box_t.diagonal(7)[1].
+        h = 1 / X
+        t1 = catalog.DEFAULT_T_BOX.diagonal(7)[1]
+        with pytest.raises(reduction.DecompositionError,
+                           match=r"^cannot split q2: f \+ t h vanishes at all probes$"):
+            reduction.decompose(self.pair(-t1 * h, h, fe.const(-1)), catalog.DEFAULT_X_BOX,
+                                catalog.DEFAULT_T_BOX)
 
 
 class TestCaseFlags:

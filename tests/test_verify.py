@@ -14,6 +14,7 @@ from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import FRAME_TOL, Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.targets import ClassicalTarget
+from test_metamorphic import GAUGES, MATRIX_IDS, gauged
 
 ALL_IDS = catalog.list_entries()
 
@@ -785,11 +786,24 @@ class TestStageSensitivity:
     decomposition, through four stages: cross-validation, t-independence
     and match each fail every one that changes the reduction and pass the
     gauge-equivalent ones.  The frame fit compares tau alone, so it fails
-    every mutation of f or h that changes the reduction and cannot see R."""
+    every mutation of f or h that changes the reduction and cannot see R.
+    The same holds on every matrix entry under every gauge in t of
+    ``test_metamorphic``, among them the f = 0 entries whose M the gauge
+    makes vary, which could not be reduced before M was recovered as a
+    function of t."""
 
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_mutations(self, prep, entry_id):
-        p = prep(entry_id)
+        self._check_mutations(prep(entry_id), entry_id)
+
+    @pytest.mark.parametrize("gauge", GAUGES)
+    @pytest.mark.parametrize("entry_id", MATRIX_IDS)
+    def test_mutations_under_t_gauge(self, entry_id, gauge):
+        entry = gauged(catalog.lookup(entry_id), gauge)
+        self._check_mutations(verify.prepare(entry), entry_id)
+
+    @staticmethod
+    def _check_mutations(p, entry_id):
         cfg = Config()
         equivalent = []
         for name, mutate in _MUTATIONS.items():
