@@ -759,12 +759,21 @@ def list_negative_entries() -> list[str]:
 
 
 def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
-    """Fetch an entry, optionally overriding its exact parameters."""
+    """Fetch an entry, optionally overriding its exact parameters.  An
+    arithmetic error while building it (a parameter so large that a
+    closed form overflows) is raised as a ValueError naming the entry and
+    the overridden parameters."""
     if entry_id not in _ENTRIES:
         raise EntryNotFoundError(f"no catalog entry named {entry_id!r}")
-    if overrides:
-        return _ENTRIES[entry_id][0](_merge_params(entry_id, overrides))
-    return _DEFAULTS[entry_id]
+    if not overrides:
+        return _DEFAULTS[entry_id]
+    params = _merge_params(entry_id, overrides)
+    try:
+        return _ENTRIES[entry_id][0](params)
+    except ArithmeticError as exc:
+        raise ValueError(
+            f"entry {entry_id!r} cannot be built at the given {', '.join(sorted(overrides))}: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 def flow_residual(entry: CatalogEntry, ts: Sequence[complex]) -> float:

@@ -21,6 +21,13 @@ quadrature along piecewise-linear paths, many segments from one start
 together, or the solve of a 2x2 linear ODE and its t-variation along
 them), and an infix printer.
 
+One table, ``_KINDS``, holds per interior node kind its constructor, the
+template of its compiled line and the function that line applies to one
+point and to arrays of points.  One traversal, :func:`_traverse`, visits
+each node object of a DAG once, children first; differentiation,
+substitution and compilation go through it, so a derivative or a
+substitution of a DAG is itself a DAG of comparable size.
+
 Design constraints:
 
 * no general simplifier -- only local constant folding plus the rewrites
@@ -40,10 +47,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -331,53 +339,138 @@ def sqrt(a: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Node kinds and the DAG traversal
+
+def _principal_pow(base: complex, exponent: float) -> complex:
+    """Principal-branch power, shared by evaluation and compiled code."""
+    if base == 0:
+        if exponent > 0:
+            return 0j
+        raise SingularEvaluationError("0 raised to a non-positive fractional power")
+    return cmath.exp(exponent * cmath.log(base))
+
+
+def _principal_pow_array(base, exponent: float):
+    """:func:`_principal_pow` on an array of bases.  A zero base with a
+    non-positive exponent raises FloatingPointError, which sends the batch
+    back to the scalar form."""
+    base = np.asarray(base, dtype=complex)
+    zero = base == 0
+    if not zero.any():
+        return np.exp(exponent * np.log(base))
+    if exponent <= 0:
+        raise FloatingPointError("0 raised to a non-positive fractional power")
+    out = np.zeros_like(base)
+    out[~zero] = np.exp(exponent * np.log(base[~zero]))
+    return out
+
+
+class _Kind(NamedTuple):
+    """One interior node kind.  ``build`` is its folding constructor and
+    ``line`` the ``%`` template of its compiled line; both take the
+    children (new children, or their operand names) and then the node's
+    ``value`` when it has one (an exponent).  ``scalar`` and ``array`` are
+    the function the line applies to one point and to numpy arrays of
+    points; a line that calls a function calls it as ``_<kind>``."""
+
+    build: Callable[..., Expr]
+    line: str
+    scalar: Callable
+    array: Callable
+
+
+_KINDS: dict[str, _Kind] = {
+    "neg": _Kind(neg, "-%s", operator.neg, operator.neg),
+    "add": _Kind(add, "%s + %s", operator.add, operator.add),
+    "mul": _Kind(mul, "%s * %s", operator.mul, operator.mul),
+    "div": _Kind(div, "%s / %s", operator.truediv, operator.truediv),
+    "ipow": _Kind(ipow, "%s ** %s", operator.pow, operator.pow),
+    # A Fraction exponent prints as "p/q", which compiles to the float the
+    # walk applies, float(Fraction(p, q)).
+    "fpow": _Kind(fpow, "_fpow(%s, %s)", _principal_pow, _principal_pow_array),
+    "exp": _Kind(exp, "_exp(%s)", cmath.exp, np.exp),
+    "log": _Kind(log, "_log(%s)", cmath.log, np.log),
+    "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt),
+}
+
+# The globals of the compiled lines, one point at a time and as the array
+# form.  Compiled bodies only read these names, so one dict serves every
+# array form.
+_SCALAR_NAMESPACE = {"_" + k: row.scalar for k, row in _KINDS.items()}
+_ARRAY_GLOBALS = {"_" + k: row.array for k, row in _KINDS.items()}
+
+
+def _traverse(roots: Sequence[Expr], visit: Callable[[Expr, tuple], object]) -> list:
+    """``visit(n, results)`` once per node object ``n`` of the DAG under
+    ``roots``, children first, where ``results`` is the tuple of what it
+    returned for ``n``'s children; the results of the roots.  A node that
+    many paths reach is visited once, so a tree built from the results (a
+    derivative, a substitution) shares what the input shares.  ``visit``
+    never returns None."""
+    memo: dict[int, object] = {}
+    seen = memo.get
+
+    def rec(n: Expr):
+        key = id(n)
+        got = seen(key)
+        if got is None:
+            kids = n.children   # a node has at most two children
+            if kids:
+                kids = (rec(kids[0]),) if len(kids) == 1 else (rec(kids[0]), rec(kids[1]))
+            got = memo[key] = visit(n, kids)
+        return got
+
+    try:
+        return [rec(root) for root in roots]
+    finally:
+        # rec's closure holds rec: a cycle that would keep memo alive
+        # until the cyclic collector runs.
+        del rec
+
+
+# ---------------------------------------------------------------------------
 # Differentiation
 
 def differentiate(e: Expr, var: str) -> Expr:
-    """Exact symbolic derivative of ``e`` with respect to ``x`` or ``t``.
+    """Exact symbolic derivative of ``e`` with respect to ``x`` or ``t``,
+    one node per node object of ``e``'s DAG (:func:`_traverse`), so the
+    derivative of a subtree shared within ``e`` is shared too.
 
     Derivatives of ``log``/``sqrt``/fractional powers introduce ``div``
     nodes; domain issues surface at evaluation time, not here.
     """
     if var not in ("x", "t"):
         raise ValueError("var must be 'x' or 't'")
-    k = e.kind
-    if k == "const":
-        return _ZERO
-    if k == "var":
-        return _ONE if e.value == var else _ZERO
-    if k == "neg":
-        return neg(differentiate(e.children[0], var))
-    if k == "add":
-        a, b = e.children
-        return add(differentiate(a, var), differentiate(b, var))
-    if k == "mul":
-        a, b = e.children
-        return add(
-            mul(differentiate(a, var), b),
-            mul(a, differentiate(b, var)),
-        )
-    if k == "div":
-        a, b = e.children
-        return div(
-            sub(mul(differentiate(a, var), b), mul(a, differentiate(b, var))),
-            ipow(b, 2),
-        )
-    if k == "ipow":
-        base = e.children[0]
-        n = e.value
-        return mul(mul(const(n), ipow(base, n - 1)), differentiate(base, var))
-    if k == "fpow":
-        base = e.children[0]
-        q = e.value
-        return mul(mul(const(complex(q)), fpow(base, q - 1)), differentiate(base, var))
-    if k == "exp":
-        return mul(e, differentiate(e.children[0], var))
-    if k == "log":
-        return div(differentiate(e.children[0], var), e.children[0])
-    if k == "sqrt":
-        return div(differentiate(e.children[0], var), mul(const(2), e))
-    raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
+
+    def rule(n: Expr, d: tuple) -> Expr:
+        k = n.kind
+        if k == "const":
+            return _ZERO
+        if k == "var":
+            return _ONE if n.value == var else _ZERO
+        if k == "neg":
+            return neg(d[0])
+        if k == "add":
+            return add(*d)
+        a = n.children[0]
+        if k == "mul":
+            return add(mul(d[0], n.children[1]), mul(a, d[1]))
+        if k == "div":
+            b = n.children[1]
+            return div(sub(mul(d[0], b), mul(a, d[1])), ipow(b, 2))
+        if k == "ipow":
+            return mul(mul(const(n.value), ipow(a, n.value - 1)), d[0])
+        if k == "fpow":
+            return mul(mul(const(complex(n.value)), fpow(a, n.value - 1)), d[0])
+        if k == "exp":
+            return mul(n, d[0])
+        if k == "log":
+            return div(d[0], a)
+        if k == "sqrt":
+            return div(d[0], mul(const(2), n))
+        raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
+
+    return _traverse((e,), rule)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +486,6 @@ class Binding:
 
     x: complex | None = None
     t: complex | None = None
-
-
-def _principal_pow(base: complex, exponent: float) -> complex:
-    """Principal-branch power, shared by evaluation and compiled code."""
-    if base == 0:
-        if exponent > 0:
-            return 0j
-        raise SingularEvaluationError("0 raised to a non-positive fractional power")
-    return cmath.exp(exponent * cmath.log(base))
 
 
 def evaluate(e: Expr, b: Binding) -> complex:
@@ -473,8 +557,8 @@ def _probe_values(e: Expr, xs, ts, memo: dict[int, object], array: bool = False)
             else:
                 vals = [u ** n for u in a]
         elif k in ("fpow", "exp", "log", "sqrt"):
-            # The function the compiled line calls, by the same name.
-            fn = (_ARRAY_GLOBALS if array else _SCALAR_NAMESPACE)["_" + k]
+            # The function the compiled line calls.
+            fn = _KINDS[k].array if array else _KINDS[k].scalar
             if k == "fpow":
                 q = float(e.value)
                 vals = fn(a, q) if array else [fn(u, q) for u in a]
@@ -542,51 +626,16 @@ def substitute(e: Expr, x: Expr | complex | None = None,
     rx = _coerce(x) if x is not None else None
     rt = _coerce(t) if t is not None else None
 
-    memo: dict[int, Expr] = {}
-
-    def rec(n: Expr) -> Expr:
-        got = memo.get(id(n))
-        if got is not None:
-            return got
-        k = n.kind
-        if k == "var":
+    def rebuild(n: Expr, kids: tuple) -> Expr:
+        if n.kind == "var":
             r = rx if n.value == "x" else rt
-            out = n if r is None else r
-        elif k == "const":
-            out = n
-        else:
-            kids = tuple(rec(c) for c in n.children)
-            if kids == n.children:
-                out = n
-            elif k == "add":
-                out = add(*kids)
-            elif k == "mul":
-                out = mul(*kids)
-            elif k == "div":
-                out = div(*kids)
-            elif k == "neg":
-                out = neg(*kids)
-            elif k == "ipow":
-                out = ipow(kids[0], n.value)
-            elif k == "fpow":
-                out = fpow(kids[0], n.value)
-            elif k == "exp":
-                out = exp(kids[0])
-            elif k == "log":
-                out = log(kids[0])
-            elif k == "sqrt":
-                out = sqrt(kids[0])
-            else:  # pragma: no cover
-                raise ValueError(f"unknown node kind {k!r}")
-        memo[id(n)] = out
-        return out
+            return n if r is None else r
+        if kids == n.children:
+            return n
+        build = _KINDS[n.kind].build
+        return build(*kids) if n.value is None else build(*kids, n.value)
 
-    try:
-        return rec(e)
-    finally:
-        # rec's closure holds rec: a cycle that would keep memo alive
-        # until the cyclic collector runs.
-        del rec
+    return _traverse((e,), rebuild)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -608,33 +657,10 @@ def _literal(value: complex) -> str:
     return f"({re!r} - {abs(im)!r}j)"
 
 
-def _principal_pow_array(base, exponent: float):
-    """:func:`_principal_pow` on an array of bases.  A zero base with a
-    non-positive exponent raises FloatingPointError, which sends the batch
-    back to the scalar form."""
-    base = np.asarray(base, dtype=complex)
-    zero = base == 0
-    if not zero.any():
-        return np.exp(exponent * np.log(base))
-    if exponent <= 0:
-        raise FloatingPointError("0 raised to a non-positive fractional power")
-    out = np.zeros_like(base)
-    out[~zero] = np.exp(exponent * np.log(base[~zero]))
-    return out
-
-
 # What compiled code raises at a singular point, and so what rejects a probe
 # draw: ZeroDivisionError or OverflowError (ArithmeticErrors, as is numpy's
 # FloatingPointError), ValueError from a log of zero, and any ExprError.
 _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
-
-# The functions compiled lines call, each named after its node kind.
-_SCALAR_NAMESPACE = {"_exp": cmath.exp, "_log": cmath.log, "_sqrt": cmath.sqrt,
-                     "_fpow": _principal_pow}
-# The globals of every array form.  Compiled bodies only read these names,
-# so one dict serves them all.
-_ARRAY_GLOBALS = {"_exp": np.exp, "_log": np.log, "_sqrt": np.sqrt,
-                  "_fpow": _principal_pow_array}
 
 
 # The subset of {x, t} a compiled line depends on, as a bit mask.
@@ -663,62 +689,31 @@ def _value_numbered(e: Expr | tuple[Expr, ...]
     ``const(complex(0, -0.0))``, which emit the different values ``0j`` and
     ``-0j``.  Lines come in evaluation order, operands first."""
     lines: list[_Line] = []
-    names: dict[int, str] = {}
     numbered: dict[str, str] = {}
     # The dependency mask of each emitted name; a literal is in no entry.
     free: dict[str, int] = {"x": _X_DEP, "t": _T_DEP}
     read_with_xt: set[str] = set()
 
-    def emit(n: Expr) -> str:
-        got = names.get(id(n))
-        if got is not None:
-            return got
+    def emit(n: Expr, kids: tuple) -> str:
         k = n.kind
         if k == "const":
-            s = _literal(n.value)
-        elif k == "var":
-            s = n.value
-        else:
-            kids = [emit(c) for c in n.children]
-            if k == "neg":
-                s = f"-{kids[0]}"
-            elif k == "add":
-                s = f"{kids[0]} + {kids[1]}"
-            elif k == "mul":
-                s = f"{kids[0]} * {kids[1]}"
-            elif k == "div":
-                s = f"{kids[0]} / {kids[1]}"
-            elif k == "ipow":
-                s = f"{kids[0]} ** {n.value}"
-            elif k == "fpow":
-                s = f"_fpow({kids[0]}, {float(n.value)!r})"
-            elif k == "exp":
-                s = f"_exp({kids[0]})"
-            elif k == "log":
-                s = f"_log({kids[0]})"
-            elif k == "sqrt":
-                s = f"_sqrt({kids[0]})"
-            else:  # pragma: no cover
-                raise ValueError(f"unknown node kind {k!r}")
-            v = numbered.get(s)
-            if v is None:
-                v = numbered[s] = f"v{len(numbered)}"
-                dep = 0
-                for kid in kids:
-                    dep |= free.get(kid, 0)
-                dep = free[v] = dep or _X_DEP
-                if dep == _X_DEP | _T_DEP:
-                    read_with_xt.update(kids)
-                lines.append((v, s, dep))
-            s = v
-        names[id(n)] = s
-        return s
+            return _literal(n.value)
+        if k == "var":
+            return n.value
+        s = _KINDS[k].line % (kids if n.value is None else (*kids, n.value))
+        v = numbered.get(s)
+        if v is None:
+            v = numbered[s] = f"v{len(numbered)}"
+            dep = 0
+            for kid in kids:
+                dep |= free.get(kid, 0)
+            dep = free[v] = dep or _X_DEP
+            if dep == _X_DEP | _T_DEP:
+                read_with_xt.update(kids)
+            lines.append((v, s, dep))
+        return v
 
-    try:
-        outputs = [emit(part) for part in (e if isinstance(e, tuple) else (e,))]
-    finally:
-        # emit's closure holds emit; drop the cycle with the id -> name memo.
-        del emit
+    outputs = _traverse(e if isinstance(e, tuple) else (e,), emit)
     if isinstance(e, tuple):
         result = "(" + "".join(f"{out}, " for out in outputs) + ")"
     else:

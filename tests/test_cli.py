@@ -208,6 +208,21 @@ class TestVerify:
         assert err == (f"error: parameter {name!r} of entry {entry_id!r} "
                        "must be a finite number\n")
 
+    @pytest.mark.parametrize("entry_id, param", [
+        ("PV.y_lin", "theta1=1e300"),
+        ("PIII.y1", "theta_inf=1e200"),
+        ("PVdeg.kitaev_sqrt", "kappa=1e200"),
+    ])
+    def test_parameter_overflowing_a_closed_form_exits_2(self, entry_id, param):
+        # The value is a finite float, but a closed form's constant folding
+        # overflows while the entry is built.
+        name = param.partition("=")[0]
+        for command in ("verify", "sample"):
+            rc, out, err = run_cli([command, entry_id, "--param", param])
+            assert (rc, out) == (2, ""), command
+            assert err == (f"error: entry {entry_id!r} cannot be built at the given "
+                           f"{name}: OverflowError: complex exponentiation\n"), command
+
     @pytest.mark.parametrize("flags, field", [
         (["--tol-match", "nan"], "tol_match"),
         (["--tol-crossval", "inf"], "tol_crossval"),

@@ -54,6 +54,32 @@ class TestDifferentiate:
         b = Binding(x=2.2)
         assert fe.evaluate(d, b) == pytest.approx((4 / 3) * 2.2 ** (1 / 3), rel=1e-12)
 
+    @staticmethod
+    def _doubling_dag(depth):
+        # e = (e + e) * x, depth times: 2^depth x^(depth+1), a DAG of
+        # 2 depth + 1 distinct nodes whose tree is exponential in depth.
+        e = X
+        for _ in range(depth):
+            e = (e + e) * X
+        return e
+
+    def test_derivative_of_a_shared_subtree_is_shared(self):
+        depth = 12
+        e = self._doubling_dag(depth)
+        d = fe.differentiate(e, "x")
+        assert fe._tree_sizes(d)[1] <= 6 * depth
+        b = Binding(x=1.1)
+        assert fe.evaluate(d, b) == pytest.approx(2**depth * (depth + 1) * 1.1**depth,
+                                                  rel=1e-12)
+
+    def test_substitution_of_a_shared_subtree_is_shared(self):
+        depth = 12
+        e = self._doubling_dag(depth)
+        s = fe.substitute(e, x=2 * X + 1)
+        assert fe._tree_sizes(s)[1] <= 6 * depth
+        b = Binding(x=0.05)
+        assert fe.evaluate(s, b) == pytest.approx(2**depth * 1.1**(depth + 1), rel=1e-12)
+
 
 def _tree_walk(e, b):
     """Reference semantics of a tree at one binding: the recursive walker,
