@@ -1,44 +1,31 @@
 """Registry of integrable 2x2 systems at algebraic Painleve solutions.
 
 Each entry specializes a standard isomonodromic linearization (Miwa-Jimbo
-for P_II/P_III/P_IV/P_V, Kitaev for the degenerate P_V) at an algebraic
-solution of the underlying Painleve flow, with every time-dependent
-coefficient substituted in closed form and the family's parameters
-substituted as constants when the entry is built.  Entries record,
-alongside the matrices:
-
-* the nonlinear flow system whose residuals certify the closed forms,
-* probe boxes and basepoints used by every numeric check downstream,
-* the documented closed forms of the reduction data (f, h, R, M, tau,
-  gauge) and the expected classical target, used as oracles and for
-  human-readable manifests (:func:`manifest`; ``reduce`` and ``list
-  --json`` print them, and the tests pin them in
-  ``tests/data/manifests/``).
+for P_II-P_V, Kitaev for the degenerate P_V) at an algebraic solution of
+the underlying Painleve flow, with the solution's closed forms and the
+family's parameters substituted when the entry is built.  Every matrix
+entry is built by one constructor, :func:`_matrix_entry`, which applies
+its family template to the closed forms and fills the matrices, the flow
+residuals, the closed forms and the parameters.  What a builder passes
+besides is what the entry documents, and every one of these fields is
+required: the expected target, case and exponent, the basepoint, the
+singular points, the closed forms of the reduction data (f, h, R, M, tau,
+gauge) and the metadata.  The probe boxes default to ``DEFAULT_X_BOX``
+and ``DEFAULT_T_BOX``; the other defaults (None) are for what an entry may
+lack: a Lax pair or a direct scalar pair, a target scale, a
+pre-substitution.  The documented fields are oracles of the tests and the content of the
+manifests (:func:`manifest`, pinned in ``tests/data/manifests/``).
 
 Each entry is declared once, by one line of ``_ENTRIES`` (id, builder,
 default parameters, in listing order); an id starting with ``negative.``
 is a negative control.  A builder rejects, with a ValueError naming it,
 a parameter value at which its family degenerates.
 
-The default entries are built once, at import, and change afterwards
-only by what they build or record on first use; :func:`lookup` returns
-them, or builds an entry afresh for parameter overrides.  Entries attach
-their kernels lazily, on first use, as cached properties: the flow
-residual kernel, the scalar pair and the decomposition for the entry's
-own boxes (which in turn carries the tau/gauge and coefficient kernels).
-An expression kernel (:class:`expr.Kernel`) walks its DAG on its first
-call and compiles on its second, so an entry that serves one report
-compiles only the kernels that report calls more than once, and one that
-serves many runs compiled code from its second report on, except in the
-stages that run once per entry (``CatalogEntry.certified``), whose
-kernels are walked and never compiled.  Default entries keep their
-kernels and records for the life of the process; an entry built with
-parameter or box overrides takes them with it when it is collected.  A
-copy on other boxes (:meth:`CatalogEntry.with_boxes`) starts with the
-flow kernel and linear systems its entry has built, which no box enters,
-and an empty record.  Concurrent reads are safe: a first use racing
-another may compute a kernel or a recorded stage twice, which is
-harmless because the result is deterministic.
+The default entries are built once, at import; :func:`lookup` returns
+them, or builds an entry afresh for parameter overrides.  An entry builds
+its kernels on first use and keeps them for its lifetime.  Concurrent
+reads are safe: a first use racing another may compute a kernel or a
+recorded stage twice, with the same result.
 """
 
 from __future__ import annotations
@@ -49,8 +36,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from . import expr as fe
 from . import reduction as red_mod
@@ -140,14 +125,8 @@ DEFAULT_T_BOX = ComplexRect(0.5, 1.5, -0.2, 0.2)
 class LaxPair:
     """Coefficient matrices A(x,t), B(x,t) of the two linear systems.
 
-    The matrices of the family templates are traceless, and every entry is
-    a finite sum of products of one-variable factors (guaranteed by
-    construction).  Its two kernels (:class:`expr.Kernel`, each built on
-    first use) walk on their first call and are compiled on their second:
-    the Frobenius grid calls its kernel once, a linear-system walk its A,
-    dA/dt once per panel round.  A report runs the Frobenius grid and the
-    cross-validation walk once per entry (``CatalogEntry.certified``), so
-    on the shipped entries both kernels are walked and never compiled."""
+    The matrices of the family templates are traceless.  Its two kernels
+    are built on first use."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -155,54 +134,43 @@ class LaxPair:
     @cached_property
     def a_dadt_array(self) -> fe.Kernel:
         """The kernel of (a11, a12, a21, a22) and then the same entries of
-        dA/dt, called in array form: the ``matrix`` of a linear-system
-        walk (``expr._walk_panels``)."""
+        dA/dt: the ``matrix`` of a linear-system walk."""
         a = (*self.a[0], *self.a[1])
         return fe.Kernel((*a, *(fe.differentiate(e, "t") for e in a)))
 
     @cached_property
     def frobenius_fns(self) -> fe.Kernel:
-        """The kernel of the four entries of dA/dt - dB/dx + [A, B]: one
-        tuple, so subexpressions the entries share are computed once (bit
-        for bit the values of one kernel per entry)."""
+        """The kernel of the four entries of dA/dt - dB/dx + [A, B], bit for
+        bit the values of one kernel per entry."""
         return fe.Kernel(tuple(scal.frobenius_residual_exprs(self)))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CatalogEntry:
     """One shipped reduction case.  Immutable after construction, but for
     the kernels it builds on first use and its record ``certified``.
 
-    Its parameters are substituted into every expression when the entry is
-    built, so ``params_exact`` only records them.  ``singular_x`` and
-    ``singular_t`` list the points every probe, path and grid must avoid
-    (poles of entries plus zeros of the off-diagonal entries used for
-    scalarization).  Its flow kernel (``flow_fns``, an
-    :class:`expr.Kernel` built on first use) is called once per report:
-    a report walks it, and a second report on the same entry compiles
-    it.
-
-    ``certified`` records the outcomes of the report stages that depend on
-    the entry alone, never on the probe seed: the Frobenius grid, the tau
-    frame fit at the entry's own basepoint and the cross-validation leg
-    (see :func:`verify.full_report`), by stage name, so it holds at most 3
-    values.  Each of them runs until it first succeeds, and later reports
-    read its outcome; a run that raises records nothing.  The flow and
-    t-independence stages draw their points from the seed and run on
-    every report.  ``dataclasses.replace`` and :meth:`with_boxes` copies
-    start with an empty record."""
+    ``params_exact`` only records the parameters, which every expression
+    already holds.  ``singular_x`` and ``singular_t`` list the points every
+    probe, path and grid must avoid (poles of entries plus zeros of the
+    off-diagonal entries used for scalarization).  ``certified`` records,
+    by stage name, the outcomes of the at most 3 report stages that do not
+    depend on the probe seed (see :func:`verify.full_report`): a stage runs
+    until it first succeeds, and a run that raises records nothing.
+    ``dataclasses.replace`` and :meth:`with_boxes` copies start with an
+    empty record."""
 
     id: str
     family: str
     component: str                      # which solution component scalarizes
     params_exact: dict[str, Fraction | float | complex]
     closed_forms: dict[str, Expr]       # y, z, u/w as functions of t
-    lax: LaxPair | None
-    scalar: ScalarPair | None           # direct scalar pair (Kitaev route)
+    lax: LaxPair | None = None
+    scalar: ScalarPair | None = None    # direct scalar pair (Kitaev route)
     flow_exprs: tuple[Expr, ...]
     basepoint_x: complex
-    box_x: ComplexRect
-    box_t: ComplexRect
+    box_x: ComplexRect = DEFAULT_X_BOX
+    box_t: ComplexRect = DEFAULT_T_BOX
     singular_x: tuple[complex, ...]
     singular_t: tuple[complex, ...]
     expected_target: ClassicalTarget
@@ -210,7 +178,7 @@ class CatalogEntry:
     expected_exponent_a: complex | None
     reduction_closed_forms: dict[str, Expr]   # f, h, R, M, tau, gauge
     pre_substitution: str | None = None
-    metadata: dict[str, str] = field(default_factory=dict)
+    metadata: dict[str, str]
     documented_target_scale: str | None = None
     certified: dict[str, object] = field(default_factory=dict, init=False,
                                          compare=False, repr=False)
@@ -225,10 +193,9 @@ class CatalogEntry:
     def with_boxes(self, config) -> "CatalogEntry":
         """This entry on a run's boxes (``config.box_x``, ``.box_t``): itself if
         the config keeps them, else a copy, which derives its own scalar pair
-        and decomposition (both probe the boxes) and the kernels compiled from
-        them; applied to its own result it returns it.  The copy starts with
-        the box-independent ``flow_fns`` and ``linear_systems`` (with the
-        kernels the systems carry) this entry has already built."""
+        and decomposition; applied to its own result it returns it.  The copy
+        shares the box-independent ``flow_fns`` and ``linear_systems`` this
+        entry has already built."""
         boxes = {name: rect for name in ("box_x", "box_t")
                  if (box := getattr(config, name)) is not None
                  and (rect := ComplexRect(*box)) != getattr(self, name)}
@@ -253,8 +220,8 @@ class CatalogEntry:
 
     @cached_property
     def flow_fns(self) -> fe.Kernel:
-        """The kernel of the flow residual expressions: one tuple (bit for
-        bit the values of one kernel per expression)."""
+        """The kernel of the flow residual expressions, bit for bit the
+        values of one kernel per expression."""
         return fe.Kernel(tuple(self.flow_exprs))
 
     @cached_property
@@ -419,118 +386,81 @@ def _merge_params(entry_id: str, overrides: Mapping | None) -> dict:
     return params
 
 
-def _build_pii_y0(p) -> CatalogEntry:
-    theta = p["theta"]
-    y = _c(0)
-    z = fe.neg(T / 2)
-    u = _c(1)
-    a, b, flows = _pii_template(y, z, u, theta)
-    red = {
-        "f": 2 * X,
-        "h": _c(0),
-        "R": _c(0),
-        "M": _c(0),
-        "tau": X**2 + T,
-        "gauge": _c(1),
-    }
-    return CatalogEntry(
-        id="PII.y0", family="PII", component="first",
-        params_exact=dict(p),
-        closed_forms={"y": y, "z": z, "u": u},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j,), singular_t=(),
+def _matrix_entry(template: Callable, p: Mapping, closed_forms: dict[str, Expr],
+                  family_args: tuple, **documented) -> CatalogEntry:
+    """The entry of ``template`` applied to ``closed_forms`` (in the
+    template's argument order) and ``family_args``, at parameters ``p``;
+    ``documented`` holds every other field the entry requires."""
+    a, b, flows = template(*closed_forms.values(), *family_args)
+    return CatalogEntry(lax=LaxPair(a, b), flow_exprs=flows, closed_forms=closed_forms,
+                        params_exact=dict(p), **documented)
+
+
+def _pii_entry(p, entry_id: str, component: str, y: Expr, u: Expr,
+               singular_t: tuple[complex, ...], solution: str) -> CatalogEntry:
+    """A PII entry at z = -t/2, reducing to Airy as PII.y0 does."""
+    return _matrix_entry(
+        _pii_template, p, {"y": y, "z": fe.neg(T / 2), "u": u}, (p["theta"],),
+        id=entry_id, family="PII", component=component,
+        basepoint_x=1.0 + 0j, singular_x=(0j,), singular_t=singular_t,
         expected_target=ClassicalTarget.airy(4 ** (1 / 3)),
         documented_target_scale="4^(1/3)",
         expected_case="EQ3", expected_exponent_a=0j,
-        reduction_closed_forms=red,
-        metadata={"solution": "y = 0 at alpha = 0"},
+        reduction_closed_forms={"f": 2 * X, "h": _c(0), "R": _c(0), "M": _c(0),
+                                "tau": X**2 + T, "gauge": _c(1)},
+        metadata={"solution": solution},
     )
+
+
+def _build_pii_y0(p) -> CatalogEntry:
+    return _pii_entry(p, "PII.y0", "first", _c(0), _c(1), (), "y = 0 at alpha = 0")
 
 
 def _build_pii_y_inv_t(p) -> CatalogEntry:
-    theta = p["theta"]
-    y = fe.neg(1 / T)
-    z = fe.neg(T / 2)
-    u = T
-    a, b, flows = _pii_template(y, z, u, theta)
-    red = {
-        "f": 2 * X,
-        "h": _c(0),
-        "R": _c(0),
-        "M": _c(0),
-        "tau": X**2 + T,
-        "gauge": _c(1),
-    }
-    return CatalogEntry(
-        id="PII.y_inv_t", family="PII", component="second",
-        params_exact=dict(p),
-        closed_forms={"y": y, "z": z, "u": u},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j,), singular_t=(0j,),
-        expected_target=ClassicalTarget.airy(4 ** (1 / 3)),
-        documented_target_scale="4^(1/3)",
-        expected_case="EQ3", expected_exponent_a=0j,
-        reduction_closed_forms=red,
-        metadata={"solution": "y = -1/t at alpha = 1; second component"},
-    )
+    return _pii_entry(p, "PII.y_inv_t", "second", fe.neg(1 / T), T, (0j,),
+                      "y = -1/t at alpha = 1; second component")
 
 
 def _build_piii_y1(p) -> CatalogEntry:
     thi = p["theta_inf"]
-    th0 = thi - 1
-    y = _c(1)
-    z = _c((1 - 2 * thi) / 4)
-    w = fe.exp(2 * T) * fe.pow_any(T, thi)
-    a, b, flows = _piii_template(y, z, w, th0, thi)
     thi_c = complex(thi)
-    red = {
-        "f": _c(0),
-        "h": (X + 1) / (X * (X - 1)),
-        "R": _c((thi_c - 1) / 2) / X - _c((2 * thi_c - 1) / 2) / (X - 1),
-        "M": _c(-1),
-        "tau": (X - 1) ** 2 * T / X,
-        "gauge": fe.pow_any(X, (thi - 1) / 2) * fe.pow_any(X - 1, (1 - 2 * thi) / 2),
-    }
-    return CatalogEntry(
+    return _matrix_entry(
+        _piii_template, p,
+        {"y": _c(1), "z": _c((1 - 2 * thi) / 4), "w": fe.exp(2 * T) * fe.pow_any(T, thi)},
+        (thi - 1, thi),
         id="PIII.y1", family="PIII", component="first",
-        params_exact=dict(p),
-        closed_forms={"y": y, "z": z, "w": w},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j, 1 + 0j, -1 + 0j), singular_t=(0j,),
+        basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j, -1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.whittaker((thi_c - 1) / 2, 1 / 16),
         expected_case="EQ2", expected_exponent_a=thi_c - 1,
-        reduction_closed_forms=red,
+        reduction_closed_forms={
+            "f": _c(0),
+            "h": (X + 1) / (X * (X - 1)),
+            "R": _c((thi_c - 1) / 2) / X - _c((2 * thi_c - 1) / 2) / (X - 1),
+            "M": _c(-1),
+            "tau": (X - 1) ** 2 * T / X,
+            "gauge": fe.pow_any(X, (thi - 1) / 2) * fe.pow_any(X - 1, (1 - 2 * thi) / 2),
+        },
         metadata={"solution": "y = 1 with theta0 = theta_inf - 1"},
     )
 
 
 def _build_piv_y_m2t(p) -> CatalogEntry:
-    th0, thi = p["theta0"], p["theta_inf"]
-    z = _c(1)
-    u = _c(1)
     # y = -2t never vanishes on the probe boxes (t is bounded away from 0).
-    a, b, flows = _piv_template(-2 * T, z, u, th0, thi)
-    red = {
-        "f": _c(1),
-        "h": 1 / X,
-        "R": fe.neg(1 / (2 * X)),
-        "M": _c(0),
-        "tau": T * X + X**2 / 2,
-        "gauge": fe.pow_any(X, F(-1, 2)),
-    }
-    return CatalogEntry(
+    return _matrix_entry(
+        _piv_template, p, {"y": -2 * T, "z": _c(1), "u": _c(1)},
+        (p["theta0"], p["theta_inf"]),
         id="PIV.y_m2t", family="PIV", component="first",
-        params_exact=dict(p),
-        closed_forms={"y": -2 * T, "z": z, "u": u},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j,), singular_t=(),
+        basepoint_x=1.0 + 0j, singular_x=(0j,), singular_t=(),
         expected_target=ClassicalTarget.constant(1),
         expected_case="mixed", expected_exponent_a=0j,
-        reduction_closed_forms=red,
+        reduction_closed_forms={
+            "f": _c(1),
+            "h": 1 / X,
+            "R": fe.neg(1 / (2 * X)),
+            "M": _c(0),
+            "tau": T * X + X**2 / 2,
+            "gauge": fe.pow_any(X, F(-1, 2)),
+        },
         metadata={
             "solution": "y = -2t at theta0 = theta_inf = 1/2",
             "other_variant": "theta0 = -theta_inf = -1/2 (z = 0) yields the same scalar pair",
@@ -539,30 +469,23 @@ def _build_piv_y_m2t(p) -> CatalogEntry:
 
 
 def _build_piv_y_m2t3(p) -> CatalogEntry:
-    th0, thi = p["theta0"], p["theta_inf"]
-    y = -2 * T / 3
-    z = -2 * T**2 / 9
-    u = fe.exp(-2 * T**2 / 3)
-    a, b, flows = _piv_template(y, z, u, th0, thi)
-    red = {
-        "f": _c(1),
-        "h": 1 / (3 * X),
-        "R": fe.neg(1 / (6 * X)),
-        "M": 2 * T / 3,
-        "tau": T * fe.pow_any(X, F(1, 3)) + F(3, 4) * fe.pow_any(X, F(4, 3)),
-        "gauge": fe.pow_any(X, F(-1, 6)),
-    }
-    return CatalogEntry(
+    return _matrix_entry(
+        _piv_template, p,
+        {"y": -2 * T / 3, "z": -2 * T**2 / 9, "u": fe.exp(-2 * T**2 / 3)},
+        (p["theta0"], p["theta_inf"]),
         id="PIV.y_m2t3", family="PIV", component="first",
-        params_exact=dict(p),
-        closed_forms={"y": y, "z": z, "u": u},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=1.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j,), singular_t=(0j,),
+        basepoint_x=1.0 + 0j, singular_x=(0j,), singular_t=(0j,),
         expected_target=ClassicalTarget.airy((3 / 4) ** (1 / 3)),
         documented_target_scale="(3/4)^(1/3)",
         expected_case="generic_EQ", expected_exponent_a=None,
-        reduction_closed_forms=red,
+        reduction_closed_forms={
+            "f": _c(1),
+            "h": 1 / (3 * X),
+            "R": fe.neg(1 / (6 * X)),
+            "M": 2 * T / 3,
+            "tau": T * fe.pow_any(X, F(1, 3)) + F(3, 4) * fe.pow_any(X, F(4, 3)),
+            "gauge": fe.pow_any(X, F(-1, 6)),
+        },
         metadata={
             "solution": "y = -2t/3 at theta_inf = 1/2, theta0 = -1/6",
             "other_variant": "theta0 = 1/6 (z = -2t^2/9 + 1/3) yields the same scalar pair",
@@ -576,62 +499,47 @@ def _build_pv_y_lin(p) -> CatalogEntry:
         raise ValueError("theta1 = 1 degenerates the solution y = 1 - t/(theta1 - 1)")
     thi = 2 - th1
     th1_c = complex(th1)
-    y = 1 - T / _c(th1_c - 1)
-    z = _c(0)
     # The flow for u forces exp(+t); checked against the integrability
     # condition directly.
     u = fe.pow_any(T, thi) * fe.exp(T) / (_c(th1_c - 1) - T)
-    a, b, flows = _pv_template(y, z, u, 0, th1, thi)
-    red = {
-        "f": _c(0),
-        "h": 1 / (X - 1),
-        "R": _c((th1_c - 2) / 2) / (X - 1),
-        "M": _c(-0.5),
-        "tau": T * (X - 1),
-        "gauge": fe.pow_any(X - 1, (th1 - 2) / 2),
-    }
-    return CatalogEntry(
+    return _matrix_entry(
+        _pv_template, p, {"y": 1 - T / _c(th1_c - 1), "z": _c(0), "u": u}, (0, th1, thi),
         id="PV.y_lin", family="PV", component="first",
-        params_exact=dict(p),
-        closed_forms={"y": y, "z": z, "u": u},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j, 1 + 0j), singular_t=(0j, th1_c - 1),
+        basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j), singular_t=(0j, th1_c - 1),
         expected_target=ClassicalTarget.whittaker((1 - th1_c) / 2, th1_c**2 / 4),
         expected_case="EQ2", expected_exponent_a=1 - th1_c,
-        reduction_closed_forms=red,
+        reduction_closed_forms={
+            "f": _c(0),
+            "h": 1 / (X - 1),
+            "R": _c((th1_c - 2) / 2) / (X - 1),
+            "M": _c(-0.5),
+            "tau": T * (X - 1),
+            "gauge": fe.pow_any(X - 1, (th1 - 2) / 2),
+        },
         metadata={"solution": "y = 1 - t/(theta1 - 1) at theta0 = 0, theta1 + theta_inf = 2"},
     )
 
 
 def _build_pv_y_m1(p) -> CatalogEntry:
     thi = p["theta_inf"]
-    th0 = F(1, 2)
-    th1 = F(1, 2)
     thi_c = complex(thi)
-    y = _c(-1)
-    z = fe.neg((T + 2 + 2 * _c(thi_c)) / 8)
-    u = fe.exp(T / 2)
-    a, b, flows = _pv_template(y, z, u, th0, th1, thi)
-    red = {
-        "f": _c(1 - thi_c) / (X * (X - 1)),
-        "h": (1 / X + 1 / (X - 1)) / 2,
-        "R": fe.neg(1 / (4 * X)) - 1 / (4 * (X - 1)),
-        "M": _c(-0.25),
-        "tau": T * fe.sqrt(X * (X - 1))
-        - _c(1 - thi_c) * fe.log((fe.sqrt(X) - fe.sqrt(X - 1)) / (fe.sqrt(X) + fe.sqrt(X - 1))),
-        "gauge": fe.pow_any(X * (X - 1), F(-1, 4)),
-    }
-    return CatalogEntry(
+    return _matrix_entry(
+        _pv_template, p,
+        {"y": _c(-1), "z": fe.neg((T + 2 + 2 * _c(thi_c)) / 8), "u": fe.exp(T / 2)},
+        (F(1, 2), F(1, 2), thi),
         id="PV.y_m1", family="PV", component="first",
-        params_exact=dict(p),
-        closed_forms={"y": y, "z": z, "u": u},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j, 1 + 0j), singular_t=(0j,),
+        basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.constant(0.25),
         expected_case="generic_EQ", expected_exponent_a=0j,
-        reduction_closed_forms=red,
+        reduction_closed_forms={
+            "f": _c(1 - thi_c) / (X * (X - 1)),
+            "h": (1 / X + 1 / (X - 1)) / 2,
+            "R": fe.neg(1 / (4 * X)) - 1 / (4 * (X - 1)),
+            "M": _c(-0.25),
+            "tau": T * fe.sqrt(X * (X - 1))
+            - _c(1 - thi_c) * fe.log((fe.sqrt(X) - fe.sqrt(X - 1)) / (fe.sqrt(X) + fe.sqrt(X - 1))),
+            "gauge": fe.pow_any(X * (X - 1), F(-1, 4)),
+        },
         metadata={"solution": "y = -1 at theta0 = theta1 = 1/2, theta_inf free"},
     )
 
@@ -676,25 +584,23 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
         - 2 * a2 - _c(theta_inf)
     )
 
-    red = {
-        "f": 1 / (2 * k_ * X * (X - 1)),
-        "h": 1 / (2 * (X - 1)),
-        "R": fe.neg(1 / (4 * (X - 1))),
-        "M": 1 / (2 * T),
-        "tau": T * fe.pow_any(X - 1, F(1, 2))
-        - (_c(1j) / (2 * k_)) * fe.log((fe.sqrt(X - 1) - _c(1j)) / (fe.sqrt(X - 1) + _c(1j))),
-        "gauge": fe.pow_any(X - 1, F(-1, 4)),
-    }
     return CatalogEntry(
         id="PVdeg.kitaev_sqrt", family="PV_Kitaev", component="first",
         params_exact=dict(p),
         closed_forms={"a2": a2, "a1": a1},
-        lax=None, scalar=sp, flow_exprs=(flow,),
-        basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j, 1 + 0j), singular_t=(0j,),
+        scalar=sp, flow_exprs=(flow,),
+        basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.constant(2 * mu_c * kap_c**2),
         expected_case="generic_EQ", expected_exponent_a=None,
-        reduction_closed_forms=red,
+        reduction_closed_forms={
+            "f": 1 / (2 * k_ * X * (X - 1)),
+            "h": 1 / (2 * (X - 1)),
+            "R": fe.neg(1 / (4 * (X - 1))),
+            "M": 1 / (2 * T),
+            "tau": T * fe.pow_any(X - 1, F(1, 2))
+            - (_c(1j) / (2 * k_)) * fe.log((fe.sqrt(X - 1) - _c(1j)) / (fe.sqrt(X - 1) + _c(1j))),
+            "gauge": fe.pow_any(X - 1, F(-1, 4)),
+        },
         pre_substitution="t = z^2",
         metadata={"solution": "y = 1 + kappa*sqrt(t), degenerate fifth flow (delta = 0)"},
     )
@@ -703,29 +609,20 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
 def _build_negative_pii_bad_y1(p) -> CatalogEntry:
     # Deliberately corrupted: y = 1 is not a valid solution at theta = 1/2,
     # so the integrability condition fails at order one.
-    theta = p["theta"]
-    y = _c(1)
-    z = fe.neg(T / 2)
-    u = _c(1)
-    a, b, flows = _pii_template(y, z, u, theta)
-    red = {
-        "f": 2 * X - 2,
-        "h": _c(0),
-        "R": X,
-        "M": _c(0),
-        "tau": X**2 - 2 * X + T,
-        "gauge": fe.exp(X**2 / 2),
-    }
-    return CatalogEntry(
+    return _matrix_entry(
+        _pii_template, p, {"y": _c(1), "z": fe.neg(T / 2), "u": _c(1)}, (p["theta"],),
         id="negative.PII_bad_y1", family="PII", component="first",
-        params_exact=dict(p),
-        closed_forms={"y": y, "z": z, "u": u},
-        lax=LaxPair(a, b), scalar=None, flow_exprs=flows,
-        basepoint_x=2.0 + 0j, box_x=DEFAULT_X_BOX, box_t=DEFAULT_T_BOX,
-        singular_x=(0j, 1 + 0j), singular_t=(),
+        basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j), singular_t=(),
         expected_target=ClassicalTarget.none(),
         expected_case="EQ3", expected_exponent_a=None,
-        reduction_closed_forms=red,
+        reduction_closed_forms={
+            "f": 2 * X - 2,
+            "h": _c(0),
+            "R": X,
+            "M": _c(0),
+            "tau": X**2 - 2 * X + T,
+            "gauge": fe.exp(X**2 / 2),
+        },
         metadata={"corrupted": "y = 1 does not solve the flow at theta = 1/2"},
     )
 
@@ -779,11 +676,8 @@ def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
 def flow_residual(entry: CatalogEntry, ts: Sequence[complex]) -> float:
     """Max modulus of the nonlinear flow residuals over the deformation
     values ``ts``: the max over the residuals at each t, then the max of
-    those across the t's, in order.  One call of the flow kernel evaluates
-    them all.
-
-    Vanishes (to rounding) when the entry's closed forms really solve the
-    family's compatibility flow."""
+    those across the t's, in order.  Vanishes (to rounding) when the
+    entry's closed forms really solve the family's compatibility flow."""
     rows = entry.flow_fns.at([0j] * len(ts), ts)
     return max(max(abs(v) for v in row) for row in rows)
 

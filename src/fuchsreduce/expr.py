@@ -3,30 +3,19 @@
 Expressions are immutable trees of complex constants, the spectral
 variable ``x`` and the deformation variable ``t``; a family parameter is
 written into a tree as a constant when the tree is built.  The engine
-supports exact symbolic differentiation, substitution of ``x`` or ``t``,
-evaluation by one tree walker (over a list of points at once, each node
-object once; :func:`evaluate` is its one-point case, and over several
-points an exception is the first bad point's; an array mode applies the
-numpy operations of the compiled array code), compilation to fast Python
-callables (one compiled form: straight-line code with subtrees shared by
-structure, for one expression or a tuple of them, staged as an x-only
-part, a t-only part and the rest, and called as one function of (x, t)),
-kernels that are compiled on reuse (:class:`Kernel`: the first call
-walks, the second compiles, and both give the compiled code's values and
-exceptions; the compiled form serves a point call, a staged point call
-and an array call, which runs the same code objects on numpy arrays of
-points), one walker of
-adaptive Chebyshev panels with tail-coefficient error control (contour
-quadrature along piecewise-linear paths, many segments from one start
-together, or the solve of a 2x2 linear ODE and its t-variation along
-them), and an infix printer.
+provides exact differentiation, substitution of ``x`` or ``t``, one tree
+walker over a list of points (:func:`evaluate` is its one-point case),
+compilation to straight-line Python staged on x and on t
+(:func:`compile_expr`), kernels that walk on their first call and compile
+on their second (:class:`Kernel`), one walker of adaptive Chebyshev panels
+(contour quadrature, or the solve of a 2x2 linear ODE and its
+t-variation) and an infix printer.
 
 One table, ``_KINDS``, holds per interior node kind its constructor, the
 template of its compiled line and the function that line applies to one
 point and to arrays of points.  One traversal, :func:`_traverse`, visits
 each node object of a DAG once, children first; differentiation,
-substitution and compilation go through it, so a derivative or a
-substitution of a DAG is itself a DAG of comparable size.
+substitution and compilation go through it.
 
 Design constraints:
 
@@ -738,8 +727,7 @@ def compile_expr(e: Expr | tuple[Expr, ...]) -> _Staged:
     of expressions, ``f`` returns the tuple of their values, computed by
     one straight-line body of value-numbered lines (see
     :func:`_value_numbered`), so a subtree shared by structure is computed
-    once.  Repeated evaluation is much faster than tree walking.  Singular
-    inputs raise the native ZeroDivisionError/ValueError.
+    once.  Singular inputs raise the native ZeroDivisionError/ValueError.
 
     The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
     post)`` of three functions, from one ``compile`` call, and calling it
@@ -778,29 +766,17 @@ class Kernel:
     """Expressions to evaluate at many points, compiled on reuse: ``e`` is
     one expression, or a tuple of them as for :func:`compile_expr`.
 
-    The first call walks the DAG (:func:`_probe_values`, over all its
-    points at once); the second compiles ``compile_expr(e)``, once, and
-    every call from then on runs the compiled code.  So a kernel that an
-    entry calls once per report costs no ``compile`` on an entry that makes
-    one report, and from an entry's second report on it runs compiled.
-    Compiling on the first call instead would make every fresh entry pay
-    for ``compile``; walking on every call would make a long-lived entry
-    pay for the slower walk on every report.  The
-    tier never shows in a result: a walk applies, node by node, the
-    operations of the compiled lines, and a walk that raises (or an array
-    walk whose values are not all finite) is answered by the compiled
-    path, so every value and every exception is the compiled kernel's, bit
-    for bit.
+    The first call walks the DAG (:func:`_probe_values`); the second
+    compiles ``compile_expr(e)``, once, and every later call runs the
+    compiled code.  Every value and every exception is the compiled
+    kernel's, bit for bit: a walk applies the operations of the compiled
+    lines, and a walk that raises (or an array walk whose values are not
+    all finite) is answered by the compiled path.
 
-    The one compiled form serves three uses: :meth:`at` calls it at each
-    of a list of points; a caller that meets the same x or t at many
-    points calls its stages (``_compiled()``, as
-    ``reduction.ReducedEquation.coefficients_at`` does); and calling the
-    kernel, ``kernel(x, t)``, is its array form, the same three code
-    objects run on ``_ARRAY_GLOBALS``.  A kernel holds no reference to
-    itself.  Concurrent calls are safe: a first call racing another may
-    walk or compile twice, which is harmless because the result is the
-    same."""
+    :meth:`at` calls the compiled form at a list of points, ``_compiled()``
+    returns its stages, and ``kernel(x, t)`` is its array form.  A kernel
+    holds no reference to itself.  A first call racing another may walk
+    or compile twice, with the same result."""
 
     __slots__ = ("expr", "_walked", "_fn", "_vec")
 

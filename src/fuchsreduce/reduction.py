@@ -29,21 +29,6 @@ by the chain rule:
 
 with tau_x = (f + t h) exp(int h) taken symbolically, so the only numerics
 in P and Q are the integral defining exp(int h).
-
-The cold path of a fresh entry evaluates each shared subexpression once:
-:func:`decompose` decides its identities with ``expr.numerically_zero`` and
-reads its pivots from walks of the expression DAGs over fixed point sets
-(one memo per set for the whole call, so each node once per set; an
-exception the first bad point's); h and f form one kernel called once per
-panel point of an E/S walk; and every kernel a report runs is an
-``expr.Kernel``, which walks on its first call and compiles on its
-second, so a kernel a report calls once (the gauge exponent's, in
-cross-validation, and the reduced coefficients', in one batch for the
-t-independence stage) compiles only on an entry that serves a second
-report.  A fresh entry's report compiles (h, f) alone.  The reduced
-coefficients have one kernel, whose one compiled form serves both the
-batch and the point API ``coefficients_at``; the point API compiles it on
-its first call, if nothing has yet.
 """
 
 from __future__ import annotations
@@ -131,21 +116,10 @@ class Decomposition:
     The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant`` are
     measured from f, h and M on the probe sets ``_probes``, so a copy with
     another f, h or M measures its own.  The other underscored cached
-    properties are the kernels of the tau and gauge maps and of the
-    reduced coefficients (see :class:`ReducedEquation`), built on first
-    use and kept for the life of the decomposition.  ``_hf_array`` is one
-    :class:`expr.Kernel` for the pair (h, f), so the lines of h that f
-    contains run once per point, ``_G_array`` the kernel of G and
-    ``_coeff_array`` that of (phi, p_num, q_num), phi = f + t h; each
-    walks on its first call and is compiled on its second.  The coefficient
-    kernel's compiled form is also run stage by stage, by
-    ``ReducedEquation.coefficients_at``, which compiles it at its first
-    call if nothing has yet, so its lines compile once whichever API comes
-    first: ``pre_x(x)`` computes the lines that depend on x alone (f', h',
-    G, G', G^2 and most of p1 and q1), ``pre_t(t)`` those that depend on t
-    alone (the parts of p1 and q1 in t alone), and ``post(x, t, pre_x(x),
-    pre_t(t))`` the rest.
-    ``dataclasses.replace`` starts without any cached property."""
+    properties are the kernels of (h, f), of G and of (phi, p_num, q_num),
+    phi = f + t h (see :class:`ReducedEquation`), built on first use and
+    kept for the life of the decomposition.  ``dataclasses.replace``
+    starts without any cached property."""
 
     f: Expr
     h: Expr
@@ -375,90 +349,33 @@ _PREFETCH_BATCH = 128
 _DEN_P_MIN, _DEN_Q_MIN = 1e-14, 1e-20
 
 
-class _Stage:
-    """One of the staged coefficient functions of a ReducedEquation
-    (``_pre_x``, ``_pre_t`` or ``_post``, by index): the first read binds
-    all three, the stages of the compiled form of the decomposition's
-    ``_coeff_array`` (compiled then if nothing has yet), as plain
-    attributes of the instance, which shadow this descriptor from then on.  Unlike
-    ``functools.cached_property`` it never reads the instance
-    ``__dict__``, which would slow every attribute read of the instance
-    after it."""
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def __get__(self, red, owner=None):
-        if red is None:
-            return self
-        red._pre_x, red._pre_t, red._post = stages = red.dec._coeff_array._compiled()
-        return stages[self.index]
-
-
 class ReducedEquation:
     """The change of variables and the reduced equation w'' + P w' + Q w = 0
     of one decomposition and basepoint.
 
     E = exp(int h), S = int f E (tau = t E + S) and the gauge exp(int G)
     are integrated along the straight segment from the basepoint on
-    adaptive Chebyshev panels (``expr._walk_panels``), always with the
-    array stages ``_hf_rows``, ``_fE_rows`` and ``_G_rows``: one pass per
-    point integrates h to log E at the panel points, then f E at the same
-    points to S.  ``_hf_rows`` calls the one (h, f) kernel once per panel
-    point and passes the f samples on, so ``_fE_rows`` evaluates no kernel:
-    it takes f on the rows the h stage accepted.  The samples are those of
-    separate h and f kernels bit for bit, except where f's numpy batch
-    falls back to the scalar form (``expr.Kernel``): h is then taken
-    from the scalar form too, which can move E and S in the last places,
-    and a row where f raises fails in the h stage, before h's tail could
-    have bisected its panel.  No shipped entry meets either.  When f
-    vanishes the pass is h alone (S = 0); when h vanishes it is f alone,
-    sampled by the same kernel, and E is 1 exactly.
-    A memo miss walks its point alone; :meth:`prefetch` walks
-    many at once and leaves out of the memo a point whose segment fails,
-    so asking for it later raises as it would have.  A point's E and S
-    are the same bits either way, whatever points share its walk
-    (``expr._walk_panels``).  Values are built-in
-    ``complex``, memoized per point.  The case flags that pick the stages
-    are the decomposition's, measured from its own f, h and M, so a
-    decomposition built with ``dataclasses.replace`` walks the stages its
-    f calls for.
+    adaptive Chebyshev panels (``expr._walk_panels``), h and f sampled by
+    one kernel per panel point; when f vanishes S = 0, and when h
+    vanishes E = 1 exactly.  Values are built-in ``complex``, memoized per
+    point, and a point's E and S are the same bits whichever points share
+    its walk (:meth:`prefetch` or a memo miss).  A point whose walk fails
+    is not memoized, so asking for it again raises again.
 
-    P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h.
-    :meth:`coefficients_batch` takes many points in one call of the
-    decomposition's array kernel of (phi, p_num, q_num) (a report's
-    t-independence stage makes one such call).  :meth:`coefficients_at`
-    takes one point, on the stages of the same kernel's compiled form,
-    the three expressions compiled together, sharing their common
-    subexpressions, and staged on x and on t (compiled at the first
-    ``coefficients_at`` call of any ReducedEquation of the decomposition,
-    unless a second batch call has compiled it already, and bound to this
-    one at its first call, see ``_Stage``): ``_pre_x(x)`` runs the lines
-    that depend on x alone, ``_pre_t(t)`` those that depend on t alone and
-    ``_post(x, t, xv, tv)`` the rest.  The two forms agree to rounding, not
-    bit for bit: the batch runs the same lines in numpy arithmetic.
-    :meth:`coefficients_at` memoizes
-    ``(E(x), _pre_x(x))`` per x and ``_pre_t(t)`` per t, so on a lattice of
-    (x, t) the x-only lines run once per x and the t-only lines once per
-    t; a stage that raises stores nothing.  The memos are keyed on the
-    built-in ``complex`` value, as the E/S memo is: +0 and -0 in a part
-    compare equal, so a point whose part is -0 reuses the stage computed
-    at +0 (and vice versa).  The gates on phi^2 E and (phi E)^2
-    (:func:`_reduced`, written out in :meth:`coefficients_at`) are the one
-    rule for a degenerate point, where tau_x = phi E vanishes; a point
-    where the kernel itself raises is rejected by the kernel's own
-    exception (``expr._SAMPLE_ERRORS``), as every singular point is.
-    All kernels are the decomposition's, and building a ReducedEquation
-    compiles nothing: the (h, f) kernel compiles at its second call,
-    which the first E/S walk of more than one panel round makes; the
-    gauge's G and the array coefficients are walked on their first call
-    and compiled on their second.  Its own state is the basepoint
-    and the E/S, gauge, x-stage and t-stage memos.  It holds no reference
-    to itself (the walker's stages are bound per walk), so its memos are
-    freed as soon as the last reference to it goes, without waiting for
-    the cyclic collector.
-    For a completely integrable input P and Q depend on (x, t) only
-    through tau."""
+    P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h, from
+    the decomposition's kernel of (phi, p_num, q_num): many points in one
+    array call (:meth:`coefficients_batch`), or one point on the stages of
+    its compiled form (:meth:`coefficients_at`), which agree to rounding.
+    The gates on phi^2 E and (phi E)^2 are the one rule for a degenerate
+    point, where tau_x = phi E vanishes; a point where the kernel itself
+    raises is rejected by the kernel's own exception
+    (``expr._SAMPLE_ERRORS``).  All memos are keyed on the built-in
+    ``complex`` value, so +0 and -0 in a part share an entry.
+
+    Building one compiles nothing.  Its own state is the basepoint and its
+    memos, and it holds no reference to itself, so the memos are freed as
+    soon as the last reference to it goes.  For a completely integrable
+    input P and Q depend on (x, t) only through tau."""
 
     # Absolute tolerance of every E, S and gauge integral.
     quad_tol = 1e-13
@@ -470,9 +387,12 @@ class ReducedEquation:
         self._hf_array = dec._hf_array
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
         self._cache_gauge: dict[complex, complex] = {}
-        # x -> (E(x), pre_x(x)) and t -> pre_t(t), filled by coefficients_at.
+        # x -> (E(x), pre_x(x)) and t -> pre_t(t), filled by coefficients_at
+        # on the stages (pre_x, pre_t, post) of the coefficient kernel's
+        # compiled form, bound at its first call.
         self._cache_x: dict[complex, tuple[complex, tuple]] = {}
         self._cache_t: dict[complex, tuple] = {}
+        self._stages: tuple | None = None
 
     # -- change of variables -------------------------------------------------
     @property
@@ -557,10 +477,6 @@ class ReducedEquation:
         return (complex(tau_target) - s) / e
 
     # -- reduced coefficients ------------------------------------------------
-    # The stages of the decomposition's coefficient kernel, bound on first
-    # read: only coefficients_at reads them, and no report calls it.
-    _pre_x, _pre_t, _post = _Stage(0), _Stage(1), _Stage(2)
-
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
         """(P, Q) at one point; raises DegenerateTauPointError where
         tau_x = 0, and a kernel's own exception (one of
@@ -568,12 +484,18 @@ class ReducedEquation:
         values are memoized per x once both stages have run there, the
         t-stage values per t once they are computed."""
         x, t = complex(x), complex(t)
+        stages = self._stages
+        if stages is None:
+            # A plain tuple: unpacking the compiled form's tuple subclass
+            # takes the slow generic path on every call.
+            stages = self._stages = tuple(self.dec._coeff_array._compiled())
+        pre_x, pre_t, post = stages
         got = self._cache_x.get(x)
         tv = self._cache_t.get(t)
-        xv = self._pre_x(x) if got is None else got[1]
+        xv = pre_x(x) if got is None else got[1]
         if tv is None:
-            tv = self._cache_t[t] = self._pre_t(t)
-        ph, p_num, q_num = self._post(x, t, xv, tv)
+            tv = self._cache_t[t] = pre_t(t)
+        ph, p_num, q_num = post(x, t, xv, tv)
         if got is None:
             got = self._cache_x[x] = (self.E(x), xv)
         # The gates of _reduced, written out: a call per point would cost

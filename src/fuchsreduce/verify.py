@@ -5,18 +5,12 @@ For each catalog entry this module certifies, with explicit tolerances:
 1. the closed forms solve the nonlinear flow (flow residuals),
 2. the two linear systems are compatible (Frobenius residuals),
 3. the reduced coefficients P, Q computed at tau-matched points in
-   different deformation states agree (the actual reduction claim); the
-   points of all pairs go through one call of the coefficient kernel in
-   array form (``ReducedEquation.coefficients_batch``),
+   different deformation states agree (the actual reduction claim),
 4. the reduced equation is a recognized classical target (least-squares
    identification over the basis {1, tau, 1/tau, 1/tau^2}),
 5. on one actual solution of both systems, w = phi / g is a function of
    tau times a function of t (cross-validation, the tau-covariance
-   check).  One leg solves the x-system together with its exact
-   t-variation on the Chebyshev panels of ``expr._walk_panels``, the
-   walker that also serves E, S and the gauge, and the check
-   differentiates the leg's Chebyshev series exactly; no function here
-   imports ``scipy.integrate``.
+   check).
 
 Coefficient samples are reported in the frame of the documented closed-form
 tau; the quadrature-defined tau differs from it by an affine map (a, b)
@@ -24,10 +18,9 @@ which is fitted from two points and checked on two more, so basepoint
 choices never affect pass/fail or matched parameters.
 
 The Frobenius grid, the frame fit and cross-validation depend on the entry
-alone, not on the probe seed, so each runs once per entry: its outcome is
-kept in the entry's record (``CatalogEntry.certified``) and read by every
-later report.  The flow and t-independence stages draw their points from
-the seed and run on every report.
+alone, so each runs once per entry (``CatalogEntry.certified``); the flow
+and t-independence stages draw their points from the seed and run on every
+report.
 """
 
 from __future__ import annotations
@@ -84,11 +77,9 @@ class MatchError(VerifyError):
 @dataclass
 class Prepared:
     """Everything derived from one entry that later stages share: the
-    entry on the run's boxes (:meth:`catalog.CatalogEntry.with_boxes`),
-    which every stage probes, the reduced equation ``red`` on its
-    decomposition ``red.dec``, and the frame fit; ``red`` (with its E/S and
-    gauge memos) is built per :func:`prepare` call, the frame fit once per
-    entry and basepoint (see :func:`prepare`)."""
+    entry on the run's boxes, which every stage probes, the reduced
+    equation ``red`` on its decomposition ``red.dec``, and the frame fit
+    (see :func:`prepare`)."""
 
     entry: cat.CatalogEntry
     red: red_mod.ReducedEquation
@@ -106,11 +97,9 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
                ) -> tuple[complex, complex, float]:
     """Affine map from the quadrature tau to the documented closed-form tau.
 
-    Fitted from two points and validated on two more, on the entry's boxes,
-    whose E and S are integrated in one walk; the residual doubles as the
-    basepoint-covariance certificate.  It checks
-    tau alone, so it fails a wrong f or h but cannot see R, which does not
-    enter tau; the stages on the coefficients and the solution check R."""
+    Fitted from two points and validated on two more, on the entry's boxes;
+    the residual doubles as the basepoint-covariance certificate.  It
+    checks tau alone, so it fails a wrong f or h but cannot see R."""
     cf = entry.reduction_closed_forms["tau"]
     xs = entry.box_x.diagonal(9)
     ts = entry.box_t.diagonal(9)
@@ -154,15 +143,10 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
     up with :func:`catalog.lookup` first).
 
     The entry is taken on the config's probe boxes
-    (:meth:`catalog.CatalogEntry.with_boxes`: itself when the config keeps
-    them), and its scalar pair and decomposition (``.scalar_pair`` and
-    ``.decomposition``) are derived and compiled once per entry.  The
-    basepoint does not enter the decomposition.  The reduced equation,
-    with fresh E/S and gauge memos, is built on every call, so no call
-    sees another's points.  The 4-point frame fit at the entry's own
-    basepoint runs once per entry and is kept in its record
-    (:func:`_once`); at any other basepoint it runs on every call and is
-    not kept.
+    (:meth:`catalog.CatalogEntry.with_boxes`).  The reduced equation, with
+    fresh memos, is built on every call, so no call sees another's points.
+    The frame fit at the entry's own basepoint runs once per entry
+    (:func:`_once`); at any other basepoint it runs on every call.
 
     An entry the pipeline cannot reduce raises one of ``PREPARE_ERRORS``
     (:class:`scalarize.ScalarizeError`, :class:`reduction.DecompositionError`,
@@ -206,21 +190,11 @@ def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
     (|dP| + |dQ|) / scale over the pairs plus the sampled coefficient table
     (in the quadrature frame).
 
-    Candidate triples (x1, t1, x2) are drawn in chunks, never past the
-    budget of 200 attempts per pair.  Each chunk is one generator call
-    (:func:`catalog.random_points`) that yields exactly the stream, in the
-    order, that drawing one coordinate at a time would.  E and S at all x
-    of a chunk are integrated in one batch (``ReducedEquation.prefetch``),
-    and tau and t2 are then read from the memo candidate by candidate.
-    The coefficients wait until ``n_pairs`` candidates have passed the
-    region test: then all their points go through one
-    :meth:`reduction.ReducedEquation.coefficients_batch` call, a candidate
-    with a point that raises or is degenerate is dropped, and the draw
-    goes on from where it stopped until the pairs are complete or the
-    budget is spent.  So the pairs are the first ``n_pairs`` valid
-    candidates in stream order, and a report whose candidates all have
-    coefficients makes one coefficient call.  ``n_pairs < 1`` raises
-    ValueError: a stage that compares no pair measures nothing."""
+    Candidate triples (x1, t1, x2) are drawn in chunks
+    (:func:`catalog.random_points`), the stream that drawing one coordinate
+    at a time would give, never past 200 attempts per pair.  The pairs are
+    the first ``n_pairs`` valid candidates in stream order.  ``n_pairs < 1``
+    raises ValueError: a stage that compares no pair measures nothing."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be at least 1")
     entry = prep.entry
@@ -544,12 +518,8 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
     """Run every stage for one entry, on the config's boxes (applied once, by
     :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised.
-
-    The Frobenius and cross-validation stages, like the frame fit of
-    :func:`prepare`, run once per entry (:func:`_once`): a later report on
-    the same entry reads their outcomes from its record.  So on a default
-    entry they run at its first report, and on every report of a fresh
-    entry (parameter overrides) or of a copy on other boxes."""
+    The Frobenius and cross-validation stages run once per entry
+    (:func:`_once`)."""
     entry = cat.lookup(entry_id, overrides).with_boxes(config)
     seed = config.entry_seed(entry.id)
     rep = VerificationReport(

@@ -29,6 +29,8 @@ OVERRIDE_PAIRS = (
     ("PII.y0", "theta"),
     ("PIV.y_m2t", "theta0"),
     ("PIV.y_m2t3", "theta_inf"),
+    ("PII.y_inv_t", "theta"),
+    ("negative.PII_bad_y1", "theta"),
 )
 OVERRIDE_VALUES = (Fraction(7, 2), 3, 3.0, 2.5, 2.5 + 0j, 2 + 0.5j, -2)
 
@@ -135,6 +137,27 @@ class TestInstantiate:
         # default instance untouched
         default = catalog.lookup("PIII.y1")
         assert fe.evaluate(default.closed_forms["z"], Binding(t=1.0)) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("name", ["basepoint_x", "singular_x", "singular_t",
+                                      "expected_target", "expected_case",
+                                      "expected_exponent_a", "reduction_closed_forms",
+                                      "metadata"])
+    def test_documented_fields_are_required(self, name):
+        entry = catalog.lookup("PII.y0")
+        fields = {f.name: getattr(entry, f.name) for f in dataclasses.fields(entry) if f.init}
+        assert catalog.CatalogEntry(**fields) == entry
+        with pytest.raises(TypeError, match=name):
+            catalog.CatalogEntry(**{k: v for k, v in fields.items() if k != name})
+
+    def test_only_boxes_and_pairs_default(self):
+        entry = catalog.lookup("PVdeg.kitaev_sqrt")
+        fields = {f.name: getattr(entry, f.name) for f in dataclasses.fields(entry) if f.init}
+        with pytest.raises(TypeError):
+            catalog.CatalogEntry(*fields.values())
+        bare = catalog.CatalogEntry(**{k: v for k, v in fields.items()
+                                       if k not in ("box_x", "box_t", "lax")})
+        assert (bare.box_x, bare.box_t, bare.lax) == (catalog.DEFAULT_X_BOX,
+                                                      catalog.DEFAULT_T_BOX, None)
 
 
 class TestTraceless:

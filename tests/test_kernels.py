@@ -140,20 +140,18 @@ class TestKernelLifetime:
         first = verify.prepare(entry)
         # The stages of the coefficient kernel's compiled form are bound on
         # the first coefficients_at call, once per ReducedEquation.
-        assert "_pre_x" not in first.red.__dict__
+        assert first.red._stages is None
         first.red.coefficients_at(1.7 + 0.1j, 0.9)
         assert list(first.red._cache_x) == [1.7 + 0.1j]
         second = verify.prepare(entry)
         assert second.red._cache_x == {}
         assert first.red.dec is second.red.dec is entry.decomposition
         assert first.red is not second.red
-        kernels = ("_pre_x", "_pre_t", "_post")
-        assert [getattr(first.red, k) for k in kernels] == \
-            [getattr(second.red, k) for k in kernels] == list(entry.decomposition._coeff_array._fn)
-        assert all(k in first.red.__dict__ for k in kernels)
+        assert second.red._stages is None
         first.red.tau_at(1.7 + 0.1j, 0.9)
         second.red.tau_at(2.1 - 0.05j, 1.1)
         second.red.coefficients_at(2.1 - 0.05j, 1.1)
+        assert first.red._stages == second.red._stages == tuple(entry.decomposition._coeff_array._fn)
         assert 2.1 - 0.05j not in first.red._cache_ES
         assert 1.7 + 0.1j not in second.red._cache_ES
         assert list(first.red._cache_x) == [1.7 + 0.1j]
@@ -324,8 +322,9 @@ class TestStagedKernel:
                 return fn(*args)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(red, f"_{name}", counting(name, getattr(red, f"_{name}")))
+        stages = red.dec._coeff_array._compiled()
+        monkeypatch.setattr(red, "_stages", tuple(
+            counting(name, stage) for name, stage in zip(calls, stages)))
         box_x, box_t = prep.entry.box_x, prep.entry.box_t
         xs = [complex(box_x.re_lo + (k + 0.5) / 32 * (box_x.re_hi - box_x.re_lo), 0.05)
               for k in range(32)]

@@ -574,10 +574,11 @@ class TestReducedCoefficients:
             red.coefficients_at(0.0, 0.5)
         assert fe.evaluate(dec.f + T * dec.h, Binding(x=0.0, t=0.5)) == 0
         # The pole is x-only, so the raw kernel raises in its x-stage.
+        pre_x, pre_t, post = red._stages
         with pytest.raises(ZeroDivisionError):
-            red._pre_x(0.0)
+            pre_x(0.0)
         with pytest.raises(ZeroDivisionError):
-            red._post(0.0, 0.5, red._pre_x(0.0), red._pre_t(0.5))
+            post(0.0, 0.5, pre_x(0.0), pre_t(0.5))
         assert 0j not in red._cache_x
 
     def test_batch_rejects_only_its_bad_points(self):
@@ -633,11 +634,11 @@ class TestReducedCoefficients:
         red = reduction.build_reduced(dec, 1.0)
         tau_x = fe.evaluate(dec.f + T * dec.h, Binding(x=1.5, t=2.0)) * red.E(1.5)
         assert tau_x == 1.5
-        with pytest.raises(error):
-            red._pre_t(2.0)
         for x in (1.5, 1.7):
             with pytest.raises(error):
                 red.coefficients_at(x, 2.0)
+        with pytest.raises(error):
+            red._stages[1](2.0)
         assert 2 + 0j not in red._cache_t
         assert red._cache_x == {}
         red.coefficients_at(1.5, 0.5)
@@ -650,9 +651,9 @@ class TestReducedCoefficients:
         # The three stages hold them once between them; post also has the
         # unpacked x- and t-stage values and the arguments x, t, xv and tv.
         red = prep("PIII.y1").red
-        pre_x, pre_t, post = (red._pre_x.__code__, red._pre_t.__code__,
-                              red._post.__code__)
-        carried = len(red._pre_x(2.0)) + len(red._pre_t(0.5))
+        red.coefficients_at(2.0, 0.5)
+        pre_x, pre_t, post = (stage.__code__ for stage in red._stages)
+        carried = len(red._stages[0](2.0)) + len(red._stages[1](0.5))
         n_x, n_t = pre_x.co_nlocals - 1, pre_t.co_nlocals - 1
         assert n_x + n_t + post.co_nlocals - 4 - carried <= 162
         # Most of the lines depend on x alone, and the t-stage is not empty.
