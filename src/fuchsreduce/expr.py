@@ -11,11 +11,18 @@ on their second (:class:`Kernel`), one walker of adaptive Chebyshev panels
 (contour quadrature, or the solve of a 2x2 linear ODE and its
 t-variation) and an infix printer.
 
-One table, ``_KINDS``, holds per interior node kind its constructor, the
-template of its compiled line and the function that line applies to one
-point and to arrays of points.  One traversal, :func:`_traverse`, visits
-each node object of a DAG once, children first; differentiation,
-substitution and compilation go through it.
+One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`):
+its constructor, the template of its compiled line, the function that line
+applies to one point and to arrays of points, its chain rule and, for
+``div``, ``ipow`` and ``log``, the check of the operand that can make it
+singular.  The walk, differentiation, substitution and compilation read a
+kind's rule from its row and handle only the leaves themselves (the
+printer keeps its own precedence rules).  One traversal,
+:func:`_traverse`, visits each node object of a DAG once, children first;
+differentiation, substitution, compilation and :func:`_tree_sizes` go
+through it.  The walk :func:`_probe_values` keeps its own recursion: its
+memo outlives the call (:class:`_ProbeSet`), and it takes a checked
+operand first.
 
 Design constraints:
 
@@ -184,17 +191,9 @@ _REPR_NODES = 500
 def _tree_sizes(e: Expr) -> tuple[int, int]:
     """The number of nodes of ``e`` as a tree and of distinct node objects
     in its DAG, in one pass over the DAG."""
-    sizes: dict[int, int] = {}
-    stack = [e]
-    while stack:
-        n = stack[-1]
-        todo = [c for c in n.children if id(c) not in sizes]
-        if todo:
-            stack += todo
-        else:
-            stack.pop()
-            sizes[id(n)] = 1 + sum(sizes[id(c)] for c in n.children)
-    return sizes[id(e)], len(sizes)
+    nodes: list[Expr] = []
+    tree = _traverse((e,), lambda n, kids: nodes.append(n) or 1 + sum(kids))[0]
+    return tree, len(nodes)
 
 
 def _coerce(value) -> Expr:
@@ -205,12 +204,6 @@ def _coerce(value) -> Expr:
     if isinstance(value, (int, float, complex)):
         return const(value)
     raise TypeError(f"cannot coerce {value!r} to Expr")
-
-
-def _is_const(e: Expr, c: complex | None = None) -> bool:
-    if e.kind != "const":
-        return False
-    return True if c is None else e.value == c
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +221,12 @@ _ONE = const(1)
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = a.kind == "const", b.kind == "const"
+    if ca and cb:
         return const(a.value + b.value)
-    if _is_const(a, 0j):
+    if ca and a.value == 0:
         return b
-    if _is_const(b, 0j):
+    if cb and b.value == 0:
         return a
     return Expr("add", None, (a, b))
 
@@ -242,7 +236,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def neg(a: Expr) -> Expr:
-    if _is_const(a):
+    if a.kind == "const":
         return const(-a.value)
     if a.kind == "neg":
         return a.children[0]
@@ -250,23 +244,25 @@ def neg(a: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
+    ca, cb = a.kind == "const", b.kind == "const"
+    if ca and cb:
         return const(a.value * b.value)
-    if _is_const(a, 0j) or _is_const(b, 0j):
+    if ca and a.value == 0 or cb and b.value == 0:
         return _ZERO
-    if _is_const(a, 1 + 0j):
+    if ca and a.value == 1:
         return b
-    if _is_const(b, 1 + 0j):
+    if cb and b.value == 1:
         return a
     return Expr("mul", None, (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1 + 0j):
+    ca, cb = a.kind == "const", b.kind == "const"
+    if cb and b.value == 1:
         return a
-    if _is_const(a, 0j):
+    if ca and a.value == 0:
         return _ZERO
-    if _is_const(a) and _is_const(b) and b.value != 0:
+    if ca and cb and b.value != 0:
         return const(a.value / b.value)
     return Expr("div", None, (a, b))
 
@@ -278,7 +274,7 @@ def ipow(base: Expr, exponent: int) -> Expr:
         return _ONE
     if exponent == 1:
         return base
-    if _is_const(base) and not (base.value == 0 and exponent < 0):
+    if base.kind == "const" and not (base.value == 0 and exponent < 0):
         return const(base.value ** exponent)
     return Expr("ipow", exponent, (base,))
 
@@ -287,7 +283,7 @@ def fpow(base: Expr, exponent: Fraction) -> Expr:
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
         return ipow(base, int(exponent))
-    if _is_const(base) and base.value != 0:
+    if base.kind == "const" and base.value != 0:
         return const(_principal_pow(base.value, float(exponent)))
     return Expr("fpow", exponent, (base,))
 
@@ -310,19 +306,19 @@ def pow_any(base: Expr, exponent) -> Expr:
 
 
 def exp(a: Expr) -> Expr:
-    if _is_const(a):
+    if a.kind == "const":
         return const(cmath.exp(a.value))
     return Expr("exp", None, (a,))
 
 
 def log(a: Expr) -> Expr:
-    if _is_const(a) and a.value != 0:
+    if a.kind == "const" and a.value != 0:
         return const(cmath.log(a.value))
     return Expr("log", None, (a,))
 
 
 def sqrt(a: Expr) -> Expr:
-    if _is_const(a):
+    if a.kind == "const":
         return const(cmath.sqrt(a.value))
     return Expr("sqrt", None, (a,))
 
@@ -355,31 +351,55 @@ def _principal_pow_array(base, exponent: float):
 
 
 class _Kind(NamedTuple):
-    """One interior node kind.  ``build`` is its folding constructor and
-    ``line`` the ``%`` template of its compiled line; both take the
-    children (new children, or their operand names) and then the node's
-    ``value`` when it has one (an exponent).  ``scalar`` and ``array`` are
-    the function the line applies to one point and to numpy arrays of
-    points; a line that calls a function calls it as ``_<kind>``."""
+    """One interior node kind: the columns every interpreter of the kind
+    reads.
+
+    * ``build``: its folding constructor.
+    * ``line``: the ``%`` template of its compiled line.
+    * ``scalar``, ``array``: the function that line applies to one point
+      and to numpy arrays of points; a line that calls a function calls it
+      as ``_<kind>``.
+    * ``derive(n, c, d)``: its chain rule, the derivative of the node ``n``
+      from its operands ``c`` and their derivatives ``d``.  It is written
+      with Python operators, which on ``Expr`` go through the folding
+      constructors.
+    * ``check``: None, or ``(i, singular, message)`` for a kind with a
+      singular point: a walk over a list of points raises
+      ``SingularEvaluationError(message)`` when ``singular(values, value)``
+      holds for the values of operand ``i`` and the node's ``value``.
+
+    ``build``, ``line``, ``scalar`` and ``array`` take the operands (new
+    children, their names or their values) and then the node's ``value``
+    when it has one (an exponent)."""
 
     build: Callable[..., Expr]
     line: str
     scalar: Callable
     array: Callable
+    derive: Callable[[Expr, tuple, tuple], Expr]
+    check: tuple[int, Callable[[list, object], bool], str] | None = None
 
 
 _KINDS: dict[str, _Kind] = {
-    "neg": _Kind(neg, "-%s", operator.neg, operator.neg),
-    "add": _Kind(add, "%s + %s", operator.add, operator.add),
-    "mul": _Kind(mul, "%s * %s", operator.mul, operator.mul),
-    "div": _Kind(div, "%s / %s", operator.truediv, operator.truediv),
-    "ipow": _Kind(ipow, "%s ** %s", operator.pow, operator.pow),
+    "neg": _Kind(neg, "-%s", operator.neg, operator.neg, lambda n, c, d: -d[0]),
+    "add": _Kind(add, "%s + %s", operator.add, operator.add, lambda n, c, d: d[0] + d[1]),
+    "mul": _Kind(mul, "%s * %s", operator.mul, operator.mul,
+                 lambda n, c, d: d[0] * c[1] + c[0] * d[1]),
+    "div": _Kind(div, "%s / %s", operator.truediv, operator.truediv,
+                 lambda n, c, d: (d[0] * c[1] - c[0] * d[1]) / c[1] ** 2,
+                 (1, lambda v, q: 0 in v, "division by zero")),
+    "ipow": _Kind(ipow, "%s ** %s", operator.pow, operator.pow,
+                  lambda n, c, d: n.value * c[0] ** (n.value - 1) * d[0],
+                  (0, lambda v, q: q < 0 and 0 in v, "pole: 0 raised to a negative power")),
     # A Fraction exponent prints as "p/q", which compiles to the float the
-    # walk applies, float(Fraction(p, q)).
-    "fpow": _Kind(fpow, "_fpow(%s, %s)", _principal_pow, _principal_pow_array),
-    "exp": _Kind(exp, "_exp(%s)", cmath.exp, np.exp),
-    "log": _Kind(log, "_log(%s)", cmath.log, np.log),
-    "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt),
+    # walk applies, float(Fraction(p, q)).  Its derivative's power keeps
+    # the form a^(q - 1), which never divides by a.
+    "fpow": _Kind(fpow, "_fpow(%s, %s)", _principal_pow, _principal_pow_array,
+                  lambda n, c, d: complex(n.value) * c[0] ** (n.value - 1) * d[0]),
+    "exp": _Kind(exp, "_exp(%s)", cmath.exp, np.exp, lambda n, c, d: n * d[0]),
+    "log": _Kind(log, "_log(%s)", cmath.log, np.log, lambda n, c, d: d[0] / c[0],
+                 (0, lambda v, q: 0 in v, "log of zero")),
+    "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt, lambda n, c, d: d[0] / (2 * n)),
 }
 
 # The globals of the compiled lines, one point at a time and as the array
@@ -423,41 +443,21 @@ def _traverse(roots: Sequence[Expr], visit: Callable[[Expr, tuple], object]) -> 
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact symbolic derivative of ``e`` with respect to ``x`` or ``t``,
     one node per node object of ``e``'s DAG (:func:`_traverse`), so the
-    derivative of a subtree shared within ``e`` is shared too.
+    derivative of a subtree shared within ``e`` is shared too.  An interior
+    node's derivative is its kind's ``derive`` rule (``_KINDS``).
 
-    Derivatives of ``log``/``sqrt``/fractional powers introduce ``div``
-    nodes; domain issues surface at evaluation time, not here.
+    Derivatives of ``div``, ``log`` and ``sqrt`` introduce ``div`` nodes;
+    domain issues surface at evaluation time, not here.
     """
     if var not in ("x", "t"):
         raise ValueError("var must be 'x' or 't'")
 
     def rule(n: Expr, d: tuple) -> Expr:
-        k = n.kind
-        if k == "const":
+        if n.kind == "const":
             return _ZERO
-        if k == "var":
+        if n.kind == "var":
             return _ONE if n.value == var else _ZERO
-        if k == "neg":
-            return neg(d[0])
-        if k == "add":
-            return add(*d)
-        a = n.children[0]
-        if k == "mul":
-            return add(mul(d[0], n.children[1]), mul(a, d[1]))
-        if k == "div":
-            b = n.children[1]
-            return div(sub(mul(d[0], b), mul(a, d[1])), ipow(b, 2))
-        if k == "ipow":
-            return mul(mul(const(n.value), ipow(a, n.value - 1)), d[0])
-        if k == "fpow":
-            return mul(mul(const(complex(n.value)), fpow(a, n.value - 1)), d[0])
-        if k == "exp":
-            return mul(n, d[0])
-        if k == "log":
-            return div(d[0], a)
-        if k == "sqrt":
-            return div(d[0], mul(const(2), n))
-        raise ValueError(f"unknown node kind {k!r}")  # pragma: no cover
+        return _KINDS[n.kind].derive(n, n.children, d)
 
     return _traverse((e,), rule)[0]
 
@@ -486,10 +486,11 @@ def evaluate(e: Expr, b: Binding) -> complex:
 
 def _probe_values(e: Expr, xs, ts, memo: dict[int, object], array: bool = False):
     """The values of ``e`` at every point, ``xs[k]`` and ``ts[k]`` bound
-    at point k (None leaves a variable unbound).  Each node applies one
-    Python complex operation per point, children left to right except that
-    a ``div`` takes its denominator first; a node checks all points before
-    any value is formed, and raises :class:`UnboundSymbolError` or
+    at point k (None leaves a variable unbound).  Each node applies its
+    row's ``scalar`` function (``_KINDS``) once per point, children left to
+    right except that the operand its row's ``check`` names comes first (a
+    ``div``'s denominator); a node checks all points before any value is
+    formed, and raises :class:`UnboundSymbolError` or
     :class:`SingularEvaluationError` when one of them is unbound or
     singular there (any other exception is the operation's own).  ``memo``
     maps ``id`` of a node already visited to its values, so a subtree
@@ -499,12 +500,12 @@ def _probe_values(e: Expr, xs, ts, memo: dict[int, object], array: bool = False)
     per-point rule.
 
     With ``array`` the points are numpy arrays ``xs`` and ``ts`` (they
-    broadcast), and each node applies, once, the operation the array form
-    of its compiled line applies (the functions of ``_ARRAY_GLOBALS``) and
-    checks nothing; a constant's value is its Python complex.  So a walk
-    raises, or gives a value that is not finite, exactly when the compiled
-    code does on the same arrays, and otherwise gives its values bit for
-    bit (:class:`Kernel`)."""
+    broadcast), and each node applies, once, its row's ``array`` function,
+    the one the array form of its compiled line applies, children left to
+    right, and checks nothing; a constant's value is its Python complex.
+    So a walk raises, or gives a value that is not finite, exactly when the
+    compiled code does on the same arrays, and otherwise gives its values
+    bit for bit (:class:`Kernel`)."""
     got = memo.get(id(e))
     if got is not None:
         return got
@@ -519,46 +520,23 @@ def _probe_values(e: Expr, xs, ts, memo: dict[int, object], array: bool = False)
             raise UnboundSymbolError(f"variable {e.value!r} is unbound")
         else:
             vals = [complex(v) for v in bound]
-    elif k == "div":
-        den = _probe_values(e.children[1], xs, ts, memo, array)
-        if array:
-            vals = _probe_values(e.children[0], xs, ts, memo, array) / den
-        elif 0 in den:
-            raise SingularEvaluationError("division by zero")
-        else:
-            vals = [u / v for u, v in zip(_probe_values(e.children[0], xs, ts, memo), den)]
     else:
-        a = _probe_values(e.children[0], xs, ts, memo, array)
-        if k == "mul":
-            b = _probe_values(e.children[1], xs, ts, memo, array)
-            vals = a * b if array else [u * v for u, v in zip(a, b)]
-        elif k == "add":
-            b = _probe_values(e.children[1], xs, ts, memo, array)
-            vals = a + b if array else [u + v for u, v in zip(a, b)]
-        elif k == "neg":
-            vals = -a if array else [-u for u in a]
-        elif k == "ipow":
-            n = e.value
-            if array:
-                vals = a ** n
-            elif n < 0 and 0 in a:
-                raise SingularEvaluationError("pole: 0 raised to a negative power")
-            else:
-                vals = [u ** n for u in a]
-        elif k in ("fpow", "exp", "log", "sqrt"):
-            # The function the compiled line calls.
-            fn = _KINDS[k].array if array else _KINDS[k].scalar
-            if k == "fpow":
-                q = float(e.value)
-                vals = fn(a, q) if array else [fn(u, q) for u in a]
-            elif array:
-                vals = fn(a)
-            elif k == "log" and 0 in a:
-                raise SingularEvaluationError("log of zero")
-            else:
-                vals = [fn(u) for u in a]
-        else:  # pragma: no cover
-            raise ValueError(f"unknown node kind {k!r}")
+        row, kids, q = _KINDS[k], e.children, e.value
+        if row.check is not None and not array:
+            i, singular, message = row.check
+            if singular(_probe_values(kids[i], xs, ts, memo), q):
+                raise SingularEvaluationError(message)
+        a = _probe_values(kids[0], xs, ts, memo, array)
+        if len(kids) == 2:
+            b = _probe_values(kids[1], xs, ts, memo, array)
+            vals = row.array(a, b) if array else list(map(row.scalar, a, b))
+        elif q is None:
+            vals = row.array(a) if array else list(map(row.scalar, a))
+        else:
+            # The exponent as its compiled literal: an int as itself, a
+            # Fraction p/q as the float p / q.
+            q = q if type(q) is int else float(q)
+            vals = row.array(a, q) if array else [row.scalar(u, q) for u in a]
     memo[id(e)] = vals
     return vals
 
@@ -1250,7 +1228,7 @@ def numerically_zero(e: Expr, probes: Sequence[Binding] | _ProbeSet,
 # Printer
 
 def _fmt_real(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
+    if abs(v) < 1e15 and v == int(v):
         return str(int(v))
     return repr(v)
 

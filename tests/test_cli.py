@@ -100,6 +100,19 @@ class TestReduce:
         assert doc == json.loads(out_ver)[0]
         assert rc_red == rc_ver
 
+    def test_a_non_finite_closed_form_constant_prints(self):
+        # theta_inf = 1e308 leaves z = 2 theta_inf = inf in a closed form:
+        # the report and exit 1, as verify gives, not a printer crash.
+        rc, out, err = run_cli(["reduce", "PV.y_m1", "--param", "theta_inf=1e308"])
+        assert (rc, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["passed"] is False and doc["errors"]
+        rc_ver, out_ver, _ = run_cli(["verify", "PV.y_m1", "--param", "theta_inf=1e308",
+                                      "--json"])
+        assert rc_ver == rc
+        del doc["documented"]
+        assert json.dumps(doc) == json.dumps(json.loads(out_ver)[0])
+
     def test_missing_entry_exits_2(self):
         rc, out, err = run_cli(["reduce", "missing.id"])
         assert (rc, out, err) == (2, "", "error: no catalog entry named 'missing.id'\n")

@@ -81,6 +81,57 @@ class TestDifferentiate:
         assert fe.evaluate(s, b) == pytest.approx(2**depth * 1.1**(depth + 1), rel=1e-12)
 
 
+def _reference_derivative(e, var):
+    """Reference shape of a derivative: the chain rule of each node kind,
+    applied node by node through the folding constructors.
+    ``differentiate`` must build the same trees, down to the sign of a
+    zero constant."""
+    k = e.kind
+    if k == "const":
+        return fe.const(0)
+    if k == "var":
+        return fe.const(1 if e.value == var else 0)
+    d = [_reference_derivative(c, var) for c in e.children]
+    a = e.children[0]
+    if k == "neg":
+        return fe.neg(d[0])
+    if k == "add":
+        return fe.add(*d)
+    if k == "mul":
+        return fe.add(fe.mul(d[0], e.children[1]), fe.mul(a, d[1]))
+    if k == "div":
+        b = e.children[1]
+        return fe.div(fe.sub(fe.mul(d[0], b), fe.mul(a, d[1])), fe.ipow(b, 2))
+    if k == "ipow":
+        return fe.mul(fe.mul(fe.const(e.value), fe.ipow(a, e.value - 1)), d[0])
+    if k == "fpow":
+        return fe.mul(fe.mul(fe.const(complex(e.value)), fe.fpow(a, e.value - 1)), d[0])
+    if k == "exp":
+        return fe.mul(e, d[0])
+    if k == "log":
+        return fe.div(d[0], a)
+    if k == "sqrt":
+        return fe.div(d[0], fe.mul(fe.const(2), e))
+    raise ValueError(f"unknown node kind {k!r}")
+
+
+class TestDerivativeShape:
+    def test_same_trees_as_the_reference_rule_property(self):
+        # Compared by compiled lines: Expr equality equates the zero
+        # constants 0j and -0j, which compile to different values.
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                      database=None)
+        @hyp.given(_raw_trees(st), st.sampled_from(["x", "t"]))
+        def check(e, var):
+            want = fe._value_numbered(_reference_derivative(e, var))
+            assert fe._value_numbered(fe.differentiate(e, var)) == want
+
+        check()
+
+
 def _tree_walk(e, b):
     """Reference semantics of a tree at one binding: the recursive walker,
     one node at a time, children left to right except that a ``div``
@@ -1202,6 +1253,14 @@ class TestGrammar:
             s = fe.to_string(e)
             assert read_infix(s) == e, s
             done += 1
+
+    def test_a_non_finite_constant_prints(self):
+        inf, nan = float("inf"), float("nan")
+        assert fe.to_string(fe.const(inf)) == "inf"
+        assert fe.to_string(fe.const(nan)) == "nan"
+        assert fe.to_string(fe.const(complex(0, -inf))) == "(-inf*i)"
+        assert fe.to_string(fe.const(complex(1e300, inf)) * X) == "(1e+300 + inf*i) * x"
+        assert fe.to_string(X + fe.const(-inf)) == "x - inf"
 
     def test_repr_is_the_infix_text_of_a_small_tree(self):
         e = (X + 1) / (X * (X - 1))

@@ -1,0 +1,116 @@
+"""Time the expression walks and ``differentiate`` on the pipeline's DAGs.
+
+The DAGs are, for each of the 8 positive catalog entries at their default
+parameters, the three expressions (phi, p_num, q_num) of the kernel of the
+reduced coefficients (``reduction.Decomposition._coeff_array``).  Each
+reading is the time to do one thing for all 8 entries, taken ``REPEAT``
+times; the minimum is the reading, the median and maximum show its spread:
+
+* ``list``: one walk of the three DAGs, on one memo, over the 12 joint
+  probes of the entry's boxes (``reduction.joint_probes``);
+* ``array``: one array walk (as ``expr.Kernel`` makes on its first call)
+  at 201 joint probes;
+* ``one-point``: the 12 list points walked one at a time, each on its own
+  memo (``expr.evaluate``'s walk);
+* ``differentiate``: the derivatives of the three DAGs in x and in t.
+
+Run it from any directory:
+
+    python tools/expr_timing.py                   # this checkout
+    python tools/expr_timing.py --root ../other   # another checkout
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+LIST_POINTS = 12
+ARRAY_POINTS = 201
+REPEAT = 30
+
+
+def readings() -> tuple[int, dict[str, list[float]]]:
+    """The number of distinct DAG nodes, and per reading its times in ms."""
+    from fuchsreduce import catalog, reduction
+    from fuchsreduce import expr as fe
+
+    cases = []
+    for entry_id in catalog.list_entries():
+        entry = catalog.lookup(entry_id)
+        dags = entry.decomposition._coeff_array.expr
+        points = reduction.joint_probes(entry.box_x, entry.box_t, LIST_POINTS)
+        grid = reduction.joint_probes(entry.box_x, entry.box_t, ARRAY_POINTS)
+        cases.append((dags, [p.x for p in points], [p.t for p in points],
+                      np.array([p.x for p in grid]), np.array([p.t for p in grid])))
+    nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
+
+    def walk_list():
+        for dags, xs, ts, _, _ in cases:
+            memo: dict = {}
+            for e in dags:
+                fe._probe_values(e, xs, ts, memo)
+
+    def walk_array():
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for dags, _, _, xa, ta in cases:
+                memo: dict = {}
+                for e in dags:
+                    fe._probe_values(e, xa, ta, memo, True)
+
+    def walk_points():
+        for dags, xs, ts, _, _ in cases:
+            for x, t in zip(xs, ts):
+                memo: dict = {}
+                for e in dags:
+                    fe._probe_values(e, [x], [t], memo)
+
+    def derive():
+        for dags, *_ in cases:
+            for e in dags:
+                fe.differentiate(e, "x")
+                fe.differentiate(e, "t")
+
+    jobs = {f"list ({LIST_POINTS} points)": walk_list,
+            f"array ({ARRAY_POINTS} points)": walk_array,
+            f"one-point (x{LIST_POINTS})": walk_points,
+            "differentiate (x, t)": derive}
+    times: dict[str, list[float]] = {name: [] for name in jobs}
+    for job in jobs.values():
+        job()   # warm-up
+    gc.disable()
+    try:
+        # Interleaved, so a slow spell of the machine touches every reading.
+        for _ in range(REPEAT):
+            for name, job in jobs.items():
+                start = time.perf_counter_ns()
+                job()
+                times[name].append((time.perf_counter_ns() - start) / 1e6)
+    finally:
+        gc.enable()
+    return nodes, times
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=ROOT,
+                        help="the checkout to time (default: this one)")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.root.resolve() / "src"))
+    nodes, times = readings()
+    print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
+    width = max(len(name) for name in times)
+    print(f"{'reading':<{width}}  {'min ms':>9}  {'median ms':>9}  {'max ms':>9}")
+    for name, ms in times.items():
+        print(f"{name:<{width}}  {min(ms):>9.3f}  {statistics.median(ms):>9.3f}  {max(ms):>9.3f}")
+
+
+if __name__ == "__main__":
+    main()
