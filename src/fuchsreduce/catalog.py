@@ -3,10 +3,15 @@
 Each entry specializes a standard isomonodromic linearization (Miwa-Jimbo
 for P_II-P_V, Kitaev for the degenerate P_V) at an algebraic solution of
 the underlying Painleve flow, with the solution's closed forms and the
-family's parameters substituted when the entry is built.  Every matrix
-entry is built by one constructor, :func:`_matrix_entry`, which applies
-its family template to the closed forms and fills the matrices, the flow
-residuals, the closed forms and the parameters.  What a builder passes
+family's parameters substituted when the entry is built.  A family
+template states only its formulas: from the closed forms, their
+t-derivatives and the parameters as constants it returns the entries
+(a11, a12, a21) of A and (b11, b12, b21) of B and the flow residuals.
+Every matrix entry is built by one constructor, :func:`_matrix_entry`,
+which differentiates the closed forms, makes the parameters constants,
+applies the template and builds the Lax pair, traceless by construction
+(a22 = -a11, b22 = -b11, as scalarization assumes); it fills the flow
+residuals, the closed forms and the parameters too.  What a builder passes
 besides is what the entry documents, and every one of these fields is
 required: the expected target, case and exponent, the basepoint, the
 singular points, the closed forms of the reduction data (f, h, R, M, tau,
@@ -125,8 +130,10 @@ DEFAULT_T_BOX = ComplexRect(0.5, 1.5, -0.2, 0.2)
 class LaxPair:
     """Coefficient matrices A(x,t), B(x,t) of the two linear systems.
 
-    The matrices of the family templates are traceless.  Its two kernels
-    are built on first use."""
+    A matrix entry's pair is traceless by construction
+    (:func:`_matrix_entry`); a direct scalar pair's companion system
+    (``CatalogEntry.linear_systems``) is not.  Its two kernels are built
+    on first use."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -263,22 +270,16 @@ def _c(v) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Family templates.  Each takes the closed forms (expressions in t) plus the
-# exact parameter values and returns (A, B, flow residual expressions).
+# Family templates: the formulas of each family's Lax pair and flow.  Each
+# takes the closed forms (expressions in t), their t-derivatives and the
+# family's parameters (constants) and returns the entries (a11, a12, a21)
+# of A and (b11, b12, b21) of B and the flow residual expressions.
+# :func:`_matrix_entry` supplies the derivatives and constants and fills in
+# a22 = -a11 and b22 = -b11.
 
-def _pii_template(y: Expr, z: Expr, u: Expr, theta) -> tuple:
-    th = _c(theta)
-    a11 = X**2 + z + T / 2
-    a12 = u * X - u * y
-    a21 = -2 * z * X / u - 2 * (th + y * z) / u
-    a = ((a11, a12), (a21, fe.neg(a11)))
-    b11 = X / 2
-    b12 = u / 2
-    b21 = fe.neg(z / u)
-    b = ((b11, b12), (b21, fe.neg(b11)))
-    dy = fe.differentiate(y, "t")
-    dz = fe.differentiate(z, "t")
-    du = fe.differentiate(u, "t")
+def _pii_template(y, z, u, dy, dz, du, th) -> tuple:
+    a = (X**2 + z + T / 2, u * X - u * y, -2 * z * X / u - 2 * (th + y * z) / u)
+    b = (X / 2, u / 2, fe.neg(z / u))
     flows = (
         dy - (z + y * y + T / 2),
         dz - (-2 * y * z - th),
@@ -287,21 +288,14 @@ def _pii_template(y: Expr, z: Expr, u: Expr, theta) -> tuple:
     return a, b, flows
 
 
-def _piii_template(y: Expr, z: Expr, w: Expr, theta0, theta_inf) -> tuple:
-    th0 = _c(theta0)
-    thi = _c(theta_inf)
+def _piii_template(y, z, w, dy, dz, dw, th0, thi) -> tuple:
     k = (z - T) * y + (thi + th0) / 2 * ((z - T) / z) + (thi - th0) / 2
-    a11 = T / 2 - thi / (2 * X) + (z - T / 2) / X**2
-    a12 = fe.neg(y * w * z / X) - w * z / X**2
-    a21 = fe.neg(k / (w * X)) + (z - T) / (w * X**2)
-    a = ((a11, a12), (a21, fe.neg(a11)))
-    b11 = X / 2 + (T / 2 - z) / (X * T)
-    b12 = fe.neg(y * w * z / T) + w * z / (X * T)
-    b21 = fe.neg(k / (w * T)) - (z - T) / (w * X * T)
-    b = ((b11, b12), (b21, fe.neg(b11)))
-    dy = fe.differentiate(y, "t")
-    dz = fe.differentiate(z, "t")
-    dw = fe.differentiate(w, "t")
+    a = (T / 2 - thi / (2 * X) + (z - T / 2) / X**2,
+         fe.neg(y * w * z / X) - w * z / X**2,
+         fe.neg(k / (w * X)) + (z - T) / (w * X**2))
+    b = (X / 2 + (T / 2 - z) / (X * T),
+         fe.neg(y * w * z / T) + w * z / (X * T),
+         fe.neg(k / (w * T)) - (z - T) / (w * X * T))
     flows = (
         T * dy - (4 * z * y**2 - 2 * T * y**2 + (2 * thi - 1) * y + 2 * T),
         T * dz - (-4 * y * z**2 + (4 * T * y - 2 * thi + 1) * z + (th0 + thi) * T),
@@ -310,20 +304,11 @@ def _piii_template(y: Expr, z: Expr, w: Expr, theta0, theta_inf) -> tuple:
     return a, b, flows
 
 
-def _piv_template(y: Expr, z: Expr, u: Expr, theta0, theta_inf) -> tuple:
-    th0 = _c(theta0)
-    thi = _c(theta_inf)
-    a11 = X + T + (th0 - z) / X
-    a12 = u - u * y / (2 * X)
-    a21 = 2 * (z - th0 - thi) / u + 2 * z * (z - 2 * th0) / (u * y * X)
-    a = ((a11, a12), (a21, fe.neg(a11)))
-    b11 = X
-    b12 = u
-    b21 = 2 * (z - th0 - thi) / u
-    b = ((b11, b12), (b21, fe.neg(b11)))
-    dy = fe.differentiate(y, "t")
-    dz = fe.differentiate(z, "t")
-    du = fe.differentiate(u, "t")
+def _piv_template(y, z, u, dy, dz, du, th0, thi) -> tuple:
+    a = (X + T + (th0 - z) / X,
+         u - u * y / (2 * X),
+         2 * (z - th0 - thi) / u + 2 * z * (z - 2 * th0) / (u * y * X))
+    b = (X, u, 2 * (z - th0 - thi) / u)
     flows = (
         dy - (-4 * z + y**2 + 2 * T * y + 4 * th0),
         dz - (-2 * z**2 / y + (fe.neg(y) + 4 * th0 / y) * z + (th0 + thi) * y),
@@ -332,23 +317,15 @@ def _piv_template(y: Expr, z: Expr, u: Expr, theta0, theta_inf) -> tuple:
     return a, b, flows
 
 
-def _pv_template(y: Expr, z: Expr, u: Expr, theta0, theta1, theta_inf) -> tuple:
-    th0 = _c(theta0)
-    th1 = _c(theta1)
-    thi = _c(theta_inf)
+def _pv_template(y, z, u, dy, dz, du, th0, th1, thi) -> tuple:
     s1 = (th0 - th1 + thi) / 2   # coefficient in the (x-1) residue
     s2 = (th0 + th1 + thi) / 2
-    a11 = T / 2 + (z + th0 / 2) / X - (z + (th0 + thi) / 2) / (X - 1)
-    a12 = fe.neg(u * (z + th0) / X) + u * y * (z + s1) / (X - 1)
-    a21 = z / (u * X) - (z + s2) / (u * y * (X - 1))
-    a = ((a11, a12), (a21, fe.neg(a11)))
-    b11 = X / 2
-    b12 = fe.neg(u * (z + th0 - y * (z + s1)) / T)
-    b21 = (z - (z + s2) / y) / (u * T)
-    b = ((b11, b12), (b21, fe.neg(b11)))
-    dy = fe.differentiate(y, "t")
-    dz = fe.differentiate(z, "t")
-    du = fe.differentiate(u, "t")
+    a = (T / 2 + (z + th0 / 2) / X - (z + (th0 + thi) / 2) / (X - 1),
+         fe.neg(u * (z + th0) / X) + u * y * (z + s1) / (X - 1),
+         z / (u * X) - (z + s2) / (u * y * (X - 1)))
+    b = (X / 2,
+         fe.neg(u * (z + th0 - y * (z + s1)) / T),
+         (z - (z + s2) / y) / (u * T))
     flows = (
         T * dy - (T * y - 2 * z * (y - 1) ** 2 - (y - 1) * (s1 * y - (3 * th0 + th1 + thi) / 2)),
         T * dz - (y * z * (z + s1) - ((z + th0) / y) * (z + s2)),
@@ -389,10 +366,15 @@ def _merge_params(entry_id: str, overrides: Mapping | None) -> dict:
 def _matrix_entry(template: Callable, p: Mapping, closed_forms: dict[str, Expr],
                   family_args: tuple, **documented) -> CatalogEntry:
     """The entry of ``template`` applied to ``closed_forms`` (in the
-    template's argument order) and ``family_args``, at parameters ``p``;
-    ``documented`` holds every other field the entry requires."""
-    a, b, flows = template(*closed_forms.values(), *family_args)
-    return CatalogEntry(lax=LaxPair(a, b), flow_exprs=flows, closed_forms=closed_forms,
+    template's argument order), their t-derivatives and ``family_args`` as
+    constants, at parameters ``p``; ``documented`` holds every other field
+    the entry requires.  Its Lax pair is traceless by construction: a22 is
+    -a11 and b22 is -b11."""
+    forms = tuple(closed_forms.values())
+    (a11, a12, a21), (b11, b12, b21), flows = template(
+        *forms, *(fe.differentiate(f, "t") for f in forms), *map(_c, family_args))
+    lax = LaxPair(((a11, a12), (a21, fe.neg(a11))), ((b11, b12), (b21, fe.neg(b11))))
+    return CatalogEntry(lax=lax, flow_exprs=flows, closed_forms=closed_forms,
                         params_exact=dict(p), **documented)
 
 

@@ -190,10 +190,23 @@ _REPR_NODES = 500
 
 def _tree_sizes(e: Expr) -> tuple[int, int]:
     """The number of nodes of ``e`` as a tree and of distinct node objects
-    in its DAG, in one pass over the DAG."""
-    nodes: list[Expr] = []
-    tree = _traverse((e,), lambda n, kids: nodes.append(n) or 1 + sum(kids))[0]
-    return tree, len(nodes)
+    in its DAG, in one pass over the DAG.  It keeps its own stack, not
+    :func:`_traverse`'s recursion, so a repr never raises however deep the
+    DAG."""
+    size: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        n = stack[-1]
+        if id(n) in size:
+            stack.pop()
+            continue
+        todo = [c for c in n.children if id(c) not in size]
+        if todo:
+            stack += todo
+        else:
+            stack.pop()
+            size[id(n)] = 1 + sum(size[id(c)] for c in n.children)
+    return size[id(e)], len(size)
 
 
 def _coerce(value) -> Expr:

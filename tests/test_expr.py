@@ -1278,6 +1278,12 @@ class TestGrammar:
         assert time.perf_counter() - start < 1.0
         assert text == f"<Expr mul: {2 ** 62 - 3} tree nodes, 181 distinct>"
 
+    def test_repr_of_a_dag_deeper_than_the_recursion_limit(self):
+        e = X
+        for _ in range(1200):
+            e = e + X
+        assert repr(e) == "<Expr add: 2401 tree nodes, 1201 distinct>"
+
 
 class TestSubstitute:
     def test_substitute_t(self):
