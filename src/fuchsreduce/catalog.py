@@ -87,12 +87,6 @@ class ComplexRect:
         return (self.re_lo <= z.real <= self.re_hi
                 and self.im_lo <= z.imag <= self.im_hi)
 
-    def inflated(self, factor: float) -> "ComplexRect":
-        c = self.center
-        hre = 0.5 * (self.re_hi - self.re_lo) * factor
-        him = 0.5 * (self.im_hi - self.im_lo) * factor
-        return ComplexRect(c.real - hre, c.real + hre, c.imag - him, c.imag + him)
-
     def diagonal(self, n: int) -> list[complex]:
         """n deterministic points from corner to corner."""
         if n == 1:

@@ -98,7 +98,8 @@ def _overrides_from_args(args) -> dict | None:
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    # Strict JSON (RFC 8259): a report writes a non-finite number as null.
+    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: FsPath, text: str) -> None:

@@ -17,7 +17,7 @@ import zlib
 from dataclasses import dataclass
 
 # The schema tag of every report and manifest.
-SCHEMA = "fuchs-reduce/1"
+SCHEMA = "fuchs-reduce/2"
 
 
 def complex_json(z) -> dict:

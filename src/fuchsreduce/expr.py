@@ -475,6 +475,109 @@ def differentiate(e: Expr, var: str) -> Expr:
     return _traverse((e,), rule)[0]
 
 
+class _Values:
+    """A node's values at many points, a numpy array (a constant's Python
+    complex), under the Python operators the ``derive`` rules are written
+    with: the number type of :func:`_jets`.  The int 0, the gradient of a
+    node that does not vary, folds as the Expr constructors fold the
+    constant 0 (``e + 0 -> e``, ``0 * e -> 0``).  A power applies the row
+    the walk applies, ``ipow``'s for an int exponent and ``fpow``'s
+    principal branch for a Fraction; ``value`` is the node's exponent,
+    which the power rules read as ``n.value``."""
+
+    __slots__ = ("v", "value")
+    # numpy defers to the reflected operators below, not to an object array.
+    __array_ufunc__ = None
+
+    def __init__(self, v, value=None):
+        self.v = v
+        self.value = value
+
+    def __neg__(self):
+        return _Values(-self.v)
+
+    def __add__(self, other):
+        return self if _is_zero(other) else _Values(self.v + _raw(other))
+
+    def __sub__(self, other):
+        return self if _is_zero(other) else _Values(self.v - _raw(other))
+
+    def __rsub__(self, other):
+        return -self if _is_zero(other) else _Values(other - self.v)
+
+    def __mul__(self, other):
+        return 0 if _is_zero(other) else _Values(self.v * _raw(other))
+
+    def __truediv__(self, other):
+        return _Values(self.v / _raw(other))
+
+    def __rtruediv__(self, other):
+        return 0 if _is_zero(other) else _Values(other / self.v)
+
+    # Complex addition and multiplication commute bit for bit.
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __pow__(self, q):
+        if type(q) is int:
+            return _Values(_KINDS["ipow"].array(self.v, q))
+        return _Values(_KINDS["fpow"].array(self.v, float(q)))
+
+
+def _is_zero(value) -> bool:
+    return type(value) is int and value == 0
+
+
+def _raw(value):
+    return value.v if type(value) is _Values else value
+
+
+# The gradients (d/dx, d/dt) of the variables, as (2, 1) columns that
+# broadcast against a row of points.
+_GRAD_X = _Values(np.array([[1], [0]], dtype=complex))
+_GRAD_T = _Values(np.array([[0], [1]], dtype=complex))
+
+
+def _jets(roots: Sequence[Expr], xs: np.ndarray, ts: np.ndarray
+          ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(value, d/dx, d/dt) of each root at the points ``(xs[k], ts[k])``:
+    first-order jets, from one :func:`_traverse` of the DAG under
+    ``roots``, with no derivative DAG built.
+
+    A node's value is its row's ``array`` function, as the array walk of
+    :func:`_probe_values` applies it, and its gradient, d/dx and d/dt
+    stacked in one array, is its row's ``derive`` rule (``_KINDS``) applied
+    to :class:`_Values`, so the jets agree with the values of
+    :func:`differentiate`'s output to rounding.  A gradient that vanishes
+    identically is the int 0, as ``differentiate`` folds it to the
+    constant 0, and a node whose operands all have it is not derived.
+    Evaluated under ``np.errstate(all="ignore")``: a singular point gives a
+    value that is not finite, and the caller decides."""
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ts))
+
+    def visit(n: Expr, kids: tuple) -> tuple:
+        if n.kind == "const":
+            return _Values(n.value), 0
+        if n.kind == "var":
+            return (_Values(xs), _GRAD_X) if n.value == "x" else (_Values(ts), _GRAD_T)
+        row, q = _KINDS[n.kind], n.value
+        c, d = zip(*kids)
+        operands = [v.v for v in c]
+        if q is not None:
+            operands.append(q if type(q) is int else float(q))
+        node = _Values(row.array(*operands), q)
+        return node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
+
+    def rows(jet: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        value, grad = (np.asarray(_raw(g), dtype=complex) for g in jet)
+        dx, dt = np.broadcast_to(grad, (2, *shape))
+        return np.broadcast_to(value, shape), dx, dt
+
+    with np.errstate(all="ignore"):
+        got = _traverse(roots, visit)
+    return [rows(jet) for jet in got]
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 

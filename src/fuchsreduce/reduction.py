@@ -97,6 +97,10 @@ class _Probes:
         return m_zero, m_zero or fe.numerically_zero(fe.sub(M, m_0), points, reference=M)
 
 
+# Joint probes of the invariance identities (Decomposition.invariance).
+_INVARIANCE_PROBES = 24
+
+
 @dataclass
 class Decomposition:
     """The factorization data of a scalar pair.  Immutable by convention.
@@ -115,10 +119,11 @@ class Decomposition:
 
     The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant`` are
     measured from f, h and M on the probe sets ``_probes``, so a copy with
-    another f, h or M measures its own.  The other underscored cached
-    properties are the kernels of (h, f), of G and of (phi, p_num, q_num),
-    phi = f + t h (see :class:`ReducedEquation`), built on first use and
-    kept for the life of the decomposition.  ``dataclasses.replace``
+    another f, h or M measures its own, and so does the reading of the
+    invariance identities, :attr:`invariance`.  The other underscored
+    cached properties are the kernels of (h, f), of G and of (phi, p_num,
+    q_num), phi = f + t h (see :class:`ReducedEquation`), built on first
+    use and kept for the life of the decomposition.  ``dataclasses.replace``
     starts without any cached property."""
 
     f: Expr
@@ -176,6 +181,42 @@ class Decomposition:
             fe.add(fe.mul(p1, G), q1),
         )
         return fe.Kernel((phi, p_num, q_num))
+
+    @cached_property
+    def invariance(self) -> float:
+        """The reading of the invariance identities: how far P and Q are
+        from depending on tau alone, with no quadrature.
+
+        With a = p_num / phi^2 and b = q_num / phi^2, P = a / E and
+        Q = b / E^2, and tau_t = E, tau_x = phi E, E_x = h E.  So P and Q
+        are constant along the level curves of tau exactly when, with
+        D = d/dt - (1/phi) d/dx,
+
+            D a + h a / phi = 0   and   D b + 2 h b / phi = 0.
+
+        Each identity is normalized by its own coefficient, |D a + h a/phi|
+        / max(1, |a|) and |D b + 2 h b/phi| / max(1, |b|), and the reading
+        is the max of both over ``_INVARIANCE_PROBES`` joint probes (x on
+        the x box's diagonal, t on the t box's, run in opposite
+        directions), from first-order jets of the coefficient kernel's
+        (phi, p_num, q_num) and of h (``expr._jets``).  It depends on the
+        decomposition alone, so it is computed once per decomposition.  A
+        point where phi vanishes or a value is singular gives a reading
+        that is not finite."""
+        xs = np.array(self.box_x.diagonal(_INVARIANCE_PROBES))
+        ts = np.array(self.box_t.diagonal(_INVARIANCE_PROBES)[::-1])
+        (phi, phi_x, phi_t), *nums, (h, _, _) = fe._jets(
+            (*self._coeff_array.expr, self.h), xs, ts)
+        readings = []
+        with np.errstate(all="ignore"):
+            for k, (num, num_x, num_t) in enumerate(nums, 1):
+                a = num / phi ** 2
+                a_x = (num_x * phi - 2 * num * phi_x) / phi ** 3
+                a_t = (num_t * phi - 2 * num * phi_t) / phi ** 3
+                identity = a_t - a_x / phi + k * h * a / phi
+                readings.append(np.abs(identity) / np.maximum(1.0, np.abs(a)))
+        # np.max, unlike max, keeps a NaN.
+        return float(np.max(readings))
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
@@ -470,7 +511,8 @@ class ReducedEquation:
         return complex(t) * e + s
 
     def solve_t(self, x: complex, tau_target: complex) -> complex:
-        """The deformation value carrying (x, .) to a prescribed tau."""
+        """The deformation value carrying (x, .) to a prescribed tau.
+        Nothing in the pipeline calls it."""
         e, s = self._ES(complex(x))
         if e == 0:
             raise DegenerateTauPointError(f"exp(int h) vanished at x = {x}")

@@ -4,10 +4,11 @@ For each catalog entry this module certifies, with explicit tolerances:
 
 1. the closed forms solve the nonlinear flow (flow residuals),
 2. the two linear systems are compatible (Frobenius residuals),
-3. the reduced coefficients P, Q computed at tau-matched points in
-   different deformation states agree (the actual reduction claim),
-4. the reduced equation is a recognized classical target (least-squares
-   identification over the basis {1, tau, 1/tau, 1/tau^2}),
+3. the reduced coefficients P, Q depend on tau alone (the actual
+   reduction claim), by the invariance identities, with no quadrature
+   (``reduction.Decomposition.invariance``),
+4. the reduced equation, sampled at one x, is a recognized classical
+   target (least-squares identification over {1, tau, 1/tau, 1/tau^2}),
 5. on one actual solution of both systems, w = phi / g is a function of
    tau times a function of t (cross-validation, the tau-covariance
    check).
@@ -18,9 +19,9 @@ which is fitted from two points and checked on two more, so basepoint
 choices never affect pass/fail or matched parameters.
 
 The Frobenius grid, the frame fit and cross-validation depend on the entry
-alone, so each runs once per entry (``CatalogEntry.certified``); the flow
-and t-independence stages draw their points from the seed and run on every
-report.
+alone, so each runs once per entry (``CatalogEntry.certified``), and the
+identity reading once per decomposition; the flow stage and the samples
+that match reads draw their points from the seed and run on every report.
 """
 
 from __future__ import annotations
@@ -165,85 +166,49 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
 # ---------------------------------------------------------------------------
 # Deformation-independence check
 
-def _with_coefficients(red: red_mod.ReducedEquation, candidates: list[tuple]
-                       ) -> list[tuple]:
-    """The candidates (tau, x1, t1, x2, t2) whose two points both have
-    coefficients, in order, as (tau, P1, Q1, P2, Q2): one
-    :meth:`reduction.ReducedEquation.coefficients_batch` call over all
-    their points."""
-    got = red.coefficients_batch([z for c in candidates for z in (c[1], c[3])],
-                                 [z for c in candidates for z in (c[2], c[4])])
-    return [(c[0], *first, *second)
-            for c, first, second in zip(candidates, got[::2], got[1::2])
-            if not isinstance(first, Exception) and not isinstance(second, Exception)]
+# The t-independence stage's budget of draws per sample.
+_DRAWS_PER_SAMPLE = 8
 
 
-def check_t_independence(prep: Prepared, n_pairs: int = 32, seed: int = 42
+def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
                          ) -> tuple[float, list[tuple[complex, complex, complex]]]:
-    """Compare P, Q at tau-matched pairs in different deformation states.
-
-    Pairs (x1, t1), (x2, t2) share tau exactly: t2 solves the affine-in-t
-    tau formula at x2 and is accepted when it stays within an inflated
-    deformation box away from singular values and both points have
-    coefficients; a draw raising one of ``expr._SAMPLE_ERRORS`` (a point
-    where tau_x vanishes among them) is rejected.  Returns the max of
-    (|dP| + |dQ|) / scale over the pairs plus the sampled coefficient table
-    (in the quadrature frame).
-
-    Candidate triples (x1, t1, x2) are drawn in chunks
-    (:func:`catalog.random_points`), the stream that drawing one coordinate
-    at a time would give, never past 200 attempts per pair.  The pairs are
-    the first ``n_pairs`` valid candidates in stream order.  ``n_pairs < 1``
-    raises ValueError: a stage that compares no pair measures nothing."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
-    entry = prep.entry
-    red = prep.red
+    """``Decomposition.invariance``, the reading that certifies P and Q
+    depend on tau alone, and ``n_points`` samples (tau, P, Q) for match, in
+    the quadrature frame.  Once P and Q depend on tau alone, one x sees the
+    whole reduced equation: at x0, the centre of the x box, tau = E(x0) t +
+    S(x0) is affine in t.  The t are drawn from ``seed`` in the t box, in
+    order, skipping those within 0.15 of a singular t; E and S at x0 take
+    one walk, and the draws' coefficients one ``coefficients_batch`` call.
+    A point that raises one of ``expr._SAMPLE_ERRORS`` is replaced by the
+    next draw.  Raises :class:`VerifyError` when the walk to x0 fails or
+    ``_DRAWS_PER_SAMPLE * n_points`` draws place fewer samples, and
+    ValueError for ``n_points < 1``, which would give match nothing."""
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
+    entry, red = prep.entry, prep.red
+    x0 = entry.box_x.center
+    try:
+        red.E(x0)
+    except fe._SAMPLE_ERRORS as exc:
+        raise VerifyError(f"the E/S walk to x0 = {x0:.6g} failed: {exc}") from exc
     rng = np.random.default_rng(seed)
-    region = entry.box_t.inflated(3.0)
-    pairs: list[tuple] = []     # (tau, P1, Q1, P2, Q2), accepted
-    pending: list[tuple] = []   # (tau, x1, t1, x2, t2), past the region test
-    attempts = 0
-    max_attempts = 200 * n_pairs
-    while len(pairs) < n_pairs and attempts < max_attempts:
-        # A quarter more attempts than the acceptance rate so far says the
-        # missing pairs need (one per pair before any is seen).
-        placed = len(pairs) + len(pending)
-        wanted = 1.25 * (n_pairs - placed) * (attempts + 1) / (placed + 1)
-        chunk = cat.random_points(rng, (entry.box_x, entry.box_t, entry.box_x),
-                                  min(max_attempts - attempts, max(8, math.ceil(wanted))))
-        red.prefetch([x for x1, _, x2 in chunk if abs(x2 - x1) >= 0.05
-                      for x in (x1, x2)])
-        for x1, t1, x2 in chunk:
-            if len(pairs) == n_pairs:
-                break
-            attempts += 1
-            if abs(x2 - x1) < 0.05:
-                continue
-            try:
-                tau = red.tau_at(x1, t1)
-                t2 = red.solve_t(x2, tau)
-            except fe._SAMPLE_ERRORS:
-                continue
-            if not region.contains(t2) or any(abs(t2 - s) < 0.15 for s in entry.singular_t):
-                continue
-            pending.append((tau, x1, t1, x2, t2))
-            if len(pairs) + len(pending) == n_pairs:
-                pairs += _with_coefficients(red, pending)
-                pending.clear()
-    if pending:     # the budget ran out first
-        pairs += _with_coefficients(red, pending)
-    if len(pairs) < n_pairs:
-        raise VerifyError(
-            f"could only place {len(pairs)}/{n_pairs} tau-matched pairs inside "
-            f"the probe region for {entry.id}")
+    budget = _DRAWS_PER_SAMPLE * n_points
+    drawn = 0
     samples: list[tuple[complex, complex, complex]] = []
-    max_dev = 0.0
-    for tau, p1c, q1c, p2c, q2c in pairs:
-        scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
-        max_dev = max(max_dev, (abs(p1c - p2c) + abs(q1c - q2c)) / scale)
-        samples += [(tau, p1c, q1c), (tau, p2c, q2c)]
-    return max_dev, samples
+    while len(samples) < n_points and drawn < budget:
+        m = min(n_points - len(samples), budget - drawn)
+        drawn += m
+        ts = [t for (t,) in cat.random_points(rng, (entry.box_t,), m)
+              if all(abs(t - s) >= 0.15 for s in entry.singular_t)]
+        if ts:
+            for t, got in zip(ts, red.coefficients_batch([x0] * len(ts), ts)):
+                if not isinstance(got, Exception):
+                    samples.append((red.tau_at(x0, t), *got))
+    if len(samples) < n_points:
+        raise VerifyError(
+            f"could only place {len(samples)}/{n_points} samples at x0 = {x0:.6g} "
+            f"in {budget} draws for {entry.id}")
+    return red.dec.invariance, samples
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +235,20 @@ def _detect_first_derivative_form(taus, Ps, qscale, tol):
 def _distinct_taus(taus: Sequence[complex]) -> list[complex]:
     """Each tau more than 1e-10 from every tau kept before it, in order.
 
-    Exact repeats (every accepted pair adds its tau twice) are dropped
-    before the scan, which keeps the same list: a repeat is as close to
-    the kept values as its first occurrence, and that is either kept or
-    within 1e-10 of a kept value."""
-    uniq: list[complex] = []
-    for tau in dict.fromkeys(taus):
-        if all(abs(tau - u) > 1e-10 for u in uniq):
-            uniq.append(tau)
-    return uniq
+    Exact repeats are dropped before the scan, which keeps the same list: a
+    repeat is as close to the kept values as its first occurrence, and
+    that is either kept or within 1e-10 of a kept value.  The distances
+    are one numpy array (``abs`` of a complex is ``hypot`` in numpy as in
+    Python, so each test is the scan's); only a tau within 1e-10 of an
+    earlier one needs the greedy, in order."""
+    uniq = list(dict.fromkeys(taus))
+    z = np.array(uniq, dtype=complex)
+    # near[i, j]: tau j, before tau i, is not more than 1e-10 from it.
+    near = np.tril(~(np.abs(z[:, None] - z[None, :]) > 1e-10), -1)
+    kept = np.ones(len(uniq), dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)):
+        kept[i] = not near[i, kept].any()
+    return [tau for tau, keep in zip(uniq, kept) if keep]
 
 
 def match_classical(samples: Sequence[tuple[complex, complex, complex]],
@@ -490,7 +460,11 @@ class VerificationReport:
                     self.expected_target, tol=tols["target_param"])))
 
     def to_json(self) -> dict:
-        return {
+        """The report as strict JSON: a number that is not finite is
+        written as null, and ``non_finite`` maps its field (a dotted path)
+        to the value's repr, so the verdict stays explained."""
+        non_finite: dict[str, str] = {}
+        doc = _finite_json({
             "schema": SCHEMA,
             "entry": self.entry_id,
             "family": self.family,
@@ -511,7 +485,23 @@ class VerificationReport:
             "tolerances": dict(self.tolerances),
             "seed": self.seed,
             "errors": list(self.errors),
-        }
+        }, "", non_finite)
+        doc["non_finite"] = non_finite
+        return doc
+
+
+def _finite_json(doc, path: str, non_finite: dict):
+    """``doc`` with every float that is not finite replaced by None, and
+    recorded in ``non_finite`` under its dotted path."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        non_finite[path] = repr(doc)
+        return None
+    if isinstance(doc, dict):
+        return {k: _finite_json(v, f"{path}.{k}" if path else k, non_finite)
+                for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_finite_json(v, f"{path}.{i}", non_finite) for i, v in enumerate(doc)]
+    return doc
 
 
 def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,

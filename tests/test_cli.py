@@ -39,7 +39,7 @@ class TestList:
             "PII.y0", "PII.y_inv_t", "PIII.y1", "PIV.y_m2t",
             "PIV.y_m2t3", "PV.y_lin", "PV.y_m1", "PVdeg.kitaev_sqrt",
         ]
-        assert docs[0]["schema"] == "fuchs-reduce/1"
+        assert docs[0]["schema"] == "fuchs-reduce/2"
 
     def test_family_filter(self):
         for family, want in (
@@ -161,6 +161,23 @@ class TestVerify:
         assert "frobenius=" in status and "flow=" in status and "t-indep" not in status
         assert error == ("     PIII.y1: reduction: a-offdiag entry vanishes on the probe "
                          "set; cannot scalarize the first component")
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["verify", "PV.y_m1", "--param", "theta_inf=1e308", "--json"],
+         {"frobenius_max": "nan", "flow_max": "nan"}),
+        (["verify", "--all", "--with-negative", "--json"], {})])
+    def test_json_output_is_strict(self, argv, fields):
+        # RFC 8259 has no NaN or Infinity: a number that is not finite is
+        # written as null and named, with its value, under "non_finite".
+        def no_constant(name):
+            raise AssertionError(f"non-JSON constant {name}")
+
+        rc, out, err = run_cli(argv)
+        assert (rc, err) == (1 if fields else 0, "")
+        docs = json.loads(out, parse_constant=no_constant)
+        for doc in docs:
+            assert all(doc[key] is None for key in doc["non_finite"])
+        assert docs[0]["non_finite"] == fields
 
     def test_unknown_entry_exits_2(self):
         rc, out, err = run_cli(["verify", "missing.id"])

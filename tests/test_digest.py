@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "7e18532bf5a1c45beee1821581fa12152afe6429fc293dde0448d8874d615903"
+PINNED = "1aa43e27c7562157219e3dccc3fd170f7305e066854d55dfae0936d6651cd704"
 
 
 def _load(monkeypatch, path: Path, name: str):

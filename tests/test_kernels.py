@@ -130,7 +130,7 @@ class TestKernelLifetime:
             count = len(compiled)
             reports.append(json.dumps(verify.full_report(entry_id).to_json()))
             tiers.append(dec._coeff_array.expr in compiled[count:])
-        assert calls == [(64,)] * 3
+        assert calls == [(32,)] * 3
         assert tiers == [False, True, False]
         assert len(set(reports)) == 1
         assert "_coeff_parts" not in dec.__dict__
@@ -347,7 +347,7 @@ class TestConcurrentFirstUse:
 
         def run(entry):
             prep = verify.prepare(entry)
-            return verify.check_t_independence(prep, n_pairs=8, seed=1), prep.frame_a
+            return verify.check_t_independence(prep, n_points=8, seed=1), prep.frame_a
 
         want = run(catalog.lookup("PIII.y1", overrides))
         shared = catalog.lookup("PIII.y1", overrides)

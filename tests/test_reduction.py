@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fuchsreduce import catalog, expr as fe, reduction, scalarize
+from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
+from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
 from test_expr import both_tiers
@@ -678,3 +679,90 @@ class TestBasepointCovariance:
         # gauge rescales by a constant between basepoints
         g_ratio = [red1.gauge(x) / red0.gauge(x) for x, _ in pts[:2]]
         assert g_ratio[0] == pytest.approx(g_ratio[1], rel=1e-9)
+
+
+def _invariance_probes(dec):
+    """The points of ``Decomposition.invariance``, as lists."""
+    n = reduction._INVARIANCE_PROBES
+    return dec.box_x.diagonal(n), dec.box_t.diagonal(n)[::-1]
+
+
+class TestInvariance:
+    """The reading of the invariance identities D a + h a/phi = 0 and
+    D b + 2 h b/phi = 0, from first-order jets of the coefficient kernel's
+    DAGs."""
+
+    IDS = ALL_IDS + catalog.list_negative_entries()
+
+    @pytest.mark.parametrize("entry_id", IDS)
+    def test_jets_agree_with_differentiate(self, entry_id):
+        # Values and both derivatives of (phi, p_num, q_num, h) against the
+        # point walk of differentiate's output, relative to the largest of
+        # those values: p_num vanishes to rounding on several entries, so
+        # its derivatives are sums of terms of that size which cancel.
+        dec = catalog.lookup(entry_id).decomposition
+        roots = (*dec._coeff_array.expr, dec.h)
+        xs, ts = _invariance_probes(dec)
+        jets = fe._jets(roots, np.array(xs), np.array(ts))
+        want = [[np.array(fe._values_at(e if var is None else fe.differentiate(e, var),
+                                        xs, ts, {}))
+                 for var in (None, "x", "t")] for e in roots]
+        scale = max(1.0, max(float(np.max(np.abs(w))) for row in want for w in row))
+        for jet, row in zip(jets, want):
+            for got, ref in zip(jet, row):
+                assert got.shape == (len(xs),)
+                assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("entry_id", IDS)
+    def test_reading_is_the_symbolic_identity(self, entry_id):
+        # The identities built with differentiate, walked point by point.
+        dec = catalog.lookup(entry_id).decomposition
+        phi, p_num, q_num = dec._coeff_array.expr
+        xs, ts = _invariance_probes(dec)
+        readings = []
+        for k, num in ((1, p_num), (2, q_num)):
+            a = num / phi ** 2
+            identity = (fe.differentiate(a, "t") - fe.differentiate(a, "x") / phi
+                        + k * dec.h * a / phi)
+            got, scale = (np.array(v) for v in fe._values_at((identity, a), xs, ts, {}))
+            readings.append(np.max(np.abs(got) / np.maximum(1.0, np.abs(scale))))
+        want = max(readings)
+        assert abs(dec.invariance - want) <= 1e-13 + 1e-9 * want
+        assert (want <= 1e-13) == (entry_id in ALL_IDS)
+
+    def test_warm_reports_make_no_jet_walk(self, monkeypatch):
+        # A decomposition walks its jets once; a warm report reads the
+        # reading it kept, a fresh entry walks them again.
+        verify.full_report("PIII.y1")
+        walks = []
+        jets = fe._jets
+
+        def counted(*args):
+            walks.append(args[0])
+            return jets(*args)
+
+        monkeypatch.setattr(fe, "_jets", counted)
+        for seed in (42, 7, 1):
+            assert verify.full_report("PIII.y1", Config(seed=seed)).passed
+        assert walks == []
+        params = dict(catalog.lookup("PIII.y1").params_exact)
+        for _ in range(3):
+            assert verify.full_report("PIII.y1", overrides=params).passed
+        assert len(walks) == 3
+
+    def test_replaced_decomposition_reads_its_own(self):
+        # dataclasses.replace starts without the reading, so a mutated copy
+        # (as TestStageSensitivity builds them) is read afresh.
+        _, dec, _ = decomposition_for("PIII.y1")
+        assert dec.invariance <= 1e-13
+        mutated = dataclasses.replace(dec, R=dec.R + 0.01 * X)
+        assert "invariance" not in mutated.__dict__
+        assert mutated.invariance > 1e-5
+
+    def test_vanishing_phi_reads_not_finite(self):
+        # phi = f + t h vanishes at a probe x for every t: the reading is
+        # not finite, so it fails every gate.
+        _, dec, _ = decomposition_for("PII.y0")
+        x_k = _invariance_probes(dec)[0][5]
+        singular = dataclasses.replace(dec, f=2 * (X - x_k))
+        assert not np.isfinite(singular.invariance)

@@ -22,9 +22,14 @@ ALL_IDS = catalog.list_entries()
 class TestTIndependence:
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_deviation_within_tolerance(self, prep, entry_id):
-        dev, samples = verify.check_t_independence(prep(entry_id), n_pairs=32, seed=5)
-        assert dev <= 1e-8
-        assert len(samples) == 64
+        # The identity reading, largest 6.0e-15 (PV.y_m1), and one sample
+        # per drawn t, all at the centre of the x box.
+        p = prep(entry_id)
+        dev, samples = verify.check_t_independence(p, n_points=32, seed=5)
+        assert dev <= 1e-13
+        assert dev == p.red.dec.invariance
+        assert len(samples) == 32
+        assert len(verify._distinct_taus([s[0] for s in samples])) == 32
 
     def test_flat_entry_explicit_pair(self, prep):
         # (x, t) = (1, 4) and (2, 1) share the documented tau value 5; the
@@ -41,15 +46,17 @@ class TestTIndependence:
 
     def test_constant_target_pairs(self, prep):
         p = prep("PIV.y_m2t")
-        _, samples = verify.check_t_independence(p, n_pairs=16, seed=11)
+        _, samples = verify.check_t_independence(p, n_points=16, seed=11)
         for tau, P, Q in (p.to_paper_frame(*s) for s in samples):
             assert abs(P) <= 1e-10
             assert Q == pytest.approx(-1.0, abs=1e-10)
 
     def test_negative_control_deviates(self):
+        # Samples at one x cannot see the t-dependence (match finds a
+        # linear potential); the identity reads 8.94.
         p = verify.prepare(catalog.lookup("negative.PII_bad_y1"))
-        dev, _ = verify.check_t_independence(p, n_pairs=16, seed=3)
-        assert dev >= 1e-3
+        dev, _ = verify.check_t_independence(p, n_points=16, seed=3)
+        assert dev == pytest.approx(8.944, rel=1e-3)
 
     def test_frame_fit_validates(self, prep):
         for entry_id in ALL_IDS:
@@ -57,96 +64,86 @@ class TestTIndependence:
 
     def test_overflowing_draw_is_rejected(self, monkeypatch):
         # Every exception of expr._SAMPLE_ERRORS rejects a draw, an
-        # OverflowError among them; the stage still places all its pairs.
-        # The error is raised in the batch, at the first point the
-        # coefficient kernel sees: the batch is run again point by point,
-        # only that point's candidate is dropped, and the next valid
-        # candidate in stream order takes its place.
+        # OverflowError among them; the stage still places all its samples.
+        # The error is raised in the batch, at the first draw: the batch is
+        # run again point by point, only that draw is dropped, and the next
+        # draw takes its place.
         p = verify.prepare(catalog.lookup("PII.y0"))
         dec = p.red.dec
+        reading = dec.invariance
         kernel = dec._coeff_array
         bad, raised = [], []
 
         def overflow_at_first_point(x, t):
-            x = np.asarray(x)
+            t = np.asarray(t)
             if not bad:
-                bad.append(complex(x[0]))
-            if bad[0] in x:
-                raised.append(len(x))
+                bad.append(complex(t[0]))
+            if bad[0] in t:
+                raised.append(len(t))
                 raise OverflowError("overflow in a draw")
             return kernel(x, t)
 
         monkeypatch.setitem(dec.__dict__, "_coeff_array", overflow_at_first_point)
-        dev, samples = verify.check_t_independence(p, n_pairs=32)
+        dev, samples = verify.check_t_independence(p, n_points=32)
         # The batch, then its one bad point alone: one rejection.
-        assert raised == [64, 1]
-        assert len(samples) == 64
-        assert dev <= 1e-8
-        ref_dev, ref = _scalar_t_independence(p, 32, 42)
-        assert (dev, samples) == (ref_dev, ref)
+        assert raised == [32, 1]
+        assert (dev, len(samples)) == (reading, 32)
+        assert samples == _scalar_t_independence(p, 32, 42)
         monkeypatch.setitem(dec.__dict__, "_coeff_array", kernel)
         _, unhurt = verify.check_t_independence(verify.prepare(catalog.lookup("PII.y0")),
-                                                n_pairs=32)
-        # The first pair is gone, the other 31 keep their order, and one
-        # more pair follows them.
-        assert [s[0] for s in samples[:62]] == [s[0] for s in unhurt[2:]]
-        assert samples[62][0] not in {s[0] for s in unhurt}
+                                                n_points=33)
+        # The first draw is gone, and the other 32 keep their order.
+        assert samples == unhurt[1:]
 
-    @pytest.mark.parametrize("n_pairs", [0, -1])
-    def test_no_pairs_is_an_error(self, prep, n_pairs):
-        # With no pair to compare the stage would report 0.0, under its gate.
-        with pytest.raises(ValueError, match="n_pairs"):
-            verify.check_t_independence(prep("negative.PII_bad_y1"), n_pairs=n_pairs)
+    def test_failed_walk_to_x0_is_a_stage_error(self, monkeypatch):
+        # Every sample sits at x0, so a walk there that fails ends the
+        # stage at once, naming it.
+        p = verify.prepare(catalog.lookup("PII.y0"))
+
+        def unresolved(x):
+            raise fe.QuadratureError("unresolved panel")
+
+        monkeypatch.setattr(p.red, "E", unresolved)
+        with pytest.raises(verify.VerifyError,
+                           match=r"^the E/S walk to x0 = 1\.8\+0j failed: unresolved panel$"):
+            verify.check_t_independence(p)
+
+    @pytest.mark.parametrize("n_points", [0, -1])
+    def test_no_points_is_an_error(self, prep, n_points):
+        # With no sample the stage would give match nothing to fit.
+        with pytest.raises(ValueError, match="n_points"):
+            verify.check_t_independence(prep("negative.PII_bad_y1"), n_points=n_points)
 
 
-def _scalar_t_independence(prep, n_pairs, seed):
-    """Reference: the one-candidate-at-a-time loop that the batched stage
-    replaced, with each point's coefficients from its own call of the
-    stage's kernel.  Run on the prep the stage ran on, it reads E and S
-    from the stage's memo, so it must give the stage's pairs and samples
-    exactly."""
+def _scalar_t_independence(prep, n_points, seed):
+    """Reference: the samples of the one-draw-at-a-time loop, with each
+    point's coefficients from its own call of the stage's kernel.  Run on
+    the prep the stage ran on, it reads E and S from the stage's memo, so
+    it must give the stage's samples exactly."""
     entry = prep.entry
     red = prep.red
+    x0 = entry.box_x.center
     rng = np.random.default_rng(seed)
-    region = entry.box_t.inflated(3.0)
     samples = []
-    max_dev = 0.0
-    accepted = 0
-    attempts = 0
-    max_attempts = 200 * n_pairs
-    while accepted < n_pairs and attempts < max_attempts:
-        attempts += 1
-        ((x1, t1, x2),) = catalog.random_points(rng, (entry.box_x, entry.box_t, entry.box_x), 1)
-        if abs(x2 - x1) < 0.05:
+    draws = 0
+    while len(samples) < n_points and draws < 8 * n_points:
+        draws += 1
+        ((t,),) = catalog.random_points(rng, (entry.box_t,), 1)
+        if any(abs(t - s) < 0.15 for s in entry.singular_t):
             continue
-        try:
-            tau = red.tau_at(x1, t1)
-            t2 = red.solve_t(x2, tau)
-        except (fe.SingularEvaluationError, fe.QuadratureError,
-                red_mod.DegenerateTauPointError, ZeroDivisionError, ValueError):
+        (got,) = red.coefficients_batch([x0], [t])
+        if isinstance(got, Exception):
             continue
-        if not region.contains(t2):
-            continue
-        if any(abs(t2 - s) < 0.15 for s in entry.singular_t):
-            continue
-        (first,), (second,) = red.coefficients_batch([x1], [t1]), red.coefficients_batch([x2], [t2])
-        if isinstance(first, Exception) or isinstance(second, Exception):
-            continue
-        (p1c, q1c), (p2c, q2c) = first, second
-        scale = max(1.0, abs(p1c), abs(q1c), abs(p2c), abs(q2c))
-        max_dev = max(max_dev, (abs(p1c - p2c) + abs(q1c - q2c)) / scale)
-        samples.append((tau, p1c, q1c))
-        samples.append((tau, p2c, q2c))
-        accepted += 1
-    if accepted < n_pairs:
+        samples.append((red.tau_at(x0, t), *got))
+    if len(samples) < n_points:
         raise verify.VerifyError(
-            f"could only place {accepted}/{n_pairs} tau-matched pairs inside "
-            f"the probe region for {entry.id}")
-    return max_dev, samples
+            f"could only place {len(samples)}/{n_points} samples at x0 = {x0:.6g} "
+            f"in {8 * n_points} draws for {entry.id}")
+    return samples
 
 
 def _record_tau_calls(prep):
-    """The (x1, t1) of every candidate that reaches tau_at from now on, in
+    """The (x, t) of every sample that reaches tau_at from now on, in
     order (a later call records into its own list)."""
     calls = []
     tau_at = type(prep.red).tau_at
@@ -160,28 +157,28 @@ def _record_tau_calls(prep):
 
 
 class TestTIndependenceBatched:
-    """The chunked, prefetched stage, with one coefficient batch, against
-    the one-candidate-at-a-time loop it replaced."""
+    """The one-x stage, with one coefficient batch, against the
+    one-draw-at-a-time loop."""
 
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_same_candidates_pairs_and_samples(self, entry_id, seed):
         prep = verify.prepare(catalog.lookup(entry_id))
         new_calls = _record_tau_calls(prep)
-        new_dev, new = verify.check_t_independence(prep, n_pairs=32, seed=seed)
+        new_dev, new = verify.check_t_independence(prep, n_points=32, seed=seed)
         ref_calls = _record_tau_calls(prep)
-        ref_dev, ref = _scalar_t_independence(prep, 32, seed)
+        ref = _scalar_t_independence(prep, 32, seed)
         assert new_calls == ref_calls
-        assert len(new) == len(ref) == 64
-        assert (new_dev, new) == (ref_dev, ref)
+        assert {x for x, _ in new_calls} == {prep.entry.box_x.center}
+        assert len(new) == len(ref) == 32
+        assert (new_dev, new) == (prep.red.dec.invariance, ref)
 
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_batch_agrees_with_coefficients_at(self, entry_id, seed):
         # The stage's coefficients come from numpy's array arithmetic,
         # coefficients_at's from the staged scalar kernel: at every sampled
-        # point they agree to rounding (2.8e-14 of the stage's own scale
-        # at most, measured on these 18 runs).
+        # point they agree to rounding.
         prep = verify.prepare(catalog.lookup(entry_id))
         red = prep.red
         points = []
@@ -193,29 +190,28 @@ class TestTIndependenceBatched:
             return got
 
         red.coefficients_batch = recorded
-        verify.check_t_independence(prep, n_pairs=32, seed=seed)
-        assert len(points) == 64
+        verify.check_t_independence(prep, n_points=32, seed=seed)
+        assert len(points) == 32
         for x, t, (P, Q) in points:
             want_p, want_q = red.coefficients_at(x, t)
             scale = max(1.0, abs(want_p), abs(want_q))
             assert max(abs(P - want_p), abs(Q - want_q)) <= 1e-13 * scale
 
     def test_placement_failure_message_and_budget(self):
-        # A deformation box this small leaves most t2 outside the region:
-        # both loops place 2 of 3 pairs within the 200-per-pair budget.
-        entry = catalog.lookup("PII.y0")
-        c = entry.box_t.center
-        box = (c.real, c.real + 0.12, c.imag, c.imag + 0.12)
-        prep = verify.prepare(entry, Config(box_t=box))
+        # A singular t at the centre of a small deformation box: most draws
+        # fall within 0.15 of it, and both loops run out of their 8 draws
+        # per sample before placing 8 samples.
+        entry = dataclasses.replace(catalog.lookup("PII.y0"), singular_t=(1.0 + 0j,))
+        prep = verify.prepare(entry, Config(box_t=(0.9, 1.16, -0.1, 0.1)))
         new_calls = _record_tau_calls(prep)
-        with pytest.raises(verify.VerifyError, match="could only place 2/3") as new:
-            verify.check_t_independence(prep, n_pairs=3, seed=5)
+        with pytest.raises(verify.VerifyError, match="could only place [0-7]/8 ") as new:
+            verify.check_t_independence(prep, n_points=8, seed=5)
         ref_calls = _record_tau_calls(prep)
-        with pytest.raises(verify.VerifyError, match="could only place 2/3") as ref:
-            _scalar_t_independence(prep, 3, 5)
+        with pytest.raises(verify.VerifyError) as ref:
+            _scalar_t_independence(prep, 8, 5)
         assert str(new.value) == str(ref.value)
         assert new_calls == ref_calls
-        assert 100 < len(new_calls) <= 600
+        assert str(new.value).endswith("in 64 draws for PII.y0")
 
 
 def _scan_distinct(taus):
@@ -255,6 +251,17 @@ class TestDistinctTaus:
             assert [repr(z) for z in verify._distinct_taus(taus)] == \
                 [repr(z) for z in _scan_distinct(taus)]
 
+    def test_same_as_scan_on_random_lists_with_repeats(self):
+        # Spread draws, some of them repeated exactly, in random order.
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            z = rng.uniform(-2, 2, size=(rng.integers(0, 48), 2)) @ [1, 1j]
+            taus = [complex(v) for v in np.concatenate([z, rng.choice(z, len(z) // 3)])
+                    ] if len(z) else []
+            taus = [taus[k] for k in rng.permutation(len(taus))]
+            assert [repr(v) for v in verify._distinct_taus(taus)] == \
+                [repr(v) for v in _scan_distinct(taus)]
+
     def test_same_as_scan_property(self):
         # Spread values mixed with exact repeats and copies moved by less
         # than, about or more than 1e-10, in any order.
@@ -283,7 +290,7 @@ class TestDistinctTaus:
 
     def test_report_samples(self, prep):
         p = prep("PV.y_m1")
-        _, samples = verify.check_t_independence(p, n_pairs=32, seed=42)
+        _, samples = verify.check_t_independence(p, n_points=32, seed=42)
         taus = [p.to_paper_frame(*s)[0] for s in samples]
         assert verify._distinct_taus(taus) == _scan_distinct(taus)
         assert len(verify._distinct_taus(taus)) == 32
@@ -292,7 +299,7 @@ class TestDistinctTaus:
 class TestMatchClassical:
     def samples_for(self, prep, entry_id, n=24, seed=17):
         p = prep(entry_id)
-        _, samples = verify.check_t_independence(p, n_pairs=n, seed=seed)
+        _, samples = verify.check_t_independence(p, n_points=n, seed=seed)
         return [p.to_paper_frame(*s) for s in samples]
 
     def test_airy_with_cuberoot_scale(self, prep):
@@ -938,9 +945,19 @@ class TestFullReport:
 
     def test_report_serializes(self, report):
         doc = report("PII.y0").to_json()
-        assert doc["schema"] == "fuchs-reduce/1"
+        assert doc["schema"] == "fuchs-reduce/2"
         assert doc["passed"] is True
         assert doc["match"]["kind"] == "airy"
+
+    def test_non_finite_numbers_are_null_and_named(self, report):
+        rep = dataclasses.replace(report("PII.y0"), t_independence_max=float("nan"),
+                                  frame=(complex(float("inf"), 0.0), 1j))
+        doc = rep.to_json()
+        assert doc["passed"] is False
+        assert doc["t_independence_max"] is None
+        assert doc["frame"]["a"] == {"re": None, "im": 0.0}
+        assert doc["non_finite"] == {"t_independence_max": "nan", "frame.a.re": "inf"}
+        assert report("PII.y0").to_json()["non_finite"] == {}
 
     def test_loosened_tolerances_never_flip_pass(self):
         loose = Config(
