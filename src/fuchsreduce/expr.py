@@ -8,8 +8,8 @@ walker over a list of points (:func:`evaluate` is its one-point case),
 compilation to straight-line Python staged on x and on t
 (:func:`compile_expr`), kernels that walk on their first call and compile
 on their second (:class:`Kernel`), one walker of adaptive Chebyshev panels
-(contour quadrature, or the solve of a 2x2 linear ODE and its
-t-variation) and an infix printer.
+along a straight segment, one panel at a time (contour quadrature, or the
+solve of a 2x2 linear ODE and its t-variation) and an infix printer.
 
 One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`):
 its constructor, the template of its compiled line, the function that line
@@ -983,284 +983,155 @@ _CHEB_DIFF = np.vstack([chebyshev.chebder(np.eye(25)), np.zeros(25)])
 # One product with ``_CHEB_APPLY`` gives both: its first three columns map a
 # row of samples to its tail, the others to its running integral.
 _CHEB_APPLY = np.hstack([_CHEB_TO_COEFFS[-3:].T, _CHEB_CUMSUM.T]).astype(complex)
-# The product is formed on blocks of 2 to this many rows.  A product of one
-# row goes through BLAS's matrix-vector kernel, whose sums round differently
-# from the matrix-matrix kernel's, and from about 100 rows on OpenBLAS
-# (unless pinned to one thread) hands the product to worker threads, which
-# on 2 cores cost far more than the product itself.
-_PRODUCT_ROWS = 64
 _ROUNDING_FLOOR = 100 * np.finfo(float).eps
-_max_rows = functools.partial(np.maximum.reduce, axis=1)
 # Near a singularity on the path the samples are dominated by the rounding
 # of the points themselves, and panels bisect without settling; this budget
 # turns that into a prompt QuadratureError instead of millions of samples.
 _MAX_PANELS = 2000
-# A panel still unresolved after this many bisections fails its segment.
+# A panel still unresolved after this many bisections fails the walk.
 _MAX_DEPTH = 48
 # A linear-system panel passes when the tails of Phi and of Psi are each at
 # most _ATOL + _RTOL times its own largest modulus on the panel.
 _RTOL, _ATOL = 1e-12, 1e-13
 
 
-class _Segment:
-    """The state of one segment [a, b] in :func:`_walk_panels`: its stack
-    of pending panels (p, q, depth), the running stage integrals from
-    ``a``, the number of panels taken so far and, once it is done, its
-    result.  With a linear system it also holds y = (Phi, Psi) at the end
-    of the panels accepted so far and their dense output: the arclength
-    edges and the Chebyshev coefficients of every row."""
-
-    __slots__ = ("b", "tail_tol", "stack", "totals", "taken", "result",
-                 "y", "edges", "coeffs")
-
-    def __init__(self, a: complex, b: complex, abs_tol: float,
-                 y: np.ndarray | None, totals: list[complex]):
-        self.b = b
-        self.y = y
-        self.totals = list(totals)
-        self.edges = [0.0]
-        self.coeffs: list[np.ndarray] = []
-        self.taken = 0
-        self.result: object = None
-        if a == b:
-            self.stack = []
-            self.result = self.totals if y is None else QuadratureError(
-                f"a linear system is solved only on a segment of nonzero length, not [{a}, {b}]")
-        else:
-            self.tail_tol = abs_tol / abs(b - a)
-            self.stack = [(a, b, 0)]
-
-    def fail(self, err: Exception) -> None:
-        self.result = err
-        self.stack.clear()
-
-
-def _stage_rows(stage: Callable, z: np.ndarray, prior: list[np.ndarray]
-                ) -> tuple[list[np.ndarray], list[Exception | None] | None]:
-    """One stage's values on the panel rows ``z`` -- its samples, then the
-    values it passes on (see :func:`_walk_panels`), each in the shape of
-    ``z`` -- and per row the exception it raised (None when no row raised).
-    A batch that raises is evaluated again row by row, so a singular sample
-    fails only its row (whose values are zeros)."""
-    try:
+def _integrate_panel(stages: Sequence[Callable], z: np.ndarray, half: complex,
+                     totals: list[complex], tail_tol: float) -> list[complex] | None:
+    """The stage integrals from the start of the walk to the end of the
+    panel sampled at ``z`` (half-width ``half``), given ``totals`` at its
+    start; None when some stage rejects the panel.  What a stage raises
+    propagates."""
+    prior: list[np.ndarray] = []
+    ends: list[complex] = []
+    for stage, total in zip(stages, totals):
         out = stage(z, prior)
-        return [np.asarray(v, dtype=complex)
-                for v in (out if isinstance(out, tuple) else (out,))], None
-    except _SAMPLE_ERRORS as exc:
-        if len(z) == 1:
-            return [np.zeros(z.shape, dtype=complex)], [exc]
-    parts: list[np.ndarray] = []
-    errors: list[Exception | None] = []
-    for j in range(len(z)):
-        row, err = _stage_rows(stage, z[j:j + 1], [pr[j:j + 1] for pr in prior])
-        if err is None:
-            parts = parts or [np.zeros(z.shape, dtype=complex) for _ in row]
-            for part, v in zip(parts, row):
-                part[j] = v[0]
-        errors.append(None if err is None else err[0])
-    return parts or [np.zeros(z.shape, dtype=complex)], errors
+        vals, *passed = [np.asarray(v, dtype=complex)
+                         for v in (out if isinstance(out, tuple) else (out,))]
+        # A row of a 2-row product: a 1-D product goes through BLAS's
+        # matrix-vector kernel, whose sums round differently.
+        applied = (np.vstack((vals, vals)) @ _CHEB_APPLY)[0]
+        tail = np.abs(applied[:3]).max()
+        # A nan tail fails both tests: bisect.
+        if not (tail <= tail_tol or tail <= _ROUNDING_FLOOR * np.abs(vals).max()):
+            return None
+        running = total + half * applied[3:]
+        prior += [running, *passed]
+        # Built-in complex: numpy's complex arithmetic rounds differently
+        # from Python's downstream.
+        ends.append(running[-1].item())
+    return ends
 
 
-def _collocate(matrix: Callable, z: np.ndarray, halves: np.ndarray,
-               rows: list[_Segment]) -> list[np.ndarray | None]:
-    """Per panel row of ``z``, y = (Phi, Psi) at its points, or None when
-    the panel must be bisected.  Phi solves Phi' = A(z) Phi and Psi, its
-    variation in t, Psi' = A Psi + A_t Phi, both from their values at the
-    start of the panel (``seg.y``).  On a panel of half-width ``half`` the
-    values at the nodes solve the integral forms Phi = Phi(p) + half W (A
-    Phi) and Psi = Psi(p) + half W (A Psi + A_t Phi), with W =
-    ``_CHEB_CUMSUM`` (Greengard, SIAM J. Numer. Anal. 28, 1991).  The
-    collocated system is block lower-triangular, so each row takes one 50x50
-    matrix I - half W A and two solves: Phi, then Psi with the forcing
-    half W (A_t Phi).  A row passes when the tail of Phi is at most
-    ``_ATOL + _RTOL max|Phi|`` on it, and that of Psi likewise.  A
-    non-finite coefficient or solution value fails the row's segment (None
-    too)."""
+def _collocate(matrix: Callable, z: np.ndarray, half: complex,
+               y: np.ndarray) -> np.ndarray | None:
+    """y = (Phi, Psi) at the panel points ``z``, or None when the panel
+    must be bisected.  Phi solves Phi' = A(z) Phi and Psi, its variation in
+    t, Psi' = A Psi + A_t Phi, both from their values ``y`` at the start of
+    the panel.  On a panel of half-width ``half`` the values at the nodes
+    solve the integral forms Phi = Phi(p) + half W (A Phi) and Psi = Psi(p)
+    + half W (A Psi + A_t Phi), with W = ``_CHEB_CUMSUM`` (Greengard, SIAM
+    J. Numer. Anal. 28, 1991).  The collocated system is block
+    lower-triangular, so it takes one 50x50 matrix I - half W A and two
+    solves: Phi, then Psi with the forcing half W (A_t Phi).  The panel
+    passes when the tail of Phi is at most ``_ATOL + _RTOL max|Phi|`` on
+    it, and that of Psi likewise.  A non-finite coefficient or solution
+    value raises :class:`QuadratureError`."""
     n = len(_CHEB_NODES)
-    eye = np.eye(2 * n)
-    entries = [np.broadcast_to(np.asarray(v, dtype=complex), z.shape) for v in matrix(z)]
-    out: list[np.ndarray | None] = []
-    for j, seg in enumerate(rows):
-        a11, a12, a21, a22, d11, d12, d21, d22 = (v[j] for v in entries)
-        ys = None
-        if not all(np.isfinite(v[j]).all() for v in entries):
-            seg.fail(QuadratureError(
-                f"non-finite coefficient on the panel [{z[j, 0]}, {z[j, -1]}]"))
-        else:
-            hw = halves[j] * _CHEB_CUMSUM
-            system = eye - np.block([[hw * a11, hw * a12], [hw * a21, hw * a22]])
-            phi1, phi2 = np.linalg.solve(system, np.repeat(seg.y[:2], n)).reshape(2, n)
-            forcing = np.concatenate([hw @ (d11 * phi1 + d12 * phi2),
-                                      hw @ (d21 * phi1 + d22 * phi2)])
-            psi = np.linalg.solve(system, np.repeat(seg.y[2:], n) + forcing)
-            ys = np.vstack([phi1, phi2, psi.reshape(2, n)])
-            if not np.isfinite(ys).all():
-                seg.fail(QuadratureError(
-                    f"non-finite solution on the panel [{z[j, 0]}, {z[j, -1]}]"))
-                ys = None
-            elif (np.abs(ys @ _CHEB_APPLY[:, :3]).reshape(2, 6).max(axis=1)
-                  > _ATOL + _RTOL * np.abs(ys).reshape(2, 2 * n).max(axis=1)).any():
-                ys = None
-        out.append(ys)
-    return out
-
-
-def _panel_product(vals: np.ndarray) -> np.ndarray:
-    """``vals @ _CHEB_APPLY`` on blocks of 2 to ``_PRODUCT_ROWS`` rows, a
-    lone row doubled, so each row of the product has the bits of every
-    other block size: a row's tail and running integral do not depend on
-    the rows it is walked with."""
-    if len(vals) == 1:
-        return (vals.repeat(2, axis=0) @ _CHEB_APPLY)[:1]
-    if len(vals) <= _PRODUCT_ROWS:
-        return vals @ _CHEB_APPLY
-    return np.concatenate([_panel_product(vals[k:k + _PRODUCT_ROWS])
-                           for k in range(0, len(vals), _PRODUCT_ROWS)])
+    a11, a12, a21, a22, d11, d12, d21, d22 = entries = [
+        np.broadcast_to(np.asarray(v, dtype=complex), z.shape) for v in matrix(z)]
+    if not all(np.isfinite(v).all() for v in entries):
+        raise QuadratureError(f"non-finite coefficient on the panel [{z[0]}, {z[-1]}]")
+    hw = half * _CHEB_CUMSUM
+    system = np.eye(2 * n) - np.block([[hw * a11, hw * a12], [hw * a21, hw * a22]])
+    phi1, phi2 = np.linalg.solve(system, np.repeat(y[:2], n)).reshape(2, n)
+    forcing = np.concatenate([hw @ (d11 * phi1 + d12 * phi2),
+                              hw @ (d21 * phi1 + d22 * phi2)])
+    psi = np.linalg.solve(system, np.repeat(y[2:], n) + forcing)
+    ys = np.vstack([phi1, phi2, psi.reshape(2, n)])
+    if not np.isfinite(ys).all():
+        raise QuadratureError(f"non-finite solution on the panel [{z[0]}, {z[-1]}]")
+    if (np.abs(ys @ _CHEB_APPLY[:, :3]).reshape(2, 6).max(axis=1)
+            > _ATOL + _RTOL * np.abs(ys).reshape(2, 2 * n).max(axis=1)).any():
+        return None
+    return ys
 
 
 def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
-                 a: complex, ends: Sequence[complex], abs_tol: float,
-                 system: tuple[Callable, Sequence[complex]] | None = None) -> list:
-    """Integrals of each stage over the straight segments [a, b], one per
-    end point ``b`` in ``ends``, on adaptive Chebyshev panels taken left to
-    right; or, given a linear ``system`` and no stages, its solution along
-    each segment.
+                 a: complex, b: complex, abs_tol: float,
+                 system: tuple[Callable, Sequence[complex]] | None = None
+                 ) -> list[complex] | _PiecewiseChebyshev:
+    """Integrals of each stage over the straight segment [a, b] on adaptive
+    Chebyshev panels taken left to right, one per round; or, given a linear
+    ``system`` and no stages, its solution along the segment.
 
-    Every round takes the next panel [p, q] of each unfinished segment and
-    samples it at z = mid + half * nodes, with mid = (p + q) / 2 and
-    half = (q - p) / 2.  Each stage is called once per round as
-    ``stage(z, prior)``: ``z`` holds one row of panel points per segment
-    and ``prior``, per earlier stage, its running integral from ``a`` at
-    the same points followed by the values it passed on, so f exp(int h)
-    needs no integration inside the integrand.  The stage returns its
-    samples in the shape of ``z``, or a tuple of its samples and of more
-    values at the same points that it passes on to the later stages (so
-    one kernel call can serve several stages).  A later stage sees only
-    the rows the earlier ones accepted.  A stage
-    accepts a row when its error bound |q - p| * tail is at most
-    ``abs_tol`` times the panel's share of [a, b] or the tail is within the
-    rounding floor of the samples; a panel some stage rejects is bisected.
-    So each segment takes the panels and the decisions that walking it
-    alone would, and, with stages that compute each row on its own (the
-    array forms of ``Kernel`` are elementwise), the same bits: the panel
-    product never meets a 1-row block or one of BLAS's threaded sizes
-    (:func:`_panel_product`).  The one exception is a stage whose batch
-    falls back to scalar values (``Kernel.__call__``), as every row of
-    that batch does.
+    Each round samples the next panel [p, q] at z = mid + half * nodes,
+    with mid = (p + q) / 2 and half = (q - p) / 2.  Each stage is called
+    once per round as ``stage(z, prior)``: ``prior`` holds, per earlier
+    stage, its running integral from ``a`` at the same points followed by
+    the values it passed on, so f exp(int h) needs no integration inside
+    the integrand.  The stage returns its samples in the shape of ``z``, or
+    a tuple of its samples and of more values at the same points that it
+    passes on to the later stages (so one kernel call can serve several
+    stages).  A stage accepts the panel when its error bound |q - p| * tail
+    is at most ``abs_tol`` times the panel's share of [a, b] or the tail is
+    within the rounding floor of the samples; a panel some stage rejects is
+    bisected, and the later stages do not see it.
 
     ``system`` = (matrix, start) is the x-equation Phi' = A Phi of a
     2-vector together with its t-variation Psi' = A Psi + A_t Phi, solved
-    on every row (:func:`_collocate`, to the fixed ``_RTOL`` and
+    panel by panel (:func:`_collocate`, to the fixed ``_RTOL`` and
     ``_ATOL``; ``abs_tol`` is not read).  ``matrix(z)`` returns the
     entries (a11, a12, a21, a22) of A and then those of A_t = dA/dt on the
     panel points, each in the shape of ``z`` or broadcastable to it; what
     it raises ends the walk.  ``start`` holds (Phi(a), Psi(a)).
 
-    Returns, per end point, without a system the list of stage integrals
-    and with one the dense output (:class:`_PiecewiseChebyshev`) of the
-    rows (Phi1, Phi2, Psi1, Psi2) over the arclength [0, |b - a|]; or the
-    exception that ended that segment: :class:`QuadratureError` when a
-    panel at depth ``_MAX_DEPTH`` is still unresolved, the segment needs more than
-    ``_MAX_PANELS`` panels, a stage divides by zero at one of its points (a
-    pole exactly on the path) or a coefficient or solution value is not
-    finite, else whatever a stage raised there.  A failing segment never
-    stops the others.  A segment of zero length gives the stage integrals
-    at a without a system and a :class:`QuadratureError` with one."""
-    a = complex(a)
-    if system is None:
-        y0, start = None, [0j] * len(stages)
-    else:
-        matrix, y0 = system
-        y0, start = np.asarray(y0, dtype=complex), []
-    segments = [_Segment(a, complex(b), abs_tol, y0, start) for b in ends]
-    live = [seg for seg in segments if seg.stack]
-    while live:
-        rows: list[_Segment] = []
-        for seg in live:
-            seg.taken += 1
-            if seg.taken <= _MAX_PANELS:
-                rows.append(seg)
-            else:
-                seg.fail(QuadratureError(
-                    f"the panel walk needs more than {_MAX_PANELS} panels on [{a}, {seg.b}]"))
-        panels = [seg.stack.pop() for seg in rows]
-        if rows:
-            mids = [0.5 * (p + q) for p, q, _ in panels]
-            # One array per round holds, per row: mid, half-width and the
-            # running stage integrals.
-            state = np.array([(mid, 0.5 * (q - p), *seg.totals)
-                              for mid, (p, q, _), seg in zip(mids, panels, rows)])
-            half = state[:, 1:2]
-            z = state[:, :1] + half * _CHEB_NODES
-            sel = list(range(len(rows)))    # rows every test so far accepted
-            if system is not None:
-                ys = _collocate(matrix, z, state[:, 1], rows)
-                sel = [j for j in sel if ys[j] is not None]
-                for j in sel:
-                    seg = rows[j]
-                    seg.y = ys[j][:, -1]
-                    seg.coeffs.append(ys[j] @ _CHEB_TO_COEFFS.T)
-                    seg.edges.append(abs(panels[j][1] - a))
-            prior: list[np.ndarray] = []
-            integrals: list[np.ndarray] = []
-            for k, stage in enumerate(stages):
-                (vals, *passed), errors = _stage_rows(stage, z, prior)
-                applied = _panel_product(vals)
-                tails = _max_rows(np.abs(applied[:, :3])).tolist()
-                ok = [tail <= rows[j].tail_tol for j, tail in zip(sel, tails)]
-                if not all(ok):     # a nan tail fails both tests: bisect
-                    peaks = _max_rows(np.abs(vals)).tolist()
-                    ok = [keep or tail <= _ROUNDING_FLOOR * peak
-                          for keep, tail, peak in zip(ok, tails, peaks)]
-                for j, err in enumerate(errors or ()):
-                    if err is not None:
-                        ok[j] = False
-                        if isinstance(err, ZeroDivisionError):
-                            lo, hi = panels[sel[j]][:2]
-                            singular = QuadratureError(
-                                f"integrand is singular on the panel [{lo}, {hi}]")
-                            singular.__cause__ = err
-                            err = singular
-                        rows[sel[j]].fail(err)
-                if not all(ok):
-                    sel = [j for j, keep in zip(sel, ok) if keep]
-                    if not sel:
-                        break
-                    z, applied, half, state = z[ok], applied[ok], half[ok], state[ok]
-                    prior = [pr[ok] for pr in prior]
-                    passed = [v[ok] for v in passed]
-                    integrals = [it[ok] for it in integrals]
-                integrals.append(state[:, 2 + k:3 + k] + half * applied[:, 3:])
-                prior += [integrals[-1], *passed]
-            for j, *row in zip(sel, *(it[:, -1].tolist() for it in integrals)):
-                rows[j].totals = row
-            accepted = set(sel)
-            for j, seg in enumerate(rows):
-                if j in accepted or seg.result is not None:
-                    continue
-                lo, hi, depth = panels[j]
-                if depth >= _MAX_DEPTH:
-                    seg.fail(QuadratureError(
-                        f"the panel walk did not converge on [{lo}, {hi}]"))
-                else:
-                    seg.stack.append((mids[j], hi, depth + 1))
-                    seg.stack.append((lo, mids[j], depth + 1))
-        for seg in live:
-            if not seg.stack and seg.result is None:
-                seg.result = (seg.totals if system is None
-                              else _PiecewiseChebyshev(seg.edges, seg.coeffs))
-        live = [seg for seg in live if seg.stack]
-    return [seg.result for seg in segments]
-
-
-def _walk_all(*args, **kwargs) -> list:
-    """The results of :func:`_walk_panels`, one per end point; raises the
-    exception that ended the first segment that failed."""
-    got = _walk_panels(*args, **kwargs)
-    for res in got:
-        if isinstance(res, Exception):
-            raise res
-    return got
+    Returns without a system the list of stage integrals, built-in
+    ``complex``, and with one the dense output
+    (:class:`_PiecewiseChebyshev`) of the rows (Phi1, Phi2, Psi1, Psi2)
+    over the arclength [0, |b - a|].  Raises :class:`QuadratureError` when
+    a panel at depth ``_MAX_DEPTH`` is still unresolved, the walk needs
+    more than ``_MAX_PANELS`` panels, a stage divides by zero at one of its
+    points (a pole exactly on the path) or a coefficient or solution value
+    is not finite, else whatever a stage raised.  A segment of zero length
+    gives zero integrals without a system and raises
+    :class:`QuadratureError` with one."""
+    a, b = complex(a), complex(b)
+    if a == b:
+        if system is None:
+            return [0j] * len(stages)
+        raise QuadratureError(
+            f"a linear system is solved only on a segment of nonzero length, not [{a}, {b}]")
+    if system is not None:
+        matrix, y = system
+        y = np.asarray(y, dtype=complex)
+        edges, coeffs = [0.0], []
+    totals = [0j] * len(stages)
+    tail_tol = abs_tol / abs(b - a)
+    stack = [(a, b, 0)]
+    for _ in range(_MAX_PANELS):
+        p, q, depth = stack.pop()
+        mid, half = 0.5 * (p + q), 0.5 * (q - p)
+        z = mid + half * _CHEB_NODES
+        if system is None:
+            try:
+                got = _integrate_panel(stages, z, half, totals, tail_tol)
+            except ZeroDivisionError as exc:
+                raise QuadratureError(f"integrand is singular on the panel [{p}, {q}]") from exc
+            if got is not None:
+                totals = got
+        else:
+            got = _collocate(matrix, z, half, y)
+            if got is not None:
+                y = got[:, -1]
+                coeffs.append(got @ _CHEB_TO_COEFFS.T)
+                edges.append(abs(q - a))
+        if got is None:
+            if depth >= _MAX_DEPTH:
+                raise QuadratureError(f"the panel walk did not converge on [{p}, {q}]")
+            stack += [(mid, q, depth + 1), (p, mid, depth + 1)]
+        if not stack:
+            return totals if system is None else _PiecewiseChebyshev(edges, coeffs)
+    raise QuadratureError(f"the panel walk needs more than {_MAX_PANELS} panels on [{a}, {b}]")
 
 
 class _PiecewiseChebyshev:
@@ -1311,9 +1182,9 @@ def integrate_callable(fn: Callable[[complex], complex],
     pts = [complex(p) for p in points]
     if len(pts) < 2:
         raise ValueError("a path needs at least two waypoints")
-    stage = lambda z, prior: [[fn(w) for w in row] for row in z.tolist()]
+    stage = lambda z, prior: [fn(w) for w in z.tolist()]
     seg_tol = 1e-12 / (len(pts) - 1)
-    return sum((_walk_all((stage,), a, (b,), seg_tol)[0][0]
+    return sum((_walk_panels((stage,), a, b, seg_tol)[0]
                 for a, b in zip(pts, pts[1:])), 0j)
 
 

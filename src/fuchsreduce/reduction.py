@@ -19,9 +19,9 @@ with coefficients that no longer depend on the deformation parameter.
 This module recovers (g, P_i, f, h, R, M) numerically-symbolically from the
 scalar pair alone, R and M by one rule in which the case picks only M(t1)
 (:func:`decompose`), so pairs that differ by a gauge in t reduce alike.
-One object, :class:`ReducedEquation`, builds evaluable tau/gauge maps by
+One object, :class:`ReducedEquation`, builds the evaluable tau map by
 cumulative integration on adaptive Chebyshev panels, with one stage form
-(array samples of h, f E and G on rows of panel points), and forms P and Q
+(array samples of h and f E on the points of a panel), and forms P and Q
 by the chain rule:
 
     P = (tau_xx + (p1 + 2G) tau_x) / tau_x^2
@@ -381,11 +381,6 @@ def classify_case(dec: Decomposition) -> str:
 # ---------------------------------------------------------------------------
 # Change of variables and reduced equation
 
-# Segments per multi-segment integration.  A point's E and S do not depend
-# on its batch (``expr._panel_product``); the limit bounds the transient
-# arrays, which grow with the batch.
-_PREFETCH_BATCH = 128
-
 # The gates of phi^2 E and of (phi E)^2 against tau_x = 0, in that order.
 _DEN_P_MIN, _DEN_Q_MIN = 1e-14, 1e-20
 
@@ -394,14 +389,12 @@ class ReducedEquation:
     """The change of variables and the reduced equation w'' + P w' + Q w = 0
     of one decomposition and basepoint.
 
-    E = exp(int h), S = int f E (tau = t E + S) and the gauge exp(int G)
-    are integrated along the straight segment from the basepoint on
-    adaptive Chebyshev panels (``expr._walk_panels``), h and f sampled by
-    one kernel per panel point; when f vanishes S = 0, and when h
-    vanishes E = 1 exactly.  Values are built-in ``complex``, memoized per
-    point, and a point's E and S are the same bits whichever points share
-    its walk (:meth:`prefetch` or a memo miss).  A point whose walk fails
-    is not memoized, so asking for it again raises again.
+    E = exp(int h) and S = int f E (tau = t E + S) are integrated along the
+    straight segment from the basepoint on adaptive Chebyshev panels
+    (``expr._walk_panels``), h and f sampled by one kernel per panel
+    point; when f vanishes S = 0, and when h vanishes E = 1 exactly.
+    Values are built-in ``complex`` and memoized per point.  A point whose
+    walk fails is not memoized, so asking for it again raises again.
 
     P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h, from
     the decomposition's kernel of (phi, p_num, q_num): many points in one
@@ -418,7 +411,7 @@ class ReducedEquation:
     soon as the last reference to it goes.  For a completely integrable
     input P and Q depend on (x, t) only through tau."""
 
-    # Absolute tolerance of every E, S and gauge integral.
+    # Absolute tolerance of every E and S integral.
     quad_tol = 1e-13
 
     def __init__(self, dec: Decomposition, basepoint_x: complex):
@@ -427,7 +420,6 @@ class ReducedEquation:
         self.case_tag = classify_case(dec)
         self._hf_array = dec._hf_array
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
-        self._cache_gauge: dict[complex, complex] = {}
         # x -> (E(x), pre_x(x)) and t -> pre_t(t), filled by coefficients_at
         # on the stages (pre_x, pre_t, post) of the coefficient kernel's
         # compiled form, bound at its first call.
@@ -456,9 +448,6 @@ class ReducedEquation:
     def _f_rows(self, z, prior):
         return self._hf_array(z, 0j)[1]
 
-    def _G_rows(self, z, prior):
-        return self.dec._G_array(z, 0j)
-
     def _es_value(self, integrals: list[complex]) -> tuple[complex, complex]:
         # The stages of _es_stages: S is 0 when f vanishes, E is 1 when h
         # does, and neither has a stage then.
@@ -473,20 +462,8 @@ class ReducedEquation:
         got = self._cache_ES.get(x)
         if got is None:
             got = self._cache_ES[x] = self._es_value(
-                fe._walk_all(self._es_stages, self.basepoint_x, (x,), self.quad_tol)[0])
+                fe._walk_panels(self._es_stages, self.basepoint_x, x, self.quad_tol))
         return got
-
-    def prefetch(self, xs) -> None:
-        """Memoize E and S at all of ``xs`` by multi-segment integrations,
-        ``_PREFETCH_BATCH`` points at a time; points that fail stay
-        unmemoized."""
-        todo = list(dict.fromkeys(x for x in map(complex, xs) if x not in self._cache_ES))
-        for k in range(0, len(todo), _PREFETCH_BATCH):
-            batch = todo[k:k + _PREFETCH_BATCH]
-            for x, got in zip(batch, fe._walk_panels(self._es_stages, self.basepoint_x,
-                                                     batch, self.quad_tol)):
-                if not isinstance(got, Exception):
-                    self._cache_ES[x] = self._es_value(got)
 
     def E(self, x: complex) -> complex:
         """exp(int_{x0}^{x} h), normalized to 1 at the basepoint."""
@@ -495,15 +472,6 @@ class ReducedEquation:
     def S(self, x: complex) -> complex:
         """int_{x0}^{x} f exp(int h); the additive part of tau."""
         return self._ES(complex(x))[1]
-
-    def gauge(self, x: complex) -> complex:
-        """exp(int_{x0}^{x} G) with G = +R (first component) or -R (second)."""
-        x = complex(x)
-        got = self._cache_gauge.get(x)
-        if got is None:
-            (val,) = fe._walk_all((self._G_rows,), self.basepoint_x, (x,), self.quad_tol)[0]
-            got = self._cache_gauge[x] = cmath.exp(val)
-        return got
 
     def tau_at(self, x: complex, t: complex) -> complex:
         x = complex(x)

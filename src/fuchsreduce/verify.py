@@ -105,7 +105,6 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
     xs = entry.box_x.diagonal(9)
     ts = entry.box_t.diagonal(9)
     pts = [(xs[1], ts[5]), (xs[6], ts[2]), (xs[3], ts[7]), (xs[7], ts[1])]
-    red.prefetch([x for x, _ in pts])
     ours = [red.tau_at(x, t) for x, t in pts]
     paper = fe._values_at(cf, [x for x, _ in pts], [t for _, t in pts], {})
     if abs(ours[1] - ours[0]) < 1e-12:
@@ -359,7 +358,7 @@ def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
     u, v = _PHI0
     start = (u, v, b11 * u + b12 * v, b21 * u + b22 * v)
     a_dadt = systems.a_dadt_array
-    return fe._walk_all((), x0, (x1,), fe._ATOL, (lambda z: a_dadt(z, t), start))[0]
+    return fe._walk_panels((), x0, x1, fe._ATOL, (lambda z: a_dadt(z, t), start))
 
 
 def cross_validate(prep: Prepared) -> float:

@@ -787,7 +787,8 @@ class TestChebyshevPanels:
         # E and S at one point cost one pass of panels, not a quadrature of
         # E inside the integrand of S, and the one (h, f) kernel evaluates
         # each point of each panel taken once.  Counted: the points the
-        # kernel is called on, and the panels the walk takes.
+        # kernel is called on, and the panels the walk takes (the calls of
+        # its first stage, one per panel).
         from fuchsreduce import reduction
 
         p = prep(entry_id)
@@ -799,57 +800,39 @@ class TestChebyshevPanels:
             points[0] += np.size(z)
             return kernel(z, t)
 
-        segments = []
+        panels = [0]
+        stages = red._es_stages
 
-        class Recorded(fe._Segment):
-            def __init__(self, *args):
-                super().__init__(*args)
-                segments.append(self)
+        def first(z, prior):
+            panels[0] += 1
+            return stages[0](z, prior)
 
         red._hf_array = counted
-        monkeypatch.setattr(fe, "_Segment", Recorded)
+        monkeypatch.setattr(type(red), "_es_stages",
+                            property(lambda self: (first, *stages[1:])))
         x = complex(p.entry.box_x.re_lo, p.entry.box_x.im_hi)
         red.E(x)
         red.S(x)
-        (seg,) = segments
-        assert 0 < points[0] == seg.taken * len(fe._CHEB_NODES) <= 200
+        assert 0 < points[0] == panels[0] * len(fe._CHEB_NODES) <= 200
 
 
 def _scalar_stage(fn):
-    return lambda z, prior: [[fn(w) for w in row] for row in z.tolist()]
+    return lambda z, prior: [fn(w) for w in z.tolist()]
 
 
 class TestMultiSegmentPanels:
-    """The panel walker over many end points sharing one start."""
-
-    @pytest.mark.parametrize("entry_id", catalog.list_entries()
-                             + catalog.list_negative_entries())
-    def test_agrees_with_one_call_per_segment(self, prep, entry_id):
-        from fuchsreduce import reduction
-
-        p = prep(entry_id)
-        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
-        stages, x0 = (red._hf_rows, red._fE_rows), red.basepoint_x
-        rng = np.random.default_rng(64)
-        xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), 64)]
-        batched = fe._walk_panels(stages, x0, xs, red.quad_tol)
-        for x, got in zip(xs, batched):
-            want = fe._walk_all(stages, x0, (x,), red.quad_tol)[0]
-            assert len(got) == 2
-            assert repr(got) == repr(want)
+    """The panel walker over segments from one start, one walk each: a
+    walk that fails leaves the others as they are."""
 
     def test_later_stage_rejection_keeps_each_row_its_totals(self):
-        # The second stage bisects [0, 3] long after the first accepts its
-        # panels, while [0, 0.3] is accepted by both: the rows a later
-        # stage drops must drop the earlier stages' integrals too, or the
-        # second end is handed the first's integral of z (4.5, not 0.045).
+        # The second stage bisects [0, 3] long after the first would
+        # accept its panels: a panel a later stage rejects must not
+        # advance the earlier stage's total, or int_0^3 z is not 4.5.
         stages = (lambda z, prior: z, lambda z, prior: np.exp(6 * z) * np.cos(12 * z))
-        ends = [3.0, 0.3]
-        batched = fe._walk_panels(stages, 0.0, ends, 1e-12)
-        for b, got in zip(ends, batched):
-            (want,) = fe._walk_panels(stages, 0.0, [b], 1e-12)
-            assert got == pytest.approx(want, rel=1e-15)
-        assert batched[1][0] == pytest.approx(0.045, rel=1e-15)
+        got = fe._walk_panels(stages, 0.0, 3.0, 1e-12)
+        assert got[0] == pytest.approx(4.5, rel=1e-15)
+        assert got[1] == pytest.approx(fe._walk_panels(stages[1:], 0.0, 3.0, 1e-12)[0],
+                                       rel=1e-15)
 
     def test_pole_on_one_panel_point_fails_only_that_segment(self):
         from fuchsreduce import reduction
@@ -870,72 +853,70 @@ class TestMultiSegmentPanels:
         # The walk's first kernel call walks the tree, which raises at the
         # pole; the compiled kernel answers with its ZeroDivisionError.
         assert not dec._hf_array._walked
-        got = fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends, 1e-13)
-        assert isinstance(got[0], fe.QuadratureError)
-        assert isinstance(got[0].__cause__, ZeroDivisionError)
-        red.prefetch(ends)
-        assert set(red._cache_ES) == set(ends[1:])
-        single = reduction.build_reduced(dec, 1.0)
-        for x in ends[1:]:
-            assert red.E(x) == pytest.approx(single.E(x), rel=1e-15)
-            assert red.S(x) == pytest.approx(single.S(x), rel=1e-15)
         with pytest.raises(fe.QuadratureError) as info:
-            red.E(2.0)
+            fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends[0], 1e-13)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+        for x in ends[1:]:
+            e, s = fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, x, 1e-13)
+            assert (red.E(x), red.S(x)) == (cmath.exp(e), s)
+        with pytest.raises(fe.QuadratureError) as info:
+            red.E(ends[0])
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert set(red._cache_ES) == set(ends[1:])
 
     def test_depth_cap_applies_per_segment(self, monkeypatch):
         # Only [1, 2] passes 0.05 from the pole; [1, 1.2] resolves at once.
         stage = _scalar_stage(lambda z: 1 / (z - 1.5 - 0.05j))
-        want = fe._walk_all((stage,), 1.0, (1.2,), 1e-12)[0][0]
+        (want,) = fe._walk_panels((stage,), 1.0, 1.2, 1e-12)
         monkeypatch.setattr(fe, "_MAX_DEPTH", 2)
-        got = fe._walk_panels((stage,), 1.0, [2.0, 1.2], 1e-12)
-        assert isinstance(got[0], fe.QuadratureError)
-        assert "did not converge" in str(got[0])
-        assert got[1][0] == pytest.approx(want, rel=1e-15)
+        with pytest.raises(fe.QuadratureError, match="did not converge"):
+            fe._walk_panels((stage,), 1.0, 2.0, 1e-12)
+        assert fe._walk_panels((stage,), 1.0, 1.2, 1e-12) == [want]
 
     def test_panel_budget_applies_per_segment(self, monkeypatch):
-        stage = _scalar_stage(lambda z: cmath.exp(8 * z))
         ends = [1.0 + 0.1 * k for k in range(1, 9)]
         panels = [0] * len(ends)
         for k, b in enumerate(ends):
-            counted = _scalar_stage(lambda z: cmath.exp(8 * z))
+            counted = _scalar_stage(lambda z: cmath.cos(30 * z))
 
             def counting(z, prior, k=k, counted=counted):
-                panels[k] += len(z)
+                panels[k] += 1
                 return counted(z, prior)
 
-            fe._walk_panels((counting,), 1.0, [b], 1e-13)
-        # Each segment fits the budget alone, all of them together do not.
+            fe._walk_panels((counting,), 1.0, b, 1e-13)
+        # The budget is per walk: each segment fits it alone, all of them
+        # together would not.
         budget = max(panels)
-        assert sum(panels) > budget
+        assert sum(panels) > budget > min(panels)
+        stage = _scalar_stage(lambda z: cmath.cos(30 * z))
         monkeypatch.setattr(fe, "_MAX_PANELS", budget)
-        assert not any(isinstance(v, Exception)
-                       for v in fe._walk_panels((stage,), 1.0, ends, 1e-13))
+        for b in ends:
+            fe._walk_panels((stage,), 1.0, b, 1e-13)
         monkeypatch.setattr(fe, "_MAX_PANELS", budget - 1)
-        got = fe._walk_panels((stage,), 1.0, ends, 1e-13)
-        over = [isinstance(v, fe.QuadratureError) for v in got]
-        assert over == [n > budget - 1 for n in panels]
-        assert all("more than" in str(v) for v in got if isinstance(v, Exception))
+        for b, n in zip(ends, panels):
+            if n > budget - 1:
+                with pytest.raises(fe.QuadratureError, match="more than"):
+                    fe._walk_panels((stage,), 1.0, b, 1e-13)
+            else:
+                fe._walk_panels((stage,), 1.0, b, 1e-13)
 
     def test_stage_exception_class_is_kept(self):
-        # Not a division by zero: the stage's own error ends the segment.
+        # Not a division by zero: the stage's own error ends the walk.
         stage = _scalar_stage(lambda z: cmath.log(z - 1.5))
-        got = fe._walk_panels((stage,), 1.0, [2.0, 1.4], 1e-12)
-        assert isinstance(got[0], ValueError)
-        assert not isinstance(got[1], Exception)
         with pytest.raises(ValueError):
-            fe._walk_all((stage,), 1.0, (2.0,), 1e-12)
+            fe._walk_panels((stage,), 1.0, 2.0, 1e-12)
+        fe._walk_panels((stage,), 1.0, 1.4, 1e-12)
 
     def test_zero_length_segment(self):
-        # Without a system it gives the start values; with one it fails
-        # alone, as any segment the walker cannot solve.
+        # Without a system it gives zero integrals; with one it raises, as
+        # on any segment the walker cannot solve.
         stage = _scalar_stage(lambda z: z)
-        assert fe._walk_panels((stage,), 1.0, [1.0], 1e-12) == [[0j]]
+        assert fe._walk_panels((stage,), 1.0, 1.0, 1e-12) == [0j]
         constant = (lambda z: (0,) * 8, (1.0, 2.0, 0.5, -1.0))
-        got = fe._walk_panels((), 1.0, [1.0, 1.5], 1e-12, constant)
-        assert isinstance(got[0], fe.QuadratureError)
-        assert "nonzero length" in str(got[0])
-        assert got[1](0.5).tolist() == [1.0, 2.0, 0.5, -1.0]
+        with pytest.raises(fe.QuadratureError, match="nonzero length"):
+            fe._walk_panels((), 1.0, 1.0, 1e-12, constant)
+        got = fe._walk_panels((), 1.0, 1.5, 1e-12, constant)
+        assert got(0.5).tolist() == [1.0, 2.0, 0.5, -1.0]
 
 
 class TestNumericallyZero:

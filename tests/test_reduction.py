@@ -315,7 +315,7 @@ class TestTauMap:
 
 def _two_kernel_stages(dec):
     """The E/S stages of separate h and f kernels: the h stage samples h,
-    and the f E stage samples f again on the rows the h stage accepted;
+    and the f E stage samples f again on the panels the h stage accepted;
     when h vanishes, the one stage f."""
     h = fe.Kernel(dec.h)
     f = fe.Kernel(dec.f)
@@ -355,18 +355,11 @@ class TestOnePassStages:
         rng = np.random.default_rng(24)
         xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), 64)]
         x0, tol = red.basepoint_x, red.quad_tol
-
-        def bits(results):
-            return [[repr(v) for v in got] for got in results]
-
-        one = fe._walk_all(red._es_stages, x0, xs[:1], tol)
-        assert bits(one) == bits(fe._walk_all(reference, x0, xs[:1], tol))
-        batch = fe._walk_panels(red._es_stages, x0, xs, tol)
-        want = fe._walk_panels(reference, x0, xs, tol)
-        assert bits(batch) == bits(want)
-        red.prefetch(xs)
-        for x, integrals in zip(xs, want):
-            assert (red.E(x), red.S(x)) == _E_and_S(red.dec, integrals)
+        for x in xs:
+            want = fe._walk_panels(reference, x0, x, tol)
+            got = fe._walk_panels(red._es_stages, x0, x, tol)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+            assert (red.E(x), red.S(x)) == _E_and_S(red.dec, want)
 
     @pytest.mark.parametrize("entry_id", ["PII.y0", "PII.y_inv_t"])
     def test_vanishing_h_walks_f_alone(self, prep, entry_id):
@@ -377,8 +370,8 @@ class TestOnePassStages:
         assert red._es_stages == (red._f_rows,)
         x = 1.9 + 0.1j
         assert red.E(x) == 1
-        (s,) = fe._walk_all(_two_kernel_stages(red.dec), red.basepoint_x, (x,),
-                            red.quad_tol)[0]
+        (s,) = fe._walk_panels(_two_kernel_stages(red.dec), red.basepoint_x, x,
+                               red.quad_tol)
         assert repr(red.S(x)) == repr(s)
 
     def test_a_fallback_of_f_takes_h_from_the_scalar_form(self):
@@ -410,104 +403,46 @@ class TestOnePassStages:
         assert np.abs(got_h - h_own).max() <= 2e-16 * np.abs(h_own).max()
 
         red = reduction.build_reduced(dec, 1.0)
-        ends = [2.0 + 0.1j, 1.5 - 0.2j]
-        got = fe._walk_panels(red._es_stages, 1.0, ends, red.quad_tol)
-        want = fe._walk_panels(_two_kernel_stages(dec), 1.0, ends, red.quad_tol)
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, rel=1e-14, abs=0)
+        for b in (2.0 + 0.1j, 1.5 - 0.2j):
+            got = fe._walk_panels(red._es_stages, 1.0, b, red.quad_tol)
+            want = fe._walk_panels(_two_kernel_stages(dec), 1.0, b, red.quad_tol)
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
-class _ProductRows(np.ndarray):
-    """``expr._CHEB_APPLY`` viewed so that every product with it records
-    the row count of its left operand."""
-
-    rows: list
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            self.rows.append(inputs[0].shape[0])
-        return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
-
-
-class TestBatchIndependence:
-    """A point's E, S and gauge bits do not depend on the points it is
-    walked with: walked alone, in batches of any size or in reverse order,
-    prefetched or not.  (The one exception, a batch of a stage kernel that
-    falls back to scalar values in ``expr.Kernel.__call__``, meets no
-    shipped entry on these points.)"""
-
-    SIZES = (2, 63, 64, 65, 128, 200)
-
-    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
-    def test_same_bits_in_any_batch(self, prep, entry_id):
-        p = prep(entry_id)
-        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
-        rng = np.random.default_rng(30)
-        xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), max(self.SIZES))]
-        x0, tol = red.basepoint_x, red.quad_tol
-
-        def bits(stages, points, size):
-            out = {}
-            for k in range(0, len(points), size):
-                batch = points[k:k + size]
-                for x, got in zip(batch, fe._walk_panels(stages, x0, batch, tol)):
-                    out[x] = repr(got)
-            return out
-
-        for stages in (red._es_stages, (red._G_rows,)):
-            alone = bits(stages, xs, 1)
-            for size in self.SIZES:
-                assert bits(stages, xs, size) == alone, size
-            assert bits(stages, xs[::-1], len(xs)) == alone
-        single = reduction.build_reduced(red.dec, x0)
-        red.prefetch(xs)
-        assert len(red._cache_ES) == len(xs)
-        for x in xs:
-            assert repr(red.E(x)) == repr(single.E(x))
-            assert repr(red.S(x)) == repr(single.S(x))
-
-    def test_panel_product_blocks(self, prep, monkeypatch):
-        # No product of the walk has one row (BLAS's matrix-vector kernel)
-        # or more than 64 (which OpenBLAS may thread).
-        p = prep("PIII.y1")
-        red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
-        apply = fe._CHEB_APPLY.view(_ProductRows)
-        apply.rows = []
-        monkeypatch.setattr(fe, "_CHEB_APPLY", apply)
-        xs = [complex(1.2 + 0.005 * k, 0.1) for k in range(200)]
-        red.prefetch(xs)
-        red.E(2.45 - 0.1j)
-        red.gauge(2.45 - 0.1j)
-        assert apply.rows and min(apply.rows) >= 2 and max(apply.rows) <= 64
-        assert max(apply.rows) == 64
+def gauge_at(dec, x0, x):
+    """exp(int_{x0}^{x} G), G the decomposition's gauge exponent, by one
+    panel walk."""
+    stage = lambda z, prior: dec._G_array(z, 0j)
+    (val,) = fe._walk_panels((stage,), x0, x, reduction.ReducedEquation.quad_tol)
+    return cmath.exp(val)
 
 
 class TestGauge:
     def test_flat_entry_gauge_is_one(self):
         sp, dec, entry = decomposition_for("PII.y0")
         for x in (1.2, 1.8, 2.4):
-            got = reduction.build_reduced(dec, entry.basepoint_x).gauge(x)
+            got = gauge_at(dec, entry.basepoint_x, x)
             assert got == pytest.approx(1.0)
 
     def test_inverse_sqrt_gauge(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
-        got = reduction.build_reduced(dec, 1.0).gauge(4.0)
+        got = gauge_at(dec, 1.0, 4.0)
         assert got == pytest.approx(0.5, abs=1e-10)
 
     def test_piii_gauge_against_quadrature_oracle(self):
         # Quadrature of the closed form R = 3/(4x) - 2/(x-1) at theta = 5/2:
         # exp(int R) = x^(3/4) (x-1)^(-2), normalized at the basepoint.
         sp, dec, entry = decomposition_for("PIII.y1")
-        got = reduction.build_reduced(dec, 2.0).gauge(4.0)
+        got = gauge_at(dec, 2.0, 4.0)
         formula = lambda x: x ** 0.75 * (x - 1) ** (-2.0)
         assert got == pytest.approx(formula(4.0) / formula(2.0), rel=1e-10)
 
     def test_second_component_flips_sign(self):
         sp, dec, _ = decomposition_for("PIV.y_m2t")
-        up = reduction.build_reduced(dataclasses.replace(
-            dec, sp=dataclasses.replace(dec.sp, component="first")), 1.0).gauge(4.0)
-        dn = reduction.build_reduced(dataclasses.replace(
-            dec, sp=dataclasses.replace(dec.sp, component="second")), 1.0).gauge(4.0)
+        up = gauge_at(dataclasses.replace(
+            dec, sp=dataclasses.replace(dec.sp, component="first")), 1.0, 4.0)
+        dn = gauge_at(dataclasses.replace(
+            dec, sp=dataclasses.replace(dec.sp, component="second")), 1.0, 4.0)
         assert up * dn == pytest.approx(1.0, abs=1e-10)
 
 
@@ -518,12 +453,15 @@ class TestBuiltinComplexValues:
 
         sp, dec, entry = decomposition_for(entry_id)
         red = reduction.build_reduced(dec, entry.basepoint_x)
+        f = fe.compile_expr(dec.f)
         for x in (entry.basepoint_x, np.complex128(1.7 + 0.1j), 2.2):
             t = np.complex128(0.9)
-            values = [red.E(x), red.S(x), red.gauge(x),
-                      red.tau_at(x, t), red.solve_t(x, 1.3),
+            # Not numpy's complex128, whose arithmetic rounds differently
+            # from Python's downstream: the walk's integrals too.
+            values = [*fe._walk_panels(red._es_stages, entry.basepoint_x, x, red.quad_tol),
+                      red.E(x), red.S(x), red.tau_at(x, t), red.solve_t(x, 1.3),
                       reduction.build_reduced(dec, entry.basepoint_x).tau_at(x, t),
-                      reduction.build_reduced(dec, entry.basepoint_x).gauge(x)]
+                      fe.integrate_callable(lambda z: f(z, 0j), [entry.basepoint_x, x])]
             assert all(type(v) is complex for v in values)
 
 
@@ -677,7 +615,8 @@ class TestBasepointCovariance:
         assert t1[2] == pytest.approx(c * t0[2] + d, abs=1e-9)
         assert t1[3] == pytest.approx(c * t0[3] + d, abs=1e-9)
         # gauge rescales by a constant between basepoints
-        g_ratio = [red1.gauge(x) / red0.gauge(x) for x, _ in pts[:2]]
+        x0 = entry.basepoint_x
+        g_ratio = [gauge_at(dec, x0 + 0.3, x) / gauge_at(dec, x0, x) for x, _ in pts[:2]]
         assert g_ratio[0] == pytest.approx(g_ratio[1], rel=1e-9)
 
 

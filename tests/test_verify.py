@@ -15,6 +15,7 @@ from fuchsreduce.config import FRAME_TOL, Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.targets import ClassicalTarget
 from test_metamorphic import GAUGES, MATRIX_IDS, gauged
+from test_reduction import gauge_at
 
 ALL_IDS = catalog.list_entries()
 
@@ -383,7 +384,7 @@ def _walk_matrix(a, t):
 
 def _walk(a, t, x0, x1, start):
     """The dense output (Phi1, Phi2, Psi1, Psi2) of one system walk."""
-    return fe._walk_all((), x0, (x1,), fe._ATOL, (_walk_matrix(a, t), start))[0]
+    return fe._walk_panels((), x0, x1, fe._ATOL, (_walk_matrix(a, t), start))
 
 
 def _stage_leg(p):
@@ -678,9 +679,8 @@ class TestCrossValidate:
         obs = 0 if p.entry.component == "first" else 1
         ss = np.linspace(0.05, leg.edges[-1] - 0.05, 80)
         xs = 1.0 + ss
-        p.red.prefetch(xs)
         taus = np.array([p.frame_a * p.red.tau_at(x, t) + p.frame_b for x in xs])
-        ws = leg(ss)[obs] / np.array([p.red.gauge(x) for x in xs])
+        ws = leg(ss)[obs] / np.array([gauge_at(p.red.dec, p.red.basepoint_x, x) for x in xs])
         basis = np.column_stack([np.exp(taus), np.exp(-taus)])
         coef, *_ = np.linalg.lstsq(basis, ws, rcond=None)
         resid = np.max(np.abs(basis @ coef - ws)) / np.max(np.abs(ws))

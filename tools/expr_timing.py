@@ -1,4 +1,4 @@
-"""Time the expression walks and ``differentiate`` on the pipeline's DAGs.
+"""Time the expression walks, ``differentiate`` and the E/S panel walks.
 
 The DAGs are, for each of the 8 positive catalog entries at their default
 parameters, the three expressions (phi, p_num, q_num) of the kernel of the
@@ -12,7 +12,10 @@ times; the minimum is the reading, the median and maximum show its spread:
   at 201 joint probes;
 * ``one-point``: the 12 list points walked one at a time, each on its own
   memo (``expr.evaluate``'s walk);
-* ``differentiate``: the derivatives of the three DAGs in x and in t.
+* ``differentiate``: the derivatives of the three DAGs in x and in t;
+* ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
+  the entry's x box, one panel walk per x from the basepoint, on a fresh
+  reduced equation (so no memo hit) whose (h, f) kernel is compiled.
 
 Run it from any directory:
 
@@ -33,6 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 LIST_POINTS = 12
+WALK_POINTS = 32
 ARRAY_POINTS = 201
 REPEAT = 30
 
@@ -43,6 +47,7 @@ def readings() -> tuple[int, dict[str, list[float]]]:
     from fuchsreduce import expr as fe
 
     cases = []
+    walks = []
     for entry_id in catalog.list_entries():
         entry = catalog.lookup(entry_id)
         dags = entry.decomposition._coeff_array.expr
@@ -50,6 +55,8 @@ def readings() -> tuple[int, dict[str, list[float]]]:
         grid = reduction.joint_probes(entry.box_x, entry.box_t, ARRAY_POINTS)
         cases.append((dags, [p.x for p in points], [p.t for p in points],
                       np.array([p.x for p in grid]), np.array([p.t for p in grid])))
+        walks.append((entry.decomposition, entry.basepoint_x,
+                      entry.box_x.diagonal(WALK_POINTS)))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
 
     def walk_list():
@@ -78,10 +85,17 @@ def readings() -> tuple[int, dict[str, list[float]]]:
                 fe.differentiate(e, "x")
                 fe.differentiate(e, "t")
 
+    def walk_es():
+        for dec, x0, xs in walks:
+            red = reduction.build_reduced(dec, x0)
+            for x in xs:
+                red._ES(x)
+
     jobs = {f"list ({LIST_POINTS} points)": walk_list,
             f"array ({ARRAY_POINTS} points)": walk_array,
             f"one-point (x{LIST_POINTS})": walk_points,
-            "differentiate (x, t)": derive}
+            "differentiate (x, t)": derive,
+            f"walk (x{WALK_POINTS})": walk_es}
     times: dict[str, list[float]] = {name: [] for name in jobs}
     for job in jobs.values():
         job()   # warm-up
