@@ -155,9 +155,11 @@ class CatalogEntry:
     already holds.  ``singular_x`` and ``singular_t`` list the points every
     probe, path and grid must avoid (poles of entries plus zeros of the
     off-diagonal entries used for scalarization).  ``certified`` records,
-    by stage name, the outcomes of the at most 3 report stages that do not
-    depend on the probe seed (see :func:`verify.full_report`): a stage runs
-    until it first succeeds, and a run that raises records nothing.
+    by stage name, the outcomes of the at most 4 report stages that do not
+    depend on the probe seed (see :func:`verify.full_report`): the Frobenius
+    grid, the frame fit, E and S at x0 (the t-independence stage's walk)
+    and cross-validation.  A stage runs until it first succeeds, and a run
+    that raises records nothing.
     ``dataclasses.replace`` and :meth:`with_boxes` copies start with an
     empty record."""
 

@@ -868,9 +868,10 @@ class Kernel:
     all finite) is answered by the compiled path.
 
     :meth:`at` calls the compiled form at a list of points, ``_compiled()``
-    returns its stages, and ``kernel(x, t)`` is its array form.  A kernel
-    holds no reference to itself.  A first call racing another may walk
-    or compile twice, with the same result."""
+    returns its stages, ``kernel(x, t)`` is its array form and
+    :meth:`on_x` the array form on a line x = const, whose x-stage runs
+    once.  A kernel holds no reference to itself.  A first call racing
+    another may walk or compile twice, with the same result."""
 
     __slots__ = ("expr", "_walked", "_fn", "_vec")
 
@@ -878,7 +879,7 @@ class Kernel:
         self.expr = e
         self._walked = False
         self._fn: _Staged | None = None     # compile_expr(e), once compiled
-        self._vec: _Staged | None = None    # its stages on _ARRAY_GLOBALS
+        self._vec: tuple | None = None      # its stages on _ARRAY_GLOBALS
 
     def _walks(self) -> bool:
         """Whether this call walks: only the first, and only if nothing has
@@ -904,6 +905,12 @@ class Kernel:
         cols = [_probe_values(e, xs, ts, memo, array) for e in self.expr]
         return tuple(cols) if array else list(zip(*cols))
 
+    def _points(self, xs: list, ts: list) -> list:
+        """The compiled form at each point in turn, its stages bound once:
+        calling the ``_Staged`` tuple unpacks a tuple subclass per point."""
+        pre_x, pre_t, post = self._compiled()
+        return [post(x, t, pre_x(x), pre_t(t)) for x, t in zip(xs, ts)]
+
     def at(self, xs: Sequence[complex], ts: Sequence[complex]) -> list:
         """The values at the points ``(xs[k], ts[k])``, in order: per point
         what ``compile_expr(e)(x, t)`` returns, and the exception it raises
@@ -915,8 +922,7 @@ class Kernel:
                 return self._walk(xs, ts)
             except _SAMPLE_ERRORS:
                 pass    # the compiled path answers, with its own exception
-        fn = self._compiled()
-        return [fn(x, t) for x, t in zip(xs, ts)]
+        return self._points(xs, ts)
 
     def __call__(self, x, t):
         """The array form: the values at numpy arrays of points.
@@ -928,19 +934,44 @@ class Kernel:
         the compiled scalar function, point by point, so it ends in the
         scalar values or in the exception that function raises at the first
         bad point."""
-        x = np.asarray(x, dtype=complex)
+        return self._array(np.asarray(x, dtype=complex), t)
+
+    def on_x(self, x: complex) -> Callable[[object], object]:
+        """The array form on the line through the one point x: ``g(t)`` is
+        ``self([x], t)``, with its values, bit for bit, and its fallback.
+
+        ``g`` holds the x-stage.  The kernel walks or compiles as every
+        call of it does; once it runs compiled code, the first call of
+        ``g`` runs the x-stage at x, keeps its values unless it raises, and
+        every later call runs only the t-stage and the (x, t)-stage.  ``g``
+        holds the kernel and no reference to itself."""
+        x = np.array([complex(x)])
+        held: list = []
+
+        def x_stage(pre_x):
+            if not held:
+                held.append(pre_x(x))
+            return held[0]
+
+        return functools.partial(self._array, x, x_stage=x_stage)
+
+    def _array(self, x: np.ndarray, t, x_stage=None):
+        """:meth:`__call__` at the array ``x``, with the x-stage from
+        ``x_stage(pre_x)`` when it is given (:meth:`on_x`)."""
         t = np.asarray(t, dtype=complex)
         shape = np.broadcast_shapes(x.shape, t.shape)
         vec = self._vec
-        if vec is None:
-            if self._walks():
-                vec = functools.partial(self._walk, array=True)
-            else:
-                vec = self._vec = _Staged(types.FunctionType(stage.__code__, _ARRAY_GLOBALS)
-                                          for stage in self._compiled())
+        if vec is None and not self._walks():
+            vec = self._vec = tuple(types.FunctionType(stage.__code__, _ARRAY_GLOBALS)
+                                    for stage in self._compiled())
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                out = vec(x, t)
+                if vec is None:
+                    out = self._walk(x, t, array=True)
+                else:
+                    pre_x, pre_t, post = vec
+                    xv = pre_x(x) if x_stage is None else x_stage(pre_x)
+                    out = post(x, t, xv, pre_t(t))
             parts = [v if np.shape(v) == shape
                      else np.broadcast_to(np.asarray(v, dtype=complex), shape)
                      for v in (out if isinstance(out, tuple) else (out,))]
@@ -950,9 +981,8 @@ class Kernel:
             pass
         # The batch raised or is not finite: on the compiled code, or on the
         # walk, which applies the same numpy operations and so fails alike.
-        fn = self._compiled()
         xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
-        rows = np.array([fn(xi, ti) for xi, ti in zip(xs, ts)], dtype=complex)
+        rows = np.array(self._points(xs, ts), dtype=complex)
         if rows.ndim == 1:
             return rows.reshape(shape)
         return tuple(col.reshape(shape) for col in rows.T)

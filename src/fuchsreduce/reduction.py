@@ -122,9 +122,11 @@ class Decomposition:
     another f, h or M measures its own, and so does the reading of the
     invariance identities, :attr:`invariance`.  The other underscored
     cached properties are the kernels of (h, f), of G and of (phi, p_num,
-    q_num), phi = f + t h (see :class:`ReducedEquation`), built on first
-    use and kept for the life of the decomposition.  ``dataclasses.replace``
-    starts without any cached property."""
+    q_num), phi = f + t h (see :class:`ReducedEquation`), and the last on
+    the line x = x0, the centre of the x box (``expr.Kernel.on_x``), which
+    holds the one x-stage at x0; each is built on first use and kept for
+    the life of the decomposition.  ``dataclasses.replace`` starts without
+    any cached property."""
 
     f: Expr
     h: Expr
@@ -217,6 +219,10 @@ class Decomposition:
                 readings.append(np.abs(identity) / np.maximum(1.0, np.abs(a)))
         # np.max, unlike max, keeps a NaN.
         return float(np.max(readings))
+
+    @cached_property
+    def _coeff_x0(self):
+        return self._coeff_array.on_x(self.box_x.center)
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
@@ -397,9 +403,10 @@ class ReducedEquation:
     walk fails is not memoized, so asking for it again raises again.
 
     P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h, from
-    the decomposition's kernel of (phi, p_num, q_num): many points in one
-    array call (:meth:`coefficients_batch`), or one point on the stages of
-    its compiled form (:meth:`coefficients_at`), which agree to rounding.
+    the decomposition's kernel of (phi, p_num, q_num): many t at the centre
+    x0 of the x box in one array call (:meth:`coefficients_at_x0`), or one
+    point on the stages of its compiled form (:meth:`coefficients_at`),
+    which agree to rounding.
     The gates on phi^2 E and (phi E)^2 are the one rule for a degenerate
     point, where tau_x = phi E vanishes; a point where the kernel itself
     raises is rejected by the kernel's own exception
@@ -516,29 +523,30 @@ class ReducedEquation:
             raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
         return p_num / den_p, q_num / den_q
 
-    def coefficients_batch(self, xs: Sequence[complex], ts: Sequence[complex]) -> list:
-        """Per point ``(xs[k], ts[k])``, in order, (P, Q) or the exception
-        that rejects it, from one call of the array kernel of (phi, p_num,
-        q_num) (``Decomposition._coeff_array``) and the gates of
-        :meth:`coefficients_at`.  When the batch raises, each point runs
-        alone, so a singular point rejects only itself.  The values are
-        :meth:`coefficients_at`'s up to the rounding of numpy's array
-        arithmetic, and a point's do not depend on the batch it is in.
-        Memoizes nothing but E and S."""
-        xs, ts = [complex(x) for x in xs], [complex(t) for t in ts]
+    def coefficients_at_x0(self, ts: Sequence[complex], e0: complex) -> list:
+        """Per t in ``ts``, in order, (P, Q) at (x0, t) or the exception
+        that rejects it, where x0 is the centre of the decomposition's x box
+        and ``e0`` is E(x0) (the caller may hold it from an earlier walk).
+        The coefficients come from one call of the coefficient kernel on the
+        line x = x0 (``Decomposition._coeff_x0``, whose x-stage at x0 runs
+        once per decomposition), the gates from :meth:`coefficients_at`.
+        When the call raises, each t runs alone, so a singular point rejects
+        only itself.  The values are :meth:`coefficients_at`'s up to the
+        rounding of numpy's array arithmetic, and a point's do not depend on
+        the other t.  Memoizes nothing."""
+        x0 = self.dec.box_x.center
+        t_arr = np.array(ts, dtype=complex)
+        ts = t_arr.tolist()
         try:
-            es = [self.E(x) for x in xs]
-            cols = self.dec._coeff_array(np.array(xs, dtype=complex),
-                                         np.array(ts, dtype=complex))
+            cols = self.dec._coeff_x0(t_arr)
         except fe._SAMPLE_ERRORS as exc:
-            if len(xs) == 1:
+            if len(ts) == 1:
                 return [exc]
-            return [got for k in range(len(xs))
-                    for got in self.coefficients_batch(xs[k:k + 1], ts[k:k + 1])]
+            return [got for t in ts for got in self.coefficients_at_x0([t], e0)]
         out: list = []
-        for x, t, e, ph, p_num, q_num in zip(xs, ts, es, *(c.tolist() for c in cols)):
+        for t, ph, p_num, q_num in zip(ts, *(c.tolist() for c in cols)):
             try:
-                out.append(_reduced(x, t, ph, p_num, q_num, e))
+                out.append(_reduced(x0, t, ph, p_num, q_num, e0))
             except fe._SAMPLE_ERRORS as exc:
                 out.append(exc)
         return out

@@ -18,10 +18,13 @@ tau; the quadrature-defined tau differs from it by an affine map (a, b)
 which is fitted from two points and checked on two more, so basepoint
 choices never affect pass/fail or matched parameters.
 
-The Frobenius grid, the frame fit and cross-validation depend on the entry
+The Frobenius grid, the frame fit, the walk of E and S to x0 (the centre of
+the x box, where the samples sit) and cross-validation depend on the entry
 alone, so each runs once per entry (``CatalogEntry.certified``), and the
-identity reading once per decomposition; the flow stage and the samples
-that match reads draw their points from the seed and run on every report.
+identity reading and the coefficient kernel's x-stage at x0 once per
+decomposition.  The flow stage and the t of the samples that match reads
+are drawn from the seed, and a warm report runs only what depends on them:
+no panel walk and no compile.
 """
 
 from __future__ import annotations
@@ -175,21 +178,33 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
     depend on tau alone, and ``n_points`` samples (tau, P, Q) for match, in
     the quadrature frame.  Once P and Q depend on tau alone, one x sees the
     whole reduced equation: at x0, the centre of the x box, tau = E(x0) t +
-    S(x0) is affine in t.  The t are drawn from ``seed`` in the t box, in
-    order, skipping those within 0.15 of a singular t; E and S at x0 take
-    one walk, and the draws' coefficients one ``coefficients_batch`` call.
+    S(x0) is affine in t.  E and S at x0 take one walk, run once per entry
+    at the entry's own basepoint (:func:`_once`) and on every call at any
+    other, or for a reduced equation on another decomposition.  The t are
+    drawn from ``seed`` in the t box, in order, skipping those within 0.15
+    of a singular t, and their coefficients come from one
+    ``coefficients_at_x0`` call, whose x-stage at x0 runs once per
+    decomposition; so a warm report runs only what depends on the seed.
     A point that raises one of ``expr._SAMPLE_ERRORS`` is replaced by the
-    next draw.  Raises :class:`VerifyError` when the walk to x0 fails or
-    ``_DRAWS_PER_SAMPLE * n_points`` draws place fewer samples, and
-    ValueError for ``n_points < 1``, which would give match nothing."""
+    next draw.  Raises :class:`VerifyError` when the walk to x0 fails (on
+    every call: a failed walk records nothing) or ``_DRAWS_PER_SAMPLE *
+    n_points`` draws place fewer samples, and ValueError for ``n_points <
+    1``, which would give match nothing."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     entry, red = prep.entry, prep.red
     x0 = entry.box_x.center
-    try:
-        red.E(x0)
-    except fe._SAMPLE_ERRORS as exc:
-        raise VerifyError(f"the E/S walk to x0 = {x0:.6g} failed: {exc}") from exc
+
+    def walk() -> tuple[complex, complex]:
+        try:
+            return red.E(x0), red.S(x0)
+        except fe._SAMPLE_ERRORS as exc:
+            raise VerifyError(f"the E/S walk to x0 = {x0:.6g} failed: {exc}") from exc
+
+    if red.dec is entry.decomposition and red.basepoint_x == entry.basepoint_x:
+        e0, s0 = _once(entry, "x0", walk)
+    else:
+        e0, s0 = walk()
     rng = np.random.default_rng(seed)
     budget = _DRAWS_PER_SAMPLE * n_points
     drawn = 0
@@ -200,9 +215,9 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
         ts = [t for (t,) in cat.random_points(rng, (entry.box_t,), m)
               if all(abs(t - s) >= 0.15 for s in entry.singular_t)]
         if ts:
-            for t, got in zip(ts, red.coefficients_batch([x0] * len(ts), ts)):
+            for t, got in zip(ts, red.coefficients_at_x0(ts, e0)):
                 if not isinstance(got, Exception):
-                    samples.append((red.tau_at(x0, t), *got))
+                    samples.append((t * e0 + s0, *got))
     if len(samples) < n_points:
         raise VerifyError(
             f"could only place {len(samples)}/{n_points} samples at x0 = {x0:.6g} "
@@ -266,7 +281,8 @@ def match_classical(samples: Sequence[tuple[complex, complex, complex]],
     if len(uniq) < 8:
         raise MatchError("need at least 8 distinct tau values")
     tau_scale = max(abs(t) for t in taus)
-    spread = max(abs(t - sum(uniq) / len(uniq)) for t in uniq)
+    mean = sum(uniq) / len(uniq)
+    spread = max(abs(t - mean) for t in uniq)
     if spread < 1e-3 * (1 + tau_scale):
         raise MatchError("tau samples are too clustered for a stable fit")
     if min(abs(t) for t in taus) < 1e-9:
@@ -507,7 +523,8 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
     """Run every stage for one entry, on the config's boxes (applied once, by
     :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised.
-    The Frobenius and cross-validation stages run once per entry
+    The Frobenius and cross-validation stages, and the t-independence
+    stage's walk to x0 at the entry's basepoint, run once per entry
     (:func:`_once`)."""
     entry = cat.lookup(entry_id, overrides).with_boxes(config)
     seed = config.entry_seed(entry.id)

@@ -105,35 +105,104 @@ class TestKernelLifetime:
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_coefficient_kernel_tiers(self, monkeypatch, entry_id):
         # On a fresh copy of a default entry, served as the entry by
-        # lookup: each report calls the coefficient kernel once; the first
-        # walks it, the second compiles it and the third compiles nothing.
-        # The three reports are byte-identical.
+        # lookup: each report calls the coefficient kernel once, on the line
+        # x = x0 with its 32 drawn t; the first walks it, the second
+        # compiles it and runs its x-stage at x0, and the third compiles
+        # nothing and runs no x-stage.  The three reports are byte-identical.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
         dec = entry.decomposition
-        calls, compiled = [], []
-        real_call, real_compile = fe.Kernel.__call__, fe.compile_expr
+        calls, compiled, x_stages = [], [], []
+        real_array, real_compile = fe.Kernel._array, fe.compile_expr
 
-        def recording_call(kernel, x, t):
-            if kernel is dec._coeff_array:
-                calls.append(np.shape(x))
-            return real_call(kernel, x, t)
+        def recording_array(kernel, x, t, x_stage=None):
+            if kernel is not dec._coeff_array:
+                return real_array(kernel, x, t, x_stage)
+            calls.append((np.shape(x), np.shape(t), x_stage is not None))
+
+            def counted_x_stage(pre_x):
+                def counted(x):
+                    x_stages.append(len(calls))
+                    return pre_x(x)
+                return x_stage(counted)
+
+            return real_array(kernel, x, t, counted_x_stage)
 
         def recording_compile(e):
             compiled.append(e)
             return real_compile(e)
 
-        monkeypatch.setattr(fe.Kernel, "__call__", recording_call)
+        monkeypatch.setattr(fe.Kernel, "_array", recording_array)
         monkeypatch.setattr(fe, "compile_expr", recording_compile)
         reports, tiers = [], []
         for _ in range(3):
             count = len(compiled)
             reports.append(json.dumps(verify.full_report(entry_id).to_json()))
             tiers.append(dec._coeff_array.expr in compiled[count:])
-        assert calls == [(32,)] * 3
+        assert calls == [((1,), (32,), True)] * 3
         assert tiers == [False, True, False]
+        assert x_stages == [2]
         assert len(set(reports)) == 1
         assert "_coeff_parts" not in dec.__dict__
+
+    @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
+    def test_warm_report_walks_and_compiles_nothing(self, monkeypatch, entry_id):
+        # On a fresh copy of a default entry, served as the entry by
+        # lookup: after two reports, a report at a new seed reads E and S at
+        # x0 from the entry's record and runs the x-stage the decomposition
+        # holds, so it makes no panel walk and compiles nothing.  It is the
+        # report of a fresh entry at that seed.
+        params = dict(catalog.lookup(entry_id).params_exact)
+        entry = catalog.lookup(entry_id, params)
+        monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
+        for seed in (42, 7):
+            verify.full_report(entry_id, Config(seed=seed))
+        walks, compiled = [], []
+        real_walk, real_compile = fe._walk_panels, fe.compile_expr
+        monkeypatch.setattr(fe, "_walk_panels", lambda *a: walks.append(a[1:3])
+                            or real_walk(*a))
+        monkeypatch.setattr(fe, "compile_expr", lambda e: compiled.append(e)
+                            or real_compile(e))
+        warm = json.dumps(verify.full_report(entry_id, Config(seed=1)).to_json())
+        assert (walks, compiled) == ([], [])
+        monkeypatch.undo()
+        fresh = verify.full_report(entry_id, Config(seed=1), overrides=params)
+        assert warm == json.dumps(fresh.to_json())
+
+    @pytest.mark.parametrize("config", [Config(box_x=(1.2, 2.4, -0.1, 0.1)),
+                                        Config(basepoint=1.7)], ids=["box", "basepoint"])
+    def test_box_and_basepoint_reports_walk_their_own_x0(self, monkeypatch, config):
+        # A copy on other boxes has its own x0 and record, and a report at
+        # another basepoint does not read the entry's record: each report
+        # walks from its basepoint to its own x0, and the E and S it uses
+        # are those of a fresh reduced equation there.
+        entry = catalog.lookup("PIII.y1")
+        verify.full_report("PIII.y1")
+        record = dict(entry.certified)
+        copy = entry.with_boxes(config)
+        x0 = copy.box_x.center
+        basepoint = 1.7 if config.basepoint is not None else entry.basepoint_x
+        walks, used = [], []
+        real_walk = fe._walk_panels
+        coefficients = reduction.ReducedEquation.coefficients_at_x0
+
+        def recording_walk(*args):
+            walks.append(args[1:3])
+            return real_walk(*args)
+
+        def recording_coefficients(red, ts, e0):
+            used.append((red.basepoint_x, e0))
+            return coefficients(red, ts, e0)
+
+        monkeypatch.setattr(fe, "_walk_panels", recording_walk)
+        monkeypatch.setattr(reduction.ReducedEquation, "coefficients_at_x0",
+                            recording_coefficients)
+        for _ in range(2):
+            verify.full_report("PIII.y1", config)
+        assert walks.count((basepoint, x0)) == 2
+        assert entry.certified == record
+        want = reduction.build_reduced(copy.decomposition, basepoint).E(x0)
+        assert used == [(basepoint, want)] * 2
 
     def test_prepare_shares_kernels_not_memos(self):
         entry = catalog.lookup("PII.y0")
@@ -166,16 +235,17 @@ class TestKernelLifetime:
 
     @pytest.mark.parametrize("batch_first", [True, False])
     def test_coefficient_lines_compile_once(self, monkeypatch, batch_first):
-        # coefficients_batch and coefficients_at run one coefficient kernel:
-        # two batch calls and a 3 x 4 lattice of point calls, in either
-        # order, compile its lines once, and the point API gives the
-        # compiled form's values through the one degeneracy rule.
+        # coefficients_at_x0 and coefficients_at run one coefficient kernel:
+        # two calls on the line x = x0 and a 3 x 4 lattice of point calls,
+        # in either order, compile its lines once, and the point API gives
+        # the compiled form's values through the one degeneracy rule.
         entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
         dec = entry.decomposition
         red = reduction.build_reduced(dec, entry.basepoint_x)
         xs, ts = entry.box_x.diagonal(3), entry.box_t.diagonal(4)
         points = [(x, t) for x in xs for t in ts]
-        for x in xs:        # E and S, so no (h, f) call is recorded below
+        x0 = entry.box_x.center
+        for x in (*xs, x0):     # E and S, so no (h, f) call is recorded below
             red.E(x)
         compiled = []
         real_compile = fe.compile_expr
@@ -192,7 +262,7 @@ class TestKernelLifetime:
                             or compile(src, *args), raising=False)
 
         def batches():
-            return [red.coefficients_batch(*zip(*points)) for _ in range(2)]
+            return [red.coefficients_at_x0(ts, red.E(x0)) for _ in range(2)]
 
         def lattice():
             return [red.coefficients_at(x, t) for x, t in points]

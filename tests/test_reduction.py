@@ -521,26 +521,45 @@ class TestReducedCoefficients:
         assert 0j not in red._cache_x
 
     def test_batch_rejects_only_its_bad_points(self):
-        # p1 = 1/(x - 2) has a pole at x = 2, and p2 = x makes tau_x vanish
-        # at x = 0.  The batch raises at the pole and runs again point by
-        # point: each bad point is rejected by what coefficients_at raises
-        # there, and the others get coefficients_at's values to rounding.
+        # On the line x = x0 = 1.8, the centre of the x box: q1 = 1/(t - 1/2)
+        # has a pole at t = 1/2, and p2 = x - t makes tau_x vanish at t = x0.
+        # The call raises at the pole and runs again t by t: each bad point
+        # is rejected by what coefficients_at raises there, and the others
+        # get coefficients_at's values to rounding.  So it goes on the
+        # walked kernel, on the compiled one and on its held x-stage.
         zero = fe.const(0)
-        sp = ScalarPair(p1=1 / (X - 2), q1=zero, p2=X, q2=zero)
+        sp = ScalarPair(p1=zero, q1=1 / (T - 0.5), p2=X - T, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        xs, ts = [1.5 + 0.1j, 2.0, 0.0, 2.5], [0.5, 0.5, 0.5, 0.7 - 0.2j]
-        got = red.coefficients_batch(xs, ts)
-        for x, t, value in zip(xs, ts, got):
-            try:
-                want = red.coefficients_at(x, t)
-            except fe._SAMPLE_ERRORS as exc:
-                assert type(value) is type(exc)
-                assert str(value) == str(exc)
-                continue
-            assert value == pytest.approx(want, rel=1e-14)
-        assert [type(v) for v in got[1:3]] == [ZeroDivisionError,
-                                                reduction.DegenerateTauPointError]
+        x0 = dec.box_x.center
+        ts = [1.5 + 0.1j, 0.5, x0, 0.7 - 0.2j]
+        for _ in range(3):
+            got = red.coefficients_at_x0(ts, red.E(x0))
+            for t, value in zip(ts, got):
+                try:
+                    want = red.coefficients_at(x0, t)
+                except fe._SAMPLE_ERRORS as exc:
+                    assert type(value) is type(exc)
+                    assert str(value) == str(exc)
+                    continue
+                assert value == pytest.approx(want, rel=1e-14)
+            assert [type(v) for v in got[1:3]] == [ZeroDivisionError,
+                                                    reduction.DegenerateTauPointError]
+
+    def test_singular_x0_rejects_every_t(self):
+        # p1 = 1/(x - x0): the x-stage raises at x0, on every call, and
+        # every t is rejected by coefficients_at's exception.
+        zero = fe.const(0)
+        x0 = catalog.DEFAULT_X_BOX.center
+        sp = ScalarPair(p1=1 / (X - x0), q1=zero, p2=X, q2=zero)
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+        red = reduction.build_reduced(dec, 1.0)
+        ts = [0.6, 1.2 - 0.1j]
+        for _ in range(3):
+            got = red.coefficients_at_x0(ts, red.E(x0))
+            assert [type(v) for v in got] == [ZeroDivisionError] * 2
+        with pytest.raises(ZeroDivisionError):
+            red.coefficients_at(x0, ts[0])
 
     @pytest.mark.parametrize("p1, error", [(1 / (X - 2), ZeroDivisionError),
                                            (fe.log(X - 2), ValueError)])

@@ -66,31 +66,31 @@ class TestTIndependence:
     def test_overflowing_draw_is_rejected(self, monkeypatch):
         # Every exception of expr._SAMPLE_ERRORS rejects a draw, an
         # OverflowError among them; the stage still places all its samples.
-        # The error is raised in the batch, at the first draw: the batch is
-        # run again point by point, only that draw is dropped, and the next
-        # draw takes its place.
+        # The error is raised in the one call on the line x = x0, at the
+        # first draw: the call is run again t by t, only that draw is
+        # dropped, and the next draw takes its place.
         p = verify.prepare(catalog.lookup("PII.y0"))
         dec = p.red.dec
         reading = dec.invariance
-        kernel = dec._coeff_array
+        line = dec._coeff_x0
         bad, raised = [], []
 
-        def overflow_at_first_point(x, t):
+        def overflow_at_first_point(t):
             t = np.asarray(t)
             if not bad:
                 bad.append(complex(t[0]))
             if bad[0] in t:
                 raised.append(len(t))
                 raise OverflowError("overflow in a draw")
-            return kernel(x, t)
+            return line(t)
 
-        monkeypatch.setitem(dec.__dict__, "_coeff_array", overflow_at_first_point)
+        monkeypatch.setitem(dec.__dict__, "_coeff_x0", overflow_at_first_point)
         dev, samples = verify.check_t_independence(p, n_points=32)
-        # The batch, then its one bad point alone: one rejection.
+        # The call, then its one bad point alone: one rejection.
         assert raised == [32, 1]
         assert (dev, len(samples)) == (reading, 32)
         assert samples == _scalar_t_independence(p, 32, 42)
-        monkeypatch.setitem(dec.__dict__, "_coeff_array", kernel)
+        monkeypatch.setitem(dec.__dict__, "_coeff_x0", line)
         _, unhurt = verify.check_t_independence(verify.prepare(catalog.lookup("PII.y0")),
                                                 n_points=33)
         # The first draw is gone, and the other 32 keep their order.
@@ -98,16 +98,26 @@ class TestTIndependence:
 
     def test_failed_walk_to_x0_is_a_stage_error(self, monkeypatch):
         # Every sample sits at x0, so a walk there that fails ends the
-        # stage at once, naming it.
-        p = verify.prepare(catalog.lookup("PII.y0"))
+        # stage at once, naming it.  A fresh entry, whose record holds no
+        # x0: the failed walk records nothing, so every call walks again and
+        # raises the same error, and a walk that succeeds is recorded.
+        entry = catalog.lookup("PII.y0", dict(catalog.lookup("PII.y0").params_exact))
+        walks = []
 
-        def unresolved(x):
+        def unresolved(red, x):
+            walks.append(x)
             raise fe.QuadratureError("unresolved panel")
 
-        monkeypatch.setattr(p.red, "E", unresolved)
-        with pytest.raises(verify.VerifyError,
-                           match=r"^the E/S walk to x0 = 1\.8\+0j failed: unresolved panel$"):
-            verify.check_t_independence(p)
+        monkeypatch.setattr(red_mod.ReducedEquation, "E", unresolved)
+        for _ in range(2):
+            with pytest.raises(verify.VerifyError,
+                               match=r"^the E/S walk to x0 = 1\.8\+0j failed: unresolved panel$"):
+                verify.check_t_independence(verify.prepare(entry))
+        assert walks == [1.8 + 0j] * 2
+        assert "x0" not in entry.certified
+        monkeypatch.undo()
+        verify.check_t_independence(verify.prepare(entry))
+        assert entry.certified["x0"] == verify.prepare(entry).red._ES(1.8 + 0j)
 
     @pytest.mark.parametrize("n_points", [0, -1])
     def test_no_points_is_an_error(self, prep, n_points):
@@ -118,9 +128,11 @@ class TestTIndependence:
 
 def _scalar_t_independence(prep, n_points, seed):
     """Reference: the samples of the one-draw-at-a-time loop, with each
-    point's coefficients from its own call of the stage's kernel.  Run on
-    the prep the stage ran on, it reads E and S from the stage's memo, so
-    it must give the stage's samples exactly."""
+    point's coefficients from its own one-t call of the stage's kernel on
+    the line x = x0, and E and S at x0 from the prep's reduced equation.
+    E and S are walked afresh there when the stage read them from the
+    entry's record, and the walk is deterministic, so the reference must
+    give the stage's samples exactly."""
     entry = prep.entry
     red = prep.red
     x0 = entry.box_x.center
@@ -132,7 +144,7 @@ def _scalar_t_independence(prep, n_points, seed):
         ((t,),) = catalog.random_points(rng, (entry.box_t,), 1)
         if any(abs(t - s) < 0.15 for s in entry.singular_t):
             continue
-        (got,) = red.coefficients_batch([x0], [t])
+        (got,) = red.coefficients_at_x0([t], red.E(x0))
         if isinstance(got, Exception):
             continue
         samples.append((red.tau_at(x0, t), *got))
@@ -143,34 +155,36 @@ def _scalar_t_independence(prep, n_points, seed):
     return samples
 
 
-def _record_tau_calls(prep):
-    """The (x, t) of every sample that reaches tau_at from now on, in
-    order (a later call records into its own list)."""
+def _record_x0_calls(prep):
+    """The (t, E(x0)) of every drawn t that reaches the coefficients on the
+    line x = x0 from now on, in order (a later call records into its own
+    list)."""
     calls = []
-    tau_at = type(prep.red).tau_at
+    coefficients = type(prep.red).coefficients_at_x0
 
-    def recorded(x, t):
-        calls.append((x, t))
-        return tau_at(prep.red, x, t)
+    def recorded(ts, e0):
+        calls.extend((t, e0) for t in ts)
+        return coefficients(prep.red, ts, e0)
 
-    prep.red.tau_at = recorded
+    prep.red.coefficients_at_x0 = recorded
     return calls
 
 
 class TestTIndependenceBatched:
-    """The one-x stage, with one coefficient batch, against the
-    one-draw-at-a-time loop."""
+    """The one-x stage, with one coefficient call on the line x = x0, and
+    E and S at x0 from the entry's record, against the one-draw-at-a-time
+    loop."""
 
     @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_same_candidates_pairs_and_samples(self, entry_id, seed):
         prep = verify.prepare(catalog.lookup(entry_id))
-        new_calls = _record_tau_calls(prep)
+        new_calls = _record_x0_calls(prep)
         new_dev, new = verify.check_t_independence(prep, n_points=32, seed=seed)
-        ref_calls = _record_tau_calls(prep)
+        ref_calls = _record_x0_calls(prep)
         ref = _scalar_t_independence(prep, 32, seed)
         assert new_calls == ref_calls
-        assert {x for x, _ in new_calls} == {prep.entry.box_x.center}
+        assert {e0 for _, e0 in new_calls} == {prep.red.E(prep.entry.box_x.center)}
         assert len(new) == len(ref) == 32
         assert (new_dev, new) == (prep.red.dec.invariance, ref)
 
@@ -182,19 +196,20 @@ class TestTIndependenceBatched:
         # point they agree to rounding.
         prep = verify.prepare(catalog.lookup(entry_id))
         red = prep.red
+        x0 = prep.entry.box_x.center
         points = []
-        batch = red.coefficients_batch
+        coefficients = red.coefficients_at_x0
 
-        def recorded(xs, ts):
-            got = batch(xs, ts)
-            points.extend(zip(xs, ts, got))
+        def recorded(ts, e0):
+            got = coefficients(ts, e0)
+            points.extend(zip(ts, got))
             return got
 
-        red.coefficients_batch = recorded
+        red.coefficients_at_x0 = recorded
         verify.check_t_independence(prep, n_points=32, seed=seed)
         assert len(points) == 32
-        for x, t, (P, Q) in points:
-            want_p, want_q = red.coefficients_at(x, t)
+        for t, (P, Q) in points:
+            want_p, want_q = red.coefficients_at(x0, t)
             scale = max(1.0, abs(want_p), abs(want_q))
             assert max(abs(P - want_p), abs(Q - want_q)) <= 1e-13 * scale
 
@@ -204,10 +219,10 @@ class TestTIndependenceBatched:
         # per sample before placing 8 samples.
         entry = dataclasses.replace(catalog.lookup("PII.y0"), singular_t=(1.0 + 0j,))
         prep = verify.prepare(entry, Config(box_t=(0.9, 1.16, -0.1, 0.1)))
-        new_calls = _record_tau_calls(prep)
+        new_calls = _record_x0_calls(prep)
         with pytest.raises(verify.VerifyError, match="could only place [0-7]/8 ") as new:
             verify.check_t_independence(prep, n_points=8, seed=5)
-        ref_calls = _record_tau_calls(prep)
+        ref_calls = _record_x0_calls(prep)
         with pytest.raises(verify.VerifyError) as ref:
             _scalar_t_independence(prep, 8, 5)
         assert str(new.value) == str(ref.value)
@@ -821,6 +836,9 @@ class TestStageSensitivity:
                                           frame_residual=frame)
             cross = verify.cross_validate(mutated)
             dev, samples = verify.check_t_independence(mutated)
+            # E and S at x0 are walked on the mutated equation, not read
+            # from the entry's record.
+            assert samples == _scalar_t_independence(mutated, 32, 42), name
             matched = _matches(mutated, samples, cfg)
             if _gauge_equivalent(p.red.dec, dec):
                 equivalent.append(name)
@@ -1033,11 +1051,11 @@ class TestFullReport:
 
 
 class TestCertifiedRecord:
-    """The stages that depend on the entry alone (Frobenius, frame fit,
-    cross-validation) run once per entry, and their outcomes are kept in
-    its record, ``CatalogEntry.certified``."""
+    """The stages that depend on the entry alone (Frobenius, frame fit, the
+    E/S walk to x0, cross-validation) run once per entry, and their
+    outcomes are kept in its record, ``CatalogEntry.certified``."""
 
-    STAGES = ("frobenius", "frame", "cross-validation")
+    STAGES = ("frobenius", "frame", "x0", "cross-validation")
 
     @staticmethod
     def _fresh(entry_id, config=Config()):
@@ -1050,8 +1068,8 @@ class TestCertifiedRecord:
     def test_warm_record_reports_as_a_fresh_entry(self, monkeypatch, entry_id):
         entry = catalog.lookup(entry_id)
         verify.full_report(entry_id)
-        assert set(entry.certified) == (
-            {"frame", "cross-validation"} | ({"frobenius"} if entry.lax is not None else set()))
+        assert set(entry.certified) == ({"frame", "x0", "cross-validation"}
+                                        | ({"frobenius"} if entry.lax is not None else set()))
         calls = []
 
         def counted(name, fn):
@@ -1060,8 +1078,10 @@ class TestCertifiedRecord:
                 return fn(*args)
             return wrapper
 
+        # ReducedEquation.E is called by the walk to x0 alone.
         for module, name in ((verify, "cross_validate"), (verify, "_tau_frame"),
-                             (scalarize, "frobenius_residual_grid")):
+                             (scalarize, "frobenius_residual_grid"),
+                             (red_mod.ReducedEquation, "E")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         warm = [json.dumps(verify.full_report(entry_id, Config(seed=s)).to_json())
                 for s in (42, 7, 1)]
@@ -1071,24 +1091,27 @@ class TestCertifiedRecord:
 
     def test_box_and_basepoint_runs_leave_the_record_alone(self, monkeypatch):
         # Poisoned outcomes in the default entry's record: a run on other
-        # boxes reads none of them, and a run at another basepoint does not
-        # read the frame.  Frobenius and cross-validation do not depend on
-        # the basepoint, so that run reads them; they are restored first.
+        # boxes reads none of them, and a run at another basepoint reads
+        # neither the frame nor E and S at x0.  Frobenius and
+        # cross-validation do not depend on the basepoint, so that run reads
+        # them; they are restored first.
         entry = catalog.lookup("PIII.y1")
         verify.full_report("PIII.y1")
         kept = dict(entry.certified)
-        poison = {"frobenius": 1.0, "frame": (3j, 3j, 1.0), "cross-validation": 1.0}
+        poison = {"frobenius": 1.0, "frame": (3j, 3j, 1.0), "x0": (3j, 3j),
+                  "cross-validation": 1.0}
         for stage, value in poison.items():
             monkeypatch.setitem(entry.certified, stage, value)
         box_t = Config(box_t=(0.8, 1.8, -0.1, 0.3))
         assert json.dumps(verify.full_report("PIII.y1", box_t).to_json()) == \
             self._fresh("PIII.y1", box_t)
         assert entry.certified == poison
-        entry.certified.update(kept, frame=poison["frame"])
+        at_basepoint = {"frame": poison["frame"], "x0": poison["x0"]}
+        entry.certified.update(kept, **at_basepoint)
         basepoint = Config(basepoint=1.7)
         assert json.dumps(verify.full_report("PIII.y1", basepoint).to_json()) == \
             self._fresh("PIII.y1", basepoint)
-        assert entry.certified == {**kept, "frame": poison["frame"]}
+        assert entry.certified == {**kept, **at_basepoint}
 
     @pytest.mark.parametrize("entry_id, overrides, stage", [
         ("PV.y_lin", {"theta1": Fraction(2)}, "frobenius"),

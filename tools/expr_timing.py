@@ -1,4 +1,5 @@
-"""Time the expression walks, ``differentiate`` and the E/S panel walks.
+"""Time the expression walks, ``differentiate``, the E/S panel walks and a
+warm report.
 
 The DAGs are, for each of the 8 positive catalog entries at their default
 parameters, the three expressions (phi, p_num, q_num) of the kernel of the
@@ -15,7 +16,11 @@ times; the minimum is the reading, the median and maximum show its spread:
 * ``differentiate``: the derivatives of the three DAGs in x and in t;
 * ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
   the entry's x box, one panel walk per x from the basepoint, on a fresh
-  reduced equation (so no memo hit) whose (h, f) kernel is compiled.
+  reduced equation (so no memo hit) whose (h, f) kernel is compiled;
+* ``report``: one ``verify.full_report`` per entry at a seed no earlier
+  run used, on entries that have made two reports, so every stage that
+  runs once per entry reads its record and every kernel is compiled (the
+  op of the bench's catalog-verify workload, without the negative entry).
 
 Run it from any directory:
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import statistics
 import sys
 import time
@@ -39,12 +45,15 @@ LIST_POINTS = 12
 WALK_POINTS = 32
 ARRAY_POINTS = 201
 REPEAT = 30
+# The seed of the first timed report; each later one takes the next.
+REPORT_SEED = 1000
 
 
 def readings() -> tuple[int, dict[str, list[float]]]:
     """The number of distinct DAG nodes, and per reading its times in ms."""
-    from fuchsreduce import catalog, reduction
+    from fuchsreduce import catalog, reduction, verify
     from fuchsreduce import expr as fe
+    from fuchsreduce.config import Config
 
     cases = []
     walks = []
@@ -58,6 +67,12 @@ def readings() -> tuple[int, dict[str, list[float]]]:
         walks.append((entry.decomposition, entry.basepoint_x,
                       entry.box_x.diagonal(WALK_POINTS)))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
+    # Two reports per entry: the first walks each kernel, the second
+    # compiles it.
+    for seed in (1, 2):
+        for entry_id in catalog.list_entries():
+            verify.full_report(entry_id, Config(seed=seed))
+    seeds = itertools.count(REPORT_SEED)
 
     def walk_list():
         for dags, xs, ts, _, _ in cases:
@@ -91,11 +106,17 @@ def readings() -> tuple[int, dict[str, list[float]]]:
             for x in xs:
                 red._ES(x)
 
+    def report():
+        seed = next(seeds)
+        for entry_id in catalog.list_entries():
+            verify.full_report(entry_id, Config(seed=seed))
+
     jobs = {f"list ({LIST_POINTS} points)": walk_list,
             f"array ({ARRAY_POINTS} points)": walk_array,
             f"one-point (x{LIST_POINTS})": walk_points,
             "differentiate (x, t)": derive,
-            f"walk (x{WALK_POINTS})": walk_es}
+            f"walk (x{WALK_POINTS})": walk_es,
+            "report (warm)": report}
     times: dict[str, list[float]] = {name: [] for name in jobs}
     for job in jobs.values():
         job()   # warm-up
