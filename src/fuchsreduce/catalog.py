@@ -42,6 +42,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import expr as fe
 from . import reduction as red_mod
 from . import scalarize as scal
@@ -101,19 +103,16 @@ class ComplexRect:
 
 
 def random_points(rng, boxes: Sequence[ComplexRect], m: int
-                  ) -> list[tuple[complex, ...]]:
-    """m rounds of one point per box, drawn with one generator call.
-
-    The bounds (re, im of each box in turn) are broadcast over the m rows
-    of one ``rng.uniform(lo, hi, size=(m, 2k))``, which yields exactly the
-    doubles, and leaves the generator in exactly the state, of m rounds of
-    one draw per box, ``complex(rng.uniform(re_lo, re_hi),
-    rng.uniform(im_lo, im_hi))``; each row, read as k complex numbers, is
-    one round."""
-    lo = [v for b in boxes for v in (b.re_lo, b.im_lo)]
-    hi = [v for b in boxes for v in (b.re_hi, b.im_hi)]
-    u = rng.uniform(lo, hi, size=(m, len(lo)))
-    return list(map(tuple, u.view(complex).tolist()))
+                  ) -> list[list[complex]]:
+    """m rounds of one point per box, drawn with one generator call, as one
+    list of m points per box: ``lo + (hi - lo) * rng.random((m, 2k))`` is
+    ``rng.uniform``'s arithmetic, so it yields exactly the doubles, and
+    leaves the generator in exactly the state, of m rounds of one
+    ``complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))`` per box."""
+    lo = np.array([v for b in boxes for v in (b.re_lo, b.im_lo)])
+    hi = np.array([v for b in boxes for v in (b.re_hi, b.im_hi)])
+    u = lo + (hi - lo) * rng.random((m, len(lo)))
+    return u.view(complex).T.tolist()
 
 
 DEFAULT_X_BOX = ComplexRect(1.1, 2.5, -0.2, 0.2)
@@ -126,18 +125,22 @@ class LaxPair:
 
     A matrix entry's pair is traceless by construction
     (:func:`_matrix_entry`); a direct scalar pair's companion system
-    (``CatalogEntry.linear_systems``) is not.  Its two kernels are built
-    on first use."""
+    (``CatalogEntry.linear_systems``) is not.  Its dA/dt and its two
+    kernels are built on first use."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
     @cached_property
+    def dadt(self) -> tuple[Expr, Expr, Expr, Expr]:
+        """dA/dt as (a11, a12, a21, a22), built once for both kernels."""
+        return tuple(fe.differentiate(e, "t") for row in self.a for e in row)
+
+    @cached_property
     def a_dadt_array(self) -> fe.Kernel:
         """The kernel of (a11, a12, a21, a22) and then the same entries of
         dA/dt: the ``matrix`` of a linear-system walk."""
-        a = (*self.a[0], *self.a[1])
-        return fe.Kernel((*a, *(fe.differentiate(e, "t") for e in a)))
+        return fe.Kernel((*self.a[0], *self.a[1], *self.dadt))
 
     @cached_property
     def frobenius_fns(self) -> fe.Kernel:
@@ -653,11 +656,11 @@ def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
 
 def flow_residual(entry: CatalogEntry, ts: Sequence[complex]) -> float:
     """Max modulus of the nonlinear flow residuals over the deformation
-    values ``ts``: the max over the residuals at each t, then the max of
-    those across the t's, in order.  Vanishes (to rounding) when the
+    values ``ts``, NaN if one is NaN (``ndarray.max`` keeps a NaN wherever it
+    comes, ``max`` only when first).  Vanishes (to rounding) when the
     entry's closed forms really solve the family's compatibility flow."""
     rows = entry.flow_fns.at([0j] * len(ts), ts)
-    return max(max(abs(v) for v in row) for row in rows)
+    return float(np.array([abs(v) for row in rows for v in row]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -226,9 +226,9 @@ def cmd_sample(args, out) -> int:
     attempts = 0
     max_attempts = 200 * max(n, 1)
     while len(rows) < n and attempts < max_attempts:
-        chunk = cat.random_points(rng, (prep.entry.box_x, prep.entry.box_t),
-                                  min(max_attempts - attempts, max(8, n - len(rows))))
-        for x, t in chunk:
+        xs, ts = cat.random_points(rng, (prep.entry.box_x, prep.entry.box_t),
+                                   min(max_attempts - attempts, max(8, n - len(rows))))
+        for x, t in zip(xs, ts):
             if len(rows) == n:
                 break
             attempts += 1
@@ -237,7 +237,7 @@ def cmd_sample(args, out) -> int:
                 P, Q = prep.red.coefficients_at(x, t)
             except fe._SAMPLE_ERRORS:
                 continue
-            tau, P, Q = prep.to_paper_frame(tau, P, Q)
+            ((tau, P, Q),) = prep.to_paper_frame([(tau, P, Q)])
             rows.append((tau, P, Q, x, t))
     if len(rows) < n:
         raise ValueError(f"could not collect {n} samples for {entry.id}")

@@ -915,8 +915,8 @@ class Kernel:
         """The values at the points ``(xs[k], ts[k])``, in order: per point
         what ``compile_expr(e)(x, t)`` returns, and the exception it raises
         at the first point where it raises."""
-        xs = [complex(x) for x in xs]
-        ts = [complex(t) for t in ts]
+        xs = list(map(complex, xs))
+        ts = list(map(complex, ts))
         if self._walks():
             try:
                 return self._walk(xs, ts)
@@ -959,7 +959,7 @@ class Kernel:
         """:meth:`__call__` at the array ``x``, with the x-stage from
         ``x_stage(pre_x)`` when it is given (:meth:`on_x`)."""
         t = np.asarray(t, dtype=complex)
-        shape = np.broadcast_shapes(x.shape, t.shape)
+        shape = np.broadcast(x, t).shape
         vec = self._vec
         if vec is None and not self._walks():
             vec = self._vec = tuple(types.FunctionType(stage.__code__, _ARRAY_GLOBALS)
@@ -975,7 +975,7 @@ class Kernel:
             parts = [v if np.shape(v) == shape
                      else np.broadcast_to(np.asarray(v, dtype=complex), shape)
                      for v in (out if isinstance(out, tuple) else (out,))]
-            if all(np.isfinite(v).all() for v in parts):
+            if np.isfinite(parts).all():
                 return tuple(parts) if isinstance(out, tuple) else parts[0]
         except _SAMPLE_ERRORS:
             pass

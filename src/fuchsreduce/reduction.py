@@ -526,10 +526,10 @@ class ReducedEquation:
     def coefficients_at_x0(self, ts: Sequence[complex], e0: complex) -> list:
         """Per t in ``ts``, in order, (P, Q) at (x0, t) or the exception
         that rejects it, where x0 is the centre of the decomposition's x box
-        and ``e0`` is E(x0) (the caller may hold it from an earlier walk).
-        The coefficients come from one call of the coefficient kernel on the
-        line x = x0 (``Decomposition._coeff_x0``, whose x-stage at x0 runs
-        once per decomposition), the gates from :meth:`coefficients_at`.
+        and ``e0`` is E(x0).  The coefficients come from one call of the
+        coefficient kernel on the line x = x0 (``Decomposition._coeff_x0``,
+        whose x-stage at x0 runs once per decomposition), the gates from
+        one loop of :func:`_reduced`.
         When the call raises, each t runs alone, so a singular point rejects
         only itself.  The values are :meth:`coefficients_at`'s up to the
         rounding of numpy's array arithmetic, and a point's do not depend on
@@ -543,23 +543,23 @@ class ReducedEquation:
             if len(ts) == 1:
                 return [exc]
             return [got for t in ts for got in self.coefficients_at_x0([t], e0)]
-        out: list = []
-        for t, ph, p_num, q_num in zip(ts, *(c.tolist() for c in cols)):
-            try:
-                out.append(_reduced(x0, t, ph, p_num, q_num, e0))
-            except fe._SAMPLE_ERRORS as exc:
-                out.append(exc)
-        return out
+        return _reduced(x0, ts, *(c.tolist() for c in cols), e0)
 
 
-def _reduced(x, t, ph: complex, p_num: complex, q_num: complex, e: complex
-             ) -> tuple[complex, complex]:
-    """P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 at (x, t), with the
-    one rule for a degenerate point: the gates on phi^2 E and (phi E)^2."""
-    den_p = ph * ph * e
-    if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
-        raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
-    return p_num / den_p, q_num / den_q
+def _reduced(x, ts: list, phs: list, p_nums: list, q_nums: list, e: complex) -> list:
+    """Per t, P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 at (x, t), or
+    the exception that rejects the point: the gates on phi^2 E and (phi E)^2
+    (the one rule for a degenerate point), or an overflow of (phi E)**2."""
+    out: list = []
+    for t, ph, p_num, q_num in zip(ts, phs, p_nums, q_nums):
+        try:
+            den_p = ph * ph * e
+            if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
+                raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
+            out.append((p_num / den_p, q_num / den_q))
+        except fe._SAMPLE_ERRORS as exc:
+            out.append(exc)
+    return out
 
 
 def build_reduced(dec: Decomposition, basepoint_x: complex) -> ReducedEquation:

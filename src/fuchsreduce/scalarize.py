@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from . import expr as fe
 from .expr import Binding, Expr
 
@@ -99,7 +101,7 @@ def _matmul(a, b):
 
 
 def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
-    """The four entries of dA/dt - dB/dx + AB - BA as expressions."""
+    """The four entries of dA/dt - dB/dx + AB - BA, on ``lp.dadt``."""
     a, b = lp.a, lp.b
     ab = _matmul(a, b)
     ba = _matmul(b, a)
@@ -107,7 +109,7 @@ def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
     for i in range(2):
         for j in range(2):
             r = fe.add(
-                fe.sub(fe.differentiate(a[i][j], "t"), fe.differentiate(b[i][j], "x")),
+                fe.sub(lp.dadt[2 * i + j], fe.differentiate(b[i][j], "x")),
                 fe.sub(ab[i][j], ba[i][j]),
             )
             out.append(r)
@@ -115,12 +117,12 @@ def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
 
 
 def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, complex]]) -> float:
-    """Max-entry modulus of the integrability defect, maximized over
-    ``points``.  Zero (to rounding) exactly when the two linear systems are
-    jointly solvable near every point.  One call of the fused kernel
-    ``lp.frobenius_fns`` gives all four entries at every point."""
+    """Max-entry modulus of the integrability defect over ``points``, from
+    one call of ``lp.frobenius_fns``, NaN if one is NaN (as in
+    :func:`catalog.flow_residual`).  Zero (to rounding) exactly when the two
+    linear systems are jointly solvable near every point."""
     rows = lp.frobenius_fns.at([x for x, _ in points], [t for _, t in points])
-    return max(abs(v) for row in rows for v in row)
+    return float(np.array([abs(v) for row in rows for v in row]).max())
 
 
 def scalar_coefficients(lp: "LaxPair", component: str = "first",

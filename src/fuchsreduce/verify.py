@@ -22,9 +22,9 @@ The Frobenius grid, the frame fit, the walk of E and S to x0 (the centre of
 the x box, where the samples sit) and cross-validation depend on the entry
 alone, so each runs once per entry (``CatalogEntry.certified``), and the
 identity reading and the coefficient kernel's x-stage at x0 once per
-decomposition.  The flow stage and the t of the samples that match reads
-are drawn from the seed, and a warm report runs only what depends on them:
-no panel walk and no compile.
+decomposition.  A warm report runs only what depends on the seed, the flow
+stage and the samples match reads, in one pass each: no panel walk and no
+compile.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,10 +91,10 @@ class Prepared:
     frame_b: complex
     frame_residual: float
 
-    def to_paper_frame(self, tau: complex, P: complex, Q: complex
-                       ) -> tuple[complex, complex, complex]:
-        a = self.frame_a
-        return self.frame_a * tau + self.frame_b, P / a, Q / (a * a)
+    def to_paper_frame(self, samples: Iterable[tuple[complex, complex, complex]]) -> list:
+        """The (tau, P, Q) samples in the documented frame: a tau + b, P / a, Q / a^2."""
+        a, b, a2 = self.frame_a, self.frame_b, self.frame_a * self.frame_a
+        return [(a * tau + b, P / a, Q / a2) for tau, P, Q in samples]
 
 
 def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
@@ -176,20 +176,17 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
                          ) -> tuple[float, list[tuple[complex, complex, complex]]]:
     """``Decomposition.invariance``, the reading that certifies P and Q
     depend on tau alone, and ``n_points`` samples (tau, P, Q) for match, in
-    the quadrature frame.  Once P and Q depend on tau alone, one x sees the
-    whole reduced equation: at x0, the centre of the x box, tau = E(x0) t +
-    S(x0) is affine in t.  E and S at x0 take one walk, run once per entry
-    at the entry's own basepoint (:func:`_once`) and on every call at any
-    other, or for a reduced equation on another decomposition.  The t are
-    drawn from ``seed`` in the t box, in order, skipping those within 0.15
-    of a singular t, and their coefficients come from one
-    ``coefficients_at_x0`` call, whose x-stage at x0 runs once per
-    decomposition; so a warm report runs only what depends on the seed.
-    A point that raises one of ``expr._SAMPLE_ERRORS`` is replaced by the
-    next draw.  Raises :class:`VerifyError` when the walk to x0 fails (on
-    every call: a failed walk records nothing) or ``_DRAWS_PER_SAMPLE *
-    n_points`` draws place fewer samples, and ValueError for ``n_points <
-    1``, which would give match nothing."""
+    the quadrature frame, at x0, the centre of the x box: once P and Q
+    depend on tau alone, one x sees the whole reduced equation, and there
+    tau = E(x0) t + S(x0) is affine in t.  E and S at x0 take one walk, run
+    once per entry at the entry's own basepoint (:func:`_once`), and on
+    every call at any other or on another decomposition.  The t are drawn
+    from ``seed`` in the t box, in order, skipping those within 0.15 of a
+    singular t; their coefficients come from one ``coefficients_at_x0``
+    call, and a t it rejects (by one of ``expr._SAMPLE_ERRORS``) is replaced
+    by the next draw.  Raises :class:`VerifyError` when the walk to x0 fails
+    (a failed walk records nothing) or ``_DRAWS_PER_SAMPLE * n_points``
+    draws place fewer samples, and ValueError for ``n_points < 1``."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     entry, red = prep.entry, prep.red
@@ -212,12 +209,13 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
     while len(samples) < n_points and drawn < budget:
         m = min(n_points - len(samples), budget - drawn)
         drawn += m
-        ts = [t for (t,) in cat.random_points(rng, (entry.box_t,), m)
-              if all(abs(t - s) >= 0.15 for s in entry.singular_t)]
+        (ts,) = cat.random_points(rng, (entry.box_t,), m)
+        if entry.singular_t:
+            ts = [t for t in ts if all(abs(t - s) >= 0.15 for s in entry.singular_t)]
         if ts:
-            for t, got in zip(ts, red.coefficients_at_x0(ts, e0)):
-                if not isinstance(got, Exception):
-                    samples.append((t * e0 + s0, *got))
+            samples += [(t * e0 + s0, *got)
+                        for t, got in zip(ts, red.coefficients_at_x0(ts, e0))
+                        if not isinstance(got, Exception)]
     if len(samples) < n_points:
         raise VerifyError(
             f"could only place {len(samples)}/{n_points} samples at x0 = {x0:.6g} "
@@ -231,34 +229,38 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
 def _detect_first_derivative_form(taus, Ps, qscale, tol):
     """Classify the P samples as 0, -A/tau, or -A (constant); returns
     (normalizer, A) where normalizer maps (tau, Q) to the v-equation Q."""
-    pmax = max(abs(p) for p in Ps)
+    pmax = max(map(abs, Ps))
     thr = tol * (1.0 + qscale)
     if pmax <= thr * 10:
         return ("zero", 0j)
-    a_vals = [-p * tau for p, tau in zip(Ps, taus)]
-    a_mean = sum(a_vals) / len(a_vals)
-    if max(abs(v - a_mean) for v in a_vals) <= 1e-6 * (1 + abs(a_mean)):
-        return ("inverse_tau", a_mean)
-    a_vals = [-p for p in Ps]
-    a_mean = sum(a_vals) / len(a_vals)
-    if max(abs(v - a_mean) for v in a_vals) <= 1e-6 * (1 + abs(a_mean)):
-        return ("constant", a_mean)
+    for form, a_vals in (("inverse_tau", [-p * tau for p, tau in zip(Ps, taus)]),
+                         ("constant", [-p for p in Ps])):
+        a_mean = sum(a_vals) / len(a_vals)
+        if max(map(abs, [v - a_mean for v in a_vals])) <= 1e-6 * (1 + abs(a_mean)):
+            return (form, a_mean)
     return ("unrecognized", 0j)
 
 
 def _distinct_taus(taus: Sequence[complex]) -> list[complex]:
     """Each tau more than 1e-10 from every tau kept before it, in order.
 
-    Exact repeats are dropped before the scan, which keeps the same list: a
-    repeat is as close to the kept values as its first occurrence, and
-    that is either kept or within 1e-10 of a kept value.  The distances
-    are one numpy array (``abs`` of a complex is ``hypot`` in numpy as in
-    Python, so each test is the scan's); only a tau within 1e-10 of an
-    earlier one needs the greedy, in order."""
+    The scan keeps every tau when the sorted real parts are each more than
+    1e-10 above the one before (|a - b| >= |Re a - Re b|), so that early
+    exit keeps the scan's list; an exact repeat (a gap of 0) or a NaN (no
+    gap above 1e-10) falls through to the scan.  The scan drops exact
+    repeats first, which keeps its list: a repeat is as close to the kept
+    values as its first occurrence, which is kept or within 1e-10 of a kept
+    value.  Its distances are one array of ``np.hypot`` of the parts,
+    Python's ``abs`` bit for bit (numpy's complex ``abs`` is not); only a
+    tau within 1e-10 of an earlier one needs the greedy, in order."""
+    reals = sorted([tau.real for tau in taus])
+    if all(b - a > 1e-10 for a, b in zip(reals, reals[1:])):
+        return list(taus)
     uniq = list(dict.fromkeys(taus))
     z = np.array(uniq, dtype=complex)
+    d = z[:, None] - z[None, :]
     # near[i, j]: tau j, before tau i, is not more than 1e-10 from it.
-    near = np.tril(~(np.abs(z[:, None] - z[None, :]) > 1e-10), -1)
+    near = np.tril(~(np.hypot(d.real, d.imag) > 1e-10), -1)
     kept = np.ones(len(uniq), dtype=bool)
     for i in np.flatnonzero(near.any(axis=1)):
         kept[i] = not near[i, kept].any()
@@ -276,38 +278,34 @@ def match_classical(samples: Sequence[tuple[complex, complex, complex]],
     residual is the max relative fit error."""
     if len(samples) < 8:
         raise MatchError("need at least 8 coefficient samples")
-    taus = [s[0] for s in samples]
+    taus, Ps, Qs = zip(*samples)
     uniq = _distinct_taus(taus)
     if len(uniq) < 8:
         raise MatchError("need at least 8 distinct tau values")
-    tau_scale = max(abs(t) for t in taus)
+    tau_abs = list(map(abs, taus))
     mean = sum(uniq) / len(uniq)
-    spread = max(abs(t - mean) for t in uniq)
-    if spread < 1e-3 * (1 + tau_scale):
+    spread = max(map(abs, [t - mean for t in uniq]))
+    if spread < 1e-3 * (1 + max(tau_abs)):
         raise MatchError("tau samples are too clustered for a stable fit")
-    if min(abs(t) for t in taus) < 1e-9:
+    if min(tau_abs) < 1e-9:
         raise MatchError("tau samples touch the origin; 1/tau basis is singular")
 
-    Ps = [s[1] for s in samples]
-    Qs = [s[2] for s in samples]
-    qscale = max(max(abs(q) for q in Qs), 1.0)
+    qscale = max(max(map(abs, Qs)), 1.0)
 
     form, a_const = _detect_first_derivative_form(taus, Ps, qscale, tol)
     if form == "unrecognized":
         return ClassicalTarget.none(), float("inf")
+    qv = Qs
     if form == "inverse_tau":
         qv = [q - (a_const * a_const / 4 + a_const / 2) / (tau * tau)
               for q, tau in zip(Qs, taus)]
     elif form == "constant" and a_const != 0:
         qv = [q - a_const * a_const / 4 for q in Qs]
-    else:
-        qv = list(Qs)
 
-    t_arr = np.asarray(taus, dtype=complex)
-    rhs = -np.asarray(qv, dtype=complex)
-    basis = np.column_stack([
-        np.ones_like(t_arr), t_arr, 1.0 / t_arr, 1.0 / t_arr**2,
-    ])
+    t_arr = np.array(taus, dtype=complex)
+    rhs = -np.array(qv, dtype=complex)
+    basis = np.empty((len(taus), 4), dtype=complex)
+    basis[:, 0], basis[:, 1], basis[:, 2], basis[:, 3] = 1, t_arr, 1 / t_arr, 1 / t_arr**2
     coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
     fit = basis @ coef
     vscale = max(float(np.max(np.abs(rhs))), 1.0)
@@ -523,9 +521,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
     """Run every stage for one entry, on the config's boxes (applied once, by
     :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised.
-    The Frobenius and cross-validation stages, and the t-independence
-    stage's walk to x0 at the entry's basepoint, run once per entry
-    (:func:`_once`)."""
+    What depends on the entry alone runs once per entry (:func:`_once`)."""
     entry = cat.lookup(entry_id, overrides).with_boxes(config)
     seed = config.entry_seed(entry.id)
     rep = VerificationReport(
@@ -542,9 +538,8 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
             rep.errors.append(f"{name}: {exc}")
             return None
 
-    rng = np.random.default_rng(seed)
     rep.flow_max = stage("flow", lambda: cat.flow_residual(
-        entry, [t for (t,) in cat.random_points(rng, (entry.box_t,), 16)]))
+        entry, cat.random_points(np.random.default_rng(seed), (entry.box_t,), 16)[0]))
     if entry.lax is not None:
         rep.frobenius_max = stage("frobenius", lambda: _once(
             entry, "frobenius",
@@ -560,7 +555,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
 
     def independence():
         rep.t_independence_max, samples = check_t_independence(prep, seed=seed)
-        return [prep.to_paper_frame(*s) for s in samples]
+        return prep.to_paper_frame(samples)
 
     samples_paper = stage("t-independence", independence)
     if samples_paper is not None:

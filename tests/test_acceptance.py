@@ -92,7 +92,7 @@ def test_criterion_2_flow_consistency():
     for entry_id in POSITIVE_IDS:
         entry = catalog.lookup(entry_id)
         rng = np.random.default_rng(1000 + len(entry_id))
-        ts = [t for (t,) in catalog.random_points(rng, (entry.box_t,), 16)]
+        (ts,) = catalog.random_points(rng, (entry.box_t,), 16)
         worst = max(worst, catalog.flow_residual(entry, ts))
         assert worst <= 1e-10, entry_id
     print(f"PASS criterion 2 (flow consistency): max flow residual {worst:.3e} <= 1e-10")
@@ -151,7 +151,7 @@ def test_criterion_5_classical_targets(prep):
     for entry_id, (kind, params) in EXPECTED_TARGETS.items():
         p = prep(entry_id)
         _, samples = verify.check_t_independence(p, n_points=32, seed=42)
-        target, resid = verify.match_classical([p.to_paper_frame(*s) for s in samples])
+        target, resid = verify.match_classical(p.to_paper_frame(samples))
         assert target.kind == kind, entry_id
         assert resid <= 1e-8, entry_id
         for pname, pval in params.items():

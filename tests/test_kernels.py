@@ -277,7 +277,7 @@ class TestKernelLifetime:
         assert all(isinstance(pq, tuple) for pq in batched[0])
         fn = dec._coeff_array._compiled()
         assert (len(compiled), len(sources)) == (1, 1)
-        want = [reduction._reduced(x, t, *fn(x, t), red.E(x)) for x, t in points]
+        want = [reduction._reduced(x, [t], *zip(fn(x, t)), red.E(x))[0] for x, t in points]
         assert _reprs(at) == _reprs(want)
 
     def test_box_override_decomposes_afresh(self):

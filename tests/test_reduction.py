@@ -353,7 +353,7 @@ class TestOnePassStages:
         red = reduction.build_reduced(p.red.dec, p.red.basepoint_x)
         reference = _two_kernel_stages(red.dec)
         rng = np.random.default_rng(24)
-        xs = [x for (x,) in catalog.random_points(rng, (p.entry.box_x,), 64)]
+        (xs,) = catalog.random_points(rng, (p.entry.box_x,), 64)
         x0, tol = red.basepoint_x, red.quad_tol
         for x in xs:
             want = fe._walk_panels(reference, x0, x, tol)
@@ -545,6 +545,16 @@ class TestReducedCoefficients:
                 assert value == pytest.approx(want, rel=1e-14)
             assert [type(v) for v in got[1:3]] == [ZeroDivisionError,
                                                     reduction.DegenerateTauPointError]
+        # At t = 1e155, |phi E| passes 1.4e154, so (phi E)**2 overflows:
+        # the call itself does not raise, the gates reject the degenerate
+        # point and the overflowing square each in its place, and the others
+        # keep the values they have alone.
+        ts = [1.5 + 0.1j, x0, 1e155, 0.7 - 0.2j]
+        got = red.coefficients_at_x0(ts, red.E(x0))
+        assert [type(v) for v in got[1:3]] == [reduction.DegenerateTauPointError, OverflowError]
+        assert str(got[2]) == "complex exponentiation"
+        for k in (0, 3):
+            assert got[k] == red.coefficients_at_x0([ts[k]], red.E(x0))[0]
 
     def test_singular_x0_rejects_every_t(self):
         # p1 = 1/(x - x0): the x-stage raises at x0, on every call, and

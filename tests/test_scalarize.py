@@ -74,6 +74,18 @@ class TestFrobenius:
         fresh = LaxPair(lp.a, lp.b)
         assert repr(scalarize.frobenius_residual_grid(fresh, grid)) == repr(want_max)
 
+    def test_nan_entry_is_the_reading(self):
+        # A NaN entry of the defect is the reading even at the last point,
+        # where Python's max would drop it and the gate would pass.
+        class Rows:
+            def at(self, xs, ts):
+                return [(1e-16, 0j, 0j, 0j), (0j, 2e-16, 0j, complex(float("nan"), 0))]
+
+        lax = catalog.lookup("PII.y0").lax
+        lp = LaxPair(lax.a, lax.b)
+        lp.__dict__["frobenius_fns"] = Rows()
+        assert np.isnan(scalarize.frobenius_residual_grid(lp, [(1.5, 1.0), (2.0, 1.2)]))
+
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_probe_grid_25_points(self, entry_id):
         entry = catalog.lookup(entry_id)

@@ -41,14 +41,14 @@ class TestTIndependence:
         tau2 = red.tau_at(2.0, 1.0)
         assert tau1 == pytest.approx(tau2, abs=1e-10)
         for x, t in ((1.0, 4.0), (2.0, 1.0)):
-            tau, P, Q = p.to_paper_frame(red.tau_at(x, t), *red.coefficients_at(x, t))
+            ((tau, P, Q),) = p.to_paper_frame([(red.tau_at(x, t), *red.coefficients_at(x, t))])
             assert tau == pytest.approx(5.0, abs=1e-9)
             assert Q == pytest.approx(-5.0 / 4.0, abs=1e-9)
 
     def test_constant_target_pairs(self, prep):
         p = prep("PIV.y_m2t")
         _, samples = verify.check_t_independence(p, n_points=16, seed=11)
-        for tau, P, Q in (p.to_paper_frame(*s) for s in samples):
+        for tau, P, Q in p.to_paper_frame(samples):
             assert abs(P) <= 1e-10
             assert Q == pytest.approx(-1.0, abs=1e-10)
 
@@ -95,6 +95,20 @@ class TestTIndependence:
                                                 n_points=33)
         # The first draw is gone, and the other 32 keep their order.
         assert samples == unhurt[1:]
+
+        # The same draw with phi too large to square: the call returns, and
+        # (phi E)**2 rejects that draw alone, by OverflowError, in its place.
+        def huge_phi_at_first_point(t):
+            ph, p_num, q_num = line(t)
+            return np.where(np.asarray(t) == bad[0], 1e155, ph), p_num, q_num
+
+        monkeypatch.setitem(dec.__dict__, "_coeff_x0", huge_phi_at_first_point)
+        e0 = p.red.E(dec.box_x.center)
+        (ts,) = catalog.random_points(np.random.default_rng(42), (p.entry.box_t,), 3)
+        got = p.red.coefficients_at_x0(ts, e0)
+        assert isinstance(got[0], OverflowError)
+        assert got[1:] == p.red.coefficients_at_x0(ts[1:], e0)
+        assert verify.check_t_independence(p, n_points=32) == (reading, unhurt[1:])
 
     def test_failed_walk_to_x0_is_a_stage_error(self, monkeypatch):
         # Every sample sits at x0, so a walk there that fails ends the
@@ -248,6 +262,16 @@ class TestDistinctTaus:
                          1.0 + 1.2e-10, 1.0 + 6e-11j],
         "just above 1e-10": [1.0, 1.0 + 1.01e-10, 1.0 + 2.02e-10, 1.0 + 1.01e-10,
                              1.0 - 1.01e-10, 1.0 + 1.01e-10j, 1.0 - 1.01e-10],
+        # The early exit's boundaries: sorted real parts exactly 1e-10 apart
+        # or equal take the scan, as does a NaN; an infinite tau does not.
+        "real parts 1e-10 apart": [0.5, 0.0, 1e-10, complex(2e-10, 0.5), 1e-10 + 0.5j],
+        "equal real parts": [1.0 + 0j, 1.0 + 1j, 2.0 + 0j, 1.0 - 2j, 1.0 + 1j],
+        "a nan tau": [1.0 + 0j, complex(float("nan"), 0.0), 2.0 - 1j, 0.5 + 1j],
+        "an inf tau": [1.0 + 0j, complex(float("inf"), 0.0), 2.0 - 1j, complex(-float("inf"), 1.0)],
+        # Distances that Python's abs rounds to 1e-10 and just above it,
+        # where numpy's complex abs rounds the other way.
+        "abs at 1e-10": [0j, complex(9.589819866042345e-11, 2.834670163680353e-11),
+                         complex(-7.958874440847287e-11, -6.054446104709151e-11), 1 + 0.5j],
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -307,7 +331,7 @@ class TestDistinctTaus:
     def test_report_samples(self, prep):
         p = prep("PV.y_m1")
         _, samples = verify.check_t_independence(p, n_points=32, seed=42)
-        taus = [p.to_paper_frame(*s)[0] for s in samples]
+        taus = [s[0] for s in p.to_paper_frame(samples)]
         assert verify._distinct_taus(taus) == _scan_distinct(taus)
         assert len(verify._distinct_taus(taus)) == 32
 
@@ -316,7 +340,7 @@ class TestMatchClassical:
     def samples_for(self, prep, entry_id, n=24, seed=17):
         p = prep(entry_id)
         _, samples = verify.check_t_independence(p, n_points=n, seed=seed)
-        return [p.to_paper_frame(*s) for s in samples]
+        return p.to_paper_frame(samples)
 
     def test_airy_with_cuberoot_scale(self, prep):
         target, resid = verify.match_classical(self.samples_for(prep, "PII.y0"))
@@ -863,7 +887,7 @@ def _matches(prep, samples, cfg) -> bool:
     entry's documented target, as ``full_report`` gates it."""
     try:
         target, resid = verify.match_classical(
-            [prep.to_paper_frame(*s) for s in samples], tol=cfg.tol_match)
+            prep.to_paper_frame(samples), tol=cfg.tol_match)
     except verify.MatchError:
         return False
     return resid <= cfg.tol_match and target.agrees_with(

@@ -20,7 +20,14 @@ times; the minimum is the reading, the median and maximum show its spread:
 * ``report``: one ``verify.full_report`` per entry at a seed no earlier
   run used, on entries that have made two reports, so every stage that
   runs once per entry reads its record and every kernel is compiled (the
-  op of the bench's catalog-verify workload, without the negative entry).
+  op of the bench's catalog-verify workload, without the negative entry);
+* ``report: flow``, ``report: t-independence`` and ``report: match``: the
+  time a further round of such reports spends in the function of each
+  stage that depends on the seed (``catalog.flow_residual``,
+  ``verify.check_t_independence`` and ``verify.match_classical``), taken
+  by wrapping each for that round only, so a change can be traced to its
+  stage.  What a report does around them (its draws, the map to the paper
+  frame, the records) is in ``report`` alone.
 
 Run it from any directory:
 
@@ -111,14 +118,40 @@ def readings() -> tuple[int, dict[str, list[float]]]:
         for entry_id in catalog.list_entries():
             verify.full_report(entry_id, Config(seed=seed))
 
+    stages = {"report: flow": (catalog, "flow_residual"),
+              "report: t-independence": (verify, "check_t_independence"),
+              "report: match": (verify, "match_classical")}
+    stage_ms = dict.fromkeys(stages, 0.0)
+
+    def timed(name, fn):
+        def run(*args, **kwargs):
+            start = time.perf_counter_ns()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage_ms[name] += (time.perf_counter_ns() - start) / 1e6
+        return run
+
+    def report_stages():
+        """One ``report()`` round with each stage's function wrapped."""
+        stage_ms.update(dict.fromkeys(stages, 0.0))
+        originals = [getattr(module, attr) for module, attr in stages.values()]
+        for (name, (module, attr)), fn in zip(stages.items(), originals):
+            setattr(module, attr, timed(name, fn))
+        try:
+            report()
+        finally:
+            for (module, attr), fn in zip(stages.values(), originals):
+                setattr(module, attr, fn)
+
     jobs = {f"list ({LIST_POINTS} points)": walk_list,
             f"array ({ARRAY_POINTS} points)": walk_array,
             f"one-point (x{LIST_POINTS})": walk_points,
             "differentiate (x, t)": derive,
             f"walk (x{WALK_POINTS})": walk_es,
             "report (warm)": report}
-    times: dict[str, list[float]] = {name: [] for name in jobs}
-    for job in jobs.values():
+    times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
+    for job in (*jobs.values(), report_stages):
         job()   # warm-up
     gc.disable()
     try:
@@ -128,6 +161,9 @@ def readings() -> tuple[int, dict[str, list[float]]]:
                 start = time.perf_counter_ns()
                 job()
                 times[name].append((time.perf_counter_ns() - start) / 1e6)
+            report_stages()
+            for name, ms in stage_ms.items():
+                times[name].append(ms)
     finally:
         gc.enable()
     return nodes, times
