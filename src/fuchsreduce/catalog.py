@@ -209,7 +209,7 @@ class CatalogEntry:
             return self
         copy = replace(self, **boxes)
         # Saves the flow kernel and a direct pair's companion systems with
-        # their compiled A, dA/dt; a matrix entry's systems are its lax,
+        # the tape of A, dA/dt; a matrix entry's systems are its lax,
         # which replace already shares.
         copy.__dict__.update({name: self.__dict__[name]
                               for name in ("flow_fns", "linear_systems")

@@ -4,25 +4,27 @@ Expressions are immutable trees of complex constants, the spectral
 variable ``x`` and the deformation variable ``t``; a family parameter is
 written into a tree as a constant when the tree is built.  The engine
 provides exact differentiation, substitution of ``x`` or ``t``, one tree
-walker over a list of points (:func:`evaluate` is its one-point case),
-compilation to straight-line Python staged on x and on t
-(:func:`compile_expr`), kernels that walk on their first call and compile
-on their second (:class:`Kernel`), one walker of adaptive Chebyshev panels
-along a straight segment, one panel at a time (contour quadrature, or the
-solve of a 2x2 linear ODE and its t-variation) and an infix printer.
+walker over a list of points (:func:`evaluate` is its one-point case), the
+value-numbered tape of a DAG (:class:`_Tape`), compilation of the tape to
+straight-line Python staged on x and on t (:func:`compile_expr`), kernels
+whose array form runs the tape and whose point form walks on its first
+call and compiles on its second (:class:`Kernel`), first-order jets on the
+tape (:func:`_jets`), one walker of adaptive Chebyshev panels along a
+straight segment, one panel at a time (contour quadrature, or the solve of
+a 2x2 linear ODE and its t-variation) and an infix printer.
 
 One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`):
 its constructor, the template of its compiled line, the function that line
 applies to one point and to arrays of points, its chain rule and, for
 ``div``, ``ipow`` and ``log``, the check of the operand that can make it
-singular.  The walk, differentiation, substitution and compilation read a
-kind's rule from its row and handle only the leaves themselves (the
-printer keeps its own precedence rules).  One traversal,
+singular.  The walk, the tape, the jets, differentiation, substitution and
+compilation read a kind's rule from its row and handle only the leaves
+themselves (the printer keeps its own precedence rules).  One traversal,
 :func:`_traverse`, visits each node object of a DAG once, children first;
-differentiation, substitution, compilation and :func:`_tree_sizes` go
-through it.  The walk :func:`_probe_values` keeps its own recursion: its
-memo outlives the call (:class:`_ProbeSet`), and it takes a checked
-operand first.
+the tape, differentiation, substitution and :func:`_tree_sizes` go through
+it.  The walk :func:`_probe_values` keeps its own recursion: its memo
+outlives the call (:class:`_ProbeSet`), and it takes a checked operand
+first.
 
 Design constraints:
 
@@ -44,7 +46,7 @@ import cmath
 import functools
 import math
 import operator
-import types
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -415,11 +417,8 @@ _KINDS: dict[str, _Kind] = {
     "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt, lambda n, c, d: d[0] / (2 * n)),
 }
 
-# The globals of the compiled lines, one point at a time and as the array
-# form.  Compiled bodies only read these names, so one dict serves every
-# array form.
+# The globals of the compiled lines.
 _SCALAR_NAMESPACE = {"_" + k: row.scalar for k, row in _KINDS.items()}
-_ARRAY_GLOBALS = {"_" + k: row.array for k, row in _KINDS.items()}
 
 
 def _traverse(roots: Sequence[Expr], visit: Callable[[Expr, tuple], object]) -> list:
@@ -538,44 +537,40 @@ _GRAD_X = _Values(np.array([[1], [0]], dtype=complex))
 _GRAD_T = _Values(np.array([[0], [1]], dtype=complex))
 
 
-def _jets(roots: Sequence[Expr], xs: np.ndarray, ts: np.ndarray
+def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
           ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(value, d/dx, d/dt) of each root at the points ``(xs[k], ts[k])``:
-    first-order jets, from one :func:`_traverse` of the DAG under
-    ``roots``, with no derivative DAG built.
+    """(value, d/dx, d/dt) of each root of ``tape`` (its outputs, then the
+    expressions it also keeps) at the points ``(xs[k], ts[k])``: first-order
+    jets, one per tape line, with no derivative DAG built.
 
-    A node's value is its row's ``array`` function, as the array walk of
-    :func:`_probe_values` applies it, and its gradient, d/dx and d/dt
-    stacked in one array, is its row's ``derive`` rule (``_KINDS``) applied
-    to :class:`_Values`, so the jets agree with the values of
+    A line's value is its row's ``array`` function, as the array form of
+    the tape applies it, and its gradient, d/dx and d/dt stacked in one
+    array, is its row's ``derive`` rule (``_KINDS``) applied to
+    :class:`_Values`, so the jets agree with the values of
     :func:`differentiate`'s output to rounding.  A gradient that vanishes
     identically is the int 0, as ``differentiate`` folds it to the
-    constant 0, and a node whose operands all have it is not derived.
+    constant 0, and a line whose operands all have it is not derived.
     Evaluated under ``np.errstate(all="ignore")``: a singular point gives a
     value that is not finite, and the caller decides."""
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ts))
-
-    def visit(n: Expr, kids: tuple) -> tuple:
-        if n.kind == "const":
-            return _Values(n.value), 0
-        if n.kind == "var":
-            return (_Values(xs), _GRAD_X) if n.value == "x" else (_Values(ts), _GRAD_T)
-        row, q = _KINDS[n.kind], n.value
-        c, d = zip(*kids)
-        operands = [v.v for v in c]
-        if q is not None:
-            operands.append(q if type(q) is int else float(q))
-        node = _Values(row.array(*operands), q)
-        return node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
+    jets: list = [None if v is None else (_Values(v), 0) for v in tape.start]
+    jets[0], jets[1] = (_Values(xs), _GRAD_X), (_Values(ts), _GRAD_T)
+    with np.errstate(all="ignore"):
+        for slot, kind, a, b, q, _ in tape.lines:
+            row = _KINDS[kind]
+            c, d = zip(jets[a]) if b is None else zip(jets[a], jets[b])
+            operands = [v.v for v in c]
+            if q is not None:
+                operands.append(q if type(q) is int else float(q))
+            node = _Values(row.array(*operands), q)
+            jets[slot] = node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
 
     def rows(jet: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         value, grad = (np.asarray(_raw(g), dtype=complex) for g in jet)
         dx, dt = np.broadcast_to(grad, (2, *shape))
         return np.broadcast_to(value, shape), dx, dt
 
-    with np.errstate(all="ignore"):
-        got = _traverse(roots, visit)
-    return [rows(jet) for jet in got]
+    return [rows(jets[slot]) for slot in tape.roots]
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +590,12 @@ class Binding:
 
 def evaluate(e: Expr, b: Binding) -> complex:
     """Evaluate ``e`` at a binding: the one-point case of the probe-set
-    walk :func:`_probe_values`, the one interpreter of the node kinds.
-    Pure: identical inputs give bit-identical outputs."""
+    walk :func:`_probe_values`.  Pure: identical inputs give bit-identical
+    outputs."""
     return _probe_values(e, [b.x], [b.t], {})[0]
 
 
-def _probe_values(e: Expr, xs, ts, memo: dict[int, object], array: bool = False):
+def _probe_values(e: Expr, xs, ts, memo: dict[int, object]):
     """The values of ``e`` at every point, ``xs[k]`` and ``ts[k]`` bound
     at point k (None leaves a variable unbound).  Each node applies its
     row's ``scalar`` function (``_KINDS``) once per point, children left to
@@ -613,46 +608,34 @@ def _probe_values(e: Expr, xs, ts, memo: dict[int, object], array: bool = False)
     shared within ``e`` (or with an earlier call on the same memo) is
     computed once.  Over several points it raises where some point is bad,
     not necessarily at the first one: :func:`_values_at` applies the
-    per-point rule.
-
-    With ``array`` the points are numpy arrays ``xs`` and ``ts`` (they
-    broadcast), and each node applies, once, its row's ``array`` function,
-    the one the array form of its compiled line applies, children left to
-    right, and checks nothing; a constant's value is its Python complex.
-    So a walk raises, or gives a value that is not finite, exactly when the
-    compiled code does on the same arrays, and otherwise gives its values
-    bit for bit (:class:`Kernel`)."""
+    per-point rule."""
     got = memo.get(id(e))
     if got is not None:
         return got
     k = e.kind
     if k == "const":
-        vals = e.value if array else [e.value] * len(xs)
+        vals = [e.value] * len(xs)
     elif k == "var":
         bound = xs if e.value == "x" else ts
-        if array:
-            vals = bound
-        elif None in bound:
+        if None in bound:
             raise UnboundSymbolError(f"variable {e.value!r} is unbound")
-        else:
-            vals = [complex(v) for v in bound]
+        vals = [complex(v) for v in bound]
     else:
         row, kids, q = _KINDS[k], e.children, e.value
-        if row.check is not None and not array:
+        if row.check is not None:
             i, singular, message = row.check
             if singular(_probe_values(kids[i], xs, ts, memo), q):
                 raise SingularEvaluationError(message)
-        a = _probe_values(kids[0], xs, ts, memo, array)
+        a = _probe_values(kids[0], xs, ts, memo)
         if len(kids) == 2:
-            b = _probe_values(kids[1], xs, ts, memo, array)
-            vals = row.array(a, b) if array else list(map(row.scalar, a, b))
+            vals = list(map(row.scalar, a, _probe_values(kids[1], xs, ts, memo)))
         elif q is None:
-            vals = row.array(a) if array else list(map(row.scalar, a))
+            vals = list(map(row.scalar, a))
         else:
             # The exponent as its compiled literal: an int as itself, a
             # Fraction p/q as the float p / q.
             q = q if type(q) is int else float(q)
-            vals = row.array(a, q) if array else [row.scalar(u, q) for u in a]
+            vals = [row.scalar(u, q) for u in a]
     memo[id(e)] = vals
     return vals
 
@@ -746,62 +729,100 @@ def _literal(value: complex) -> str:
 _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
 
 
-# The subset of {x, t} a compiled line depends on, as a bit mask.
+# The subset of {x, t} a tape line depends on, as a bit mask.
 _X_DEP, _T_DEP = 1, 2
 
-# One assignment ``name = rhs`` of a compiled body and its dependency mask.
-# A plain tuple: keeping more per line (a NamedTuple, the operand list)
-# made compile_expr measurably slower.
-_Line = tuple[str, str, int]
 
+class _Tape:
+    """The value-numbered tape of the DAG under some roots: the one
+    structure that :class:`Kernel`'s array form, :func:`_jets` and
+    :func:`compile_expr` read, built once per DAG.
 
-def _value_numbered(e: Expr | tuple[Expr, ...]
-                    ) -> tuple[list[_Line], list[str], str, set[str]]:
-    """The straight-line body of ``e``, the operands it returns, its return
-    text and the operands that lines depending on both x and t read.
+    Every value has a slot: x is slot 0, t slot 1, and each distinct
+    constant and interior line the next one, in the order one
+    :func:`_traverse` of the roots first meets it.
 
-    Each line is tagged with its dependency mask.  A line that reads
-    neither x nor t is tagged as x-dependent: it runs in the x-stage, so a
-    line reading it and t is an (x, t) line.
+    * ``start``: per slot, the value the array form starts from: a
+      constant's, or None; after the slots of the DAG's values, one slot
+      per power line holds its exponent as the int or the float ``p / q``
+      that the compiled line applies.
+    * ``lines``: ``(slot, kind, a, b, q, mask)`` per line, in evaluation
+      order, operands first: its ``_KINDS`` row, the slots of its operands
+      (``b`` is None for one operand), its exponent ``q`` (None but for
+      ``ipow`` and ``fpow``) and the subset of {x, t} it depends on.  A line
+      that reads neither is marked as depending on x: it runs with the
+      x-lines, so a line reading it and t is an (x, t) line.
+    * ``roots``: the slot of each root, ``outputs`` those of the first
+      ``n_out`` (the rest are kept for :func:`_jets` alone).
 
-    Subtrees are shared by structure (hash-consing by value numbering):
-    each interior node is one assignment keyed on its right-hand side
-    text, so two nodes share a variable exactly when they would emit the
-    same line, and sharing never changes a bit of the result.  ``Expr``
+    Values are shared by structure (hash-consing by value numbering): a
+    line is keyed on its kind, operand slots and exponent, a constant on
+    its literal, so two nodes share a slot exactly when they would compile
+    to the same line, and sharing never changes a bit of a value.  ``Expr``
     equality is not the key: it equates ``const(0j)`` and
-    ``const(complex(0, -0.0))``, which emit the different values ``0j`` and
-    ``-0j``.  Lines come in evaluation order, operands first."""
-    lines: list[_Line] = []
-    numbered: dict[str, str] = {}
-    # The dependency mask of each emitted name; a literal is in no entry.
-    free: dict[str, int] = {"x": _X_DEP, "t": _T_DEP}
-    read_with_xt: set[str] = set()
+    ``const(complex(0, -0.0))``, whose literals differ.
 
-    def emit(n: Expr, kids: tuple) -> str:
-        k = n.kind
-        if k == "const":
-            return _literal(n.value)
-        if k == "var":
-            return n.value
-        s = _KINDS[k].line % (kids if n.value is None else (*kids, n.value))
-        v = numbered.get(s)
-        if v is None:
-            v = numbered[s] = f"v{len(numbered)}"
-            dep = 0
-            for kid in kids:
-                dep |= free.get(kid, 0)
-            dep = free[v] = dep or _X_DEP
-            if dep == _X_DEP | _T_DEP:
-                read_with_xt.update(kids)
-            lines.append((v, s, dep))
-        return v
+    The array form runs the lines as pre-bound rows ``(slot, array, a, b)``
+    on a copy of ``start``, the x-lines first (:meth:`x_values`), then the
+    others (:meth:`values`); a power line's ``b`` is its exponent's slot."""
 
-    outputs = _traverse(e if isinstance(e, tuple) else (e,), emit)
-    if isinstance(e, tuple):
-        result = "(" + "".join(f"{out}, " for out in outputs) + ")"
-    else:
-        result = outputs[0]
-    return lines, outputs, result, read_with_xt
+    __slots__ = ("lines", "roots", "outputs", "start", "_x_rows", "_xt_rows")
+
+    def __init__(self, roots: Sequence[Expr], n_out: int | None = None):
+        slots: dict = {}
+        masks, start, lines = [_X_DEP, _T_DEP], [None, None], []
+
+        def number(n: Expr, kids: tuple) -> int:
+            if n.kind == "var":
+                return 0 if n.value == "x" else 1
+            const = n.kind == "const"
+            key = _literal(n.value) if const else (n.kind, kids, n.value)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(masks)
+                masks.append(0 if const else masks[kids[0]] | masks[kids[-1]] or _X_DEP)
+                start.append(n.value if const else None)
+                if not const:
+                    lines.append((slot, n.kind, kids[0], kids[1] if len(kids) == 2 else None,
+                                  n.value, masks[slot]))
+            return slot
+
+        self.roots, self.lines = tuple(_traverse(roots, number)), tuple(lines)
+        self.outputs = self.roots[:n_out]
+        # A neg that only an add reads, as its second operand (sub(a, b) is
+        # add(a, neg(b))), runs inside it: a - b is a + (-b) bit for bit,
+        # IEEE 754's difference, with one array operation less.
+        negs = {slot: a for slot, kind, a, *_ in lines if kind == "neg"}
+        reads = Counter([s for line in lines for s in line[2:4]] + [*self.roots])
+        subs = {b for _, kind, _, b, *_ in lines if kind == "add" and reads[b] == 1 and b in negs}
+        self._x_rows, self._xt_rows = [], []
+        for slot, kind, a, b, q, mask in lines:
+            if slot in subs:
+                continue
+            fn = _KINDS[kind].array
+            if b in subs:
+                fn, b = operator.sub, negs[b]
+            if q is not None:
+                b = len(start)
+                start.append(q if type(q) is int else float(q))
+            (self._x_rows if mask == _X_DEP else self._xt_rows).append((slot, fn, a, b))
+        self.start = start
+
+    def x_values(self, x) -> list:
+        """A new list of values with x in its slot and every x-line run."""
+        vals = self.start.copy()
+        vals[0] = x
+        for slot, fn, a, b in self._x_rows:
+            vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        return vals
+
+    def values(self, vals: list, t) -> Iterable:
+        """The outputs' values, in order, given the list :meth:`x_values`
+        returned, which the t-lines and (x, t)-lines fill in place."""
+        vals[1] = t
+        for slot, fn, a, b in self._xt_rows:
+            vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        return map(vals.__getitem__, self.outputs)
 
 
 class _Staged(tuple):
@@ -819,9 +840,10 @@ class _Staged(tuple):
 def compile_expr(e: Expr | tuple[Expr, ...]) -> _Staged:
     """Compile to a Python function ``f(x, t) -> complex``; given a tuple
     of expressions, ``f`` returns the tuple of their values, computed by
-    one straight-line body of value-numbered lines (see
-    :func:`_value_numbered`), so a subtree shared by structure is computed
-    once.  Singular inputs raise the native ZeroDivisionError/ValueError.
+    one straight-line body with one assignment ``v<k> = ...`` per line of
+    the expression's :class:`_Tape`, so a subtree shared by structure is
+    computed once.  Singular inputs raise the native
+    ZeroDivisionError/ValueError.
 
     The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
     post)`` of three functions, from one ``compile`` call, and calling it
@@ -834,22 +856,30 @@ def compile_expr(e: Expr | tuple[Expr, ...]) -> _Staged:
     and t.  A caller that meets the same x, or the same t, at many points
     can compute its stage once.  Every line runs once, in exactly one
     stage, so the values do not depend on the staging, bit for bit, and a
-    point raises exactly when one of its lines does.  A :class:`Kernel`
-    runs the same three code objects on numpy arrays of points."""
-    lines, outputs, result, read = _value_numbered(e)
-    read.update(outputs)
+    point raises exactly when one of its lines does."""
+    tape = _Tape(e if isinstance(e, tuple) else (e,))
+    names = ["x", "t", *(v if v is None else _literal(v) for v in tape.start[2:])]
     stages: dict[int, list[str]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
-    carried: dict[int, str] = {_X_DEP: "(", _T_DEP: "("}
-    for name, rhs, dep in lines:
-        stages[dep].append(f"    {name} = {rhs}\n")
-        if dep in carried and name in read:
-            carried[dep] += f"{name}, "
-    xv, tv = carried[_X_DEP] + ")", carried[_T_DEP] + ")"
+    read: set[str] = set()      # what the (x, t)-lines and the result read
+    for k, (slot, kind, a, b, q, mask) in enumerate(tape.lines):
+        ops = (names[a],) if b is None else (names[a], names[b])
+        names[slot] = f"v{k}"
+        rhs = _KINDS[kind].line % (ops if q is None else (*ops, q))
+        stages[mask].append(f"    v{k} = {rhs}\n")
+        if mask == _X_DEP | _T_DEP:
+            read.update(ops)
+    outputs = [names[slot] for slot in tape.roots]
+    read.update(outputs)
+    # The values an x-stage or a t-stage returns, in the order it runs them.
+    xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in tape.lines
+                            if mask == dep and names[slot] in read) + ")"
+              for dep in (_X_DEP, _T_DEP))
+    result = "".join(f"{out}, " for out in outputs) if isinstance(e, tuple) else outputs[0]
     src = "".join([
         "def _pre_x(x):\n", *stages[_X_DEP], f"    return {xv}\n",
         "def _pre_t(t):\n", *stages[_T_DEP], f"    return {tv}\n",
         f"def _post(x, t, xv, tv):\n    {xv} = xv\n    {tv} = tv\n",
-        *stages[_X_DEP | _T_DEP], f"    return {result}\n"])
+        *stages[_X_DEP | _T_DEP], f"    return ({result})\n"])
     ns = dict(_SCALAR_NAMESPACE)
     exec(compile(src, "<fuchsreduce-expr>", "exec"), ns)
     # Popped, so no function is held by its own globals (a cycle).
@@ -857,53 +887,46 @@ def compile_expr(e: Expr | tuple[Expr, ...]) -> _Staged:
 
 
 class Kernel:
-    """Expressions to evaluate at many points, compiled on reuse: ``e`` is
-    one expression, or a tuple of them as for :func:`compile_expr`.
+    """Expressions to evaluate at many points: ``e`` is one expression, or
+    a tuple of them as for :func:`compile_expr`.  ``also`` names more
+    expressions, usually of the same DAG, whose jets :func:`_jets` reads
+    from the kernel's tape with the outputs'; no call returns them.
 
-    The first call walks the DAG (:func:`_probe_values`); the second
-    compiles ``compile_expr(e)``, once, and every later call runs the
-    compiled code.  Every value and every exception is the compiled
-    kernel's, bit for bit: a walk applies the operations of the compiled
-    lines, and a walk that raises (or an array walk whose values are not
-    all finite) is answered by the compiled path.
+    Two forms, each built on first use and kept:
 
-    :meth:`at` calls the compiled form at a list of points, ``_compiled()``
-    returns its stages, ``kernel(x, t)`` is its array form and
-    :meth:`on_x` the array form on a line x = const, whose x-stage runs
-    once.  A kernel holds no reference to itself.  A first call racing
-    another may walk or compile twice, with the same result."""
+    * the array form, ``kernel(x, t)`` and :meth:`on_x`, runs the kernel's
+      :class:`_Tape` on numpy arrays and never compiles.  Its values are,
+      bit for bit, those of the compiled lines run on the same arrays: each
+      line applies its row's ``array`` function, as the compiled line's
+      array counterpart would.
+    * the point form, :meth:`at`, walks the DAG (:func:`_probe_values`) on
+      its first call and compiles ``compile_expr(e)``, once, on its second;
+      every later call runs the compiled code, whose stages ``_compiled()``
+      returns.  A walk applies the operations of the compiled lines, and a
+      walk that raises is answered by the compiled code, so every value and
+      every exception is the compiled kernel's.
 
-    __slots__ = ("expr", "_walked", "_fn", "_vec")
+    An array batch that raises or is not finite is answered by the
+    compiled code, point by point, compiling it if need be.  A kernel holds
+    no reference to itself.  A first use racing another may build, walk or
+    compile twice, with the same result."""
 
-    def __init__(self, e: Expr | tuple[Expr, ...]):
+    def __init__(self, e: Expr | tuple[Expr, ...], also: tuple[Expr, ...] = ()):
         self.expr = e
+        self._also = also
         self._walked = False
         self._fn: _Staged | None = None     # compile_expr(e), once compiled
-        self._vec: tuple | None = None      # its stages on _ARRAY_GLOBALS
 
-    def _walks(self) -> bool:
-        """Whether this call walks: only the first, and only if nothing has
-        compiled the kernel yet."""
-        if self._walked or self._fn is not None:
-            return False
-        self._walked = True
-        return True
+    @functools.cached_property
+    def tape(self) -> _Tape:
+        """The tape of the outputs and then of ``also``."""
+        outs = self.expr if isinstance(self.expr, tuple) else (self.expr,)
+        return _Tape((*outs, *self._also), len(outs))
 
     def _compiled(self) -> _Staged:
-        fn = self._fn
-        if fn is None:
-            fn = self._fn = compile_expr(self.expr)
-        return fn
-
-    def _walk(self, xs, ts, array: bool = False):
-        """The values the compiled function returns, from one walk on one
-        memo: one value per point (a tuple per point for a tuple kernel),
-        or with ``array`` its array-form output."""
-        memo: dict[int, object] = {}
-        if not isinstance(self.expr, tuple):
-            return _probe_values(self.expr, xs, ts, memo, array)
-        cols = [_probe_values(e, xs, ts, memo, array) for e in self.expr]
-        return tuple(cols) if array else list(zip(*cols))
+        if self._fn is None:
+            self._fn = compile_expr(self.expr)
+        return self._fn
 
     def _points(self, xs: list, ts: list) -> list:
         """The compiled form at each point in turn, its stages bound once:
@@ -917,14 +940,18 @@ class Kernel:
         at the first point where it raises."""
         xs = list(map(complex, xs))
         ts = list(map(complex, ts))
-        if self._walks():
+        if not self._walked and self._fn is None:
+            self._walked = True
             try:
-                return self._walk(xs, ts)
+                memo: dict[int, object] = {}
+                if not isinstance(self.expr, tuple):
+                    return _probe_values(self.expr, xs, ts, memo)
+                return list(zip(*[_probe_values(e, xs, ts, memo) for e in self.expr]))
             except _SAMPLE_ERRORS:
                 pass    # the compiled path answers, with its own exception
         return self._points(xs, ts)
 
-    def __call__(self, x, t):
+    def __call__(self, x, t, held: list | None = None):
         """The array form: the values at numpy arrays of points.
 
         ``x`` and ``t`` broadcast against each other; the result has their
@@ -933,59 +960,40 @@ class Kernel:
         batch that raises or yields a non-finite value is evaluated again by
         the compiled scalar function, point by point, so it ends in the
         scalar values or in the exception that function raises at the first
-        bad point."""
-        return self._array(np.asarray(x, dtype=complex), t)
+        bad point.  ``held`` is :meth:`on_x`'s list of the values of the
+        tape's x-lines at ``x``, filled by its first call that they do not
+        raise in and copied by the calls after."""
+        x, t = np.asarray(x, dtype=complex), np.asarray(t, dtype=complex)
+        shape = x.shape if t.ndim == 0 else np.broadcast(x, t).shape
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                if held == []:
+                    held.append(self.tape.x_values(x))
+                vals = self.tape.x_values(x) if held is None else held[0].copy()
+                out = self.tape.values(vals, t)
+            out = [v if type(v) is np.ndarray and v.shape == shape
+                   else np.full(shape, v, dtype=complex) for v in out]
+            every = np.concatenate(out, axis=None)
+            # 0 * v is 0 where v is finite and NaN where it is not, so the
+            # sum is finite exactly when every value is.
+            if cmath.isfinite(np.vdot(np.zeros(every.size, dtype=complex), every)):
+                return tuple(out) if isinstance(self.expr, tuple) else out[0]
+        except _SAMPLE_ERRORS:
+            pass
+        # The batch raised or is not finite: the compiled code answers.
+        xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
+        rows = np.array(self._points(xs, ts), dtype=complex)
+        if isinstance(self.expr, tuple):
+            return tuple(col.reshape(shape) for col in rows.T)
+        return rows.reshape(shape)
 
     def on_x(self, x: complex) -> Callable[[object], object]:
         """The array form on the line through the one point x: ``g(t)`` is
         ``self([x], t)``, with its values, bit for bit, and its fallback.
-
-        ``g`` holds the x-stage.  The kernel walks or compiles as every
-        call of it does; once it runs compiled code, the first call of
-        ``g`` runs the x-stage at x, keeps its values unless it raises, and
-        every later call runs only the t-stage and the (x, t)-stage.  ``g``
-        holds the kernel and no reference to itself."""
-        x = np.array([complex(x)])
-        held: list = []
-
-        def x_stage(pre_x):
-            if not held:
-                held.append(pre_x(x))
-            return held[0]
-
-        return functools.partial(self._array, x, x_stage=x_stage)
-
-    def _array(self, x: np.ndarray, t, x_stage=None):
-        """:meth:`__call__` at the array ``x``, with the x-stage from
-        ``x_stage(pre_x)`` when it is given (:meth:`on_x`)."""
-        t = np.asarray(t, dtype=complex)
-        shape = np.broadcast(x, t).shape
-        vec = self._vec
-        if vec is None and not self._walks():
-            vec = self._vec = tuple(types.FunctionType(stage.__code__, _ARRAY_GLOBALS)
-                                    for stage in self._compiled())
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                if vec is None:
-                    out = self._walk(x, t, array=True)
-                else:
-                    pre_x, pre_t, post = vec
-                    xv = pre_x(x) if x_stage is None else x_stage(pre_x)
-                    out = post(x, t, xv, pre_t(t))
-            parts = [v if np.shape(v) == shape
-                     else np.broadcast_to(np.asarray(v, dtype=complex), shape)
-                     for v in (out if isinstance(out, tuple) else (out,))]
-            if np.isfinite(parts).all():
-                return tuple(parts) if isinstance(out, tuple) else parts[0]
-        except _SAMPLE_ERRORS:
-            pass
-        # The batch raised or is not finite: on the compiled code, or on the
-        # walk, which applies the same numpy operations and so fails alike.
-        xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
-        rows = np.array(self._points(xs, ts), dtype=complex)
-        if rows.ndim == 1:
-            return rows.reshape(shape)
-        return tuple(col.reshape(shape) for col in rows.T)
+        The tape's x-lines run at x on the first call of ``g``, which keeps
+        their values unless they raise, and every later call runs only the
+        other lines.  ``g`` holds the kernel and no reference to itself."""
+        return functools.partial(self, np.array([complex(x)]), held=[])
 
 
 # ---------------------------------------------------------------------------

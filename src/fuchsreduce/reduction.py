@@ -124,7 +124,7 @@ class Decomposition:
     cached properties are the kernels of (h, f), of G and of (phi, p_num,
     q_num), phi = f + t h (see :class:`ReducedEquation`), and the last on
     the line x = x0, the centre of the x box (``expr.Kernel.on_x``), which
-    holds the one x-stage at x0; each is built on first use and kept for
+    holds the values of its x-rows at x0; each is built on first use and kept for
     the life of the decomposition.  ``dataclasses.replace`` starts without
     any cached property."""
 
@@ -182,7 +182,8 @@ class Decomposition:
             fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        return fe.Kernel((phi, p_num, q_num))
+        # h is in the DAG, as phi = f + t h: the invariance jets read it.
+        return fe.Kernel((phi, p_num, q_num), also=(self.h,))
 
     @cached_property
     def invariance(self) -> float:
@@ -200,15 +201,15 @@ class Decomposition:
         / max(1, |a|) and |D b + 2 h b/phi| / max(1, |b|), and the reading
         is the max of both over ``_INVARIANCE_PROBES`` joint probes (x on
         the x box's diagonal, t on the t box's, run in opposite
-        directions), from first-order jets of the coefficient kernel's
-        (phi, p_num, q_num) and of h (``expr._jets``).  It depends on the
-        decomposition alone, so it is computed once per decomposition.  A
+        directions), from first-order jets of (phi, p_num, q_num) and of h,
+        one per line of the coefficient kernel's tape (``expr._jets``), the
+        tape its array form runs.  It depends on the decomposition alone,
+        so it is computed once per decomposition.  A
         point where phi vanishes or a value is singular gives a reading
         that is not finite."""
         xs = np.array(self.box_x.diagonal(_INVARIANCE_PROBES))
         ts = np.array(self.box_t.diagonal(_INVARIANCE_PROBES)[::-1])
-        (phi, phi_x, phi_t), *nums, (h, _, _) = fe._jets(
-            (*self._coeff_array.expr, self.h), xs, ts)
+        (phi, phi_x, phi_t), *nums, (h, _, _) = fe._jets(self._coeff_array.tape, xs, ts)
         readings = []
         with np.errstate(all="ignore"):
             for k, (num, num_x, num_t) in enumerate(nums, 1):
@@ -528,7 +529,7 @@ class ReducedEquation:
         that rejects it, where x0 is the centre of the decomposition's x box
         and ``e0`` is E(x0).  The coefficients come from one call of the
         coefficient kernel on the line x = x0 (``Decomposition._coeff_x0``,
-        whose x-stage at x0 runs once per decomposition), the gates from
+        whose x-rows at x0 run once per decomposition), the gates from
         one loop of :func:`_reduced`.
         When the call raises, each t runs alone, so a singular point rejects
         only itself.  The values are :meth:`coefficients_at`'s up to the

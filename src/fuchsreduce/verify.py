@@ -21,7 +21,7 @@ choices never affect pass/fail or matched parameters.
 The Frobenius grid, the frame fit, the walk of E and S to x0 (the centre of
 the x box, where the samples sit) and cross-validation depend on the entry
 alone, so each runs once per entry (``CatalogEntry.certified``), and the
-identity reading and the coefficient kernel's x-stage at x0 once per
+identity reading and the coefficient kernel's x-rows at x0 once per
 decomposition.  A warm report runs only what depends on the seed, the flow
 stage and the samples match reads, in one pass each: no panel walk and no
 compile.
@@ -172,7 +172,7 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
 _DRAWS_PER_SAMPLE = 8
 
 
-def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
+def check_t_independence(prep: Prepared, n_points: int = 32, seed: int | np.random.Generator = 42
                          ) -> tuple[float, list[tuple[complex, complex, complex]]]:
     """``Decomposition.invariance``, the reading that certifies P and Q
     depend on tau alone, and ``n_points`` samples (tau, P, Q) for match, in
@@ -181,12 +181,13 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
     tau = E(x0) t + S(x0) is affine in t.  E and S at x0 take one walk, run
     once per entry at the entry's own basepoint (:func:`_once`), and on
     every call at any other or on another decomposition.  The t are drawn
-    from ``seed`` in the t box, in order, skipping those within 0.15 of a
-    singular t; their coefficients come from one ``coefficients_at_x0``
-    call, and a t it rejects (by one of ``expr._SAMPLE_ERRORS``) is replaced
-    by the next draw.  Raises :class:`VerifyError` when the walk to x0 fails
-    (a failed walk records nothing) or ``_DRAWS_PER_SAMPLE * n_points``
-    draws place fewer samples, and ValueError for ``n_points < 1``."""
+    from ``seed`` (an int, or the generator to draw from) in the t box, in
+    order, skipping those within 0.15 of a singular t; their coefficients
+    come from one ``coefficients_at_x0`` call, and a t it rejects (by one of
+    ``expr._SAMPLE_ERRORS``) is replaced by the next draw.  Raises
+    :class:`VerifyError` when the walk to x0 fails (a failed walk records
+    nothing) or ``_DRAWS_PER_SAMPLE * n_points`` draws place fewer samples,
+    and ValueError for ``n_points < 1``."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     entry, red = prep.entry, prep.red
@@ -258,7 +259,10 @@ def _distinct_taus(taus: Sequence[complex]) -> list[complex]:
         return list(taus)
     uniq = list(dict.fromkeys(taus))
     z = np.array(uniq, dtype=complex)
-    d = z[:, None] - z[None, :]
+    # An infinite tau's distances include inf - inf, a NaN: not more than
+    # 1e-10, as Python's abs of the difference would have it.
+    with np.errstate(invalid="ignore"):
+        d = z[:, None] - z[None, :]
     # near[i, j]: tau j, before tau i, is not more than 1e-10 from it.
     near = np.tril(~(np.hypot(d.real, d.imag) > 1e-10), -1)
     kept = np.ones(len(uniq), dtype=bool)
@@ -538,8 +542,13 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
             rep.errors.append(f"{name}: {exc}")
             return None
 
-    rep.flow_max = stage("flow", lambda: cat.flow_residual(
-        entry, cat.random_points(np.random.default_rng(seed), (entry.box_t,), 16)[0]))
+    # One generator per report: random_points draws row by row, so the
+    # flow stage's 16 t are the first 16 of the 32 that t-independence
+    # draws first, and the generator is rewound over their 32 doubles.
+    rng = np.random.default_rng(seed)
+    (flow_ts,) = cat.random_points(rng, (entry.box_t,), 16)
+    rng.bit_generator.advance(-32)
+    rep.flow_max = stage("flow", lambda: cat.flow_residual(entry, flow_ts))
     if entry.lax is not None:
         rep.frobenius_max = stage("frobenius", lambda: _once(
             entry, "frobenius",
@@ -554,7 +563,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     rep.frame_residual = prep.frame_residual
 
     def independence():
-        rep.t_independence_max, samples = check_t_independence(prep, seed=seed)
+        rep.t_independence_max, samples = check_t_independence(prep, seed=rng)
         return prep.to_paper_frame(samples)
 
     samples_paper = stage("t-independence", independence)

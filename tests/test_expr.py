@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -117,8 +118,9 @@ def _reference_derivative(e, var):
 
 class TestDerivativeShape:
     def test_same_trees_as_the_reference_rule_property(self):
-        # Compared by compiled lines: Expr equality equates the zero
-        # constants 0j and -0j, which compile to different values.
+        # Compared by value-numbered tapes, which key a constant on its
+        # compiled literal: Expr equality equates the zero constants 0j and
+        # -0j, which compile to different values.
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
@@ -126,10 +128,18 @@ class TestDerivativeShape:
                       database=None)
         @hyp.given(_raw_trees(st), st.sampled_from(["x", "t"]))
         def check(e, var):
-            want = fe._value_numbered(_reference_derivative(e, var))
-            assert fe._value_numbered(fe.differentiate(e, var)) == want
+            want = _numbered(_reference_derivative(e, var))
+            assert _numbered(fe.differentiate(e, var)) == want
 
         check()
+
+
+def _numbered(e):
+    """The value-numbered tape of ``e`` as plain tuples: equal exactly when
+    two expressions compile to the same lines."""
+    tape = fe._Tape((e,))
+    return (tape.lines, tape.roots,
+            [v if v is None else fe._literal(v) for v in tape.start])
 
 
 def _tree_walk(e, b):
@@ -417,10 +427,11 @@ def _result_bits(value):
 
 
 def both_tiers(call, *args):
-    """``call(*args)`` twice, ``call`` being a new kernel (its array form)
-    or its ``at``: the first call walks the tree and the second runs the
-    compiled code.  Both give the same bits or raise the same class and
-    message; the second's result is returned, or its exception raised."""
+    """``call(*args)`` twice, ``call`` being a new kernel (its array form,
+    whose first call builds the tape the second runs again) or its ``at``
+    (whose first call walks the tree and second runs the compiled code).
+    Both give the same bits or raise the same class and message; the
+    second's result is returned, or its exception raised."""
     outcomes = []
     for _ in range(2):
         try:
@@ -519,7 +530,7 @@ class TestCompileStaged:
         assert len(pre_x(0.7 + 0.2j)) == n_x_carried
         assert len(pre_t(0.7 + 0.2j)) == n_t_carried
         # Every line runs in exactly one stage, once.
-        n_lines = len(fe._value_numbered(e)[0])
+        n_lines = len(fe._Tape(e if isinstance(e, tuple) else (e,)).lines)
         n_post_lines = post.__code__.co_nlocals - 4 - n_x_carried - n_t_carried
         assert n_x_lines + n_t_lines + n_post_lines == n_lines
         _check_staged(e, _PROPERTY_POINTS, _PROPERTY_POINTS)
@@ -615,9 +626,8 @@ class TestCompileConstants:
 
 
 class TestArrayForm:
-    """A kernel's array form: the same compiled body evaluated on arrays,
-    and on its first call the walk that applies the same numpy
-    operations."""
+    """A kernel's array form: its tape, which applies the numpy operations
+    of its compiled lines evaluated on arrays."""
 
     def test_matches_scalar_on_catalog_coefficients(self, prep):
         # The walk matrix (A, then dA/dt) of three entries; PVdeg's is the
@@ -669,15 +679,29 @@ class TestArrayForm:
             both_tiers(fe.Kernel(e).at, [0.5, bad, 1.25], [0j] * 3)
         assert np.all(np.isfinite(both_tiers(fe.Kernel(e), np.array([0.25, 0.5]), 0j)))
 
+    def test_non_finite_batch_is_answered_by_the_scalar_form(self):
+        # A NaN point raises no floating-point error, but the batch's values
+        # are not all finite: the compiled scalar function answers it.
+        kernel = fe.Kernel(fe.add(fe.mul(X, fe.const(2)), T))
+        xs = np.array([1.0, complex("nan"), 0.5j])
+        got = kernel(xs, 0.25)
+        f = fe.compile_expr(kernel.expr)
+        assert [_bits(v) for v in got.tolist()] == [_bits(f(x, 0.25)) for x in xs.tolist()]
+        assert kernel._fn is not None
+
     def test_zero_base_positive_fractional_power(self):
         kernel = fe.Kernel(fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(1, 2)))
         got = both_tiers(kernel, np.array([1.5, 2.5]), 0j)
         assert got[0] == 0 and got[1] == pytest.approx(1.0)
 
     def test_array_form_property(self):
+        # Where the batch stands (no error, every value finite), its values
+        # are those of the compiled lines run on the same arrays, bit for
+        # bit, signed zeros included.
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         points = st.sampled_from(_PROPERTY_POINTS)
+        arrays = {"_" + kind: row.array for kind, row in fe._KINDS.items()}
 
         @hyp.settings(max_examples=400, deadline=None, derandomize=True,
                       database=None)
@@ -697,6 +721,15 @@ class TestArrayForm:
                     assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
                 else:
                     assert _bits(g) == _bits(want)
+            pre_x, pre_t, post = (types.FunctionType(stage.__code__, arrays) for stage in f)
+            x, tt = np.array(xs, dtype=complex), np.asarray(t, dtype=complex)
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    batch = np.broadcast_to(post(x, tt, pre_x(x), pre_t(tt)), got.shape)
+            except fe._SAMPLE_ERRORS:
+                return
+            if np.isfinite(batch).all():
+                assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in batch.tolist()]
 
         check()
 
@@ -850,9 +883,9 @@ class TestMultiSegmentPanels:
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(fe.const(1), fe.mul(T, h)), q2=zero))
         red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
-        # The walk's first kernel call walks the tree, which raises at the
+        # The walk's first kernel call runs the tape, which raises at the
         # pole; the compiled kernel answers with its ZeroDivisionError.
-        assert not dec._hf_array._walked
+        assert "tape" not in dec._hf_array.__dict__
         with pytest.raises(fe.QuadratureError) as info:
             fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends[0], 1e-13)
         assert isinstance(info.value.__cause__, ZeroDivisionError)

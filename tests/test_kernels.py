@@ -2,14 +2,13 @@
 
 A catalog entry owns its scalar pair, its decomposition and their kernels;
 a prepare call owns only its memos.  An expression kernel
-(``expr.Kernel``) walks its DAG on its first call and compiles on its
-second, and both tiers give the compiled code's values and exceptions bit
-for bit.  So a fresh entry's report compiles only (h, f), which it calls
-many times (the t-independence stage's coefficients are one kernel call
-per report); on a default entry each kernel compiles at most once and a
-third report compiles nothing; an override
-entry takes its kernels with it when it is collected; and no report
-depends on what ran before it.
+(``expr.Kernel``) runs its array form on its tape and never compiles for
+it; its point form walks the DAG on its first call and compiles on its
+second.  Every form gives the compiled code's values and exceptions bit
+for bit.  So a fresh entry's report compiles nothing, a second report on
+an entry compiles only its flow kernel and a third compiles nothing; an
+override entry takes its kernels with it when it is collected; and no
+report depends on what ran before it.
 """
 
 import gc
@@ -18,6 +17,7 @@ import os
 import subprocess
 import sys
 import threading
+import types
 import weakref
 from fractions import Fraction
 
@@ -51,9 +51,9 @@ class TestKernelLifetime:
             assert lax_ref() is None
 
     def test_third_report_compiles_nothing(self, monkeypatch):
-        # A kernel walks on its first call and compiles on its second: over
-        # two reports on every entry each kernel compiles at most once, and
-        # a third report compiles nothing.
+        # A kernel's point form walks on its first call and compiles on its
+        # second: over two reports on every entry each kernel compiles at
+        # most once, and a third report compiles nothing.
         compiled = []
         real_compile = fe.compile_expr
 
@@ -72,13 +72,13 @@ class TestKernelLifetime:
             verify.full_report(entry_id, Config(seed=1))
         assert len(compiled) == count
 
-    def test_fresh_report_compiles_only_hf(self, monkeypatch):
+    def test_fresh_report_compiles_nothing(self, monkeypatch):
         # A --param report builds a fresh entry.  Its report walks the
-        # kernels it calls once (flow, Frobenius, A and dA/dt on the
-        # one-round leg, G, and the coefficients of the t-independence
-        # stage's one batch) and compiles only (h, f), which the E/S walks
-        # call again and again.  The coefficient kernel, which the point API
-        # coefficients_at runs staged, is not compiled.
+        # kernels whose point form it calls (flow and Frobenius, once each)
+        # and runs the tapes of those whose array form it calls: (h, f) in
+        # the E/S walks, A and dA/dt on the one-round leg, G, and the
+        # coefficients of the t-independence stage's one batch and of the
+        # invariance jets.  It compiles nothing.
         entries, exprs = [], []
         real_lookup, real_compile = catalog.lookup, fe.compile_expr
 
@@ -96,54 +96,75 @@ class TestKernelLifetime:
         assert rep.passed, rep.errors
         (entry,) = entries
         dec = entry.decomposition
-        assert exprs == [(dec.h, dec.f)] and exprs[0] is dec._hf_array.expr
-        assert dec._coeff_array.expr not in exprs
-        walked = [entry.flow_fns, entry.lax.frobenius_fns, entry.lax.a_dadt_array,
-                  dec._G_array, dec._coeff_array]
-        assert [(k._walked, k._fn) for k in walked] == [(True, None)] * 5
+        assert exprs == []
+        walked = [entry.flow_fns, entry.lax.frobenius_fns]
+        assert [(k._walked, k._fn) for k in walked] == [(True, None)] * 2
+        taped = [dec._hf_array, entry.lax.a_dadt_array, dec._G_array, dec._coeff_array]
+        assert [(k._walked, k._fn, "tape" in k.__dict__) for k in taped] == \
+            [(False, None, True)] * 4
+
+    def test_second_report_compiles_only_flow(self, monkeypatch):
+        # On a fresh copy of each entry, served as the entry by lookup: the
+        # first report compiles nothing, the second compiles the flow kernel
+        # (the one point form a report calls every time) and the third
+        # compiles nothing.  No array call compiles its kernel.
+        compiled = []
+        real_compile = fe.compile_expr
+        monkeypatch.setattr(fe, "compile_expr", lambda e: compiled.append(e)
+                            or real_compile(e))
+        real_lookup = catalog.lookup
+        for entry_id in ALL_WITH_NEGATIVE:
+            entry = real_lookup(entry_id, dict(real_lookup(entry_id).params_exact))
+            monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
+            rounds = []
+            for seed in (42, 7, 1):
+                count = len(compiled)
+                verify.full_report(entry_id, Config(seed=seed))
+                rounds.append(compiled[count:])
+            assert rounds == [[], [entry.flow_fns.expr], []], entry_id
+            dec = entry.decomposition
+            arrays = [dec._hf_array, dec._G_array, dec._coeff_array]
+            arrays.append(entry.linear_systems.a_dadt_array)
+            assert [k._fn for k in arrays] == [None] * len(arrays), entry_id
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_coefficient_kernel_tiers(self, monkeypatch, entry_id):
         # On a fresh copy of a default entry, served as the entry by
         # lookup: each report calls the coefficient kernel once, on the line
-        # x = x0 with its 32 drawn t; the first walks it, the second
-        # compiles it and runs its x-stage at x0, and the third compiles
-        # nothing and runs no x-stage.  The three reports are byte-identical.
+        # x = x0 with its 32 drawn t, and each call runs its one array tier,
+        # the tape.  Its tape's x-lines run at x0 once, in the first
+        # report's call; no report compiles the kernel.  The three reports
+        # are byte-identical.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
         dec = entry.decomposition
-        calls, compiled, x_stages = [], [], []
-        real_array, real_compile = fe.Kernel._array, fe.compile_expr
+        calls, compiled, x_runs = [], [], []
+        real_call, real_compile = fe.Kernel.__call__, fe.compile_expr
+        real_x_values = fe._Tape.x_values
 
-        def recording_array(kernel, x, t, x_stage=None):
-            if kernel is not dec._coeff_array:
-                return real_array(kernel, x, t, x_stage)
-            calls.append((np.shape(x), np.shape(t), x_stage is not None))
+        def recording_call(kernel, x, t, held=None):
+            if kernel is dec._coeff_array:
+                calls.append((np.shape(x), np.shape(t), held is not None))
+            return real_call(kernel, x, t, held)
 
-            def counted_x_stage(pre_x):
-                def counted(x):
-                    x_stages.append(len(calls))
-                    return pre_x(x)
-                return x_stage(counted)
-
-            return real_array(kernel, x, t, counted_x_stage)
+        def recording_x_values(tape, x):
+            if tape is dec._coeff_array.tape:
+                x_runs.append(len(calls))
+            return real_x_values(tape, x)
 
         def recording_compile(e):
             compiled.append(e)
             return real_compile(e)
 
-        monkeypatch.setattr(fe.Kernel, "_array", recording_array)
+        monkeypatch.setattr(fe.Kernel, "__call__", recording_call)
+        monkeypatch.setattr(fe._Tape, "x_values", recording_x_values)
         monkeypatch.setattr(fe, "compile_expr", recording_compile)
-        reports, tiers = [], []
-        for _ in range(3):
-            count = len(compiled)
-            reports.append(json.dumps(verify.full_report(entry_id).to_json()))
-            tiers.append(dec._coeff_array.expr in compiled[count:])
+        reports = [json.dumps(verify.full_report(entry_id).to_json()) for _ in range(3)]
         assert calls == [((1,), (32,), True)] * 3
-        assert tiers == [False, True, False]
-        assert x_stages == [2]
+        assert x_runs == [1]
+        assert dec._coeff_array.expr not in compiled
+        assert dec._coeff_array._fn is None
         assert len(set(reports)) == 1
-        assert "_coeff_parts" not in dec.__dict__
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_warm_report_walks_and_compiles_nothing(self, monkeypatch, entry_id):
@@ -323,9 +344,8 @@ class TestKernelLifetime:
         copy = entry.with_boxes(config)
         assert copy.flow_fns is entry.flow_fns
         assert copy.linear_systems.a_dadt_array is entry.linear_systems.a_dadt_array
-        dec = copy.decomposition
-        # G is called once, in cross-validation, so it is walked.
-        assert compiled == [(dec.h, dec.f)]
+        # Its decomposition's kernels are all called in array form.
+        assert compiled == []
         # Nothing is carried that the entry has not built.
         fresh = catalog.lookup(entry_id, dict(entry.params_exact))
         assert "flow_fns" not in fresh.with_boxes(config).__dict__
@@ -515,21 +535,100 @@ def _new_kernel_call(entry, name):
     return kernel, kernel, (rows, 0j)
 
 
+def _compiled_on_arrays(e):
+    """``compile_expr(e)``'s stages run on numpy arrays: their code on a
+    namespace of the ``_KINDS`` rows' array functions, under the errstate
+    of the array form; the outputs broadcast to the points' shape."""
+    ns = {"_" + kind: row.array for kind, row in fe._KINDS.items()}
+    pre_x, pre_t, post = (types.FunctionType(stage.__code__, ns)
+                          for stage in fe.compile_expr(e))
+
+    def call(x, t):
+        x, t = np.asarray(x, dtype=complex), np.asarray(t, dtype=complex)
+        shape = np.broadcast_shapes(x.shape, t.shape)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = post(x, t, pre_x(x), pre_t(t))
+        parts = [np.broadcast_to(np.asarray(v, dtype=complex), shape)
+                 for v in (out if isinstance(out, tuple) else (out,))]
+        return tuple(parts) if isinstance(out, tuple) else parts[0]
+
+    return call
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, as ``_reprs``, or the class of the
+    sample error it raises."""
+    try:
+        return _reprs(call(*args))
+    except fe._SAMPLE_ERRORS as exc:
+        return type(exc)
+
+
 class TestTierEquivalence:
-    """A kernel's first call walks and its later calls run compiled code;
-    the two give the same values, bit for bit, and raise the same
-    exceptions."""
+    """A kernel's array form runs its tape and gives, bit for bit, the
+    values of its compiled lines run on the same arrays; its point form's
+    first call walks and its later calls run compiled code, with the same
+    values and exceptions."""
 
     @pytest.mark.parametrize("name", _KERNELS)
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_walked_and_compiled_calls_agree(self, entry_id, name):
         kernel, call, args = _new_kernel_call(catalog.lookup(entry_id), name)
-        walked = call(*args)
-        assert kernel._walked and kernel._fn is None
-        compiled = call(*args)
-        assert kernel._fn is not None
-        assert _reprs(walked) == _reprs(compiled)
-        assert _reprs(call(*args)) == _reprs(compiled)
+        first = call(*args)
+        if call is kernel:
+            assert not kernel._walked and kernel._fn is None
+            assert _reprs(first) == _reprs(_compiled_on_arrays(kernel.expr)(*args))
+            assert kernel._fn is None
+        else:
+            assert kernel._walked and kernel._fn is None
+            assert _reprs(first) == _reprs(call(*args))
+            assert kernel._fn is not None
+        assert _reprs(call(*args)) == _reprs(first)
+
+    def test_tape_and_compiled_arrays_raise_alike(self):
+        # Batches with a pole, a log of zero, an overflowing exp, a zero
+        # base to a negative fractional power and a constant line dividing
+        # by zero at some point, and a regular batch.  The tape raises, with
+        # the same class, exactly where the compiled lines on arrays do, and
+        # gives their values elsewhere; the kernel answers each bad batch
+        # with the exception the compiled scalar function raises at its
+        # first bad point.
+        pole = fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5)))
+        cases = [
+            (fe.add(fe.mul(pole, fe.T), fe.exp(fe.X)), [1.25, 1.5, 1.75], 0.5),
+            ((fe.log(fe.sub(fe.X, fe.T)), fe.X), [1.0, 2.0], [1.0, 1.0]),
+            (fe.exp(fe.mul(fe.X, fe.T)), [1.0, 2.0], [1.0, 800.0]),
+            (fe.fpow(fe.sub(fe.T, fe.const(1)), Fraction(-1, 2)), [1.0, 2.0], [2.0, 1.0]),
+            (fe.add(fe.X, fe.div(fe.const(1), fe.const(0))), [1.0], 0j),
+            ((fe.mul(fe.X, fe.T), fe.log(fe.X)), [1.0, 2.0], [0.5, 0.25]),
+        ]
+        raised = []
+        for e, xs, ts in cases:
+            x, t = np.asarray(xs, dtype=complex), np.asarray(ts, dtype=complex)
+            kernel = fe.Kernel(e)
+            tape = kernel.tape
+            shape = np.broadcast_shapes(x.shape, t.shape)
+
+            def run():
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    out = tape.values(tape.x_values(x), t)
+                parts = [np.broadcast_to(np.asarray(v, dtype=complex), shape) for v in out]
+                return tuple(parts) if isinstance(e, tuple) else parts[0]
+
+            want = _outcome(_compiled_on_arrays(e), x, t)
+            assert _outcome(run) == want, e
+            if isinstance(want, type):
+                f = fe.compile_expr(e)
+                points = zip(*(np.broadcast_to(v, shape).tolist() for v in (x, t)))
+                scalar = _outcome(lambda: [f(*point) for point in points])
+                assert isinstance(scalar, type)
+                assert _outcome(kernel, x, t) == scalar
+                raised.append((want, scalar))
+        assert raised == [(FloatingPointError, ZeroDivisionError),
+                          (FloatingPointError, ValueError),
+                          (FloatingPointError, OverflowError),
+                          (FloatingPointError, fe.SingularEvaluationError),
+                          (ZeroDivisionError, ZeroDivisionError)]
 
     def test_singular_frobenius_grid_raises_alike(self):
         # theta1 = 2 puts a pole of PV.y_lin's matrices on the 5 x 5 grid.

@@ -664,14 +664,16 @@ class TestInvariance:
 
     @pytest.mark.parametrize("entry_id", IDS)
     def test_jets_agree_with_differentiate(self, entry_id):
-        # Values and both derivatives of (phi, p_num, q_num, h) against the
-        # point walk of differentiate's output, relative to the largest of
-        # those values: p_num vanishes to rounding on several entries, so
-        # its derivatives are sums of terms of that size which cancel.
+        # Values and both derivatives of (phi, p_num, q_num, h), from the
+        # coefficient kernel's tape, against the point walk of
+        # differentiate's output, relative to the largest of those values:
+        # p_num vanishes to rounding on several entries, so its derivatives
+        # are sums of terms of that size which cancel.
         dec = catalog.lookup(entry_id).decomposition
         roots = (*dec._coeff_array.expr, dec.h)
         xs, ts = _invariance_probes(dec)
-        jets = fe._jets(roots, np.array(xs), np.array(ts))
+        jets = fe._jets(dec._coeff_array.tape, np.array(xs), np.array(ts))
+        assert len(jets) == len(roots)
         want = [[np.array(fe._values_at(e if var is None else fe.differentiate(e, var),
                                         xs, ts, {}))
                  for var in (None, "x", "t")] for e in roots]
@@ -699,15 +701,16 @@ class TestInvariance:
         assert (want <= 1e-13) == (entry_id in ALL_IDS)
 
     def test_warm_reports_make_no_jet_walk(self, monkeypatch):
-        # A decomposition walks its jets once; a warm report reads the
-        # reading it kept, a fresh entry walks them again.
+        # A decomposition runs its jets once, on its coefficient kernel's
+        # tape; a warm report reads the reading it kept, a fresh entry runs
+        # them again.
         verify.full_report("PIII.y1")
         walks = []
         jets = fe._jets
 
-        def counted(*args):
-            walks.append(args[0])
-            return jets(*args)
+        def counted(tape, xs, ts):
+            walks.append(tape)
+            return jets(tape, xs, ts)
 
         monkeypatch.setattr(fe, "_jets", counted)
         for seed in (42, 7, 1):
@@ -717,6 +720,7 @@ class TestInvariance:
         for _ in range(3):
             assert verify.full_report("PIII.y1", overrides=params).passed
         assert len(walks) == 3
+        assert all(isinstance(tape, fe._Tape) for tape in walks)
 
     def test_replaced_decomposition_reads_its_own(self):
         # dataclasses.replace starts without the reading, so a mutated copy

@@ -268,6 +268,12 @@ class TestDistinctTaus:
         "equal real parts": [1.0 + 0j, 1.0 + 1j, 2.0 + 0j, 1.0 - 2j, 1.0 + 1j],
         "a nan tau": [1.0 + 0j, complex(float("nan"), 0.0), 2.0 - 1j, 0.5 + 1j],
         "an inf tau": [1.0 + 0j, complex(float("inf"), 0.0), 2.0 - 1j, complex(-float("inf"), 1.0)],
+        # An infinite tau that takes the scan: its distance to itself is
+        # inf - inf, which must not warn.
+        "an inf tau and a nan": [1.0 + 0j, complex(float("inf"), 0.0),
+                                 complex(float("nan"), 0.0), 2.0 - 1j],
+        "an inf tau and a near pair": [1.0 + 0j, complex(float("inf"), 1.0), 1.0 + 6e-11,
+                                       2.0 - 1j, complex(float("inf"), 1.0)],
         # Distances that Python's abs rounds to 1e-10 and just above it,
         # where numpy's complex abs rounds the other way.
         "abs at 1e-10": [0j, complex(9.589819866042345e-11, 2.834670163680353e-11),
@@ -764,11 +770,11 @@ class TestCrossValidateBatched:
 
     def test_nonfinite_sample_fails_report(self, monkeypatch):
         # One NaN G sample among the 9 points of the leg must fail the
-        # stage, not drop out of the spread, whichever tier of the G
-        # kernel gives the samples: its first call walks, a later one runs
-        # compiled code.  Each report is on a fresh entry (overrides equal
-        # to the defaults), whose record holds no cross-validation outcome
-        # that a report on the default entry could have kept.
+        # stage, not drop out of the spread, whether the G kernel's first
+        # call builds its tape or a call before it did; no call compiles
+        # it.  Each report is on a fresh entry (overrides equal to the
+        # defaults), whose record holds no cross-validation outcome that a
+        # report on the default entry could have kept.
         kernel_of_g = red_mod.Decomposition._G_array.func
         defaults = dict(catalog.lookup("PII.y0").params_exact)
 
@@ -782,13 +788,13 @@ class TestCrossValidateBatched:
                     got[4] = complex("nan")
                 return got
 
-        for compiled in (False, True):
+        for taped in (False, True):
             kernels = []
 
             def poisoned(dec):
                 kernel = Poisoned(kernel_of_g(dec).expr)
-                if compiled:
-                    kernel(np.zeros(2), 0j)     # the first call walks
+                if taped:
+                    kernel(np.zeros(2), 0j)     # the first call builds the tape
                 kernels.append(kernel)
                 return kernel
 
@@ -798,7 +804,7 @@ class TestCrossValidateBatched:
             assert rep.cross_validation_residual is None
             assert rep.errors == ["cross-validation: non-finite mu at x = 2.1+0j on the leg "
                                   "[1.8+0j, 2.4+0j] at t = 1+0j"]
-            assert [k._fn is not None for k in kernels] == [compiled]
+            assert [("tape" in k.__dict__, k._fn) for k in kernels] == [(True, None)]
 
 
 _MUTATIONS = {
@@ -964,6 +970,29 @@ class TestLazyScipy:
 
 
 class TestFullReport:
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_one_generator_per_report(self, monkeypatch, entry_id):
+        # A report seeds one generator.  Its flow stage reads the first 16
+        # t of the entry seed, and t-independence gets what a call seeded
+        # with the entry seed itself returns.
+        config = Config(seed=3)
+        entry = catalog.lookup(entry_id)
+        seed = config.entry_seed(entry_id)
+        (ts,) = catalog.random_points(np.random.default_rng(seed), (entry.box_t,), 16)
+        want_flow = catalog.flow_residual(entry, ts)
+        want = verify.check_t_independence(verify.prepare(entry, config), seed=seed)
+        seeded, got = [], []
+        real_rng, real_check = np.random.default_rng, verify.check_t_independence
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: seeded.append(
+            args) or real_rng(*args))
+        monkeypatch.setattr(verify, "check_t_independence", lambda prep, **kw: got.append(
+            real_check(prep, **kw)) or got[-1])
+        rep = verify.full_report(entry_id, config)
+        assert [args for args in seeded if not isinstance(args[0], np.random.Generator)] \
+            == [(seed,)]
+        assert rep.flow_max == want_flow
+        assert got == [want]
+
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_positive_entries_pass(self, report, entry_id):
         rep = report(entry_id)

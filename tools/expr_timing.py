@@ -1,5 +1,5 @@
-"""Time the expression walks, ``differentiate``, the E/S panel walks and a
-warm report.
+"""Time the expression walks and tapes, ``differentiate``, the E/S panel
+walks and a report.
 
 The DAGs are, for each of the 8 positive catalog entries at their default
 parameters, the three expressions (phi, p_num, q_num) of the kernel of the
@@ -9,18 +9,26 @@ times; the minimum is the reading, the median and maximum show its spread:
 
 * ``list``: one walk of the three DAGs, on one memo, over the 12 joint
   probes of the entry's boxes (``reduction.joint_probes``);
-* ``array``: one array walk (as ``expr.Kernel`` makes on its first call)
-  at 201 joint probes;
+* ``array``: one run of the coefficient kernel's tape (``expr._Tape``, as
+  ``expr.Kernel``'s array form runs it) at 201 joint probes;
+* ``tape: build``: the coefficient kernel's tape built from its DAGs;
+* ``tape: jets``: first-order jets on that tape (``expr._jets``) at the
+  24 probes of ``Decomposition.invariance``;
 * ``one-point``: the 12 list points walked one at a time, each on its own
   memo (``expr.evaluate``'s walk);
 * ``differentiate``: the derivatives of the three DAGs in x and in t;
 * ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
   the entry's x box, one panel walk per x from the basepoint, on a fresh
-  reduced equation (so no memo hit) whose (h, f) kernel is compiled;
+  reduced equation (so no memo hit) whose (h, f) kernel has run before;
+* ``second report``: one ``verify.full_report`` per entry on a fresh copy
+  of the entry (overrides equal to its defaults) that has made exactly one
+  report, at another seed: a report that meets each kernel for the second
+  time (the slow tail of the bench's catalog-verify workload);
 * ``report``: one ``verify.full_report`` per entry at a seed no earlier
   run used, on entries that have made two reports, so every stage that
-  runs once per entry reads its record and every kernel is compiled (the
-  op of the bench's catalog-verify workload, without the negative entry);
+  runs once per entry reads its record and every point-form kernel is
+  compiled (the op of the bench's catalog-verify workload, without the
+  negative entry);
 * ``report: flow``, ``report: t-independence`` and ``report: match``: the
   time a further round of such reports spends in the function of each
   stage that depends on the seed (``catalog.flow_residual``,
@@ -33,6 +41,10 @@ Run it from any directory:
 
     python tools/expr_timing.py                   # this checkout
     python tools/expr_timing.py --root ../other   # another checkout
+
+In a checkout without ``expr._Tape`` the ``array`` reading is the array
+walk of ``expr._probe_values``, the jets run on the DAGs, and ``tape:
+build`` is not taken.
 """
 
 from __future__ import annotations
@@ -57,25 +69,32 @@ REPORT_SEED = 1000
 
 
 def readings() -> tuple[int, dict[str, list[float]]]:
-    """The number of distinct DAG nodes, and per reading its times in ms."""
+    """The number of distinct DAG nodes, and per reading its times in ms.
+    A job returns None, and is timed whole, or the ms of its timed part."""
     from fuchsreduce import catalog, reduction, verify
     from fuchsreduce import expr as fe
     from fuchsreduce.config import Config
 
+    taped = hasattr(fe, "_Tape")
     cases = []
     walks = []
+    jet_cases = []
     for entry_id in catalog.list_entries():
         entry = catalog.lookup(entry_id)
-        dags = entry.decomposition._coeff_array.expr
+        dec = entry.decomposition
+        dags = dec._coeff_array.expr
         points = reduction.joint_probes(entry.box_x, entry.box_t, LIST_POINTS)
         grid = reduction.joint_probes(entry.box_x, entry.box_t, ARRAY_POINTS)
         cases.append((dags, [p.x for p in points], [p.t for p in points],
                       np.array([p.x for p in grid]), np.array([p.t for p in grid])))
-        walks.append((entry.decomposition, entry.basepoint_x,
-                      entry.box_x.diagonal(WALK_POINTS)))
+        walks.append((dec, entry.basepoint_x, entry.box_x.diagonal(WALK_POINTS)))
+        n = reduction._INVARIANCE_PROBES
+        jet_cases.append(((*dags, dec.h), dec._coeff_array.tape if taped else None,
+                          np.array(dec.box_x.diagonal(n)),
+                          np.array(dec.box_t.diagonal(n)[::-1])))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
-    # Two reports per entry: the first walks each kernel, the second
-    # compiles it.
+    # Two reports per entry: the first walks each point-form kernel and
+    # builds each tape, the second compiles the point-form kernels.
     for seed in (1, 2):
         for entry_id in catalog.list_entries():
             verify.full_report(entry_id, Config(seed=seed))
@@ -89,10 +108,21 @@ def readings() -> tuple[int, dict[str, list[float]]]:
 
     def walk_array():
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for dags, _, _, xa, ta in cases:
+            for (dags, _, _, xa, ta), (_, tape, _, _) in zip(cases, jet_cases):
+                if taped:
+                    list(tape.values(tape.x_values(xa), ta))
+                    continue
                 memo: dict = {}
                 for e in dags:
                     fe._probe_values(e, xa, ta, memo, True)
+
+    def build_tapes():
+        for roots, *_ in jet_cases:
+            fe._Tape(roots, 3)
+
+    def jets():
+        for roots, tape, xs, ts in jet_cases:
+            fe._jets(tape if taped else roots, xs, ts)
 
     def walk_points():
         for dags, xs, ts, _, _ in cases:
@@ -117,6 +147,25 @@ def readings() -> tuple[int, dict[str, list[float]]]:
         seed = next(seeds)
         for entry_id in catalog.list_entries():
             verify.full_report(entry_id, Config(seed=seed))
+
+    def second_report() -> float:
+        """Two reports on fresh copies of the entries, each served as its
+        entry by lookup; the ms of the second."""
+        fresh = [catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
+                 for entry_id in catalog.list_entries()]
+        lookup, elapsed = catalog.lookup, 0
+        try:
+            for timed in (False, True):
+                seed = next(seeds)
+                for entry in fresh:
+                    catalog.lookup = lambda *_: entry
+                    start = time.perf_counter_ns()
+                    verify.full_report(entry.id, Config(seed=seed))
+                    if timed:
+                        elapsed += time.perf_counter_ns() - start
+        finally:
+            catalog.lookup = lookup
+        return elapsed / 1e6
 
     stages = {"report: flow": (catalog, "flow_residual"),
               "report: t-independence": (verify, "check_t_independence"),
@@ -146,10 +195,13 @@ def readings() -> tuple[int, dict[str, list[float]]]:
 
     jobs = {f"list ({LIST_POINTS} points)": walk_list,
             f"array ({ARRAY_POINTS} points)": walk_array,
+            **({"tape: build": build_tapes} if taped else {}),
+            f"tape: jets ({reduction._INVARIANCE_PROBES} points)": jets,
             f"one-point (x{LIST_POINTS})": walk_points,
             "differentiate (x, t)": derive,
             f"walk (x{WALK_POINTS})": walk_es,
-            "report (warm)": report}
+            "report (warm)": report,
+            "second report": second_report}
     times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
     for job in (*jobs.values(), report_stages):
         job()   # warm-up
@@ -159,8 +211,8 @@ def readings() -> tuple[int, dict[str, list[float]]]:
         for _ in range(REPEAT):
             for name, job in jobs.items():
                 start = time.perf_counter_ns()
-                job()
-                times[name].append((time.perf_counter_ns() - start) / 1e6)
+                ms = job()
+                times[name].append((time.perf_counter_ns() - start) / 1e6 if ms is None else ms)
             report_stages()
             for name, ms in stage_ms.items():
                 times[name].append(ms)
