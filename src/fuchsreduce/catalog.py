@@ -134,7 +134,7 @@ class LaxPair:
     @cached_property
     def dadt(self) -> tuple[Expr, Expr, Expr, Expr]:
         """dA/dt as (a11, a12, a21, a22), built once for both kernels."""
-        return tuple(fe.differentiate(e, "t") for row in self.a for e in row)
+        return fe.differentiate((*self.a[0], *self.a[1]), "t")
 
     @cached_property
     def a_dadt_array(self) -> fe.Kernel:
@@ -252,10 +252,9 @@ class CatalogEntry:
             return self.lax
         p1, q1, p2, q2 = self.scalar.p1, self.scalar.q1, self.scalar.p2, self.scalar.q2
         alpha, beta = -q2 / p2, 1 / p2
+        alpha_x, beta_x = fe.differentiate((alpha, beta), "x")
         a = ((_c(0), _c(1)), (-q1, -p1))
-        b = ((alpha, beta),
-             (fe.differentiate(alpha, "x") - beta * q1,
-              alpha + fe.differentiate(beta, "x") - beta * p1))
+        b = ((alpha, beta), (alpha_x - beta * q1, alpha + beta_x - beta * p1))
         return LaxPair(a, b)
 
     @cached_property
@@ -371,7 +370,7 @@ def _matrix_entry(template: Callable, p: Mapping, closed_forms: dict[str, Expr],
     -a11 and b22 is -b11."""
     forms = tuple(closed_forms.values())
     (a11, a12, a21), (b11, b12, b21), flows = template(
-        *forms, *(fe.differentiate(f, "t") for f in forms), *map(_c, family_args))
+        *forms, *fe.differentiate(forms, "t"), *map(_c, family_args))
     lax = LaxPair(((a11, a12), (a21, fe.neg(a11))), ((b11, b12), (b21, fe.neg(b11))))
     return CatalogEntry(lax=lax, flow_exprs=flows, closed_forms=closed_forms,
                         params_exact=dict(p), **documented)
@@ -559,9 +558,10 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
     ratio = a1 / a2
     dlog_a2 = fe.differentiate(a2, "t") / a2
     term1 = (T / 2) * dlog_a2
+    term1_t, ratio_t = fe.differentiate((term1, ratio), "t")
     flow = (
-        fe.differentiate(term1, "t") / (2 * T)
-        - _c(theta_inf) * fe.differentiate(ratio, "t") / (2 * T)
+        term1_t / (2 * T)
+        - _c(theta_inf) * ratio_t / (2 * T)
         - 2 * a2 - _c(theta_inf)
     )
 

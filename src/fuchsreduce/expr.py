@@ -21,10 +21,10 @@ singular.  The walk, the tape, the jets, differentiation, substitution and
 compilation read a kind's rule from its row and handle only the leaves
 themselves (the printer keeps its own precedence rules).  One traversal,
 :func:`_traverse`, visits each node object of a DAG once, children first;
-the tape, differentiation, substitution and :func:`_tree_sizes` go through
-it.  The walk :func:`_probe_values` keeps its own recursion: its memo
-outlives the call (:class:`_ProbeSet`), and it takes a checked operand
-first.
+differentiation and substitution go through it, and the tape numbers its
+nodes in that order in a pass of its own, with no per-node callback.  The
+walk :func:`_probe_values` keeps its own recursion: its memo outlives the
+call (:class:`_ProbeSet`), and it takes a checked operand first.
 
 Design constraints:
 
@@ -46,6 +46,7 @@ import cmath
 import functools
 import math
 import operator
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,12 +120,14 @@ class Expr:
     __slots__ = ("kind", "value", "children", "_hash")
 
     def __init__(self, kind: str, value=None, children: tuple["Expr", ...] = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", None)
+        # The slots' own setters, bound below the class: object.__setattr__
+        # would look each slot up by name, at several times the cost.
+        _set_kind(self, kind)
+        _set_value(self, value)
+        _set_children(self, children)
+        _set_hash(self, None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
+    def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")
 
     def __eq__(self, other):
@@ -142,7 +145,7 @@ class Expr:
         h = self._hash
         if h is None:
             h = hash((self.kind, self.value, self.children))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -185,6 +188,9 @@ class Expr:
     def __pow__(self, exponent):
         return pow_any(self, exponent)
 
+
+_set_kind, _set_value, _set_children, _set_hash = (
+    getattr(Expr, name).__set__ for name in Expr.__slots__)
 
 # The largest tree that Expr.__repr__ prints in full.
 _REPR_NODES = 500
@@ -452,11 +458,14 @@ def _traverse(roots: Sequence[Expr], visit: Callable[[Expr, tuple], object]) -> 
 # ---------------------------------------------------------------------------
 # Differentiation
 
-def differentiate(e: Expr, var: str) -> Expr:
-    """Exact symbolic derivative of ``e`` with respect to ``x`` or ``t``,
-    one node per node object of ``e``'s DAG (:func:`_traverse`), so the
-    derivative of a subtree shared within ``e`` is shared too.  An interior
-    node's derivative is its kind's ``derive`` rule (``_KINDS``).
+def differentiate(e: Expr | tuple[Expr, ...], var: str) -> Expr | tuple[Expr, ...]:
+    """Exact symbolic derivative of ``e`` with respect to ``x`` or ``t``;
+    given a tuple of expressions, the tuple of their derivatives.  One
+    :func:`_traverse` of the DAG under all of them makes one node per node
+    object, so the derivative of a subtree shared within or between the
+    expressions is one object, and each derivative equals the one a call on
+    that expression alone returns.  An interior node's derivative is its
+    kind's ``derive`` rule (``_KINDS``).
 
     Derivatives of ``div``, ``log`` and ``sqrt`` introduce ``div`` nodes;
     domain issues surface at evaluation time, not here.
@@ -471,6 +480,8 @@ def differentiate(e: Expr, var: str) -> Expr:
             return _ONE if n.value == var else _ZERO
         return _KINDS[n.kind].derive(n, n.children, d)
 
+    if isinstance(e, tuple):
+        return tuple(_traverse(e, rule))
     return _traverse((e,), rule)[0]
 
 
@@ -739,8 +750,9 @@ class _Tape:
     :func:`compile_expr` read, built once per DAG.
 
     Every value has a slot: x is slot 0, t slot 1, and each distinct
-    constant and interior line the next one, in the order one
-    :func:`_traverse` of the roots first meets it.
+    constant and interior line the next one, in the order one pass over
+    the roots first meets it, children first and each node object once (the
+    order of :func:`_traverse`, inlined).
 
     * ``start``: per slot, the value the array form starts from: a
       constant's, or None; after the slots of the DAG's values, one slot
@@ -757,10 +769,12 @@ class _Tape:
 
     Values are shared by structure (hash-consing by value numbering): a
     line is keyed on its kind, operand slots and exponent, a constant on
-    its literal, so two nodes share a slot exactly when they would compile
-    to the same line, and sharing never changes a bit of a value.  ``Expr``
+    the bits of its real and imaginary parts, so two nodes share a slot
+    only when they would compile to the same line, and exactly then but
+    for NaNs of different bits (a finite constant's literal is as distinct
+    as its bits): sharing never changes a bit of a value.  ``Expr``
     equality is not the key: it equates ``const(0j)`` and
-    ``const(complex(0, -0.0))``, whose literals differ.
+    ``const(complex(0, -0.0))``, whose bits differ.
 
     The array form runs the lines as pre-bound rows ``(slot, array, a, b)``
     on a copy of ``start``, the x-lines first (:meth:`x_values`), then the
@@ -770,24 +784,43 @@ class _Tape:
 
     def __init__(self, roots: Sequence[Expr], n_out: int | None = None):
         slots: dict = {}
+        memo: dict[int, int] = {}     # id of a node met -> its slot
         masks, start, lines = [_X_DEP, _T_DEP], [None, None], []
 
-        def number(n: Expr, kids: tuple) -> int:
-            if n.kind == "var":
-                return 0 if n.value == "x" else 1
-            const = n.kind == "const"
-            key = _literal(n.value) if const else (n.kind, kids, n.value)
-            slot = slots.get(key)
-            if slot is None:
-                slot = slots[key] = len(masks)
-                masks.append(0 if const else masks[kids[0]] | masks[kids[-1]] or _X_DEP)
-                start.append(n.value if const else None)
-                if not const:
-                    lines.append((slot, n.kind, kids[0], kids[1] if len(kids) == 2 else None,
-                                  n.value, masks[slot]))
+        def number(n: Expr) -> int:
+            slot = memo.get(id(n))
+            if slot is not None:
+                return slot
+            kind = n.kind
+            if kind == "var":
+                slot = 0 if n.value == "x" else 1
+            elif kind == "const":
+                key = struct.pack("dd", n.value.real, n.value.imag)
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(masks)
+                    masks.append(0)
+                    start.append(n.value)
+            else:
+                kids = n.children   # a node has at most two children
+                a = number(kids[0])
+                b = number(kids[1]) if len(kids) == 2 else None
+                key = (kind, a, b, n.value)
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(masks)
+                    mask = masks[a] | masks[a if b is None else b] or _X_DEP
+                    masks.append(mask)
+                    start.append(None)
+                    lines.append((slot, kind, a, b, n.value, mask))
+            memo[id(n)] = slot
             return slot
 
-        self.roots, self.lines = tuple(_traverse(roots, number)), tuple(lines)
+        try:
+            self.roots = tuple([number(root) for root in roots])
+        finally:
+            del number      # its closure holds it: a cycle, as in _traverse
+        self.lines = tuple(lines)
         self.outputs = self.roots[:n_out]
         # A neg that only an add reads, as its second operand (sub(a, b) is
         # add(a, neg(b))), runs inside it: a - b is a + (-b) bit for bit,
@@ -837,13 +870,15 @@ class _Staged(tuple):
         return post(x, t, pre_x(x), pre_t(t))
 
 
-def compile_expr(e: Expr | tuple[Expr, ...]) -> _Staged:
+def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Staged:
     """Compile to a Python function ``f(x, t) -> complex``; given a tuple
     of expressions, ``f`` returns the tuple of their values, computed by
     one straight-line body with one assignment ``v<k> = ...`` per line of
     the expression's :class:`_Tape`, so a subtree shared by structure is
     computed once.  Singular inputs raise the native
-    ZeroDivisionError/ValueError.
+    ZeroDivisionError/ValueError.  ``tape``, when given, is a tape already
+    built with ``e`` as its outputs (a :class:`Kernel`'s); the lines only
+    its other roots read are not compiled, so the text is the same.
 
     The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
     post)`` of three functions, from one ``compile`` call, and calling it
@@ -857,21 +892,26 @@ def compile_expr(e: Expr | tuple[Expr, ...]) -> _Staged:
     can compute its stage once.  Every line runs once, in exactly one
     stage, so the values do not depend on the staging, bit for bit, and a
     point raises exactly when one of its lines does."""
-    tape = _Tape(e if isinstance(e, tuple) else (e,))
+    if tape is None:
+        tape = _Tape(e if isinstance(e, tuple) else (e,))
+    # The other roots come after the outputs, so the lines only they read
+    # are numbered after every line an output reads.
+    last = max(tape.outputs, default=1)
+    lines = [line for line in tape.lines if line[0] <= last]
     names = ["x", "t", *(v if v is None else _literal(v) for v in tape.start[2:])]
     stages: dict[int, list[str]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
     read: set[str] = set()      # what the (x, t)-lines and the result read
-    for k, (slot, kind, a, b, q, mask) in enumerate(tape.lines):
+    for k, (slot, kind, a, b, q, mask) in enumerate(lines):
         ops = (names[a],) if b is None else (names[a], names[b])
         names[slot] = f"v{k}"
         rhs = _KINDS[kind].line % (ops if q is None else (*ops, q))
         stages[mask].append(f"    v{k} = {rhs}\n")
         if mask == _X_DEP | _T_DEP:
             read.update(ops)
-    outputs = [names[slot] for slot in tape.roots]
+    outputs = [names[slot] for slot in tape.outputs]
     read.update(outputs)
     # The values an x-stage or a t-stage returns, in the order it runs them.
-    xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in tape.lines
+    xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in lines
                             if mask == dep and names[slot] in read) + ")"
               for dep in (_X_DEP, _T_DEP))
     result = "".join(f"{out}, " for out in outputs) if isinstance(e, tuple) else outputs[0]
@@ -900,7 +940,8 @@ class Kernel:
       line applies its row's ``array`` function, as the compiled line's
       array counterpart would.
     * the point form, :meth:`at`, walks the DAG (:func:`_probe_values`) on
-      its first call and compiles ``compile_expr(e)``, once, on its second;
+      its first call and compiles ``compile_expr(e)``, once, on its second,
+      from the kernel's tape;
       every later call runs the compiled code, whose stages ``_compiled()``
       returns.  A walk applies the operations of the compiled lines, and a
       walk that raises is answered by the compiled code, so every value and
@@ -925,7 +966,7 @@ class Kernel:
 
     def _compiled(self) -> _Staged:
         if self._fn is None:
-            self._fn = compile_expr(self.expr)
+            self._fn = compile_expr(self.expr, self.tape)
         return self._fn
 
     def _points(self, xs: list, ts: list) -> list:

@@ -173,13 +173,14 @@ class Decomposition:
     def _coeff_array(self) -> fe.Kernel:
         G = self.gauge_exponent()
         p1, q1 = self.sp.p1, self.sp.q1
+        f_x, h_x, G_x = fe.differentiate((self.f, self.h, G), "x")
         phi = fe.add(self.f, fe.mul(T, self.h))
         p_num = fe.add(
-            fe.add(fe.differentiate(self.f, "x"), fe.mul(T, fe.differentiate(self.h, "x"))),
+            fe.add(f_x, fe.mul(T, h_x)),
             fe.mul(phi, fe.add(self.h, fe.add(p1, fe.mul(fe.const(2), G)))),
         )
         q_num = fe.add(
-            fe.add(fe.differentiate(G, "x"), fe.mul(G, G)),
+            fe.add(G_x, fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
         # h is in the DAG, as phi = f + t h: the invariance jets read it.

@@ -105,11 +105,12 @@ def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
     a, b = lp.a, lp.b
     ab = _matmul(a, b)
     ba = _matmul(b, a)
+    dbdx = fe.differentiate((*b[0], *b[1]), "x")
     out = []
     for i in range(2):
         for j in range(2):
             r = fe.add(
-                fe.sub(lp.dadt[2 * i + j], fe.differentiate(b[i][j], "x")),
+                fe.sub(lp.dadt[2 * i + j], dbdx[2 * i + j]),
                 fe.sub(ab[i][j], ba[i][j]),
             )
             out.append(r)
@@ -150,16 +151,17 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
                 )
 
     det_a = fe.sub(fe.mul(a[0][0], a[1][1]), fe.mul(a[0][1], a[1][0]))
-    dlog_off = fe.div(fe.differentiate(aoff, "x"), aoff)
+    aoff_x, a11_x = fe.differentiate((aoff, a11), "x")
+    dlog_off = fe.div(aoff_x, aoff)
     p1 = fe.neg(dlog_off)
     if component == "first":
         q1 = fe.add(
-            fe.sub(det_a, fe.differentiate(a11, "x")),
+            fe.sub(det_a, a11_x),
             fe.mul(a11, dlog_off),
         )
     else:
         q1 = fe.sub(
-            fe.add(det_a, fe.differentiate(a11, "x")),
+            fe.add(det_a, a11_x),
             fe.mul(a11, dlog_off),
         )
     p2 = fe.div(aoff, boff)

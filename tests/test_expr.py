@@ -142,6 +142,157 @@ def _numbered(e):
             [v if v is None else fe._literal(v) for v in tape.start])
 
 
+def _entry_kernels(entry):
+    """Every kernel a report builds on ``entry``: the coefficients, (h, f),
+    G, A and dA/dt, the flow and, with a Lax pair, the Frobenius residual."""
+    dec, systems = entry.decomposition, entry.linear_systems
+    kernels = [dec._coeff_array, dec._hf_array, dec._G_array, systems.a_dadt_array,
+               entry.flow_fns]
+    return kernels + ([entry.lax.frobenius_fns] if entry.lax is not None else [])
+
+
+_ALL_ENTRIES = catalog.list_entries() + catalog.list_negative_entries()
+
+
+def _reference_tape(roots):
+    """The tape's numbering by its first rule: :func:`fe._traverse` with a
+    per-node callback, a constant keyed on its compiled literal.  As
+    (lines, roots, start), the start holding the DAG's slots alone."""
+    slots, masks, start, lines = {}, [fe._X_DEP, fe._T_DEP], [None, None], []
+
+    def number(n, kids):
+        if n.kind == "var":
+            return 0 if n.value == "x" else 1
+        const = n.kind == "const"
+        key = fe._literal(n.value) if const else (n.kind, kids, n.value)
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(masks)
+            masks.append(0 if const else masks[kids[0]] | masks[kids[-1]] or fe._X_DEP)
+            start.append(n.value if const else None)
+            if not const:
+                lines.append((slot, n.kind, kids[0], kids[1] if len(kids) == 2 else None,
+                              n.value, masks[slot]))
+        return slot
+
+    numbered = tuple(fe._traverse(roots, number))
+    return tuple(lines), numbered, start
+
+
+def _assert_reference_numbering(roots, n_out=None):
+    """``fe._Tape(roots, n_out)`` numbers as :func:`_reference_tape` does,
+    each constant compared by its bits."""
+    def bits(start):
+        return [v if v is None else struct.pack("dd", v.real, v.imag) for v in start]
+
+    lines, want_roots, start = _reference_tape(roots)
+    tape = fe._Tape(roots, n_out)
+    assert (tape.lines, tape.roots, bits(tape.start[:len(start)])) == \
+        (lines, want_roots, bits(start))
+    # Past the DAG's slots, one exponent slot per power line, nothing else.
+    assert len(tape.start) - len(start) == sum(q is not None for *_, q, _ in lines)
+
+
+class TestDifferentiateRootSets:
+    """``differentiate`` given a tuple: one pass over the DAG under all the
+    roots, each derivative as the one-root call builds it."""
+
+    @staticmethod
+    def _assert_as_one_root_calls(roots, var):
+        got = fe.differentiate(roots, var)
+        assert isinstance(got, tuple) and len(got) == len(roots)
+        for root, d in zip(roots, got):
+            alone = fe.differentiate(root, var)
+            assert d == alone
+            assert _numbered(d) == _numbered(alone)
+
+    @pytest.mark.parametrize("entry_id", catalog.list_entries())
+    def test_f_h_g_in_x(self, entry_id):
+        dec = catalog.lookup(entry_id).decomposition
+        self._assert_as_one_root_calls((dec.f, dec.h, dec.gauge_exponent()), "x")
+
+    @pytest.mark.parametrize("entry_id", [i for i in _ALL_ENTRIES
+                                          if catalog.lookup(i).lax is not None])
+    def test_lax_a_entries_in_t(self, entry_id):
+        a = catalog.lookup(entry_id).lax.a
+        self._assert_as_one_root_calls((*a[0], *a[1]), "t")
+
+    def test_a_shared_subtree_has_one_derivative_object(self):
+        s = fe.log(X * T + 1)
+        d_sx, d_s = fe.differentiate((s * X, s), "x")
+        # d(s x) = ds x + s, built through the folding constructors.
+        assert d_sx.children[0].children[0] is d_s
+        # One-root calls share nothing between their results.
+        assert fe.differentiate(s * X, "x").children[0].children[0] is not \
+            fe.differentiate(s, "x")
+
+    def test_a_bare_expression_gives_an_expression(self):
+        assert isinstance(fe.differentiate(X**2, "x"), fe.Expr)
+        (d,) = fe.differentiate((X**2,), "x")
+        assert d == 2 * X
+        assert fe.differentiate((), "t") == ()
+
+
+class TestTapeNumbering:
+    """``_Tape`` numbers in its own pass and keys a constant on its bits,
+    slot for slot as :func:`_reference_tape` numbers."""
+
+    SIGNED_ZEROS = [complex(0.0, 0.0), complex(0.0, -0.0),
+                    complex(-0.0, 0.0), complex(-0.0, -0.0)]
+
+    def test_signed_zero_patterns_keep_distinct_slots(self):
+        roots = tuple(fe.Expr("const", c) for c in self.SIGNED_ZEROS)
+        tape = fe._Tape(roots)
+        assert len(set(tape.roots)) == 4
+        for slot, c in zip(tape.roots, self.SIGNED_ZEROS):
+            assert fe._literal(tape.start[slot]) == fe._literal(c)
+            assert struct.pack("dd", tape.start[slot].real, tape.start[slot].imag) == \
+                struct.pack("dd", c.real, c.imag)
+        assert len({fe._literal(c) for c in self.SIGNED_ZEROS}) == 4
+
+    def test_equal_bits_share_a_slot(self):
+        a, b = fe.const(1.5 - 2j), fe.const(complex("1.5-2j"))
+        assert a is not b
+        tape = fe._Tape((X * a, X * b, fe.div(X * b, fe.const(-0j))))
+        assert tape.roots[0] == tape.roots[1]
+        assert sum(v is not None for v in tape.start[2:]) == 2   # 1.5-2j and -0j
+        assert [line[1] for line in tape.lines] == ["mul", "div"]
+
+    @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
+    def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
+        for kernel in _entry_kernels(catalog.lookup(entry_id)):
+            outs = kernel.expr if isinstance(kernel.expr, tuple) else (kernel.expr,)
+            _assert_reference_numbering((*outs, *kernel._also), len(outs))
+
+    def test_random_trees_match_the_reference_numbering_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.lists(_raw_trees(st), min_size=1, max_size=3))
+        def check(roots):
+            _assert_reference_numbering(tuple(roots))
+
+        check()
+
+
+class TestExprNode:
+    def test_assigning_an_attribute_raises(self):
+        e = X * T + 1
+        for name in ("kind", "value", "children", "_hash", "other"):
+            with pytest.raises(AttributeError, match="^Expr nodes are immutable$"):
+                setattr(e, name, None)
+        assert (e.kind, e.value, e.children) == ("add", None, (X * T, fe.const(1)))
+
+    def test_hash_and_equality(self):
+        a, b = fe.log(X * T + 1), fe.log(X * T + 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(("log", None, a.children))
+        assert a._hash == hash(a)       # computed once, then kept
+        assert fe.const(0j) == fe.const(-0j) and hash(fe.const(0j)) == hash(fe.const(-0j))
+        assert a != fe.log(X * T + 2) and a != "log(x * t + 1)"
+
+
 def _tree_walk(e, b):
     """Reference semantics of a tree at one binding: the recursive walker,
     one node at a time, children left to right except that a ``div``

@@ -11,6 +11,7 @@ override entry takes its kernels with it when it is collected; and no
 report depends on what ran before it.
 """
 
+import cmath
 import gc
 import json
 import os
@@ -57,9 +58,9 @@ class TestKernelLifetime:
         compiled = []
         real_compile = fe.compile_expr
 
-        def recording(e):
+        def recording(e, *tape):
             compiled.append(e)
-            return real_compile(e)
+            return real_compile(e, *tape)
 
         monkeypatch.setattr(fe, "compile_expr", recording)
         for seed in (42, 7):
@@ -86,9 +87,9 @@ class TestKernelLifetime:
             entries.append(real_lookup(entry_id, overrides))
             return entries[-1]
 
-        def recording_compile(e):
+        def recording_compile(e, *tape):
             exprs.append(e)
-            return real_compile(e)
+            return real_compile(e, *tape)
 
         monkeypatch.setattr(catalog, "lookup", recording_lookup)
         monkeypatch.setattr(fe, "compile_expr", recording_compile)
@@ -110,8 +111,8 @@ class TestKernelLifetime:
         # compiles nothing.  No array call compiles its kernel.
         compiled = []
         real_compile = fe.compile_expr
-        monkeypatch.setattr(fe, "compile_expr", lambda e: compiled.append(e)
-                            or real_compile(e))
+        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
+                            or real_compile(e, *tape))
         real_lookup = catalog.lookup
         for entry_id in ALL_WITH_NEGATIVE:
             entry = real_lookup(entry_id, dict(real_lookup(entry_id).params_exact))
@@ -152,9 +153,9 @@ class TestKernelLifetime:
                 x_runs.append(len(calls))
             return real_x_values(tape, x)
 
-        def recording_compile(e):
+        def recording_compile(e, *tape):
             compiled.append(e)
-            return real_compile(e)
+            return real_compile(e, *tape)
 
         monkeypatch.setattr(fe.Kernel, "__call__", recording_call)
         monkeypatch.setattr(fe._Tape, "x_values", recording_x_values)
@@ -182,8 +183,8 @@ class TestKernelLifetime:
         real_walk, real_compile = fe._walk_panels, fe.compile_expr
         monkeypatch.setattr(fe, "_walk_panels", lambda *a: walks.append(a[1:3])
                             or real_walk(*a))
-        monkeypatch.setattr(fe, "compile_expr", lambda e: compiled.append(e)
-                            or real_compile(e))
+        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
+                            or real_compile(e, *tape))
         warm = json.dumps(verify.full_report(entry_id, Config(seed=1)).to_json())
         assert (walks, compiled) == ([], [])
         monkeypatch.undo()
@@ -271,9 +272,9 @@ class TestKernelLifetime:
         compiled = []
         real_compile = fe.compile_expr
 
-        def recording(e):
+        def recording(e, *tape):
             compiled.append(e)
-            return real_compile(e)
+            return real_compile(e, *tape)
 
         monkeypatch.setattr(fe, "compile_expr", recording)
         # Every compile() call of the expression engine, whichever function
@@ -300,6 +301,68 @@ class TestKernelLifetime:
         assert (len(compiled), len(sources)) == (1, 1)
         want = [reduction._reduced(x, [t], *zip(fn(x, t)), red.E(x))[0] for x, t in points]
         assert _reprs(at) == _reprs(want)
+
+    def test_coefficient_tape_is_built_once(self, monkeypatch):
+        # An array call on the line x = x0 builds the coefficient kernel's
+        # tape, and the compile that a lattice of point calls then makes
+        # renders that tape: one build of it, not two.
+        entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
+        dec = entry.decomposition
+        red = reduction.build_reduced(dec, entry.basepoint_x)
+        xs, ts = entry.box_x.diagonal(3), entry.box_t.diagonal(4)
+        x0 = entry.box_x.center
+        for x in (*xs, x0):
+            red.E(x)
+        builds = []
+        real_init = fe._Tape.__init__
+
+        def recording(tape, roots, n_out=None):
+            if roots[0] is dec._coeff_array.expr[0]:
+                builds.append(len(roots))
+            real_init(tape, roots, n_out)
+
+        monkeypatch.setattr(fe._Tape, "__init__", recording)
+        red.coefficients_at_x0(ts, red.E(x0))
+        for x in xs:
+            for t in ts:
+                red.coefficients_at(x, t)
+        assert dec._coeff_array._fn is not None
+        assert builds == [4]
+
+    @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
+    def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
+        # Each kernel of a fresh entry, its tape built first (as an array
+        # call builds it), compiles from that tape the text compile_expr
+        # gives its expressions alone.
+        entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
+        dec, systems = entry.decomposition, entry.linear_systems
+        kernels = [dec._coeff_array, dec._hf_array, dec._G_array,
+                   systems.a_dadt_array, entry.flow_fns]
+        if entry.lax is not None:
+            kernels.append(entry.lax.frobenius_fns)
+        sources = []
+        monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
+                            or compile(src, *args), raising=False)
+        for kernel in kernels:
+            kernel.tape
+            kernel._compiled()
+            fe.compile_expr(kernel.expr)
+            assert sources[-2] == sources[-1]
+        assert len(sources) == 2 * len(kernels)
+
+    def test_also_roots_add_no_compiled_line(self, monkeypatch):
+        # An expression a kernel also keeps, off the outputs' DAG, has its
+        # lines on the tape and none in the compiled text.
+        kernel = fe.Kernel((fe.X * fe.T, fe.exp(fe.T)), also=(fe.log(fe.X + 2),))
+        assert [line[1] for line in kernel.tape.lines] == ["mul", "exp", "add", "log"]
+        sources = []
+        monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
+                            or compile(src, *args), raising=False)
+        kernel._compiled()
+        fe.compile_expr(kernel.expr)
+        assert sources[0] == sources[1]
+        assert "_log" not in sources[0]
+        assert kernel.at([1.5], [0.5]) == [(0.75 + 0j, cmath.exp(0.5))]
 
     def test_box_override_decomposes_afresh(self):
         # An override is a copy of the entry on the run's boxes, which
@@ -335,9 +398,9 @@ class TestKernelLifetime:
         compiled = []
         real_compile = fe.compile_expr
 
-        def recording(e):
+        def recording(e, *tape):
             compiled.append(e)
-            return real_compile(e)
+            return real_compile(e, *tape)
 
         monkeypatch.setattr(fe, "compile_expr", recording)
         assert json.dumps(verify.full_report(entry_id, config).to_json()) == afresh

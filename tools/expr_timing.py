@@ -16,7 +16,12 @@ times; the minimum is the reading, the median and maximum show its spread:
   24 probes of ``Decomposition.invariance``;
 * ``one-point``: the 12 list points walked one at a time, each on its own
   memo (``expr.evaluate``'s walk);
-* ``differentiate``: the derivatives of the three DAGs in x and in t;
+* ``differentiate (x, t)``: the derivatives of the three DAGs in x and in
+  t, one call per DAG;
+* ``differentiate (root sets)``: the derivatives a fresh entry takes of
+  several expressions in one variable: (f, h, G) in x and, for an entry
+  with a Lax pair, the four entries of A in t and of B in x; one call per
+  set where ``differentiate`` takes a tuple, else one per expression;
 * ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
   the entry's x box, one panel walk per x from the basepoint, on a fresh
   reduced equation (so no memo hit) whose (h, f) kernel has run before;
@@ -24,6 +29,11 @@ times; the minimum is the reading, the median and maximum show its spread:
   of the entry (overrides equal to its defaults) that has made exactly one
   report, at another seed: a report that meets each kernel for the second
   time (the slow tail of the bench's catalog-verify workload);
+* ``fresh report``: one ``verify.full_report`` per free family of the
+  bench's param-sweep workload (``bench/workloads.py``), at its entry's
+  default value of the parameter plus n/4096, n counting up from 1 over
+  the rounds, so no round meets a value an earlier one built: the op of
+  the param-sweep workload, in process and without the CLI;
 * ``report``: one ``verify.full_report`` per entry at a seed no earlier
   run used, on entries that have made two reports, so every stage that
   runs once per entry reads its record and every point-form kernel is
@@ -55,6 +65,7 @@ import itertools
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +77,8 @@ ARRAY_POINTS = 201
 REPEAT = 30
 # The seed of the first timed report; each later one takes the next.
 REPORT_SEED = 1000
+# A fresh report's parameter is its default plus a multiple of this step.
+FRESH_STEP = Fraction(1, 4096)
 
 
 def readings() -> tuple[int, dict[str, list[float]]]:
@@ -74,14 +87,25 @@ def readings() -> tuple[int, dict[str, list[float]]]:
     from fuchsreduce import catalog, reduction, verify
     from fuchsreduce import expr as fe
     from fuchsreduce.config import Config
+    from workloads import FREE_FAMILIES
 
     taped = hasattr(fe, "_Tape")
+    try:
+        fe.differentiate((fe.X,), "x")
+        tupled = True
+    except AttributeError:      # a checkout whose differentiate takes one root
+        tupled = False
     cases = []
     walks = []
     jet_cases = []
+    root_sets = []
     for entry_id in catalog.list_entries():
         entry = catalog.lookup(entry_id)
         dec = entry.decomposition
+        root_sets.append(((dec.f, dec.h, dec.gauge_exponent()), "x"))
+        if entry.lax is not None:
+            a, b = entry.lax.a, entry.lax.b
+            root_sets += [((*a[0], *a[1]), "t"), ((*b[0], *b[1]), "x")]
         dags = dec._coeff_array.expr
         points = reduction.joint_probes(entry.box_x, entry.box_t, LIST_POINTS)
         grid = reduction.joint_probes(entry.box_x, entry.box_t, ARRAY_POINTS)
@@ -136,6 +160,23 @@ def readings() -> tuple[int, dict[str, list[float]]]:
             for e in dags:
                 fe.differentiate(e, "x")
                 fe.differentiate(e, "t")
+
+    def derive_sets():
+        for roots, var in root_sets:
+            if tupled:
+                fe.differentiate(roots, var)
+            else:
+                for e in roots:
+                    fe.differentiate(e, var)
+
+    fresh_values = itertools.count(1)
+    defaults = [(entry_id, name, catalog.lookup(entry_id).params_exact[name])
+                for entry_id, name in FREE_FAMILIES]
+
+    def fresh_report():
+        step = next(fresh_values) * FRESH_STEP
+        for entry_id, name, default in defaults:
+            verify.full_report(entry_id, Config(seed=1), overrides={name: default + step})
 
     def walk_es():
         for dec, x0, xs in walks:
@@ -199,7 +240,9 @@ def readings() -> tuple[int, dict[str, list[float]]]:
             f"tape: jets ({reduction._INVARIANCE_PROBES} points)": jets,
             f"one-point (x{LIST_POINTS})": walk_points,
             "differentiate (x, t)": derive,
+            "differentiate (root sets)": derive_sets,
             f"walk (x{WALK_POINTS})": walk_es,
+            "fresh report": fresh_report,
             "report (warm)": report,
             "second report": second_report}
     times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
@@ -226,7 +269,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="the checkout to time (default: this one)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.root.resolve() / "src"))
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
     nodes, times = readings()
     print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
     width = max(len(name) for name in times)
