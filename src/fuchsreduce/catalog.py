@@ -89,6 +89,11 @@ class ComplexRect:
         return (self.re_lo <= z.real <= self.re_hi
                 and self.im_lo <= z.imag <= self.im_hi)
 
+    def distance(self, z: complex) -> float:
+        """The distance from z to the rectangle, 0 inside it."""
+        return abs(complex(max(self.re_lo - z.real, 0.0, z.real - self.re_hi),
+                           max(self.im_lo - z.imag, 0.0, z.imag - self.im_hi)))
+
     def diagonal(self, n: int) -> list[complex]:
         """n deterministic points from corner to corner."""
         if n == 1:
@@ -126,10 +131,21 @@ class LaxPair:
     A matrix entry's pair is traceless by construction
     (:func:`_matrix_entry`); a direct scalar pair's companion system
     (``CatalogEntry.linear_systems``) is not.  Its dA/dt and its two
-    kernels are built on first use."""
+    kernels are built on first use.
+
+    The Frobenius residuals read every entry of A and of dA/dt, so the
+    Frobenius kernel's tape is one tape of the four residuals and then of
+    A's and dA/dt's entries, which adds no line to the residuals' own.
+    The walk matrix ``a_dadt_array`` is a view of it (``expr._Tape.view``)
+    that runs only the lines A and dA/dt read, so a pole of B never rejects
+    a leg panel.  ``frobenius_checked`` is false for a pair whose
+    integrability no report checks (a direct scalar pair's companion
+    system): its A and dA/dt take a tape of their own, and its residuals
+    are derived only when asked for."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
+    frobenius_checked: bool = True
 
     @cached_property
     def dadt(self) -> tuple[Expr, Expr, Expr, Expr]:
@@ -140,13 +156,16 @@ class LaxPair:
     def a_dadt_array(self) -> fe.Kernel:
         """The kernel of (a11, a12, a21, a22) and then the same entries of
         dA/dt: the ``matrix`` of a linear-system walk."""
-        return fe.Kernel((*self.a[0], *self.a[1], *self.dadt))
+        shared = self.frobenius_fns.tape.view(4) if self.frobenius_checked else None
+        return fe.Kernel((*self.a[0], *self.a[1], *self.dadt), tape=shared)
 
     @cached_property
     def frobenius_fns(self) -> fe.Kernel:
-        """The kernel of the four entries of dA/dt - dB/dx + [A, B], bit for
-        bit the values of one kernel per entry."""
-        return fe.Kernel(tuple(scal.frobenius_residual_exprs(self)))
+        """The kernel of the four entries of dA/dt - dB/dx + [A, B], on the
+        pair's one tape; its array form gives, bit for bit, the values of
+        the array forms of one kernel per entry."""
+        roots = (*scal.frobenius_residual_exprs(self), *self.a[0], *self.a[1], *self.dadt)
+        return fe.Kernel(roots[:4], tape=fe._Tape(roots, 4))
 
 
 @dataclass(kw_only=True)
@@ -226,8 +245,9 @@ class CatalogEntry:
 
     @cached_property
     def flow_fns(self) -> fe.Kernel:
-        """The kernel of the flow residual expressions, bit for bit the
-        values of one kernel per expression."""
+        """The kernel of the flow residual expressions; its array form
+        gives, bit for bit, the values of the array forms of one kernel per
+        expression."""
         return fe.Kernel(tuple(self.flow_exprs))
 
     @cached_property
@@ -255,7 +275,7 @@ class CatalogEntry:
         alpha_x, beta_x = fe.differentiate((alpha, beta), "x")
         a = ((_c(0), _c(1)), (-q1, -p1))
         b = ((alpha, beta), (alpha_x - beta * q1, alpha + beta_x - beta * p1))
-        return LaxPair(a, b)
+        return LaxPair(a, b, frobenius_checked=False)
 
     @cached_property
     def decomposition(self) -> red_mod.Decomposition:
@@ -656,11 +676,12 @@ def lookup(entry_id: str, overrides: Mapping | None = None) -> CatalogEntry:
 
 def flow_residual(entry: CatalogEntry, ts: Sequence[complex]) -> float:
     """Max modulus of the nonlinear flow residuals over the deformation
-    values ``ts``, NaN if one is NaN (``ndarray.max`` keeps a NaN wherever it
-    comes, ``max`` only when first).  Vanishes (to rounding) when the
-    entry's closed forms really solve the family's compatibility flow."""
-    rows = entry.flow_fns.at([0j] * len(ts), ts)
-    return float(np.array([abs(v) for row in rows for v in row]).max())
+    values ``ts``, from one array call of ``entry.flow_fns`` (at x = 0: the
+    residuals depend on t alone), NaN if one is NaN (``ndarray.max`` keeps
+    a NaN wherever it comes, ``max`` only when first).  Vanishes (to
+    rounding) when the entry's closed forms really solve the family's
+    compatibility flow."""
+    return float(np.abs(entry.flow_fns(0j, np.array(ts, dtype=complex))).max())
 
 
 # ---------------------------------------------------------------------------

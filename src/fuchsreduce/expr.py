@@ -7,11 +7,12 @@ provides exact differentiation, substitution of ``x`` or ``t``, one tree
 walker over a list of points (:func:`evaluate` is its one-point case), the
 value-numbered tape of a DAG (:class:`_Tape`), compilation of the tape to
 straight-line Python staged on x and on t (:func:`compile_expr`), kernels
-whose array form runs the tape and whose point form walks on its first
-call and compiles on its second (:class:`Kernel`), first-order jets on the
-tape (:func:`_jets`), one walker of adaptive Chebyshev panels along a
-straight segment, one panel at a time (contour quadrature, or the solve of
-a 2x2 linear ODE and its t-variation) and an infix printer.
+whose one batch form runs the tape and whose compiled code serves only
+per-point calls and the batch form's fallback (:class:`Kernel`),
+first-order jets on the tape (:func:`_jets`), one walker of adaptive
+Chebyshev panels along a straight segment, one panel at a time (contour
+quadrature, or the solve of a 2x2 linear ODE and its t-variation) and an
+infix printer.
 
 One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`):
 its constructor, the template of its compiled line, the function that line
@@ -764,8 +765,10 @@ class _Tape:
       ``ipow`` and ``fpow``) and the subset of {x, t} it depends on.  A line
       that reads neither is marked as depending on x: it runs with the
       x-lines, so a line reading it and t is an (x, t) line.
-    * ``roots``: the slot of each root, ``outputs`` those of the first
-      ``n_out`` (the rest are kept for :func:`_jets` alone).
+    * ``roots``: the slot of each root; ``outputs``, the slots whose values
+      the array form returns: those of the first ``n_out`` roots (the rest
+      are kept for :func:`_jets` alone), or of the roots a :meth:`view`
+      takes.
 
     Values are shared by structure (hash-consing by value numbering): a
     line is keyed on its kind, operand slots and exponent, a constant on
@@ -776,11 +779,12 @@ class _Tape:
     equality is not the key: it equates ``const(0j)`` and
     ``const(complex(0, -0.0))``, whose bits differ.
 
-    The array form runs the lines as pre-bound rows ``(slot, array, a, b)``
-    on a copy of ``start``, the x-lines first (:meth:`x_values`), then the
-    others (:meth:`values`); a power line's ``b`` is its exponent's slot."""
+    The array form runs the lines the outputs read (:meth:`needed`) as
+    pre-bound rows ``(slot, array, a, b)`` on a copy of ``start``, the
+    x-lines first (:meth:`x_values`), then the others (:meth:`values`); a
+    power line's ``b`` is its exponent's slot."""
 
-    __slots__ = ("lines", "roots", "outputs", "start", "_x_rows", "_xt_rows")
+    __slots__ = ("lines", "roots", "outputs", "start", "_rows", "_x_rows", "_xt_rows")
 
     def __init__(self, roots: Sequence[Expr], n_out: int | None = None):
         slots: dict = {}
@@ -821,14 +825,13 @@ class _Tape:
         finally:
             del number      # its closure holds it: a cycle, as in _traverse
         self.lines = tuple(lines)
-        self.outputs = self.roots[:n_out]
         # A neg that only an add reads, as its second operand (sub(a, b) is
         # add(a, neg(b))), runs inside it: a - b is a + (-b) bit for bit,
         # IEEE 754's difference, with one array operation less.
         negs = {slot: a for slot, kind, a, *_ in lines if kind == "neg"}
         reads = Counter([s for line in lines for s in line[2:4]] + [*self.roots])
         subs = {b for _, kind, _, b, *_ in lines if kind == "add" and reads[b] == 1 and b in negs}
-        self._x_rows, self._xt_rows = [], []
+        self._rows = ([], [])   # the x-lines' rows, then the others'
         for slot, kind, a, b, q, mask in lines:
             if slot in subs:
                 continue
@@ -838,8 +841,39 @@ class _Tape:
             if q is not None:
                 b = len(start)
                 start.append(q if type(q) is int else float(q))
-            (self._x_rows if mask == _X_DEP else self._xt_rows).append((slot, fn, a, b))
+            self._rows[mask != _X_DEP].append((slot, fn, a, b))
         self.start = start
+        self._bind(self.roots[:n_out])
+
+    def view(self, first: int) -> _Tape:
+        """This tape with its roots from the ``first``-th on as its outputs:
+        it shares the lines, slots and rows, and its array form runs only
+        the lines those roots read.  So kernels of several root sets of one
+        DAG number it once, and a line only another set reads (a pole
+        there) never reaches their calls."""
+        tape = object.__new__(_Tape)
+        tape.lines, tape.roots, tape.start = self.lines, self.roots, self.start
+        tape._rows = self._rows
+        tape._bind(self.roots[first:])
+        return tape
+
+    def _bind(self, outputs: tuple[int, ...]) -> None:
+        self.outputs = outputs
+        need = self.needed()
+        self._x_rows, self._xt_rows = ([row for row in rows if row[0] in need]
+                                       for rows in self._rows)
+
+    def needed(self) -> set[int] | range:
+        """The slots the outputs read, directly or through other lines,
+        with their own."""
+        if self.outputs == self.roots[:len(self.outputs)]:
+            # Numbered first, the outputs read every slot up to their last
+            # one: a later slot is numbered for a later root alone.
+            return range(max(self.outputs, default=-1) + 1)
+        need = set(self.outputs)
+        for slot, _, a, b, *_ in reversed(self.lines):
+            need.update((a, b) if slot in need else ())
+        return need
 
     def x_values(self, x) -> list:
         """A new list of values with x in its slot and every x-line run."""
@@ -877,8 +911,9 @@ def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Stag
     the expression's :class:`_Tape`, so a subtree shared by structure is
     computed once.  Singular inputs raise the native
     ZeroDivisionError/ValueError.  ``tape``, when given, is a tape already
-    built with ``e`` as its outputs (a :class:`Kernel`'s); the lines only
-    its other roots read are not compiled, so the text is the same.
+    built with ``e``'s values as its outputs (a :class:`Kernel`'s); only
+    the lines they read are compiled, so for a tape of ``e`` and of roots
+    after it the text is the same.
 
     The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
     post)`` of three functions, from one ``compile`` call, and calling it
@@ -894,10 +929,8 @@ def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Stag
     point raises exactly when one of its lines does."""
     if tape is None:
         tape = _Tape(e if isinstance(e, tuple) else (e,))
-    # The other roots come after the outputs, so the lines only they read
-    # are numbered after every line an output reads.
-    last = max(tape.outputs, default=1)
-    lines = [line for line in tape.lines if line[0] <= last]
+    need = tape.needed()
+    lines = [line for line in tape.lines if line[0] in need]
     names = ["x", "t", *(v if v is None else _literal(v) for v in tape.start[2:])]
     stages: dict[int, list[str]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
     read: set[str] = set()      # what the (x, t)-lines and the result read
@@ -928,72 +961,37 @@ def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Stag
 
 class Kernel:
     """Expressions to evaluate at many points: ``e`` is one expression, or
-    a tuple of them as for :func:`compile_expr`.  ``also`` names more
-    expressions, usually of the same DAG, whose jets :func:`_jets` reads
-    from the kernel's tape with the outputs'; no call returns them.
+    a tuple of them as for :func:`compile_expr`.  ``tape`` is the tape of
+    ``e`` it runs: by default one of ``e`` alone, else a tape whose outputs
+    are the values of ``e`` with more roots after them (whose jets
+    :func:`_jets` reads with the outputs'; no call returns them), or a
+    :meth:`_Tape.view` of a tape other kernels share.
 
-    Two forms, each built on first use and kept:
+    The one batch form, ``kernel(x, t)`` and :meth:`on_x`, runs the tape on
+    numpy arrays and never compiles.  Its values are, bit for bit, those
+    of the compiled lines run on the same arrays: each line applies its
+    row's ``array`` function, as the compiled line's array counterpart
+    would.  The compiled code, ``compile_expr(e)`` rendered from the tape
+    once on first need and kept (``_compiled()``), serves two callers
+    alone: per-point calls (``ReducedEquation.coefficients_at``), and the
+    batch form's fallback, which answers a batch that raises or is not
+    finite point by point, with the compiled values or the exception the
+    compiled code raises at the first bad point.  A kernel holds no
+    reference to itself.  A first use racing another may compile twice,
+    with the same result."""
 
-    * the array form, ``kernel(x, t)`` and :meth:`on_x`, runs the kernel's
-      :class:`_Tape` on numpy arrays and never compiles.  Its values are,
-      bit for bit, those of the compiled lines run on the same arrays: each
-      line applies its row's ``array`` function, as the compiled line's
-      array counterpart would.
-    * the point form, :meth:`at`, walks the DAG (:func:`_probe_values`) on
-      its first call and compiles ``compile_expr(e)``, once, on its second,
-      from the kernel's tape;
-      every later call runs the compiled code, whose stages ``_compiled()``
-      returns.  A walk applies the operations of the compiled lines, and a
-      walk that raises is answered by the compiled code, so every value and
-      every exception is the compiled kernel's.
-
-    An array batch that raises or is not finite is answered by the
-    compiled code, point by point, compiling it if need be.  A kernel holds
-    no reference to itself.  A first use racing another may build, walk or
-    compile twice, with the same result."""
-
-    def __init__(self, e: Expr | tuple[Expr, ...], also: tuple[Expr, ...] = ()):
+    def __init__(self, e: Expr | tuple[Expr, ...], tape: _Tape | None = None):
         self.expr = e
-        self._also = also
-        self._walked = False
+        self.tape = _Tape(e if isinstance(e, tuple) else (e,)) if tape is None else tape
         self._fn: _Staged | None = None     # compile_expr(e), once compiled
-
-    @functools.cached_property
-    def tape(self) -> _Tape:
-        """The tape of the outputs and then of ``also``."""
-        outs = self.expr if isinstance(self.expr, tuple) else (self.expr,)
-        return _Tape((*outs, *self._also), len(outs))
 
     def _compiled(self) -> _Staged:
         if self._fn is None:
             self._fn = compile_expr(self.expr, self.tape)
         return self._fn
 
-    def _points(self, xs: list, ts: list) -> list:
-        """The compiled form at each point in turn, its stages bound once:
-        calling the ``_Staged`` tuple unpacks a tuple subclass per point."""
-        pre_x, pre_t, post = self._compiled()
-        return [post(x, t, pre_x(x), pre_t(t)) for x, t in zip(xs, ts)]
-
-    def at(self, xs: Sequence[complex], ts: Sequence[complex]) -> list:
-        """The values at the points ``(xs[k], ts[k])``, in order: per point
-        what ``compile_expr(e)(x, t)`` returns, and the exception it raises
-        at the first point where it raises."""
-        xs = list(map(complex, xs))
-        ts = list(map(complex, ts))
-        if not self._walked and self._fn is None:
-            self._walked = True
-            try:
-                memo: dict[int, object] = {}
-                if not isinstance(self.expr, tuple):
-                    return _probe_values(self.expr, xs, ts, memo)
-                return list(zip(*[_probe_values(e, xs, ts, memo) for e in self.expr]))
-            except _SAMPLE_ERRORS:
-                pass    # the compiled path answers, with its own exception
-        return self._points(xs, ts)
-
     def __call__(self, x, t, held: list | None = None):
-        """The array form: the values at numpy arrays of points.
+        """The batch form: the values at numpy arrays of points.
 
         ``x`` and ``t`` broadcast against each other; the result has their
         shape (a tuple of such arrays for a tuple kernel).  It is evaluated
@@ -1005,7 +1003,10 @@ class Kernel:
         tape's x-lines at ``x``, filled by its first call that they do not
         raise in and copied by the calls after."""
         x, t = np.asarray(x, dtype=complex), np.asarray(t, dtype=complex)
-        shape = x.shape if t.ndim == 0 else np.broadcast(x, t).shape
+        # Where one side is a single point, the shape is the other's: no
+        # np.broadcast, which costs a microsecond.
+        shape = (t.shape if x.size == 1 and x.ndim <= t.ndim else x.shape
+                 if t.size == 1 and t.ndim <= x.ndim else np.broadcast(x, t).shape)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 if held == []:
@@ -1014,7 +1015,7 @@ class Kernel:
                 out = self.tape.values(vals, t)
             out = [v if type(v) is np.ndarray and v.shape == shape
                    else np.full(shape, v, dtype=complex) for v in out]
-            every = np.concatenate(out, axis=None)
+            every = out[0] if len(out) == 1 else np.concatenate(out, axis=None)
             # 0 * v is 0 where v is finite and NaN where it is not, so the
             # sum is finite exactly when every value is.
             if cmath.isfinite(np.vdot(np.zeros(every.size, dtype=complex), every)):
@@ -1023,7 +1024,7 @@ class Kernel:
             pass
         # The batch raised or is not finite: the compiled code answers.
         xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
-        rows = np.array(self._points(xs, ts), dtype=complex)
+        rows = np.array(list(map(self._compiled(), xs, ts)), dtype=complex)
         if isinstance(self.expr, tuple):
             return tuple(col.reshape(shape) for col in rows.T)
         return rows.reshape(shape)

@@ -124,9 +124,11 @@ class Decomposition:
     cached properties are the kernels of (h, f), of G and of (phi, p_num,
     q_num), phi = f + t h (see :class:`ReducedEquation`), and the last on
     the line x = x0, the centre of the x box (``expr.Kernel.on_x``), which
-    holds the values of its x-rows at x0; each is built on first use and kept for
-    the life of the decomposition.  ``dataclasses.replace`` starts without
-    any cached property."""
+    holds the values of its x-rows at x0; each is built on first use and
+    kept for the life of the decomposition.  The kernels of (h, f) and of G
+    run one tape, of h, f and then G (G's a view, ``expr._Tape.view``): a
+    report reads both, and G's lines hold most or all of f's and h's.
+    ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
     h: Expr
@@ -184,7 +186,7 @@ class Decomposition:
             fe.add(fe.mul(p1, G), q1),
         )
         # h is in the DAG, as phi = f + t h: the invariance jets read it.
-        return fe.Kernel((phi, p_num, q_num), also=(self.h,))
+        return fe.Kernel((phi, p_num, q_num), tape=fe._Tape((phi, p_num, q_num, self.h), 3))
 
     @cached_property
     def invariance(self) -> float:
@@ -228,11 +230,12 @@ class Decomposition:
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
-        return fe.Kernel((self.h, self.f))
+        roots = (self.h, self.f, self.gauge_exponent())
+        return fe.Kernel(roots[:2], tape=fe._Tape(roots, 2))
 
     @cached_property
     def _G_array(self) -> fe.Kernel:
-        return fe.Kernel(self.gauge_exponent())
+        return fe.Kernel(self.gauge_exponent(), tape=self._hf_array.tape.view(2))
 
 
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:

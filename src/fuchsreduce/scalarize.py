@@ -103,27 +103,19 @@ def _matmul(a, b):
 def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
     """The four entries of dA/dt - dB/dx + AB - BA, on ``lp.dadt``."""
     a, b = lp.a, lp.b
-    ab = _matmul(a, b)
-    ba = _matmul(b, a)
+    ab, ba = _matmul(a, b), _matmul(b, a)
     dbdx = fe.differentiate((*b[0], *b[1]), "x")
-    out = []
-    for i in range(2):
-        for j in range(2):
-            r = fe.add(
-                fe.sub(lp.dadt[2 * i + j], dbdx[2 * i + j]),
-                fe.sub(ab[i][j], ba[i][j]),
-            )
-            out.append(r)
-    return out
+    return [fe.add(fe.sub(lp.dadt[k], dbdx[k]), fe.sub(ab[k // 2][k % 2], ba[k // 2][k % 2]))
+            for k in range(4)]
 
 
 def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, complex]]) -> float:
     """Max-entry modulus of the integrability defect over ``points``, from
-    one call of ``lp.frobenius_fns``, NaN if one is NaN (as in
+    one array call of ``lp.frobenius_fns``, NaN if one is NaN (as in
     :func:`catalog.flow_residual`).  Zero (to rounding) exactly when the two
     linear systems are jointly solvable near every point."""
-    rows = lp.frobenius_fns.at([x for x, _ in points], [t for _, t in points])
-    return float(np.array([abs(v) for row in rows for v in row]).max())
+    xs, ts = (np.array(v, dtype=complex) for v in zip(*points))
+    return float(np.abs(lp.frobenius_fns(xs, ts)).max())
 
 
 def scalar_coefficients(lp: "LaxPair", component: str = "first",

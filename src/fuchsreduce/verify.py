@@ -170,6 +170,8 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
 
 # The t-independence stage's budget of draws per sample.
 _DRAWS_PER_SAMPLE = 8
+# The t-independence stage drops a draw this close to a singular t.
+_SINGULAR_T_GAP = 0.15
 
 
 def check_t_independence(prep: Prepared, n_points: int = 32, seed: int | np.random.Generator = 42
@@ -182,12 +184,14 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int | np.rand
     once per entry at the entry's own basepoint (:func:`_once`), and on
     every call at any other or on another decomposition.  The t are drawn
     from ``seed`` (an int, or the generator to draw from) in the t box, in
-    order, skipping those within 0.15 of a singular t; their coefficients
-    come from one ``coefficients_at_x0`` call, and a t it rejects (by one of
-    ``expr._SAMPLE_ERRORS``) is replaced by the next draw.  Raises
-    :class:`VerifyError` when the walk to x0 fails (a failed walk records
-    nothing) or ``_DRAWS_PER_SAMPLE * n_points`` draws place fewer samples,
-    and ValueError for ``n_points < 1``."""
+    order, skipping those within ``_SINGULAR_T_GAP`` of a singular t (each
+    draw is tested only against the singular t that near the box: no other
+    can reject it); their coefficients come from one ``coefficients_at_x0``
+    call, and a t it rejects (by one of ``expr._SAMPLE_ERRORS``) is
+    replaced by the next draw.  Raises :class:`VerifyError` when the walk
+    to x0 fails (a failed walk records nothing) or ``_DRAWS_PER_SAMPLE *
+    n_points`` draws place fewer samples, and ValueError for
+    ``n_points < 1``."""
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     entry, red = prep.entry, prep.red
@@ -203,6 +207,9 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int | np.rand
         e0, s0 = _once(entry, "x0", walk)
     else:
         e0, s0 = walk()
+    # A draw can lie a rounding outside the box: the margin keeps every
+    # singular t that could reject one.
+    near = [s for s in entry.singular_t if entry.box_t.distance(s) < _SINGULAR_T_GAP + 1e-9]
     rng = np.random.default_rng(seed)
     budget = _DRAWS_PER_SAMPLE * n_points
     drawn = 0
@@ -211,8 +218,8 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int | np.rand
         m = min(n_points - len(samples), budget - drawn)
         drawn += m
         (ts,) = cat.random_points(rng, (entry.box_t,), m)
-        if entry.singular_t:
-            ts = [t for t in ts if all(abs(t - s) >= 0.15 for s in entry.singular_t)]
+        if near:
+            ts = [t for t in ts if all(abs(t - s) >= _SINGULAR_T_GAP for s in near)]
         if ts:
             samples += [(t * e0 + s0, *got)
                         for t, got in zip(ts, red.coefficients_at_x0(ts, e0))

@@ -206,9 +206,9 @@ class TestFlow:
         # residual is the reading wherever it comes: Python's max keeps a
         # NaN only when it comes first, so one later on would pass the gate.
         class Rows:
-            def at(self, xs, ts):
-                assert xs == [0j] * len(rows)
-                return rows
+            def __call__(self, x, t):
+                assert x == 0j and t.shape == (len(rows),)
+                return tuple(np.array(col, dtype=complex) for col in zip(*rows))
 
         entry = dataclasses.replace(catalog.lookup("PII.y0"))
         entry.__dict__["flow_fns"] = Rows()
@@ -217,17 +217,26 @@ class TestFlow:
 
     @pytest.mark.parametrize("entry_id", (*EXPECTED_IDS, "negative.PII_bad_y1"))
     def test_fused_kernel_is_bit_identical(self, entry_id):
-        # On the 16 probes full_report draws for this entry at two seeds,
-        # the one tuple kernel gives the bits of one kernel per expression,
-        # on its first (walked) call and on its later (compiled) calls.
+        # On the 16 probes full_report draws for this entry at three seeds,
+        # the one tuple kernel's array form gives the bits of the array
+        # forms of one kernel per expression, and agrees with the compiled
+        # code to rounding; the reading is the max over the single kernels.
         entry = catalog.lookup(entry_id)
-        singles = [fe.compile_expr(e) for e in entry.flow_exprs]
+        singles = [fe.Kernel(e) for e in entry.flow_exprs]
+        compiled = [fe.compile_expr(e) for e in entry.flow_exprs]
         kernel = fe.Kernel(entry.flow_fns.expr)
         for seed in (42, 7, 1):
             rng = np.random.default_rng(Config(seed=seed).entry_seed(entry_id))
             (ts,) = catalog.random_points(rng, (entry.box_t,), 16)
-            want = [[repr(f(0j, t)) for f in singles] for t in ts]
-            assert [[repr(v) for v in row] for row in kernel.at([0j] * 16, ts)] == want
+            got = kernel(0j, np.array(ts))
+            want = [single(0j, np.array(ts)) for single in singles]
+            assert [[repr(v) for v in row.tolist()] for row in got] == \
+                [[repr(v) for v in row.tolist()] for row in want]
+            for row, f in zip(got, compiled):
+                ref = np.array([f(0j, t) for t in ts])
+                assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+            worst = max(float(np.abs(row).max()) for row in want)
+            assert repr(catalog.flow_residual(entry, ts)) == repr(worst)
 
 
 class TestManifests:

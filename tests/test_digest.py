@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "1aa43e27c7562157219e3dccc3fd170f7305e066854d55dfae0936d6651cd704"
+PINNED = "ab0d4ccd29f420843c01e11dac11e3973f49067d06cd571da40492c3289e5149"
 
 
 def _load(monkeypatch, path: Path, name: str):

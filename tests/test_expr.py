@@ -142,15 +142,6 @@ def _numbered(e):
             [v if v is None else fe._literal(v) for v in tape.start])
 
 
-def _entry_kernels(entry):
-    """Every kernel a report builds on ``entry``: the coefficients, (h, f),
-    G, A and dA/dt, the flow and, with a Lax pair, the Frobenius residual."""
-    dec, systems = entry.decomposition, entry.linear_systems
-    kernels = [dec._coeff_array, dec._hf_array, dec._G_array, systems.a_dadt_array,
-               entry.flow_fns]
-    return kernels + ([entry.lax.frobenius_fns] if entry.lax is not None else [])
-
-
 _ALL_ENTRIES = catalog.list_entries() + catalog.list_negative_entries()
 
 
@@ -260,9 +251,22 @@ class TestTapeNumbering:
 
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
-        for kernel in _entry_kernels(catalog.lookup(entry_id)):
-            outs = kernel.expr if isinstance(kernel.expr, tuple) else (kernel.expr,)
-            _assert_reference_numbering((*outs, *kernel._also), len(outs))
+        # Each tape a report builds, from its roots: the coefficients with h,
+        # (h, f) with G, the flow, and the Frobenius residuals with A and
+        # dA/dt or, for a direct scalar pair, A and dA/dt alone.
+        entry = catalog.lookup(entry_id)
+        dec, systems = entry.decomposition, entry.linear_systems
+        tapes = [(dec._coeff_array, (*dec._coeff_array.expr, dec.h), 3),
+                 (dec._hf_array, (dec.h, dec.f, dec.gauge_exponent()), 2),
+                 (entry.flow_fns, entry.flow_fns.expr, None)]
+        if entry.lax is not None:
+            frobenius = entry.lax.frobenius_fns
+            tapes.append((frobenius, (*frobenius.expr, *systems.a_dadt_array.expr), 4))
+        else:
+            tapes.append((systems.a_dadt_array, systems.a_dadt_array.expr, None))
+        for kernel, roots, n_out in tapes:
+            _assert_reference_numbering(roots, n_out)
+            assert kernel.tape.lines == fe._Tape(roots, n_out).lines
 
     def test_random_trees_match_the_reference_numbering_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -535,11 +539,12 @@ class TestCompileSharing:
 
         check()
 
-    def test_kernel_at_property(self):
-        # A kernel's first call walks the trees and its later calls run
-        # compiled code; both give, point by point, the compiled function's
-        # bits, or raise what it raises at the first bad point (class and
-        # message).
+    def test_tuple_kernel_property(self):
+        # A tuple kernel's array form, on its first call and on its second,
+        # gives bit for bit the array forms of one kernel per expression
+        # where its batch stands; where it does not (it raised or is not
+        # finite, so the kernel compiled), the compiled function's values,
+        # or what that raises at the first bad point (class and message).
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         trees = _raw_trees(st)
@@ -547,17 +552,23 @@ class TestCompileSharing:
 
         @hyp.settings(max_examples=300, deadline=None, derandomize=True,
                       database=None)
-        @hyp.given(st.one_of(trees, st.tuples(trees, trees)),
-                   st.lists(points, min_size=1, max_size=4), points)
+        @hyp.given(st.tuples(trees, trees), st.lists(points, min_size=1, max_size=4), points)
         def check(e, xs, t):
             f = fe.compile_expr(e)
-            want = _call_message(lambda: [_result_bits(f(x, t)) for x in xs])
+            want = _call_message(lambda: [f(x, t) for x in xs])
             kernel = fe.Kernel(e)
-            for _ in range(2):
-                got = _call_message(lambda: [_result_bits(v)
-                                             for v in kernel.at(xs, [t] * len(xs))])
+            got = _call_message(called_twice, kernel, np.array(xs), t)
+            if not isinstance(want, list):
                 assert got == want
-            assert kernel._fn is not None
+                return
+            if kernel._fn is not None:
+                assert _result_bits(got) == _result_bits(
+                    tuple(np.array(col) for col in zip(*want)))
+                return
+            singles = [fe.Kernel(part) for part in e]
+            parts = tuple(called_twice(single, np.array(xs), t) for single in singles)
+            assert [single._fn for single in singles] == [None, None]
+            assert _result_bits(got) == _result_bits(parts)
 
         check()
 
@@ -577,24 +588,23 @@ def _result_bits(value):
     return type(value).__name__, _bits(complex(value))
 
 
-def both_tiers(call, *args):
-    """``call(*args)`` twice, ``call`` being a new kernel (its array form,
-    whose first call builds the tape the second runs again) or its ``at``
-    (whose first call walks the tree and second runs the compiled code).
-    Both give the same bits or raise the same class and message; the
-    second's result is returned, or its exception raised."""
+def called_twice(call, *args):
+    """``call(*args)`` twice, ``call`` being a new kernel, whose first call
+    builds the tape that its second runs again.  Both give the same bits or
+    raise the same class and message; the second's result is returned, or
+    its exception raised."""
     outcomes = []
     for _ in range(2):
         try:
             outcomes.append((call(*args), None))
         except Exception as exc:  # noqa: BLE001 - compared by class and message
             outcomes.append((None, exc))
-    (walked, walk_err), (compiled, err) = outcomes
-    if err is not None or walk_err is not None:
-        assert (type(walk_err), str(walk_err)) == (type(err), str(err))
+    (first, first_err), (second, err) = outcomes
+    if err is not None or first_err is not None:
+        assert (type(first_err), str(first_err)) == (type(err), str(err))
         raise err
-    assert _result_bits(walked) == _result_bits(compiled)
-    return compiled
+    assert _result_bits(first) == _result_bits(second)
+    return second
 
 
 # A placeholder leaf: it prints, and _raw_bound replaces it before any
@@ -724,7 +734,7 @@ class TestCompileConstants:
         f = fe.compile_expr(e)
         assert want == -4
         assert f(0j, 0j) == want
-        assert list(both_tiers(fe.Kernel(e), np.array([0j, 1j]), 0j)) == [want, want]
+        assert list(called_twice(fe.Kernel(e), np.array([0j, 1j]), 0j)) == [want, want]
 
     @pytest.mark.parametrize("value", [complex(0.0, -0.5), complex(-0.0, -0.5), 3j,
                                        -1 + 0j])
@@ -734,7 +744,7 @@ class TestCompileConstants:
         want = fe.evaluate(e, Binding(x=1 + 1j, t=0j))
         f = fe.compile_expr(e)
         assert f(1 + 1j, 0j) == want
-        got = both_tiers(fe.Kernel(e), np.array([1 + 1j]), 0j)
+        got = called_twice(fe.Kernel(e), np.array([1 + 1j]), 0j)
         assert got[0] == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("re", [0.0, -0.0, 1.5, -1.5])
@@ -747,7 +757,7 @@ class TestCompileConstants:
             want = _bits(fe.evaluate(e, Binding(x=x, t=0j)))
             f = fe.compile_expr(e)
             assert _bits(f(x, 0j)) == want
-            got = both_tiers(fe.Kernel(e), np.array([x, x]), 0j)
+            got = called_twice(fe.Kernel(e), np.array([x, x]), 0j)
             assert [_bits(complex(v)) for v in got] == [want, want]
 
     def test_negative_zero_imaginary_part_picks_the_branch(self):
@@ -765,15 +775,14 @@ class TestCompileConstants:
     def test_non_finite_value_matches_evaluate(self, e, params):
         # repr gives '(nan+0j)', '(inf+0j)', '-infj': nan and inf are not
         # Python literals, so emitted bare they would raise NameError.  The
-        # array batch is not finite, so both tiers fall back to the scalar
+        # array batch is not finite, so the kernel falls back to the scalar
         # values.
         xs = [1 + 0j, 2 - 1j]
         e = fe.substitute(e, **params)
         want = [repr(fe.evaluate(e, Binding(x=x, t=0j))) for x in xs]
         f = fe.compile_expr(e)
         assert [repr(f(x, 0j)) for x in xs] == want
-        assert [repr(complex(v)) for v in both_tiers(fe.Kernel(e), np.array(xs), 0j)] == want
-        assert [repr(v) for v in both_tiers(fe.Kernel(e).at, xs, [0j, 0j])] == want
+        assert [repr(complex(v)) for v in called_twice(fe.Kernel(e), np.array(xs), 0j)] == want
 
 
 class TestArrayForm:
@@ -792,7 +801,7 @@ class TestArrayForm:
             xs = (rng.uniform(box.re_lo, box.re_hi, 50)
                   + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
             ts = rng.uniform(0.5, 1.5, 50) + 0j
-            got = both_tiers(fe.Kernel(systems.a_dadt_array.expr), xs, ts)
+            got = called_twice(fe.Kernel(systems.a_dadt_array.expr), xs, ts)
             want = np.array([scalar(x, t) for x, t in zip(xs.tolist(), ts.tolist())]).T
             assert len(got) == 8 and all(g.shape == (50,) for g in got)
             scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
@@ -801,11 +810,11 @@ class TestArrayForm:
     def test_broadcasts_and_keeps_shape(self):
         kernel = fe.Kernel((fe.const(2), fe.mul(X, T), T))
         xs = np.array([[1 + 1j, 2], [3, 4j]])
-        two, xt, t = both_tiers(kernel, xs, 0.5)
+        two, xt, t = called_twice(kernel, xs, 0.5)
         assert two.shape == xt.shape == t.shape == (2, 2)
         assert np.all(two == 2) and np.all(t == 0.5)
         assert np.all(xt == xs * 0.5)
-        assert both_tiers(fe.Kernel(X), 1 + 2j, 0).shape == ()
+        assert called_twice(fe.Kernel(X), 1 + 2j, 0).shape == ()
 
     @pytest.mark.parametrize("e, bad, error", [
         (fe.div(fe.const(1), fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))), 1.5,
@@ -819,16 +828,14 @@ class TestArrayForm:
             "zero-ipow"])
     def test_singular_point_raises_scalar_exception(self, e, bad, error):
         # numpy would return inf or nan here (and 1/(1/0) is a finite 0);
-        # the batch goes back to the scalar form, which raises.  The walk
-        # on a kernel's first call raises too, and is answered the same way.
+        # the batch goes back to the scalar form, which raises, on the
+        # kernel's first call and on its second.
         f = fe.compile_expr(e)
         with pytest.raises(error):
             f(bad, 0j)
         with pytest.raises(error):
-            both_tiers(fe.Kernel(e), np.array([0.5, bad, 1.25]), 0j)
-        with pytest.raises(error):
-            both_tiers(fe.Kernel(e).at, [0.5, bad, 1.25], [0j] * 3)
-        assert np.all(np.isfinite(both_tiers(fe.Kernel(e), np.array([0.25, 0.5]), 0j)))
+            called_twice(fe.Kernel(e), np.array([0.5, bad, 1.25]), 0j)
+        assert np.all(np.isfinite(called_twice(fe.Kernel(e), np.array([0.25, 0.5]), 0j)))
 
     def test_non_finite_batch_is_answered_by_the_scalar_form(self):
         # A NaN point raises no floating-point error, but the batch's values
@@ -842,7 +849,7 @@ class TestArrayForm:
 
     def test_zero_base_positive_fractional_power(self):
         kernel = fe.Kernel(fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(1, 2)))
-        got = both_tiers(kernel, np.array([1.5, 2.5]), 0j)
+        got = called_twice(kernel, np.array([1.5, 2.5]), 0j)
         assert got[0] == 0 and got[1] == pytest.approx(1.0)
 
     def test_array_form_property(self):
@@ -860,7 +867,7 @@ class TestArrayForm:
         def check(e, xs, t):
             f = fe.compile_expr(e)
             scalar = [_call(f, x, t) for x in xs]
-            got = _call(both_tiers, fe.Kernel(e), np.array(xs), t)
+            got = _call(called_twice, fe.Kernel(e), np.array(xs), t)
             raised = [v for v in scalar if isinstance(v, type)]
             if raised:
                 # The scalar form is run point by point, in order.
@@ -1036,10 +1043,11 @@ class TestMultiSegmentPanels:
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
         # The walk's first kernel call runs the tape, which raises at the
         # pole; the compiled kernel answers with its ZeroDivisionError.
-        assert "tape" not in dec._hf_array.__dict__
+        assert dec._hf_array._fn is None
         with pytest.raises(fe.QuadratureError) as info:
             fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends[0], 1e-13)
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+        assert dec._hf_array._fn is not None
         for x in ends[1:]:
             e, s = fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, x, 1e-13)
             assert (red.E(x), red.S(x)) == (cmath.exp(e), s)

@@ -1,14 +1,17 @@
-"""Kernels live on the objects they are built from, and compile on reuse.
+"""Kernels live on the objects they are built from, and a report never
+compiles.
 
 A catalog entry owns its scalar pair, its decomposition and their kernels;
 a prepare call owns only its memos.  An expression kernel
-(``expr.Kernel``) runs its array form on its tape and never compiles for
-it; its point form walks the DAG on its first call and compiles on its
-second.  Every form gives the compiled code's values and exceptions bit
-for bit.  So a fresh entry's report compiles nothing, a second report on
-an entry compiles only its flow kernel and a third compiles nothing; an
-override entry takes its kernels with it when it is collected; and no
-report depends on what ran before it.
+(``expr.Kernel``) has one batch form, which runs its tape and gives bit
+for bit the values of its compiled lines run on the same arrays; its
+compiled code serves only per-point calls (``coefficients_at``) and the
+fallback of a batch that raises or is not finite.  Every kernel a report
+calls runs in batch form, the flow and Frobenius kernels included, so no
+report compiles anything, a fresh entry's or a warm one's; the Frobenius
+kernel and the walk matrix (A, dA/dt) run views of one tape, as do the
+kernels of (h, f) and of G.  An override entry takes its kernels with it
+when it is collected, and no report depends on what ran before it.
 """
 
 import cmath
@@ -28,6 +31,7 @@ import pytest
 import fuchsreduce
 from fuchsreduce import catalog, expr as fe, reduction, verify
 from fuchsreduce.config import Config
+from test_expr import _n_lines
 
 ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
 
@@ -52,36 +56,29 @@ class TestKernelLifetime:
             assert lax_ref() is None
 
     def test_third_report_compiles_nothing(self, monkeypatch):
-        # A kernel's point form walks on its first call and compiles on its
-        # second: over two reports on every entry each kernel compiles at
-        # most once, and a third report compiles nothing.
+        # Two reports on every entry, at two seeds, and a third at another:
+        # none of them calls compile_expr.
         compiled = []
         real_compile = fe.compile_expr
-
-        def recording(e, *tape):
-            compiled.append(e)
-            return real_compile(e, *tape)
-
-        monkeypatch.setattr(fe, "compile_expr", recording)
-        for seed in (42, 7):
+        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
+                            or real_compile(e, *tape))
+        for seed in (42, 7, 1):
             for entry_id in ALL_WITH_NEGATIVE:
                 verify.full_report(entry_id, Config(seed=seed))
-        # The list holds every expression, so no id is reused.
-        assert len({id(e) for e in compiled}) == len(compiled)
-        count = len(compiled)
-        for entry_id in ALL_WITH_NEGATIVE:
-            verify.full_report(entry_id, Config(seed=1))
-        assert len(compiled) == count
+        assert compiled == []
 
     def test_fresh_report_compiles_nothing(self, monkeypatch):
-        # A --param report builds a fresh entry.  Its report walks the
-        # kernels whose point form it calls (flow and Frobenius, once each)
-        # and runs the tapes of those whose array form it calls: (h, f) in
-        # the E/S walks, A and dA/dt on the one-round leg, G, and the
-        # coefficients of the t-independence stage's one batch and of the
-        # invariance jets.  It compiles nothing.
-        entries, exprs = [], []
+        # A --param report builds a fresh entry.  Its report runs the tapes
+        # of the kernels it calls: the flow's, the Lax pair's one tape of
+        # the Frobenius residuals, A and dA/dt (the walk matrix on the leg
+        # is a view of it), the decomposition's one tape of h, f and G (the
+        # E/S walks and the leg read views of it) and the coefficient
+        # kernel's, for the t-independence stage's one batch and the
+        # invariance jets.  It builds no tape of A and dA/dt alone and
+        # compiles nothing.
+        entries, exprs, tapes = [], [], []
         real_lookup, real_compile = catalog.lookup, fe.compile_expr
+        real_init = fe._Tape.__init__
 
         def recording_lookup(entry_id, overrides=None):
             entries.append(real_lookup(entry_id, overrides))
@@ -91,24 +88,29 @@ class TestKernelLifetime:
             exprs.append(e)
             return real_compile(e, *tape)
 
+        def recording_init(tape, roots, n_out=None):
+            real_init(tape, roots, n_out)
+            tapes.append(tape)
+
         monkeypatch.setattr(catalog, "lookup", recording_lookup)
         monkeypatch.setattr(fe, "compile_expr", recording_compile)
+        monkeypatch.setattr(fe._Tape, "__init__", recording_init)
         rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(5, 2)})
         assert rep.passed, rep.errors
         (entry,) = entries
-        dec = entry.decomposition
+        dec, lax = entry.decomposition, entry.lax
         assert exprs == []
-        walked = [entry.flow_fns, entry.lax.frobenius_fns]
-        assert [(k._walked, k._fn) for k in walked] == [(True, None)] * 2
-        taped = [dec._hf_array, entry.lax.a_dadt_array, dec._G_array, dec._coeff_array]
-        assert [(k._walked, k._fn, "tape" in k.__dict__) for k in taped] == \
-            [(False, None, True)] * 4
+        kernels = [entry.flow_fns, lax.frobenius_fns, dec._hf_array, dec._coeff_array]
+        assert tapes == [k.tape for k in kernels]
+        assert lax.a_dadt_array.tape.lines is lax.frobenius_fns.tape.lines
+        assert dec._G_array.tape.lines is dec._hf_array.tape.lines
+        kernels += [lax.a_dadt_array, dec._G_array]
+        assert [k._fn for k in kernels] == [None] * 6
 
-    def test_second_report_compiles_only_flow(self, monkeypatch):
-        # On a fresh copy of each entry, served as the entry by lookup: the
-        # first report compiles nothing, the second compiles the flow kernel
-        # (the one point form a report calls every time) and the third
-        # compiles nothing.  No array call compiles its kernel.
+    def test_three_reports_compile_nothing(self, monkeypatch):
+        # On a fresh copy of each entry, served as the entry by lookup,
+        # three reports call compile_expr zero times: the flow and Frobenius
+        # kernels run their tapes like every other kernel a report calls.
         compiled = []
         real_compile = fe.compile_expr
         monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
@@ -117,16 +119,17 @@ class TestKernelLifetime:
         for entry_id in ALL_WITH_NEGATIVE:
             entry = real_lookup(entry_id, dict(real_lookup(entry_id).params_exact))
             monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
-            rounds = []
             for seed in (42, 7, 1):
-                count = len(compiled)
                 verify.full_report(entry_id, Config(seed=seed))
-                rounds.append(compiled[count:])
-            assert rounds == [[], [entry.flow_fns.expr], []], entry_id
-            dec = entry.decomposition
-            arrays = [dec._hf_array, dec._G_array, dec._coeff_array]
-            arrays.append(entry.linear_systems.a_dadt_array)
-            assert [k._fn for k in arrays] == [None] * len(arrays), entry_id
+            assert compiled == [], entry_id
+            dec, systems = entry.decomposition, entry.linear_systems
+            kernels = [entry.flow_fns, dec._hf_array, dec._G_array, dec._coeff_array,
+                       systems.a_dadt_array]
+            if entry.lax is not None:
+                kernels.append(entry.lax.frobenius_fns)
+                # The walk matrix runs a view of the Frobenius kernel's tape.
+                assert systems.a_dadt_array.tape.lines is entry.lax.frobenius_fns.tape.lines
+            assert [k._fn for k in kernels] == [None] * len(kernels), entry_id
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_coefficient_kernel_tiers(self, monkeypatch, entry_id):
@@ -317,8 +320,7 @@ class TestKernelLifetime:
         real_init = fe._Tape.__init__
 
         def recording(tape, roots, n_out=None):
-            if roots[0] is dec._coeff_array.expr[0]:
-                builds.append(len(roots))
+            builds.append(roots)
             real_init(tape, roots, n_out)
 
         monkeypatch.setattr(fe._Tape, "__init__", recording)
@@ -327,33 +329,44 @@ class TestKernelLifetime:
             for t in ts:
                 red.coefficients_at(x, t)
         assert dec._coeff_array._fn is not None
-        assert builds == [4]
+        assert [len(roots) for roots in builds if roots[0] is dec._coeff_array.expr[0]] == [4]
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
-        # Each kernel of a fresh entry, its tape built first (as an array
-        # call builds it), compiles from that tape the text compile_expr
-        # gives its expressions alone.
+        # Each kernel of a fresh entry compiles from its tape the text
+        # compile_expr gives its expressions alone.  A view of a tape other
+        # kernels share whose outputs are not its first roots (the walk
+        # matrix of a Lax pair, G) numbers its lines in the shared order: it
+        # compiles as many lines as its expressions alone, to the same
+        # values.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         dec, systems = entry.decomposition, entry.linear_systems
-        kernels = [dec._coeff_array, dec._hf_array, dec._G_array,
-                   systems.a_dadt_array, entry.flow_fns]
+        kernels = [dec._coeff_array, dec._hf_array, entry.flow_fns]
+        views = [dec._G_array]
         if entry.lax is not None:
             kernels.append(entry.lax.frobenius_fns)
+            views.append(systems.a_dadt_array)
+        else:
+            kernels.append(systems.a_dadt_array)
         sources = []
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
                             or compile(src, *args), raising=False)
         for kernel in kernels:
-            kernel.tape
             kernel._compiled()
             fe.compile_expr(kernel.expr)
             assert sources[-2] == sources[-1]
-        assert len(sources) == 2 * len(kernels)
+        points = [(x, t) for x in entry.box_x.diagonal(3) for t in entry.box_t.diagonal(3)]
+        for kernel in views:
+            own = fe.compile_expr(kernel.expr)
+            assert _n_lines(kernel._compiled()) == _n_lines(own)
+            assert [_reprs(kernel._compiled()(x, t)) for x, t in points] == \
+                [_reprs(own(x, t)) for x, t in points]
 
     def test_also_roots_add_no_compiled_line(self, monkeypatch):
-        # An expression a kernel also keeps, off the outputs' DAG, has its
+        # An expression a kernel's tape also keeps, off the outputs' DAG, has its
         # lines on the tape and none in the compiled text.
-        kernel = fe.Kernel((fe.X * fe.T, fe.exp(fe.T)), also=(fe.log(fe.X + 2),))
+        outputs = (fe.X * fe.T, fe.exp(fe.T))
+        kernel = fe.Kernel(outputs, tape=fe._Tape((*outputs, fe.log(fe.X + 2)), 2))
         assert [line[1] for line in kernel.tape.lines] == ["mul", "exp", "add", "log"]
         sources = []
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
@@ -362,7 +375,13 @@ class TestKernelLifetime:
         fe.compile_expr(kernel.expr)
         assert sources[0] == sources[1]
         assert "_log" not in sources[0]
-        assert kernel.at([1.5], [0.5]) == [(0.75 + 0j, cmath.exp(0.5))]
+        # Nor does the array form run them, and no call returns them.
+        log_slot = kernel.tape.lines[-1][0]
+        run = [row[0] for row in kernel.tape._x_rows + kernel.tape._xt_rows]
+        assert log_slot not in run and len(run) == 2
+        got = kernel(np.array([1.5]), 0.5)
+        assert len(got) == 2 and _reprs(got[0]) == _reprs(np.array([0.75 + 0j]))
+        assert got[1] == pytest.approx([cmath.exp(0.5)], rel=1e-15)
 
     def test_box_override_decomposes_afresh(self):
         # An override is a copy of the entry on the run's boxes, which
@@ -380,13 +399,12 @@ class TestKernelLifetime:
         ("PIII.y1", (0.6, 1.6, -0.2, 0.2)), ("PVdeg.kitaev_sqrt", (0.7, 1.7, -0.2, 0.2))])
     def test_box_override_compiles_only_its_decomposition(self, monkeypatch, entry_id, box_t):
         # The copy on the run's boxes keeps the entry's flow kernel and
-        # linear systems (with the Kitaev pair's compiled A, dA/dt); only
-        # the scalar pair and the decomposition probe the boxes.  Its report
-        # is the one of a copy that builds everything afresh.  Two reports
-        # on the entry first, each with the entry's record cleared, so that
-        # the stages it certifies once (the Frobenius grid and
-        # cross-validation) also call their kernels twice, and every kernel
-        # of the entry is compiled whatever ran before.
+        # linear systems (with the Kitaev pair's tape of A, dA/dt); only the
+        # scalar pair and the decomposition probe the boxes.  Its report is
+        # the one of a copy that builds everything afresh.  Two reports on
+        # the entry first, each with the entry's record cleared, so that the
+        # stages it certifies once (the Frobenius grid and cross-validation)
+        # also call their kernels twice.
         entry = catalog.lookup(entry_id)
         for _ in range(2):
             entry.certified.clear()
@@ -407,7 +425,7 @@ class TestKernelLifetime:
         copy = entry.with_boxes(config)
         assert copy.flow_fns is entry.flow_fns
         assert copy.linear_systems.a_dadt_array is entry.linear_systems.a_dadt_array
-        # Its decomposition's kernels are all called in array form.
+        # Every kernel it calls runs in array form.
         assert compiled == []
         # Nothing is carried that the entry has not built.
         fresh = catalog.lookup(entry_id, dict(entry.params_exact))
@@ -576,26 +594,24 @@ _KERNELS = ("frobenius_fns", "flow_fns", "a_dadt_array", "_hf_array", "_G_array"
 
 def _new_kernel_call(entry, name):
     """A new kernel of the expressions of the entry's kernel ``name``, and
-    a call of it like the one a report makes: the scalar entry point on
-    the report's grid or 16 deformation values, or the array form on three
-    rows of panel points in the x box (for the coefficients, each with its
-    own t in the t box)."""
+    the arguments of an array call like the one a report makes: the
+    report's grid, 16 deformation values, or three rows of panel points in
+    the x box (for the coefficients, each with its own t in the t box)."""
     if name == "frobenius_fns":
         # The matrices, or the companion system of a direct scalar pair.
         kernel = fe.Kernel(entry.linear_systems.frobenius_fns.expr)
-        points = entry.grid_points()
-        return kernel, kernel.at, ([x for x, _ in points], [t for _, t in points])
+        xs, ts = (np.array(v) for v in zip(*entry.grid_points()))
+        return kernel, (xs, ts)
     if name == "flow_fns":
-        kernel = fe.Kernel(entry.flow_fns.expr)
-        return kernel, kernel.at, ([0j] * 16, entry.box_t.diagonal(16))
+        return fe.Kernel(entry.flow_fns.expr), (0j, np.array(entry.box_t.diagonal(16)))
     rows = np.array(entry.box_x.diagonal(3))[:, None] + 0.05 * fe._CHEB_NODES
     if name == "a_dadt_array":
         kernel = fe.Kernel(entry.linear_systems.a_dadt_array.expr)
-        return kernel, kernel, (rows, entry.box_t.center)
+        return kernel, (rows, entry.box_t.center)
     kernel = fe.Kernel(getattr(entry.decomposition, name).expr)
     if name == "_coeff_array":
-        return kernel, kernel, (rows, rows[::-1] - entry.box_x.center + entry.box_t.center)
-    return kernel, kernel, (rows, 0j)
+        return kernel, (rows, rows[::-1] - entry.box_x.center + entry.box_t.center)
+    return kernel, (rows, 0j)
 
 
 def _compiled_on_arrays(e):
@@ -628,25 +644,21 @@ def _outcome(call, *args):
 
 
 class TestTierEquivalence:
-    """A kernel's array form runs its tape and gives, bit for bit, the
-    values of its compiled lines run on the same arrays; its point form's
-    first call walks and its later calls run compiled code, with the same
-    values and exceptions."""
+    """A kernel's one batch form runs its tape and gives, bit for bit, the
+    values of its compiled lines run on the same arrays; a batch that
+    raises is answered by the compiled scalar code."""
 
     @pytest.mark.parametrize("name", _KERNELS)
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_walked_and_compiled_calls_agree(self, entry_id, name):
-        kernel, call, args = _new_kernel_call(catalog.lookup(entry_id), name)
-        first = call(*args)
-        if call is kernel:
-            assert not kernel._walked and kernel._fn is None
-            assert _reprs(first) == _reprs(_compiled_on_arrays(kernel.expr)(*args))
-            assert kernel._fn is None
-        else:
-            assert kernel._walked and kernel._fn is None
-            assert _reprs(first) == _reprs(call(*args))
-            assert kernel._fn is not None
-        assert _reprs(call(*args)) == _reprs(first)
+        # Every kernel of every entry, called as a report calls it: its
+        # first call (which builds the tape) and its second agree with the
+        # compiled lines on arrays, and neither compiles the kernel.
+        kernel, args = _new_kernel_call(catalog.lookup(entry_id), name)
+        first = kernel(*args)
+        assert _reprs(first) == _reprs(_compiled_on_arrays(kernel.expr)(*args))
+        assert _reprs(kernel(*args)) == _reprs(first)
+        assert kernel._fn is None
 
     def test_tape_and_compiled_arrays_raise_alike(self):
         # Batches with a pole, a log of zero, an overflowing exp, a zero
@@ -695,28 +707,23 @@ class TestTierEquivalence:
 
     def test_singular_frobenius_grid_raises_alike(self):
         # theta1 = 2 puts a pole of PV.y_lin's matrices on the 5 x 5 grid.
-        # The walk raises there, so the first call is answered by the
-        # compiled kernel: both calls raise its exception, which the
-        # report records.
+        # The batch raises there, so each call is answered by the compiled
+        # kernel, which raises its exception; the report records it.
         overrides = {"theta1": Fraction(2)}
         entry = catalog.lookup("PV.y_lin", overrides)
         kernel = entry.lax.frobenius_fns
-        points = entry.grid_points()
-        xs, ts = [x for x, _ in points], [t for _, t in points]
+        xs, ts = (np.array(v) for v in zip(*entry.grid_points()))
         for _ in range(2):
             with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
-                kernel.at(xs, ts)
+                kernel(xs, ts)
         assert kernel._fn is not None
         rep = verify.full_report("PV.y_lin", overrides=overrides)
         assert "frobenius: complex division by zero" in rep.errors
 
     def test_singular_batch_raises_alike(self):
-        # A pole on one point of a batch: numpy's batch raises, and both
-        # tiers end in the compiled scalar exception at that point.
-        e = fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5)))
-        for call in (lambda k: k(np.array([1.25, 1.5, 1.75]), 0j),
-                     lambda k: k.at([1.25, 1.5, 1.75], [0j] * 3)):
-            kernel = fe.Kernel(e)
-            for _ in range(2):
-                with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
-                    call(kernel)
+        # A pole on one point of a batch: numpy's batch raises, and every
+        # call ends in the compiled scalar exception at that point.
+        kernel = fe.Kernel(fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5))))
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+                kernel(np.array([1.25, 1.5, 1.75]), 0j)

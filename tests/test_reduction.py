@@ -8,7 +8,7 @@ from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
-from test_expr import both_tiers
+from test_expr import called_twice
 
 ALL_IDS = catalog.list_entries()
 
@@ -394,9 +394,9 @@ class TestOnePassStages:
         h_scalar, f_scalar = fe.compile_expr(h), fe.compile_expr(f)
         h_own = fe.Kernel(h)(xs, 0j)
         # The batch falls back to the scalar values on the kernel's first
-        # (walked) call and on its later (compiled) calls alike.
+        # call, which compiles it, and on its second alike.
         assert dec._hf_array._fn is None
-        got_h, got_f = both_tiers(dec._hf_array, xs, 0j)
+        got_h, got_f = called_twice(dec._hf_array, xs, 0j)
         assert got_h.tolist() == [h_scalar(x, 0j) for x in xs]
         assert got_f.tolist() == [f_scalar(x, 0j) for x in xs] == got_h.tolist()
         assert (got_h != h_own).any()
@@ -526,7 +526,7 @@ class TestReducedCoefficients:
         # The call raises at the pole and runs again t by t: each bad point
         # is rejected by what coefficients_at raises there, and the others
         # get coefficients_at's values to rounding.  So it goes on the
-        # walked kernel, on the compiled one and on its held x-stage.
+        # kernel's first call, on its later ones and on its held x-stage.
         zero = fe.const(0)
         sp = ScalarPair(p1=zero, q1=1 / (T - 0.5), p2=X - T, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)

@@ -52,24 +52,30 @@ class TestFrobenius:
     @pytest.mark.parametrize("entry_id", (*LAX_IDS, "negative.PII_bad_y1"))
     def test_fused_kernel_is_bit_identical(self, entry_id):
         # On the report's 5 x 5 grid and the 12 joint probes, the one tuple
-        # kernel gives the bits of one kernel per entry, on its first
-        # (walked) call and on its later (compiled) calls, and the grid
-        # maximum is the maximum over the per-entry kernels.
+        # kernel on the pair's shared tape gives in array form the bits of
+        # the array forms of one kernel per entry, and agrees with the
+        # compiled code to rounding; the grid maximum is the maximum over
+        # the per-entry kernels, on the entry's pair and on a fresh one.
         entry = catalog.lookup(entry_id)
         lp = entry.lax
-        singles = [fe.compile_expr(r)
-                   for r in scalarize.frobenius_residual_exprs(lp)]
+        exprs = scalarize.frobenius_residual_exprs(lp)
+        singles = [fe.Kernel(r) for r in exprs]
+        compiled = [fe.compile_expr(r) for r in exprs]
         points = entry.grid_points(5) + [(b.x, b.t) for b in entry.probe_bindings()]
-        xs, ts = [complex(x) for x, _ in points], [complex(t) for _, t in points]
-        want = [[repr(f(x, t)) for f in singles] for x, t in zip(xs, ts)]
-        kernel = fe.Kernel(lp.frobenius_fns.expr)
-        for _ in range(3):
-            assert [[repr(v) for v in row] for row in kernel.at(xs, ts)] == want
-        for x, t in points:
-            worst = repr(max(abs(f(complex(x), complex(t))) for f in singles))
+        xs, ts = (np.array(v, dtype=complex) for v in zip(*points))
+        want = [single(xs, ts) for single in singles]
+        for kernel in (lp.frobenius_fns, LaxPair(lp.a, lp.b).frobenius_fns):
+            got = kernel(xs, ts)
+            assert [[repr(v) for v in row.tolist()] for row in got] == \
+                [[repr(v) for v in row.tolist()] for row in want]
+        for row, f in zip(want, compiled):
+            ref = np.array([f(x, t) for x, t in zip(xs.tolist(), ts.tolist())])
+            assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        for k, (x, t) in enumerate(points):
+            worst = repr(max(float(np.abs(row)[k]) for row in want))
             assert repr(scalarize.frobenius_residual_grid(lp, [(x, t)])) == worst
         grid = entry.grid_points(5)
-        want_max = max(abs(f(complex(x), complex(t))) for x, t in grid for f in singles)
+        want_max = max(float(np.abs(row[:len(grid)]).max()) for row in want)
         assert repr(scalarize.frobenius_residual_grid(lp, grid)) == repr(want_max)
         fresh = LaxPair(lp.a, lp.b)
         assert repr(scalarize.frobenius_residual_grid(fresh, grid)) == repr(want_max)
@@ -78,8 +84,10 @@ class TestFrobenius:
         # A NaN entry of the defect is the reading even at the last point,
         # where Python's max would drop it and the gate would pass.
         class Rows:
-            def at(self, xs, ts):
-                return [(1e-16, 0j, 0j, 0j), (0j, 2e-16, 0j, complex(float("nan"), 0))]
+            def __call__(self, xs, ts):
+                assert xs.shape == ts.shape == (2,)
+                rows = [(1e-16, 0j, 0j, 0j), (0j, 2e-16, 0j, complex(float("nan"), 0))]
+                return tuple(np.array(col, dtype=complex) for col in zip(*rows))
 
         lax = catalog.lookup("PII.y0").lax
         lp = LaxPair(lax.a, lax.b)

@@ -244,6 +244,44 @@ class TestTIndependenceBatched:
         assert str(new.value).endswith("in 64 draws for PII.y0")
 
 
+class TestSingularTFilter:
+    """The stage tests its draws against a singular t only when the t box
+    comes within 0.15 of it: the draws it keeps are those of the
+    one-draw-at-a-time loop, which tests every draw."""
+
+    def test_box_near_a_singular_t_still_drops_draws(self):
+        # --box-t=0.05,0.45,-0.2,0.2 on PIII.y1, whose singular t is 0:
+        # some draws fall within 0.15 of it, and the stage drops them.
+        prep = verify.prepare(catalog.lookup("PIII.y1"), Config(box_t=(0.05, 0.45, -0.2, 0.2)))
+        assert prep.entry.box_t.distance(0j) == 0.05
+        new_calls = _record_x0_calls(prep)
+        new = verify.check_t_independence(prep, n_points=16, seed=3)[1]
+        ref_calls = _record_x0_calls(prep)
+        ref = _scalar_t_independence(prep, 16, 3)
+        assert (new_calls, new) == (ref_calls, ref)
+        (drawn,) = catalog.random_points(np.random.default_rng(3), (prep.entry.box_t,), 16)
+        dropped = [t for t in drawn if abs(t) < 0.15]
+        assert dropped and not set(dropped) & {t for t, _ in new_calls}
+
+    def test_far_singular_t_is_read_once(self):
+        # The default t box lies 0.5 from t = 0: the stage reads the
+        # singular t once, for its distance test, and tests no draw against
+        # it; its samples are those of the loop that tests every draw.
+        iterations = []
+
+        class Recorded(tuple):
+            def __iter__(self):
+                iterations.append(None)
+                return super().__iter__()
+
+        entry = dataclasses.replace(catalog.lookup("PIII.y1"), singular_t=Recorded((0j,)))
+        prep = verify.prepare(entry)
+        assert prep.entry.box_t.distance(0j) == 0.5
+        new = verify.check_t_independence(prep, n_points=32, seed=42)[1]
+        assert len(iterations) == 1
+        assert new == _scalar_t_independence(prep, 32, 42)
+
+
 def _scan_distinct(taus):
     """The dedup match_classical ran before exact repeats were dropped."""
     uniq = []

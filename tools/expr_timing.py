@@ -25,20 +25,32 @@ times; the minimum is the reading, the median and maximum show its spread:
 * ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
   the entry's x box, one panel walk per x from the basepoint, on a fresh
   reduced equation (so no memo hit) whose (h, f) kernel has run before;
+* ``batch: flow`` and ``batch: Frobenius``: the calls of the two entry
+  checks a report makes, on kernels that have run before: the flow
+  kernel's array form at the 16 t of ``entry.box_t.diagonal(16)``, for the
+  9 entries with the negative control, and the Frobenius kernel's array
+  form on the 25-point grid (``entry.grid_points()``) of the 7 entries
+  with a Lax pair; ``point: flow`` and ``point: Frobenius`` are the same
+  values from the kernels' compiled code, one staged call per point (the
+  form the flow and Frobenius stages called before they ran the array
+  form);
 * ``second report``: one ``verify.full_report`` per entry on a fresh copy
   of the entry (overrides equal to its defaults) that has made exactly one
   report, at another seed: a report that meets each kernel for the second
-  time (the slow tail of the bench's catalog-verify workload);
+  time (the slow tail of the bench's catalog-verify workload, while a
+  second report compiled its flow kernel);
 * ``fresh report``: one ``verify.full_report`` per free family of the
   bench's param-sweep workload (``bench/workloads.py``), at its entry's
   default value of the parameter plus n/4096, n counting up from 1 over
   the rounds, so no round meets a value an earlier one built: the op of
-  the param-sweep workload, in process and without the CLI;
+  the param-sweep workload, in process and without the CLI.  The tool
+  also prints the tapes (``expr._Tape``) such a report builds, over one
+  untimed round;
 * ``report``: one ``verify.full_report`` per entry at a seed no earlier
   run used, on entries that have made two reports, so every stage that
-  runs once per entry reads its record and every point-form kernel is
-  compiled (the op of the bench's catalog-verify workload, without the
-  negative entry);
+  runs once per entry reads its record and every kernel a report calls
+  has run before (the op of the bench's catalog-verify workload, without
+  the negative entry);
 * ``report: flow``, ``report: t-independence`` and ``report: match``: the
   time a further round of such reports spends in the function of each
   stage that depends on the seed (``catalog.flow_residual``,
@@ -81,9 +93,10 @@ REPORT_SEED = 1000
 FRESH_STEP = Fraction(1, 4096)
 
 
-def readings() -> tuple[int, dict[str, list[float]]]:
-    """The number of distinct DAG nodes, and per reading its times in ms.
-    A job returns None, and is timed whole, or the ms of its timed part."""
+def readings() -> tuple[int, float, dict[str, list[float]]]:
+    """The number of distinct DAG nodes, the tapes built per fresh report,
+    and per reading its times in ms.  A job returns None, and is timed
+    whole, or the ms of its timed part."""
     from fuchsreduce import catalog, reduction, verify
     from fuchsreduce import expr as fe
     from fuchsreduce.config import Config
@@ -117,12 +130,38 @@ def readings() -> tuple[int, dict[str, list[float]]]:
                           np.array(dec.box_x.diagonal(n)),
                           np.array(dec.box_t.diagonal(n)[::-1])))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
-    # Two reports per entry: the first walks each point-form kernel and
-    # builds each tape, the second compiles the point-form kernels.
+    # Two reports per entry, so every kernel a report calls has run (and,
+    # in a checkout whose flow kernel walks and then compiles, compiled).
     for seed in (1, 2):
         for entry_id in catalog.list_entries():
             verify.full_report(entry_id, Config(seed=seed))
     seeds = itertools.count(REPORT_SEED)
+    flows = []
+    for entry_id in (*catalog.list_entries(), *catalog.list_negative_entries()):
+        entry = catalog.lookup(entry_id)
+        ts = entry.box_t.diagonal(16)
+        flows.append((entry.flow_fns, np.zeros(16, dtype=complex), np.array(ts)))
+    grids = []
+    for entry_id in catalog.list_entries():
+        entry = catalog.lookup(entry_id)
+        if entry.lax is not None:
+            xs, ts = (np.array(v, dtype=complex) for v in zip(*entry.grid_points()))
+            grids.append((entry.lax.frobenius_fns, xs, ts))
+
+    def batch(calls):
+        def run():
+            for kernel, xs, ts in calls:
+                kernel(xs, ts)
+        return run
+
+    def point(calls):
+        staged = [(kernel._compiled(), xs.tolist(), ts.tolist()) for kernel, xs, ts in calls]
+
+        def run():
+            for (pre_x, pre_t, post), xs, ts in staged:
+                for x, t in zip(xs, ts):
+                    post(x, t, pre_x(x), pre_t(t))
+        return run
 
     def walk_list():
         for dags, xs, ts, _, _ in cases:
@@ -242,10 +281,24 @@ def readings() -> tuple[int, dict[str, list[float]]]:
             "differentiate (x, t)": derive,
             "differentiate (root sets)": derive_sets,
             f"walk (x{WALK_POINTS})": walk_es,
+            f"batch: flow ({len(flows)} x 16 t)": batch(flows),
+            f"point: flow ({len(flows)} x 16 t)": point(flows),
+            f"batch: Frobenius ({len(grids)} x 25 points)": batch(grids),
+            f"point: Frobenius ({len(grids)} x 25 points)": point(grids),
             "fresh report": fresh_report,
             "report (warm)": report,
             "second report": second_report}
     times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
+    # One round of fresh reports with the tape builds counted.
+    builds = []
+    if taped:
+        real_init = fe._Tape.__init__
+        fe._Tape.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
+        try:
+            fresh_report()
+        finally:
+            fe._Tape.__init__ = real_init
+    tapes = len(builds) / len(defaults)
     for job in (*jobs.values(), report_stages):
         job()   # warm-up
     gc.disable()
@@ -261,7 +314,7 @@ def readings() -> tuple[int, dict[str, list[float]]]:
                 times[name].append(ms)
     finally:
         gc.enable()
-    return nodes, times
+    return nodes, tapes, times
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -271,8 +324,9 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    nodes, times = readings()
+    nodes, tapes, times = readings()
     print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
+    print(f"{tapes:.2f} tapes built per fresh report")
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'min ms':>9}  {'median ms':>9}  {'max ms':>9}")
     for name, ms in times.items():
