@@ -14,7 +14,8 @@ Chebyshev panels along a straight segment, one panel at a time (contour
 quadrature, or the solve of a 2x2 linear ODE and its t-variation) and an
 infix printer.
 
-One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`):
+One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`),
+and one for the subtraction a tape fuses a neg into:
 its constructor, the template of its compiled line, the function that line
 applies to one point and to arrays of points, its chain rule and, for
 ``div``, ``ipow`` and ``log``, the check of the operand that can make it
@@ -48,7 +49,6 @@ import functools
 import math
 import operator
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -373,8 +373,9 @@ def _principal_pow_array(base, exponent: float):
 
 
 class _Kind(NamedTuple):
-    """One interior node kind: the columns every interpreter of the kind
-    reads.
+    """One interior node kind, or ``sub``, the kind of no node but of a
+    tape's fused lines (:class:`_Tape`): the columns every interpreter of
+    the kind reads.
 
     * ``build``: its folding constructor.
     * ``line``: the ``%`` template of its compiled line.
@@ -422,6 +423,8 @@ _KINDS: dict[str, _Kind] = {
     "log": _Kind(log, "_log(%s)", cmath.log, np.log, lambda n, c, d: d[0] / c[0],
                  (0, lambda v, q: 0 in v, "log of zero")),
     "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt, lambda n, c, d: d[0] / (2 * n)),
+    # The kind of no node: a tape's fused line of an add and a neg it reads.
+    "sub": _Kind(sub, "%s - %s", operator.sub, operator.sub, lambda n, c, d: d[0] - d[1]),
 }
 
 # The globals of the compiled lines.
@@ -748,7 +751,9 @@ _X_DEP, _T_DEP = 1, 2
 class _Tape:
     """The value-numbered tape of the DAG under some roots: the one
     structure that :class:`Kernel`'s array form, :func:`_jets` and
-    :func:`compile_expr` read, built once per DAG.
+    :func:`compile_expr` read, built once per DAG.  The jets read its
+    ``lines``; the array form and the compiled text are two renderings of
+    its ``fused`` lines.
 
     Every value has a slot: x is slot 0, t slot 1, and each distinct
     constant and interior line the next one, in the order one pass over
@@ -756,9 +761,9 @@ class _Tape:
     order of :func:`_traverse`, inlined).
 
     * ``start``: per slot, the value the array form starts from: a
-      constant's, or None; after the slots of the DAG's values, one slot
-      per power line holds its exponent as the int or the float ``p / q``
-      that the compiled line applies.
+      constant's; a power line's exponent, as the int or the float ``p /
+      q`` that the compiled line applies, which its row reads from its own
+      slot before it writes its value there; or None.
     * ``lines``: ``(slot, kind, a, b, q, mask)`` per line, in evaluation
       order, operands first: its ``_KINDS`` row, the slots of its operands
       (``b`` is None for one operand), its exponent ``q`` (None but for
@@ -769,6 +774,15 @@ class _Tape:
       the array form returns: those of the first ``n_out`` roots (the rest
       are kept for :func:`_jets` alone), or of the roots a :meth:`view`
       takes.
+    * ``fused``: the lines the outputs read, in the same order, where a
+      neg whose every reader among them is an add (the outputs counting as
+      readers of another kind) runs inside each of those adds as a
+      ``sub`` line: add(a, neg b) as a - b and add(neg a, b) as b - a.
+      That is IEEE 754's difference, bit for bit, and addition commutes
+      exactly, so the fused lines give the values of the lines they
+      replace.  The fusion is decided over these lines alone, so a tape
+      with roots after its outputs, or a :meth:`view`, fuses as a tape of
+      its outputs alone.
 
     Values are shared by structure (hash-consing by value numbering): a
     line is keyed on its kind, operand slots and exponent, a constant on
@@ -779,12 +793,12 @@ class _Tape:
     equality is not the key: it equates ``const(0j)`` and
     ``const(complex(0, -0.0))``, whose bits differ.
 
-    The array form runs the lines the outputs read (:meth:`needed`) as
-    pre-bound rows ``(slot, array, a, b)`` on a copy of ``start``, the
-    x-lines first (:meth:`x_values`), then the others (:meth:`values`); a
-    power line's ``b`` is its exponent's slot."""
+    The array form runs the fused lines as pre-bound rows ``(slot, array,
+    a, b)`` on a copy of ``start``, the x-lines first (:meth:`x_values`),
+    then the others (:meth:`values`); a power line's ``b`` is its own
+    slot."""
 
-    __slots__ = ("lines", "roots", "outputs", "start", "_rows", "_x_rows", "_xt_rows")
+    __slots__ = ("lines", "roots", "outputs", "start", "fused", "_x_rows", "_xt_rows")
 
     def __init__(self, roots: Sequence[Expr], n_out: int | None = None):
         slots: dict = {}
@@ -815,8 +829,9 @@ class _Tape:
                     slot = slots[key] = len(masks)
                     mask = masks[a] | masks[a if b is None else b] or _X_DEP
                     masks.append(mask)
-                    start.append(None)
-                    lines.append((slot, kind, a, b, n.value, mask))
+                    q = n.value
+                    start.append(q if q is None or type(q) is int else float(q))
+                    lines.append((slot, kind, a, b, q, mask))
             memo[id(n)] = slot
             return slot
 
@@ -824,25 +839,7 @@ class _Tape:
             self.roots = tuple([number(root) for root in roots])
         finally:
             del number      # its closure holds it: a cycle, as in _traverse
-        self.lines = tuple(lines)
-        # A neg that only an add reads, as its second operand (sub(a, b) is
-        # add(a, neg(b))), runs inside it: a - b is a + (-b) bit for bit,
-        # IEEE 754's difference, with one array operation less.
-        negs = {slot: a for slot, kind, a, *_ in lines if kind == "neg"}
-        reads = Counter([s for line in lines for s in line[2:4]] + [*self.roots])
-        subs = {b for _, kind, _, b, *_ in lines if kind == "add" and reads[b] == 1 and b in negs}
-        self._rows = ([], [])   # the x-lines' rows, then the others'
-        for slot, kind, a, b, q, mask in lines:
-            if slot in subs:
-                continue
-            fn = _KINDS[kind].array
-            if b in subs:
-                fn, b = operator.sub, negs[b]
-            if q is not None:
-                b = len(start)
-                start.append(q if type(q) is int else float(q))
-            self._rows[mask != _X_DEP].append((slot, fn, a, b))
-        self.start = start
+        self.lines, self.start = tuple(lines), start
         self._bind(self.roots[:n_out])
 
     def view(self, first: int) -> _Tape:
@@ -853,27 +850,40 @@ class _Tape:
         there) never reaches their calls."""
         tape = object.__new__(_Tape)
         tape.lines, tape.roots, tape.start = self.lines, self.roots, self.start
-        tape._rows = self._rows
         tape._bind(self.roots[first:])
         return tape
 
     def _bind(self, outputs: tuple[int, ...]) -> None:
-        self.outputs = outputs
-        need = self.needed()
-        self._x_rows, self._xt_rows = ([row for row in rows if row[0] in need]
-                                       for rows in self._rows)
-
-    def needed(self) -> set[int] | range:
-        """The slots the outputs read, directly or through other lines,
-        with their own."""
-        if self.outputs == self.roots[:len(self.outputs)]:
+        """Take ``outputs`` as the outputs: the lines they read, their
+        fused lines and the rows of those."""
+        if outputs == self.roots[:len(outputs)]:
             # Numbered first, the outputs read every slot up to their last
             # one: a later slot is numbered for a later root alone.
-            return range(max(self.outputs, default=-1) + 1)
-        need = set(self.outputs)
-        for slot, _, a, b, *_ in reversed(self.lines):
-            need.update((a, b) if slot in need else ())
-        return need
+            need = range(max(outputs, default=-1) + 1)
+        else:
+            need = set(outputs)
+            for slot, _, a, b, *_ in reversed(self.lines):
+                need.update((a, b) if slot in need else ())
+        lines = [line for line in self.lines if line[0] in need]
+        # A neg runs inside its readers when each is an add that takes it.
+        # An add takes its second operand's neg if it has one, else its
+        # first's: a neg that an output, another kind or an add taking its
+        # other operand reads stays a line, add(n, n)'s n among them.
+        negs = {slot: a for slot, kind, a, b, q, mask in lines if kind == "neg"}
+        kept = {s for _, kind, a, b, _, _ in lines
+                for s in ((a, b) if kind != "add" else (a,) if b in negs else ())}
+        subs = negs.keys() - kept - set(outputs)
+        fused, rows = [], ([], [])     # rows: the x-lines', then the others'
+        for line in lines:
+            slot, kind, a, b, q, mask = line
+            if slot in subs:
+                continue
+            if b in subs or a in subs:
+                kind, a, b = ("sub", a, negs[b]) if b in subs else ("sub", b, negs[a])
+                line = (slot, kind, a, b, q, mask)
+            fused.append(line)
+            rows[mask != _X_DEP].append((slot, _KINDS[kind].array, a, b if q is None else slot))
+        self.outputs, self.fused, (self._x_rows, self._xt_rows) = outputs, fused, rows
 
     def x_values(self, x) -> list:
         """A new list of values with x in its slot and every x-line run."""
@@ -907,13 +917,14 @@ class _Staged(tuple):
 def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Staged:
     """Compile to a Python function ``f(x, t) -> complex``; given a tuple
     of expressions, ``f`` returns the tuple of their values, computed by
-    one straight-line body with one assignment ``v<k> = ...`` per line of
-    the expression's :class:`_Tape`, so a subtree shared by structure is
-    computed once.  Singular inputs raise the native
-    ZeroDivisionError/ValueError.  ``tape``, when given, is a tape already
-    built with ``e``'s values as its outputs (a :class:`Kernel`'s); only
-    the lines they read are compiled, so for a tape of ``e`` and of roots
-    after it the text is the same.
+    one straight-line body with one assignment ``v<k> = ...`` per fused
+    line of the expression's :class:`_Tape`, so a subtree shared by
+    structure is computed once and a neg that only adds read runs inside
+    them as a subtraction, as in the array form.  Singular inputs raise
+    the native ZeroDivisionError/ValueError.  ``tape``, when given, is a
+    tape already built with ``e``'s values as its outputs (a
+    :class:`Kernel`'s); its fused lines are those the outputs read, so for
+    a tape of ``e`` and of roots after it the text is the same.
 
     The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
     post)`` of three functions, from one ``compile`` call, and calling it
@@ -927,14 +938,11 @@ def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Stag
     can compute its stage once.  Every line runs once, in exactly one
     stage, so the values do not depend on the staging, bit for bit, and a
     point raises exactly when one of its lines does."""
-    if tape is None:
-        tape = _Tape(e if isinstance(e, tuple) else (e,))
-    need = tape.needed()
-    lines = [line for line in tape.lines if line[0] in need]
+    tape = _Tape(e if isinstance(e, tuple) else (e,)) if tape is None else tape
     names = ["x", "t", *(v if v is None else _literal(v) for v in tape.start[2:])]
     stages: dict[int, list[str]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
     read: set[str] = set()      # what the (x, t)-lines and the result read
-    for k, (slot, kind, a, b, q, mask) in enumerate(lines):
+    for k, (slot, kind, a, b, q, mask) in enumerate(tape.fused):
         ops = (names[a],) if b is None else (names[a], names[b])
         names[slot] = f"v{k}"
         rhs = _KINDS[kind].line % (ops if q is None else (*ops, q))
@@ -944,7 +952,7 @@ def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Stag
     outputs = [names[slot] for slot in tape.outputs]
     read.update(outputs)
     # The values an x-stage or a t-stage returns, in the order it runs them.
-    xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in lines
+    xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in tape.fused
                             if mask == dep and names[slot] in read) + ")"
               for dep in (_X_DEP, _T_DEP))
     result = "".join(f"{out}, " for out in outputs) if isinstance(e, tuple) else outputs[0]
@@ -969,10 +977,11 @@ class Kernel:
 
     The one batch form, ``kernel(x, t)`` and :meth:`on_x`, runs the tape on
     numpy arrays and never compiles.  Its values are, bit for bit, those
-    of the compiled lines run on the same arrays: each line applies its
-    row's ``array`` function, as the compiled line's array counterpart
-    would.  The compiled code, ``compile_expr(e)`` rendered from the tape
-    once on first need and kept (``_compiled()``), serves two callers
+    of the compiled lines run on the same arrays: both render the tape's
+    fused lines, and each applies its row's ``array`` function, as the
+    compiled line's array counterpart would.  The compiled code,
+    ``compile_expr(e)`` rendered from the tape once on first need and kept
+    (``_compiled()``), serves two callers
     alone: per-point calls (``ReducedEquation.coefficients_at``), and the
     batch form's fallback, which answers a batch that raises or is not
     finite point by point, with the compiled values or the exception the
@@ -1076,11 +1085,13 @@ _RTOL, _ATOL = 1e-12, 1e-13
 
 
 def _integrate_panel(stages: Sequence[Callable], z: np.ndarray, half: complex,
-                     totals: list[complex], tail_tol: float) -> list[complex] | None:
+                     totals: list[complex], tail_tol: float, pair: np.ndarray
+                     ) -> list[complex] | None:
     """The stage integrals from the start of the walk to the end of the
     panel sampled at ``z`` (half-width ``half``), given ``totals`` at its
     start; None when some stage rejects the panel.  What a stage raises
-    propagates."""
+    propagates.  ``pair`` is the walk's (2, n) operand, which each stage's
+    samples fill."""
     prior: list[np.ndarray] = []
     ends: list[complex] = []
     for stage, total in zip(stages, totals):
@@ -1089,7 +1100,8 @@ def _integrate_panel(stages: Sequence[Callable], z: np.ndarray, half: complex,
                          for v in (out if isinstance(out, tuple) else (out,))]
         # A row of a 2-row product: a 1-D product goes through BLAS's
         # matrix-vector kernel, whose sums round differently.
-        applied = (np.vstack((vals, vals)) @ _CHEB_APPLY)[0]
+        pair[:] = vals
+        applied = (pair @ _CHEB_APPLY)[0]
         tail = np.abs(applied[:3]).max()
         # A nan tail fails both tests: bisect.
         if not (tail <= tail_tol or tail <= _ROUNDING_FLOOR * np.abs(vals).max()):
@@ -1186,6 +1198,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
         y = np.asarray(y, dtype=complex)
         edges, coeffs = [0.0], []
     totals = [0j] * len(stages)
+    pair = np.empty((2, len(_CHEB_NODES)), dtype=complex)
     tail_tol = abs_tol / abs(b - a)
     stack = [(a, b, 0)]
     for _ in range(_MAX_PANELS):
@@ -1194,7 +1207,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
         z = mid + half * _CHEB_NODES
         if system is None:
             try:
-                got = _integrate_panel(stages, z, half, totals, tail_tol)
+                got = _integrate_panel(stages, z, half, totals, tail_tol, pair)
             except ZeroDivisionError as exc:
                 raise QuadratureError(f"integrand is singular on the panel [{p}, {q}]") from exc
             if got is not None:

@@ -37,7 +37,7 @@ import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -416,7 +416,12 @@ class ReducedEquation:
     point, where tau_x = phi E vanishes; a point where the kernel itself
     raises is rejected by the kernel's own exception
     (``expr._SAMPLE_ERRORS``).  All memos are keyed on the built-in
-    ``complex`` value, so +0 and -0 in a part share an entry.
+    ``complex`` value, so +0 and -0 in a part share an entry, and an int,
+    a float or a numpy complex gives the values and keys of the built-in
+    complex it equals.  At a point whose x and t are memoized,
+    :meth:`tau_at` probes one memo and :meth:`coefficients_at` one per
+    coordinate; what a first use computes (the x- or t-stage, E and S) is
+    paid once per coordinate.
 
     Building one compiles nothing.  Its own state is the basepoint and its
     memos, and it holds no reference to itself, so the memos are freed as
@@ -432,12 +437,11 @@ class ReducedEquation:
         self.case_tag = classify_case(dec)
         self._hf_array = dec._hf_array
         self._cache_ES: dict[complex, tuple[complex, complex]] = {}
-        # x -> (E(x), pre_x(x)) and t -> pre_t(t), filled by coefficients_at
-        # on the stages (pre_x, pre_t, post) of the coefficient kernel's
-        # compiled form, bound at its first call.
-        self._cache_x: dict[complex, tuple[complex, tuple]] = {}
+        # x -> (E(x), pre_x(x), post) and t -> pre_t(t), filled by
+        # coefficients_at on the stages (pre_x, pre_t, post) of the
+        # coefficient kernel's compiled form.
+        self._cache_x: dict[complex, tuple[complex, tuple, Callable]] = {}
         self._cache_t: dict[complex, tuple] = {}
-        self._stages: tuple | None = None
 
     # -- change of variables -------------------------------------------------
     @property
@@ -486,9 +490,10 @@ class ReducedEquation:
         return self._ES(complex(x))[1]
 
     def tau_at(self, x: complex, t: complex) -> complex:
-        x = complex(x)
-        e, s = self._cache_ES.get(x) or self._ES(x)
-        return complex(t) * e + s
+        # An int, float or numpy complex probes the memo as the complex it
+        # equals, which is what the memo keys and the arithmetic take.
+        e, s = self._cache_ES.get(x) or self._ES(complex(x))
+        return (t if type(t) is complex else complex(t)) * e + s
 
     def solve_t(self, x: complex, tau_target: complex) -> complex:
         """The deformation value carrying (x, .) to a prescribed tau.
@@ -502,31 +507,41 @@ class ReducedEquation:
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
         """(P, Q) at one point; raises DegenerateTauPointError where
         tau_x = 0, and a kernel's own exception (one of
-        ``expr._SAMPLE_ERRORS``) where it is singular.  E and the x-stage
-        values are memoized per x once both stages have run there, the
-        t-stage values per t once they are computed."""
-        x, t = complex(x), complex(t)
-        stages = self._stages
-        if stages is None:
-            # A plain tuple: unpacking the compiled form's tuple subclass
-            # takes the slow generic path on every call.
-            stages = self._stages = tuple(self.dec._coeff_array._compiled())
-        pre_x, pre_t, post = stages
-        got = self._cache_x.get(x)
-        tv = self._cache_t.get(t)
-        xv = pre_x(x) if got is None else got[1]
-        if tv is None:
-            tv = self._cache_t[t] = pre_t(t)
+        ``expr._SAMPLE_ERRORS``) where it is singular.  A point whose x and
+        t are memoized costs one probe of each memo, the (x, t)-stage and
+        the gates; the rest is :meth:`_first_use`'s."""
+        if type(x) is not complex or type(t) is not complex:
+            x, t = complex(x), complex(t)
+        try:
+            e, xv, post = self._cache_x[x]
+            tv = self._cache_t[t]
+        except KeyError:
+            return self._first_use(x, t)
         ph, p_num, q_num = post(x, t, xv, tv)
-        if got is None:
-            got = self._cache_x[x] = (self.E(x), xv)
         # The gates of _reduced, written out: a call per point would cost
         # a lattice of coefficients_at calls a few percent.
-        e = got[0]
         den_p = ph * ph * e
         if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
             raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
         return p_num / den_p, q_num / den_q
+
+    def _first_use(self, x: complex, t: complex) -> tuple[complex, complex]:
+        """:meth:`coefficients_at` at a point whose x or t is not memoized,
+        on the stages of the coefficient kernel's compiled form: the t-stage
+        values are memoized once computed, and E(x), the x-stage values and
+        the (x, t)-stage once the point has passed, so a point whose
+        (x, t)-stage, E walk or gate raises leaves no x memo."""
+        pre_x, pre_t, post = self.dec._coeff_array._compiled()
+        if t not in self._cache_t:
+            self._cache_t[t] = pre_t(t)
+        e, xv, post = self._cache_x.get(x) or (None, pre_x(x), post)
+        cols = post(x, t, xv, self._cache_t[t])
+        e = self.E(x) if e is None else e
+        (got,) = _reduced(x, [t], *([v] for v in cols), e)
+        if isinstance(got, Exception):
+            raise got
+        self._cache_x[x] = (e, xv, post)
+        return got
 
     def coefficients_at_x0(self, ts: Sequence[complex], e0: complex) -> list:
         """Per t in ``ts``, in order, (P, Q) at (x0, t) or the exception

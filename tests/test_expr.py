@@ -174,14 +174,16 @@ def _assert_reference_numbering(roots, n_out=None):
     """``fe._Tape(roots, n_out)`` numbers as :func:`_reference_tape` does,
     each constant compared by its bits."""
     def bits(start):
-        return [v if v is None else struct.pack("dd", v.real, v.imag) for v in start]
+        return [struct.pack("dd", v.real, v.imag) if type(v) is complex else (type(v), v)
+                for v in start]
 
     lines, want_roots, start = _reference_tape(roots)
     tape = fe._Tape(roots, n_out)
-    assert (tape.lines, tape.roots, bits(tape.start[:len(start)])) == \
-        (lines, want_roots, bits(start))
-    # Past the DAG's slots, one exponent slot per power line, nothing else.
-    assert len(tape.start) - len(start) == sum(q is not None for *_, q, _ in lines)
+    # A power line's slot starts from its exponent, the int or the float
+    # p / q its row applies; no slot lies past the DAG's.
+    exps = {slot: q if type(q) is int else float(q) for slot, *_, q, _ in lines if q is not None}
+    start = [exps.get(slot, v) for slot, v in enumerate(start)]
+    assert (tape.lines, tape.roots, bits(tape.start)) == (lines, want_roots, bits(start))
 
 
 class TestDifferentiateRootSets:
@@ -859,7 +861,6 @@ class TestArrayForm:
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         points = st.sampled_from(_PROPERTY_POINTS)
-        arrays = {"_" + kind: row.array for kind, row in fe._KINDS.items()}
 
         @hyp.settings(max_examples=400, deadline=None, derandomize=True,
                       database=None)
@@ -879,7 +880,7 @@ class TestArrayForm:
                     assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
                 else:
                     assert _bits(g) == _bits(want)
-            pre_x, pre_t, post = (types.FunctionType(stage.__code__, arrays) for stage in f)
+            pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in f)
             x, tt = np.array(xs, dtype=complex), np.asarray(t, dtype=complex)
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -890,6 +891,97 @@ class TestArrayForm:
                 assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in batch.tolist()]
 
         check()
+
+    def test_fused_lines_property(self):
+        # One neg, n, with one to three readers: adds with n as either
+        # operand or as both, and readers of other kinds, an output among
+        # them.  n runs inside its readers as a subtraction exactly when
+        # each reader is an add that takes it (an add takes its second
+        # operand's neg if it has one, else its first's).  Both renderings
+        # of the fused lines run exactly those lines, and give the values
+        # of the unfused lines bit for bit, signed zeros included.
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        trees = _raw_trees(st)
+        points = st.sampled_from(_PROPERTY_POINTS)
+        readers = {"a - n": lambda n, w: _raw("add", w, n), "n + a": lambda n, w: _raw("add", n, w),
+                   "n + n": lambda n, w: _raw("add", n, n), "n * a": lambda n, w: _raw("mul", n, w),
+                   "-n": lambda n, w: _raw("neg", n), "exp": lambda n, w: _raw("exp", n),
+                   "out": lambda n, w: n}
+
+        @st.composite
+        def cases(draw):
+            n = _raw("neg", draw(trees))
+            kinds = draw(st.lists(st.sampled_from(sorted(readers)), min_size=1, max_size=3))
+            return n, tuple(readers[k](n, draw(trees)) for k in kinds)
+
+        @hyp.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+        @hyp.given(cases(), st.lists(points, min_size=1, max_size=4), points)
+        def check(case, xs, t):
+            n, roots = case
+            tape = fe._Tape((*roots, n), len(roots))
+            n_slot, kinds = tape.roots[-1], {line[0]: line[1] for line in tape.lines}
+            taken = [b == n_slot != a or a == n_slot and kinds.get(b) != "neg"
+                     for _, kind, a, b, *_ in tape.lines if kind == "add" and n_slot in (a, b)]
+            read = sum((a, b).count(n_slot) for _, _, a, b, *_ in tape.lines) \
+                + tape.outputs.count(n_slot)
+            assert (n_slot not in [line[0] for line in tape.fused]) == \
+                (len(taken) == read and all(taken))
+            f = fe.compile_expr(roots, tape)
+            rows = tape._x_rows + tape._xt_rows
+            assert _n_lines(f) == len(rows) == len(tape.fused)
+            # Per point: the compiled lines, and the unfused lines on
+            # Python complex.  A neg never raises, so both raise or neither.
+            for x in xs:
+                want = _call(_unfused_lines, tape, x, t, "scalar")
+                got = _call(f, x, t)
+                assert isinstance(got, type) == isinstance(want, type)
+                if not isinstance(want, type):
+                    assert _nan_bits(got) == _nan_bits(want)
+            # On arrays: the tape's rows, the compiled lines and the
+            # unfused lines, each on numpy's operations.
+            xa, ta = np.array(xs, dtype=complex), np.complex128(t)
+            pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in f)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                outcomes = [_call(lambda: tuple(tape.values(tape.x_values(xa), ta))),
+                            _call(lambda: post(xa, ta, pre_x(xa), pre_t(ta))),
+                            _call(_unfused_lines, tape, xa, ta, "array")]
+            raised = [isinstance(v, type) for v in outcomes]
+            assert raised in ([True] * 3, [False] * 3)
+            if not raised[0]:
+                got, batch, want = ([_nan_bits(np.broadcast_to(v, xa.shape)) for v in out]
+                                    for out in outcomes)
+                assert got == batch == want
+
+        check()
+
+
+# The globals of compiled lines run on numpy arrays.
+_ARRAYS = {"_" + kind: row.array for kind, row in fe._KINDS.items()}
+
+
+def _unfused_lines(tape, x, t, form):
+    """The outputs of ``tape`` at (x, t) from its value-numbered lines, every
+    neg its own line: each line applies its kind's ``form`` function
+    (``scalar`` or ``array``) to its operands and exponent, in order."""
+    vals = [None] * len(tape.start)
+    vals[0], vals[1] = x, t
+    for slot, value in enumerate(tape.start[2:], 2):
+        vals[slot] = value if type(value) is complex else None
+    for slot, kind, a, b, q, _ in tape.lines:
+        operands = [vals[a]] if b is None else [vals[a], vals[b]]
+        if q is not None:
+            operands.append(q if type(q) is int else float(q))
+        vals[slot] = getattr(fe._KINDS[kind], form)(*operands)
+    return tuple(vals[slot] for slot in tape.outputs)
+
+
+def _nan_bits(values):
+    """The bits of complex values, a NaN part as ``nan`` whatever its sign
+    and payload (which IEEE 754 leaves open: a - b and a + (-b) may differ
+    there)."""
+    return [tuple("nan" if math.isnan(p) else struct.pack("<d", p) for p in (z.real, z.imag))
+            for z in np.ravel(np.asarray(values, dtype=complex)).tolist()]
 
 
 def _integral_in_x(e, path, t=0j):

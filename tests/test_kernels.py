@@ -232,20 +232,20 @@ class TestKernelLifetime:
     def test_prepare_shares_kernels_not_memos(self):
         entry = catalog.lookup("PII.y0")
         first = verify.prepare(entry)
-        # The stages of the coefficient kernel's compiled form are bound on
-        # the first coefficients_at call, once per ReducedEquation.
-        assert first.red._stages is None
+        # Each ReducedEquation has its own memos; the (x, t)-stage an x memo
+        # holds is the decomposition's kernel's, compiled once.
+        assert first.red._cache_x == {}
         first.red.coefficients_at(1.7 + 0.1j, 0.9)
         assert list(first.red._cache_x) == [1.7 + 0.1j]
         second = verify.prepare(entry)
         assert second.red._cache_x == {}
         assert first.red.dec is second.red.dec is entry.decomposition
         assert first.red is not second.red
-        assert second.red._stages is None
         first.red.tau_at(1.7 + 0.1j, 0.9)
         second.red.tau_at(2.1 - 0.05j, 1.1)
         second.red.coefficients_at(2.1 - 0.05j, 1.1)
-        assert first.red._stages == second.red._stages == tuple(entry.decomposition._coeff_array._fn)
+        assert first.red._cache_x[1.7 + 0.1j][2] is second.red._cache_x[2.1 - 0.05j][2] \
+            is entry.decomposition._coeff_array._fn[2]
         assert 2.1 - 0.05j not in first.red._cache_ES
         assert 1.7 + 0.1j not in second.red._cache_ES
         assert list(first.red._cache_x) == [1.7 + 0.1j]
@@ -330,6 +330,31 @@ class TestKernelLifetime:
                 red.coefficients_at(x, t)
         assert dec._coeff_array._fn is not None
         assert [len(roots) for roots in builds if roots[0] is dec._coeff_array.expr[0]] == [4]
+
+    @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
+    def test_no_compiled_neg_is_read_by_adds_alone(self, entry_id):
+        # Every kernel of an entry runs its tape's fused lines, in its array
+        # rows and its compiled text alike, and a neg among them has a
+        # reader that is not an add (or is one of the outputs).  A fresh
+        # entry, so no other test meets the kernels compiled here.
+        entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
+        dec, systems = entry.decomposition, entry.linear_systems
+        kernels = [dec._coeff_array, dec._hf_array, dec._G_array, entry.flow_fns,
+                   systems.a_dadt_array]
+        if entry.lax is not None:
+            kernels.append(entry.lax.frobenius_fns)
+        for kernel in kernels:
+            tape = kernel.tape
+            assert [row[0] for row in tape._x_rows + tape._xt_rows] == \
+                [line[0] for line in sorted(tape.fused, key=lambda line: line[5] != fe._X_DEP)]
+            readers: dict[int, list[str]] = {slot: ["output"] for slot in tape.outputs}
+            for _, kind, a, b, *_ in tape.fused:
+                for slot in {a, b} - {None}:
+                    readers.setdefault(slot, []).append(kind)
+            for slot, kind, *_ in tape.fused:
+                if kind == "neg":
+                    assert set(readers[slot]) != {"add"}, (entry_id, slot)
+            assert _n_lines(kernel._compiled()) == len(tape.fused)
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
@@ -494,9 +519,10 @@ class TestStagedKernel:
                 return fn(*args)
             return wrapper
 
-        stages = red.dec._coeff_array._compiled()
-        monkeypatch.setattr(red, "_stages", tuple(
-            counting(name, stage) for name, stage in zip(calls, stages)))
+        # The stages coefficients_at runs are the kernel's compiled form.
+        kernel = red.dec._coeff_array
+        monkeypatch.setattr(kernel, "_fn", fe._Staged(
+            counting(name, stage) for name, stage in zip(calls, kernel._compiled())))
         box_x, box_t = prep.entry.box_x, prep.entry.box_t
         xs = [complex(box_x.re_lo + (k + 0.5) / 32 * (box_x.re_hi - box_x.re_lo), 0.05)
               for k in range(32)]

@@ -25,6 +25,12 @@ times; the minimum is the reading, the median and maximum show its spread:
 * ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
   the entry's x box, one panel walk per x from the basepoint, on a fresh
   reduced equation (so no memo hit) whose (h, f) kernel has run before;
+* ``lattice (32 x 128)``: the op of the bench's coeff-grid workload, in
+  process: ``verify.prepare`` of the entry, then ``tau_at`` and
+  ``coefficients_at`` at each point of a 32 x 128 lattice of (x, t) in
+  its boxes (Latin-hypercube strata, as the workload draws them, from one
+  fixed seed), x by x.  The tool also prints the lines of each
+  coefficient kernel's compiled stages (pre_x, pre_t, post);
 * ``batch: flow`` and ``batch: Frobenius``: the calls of the two entry
   checks a report makes, on kernels that have run before: the flow
   kernel's array form at the 16 t of ``entry.box_t.diagonal(16)``, for the
@@ -85,6 +91,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 LIST_POINTS = 12
 WALK_POINTS = 32
+LATTICE = (32, 128)
 ARRAY_POINTS = 201
 REPEAT = 30
 # The seed of the first timed report; each later one takes the next.
@@ -93,14 +100,24 @@ REPORT_SEED = 1000
 FRESH_STEP = Fraction(1, 4096)
 
 
-def readings() -> tuple[int, float, dict[str, list[float]]]:
+def stage_lines(staged) -> tuple[int, int, int]:
+    """The lines of a compiled form's stages (pre_x, pre_t, post): the
+    locals of each but its arguments, where the values ``post`` unpacks
+    from the other two count in theirs alone."""
+    pre_x, pre_t, post = (stage.__code__ for stage in staged)
+    xs, ts = (set(code.co_varnames[1:code.co_nlocals]) for code in (pre_x, pre_t))
+    return len(xs), len(ts), len(set(post.co_varnames[4:post.co_nlocals]) - xs - ts)
+
+
+def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
     """The number of distinct DAG nodes, the tapes built per fresh report,
-    and per reading its times in ms.  A job returns None, and is timed
-    whole, or the ms of its timed part."""
+    the lines of each coefficient kernel's compiled stages, and per reading
+    its times in ms.  A job returns None, and is timed whole, or the ms of
+    its timed part."""
     from fuchsreduce import catalog, reduction, verify
     from fuchsreduce import expr as fe
     from fuchsreduce.config import Config
-    from workloads import FREE_FAMILIES
+    from workloads import FREE_FAMILIES, _latin_hypercube
 
     taped = hasattr(fe, "_Tape")
     try:
@@ -130,6 +147,14 @@ def readings() -> tuple[int, float, dict[str, list[float]]]:
                           np.array(dec.box_x.diagonal(n)),
                           np.array(dec.box_t.diagonal(n)[::-1])))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
+    rng = np.random.default_rng(1)
+    lattices = []
+    for entry_id in catalog.list_entries():
+        entry = catalog.lookup(entry_id)
+        lattices.append((entry, _latin_hypercube(entry.box_x, LATTICE[0], rng),
+                         _latin_hypercube(entry.box_t, LATTICE[1], rng)))
+    lines = {entry.id: stage_lines(entry.decomposition._coeff_array._compiled())
+             for entry, *_ in lattices}
     # Two reports per entry, so every kernel a report calls has run (and,
     # in a checkout whose flow kernel walks and then compiles, compiled).
     for seed in (1, 2):
@@ -223,6 +248,14 @@ def readings() -> tuple[int, float, dict[str, list[float]]]:
             for x in xs:
                 red._ES(x)
 
+    def lattice():
+        for entry, xs, ts in lattices:
+            red = verify.prepare(entry).red
+            for x in xs:
+                for t in ts:
+                    red.tau_at(x, t)
+                    red.coefficients_at(x, t)
+
     def report():
         seed = next(seeds)
         for entry_id in catalog.list_entries():
@@ -281,6 +314,7 @@ def readings() -> tuple[int, float, dict[str, list[float]]]:
             "differentiate (x, t)": derive,
             "differentiate (root sets)": derive_sets,
             f"walk (x{WALK_POINTS})": walk_es,
+            f"lattice ({LATTICE[0]} x {LATTICE[1]})": lattice,
             f"batch: flow ({len(flows)} x 16 t)": batch(flows),
             f"point: flow ({len(flows)} x 16 t)": point(flows),
             f"batch: Frobenius ({len(grids)} x 25 points)": batch(grids),
@@ -314,7 +348,7 @@ def readings() -> tuple[int, float, dict[str, list[float]]]:
                 times[name].append(ms)
     finally:
         gc.enable()
-    return nodes, tapes, times
+    return nodes, tapes, lines, times
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -324,9 +358,12 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    nodes, tapes, times = readings()
+    nodes, tapes, lines, times = readings()
     print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
     print(f"{tapes:.2f} tapes built per fresh report")
+    print("compiled coefficient stage lines (pre_x / pre_t / post):")
+    for entry_id, counts in [*lines.items(), ("total", tuple(map(sum, zip(*lines.values()))))]:
+        print(f"  {entry_id:<18} {' / '.join(map(str, counts))}")
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'min ms':>9}  {'median ms':>9}  {'max ms':>9}")
     for name, ms in times.items():
