@@ -85,10 +85,6 @@ class ComplexRect:
     def center(self) -> complex:
         return complex(0.5 * (self.re_lo + self.re_hi), 0.5 * (self.im_lo + self.im_hi))
 
-    def contains(self, z: complex) -> bool:
-        return (self.re_lo <= z.real <= self.re_hi
-                and self.im_lo <= z.imag <= self.im_hi)
-
     def distance(self, z: complex) -> float:
         """The distance from z to the rectangle, 0 inside it."""
         return abs(complex(max(self.re_lo - z.real, 0.0, z.real - self.re_hi),

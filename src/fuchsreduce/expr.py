@@ -3,13 +3,14 @@
 Expressions are immutable trees of complex constants, the spectral
 variable ``x`` and the deformation variable ``t``; a family parameter is
 written into a tree as a constant when the tree is built.  The engine
-provides exact differentiation, substitution of ``x`` or ``t``, one tree
-walker over a list of points (:func:`evaluate` is its one-point case), the
-value-numbered tape of a DAG (:class:`_Tape`), compilation of the tape to
-straight-line Python staged on x and on t (:func:`compile_expr`), kernels
-whose one batch form runs the tape and whose compiled code serves only
-per-point calls and the batch form's fallback (:class:`Kernel`),
-first-order jets on the tape (:func:`_jets`), one walker of adaptive
+provides exact differentiation, substitution of ``x`` or ``t``, a
+one-point walk (:func:`evaluate`), the value-numbered tape of a DAG
+(:class:`_Tape`), the one evaluator at many points, compilation of the tape
+to straight-line Python staged on x and on t (:func:`compile_expr`),
+kernels whose one batch form runs the tape and whose compiled code serves
+only per-point calls and the batch form's fallback (:class:`Kernel`),
+first-order jets and plain values on the tape for numerical decisions
+(:func:`_jets`, :func:`_sample`), one walker of adaptive
 Chebyshev panels along a straight segment, one panel at a time (contour
 quadrature, or the solve of a 2x2 linear ODE and its t-variation) and an
 infix printer.
@@ -24,9 +25,10 @@ compilation read a kind's rule from its row and handle only the leaves
 themselves (the printer keeps its own precedence rules).  One traversal,
 :func:`_traverse`, visits each node object of a DAG once, children first;
 differentiation and substitution go through it, and the tape numbers its
-nodes in that order in a pass of its own, with no per-node callback.  The
-walk :func:`_probe_values` keeps its own recursion: its memo outlives the
-call (:class:`_ProbeSet`), and it takes a checked operand first.
+nodes in that order in a pass of its own, with no per-node callback.
+:func:`evaluate` keeps its own recursion, as it takes a checked operand
+first; a decision on sampled values walks a point only where a value is not
+finite, to raise the walk's exception there (:func:`_finite`).
 
 Design constraints:
 
@@ -387,9 +389,9 @@ class _Kind(NamedTuple):
       with Python operators, which on ``Expr`` go through the folding
       constructors.
     * ``check``: None, or ``(i, singular, message)`` for a kind with a
-      singular point: a walk over a list of points raises
-      ``SingularEvaluationError(message)`` when ``singular(values, value)``
-      holds for the values of operand ``i`` and the node's ``value``.
+      singular point: :func:`evaluate` walks operand ``i`` first and raises
+      ``SingularEvaluationError(message)`` when ``singular(v, value)``
+      holds for its value ``v`` and the node's ``value``.
 
     ``build``, ``line``, ``scalar`` and ``array`` take the operands (new
     children, their names or their values) and then the node's ``value``
@@ -400,7 +402,7 @@ class _Kind(NamedTuple):
     scalar: Callable
     array: Callable
     derive: Callable[[Expr, tuple, tuple], Expr]
-    check: tuple[int, Callable[[list, object], bool], str] | None = None
+    check: tuple[int, Callable[[complex, object], bool], str] | None = None
 
 
 _KINDS: dict[str, _Kind] = {
@@ -410,10 +412,10 @@ _KINDS: dict[str, _Kind] = {
                  lambda n, c, d: d[0] * c[1] + c[0] * d[1]),
     "div": _Kind(div, "%s / %s", operator.truediv, operator.truediv,
                  lambda n, c, d: (d[0] * c[1] - c[0] * d[1]) / c[1] ** 2,
-                 (1, lambda v, q: 0 in v, "division by zero")),
+                 (1, lambda v, q: v == 0, "division by zero")),
     "ipow": _Kind(ipow, "%s ** %s", operator.pow, operator.pow,
                   lambda n, c, d: n.value * c[0] ** (n.value - 1) * d[0],
-                  (0, lambda v, q: q < 0 and 0 in v, "pole: 0 raised to a negative power")),
+                  (0, lambda v, q: q < 0 and v == 0, "pole: 0 raised to a negative power")),
     # A Fraction exponent prints as "p/q", which compiles to the float the
     # walk applies, float(Fraction(p, q)).  Its derivative's power keeps
     # the form a^(q - 1), which never divides by a.
@@ -421,7 +423,7 @@ _KINDS: dict[str, _Kind] = {
                   lambda n, c, d: complex(n.value) * c[0] ** (n.value - 1) * d[0]),
     "exp": _Kind(exp, "_exp(%s)", cmath.exp, np.exp, lambda n, c, d: n * d[0]),
     "log": _Kind(log, "_log(%s)", cmath.log, np.log, lambda n, c, d: d[0] / c[0],
-                 (0, lambda v, q: 0 in v, "log of zero")),
+                 (0, lambda v, q: v == 0, "log of zero")),
     "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt, lambda n, c, d: d[0] / (2 * n)),
     # The kind of no node: a tape's fused line of an add and a neg it reads.
     "sub": _Kind(sub, "%s - %s", operator.sub, operator.sub, lambda n, c, d: d[0] - d[1]),
@@ -554,9 +556,9 @@ _GRAD_T = _Values(np.array([[0], [1]], dtype=complex))
 
 def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
           ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(value, d/dx, d/dt) of each root of ``tape`` (its outputs, then the
-    expressions it also keeps) at the points ``(xs[k], ts[k])``: first-order
-    jets, one per tape line, with no derivative DAG built.
+    """(value, d/dx, d/dt) of each output of ``tape`` at the points
+    ``(xs[k], ts[k])``, 1-D arrays: first-order jets, one per fused line
+    (as the array form runs them), with no derivative DAG built.
 
     A line's value is its row's ``array`` function, as the array form of
     the tape applies it, and its gradient, d/dx and d/dt stacked in one
@@ -565,27 +567,49 @@ def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
     :func:`differentiate`'s output to rounding.  A gradient that vanishes
     identically is the int 0, as ``differentiate`` folds it to the
     constant 0, and a line whose operands all have it is not derived.
-    Evaluated under ``np.errstate(all="ignore")``: a singular point gives a
-    value that is not finite, and the caller decides."""
+    Evaluated under ``np.errstate(all="ignore")``: a value is NaN at each
+    point where some line's is not finite (their sum is not), and
+    everywhere when the run raises (a zero base to a non-positive
+    fractional power, or a constant line dividing by zero), so a singular
+    point is never hidden behind a finite value (1 / inf); the caller
+    decides (:func:`_finite`)."""
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ts))
     jets: list = [None if v is None else (_Values(v), 0) for v in tape.start]
     jets[0], jets[1] = (_Values(xs), _GRAD_X), (_Values(ts), _GRAD_T)
-    with np.errstate(all="ignore"):
-        for slot, kind, a, b, q, _ in tape.lines:
-            row = _KINDS[kind]
-            c, d = zip(jets[a]) if b is None else zip(jets[a], jets[b])
-            operands = [v.v for v in c]
-            if q is not None:
-                operands.append(q if type(q) is int else float(q))
-            node = _Values(row.array(*operands), q)
-            jets[slot] = node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
+    try:
+        with np.errstate(all="ignore"):
+            for slot, kind, a, b, q, _ in tape.fused:
+                row = _KINDS[kind]
+                c, d = zip(jets[a]) if b is None else zip(jets[a], jets[b])
+                operands = [v.v for v in c]
+                if q is not None:
+                    operands.append(q if type(q) is int else float(q))
+                node = _Values(row.array(*operands), q)
+                jets[slot] = node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
+            bad = ~np.isfinite(sum([jets[line[0]][0].v for line in tape.fused], 0j))
+    except _SAMPLE_ERRORS:
+        jets, bad = [(0j, 0)] * len(jets), True
 
-    def rows(jet: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        value, grad = (np.asarray(_raw(g), dtype=complex) for g in jet)
+    def rows(slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        value, grad = (np.asarray(_raw(g), dtype=complex) for g in jets[slot])
         dx, dt = np.broadcast_to(grad, (2, *shape))
-        return np.broadcast_to(value, shape), dx, dt
+        return np.where(bad, np.nan, np.broadcast_to(value, shape)), dx, dt
 
-    return [rows(jets[slot]) for slot in tape.roots]
+    return [rows(slot) for slot in tape.outputs]
+
+
+def _sample(tape: _Tape, xs: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
+    """The values of the outputs of ``tape`` at the points ``(xs[k],
+    ts[k])``, arrays of one shape, from one run of its array rows, with
+    the NaNs of :func:`_jets`.  The caller decides (:func:`_finite`)."""
+    try:
+        with np.errstate(all="ignore"):
+            vals = tape.x_values(xs)
+            out = list(tape.values(vals, ts))
+            bad = ~np.isfinite(sum([vals[line[0]] for line in tape.fused], 0j))
+    except _SAMPLE_ERRORS:
+        out, bad = [0j] * len(tape.outputs), True
+    return [np.where(bad, np.nan, np.broadcast_to(v, np.shape(xs))) for v in out]
 
 
 # ---------------------------------------------------------------------------
@@ -604,100 +628,63 @@ class Binding:
 
 
 def evaluate(e: Expr, b: Binding) -> complex:
-    """Evaluate ``e`` at a binding: the one-point case of the probe-set
-    walk :func:`_probe_values`.  Pure: identical inputs give bit-identical
-    outputs."""
-    return _probe_values(e, [b.x], [b.t], {})[0]
+    """Evaluate ``e`` at a binding: a walk of the DAG, each node object
+    once, that applies each node's row (``_KINDS``) and visits the operand
+    its row's ``check`` names first (a ``div``'s denominator), so it raises
+    :class:`SingularEvaluationError` at a singular node before walking its
+    other operand, and :class:`UnboundSymbolError` for an unbound variable
+    (any other exception is the operation's own).  Pure: identical inputs
+    give bit-identical outputs."""
+    return _evaluate(e, b, {})
 
 
-def _probe_values(e: Expr, xs, ts, memo: dict[int, object]):
-    """The values of ``e`` at every point, ``xs[k]`` and ``ts[k]`` bound
-    at point k (None leaves a variable unbound).  Each node applies its
-    row's ``scalar`` function (``_KINDS``) once per point, children left to
-    right except that the operand its row's ``check`` names comes first (a
-    ``div``'s denominator); a node checks all points before any value is
-    formed, and raises :class:`UnboundSymbolError` or
-    :class:`SingularEvaluationError` when one of them is unbound or
-    singular there (any other exception is the operation's own).  ``memo``
-    maps ``id`` of a node already visited to its values, so a subtree
-    shared within ``e`` (or with an earlier call on the same memo) is
-    computed once.  Over several points it raises where some point is bad,
-    not necessarily at the first one: :func:`_values_at` applies the
-    per-point rule."""
+def _evaluate(e: Expr, b: Binding, memo: dict[int, complex]) -> complex:
     got = memo.get(id(e))
     if got is not None:
         return got
     k = e.kind
     if k == "const":
-        vals = [e.value] * len(xs)
-    elif k == "var":
-        bound = xs if e.value == "x" else ts
-        if None in bound:
+        return e.value
+    if k == "var":
+        v = b.x if e.value == "x" else b.t
+        if v is None:
             raise UnboundSymbolError(f"variable {e.value!r} is unbound")
-        vals = [complex(v) for v in bound]
-    else:
-        row, kids, q = _KINDS[k], e.children, e.value
-        if row.check is not None:
-            i, singular, message = row.check
-            if singular(_probe_values(kids[i], xs, ts, memo), q):
-                raise SingularEvaluationError(message)
-        a = _probe_values(kids[0], xs, ts, memo)
-        if len(kids) == 2:
-            vals = list(map(row.scalar, a, _probe_values(kids[1], xs, ts, memo)))
-        elif q is None:
-            vals = list(map(row.scalar, a))
-        else:
-            # The exponent as its compiled literal: an int as itself, a
-            # Fraction p/q as the float p / q.
-            q = q if type(q) is int else float(q)
-            vals = [row.scalar(u, q) for u in a]
-    memo[id(e)] = vals
-    return vals
+        return complex(v)
+    row, kids, q = _KINDS[k], e.children, e.value
+    if row.check is not None:
+        i, singular, message = row.check
+        if singular(_evaluate(kids[i], b, memo), q):
+            raise SingularEvaluationError(message)
+    # A checked operand is a memo hit now, or a leaf.
+    args = [_evaluate(c, b, memo) for c in kids]
+    if q is not None:
+        # The exponent as its compiled literal: an int as itself, a
+        # Fraction p/q as the float p / q.
+        args.append(q if type(q) is int else float(q))
+    got = memo[id(e)] = row.scalar(*args)
+    return got
 
 
-def _values_at(e: Expr | tuple[Expr, ...], xs: list, ts: list,
-               memo: dict[int, object]) -> list:
-    """:func:`_probe_values` with the per-point rule: when the walk over
-    several points raises, the points are walked again one at a time, in
-    order, so the exception is the first bad point's, as a loop of
-    :func:`evaluate` over the points would raise it.  Given a tuple of
-    expressions, their lists of values, each walked on the one memo; a
-    point is then walked expression by expression, so the exception is the
-    one a loop over the points, evaluating each expression in turn, would
-    raise first."""
-    parts = e if isinstance(e, tuple) else (e,)
-    try:
-        vals = [_probe_values(part, xs, ts, memo) for part in parts]
-        return vals if isinstance(e, tuple) else vals[0]
-    except Exception as exc:  # noqa: BLE001 - the per-point walk raises it again
-        if len(xs) == 1:
-            raise
-        err = exc
-    for x, t in zip(xs, ts):
-        point: dict[int, object] = {}
-        for part in parts:
-            _probe_values(part, [x], [t], point)
-    raise err  # pragma: no cover - some point raises above
+def _finite(e: Expr, values: np.ndarray, xs, ts) -> np.ndarray:
+    """``values``, those of ``e`` at the points ``(xs[k], ts[k])`` (numpy
+    arrays of one shape) from :func:`_sample` or :func:`_jets`, with
+    :func:`evaluate`'s value at each point where one is not finite, walked
+    in order: so a singular point raises the walk's exception, the one a
+    loop of :func:`evaluate` over the points raises first."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        values = np.array(values)
+        for k in bad:
+            values.flat[k] = evaluate(e, Binding(xs.flat[k], ts.flat[k]))
+    return values
 
 
-class _ProbeSet:
-    """Points walked together on one memo: every tree walked over them
-    (:meth:`values`) computes each node object once, whichever walk met it
-    first.  The trees walked are held, so no ``id`` in the memo can be
-    taken by a new node while the probe set lives."""
-
-    __slots__ = ("xs", "ts", "_memo", "_held")
-
-    def __init__(self, probes: Sequence[Binding]):
-        self.xs = [p.x for p in probes]
-        self.ts = [p.t for p in probes]
-        self._memo: dict[int, object] = {}
-        self._held: list = []
-
-    def values(self, e: Expr | tuple[Expr, ...]) -> list:
-        """:func:`_values_at` of ``e`` over the points, on the shared memo."""
-        self._held.append(e)
-        return _values_at(e, self.xs, self.ts, self._memo)
+def _probe(roots: tuple[Expr, ...], xs: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
+    """The values of each root at the points ``(xs[k], ts[k])``, from one
+    :func:`_sample` of their tape, each root's then read through
+    :func:`_finite` in turn."""
+    vals = _sample(_Tape(roots), xs, ts)
+    return [_finite(e, v, xs, ts) for e, v in zip(roots, vals)]
 
 
 def substitute(e: Expr, x: Expr | complex | None = None,
@@ -751,9 +738,8 @@ _X_DEP, _T_DEP = 1, 2
 class _Tape:
     """The value-numbered tape of the DAG under some roots: the one
     structure that :class:`Kernel`'s array form, :func:`_jets` and
-    :func:`compile_expr` read, built once per DAG.  The jets read its
-    ``lines``; the array form and the compiled text are two renderings of
-    its ``fused`` lines.
+    :func:`compile_expr` read, built once per DAG.  The array form, the
+    compiled text and the jets are three renderings of its ``fused`` lines.
 
     Every value has a slot: x is slot 0, t slot 1, and each distinct
     constant and interior line the next one, in the order one pass over
@@ -772,8 +758,7 @@ class _Tape:
       x-lines, so a line reading it and t is an (x, t) line.
     * ``roots``: the slot of each root; ``outputs``, the slots whose values
       the array form returns: those of the first ``n_out`` roots (the rest
-      are kept for :func:`_jets` alone), or of the roots a :meth:`view`
-      takes.
+      are kept for a :meth:`view`), or of the roots a :meth:`view` takes.
     * ``fused``: the lines the outputs read, in the same order, where a
       neg whose every reader among them is an add (the outputs counting as
       readers of another kind) runs inside each of those adds as a
@@ -971,9 +956,9 @@ class Kernel:
     """Expressions to evaluate at many points: ``e`` is one expression, or
     a tuple of them as for :func:`compile_expr`.  ``tape`` is the tape of
     ``e`` it runs: by default one of ``e`` alone, else a tape whose outputs
-    are the values of ``e`` with more roots after them (whose jets
-    :func:`_jets` reads with the outputs'; no call returns them), or a
-    :meth:`_Tape.view` of a tape other kernels share.
+    are the values of ``e`` with more roots after them (for a view; no
+    call returns them), or a :meth:`_Tape.view` of a tape other kernels
+    share.
 
     The one batch form, ``kernel(x, t)`` and :meth:`on_x`, runs the tape on
     numpy arrays and never compiles.  Its values are, bit for bit, those
@@ -1281,27 +1266,13 @@ def integrate_callable(fn: Callable[[complex], complex],
                 for a, b in zip(pts, pts[1:])), 0j)
 
 
-def numerically_zero(e: Expr, probes: Sequence[Binding] | _ProbeSet,
-                     tol: float = 1e-10, reference: Expr | None = None) -> bool:
-    """Decide whether ``e`` vanishes on a probe set.
-
-    True iff ``max |e|`` over the probes is at most ``tol * (1 + scale)``
-    where ``scale`` is the max modulus of ``reference`` over the same probes
-    (1 when no reference is given).
-
-    ``e`` and then ``reference`` are each walked once over the whole probe
-    set (:func:`_values_at`) on one memo, so a node object shared by
-    identity within ``e``, within ``reference`` or between them is
-    evaluated once; given a ``_ProbeSet``, on its memo, which the other
-    walks over the same points share.  The values are :func:`evaluate`'s
-    at each probe, and an exception is the one a loop of :func:`evaluate`
-    (``e`` at every probe, then ``reference``) raises first."""
-    points = probes if isinstance(probes, _ProbeSet) else _ProbeSet(probes)
-    mx = max([abs(v) for v in points.values(e)])
-    scale = 1.0
-    if reference is not None:
-        scale = max([abs(v) for v in points.values(reference)])
-    return mx <= tol * (1.0 + scale)
+def numerically_zero(values, tol: float = 1e-10, reference=None) -> bool:
+    """Decide whether an array of values vanishes: True iff ``max |values|``
+    is at most ``tol * (1 + scale)``, where ``scale`` is the max modulus of
+    the array ``reference`` (1 when no reference is given).  A NaN in
+    either reads as not zero."""
+    scale = 1.0 if reference is None else np.max(np.abs(reference))
+    return bool(np.max(np.abs(values)) <= tol * (1.0 + scale))
 
 
 # ---------------------------------------------------------------------------

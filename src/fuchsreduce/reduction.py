@@ -71,30 +71,25 @@ def joint_probes(box_x, box_t, n: int) -> list[Binding]:
     return [Binding(x=x, t=t) for x, t in zip(box_x.diagonal(n), reversed(box_t.diagonal(n)))]
 
 
-class _Probes:
-    """The probe sets of :func:`decompose` and the case flags: 7 points on each
-    box diagonal (t1 = ``ts[1]``), 9 t and 12 joint probes, and p2 at t1.
-    The flags are measured on ``points``: the probe set as bindings, or an
-    ``expr._ProbeSet`` of it whose memo other walks share (M's always)."""
+def _fh_zero(f, h, p2_t1) -> tuple[bool, bool]:
+    """(f_zero, h_zero): whether the values of f and of h at the x probes
+    vanish, relative to those of p2 at the x probes and t1."""
+    return fe.numerically_zero(f, reference=p2_t1), fe.numerically_zero(h, reference=p2_t1)
 
-    def __init__(self, sp: ScalarPair, box_x, box_t):
-        self.xs, self.ts = box_x.diagonal(7), box_t.diagonal(7)
-        self.x7 = [Binding(x=x) for x in self.xs]
-        self.t9 = [Binding(t=t) for t in box_t.diagonal(9)]
-        self.joint12 = joint_probes(box_x, box_t, 12)
-        self.p2_t1 = fe.substitute(sp.p2, t=self.ts[1])
 
-    def zero_in_x(self, e: Expr, points) -> bool:
-        """Whether ``e``, in x alone, vanishes at the x probes (relative to p2)."""
-        return fe.numerically_zero(e, points, reference=self.p2_t1)
+def _m_zero(m) -> tuple[bool, bool]:
+    """(M_zero, M_constant): whether the values of M at the t probes, and
+    those less the first, vanish."""
+    m_zero = fe.numerically_zero(m)
+    return m_zero, m_zero or fe.numerically_zero(m - m[0], reference=m)
 
-    @staticmethod
-    def m_flags(M: Expr, points: fe._ProbeSet) -> tuple[bool, bool]:
-        """(M_zero, M_constant): whether M, and M less its value at the first
-        t probe, vanish at the t probes (one walk of M, on their memo)."""
-        m_zero = fe.numerically_zero(M, points)
-        m_0 = fe.const(points.values(M)[0])
-        return m_zero, m_zero or fe.numerically_zero(fe.sub(M, m_0), points, reference=M)
+
+def _quotient(num, den):
+    """num / den, raising as the walk of a ``div`` node does where den is
+    exactly 0."""
+    if np.any(den == 0):
+        raise fe.SingularEvaluationError("division by zero")
+    return num / den
 
 
 # Joint probes of the invariance identities (Decomposition.invariance).
@@ -118,12 +113,14 @@ class Decomposition:
     component signs the gauge exponent.
 
     The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant`` are
-    measured from f, h and M on the probe sets ``_probes``, so a copy with
-    another f, h or M measures its own, and so does the reading of the
-    invariance identities, :attr:`invariance`.  The other underscored
-    cached properties are the kernels of (h, f), of G and of (phi, p_num,
-    q_num), phi = f + t h (see :class:`ReducedEquation`), and the last on
-    the line x = x0, the centre of the x box (``expr.Kernel.on_x``), which
+    those :func:`decompose` measured; a copy (``dataclasses.replace``)
+    measures its own from one array call on the tape of its own (f, h, p2)
+    at the 7 x probes and t1, and one on the tape of its M at the 9 t
+    probes, and reads the invariance identities afresh too
+    (:attr:`invariance`).  The other underscored cached properties are the
+    kernels of (h, f), of G and of (phi, p_num, q_num), phi = f + t h (see
+    :class:`ReducedEquation`), and the last on the line x = x0, the centre
+    of the x box (``expr.Kernel.on_x``), which
     holds the values of its x-rows at x0; each is built on first use and
     kept for the life of the decomposition.  The kernels of (h, f) and of G
     run one tape, of h, f and then G (G's a view, ``expr._Tape.view``): a
@@ -148,20 +145,23 @@ class Decomposition:
         return self.R if self.sp.component == "first" else fe.neg(self.R)
 
     @cached_property
-    def _probes(self) -> _Probes:
-        return _Probes(self.sp, self.box_x, self.box_t)
-
-    @cached_property
-    def f_zero(self) -> bool:
-        return self._probes.zero_in_x(self.f, self._probes.x7)
-
-    @cached_property
-    def h_zero(self) -> bool:
-        return self._probes.zero_in_x(self.h, self._probes.x7)
+    def _fh_flags(self) -> tuple[bool, bool]:
+        xs = np.array(self.box_x.diagonal(7))
+        ts = np.full(7, self.box_t.diagonal(7)[1])
+        return _fh_zero(*fe._probe((self.f, self.h, self.sp.p2), xs, ts))
 
     @cached_property
     def _m_flags(self) -> tuple[bool, bool]:
-        return self._probes.m_flags(self.M, fe._ProbeSet(self._probes.t9))
+        ts = np.array(self.box_t.diagonal(9))
+        return _m_zero(*fe._probe((self.M,), np.full(9, self.box_x.center), ts))
+
+    @property
+    def f_zero(self) -> bool:
+        return self._fh_flags[0]
+
+    @property
+    def h_zero(self) -> bool:
+        return self._fh_flags[1]
 
     @property
     def M_zero(self) -> bool:
@@ -185,8 +185,7 @@ class Decomposition:
             fe.add(G_x, fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        # h is in the DAG, as phi = f + t h: the invariance jets read it.
-        return fe.Kernel((phi, p_num, q_num), tape=fe._Tape((phi, p_num, q_num, self.h), 3))
+        return fe.Kernel((phi, p_num, q_num))
 
     @cached_property
     def invariance(self) -> float:
@@ -204,21 +203,21 @@ class Decomposition:
         / max(1, |a|) and |D b + 2 h b/phi| / max(1, |b|), and the reading
         is the max of both over ``_INVARIANCE_PROBES`` joint probes (x on
         the x box's diagonal, t on the t box's, run in opposite
-        directions), from first-order jets of (phi, p_num, q_num) and of h,
-        one per line of the coefficient kernel's tape (``expr._jets``), the
-        tape its array form runs.  It depends on the decomposition alone,
-        so it is computed once per decomposition.  A
-        point where phi vanishes or a value is singular gives a reading
-        that is not finite."""
+        directions), from first-order jets of (phi, p_num, q_num), one per
+        line of the coefficient kernel's tape (``expr._jets``), the tape its
+        array form runs; h is d phi / dt.  It depends on the decomposition
+        alone, so it is computed once per decomposition.  A point where phi
+        vanishes or a value is singular gives a reading that is not
+        finite."""
         xs = np.array(self.box_x.diagonal(_INVARIANCE_PROBES))
         ts = np.array(self.box_t.diagonal(_INVARIANCE_PROBES)[::-1])
-        (phi, phi_x, phi_t), *nums, (h, _, _) = fe._jets(self._coeff_array.tape, xs, ts)
+        (phi, phi_x, h), *nums = fe._jets(self._coeff_array.tape, xs, ts)
         readings = []
         with np.errstate(all="ignore"):
             for k, (num, num_x, num_t) in enumerate(nums, 1):
                 a = num / phi ** 2
                 a_x = (num_x * phi - 2 * num * phi_x) / phi ** 3
-                a_t = (num_t * phi - 2 * num * phi_t) / phi ** 3
+                a_t = (num_t * phi - 2 * num * h) / phi ** 3
                 identity = a_t - a_x / phi + k * h * a / phi
                 readings.append(np.abs(identity) / np.maximum(1.0, np.abs(a)))
         # np.max, unlike max, keeps a NaN.
@@ -263,96 +262,131 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     phi(., t1) vanishes and the split is refused.
     g and P3 come from b_off (``sp.off_diag``) and P1 = f P3, P2 = h P3;
     g must not depend on x, and a_off must factor as g (P1 + t P2).
-    ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``)."""
-    probes = _Probes(sp, box_x, box_t)
-    tdiag, xdiag = probes.ts, probes.xs
+    ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``).
+
+    Every decision reads values of (p2, q2, a_off, b_off) from two array
+    calls on their one tape (``expr._sample``): the 7 x probes at t1, t2
+    and t3 and the 12 joint probes' x at their t and at t1, then xa and
+    the two x of largest |P3| at the 9 t probes, the joint t's and the two
+    t's of the exponent A, where the jets of b_off alone (``expr._jets`` on
+    a view of the tape) give g'/g.  As phi = f + t h is p2, f, h, R, M, g
+    and the P_i at the probes are sums and ratios of these; their DAGs are
+    built only to be returned.  A value read that is not finite is walked
+    at its point (``expr._finite``), so a singular probe raises the walk's
+    exception."""
+    xs, tdiag = box_x.diagonal(7), box_t.diagonal(7)
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
-    # One memo per probe set for the whole call: every walk over the x,
-    # t or joint probes below computes each node object once.
-    at_x = fe._ProbeSet(probes.x7)
-    at_t = fe._ProbeSet(probes.t9)
-    joint = fe._ProbeSet(probes.joint12)
+    jt = box_t.diagonal(12)[::-1]       # the joint probes' t (joint_probes)
+    q2d = sp.q2_decomposable()
+    aoff, boff = sp.off_diag
+    roots = (sp.p2, q2d, aoff, boff)
+    tape = fe._Tape(roots)
+
+    def reader(vals, px, pt):
+        """The values of root i at the points ``at`` of a call, checked."""
+        return lambda i, at: fe._finite(roots[i], vals[i][at], px[at], pt[at])
+
+    # The first call: rows of x, the 7 x probes at (t1, t2, t3), then the
+    # 12 joint probes' at (their t, t1, t1).
+    px = np.repeat(xs + box_x.diagonal(12), 3).reshape(19, 3)
+    pt = np.array([(t1, t2, t3)] * 7 + [(t, t1, t1) for t in jt])
+    first = fe._sample(tape, px, pt)
+    read1 = reader(first, px, pt)
+    X7, J, J1 = np.s_[:7], np.s_[7:, 0], np.s_[7:, 1]
 
     # --- f and h from the affine-in-t ratio p2
-    p2_t1 = probes.p2_t1
-    p2_t2 = fe.substitute(sp.p2, t=t2)
-    p2_t3 = fe.substitute(sp.p2, t=t3)
-    h = fe.div(fe.sub(p2_t2, p2_t1), fe.const(t2 - t1))
-    f = fe.sub(p2_t1, fe.mul(fe.const(t1), h))
-
-    affine_defect = fe.sub(fe.add(f, fe.mul(fe.const(t3), h)), p2_t3)
-    if not fe.numerically_zero(affine_defect, at_x, tol=1e-9, reference=p2_t3):
+    p2_x7 = read1(0, X7)
+    h_x7 = (p2_x7[:, 1] - p2_x7[:, 0]) / (t2 - t1)
+    f_x7 = p2_x7[:, 0] - t1 * h_x7
+    if not fe.numerically_zero(f_x7 + t3 * h_x7 - p2_x7[:, 2], tol=1e-9,
+                               reference=p2_x7[:, 2]):
         raise DecompositionError(
             "the off-diagonal ratio p2 is not affine in the deformation variable")
-
-    f_zero, h_zero = probes.zero_in_x(f, at_x), probes.zero_in_x(h, at_x)
+    f_zero, h_zero = _fh_zero(f_x7, h_x7, p2_x7[:, 0])
+    p2_t1 = fe.substitute(sp.p2, t=t1)
+    h = fe.div(fe.sub(fe.substitute(sp.p2, t=t2), p2_t1), fe.const(t2 - t1))
+    f = fe.sub(p2_t1, fe.mul(fe.const(t1), h))
 
     # --- R and M from q2 = R + M (f + t h): the case picks only m1
-    q2d = sp.q2_decomposable()
-    phi = fe.add(f, fe.mul(T, h))
-    if f_zero and h_zero:
+    split, m1 = not (f_zero and h_zero), 0j
+    if not split:
         R, M = fe.substitute(q2d, t=t1), fe.const(0)
     else:
-        # phi at (x, t1) and (x, t2), x by x: entries 2i and 2i + 1.
-        phi_x7 = fe._values_at(phi, [x for x in xdiag for _ in (t1, t2)],
-                               [t1, t2] * len(xdiag), {})
-        ia = max(range(len(xdiag)), key=lambda i: abs(phi_x7[2 * i]))
-        xa = xdiag[ia]
-        if abs(phi_x7[2 * ia]) < 1e-12:
+        # phi at (x, t1) and (x, t2): p2 there.
+        phi_x7 = p2_x7.tolist()
+        ia = max(range(len(xs)), key=lambda i: abs(phi_x7[i][0]))
+        if abs(phi_x7[ia][0]) < 1e-12:
             raise DecompositionError("cannot split q2: f + t h vanishes at all probes")
-        m1 = 0j
         if not h_zero:
             # The 2x2 system for (M(t1), M(t2)) at the probe pair with the
             # largest determinant, (t1 - t2) (f(xp) h(xq) - f(xq) h(xp)).
-            rows = [(phi_x7[2 * i], -phi_x7[2 * i + 1]) for i in range(len(xdiag))]
+            rows = [(v[0], -v[1]) for v in phi_x7]
             det, ip, iq = max(((rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0], i, j)
-                               for i, j in combinations(range(len(xdiag)), 2)),
+                               for i, j in combinations(range(len(xs)), 2)),
                               key=lambda d: abs(d[0]))
             (a11, a12), (a21, a22) = rows[ip], rows[iq]
             scale = max(abs(a11), abs(a12), abs(a21), abs(a22), 1e-30)
             if abs(det) > 1e-8 * scale * scale:
-                q11, q12, q21, q22 = fe._values_at(q2d, [xdiag[ip]] * 2 + [xdiag[iq]] * 2,
-                                                   [t1, t2] * 2, {})
+                q11, q12, q21, q22 = read1(1, np.s_[[ip, iq], :2]).ravel().tolist()
                 m1 = ((q11 - q12) * a22 - a12 * (q21 - q22)) / det
             else:
                 # f = k h: the secant slope of M (t + k), which the
                 # freedom M -> M + c/(t + k) leaves unchanged.
-                q_t2, q_t1 = fe._values_at(q2d, [xa, xa], [t2, t1], {})
-                m1 = (q_t2 - q_t1) / ((t2 - t1) * at_x.values(h)[ia])
-        R = fe.sub(fe.substitute(q2d, t=t1), fe.mul(fe.const(m1), fe.substitute(phi, t=t1)))
-        r_xa = fe.evaluate(R, Binding(x=xa))
-        M = fe.div(fe.sub(fe.substitute(q2d, x=xa), fe.const(r_xa)), fe.substitute(phi, x=xa))
+                q_t1, q_t2 = read1(1, np.s_[ia, :2]).tolist()
+                m1 = (q_t2 - q_t1) / ((t2 - t1) * h_x7[ia].item())
+        # phi(., t1) is p2(., t1), and phi(xa, .) is f(xa) + t h(xa).
+        R = fe.sub(fe.substitute(q2d, t=t1), fe.mul(fe.const(m1), p2_t1))
+        r_xa = read1(1, np.s_[ia, :1])[0].item() - m1 * phi_x7[ia][0]
+        phi_xa = fe.add(fe.const(f_x7[ia]), fe.mul(T, fe.const(h_x7[ia])))
+        M = fe.div(fe.sub(fe.substitute(q2d, x=xs[ia]), fe.const(r_xa)), phi_xa)
 
-    split_defect = fe.sub(q2d, fe.add(R, fe.mul(M, phi)))
-    if not fe.numerically_zero(split_defect, joint, tol=1e-8, reference=q2d):
+    # The second call: rows of x, the x of largest |P3|, the next and xa,
+    # each at the 9 t probes (T9), the joint t's (TJ) and the two t's of A.
+    p3_x7 = list(zip(xs, first[3][:7, 0].tolist()))
+    xg, p3_xg = max(p3_x7, key=lambda p: abs(p[1]))
+    xb, p3_xb = max((p for p in p3_x7 if p[0] != xg), key=lambda p: abs(p[1]))
+    ta = [tdiag[2], tdiag[4]]
+    pt2, px2 = np.meshgrid(box_t.diagonal(9) + jt + ta, [xg, xb, xs[ia] if split else xg])
+    read2 = reader(fe._sample(tape, px2, pt2), px2, pt2)
+    T9, TJ, TA = np.s_[:9], np.s_[9:21], np.s_[21:]
+
+    def m_at(ts):
+        """M at the t's ``ts`` of the second call: (q2(xa, t) - R(xa)) / p2(xa, t)."""
+        return _quotient(read2(1, (2, ts)) - r_xa, read2(0, (2, ts))) if split else 0
+
+    # q2 - (R + M phi), with R = q2(., t1) - m1 p2(., t1) and phi = p2.
+    q2_j = read1(1, J)
+    defect = q2_j - read1(1, J1) + m1 * read1(0, J1) - m_at(TJ) * read1(0, J)
+    if not fe.numerically_zero(defect, tol=1e-8, reference=q2_j):
         raise DecompositionError("inconsistent R/M split (residual above 1e-08)")
 
-    m_flags = probes.m_flags(M, at_t)
+    m_flags = _m_zero(m_at(T9))
 
     # --- g and the P_i from the off-diagonal pair
-    aoff, boff = sp.off_diag
-    P3 = fe.substitute(boff, t=t1)  # normalizes g(t1) = 1, i.e. B = 1
-    p3_x7 = list(zip(xdiag, at_x.values(P3)))
-    xa, p3_xa = max(p3_x7, key=lambda p: abs(p[1]))
-    g = fe.div(fe.substitute(boff, x=xa), fe.const(p3_xa))
-    xb, p3_xb = max((p for p in p3_x7 if p[0] != xa), key=lambda p: abs(p[1]))
-    g_alt = fe.div(fe.substitute(boff, x=xb), fe.const(p3_xb))
-    if not fe.numerically_zero(fe.sub(g, g_alt), at_t, tol=1e-9, reference=g):
+    read1(3, np.s_[:7, 0])      # P3 at the x probes
+    g_t9 = _quotient(read2(3, (0, T9)), p3_xg)
+    if not fe.numerically_zero(g_t9 - _quotient(read2(3, (1, T9)), p3_xb), tol=1e-9,
+                               reference=g_t9):
         raise DecompositionError("the deformation profile g depends on x")
+    a_j = read1(2, J)
+    # g (P1 + t P2) = g P3 (f + t h) = g P3 p2 at the joint probes.
+    factor = a_j - _quotient(read2(3, (0, TJ)), p3_xg) * (read1(3, J1) * read1(0, J))
+    if not fe.numerically_zero(factor, tol=1e-9, reference=a_j):
+        raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
+    P3 = fe.substitute(boff, t=t1)  # normalizes g(t1) = 1, i.e. B = 1
+    g = fe.div(fe.substitute(boff, x=xg), fe.const(p3_xg))
     P1 = fe.mul(f, P3)
     P2 = fe.mul(h, P3)
-    factor_defect = fe.sub(aoff, fe.mul(g, fe.add(P1, fe.mul(T, P2))))
-    if not fe.numerically_zero(factor_defect, joint, tol=1e-9, reference=aoff):
-        raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
 
     exponent_a: complex | None = None
     if m_flags[1]:
-        dlog_g = fe.div(fe.differentiate(g, "t"), g)
-        # One walk over both t's; an exception is the one evaluating
-        # dlog_g, then M, at each t in turn would raise first.
-        tps = [tdiag[2], tdiag[4]]
-        dlog_gs, ms = fe._values_at((dlog_g, M), [None, None], tps, {})
-        vals = [tp * (dl + 2 * m) for tp, dl, m in zip(tps, dlog_gs, ms)]
+        # t (g'/g + 2 M) at the two t's, g'/g = (d/dt b_off) / b_off at xg,
+        # from the jets of b_off alone (a view of the tape).
+        (_, _, db_ta), = fe._jets(tape.view(3), px2[0, TA], pt2[0, TA])
+        if not np.isfinite(db_ta).all():
+            fe._finite(fe.differentiate(boff, "t"), db_ta, px2[0, TA], pt2[0, TA])
+        dlog_g = _quotient(db_ta, read2(3, (0, TA)))
+        vals = (np.array(ta) * (dlog_g + 2 * m_at(TA))).tolist()
         if abs(vals[0] - vals[1]) <= 1e-7 * (1 + abs(vals[0])):
             exponent_a = vals[0]
 
@@ -361,7 +395,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
         exponent_A=exponent_a, box_x=box_x, box_t=box_t, sp=sp,
     )
     # The flags measured above, as the properties would measure them.
-    dec.__dict__.update(_probes=probes, f_zero=f_zero, h_zero=h_zero, _m_flags=m_flags)
+    dec.__dict__.update(_fh_flags=(f_zero, h_zero), _m_flags=m_flags)
     return dec
 
 

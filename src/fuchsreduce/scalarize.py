@@ -124,7 +124,7 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
 
     ``probes`` (when given) are used to reject systems whose relevant
     off-diagonal entries vanish identically, in which case the scalar form
-    does not exist."""
+    does not exist; both entries are sampled in one array call."""
     if component not in ("first", "second"):
         raise ValueError("component must be 'first' or 'second'")
     a, b = lp.a, lp.b
@@ -135,8 +135,10 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
         aoff, boff = a[1][0], b[1][0]
 
     if probes is not None:
-        for name, entry in (("a-offdiag", aoff), ("b-offdiag", boff)):
-            if fe.numerically_zero(entry, probes):
+        xs, ts = (np.array(v, dtype=complex) for v in zip(*((p.x, p.t) for p in probes)))
+        vals = fe._sample(fe._Tape((aoff, boff)), xs, ts)
+        for name, entry, v in zip(("a-offdiag", "b-offdiag"), (aoff, boff), vals):
+            if fe.numerically_zero(fe._finite(entry, v, xs, ts)):
                 raise VanishingOffDiagonalError(
                     f"{name} entry vanishes on the probe set; "
                     f"cannot scalarize the {component} component"

@@ -109,7 +109,7 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
     ts = entry.box_t.diagonal(9)
     pts = [(xs[1], ts[5]), (xs[6], ts[2]), (xs[3], ts[7]), (xs[7], ts[1])]
     ours = [red.tau_at(x, t) for x, t in pts]
-    paper = fe._values_at(cf, [x for x, _ in pts], [t for _, t in pts], {})
+    paper = fe._probe((cf,), *(np.array(v) for v in zip(*pts)))[0].tolist()
     if abs(ours[1] - ours[0]) < 1e-12:
         raise VerifyError("degenerate tau samples for the frame fit")
     a = (paper[1] - paper[0]) / (ours[1] - ours[0])
@@ -373,13 +373,13 @@ def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
     B Phi along the segment only where the two systems are compatible.
     Returns the dense output over the arclength [0, |x1 - x0|], with rows
     (Phi1, Phi2, Psi1, Psi2).  A singular coefficient raises the compiled
-    kernel's own exception, or the tree walk's at (x0, t); a segment of zero
+    kernel's own exception, or, in B at the start, the one-point walk's
+    (``expr.evaluate``); a segment of zero
     length, an unresolved panel, an exhausted panel budget or a non-finite
     coefficient or solution value raises :class:`expr.QuadratureError`."""
     systems = prep.entry.linear_systems
     x0, x1, t = complex(x0), complex(x1), complex(t)
-    b11, b12, b21, b22 = (v[0] for v in fe._values_at(
-        tuple(e for row in systems.b for e in row), [x0], [t], {}))
+    b11, b12, b21, b22 = (fe.evaluate(e, fe.Binding(x0, t)) for row in systems.b for e in row)
     u, v = _PHI0
     start = (u, v, b11 * u + b12 * v, b21 * u + b22 * v)
     a_dadt = systems.a_dadt_array

@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "ab0d4ccd29f420843c01e11dac11e3973f49067d06cd571da40492c3289e5149"
+PINNED = "fe2d4394ff0a4a5aa8f723fbbe8277bd3f2602f7d54661113a8a356282d551aa"
 
 
 def _load(monkeypatch, path: Path, name: str):

@@ -1,5 +1,6 @@
 import ast
 import cmath
+import collections
 import math
 import random
 import struct
@@ -253,12 +254,12 @@ class TestTapeNumbering:
 
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
-        # Each tape a report builds, from its roots: the coefficients with h,
+        # Each tape a report builds, from its roots: the coefficients,
         # (h, f) with G, the flow, and the Frobenius residuals with A and
         # dA/dt or, for a direct scalar pair, A and dA/dt alone.
         entry = catalog.lookup(entry_id)
         dec, systems = entry.decomposition, entry.linear_systems
-        tapes = [(dec._coeff_array, (*dec._coeff_array.expr, dec.h), 3),
+        tapes = [(dec._coeff_array, dec._coeff_array.expr, None),
                  (dec._hf_array, (dec.h, dec.f, dec.gauge_exponent()), 2),
                  (entry.flow_fns, entry.flow_fns.expr, None)]
         if entry.lax is not None:
@@ -302,8 +303,8 @@ class TestExprNode:
 def _tree_walk(e, b):
     """Reference semantics of a tree at one binding: the recursive walker,
     one node at a time, children left to right except that a ``div``
-    takes its denominator first.  ``evaluate`` and the probe-set walk
-    must agree with it bit for bit and exception for exception."""
+    takes its denominator first.  ``evaluate`` must agree with it bit for
+    bit and exception for exception."""
     k = e.kind
     if k == "const":
         return e.value
@@ -634,10 +635,9 @@ def _raw_bound(e, a, memo=None):
 
 
 def _walk_one(e, x, t):
-    """The scalar tree walk of ``e`` (an expression or a tuple of them, on
-    one memo) at the one point (x, t), shaped as the compiled result."""
-    memo = {}
-    parts = [fe._probe_values(part, [x], [t], memo)[0]
+    """The one-point walk of ``e`` (an expression or a tuple of them, in
+    turn) at (x, t), shaped as the compiled result."""
+    parts = [fe.evaluate(part, Binding(x, t))
              for part in (e if isinstance(e, tuple) else (e,))]
     return tuple(parts) if isinstance(e, tuple) else parts[0]
 
@@ -1203,40 +1203,55 @@ class TestMultiSegmentPanels:
         assert got(0.5).tolist() == [1.0, 2.0, 0.5, -1.0]
 
 
+def walked(e, probes):
+    """The values of ``e`` at the probes, one :func:`fe.evaluate` each."""
+    return [fe.evaluate(e, p) for p in probes]
+
+
+def _probe_arrays(probes):
+    return tuple(np.array(v, dtype=complex) for v in zip(*[(p.x, p.t) for p in probes]))
+
+
 class TestNumericallyZero:
     def test_exact_cancellation(self):
         e = X - X
-        probes = [Binding(x=1.0 + 0.1j * k) for k in range(8)]
-        assert fe.numerically_zero(e, probes)
+        probes = [Binding(x=1.0 + 0.1j * k, t=0j) for k in range(8)]
+        assert fe.numerically_zero(fe._probe((e,), *_probe_arrays(probes))[0])
 
     def test_entry_with_vanishing_h(self, prep):
         # h vanishes identically for the first flat reduction case.
         dec = prep("PII.y0").red.dec
         probes = [Binding(x=1.0 + 0.15 * k, t=0.5) for k in range(9)]
-        assert fe.numerically_zero(dec.h, probes)
+        assert fe.numerically_zero(walked(dec.h, probes))
 
     def test_nonzero_f_detected(self, prep):
         dec = prep("PII.y0").red.dec
         probes = [Binding(x=1.0 + 0.125 * k, t=0.5) for k in range(9)]
-        assert not fe.numerically_zero(dec.f, probes)
+        assert not fe.numerically_zero(walked(dec.f, probes))
 
     @staticmethod
     def _per_probe(e, probes, tol=1e-10, reference=None):
         """The verdict, or (class, message) of the exception, of the
-        reference walk over the probes one at a time."""
+        reference walk over the probes one at a time; a NaN reads as not
+        zero."""
         try:
-            mx = max(abs(_tree_walk(e, p)) for p in probes)
+            mx = np.max([abs(_tree_walk(e, p)) for p in probes])
             scale = 1.0
             if reference is not None:
-                scale = max(abs(_tree_walk(reference, p)) for p in probes)
+                scale = np.max([abs(_tree_walk(reference, p)) for p in probes])
         except Exception as exc:  # noqa: BLE001 - compared by class and message
             return type(exc), str(exc)
-        return mx <= tol * (1.0 + scale)
+        return bool(mx <= tol * (1.0 + scale))
 
     @staticmethod
-    def _one_pass(*args, **kwargs):
+    def _one_pass(e, probes, tol=1e-10, reference=None):
+        """The verdict, or (class, message) of the exception, of
+        ``numerically_zero`` on the values of ``e`` and ``reference`` from
+        one array call on their tape (``expr._probe``)."""
+        roots = (e,) if reference is None else (e, reference)
         try:
-            return fe.numerically_zero(*args, **kwargs)
+            vals = fe._probe(roots, *_probe_arrays(probes))
+            return fe.numerically_zero(vals[0], tol, None if reference is None else vals[1])
         except Exception as exc:  # noqa: BLE001 - compared by class and message
             return type(exc), str(exc)
 
@@ -1246,8 +1261,7 @@ class TestNumericallyZero:
         reference = s * T + fe.ipow(T - 0.5, -2)
         regular = [Binding(x=1.0 + 0.2j * k, t=0.9 - 0.1j * k) for k in range(6)]
         for probes in (regular, regular + [Binding(x=1.5, t=0.9)],
-                       regular + [Binding(x=1.2, t=0.5)],
-                       regular + [Binding(x=1.2)], []):
+                       regular + [Binding(x=1.2, t=0.5)]):
             for ref in (None, reference):
                 for tol in (1e-10, 1e3):
                     assert self._one_pass(e, probes, tol, ref) == \
@@ -1272,7 +1286,7 @@ class TestNumericallyZero:
             return e, reference
 
         point = st.sampled_from(_PROPERTY_POINTS)
-        probe = st.builds(Binding, point, st.one_of(point, st.none()))
+        probe = st.builds(Binding, point, point)
 
         @hyp.settings(max_examples=400, deadline=None, derandomize=True,
                       database=None)
@@ -1282,49 +1296,45 @@ class TestNumericallyZero:
             e, reference = dag
             assert self._one_pass(e, probes, tol, reference) == \
                 self._per_probe(e, probes, tol, reference)
-            want = [_call(_tree_walk, e, p) for p in probes]
-            if not any(isinstance(v, type) for v in want):
-                got = fe._probe_values(e, [p.x for p in probes], [p.t for p in probes], {})
-                assert [_bits(v) for v in got] == [_bits(v) for v in want]
 
         check()
 
     def test_one_pass_visits_each_node_once(self, monkeypatch):
         # 60 doublings of x: a DAG of 120 interior nodes whose tree has 2^60
-        # leaves.  Only a walk that evaluates each node once can finish, and
-        # every node it visits is visited for all 8 probes together, never
-        # for one probe at a time.
+        # leaves.  Only evaluators that take each node once can finish: the
+        # tape of the array call, and evaluate, whose walk computes a node
+        # once and meets it again only as a memo hit.
         e = X
         for _ in range(60):
             e = fe.mul(fe.add(e, e), fe.const(0.5))
-        probes = [Binding(x=1.0 + 0.25j * k) for k in range(8)]
-        walk, sizes = fe._probe_values, []
+        probes = [Binding(x=1.0 + 0.25j * k, t=0j) for k in range(8)]
+        e_v, diff_v = fe._probe((e, fe.sub(e, X)), *_probe_arrays(probes))
+        assert fe.numerically_zero(diff_v, reference=e_v)
+        assert not fe.numerically_zero(e_v)
+        walk, visits = fe._evaluate, []
 
-        def recorded(node, xs, ts, memo, *mode):
-            sizes.append(len(xs))
-            return walk(node, xs, ts, memo, *mode)
+        def recorded(node, b, memo):
+            visits.append(id(node))
+            return walk(node, b, memo)
 
-        monkeypatch.setattr(fe, "_probe_values", recorded)
-        assert fe.numerically_zero(fe.sub(e, X), probes, reference=e)
-        assert not fe.numerically_zero(e, probes)
-        assert sizes and set(sizes) == {8}
+        monkeypatch.setattr(fe, "_evaluate", recorded)
+        assert fe.evaluate(e, Binding(x=1.5)) == 1.5
+        assert max(collections.Counter(visits).values()) == 2
 
     def test_several_points_raise_the_first_points_exception(self):
         # At x = 2 the log is regular and the division fails; at x = 1 the
-        # log fails first.  The walk over both points meets the log of the
-        # second point before the division of the first, but raises as a
-        # loop over the points in order would: the first point's error.
+        # log fails first.  The array call gives neither point a finite
+        # value, and the points are walked in order: the first point's
+        # error is raised.
         e = fe.log(X - 1) + 1 / (X - 2)
-        xs, ts = [2.0, 1.0], [None, None]
-        with pytest.raises(fe.SingularEvaluationError, match="log of zero"):
-            fe._probe_values(e, xs, ts, {})
+        xs, ts = np.array([2.0, 1.0], dtype=complex), np.zeros(2, dtype=complex)
         first = (fe.SingularEvaluationError, "division by zero")
         assert _call_message(_tree_walk, e, Binding(x=2.0)) == first
-        assert _call_message(fe._values_at, e, xs, ts, {}) == first
-        probes = [Binding(x=x) for x in xs]
+        assert _call_message(fe._probe, (e,), xs, ts) == first
+        probes = [Binding(x=x, t=0j) for x in xs]
         assert self._one_pass(e, probes) == first
         assert self._one_pass(fe.const(1), probes, reference=e) == first
-        assert _call_message(fe._values_at, e, xs[::-1], ts, {}) == \
+        assert _call_message(fe._probe, (e,), xs[::-1], ts) == \
             (fe.SingularEvaluationError, "log of zero")
 
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
-from test_expr import called_twice
+from test_expr import called_twice, walked
 
 ALL_IDS = catalog.list_entries()
 
@@ -85,17 +86,18 @@ class TestDecompose:
         probes = entry.probe_bindings(16)
         phi = dec.f + T * dec.h
         split = sp.q2_decomposable() - (dec.R + dec.M * phi)
-        assert fe.numerically_zero(split, probes, tol=1e-9,
-                                   reference=sp.q2_decomposable())
+        assert fe.numerically_zero(walked(split, probes), tol=1e-9,
+                                   reference=walked(sp.q2_decomposable(), probes))
         aoff, boff = sp.off_diag
-        assert fe.numerically_zero(dec.f - dec.P1 / dec.P3, probes,
-                                   tol=1e-10, reference=dec.f)
-        assert fe.numerically_zero(dec.h - dec.P2 / dec.P3, probes,
-                                   tol=1e-10, reference=dec.f)
-        assert fe.numerically_zero(aoff - dec.g_of_t * (dec.P1 + T * dec.P2),
-                                   probes, tol=1e-9, reference=aoff)
-        assert fe.numerically_zero(boff - dec.g_of_t * dec.P3,
-                                   probes, tol=1e-9, reference=boff)
+        f = walked(dec.f, probes)
+        assert fe.numerically_zero(walked(dec.f - dec.P1 / dec.P3, probes),
+                                   tol=1e-10, reference=f)
+        assert fe.numerically_zero(walked(dec.h - dec.P2 / dec.P3, probes),
+                                   tol=1e-10, reference=f)
+        assert fe.numerically_zero(walked(aoff - dec.g_of_t * (dec.P1 + T * dec.P2), probes),
+                                   tol=1e-9, reference=walked(aoff, probes))
+        assert fe.numerically_zero(walked(boff - dec.g_of_t * dec.P3, probes),
+                                   tol=1e-9, reference=walked(boff, probes))
 
     def test_kitaev_factorization_is_trivial(self):
         # The Kitaev pair is given without matrices, so its off-diagonal
@@ -105,8 +107,10 @@ class TestDecompose:
         for b in probes:
             assert fe.evaluate(dec.g_of_t, b) == 1
             assert fe.evaluate(dec.P3, b) == 1
-        assert fe.numerically_zero(dec.P1 - dec.f, probes, tol=1e-14, reference=dec.f)
-        assert fe.numerically_zero(dec.P2 - dec.h, probes, tol=1e-14, reference=dec.h)
+        assert fe.numerically_zero(walked(dec.P1 - dec.f, probes), tol=1e-14,
+                                   reference=walked(dec.f, probes))
+        assert fe.numerically_zero(walked(dec.P2 - dec.h, probes), tol=1e-14,
+                                   reference=walked(dec.h, probes))
         # M = 1/(2t) is not constant, so there is no exponent A.
         assert dec.exponent_A is None
 
@@ -216,6 +220,50 @@ class TestProportionalSplit:
                            match=r"^cannot split q2: f \+ t h vanishes at all probes$"):
             reduction.decompose(self.pair(-t1 * h, h, fe.const(-1)), catalog.DEFAULT_X_BOX,
                                 catalog.DEFAULT_T_BOX)
+
+
+class TestOneEvaluator:
+    """decompose takes its decisions from array calls on one tape of (p2,
+    q2, a_off, b_off) and walks no point of a regular pair."""
+
+    SHIFTS = [("PIII.y1", "theta_inf"), ("PV.y_lin", "theta1"), ("PV.y_m1", "theta_inf"),
+              ("PVdeg.kitaev_sqrt", "kappa"), ("PVdeg.kitaev_sqrt", "mu")]
+
+    def test_one_tape_and_no_point_walk(self, monkeypatch):
+        entries = [catalog.lookup(entry_id) for entry_id in ALL_IDS]
+        for entry_id, name in self.SHIFTS:
+            default = catalog.lookup(entry_id).params_exact[name]
+            entries += [catalog.lookup(entry_id, {name: default + shift})
+                        for shift in (Fraction(1, 3), Fraction(-5, 7))]
+        pairs = [(entry.scalar_pair, entry.box_x, entry.box_t) for entry in entries]
+        tapes, walks = [], []
+        real_init, real_walk = fe._Tape.__init__, fe._evaluate
+
+        def recording_init(tape, *args):
+            tapes.append(tape)
+            real_init(tape, *args)
+
+        def recording_walk(*args):
+            walks.append(args)
+            return real_walk(*args)
+
+        monkeypatch.setattr(fe._Tape, "__init__", recording_init)
+        monkeypatch.setattr(fe, "_evaluate", recording_walk)
+        for sp, box_x, box_t in pairs:
+            del tapes[:]
+            reduction.decompose(sp, box_x, box_t)
+            assert len(tapes) == 1
+        assert walks == []
+        for name in ("_probe_values", "_values_at", "_ProbeSet"):
+            assert not hasattr(fe, name)
+
+    def test_singular_probe_errors_are_the_walks(self):
+        # theta1 = 2 puts a pole of PV.y_lin's matrices on the Frobenius
+        # grid, and a 0/0 in p2 at t = 1, one of the 9 t probes: the array
+        # values there are NaN, and the walk of p2 at (xa, 1) raises.
+        rep = verify.full_report("PV.y_lin", overrides={"theta1": Fraction(2)})
+        assert rep.errors == ["frobenius: complex division by zero",
+                              "reduction: division by zero"]
 
 
 class TestCaseFlags:
@@ -732,18 +780,18 @@ class TestInvariance:
 
     @pytest.mark.parametrize("entry_id", IDS)
     def test_jets_agree_with_differentiate(self, entry_id):
-        # Values and both derivatives of (phi, p_num, q_num, h), from the
-        # coefficient kernel's tape, against the point walk of
+        # Values and both derivatives of (phi, p_num, q_num), from the
+        # coefficient kernel's tape, against the one-point walk of
         # differentiate's output, relative to the largest of those values:
         # p_num vanishes to rounding on several entries, so its derivatives
         # are sums of terms of that size which cancel.
         dec = catalog.lookup(entry_id).decomposition
-        roots = (*dec._coeff_array.expr, dec.h)
+        roots = dec._coeff_array.expr
         xs, ts = _invariance_probes(dec)
         jets = fe._jets(dec._coeff_array.tape, np.array(xs), np.array(ts))
         assert len(jets) == len(roots)
-        want = [[np.array(fe._values_at(e if var is None else fe.differentiate(e, var),
-                                        xs, ts, {}))
+        points = [Binding(x, t) for x, t in zip(xs, ts)]
+        want = [[np.array(walked(e if var is None else fe.differentiate(e, var), points))
                  for var in (None, "x", "t")] for e in roots]
         scale = max(1.0, max(float(np.max(np.abs(w))) for row in want for w in row))
         for jet, row in zip(jets, want):
@@ -762,7 +810,8 @@ class TestInvariance:
             a = num / phi ** 2
             identity = (fe.differentiate(a, "t") - fe.differentiate(a, "x") / phi
                         + k * dec.h * a / phi)
-            got, scale = (np.array(v) for v in fe._values_at((identity, a), xs, ts, {}))
+            points = [Binding(x, t) for x, t in zip(xs, ts)]
+            got, scale = (np.array(walked(e, points)) for e in (identity, a))
             readings.append(np.max(np.abs(got) / np.maximum(1.0, np.abs(scale))))
         want = max(readings)
         assert abs(dec.invariance - want) <= 1e-13 + 1e-9 * want
@@ -771,7 +820,8 @@ class TestInvariance:
     def test_warm_reports_make_no_jet_walk(self, monkeypatch):
         # A decomposition runs its jets once, on its coefficient kernel's
         # tape; a warm report reads the reading it kept, a fresh entry runs
-        # them again.
+        # them again, after decompose took those of b_off alone (a view of
+        # its tape of (p2, q2, a_off, b_off)) for the exponent A.
         verify.full_report("PIII.y1")
         walks = []
         jets = fe._jets
@@ -787,8 +837,9 @@ class TestInvariance:
         params = dict(catalog.lookup("PIII.y1").params_exact)
         for _ in range(3):
             assert verify.full_report("PIII.y1", overrides=params).passed
-        assert len(walks) == 3
+        assert len(walks) == 6
         assert all(isinstance(tape, fe._Tape) for tape in walks)
+        assert [len(tape.outputs) for tape in walks] == [1, 3] * 3
 
     def test_replaced_decomposition_reads_its_own(self):
         # dataclasses.replace starts without the reading, so a mutated copy

@@ -1124,7 +1124,7 @@ class TestFullReport:
         assert rep.passed, rep.errors
         # One call takes the report's 16 t's.
         (flow_ts,) = flow_calls
-        assert len(flow_ts) == 16 and all(rect.contains(t) for t in flow_ts)
+        assert len(flow_ts) == 16 and all(rect.distance(t) == 0 for t in flow_ts)
         entry = catalog.lookup("PII.y0")
         grid = [(x, t) for x in entry.box_x.diagonal(5) for t in rect.diagonal(5)]
         assert rep.frobenius_max == scalarize.frobenius_residual_grid(entry.lax, grid)

@@ -1,5 +1,5 @@
-"""Time the expression walks and tapes, ``differentiate``, the E/S panel
-walks and a report.
+"""Time the expression tapes, ``differentiate``, ``decompose``, the E/S
+panel walks and a report.
 
 The DAGs are, for each of the 8 positive catalog entries at their default
 parameters, the three expressions (phi, p_num, q_num) of the kernel of the
@@ -7,21 +7,23 @@ reduced coefficients (``reduction.Decomposition._coeff_array``).  Each
 reading is the time to do one thing for all 8 entries, taken ``REPEAT``
 times; the minimum is the reading, the median and maximum show its spread:
 
-* ``list``: one walk of the three DAGs, on one memo, over the 12 joint
-  probes of the entry's boxes (``reduction.joint_probes``);
 * ``array``: one run of the coefficient kernel's tape (``expr._Tape``, as
-  ``expr.Kernel``'s array form runs it) at 201 joint probes;
+  ``expr.Kernel``'s array form runs it) at 201 joint probes of the
+  entry's boxes (``reduction.joint_probes``);
 * ``tape: build``: the coefficient kernel's tape built from its DAGs;
 * ``tape: jets``: first-order jets on that tape (``expr._jets``) at the
   24 probes of ``Decomposition.invariance``;
-* ``one-point``: the 12 list points walked one at a time, each on its own
-  memo (``expr.evaluate``'s walk);
 * ``differentiate (x, t)``: the derivatives of the three DAGs in x and in
   t, one call per DAG;
 * ``differentiate (root sets)``: the derivatives a fresh entry takes of
   several expressions in one variable: (f, h, G) in x and, for an entry
   with a Lax pair, the four entries of A in t and of B in x; one call per
   set where ``differentiate`` takes a tuple, else one per expression;
+* ``decompose (fresh entries)``: ``reduction.decompose`` of the scalar
+  pair of a fresh entry per free family of the bench's param-sweep
+  workload, at its default value of the parameter plus n/4096 (as in
+  ``fresh report``, on a counter of its own); the entries and their scalar
+  pairs are built outside the timed part;
 * ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
   the entry's x box, one panel walk per x from the basepoint, on a fresh
   reduced equation (so no memo hit) whose (h, f) kernel has run before;
@@ -65,14 +67,10 @@ times; the minimum is the reading, the median and maximum show its spread:
   stage.  What a report does around them (its draws, the map to the paper
   frame, the records) is in ``report`` alone.
 
-Run it from any directory:
+Run it from any directory, on a checkout with ``expr._Tape``:
 
     python tools/expr_timing.py                   # this checkout
     python tools/expr_timing.py --root ../other   # another checkout
-
-In a checkout without ``expr._Tape`` the ``array`` reading is the array
-walk of ``expr._probe_values``, the jets run on the DAGs, and ``tape:
-build`` is not taken.
 """
 
 from __future__ import annotations
@@ -89,7 +87,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-LIST_POINTS = 12
 WALK_POINTS = 32
 LATTICE = (32, 128)
 ARRAY_POINTS = 201
@@ -119,7 +116,6 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
     from fuchsreduce.config import Config
     from workloads import FREE_FAMILIES, _latin_hypercube
 
-    taped = hasattr(fe, "_Tape")
     try:
         fe.differentiate((fe.X,), "x")
         tupled = True
@@ -137,13 +133,11 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
             a, b = entry.lax.a, entry.lax.b
             root_sets += [((*a[0], *a[1]), "t"), ((*b[0], *b[1]), "x")]
         dags = dec._coeff_array.expr
-        points = reduction.joint_probes(entry.box_x, entry.box_t, LIST_POINTS)
         grid = reduction.joint_probes(entry.box_x, entry.box_t, ARRAY_POINTS)
-        cases.append((dags, [p.x for p in points], [p.t for p in points],
-                      np.array([p.x for p in grid]), np.array([p.t for p in grid])))
+        cases.append((dags, np.array([p.x for p in grid]), np.array([p.t for p in grid])))
         walks.append((dec, entry.basepoint_x, entry.box_x.diagonal(WALK_POINTS)))
         n = reduction._INVARIANCE_PROBES
-        jet_cases.append(((*dags, dec.h), dec._coeff_array.tape if taped else None,
+        jet_cases.append(((*dags, dec.h), dec._coeff_array.tape,
                           np.array(dec.box_x.diagonal(n)),
                           np.array(dec.box_t.diagonal(n)[::-1])))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
@@ -188,21 +182,10 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
                     post(x, t, pre_x(x), pre_t(t))
         return run
 
-    def walk_list():
-        for dags, xs, ts, _, _ in cases:
-            memo: dict = {}
-            for e in dags:
-                fe._probe_values(e, xs, ts, memo)
-
     def walk_array():
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for (dags, _, _, xa, ta), (_, tape, _, _) in zip(cases, jet_cases):
-                if taped:
-                    list(tape.values(tape.x_values(xa), ta))
-                    continue
-                memo: dict = {}
-                for e in dags:
-                    fe._probe_values(e, xa, ta, memo, True)
+            for (_, xa, ta), (_, tape, _, _) in zip(cases, jet_cases):
+                list(tape.values(tape.x_values(xa), ta))
 
     def build_tapes():
         for roots, *_ in jet_cases:
@@ -210,14 +193,7 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
 
     def jets():
         for roots, tape, xs, ts in jet_cases:
-            fe._jets(tape if taped else roots, xs, ts)
-
-    def walk_points():
-        for dags, xs, ts, _, _ in cases:
-            for x, t in zip(xs, ts):
-                memo: dict = {}
-                for e in dags:
-                    fe._probe_values(e, [x], [t], memo)
+            fe._jets(tape, xs, ts)
 
     def derive():
         for dags, *_ in cases:
@@ -233,9 +209,21 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
                 for e in roots:
                     fe.differentiate(e, var)
 
-    fresh_values = itertools.count(1)
+    fresh_values, decompose_values = itertools.count(1), itertools.count(1)
     defaults = [(entry_id, name, catalog.lookup(entry_id).params_exact[name])
                 for entry_id, name in FREE_FAMILIES]
+
+    def decompose_fresh() -> float:
+        """``decompose`` on a fresh entry per free family; the ms of the
+        decompose calls alone."""
+        step, elapsed = next(decompose_values) * FRESH_STEP, 0
+        for entry_id, name, default in defaults:
+            entry = catalog.lookup(entry_id, {name: default + step})
+            sp = entry.scalar_pair
+            start = time.perf_counter_ns()
+            reduction.decompose(sp, entry.box_x, entry.box_t)
+            elapsed += time.perf_counter_ns() - start
+        return elapsed / 1e6
 
     def fresh_report():
         step = next(fresh_values) * FRESH_STEP
@@ -306,13 +294,12 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
             for (module, attr), fn in zip(stages.values(), originals):
                 setattr(module, attr, fn)
 
-    jobs = {f"list ({LIST_POINTS} points)": walk_list,
-            f"array ({ARRAY_POINTS} points)": walk_array,
-            **({"tape: build": build_tapes} if taped else {}),
+    jobs = {f"array ({ARRAY_POINTS} points)": walk_array,
+            "tape: build": build_tapes,
             f"tape: jets ({reduction._INVARIANCE_PROBES} points)": jets,
-            f"one-point (x{LIST_POINTS})": walk_points,
             "differentiate (x, t)": derive,
             "differentiate (root sets)": derive_sets,
+            "decompose (fresh entries)": decompose_fresh,
             f"walk (x{WALK_POINTS})": walk_es,
             f"lattice ({LATTICE[0]} x {LATTICE[1]})": lattice,
             f"batch: flow ({len(flows)} x 16 t)": batch(flows),
@@ -325,13 +312,12 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
     times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
     # One round of fresh reports with the tape builds counted.
     builds = []
-    if taped:
-        real_init = fe._Tape.__init__
-        fe._Tape.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
-        try:
-            fresh_report()
-        finally:
-            fe._Tape.__init__ = real_init
+    real_init = fe._Tape.__init__
+    fe._Tape.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
+    try:
+        fresh_report()
+    finally:
+        fe._Tape.__init__ = real_init
     tapes = len(builds) / len(defaults)
     for job in (*jobs.values(), report_stages):
         job()   # warm-up
