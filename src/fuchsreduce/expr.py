@@ -7,10 +7,9 @@ provides exact differentiation, substitution of ``x`` or ``t``, a
 one-point walk (:func:`evaluate`), the value-numbered tape of a DAG
 (:class:`_Tape`), the one evaluator at many points, compilation of the tape
 to straight-line Python staged on x and on t (:func:`compile_expr`),
-kernels whose one batch form runs the tape and whose compiled code serves
-only per-point calls and the batch form's fallback (:class:`Kernel`),
-first-order jets and plain values on the tape for numerical decisions
-(:func:`_jets`, :func:`_sample`), one walker of adaptive
+kernels whose one batch form runs the tape (:class:`Kernel`), first-order
+jets and plain values on the tape for numerical decisions (:func:`_jets`,
+:func:`_sample`), one walker of adaptive
 Chebyshev panels along a straight segment, one panel at a time (contour
 quadrature, or the solve of a 2x2 linear ODE and its t-variation) and an
 infix printer.
@@ -27,8 +26,10 @@ themselves (the printer keeps its own precedence rules).  One traversal,
 differentiation and substitution go through it, and the tape numbers its
 nodes in that order in a pass of its own, with no per-node callback.
 :func:`evaluate` keeps its own recursion, as it takes a checked operand
-first; a decision on sampled values walks a point only where a value is not
-finite, to raise the walk's exception there (:func:`_finite`).
+first; a decision on sampled values, and a kernel's batch that raises or is
+not finite, walk a point only where a value is not finite, to raise the
+walk's exception there (:func:`_finite`).  Compiled code serves one caller
+alone, ``ReducedEquation.coefficients_at``.
 
 Design constraints:
 
@@ -362,7 +363,7 @@ def _principal_pow(base: complex, exponent: float) -> complex:
 def _principal_pow_array(base, exponent: float):
     """:func:`_principal_pow` on an array of bases.  A zero base with a
     non-positive exponent raises FloatingPointError, which sends the batch
-    back to the scalar form."""
+    to the walk (:func:`_finite`)."""
     base = np.asarray(base, dtype=complex)
     zero = base == 0
     if not zero.any():
@@ -587,7 +588,7 @@ def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
                 node = _Values(row.array(*operands), q)
                 jets[slot] = node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
             bad = ~np.isfinite(sum([jets[line[0]][0].v for line in tape.fused], 0j))
-    except _SAMPLE_ERRORS:
+    except ArithmeticError:
         jets, bad = [(0j, 0)] * len(jets), True
 
     def rows(slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -607,7 +608,7 @@ def _sample(tape: _Tape, xs: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
             vals = tape.x_values(xs)
             out = list(tape.values(vals, ts))
             bad = ~np.isfinite(sum([vals[line[0]] for line in tape.fused], 0j))
-    except _SAMPLE_ERRORS:
+    except ArithmeticError:
         out, bad = [0j] * len(tape.outputs), True
     return [np.where(bad, np.nan, np.broadcast_to(v, np.shape(xs))) for v in out]
 
@@ -679,14 +680,6 @@ def _finite(e: Expr, values: np.ndarray, xs, ts) -> np.ndarray:
     return values
 
 
-def _probe(roots: tuple[Expr, ...], xs: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
-    """The values of each root at the points ``(xs[k], ts[k])``, from one
-    :func:`_sample` of their tape, each root's then read through
-    :func:`_finite` in turn."""
-    vals = _sample(_Tape(roots), xs, ts)
-    return [_finite(e, v, xs, ts) for e, v in zip(roots, vals)]
-
-
 def substitute(e: Expr, x: Expr | complex | None = None,
                t: Expr | complex | None = None) -> Expr:
     """Replace ``x`` and/or ``t`` by an expression or a value and re-fold
@@ -725,9 +718,12 @@ def _literal(value: complex) -> str:
     return f"({re!r} - {abs(im)!r}j)"
 
 
-# What compiled code raises at a singular point, and so what rejects a probe
-# draw: ZeroDivisionError or OverflowError (ArithmeticErrors, as is numpy's
-# FloatingPointError), ValueError from a log of zero, and any ExprError.
+# What a per-point call raises at a singular point, and so what rejects a
+# probe draw: the walk's ExprError, or, from the compiled code of
+# ``ReducedEquation.coefficients_at``, ZeroDivisionError or OverflowError
+# (ArithmeticErrors) and ValueError from a log of zero.  The array runs
+# catch ArithmeticError alone (numpy's FloatingPointError among them), so a
+# broadcast mismatch propagates.
 _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
 
 
@@ -964,25 +960,14 @@ class Kernel:
     numpy arrays and never compiles.  Its values are, bit for bit, those
     of the compiled lines run on the same arrays: both render the tape's
     fused lines, and each applies its row's ``array`` function, as the
-    compiled line's array counterpart would.  The compiled code,
-    ``compile_expr(e)`` rendered from the tape once on first need and kept
-    (``_compiled()``), serves two callers
-    alone: per-point calls (``ReducedEquation.coefficients_at``), and the
-    batch form's fallback, which answers a batch that raises or is not
-    finite point by point, with the compiled values or the exception the
-    compiled code raises at the first bad point.  A kernel holds no
-    reference to itself.  A first use racing another may compile twice,
-    with the same result."""
+    compiled line's array counterpart would.  A batch that raises or is
+    not finite is answered as a decision on sampled values is: the run of
+    :func:`_sample`, then :func:`_finite`, expression by expression.  A
+    kernel holds no compiled form and no reference to itself."""
 
     def __init__(self, e: Expr | tuple[Expr, ...], tape: _Tape | None = None):
         self.expr = e
         self.tape = _Tape(e if isinstance(e, tuple) else (e,)) if tape is None else tape
-        self._fn: _Staged | None = None     # compile_expr(e), once compiled
-
-    def _compiled(self) -> _Staged:
-        if self._fn is None:
-            self._fn = compile_expr(self.expr, self.tape)
-        return self._fn
 
     def __call__(self, x, t, held: list | None = None):
         """The batch form: the values at numpy arrays of points.
@@ -990,12 +975,14 @@ class Kernel:
         ``x`` and ``t`` broadcast against each other; the result has their
         shape (a tuple of such arrays for a tuple kernel).  It is evaluated
         under ``np.errstate`` raising on divide, overflow and invalid.  A
-        batch that raises or yields a non-finite value is evaluated again by
-        the compiled scalar function, point by point, so it ends in the
-        scalar values or in the exception that function raises at the first
-        bad point.  ``held`` is :meth:`on_x`'s list of the values of the
-        tape's x-lines at ``x``, filled by its first call that they do not
-        raise in and copied by the calls after."""
+        batch that raises an ArithmeticError or yields a non-finite value
+        is run again with the NaNs of :func:`_sample` and each expression's
+        non-finite values walked (:func:`_finite`), so it ends in the
+        walk's values or in the exception the walk raises at the first bad
+        point of the first expression that has one.  ``held`` is
+        :meth:`on_x`'s list of the values of the tape's x-lines at ``x``,
+        filled by its first call that they do not raise in and copied by
+        the calls after."""
         x, t = np.asarray(x, dtype=complex), np.asarray(t, dtype=complex)
         # Where one side is a single point, the shape is the other's: no
         # np.broadcast, which costs a microsecond.
@@ -1014,18 +1001,17 @@ class Kernel:
             # sum is finite exactly when every value is.
             if cmath.isfinite(np.vdot(np.zeros(every.size, dtype=complex), every)):
                 return tuple(out) if isinstance(self.expr, tuple) else out[0]
-        except _SAMPLE_ERRORS:
+        except ArithmeticError:
             pass
-        # The batch raised or is not finite: the compiled code answers.
-        xs, ts = (np.broadcast_to(v, shape).ravel().tolist() for v in (x, t))
-        rows = np.array(list(map(self._compiled(), xs, ts)), dtype=complex)
-        if isinstance(self.expr, tuple):
-            return tuple(col.reshape(shape) for col in rows.T)
-        return rows.reshape(shape)
+        # The batch raised or is not finite: the walk answers.
+        xs, ts = np.broadcast_to(x, shape), np.broadcast_to(t, shape)
+        roots = self.expr if isinstance(self.expr, tuple) else (self.expr,)
+        out = [_finite(e, v, xs, ts) for e, v in zip(roots, _sample(self.tape, xs, ts))]
+        return tuple(out) if isinstance(self.expr, tuple) else out[0]
 
     def on_x(self, x: complex) -> Callable[[object], object]:
         """The array form on the line through the one point x: ``g(t)`` is
-        ``self([x], t)``, with its values, bit for bit, and its fallback.
+        ``self([x], t)``, with its values, bit for bit, and its walk.
         The tape's x-lines run at x on the first call of ``g``, which keeps
         their values unless they raise, and every later call runs only the
         other lines.  ``g`` holds the kernel and no reference to itself."""

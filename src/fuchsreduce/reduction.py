@@ -119,10 +119,12 @@ class Decomposition:
     probes, and reads the invariance identities afresh too
     (:attr:`invariance`).  The other underscored cached properties are the
     kernels of (h, f), of G and of (phi, p_num, q_num), phi = f + t h (see
-    :class:`ReducedEquation`), and the last on the line x = x0, the centre
-    of the x box (``expr.Kernel.on_x``), which
-    holds the values of its x-rows at x0; each is built on first use and
-    kept for the life of the decomposition.  The kernels of (h, f) and of G
+    :class:`ReducedEquation`), the last on the line x = x0, the centre
+    of the x box (``expr.Kernel.on_x``), which holds the values of its
+    x-rows at x0, and the compiled stages of (phi, p_num, q_num)
+    (``_coeff_stages``), which ``ReducedEquation.coefficients_at`` alone
+    runs; each is built on first use and kept for the life of the
+    decomposition.  The kernels of (h, f) and of G
     run one tape, of h, f and then G (G's a view, ``expr._Tape.view``): a
     report reads both, and G's lines hold most or all of f's and h's.
     ``dataclasses.replace`` starts without any cached property."""
@@ -148,12 +150,12 @@ class Decomposition:
     def _fh_flags(self) -> tuple[bool, bool]:
         xs = np.array(self.box_x.diagonal(7))
         ts = np.full(7, self.box_t.diagonal(7)[1])
-        return _fh_zero(*fe._probe((self.f, self.h, self.sp.p2), xs, ts))
+        return _fh_zero(*fe.Kernel((self.f, self.h, self.sp.p2))(xs, ts))
 
     @cached_property
     def _m_flags(self) -> tuple[bool, bool]:
         ts = np.array(self.box_t.diagonal(9))
-        return _m_zero(*fe._probe((self.M,), np.full(9, self.box_x.center), ts))
+        return _m_zero(fe.Kernel(self.M)(self.box_x.center, ts))
 
     @property
     def f_zero(self) -> bool:
@@ -186,6 +188,10 @@ class Decomposition:
             fe.add(fe.mul(p1, G), q1),
         )
         return fe.Kernel((phi, p_num, q_num))
+
+    @cached_property
+    def _coeff_stages(self) -> fe._Staged:
+        return fe.compile_expr(self._coeff_array.expr, self._coeff_array.tape)
 
     @cached_property
     def invariance(self) -> float:
@@ -444,8 +450,8 @@ class ReducedEquation:
     P = p_num / (phi^2 E) and Q = q_num / (phi E)^2 with phi = f + t h, from
     the decomposition's kernel of (phi, p_num, q_num): many t at the centre
     x0 of the x box in one array call (:meth:`coefficients_at_x0`), or one
-    point on the stages of its compiled form (:meth:`coefficients_at`),
-    which agree to rounding.
+    point on the stages of its compiled form (:meth:`coefficients_at`, the
+    one caller of compiled code), which agree to rounding.
     The gates on phi^2 E and (phi E)^2 are the one rule for a degenerate
     point, where tau_x = phi E vanishes; a point where the kernel itself
     raises is rejected by the kernel's own exception
@@ -561,11 +567,12 @@ class ReducedEquation:
 
     def _first_use(self, x: complex, t: complex) -> tuple[complex, complex]:
         """:meth:`coefficients_at` at a point whose x or t is not memoized,
-        on the stages of the coefficient kernel's compiled form: the t-stage
-        values are memoized once computed, and E(x), the x-stage values and
+        on the coefficient kernel's compiled stages, compiled once per
+        decomposition (``Decomposition._coeff_stages``): the t-stage values
+        are memoized once computed, and E(x), the x-stage values and
         the (x, t)-stage once the point has passed, so a point whose
         (x, t)-stage, E walk or gate raises leaves no x memo."""
-        pre_x, pre_t, post = self.dec._coeff_array._compiled()
+        pre_x, pre_t, post = self.dec._coeff_stages
         if t not in self._cache_t:
             self._cache_t[t] = pre_t(t)
         e, xv, post = self._cache_x.get(x) or (None, pre_x(x), post)

@@ -136,9 +136,8 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
 
     if probes is not None:
         xs, ts = (np.array(v, dtype=complex) for v in zip(*((p.x, p.t) for p in probes)))
-        vals = fe._sample(fe._Tape((aoff, boff)), xs, ts)
-        for name, entry, v in zip(("a-offdiag", "b-offdiag"), (aoff, boff), vals):
-            if fe.numerically_zero(fe._finite(entry, v, xs, ts)):
+        for name, v in zip(("a-offdiag", "b-offdiag"), fe.Kernel((aoff, boff))(xs, ts)):
+            if fe.numerically_zero(v):
                 raise VanishingOffDiagonalError(
                     f"{name} entry vanishes on the probe set; "
                     f"cannot scalarize the {component} component"

@@ -109,7 +109,7 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
     ts = entry.box_t.diagonal(9)
     pts = [(xs[1], ts[5]), (xs[6], ts[2]), (xs[3], ts[7]), (xs[7], ts[1])]
     ours = [red.tau_at(x, t) for x, t in pts]
-    paper = fe._probe((cf,), *(np.array(v) for v in zip(*pts)))[0].tolist()
+    paper = fe.Kernel(cf)(*(np.array(v) for v in zip(*pts))).tolist()
     if abs(ours[1] - ours[0]) < 1e-12:
         raise VerifyError("degenerate tau samples for the frame fit")
     a = (paper[1] - paper[0]) / (ours[1] - ours[0])
@@ -372,9 +372,9 @@ def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
     the exact t-derivative of the solutions transported in t; it equals
     B Phi along the segment only where the two systems are compatible.
     Returns the dense output over the arclength [0, |x1 - x0|], with rows
-    (Phi1, Phi2, Psi1, Psi2).  A singular coefficient raises the compiled
-    kernel's own exception, or, in B at the start, the one-point walk's
-    (``expr.evaluate``); a segment of zero
+    (Phi1, Phi2, Psi1, Psi2).  A singular coefficient raises the one-point
+    walk's exception (``expr.evaluate``), from the kernel's batch on a panel
+    as from B at the start; a segment of zero
     length, an unresolved panel, an exhausted panel budget or a non-finite
     coefficient or solution value raises :class:`expr.QuadratureError`."""
     systems = prep.entry.linear_systems

@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "fe2d4394ff0a4a5aa8f723fbbe8277bd3f2602f7d54661113a8a356282d551aa"
+PINNED = "1f3380297324383d444b2d87fca5032c659be35a47ad315c0c37ac1be07cfc49"
 
 
 def _load(monkeypatch, path: Path, name: str):

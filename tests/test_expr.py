@@ -546,8 +546,9 @@ class TestCompileSharing:
         # A tuple kernel's array form, on its first call and on its second,
         # gives bit for bit the array forms of one kernel per expression
         # where its batch stands; where it does not (it raised or is not
-        # finite, so the kernel compiled), the compiled function's values,
-        # or what that raises at the first bad point (class and message).
+        # finite), the walk's values to rounding (bit for bit where not
+        # finite), or what the walk raises first, expression by expression
+        # and point by point (class and message).
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         trees = _raw_trees(st)
@@ -557,23 +558,43 @@ class TestCompileSharing:
                       database=None)
         @hyp.given(st.tuples(trees, trees), st.lists(points, min_size=1, max_size=4), points)
         def check(e, xs, t):
-            f = fe.compile_expr(e)
-            want = _call_message(lambda: [f(x, t) for x in xs])
+            want = _call_message(lambda: [[_walk_one(part, x, t) for x in xs] for part in e])
             kernel = fe.Kernel(e)
             got = _call_message(called_twice, kernel, np.array(xs), t)
             if not isinstance(want, list):
                 assert got == want
                 return
-            if kernel._fn is not None:
-                assert _result_bits(got) == _result_bits(
-                    tuple(np.array(col) for col in zip(*want)))
+            if not _batch_stands(kernel, np.array(xs), t):
+                for values, walked in zip(got, want):
+                    _assert_walked(values.tolist(), walked)
                 return
             singles = [fe.Kernel(part) for part in e]
             parts = tuple(called_twice(single, np.array(xs), t) for single in singles)
-            assert [single._fn for single in singles] == [None, None]
             assert _result_bits(got) == _result_bits(parts)
 
         check()
+
+
+def _batch_stands(kernel, x, t):
+    """Whether the kernel's batch at ``(x, t)`` stands: its tape's run
+    raises no floating-point error and every output is finite."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = list(kernel.tape.values(kernel.tape.x_values(np.asarray(x, dtype=complex)),
+                                          np.asarray(t, dtype=complex)))
+    except ArithmeticError:
+        return False
+    return all(np.isfinite(v).all() for v in out)
+
+
+def _assert_walked(got, walked):
+    """Each value of ``got`` is the walk's to rounding, bit for bit where
+    the walk's is not finite."""
+    for g, want in zip(got, walked, strict=True):
+        if cmath.isfinite(want):
+            assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
+        else:
+            assert _bits(g) == _bits(want)
 
 
 def _reprs(value):
@@ -820,34 +841,36 @@ class TestArrayForm:
 
     @pytest.mark.parametrize("e, bad, error", [
         (fe.div(fe.const(1), fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))), 1.5,
-         ZeroDivisionError),
-        (fe.log(fe.sub(X, fe.const(1.5))), 1.5, ValueError),
-        (fe.exp(fe.mul(fe.const(1000), X)), 1.0, OverflowError),
+         (fe.SingularEvaluationError, "division by zero")),
+        (fe.log(fe.sub(X, fe.const(1.5))), 1.5, (fe.SingularEvaluationError, "log of zero")),
+        (fe.exp(fe.mul(fe.const(1000), X)), 1.0, (OverflowError, "math range error")),
         (fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(-1, 2)), 1.5,
-         fe.SingularEvaluationError),
-        (fe.ipow(fe.sub(X, fe.const(1.5)), -2), 1.5, ZeroDivisionError),
+         (fe.SingularEvaluationError, "0 raised to a non-positive fractional power")),
+        (fe.ipow(fe.sub(X, fe.const(1.5)), -2), 1.5,
+         (fe.SingularEvaluationError, "pole: 0 raised to a negative power")),
     ], ids=["pole-under-reciprocal", "log-zero", "exp-overflow", "zero-fpow",
             "zero-ipow"])
     def test_singular_point_raises_scalar_exception(self, e, bad, error):
         # numpy would return inf or nan here (and 1/(1/0) is a finite 0);
-        # the batch goes back to the scalar form, which raises, on the
-        # kernel's first call and on its second.
-        f = fe.compile_expr(e)
-        with pytest.raises(error):
-            f(bad, 0j)
-        with pytest.raises(error):
-            called_twice(fe.Kernel(e), np.array([0.5, bad, 1.25]), 0j)
+        # the batch goes to the one-point walk, which raises its own
+        # exception, on the kernel's first call and on its second.
+        assert _call_message(fe.evaluate, e, Binding(bad, 0j)) == error
+        assert _call_message(called_twice, fe.Kernel(e), np.array([0.5, bad, 1.25]), 0j) \
+            == error
         assert np.all(np.isfinite(called_twice(fe.Kernel(e), np.array([0.25, 0.5]), 0j)))
 
-    def test_non_finite_batch_is_answered_by_the_scalar_form(self):
+    def test_non_finite_batch_is_answered_by_the_scalar_form(self, monkeypatch):
         # A NaN point raises no floating-point error, but the batch's values
-        # are not all finite: the compiled scalar function answers it.
+        # are not all finite: the walk answers that point alone, and the
+        # others keep the batch's values, which are the walk's here.
         kernel = fe.Kernel(fe.add(fe.mul(X, fe.const(2)), T))
         xs = np.array([1.0, complex("nan"), 0.5j])
+        walked, walk = [], fe.evaluate
+        monkeypatch.setattr(fe, "evaluate", lambda e, b: walked.append(b.x) or walk(e, b))
         got = kernel(xs, 0.25)
-        f = fe.compile_expr(kernel.expr)
-        assert [_bits(v) for v in got.tolist()] == [_bits(f(x, 0.25)) for x in xs.tolist()]
-        assert kernel._fn is not None
+        assert [_bits(v) for v in got.tolist()] == \
+            [_bits(walk(kernel.expr, Binding(x, 0.25))) for x in xs.tolist()]
+        assert len(walked) == 1 and cmath.isnan(walked[0])
 
     def test_zero_base_positive_fractional_power(self):
         kernel = fe.Kernel(fe.fpow(fe.sub(X, fe.const(1.5)), Fraction(1, 2)))
@@ -855,9 +878,10 @@ class TestArrayForm:
         assert got[0] == 0 and got[1] == pytest.approx(1.0)
 
     def test_array_form_property(self):
-        # Where the batch stands (no error, every value finite), its values
-        # are those of the compiled lines run on the same arrays, bit for
-        # bit, signed zeros included.
+        # The values are the walk's to rounding, or the walk's exception at
+        # the first point it raises at.  Where the batch stands (no error,
+        # every value finite), they are those of the compiled lines run on
+        # the same arrays, bit for bit, signed zeros included.
         hyp = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         points = st.sampled_from(_PROPERTY_POINTS)
@@ -867,19 +891,15 @@ class TestArrayForm:
         @hyp.given(_raw_trees(st), st.lists(points, min_size=1, max_size=5), points)
         def check(e, xs, t):
             f = fe.compile_expr(e)
-            scalar = [_call(f, x, t) for x in xs]
-            got = _call(called_twice, fe.Kernel(e), np.array(xs), t)
-            raised = [v for v in scalar if isinstance(v, type)]
+            scalar = [_call_message(_walk_one, e, x, t) for x in xs]
+            got = _call_message(called_twice, fe.Kernel(e), np.array(xs), t)
+            raised = [v for v in scalar if isinstance(v, tuple)]
             if raised:
-                # The scalar form is run point by point, in order.
-                assert got is raised[0]
+                # The walk runs point by point, in order.
+                assert got == raised[0]
                 return
             assert got.shape == (len(xs),)
-            for g, want in zip(got.tolist(), scalar):
-                if cmath.isfinite(want):
-                    assert abs(g - want) <= 1e-9 * max(1.0, abs(want))
-                else:
-                    assert _bits(g) == _bits(want)
+            _assert_walked(got.tolist(), scalar)
             pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in f)
             x, tt = np.array(xs, dtype=complex), np.asarray(t, dtype=complex)
             try:
@@ -982,6 +1002,29 @@ def _nan_bits(values):
     there)."""
     return [tuple("nan" if math.isnan(p) else struct.pack("<d", p) for p in (z.real, z.imag))
             for z in np.ravel(np.asarray(values, dtype=complex)).tolist()]
+
+
+class TestMismatchedGrids:
+    """The three array runs catch ArithmeticError alone: point grids that
+    do not broadcast are the caller's error, raised as numpy's ValueError,
+    never read as a singular batch whose values are all NaN."""
+
+    E = fe.add(fe.mul(X, T), fe.exp(X))
+
+    def test_kernel(self):
+        with pytest.raises(ValueError):
+            fe.Kernel(self.E)(np.ones(3), np.ones(4))
+
+    def test_sample(self):
+        with pytest.raises(ValueError):
+            fe._sample(fe._Tape((self.E,)), np.ones(3, dtype=complex), np.ones(4, dtype=complex))
+
+    def test_jets(self):
+        # Grids of one shape, (3, 23), against which the jets' (2, 1)
+        # gradient columns do not broadcast.
+        grid = np.ones((3, 23), dtype=complex)
+        with pytest.raises(ValueError):
+            fe._jets(fe._Tape((self.E,)), grid, grid)
 
 
 def _integral_in_x(e, path, t=0j):
@@ -1134,18 +1177,14 @@ class TestMultiSegmentPanels:
         red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
         # The walk's first kernel call runs the tape, which raises at the
-        # pole; the compiled kernel answers with its ZeroDivisionError.
-        assert dec._hf_array._fn is None
-        with pytest.raises(fe.QuadratureError) as info:
+        # pole; the one-point walk answers with its own exception.
+        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
             fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends[0], 1e-13)
-        assert isinstance(info.value.__cause__, ZeroDivisionError)
-        assert dec._hf_array._fn is not None
         for x in ends[1:]:
             e, s = fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, x, 1e-13)
             assert (red.E(x), red.S(x)) == (cmath.exp(e), s)
-        with pytest.raises(fe.QuadratureError) as info:
+        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
             red.E(ends[0])
-        assert isinstance(info.value.__cause__, ZeroDivisionError)
         assert set(red._cache_ES) == set(ends[1:])
 
     def test_depth_cap_applies_per_segment(self, monkeypatch):
@@ -1216,7 +1255,7 @@ class TestNumericallyZero:
     def test_exact_cancellation(self):
         e = X - X
         probes = [Binding(x=1.0 + 0.1j * k, t=0j) for k in range(8)]
-        assert fe.numerically_zero(fe._probe((e,), *_probe_arrays(probes))[0])
+        assert fe.numerically_zero(fe.Kernel(e)(*_probe_arrays(probes)))
 
     def test_entry_with_vanishing_h(self, prep):
         # h vanishes identically for the first flat reduction case.
@@ -1247,10 +1286,10 @@ class TestNumericallyZero:
     def _one_pass(e, probes, tol=1e-10, reference=None):
         """The verdict, or (class, message) of the exception, of
         ``numerically_zero`` on the values of ``e`` and ``reference`` from
-        one array call on their tape (``expr._probe``)."""
+        one call of their kernel."""
         roots = (e,) if reference is None else (e, reference)
         try:
-            vals = fe._probe(roots, *_probe_arrays(probes))
+            vals = fe.Kernel(roots)(*_probe_arrays(probes))
             return fe.numerically_zero(vals[0], tol, None if reference is None else vals[1])
         except Exception as exc:  # noqa: BLE001 - compared by class and message
             return type(exc), str(exc)
@@ -1308,7 +1347,7 @@ class TestNumericallyZero:
         for _ in range(60):
             e = fe.mul(fe.add(e, e), fe.const(0.5))
         probes = [Binding(x=1.0 + 0.25j * k, t=0j) for k in range(8)]
-        e_v, diff_v = fe._probe((e, fe.sub(e, X)), *_probe_arrays(probes))
+        e_v, diff_v = fe.Kernel((e, fe.sub(e, X)))(*_probe_arrays(probes))
         assert fe.numerically_zero(diff_v, reference=e_v)
         assert not fe.numerically_zero(e_v)
         walk, visits = fe._evaluate, []
@@ -1323,18 +1362,18 @@ class TestNumericallyZero:
 
     def test_several_points_raise_the_first_points_exception(self):
         # At x = 2 the log is regular and the division fails; at x = 1 the
-        # log fails first.  The array call gives neither point a finite
+        # log fails first.  The kernel's batch gives neither point a finite
         # value, and the points are walked in order: the first point's
         # error is raised.
         e = fe.log(X - 1) + 1 / (X - 2)
         xs, ts = np.array([2.0, 1.0], dtype=complex), np.zeros(2, dtype=complex)
         first = (fe.SingularEvaluationError, "division by zero")
         assert _call_message(_tree_walk, e, Binding(x=2.0)) == first
-        assert _call_message(fe._probe, (e,), xs, ts) == first
+        assert _call_message(fe.Kernel(e), xs, ts) == first
         probes = [Binding(x=x, t=0j) for x in xs]
         assert self._one_pass(e, probes) == first
         assert self._one_pass(fe.const(1), probes, reference=e) == first
-        assert _call_message(fe._probe, (e,), xs[::-1], ts) == \
+        assert _call_message(fe.Kernel(e), xs[::-1], ts) == \
             (fe.SingularEvaluationError, "log of zero")
 
 

@@ -4,9 +4,9 @@ compiles.
 A catalog entry owns its scalar pair, its decomposition and their kernels;
 a prepare call owns only its memos.  An expression kernel
 (``expr.Kernel``) has one batch form, which runs its tape and gives bit
-for bit the values of its compiled lines run on the same arrays; its
-compiled code serves only per-point calls (``coefficients_at``) and the
-fallback of a batch that raises or is not finite.  Every kernel a report
+for bit the values of its compiled lines run on the same arrays; a batch
+that raises or is not finite is answered by the one-point walk, and
+compiled code serves ``coefficients_at`` alone.  Every kernel a report
 calls runs in batch form, the flow and Frobenius kernels included, so no
 report compiles anything, a fresh entry's or a warm one's; the Frobenius
 kernel and the walk matrix (A, dA/dt) run views of one tape, as do the
@@ -109,8 +109,7 @@ class TestKernelLifetime:
         assert [len(t.outputs) for t in tapes if not any(t is k for k in kept)] == [2, 4, 1]
         assert lax.a_dadt_array.tape.lines is lax.frobenius_fns.tape.lines
         assert dec._G_array.tape.lines is dec._hf_array.tape.lines
-        kernels += [lax.a_dadt_array, dec._G_array]
-        assert [k._fn for k in kernels] == [None] * 6
+        assert "_coeff_stages" not in dec.__dict__
 
     def test_three_reports_compile_nothing(self, monkeypatch):
         # On a fresh copy of each entry, served as the entry by lookup,
@@ -134,7 +133,7 @@ class TestKernelLifetime:
                 kernels.append(entry.lax.frobenius_fns)
                 # The walk matrix runs a view of the Frobenius kernel's tape.
                 assert systems.a_dadt_array.tape.lines is entry.lax.frobenius_fns.tape.lines
-            assert [k._fn for k in kernels] == [None] * len(kernels), entry_id
+            assert "_coeff_stages" not in dec.__dict__, entry_id
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_coefficient_kernel_tiers(self, monkeypatch, entry_id):
@@ -172,7 +171,7 @@ class TestKernelLifetime:
         assert calls == [((1,), (32,), True)] * 3
         assert x_runs == [1]
         assert dec._coeff_array.expr not in compiled
-        assert dec._coeff_array._fn is None
+        assert "_coeff_stages" not in dec.__dict__
         assert len(set(reports)) == 1
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
@@ -250,7 +249,7 @@ class TestKernelLifetime:
         second.red.tau_at(2.1 - 0.05j, 1.1)
         second.red.coefficients_at(2.1 - 0.05j, 1.1)
         assert first.red._cache_x[1.7 + 0.1j][2] is second.red._cache_x[2.1 - 0.05j][2] \
-            is entry.decomposition._coeff_array._fn[2]
+            is entry.decomposition._coeff_stages[2]
         assert 2.1 - 0.05j not in first.red._cache_ES
         assert 1.7 + 0.1j not in second.red._cache_ES
         assert list(first.red._cache_x) == [1.7 + 0.1j]
@@ -305,7 +304,7 @@ class TestKernelLifetime:
         assert len(sources) == 1
         assert batched[0] == batched[1]
         assert all(isinstance(pq, tuple) for pq in batched[0])
-        fn = dec._coeff_array._compiled()
+        fn = dec._coeff_stages
         assert (len(compiled), len(sources)) == (1, 1)
         want = [reduction._reduced(x, [t], *zip(fn(x, t)), red.E(x))[0] for x, t in points]
         assert _reprs(at) == _reprs(want)
@@ -333,7 +332,7 @@ class TestKernelLifetime:
         for x in xs:
             for t in ts:
                 red.coefficients_at(x, t)
-        assert dec._coeff_array._fn is not None
+        assert "_coeff_stages" in dec.__dict__
         assert [len(roots) for roots in builds if roots[0] is dec._coeff_array.expr[0]] == [3]
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
@@ -359,7 +358,7 @@ class TestKernelLifetime:
             for slot, kind, *_ in tape.fused:
                 if kind == "neg":
                     assert set(readers[slot]) != {"add"}, (entry_id, slot)
-            assert _n_lines(kernel._compiled()) == len(tape.fused)
+            assert _n_lines(fe.compile_expr(kernel.expr, tape)) == len(tape.fused)
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
@@ -382,14 +381,14 @@ class TestKernelLifetime:
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
                             or compile(src, *args), raising=False)
         for kernel in kernels:
-            kernel._compiled()
+            fe.compile_expr(kernel.expr, kernel.tape)
             fe.compile_expr(kernel.expr)
             assert sources[-2] == sources[-1]
         points = [(x, t) for x in entry.box_x.diagonal(3) for t in entry.box_t.diagonal(3)]
         for kernel in views:
-            own = fe.compile_expr(kernel.expr)
-            assert _n_lines(kernel._compiled()) == _n_lines(own)
-            assert [_reprs(kernel._compiled()(x, t)) for x, t in points] == \
+            own, viewed = fe.compile_expr(kernel.expr), fe.compile_expr(kernel.expr, kernel.tape)
+            assert _n_lines(viewed) == _n_lines(own)
+            assert [_reprs(viewed(x, t)) for x, t in points] == \
                 [_reprs(own(x, t)) for x, t in points]
 
     def test_also_roots_add_no_compiled_line(self, monkeypatch):
@@ -401,7 +400,7 @@ class TestKernelLifetime:
         sources = []
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
                             or compile(src, *args), raising=False)
-        kernel._compiled()
+        fe.compile_expr(kernel.expr, kernel.tape)
         fe.compile_expr(kernel.expr)
         assert sources[0] == sources[1]
         assert "_log" not in sources[0]
@@ -524,10 +523,10 @@ class TestStagedKernel:
                 return fn(*args)
             return wrapper
 
-        # The stages coefficients_at runs are the kernel's compiled form.
-        kernel = red.dec._coeff_array
-        monkeypatch.setattr(kernel, "_fn", fe._Staged(
-            counting(name, stage) for name, stage in zip(calls, kernel._compiled())))
+        # The stages coefficients_at runs are the decomposition's compiled
+        # form of the coefficient kernel.
+        monkeypatch.setitem(red.dec.__dict__, "_coeff_stages", fe._Staged(
+            counting(name, stage) for name, stage in zip(calls, red.dec._coeff_stages)))
         box_x, box_t = prep.entry.box_x, prep.entry.box_t
         xs = [complex(box_x.re_lo + (k + 0.5) / 32 * (box_x.re_hi - box_x.re_lo), 0.05)
               for k in range(32)]
@@ -674,22 +673,32 @@ def _outcome(call, *args):
         return type(exc)
 
 
+def _message(call, *args):
+    """What ``call(*args)`` returns, as ``_reprs``, or the class and message
+    of the sample error it raises."""
+    try:
+        return _reprs(call(*args))
+    except fe._SAMPLE_ERRORS as exc:
+        return type(exc), str(exc)
+
+
 class TestTierEquivalence:
     """A kernel's one batch form runs its tape and gives, bit for bit, the
     values of its compiled lines run on the same arrays; a batch that
-    raises is answered by the compiled scalar code."""
+    raises is answered by the one-point walk (``expr.evaluate``)."""
 
     @pytest.mark.parametrize("name", _KERNELS)
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_walked_and_compiled_calls_agree(self, entry_id, name):
         # Every kernel of every entry, called as a report calls it: its
         # first call (which builds the tape) and its second agree with the
-        # compiled lines on arrays, and neither compiles the kernel.
+        # compiled lines on arrays, and the kernel keeps nothing but its
+        # expressions and its tape.
         kernel, args = _new_kernel_call(catalog.lookup(entry_id), name)
         first = kernel(*args)
         assert _reprs(first) == _reprs(_compiled_on_arrays(kernel.expr)(*args))
         assert _reprs(kernel(*args)) == _reprs(first)
-        assert kernel._fn is None
+        assert sorted(vars(kernel)) == ["expr", "tape"]
 
     def test_tape_and_compiled_arrays_raise_alike(self):
         # Batches with a pole, a log of zero, an overflowing exp, a zero
@@ -697,8 +706,8 @@ class TestTierEquivalence:
         # by zero at some point, and a regular batch.  The tape raises, with
         # the same class, exactly where the compiled lines on arrays do, and
         # gives their values elsewhere; the kernel answers each bad batch
-        # with the exception the compiled scalar function raises at its
-        # first bad point.
+        # with the exception the walk raises at its first bad point,
+        # expression by expression (class and message).
         pole = fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5)))
         cases = [
             (fe.add(fe.mul(pole, fe.T), fe.exp(fe.X)), [1.25, 1.5, 1.75], 0.5),
@@ -724,37 +733,64 @@ class TestTierEquivalence:
             want = _outcome(_compiled_on_arrays(e), x, t)
             assert _outcome(run) == want, e
             if isinstance(want, type):
-                f = fe.compile_expr(e)
-                points = zip(*(np.broadcast_to(v, shape).tolist() for v in (x, t)))
-                scalar = _outcome(lambda: [f(*point) for point in points])
-                assert isinstance(scalar, type)
-                assert _outcome(kernel, x, t) == scalar
-                raised.append((want, scalar))
-        assert raised == [(FloatingPointError, ZeroDivisionError),
-                          (FloatingPointError, ValueError),
-                          (FloatingPointError, OverflowError),
-                          (FloatingPointError, fe.SingularEvaluationError),
-                          (ZeroDivisionError, ZeroDivisionError)]
+                points = list(zip(*(np.broadcast_to(v, shape).tolist() for v in (x, t))))
+                walked = _message(lambda: [fe.evaluate(part, fe.Binding(*point))
+                                           for part in (e if isinstance(e, tuple) else (e,))
+                                           for point in points])
+                assert _message(kernel, x, t) == walked
+                raised.append((want, walked))
+        singular = fe.SingularEvaluationError
+        assert raised == [(FloatingPointError, (singular, "division by zero")),
+                          (FloatingPointError, (singular, "log of zero")),
+                          (FloatingPointError, (OverflowError, "math range error")),
+                          (FloatingPointError,
+                           (singular, "0 raised to a non-positive fractional power")),
+                          (ZeroDivisionError, (singular, "division by zero"))]
 
     def test_singular_frobenius_grid_raises_alike(self):
         # theta1 = 2 puts a pole of PV.y_lin's matrices on the 5 x 5 grid.
-        # The batch raises there, so each call is answered by the compiled
-        # kernel, which raises its exception; the report records it.
+        # The batch raises there, so each call is answered by the walk,
+        # which raises its exception; the report records it.
         overrides = {"theta1": Fraction(2)}
         entry = catalog.lookup("PV.y_lin", overrides)
         kernel = entry.lax.frobenius_fns
         xs, ts = (np.array(v) for v in zip(*entry.grid_points()))
         for _ in range(2):
-            with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+            with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
                 kernel(xs, ts)
-        assert kernel._fn is not None
         rep = verify.full_report("PV.y_lin", overrides=overrides)
-        assert "frobenius: complex division by zero" in rep.errors
+        assert "frobenius: division by zero" in rep.errors
+
+    def test_singular_report_compiles_nothing(self, monkeypatch):
+        # The report of that entry fails its Frobenius and reduction stages,
+        # each by the walk's SingularEvaluationError, and compiles nothing.
+        compiled, raised = [], {}
+        real_compile = fe.compile_expr
+        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
+                            or real_compile(e, *tape))
+
+        def recording(name, run):
+            def call(*args):
+                try:
+                    return run(*args)
+                except Exception as exc:  # noqa: BLE001 - recorded and raised again
+                    raised[name] = exc
+                    raise
+            return call
+
+        monkeypatch.setattr(verify.scal, "frobenius_residual_grid",
+                            recording("frobenius", verify.scal.frobenius_residual_grid))
+        monkeypatch.setattr(verify, "prepare", recording("reduction", verify.prepare))
+        rep = verify.full_report("PV.y_lin", overrides={"theta1": Fraction(2)})
+        assert rep.errors == ["frobenius: division by zero", "reduction: division by zero"]
+        assert {name: type(exc) for name, exc in raised.items()} == \
+            {"frobenius": fe.SingularEvaluationError, "reduction": fe.SingularEvaluationError}
+        assert compiled == []
 
     def test_singular_batch_raises_alike(self):
         # A pole on one point of a batch: numpy's batch raises, and every
-        # call ends in the compiled scalar exception at that point.
+        # call ends in the walk's exception at that point.
         kernel = fe.Kernel(fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5))))
         for _ in range(2):
-            with pytest.raises(ZeroDivisionError, match="^complex division by zero$"):
+            with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
                 kernel(np.array([1.25, 1.5, 1.75]), 0j)

@@ -254,15 +254,16 @@ class TestOneEvaluator:
             reduction.decompose(sp, box_x, box_t)
             assert len(tapes) == 1
         assert walks == []
-        for name in ("_probe_values", "_values_at", "_ProbeSet"):
+        for name in ("_probe_values", "_values_at", "_ProbeSet", "_probe"):
             assert not hasattr(fe, name)
 
     def test_singular_probe_errors_are_the_walks(self):
         # theta1 = 2 puts a pole of PV.y_lin's matrices on the Frobenius
         # grid, and a 0/0 in p2 at t = 1, one of the 9 t probes: the array
-        # values there are NaN, and the walk of p2 at (xa, 1) raises.
+        # values there are NaN, and the walk of p2 at (xa, 1) raises.  The
+        # Frobenius kernel's batch is answered by the walk too.
         rep = verify.full_report("PV.y_lin", overrides={"theta1": Fraction(2)})
-        assert rep.errors == ["frobenius: complex division by zero",
+        assert rep.errors == ["frobenius: division by zero",
                               "reduction: division by zero"]
 
 
@@ -426,8 +427,8 @@ class TestOnePassStages:
     def test_a_fallback_of_f_takes_h_from_the_scalar_form(self):
         # f = h + 1/((x - x + 1e200) 1e200) overflows in numpy but not in
         # Python, whose complex product is inf + 0j and 1/(inf + 0j) = 0, so
-        # every batch of the (h, f) kernel is evaluated again point by
-        # point, h included.  numpy's
+        # every point of every batch of the (h, f) kernel is walked, h
+        # included.  numpy's
         # complex division and Python's round differently, so these h
         # samples differ from those of h's own kernel in the last places
         # (and E and S with them), though never by more than rounding.
@@ -440,14 +441,12 @@ class TestOnePassStages:
             exponent_A=None, box_x=catalog.DEFAULT_X_BOX, box_t=catalog.DEFAULT_T_BOX,
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(f, fe.mul(T, h)), q2=zero))
         xs = (np.linspace(1.1, 2.5, 64) + 0.1j).tolist()
-        h_scalar, f_scalar = fe.compile_expr(h), fe.compile_expr(f)
         h_own = fe.Kernel(h)(xs, 0j)
-        # The batch falls back to the scalar values on the kernel's first
-        # call, which compiles it, and on its second alike.
-        assert dec._hf_array._fn is None
+        # The batch falls back to the walk's values on the kernel's first
+        # call and on its second alike.
         got_h, got_f = called_twice(dec._hf_array, xs, 0j)
-        assert got_h.tolist() == [h_scalar(x, 0j) for x in xs]
-        assert got_f.tolist() == [f_scalar(x, 0j) for x in xs] == got_h.tolist()
+        assert got_h.tolist() == [fe.evaluate(h, Binding(x, 0j)) for x in xs]
+        assert got_f.tolist() == [fe.evaluate(f, Binding(x, 0j)) for x in xs] == got_h.tolist()
         assert (got_h != h_own).any()
         assert np.abs(got_h - h_own).max() <= 2e-16 * np.abs(h_own).max()
 
@@ -562,7 +561,7 @@ class TestReducedCoefficients:
             red.coefficients_at(0.0, 0.5)
         assert fe.evaluate(dec.f + T * dec.h, Binding(x=0.0, t=0.5)) == 0
         # The pole is x-only, so the raw kernel raises in its x-stage.
-        pre_x, pre_t, post = red.dec._coeff_array._compiled()
+        pre_x, pre_t, post = red.dec._coeff_stages
         with pytest.raises(ZeroDivisionError):
             pre_x(0.0)
         with pytest.raises(ZeroDivisionError):
@@ -572,10 +571,11 @@ class TestReducedCoefficients:
     def test_batch_rejects_only_its_bad_points(self):
         # On the line x = x0 = 1.8, the centre of the x box: q1 = 1/(t - 1/2)
         # has a pole at t = 1/2, and p2 = x - t makes tau_x vanish at t = x0.
-        # The call raises at the pole and runs again t by t: each bad point
-        # is rejected by what coefficients_at raises there, and the others
-        # get coefficients_at's values to rounding.  So it goes on the
-        # kernel's first call, on its later ones and on its held x-stage.
+        # The call raises at the pole and runs again t by t: the pole is
+        # rejected by the walk's exception there, the degenerate point by
+        # what coefficients_at raises there, and the others get
+        # coefficients_at's values to rounding.  So it goes on the kernel's
+        # first call, on its later ones and on its held x-stage.
         zero = fe.const(0)
         sp = ScalarPair(p1=zero, q1=1 / (T - 0.5), p2=X - T, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
@@ -588,11 +588,12 @@ class TestReducedCoefficients:
                 try:
                     want = red.coefficients_at(x0, t)
                 except fe._SAMPLE_ERRORS as exc:
-                    assert type(value) is type(exc)
-                    assert str(value) == str(exc)
+                    want = ((fe.SingularEvaluationError, "division by zero") if t == 0.5
+                            else (type(exc), str(exc)))
+                    assert (type(value), str(value)) == want
                     continue
                 assert value == pytest.approx(want, rel=1e-14)
-            assert [type(v) for v in got[1:3]] == [ZeroDivisionError,
+            assert [type(v) for v in got[1:3]] == [fe.SingularEvaluationError,
                                                     reduction.DegenerateTauPointError]
         # At t = 1e155, |phi E| passes 1.4e154, so (phi E)**2 overflows:
         # the call itself does not raise, the gates reject the degenerate
@@ -607,7 +608,8 @@ class TestReducedCoefficients:
 
     def test_singular_x0_rejects_every_t(self):
         # p1 = 1/(x - x0): the x-stage raises at x0, on every call, and
-        # every t is rejected by coefficients_at's exception.
+        # every t is rejected by the walk's exception there, as
+        # coefficients_at rejects it by its compiled code's.
         zero = fe.const(0)
         x0 = catalog.DEFAULT_X_BOX.center
         sp = ScalarPair(p1=1 / (X - x0), q1=zero, p2=X, q2=zero)
@@ -616,7 +618,8 @@ class TestReducedCoefficients:
         ts = [0.6, 1.2 - 0.1j]
         for _ in range(3):
             got = red.coefficients_at_x0(ts, red.E(x0))
-            assert [type(v) for v in got] == [ZeroDivisionError] * 2
+            assert [(type(v), str(v)) for v in got] == \
+                [(fe.SingularEvaluationError, "division by zero")] * 2
         with pytest.raises(ZeroDivisionError):
             red.coefficients_at(x0, ts[0])
 
@@ -655,7 +658,7 @@ class TestReducedCoefficients:
             with pytest.raises(error):
                 red.coefficients_at(x, 2.0)
         with pytest.raises(error):
-            red.dec._coeff_array._compiled()[1](2.0)
+            red.dec._coeff_stages[1](2.0)
         assert 2 + 0j not in red._cache_t
         assert red._cache_x == {}
         red.coefficients_at(1.5, 0.5)
@@ -669,7 +672,7 @@ class TestReducedCoefficients:
         # unpacked x- and t-stage values and the arguments x, t, xv and tv.
         red = prep("PIII.y1").red
         red.coefficients_at(2.0, 0.5)
-        stages = red.dec._coeff_array._compiled()
+        stages = red.dec._coeff_stages
         pre_x, pre_t, post = (stage.__code__ for stage in stages)
         carried = len(stages[0](2.0)) + len(stages[1](0.5))
         n_x, n_t = pre_x.co_nlocals - 1, pre_t.co_nlocals - 1
@@ -722,8 +725,8 @@ class TestPerPointInputs:
         # p2 = x - t: phi = x - t, so tau_x vanishes where x = t.
         (dict(p2=X - T), (1.5, 1.5), reduction.DegenerateTauPointError),
         # h = 1/(x - 1.3): E's walk from the basepoint 1 to x = 1.6 meets
-        # its pole.
-        (dict(p2=X + T / (X - 1.3)), (1.6, 0.9), fe.QuadratureError),
+        # its pole, where the (h, f) kernel's batch is answered by the walk.
+        (dict(p2=X + T / (X - 1.3)), (1.6, 0.9), fe.SingularEvaluationError),
     ])
     def test_a_first_use_that_raises_memoizes_no_x(self, pair, point, error):
         zero = fe.const(0)
@@ -736,7 +739,7 @@ class TestPerPointInputs:
                 red.coefficients_at(x, t)
             assert red._cache_x == {}
             assert list(red._cache_t) == [t]
-        if error is not fe.QuadratureError:
+        if error is not fe.SingularEvaluationError:
             # A point that passes memoizes x, after which the bad point
             # raises from the memos as it did on first use.
             red.coefficients_at(x, 0.7)

@@ -604,7 +604,7 @@ class TestPanelTrace:
         # 1.5 is the middle node of the first panel of [1, 2].
         zero = fe.const(0)
         pole = fe.div(fe.const(1), fe.sub(fe.X, fe.const(1.5)))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
             _walk(((zero, pole), (zero, zero)), 0.5, 1.0, 2.0, (1.0, 1.0, 0.0, 0.0))
 
     def test_unresolvable_system_hits_the_depth_cap(self):
@@ -842,7 +842,7 @@ class TestCrossValidateBatched:
             assert rep.cross_validation_residual is None
             assert rep.errors == ["cross-validation: non-finite mu at x = 2.1+0j on the leg "
                                   "[1.8+0j, 2.4+0j] at t = 1+0j"]
-            assert [("tape" in k.__dict__, k._fn) for k in kernels] == [(True, None)]
+            assert [sorted(vars(k)) for k in kernels] == [["expr", "tape"]]
 
 
 _MUTATIONS = {

@@ -39,9 +39,9 @@ times; the minimum is the reading, the median and maximum show its spread:
   9 entries with the negative control, and the Frobenius kernel's array
   form on the 25-point grid (``entry.grid_points()``) of the 7 entries
   with a Lax pair; ``point: flow`` and ``point: Frobenius`` are the same
-  values from the kernels' compiled code, one staged call per point (the
-  form the flow and Frobenius stages called before they ran the array
-  form);
+  values from the compiled code of the kernels' tapes
+  (``expr.compile_expr``), one staged call per point (the form the flow
+  and Frobenius stages called before they ran the array form);
 * ``second report``: one ``verify.full_report`` per entry on a fresh copy
   of the entry (overrides equal to its defaults) that has made exactly one
   report, at another seed: a report that meets each kernel for the second
@@ -147,7 +147,7 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
         entry = catalog.lookup(entry_id)
         lattices.append((entry, _latin_hypercube(entry.box_x, LATTICE[0], rng),
                          _latin_hypercube(entry.box_t, LATTICE[1], rng)))
-    lines = {entry.id: stage_lines(entry.decomposition._coeff_array._compiled())
+    lines = {entry.id: stage_lines(entry.decomposition._coeff_stages)
              for entry, *_ in lattices}
     # Two reports per entry, so every kernel a report calls has run (and,
     # in a checkout whose flow kernel walks and then compiles, compiled).
@@ -174,7 +174,8 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
         return run
 
     def point(calls):
-        staged = [(kernel._compiled(), xs.tolist(), ts.tolist()) for kernel, xs, ts in calls]
+        staged = [(fe.compile_expr(kernel.expr, kernel.tape), xs.tolist(), ts.tolist())
+                  for kernel, xs, ts in calls]
 
         def run():
             for (pre_x, pre_t, post), xs, ts in staged:
