@@ -29,7 +29,8 @@ nodes in that order in a pass of its own, with no per-node callback.
 first; a decision on sampled values, and a kernel's batch that raises or is
 not finite, walk a point only where a value is not finite, to raise the
 walk's exception there (:func:`_finite`).  Compiled code serves one caller
-alone, ``ReducedEquation.coefficients_at``.
+alone, ``ReducedEquation.coefficients_at``, which answers a point its
+compiled code raises at by the walk too.
 
 Design constraints:
 
@@ -719,9 +720,9 @@ def _literal(value: complex) -> str:
 
 
 # What a per-point call raises at a singular point, and so what rejects a
-# probe draw: the walk's ExprError, or, from the compiled code of
-# ``ReducedEquation.coefficients_at``, ZeroDivisionError or OverflowError
-# (ArithmeticErrors) and ValueError from a log of zero.  The array runs
+# probe draw: the walk's ExprError, an OverflowError (an ArithmeticError),
+# or, from the compiled code of ``ReducedEquation.coefficients_at`` where
+# the walk passes, ZeroDivisionError or ValueError.  The array runs
 # catch ArithmeticError alone (numpy's FloatingPointError among them), so a
 # broadcast mismatch propagates.
 _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
@@ -729,6 +730,12 @@ _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
 
 # The subset of {x, t} a tape line depends on, as a bit mask.
 _X_DEP, _T_DEP = 1, 2
+
+# How many lines deep compile_expr writes lines inside their one reader.
+# Each adds a pair or two of parentheses, and Python's parser refuses more
+# than 200 open at once ("too many nested parentheses"), so a chain of
+# single-use lines is cut into assignments this many lines long.
+_INLINE_DEPTH = 32
 
 
 class _Tape:
@@ -886,7 +893,8 @@ class _Tape:
 class _Staged(tuple):
     """The compiled form of an expression: its three stage functions
     ``(pre_x, pre_t, post)``, called as the function ``f(x, t) = post(x, t,
-    pre_x(x), pre_t(t))``."""
+    pre_x(x), pre_t(t))``, each running its stage's fused lines once, as
+    assignments or inside their one reader (:func:`compile_expr`)."""
 
     __slots__ = ()
 
@@ -898,44 +906,62 @@ class _Staged(tuple):
 def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Staged:
     """Compile to a Python function ``f(x, t) -> complex``; given a tuple
     of expressions, ``f`` returns the tuple of their values, computed by
-    one straight-line body with one assignment ``v<k> = ...`` per fused
-    line of the expression's :class:`_Tape`, so a subtree shared by
-    structure is computed once and a neg that only adds read runs inside
-    them as a subtraction, as in the array form.  Singular inputs raise
-    the native ZeroDivisionError/ValueError.  ``tape``, when given, is a
-    tape already built with ``e``'s values as its outputs (a
-    :class:`Kernel`'s); its fused lines are those the outputs read, so for
-    a tape of ``e`` and of roots after it the text is the same.
+    one straight-line body that runs each fused line of the expression's
+    :class:`_Tape` once, so a subtree shared by structure is computed once
+    and a neg that only adds read runs inside them as a subtraction, as in
+    the array form.  A line is an assignment ``v<k> = ...``, unless exactly
+    one later line of its own stage reads it and it is not an output: then
+    it is written inside that reader's expression, in parentheses, up to
+    ``_INLINE_DEPTH`` lines deep (a deeper one is an assignment again).
+    Singular inputs raise the native ZeroDivisionError/ValueError.
+    ``tape``, when given, is a tape already built with ``e``'s values as
+    its outputs (a :class:`Kernel`'s); its fused lines are those the
+    outputs read, so for a tape of ``e`` and of roots after it the text is
+    the same.
 
     The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
     post)`` of three functions, from one ``compile`` call, and calling it
-    is ``post(x, t, pre_x(x), pre_t(t))``.  ``pre_x(x)`` runs, in order,
-    every line that does not depend on t: the lines in x alone and those in
-    neither variable.  ``pre_t(t)`` runs the lines in t alone that read no
-    such constant line (a line in t reading one runs in ``post``).  Each
-    returns the tuple of its values that later lines or the result read;
-    ``post(x, t, xv, tv)`` unpacks both and runs the lines that depend on x
-    and t.  A caller that meets the same x, or the same t, at many points
-    can compute its stage once.  Every line runs once, in exactly one
-    stage, so the values do not depend on the staging, bit for bit, and a
-    point raises exactly when one of its lines does."""
+    is ``post(x, t, pre_x(x), pre_t(t))``.  ``pre_x(x)`` runs every line
+    that does not depend on t: the lines in x alone and those in neither
+    variable.  ``pre_t(t)`` runs the lines in t alone that read no such
+    constant line (a line in t reading one runs in ``post``).  Each returns
+    the tuple of its values that later lines or the result read, which are
+    always assigned; ``post(x, t, xv, tv)`` unpacks both and runs the lines
+    that depend on x and t.  A caller that meets the same x, or the same t,
+    at many points can compute its stage once.  Every line runs once, in
+    exactly one stage, on the values of its operands, so the values do not
+    depend on the staging or the inlining, bit for bit, and a point raises
+    exactly when one of its lines does (which line raises first, when
+    several would, follows the text)."""
     tape = _Tape(e if isinstance(e, tuple) else (e,)) if tape is None else tape
+    lines = tape.fused
+    # Per slot, the stages of its reads: a line read once, by its own
+    # stage, and not an output is written inside its reader.
+    reads: dict[int, list[int]] = {slot: [0] for slot in tape.outputs}
+    for slot, kind, a, b, q, mask in lines:
+        for s in (a,) if b is None else (a, b):
+            reads.setdefault(s, []).append(mask)
     names = ["x", "t", *(v if v is None else _literal(v) for v in tape.start[2:])]
+    depth = [0] * len(names)    # the lines written inside a slot's text
     stages: dict[int, list[str]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
-    read: set[str] = set()      # what the (x, t)-lines and the result read
-    for k, (slot, kind, a, b, q, mask) in enumerate(tape.fused):
-        ops = (names[a],) if b is None else (names[a], names[b])
-        names[slot] = f"v{k}"
-        rhs = _KINDS[kind].line % (ops if q is None else (*ops, q))
-        stages[mask].append(f"    v{k} = {rhs}\n")
+    read = set(tape.outputs)    # what the (x, t)-lines and the result read
+    for k, (slot, kind, a, b, q, mask) in enumerate(lines):
+        ops = (a,) if b is None else (a, b)
+        rhs = _KINDS[kind].line % tuple(
+            [names[s] for s in ops] if q is None else [*(names[s] for s in ops), q])
+        d = 1 + max(depth[s] for s in ops)
+        if reads.get(slot) == [mask] and d <= _INLINE_DEPTH:
+            names[slot], depth[slot] = f"({rhs})", d
+        else:
+            names[slot] = f"v{k}"
+            stages[mask].append(f"    v{k} = {rhs}\n")
         if mask == _X_DEP | _T_DEP:
             read.update(ops)
-    outputs = [names[slot] for slot in tape.outputs]
-    read.update(outputs)
     # The values an x-stage or a t-stage returns, in the order it runs them.
-    xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in tape.fused
-                            if mask == dep and names[slot] in read) + ")"
+    xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in lines
+                            if mask == dep and slot in read) + ")"
               for dep in (_X_DEP, _T_DEP))
+    outputs = [names[slot] for slot in tape.outputs]
     result = "".join(f"{out}, " for out in outputs) if isinstance(e, tuple) else outputs[0]
     src = "".join([
         "def _pre_x(x):\n", *stages[_X_DEP], f"    return {xv}\n",
@@ -1153,11 +1179,12 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
     (:class:`_PiecewiseChebyshev`) of the rows (Phi1, Phi2, Psi1, Psi2)
     over the arclength [0, |b - a|].  Raises :class:`QuadratureError` when
     a panel at depth ``_MAX_DEPTH`` is still unresolved, the walk needs
-    more than ``_MAX_PANELS`` panels, a stage divides by zero at one of its
-    points (a pole exactly on the path) or a coefficient or solution value
-    is not finite, else whatever a stage raised.  A segment of zero length
-    gives zero integrals without a system and raises
-    :class:`QuadratureError` with one."""
+    more than ``_MAX_PANELS`` panels, a stage divides by zero or raises
+    :class:`SingularEvaluationError` at one of its points (a pole exactly
+    on the path; raised from the stage's exception) or a coefficient or
+    solution value is not finite, else whatever a stage or ``matrix``
+    raised.  A segment of zero length gives zero integrals without a system
+    and raises :class:`QuadratureError` with one."""
     a, b = complex(a), complex(b)
     if a == b:
         if system is None:
@@ -1179,7 +1206,7 @@ def _walk_panels(stages: Sequence[Callable[[np.ndarray, list], object]],
         if system is None:
             try:
                 got = _integrate_panel(stages, z, half, totals, tail_tol, pair)
-            except ZeroDivisionError as exc:
+            except (ZeroDivisionError, SingularEvaluationError) as exc:
                 raise QuadratureError(f"integrand is singular on the panel [{p}, {q}]") from exc
             if got is not None:
                 totals = got

@@ -451,11 +451,12 @@ class ReducedEquation:
     the decomposition's kernel of (phi, p_num, q_num): many t at the centre
     x0 of the x box in one array call (:meth:`coefficients_at_x0`), or one
     point on the stages of its compiled form (:meth:`coefficients_at`, the
-    one caller of compiled code), which agree to rounding.
+    one caller of compiled code, whose lines read once in their stage run
+    inside their readers, ``expr.compile_expr``), which agree to rounding.
     The gates on phi^2 E and (phi E)^2 are the one rule for a degenerate
     point, where tau_x = phi E vanishes; a point where the kernel itself
-    raises is rejected by the kernel's own exception
-    (``expr._SAMPLE_ERRORS``).  All memos are keyed on the built-in
+    raises is rejected in both by the walk's exception there (one of
+    ``expr._SAMPLE_ERRORS``).  All memos are keyed on the built-in
     ``complex`` value, so +0 and -0 in a part share an entry, and an int,
     a float or a numpy complex gives the values and keys of the built-in
     complex it equals.  At a point whose x and t are memoized,
@@ -546,8 +547,11 @@ class ReducedEquation:
     # -- reduced coefficients ------------------------------------------------
     def coefficients_at(self, x: complex, t: complex) -> tuple[complex, complex]:
         """(P, Q) at one point; raises DegenerateTauPointError where
-        tau_x = 0, and a kernel's own exception (one of
-        ``expr._SAMPLE_ERRORS``) where it is singular.  A point whose x and
+        tau_x = 0, and where the compiled stages raise, what the coefficient
+        kernel's batch raises at the point: the exception of the walk of
+        (phi, p_num, q_num) there, as :meth:`coefficients_at_x0` does, or
+        the compiled code's own (one of ``expr._SAMPLE_ERRORS``) if the
+        batch passes.  A point whose x and
         t are memoized costs one probe of each memo, the (x, t)-stage and
         the gates; the rest is :meth:`_first_use`'s."""
         if type(x) is not complex or type(t) is not complex:
@@ -557,7 +561,11 @@ class ReducedEquation:
             tv = self._cache_t[t]
         except KeyError:
             return self._first_use(x, t)
-        ph, p_num, q_num = post(x, t, xv, tv)
+        try:
+            ph, p_num, q_num = post(x, t, xv, tv)
+        except fe._SAMPLE_ERRORS:
+            self.dec._coeff_array(x, t)
+            raise
         # The gates of _reduced, written out: a call per point would cost
         # a lattice of coefficients_at calls a few percent.
         den_p = ph * ph * e
@@ -568,19 +576,27 @@ class ReducedEquation:
     def _first_use(self, x: complex, t: complex) -> tuple[complex, complex]:
         """:meth:`coefficients_at` at a point whose x or t is not memoized,
         on the coefficient kernel's compiled stages, compiled once per
-        decomposition (``Decomposition._coeff_stages``): the t-stage values
-        are memoized once computed, and E(x), the x-stage values and
-        the (x, t)-stage once the point has passed, so a point whose
-        (x, t)-stage, E walk or gate raises leaves no x memo."""
+        decomposition (``Decomposition._coeff_stages``), in the order
+        t-stage, x-stage, (x, t)-stage, E walk, gates: the t-stage values
+        are memoized once computed, and E(x) and the x-stage values once
+        the point has passed, so a point whose (x, t)-stage, E walk or gate
+        raises leaves no x memo."""
         pre_x, pre_t, post = self.dec._coeff_stages
-        if t not in self._cache_t:
-            self._cache_t[t] = pre_t(t)
-        e, xv, post = self._cache_x.get(x) or (None, pre_x(x), post)
-        cols = post(x, t, xv, self._cache_t[t])
-        e = self.E(x) if e is None else e
-        (got,) = _reduced(x, [t], *([v] for v in cols), e)
-        if isinstance(got, Exception):
-            raise got
+        try:
+            tv = self._cache_t.get(t)
+            if tv is None:
+                tv = self._cache_t[t] = pre_t(t)
+            e, xv, post = self._cache_x.get(x) or (None, pre_x(x), post)
+            ph, p_num, q_num = post(x, t, xv, tv)
+        except fe._SAMPLE_ERRORS:
+            self.dec._coeff_array(x, t)
+            raise
+        if e is None:
+            e = self.E(x)
+        den_p = ph * ph * e
+        if abs(den_p) < _DEN_P_MIN or abs(den_q := (ph * e) ** 2) < _DEN_Q_MIN:
+            raise DegenerateTauPointError(f"tau_x vanishes at (x, t) = ({x}, {t})")
+        got = p_num / den_p, q_num / den_q
         self._cache_x[x] = (e, xv, post)
         return got
 

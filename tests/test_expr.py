@@ -470,8 +470,8 @@ _PROPERTY_POINTS = [0j, complex(-0.0, -0.0), complex(0.0, -0.0),
                     0.7 + 0.2j, -1.3 - 0.4j, 2.5 + 0j]
 
 
-def _n_lines(f):
-    """The number of lines of a compiled form, over its three stage code
+def _n_statements(f):
+    """The assignments of a compiled form, over its three stage code
     objects: the locals of each stage but its arguments, where a value
     ``post`` unpacks from another stage counts in that stage alone."""
     pre_x, pre_t, post = (stage.__code__ for stage in f)
@@ -480,12 +480,87 @@ def _n_lines(f):
                 *post.co_varnames[4:post.co_nlocals]})
 
 
+def _compile_text(e, tape=None):
+    """``compile_expr(e, tape)`` and the text it compiled."""
+    texts = []
+    fe.compile = lambda src, *args: texts.append(src) or compile(src, *args)
+    try:
+        f = fe.compile_expr(e, tape)
+    finally:
+        del fe.compile
+    return f, texts[0]
+
+
+_OPERATIONS = (ast.BinOp, ast.UnaryOp, ast.Call)
+
+
+def _reads_value(node, constant=frozenset()):
+    """Whether compiled text ``node`` reads x, t or the value ``v<k>`` of a
+    line not in ``constant``."""
+    return any(isinstance(n, ast.Name) and (n.id in ("x", "t") or n.id[0] == "v"
+                                            and n.id not in constant)
+               for n in ast.walk(node))
+
+
+def _stage_ops(text):
+    """The operations of a compiled text per stage (pre_x, pre_t, post):
+    its operators and its calls of a kind's function that read x or t,
+    directly or through the value of a line, so a literal, an exponent
+    and a line of constants alone count none."""
+    constant: set[str] = set()      # the lines of constants alone
+    counts = []
+    for stage in ast.parse(text).body:
+        counts.append(0)
+        for statement in stage.body:
+            if isinstance(statement, ast.Assign) and not _reads_value(statement.value, constant):
+                constant.update(n.id for n in statement.targets if isinstance(n, ast.Name))
+            counts[-1] += sum(isinstance(n, _OPERATIONS) and _reads_value(n, constant)
+                              for n in ast.walk(statement))
+    return tuple(counts)
+
+
+def _single_use_statements(text):
+    """The assignments of a compiled text that exactly one later statement
+    of their own stage reads, once, and nothing else reads, each with the
+    depth of its expression: its operations nested in one another, its
+    own counting one (a literal's count none)."""
+    tree = ast.parse(text)
+    loads = collections.Counter(n.id for n in ast.walk(tree)
+                                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+    def depth(node):
+        inner = max(map(depth, ast.iter_child_nodes(node)), default=0)
+        return inner + (isinstance(node, _OPERATIONS) and _reads_value(node))
+
+    found = []
+    for stage in tree.body:
+        assigns = [s for s in stage.body if isinstance(s, ast.Assign)
+                   and isinstance(s.targets[0], ast.Name)]
+        stage_loads = collections.Counter(n.id for s in assigns for n in ast.walk(s.value)
+                                          if isinstance(n, ast.Name))
+        found += [(s.targets[0].id, depth(s.value)) for s in assigns
+                  if loads[s.targets[0].id] == stage_loads[s.targets[0].id] == 1]
+    return found
+
+
+def _variable_lines(tape):
+    """Per stage (pre_x, pre_t, post), the fused lines of ``tape`` that
+    read x or t through their operands: those whose operations
+    :func:`_stage_ops` counts (the others read constants alone)."""
+    read, masks = {0, 1}, []
+    for slot, _, a, b, q, mask in tape.fused:
+        if a in read or b in read:
+            read.add(slot)
+            masks.append(mask)
+    return tuple(masks.count(dep) for dep in (fe._X_DEP, fe._T_DEP, fe._X_DEP | fe._T_DEP))
+
+
 class TestCompileSharing:
     def test_structurally_equal_subtrees_emit_once(self):
         e = fe.add(fe.mul(X, T), fe.mul(X, T))
         f = fe.compile_expr(e)
         # one product and one sum
-        assert _n_lines(f) == 2
+        assert _n_statements(f) == 2
         assert f(1.5 + 0.5j, 2.0 - 1j) == 2 * ((1.5 + 0.5j) * (2.0 - 1j))
 
     def test_tuple_returns_values_in_order(self):
@@ -493,7 +568,7 @@ class TestCompileSharing:
         f = fe.compile_expr(parts)
         x, t = 0.3 - 1.1j, 1.7 + 0.2j
         assert f(x, t) == (x * t, x, 2 + 0j, x * t + t)
-        assert _n_lines(f) == 2
+        assert _n_statements(f) == 2
 
     def test_signed_zero_constants_are_not_merged(self):
         # Expr equality holds for 0j and complex(0, -0.0), but they emit
@@ -685,39 +760,68 @@ class TestCompileStaged:
     """``compile_expr``'s one compiled form: its lines in an x-stage, a
     t-stage and an (x, t) stage."""
 
-    @pytest.mark.parametrize("e, n_x_lines, n_t_lines, n_x_carried, n_t_carried", [
+    @pytest.mark.parametrize("e, n_x_lines, n_t_lines, n_x_carried, n_t_carried, statements", [
         # x-only result: post has no lines and returns the carried value.
-        (fe.add(fe.mul(fe.exp(X), X), A), 3, 0, 1, 0),
+        (fe.add(fe.mul(fe.exp(X), X), A), 3, 0, 1, 0, (1, 0)),
         # t-only result: every line is in the t-stage, the x-stage is empty.
-        (fe.add(fe.mul(T, T), A), 0, 2, 0, 1),
-        (fe.add(fe.mul(fe.exp(T), T), fe.log(fe.exp(T))), 0, 4, 0, 1),
+        (fe.add(fe.mul(T, T), A), 0, 2, 0, 1, (0, 1)),
+        (fe.add(fe.mul(fe.exp(T), T), fe.log(fe.exp(T))), 0, 4, 0, 1, (0, 2)),
         # constant result: its lines run in the x-stage.
-        (fe.mul(_raw("exp", fe.const(2)), A), 2, 0, 1, 0),
+        (fe.mul(_raw("exp", fe.const(2)), A), 2, 0, 1, 0, (1, 0)),
         # a t-line reading a constant line runs in post.
-        (fe.mul(_raw("exp", fe.const(2)), T), 1, 0, 1, 0),
+        (fe.mul(_raw("exp", fe.const(2)), T), 1, 0, 1, 0, (1, 0)),
         # x and t read directly by post, returned bare too.
-        ((fe.mul(X, T), X, T, fe.const(2)), 0, 0, 0, 0),
+        ((fe.mul(X, T), X, T, fe.const(2)), 0, 0, 0, 0, (0, 0)),
         # shared x-only subtree read by two (x, t) lines and returned.
-        ((fe.mul(fe.exp(X), T), fe.add(fe.exp(X), T), fe.exp(X)), 1, 0, 1, 0),
+        ((fe.mul(fe.exp(X), T), fe.add(fe.exp(X), T), fe.exp(X)), 1, 0, 1, 0, (1, 0)),
         # shared t-only subtree read by an (x, t) line and returned.
-        ((fe.mul(fe.exp(T), X), fe.exp(T)), 0, 1, 0, 1),
-        # a line read only by another line of its stage is not carried.
-        (fe.mul(fe.sqrt(fe.log(X)), T), 2, 0, 1, 0),
-        (fe.mul(fe.sqrt(fe.log(T)), X), 0, 2, 0, 1),
+        ((fe.mul(fe.exp(T), X), fe.exp(T)), 0, 1, 0, 1, (0, 1)),
+        # a line read only by another line of its stage is not carried, and
+        # runs inside that line, not as an assignment.
+        (fe.mul(fe.sqrt(fe.log(X)), T), 2, 0, 1, 0, (1, 0)),
+        (fe.mul(fe.sqrt(fe.log(T)), X), 0, 2, 0, 1, (0, 1)),
     ], ids=["x-only", "t-only", "t-only-shared", "constant", "constant-times-t",
             "bare-x-t", "shared", "shared-t", "internal", "internal-t"])
-    def test_stage_shapes(self, e, n_x_lines, n_t_lines, n_x_carried, n_t_carried):
+    def test_stage_shapes(self, e, n_x_lines, n_t_lines, n_x_carried, n_t_carried, statements):
         e = _raw_bound(e, _A_VALUE)
-        pre_x, pre_t, post = fe.compile_expr(e)
-        assert pre_x.__code__.co_nlocals - 1 == n_x_lines
-        assert pre_t.__code__.co_nlocals - 1 == n_t_lines
+        (pre_x, pre_t, post), text = _compile_text(e)
+        tape = fe._Tape(e if isinstance(e, tuple) else (e,))
+        masks = [line[5] for line in tape.fused]
+        assert (masks.count(fe._X_DEP), masks.count(fe._T_DEP)) == (n_x_lines, n_t_lines)
+        # Every line runs in exactly one stage, once: its stage's text has
+        # its operation, whether it is an assignment or inside its reader.
+        assert _stage_ops(text) == _variable_lines(tape)
+        assert (pre_x.__code__.co_nlocals - 1, pre_t.__code__.co_nlocals - 1) == statements
         assert len(pre_x(0.7 + 0.2j)) == n_x_carried
         assert len(pre_t(0.7 + 0.2j)) == n_t_carried
-        # Every line runs in exactly one stage, once.
-        n_lines = len(fe._Tape(e if isinstance(e, tuple) else (e,)).lines)
-        n_post_lines = post.__code__.co_nlocals - 4 - n_x_carried - n_t_carried
-        assert n_x_lines + n_t_lines + n_post_lines == n_lines
         _check_staged(e, _PROPERTY_POINTS, _PROPERTY_POINTS)
+
+    @pytest.mark.parametrize("start, var", [(X, X), (T, T), (fe.mul(X, T), X)],
+                             ids=["x", "t", "xt"])
+    def test_deep_single_use_chain(self, start, var):
+        # A Horner chain of 300 lines, each read once by the next, in one
+        # stage: written inside one another it would nest 600 parentheses
+        # and more, past Python's parser limit.  It compiles to assignments
+        # _INLINE_DEPTH + 1 lines apart (the last is the output), and gives
+        # the walk's values bit for bit, and on arrays the array form's.
+        e = start
+        for k in range(150):
+            e = fe.add(fe.mul(e, var), fe.const(1 / (k + 2) - 0.5j / (k + 3)))
+        f, text = _compile_text(e)
+        tape = fe._Tape((e,))
+        assert len(tape.fused) >= 300
+        assert sum(_stage_ops(text)) == len(tape.fused)
+        assert _stage_ops(text) == _variable_lines(tape)
+        assert _n_statements(f) == math.ceil(len(tape.fused) / (fe._INLINE_DEPTH + 1))
+        xs, ts = [0.5 + 0.1j, -0.7 + 0.3j, 0j], [0.6 - 0.2j, 0.9 + 0j]
+        for x in xs:
+            for t in ts:
+                assert _bits(f(x, t)) == _bits(fe.evaluate(e, Binding(x, t)))
+        xa, ta = np.repeat(xs, len(ts)), np.tile(ts, len(xs))
+        pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in f)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = post(xa, ta, pre_x(xa), pre_t(ta))
+        assert _nan_bits(got.tolist()) == _nan_bits(fe.Kernel(e)(xa, ta).tolist())
 
     def test_staged_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -947,9 +1051,10 @@ class TestArrayForm:
                 + tape.outputs.count(n_slot)
             assert (n_slot not in [line[0] for line in tape.fused]) == \
                 (len(taken) == read and all(taken))
-            f = fe.compile_expr(roots, tape)
+            f, text = _compile_text(roots, tape)
             rows = tape._x_rows + tape._xt_rows
-            assert _n_lines(f) == len(rows) == len(tape.fused)
+            assert len(rows) == len(tape.fused)
+            assert _stage_ops(text) == _variable_lines(tape)
             # Per point: the compiled lines, and the unfused lines on
             # Python complex.  A neg never raises, so both raise or neither.
             for x in xs:
@@ -1177,13 +1282,17 @@ class TestMultiSegmentPanels:
         red = reduction.build_reduced(dec, 1.0)
         ends = [2.0 + 0j, 1.3 + 0j, 1.2 + 0.5j]
         # The walk's first kernel call runs the tape, which raises at the
-        # pole; the one-point walk answers with its own exception.
-        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
+        # pole; the one-point walk answers with its own exception, which
+        # the panel walk names the panel by, raised from it.
+        panel = r"^integrand is singular on the panel \[\(1\+0j\), \(2\+0j\)\]$"
+        with pytest.raises(fe.QuadratureError, match=panel) as info:
             fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, ends[0], 1e-13)
+        cause = info.value.__cause__
+        assert (type(cause), str(cause)) == (fe.SingularEvaluationError, "division by zero")
         for x in ends[1:]:
             e, s = fe._walk_panels((red._hf_rows, red._fE_rows), 1.0, x, 1e-13)
             assert (red.E(x), red.S(x)) == (cmath.exp(e), s)
-        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
+        with pytest.raises(fe.QuadratureError, match="^integrand is singular on the panel"):
             red.E(ends[0])
         assert set(red._cache_ES) == set(ends[1:])
 

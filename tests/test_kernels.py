@@ -31,7 +31,7 @@ import pytest
 import fuchsreduce
 from fuchsreduce import catalog, expr as fe, reduction, verify
 from fuchsreduce.config import Config
-from test_expr import _n_lines
+from test_expr import _compile_text, _n_statements, _single_use_statements, _stage_ops
 
 ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
 
@@ -358,7 +358,20 @@ class TestKernelLifetime:
             for slot, kind, *_ in tape.fused:
                 if kind == "neg":
                     assert set(readers[slot]) != {"add"}, (entry_id, slot)
-            assert _n_lines(fe.compile_expr(kernel.expr, tape)) == len(tape.fused)
+            # The compiled text runs each fused line once: one operation
+            # each, whether an assignment or inside its one reader.
+            assert sum(_stage_ops(_compile_text(kernel.expr, tape)[1])) == len(tape.fused)
+
+    @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
+    def test_no_compiled_line_is_an_assignment_read_once_in_its_stage(self, entry_id):
+        # The coefficient kernel's compiled text writes a line that one
+        # later line of its stage alone reads inside that reader, so such a
+        # line is an assignment only where the depth bound cut its chain.
+        # PIII.y1's has 101 such lines of its 137.
+        kernel = catalog.lookup(entry_id).decomposition._coeff_array
+        f, text = _compile_text(kernel.expr, kernel.tape)
+        assert all(depth > fe._INLINE_DEPTH for _, depth in _single_use_statements(text))
+        assert _n_statements(f) < len(kernel.tape.fused)
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
@@ -387,7 +400,7 @@ class TestKernelLifetime:
         points = [(x, t) for x in entry.box_x.diagonal(3) for t in entry.box_t.diagonal(3)]
         for kernel in views:
             own, viewed = fe.compile_expr(kernel.expr), fe.compile_expr(kernel.expr, kernel.tape)
-            assert _n_lines(viewed) == _n_lines(own)
+            assert _n_statements(viewed) == _n_statements(own)
             assert [_reprs(viewed(x, t)) for x, t in points] == \
                 [_reprs(own(x, t)) for x, t in points]
 

@@ -10,7 +10,7 @@ from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
-from test_expr import called_twice, walked
+from test_expr import _compile_text, _stage_ops, called_twice, walked
 
 ALL_IDS = catalog.list_entries()
 
@@ -513,6 +513,11 @@ class TestBuiltinComplexValues:
             assert all(type(v) is complex for v in values)
 
 
+# The walk's message where the compiled code raises each class: for a
+# division by zero, and for a log of zero (cmath's ValueError).
+_WALK_MESSAGES = {ZeroDivisionError: "division by zero", ValueError: "log of zero"}
+
+
 class TestReducedCoefficients:
     def test_flat_entry_airy_form(self):
         sp, dec, entry = decomposition_for("PII.y0")
@@ -552,12 +557,12 @@ class TestReducedCoefficients:
     def test_degenerate_point_with_numerator_pole(self):
         # p1 = 1/x puts a pole in the P and Q numerators at x = 0, where
         # tau_x vanishes too.  The kernel raises before the gates run, and
-        # its own exception rejects the point, as at any singular point.
+        # the walk's exception rejects the point, as at any singular point.
         zero = fe.const(0)
         sp = ScalarPair(p1=1 / X, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
         red = reduction.build_reduced(dec, 1.0)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
             red.coefficients_at(0.0, 0.5)
         assert fe.evaluate(dec.f + T * dec.h, Binding(x=0.0, t=0.5)) == 0
         # The pole is x-only, so the raw kernel raises in its x-stage.
@@ -571,9 +576,9 @@ class TestReducedCoefficients:
     def test_batch_rejects_only_its_bad_points(self):
         # On the line x = x0 = 1.8, the centre of the x box: q1 = 1/(t - 1/2)
         # has a pole at t = 1/2, and p2 = x - t makes tau_x vanish at t = x0.
-        # The call raises at the pole and runs again t by t: the pole is
-        # rejected by the walk's exception there, the degenerate point by
-        # what coefficients_at raises there, and the others get
+        # The call raises at the pole and runs again t by t: the pole and
+        # the degenerate point are rejected by what coefficients_at raises
+        # there (at the pole, the walk's exception), and the others get
         # coefficients_at's values to rounding.  So it goes on the kernel's
         # first call, on its later ones and on its held x-stage.
         zero = fe.const(0)
@@ -588,9 +593,7 @@ class TestReducedCoefficients:
                 try:
                     want = red.coefficients_at(x0, t)
                 except fe._SAMPLE_ERRORS as exc:
-                    want = ((fe.SingularEvaluationError, "division by zero") if t == 0.5
-                            else (type(exc), str(exc)))
-                    assert (type(value), str(value)) == want
+                    assert (type(value), str(value)) == (type(exc), str(exc))
                     continue
                 assert value == pytest.approx(want, rel=1e-14)
             assert [type(v) for v in got[1:3]] == [fe.SingularEvaluationError,
@@ -606,10 +609,42 @@ class TestReducedCoefficients:
         for k in (0, 3):
             assert got[k] == red.coefficients_at_x0([ts[k]], red.E(x0))[0]
 
+    @pytest.mark.parametrize("pair, pole", [
+        (dict(p1=fe.log(T - 0.5)), "log of zero"),
+        (dict(p1=fe.ipow(T - 0.5, -2)), "pole: 0 raised to a negative power"),
+        (dict(q1=fe.fpow(T - 0.5, Fraction(-1, 3))),
+         "0 raised to a non-positive fractional power"),
+        (dict(p1=1 / (X - T - 1.3)), "division by zero"),
+        (dict(q1=fe.exp(1 / (X + T - 2.3))), "division by zero"),
+    ], ids=["t-log", "t-ipow", "t-fpow", "xt-div", "xt-exp-div"])
+    def test_both_apis_reject_a_pole_alike(self, pair, pole):
+        # As test_batch_rejects_only_its_bad_points for a division in t: on
+        # the line x = x0 = 1.8, each pair has a pole at t = 1/2, in its
+        # t-stage or in its (x, t)-stage.  coefficients_at, on first use
+        # and from its memos, and coefficients_at_x0 reject it with the
+        # same class and message, the walk's, and agree elsewhere.
+        zero = fe.const(0)
+        sp = ScalarPair(**{"p1": zero, "q1": zero, "p2": X, "q2": zero, **pair})
+        dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+        red = reduction.build_reduced(dec, 1.0)
+        x0 = dec.box_x.center
+        assert x0 == 1.8
+        ts = [0.7 - 0.2j, 0.5, 1.5 + 0.1j]
+        for _ in range(2):
+            got = red.coefficients_at_x0(ts, red.E(x0))
+            want = []
+            for t in ts:
+                try:
+                    want.append(red.coefficients_at(x0, t))
+                except fe._SAMPLE_ERRORS as exc:
+                    want.append((type(exc), str(exc)))
+            assert (type(got[1]), str(got[1])) == want[1] == (fe.SingularEvaluationError, pole)
+            for k in (0, 2):
+                assert got[k] == pytest.approx(want[k], rel=1e-14)
+
     def test_singular_x0_rejects_every_t(self):
         # p1 = 1/(x - x0): the x-stage raises at x0, on every call, and
-        # every t is rejected by the walk's exception there, as
-        # coefficients_at rejects it by its compiled code's.
+        # every t is rejected by the walk's exception there, in both APIs.
         zero = fe.const(0)
         x0 = catalog.DEFAULT_X_BOX.center
         sp = ScalarPair(p1=1 / (X - x0), q1=zero, p2=X, q2=zero)
@@ -620,15 +655,17 @@ class TestReducedCoefficients:
             got = red.coefficients_at_x0(ts, red.E(x0))
             assert [(type(v), str(v)) for v in got] == \
                 [(fe.SingularEvaluationError, "division by zero")] * 2
-        with pytest.raises(ZeroDivisionError):
-            red.coefficients_at(x0, ts[0])
+        for t in ts:
+            with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
+                red.coefficients_at(x0, t)
 
     @pytest.mark.parametrize("p1, error", [(1 / (X - 2), ZeroDivisionError),
                                            (fe.log(X - 2), ValueError)])
     def test_x_stage_error_at_regular_point(self, p1, error):
         # p1 is singular at x = 2, where tau_x = 2: the point is not
-        # degenerate, so the kernel's own exception comes through, and the
-        # x-stage memo keeps nothing for that x.
+        # degenerate, so the compiled x-stage raises ``error`` and the
+        # walk's exception, raised while handling it, rejects the point;
+        # the x-stage memo keeps nothing for that x.
         zero = fe.const(0)
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
@@ -636,8 +673,12 @@ class TestReducedCoefficients:
         tau_x = fe.evaluate(dec.f + T * dec.h, Binding(x=2.0, t=0.5)) * red.E(2.0)
         assert tau_x == 2
         for t in (0.5, 0.7):
-            with pytest.raises(error):
+            with pytest.raises(fe.SingularEvaluationError) as info:
                 red.coefficients_at(2.0, t)
+            assert str(info.value) == _WALK_MESSAGES[error]
+            assert type(info.value.__context__) is error
+        with pytest.raises(error):
+            red.dec._coeff_stages[0](2.0)
         assert 2 + 0j not in red._cache_x
         red.coefficients_at(2.5, 0.5)
         assert list(red._cache_x) == [2.5 + 0j]
@@ -646,8 +687,9 @@ class TestReducedCoefficients:
                                            (fe.log(T - 2), ValueError)])
     def test_t_stage_error_at_regular_point(self, p1, error):
         # p1 is singular at t = 2, where tau_x = x: the point is not
-        # degenerate, so the kernel's own exception comes through from its
-        # t-stage, and the t-stage memo keeps nothing for that t.
+        # degenerate, so the compiled t-stage raises ``error``, the walk's
+        # exception rejects the point, and the t-stage memo keeps nothing
+        # for that t.
         zero = fe.const(0)
         sp = ScalarPair(p1=p1, q1=zero, p2=X, q2=zero)
         dec = reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
@@ -655,8 +697,10 @@ class TestReducedCoefficients:
         tau_x = fe.evaluate(dec.f + T * dec.h, Binding(x=1.5, t=2.0)) * red.E(1.5)
         assert tau_x == 1.5
         for x in (1.5, 1.7):
-            with pytest.raises(error):
+            with pytest.raises(fe.SingularEvaluationError) as info:
                 red.coefficients_at(x, 2.0)
+            assert str(info.value) == _WALK_MESSAGES[error]
+            assert type(info.value.__context__) is error
         with pytest.raises(error):
             red.dec._coeff_stages[1](2.0)
         assert 2 + 0j not in red._cache_t
@@ -668,17 +712,15 @@ class TestReducedCoefficients:
     def test_fused_coefficients_share_subexpressions(self, prep):
         # phi, p_num and q_num of PIII.y1 have 162 structurally distinct
         # interior nodes together (compiled one by one: 27 + 187 + 265).
-        # The three stages hold them once between them; post also has the
-        # unpacked x- and t-stage values and the arguments x, t, xv and tv.
+        # The three stages run them once between them, an operation each.
         red = prep("PIII.y1").red
         red.coefficients_at(2.0, 0.5)
-        stages = red.dec._coeff_stages
-        pre_x, pre_t, post = (stage.__code__ for stage in stages)
-        carried = len(stages[0](2.0)) + len(stages[1](0.5))
-        n_x, n_t = pre_x.co_nlocals - 1, pre_t.co_nlocals - 1
-        assert n_x + n_t + post.co_nlocals - 4 - carried <= 162
-        # Most of the lines depend on x alone (84 of the 139 once each neg
-        # that only adds read runs inside them), and the t-stage is not empty.
+        kernel = red.dec._coeff_array
+        n_x, n_t, n_post = _stage_ops(_compile_text(kernel.expr, kernel.tape)[1])
+        assert n_x + n_t + n_post <= 162
+        # Most of the operations depend on x alone (82 of the 137 once each
+        # neg that only adds read runs inside them), and the t-stage is not
+        # empty.
         assert n_x >= 80
         assert n_t >= 10
 
@@ -720,13 +762,15 @@ class TestPerPointInputs:
         assert [len(red._cache_ES), len(red._cache_x), len(red._cache_t)] == [1, 1, 1]
 
     @pytest.mark.parametrize("pair, point, error", [
-        # p1 = 1/(x - t): the (x, t)-stage divides by zero where x = t.
-        (dict(p1=1 / (X - T)), (1.5, 1.5), ZeroDivisionError),
+        # p1 = 1/(x - t): the (x, t)-stage divides by zero where x = t, and
+        # the walk rejects the point.
+        (dict(p1=1 / (X - T)), (1.5, 1.5), fe.SingularEvaluationError),
         # p2 = x - t: phi = x - t, so tau_x vanishes where x = t.
         (dict(p2=X - T), (1.5, 1.5), reduction.DegenerateTauPointError),
         # h = 1/(x - 1.3): E's walk from the basepoint 1 to x = 1.6 meets
-        # its pole, where the (h, f) kernel's batch is answered by the walk.
-        (dict(p2=X + T / (X - 1.3)), (1.6, 0.9), fe.SingularEvaluationError),
+        # its pole, where the (h, f) kernel's batch is answered by the walk,
+        # whose exception the panel walk names the panel by.
+        (dict(p2=X + T / (X - 1.3)), (1.6, 0.9), fe.QuadratureError),
     ])
     def test_a_first_use_that_raises_memoizes_no_x(self, pair, point, error):
         zero = fe.const(0)
@@ -739,7 +783,7 @@ class TestPerPointInputs:
                 red.coefficients_at(x, t)
             assert red._cache_x == {}
             assert list(red._cache_t) == [t]
-        if error is not fe.SingularEvaluationError:
+        if error is not fe.QuadratureError:
             # A point that passes memoizes x, after which the bad point
             # raises from the memos as it did on first use.
             red.coefficients_at(x, 0.7)

@@ -31,8 +31,10 @@ times; the minimum is the reading, the median and maximum show its spread:
   process: ``verify.prepare`` of the entry, then ``tau_at`` and
   ``coefficients_at`` at each point of a 32 x 128 lattice of (x, t) in
   its boxes (Latin-hypercube strata, as the workload draws them, from one
-  fixed seed), x by x.  The tool also prints the lines of each
-  coefficient kernel's compiled stages (pre_x, pre_t, post);
+  fixed seed), x by x.  The tool also prints, per stage (pre_x, pre_t,
+  post) of each coefficient kernel's compiled form, its statements (the
+  assignments, as a line read once inside its stage runs inside its
+  reader) and its operations (the tape's fused lines that stage runs);
 * ``batch: flow`` and ``batch: Frobenius``: the calls of the two entry
   checks a report makes, on kernels that have run before: the flow
   kernel's array form at the 16 t of ``entry.box_t.diagonal(16)``, for the
@@ -69,8 +71,17 @@ times; the minimum is the reading, the median and maximum show its spread:
 
 Run it from any directory, on a checkout with ``expr._Tape``:
 
-    python tools/expr_timing.py                   # this checkout
-    python tools/expr_timing.py --root ../other   # another checkout
+    python tools/expr_timing.py                      # this checkout
+    python tools/expr_timing.py --root ../other      # another checkout
+    python tools/expr_timing.py --against ../parent  # this one against another
+
+``--against`` runs the tool on both checkouts in ``PAIRS`` pairs of child
+interpreters, the other checkout first in each pair, so a slow spell of the
+machine touches both sides.  Per reading it prints the median over the
+children of each checkout's minimum, and the median and range over the
+pairs of the change, this checkout's minimum over the other's: a change
+that every pair shows, beyond the range, is resolved.  ``--json`` prints
+one run's readings as one JSON object, which is what the children print.
 """
 
 from __future__ import annotations
@@ -78,7 +89,9 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
+import json
 import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -91,26 +104,32 @@ WALK_POINTS = 32
 LATTICE = (32, 128)
 ARRAY_POINTS = 201
 REPEAT = 30
+# The pairs of child runs of --against.
+PAIRS = 3
 # The seed of the first timed report; each later one takes the next.
 REPORT_SEED = 1000
 # A fresh report's parameter is its default plus a multiple of this step.
 FRESH_STEP = Fraction(1, 4096)
 
 
-def stage_lines(staged) -> tuple[int, int, int]:
-    """The lines of a compiled form's stages (pre_x, pre_t, post): the
-    locals of each but its arguments, where the values ``post`` unpacks
-    from the other two count in theirs alone."""
+def stage_counts(staged, tape) -> list[tuple[int, int]]:
+    """Per stage of a compiled form (pre_x, pre_t, post), its statements
+    and its operations: the locals of each but its arguments (the values
+    ``post`` unpacks from the other two count in theirs alone), and the
+    fused lines of ``tape``, the tape it was compiled from, whose stage it
+    is (by the line's mask: x, t, or both)."""
     pre_x, pre_t, post = (stage.__code__ for stage in staged)
     xs, ts = (set(code.co_varnames[1:code.co_nlocals]) for code in (pre_x, pre_t))
-    return len(xs), len(ts), len(set(post.co_varnames[4:post.co_nlocals]) - xs - ts)
+    statements = len(xs), len(ts), len(set(post.co_varnames[4:post.co_nlocals]) - xs - ts)
+    masks = [line[5] for line in tape.fused]
+    return [(n, masks.count(mask)) for n, mask in zip(statements, (1, 2, 3))]
 
 
-def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
+def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, list[float]]]:
     """The number of distinct DAG nodes, the tapes built per fresh report,
-    the lines of each coefficient kernel's compiled stages, and per reading
-    its times in ms.  A job returns None, and is timed whole, or the ms of
-    its timed part."""
+    the statements and operations of each coefficient kernel's compiled
+    stages (:func:`stage_counts`), and per reading its times in ms.  A job
+    returns None, and is timed whole, or the ms of its timed part."""
     from fuchsreduce import catalog, reduction, verify
     from fuchsreduce import expr as fe
     from fuchsreduce.config import Config
@@ -147,8 +166,9 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
         entry = catalog.lookup(entry_id)
         lattices.append((entry, _latin_hypercube(entry.box_x, LATTICE[0], rng),
                          _latin_hypercube(entry.box_t, LATTICE[1], rng)))
-    lines = {entry.id: stage_lines(entry.decomposition._coeff_stages)
-             for entry, *_ in lattices}
+    counts = {entry.id: stage_counts(entry.decomposition._coeff_stages,
+                                     entry.decomposition._coeff_array.tape)
+              for entry, *_ in lattices}
     # Two reports per entry, so every kernel a report calls has run (and,
     # in a checkout whose flow kernel walks and then compiles, compiled).
     for seed in (1, 2):
@@ -335,22 +355,67 @@ def readings() -> tuple[int, float, dict[str, tuple], dict[str, list[float]]]:
                 times[name].append(ms)
     finally:
         gc.enable()
-    return nodes, tapes, lines, times
+    return nodes, tapes, counts, times
+
+
+def print_counts(counts: dict[str, list[tuple[int, int]]], label: str = "") -> None:
+    """The statements and operations per compiled stage, per entry and in
+    total."""
+    total = [tuple(map(sum, zip(*per_stage))) for per_stage in zip(*counts.values())]
+    print(f"compiled coefficient stages{label}, statements/operations (pre_x / pre_t / post):")
+    for entry_id, per_stage in [*counts.items(), ("total", total)]:
+        print(f"  {entry_id:<18} {' / '.join(f'{n}/{ops}' for n, ops in per_stage)}")
+
+
+def child(root: Path) -> dict:
+    """One run of this tool on ``root`` in a child interpreter, read from
+    the JSON object it prints."""
+    out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--root", str(root),
+                          "--json"], check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def compare(root: Path, against: Path) -> None:
+    """``PAIRS`` alternating pairs of child runs, ``against`` first in each,
+    and per reading the medians of each side and the change."""
+    runs: dict[Path, list[dict]] = {root: [], against: []}
+    for _ in range(PAIRS):
+        for side in (against, root):
+            runs[side].append(child(side))
+    print(f"{root} against {against}: {PAIRS} pairs of child runs, {REPEAT} runs each")
+    print_counts(runs[against][0]["counts"], f" of {against.name}")
+    print_counts(runs[root][0]["counts"], f" of {root.name}")
+    times = runs[root][0]["times"]
+    width = max(len(name) for name in times)
+    print(f"{'reading':<{width}}  {'other ms':>9}  {'this ms':>9}  {'change':>7}  {'pairs':>15}")
+    for name in times:
+        this, other = ([min(run["times"][name]) for run in runs[side]] for side in (root, against))
+        change = [100 * (a / b - 1) for a, b in zip(this, other)]
+        print(f"{name:<{width}}  {statistics.median(other):>9.3f}  {statistics.median(this):>9.3f}"
+              f"  {statistics.median(change):>+6.1f}%  {min(change):>+6.1f}%..{max(change):>+5.1f}%")
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="the checkout to time (default: this one)")
+    parser.add_argument("--against", type=Path,
+                        help="a second checkout: time both in alternating child runs")
+    parser.add_argument("--json", action="store_true",
+                        help="print the readings as one JSON object")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    if args.against is not None:
+        compare(root, args.against.resolve())
+        return
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    nodes, tapes, lines, times = readings()
+    nodes, tapes, counts, times = readings()
+    if args.json:
+        print(json.dumps({"nodes": nodes, "tapes": tapes, "counts": counts, "times": times}))
+        return
     print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
     print(f"{tapes:.2f} tapes built per fresh report")
-    print("compiled coefficient stage lines (pre_x / pre_t / post):")
-    for entry_id, counts in [*lines.items(), ("total", tuple(map(sum, zip(*lines.values()))))]:
-        print(f"  {entry_id:<18} {' / '.join(map(str, counts))}")
+    print_counts(counts)
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'min ms':>9}  {'median ms':>9}  {'max ms':>9}")
     for name, ms in times.items():
