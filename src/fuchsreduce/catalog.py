@@ -130,14 +130,14 @@ class LaxPair:
     kernels are built on first use.
 
     The Frobenius residuals read every entry of A and of dA/dt, so the
-    Frobenius kernel's tape is one tape of the four residuals and then of
-    A's and dA/dt's entries, which adds no line to the residuals' own.
-    The walk matrix ``a_dadt_array`` is a view of it (``expr._Tape.view``)
-    that runs only the lines A and dA/dt read, so a pole of B never rejects
-    a leg panel.  ``frobenius_checked`` is false for a pair whose
-    integrability no report checks (a direct scalar pair's companion
-    system): its A and dA/dt take a tape of their own, and its residuals
-    are derived only when asked for."""
+    Frobenius kernel numbers the four residuals and then A's and dA/dt's
+    entries, which adds no line to the residuals' own.  The walk matrix
+    ``a_dadt_array`` is a view of it (``expr.Kernel.view``) that runs only
+    the lines A and dA/dt read, so a pole of B never rejects a leg panel.
+    ``frobenius_checked`` is false for a pair whose integrability no report
+    checks (a direct scalar pair's companion system): its A and dA/dt take
+    a kernel of their own, and its residuals are derived only when asked
+    for."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -152,16 +152,17 @@ class LaxPair:
     def a_dadt_array(self) -> fe.Kernel:
         """The kernel of (a11, a12, a21, a22) and then the same entries of
         dA/dt: the ``matrix`` of a linear-system walk."""
-        shared = self.frobenius_fns.tape.view(4) if self.frobenius_checked else None
-        return fe.Kernel((*self.a[0], *self.a[1], *self.dadt), tape=shared)
+        return (self.frobenius_fns.view(4) if self.frobenius_checked
+                else fe.Kernel((*self.a[0], *self.a[1], *self.dadt)))
 
     @cached_property
     def frobenius_fns(self) -> fe.Kernel:
-        """The kernel of the four entries of dA/dt - dB/dx + [A, B], on the
-        pair's one tape; its array form gives, bit for bit, the values of
-        the array forms of one kernel per entry."""
-        roots = (*scal.frobenius_residual_exprs(self), *self.a[0], *self.a[1], *self.dadt)
-        return fe.Kernel(roots[:4], tape=fe._Tape(roots, 4))
+        """The kernel of the four entries of dA/dt - dB/dx + [A, B], which
+        also numbers those of A and dA/dt for ``a_dadt_array``; its array
+        form gives, bit for bit, the values of the array forms of one
+        kernel per entry."""
+        return fe.Kernel((*scal.frobenius_residual_exprs(self),
+                          *self.a[0], *self.a[1], *self.dadt), 4)
 
 
 @dataclass(kw_only=True)
@@ -224,7 +225,7 @@ class CatalogEntry:
             return self
         copy = replace(self, **boxes)
         # Saves the flow kernel and a direct pair's companion systems with
-        # the tape of A, dA/dt; a matrix entry's systems are its lax,
+        # the kernel of A, dA/dt; a matrix entry's systems are its lax,
         # which replace already shares.
         copy.__dict__.update({name: self.__dict__[name]
                               for name in ("flow_fns", "linear_systems")

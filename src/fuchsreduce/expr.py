@@ -4,26 +4,25 @@ Expressions are immutable trees of complex constants, the spectral
 variable ``x`` and the deformation variable ``t``; a family parameter is
 written into a tree as a constant when the tree is built.  The engine
 provides exact differentiation, substitution of ``x`` or ``t``, a
-one-point walk (:func:`evaluate`), the value-numbered tape of a DAG
-(:class:`_Tape`), the one evaluator at many points, compilation of the tape
-to straight-line Python staged on x and on t (:func:`compile_expr`),
-kernels whose one batch form runs the tape (:class:`Kernel`), first-order
-jets and plain values on the tape for numerical decisions (:func:`_jets`,
-:func:`_sample`), one walker of adaptive
-Chebyshev panels along a straight segment, one panel at a time (contour
-quadrature, or the solve of a 2x2 linear ODE and its t-variation) and an
-infix printer.
+one-point walk (:func:`evaluate`), kernels (:class:`Kernel`): the
+value-numbered tape of a DAG, whose one batch form is the one evaluator at
+many points, compiled to straight-line Python in three stages, on x, on t
+and on both (:func:`compile_expr`), and run as first-order jets and plain
+values for numerical decisions (:func:`_jets`, :func:`_sample`), one walker
+of adaptive Chebyshev panels along a straight segment, one panel at a time
+(contour quadrature, or the solve of a 2x2 linear ODE and its t-variation)
+and an infix printer.
 
 One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`),
-and one for the subtraction a tape fuses a neg into:
+and one for the subtraction a kernel fuses a neg into:
 its constructor, the template of its compiled line, the function that line
 applies to one point and to arrays of points, its chain rule and, for
 ``div``, ``ipow`` and ``log``, the check of the operand that can make it
-singular.  The walk, the tape, the jets, differentiation, substitution and
+singular.  The walk, the kernel, the jets, differentiation, substitution and
 compilation read a kind's rule from its row and handle only the leaves
 themselves (the printer keeps its own precedence rules).  One traversal,
 :func:`_traverse`, visits each node object of a DAG once, children first;
-differentiation and substitution go through it, and the tape numbers its
+differentiation and substitution go through it, and a kernel numbers its
 nodes in that order in a pass of its own, with no per-node callback.
 :func:`evaluate` keeps its own recursion, as it takes a checked operand
 first; a decision on sampled values, and a kernel's batch that raises or is
@@ -378,8 +377,8 @@ def _principal_pow_array(base, exponent: float):
 
 class _Kind(NamedTuple):
     """One interior node kind, or ``sub``, the kind of no node but of a
-    tape's fused lines (:class:`_Tape`): the columns every interpreter of
-    the kind reads.
+    kernel's fused lines (:class:`Kernel`): the columns every interpreter
+    of the kind reads.
 
     * ``build``: its folding constructor.
     * ``line``: the ``%`` template of its compiled line.
@@ -427,7 +426,7 @@ _KINDS: dict[str, _Kind] = {
     "log": _Kind(log, "_log(%s)", cmath.log, np.log, lambda n, c, d: d[0] / c[0],
                  (0, lambda v, q: v == 0, "log of zero")),
     "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt, lambda n, c, d: d[0] / (2 * n)),
-    # The kind of no node: a tape's fused line of an add and a neg it reads.
+    # The kind of no node: a kernel's fused line of an add and a neg it reads.
     "sub": _Kind(sub, "%s - %s", operator.sub, operator.sub, lambda n, c, d: d[0] - d[1]),
 }
 
@@ -556,14 +555,14 @@ _GRAD_X = _Values(np.array([[1], [0]], dtype=complex))
 _GRAD_T = _Values(np.array([[0], [1]], dtype=complex))
 
 
-def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
+def _jets(kernel: Kernel, xs: np.ndarray, ts: np.ndarray
           ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(value, d/dx, d/dt) of each output of ``tape`` at the points
+    """(value, d/dx, d/dt) of each output of ``kernel`` at the points
     ``(xs[k], ts[k])``, 1-D arrays: first-order jets, one per fused line
     (as the array form runs them), with no derivative DAG built.
 
-    A line's value is its row's ``array`` function, as the array form of
-    the tape applies it, and its gradient, d/dx and d/dt stacked in one
+    A line's value is its row's ``array`` function, as the array form
+    applies it, and its gradient, d/dx and d/dt stacked in one
     array, is its row's ``derive`` rule (``_KINDS``) applied to
     :class:`_Values`, so the jets agree with the values of
     :func:`differentiate`'s output to rounding.  A gradient that vanishes
@@ -576,11 +575,11 @@ def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
     point is never hidden behind a finite value (1 / inf); the caller
     decides (:func:`_finite`)."""
     shape = np.broadcast_shapes(np.shape(xs), np.shape(ts))
-    jets: list = [None if v is None else (_Values(v), 0) for v in tape.start]
+    jets: list = [None if v is None else (_Values(v), 0) for v in kernel.start]
     jets[0], jets[1] = (_Values(xs), _GRAD_X), (_Values(ts), _GRAD_T)
     try:
         with np.errstate(all="ignore"):
-            for slot, kind, a, b, q, _ in tape.fused:
+            for slot, kind, a, b, q, _ in kernel.fused:
                 row = _KINDS[kind]
                 c, d = zip(jets[a]) if b is None else zip(jets[a], jets[b])
                 operands = [v.v for v in c]
@@ -588,7 +587,7 @@ def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
                     operands.append(q if type(q) is int else float(q))
                 node = _Values(row.array(*operands), q)
                 jets[slot] = node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
-            bad = ~np.isfinite(sum([jets[line[0]][0].v for line in tape.fused], 0j))
+            bad = ~np.isfinite(sum([jets[line[0]][0].v for line in kernel.fused], 0j))
     except ArithmeticError:
         jets, bad = [(0j, 0)] * len(jets), True
 
@@ -597,20 +596,20 @@ def _jets(tape: _Tape, xs: np.ndarray, ts: np.ndarray
         dx, dt = np.broadcast_to(grad, (2, *shape))
         return np.where(bad, np.nan, np.broadcast_to(value, shape)), dx, dt
 
-    return [rows(slot) for slot in tape.outputs]
+    return [rows(slot) for slot in kernel.outputs]
 
 
-def _sample(tape: _Tape, xs: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
-    """The values of the outputs of ``tape`` at the points ``(xs[k],
+def _sample(kernel: Kernel, xs: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
+    """The values of the outputs of ``kernel`` at the points ``(xs[k],
     ts[k])``, arrays of one shape, from one run of its array rows, with
     the NaNs of :func:`_jets`.  The caller decides (:func:`_finite`)."""
     try:
         with np.errstate(all="ignore"):
-            vals = tape.x_values(xs)
-            out = list(tape.values(vals, ts))
-            bad = ~np.isfinite(sum([vals[line[0]] for line in tape.fused], 0j))
+            vals = kernel.x_values(xs)
+            out = list(kernel.values(vals, ts))
+            bad = ~np.isfinite(sum([vals[line[0]] for line in kernel.fused], 0j))
     except ArithmeticError:
-        out, bad = [0j] * len(tape.outputs), True
+        out, bad = [0j] * len(kernel.outputs), True
     return [np.where(bad, np.nan, np.broadcast_to(v, np.shape(xs))) for v in out]
 
 
@@ -657,13 +656,17 @@ def _evaluate(e: Expr, b: Binding, memo: dict[int, complex]) -> complex:
         i, singular, message = row.check
         if singular(_evaluate(kids[i], b, memo), q):
             raise SingularEvaluationError(message)
-    # A checked operand is a memo hit now, or a leaf.
-    args = [_evaluate(c, b, memo) for c in kids]
-    if q is not None:
-        # The exponent as its compiled literal: an int as itself, a
-        # Fraction p/q as the float p / q.
-        args.append(q if type(q) is int else float(q))
-    got = memo[id(e)] = row.scalar(*args)
+    # A checked operand is a memo hit now, or a leaf.  The operands are
+    # walked by direct calls, as in _traverse: a comprehension would add a
+    # frame per level and halve the depth the walk reaches.  An exponent
+    # is applied as its compiled literal: an int as itself, a Fraction p/q
+    # as the float p / q.
+    a = _evaluate(kids[0], b, memo)
+    if len(kids) == 2:
+        got = row.scalar(a, _evaluate(kids[1], b, memo))
+    else:
+        got = row.scalar(a) if q is None else row.scalar(a, q if type(q) is int else float(q))
+    memo[id(e)] = got
     return got
 
 
@@ -728,7 +731,7 @@ def _literal(value: complex) -> str:
 _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
 
 
-# The subset of {x, t} a tape line depends on, as a bit mask.
+# The subset of {x, t} a kernel's line depends on, as a bit mask.
 _X_DEP, _T_DEP = 1, 2
 
 # How many lines deep compile_expr writes lines inside their one reader.
@@ -738,11 +741,20 @@ _X_DEP, _T_DEP = 1, 2
 _INLINE_DEPTH = 32
 
 
-class _Tape:
-    """The value-numbered tape of the DAG under some roots: the one
-    structure that :class:`Kernel`'s array form, :func:`_jets` and
-    :func:`compile_expr` read, built once per DAG.  The array form, the
-    compiled text and the jets are three renderings of its ``fused`` lines.
+class Kernel:
+    """Expressions to evaluate at many points, and the value-numbered tape
+    of the DAG under them: the one structure that its batch form,
+    :func:`_sample`, :func:`_jets` and :func:`compile_expr` read, built once
+    per DAG.  The array form, the compiled text and the jets are three
+    renderings of its ``fused`` lines.
+
+    ``Kernel(e)`` takes one expression, or a tuple of them, as its roots,
+    and a call returns their values: an array for one expression, a tuple
+    of arrays for a tuple.  ``Kernel(roots, n_out)`` returns the values of
+    the first ``n_out`` roots alone and numbers the rest for a
+    :meth:`view`.  ``expr`` is what a call returns the values of (one
+    expression, or a tuple of them) and ``exprs`` the tuple of the roots,
+    which a view and the walk of a batch that fails read.
 
     Every value has a slot: x is slot 0, t slot 1, and each distinct
     constant and interior line the next one, in the order one pass over
@@ -759,18 +771,16 @@ class _Tape:
       ``ipow`` and ``fpow``) and the subset of {x, t} it depends on.  A line
       that reads neither is marked as depending on x: it runs with the
       x-lines, so a line reading it and t is an (x, t) line.
-    * ``roots``: the slot of each root; ``outputs``, the slots whose values
-      the array form returns: those of the first ``n_out`` roots (the rest
-      are kept for a :meth:`view`), or of the roots a :meth:`view` takes.
+    * ``roots``: the slot of each root; ``outputs``, the slots of ``expr``.
     * ``fused``: the lines the outputs read, in the same order, where a
       neg whose every reader among them is an add (the outputs counting as
       readers of another kind) runs inside each of those adds as a
       ``sub`` line: add(a, neg b) as a - b and add(neg a, b) as b - a.
       That is IEEE 754's difference, bit for bit, and addition commutes
       exactly, so the fused lines give the values of the lines they
-      replace.  The fusion is decided over these lines alone, so a tape
-      with roots after its outputs, or a :meth:`view`, fuses as a tape of
-      its outputs alone.
+      replace.  The fusion is decided over these lines alone, so a kernel
+      with roots after its outputs, or a view, fuses as a kernel of its
+      outputs alone.
 
     Values are shared by structure (hash-consing by value numbering): a
     line is keyed on its kind, operand slots and exponent, a constant on
@@ -781,14 +791,24 @@ class _Tape:
     equality is not the key: it equates ``const(0j)`` and
     ``const(complex(0, -0.0))``, whose bits differ.
 
-    The array form runs the fused lines as pre-bound rows ``(slot, array,
-    a, b)`` on a copy of ``start``, the x-lines first (:meth:`x_values`),
-    then the others (:meth:`values`); a power line's ``b`` is its own
-    slot."""
+    The one batch form, ``kernel(x, t)`` and :meth:`on_x`, runs the fused
+    lines on numpy arrays as pre-bound rows ``(slot, array, a, b)`` on a
+    copy of ``start``, the x-lines first (:meth:`x_values`), then the
+    others (:meth:`values`); a power line's ``b`` is its own slot.  It
+    never compiles.  Its values are, bit for bit, those of the compiled
+    lines run on the same arrays: each applies its row's ``array``
+    function, as the compiled line's array counterpart would.  A batch
+    that raises or is not finite is answered as a decision on sampled
+    values is: the run of :func:`_sample`, then :func:`_finite`,
+    expression by expression.  A kernel holds no compiled form and no
+    reference to itself."""
 
-    __slots__ = ("lines", "roots", "outputs", "start", "fused", "_x_rows", "_xt_rows")
+    __slots__ = ("expr", "exprs", "lines", "roots", "outputs", "start", "fused",
+                 "_x_rows", "_xt_rows")
 
-    def __init__(self, roots: Sequence[Expr], n_out: int | None = None):
+    def __init__(self, e: Expr | tuple[Expr, ...], n_out: int | None = None):
+        self.exprs = roots = e if isinstance(e, tuple) else (e,)
+        self.expr = e if n_out is None else roots[:n_out]
         slots: dict = {}
         memo: dict[int, int] = {}     # id of a node met -> its slot
         masks, start, lines = [_X_DEP, _T_DEP], [None, None], []
@@ -830,16 +850,17 @@ class _Tape:
         self.lines, self.start = tuple(lines), start
         self._bind(self.roots[:n_out])
 
-    def view(self, first: int) -> _Tape:
-        """This tape with its roots from the ``first``-th on as its outputs:
-        it shares the lines, slots and rows, and its array form runs only
-        the lines those roots read.  So kernels of several root sets of one
-        DAG number it once, and a line only another set reads (a pole
-        there) never reaches their calls."""
-        tape = object.__new__(_Tape)
-        tape.lines, tape.roots, tape.start = self.lines, self.roots, self.start
-        tape._bind(self.roots[first:])
-        return tape
+    def view(self, first: int) -> Kernel:
+        """The kernel of this one's roots from the ``first``-th on, as a
+        tuple: it shares the lines, slots and start values, and its array
+        form runs only the lines those roots read.  So kernels of several
+        root sets of one DAG number it once, and a line only another set
+        reads (a pole there) never reaches their calls."""
+        kernel = object.__new__(Kernel)
+        kernel.lines, kernel.roots, kernel.start = self.lines, self.roots, self.start
+        kernel.exprs, kernel.expr = self.exprs, self.exprs[first:]
+        kernel._bind(self.roots[first:])
+        return kernel
 
     def _bind(self, outputs: tuple[int, ...]) -> None:
         """Take ``outputs`` as the outputs: the lines they read, their
@@ -889,62 +910,94 @@ class _Tape:
             vals[slot] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
         return map(vals.__getitem__, self.outputs)
 
+    def __call__(self, x, t, held: list | None = None):
+        """The batch form: the values at numpy arrays of points.
 
-class _Staged(tuple):
-    """The compiled form of an expression: its three stage functions
-    ``(pre_x, pre_t, post)``, called as the function ``f(x, t) = post(x, t,
-    pre_x(x), pre_t(t))``, each running its stage's fused lines once, as
-    assignments or inside their one reader (:func:`compile_expr`)."""
+        ``x`` and ``t`` broadcast against each other; the result has their
+        shape (a tuple of such arrays when ``expr`` is a tuple).  It is
+        evaluated under ``np.errstate`` raising on divide, overflow and
+        invalid.  A batch that raises an ArithmeticError or yields a
+        non-finite value is run again with the NaNs of :func:`_sample` and
+        each expression's non-finite values walked (:func:`_finite`), so it
+        ends in the walk's values or in the exception the walk raises at
+        the first bad point of the first expression that has one.
+        ``held`` is :meth:`on_x`'s list of the values of the x-lines at
+        ``x``, filled by its first call that they do not raise in and
+        copied by the calls after."""
+        x, t = np.asarray(x, dtype=complex), np.asarray(t, dtype=complex)
+        # Where one side is a single point, the shape is the other's: no
+        # np.broadcast, which costs a microsecond.
+        shape = (t.shape if x.size == 1 and x.ndim <= t.ndim else x.shape
+                 if t.size == 1 and t.ndim <= x.ndim else np.broadcast(x, t).shape)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                if held == []:
+                    held.append(self.x_values(x))
+                vals = self.x_values(x) if held is None else held[0].copy()
+                out = self.values(vals, t)
+            out = [v if type(v) is np.ndarray and v.shape == shape
+                   else np.full(shape, v, dtype=complex) for v in out]
+            every = out[0] if len(out) == 1 else np.concatenate(out, axis=None)
+            # 0 * v is 0 where v is finite and NaN where it is not, so the
+            # sum is finite exactly when every value is.
+            if cmath.isfinite(np.vdot(np.zeros(every.size, dtype=complex), every)):
+                return tuple(out) if isinstance(self.expr, tuple) else out[0]
+        except ArithmeticError:
+            pass
+        # The batch raised or is not finite: the walk answers.
+        xs, ts = np.broadcast_to(x, shape), np.broadcast_to(t, shape)
+        exprs = self.expr if isinstance(self.expr, tuple) else (self.expr,)
+        out = [_finite(e, v, xs, ts) for e, v in zip(exprs, _sample(self, xs, ts))]
+        return tuple(out) if isinstance(self.expr, tuple) else out[0]
 
-    __slots__ = ()
+    def on_x(self, x: complex) -> Callable[[object], object]:
+        """The array form on the line through the one point x: ``g(t)`` is
+        ``self([x], t)``, with its values, bit for bit, and its walk.
+        The x-lines run at x on the first call of ``g``, which keeps their
+        values unless they raise, and every later call runs only the other
+        lines.  ``g`` holds the kernel and no reference to itself."""
+        return functools.partial(self, np.array([complex(x)]), held=[])
 
-    def __call__(self, x, t):
-        pre_x, pre_t, post = self
-        return post(x, t, pre_x(x), pre_t(t))
 
+def compile_expr(kernel: Kernel) -> tuple[Callable, Callable, Callable]:
+    """Compile the fused lines of ``kernel`` to straight-line Python staged
+    on x and on t: the tuple ``(pre_x, pre_t, post)`` of three functions,
+    from one ``compile`` call, where ``post(x, t, pre_x(x), pre_t(t))`` is
+    the value of the kernel's ``expr`` at the point (x, t), a tuple of
+    values for a tuple.  Each fused line runs once, so a subtree shared by
+    structure is computed once and a neg that only adds read runs inside
+    them as a subtraction, as in the array form.  A line is an assignment
+    ``v<k> = ...``, unless exactly one later line of its own stage reads it
+    and it is not an output: then it is written inside that reader's
+    expression, in parentheses, up to ``_INLINE_DEPTH`` lines deep (a
+    deeper one is an assignment again).  Singular inputs raise the native
+    ZeroDivisionError/ValueError.  As the fused lines are those the outputs
+    read, a kernel with roots after its outputs compiles to the text of a
+    kernel of its outputs alone, and a view to its lines in the order of
+    the kernel it shares.
 
-def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Staged:
-    """Compile to a Python function ``f(x, t) -> complex``; given a tuple
-    of expressions, ``f`` returns the tuple of their values, computed by
-    one straight-line body that runs each fused line of the expression's
-    :class:`_Tape` once, so a subtree shared by structure is computed once
-    and a neg that only adds read runs inside them as a subtraction, as in
-    the array form.  A line is an assignment ``v<k> = ...``, unless exactly
-    one later line of its own stage reads it and it is not an output: then
-    it is written inside that reader's expression, in parentheses, up to
-    ``_INLINE_DEPTH`` lines deep (a deeper one is an assignment again).
-    Singular inputs raise the native ZeroDivisionError/ValueError.
-    ``tape``, when given, is a tape already built with ``e``'s values as
-    its outputs (a :class:`Kernel`'s); its fused lines are those the
-    outputs read, so for a tape of ``e`` and of roots after it the text is
-    the same.
-
-    The lines are staged on x and on t: ``f`` is the tuple ``(pre_x, pre_t,
-    post)`` of three functions, from one ``compile`` call, and calling it
-    is ``post(x, t, pre_x(x), pre_t(t))``.  ``pre_x(x)`` runs every line
-    that does not depend on t: the lines in x alone and those in neither
-    variable.  ``pre_t(t)`` runs the lines in t alone that read no such
-    constant line (a line in t reading one runs in ``post``).  Each returns
-    the tuple of its values that later lines or the result read, which are
-    always assigned; ``post(x, t, xv, tv)`` unpacks both and runs the lines
-    that depend on x and t.  A caller that meets the same x, or the same t,
-    at many points can compute its stage once.  Every line runs once, in
-    exactly one stage, on the values of its operands, so the values do not
-    depend on the staging or the inlining, bit for bit, and a point raises
-    exactly when one of its lines does (which line raises first, when
-    several would, follows the text)."""
-    tape = _Tape(e if isinstance(e, tuple) else (e,)) if tape is None else tape
-    lines = tape.fused
+    ``pre_x(x)`` runs every line that does not depend on t: the lines in x
+    alone and those in neither variable.  ``pre_t(t)`` runs the lines in t
+    alone that read no such constant line (a line in t reading one runs in
+    ``post``).  Each returns the tuple of its values that later lines or
+    the result read, which are always assigned; ``post(x, t, xv, tv)``
+    unpacks both and runs the lines that depend on x and t.  A caller that
+    meets the same x, or the same t, at many points can compute its stage
+    once.  Every line runs once, in exactly one stage, on the values of its
+    operands, so the values do not depend on the staging or the inlining,
+    bit for bit, and a point raises exactly when one of its lines does
+    (which line raises first, when several would, follows the text)."""
+    lines = kernel.fused
     # Per slot, the stages of its reads: a line read once, by its own
     # stage, and not an output is written inside its reader.
-    reads: dict[int, list[int]] = {slot: [0] for slot in tape.outputs}
+    reads: dict[int, list[int]] = {slot: [0] for slot in kernel.outputs}
     for slot, kind, a, b, q, mask in lines:
         for s in (a,) if b is None else (a, b):
             reads.setdefault(s, []).append(mask)
-    names = ["x", "t", *(v if v is None else _literal(v) for v in tape.start[2:])]
+    names = ["x", "t", *(v if v is None else _literal(v) for v in kernel.start[2:])]
     depth = [0] * len(names)    # the lines written inside a slot's text
     stages: dict[int, list[str]] = {_X_DEP: [], _T_DEP: [], _X_DEP | _T_DEP: []}
-    read = set(tape.outputs)    # what the (x, t)-lines and the result read
+    read = set(kernel.outputs)  # what the (x, t)-lines and the result read
     for k, (slot, kind, a, b, q, mask) in enumerate(lines):
         ops = (a,) if b is None else (a, b)
         rhs = _KINDS[kind].line % tuple(
@@ -961,8 +1014,8 @@ def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Stag
     xv, tv = ("(" + "".join(f"{names[slot]}, " for slot, *_, mask in lines
                             if mask == dep and slot in read) + ")"
               for dep in (_X_DEP, _T_DEP))
-    outputs = [names[slot] for slot in tape.outputs]
-    result = "".join(f"{out}, " for out in outputs) if isinstance(e, tuple) else outputs[0]
+    outputs = [names[slot] for slot in kernel.outputs]
+    result = "".join(f"{o}, " for o in outputs) if isinstance(kernel.expr, tuple) else outputs[0]
     src = "".join([
         "def _pre_x(x):\n", *stages[_X_DEP], f"    return {xv}\n",
         "def _pre_t(t):\n", *stages[_T_DEP], f"    return {tv}\n",
@@ -971,77 +1024,7 @@ def compile_expr(e: Expr | tuple[Expr, ...], tape: _Tape | None = None) -> _Stag
     ns = dict(_SCALAR_NAMESPACE)
     exec(compile(src, "<fuchsreduce-expr>", "exec"), ns)
     # Popped, so no function is held by its own globals (a cycle).
-    return _Staged((ns.pop("_pre_x"), ns.pop("_pre_t"), ns.pop("_post")))
-
-
-class Kernel:
-    """Expressions to evaluate at many points: ``e`` is one expression, or
-    a tuple of them as for :func:`compile_expr`.  ``tape`` is the tape of
-    ``e`` it runs: by default one of ``e`` alone, else a tape whose outputs
-    are the values of ``e`` with more roots after them (for a view; no
-    call returns them), or a :meth:`_Tape.view` of a tape other kernels
-    share.
-
-    The one batch form, ``kernel(x, t)`` and :meth:`on_x`, runs the tape on
-    numpy arrays and never compiles.  Its values are, bit for bit, those
-    of the compiled lines run on the same arrays: both render the tape's
-    fused lines, and each applies its row's ``array`` function, as the
-    compiled line's array counterpart would.  A batch that raises or is
-    not finite is answered as a decision on sampled values is: the run of
-    :func:`_sample`, then :func:`_finite`, expression by expression.  A
-    kernel holds no compiled form and no reference to itself."""
-
-    def __init__(self, e: Expr | tuple[Expr, ...], tape: _Tape | None = None):
-        self.expr = e
-        self.tape = _Tape(e if isinstance(e, tuple) else (e,)) if tape is None else tape
-
-    def __call__(self, x, t, held: list | None = None):
-        """The batch form: the values at numpy arrays of points.
-
-        ``x`` and ``t`` broadcast against each other; the result has their
-        shape (a tuple of such arrays for a tuple kernel).  It is evaluated
-        under ``np.errstate`` raising on divide, overflow and invalid.  A
-        batch that raises an ArithmeticError or yields a non-finite value
-        is run again with the NaNs of :func:`_sample` and each expression's
-        non-finite values walked (:func:`_finite`), so it ends in the
-        walk's values or in the exception the walk raises at the first bad
-        point of the first expression that has one.  ``held`` is
-        :meth:`on_x`'s list of the values of the tape's x-lines at ``x``,
-        filled by its first call that they do not raise in and copied by
-        the calls after."""
-        x, t = np.asarray(x, dtype=complex), np.asarray(t, dtype=complex)
-        # Where one side is a single point, the shape is the other's: no
-        # np.broadcast, which costs a microsecond.
-        shape = (t.shape if x.size == 1 and x.ndim <= t.ndim else x.shape
-                 if t.size == 1 and t.ndim <= x.ndim else np.broadcast(x, t).shape)
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                if held == []:
-                    held.append(self.tape.x_values(x))
-                vals = self.tape.x_values(x) if held is None else held[0].copy()
-                out = self.tape.values(vals, t)
-            out = [v if type(v) is np.ndarray and v.shape == shape
-                   else np.full(shape, v, dtype=complex) for v in out]
-            every = out[0] if len(out) == 1 else np.concatenate(out, axis=None)
-            # 0 * v is 0 where v is finite and NaN where it is not, so the
-            # sum is finite exactly when every value is.
-            if cmath.isfinite(np.vdot(np.zeros(every.size, dtype=complex), every)):
-                return tuple(out) if isinstance(self.expr, tuple) else out[0]
-        except ArithmeticError:
-            pass
-        # The batch raised or is not finite: the walk answers.
-        xs, ts = np.broadcast_to(x, shape), np.broadcast_to(t, shape)
-        roots = self.expr if isinstance(self.expr, tuple) else (self.expr,)
-        out = [_finite(e, v, xs, ts) for e, v in zip(roots, _sample(self.tape, xs, ts))]
-        return tuple(out) if isinstance(self.expr, tuple) else out[0]
-
-    def on_x(self, x: complex) -> Callable[[object], object]:
-        """The array form on the line through the one point x: ``g(t)`` is
-        ``self([x], t)``, with its values, bit for bit, and its walk.
-        The tape's x-lines run at x on the first call of ``g``, which keeps
-        their values unless they raise, and every later call runs only the
-        other lines.  ``g`` holds the kernel and no reference to itself."""
-        return functools.partial(self, np.array([complex(x)]), held=[])
+    return ns.pop("_pre_x"), ns.pop("_pre_t"), ns.pop("_post")
 
 
 # ---------------------------------------------------------------------------

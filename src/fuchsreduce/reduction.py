@@ -114,8 +114,8 @@ class Decomposition:
 
     The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant`` are
     those :func:`decompose` measured; a copy (``dataclasses.replace``)
-    measures its own from one array call on the tape of its own (f, h, p2)
-    at the 7 x probes and t1, and one on the tape of its M at the 9 t
+    measures its own from one array call of a kernel of its own (f, h, p2)
+    at the 7 x probes and t1, and one of a kernel of its M at the 9 t
     probes, and reads the invariance identities afresh too
     (:attr:`invariance`).  The other underscored cached properties are the
     kernels of (h, f), of G and of (phi, p_num, q_num), phi = f + t h (see
@@ -124,9 +124,9 @@ class Decomposition:
     x-rows at x0, and the compiled stages of (phi, p_num, q_num)
     (``_coeff_stages``), which ``ReducedEquation.coefficients_at`` alone
     runs; each is built on first use and kept for the life of the
-    decomposition.  The kernels of (h, f) and of G
-    run one tape, of h, f and then G (G's a view, ``expr._Tape.view``): a
-    report reads both, and G's lines hold most or all of f's and h's.
+    decomposition.  The kernel of (h, f) numbers h, f and then G, and
+    that of G is its view (``expr.Kernel.view``), which returns ``(G,)``:
+    a report reads both, and G's lines hold most or all of f's and h's.
     ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
@@ -190,8 +190,8 @@ class Decomposition:
         return fe.Kernel((phi, p_num, q_num))
 
     @cached_property
-    def _coeff_stages(self) -> fe._Staged:
-        return fe.compile_expr(self._coeff_array.expr, self._coeff_array.tape)
+    def _coeff_stages(self) -> tuple[Callable, Callable, Callable]:
+        return fe.compile_expr(self._coeff_array)
 
     @cached_property
     def invariance(self) -> float:
@@ -210,14 +210,14 @@ class Decomposition:
         is the max of both over ``_INVARIANCE_PROBES`` joint probes (x on
         the x box's diagonal, t on the t box's, run in opposite
         directions), from first-order jets of (phi, p_num, q_num), one per
-        line of the coefficient kernel's tape (``expr._jets``), the tape its
+        fused line of the coefficient kernel (``expr._jets``), the lines its
         array form runs; h is d phi / dt.  It depends on the decomposition
         alone, so it is computed once per decomposition.  A point where phi
         vanishes or a value is singular gives a reading that is not
         finite."""
         xs = np.array(self.box_x.diagonal(_INVARIANCE_PROBES))
         ts = np.array(self.box_t.diagonal(_INVARIANCE_PROBES)[::-1])
-        (phi, phi_x, h), *nums = fe._jets(self._coeff_array.tape, xs, ts)
+        (phi, phi_x, h), *nums = fe._jets(self._coeff_array, xs, ts)
         readings = []
         with np.errstate(all="ignore"):
             for k, (num, num_x, num_t) in enumerate(nums, 1):
@@ -235,12 +235,11 @@ class Decomposition:
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
-        roots = (self.h, self.f, self.gauge_exponent())
-        return fe.Kernel(roots[:2], tape=fe._Tape(roots, 2))
+        return fe.Kernel((self.h, self.f, self.gauge_exponent()), 2)
 
     @cached_property
     def _G_array(self) -> fe.Kernel:
-        return fe.Kernel(self.gauge_exponent(), tape=self._hf_array.tape.view(2))
+        return self._hf_array.view(2)
 
 
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
@@ -271,11 +270,11 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``).
 
     Every decision reads values of (p2, q2, a_off, b_off) from two array
-    calls on their one tape (``expr._sample``): the 7 x probes at t1, t2
+    calls of their one kernel (``expr._sample``): the 7 x probes at t1, t2
     and t3 and the 12 joint probes' x at their t and at t1, then xa and
     the two x of largest |P3| at the 9 t probes, the joint t's and the two
     t's of the exponent A, where the jets of b_off alone (``expr._jets`` on
-    a view of the tape) give g'/g.  As phi = f + t h is p2, f, h, R, M, g
+    a view of the kernel) give g'/g.  As phi = f + t h is p2, f, h, R, M, g
     and the P_i at the probes are sums and ratios of these; their DAGs are
     built only to be returned.  A value read that is not finite is walked
     at its point (``expr._finite``), so a singular probe raises the walk's
@@ -286,7 +285,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     q2d = sp.q2_decomposable()
     aoff, boff = sp.off_diag
     roots = (sp.p2, q2d, aoff, boff)
-    tape = fe._Tape(roots)
+    kernel = fe.Kernel(roots)
 
     def reader(vals, px, pt):
         """The values of root i at the points ``at`` of a call, checked."""
@@ -296,7 +295,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     # 12 joint probes' at (their t, t1, t1).
     px = np.repeat(xs + box_x.diagonal(12), 3).reshape(19, 3)
     pt = np.array([(t1, t2, t3)] * 7 + [(t, t1, t1) for t in jt])
-    first = fe._sample(tape, px, pt)
+    first = fe._sample(kernel, px, pt)
     read1 = reader(first, px, pt)
     X7, J, J1 = np.s_[:7], np.s_[7:, 0], np.s_[7:, 1]
 
@@ -353,7 +352,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     xb, p3_xb = max((p for p in p3_x7 if p[0] != xg), key=lambda p: abs(p[1]))
     ta = [tdiag[2], tdiag[4]]
     pt2, px2 = np.meshgrid(box_t.diagonal(9) + jt + ta, [xg, xb, xs[ia] if split else xg])
-    read2 = reader(fe._sample(tape, px2, pt2), px2, pt2)
+    read2 = reader(fe._sample(kernel, px2, pt2), px2, pt2)
     T9, TJ, TA = np.s_[:9], np.s_[9:21], np.s_[21:]
 
     def m_at(ts):
@@ -387,8 +386,8 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     exponent_a: complex | None = None
     if m_flags[1]:
         # t (g'/g + 2 M) at the two t's, g'/g = (d/dt b_off) / b_off at xg,
-        # from the jets of b_off alone (a view of the tape).
-        (_, _, db_ta), = fe._jets(tape.view(3), px2[0, TA], pt2[0, TA])
+        # from the jets of b_off alone (a view of the kernel).
+        (_, _, db_ta), = fe._jets(kernel.view(3), px2[0, TA], pt2[0, TA])
         if not np.isfinite(db_ta).all():
             fe._finite(fe.differentiate(boff, "t"), db_ta, px2[0, TA], pt2[0, TA])
         dlog_g = _quotient(db_ta, read2(3, (0, TA)))

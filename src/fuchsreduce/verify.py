@@ -420,7 +420,7 @@ def cross_validate(prep: Prepared) -> float:
         length = abs(x1 - x0)
         s = np.linspace(0.0, length, _MU_POINTS + 2)[1:-1]
         xs = x0 + (x1 - x0) / length * s
-        G = dec._G_array(xs, 0j)
+        G, = dec._G_array(xs, 0j)
         h, f = dec._hf_array(xs, 0j)
         f_th = f + t * h
     except fe.QuadratureError as exc:

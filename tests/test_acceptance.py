@@ -14,6 +14,7 @@ import pytest
 
 from fuchsreduce import catalog, cli, expr as fe, scalarize, verify
 from fuchsreduce.expr import Binding
+from test_expr import compiled
 
 POSITIVE_IDS = catalog.list_entries()
 
@@ -196,7 +197,7 @@ def test_criterion_7_property_suites(prep):
         checked += 1
 
     # quadrature path reversal
-    f = fe.compile_expr(fe.exp(fe.X) / (fe.X + 3))
+    f = compiled(fe.exp(fe.X) / (fe.X + 3))
     fwd = fe.integrate_callable(lambda x: f(x, 0j), [0.0, 2.0 + 0.4j])
     bwd = fe.integrate_callable(lambda x: f(x, 0j), [2.0 + 0.4j, 0.0])
     assert abs(fwd + bwd) <= 1e-11
@@ -204,7 +205,7 @@ def test_criterion_7_property_suites(prep):
     # first-integral property of the characteristic flow, 16 points/entry
     for entry_id in POSITIVE_IDS:
         p = prep(entry_id)
-        fh = fe.compile_expr(p.red.dec.f + fe.T * p.red.dec.h)
+        fh = compiled(p.red.dec.f + fe.T * p.red.dec.h)
         pts = list(zip(p.entry.box_x.diagonal(4),
                        reversed(p.entry.box_t.diagonal(4))))
         pts += [(x + 0.13, t - 0.06j) for x, t in pts]

@@ -11,7 +11,7 @@ from fuchsreduce import catalog, expr as fe
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.scalarize import ScalarPair
-from test_expr import read_infix, walked
+from test_expr import compiled, read_infix, walked
 
 NAN = float("nan")
 
@@ -223,7 +223,7 @@ class TestFlow:
         # code to rounding; the reading is the max over the single kernels.
         entry = catalog.lookup(entry_id)
         singles = [fe.Kernel(e) for e in entry.flow_exprs]
-        compiled = [fe.compile_expr(e) for e in entry.flow_exprs]
+        compiled_flows = [compiled(e) for e in entry.flow_exprs]
         kernel = fe.Kernel(entry.flow_fns.expr)
         for seed in (42, 7, 1):
             rng = np.random.default_rng(Config(seed=seed).entry_seed(entry_id))
@@ -232,7 +232,7 @@ class TestFlow:
             want = [single(0j, np.array(ts)) for single in singles]
             assert [[repr(v) for v in row.tolist()] for row in got] == \
                 [[repr(v) for v in row.tolist()] for row in want]
-            for row, f in zip(got, compiled):
+            for row, f in zip(got, compiled_flows):
                 ref = np.array([f(0j, t) for t in ts])
                 assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
             worst = max(float(np.abs(row).max()) for row in want)

@@ -1,6 +1,7 @@
 import ast
 import cmath
 import collections
+import inspect
 import math
 import random
 import struct
@@ -136,18 +137,18 @@ class TestDerivativeShape:
 
 
 def _numbered(e):
-    """The value-numbered tape of ``e`` as plain tuples: equal exactly when
-    two expressions compile to the same lines."""
-    tape = fe._Tape((e,))
-    return (tape.lines, tape.roots,
-            [v if v is None else fe._literal(v) for v in tape.start])
+    """The value-numbered tape of ``e``'s kernel as plain tuples: equal
+    exactly when two expressions compile to the same lines."""
+    kernel = fe.Kernel(e)
+    return (kernel.lines, kernel.roots,
+            [v if v is None else fe._literal(v) for v in kernel.start])
 
 
 _ALL_ENTRIES = catalog.list_entries() + catalog.list_negative_entries()
 
 
 def _reference_tape(roots):
-    """The tape's numbering by its first rule: :func:`fe._traverse` with a
+    """A kernel's numbering by its first rule: :func:`fe._traverse` with a
     per-node callback, a constant keyed on its compiled literal.  As
     (lines, roots, start), the start holding the DAG's slots alone."""
     slots, masks, start, lines = {}, [fe._X_DEP, fe._T_DEP], [None, None], []
@@ -172,19 +173,19 @@ def _reference_tape(roots):
 
 
 def _assert_reference_numbering(roots, n_out=None):
-    """``fe._Tape(roots, n_out)`` numbers as :func:`_reference_tape` does,
+    """``fe.Kernel(roots, n_out)`` numbers as :func:`_reference_tape` does,
     each constant compared by its bits."""
     def bits(start):
         return [struct.pack("dd", v.real, v.imag) if type(v) is complex else (type(v), v)
                 for v in start]
 
     lines, want_roots, start = _reference_tape(roots)
-    tape = fe._Tape(roots, n_out)
+    kernel = fe.Kernel(roots, n_out)
     # A power line's slot starts from its exponent, the int or the float
     # p / q its row applies; no slot lies past the DAG's.
     exps = {slot: q if type(q) is int else float(q) for slot, *_, q, _ in lines if q is not None}
     start = [exps.get(slot, v) for slot, v in enumerate(start)]
-    assert (tape.lines, tape.roots, bits(tape.start)) == (lines, want_roots, bits(start))
+    assert (kernel.lines, kernel.roots, bits(kernel.start)) == (lines, want_roots, bits(start))
 
 
 class TestDifferentiateRootSets:
@@ -228,7 +229,7 @@ class TestDifferentiateRootSets:
 
 
 class TestTapeNumbering:
-    """``_Tape`` numbers in its own pass and keys a constant on its bits,
+    """``Kernel`` numbers in its own pass and keys a constant on its bits,
     slot for slot as :func:`_reference_tape` numbers."""
 
     SIGNED_ZEROS = [complex(0.0, 0.0), complex(0.0, -0.0),
@@ -236,25 +237,25 @@ class TestTapeNumbering:
 
     def test_signed_zero_patterns_keep_distinct_slots(self):
         roots = tuple(fe.Expr("const", c) for c in self.SIGNED_ZEROS)
-        tape = fe._Tape(roots)
-        assert len(set(tape.roots)) == 4
-        for slot, c in zip(tape.roots, self.SIGNED_ZEROS):
-            assert fe._literal(tape.start[slot]) == fe._literal(c)
-            assert struct.pack("dd", tape.start[slot].real, tape.start[slot].imag) == \
+        kernel = fe.Kernel(roots)
+        assert len(set(kernel.roots)) == 4
+        for slot, c in zip(kernel.roots, self.SIGNED_ZEROS):
+            assert fe._literal(kernel.start[slot]) == fe._literal(c)
+            assert struct.pack("dd", kernel.start[slot].real, kernel.start[slot].imag) == \
                 struct.pack("dd", c.real, c.imag)
         assert len({fe._literal(c) for c in self.SIGNED_ZEROS}) == 4
 
     def test_equal_bits_share_a_slot(self):
         a, b = fe.const(1.5 - 2j), fe.const(complex("1.5-2j"))
         assert a is not b
-        tape = fe._Tape((X * a, X * b, fe.div(X * b, fe.const(-0j))))
-        assert tape.roots[0] == tape.roots[1]
-        assert sum(v is not None for v in tape.start[2:]) == 2   # 1.5-2j and -0j
-        assert [line[1] for line in tape.lines] == ["mul", "div"]
+        kernel = fe.Kernel((X * a, X * b, fe.div(X * b, fe.const(-0j))))
+        assert kernel.roots[0] == kernel.roots[1]
+        assert sum(v is not None for v in kernel.start[2:]) == 2   # 1.5-2j and -0j
+        assert [line[1] for line in kernel.lines] == ["mul", "div"]
 
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
-        # Each tape a report builds, from its roots: the coefficients,
+        # Each kernel a report numbers, from its roots: the coefficients,
         # (h, f) with G, the flow, and the Frobenius residuals with A and
         # dA/dt or, for a direct scalar pair, A and dA/dt alone.
         entry = catalog.lookup(entry_id)
@@ -269,7 +270,7 @@ class TestTapeNumbering:
             tapes.append((systems.a_dadt_array, systems.a_dadt_array.expr, None))
         for kernel, roots, n_out in tapes:
             _assert_reference_numbering(roots, n_out)
-            assert kernel.tape.lines == fe._Tape(roots, n_out).lines
+            assert kernel.lines == fe.Kernel(roots, n_out).lines
 
     def test_random_trees_match_the_reference_numbering_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -371,6 +372,21 @@ class TestEvaluate:
         with pytest.raises(fe.SingularEvaluationError):
             fe.evaluate(fe.log(X), Binding(x=0.0))
 
+    def test_deep_chain_with_a_pole(self):
+        # 900 adds over 1 / (x - 1): deeper than half the recursion limit.
+        # The walk reaches it as a kernel's numbering does, so it evaluates
+        # at a regular point, and the kernel answers a batch holding the
+        # pole by the walk's exception, class and message.
+        e = fe.div(fe.const(1), X - 1)
+        for _ in range(900):
+            e = e + X
+        want = fe.evaluate(e, Binding(x=2.0))
+        assert want == 1801
+        kernel = fe.Kernel(e)
+        assert _bits(kernel(np.array([2.0]), 0j)[0]) == _bits(want)
+        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
+            kernel(np.array([2.0, 1.0]), 0j)
+
     def test_pure_function_bit_identical(self):
         e = fe.exp(X * T) / (X - 1) + fe.sqrt(T) * fe.fpow(X, Fraction(5, 2))
         b = Binding(x=1.7 + 0.3j, t=0.9 - 0.1j)
@@ -380,7 +396,7 @@ class TestEvaluate:
 
     def test_compile_matches_evaluate(self):
         e = fe.exp(X * T) / (X - 1) + fe.sqrt(T) * fe.fpow(X, Fraction(5, 2))
-        f = fe.compile_expr(e)
+        f = compiled(e)
         b = Binding(x=1.7 + 0.3j, t=0.9 - 0.1j)
         assert f(b.x, b.t) == pytest.approx(fe.evaluate(e, b), rel=1e-14)
 
@@ -480,15 +496,23 @@ def _n_statements(f):
                 *post.co_varnames[4:post.co_nlocals]})
 
 
-def _compile_text(e, tape=None):
-    """``compile_expr(e, tape)`` and the text it compiled."""
+def compiled(e):
+    """The compiled form of ``e``, a kernel or the expressions of one, as
+    one function of (x, t): ``post(x, t, pre_x(x), pre_t(t))`` on the
+    stages that ``compile_expr`` returns."""
+    pre_x, pre_t, post = fe.compile_expr(e if isinstance(e, fe.Kernel) else fe.Kernel(e))
+    return lambda x, t: post(x, t, pre_x(x), pre_t(t))
+
+
+def _compile_text(kernel):
+    """``compile_expr(kernel)``, its stages, and the text it compiled."""
     texts = []
     fe.compile = lambda src, *args: texts.append(src) or compile(src, *args)
     try:
-        f = fe.compile_expr(e, tape)
+        stages = fe.compile_expr(kernel)
     finally:
         del fe.compile
-    return f, texts[0]
+    return stages, texts[0]
 
 
 _OPERATIONS = (ast.BinOp, ast.UnaryOp, ast.Call)
@@ -543,12 +567,12 @@ def _single_use_statements(text):
     return found
 
 
-def _variable_lines(tape):
-    """Per stage (pre_x, pre_t, post), the fused lines of ``tape`` that
+def _variable_lines(kernel):
+    """Per stage (pre_x, pre_t, post), the fused lines of ``kernel`` that
     read x or t through their operands: those whose operations
     :func:`_stage_ops` counts (the others read constants alone)."""
     read, masks = {0, 1}, []
-    for slot, _, a, b, q, mask in tape.fused:
+    for slot, _, a, b, q, mask in kernel.fused:
         if a in read or b in read:
             read.add(slot)
             masks.append(mask)
@@ -558,17 +582,15 @@ def _variable_lines(tape):
 class TestCompileSharing:
     def test_structurally_equal_subtrees_emit_once(self):
         e = fe.add(fe.mul(X, T), fe.mul(X, T))
-        f = fe.compile_expr(e)
         # one product and one sum
-        assert _n_statements(f) == 2
-        assert f(1.5 + 0.5j, 2.0 - 1j) == 2 * ((1.5 + 0.5j) * (2.0 - 1j))
+        assert _n_statements(fe.compile_expr(fe.Kernel(e))) == 2
+        assert compiled(e)(1.5 + 0.5j, 2.0 - 1j) == 2 * ((1.5 + 0.5j) * (2.0 - 1j))
 
     def test_tuple_returns_values_in_order(self):
         parts = (fe.mul(X, T), X, fe.const(2), fe.add(fe.mul(X, T), T))
-        f = fe.compile_expr(parts)
         x, t = 0.3 - 1.1j, 1.7 + 0.2j
-        assert f(x, t) == (x * t, x, 2 + 0j, x * t + t)
-        assert _n_statements(f) == 2
+        assert compiled(parts)(x, t) == (x * t, x, 2 + 0j, x * t + t)
+        assert _n_statements(fe.compile_expr(fe.Kernel(parts))) == 2
 
     def test_signed_zero_constants_are_not_merged(self):
         # Expr equality holds for 0j and complex(0, -0.0), but they emit
@@ -576,7 +598,7 @@ class TestCompileSharing:
         a = fe.sqrt(_raw("add", X, fe.const(0j)))
         b = fe.sqrt(_raw("add", X, fe.const(complex(0.0, -0.0))))
         assert a == b
-        fa, fb, fab = fe.compile_expr(a), fe.compile_expr(b), fe.compile_expr((a, b))
+        fa, fb, fab = compiled(a), compiled(b), compiled((a, b))
         for x in (complex(-0.0, -0.0), complex(0.0, -0.0), -4 + 0j, 2 - 3j):
             assert [_bits(v) for v in fab(x, 0j)] == [_bits(fa(x, 0j)), _bits(fb(x, 0j))]
 
@@ -599,8 +621,8 @@ class TestCompileSharing:
                       database=None)
         @hyp.given(pairs(), points, points)
         def check(pair, x, t):
-            single = [_call(fe.compile_expr(e), x, t) for e in pair]
-            fused = _call(fe.compile_expr(pair), x, t)
+            single = [_call(compiled(e), x, t) for e in pair]
+            fused = _call(compiled(pair), x, t)
             raised = [v for v in single if isinstance(v, type)]
             if raised:
                 # The body runs the first expression's lines first.
@@ -650,13 +672,55 @@ class TestCompileSharing:
         check()
 
 
+class TestKernelApi:
+    """One kernel class: ``Kernel(e, n_out)`` numbers its roots once, a
+    :meth:`~fuchsreduce.expr.Kernel.view` shares that numbering, and
+    ``compile_expr`` renders a kernel as the plain tuple of its stages."""
+
+    E, G = fe.mul(fe.exp(X), T), fe.log(X + 2)
+
+    def test_no_tape_parameter(self):
+        assert list(inspect.signature(fe.Kernel).parameters) == ["e", "n_out"]
+        assert list(inspect.signature(fe.compile_expr).parameters) == ["kernel"]
+
+    def test_no_tape_or_staged_class(self):
+        assert not hasattr(fe, "_Tape")
+        assert not hasattr(fe, "_Staged")
+
+    def test_one_expression_returns_an_array(self):
+        xs = np.array([0.5, 1.5 + 0.25j])
+        got = fe.Kernel(self.E)(xs, 0.5)
+        assert type(got) is np.ndarray and got.shape == (2,)
+        stages = fe.compile_expr(fe.Kernel(self.E))
+        assert type(stages) is tuple and len(stages) == 3
+        assert type(compiled(self.E)(0.5, 0.5)) is complex
+
+    def test_tuple_kernels_and_views_return_tuples(self):
+        xs = np.array([0.5, 1.5 + 0.25j])
+        both = fe.Kernel((self.E, self.G), 1)
+        kernels = {"one root": fe.Kernel((self.E,)), "two roots": fe.Kernel((self.E, self.G)),
+                   "n_out": both, "view": both.view(1), "view of one": fe.Kernel(self.E).view(0)}
+        for name, kernel in kernels.items():
+            got = kernel(xs, 0.5)
+            assert type(got) is tuple and all(v.shape == (2,) for v in got), name
+            assert type(compiled(kernel)(0.5, 0.5)) is tuple, name
+        # A view shares the lines, slots and start values it was taken from.
+        view = kernels["view"]
+        assert (view.lines, view.roots, view.start) == (both.lines, both.roots, both.start)
+        assert view.lines is both.lines and view.start is both.start
+        (g,) = view(xs, 0.5)
+        assert _result_bits(g) == _result_bits(fe.Kernel(self.G)(xs, 0.5))
+        (e,) = both(xs, 0.5)
+        assert _result_bits(e) == _result_bits(fe.Kernel(self.E)(xs, 0.5))
+
+
 def _batch_stands(kernel, x, t):
-    """Whether the kernel's batch at ``(x, t)`` stands: its tape's run
-    raises no floating-point error and every output is finite."""
+    """Whether the kernel's batch at ``(x, t)`` stands: the run of its
+    rows raises no floating-point error and every output is finite."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            out = list(kernel.tape.values(kernel.tape.x_values(np.asarray(x, dtype=complex)),
-                                          np.asarray(t, dtype=complex)))
+            out = list(kernel.values(kernel.x_values(np.asarray(x, dtype=complex)),
+                                     np.asarray(t, dtype=complex)))
     except ArithmeticError:
         return False
     return all(np.isfinite(v).all() for v in out)
@@ -689,9 +753,9 @@ def _result_bits(value):
 
 def called_twice(call, *args):
     """``call(*args)`` twice, ``call`` being a new kernel, whose first call
-    builds the tape that its second runs again.  Both give the same bits or
-    raise the same class and message; the second's result is returned, or
-    its exception raised."""
+    runs its lines and whose second runs them again.  Both give the same
+    bits or raise the same class and message; the second's result is
+    returned, or its exception raised."""
     outcomes = []
     for _ in range(2):
         try:
@@ -739,12 +803,11 @@ def _walk_one(e, x, t):
 
 
 def _check_staged(e, xs, ts):
-    """``compile_expr`` against the scalar tree walk on every (x, t) of
+    """``compile_expr``'s stages, called as one function of (x, t)
+    (:func:`compiled`), against the scalar tree walk on every (x, t) of
     ``xs`` x ``ts``, one point at a time: the same values by ``repr`` where
-    neither raises, the same raising points; and the staged call, the
-    function of the three stages, is the compiled form's call."""
-    f = fe.compile_expr(e)
-    pre_x, pre_t, post = f
+    neither raises, the same raising points."""
+    f = compiled(e)
     for x in xs:
         for t in ts:
             want = _call(_walk_one, e, x, t)
@@ -753,7 +816,6 @@ def _check_staged(e, xs, ts):
             if isinstance(want, type):
                 continue
             assert _reprs(got) == _reprs(want)
-            assert _reprs(post(x, t, pre_x(x), pre_t(t))) == _reprs(got)
 
 
 class TestCompileStaged:
@@ -784,13 +846,13 @@ class TestCompileStaged:
             "bare-x-t", "shared", "shared-t", "internal", "internal-t"])
     def test_stage_shapes(self, e, n_x_lines, n_t_lines, n_x_carried, n_t_carried, statements):
         e = _raw_bound(e, _A_VALUE)
-        (pre_x, pre_t, post), text = _compile_text(e)
-        tape = fe._Tape(e if isinstance(e, tuple) else (e,))
-        masks = [line[5] for line in tape.fused]
+        kernel = fe.Kernel(e)
+        (pre_x, pre_t, post), text = _compile_text(kernel)
+        masks = [line[5] for line in kernel.fused]
         assert (masks.count(fe._X_DEP), masks.count(fe._T_DEP)) == (n_x_lines, n_t_lines)
         # Every line runs in exactly one stage, once: its stage's text has
         # its operation, whether it is an assignment or inside its reader.
-        assert _stage_ops(text) == _variable_lines(tape)
+        assert _stage_ops(text) == _variable_lines(kernel)
         assert (pre_x.__code__.co_nlocals - 1, pre_t.__code__.co_nlocals - 1) == statements
         assert len(pre_x(0.7 + 0.2j)) == n_x_carried
         assert len(pre_t(0.7 + 0.2j)) == n_t_carried
@@ -807,21 +869,22 @@ class TestCompileStaged:
         e = start
         for k in range(150):
             e = fe.add(fe.mul(e, var), fe.const(1 / (k + 2) - 0.5j / (k + 3)))
-        f, text = _compile_text(e)
-        tape = fe._Tape((e,))
-        assert len(tape.fused) >= 300
-        assert sum(_stage_ops(text)) == len(tape.fused)
-        assert _stage_ops(text) == _variable_lines(tape)
-        assert _n_statements(f) == math.ceil(len(tape.fused) / (fe._INLINE_DEPTH + 1))
+        kernel = fe.Kernel(e)
+        stages, text = _compile_text(kernel)
+        assert len(kernel.fused) >= 300
+        assert sum(_stage_ops(text)) == len(kernel.fused)
+        assert _stage_ops(text) == _variable_lines(kernel)
+        assert _n_statements(stages) == math.ceil(len(kernel.fused) / (fe._INLINE_DEPTH + 1))
         xs, ts = [0.5 + 0.1j, -0.7 + 0.3j, 0j], [0.6 - 0.2j, 0.9 + 0j]
+        f = compiled(kernel)
         for x in xs:
             for t in ts:
                 assert _bits(f(x, t)) == _bits(fe.evaluate(e, Binding(x, t)))
         xa, ta = np.repeat(xs, len(ts)), np.tile(ts, len(xs))
-        pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in f)
+        pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in stages)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             got = post(xa, ta, pre_x(xa), pre_t(ta))
-        assert _nan_bits(got.tolist()) == _nan_bits(fe.Kernel(e)(xa, ta).tolist())
+        assert _nan_bits(got.tolist()) == _nan_bits(kernel(xa, ta).tolist())
 
     def test_staged_property(self):
         hyp = pytest.importorskip("hypothesis")
@@ -858,7 +921,7 @@ class TestCompileConstants:
         a = complex(0.0, -2.0)
         e = _raw("ipow", fe.Expr("const", a), value=2)
         want = fe.evaluate(e, Binding(x=0j, t=0j))
-        f = fe.compile_expr(e)
+        f = compiled(e)
         assert want == -4
         assert f(0j, 0j) == want
         assert list(called_twice(fe.Kernel(e), np.array([0j, 1j]), 0j)) == [want, want]
@@ -869,7 +932,7 @@ class TestCompileConstants:
         # ipow folds constant bases, so build the node raw.
         e = fe.add(X, _raw("ipow", fe.const(value), value=2))
         want = fe.evaluate(e, Binding(x=1 + 1j, t=0j))
-        f = fe.compile_expr(e)
+        f = compiled(e)
         assert f(1 + 1j, 0j) == want
         got = called_twice(fe.Kernel(e), np.array([1 + 1j]), 0j)
         assert got[0] == pytest.approx(want, rel=1e-15)
@@ -882,7 +945,7 @@ class TestCompileConstants:
         x = complex(-0.0, -0.0)
         for e in (fe.const(complex(re, im)), fe.add(X, fe.const(complex(re, im)))):
             want = _bits(fe.evaluate(e, Binding(x=x, t=0j)))
-            f = fe.compile_expr(e)
+            f = compiled(e)
             assert _bits(f(x, 0j)) == want
             got = called_twice(fe.Kernel(e), np.array([x, x]), 0j)
             assert [_bits(complex(v)) for v in got] == [want, want]
@@ -892,7 +955,7 @@ class TestCompileConstants:
         e = fe.sqrt(X + fe.const(complex(-1, -0.0)))
         x = complex(0, -0.0)
         assert fe.evaluate(e, Binding(x=x, t=0j)) == -1j
-        assert fe.compile_expr(e)(x, 0j) == -1j
+        assert compiled(e)(x, 0j) == -1j
 
     @pytest.mark.parametrize("e, params", [
         (fe.add(X, fe.const(math.nan)), {}),
@@ -907,13 +970,13 @@ class TestCompileConstants:
         xs = [1 + 0j, 2 - 1j]
         e = fe.substitute(e, **params)
         want = [repr(fe.evaluate(e, Binding(x=x, t=0j))) for x in xs]
-        f = fe.compile_expr(e)
+        f = compiled(e)
         assert [repr(f(x, 0j)) for x in xs] == want
         assert [repr(complex(v)) for v in called_twice(fe.Kernel(e), np.array(xs), 0j)] == want
 
 
 class TestArrayForm:
-    """A kernel's array form: its tape, which applies the numpy operations
+    """A kernel's array form: its rows, which apply the numpy operations
     of its compiled lines evaluated on arrays."""
 
     def test_matches_scalar_on_catalog_coefficients(self, prep):
@@ -923,7 +986,7 @@ class TestArrayForm:
         for entry_id in ("PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"):
             systems = catalog.lookup(entry_id).linear_systems
             a = (*systems.a[0], *systems.a[1])
-            scalar = fe.compile_expr((*a, *(fe.differentiate(e, "t") for e in a)))
+            scalar = compiled((*a, *(fe.differentiate(e, "t") for e in a)))
             box = prep(entry_id).entry.box_x
             xs = (rng.uniform(box.re_lo, box.re_hi, 50)
                   + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
@@ -994,7 +1057,7 @@ class TestArrayForm:
                       database=None)
         @hyp.given(_raw_trees(st), st.lists(points, min_size=1, max_size=5), points)
         def check(e, xs, t):
-            f = fe.compile_expr(e)
+            stages = fe.compile_expr(fe.Kernel(e))
             scalar = [_call_message(_walk_one, e, x, t) for x in xs]
             got = _call_message(called_twice, fe.Kernel(e), np.array(xs), t)
             raised = [v for v in scalar if isinstance(v, tuple)]
@@ -1004,7 +1067,8 @@ class TestArrayForm:
                 return
             assert got.shape == (len(xs),)
             _assert_walked(got.tolist(), scalar)
-            pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in f)
+            pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS)
+                                  for stage in stages)
             x, tt = np.array(xs, dtype=complex), np.asarray(t, dtype=complex)
             try:
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -1043,34 +1107,36 @@ class TestArrayForm:
         @hyp.given(cases(), st.lists(points, min_size=1, max_size=4), points)
         def check(case, xs, t):
             n, roots = case
-            tape = fe._Tape((*roots, n), len(roots))
-            n_slot, kinds = tape.roots[-1], {line[0]: line[1] for line in tape.lines}
+            kernel = fe.Kernel((*roots, n), len(roots))
+            n_slot, kinds = kernel.roots[-1], {line[0]: line[1] for line in kernel.lines}
             taken = [b == n_slot != a or a == n_slot and kinds.get(b) != "neg"
-                     for _, kind, a, b, *_ in tape.lines if kind == "add" and n_slot in (a, b)]
-            read = sum((a, b).count(n_slot) for _, _, a, b, *_ in tape.lines) \
-                + tape.outputs.count(n_slot)
-            assert (n_slot not in [line[0] for line in tape.fused]) == \
+                     for _, kind, a, b, *_ in kernel.lines if kind == "add" and n_slot in (a, b)]
+            read = sum((a, b).count(n_slot) for _, _, a, b, *_ in kernel.lines) \
+                + kernel.outputs.count(n_slot)
+            assert (n_slot not in [line[0] for line in kernel.fused]) == \
                 (len(taken) == read and all(taken))
-            f, text = _compile_text(roots, tape)
-            rows = tape._x_rows + tape._xt_rows
-            assert len(rows) == len(tape.fused)
-            assert _stage_ops(text) == _variable_lines(tape)
+            stages, text = _compile_text(kernel)
+            rows = kernel._x_rows + kernel._xt_rows
+            assert len(rows) == len(kernel.fused)
+            assert _stage_ops(text) == _variable_lines(kernel)
             # Per point: the compiled lines, and the unfused lines on
             # Python complex.  A neg never raises, so both raise or neither.
+            f = compiled(kernel)
             for x in xs:
-                want = _call(_unfused_lines, tape, x, t, "scalar")
+                want = _call(_unfused_lines, kernel, x, t, "scalar")
                 got = _call(f, x, t)
                 assert isinstance(got, type) == isinstance(want, type)
                 if not isinstance(want, type):
                     assert _nan_bits(got) == _nan_bits(want)
-            # On arrays: the tape's rows, the compiled lines and the
+            # On arrays: the kernel's rows, the compiled lines and the
             # unfused lines, each on numpy's operations.
             xa, ta = np.array(xs, dtype=complex), np.complex128(t)
-            pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS) for stage in f)
+            pre_x, pre_t, post = (types.FunctionType(stage.__code__, _ARRAYS)
+                                  for stage in stages)
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                outcomes = [_call(lambda: tuple(tape.values(tape.x_values(xa), ta))),
+                outcomes = [_call(lambda: tuple(kernel.values(kernel.x_values(xa), ta))),
                             _call(lambda: post(xa, ta, pre_x(xa), pre_t(ta))),
-                            _call(_unfused_lines, tape, xa, ta, "array")]
+                            _call(_unfused_lines, kernel, xa, ta, "array")]
             raised = [isinstance(v, type) for v in outcomes]
             assert raised in ([True] * 3, [False] * 3)
             if not raised[0]:
@@ -1085,20 +1151,20 @@ class TestArrayForm:
 _ARRAYS = {"_" + kind: row.array for kind, row in fe._KINDS.items()}
 
 
-def _unfused_lines(tape, x, t, form):
-    """The outputs of ``tape`` at (x, t) from its value-numbered lines, every
-    neg its own line: each line applies its kind's ``form`` function
+def _unfused_lines(kernel, x, t, form):
+    """The outputs of ``kernel`` at (x, t) from its value-numbered lines,
+    every neg its own line: each line applies its kind's ``form`` function
     (``scalar`` or ``array``) to its operands and exponent, in order."""
-    vals = [None] * len(tape.start)
+    vals = [None] * len(kernel.start)
     vals[0], vals[1] = x, t
-    for slot, value in enumerate(tape.start[2:], 2):
+    for slot, value in enumerate(kernel.start[2:], 2):
         vals[slot] = value if type(value) is complex else None
-    for slot, kind, a, b, q, _ in tape.lines:
+    for slot, kind, a, b, q, _ in kernel.lines:
         operands = [vals[a]] if b is None else [vals[a], vals[b]]
         if q is not None:
             operands.append(q if type(q) is int else float(q))
         vals[slot] = getattr(fe._KINDS[kind], form)(*operands)
-    return tuple(vals[slot] for slot in tape.outputs)
+    return tuple(vals[slot] for slot in kernel.outputs)
 
 
 def _nan_bits(values):
@@ -1122,18 +1188,18 @@ class TestMismatchedGrids:
 
     def test_sample(self):
         with pytest.raises(ValueError):
-            fe._sample(fe._Tape((self.E,)), np.ones(3, dtype=complex), np.ones(4, dtype=complex))
+            fe._sample(fe.Kernel(self.E), np.ones(3, dtype=complex), np.ones(4, dtype=complex))
 
     def test_jets(self):
         # Grids of one shape, (3, 23), against which the jets' (2, 1)
         # gradient columns do not broadcast.
         grid = np.ones((3, 23), dtype=complex)
         with pytest.raises(ValueError):
-            fe._jets(fe._Tape((self.E,)), grid, grid)
+            fe._jets(fe.Kernel(self.E), grid, grid)
 
 
 def _integral_in_x(e, path, t=0j):
-    f = fe.compile_expr(e)
+    f = compiled(e)
     return fe.integrate_callable(lambda x: f(x, t), path)
 
 
@@ -1163,7 +1229,7 @@ class TestQuadrature:
         assert abs(direct - detour) <= 1e-11
 
     def test_t_variable_integration(self):
-        f = fe.compile_expr(X * T)
+        f = compiled(X * T)
         v = fe.integrate_callable(lambda t: f(3.0, t), [0.0, 2.0])
         assert v == pytest.approx(6.0, abs=1e-11)
 

@@ -3,14 +3,14 @@ compiles.
 
 A catalog entry owns its scalar pair, its decomposition and their kernels;
 a prepare call owns only its memos.  An expression kernel
-(``expr.Kernel``) has one batch form, which runs its tape and gives bit
+(``expr.Kernel``) has one batch form, which runs its lines and gives bit
 for bit the values of its compiled lines run on the same arrays; a batch
 that raises or is not finite is answered by the one-point walk, and
 compiled code serves ``coefficients_at`` alone.  Every kernel a report
 calls runs in batch form, the flow and Frobenius kernels included, so no
 report compiles anything, a fresh entry's or a warm one's; the Frobenius
-kernel and the walk matrix (A, dA/dt) run views of one tape, as do the
-kernels of (h, f) and of G.  An override entry takes its kernels with it
+kernel and the walk matrix (A, dA/dt) share one numbering, the second a
+view of the first, as do the kernels of (h, f) and of G.  An override entry takes its kernels with it
 when it is collected, and no report depends on what ran before it.
 """
 
@@ -31,7 +31,7 @@ import pytest
 import fuchsreduce
 from fuchsreduce import catalog, expr as fe, reduction, verify
 from fuchsreduce.config import Config
-from test_expr import _compile_text, _n_statements, _single_use_statements, _stage_ops
+from test_expr import _compile_text, _n_statements, _single_use_statements, _stage_ops, compiled
 
 ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
 
@@ -60,65 +60,64 @@ class TestKernelLifetime:
         # none of them calls compile_expr.
         compiled = []
         real_compile = fe.compile_expr
-        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
-                            or real_compile(e, *tape))
+        monkeypatch.setattr(fe, "compile_expr", lambda kernel: compiled.append(kernel)
+                            or real_compile(kernel))
         for seed in (42, 7, 1):
             for entry_id in ALL_WITH_NEGATIVE:
                 verify.full_report(entry_id, Config(seed=seed))
         assert compiled == []
 
     def test_fresh_report_compiles_nothing(self, monkeypatch):
-        # A --param report builds a fresh entry.  Its report runs the tapes
-        # of the kernels it calls: the flow's, the Lax pair's one tape of
-        # the Frobenius residuals, A and dA/dt (the walk matrix on the leg
-        # is a view of it), the decomposition's one tape of h, f and G (the
-        # E/S walks and the leg read views of it) and the coefficient
-        # kernel's, for the t-independence stage's one batch and the
-        # invariance jets.  It builds no tape of A and dA/dt alone and
-        # compiles nothing.  The other tapes it builds live for one array
+        # A --param report builds a fresh entry.  Its report numbers the
+        # kernels it calls: the flow's, the Lax pair's one kernel of the
+        # Frobenius residuals, A and dA/dt (the walk matrix on the leg is a
+        # view of it), the decomposition's one kernel of h, f and G (the
+        # E/S walks and the leg read it and its view) and the coefficient
+        # kernel, for the t-independence stage's one batch and the
+        # invariance jets.  It numbers no kernel of A and dA/dt alone and
+        # compiles nothing.  The other kernels it numbers live for one array
         # call of a decision: scalar_coefficients' check of a_off and
-        # b_off, decompose's one tape of (p2, q2, a_off, b_off) and the
-        # frame fit's tape of the documented tau.
-        entries, exprs, tapes = [], [], []
+        # b_off, decompose's one kernel of (p2, q2, a_off, b_off) and the
+        # frame fit's kernel of the documented tau.
+        entries, compiled, numbered = [], [], []
         real_lookup, real_compile = catalog.lookup, fe.compile_expr
-        real_init = fe._Tape.__init__
+        real_init = fe.Kernel.__init__
 
         def recording_lookup(entry_id, overrides=None):
             entries.append(real_lookup(entry_id, overrides))
             return entries[-1]
 
-        def recording_compile(e, *tape):
-            exprs.append(e)
-            return real_compile(e, *tape)
+        def recording_compile(kernel):
+            compiled.append(kernel)
+            return real_compile(kernel)
 
-        def recording_init(tape, roots, n_out=None):
-            real_init(tape, roots, n_out)
-            tapes.append(tape)
+        def recording_init(kernel, e, n_out=None):
+            real_init(kernel, e, n_out)
+            numbered.append(kernel)
 
         monkeypatch.setattr(catalog, "lookup", recording_lookup)
         monkeypatch.setattr(fe, "compile_expr", recording_compile)
-        monkeypatch.setattr(fe._Tape, "__init__", recording_init)
+        monkeypatch.setattr(fe.Kernel, "__init__", recording_init)
         rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(5, 2)})
         assert rep.passed, rep.errors
         (entry,) = entries
         dec, lax = entry.decomposition, entry.lax
-        assert exprs == []
-        kernels = [entry.flow_fns, lax.frobenius_fns, dec._hf_array, dec._coeff_array]
-        kept = [k.tape for k in kernels]
-        assert [t for t in tapes if any(t is k for k in kept)] == kept
-        assert [len(t.outputs) for t in tapes if not any(t is k for k in kept)] == [2, 4, 1]
-        assert lax.a_dadt_array.tape.lines is lax.frobenius_fns.tape.lines
-        assert dec._G_array.tape.lines is dec._hf_array.tape.lines
+        assert compiled == []
+        kept = [entry.flow_fns, lax.frobenius_fns, dec._hf_array, dec._coeff_array]
+        assert [k for k in numbered if any(k is kk for kk in kept)] == kept
+        assert [len(k.outputs) for k in numbered if not any(k is kk for kk in kept)] == [2, 4, 1]
+        assert lax.a_dadt_array.lines is lax.frobenius_fns.lines
+        assert dec._G_array.lines is dec._hf_array.lines
         assert "_coeff_stages" not in dec.__dict__
 
     def test_three_reports_compile_nothing(self, monkeypatch):
         # On a fresh copy of each entry, served as the entry by lookup,
         # three reports call compile_expr zero times: the flow and Frobenius
-        # kernels run their tapes like every other kernel a report calls.
+        # kernels run their array form like every other kernel a report calls.
         compiled = []
         real_compile = fe.compile_expr
-        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
-                            or real_compile(e, *tape))
+        monkeypatch.setattr(fe, "compile_expr", lambda kernel: compiled.append(kernel)
+                            or real_compile(kernel))
         real_lookup = catalog.lookup
         for entry_id in ALL_WITH_NEGATIVE:
             entry = real_lookup(entry_id, dict(real_lookup(entry_id).params_exact))
@@ -131,8 +130,8 @@ class TestKernelLifetime:
                        systems.a_dadt_array]
             if entry.lax is not None:
                 kernels.append(entry.lax.frobenius_fns)
-                # The walk matrix runs a view of the Frobenius kernel's tape.
-                assert systems.a_dadt_array.tape.lines is entry.lax.frobenius_fns.tape.lines
+                # The walk matrix is a view of the Frobenius kernel.
+                assert systems.a_dadt_array.lines is entry.lax.frobenius_fns.lines
             assert "_coeff_stages" not in dec.__dict__, entry_id
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
@@ -140,37 +139,37 @@ class TestKernelLifetime:
         # On a fresh copy of a default entry, served as the entry by
         # lookup: each report calls the coefficient kernel once, on the line
         # x = x0 with its 32 drawn t, and each call runs its one array tier,
-        # the tape.  Its tape's x-lines run at x0 once, in the first
-        # report's call; no report compiles the kernel.  The three reports
-        # are byte-identical.
+        # its rows.  Its x-lines run at x0 once, in the first report's call;
+        # no report compiles the kernel.  The three reports are
+        # byte-identical.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
         dec = entry.decomposition
         calls, compiled, x_runs = [], [], []
         real_call, real_compile = fe.Kernel.__call__, fe.compile_expr
-        real_x_values = fe._Tape.x_values
+        real_x_values = fe.Kernel.x_values
 
         def recording_call(kernel, x, t, held=None):
             if kernel is dec._coeff_array:
                 calls.append((np.shape(x), np.shape(t), held is not None))
             return real_call(kernel, x, t, held)
 
-        def recording_x_values(tape, x):
-            if tape is dec._coeff_array.tape:
+        def recording_x_values(kernel, x):
+            if kernel is dec._coeff_array:
                 x_runs.append(len(calls))
-            return real_x_values(tape, x)
+            return real_x_values(kernel, x)
 
-        def recording_compile(e, *tape):
-            compiled.append(e)
-            return real_compile(e, *tape)
+        def recording_compile(kernel):
+            compiled.append(kernel)
+            return real_compile(kernel)
 
         monkeypatch.setattr(fe.Kernel, "__call__", recording_call)
-        monkeypatch.setattr(fe._Tape, "x_values", recording_x_values)
+        monkeypatch.setattr(fe.Kernel, "x_values", recording_x_values)
         monkeypatch.setattr(fe, "compile_expr", recording_compile)
         reports = [json.dumps(verify.full_report(entry_id).to_json()) for _ in range(3)]
         assert calls == [((1,), (32,), True)] * 3
         assert x_runs == [1]
-        assert dec._coeff_array.expr not in compiled
+        assert dec._coeff_array not in compiled
         assert "_coeff_stages" not in dec.__dict__
         assert len(set(reports)) == 1
 
@@ -190,8 +189,8 @@ class TestKernelLifetime:
         real_walk, real_compile = fe._walk_panels, fe.compile_expr
         monkeypatch.setattr(fe, "_walk_panels", lambda *a: walks.append(a[1:3])
                             or real_walk(*a))
-        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
-                            or real_compile(e, *tape))
+        monkeypatch.setattr(fe, "compile_expr", lambda kernel: compiled.append(kernel)
+                            or real_compile(kernel))
         warm = json.dumps(verify.full_report(entry_id, Config(seed=1)).to_json())
         assert (walks, compiled) == ([], [])
         monkeypatch.undo()
@@ -279,9 +278,9 @@ class TestKernelLifetime:
         compiled = []
         real_compile = fe.compile_expr
 
-        def recording(e, *tape):
-            compiled.append(e)
-            return real_compile(e, *tape)
+        def recording(kernel):
+            compiled.append(kernel)
+            return real_compile(kernel)
 
         monkeypatch.setattr(fe, "compile_expr", recording)
         # Every compile() call of the expression engine, whichever function
@@ -300,19 +299,20 @@ class TestKernelLifetime:
             batched, at = batches(), lattice()
         else:
             at, batched = lattice(), batches()
-        assert len(compiled) == 1 and compiled[0] is dec._coeff_array.expr
+        assert len(compiled) == 1 and compiled[0] is dec._coeff_array
         assert len(sources) == 1
         assert batched[0] == batched[1]
         assert all(isinstance(pq, tuple) for pq in batched[0])
-        fn = dec._coeff_stages
+        pre_x, pre_t, post = dec._coeff_stages
         assert (len(compiled), len(sources)) == (1, 1)
-        want = [reduction._reduced(x, [t], *zip(fn(x, t)), red.E(x))[0] for x, t in points]
+        want = [reduction._reduced(x, [t], *zip(post(x, t, pre_x(x), pre_t(t))), red.E(x))[0]
+                for x, t in points]
         assert _reprs(at) == _reprs(want)
 
     def test_coefficient_tape_is_built_once(self, monkeypatch):
-        # An array call on the line x = x0 builds the coefficient kernel's
-        # tape, and the compile that a lattice of point calls then makes
-        # renders that tape: one build of it, not two.
+        # An array call on the line x = x0 numbers the coefficient kernel,
+        # and the compile that a lattice of point calls then makes renders
+        # that kernel: one numbering of its roots, not two.
         entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
         dec = entry.decomposition
         red = reduction.build_reduced(dec, entry.basepoint_x)
@@ -321,13 +321,13 @@ class TestKernelLifetime:
         for x in (*xs, x0):
             red.E(x)
         builds = []
-        real_init = fe._Tape.__init__
+        real_init = fe.Kernel.__init__
 
-        def recording(tape, roots, n_out=None):
-            builds.append(roots)
-            real_init(tape, roots, n_out)
+        def recording(kernel, e, n_out=None):
+            real_init(kernel, e, n_out)
+            builds.append(kernel.exprs)
 
-        monkeypatch.setattr(fe._Tape, "__init__", recording)
+        monkeypatch.setattr(fe.Kernel, "__init__", recording)
         red.coefficients_at_x0(ts, red.E(x0))
         for x in xs:
             for t in ts:
@@ -337,7 +337,7 @@ class TestKernelLifetime:
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_no_compiled_neg_is_read_by_adds_alone(self, entry_id):
-        # Every kernel of an entry runs its tape's fused lines, in its array
+        # Every kernel of an entry runs its fused lines, in its array
         # rows and its compiled text alike, and a neg among them has a
         # reader that is not an add (or is one of the outputs).  A fresh
         # entry, so no other test meets the kernels compiled here.
@@ -348,19 +348,18 @@ class TestKernelLifetime:
         if entry.lax is not None:
             kernels.append(entry.lax.frobenius_fns)
         for kernel in kernels:
-            tape = kernel.tape
-            assert [row[0] for row in tape._x_rows + tape._xt_rows] == \
-                [line[0] for line in sorted(tape.fused, key=lambda line: line[5] != fe._X_DEP)]
-            readers: dict[int, list[str]] = {slot: ["output"] for slot in tape.outputs}
-            for _, kind, a, b, *_ in tape.fused:
+            assert [row[0] for row in kernel._x_rows + kernel._xt_rows] == \
+                [line[0] for line in sorted(kernel.fused, key=lambda line: line[5] != fe._X_DEP)]
+            readers: dict[int, list[str]] = {slot: ["output"] for slot in kernel.outputs}
+            for _, kind, a, b, *_ in kernel.fused:
                 for slot in {a, b} - {None}:
                     readers.setdefault(slot, []).append(kind)
-            for slot, kind, *_ in tape.fused:
+            for slot, kind, *_ in kernel.fused:
                 if kind == "neg":
                     assert set(readers[slot]) != {"add"}, (entry_id, slot)
             # The compiled text runs each fused line once: one operation
             # each, whether an assignment or inside its one reader.
-            assert sum(_stage_ops(_compile_text(kernel.expr, tape)[1])) == len(tape.fused)
+            assert sum(_stage_ops(_compile_text(kernel)[1])) == len(kernel.fused)
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_no_compiled_line_is_an_assignment_read_once_in_its_stage(self, entry_id):
@@ -369,18 +368,17 @@ class TestKernelLifetime:
         # line is an assignment only where the depth bound cut its chain.
         # PIII.y1's has 101 such lines of its 137.
         kernel = catalog.lookup(entry_id).decomposition._coeff_array
-        f, text = _compile_text(kernel.expr, kernel.tape)
+        stages, text = _compile_text(kernel)
         assert all(depth > fe._INLINE_DEPTH for _, depth in _single_use_statements(text))
-        assert _n_statements(f) < len(kernel.tape.fused)
+        assert _n_statements(stages) < len(kernel.fused)
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
-        # Each kernel of a fresh entry compiles from its tape the text
-        # compile_expr gives its expressions alone.  A view of a tape other
-        # kernels share whose outputs are not its first roots (the walk
-        # matrix of a Lax pair, G) numbers its lines in the shared order: it
-        # compiles as many lines as its expressions alone, to the same
-        # values.
+        # Each kernel of a fresh entry compiles to the text of a kernel of
+        # its expressions alone.  A view whose outputs are not the first
+        # roots of the kernel it shares (the walk matrix of a Lax pair, G)
+        # numbers its lines in the shared order: it compiles as many lines
+        # as a kernel of its expressions alone, to the same values.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         dec, systems = entry.decomposition, entry.linear_systems
         kernels = [dec._coeff_array, dec._hf_array, entry.flow_fns]
@@ -394,32 +392,33 @@ class TestKernelLifetime:
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
                             or compile(src, *args), raising=False)
         for kernel in kernels:
-            fe.compile_expr(kernel.expr, kernel.tape)
-            fe.compile_expr(kernel.expr)
+            fe.compile_expr(kernel)
+            fe.compile_expr(fe.Kernel(kernel.expr))
             assert sources[-2] == sources[-1]
         points = [(x, t) for x in entry.box_x.diagonal(3) for t in entry.box_t.diagonal(3)]
-        for kernel in views:
-            own, viewed = fe.compile_expr(kernel.expr), fe.compile_expr(kernel.expr, kernel.tape)
-            assert _n_statements(viewed) == _n_statements(own)
+        for view in views:
+            own = fe.Kernel(view.expr)
+            assert _n_statements(fe.compile_expr(view)) == _n_statements(fe.compile_expr(own))
+            viewed, alone = compiled(view), compiled(own)
             assert [_reprs(viewed(x, t)) for x, t in points] == \
-                [_reprs(own(x, t)) for x, t in points]
+                [_reprs(alone(x, t)) for x, t in points]
 
     def test_also_roots_add_no_compiled_line(self, monkeypatch):
-        # An expression a kernel's tape also keeps, off the outputs' DAG, has its
-        # lines on the tape and none in the compiled text.
+        # A root a kernel also numbers after its outputs, off their DAG, has
+        # its lines in the kernel and none in the compiled text.
         outputs = (fe.X * fe.T, fe.exp(fe.T))
-        kernel = fe.Kernel(outputs, tape=fe._Tape((*outputs, fe.log(fe.X + 2)), 2))
-        assert [line[1] for line in kernel.tape.lines] == ["mul", "exp", "add", "log"]
+        kernel = fe.Kernel((*outputs, fe.log(fe.X + 2)), 2)
+        assert [line[1] for line in kernel.lines] == ["mul", "exp", "add", "log"]
         sources = []
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
                             or compile(src, *args), raising=False)
-        fe.compile_expr(kernel.expr, kernel.tape)
-        fe.compile_expr(kernel.expr)
+        fe.compile_expr(kernel)
+        fe.compile_expr(fe.Kernel(outputs))
         assert sources[0] == sources[1]
         assert "_log" not in sources[0]
         # Nor does the array form run them, and no call returns them.
-        log_slot = kernel.tape.lines[-1][0]
-        run = [row[0] for row in kernel.tape._x_rows + kernel.tape._xt_rows]
+        log_slot = kernel.lines[-1][0]
+        run = [row[0] for row in kernel._x_rows + kernel._xt_rows]
         assert log_slot not in run and len(run) == 2
         got = kernel(np.array([1.5]), 0.5)
         assert len(got) == 2 and _reprs(got[0]) == _reprs(np.array([0.75 + 0j]))
@@ -441,7 +440,7 @@ class TestKernelLifetime:
         ("PIII.y1", (0.6, 1.6, -0.2, 0.2)), ("PVdeg.kitaev_sqrt", (0.7, 1.7, -0.2, 0.2))])
     def test_box_override_compiles_only_its_decomposition(self, monkeypatch, entry_id, box_t):
         # The copy on the run's boxes keeps the entry's flow kernel and
-        # linear systems (with the Kitaev pair's tape of A, dA/dt); only the
+        # linear systems (with the Kitaev pair's kernel of A, dA/dt); only the
         # scalar pair and the decomposition probe the boxes.  Its report is
         # the one of a copy that builds everything afresh.  Two reports on
         # the entry first, each with the entry's record cleared, so that the
@@ -458,9 +457,9 @@ class TestKernelLifetime:
         compiled = []
         real_compile = fe.compile_expr
 
-        def recording(e, *tape):
-            compiled.append(e)
-            return real_compile(e, *tape)
+        def recording(kernel):
+            compiled.append(kernel)
+            return real_compile(kernel)
 
         monkeypatch.setattr(fe, "compile_expr", recording)
         assert json.dumps(verify.full_report(entry_id, config).to_json()) == afresh
@@ -538,7 +537,7 @@ class TestStagedKernel:
 
         # The stages coefficients_at runs are the decomposition's compiled
         # form of the coefficient kernel.
-        monkeypatch.setitem(red.dec.__dict__, "_coeff_stages", fe._Staged(
+        monkeypatch.setitem(red.dec.__dict__, "_coeff_stages", tuple(
             counting(name, stage) for name, stage in zip(calls, red.dec._coeff_stages)))
         box_x, box_t = prep.entry.box_x, prep.entry.box_t
         xs = [complex(box_x.re_lo + (k + 0.5) / 32 * (box_x.re_hi - box_x.re_lo), 0.05)
@@ -658,12 +657,13 @@ def _new_kernel_call(entry, name):
 
 
 def _compiled_on_arrays(e):
-    """``compile_expr(e)``'s stages run on numpy arrays: their code on a
-    namespace of the ``_KINDS`` rows' array functions, under the errstate
-    of the array form; the outputs broadcast to the points' shape."""
+    """The stages of ``compile_expr(Kernel(e))`` run on numpy arrays: their
+    code on a namespace of the ``_KINDS`` rows' array functions, under the
+    errstate of the array form; the outputs broadcast to the points'
+    shape."""
     ns = {"_" + kind: row.array for kind, row in fe._KINDS.items()}
     pre_x, pre_t, post = (types.FunctionType(stage.__code__, ns)
-                          for stage in fe.compile_expr(e))
+                          for stage in fe.compile_expr(fe.Kernel(e)))
 
     def call(x, t):
         x, t = np.asarray(x, dtype=complex), np.asarray(t, dtype=complex)
@@ -696,7 +696,7 @@ def _message(call, *args):
 
 
 class TestTierEquivalence:
-    """A kernel's one batch form runs its tape and gives, bit for bit, the
+    """A kernel's one batch form runs its rows and gives, bit for bit, the
     values of its compiled lines run on the same arrays; a batch that
     raises is answered by the one-point walk (``expr.evaluate``)."""
 
@@ -704,19 +704,20 @@ class TestTierEquivalence:
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_walked_and_compiled_calls_agree(self, entry_id, name):
         # Every kernel of every entry, called as a report calls it: its
-        # first call (which builds the tape) and its second agree with the
-        # compiled lines on arrays, and the kernel keeps nothing but its
-        # expressions and its tape.
+        # first call and its second agree with the compiled lines on
+        # arrays, and the kernel keeps nothing but its slots (its
+        # expressions and their tape), none of them a function.
         kernel, args = _new_kernel_call(catalog.lookup(entry_id), name)
         first = kernel(*args)
         assert _reprs(first) == _reprs(_compiled_on_arrays(kernel.expr)(*args))
         assert _reprs(kernel(*args)) == _reprs(first)
-        assert sorted(vars(kernel)) == ["expr", "tape"]
+        assert not hasattr(kernel, "__dict__")
+        assert not any(callable(getattr(kernel, slot)) for slot in fe.Kernel.__slots__)
 
     def test_tape_and_compiled_arrays_raise_alike(self):
         # Batches with a pole, a log of zero, an overflowing exp, a zero
         # base to a negative fractional power and a constant line dividing
-        # by zero at some point, and a regular batch.  The tape raises, with
+        # by zero at some point, and a regular batch.  The rows raise, with
         # the same class, exactly where the compiled lines on arrays do, and
         # gives their values elsewhere; the kernel answers each bad batch
         # with the exception the walk raises at its first bad point,
@@ -734,12 +735,11 @@ class TestTierEquivalence:
         for e, xs, ts in cases:
             x, t = np.asarray(xs, dtype=complex), np.asarray(ts, dtype=complex)
             kernel = fe.Kernel(e)
-            tape = kernel.tape
             shape = np.broadcast_shapes(x.shape, t.shape)
 
             def run():
                 with np.errstate(divide="raise", over="raise", invalid="raise"):
-                    out = tape.values(tape.x_values(x), t)
+                    out = kernel.values(kernel.x_values(x), t)
                 parts = [np.broadcast_to(np.asarray(v, dtype=complex), shape) for v in out]
                 return tuple(parts) if isinstance(e, tuple) else parts[0]
 
@@ -779,8 +779,8 @@ class TestTierEquivalence:
         # each by the walk's SingularEvaluationError, and compiles nothing.
         compiled, raised = [], {}
         real_compile = fe.compile_expr
-        monkeypatch.setattr(fe, "compile_expr", lambda e, *tape: compiled.append(e)
-                            or real_compile(e, *tape))
+        monkeypatch.setattr(fe, "compile_expr", lambda kernel: compiled.append(kernel)
+                            or real_compile(kernel))
 
         def recording(name, run):
             def call(*args):

@@ -10,7 +10,7 @@ from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
-from test_expr import _compile_text, _stage_ops, called_twice, walked
+from test_expr import _compile_text, _stage_ops, called_twice, compiled, walked
 
 ALL_IDS = catalog.list_entries()
 
@@ -236,23 +236,23 @@ class TestOneEvaluator:
             entries += [catalog.lookup(entry_id, {name: default + shift})
                         for shift in (Fraction(1, 3), Fraction(-5, 7))]
         pairs = [(entry.scalar_pair, entry.box_x, entry.box_t) for entry in entries]
-        tapes, walks = [], []
-        real_init, real_walk = fe._Tape.__init__, fe._evaluate
+        kernels, walks = [], []
+        real_init, real_walk = fe.Kernel.__init__, fe._evaluate
 
-        def recording_init(tape, *args):
-            tapes.append(tape)
-            real_init(tape, *args)
+        def recording_init(kernel, *args):
+            kernels.append(kernel)
+            real_init(kernel, *args)
 
         def recording_walk(*args):
             walks.append(args)
             return real_walk(*args)
 
-        monkeypatch.setattr(fe._Tape, "__init__", recording_init)
+        monkeypatch.setattr(fe.Kernel, "__init__", recording_init)
         monkeypatch.setattr(fe, "_evaluate", recording_walk)
         for sp, box_x, box_t in pairs:
-            del tapes[:]
+            del kernels[:]
             reduction.decompose(sp, box_x, box_t)
-            assert len(tapes) == 1
+            assert len(kernels) == 1
         assert walks == []
         for name in ("_probe_values", "_values_at", "_ProbeSet", "_probe"):
             assert not hasattr(fe, name)
@@ -355,7 +355,7 @@ class TestTauMap:
         pts = list(zip(entry.box_x.diagonal(4), reversed(entry.box_t.diagonal(4))))
         pts += [(x + 0.11, t + 0.07j) for x, t in pts]  # 16 points total
         hstep = 1e-5
-        fh = fe.compile_expr(dec.f + T * dec.h)
+        fh = compiled(dec.f + T * dec.h)
         for x, t in pts[:16]:
             dx = (red.tau_at(x + hstep, t) - red.tau_at(x - hstep, t)) / (2 * hstep)
             dt = (red.tau_at(x, t + hstep) - red.tau_at(x, t - hstep)) / (2 * hstep)
@@ -501,7 +501,7 @@ class TestBuiltinComplexValues:
 
         sp, dec, entry = decomposition_for(entry_id)
         red = reduction.build_reduced(dec, entry.basepoint_x)
-        f = fe.compile_expr(dec.f)
+        f = compiled(dec.f)
         for x in (entry.basepoint_x, np.complex128(1.7 + 0.1j), 2.2):
             t = np.complex128(0.9)
             # Not numpy's complex128, whose arithmetic rounds differently
@@ -716,7 +716,7 @@ class TestReducedCoefficients:
         red = prep("PIII.y1").red
         red.coefficients_at(2.0, 0.5)
         kernel = red.dec._coeff_array
-        n_x, n_t, n_post = _stage_ops(_compile_text(kernel.expr, kernel.tape)[1])
+        n_x, n_t, n_post = _stage_ops(_compile_text(kernel)[1])
         assert n_x + n_t + n_post <= 162
         # Most of the operations depend on x alone (82 of the 137 once each
         # neg that only adds read runs inside them), and the t-stage is not
@@ -828,14 +828,14 @@ class TestInvariance:
     @pytest.mark.parametrize("entry_id", IDS)
     def test_jets_agree_with_differentiate(self, entry_id):
         # Values and both derivatives of (phi, p_num, q_num), from the
-        # coefficient kernel's tape, against the one-point walk of
+        # coefficient kernel, against the one-point walk of
         # differentiate's output, relative to the largest of those values:
         # p_num vanishes to rounding on several entries, so its derivatives
         # are sums of terms of that size which cancel.
         dec = catalog.lookup(entry_id).decomposition
         roots = dec._coeff_array.expr
         xs, ts = _invariance_probes(dec)
-        jets = fe._jets(dec._coeff_array.tape, np.array(xs), np.array(ts))
+        jets = fe._jets(dec._coeff_array, np.array(xs), np.array(ts))
         assert len(jets) == len(roots)
         points = [Binding(x, t) for x, t in zip(xs, ts)]
         want = [[np.array(walked(e if var is None else fe.differentiate(e, var), points))
@@ -865,17 +865,17 @@ class TestInvariance:
         assert (want <= 1e-13) == (entry_id in ALL_IDS)
 
     def test_warm_reports_make_no_jet_walk(self, monkeypatch):
-        # A decomposition runs its jets once, on its coefficient kernel's
-        # tape; a warm report reads the reading it kept, a fresh entry runs
-        # them again, after decompose took those of b_off alone (a view of
-        # its tape of (p2, q2, a_off, b_off)) for the exponent A.
+        # A decomposition runs its jets once, on its coefficient kernel; a
+        # warm report reads the reading it kept, a fresh entry runs them
+        # again, after decompose took those of b_off alone (a view of its
+        # kernel of (p2, q2, a_off, b_off)) for the exponent A.
         verify.full_report("PIII.y1")
         walks = []
         jets = fe._jets
 
-        def counted(tape, xs, ts):
-            walks.append(tape)
-            return jets(tape, xs, ts)
+        def counted(kernel, xs, ts):
+            walks.append(kernel)
+            return jets(kernel, xs, ts)
 
         monkeypatch.setattr(fe, "_jets", counted)
         for seed in (42, 7, 1):
@@ -885,8 +885,8 @@ class TestInvariance:
         for _ in range(3):
             assert verify.full_report("PIII.y1", overrides=params).passed
         assert len(walks) == 6
-        assert all(isinstance(tape, fe._Tape) for tape in walks)
-        assert [len(tape.outputs) for tape in walks] == [1, 3] * 3
+        assert all(isinstance(kernel, fe.Kernel) for kernel in walks)
+        assert [len(kernel.outputs) for kernel in walks] == [1, 3] * 3
 
     def test_replaced_decomposition_reads_its_own(self):
         # dataclasses.replace starts without the reading, so a mutated copy

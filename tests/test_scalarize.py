@@ -7,6 +7,7 @@ from fuchsreduce import catalog, expr as fe, scalarize, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
+from test_expr import compiled
 
 LAX_IDS = ["PII.y0", "PII.y_inv_t", "PIII.y1", "PIV.y_m2t", "PIV.y_m2t3",
            "PV.y_lin", "PV.y_m1"]
@@ -60,7 +61,7 @@ class TestFrobenius:
         lp = entry.lax
         exprs = scalarize.frobenius_residual_exprs(lp)
         singles = [fe.Kernel(r) for r in exprs]
-        compiled = [fe.compile_expr(r) for r in exprs]
+        compiled_residuals = [compiled(r) for r in exprs]
         points = entry.grid_points(5) + [(b.x, b.t) for b in entry.probe_bindings()]
         xs, ts = (np.array(v, dtype=complex) for v in zip(*points))
         want = [single(xs, ts) for single in singles]
@@ -68,7 +69,7 @@ class TestFrobenius:
             got = kernel(xs, ts)
             assert [[repr(v) for v in row.tolist()] for row in got] == \
                 [[repr(v) for v in row.tolist()] for row in want]
-        for row, f in zip(want, compiled):
+        for row, f in zip(want, compiled_residuals):
             ref = np.array([f(x, t) for x, t in zip(xs.tolist(), ts.tolist())])
             assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
         for k, (x, t) in enumerate(points):

@@ -14,6 +14,7 @@ from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import FRAME_TOL, Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.targets import ClassicalTarget
+from test_expr import compiled
 from test_metamorphic import GAUGES, MATRIX_IDS, gauged
 from test_reduction import gauge_at
 
@@ -486,7 +487,7 @@ def _compiled_a_dadt(a):
     """(x, t) -> the entries of A and then of dA/dt, compiled for the
     scalar oracles."""
     entries = (*a[0], *a[1])
-    return fe.compile_expr((*entries, *(fe.differentiate(e, "t") for e in entries)))
+    return compiled((*entries, *(fe.differentiate(e, "t") for e in entries)))
 
 
 def _tangent_rhs(m, y):
@@ -535,7 +536,7 @@ class TestSolveLinearSystem:
         # same equation, so they agree along the leg, although the walk
         # evaluates B only at the leg's start.
         p = prep("PIII.y1")
-        b = fe.compile_expr(tuple(e for row in p.entry.lax.b for e in row))
+        b = compiled(tuple(e for row in p.entry.lax.b for e in row))
         leg = verify._walk_leg(p, 0.9, 2.0, 2.4)
         for s in (0.1, 0.25, 0.4):
             phi1, phi2, psi1, psi2 = leg(s)
@@ -553,7 +554,7 @@ def _dop853_leg(prep, t, x0, x1):
     x0, x1, t = complex(x0), complex(x1), complex(t)
     length = abs(x1 - x0)
     u = (x1 - x0) / length
-    b11, b12, b21, b22 = fe.compile_expr(tuple(e for row in systems.b for e in row))(x0, t)
+    b11, b12, b21, b22 = compiled(tuple(e for row in systems.b for e in row))(x0, t)
     phi1, phi2 = verify._PHI0
     y0 = np.array([phi1, phi2, b11 * phi1 + b12 * phi2, b21 * phi1 + b22 * phi2])
     res = verify.solve_ivp(lambda s, y: [u * v for v in _tangent_rhs(fns(x0 + u * s, t), y)],
@@ -645,8 +646,8 @@ def _dop853_joint(prep, x_anchor, t_center, dt=5e-3, span=0.6):
     ``t_center`` with y_t = B(x_anchor, t) y, then each x-leg from the
     anchor, as a function of the fraction u of the segment or leg."""
     lax = prep.entry.lax
-    a_entries = fe.compile_expr((*lax.a[0], *lax.a[1]))
-    b = fe.compile_expr((*lax.b[0], *lax.b[1]))
+    a_entries = compiled((*lax.a[0], *lax.a[1]))
+    b = compiled((*lax.b[0], *lax.b[1]))
     comp = 0 if prep.entry.component == "first" else 1
 
     def solve(matrix, y0):
@@ -808,9 +809,9 @@ class TestCrossValidateBatched:
 
     def test_nonfinite_sample_fails_report(self, monkeypatch):
         # One NaN G sample among the 9 points of the leg must fail the
-        # stage, not drop out of the spread, whether the G kernel's first
-        # call builds its tape or a call before it did; no call compiles
-        # it.  Each report is on a fresh entry (overrides equal to the
+        # stage, not drop out of the spread, whether the poisoned call is
+        # the G kernel's first or a call before it ran its lines; no call
+        # compiles it.  Each report is on a fresh entry (overrides equal to the
         # defaults), whose record holds no cross-validation outcome that a
         # report on the default entry could have kept.
         kernel_of_g = red_mod.Decomposition._G_array.func
@@ -820,11 +821,11 @@ class TestCrossValidateBatched:
             __slots__ = ()
 
             def __call__(self, x, t):
-                got = super().__call__(x, t)
+                (got,) = super().__call__(x, t)
                 if np.shape(x) == (9,):
                     got = got.copy()
                     got[4] = complex("nan")
-                return got
+                return (got,)
 
         for taped in (False, True):
             kernels = []
@@ -832,7 +833,7 @@ class TestCrossValidateBatched:
             def poisoned(dec):
                 kernel = Poisoned(kernel_of_g(dec).expr)
                 if taped:
-                    kernel(np.zeros(2), 0j)     # the first call builds the tape
+                    kernel(np.zeros(2), 0j)     # a call before the report's
                 kernels.append(kernel)
                 return kernel
 
@@ -842,7 +843,7 @@ class TestCrossValidateBatched:
             assert rep.cross_validation_residual is None
             assert rep.errors == ["cross-validation: non-finite mu at x = 2.1+0j on the leg "
                                   "[1.8+0j, 2.4+0j] at t = 1+0j"]
-            assert [sorted(vars(k)) for k in kernels] == [["expr", "tape"]]
+            assert len(kernels) == 1 and not hasattr(kernels[0], "__dict__")
 
 
 _MUTATIONS = {

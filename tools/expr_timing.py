@@ -1,4 +1,4 @@
-"""Time the expression tapes, ``differentiate``, ``decompose``, the E/S
+"""Time the expression kernels, ``differentiate``, ``decompose``, the E/S
 panel walks and a report.
 
 The DAGs are, for each of the 8 positive catalog entries at their default
@@ -7,11 +7,12 @@ reduced coefficients (``reduction.Decomposition._coeff_array``).  Each
 reading is the time to do one thing for all 8 entries, taken ``REPEAT``
 times; the minimum is the reading, the median and maximum show its spread:
 
-* ``array``: one run of the coefficient kernel's tape (``expr._Tape``, as
-  ``expr.Kernel``'s array form runs it) at 201 joint probes of the
-  entry's boxes (``reduction.joint_probes``);
-* ``tape: build``: the coefficient kernel's tape built from its DAGs;
-* ``tape: jets``: first-order jets on that tape (``expr._jets``) at the
+* ``array``: one run of the coefficient kernel's rows (as the array form
+  of ``expr.Kernel`` runs them) at 201 joint probes of the entry's boxes
+  (``reduction.joint_probes``);
+* ``tape: build``: the coefficient kernel's tape numbered from its DAGs
+  (a new ``expr.Kernel`` of them and h);
+* ``tape: jets``: first-order jets of that kernel (``expr._jets``) at the
   24 probes of ``Decomposition.invariance``;
 * ``differentiate (x, t)``: the derivatives of the three DAGs in x and in
   t, one call per DAG;
@@ -34,16 +35,16 @@ times; the minimum is the reading, the median and maximum show its spread:
   fixed seed), x by x.  The tool also prints, per stage (pre_x, pre_t,
   post) of each coefficient kernel's compiled form, its statements (the
   assignments, as a line read once inside its stage runs inside its
-  reader) and its operations (the tape's fused lines that stage runs);
+  reader) and its operations (the kernel's fused lines that stage runs);
 * ``batch: flow`` and ``batch: Frobenius``: the calls of the two entry
   checks a report makes, on kernels that have run before: the flow
   kernel's array form at the 16 t of ``entry.box_t.diagonal(16)``, for the
   9 entries with the negative control, and the Frobenius kernel's array
   form on the 25-point grid (``entry.grid_points()``) of the 7 entries
   with a Lax pair; ``point: flow`` and ``point: Frobenius`` are the same
-  values from the compiled code of the kernels' tapes
-  (``expr.compile_expr``), one staged call per point (the form the flow
-  and Frobenius stages called before they ran the array form);
+  values from the compiled code of the kernels (``expr.compile_expr``),
+  one staged call per point (the form the flow and Frobenius stages
+  called before they ran the array form);
 * ``second report``: one ``verify.full_report`` per entry on a fresh copy
   of the entry (overrides equal to its defaults) that has made exactly one
   report, at another seed: a report that meets each kernel for the second
@@ -54,8 +55,8 @@ times; the minimum is the reading, the median and maximum show its spread:
   default value of the parameter plus n/4096, n counting up from 1 over
   the rounds, so no round meets a value an earlier one built: the op of
   the param-sweep workload, in process and without the CLI.  The tool
-  also prints the tapes (``expr._Tape``) such a report builds, over one
-  untimed round;
+  also prints the kernels such a report numbers (``expr.Kernel.__init__``;
+  a view numbers nothing), over one untimed round;
 * ``report``: one ``verify.full_report`` per entry at a seed no earlier
   run used, on entries that have made two reports, so every stage that
   runs once per entry reads its record and every kernel a report calls
@@ -69,7 +70,8 @@ times; the minimum is the reading, the median and maximum show its spread:
   stage.  What a report does around them (its draws, the map to the paper
   frame, the records) is in ``report`` alone.
 
-Run it from any directory, on a checkout with ``expr._Tape``:
+Run it from any directory, on a checkout whose ``expr.Kernel`` numbers its
+DAG, or on one whose kernels run an ``expr._Tape`` given to them:
 
     python tools/expr_timing.py                      # this checkout
     python tools/expr_timing.py --root ../other      # another checkout
@@ -116,8 +118,8 @@ def stage_counts(staged, tape) -> list[tuple[int, int]]:
     """Per stage of a compiled form (pre_x, pre_t, post), its statements
     and its operations: the locals of each but its arguments (the values
     ``post`` unpacks from the other two count in theirs alone), and the
-    fused lines of ``tape``, the tape it was compiled from, whose stage it
-    is (by the line's mask: x, t, or both)."""
+    fused lines of ``tape``, the kernel (or tape) it was compiled from,
+    whose stage it is (by the line's mask: x, t, or both)."""
     pre_x, pre_t, post = (stage.__code__ for stage in staged)
     xs, ts = (set(code.co_varnames[1:code.co_nlocals]) for code in (pre_x, pre_t))
     statements = len(xs), len(ts), len(set(post.co_varnames[4:post.co_nlocals]) - xs - ts)
@@ -126,7 +128,7 @@ def stage_counts(staged, tape) -> list[tuple[int, int]]:
 
 
 def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, list[float]]]:
-    """The number of distinct DAG nodes, the tapes built per fresh report,
+    """The number of distinct DAG nodes, the kernels numbered per fresh report,
     the statements and operations of each coefficient kernel's compiled
     stages (:func:`stage_counts`), and per reading its times in ms.  A job
     returns None, and is timed whole, or the ms of its timed part."""
@@ -140,6 +142,14 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
         tupled = True
     except AttributeError:      # a checkout whose differentiate takes one root
         tupled = False
+    # A checkout whose kernels run an ``expr._Tape`` given to them: the tape
+    # is what numbers a DAG, and compile_expr takes expressions and a tape.
+    numbering = getattr(fe, "_Tape", fe.Kernel)
+    if numbering is fe.Kernel:
+        tape_of, compile_kernel = (lambda kernel: kernel), fe.compile_expr
+    else:
+        tape_of = lambda kernel: kernel.tape
+        compile_kernel = lambda kernel: fe.compile_expr(kernel.expr, kernel.tape)
     cases = []
     walks = []
     jet_cases = []
@@ -156,7 +166,7 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
         cases.append((dags, np.array([p.x for p in grid]), np.array([p.t for p in grid])))
         walks.append((dec, entry.basepoint_x, entry.box_x.diagonal(WALK_POINTS)))
         n = reduction._INVARIANCE_PROBES
-        jet_cases.append(((*dags, dec.h), dec._coeff_array.tape,
+        jet_cases.append(((*dags, dec.h), tape_of(dec._coeff_array),
                           np.array(dec.box_x.diagonal(n)),
                           np.array(dec.box_t.diagonal(n)[::-1])))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
@@ -167,7 +177,7 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
         lattices.append((entry, _latin_hypercube(entry.box_x, LATTICE[0], rng),
                          _latin_hypercube(entry.box_t, LATTICE[1], rng)))
     counts = {entry.id: stage_counts(entry.decomposition._coeff_stages,
-                                     entry.decomposition._coeff_array.tape)
+                                     tape_of(entry.decomposition._coeff_array))
               for entry, *_ in lattices}
     # Two reports per entry, so every kernel a report calls has run (and,
     # in a checkout whose flow kernel walks and then compiles, compiled).
@@ -194,7 +204,7 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
         return run
 
     def point(calls):
-        staged = [(fe.compile_expr(kernel.expr, kernel.tape), xs.tolist(), ts.tolist())
+        staged = [(compile_kernel(kernel), xs.tolist(), ts.tolist())
                   for kernel, xs, ts in calls]
 
         def run():
@@ -210,7 +220,7 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
 
     def build_tapes():
         for roots, *_ in jet_cases:
-            fe._Tape(roots, 3)
+            numbering(roots, 3)
 
     def jets():
         for roots, tape, xs, ts in jet_cases:
@@ -331,15 +341,15 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
             "report (warm)": report,
             "second report": second_report}
     times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
-    # One round of fresh reports with the tape builds counted.
+    # One round of fresh reports with the numberings of a DAG counted.
     builds = []
-    real_init = fe._Tape.__init__
-    fe._Tape.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
+    real_init = numbering.__init__
+    numbering.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
     try:
         fresh_report()
     finally:
-        fe._Tape.__init__ = real_init
-    tapes = len(builds) / len(defaults)
+        numbering.__init__ = real_init
+    numbered = len(builds) / len(defaults)
     for job in (*jobs.values(), report_stages):
         job()   # warm-up
     gc.disable()
@@ -355,7 +365,7 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
                 times[name].append(ms)
     finally:
         gc.enable()
-    return nodes, tapes, counts, times
+    return nodes, numbered, counts, times
 
 
 def print_counts(counts: dict[str, list[tuple[int, int]]], label: str = "") -> None:
@@ -385,6 +395,8 @@ def compare(root: Path, against: Path) -> None:
     print(f"{root} against {against}: {PAIRS} pairs of child runs, {REPEAT} runs each")
     print_counts(runs[against][0]["counts"], f" of {against.name}")
     print_counts(runs[root][0]["counts"], f" of {root.name}")
+    print(f"kernels numbered per fresh report: {runs[against][0]['numbered']:.2f} of "
+          f"{against.name}, {runs[root][0]['numbered']:.2f} of {root.name}")
     times = runs[root][0]["times"]
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'other ms':>9}  {'this ms':>9}  {'change':>7}  {'pairs':>15}")
@@ -409,12 +421,13 @@ def main(argv: list[str] | None = None) -> None:
         compare(root, args.against.resolve())
         return
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    nodes, tapes, counts, times = readings()
+    nodes, numbered, counts, times = readings()
     if args.json:
-        print(json.dumps({"nodes": nodes, "tapes": tapes, "counts": counts, "times": times}))
+        print(json.dumps({"nodes": nodes, "numbered": numbered, "counts": counts,
+                          "times": times}))
         return
     print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
-    print(f"{tapes:.2f} tapes built per fresh report")
+    print(f"{numbered:.2f} kernels numbered per fresh report")
     print_counts(counts)
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'min ms':>9}  {'median ms':>9}  {'max ms':>9}")
