@@ -214,27 +214,23 @@ class CatalogEntry:
 
     def with_boxes(self, config) -> "CatalogEntry":
         """This entry on a run's boxes (``config.box_x``, ``.box_t``): itself if
-        the config keeps them, else a copy, which derives its own scalar pair
-        and decomposition; applied to its own result it returns it.  The copy
-        shares the box-independent ``flow_fns`` and ``linear_systems`` this
-        entry has already built."""
+        the config keeps them, else a copy, which derives its own
+        decomposition; applied to its own result it returns it.  The copy
+        shares the box-independent ``flow_fns``, ``scalar_pair`` and
+        ``linear_systems`` this entry has already built."""
         boxes = {name: rect for name in ("box_x", "box_t")
                  if (box := getattr(config, name)) is not None
                  and (rect := ComplexRect(*box)) != getattr(self, name)}
         if not boxes:
             return self
         copy = replace(self, **boxes)
-        # Saves the flow kernel and a direct pair's companion systems with
-        # the kernel of A, dA/dt; a matrix entry's systems are its lax,
-        # which replace already shares.
+        # Saves the flow kernel, the scalar pair's derivatives and a direct
+        # pair's companion systems with the kernel of A, dA/dt; a matrix
+        # entry's systems are its lax, which replace already shares.
         copy.__dict__.update({name: self.__dict__[name]
-                              for name in ("flow_fns", "linear_systems")
+                              for name in ("flow_fns", "scalar_pair", "linear_systems")
                               if name in self.__dict__})
         return copy
-
-    def probe_bindings(self, n: int = 12) -> list[Binding]:
-        """Deterministic joint (x, t) probes (``reduction.joint_probes``)."""
-        return red_mod.joint_probes(self.box_x, self.box_t, n)
 
     def grid_points(self, n: int = 5) -> list[tuple[complex, complex]]:
         xs, ts = self.box_x.diagonal(n), self.box_t.diagonal(n)
@@ -253,8 +249,7 @@ class CatalogEntry:
         matrices, or the direct one."""
         if self.lax is None:
             return self.scalar
-        return scal.scalar_coefficients(self.lax, self.component,
-                                        probes=self.probe_bindings())
+        return scal.scalar_coefficients(self.lax, self.component)
 
     @cached_property
     def linear_systems(self) -> LaxPair:

@@ -19,6 +19,9 @@ with coefficients that no longer depend on the deformation parameter.
 This module recovers (g, P_i, f, h, R, M) numerically-symbolically from the
 scalar pair alone, R and M by one rule in which the case picks only M(t1)
 (:func:`decompose`), so pairs that differ by a gauge in t reduce alike.
+:func:`decompose` also makes every numeric check of the scalar pair's
+hypotheses: that neither off-diagonal entry vanishes, that p2 is affine in
+t, that g does not depend on x and that a_off factors as g (P1 + t P2).
 One object, :class:`ReducedEquation`, builds the evaluable tau map by
 cumulative integration on adaptive Chebyshev panels, with one stage form
 (array samples of h and f E on the points of a panel), and forms P and Q
@@ -43,7 +46,7 @@ import numpy as np
 
 from . import expr as fe
 from .expr import Binding, Expr, T
-from .scalarize import ScalarPair
+from .scalarize import ScalarPair, VanishingOffDiagonalError
 
 __all__ = [
     "Decomposition",
@@ -103,10 +106,10 @@ class Decomposition:
     ``f``, ``h``, ``R``, ``P1``, ``P2``, ``P3`` are expressions in x
     alone; ``M`` and ``g_of_t`` in t alone, with a_off = g (P1 + t P2) and
     b_off = g P3 for the scalar pair's off-diagonal pair (for a pair given
-    without one, g = 1, P1 = f, P2 = h and P3 = 1).  ``exponent_A`` is the
-    constant A with ``g = B^-1 exp(-2 M t) t^A`` when M is constant (None
-    otherwise).  The free constant B is pinned to 1 by normalizing g at a
-    reference deformation value.  ``box_x`` and ``box_t`` are the probe
+    directly, read as (p2, 1): g = 1, P1 = f, P2 = h and P3 = 1).
+    ``exponent_A`` is the constant A with ``g = B^-1 exp(-2 M t) t^A`` when
+    M is constant (None otherwise).  The free constant B is pinned to 1 by
+    normalizing g at a reference deformation value.  ``box_x`` and ``box_t`` are the probe
     boxes (``catalog.ComplexRect``) the data was recovered on.  ``sp`` is
     the scalar pair the data was recovered from; it is required, because
     the reduced coefficients are compiled from its p1 and q1, and its
@@ -117,16 +120,18 @@ class Decomposition:
     measures its own from one array call of a kernel of its own (f, h, p2)
     at the 7 x probes and t1, and one of a kernel of its M at the 9 t
     probes, and reads the invariance identities afresh too
-    (:attr:`invariance`).  The other underscored cached properties are the
-    kernels of (h, f), of G and of (phi, p_num, q_num), phi = f + t h (see
-    :class:`ReducedEquation`), the last on the line x = x0, the centre
-    of the x box (``expr.Kernel.on_x``), which holds the values of its
-    x-rows at x0, and the compiled stages of (phi, p_num, q_num)
-    (``_coeff_stages``), which ``ReducedEquation.coefficients_at`` alone
-    runs; each is built on first use and kept for the life of the
-    decomposition.  The kernel of (h, f) numbers h, f and then G, and
-    that of G is its view (``expr.Kernel.view``), which returns ``(G,)``:
-    a report reads both, and G's lines hold most or all of f's and h's.
+    (:attr:`invariance`).  The other underscored cached properties are
+    the decomposition's one kernel, of (phi, p_num, q_num), phi = f + t h
+    (see :class:`ReducedEquation`), which numbers h, f and G after them
+    (``_coeff_array``); its views (``expr.Kernel.view``) of (h, f) and of
+    ``(G,)``, which run only the lines those read, so the E/S walk never
+    runs G's; the kernel on the line x = x0, the centre of the x box
+    (``expr.Kernel.on_x``), which holds the values of its x-rows at x0;
+    and its compiled stages (``_coeff_stages``), which
+    ``ReducedEquation.coefficients_at`` alone runs.  Each is built on
+    first use and kept for the life of the decomposition, and the views
+    number nothing: h, f and G are in the coefficients' DAG, so the
+    kernel has the lines of a kernel of (phi, p_num, q_num) alone.
     ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
@@ -187,7 +192,7 @@ class Decomposition:
             fe.add(G_x, fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        return fe.Kernel((phi, p_num, q_num))
+        return fe.Kernel((phi, p_num, q_num, self.h, self.f, G), 3)
 
     @cached_property
     def _coeff_stages(self) -> tuple[Callable, Callable, Callable]:
@@ -235,11 +240,11 @@ class Decomposition:
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
-        return fe.Kernel((self.h, self.f, self.gauge_exponent()), 2)
+        return self._coeff_array.view(3, 5)
 
     @cached_property
     def _G_array(self) -> fe.Kernel:
-        return self._hf_array.view(2)
+        return self._coeff_array.view(5)
 
 
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
@@ -265,8 +270,13 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     A t-only gauge of the Lax pair moves q2 by phi times a function of t,
     which M absorbs.  When f and h both vanish, M = 0; when f = -t1 h,
     phi(., t1) vanishes and the split is refused.
-    g and P3 come from b_off (``sp.off_diag``) and P1 = f P3, P2 = h P3;
-    g must not depend on x, and a_off must factor as g (P1 + t P2).
+    g and P3 come from b_off (``sp.off_diag``, read as (p2, 1) for a pair
+    given directly) and P1 = f P3, P2 = h P3; g must not depend on x, and
+    a_off must factor as g (P1 + t P2).  Before it reads p2, it checks the
+    hypothesis of the scalar form for a pair scalarized from matrices:
+    the a_off and b_off rows of its first call at the 12 joint probes
+    (:func:`joint_probes`) must not vanish, else it raises
+    :class:`scalarize.VanishingOffDiagonalError` naming the entry.
     ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``).
 
     Every decision reads values of (p2, q2, a_off, b_off) from two array
@@ -283,7 +293,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
     jt = box_t.diagonal(12)[::-1]       # the joint probes' t (joint_probes)
     q2d = sp.q2_decomposable()
-    aoff, boff = sp.off_diag
+    aoff, boff = sp.off_diag or (sp.p2, fe.const(1))
     roots = (sp.p2, q2d, aoff, boff)
     kernel = fe.Kernel(roots)
 
@@ -298,6 +308,14 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     first = fe._sample(kernel, px, pt)
     read1 = reader(first, px, pt)
     X7, J, J1 = np.s_[:7], np.s_[7:, 0], np.s_[7:, 1]
+
+    # --- the scalar form's hypothesis: neither off-diagonal entry vanishes
+    if sp.off_diag is not None:
+        for name, v in zip(("a-offdiag", "b-offdiag"), [read1(2, J), read1(3, J)]):
+            if fe.numerically_zero(v):
+                raise VanishingOffDiagonalError(
+                    f"{name} entry vanishes on the probe set; "
+                    f"cannot scalarize the {sp.component} component")
 
     # --- f and h from the affine-in-t ratio p2
     p2_x7 = read1(0, X7)

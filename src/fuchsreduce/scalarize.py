@@ -19,8 +19,10 @@ For the first component the coefficients are
     q2 = a11 - b11 a12 / b12
 
 and the second component uses the mirrored formulas with the (2,1) entries
-and flipped signs.  Derivatives are symbolic; only the final comparisons are
-numeric.
+and flipped signs.  Scalarizing is symbolic: it evaluates nothing, and the
+one numeric check of its hypothesis, that the off-diagonal entries feeding
+it do not vanish, is made by ``reduction.decompose`` from its first array
+call.  Only the Frobenius residuals are evaluated here.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import expr as fe
-from .expr import Binding, Expr
+from .expr import Expr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import LaxPair
@@ -50,7 +52,8 @@ class ScalarizeError(Exception):
 
 class VanishingOffDiagonalError(ScalarizeError):
     """The off-diagonal entry feeding the scalarization vanishes identically
-    on the probe set, so the scalar pair is undefined."""
+    on the probe set, so the scalar pair is undefined.  Raised by
+    ``reduction.decompose``, which samples the entries."""
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,9 @@ class ScalarPair:
     :meth:`q2_decomposable` when splitting off the deformation profile.
 
     ``off_diag`` is the pair (a_off, b_off) it was scalarized from, (a12,
-    b12) or (a21, b21).  A pair built without one gets ``(p2, 1)``, the
-    first rows of the x- and t-systems on (phi, phi_t), (q2, p2) and (0, 1).
+    b12) or (a21, b21), and None for a pair given directly, which
+    ``reduction.decompose`` reads as ``(p2, 1)``: the first rows of the x-
+    and t-systems on (phi, phi_t), (q2, p2) and (0, 1).
     """
 
     p1: Expr
@@ -72,13 +76,11 @@ class ScalarPair:
     p2: Expr
     q2: Expr
     component: str = "first"
-    off_diag: tuple[Expr, Expr] = None
+    off_diag: tuple[Expr, Expr] | None = None
 
     def __post_init__(self):
         if self.component not in ("first", "second"):
             raise ValueError("component must be 'first' or 'second'")
-        if self.off_diag is None:
-            object.__setattr__(self, "off_diag", (self.p2, fe.const(1)))
 
     def q2_decomposable(self) -> Expr:
         """The combination that splits as R(x) + M(t) (f(x) + t h(x))."""
@@ -118,13 +120,12 @@ def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, compl
     return float(np.abs(lp.frobenius_fns(xs, ts)).max())
 
 
-def scalar_coefficients(lp: "LaxPair", component: str = "first",
-                        probes: Sequence[Binding] | None = None) -> ScalarPair:
-    """Build the scalar pair for one solution component.
+def scalar_coefficients(lp: "LaxPair", component: str = "first") -> ScalarPair:
+    """Build the scalar pair for one solution component, symbolically.
 
-    ``probes`` (when given) are used to reject systems whose relevant
-    off-diagonal entries vanish identically, in which case the scalar form
-    does not exist; both entries are sampled in one array call."""
+    It assumes the off-diagonal entries it divides by do not vanish;
+    ``reduction.decompose`` checks that on its probes and raises
+    :class:`VanishingOffDiagonalError` where they do."""
     if component not in ("first", "second"):
         raise ValueError("component must be 'first' or 'second'")
     a, b = lp.a, lp.b
@@ -133,15 +134,6 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first",
         aoff, boff = a[0][1], b[0][1]
     else:
         aoff, boff = a[1][0], b[1][0]
-
-    if probes is not None:
-        xs, ts = (np.array(v, dtype=complex) for v in zip(*((p.x, p.t) for p in probes)))
-        for name, v in zip(("a-offdiag", "b-offdiag"), fe.Kernel((aoff, boff))(xs, ts)):
-            if fe.numerically_zero(v):
-                raise VanishingOffDiagonalError(
-                    f"{name} entry vanishes on the probe set; "
-                    f"cannot scalarize the {component} component"
-                )
 
     det_a = fe.sub(fe.mul(a[0][0], a[1][1]), fe.mul(a[0][1], a[1][0]))
     aoff_x, a11_x = fe.differentiate((aoff, a11), "x")

@@ -7,7 +7,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
-from fuchsreduce import catalog, expr as fe
+from fuchsreduce import catalog, expr as fe, reduction
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.scalarize import ScalarPair
@@ -168,7 +168,7 @@ class TestTraceless:
             pytest.skip("direct scalar entry")
         tr_a = fe.add(entry.lax.a[0][0], entry.lax.a[1][1])
         tr_b = fe.add(entry.lax.b[0][0], entry.lax.b[1][1])
-        probes = entry.probe_bindings(12)
+        probes = reduction.joint_probes(entry.box_x, entry.box_t, 12)
         ref = walked(entry.lax.a[0][0], probes)
         assert fe.numerically_zero(walked(tr_a, probes), tol=1e-12, reference=ref)
         assert fe.numerically_zero(walked(tr_b, probes), tol=1e-12, reference=ref)
@@ -343,6 +343,16 @@ class TestWithBoxes:
         assert (copy.id, copy.lax, copy.params_exact) == (entry.id, entry.lax, entry.params_exact)
         # Only the overridden box changes.
         assert entry.with_boxes(Config(box_t=(0.8, 1.8, -0.1, 0.3))).box_x == entry.box_x
+
+    def test_copy_shares_the_scalar_pair(self):
+        # Scalarizing probes no box, so a copy on other boxes reads the
+        # entry's own scalar pair once the entry has built it.
+        entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
+        sp = entry.scalar_pair
+        copy = entry.with_boxes(Config(box_t=(0.8, 1.8, -0.1, 0.3)))
+        assert copy is not entry
+        assert copy.scalar_pair is sp
+        assert copy.decomposition.sp is sp
 
 
 def _random_point(box, rng) -> complex:

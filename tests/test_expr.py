@@ -255,13 +255,13 @@ class TestTapeNumbering:
 
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
-        # Each kernel a report numbers, from its roots: the coefficients,
-        # (h, f) with G, the flow, and the Frobenius residuals with A and
+        # Each kernel a report keeps, from its roots: the coefficients with
+        # h, f and G, the flow, and the Frobenius residuals with A and
         # dA/dt or, for a direct scalar pair, A and dA/dt alone.
         entry = catalog.lookup(entry_id)
         dec, systems = entry.decomposition, entry.linear_systems
-        tapes = [(dec._coeff_array, dec._coeff_array.expr, None),
-                 (dec._hf_array, (dec.h, dec.f, dec.gauge_exponent()), 2),
+        tapes = [(dec._coeff_array, (*dec._coeff_array.expr, *dec._hf_array.expr,
+                                     *dec._G_array.expr), 3),
                  (entry.flow_fns, entry.flow_fns.expr, None)]
         if entry.lax is not None:
             frobenius = entry.lax.frobenius_fns
@@ -271,6 +271,8 @@ class TestTapeNumbering:
         for kernel, roots, n_out in tapes:
             _assert_reference_numbering(roots, n_out)
             assert kernel.lines == fe.Kernel(roots, n_out).lines
+        # h, f and G are in the coefficients' DAG: they add no line.
+        assert dec._coeff_array.lines == fe.Kernel(dec._coeff_array.expr).lines
 
     def test_random_trees_match_the_reference_numbering_property(self):
         hyp = pytest.importorskip("hypothesis")

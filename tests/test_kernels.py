@@ -32,8 +32,10 @@ import fuchsreduce
 from fuchsreduce import catalog, expr as fe, reduction, verify
 from fuchsreduce.config import Config
 from test_expr import _compile_text, _n_statements, _single_use_statements, _stage_ops, compiled
+from test_bench_contract import _load_bench
 
 ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
+FREE_FAMILIES = _load_bench("workloads").FREE_FAMILIES
 
 
 class TestKernelLifetime:
@@ -71,14 +73,14 @@ class TestKernelLifetime:
         # A --param report builds a fresh entry.  Its report numbers the
         # kernels it calls: the flow's, the Lax pair's one kernel of the
         # Frobenius residuals, A and dA/dt (the walk matrix on the leg is a
-        # view of it), the decomposition's one kernel of h, f and G (the
-        # E/S walks and the leg read it and its view) and the coefficient
-        # kernel, for the t-independence stage's one batch and the
-        # invariance jets.  It numbers no kernel of A and dA/dt alone and
-        # compiles nothing.  The other kernels it numbers live for one array
-        # call of a decision: scalar_coefficients' check of a_off and
-        # b_off, decompose's one kernel of (p2, q2, a_off, b_off) and the
-        # frame fit's kernel of the documented tau.
+        # view of it) and the decomposition's one kernel of the
+        # coefficients, h, f and G, for the t-independence stage's one
+        # batch and the invariance jets (the E/S walks and the leg read its
+        # views of (h, f) and of G).  It numbers no kernel of A and dA/dt
+        # alone, none to scalarize, and compiles nothing.  The other kernels
+        # it numbers live for one array call of a decision: decompose's one
+        # kernel of (p2, q2, a_off, b_off) and the frame fit's kernel of
+        # the documented tau.
         entries, compiled, numbered = [], [], []
         real_lookup, real_compile = catalog.lookup, fe.compile_expr
         real_init = fe.Kernel.__init__
@@ -103,12 +105,55 @@ class TestKernelLifetime:
         (entry,) = entries
         dec, lax = entry.decomposition, entry.lax
         assert compiled == []
-        kept = [entry.flow_fns, lax.frobenius_fns, dec._hf_array, dec._coeff_array]
+        kept = [entry.flow_fns, lax.frobenius_fns, dec._coeff_array]
         assert [k for k in numbered if any(k is kk for kk in kept)] == kept
-        assert [len(k.outputs) for k in numbered if not any(k is kk for kk in kept)] == [2, 4, 1]
+        assert [len(k.outputs) for k in numbered if not any(k is kk for kk in kept)] == [4, 1]
         assert lax.a_dadt_array.lines is lax.frobenius_fns.lines
-        assert dec._G_array.lines is dec._hf_array.lines
+        assert dec._hf_array.lines is dec._G_array.lines is dec._coeff_array.lines
         assert "_coeff_stages" not in dec.__dict__
+
+    @pytest.mark.parametrize("family", FREE_FAMILIES, ids="/".join)
+    def test_fresh_report_numbers_five_kernels(self, monkeypatch, family):
+        # A fresh report on a family the param-sweep workload varies, at a
+        # value no default has, numbers five kernels, one per owner: the
+        # flow's, the Frobenius kernel or the direct pair's companion
+        # systems (A and dA/dt), decompose's, the frame fit's and the
+        # decomposition's.  Scalarizing numbers none.
+        entry_id, name = family
+        value = catalog.lookup(entry_id).params_exact[name] + Fraction(1, 4096)
+        entries, numbered = [], []
+        real_lookup, real_init = catalog.lookup, fe.Kernel.__init__
+
+        def recording_lookup(entry_id, overrides=None):
+            entries.append(real_lookup(entry_id, overrides))
+            return entries[-1]
+
+        def recording_init(kernel, e, n_out=None):
+            real_init(kernel, e, n_out)
+            numbered.append(kernel)
+
+        monkeypatch.setattr(catalog, "lookup", recording_lookup)
+        monkeypatch.setattr(fe.Kernel, "__init__", recording_init)
+        rep = verify.full_report(entry_id, Config(seed=1), overrides={name: value})
+        assert rep.passed, rep.errors
+        (entry,) = entries
+        dec = entry.decomposition
+        owners = {id(entry.flow_fns): "flow", id(dec._coeff_array): "decomposition"}
+        if entry.lax is not None:
+            owners[id(entry.lax.frobenius_fns)] = "Frobenius"
+        else:
+            owners[id(entry.linear_systems.a_dadt_array)] = "companion A, dA/dt"
+
+        def owner(kernel):
+            if kernel.exprs[0] is dec.sp.p2 and len(kernel.exprs) == 4:
+                return "decompose"
+            if kernel.exprs == (entry.reduction_closed_forms["tau"],):
+                return "frame"
+            return owners.get(id(kernel), "other")
+
+        systems = "Frobenius" if entry.lax is not None else "companion A, dA/dt"
+        assert sorted(map(owner, numbered)) == sorted(
+            ["flow", systems, "decompose", "frame", "decomposition"])
 
     def test_three_reports_compile_nothing(self, monkeypatch):
         # On a fresh copy of each entry, served as the entry by lookup,
@@ -310,16 +355,14 @@ class TestKernelLifetime:
         assert _reprs(at) == _reprs(want)
 
     def test_coefficient_tape_is_built_once(self, monkeypatch):
-        # An array call on the line x = x0 numbers the coefficient kernel,
-        # and the compile that a lattice of point calls then makes renders
-        # that kernel: one numbering of its roots, not two.
+        # The reduced equation numbers the decomposition's one kernel, of
+        # the coefficients, h, f and G, for its E walks; an array call on
+        # the line x = x0 and the compile that a lattice of point calls
+        # then makes read that kernel: one numbering of its roots, not two.
         entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
         dec = entry.decomposition
-        red = reduction.build_reduced(dec, entry.basepoint_x)
         xs, ts = entry.box_x.diagonal(3), entry.box_t.diagonal(4)
         x0 = entry.box_x.center
-        for x in (*xs, x0):
-            red.E(x)
         builds = []
         real_init = fe.Kernel.__init__
 
@@ -328,12 +371,16 @@ class TestKernelLifetime:
             builds.append(kernel.exprs)
 
         monkeypatch.setattr(fe.Kernel, "__init__", recording)
+        red = reduction.build_reduced(dec, entry.basepoint_x)
+        for x in (*xs, x0):
+            red.E(x)
         red.coefficients_at_x0(ts, red.E(x0))
         for x in xs:
             for t in ts:
                 red.coefficients_at(x, t)
         assert "_coeff_stages" in dec.__dict__
-        assert [len(roots) for roots in builds if roots[0] is dec._coeff_array.expr[0]] == [3]
+        assert builds == [dec._coeff_array.exprs]
+        assert len(builds[0]) == 6
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_no_compiled_neg_is_read_by_adds_alone(self, entry_id):
@@ -376,13 +423,14 @@ class TestKernelLifetime:
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
         # Each kernel of a fresh entry compiles to the text of a kernel of
         # its expressions alone.  A view whose outputs are not the first
-        # roots of the kernel it shares (the walk matrix of a Lax pair, G)
-        # numbers its lines in the shared order: it compiles as many lines
-        # as a kernel of its expressions alone, to the same values.
+        # roots of the kernel it shares (the walk matrix of a Lax pair,
+        # (h, f) and G) numbers its lines in the shared order: it compiles
+        # as many lines as a kernel of its expressions alone, to the same
+        # values.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         dec, systems = entry.decomposition, entry.linear_systems
-        kernels = [dec._coeff_array, dec._hf_array, entry.flow_fns]
-        views = [dec._G_array]
+        kernels = [dec._coeff_array, entry.flow_fns]
+        views = [dec._hf_array, dec._G_array]
         if entry.lax is not None:
             kernels.append(entry.lax.frobenius_fns)
             views.append(systems.a_dadt_array)
@@ -426,22 +474,23 @@ class TestKernelLifetime:
 
     def test_box_override_decomposes_afresh(self):
         # An override is a copy of the entry on the run's boxes, which
-        # scalarizes and decomposes on its own boxes.
+        # decomposes on its own boxes the scalar pair it shares with the
+        # entry: scalarizing probes no box.
         entry = catalog.lookup("PII.y0")
+        sp = entry.scalar_pair
         prep = verify.prepare(entry, Config(box_x=(1.2, 2.4, -0.1, 0.1)))
         assert prep.entry is not entry
         assert prep.entry.box_x == catalog.ComplexRect(1.2, 2.4, -0.1, 0.1)
         assert prep.red.dec is not entry.decomposition
         assert prep.red.dec is prep.entry.decomposition
-        assert prep.red.dec.sp is prep.entry.scalar_pair
-        assert prep.red.dec.sp is not entry.scalar_pair
+        assert prep.red.dec.sp is prep.entry.scalar_pair is sp
 
     @pytest.mark.parametrize("entry_id, box_t", [
         ("PIII.y1", (0.6, 1.6, -0.2, 0.2)), ("PVdeg.kitaev_sqrt", (0.7, 1.7, -0.2, 0.2))])
     def test_box_override_compiles_only_its_decomposition(self, monkeypatch, entry_id, box_t):
-        # The copy on the run's boxes keeps the entry's flow kernel and
-        # linear systems (with the Kitaev pair's kernel of A, dA/dt); only the
-        # scalar pair and the decomposition probe the boxes.  Its report is
+        # The copy on the run's boxes keeps the entry's flow kernel, scalar
+        # pair and linear systems (with the Kitaev pair's kernel of A,
+        # dA/dt); only the decomposition probes the boxes.  Its report is
         # the one of a copy that builds everything afresh.  Two reports on
         # the entry first, each with the entry's record cleared, so that the
         # stages it certifies once (the Frobenius grid and cross-validation)
@@ -465,6 +514,7 @@ class TestKernelLifetime:
         assert json.dumps(verify.full_report(entry_id, config).to_json()) == afresh
         copy = entry.with_boxes(config)
         assert copy.flow_fns is entry.flow_fns
+        assert copy.scalar_pair is entry.scalar_pair
         assert copy.linear_systems.a_dadt_array is entry.linear_systems.a_dadt_array
         # Every kernel it calls runs in array form.
         assert compiled == []

@@ -19,8 +19,7 @@ def scalar_pair_for(entry_id, overrides=None):
     entry = catalog.lookup(entry_id, overrides)
     if entry.lax is None:
         return entry.scalar, entry
-    sp = scalarize.scalar_coefficients(entry.lax, entry.component,
-                                       probes=entry.probe_bindings())
+    sp = scalarize.scalar_coefficients(entry.lax, entry.component)
     return sp, entry
 
 
@@ -66,7 +65,7 @@ class TestDecompose:
         for name in ("f", "h", "R", "M"):
             got = getattr(dec, name)
             want = cf[name]
-            for b in entry.probe_bindings(16):
+            for b in reduction.joint_probes(entry.box_x, entry.box_t, 16):
                 v1 = fe.evaluate(got, b)
                 v2 = fe.evaluate(want, b)
                 assert abs(v1 - v2) <= 1e-9 * (1 + abs(v2)), (entry_id, name)
@@ -74,7 +73,7 @@ class TestDecompose:
     def test_second_component_pair_matches_first(self):
         sp0, _, e0 = decomposition_for("PII.y0")
         sp1, _, e1 = decomposition_for("PII.y_inv_t")
-        for b in e0.probe_bindings(8):
+        for b in reduction.joint_probes(e0.box_x, e0.box_t, 8):
             for name in ("p1", "q1", "p2", "q2"):
                 v0 = fe.evaluate(getattr(sp0, name), b)
                 v1 = fe.evaluate(getattr(sp1, name), b)
@@ -83,12 +82,13 @@ class TestDecompose:
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_split_and_factor_invariants(self, entry_id):
         sp, dec, entry = decomposition_for(entry_id)
-        probes = entry.probe_bindings(16)
+        probes = reduction.joint_probes(entry.box_x, entry.box_t, 16)
         phi = dec.f + T * dec.h
         split = sp.q2_decomposable() - (dec.R + dec.M * phi)
         assert fe.numerically_zero(walked(split, probes), tol=1e-9,
                                    reference=walked(sp.q2_decomposable(), probes))
-        aoff, boff = sp.off_diag
+        # decompose reads a pair given directly (off_diag None) as (p2, 1).
+        aoff, boff = sp.off_diag or (sp.p2, fe.const(1))
         f = walked(dec.f, probes)
         assert fe.numerically_zero(walked(dec.f - dec.P1 / dec.P3, probes),
                                    tol=1e-10, reference=f)
@@ -100,10 +100,10 @@ class TestDecompose:
                                    tol=1e-9, reference=walked(boff, probes))
 
     def test_kitaev_factorization_is_trivial(self):
-        # The Kitaev pair is given without matrices, so its off-diagonal
-        # pair is (p2, 1): g = 1, P3 = 1, P1 = f and P2 = h.
+        # The Kitaev pair is given without matrices, so decompose reads its
+        # off-diagonal pair as (p2, 1): g = 1, P3 = 1, P1 = f and P2 = h.
         _, dec, entry = decomposition_for("PVdeg.kitaev_sqrt")
-        probes = entry.probe_bindings(16)
+        probes = reduction.joint_probes(entry.box_x, entry.box_t, 16)
         for b in probes:
             assert fe.evaluate(dec.g_of_t, b) == 1
             assert fe.evaluate(dec.P3, b) == 1

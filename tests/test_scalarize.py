@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fuchsreduce import catalog, expr as fe, scalarize, verify
+from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
@@ -62,7 +63,8 @@ class TestFrobenius:
         exprs = scalarize.frobenius_residual_exprs(lp)
         singles = [fe.Kernel(r) for r in exprs]
         compiled_residuals = [compiled(r) for r in exprs]
-        points = entry.grid_points(5) + [(b.x, b.t) for b in entry.probe_bindings()]
+        probes = reduction.joint_probes(entry.box_x, entry.box_t, 12)
+        points = entry.grid_points(5) + [(b.x, b.t) for b in probes]
         xs, ts = (np.array(v, dtype=complex) for v in zip(*points))
         want = [single(xs, ts) for single in singles]
         for kernel in (lp.frobenius_fns, LaxPair(lp.a, lp.b).frobenius_fns):
@@ -117,25 +119,41 @@ class TestFrobenius:
 class TestOffDiagonalPair:
     @pytest.mark.parametrize("entry_id", catalog.list_entries() + catalog.list_negative_entries())
     def test_every_entry_carries_a_pair_of_expressions(self, entry_id):
-        off = catalog.lookup(entry_id).scalar_pair.off_diag
+        # A pair scalarized from matrices carries the entries it divides,
+        # (a12, b12) or (a21, b21); the direct Kitaev pair carries None.
+        entry = catalog.lookup(entry_id)
+        off = entry.scalar_pair.off_diag
+        if entry.lax is None:
+            assert off is None
+            return
+        a, b = entry.lax.a, entry.lax.b
+        want = (a[0][1], b[0][1]) if entry.component == "first" else (a[1][0], b[1][0])
         assert isinstance(off, tuple) and len(off) == 2
-        assert all(isinstance(e, fe.Expr) for e in off)
+        assert off[0] is want[0] and off[1] is want[1]
 
     def test_pair_built_without_one_gets_p2_and_one(self):
         # The cross relation as the first row of the system on (phi, phi_t):
-        # a12 = p2 and b12 = 1, which give back p2 = a12 / b12.
+        # decompose reads a pair without one as a12 = p2 and b12 = 1, which
+        # give back p2 = a12 / b12, so g = 1 and P3 = 1.
         zero = fe.const(0)
         p2 = X + T / X
         sp = scalarize.ScalarPair(p1=zero, q1=zero, p2=p2, q2=zero)
-        assert sp.off_diag[0] is p2
-        assert sp.off_diag[1].kind == "const" and sp.off_diag[1].value == 1
+        assert sp.off_diag is None
+        given = dataclasses.replace(sp, off_diag=(p2, fe.const(1)))
+        dec, want = (reduction.decompose(pair, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+                     for pair in (sp, given))
+        for b in reduction.joint_probes(dec.box_x, dec.box_t, 12):
+            assert fe.evaluate(dec.g_of_t, b) == fe.evaluate(want.g_of_t, b) == 1
+            for name in ("P1", "P2", "P3"):
+                assert fe.evaluate(getattr(dec, name), b) == fe.evaluate(getattr(want, name), b)
+            assert fe.evaluate(dec.P3, b) == 1
 
 
 class TestScalarCoefficients:
     def test_pii_y0_closed_forms(self):
         entry = catalog.lookup("PII.y0")
         lp = entry.lax
-        sp = scalarize.scalar_coefficients(lp, "first", probes=entry.probe_bindings())
+        sp = scalarize.scalar_coefficients(lp, "first")
         for x, t in ((1.4, 0.6), (2.2 + 0.1j, 1.1 - 0.1j)):
             b = Binding(x=x, t=t)
             assert fe.evaluate(sp.p1, b) == pytest.approx(-1 / x)
@@ -224,9 +242,36 @@ class TestScalarCoefficients:
         assert fe.evaluate(sp.p1, b) == 0
 
     def test_vanishing_offdiagonal_rejected(self):
-        probes = [Binding(x=1.0 + 0.2 * k, t=0.5) for k in range(8)]
-        with pytest.raises(scalarize.VanishingOffDiagonalError):
-            scalarize.scalar_coefficients(zero_lax(), "first", probes=probes)
+        # Scalarizing is symbolic; decompose samples the entries it divides.
+        sp = scalarize.scalar_coefficients(zero_lax(), "first")
+        with pytest.raises(scalarize.VanishingOffDiagonalError,
+                           match="^a-offdiag entry vanishes on the probe set; "
+                                 "cannot scalarize the first component$"):
+            reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+
+    def test_vanishing_b_offdiagonal_rejected_before_p2_is_read(self):
+        # b12 = 0 makes p2 = a12 / b12 singular at every probe: decompose
+        # names the vanishing entry rather than the division it causes.
+        one, zero = fe.const(1), fe.const(0)
+        lp = LaxPair(((X, X + T), (X * T, fe.neg(X))), ((X * T, zero), (one, fe.neg(X * T))))
+        sp = scalarize.scalar_coefficients(lp, "first")
+        with pytest.raises(scalarize.VanishingOffDiagonalError) as info:
+            reduction.decompose(sp, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
+        assert str(info.value) == ("b-offdiag entry vanishes on the probe set; "
+                                   "cannot scalarize the first component")
+
+    @pytest.mark.parametrize("entry_id", LAX_IDS)
+    def test_scalarizing_numbers_no_kernel(self, monkeypatch, entry_id):
+        # A fresh entry's scalar pair is expressions alone: no kernel
+        # numbers them, and no value of them is computed.
+        entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
+        numbered = []
+        real_init = fe.Kernel.__init__
+        monkeypatch.setattr(fe.Kernel, "__init__", lambda kernel, *args: numbered.append(args)
+                            or real_init(kernel, *args))
+        entry.scalar_pair
+        scalarize.scalar_coefficients(entry.lax, "second")
+        assert numbered == []
 
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_q2_integrability_identity(self, entry_id):
@@ -242,7 +287,7 @@ class TestScalarCoefficients:
         else:
             alt = (fe.differentiate(aoff, "t") / boff
                    - fe.differentiate(boff, "x") / boff) / 2
-        for b in entry.probe_bindings(9):
+        for b in reduction.joint_probes(entry.box_x, entry.box_t, 9):
             v1 = fe.evaluate(core, b)
             v2 = fe.evaluate(alt, b)
             assert abs(v1 - v2) <= 1e-9 * (1 + abs(v2))
@@ -326,7 +371,7 @@ class TestScalarResidual:
         entry = catalog.lookup(entry_id)
         sp = scalarize.scalar_coefficients(entry.lax, entry.component)
         aoff, boff = sp.off_diag
-        for b in entry.probe_bindings(10):
+        for b in reduction.joint_probes(entry.box_x, entry.box_t, 10):
             ratio = fe.evaluate(aoff, b) / fe.evaluate(boff, b)
             got = fe.evaluate(sp.p2, b)
             assert abs(got - ratio) <= 1e-10 * (1 + abs(ratio))

@@ -78,11 +78,13 @@ DAG, or on one whose kernels run an ``expr._Tape`` given to them:
     python tools/expr_timing.py --against ../parent  # this one against another
 
 ``--against`` runs the tool on both checkouts in ``PAIRS`` pairs of child
-interpreters, the other checkout first in each pair, so a slow spell of the
-machine touches both sides.  Per reading it prints the median over the
-children of each checkout's minimum, and the median and range over the
-pairs of the change, this checkout's minimum over the other's: a change
-that every pair shows, beyond the range, is resolved.  ``--json`` prints
+interpreters, the other checkout first in the first pair and each later
+pair in the other order, so a slow spell of the machine touches both sides
+and an effect of running first or second does not read as a change.  Per
+reading it prints the median over the children of each checkout's
+minimum, and the median and range over the pairs of the change, this
+checkout's minimum over the other's: a change that every pair shows,
+beyond the range, is resolved.  ``--json`` prints
 one run's readings as one JSON object, which is what the children print.
 """
 
@@ -386,11 +388,12 @@ def child(root: Path) -> dict:
 
 
 def compare(root: Path, against: Path) -> None:
-    """``PAIRS`` alternating pairs of child runs, ``against`` first in each,
-    and per reading the medians of each side and the change."""
+    """``PAIRS`` pairs of child runs, ``against`` first in the even ones and
+    ``root`` in the odd ones, and per reading the medians of each side and
+    the change."""
     runs: dict[Path, list[dict]] = {root: [], against: []}
-    for _ in range(PAIRS):
-        for side in (against, root):
+    for n in range(PAIRS):
+        for side in (against, root) if n % 2 == 0 else (root, against):
             runs[side].append(child(side))
     print(f"{root} against {against}: {PAIRS} pairs of child runs, {REPEAT} runs each")
     print_counts(runs[against][0]["counts"], f" of {against.name}")
