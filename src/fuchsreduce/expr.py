@@ -16,11 +16,12 @@ and an infix printer.
 One table, ``_KINDS``, holds one row per interior node kind (:class:`_Kind`),
 and one for the subtraction a kernel fuses a neg into:
 its constructor, the template of its compiled line, the function that line
-applies to one point and to arrays of points, its chain rule and, for
-``div``, ``ipow`` and ``log``, the check of the operand that can make it
-singular.  The walk, the kernel, the jets, differentiation, substitution and
-compilation read a kind's rule from its row and handle only the leaves
-themselves (the printer keeps its own precedence rules).  One traversal,
+applies to one point and to arrays of points, its chain rule on expressions
+and on arrays of values and, for ``div``, ``ipow`` and ``log``, the check of
+the operand that can make it singular.  The walk, the kernel, the jets,
+differentiation, substitution and compilation read a kind's rule from its
+row and handle only the leaves themselves (the printer keeps its own
+precedence rules).  One traversal,
 :func:`_traverse`, visits each node object of a DAG once, children first;
 differentiation and substitution go through it, and a kernel numbers its
 nodes in that order in a pass of its own, with no per-node callback.
@@ -47,6 +48,7 @@ shared and evaluated concurrently without locking.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -389,6 +391,12 @@ class _Kind(NamedTuple):
       from its operands ``c`` and their derivatives ``d``.  It is written
       with Python operators, which on ``Expr`` go through the folding
       constructors.
+    * ``jet(v, c0, c1, d0, d1, q)``: a second copy of that rule, on numpy
+      arrays (:func:`_jets`): a line's gradient from its value ``v``, its
+      operands' values ``c`` and gradients ``d`` and its exponent ``q``.
+      It applies ``derive``'s operations in their order; a vanishing
+      gradient is None and folds as the constant 0 does (``0 - d`` is
+      ``-d``).  ``TestJetRules`` in the tests holds the copies together.
     * ``check``: None, or ``(i, singular, message)`` for a kind with a
       singular point: :func:`evaluate` walks operand ``i`` first and raises
       ``SingularEvaluationError(message)`` when ``singular(v, value)``
@@ -403,31 +411,45 @@ class _Kind(NamedTuple):
     scalar: Callable
     array: Callable
     derive: Callable[[Expr, tuple, tuple], Expr]
+    jet: Callable
     check: tuple[int, Callable[[complex, object], bool], str] | None = None
 
 
 _KINDS: dict[str, _Kind] = {
-    "neg": _Kind(neg, "-%s", operator.neg, operator.neg, lambda n, c, d: -d[0]),
-    "add": _Kind(add, "%s + %s", operator.add, operator.add, lambda n, c, d: d[0] + d[1]),
+    "neg": _Kind(neg, "-%s", operator.neg, operator.neg, lambda n, c, d: -d[0],
+                 lambda v, c0, c1, d0, d1, q: -d0),
+    "add": _Kind(add, "%s + %s", operator.add, operator.add, lambda n, c, d: d[0] + d[1],
+                 lambda v, c0, c1, d0, d1, q: d1 if d0 is None else d0 if d1 is None else d0 + d1),
     "mul": _Kind(mul, "%s * %s", operator.mul, operator.mul,
-                 lambda n, c, d: d[0] * c[1] + c[0] * d[1]),
+                 lambda n, c, d: d[0] * c[1] + c[0] * d[1],
+                 lambda v, c0, c1, d0, d1, q: c0 * d1 if d0 is None else d0 * c1
+                 if d1 is None else d0 * c1 + c0 * d1),
     "div": _Kind(div, "%s / %s", operator.truediv, operator.truediv,
                  lambda n, c, d: (d[0] * c[1] - c[0] * d[1]) / c[1] ** 2,
+                 lambda v, c0, c1, d0, d1, q: (-(c0 * d1) if d0 is None else d0 * c1
+                                               if d1 is None else d0 * c1 - c0 * d1) / c1 ** 2,
                  (1, lambda v, q: v == 0, "division by zero")),
     "ipow": _Kind(ipow, "%s ** %s", operator.pow, operator.pow,
                   lambda n, c, d: n.value * c[0] ** (n.value - 1) * d[0],
+                  lambda v, c0, c1, d0, d1, q: c0 ** (q - 1) * q * d0,
                   (0, lambda v, q: q < 0 and v == 0, "pole: 0 raised to a negative power")),
     # A Fraction exponent prints as "p/q", which compiles to the float the
     # walk applies, float(Fraction(p, q)).  Its derivative's power keeps
     # the form a^(q - 1), which never divides by a.
     "fpow": _Kind(fpow, "_fpow(%s, %s)", _principal_pow, _principal_pow_array,
-                  lambda n, c, d: complex(n.value) * c[0] ** (n.value - 1) * d[0]),
-    "exp": _Kind(exp, "_exp(%s)", cmath.exp, np.exp, lambda n, c, d: n * d[0]),
+                  lambda n, c, d: complex(n.value) * c[0] ** (n.value - 1) * d[0],
+                  lambda v, c0, c1, d0, d1, q: _principal_pow_array(c0, float(q - 1))
+                  * complex(q) * d0),
+    "exp": _Kind(exp, "_exp(%s)", cmath.exp, np.exp, lambda n, c, d: n * d[0],
+                 lambda v, c0, c1, d0, d1, q: v * d0),
     "log": _Kind(log, "_log(%s)", cmath.log, np.log, lambda n, c, d: d[0] / c[0],
-                 (0, lambda v, q: v == 0, "log of zero")),
-    "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt, lambda n, c, d: d[0] / (2 * n)),
+                 lambda v, c0, c1, d0, d1, q: d0 / c0, (0, lambda v, q: v == 0, "log of zero")),
+    "sqrt": _Kind(sqrt, "_sqrt(%s)", cmath.sqrt, np.sqrt, lambda n, c, d: d[0] / (2 * n),
+                  lambda v, c0, c1, d0, d1, q: d0 / (v * 2)),
     # The kind of no node: a kernel's fused line of an add and a neg it reads.
-    "sub": _Kind(sub, "%s - %s", operator.sub, operator.sub, lambda n, c, d: d[0] - d[1]),
+    "sub": _Kind(sub, "%s - %s", operator.sub, operator.sub, lambda n, c, d: d[0] - d[1],
+                 lambda v, c0, c1, d0, d1, q: -d1 if d0 is None else d0 if d1 is None
+                 else d0 - d1),
 }
 
 # The globals of the compiled lines.
@@ -492,69 +514,6 @@ def differentiate(e: Expr | tuple[Expr, ...], var: str) -> Expr | tuple[Expr, ..
     return _traverse((e,), rule)[0]
 
 
-class _Values:
-    """A node's values at many points, a numpy array (a constant's Python
-    complex), under the Python operators the ``derive`` rules are written
-    with: the number type of :func:`_jets`.  The int 0, the gradient of a
-    node that does not vary, folds as the Expr constructors fold the
-    constant 0 (``e + 0 -> e``, ``0 * e -> 0``).  A power applies the row
-    the walk applies, ``ipow``'s for an int exponent and ``fpow``'s
-    principal branch for a Fraction; ``value`` is the node's exponent,
-    which the power rules read as ``n.value``."""
-
-    __slots__ = ("v", "value")
-    # numpy defers to the reflected operators below, not to an object array.
-    __array_ufunc__ = None
-
-    def __init__(self, v, value=None):
-        self.v = v
-        self.value = value
-
-    def __neg__(self):
-        return _Values(-self.v)
-
-    def __add__(self, other):
-        return self if _is_zero(other) else _Values(self.v + _raw(other))
-
-    def __sub__(self, other):
-        return self if _is_zero(other) else _Values(self.v - _raw(other))
-
-    def __rsub__(self, other):
-        return -self if _is_zero(other) else _Values(other - self.v)
-
-    def __mul__(self, other):
-        return 0 if _is_zero(other) else _Values(self.v * _raw(other))
-
-    def __truediv__(self, other):
-        return _Values(self.v / _raw(other))
-
-    def __rtruediv__(self, other):
-        return 0 if _is_zero(other) else _Values(other / self.v)
-
-    # Complex addition and multiplication commute bit for bit.
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, q):
-        if type(q) is int:
-            return _Values(_KINDS["ipow"].array(self.v, q))
-        return _Values(_KINDS["fpow"].array(self.v, float(q)))
-
-
-def _is_zero(value) -> bool:
-    return type(value) is int and value == 0
-
-
-def _raw(value):
-    return value.v if type(value) is _Values else value
-
-
-# The gradients (d/dx, d/dt) of the variables, as (2, 1) columns that
-# broadcast against a row of points.
-_GRAD_X = _Values(np.array([[1], [0]], dtype=complex))
-_GRAD_T = _Values(np.array([[0], [1]], dtype=complex))
-
-
 def _jets(kernel: Kernel, xs: np.ndarray, ts: np.ndarray
           ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(value, d/dx, d/dt) of each output of ``kernel`` at the points
@@ -562,39 +521,44 @@ def _jets(kernel: Kernel, xs: np.ndarray, ts: np.ndarray
     (as the array form runs them), with no derivative DAG built.
 
     A line's value is its row's ``array`` function, as the array form
-    applies it, and its gradient, d/dx and d/dt stacked in one
-    array, is its row's ``derive`` rule (``_KINDS``) applied to
-    :class:`_Values`, so the jets agree with the values of
-    :func:`differentiate`'s output to rounding.  A gradient that vanishes
-    identically is the int 0, as ``differentiate`` folds it to the
-    constant 0, and a line whose operands all have it is not derived.
+    applies it, and its gradient, d/dx and d/dt stacked in one array, is
+    its row's ``jet`` rule (``_KINDS``), seeded with the (2, 1) columns of
+    x and t, so the jets agree with the values of :func:`differentiate`'s
+    output to rounding.  A gradient that vanishes identically is None, as
+    ``differentiate`` folds it to the constant 0, and a line whose
+    operands all have it is not derived.
     Evaluated under ``np.errstate(all="ignore")``: a value is NaN at each
     point where some line's is not finite (their sum is not), and
     everywhere when the run raises (a zero base to a non-positive
     fractional power, or a constant line dividing by zero), so a singular
     point is never hidden behind a finite value (1 / inf); the caller
     decides (:func:`_finite`)."""
-    shape = np.broadcast_shapes(np.shape(xs), np.shape(ts))
-    jets: list = [None if v is None else (_Values(v), 0) for v in kernel.start]
-    jets[0], jets[1] = (_Values(xs), _GRAD_X), (_Values(ts), _GRAD_T)
+    shape = np.broadcast(xs, ts).shape
+    vals, grads = kernel.start.copy(), [None] * len(kernel.start)
+    vals[0], vals[1] = xs, ts
+    grads[0], grads[1] = np.array([[1], [0]], dtype=complex), np.array([[0], [1]], dtype=complex)
     try:
         with np.errstate(all="ignore"):
             for slot, kind, a, b, q, _ in kernel.fused:
                 row = _KINDS[kind]
-                c, d = zip(jets[a]) if b is None else zip(jets[a], jets[b])
-                operands = [v.v for v in c]
-                if q is not None:
-                    operands.append(q if type(q) is int else float(q))
-                node = _Values(row.array(*operands), q)
-                jets[slot] = node, 0 if all(map(_is_zero, d)) else row.derive(node, c, d)
-            bad = ~np.isfinite(sum([jets[line[0]][0].v for line in kernel.fused], 0j))
+                # One operand: the second is the line's own slot, as in the
+                # array rows: its start (an exponent or None), no gradient.
+                e = slot if b is None else b
+                c0, d0, c1, d1 = vals[a], grads[a], vals[e], grads[e]
+                v = vals[slot] = row.array(c0) if c1 is None else row.array(c0, c1)
+                if d0 is not None or d1 is not None:
+                    grads[slot] = row.jet(v, c0, c1, d0, d1, q)
+            bad = ~np.isfinite(sum([vals[line[0]] for line in kernel.fused], 0j))
     except ArithmeticError:
-        jets, bad = [(0j, 0)] * len(jets), True
+        vals, grads, bad = [0j] * len(vals), [None] * len(vals), True
 
     def rows(slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        value, grad = (np.asarray(_raw(g), dtype=complex) for g in jets[slot])
-        dx, dt = np.broadcast_to(grad, (2, *shape))
-        return np.where(bad, np.nan, np.broadcast_to(value, shape)), dx, dt
+        # np.broadcast_to costs microseconds: only where a shape falls short.
+        value, grad = np.asarray(vals[slot], dtype=complex), grads[slot]
+        if grad is None or grad.shape[1:] != shape:
+            grad = np.broadcast_to(0j if grad is None else grad, (2, *shape))
+        value = value if value.shape == shape else np.broadcast_to(value, shape)
+        return np.where(bad, np.nan, value), *grad
 
     return [rows(slot) for slot in kernel.outputs]
 
@@ -733,6 +697,8 @@ _SAMPLE_ERRORS = (ArithmeticError, ValueError, ExprError)
 
 # The subset of {x, t} a kernel's line depends on, as a bit mask.
 _X_DEP, _T_DEP = 1, 2
+# The slot of a kernel's line.
+_SLOT = operator.itemgetter(0)
 
 # How many lines deep compile_expr writes lines inside their one reader.
 # Each adds a pair or two of parentheses, and Python's parser refuses more
@@ -773,9 +739,11 @@ class Kernel:
       x-lines, so a line reading it and t is an (x, t) line.
     * ``roots``: the slot of each root; ``outputs``, the slots of ``expr``.
     * ``fused``: the lines the outputs read, in the same order, where a
-      neg whose every reader among them is an add (the outputs counting as
-      readers of another kind) runs inside each of those adds as a
-      ``sub`` line: add(a, neg b) as a - b and add(neg a, b) as b - a.
+      neg whose every reader among them is an add that negates it (the
+      outputs counting as readers of another kind; an add negates its
+      second operand if that is a neg, else its first) runs inside each of
+      those adds as a ``sub`` line: add(a, neg b) as a - b and add(neg a,
+      b) as b - a.
       That is IEEE 754's difference, bit for bit, and addition commutes
       exactly, so the fused lines give the values of the lines they
       replace.  The fusion is decided over these lines alone, so a kernel
@@ -864,32 +832,45 @@ class Kernel:
         return kernel
 
     def _bind(self, outputs: tuple[int, ...]) -> None:
-        """Take ``outputs`` as the outputs: the lines they read, their
-        fused lines and the rows of those."""
+        """Take ``outputs`` as the outputs: the lines they read, then their
+        fused lines and the rows of those, from one scan that collects the
+        negs and the slots read other than as an add's negated operand and
+        one that emits."""
         if outputs == self.roots[:len(outputs)]:
             # Numbered first, the outputs read every slot up to their last
-            # one: a later slot is numbered for a later root alone.
-            need = range(max(outputs, default=-1) + 1)
+            # one (a later slot is numbered for a later root alone), and
+            # the lines are in slot order: they read a prefix of them.
+            lines = self.lines[:bisect.bisect_right(self.lines, max(outputs, default=-1), key=_SLOT)]
         else:
-            need = set(outputs)
-            for slot, _, a, b, *_ in reversed(self.lines):
-                need.update((a, b) if slot in need else ())
-        lines = [line for line in self.lines if line[0] in need]
-        # A neg runs inside its readers when each is an add that takes it.
-        # An add takes its second operand's neg if it has one, else its
-        # first's: a neg that an output, another kind or an add taking its
-        # other operand reads stays a line, add(n, n)'s n among them.
-        negs = {slot: a for slot, kind, a, b, q, mask in lines if kind == "neg"}
-        kept = {s for _, kind, a, b, _, _ in lines
-                for s in ((a, b) if kind != "add" else (a,) if b in negs else ())}
-        subs = negs.keys() - kept - set(outputs)
+            need, lines = set(outputs), []
+            for line in reversed(self.lines):
+                if line[0] in need:
+                    need.update(line[2:4])
+                    lines.append(line)
+            lines.reverse()
+        # A neg that an output, another kind or an add taking its other
+        # operand reads stays a line, add(n, n)'s n among them.
+        negs, kept = {}, set(outputs)
+        for slot, kind, a, b, _, _ in lines:
+            if kind == "add":
+                if b in negs:
+                    kept.add(a)
+            else:
+                kept.add(a)
+                kept.add(b)
+                if kind == "neg":
+                    negs[slot] = a
+        subs = negs.keys() - kept
         fused, rows = [], ([], [])     # rows: the x-lines', then the others'
         for line in lines:
             slot, kind, a, b, q, mask = line
             if slot in subs:
                 continue
-            if b in subs or a in subs:
-                kind, a, b = ("sub", a, negs[b]) if b in subs else ("sub", b, negs[a])
+            if b in subs:
+                kind, b = "sub", negs[b]
+                line = (slot, kind, a, b, q, mask)
+            elif a in subs:
+                kind, a, b = "sub", b, negs[a]
                 line = (slot, kind, a, b, q, mask)
             fused.append(line)
             rows[mask != _X_DEP].append((slot, _KINDS[kind].array, a, b if q is None else slot))

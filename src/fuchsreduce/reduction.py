@@ -288,7 +288,8 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     and the P_i at the probes are sums and ratios of these; their DAGs are
     built only to be returned.  A value read that is not finite is walked
     at its point (``expr._finite``), so a singular probe raises the walk's
-    exception."""
+    exception; each call's values are tested for finiteness once, and the
+    reads of a call whose values are all finite walk nothing."""
     xs, tdiag = box_x.diagonal(7), box_t.diagonal(7)
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
     jt = box_t.diagonal(12)[::-1]       # the joint probes' t (joint_probes)
@@ -298,8 +299,11 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     kernel = fe.Kernel(roots)
 
     def reader(vals, px, pt):
-        """The values of root i at the points ``at`` of a call, checked."""
-        return lambda i, at: fe._finite(roots[i], vals[i][at], px[at], pt[at])
+        """The values of root i at the points ``at`` of a call, checked: the
+        call's values are tested for finiteness once, and only a call that
+        holds a value that is not finite walks each read (``expr._finite``)."""
+        return ((lambda i, at: vals[i][at]) if np.isfinite(vals).all()
+                else lambda i, at: fe._finite(roots[i], vals[i][at], px[at], pt[at]))
 
     # The first call: rows of x, the 7 x probes at (t1, t2, t3), then the
     # 12 joint probes' at (their t, t1, t1).

@@ -379,7 +379,9 @@ def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
     coefficient or solution value raises :class:`expr.QuadratureError`."""
     systems = prep.entry.linear_systems
     x0, x1, t = complex(x0), complex(x1), complex(t)
-    b11, b12, b21, b22 = (fe.evaluate(e, fe.Binding(x0, t)) for row in systems.b for e in row)
+    # B's four entries, walked in order on one memo of the walk.
+    at, memo = fe.Binding(x0, t), {}
+    b11, b12, b21, b22 = (fe._evaluate(e, at, memo) for row in systems.b for e in row)
     u, v = _PHI0
     start = (u, v, b11 * u + b12 * v, b21 * u + b22 * v)
     a_dadt = systems.a_dadt_array

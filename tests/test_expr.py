@@ -1200,6 +1200,47 @@ class TestMismatchedGrids:
             fe._jets(fe.Kernel(self.E), grid, grid)
 
 
+def _one_line_dags():
+    """(kind, DAG) pairs whose kernel runs one fused line of that kind:
+    every two-operand kind on (x, t) and with a constant on either side,
+    and every one-operand kind on x and on t, with positive and negative
+    int and Fraction exponents.  ``sub``, the kind of no node, is the
+    add of a neg, built raw so a negated constant stays a line."""
+    c = fe.const(0.7 - 1.3j)
+    sub = lambda a, b: _raw("add", a, _raw("neg", b))
+    pairs = [(X, T), (c, X), (X, c), (c, T), (T, c)]
+    dags = [(kind, build(a, b)) for a, b in pairs
+            for kind, build in (("add", fe.add), ("sub", sub), ("mul", fe.mul), ("div", fe.div))]
+    for u in (X, T):
+        dags += [("neg", fe.neg(u)), ("exp", fe.exp(u)), ("log", fe.log(u)), ("sqrt", fe.sqrt(u))]
+        dags += [("ipow", fe.ipow(u, q)) for q in (2, 3, -1, -3)]
+        dags += [("fpow", fe.fpow(u, Fraction(q))) for q in ("1/2", "-2/3", "5/3")]
+    return dags
+
+
+class TestJetRules:
+    """Each kind's chain rule has two copies in its ``_KINDS`` row:
+    ``derive``, on expressions (``differentiate``), and ``jet``, on numpy
+    arrays of values (``_jets``).  This test is what holds the two in
+    agreement: the jets of a one-line kernel of each kind against the walk
+    of ``differentiate``'s output, at random complex points."""
+
+    @pytest.mark.parametrize("kind, e", _one_line_dags(), ids=lambda v: (
+        v if isinstance(v, str) else fe.to_string(v)))
+    def test_jet_rule_is_the_derive_rule(self, kind, e):
+        kernel = fe.Kernel(e)
+        assert [line[1] for line in kernel.fused] == [kind]
+        rng = np.random.default_rng(7)
+        xs, ts = (rng.uniform(0.3, 2, 16) * np.exp(1j * rng.uniform(-3, 3, 16))
+                  for _ in range(2))
+        (value, dx, dt), = fe._jets(kernel, xs, ts)
+        points = [Binding(x, t) for x, t in zip(xs, ts)]
+        for got, ref in ((value, e), (dx, fe.differentiate(e, "x")),
+                         (dt, fe.differentiate(e, "t"))):
+            want = np.array(walked(ref, points))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
 def _integral_in_x(e, path, t=0j):
     f = compiled(e)
     return fe.integrate_callable(lambda x: f(x, t), path)

@@ -38,6 +38,38 @@ ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
 FREE_FAMILIES = _load_bench("workloads").FREE_FAMILIES
 
 
+def _reference_fused(kernel):
+    """The fused lines of ``kernel`` by the rule of ``expr.Kernel``'s
+    docstring: the lines its outputs read, in order, but for the negs
+    read only as an add's negated operand (an add negates its second
+    operand if that is a neg, else its first), which run inside those
+    adds as ``sub`` lines."""
+    line_of = {line[0]: line for line in kernel.lines}
+    need, todo = set(), list(kernel.outputs)
+    while todo:
+        slot = todo.pop()
+        if slot in line_of and slot not in need:
+            need.add(slot)
+            todo += [s for s in line_of[slot][2:4] if s is not None]
+    lines = [line for line in kernel.lines if line[0] in need]
+    negs = {line[0] for line in lines if line[1] == "neg"}
+    stays = set(kernel.outputs)
+    for _, kind, a, b, *_ in lines:
+        if kind != "add":
+            stays.update((a, b))
+        elif b in negs:
+            stays.add(a)
+    fused = []
+    for slot, kind, a, b, q, mask in lines:
+        if kind == "add" and b in negs - stays:
+            fused.append((slot, "sub", a, line_of[b][2], q, mask))
+        elif kind == "add" and a in negs - stays:
+            fused.append((slot, "sub", b, line_of[a][2], q, mask))
+        elif slot not in negs - stays:
+            fused.append((slot, kind, a, b, q, mask))
+    return fused
+
+
 class TestKernelLifetime:
     def test_override_entry_is_collected(self, monkeypatch):
         entries = []
@@ -450,6 +482,38 @@ class TestKernelLifetime:
             viewed, alone = compiled(view), compiled(own)
             assert [_reprs(viewed(x, t)) for x, t in points] == \
                 [_reprs(alone(x, t)) for x, t in points]
+
+    @pytest.mark.parametrize("family", FREE_FAMILIES, ids="/".join)
+    def test_fresh_report_binds_the_fused_lines_of_the_rule(self, monkeypatch, family):
+        # Every kernel and view a fresh report binds, decompose's view of
+        # b_off among them, has the fused lines and rows that the rule of
+        # Kernel's docstring gives (_reference_fused), re-derived here.
+        entry_id, name = family
+        value = catalog.lookup(entry_id).params_exact[name] + Fraction(1, 4096)
+        bound, real_bind = [], fe.Kernel._bind
+
+        def recording_bind(kernel, outputs):
+            real_bind(kernel, outputs)
+            bound.append(kernel)
+
+        monkeypatch.setattr(fe.Kernel, "_bind", recording_bind)
+        rep = verify.full_report(entry_id, Config(seed=1), overrides={name: value})
+        assert rep.passed, rep.errors
+        views = [kernel for kernel in bound if kernel.outputs != kernel.roots[:len(kernel.outputs)]]
+        assert len(bound) >= 7 and len(views) >= 2
+        if catalog.lookup(entry_id).decomposition.M_constant:
+            # decompose's kernel is (p2, q2, a_off, b_off); for a constant
+            # M it views b_off alone, for the jets of the exponent A.
+            assert any(len(kernel.exprs) == 4 and kernel.outputs == kernel.roots[3:]
+                       for kernel in views)
+        for kernel in bound:
+            fused = _reference_fused(kernel)
+            assert kernel.fused == fused
+            rows = [(slot, fe._KINDS[kind].array, a, b if q is None else slot)
+                    for slot, kind, a, b, q, mask in fused]
+            masks = [line[5] for line in fused]
+            assert kernel._x_rows == [r for r, m in zip(rows, masks) if m == fe._X_DEP]
+            assert kernel._xt_rows == [r for r, m in zip(rows, masks) if m != fe._X_DEP]
 
     def test_also_roots_add_no_compiled_line(self, monkeypatch):
         # A root a kernel also numbers after its outputs, off their DAG, has

@@ -14,6 +14,10 @@ times; the minimum is the reading, the median and maximum show its spread:
   (a new ``expr.Kernel`` of them and h);
 * ``tape: jets``: first-order jets of that kernel (``expr._jets``) at the
   24 probes of ``Decomposition.invariance``;
+* ``tape: bind``: the binds a fresh entry makes on that kernel
+  (``expr.Kernel._bind``, which picks the lines some of its roots read and
+  fuses them): of its views of (h, f) and of G, and of its own outputs
+  (phi, p_num, q_num);
 * ``differentiate (x, t)``: the derivatives of the three DAGs in x and in
   t, one call per DAG;
 * ``differentiate (root sets)``: the derivatives a fresh entry takes of
@@ -56,7 +60,8 @@ times; the minimum is the reading, the median and maximum show its spread:
   the rounds, so no round meets a value an earlier one built: the op of
   the param-sweep workload, in process and without the CLI.  The tool
   also prints the kernels such a report numbers (``expr.Kernel.__init__``;
-  a view numbers nothing), over one untimed round;
+  a view numbers nothing) and the binds it makes (``expr.Kernel._bind``,
+  one per kernel and one per view), over one untimed round;
 * ``report``: one ``verify.full_report`` per entry at a seed no earlier
   run used, on entries that have made two reports, so every stage that
   runs once per entry reads its record and every kernel a report calls
@@ -129,11 +134,13 @@ def stage_counts(staged, tape) -> list[tuple[int, int]]:
     return [(n, masks.count(mask)) for n, mask in zip(statements, (1, 2, 3))]
 
 
-def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, list[float]]]:
-    """The number of distinct DAG nodes, the kernels numbered per fresh report,
-    the statements and operations of each coefficient kernel's compiled
-    stages (:func:`stage_counts`), and per reading its times in ms.  A job
-    returns None, and is timed whole, or the ms of its timed part."""
+def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]]],
+                        dict[str, list[float]]]:
+    """The number of distinct DAG nodes, the kernels numbered and the binds
+    made per fresh report, the statements and operations of each
+    coefficient kernel's compiled stages (:func:`stage_counts`), and per
+    reading its times in ms.  A job returns None, and is timed whole, or
+    the ms of its timed part."""
     from fuchsreduce import catalog, reduction, verify
     from fuchsreduce import expr as fe
     from fuchsreduce.config import Config
@@ -227,6 +234,14 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
     def jets():
         for roots, tape, xs, ts in jet_cases:
             fe._jets(tape, xs, ts)
+
+    def bind():
+        for _, tape, _, _ in jet_cases:
+            roots = tape.roots
+            # The views of (h, f) and of G, then the kernel's own outputs
+            # again, which leaves it as it was.
+            for outputs in (roots[3:5], roots[5:], roots[:3]):
+                tape._bind(outputs)
 
     def derive():
         for dags, *_ in cases:
@@ -330,6 +345,7 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
     jobs = {f"array ({ARRAY_POINTS} points)": walk_array,
             "tape: build": build_tapes,
             f"tape: jets ({reduction._INVARIANCE_PROBES} points)": jets,
+            "tape: bind": bind,
             "differentiate (x, t)": derive,
             "differentiate (root sets)": derive_sets,
             "decompose (fresh entries)": decompose_fresh,
@@ -343,15 +359,17 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
             "report (warm)": report,
             "second report": second_report}
     times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
-    # One round of fresh reports with the numberings of a DAG counted.
-    builds = []
-    real_init = numbering.__init__
+    # One round of fresh reports with the numberings of a DAG and the
+    # binds of a kernel's outputs counted.
+    builds, binds = [], []
+    real_init, real_bind = numbering.__init__, numbering._bind
     numbering.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
+    numbering._bind = lambda tape, outputs: binds.append(tape) or real_bind(tape, outputs)
     try:
         fresh_report()
     finally:
-        numbering.__init__ = real_init
-    numbered = len(builds) / len(defaults)
+        numbering.__init__, numbering._bind = real_init, real_bind
+    numbered, bound = len(builds) / len(defaults), len(binds) / len(defaults)
     for job in (*jobs.values(), report_stages):
         job()   # warm-up
     gc.disable()
@@ -367,7 +385,7 @@ def readings() -> tuple[int, float, dict[str, list[tuple[int, int]]], dict[str, 
                 times[name].append(ms)
     finally:
         gc.enable()
-    return nodes, numbered, counts, times
+    return nodes, (numbered, bound), counts, times
 
 
 def print_counts(counts: dict[str, list[tuple[int, int]]], label: str = "") -> None:
@@ -399,7 +417,9 @@ def compare(root: Path, against: Path) -> None:
     print_counts(runs[against][0]["counts"], f" of {against.name}")
     print_counts(runs[root][0]["counts"], f" of {root.name}")
     print(f"kernels numbered per fresh report: {runs[against][0]['numbered']:.2f} of "
-          f"{against.name}, {runs[root][0]['numbered']:.2f} of {root.name}")
+          f"{against.name}, {runs[root][0]['numbered']:.2f} of {root.name}; binds: "
+          f"{runs[against][0]['binds']:.2f} of {against.name}, {runs[root][0]['binds']:.2f} "
+          f"of {root.name}")
     times = runs[root][0]["times"]
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'other ms':>9}  {'this ms':>9}  {'change':>7}  {'pairs':>15}")
@@ -424,13 +444,13 @@ def main(argv: list[str] | None = None) -> None:
         compare(root, args.against.resolve())
         return
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    nodes, numbered, counts, times = readings()
+    nodes, (numbered, bound), counts, times = readings()
     if args.json:
-        print(json.dumps({"nodes": nodes, "numbered": numbered, "counts": counts,
-                          "times": times}))
+        print(json.dumps({"nodes": nodes, "numbered": numbered, "binds": bound,
+                          "counts": counts, "times": times}))
         return
     print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
-    print(f"{numbered:.2f} kernels numbered per fresh report")
+    print(f"{numbered:.2f} kernels numbered per fresh report, {bound:.2f} binds")
     print_counts(counts)
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'min ms':>9}  {'median ms':>9}  {'max ms':>9}")
