@@ -1,8 +1,9 @@
 """Symbolic-numeric reduction of completely integrable 2x2 linear systems.
 
 The package scalarizes a compatible pair of linear systems in a spectral
-variable x and a deformation variable t, extracts the factorization data
-(g, P1, P2, P3, f, h, R, M), applies the gauge and tau change of variables,
+variable x and a deformation variable t, extracts the reduction data
+(f, h, R, M), checking that the off-diagonal entries factor as the reduction
+requires, applies the gauge and tau change of variables,
 and certifies numerically that the reduced second-order equation no longer
 depends on the deformation parameter.  A built-in catalog covers the
 classical algebraic-solution reductions of the Painleve II-V linearizations

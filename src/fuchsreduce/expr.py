@@ -818,17 +818,16 @@ class Kernel:
         self.lines, self.start = tuple(lines), start
         self._bind(self.roots[:n_out])
 
-    def view(self, first: int, stop: int | None = None) -> Kernel:
-        """The kernel of this one's roots ``first`` to ``stop`` (by default
-        to the last), as a tuple: it shares the lines, slots and start
-        values, and its array form runs only the lines those roots read.
-        So kernels of several root sets of one DAG number it once, and a
-        line only another set reads (a pole there) never reaches their
-        calls."""
+    def view(self, first: int) -> Kernel:
+        """The kernel of this one's roots from ``first`` on, as a tuple: it
+        shares the lines, slots and start values, and its array form runs
+        only the lines those roots read.  So kernels of several suffixes of
+        one DAG's roots number it once, and a line only an earlier root
+        reads (a pole there) never reaches their calls."""
         kernel = object.__new__(Kernel)
         kernel.lines, kernel.roots, kernel.start = self.lines, self.roots, self.start
-        kernel.exprs, kernel.expr = self.exprs, self.exprs[first:stop]
-        kernel._bind(self.roots[first:stop])
+        kernel.exprs, kernel.expr = self.exprs, self.exprs[first:]
+        kernel._bind(self.roots[first:])
         return kernel
 
     def _bind(self, outputs: tuple[int, ...]) -> None:

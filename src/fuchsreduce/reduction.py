@@ -16,12 +16,13 @@ and the change of variables
 
 turns the second-order equation in x into  w'' + P(tau) w' + Q(tau) w = 0
 with coefficients that no longer depend on the deformation parameter.
-This module recovers (g, P_i, f, h, R, M) numerically-symbolically from the
-scalar pair alone, R and M by one rule in which the case picks only M(t1)
+This module recovers (f, h, R, M) numerically-symbolically from the scalar
+pair alone, R and M by one rule in which the case picks only M(t1)
 (:func:`decompose`), so pairs that differ by a gauge in t reduce alike.
 :func:`decompose` also makes every numeric check of the scalar pair's
 hypotheses: that neither off-diagonal entry vanishes, that p2 is affine in
-t, that g does not depend on x and that a_off factors as g (P1 + t P2).
+t, that g does not depend on x and that a_off factors as g (P1 + t P2),
+all from probe values, so g and the P_i are checked and never built.
 One object, :class:`ReducedEquation`, builds the evaluable tau map by
 cumulative integration on adaptive Chebyshev panels, with one stage form
 (array samples of h and f E on the points of a panel), and forms P and Q
@@ -45,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as fe
-from .expr import Binding, Expr, T
+from .expr import Expr, T
 from .scalarize import ScalarPair, VanishingOffDiagonalError
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "DecompositionError",
     "DegenerateTauPointError",
     "decompose",
-    "joint_probes",
     "classify_case",
     "build_reduced",
 ]
@@ -67,11 +67,6 @@ class DecompositionError(Exception):
 class DegenerateTauPointError(fe.SingularEvaluationError):
     """tau_x vanishes at the requested point; the reduced coefficients are
     undefined there and the point is skipped, as every singular one is."""
-
-
-def joint_probes(box_x, box_t, n: int) -> list[Binding]:
-    """n joint (x, t) probes on the box diagonals, run in opposite directions."""
-    return [Binding(x=x, t=t) for x, t in zip(box_x.diagonal(n), reversed(box_t.diagonal(n)))]
 
 
 def _fh_zero(f, h, p2_t1) -> tuple[bool, bool]:
@@ -101,15 +96,13 @@ _INVARIANCE_PROBES = 24
 
 @dataclass
 class Decomposition:
-    """The factorization data of a scalar pair.  Immutable by convention.
+    """The reduction data of a scalar pair.  Immutable by convention.
 
-    ``f``, ``h``, ``R``, ``P1``, ``P2``, ``P3`` are expressions in x
-    alone; ``M`` and ``g_of_t`` in t alone, with a_off = g (P1 + t P2) and
-    b_off = g P3 for the scalar pair's off-diagonal pair (for a pair given
-    directly, read as (p2, 1): g = 1, P1 = f, P2 = h and P3 = 1).
+    ``f``, ``h`` and ``R`` are expressions in x alone and ``M`` one in t
+    alone, with q2 = R + M (f + t h); :func:`decompose` checks the factors
+    g and P_i of the off-diagonal pair, and no field keeps them.
     ``exponent_A`` is the constant A with ``g = B^-1 exp(-2 M t) t^A`` when
-    M is constant (None otherwise).  The free constant B is pinned to 1 by
-    normalizing g at a reference deformation value.  ``box_x`` and ``box_t`` are the probe
+    M is constant (None otherwise).  ``box_x`` and ``box_t`` are the probe
     boxes (``catalog.ComplexRect``) the data was recovered on.  ``sp`` is
     the scalar pair the data was recovered from; it is required, because
     the reduced coefficients are compiled from its p1 and q1, and its
@@ -122,26 +115,21 @@ class Decomposition:
     probes, and reads the invariance identities afresh too
     (:attr:`invariance`).  The other underscored cached properties are
     the decomposition's one kernel, of (phi, p_num, q_num), phi = f + t h
-    (see :class:`ReducedEquation`), which numbers h, f and G after them
-    (``_coeff_array``); its views (``expr.Kernel.view``) of (h, f) and of
-    ``(G,)``, which run only the lines those read, so the E/S walk never
-    runs G's; the kernel on the line x = x0, the centre of the x box
-    (``expr.Kernel.on_x``), which holds the values of its x-rows at x0;
-    and its compiled stages (``_coeff_stages``), which
-    ``ReducedEquation.coefficients_at`` alone runs.  Each is built on
-    first use and kept for the life of the decomposition, and the views
-    number nothing: h, f and G are in the coefficients' DAG, so the
-    kernel has the lines of a kernel of (phi, p_num, q_num) alone.
+    (see :class:`ReducedEquation`), which numbers G, h and f after them
+    (``_coeff_array``): its suffix views (``expr.Kernel.view``) are
+    ``view(3)``, (G, h, f), which the cross-validation leg reads, and
+    ``_hf_array``, (h, f), which the E/S walk reads and which never runs
+    G's lines; the kernel on the line x = x0, the centre of the x box
+    (``expr.Kernel.on_x``); and its compiled stages (``_coeff_stages``),
+    which ``ReducedEquation.coefficients_at`` alone runs.  Each is built
+    on first use and kept for the life of the decomposition.  The views
+    number nothing: G, h and f are in the coefficients' DAG.
     ``dataclasses.replace`` starts without any cached property."""
 
     f: Expr
     h: Expr
     R: Expr
     M: Expr
-    g_of_t: Expr
-    P1: Expr
-    P2: Expr
-    P3: Expr
     exponent_A: complex | None
     box_x: object
     box_t: object
@@ -192,7 +180,7 @@ class Decomposition:
             fe.add(G_x, fe.mul(G, G)),
             fe.add(fe.mul(p1, G), q1),
         )
-        return fe.Kernel((phi, p_num, q_num, self.h, self.f, G), 3)
+        return fe.Kernel((phi, p_num, q_num, G, self.h, self.f), 3)
 
     @cached_property
     def _coeff_stages(self) -> tuple[Callable, Callable, Callable]:
@@ -240,15 +228,11 @@ class Decomposition:
 
     @cached_property
     def _hf_array(self) -> fe.Kernel:
-        return self._coeff_array.view(3, 5)
-
-    @cached_property
-    def _G_array(self) -> fe.Kernel:
-        return self._coeff_array.view(5)
+        return self._coeff_array.view(4)
 
 
 def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
-    """Recover (f, h, R, M), the profile g and the factors P_i.
+    """Recover (f, h, R, M) and check the off-diagonal pair's factorization.
 
     f and h come from sampling the ratio p2 = a_off/b_off at two deformation
     values (exact, since p2 is affine in t); a third value is a consistency
@@ -270,12 +254,13 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     A t-only gauge of the Lax pair moves q2 by phi times a function of t,
     which M absorbs.  When f and h both vanish, M = 0; when f = -t1 h,
     phi(., t1) vanishes and the split is refused.
-    g and P3 come from b_off (``sp.off_diag``, read as (p2, 1) for a pair
-    given directly) and P1 = f P3, P2 = h P3; g must not depend on x, and
-    a_off must factor as g (P1 + t P2).  Before it reads p2, it checks the
-    hypothesis of the scalar form for a pair scalarized from matrices:
-    the a_off and b_off rows of its first call at the 12 joint probes
-    (:func:`joint_probes`) must not vanish, else it raises
+    On the off-diagonal pair (``sp.off_diag``, read as (p2, 1) for a pair
+    given directly), with P3 = b_off(., t1), g = b_off / P3 must not depend
+    on x, and a_off must factor as g P3 (f + t h).  Before it reads p2, it
+    checks the hypothesis of the scalar form for a pair scalarized from
+    matrices: the a_off and b_off rows of its first call at the 12 joint
+    probes (x on the x box's diagonal, t on the t box's, run in opposite
+    directions) must not vanish, else it raises
     :class:`scalarize.VanishingOffDiagonalError` naming the entry.
     ``box_x`` and ``box_t`` are the probe boxes (``catalog.ComplexRect``).
 
@@ -285,14 +270,14 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     the two x of largest |P3| at the 9 t probes, the joint t's and the two
     t's of the exponent A, where the jets of b_off alone (``expr._jets`` on
     a view of the kernel) give g'/g.  As phi = f + t h is p2, f, h, R, M, g
-    and the P_i at the probes are sums and ratios of these; their DAGs are
-    built only to be returned.  A value read that is not finite is walked
-    at its point (``expr._finite``), so a singular probe raises the walk's
+    and the P_i at the probes are sums and ratios of these; only f, h, R
+    and M are built as DAGs.  A value read that is not finite is walked at
+    its point (``expr._finite``), so a singular probe raises the walk's
     exception; each call's values are tested for finiteness once, and the
     reads of a call whose values are all finite walk nothing."""
     xs, tdiag = box_x.diagonal(7), box_t.diagonal(7)
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
-    jt = box_t.diagonal(12)[::-1]       # the joint probes' t (joint_probes)
+    jt = box_t.diagonal(12)[::-1]       # the joint probes' t
     q2d = sp.q2_decomposable()
     aoff, boff = sp.off_diag or (sp.p2, fe.const(1))
     roots = (sp.p2, q2d, aoff, boff)
@@ -389,7 +374,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
 
     m_flags = _m_zero(m_at(T9))
 
-    # --- g and the P_i from the off-diagonal pair
+    # --- the factorization of the off-diagonal pair by g(t)
     read1(3, np.s_[:7, 0])      # P3 at the x probes
     g_t9 = _quotient(read2(3, (0, T9)), p3_xg)
     if not fe.numerically_zero(g_t9 - _quotient(read2(3, (1, T9)), p3_xb), tol=1e-9,
@@ -400,10 +385,6 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     factor = a_j - _quotient(read2(3, (0, TJ)), p3_xg) * (read1(3, J1) * read1(0, J))
     if not fe.numerically_zero(factor, tol=1e-9, reference=a_j):
         raise DecompositionError("a_off does not factor as g(t)[P1 + t P2]")
-    P3 = fe.substitute(boff, t=t1)  # normalizes g(t1) = 1, i.e. B = 1
-    g = fe.div(fe.substitute(boff, x=xg), fe.const(p3_xg))
-    P1 = fe.mul(f, P3)
-    P2 = fe.mul(h, P3)
 
     exponent_a: complex | None = None
     if m_flags[1]:
@@ -417,10 +398,8 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
         if abs(vals[0] - vals[1]) <= 1e-7 * (1 + abs(vals[0])):
             exponent_a = vals[0]
 
-    dec = Decomposition(
-        f=f, h=h, R=R, M=M, g_of_t=g, P1=P1, P2=P2, P3=P3,
-        exponent_A=exponent_a, box_x=box_x, box_t=box_t, sp=sp,
-    )
+    dec = Decomposition(f=f, h=h, R=R, M=M, exponent_A=exponent_a,
+                        box_x=box_x, box_t=box_t, sp=sp)
     # The flags measured above, as the properties would measure them.
     dec.__dict__.update(_fh_flags=(f_zero, h_zero), _m_flags=m_flags)
     return dec

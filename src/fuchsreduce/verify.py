@@ -399,8 +399,10 @@ def cross_validate(prep: Prepared) -> float:
     at t the midpoint of the real range of the t box, along the leg from
     the centre of the x box to 1/14 of its real width short of its right
     edge (2.4 on the default box), a leg of nonzero length on every box.
-    phi is the component the reduction acts on; phi and phi_x come from
-    the leg's Chebyshev series, phi_t from Psi.  Returns the spread
+    phi is the component of the scalar pair the decomposition reduced
+    (``ScalarPair.component``); phi and phi_x come from the leg's
+    Chebyshev series, phi_t from Psi, and G, h and f from one call of the
+    coefficient kernel's view of them.  Returns the spread
     max |mu - mean mu| / max(1, |mean mu|) over ``_MU_POINTS`` interior
     points of the leg.
 
@@ -422,14 +424,13 @@ def cross_validate(prep: Prepared) -> float:
         length = abs(x1 - x0)
         s = np.linspace(0.0, length, _MU_POINTS + 2)[1:-1]
         xs = x0 + (x1 - x0) / length * s
-        G, = dec._G_array(xs, 0j)
-        h, f = dec._hf_array(xs, 0j)
+        G, h, f = dec._coeff_array.view(3)(xs, 0j)
         f_th = f + t * h
     except fe.QuadratureError as exc:
         raise VerifyError(f"the walk on {where} failed: {exc}") from exc
     except fe._SAMPLE_ERRORS as exc:
         raise VerifyError(f"singular coefficient on {where}: {exc}") from exc
-    comp = 0 if prep.entry.component == "first" else 1
+    comp = 0 if dec.sp.component == "first" else 1
     rows = leg(s, derivatives=1)
     phi, psi = rows[0, comp], rows[0, 2 + comp]
     phi_x = rows[1, comp] * length / (x1 - x0)
@@ -572,7 +573,10 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     rep.frame_residual = prep.frame_residual
 
     def independence():
-        rep.t_independence_max, samples = check_t_independence(prep, seed=rng)
+        # The reading depends on the decomposition alone: a failed draw
+        # does not hide it.
+        rep.t_independence_max = prep.red.dec.invariance
+        _, samples = check_t_independence(prep, seed=rng)
         return prep.to_paper_frame(samples)
 
     samples_paper = stage("t-independence", independence)

@@ -12,9 +12,9 @@ import random
 import numpy as np
 import pytest
 
-from fuchsreduce import catalog, cli, expr as fe, reduction, scalarize, verify
+from fuchsreduce import catalog, cli, expr as fe, scalarize, verify
 from fuchsreduce.expr import Binding
-from test_expr import compiled
+from test_expr import compiled, joint_probes
 
 POSITIVE_IDS = catalog.list_entries()
 
@@ -106,7 +106,7 @@ def test_criterion_3_decomposition_reproduction(prep):
     for entry_id, table in DECOMPOSITION_TABLE.items():
         p = prep(entry_id)
         entry = p.entry
-        for b in reduction.joint_probes(entry.box_x, entry.box_t, 16):
+        for b in joint_probes(entry.box_x, entry.box_t, 16):
             for name in ("f", "h", "R"):
                 want = table[name](b.x)
                 got = fe.evaluate(getattr(p.red.dec, name), b)
@@ -120,7 +120,7 @@ def test_criterion_3_decomposition_reproduction(prep):
             assert dev <= 1e-9, (entry_id, "M")
     # identical scalar pairs across the two second-family entries
     p0, p1 = prep("PII.y0"), prep("PII.y_inv_t")
-    for b in reduction.joint_probes(p0.entry.box_x, p0.entry.box_t, 16):
+    for b in joint_probes(p0.entry.box_x, p0.entry.box_t, 16):
         for name in ("p1", "q1", "p2", "q2"):
             v0 = fe.evaluate(getattr(p0.red.dec.sp, name), b)
             v1 = fe.evaluate(getattr(p1.red.dec.sp, name), b)

@@ -7,11 +7,11 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
-from fuchsreduce import catalog, expr as fe, reduction
+from fuchsreduce import catalog, expr as fe
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.scalarize import ScalarPair
-from test_expr import compiled, read_infix, walked
+from test_expr import compiled, joint_probes, read_infix, walked
 
 NAN = float("nan")
 
@@ -168,7 +168,7 @@ class TestTraceless:
             pytest.skip("direct scalar entry")
         tr_a = fe.add(entry.lax.a[0][0], entry.lax.a[1][1])
         tr_b = fe.add(entry.lax.b[0][0], entry.lax.b[1][1])
-        probes = reduction.joint_probes(entry.box_x, entry.box_t, 12)
+        probes = joint_probes(entry.box_x, entry.box_t, 12)
         ref = walked(entry.lax.a[0][0], probes)
         assert fe.numerically_zero(walked(tr_a, probes), tol=1e-12, reference=ref)
         assert fe.numerically_zero(walked(tr_b, probes), tol=1e-12, reference=ref)

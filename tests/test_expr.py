@@ -256,12 +256,11 @@ class TestTapeNumbering:
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
         # Each kernel a report keeps, from its roots: the coefficients with
-        # h, f and G, the flow, and the Frobenius residuals with A and
+        # G, h and f, the flow, and the Frobenius residuals with A and
         # dA/dt or, for a direct scalar pair, A and dA/dt alone.
         entry = catalog.lookup(entry_id)
         dec, systems = entry.decomposition, entry.linear_systems
-        tapes = [(dec._coeff_array, (*dec._coeff_array.expr, *dec._hf_array.expr,
-                                     *dec._G_array.expr), 3),
+        tapes = [(dec._coeff_array, (*dec._coeff_array.expr, *dec._coeff_array.view(3).expr), 3),
                  (entry.flow_fns, entry.flow_fns.expr, None)]
         if entry.lax is not None:
             frobenius = entry.lax.frobenius_fns
@@ -271,7 +270,7 @@ class TestTapeNumbering:
         for kernel, roots, n_out in tapes:
             _assert_reference_numbering(roots, n_out)
             assert kernel.lines == fe.Kernel(roots, n_out).lines
-        # h, f and G are in the coefficients' DAG: they add no line.
+        # G, h and f are in the coefficients' DAG: they add no line.
         assert dec._coeff_array.lines == fe.Kernel(dec._coeff_array.expr).lines
 
     def test_random_trees_match_the_reference_numbering_property(self):
@@ -1384,8 +1383,7 @@ class TestMultiSegmentPanels:
         h = fe.div(fe.const(1), fe.sub(X, fe.const(1.5)))
         zero = fe.const(0)
         dec = reduction.Decomposition(
-            f=fe.const(1), h=h, R=fe.const(0), M=fe.const(0), g_of_t=fe.const(1),
-            P1=fe.const(1), P2=h, P3=fe.const(1), exponent_A=None,
+            f=fe.const(1), h=h, R=fe.const(0), M=fe.const(0), exponent_A=None,
             box_x=catalog.DEFAULT_X_BOX, box_t=catalog.DEFAULT_T_BOX,
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(fe.const(1), fe.mul(T, h)), q2=zero))
         red = reduction.build_reduced(dec, 1.0)
@@ -1463,6 +1461,11 @@ class TestMultiSegmentPanels:
 def walked(e, probes):
     """The values of ``e`` at the probes, one :func:`fe.evaluate` each."""
     return [fe.evaluate(e, p) for p in probes]
+
+
+def joint_probes(box_x, box_t, n):
+    """n joint (x, t) probes on the box diagonals, run in opposite directions."""
+    return [Binding(x=x, t=t) for x, t in zip(box_x.diagonal(n), reversed(box_t.diagonal(n)))]
 
 
 def _probe_arrays(probes):

@@ -141,7 +141,7 @@ class TestKernelLifetime:
         assert [k for k in numbered if any(k is kk for kk in kept)] == kept
         assert [len(k.outputs) for k in numbered if not any(k is kk for kk in kept)] == [4, 1]
         assert lax.a_dadt_array.lines is lax.frobenius_fns.lines
-        assert dec._hf_array.lines is dec._G_array.lines is dec._coeff_array.lines
+        assert dec._hf_array.lines is dec._coeff_array.lines
         assert "_coeff_stages" not in dec.__dict__
 
     @pytest.mark.parametrize("family", FREE_FAMILIES, ids="/".join)
@@ -203,10 +203,7 @@ class TestKernelLifetime:
                 verify.full_report(entry_id, Config(seed=seed))
             assert compiled == [], entry_id
             dec, systems = entry.decomposition, entry.linear_systems
-            kernels = [entry.flow_fns, dec._hf_array, dec._G_array, dec._coeff_array,
-                       systems.a_dadt_array]
             if entry.lax is not None:
-                kernels.append(entry.lax.frobenius_fns)
                 # The walk matrix is a view of the Frobenius kernel.
                 assert systems.a_dadt_array.lines is entry.lax.frobenius_fns.lines
             assert "_coeff_stages" not in dec.__dict__, entry_id
@@ -422,7 +419,7 @@ class TestKernelLifetime:
         # entry, so no other test meets the kernels compiled here.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         dec, systems = entry.decomposition, entry.linear_systems
-        kernels = [dec._coeff_array, dec._hf_array, dec._G_array, entry.flow_fns,
+        kernels = [dec._coeff_array, dec._hf_array, dec._coeff_array.view(3), entry.flow_fns,
                    systems.a_dadt_array]
         if entry.lax is not None:
             kernels.append(entry.lax.frobenius_fns)
@@ -456,13 +453,13 @@ class TestKernelLifetime:
         # Each kernel of a fresh entry compiles to the text of a kernel of
         # its expressions alone.  A view whose outputs are not the first
         # roots of the kernel it shares (the walk matrix of a Lax pair,
-        # (h, f) and G) numbers its lines in the shared order: it compiles
-        # as many lines as a kernel of its expressions alone, to the same
-        # values.
+        # (G, h, f) and (h, f)) numbers its lines in the shared order: it
+        # compiles as many lines as a kernel of its expressions alone, to
+        # the same values.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         dec, systems = entry.decomposition, entry.linear_systems
         kernels = [dec._coeff_array, entry.flow_fns]
-        views = [dec._hf_array, dec._G_array]
+        views = [dec._coeff_array.view(3), dec._hf_array]
         if entry.lax is not None:
             kernels.append(entry.lax.frobenius_fns)
             views.append(systems.a_dadt_array)
@@ -743,7 +740,10 @@ def _reprs(value):
 
 
 # The expression kernels of an entry: Frobenius, flow, the walk matrix A,
-# dA/dt, and the decomposition's (h, f), G and (phi, p_num, q_num).
+# dA/dt, and the decomposition's (h, f), G and (phi, p_num, q_num).  G's,
+# "_G_array", is the gauge exponent's own kernel, as the tests' gauge walk
+# (test_reduction.gauge_at) builds it; the leg reads G from the (G, h, f)
+# view.
 _KERNELS = ("frobenius_fns", "flow_fns", "a_dadt_array", "_hf_array", "_G_array",
             "_coeff_array")
 
@@ -764,7 +764,8 @@ def _new_kernel_call(entry, name):
     if name == "a_dadt_array":
         kernel = fe.Kernel(entry.linear_systems.a_dadt_array.expr)
         return kernel, (rows, entry.box_t.center)
-    kernel = fe.Kernel(getattr(entry.decomposition, name).expr)
+    dec = entry.decomposition
+    kernel = fe.Kernel((dec.gauge_exponent(),) if name == "_G_array" else getattr(dec, name).expr)
     if name == "_coeff_array":
         return kernel, (rows, rows[::-1] - entry.box_x.center + entry.box_t.center)
     return kernel, (rows, 0j)

@@ -10,7 +10,8 @@ from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
 from fuchsreduce.scalarize import ScalarPair
-from test_expr import _compile_text, _stage_ops, called_twice, compiled, walked
+from test_expr import (_call_message, _compile_text, _result_bits, _stage_ops, called_twice,
+                       compiled, joint_probes, walked)
 
 ALL_IDS = catalog.list_entries()
 
@@ -65,7 +66,7 @@ class TestDecompose:
         for name in ("f", "h", "R", "M"):
             got = getattr(dec, name)
             want = cf[name]
-            for b in reduction.joint_probes(entry.box_x, entry.box_t, 16):
+            for b in joint_probes(entry.box_x, entry.box_t, 16):
                 v1 = fe.evaluate(got, b)
                 v2 = fe.evaluate(want, b)
                 assert abs(v1 - v2) <= 1e-9 * (1 + abs(v2)), (entry_id, name)
@@ -73,7 +74,7 @@ class TestDecompose:
     def test_second_component_pair_matches_first(self):
         sp0, _, e0 = decomposition_for("PII.y0")
         sp1, _, e1 = decomposition_for("PII.y_inv_t")
-        for b in reduction.joint_probes(e0.box_x, e0.box_t, 8):
+        for b in joint_probes(e0.box_x, e0.box_t, 8):
             for name in ("p1", "q1", "p2", "q2"):
                 v0 = fe.evaluate(getattr(sp0, name), b)
                 v1 = fe.evaluate(getattr(sp1, name), b)
@@ -82,44 +83,54 @@ class TestDecompose:
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_split_and_factor_invariants(self, entry_id):
         sp, dec, entry = decomposition_for(entry_id)
-        probes = reduction.joint_probes(entry.box_x, entry.box_t, 16)
+        probes = joint_probes(entry.box_x, entry.box_t, 16)
         phi = dec.f + T * dec.h
         split = sp.q2_decomposable() - (dec.R + dec.M * phi)
         assert fe.numerically_zero(walked(split, probes), tol=1e-9,
                                    reference=walked(sp.q2_decomposable(), probes))
         # decompose reads a pair given directly (off_diag None) as (p2, 1).
+        # The factorization a_off = g P3 (f + t h), b_off = g P3 with g in t
+        # alone: a_off = b_off phi, and b_off(x, t) / b_off(x, t_ref) does
+        # not depend on x.
         aoff, boff = sp.off_diag or (sp.p2, fe.const(1))
-        f = walked(dec.f, probes)
-        assert fe.numerically_zero(walked(dec.f - dec.P1 / dec.P3, probes),
-                                   tol=1e-10, reference=f)
-        assert fe.numerically_zero(walked(dec.h - dec.P2 / dec.P3, probes),
-                                   tol=1e-10, reference=f)
-        assert fe.numerically_zero(walked(aoff - dec.g_of_t * (dec.P1 + T * dec.P2), probes),
+        assert fe.numerically_zero(walked(aoff - boff * phi, probes),
                                    tol=1e-9, reference=walked(aoff, probes))
-        assert fe.numerically_zero(walked(boff - dec.g_of_t * dec.P3, probes),
-                                   tol=1e-9, reference=walked(boff, probes))
+        x_ref, t_ref = entry.box_x.center, entry.box_t.center
+
+        def b_at(x, t):
+            return fe.evaluate(boff, Binding(x=x, t=t))
+
+        cross = [b_at(p.x, p.t) * b_at(x_ref, t_ref) for p in probes]
+        assert fe.numerically_zero(
+            [c - b_at(x_ref, p.t) * b_at(p.x, t_ref) for c, p in zip(cross, probes)],
+            tol=1e-9, reference=cross)
 
     def test_kitaev_factorization_is_trivial(self):
         # The Kitaev pair is given without matrices, so decompose reads its
-        # off-diagonal pair as (p2, 1): g = 1, P3 = 1, P1 = f and P2 = h.
-        _, dec, entry = decomposition_for("PVdeg.kitaev_sqrt")
-        probes = reduction.joint_probes(entry.box_x, entry.box_t, 16)
-        for b in probes:
-            assert fe.evaluate(dec.g_of_t, b) == 1
-            assert fe.evaluate(dec.P3, b) == 1
-        assert fe.numerically_zero(walked(dec.P1 - dec.f, probes), tol=1e-14,
-                                   reference=walked(dec.f, probes))
-        assert fe.numerically_zero(walked(dec.P2 - dec.h, probes), tol=1e-14,
-                                   reference=walked(dec.h, probes))
+        # off-diagonal pair as (p2, 1): g = 1, P3 = 1, P1 = f and P2 = h,
+        # so p2 is f + t h.
+        sp, dec, entry = decomposition_for("PVdeg.kitaev_sqrt")
+        assert sp.off_diag is None
+        probes = joint_probes(entry.box_x, entry.box_t, 16)
+        assert fe.numerically_zero(walked(sp.p2 - (dec.f + T * dec.h), probes), tol=1e-14,
+                                   reference=walked(sp.p2, probes))
         # M = 1/(2t) is not constant, so there is no exponent A.
         assert dec.exponent_A is None
+
+    @staticmethod
+    def dlog_g(sp, entry):
+        """d/dt log g on the line x = x0, the centre of the x box: g is b_off
+        up to a factor in x alone."""
+        _, boff = sp.off_diag
+        boff = fe.substitute(boff, x=entry.box_x.center)
+        return fe.differentiate(boff, "t") / boff
 
     @pytest.mark.parametrize("entry_id", ["PIV.y_m2t3", "PV.y_m1"])
     def test_profile_matches_deformation_exponential(self, entry_id):
         # Where the split is unique (f, h not proportional) the profile must
         # satisfy dlog g/dt = -2M exactly.
-        _, dec, entry = decomposition_for(entry_id)
-        dlog = fe.differentiate(dec.g_of_t, "t") / dec.g_of_t
+        sp, dec, entry = decomposition_for(entry_id)
+        dlog = self.dlog_g(sp, entry)
         for tval in (0.6, 0.9, 1.3):
             b = Binding(t=tval)
             assert fe.evaluate(dlog, b) == pytest.approx(
@@ -128,8 +139,8 @@ class TestDecompose:
     def test_profile_remainder_is_exponent_over_t(self):
         # With f = 0 the split's freedom is M -> M + c/t; the secant pin
         # recovers the constant M = -1, which leaves dlog g + 2M = A/t.
-        _, dec, entry = decomposition_for("PIII.y1")
-        dlog = fe.differentiate(dec.g_of_t, "t") / dec.g_of_t
+        sp, dec, entry = decomposition_for("PIII.y1")
+        dlog = self.dlog_g(sp, entry)
         for tval in (0.6, 0.9, 1.3):
             b = Binding(t=tval)
             rem = fe.evaluate(dlog, b) + 2 * fe.evaluate(dec.M, b)
@@ -437,8 +448,8 @@ class TestOnePassStages:
         f = fe.add(h, fe.div(fe.const(1), fe.mul(fe.add(fe.sub(X, X), big), big)))
         zero = fe.const(0)
         dec = reduction.Decomposition(
-            f=f, h=h, R=zero, M=zero, g_of_t=fe.const(1), P1=f, P2=h, P3=fe.const(1),
-            exponent_A=None, box_x=catalog.DEFAULT_X_BOX, box_t=catalog.DEFAULT_T_BOX,
+            f=f, h=h, R=zero, M=zero, exponent_A=None,
+            box_x=catalog.DEFAULT_X_BOX, box_t=catalog.DEFAULT_T_BOX,
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(f, fe.mul(T, h)), q2=zero))
         xs = (np.linspace(1.1, 2.5, 64) + 0.1j).tolist()
         h_own = fe.Kernel(h)(xs, 0j)
@@ -460,7 +471,8 @@ class TestOnePassStages:
 def gauge_at(dec, x0, x):
     """exp(int_{x0}^{x} G), G the decomposition's gauge exponent, by one
     panel walk."""
-    stage = lambda z, prior: dec._G_array(z, 0j)
+    kernel = fe.Kernel(dec.gauge_exponent())
+    stage = lambda z, prior: kernel(z, 0j)
     (val,) = fe._walk_panels((stage,), x0, x, reduction.ReducedEquation.quad_tol)
     return cmath.exp(val)
 
@@ -492,6 +504,62 @@ class TestGauge:
         dn = gauge_at(dataclasses.replace(
             dec, sp=dataclasses.replace(dec.sp, component="second")), 1.0, 4.0)
         assert up * dn == pytest.approx(1.0, abs=1e-10)
+
+
+def _bits_or_raised(kernel, xs):
+    """The bits of each array of ``kernel(xs, 0j)``, a tuple kernel's
+    call, as a list, or the class and message of what it raises."""
+    return _call_message(lambda: _result_bits(kernel(xs, 0j))[1])
+
+
+class TestCoefficientViews:
+    """The coefficient kernel numbers (phi, p_num, q_num, G, h, f): its
+    suffix views of (G, h, f) and (h, f) are what the leg and the E/S walk
+    read."""
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_ghf_view_gives_the_bits_of_its_parts(self, entry_id):
+        # Bit for bit, the values of a kernel of G alone and of one of
+        # (h, f) alone, on the leg's points and off the real line.
+        dec = catalog.lookup(entry_id).decomposition
+        xs = np.concatenate([np.linspace(1.86, 2.34, 9), np.array(dec.box_x.diagonal(7))])
+        ghf = dec._coeff_array.view(3)
+        assert ghf.expr == (dec.gauge_exponent(), dec.h, dec.f)
+        want = (_bits_or_raised(fe.Kernel((dec.gauge_exponent(),)), xs)
+                + _bits_or_raised(fe.Kernel((dec.h, dec.f)), xs))
+        assert _bits_or_raised(ghf, xs) == want
+        assert _bits_or_raised(dec._hf_array, xs) == want[1:]
+
+    @pytest.mark.parametrize("component", ["first", "second"])
+    def test_ghf_view_raises_as_its_parts_at_a_pole(self, component):
+        # G = +-log(x - 3/2) has a log of zero at 3/2 and h = 1/(x - 2) a
+        # pole at 2.  The view raises what G's own kernel raises where G is
+        # singular, first when both are, and what (h, f)'s raises where h
+        # alone is.
+        zero = fe.const(0)
+        R, f = fe.log(fe.sub(X, fe.const(1.5))), X
+        h = fe.div(fe.const(1), fe.sub(X, fe.const(2)))
+        dec = reduction.Decomposition(
+            f=f, h=h, R=R, M=zero, exponent_A=None,
+            box_x=catalog.DEFAULT_X_BOX, box_t=catalog.DEFAULT_T_BOX,
+            sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(f, fe.mul(T, h)), q2=zero,
+                          component=component))
+        ghf = dec._coeff_array.view(3)
+        of_g, of_hf = fe.Kernel((dec.gauge_exponent(),)), fe.Kernel((h, f))
+        for xs, want in (([1.25, 1.5, 1.75], of_g), ([1.5, 2.0], of_g), ([1.75, 2.0], of_hf),
+                         ([2.0, 1.5], of_g)):
+            xs = np.array(xs, dtype=complex)
+            raised = _bits_or_raised(want, xs)
+            assert isinstance(raised, tuple), xs
+            assert _bits_or_raised(ghf, xs) == raised
+        regular = np.array([1.25, 1.75 + 0.5j])
+        assert _bits_or_raised(ghf, regular) == \
+            _bits_or_raised(of_g, regular) + _bits_or_raised(of_hf, regular)
+        assert _bits_or_raised(ghf, np.array([1.5 + 0j])) == \
+            (fe.SingularEvaluationError, "log of zero")
+        # The E/S walk's (h, f) runs no line of G: its pole is not met.
+        assert _bits_or_raised(dec._hf_array, np.array([1.5, 2.0 + 0j])) == \
+            (fe.SingularEvaluationError, "division by zero")
 
 
 class TestBuiltinComplexValues:

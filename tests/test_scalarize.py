@@ -8,7 +8,7 @@ from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
-from test_expr import compiled
+from test_expr import compiled, joint_probes
 
 LAX_IDS = ["PII.y0", "PII.y_inv_t", "PIII.y1", "PIV.y_m2t", "PIV.y_m2t3",
            "PV.y_lin", "PV.y_m1"]
@@ -63,7 +63,7 @@ class TestFrobenius:
         exprs = scalarize.frobenius_residual_exprs(lp)
         singles = [fe.Kernel(r) for r in exprs]
         compiled_residuals = [compiled(r) for r in exprs]
-        probes = reduction.joint_probes(entry.box_x, entry.box_t, 12)
+        probes = joint_probes(entry.box_x, entry.box_t, 12)
         points = entry.grid_points(5) + [(b.x, b.t) for b in probes]
         xs, ts = (np.array(v, dtype=complex) for v in zip(*points))
         want = [single(xs, ts) for single in singles]
@@ -134,7 +134,8 @@ class TestOffDiagonalPair:
     def test_pair_built_without_one_gets_p2_and_one(self):
         # The cross relation as the first row of the system on (phi, phi_t):
         # decompose reads a pair without one as a12 = p2 and b12 = 1, which
-        # give back p2 = a12 / b12, so g = 1 and P3 = 1.
+        # give back p2 = a12 / b12, so g = 1 and P3 = 1: it decomposes as
+        # the pair given (p2, 1), bit for bit.
         zero = fe.const(0)
         p2 = X + T / X
         sp = scalarize.ScalarPair(p1=zero, q1=zero, p2=p2, q2=zero)
@@ -142,11 +143,11 @@ class TestOffDiagonalPair:
         given = dataclasses.replace(sp, off_diag=(p2, fe.const(1)))
         dec, want = (reduction.decompose(pair, catalog.DEFAULT_X_BOX, catalog.DEFAULT_T_BOX)
                      for pair in (sp, given))
-        for b in reduction.joint_probes(dec.box_x, dec.box_t, 12):
-            assert fe.evaluate(dec.g_of_t, b) == fe.evaluate(want.g_of_t, b) == 1
-            for name in ("P1", "P2", "P3"):
+        assert dec.exponent_A == want.exponent_A
+        for b in joint_probes(dec.box_x, dec.box_t, 12):
+            for name in ("f", "h", "R", "M"):
                 assert fe.evaluate(getattr(dec, name), b) == fe.evaluate(getattr(want, name), b)
-            assert fe.evaluate(dec.P3, b) == 1
+            assert fe.evaluate(dec.f + T * dec.h, b) == pytest.approx(fe.evaluate(p2, b), rel=1e-14)
 
 
 class TestScalarCoefficients:
@@ -287,7 +288,7 @@ class TestScalarCoefficients:
         else:
             alt = (fe.differentiate(aoff, "t") / boff
                    - fe.differentiate(boff, "x") / boff) / 2
-        for b in reduction.joint_probes(entry.box_x, entry.box_t, 9):
+        for b in joint_probes(entry.box_x, entry.box_t, 9):
             v1 = fe.evaluate(core, b)
             v2 = fe.evaluate(alt, b)
             assert abs(v1 - v2) <= 1e-9 * (1 + abs(v2))
@@ -371,7 +372,7 @@ class TestScalarResidual:
         entry = catalog.lookup(entry_id)
         sp = scalarize.scalar_coefficients(entry.lax, entry.component)
         aoff, boff = sp.off_diag
-        for b in reduction.joint_probes(entry.box_x, entry.box_t, 10):
+        for b in joint_probes(entry.box_x, entry.box_t, 10):
             ratio = fe.evaluate(aoff, b) / fe.evaluate(boff, b)
             got = fe.evaluate(sp.p2, b)
             assert abs(got - ratio) <= 1e-10 * (1 + abs(ratio))

@@ -753,6 +753,19 @@ class TestCrossValidate:
                               "[1.8+0j, 2.4+0j] at t = 1+0j: division by zero"]
         assert rep.cross_validation_residual is None
 
+    def test_leg_reads_the_component_its_decomposition_reduced(self, prep):
+        # PV.y_m1 reduces through either component.  Decomposed through the
+        # second, which its entry does not declare, the leg reads the
+        # second component of the solution, and passes as the first does.
+        p = prep("PV.y_m1")
+        entry = p.entry
+        assert entry.component == "first"
+        sp = scalarize.scalar_coefficients(entry.lax, "second")
+        dec = red_mod.decompose(sp, entry.box_x, entry.box_t)
+        second = dataclasses.replace(p, red=red_mod.build_reduced(dec, p.red.basepoint_x))
+        assert verify.cross_validate(second) <= 1e-11
+        assert verify.cross_validate(p) <= 1e-12
+
     def test_exponential_solutions_for_constant_target(self):
         # With Q = -1 and P = 0 the reduced solutions are combinations of
         # exp(tau) and exp(-tau); fit both coefficients to w = phi / g
@@ -810,34 +823,37 @@ class TestCrossValidateBatched:
     def test_nonfinite_sample_fails_report(self, monkeypatch):
         # One NaN G sample among the 9 points of the leg must fail the
         # stage, not drop out of the spread, whether the poisoned call is
-        # the G kernel's first or a call before it ran its lines; no call
-        # compiles it.  Each report is on a fresh entry (overrides equal to the
-        # defaults), whose record holds no cross-validation outcome that a
-        # report on the default entry could have kept.
-        kernel_of_g = red_mod.Decomposition._G_array.func
+        # the first of the leg's (G, h, f) view or follows a call of its
+        # own; no call compiles it.  Each report is on a fresh entry
+        # (overrides equal to the defaults), whose record holds no
+        # cross-validation outcome that a report on the default entry could
+        # have kept.
+        real_view = fe.Kernel.view
         defaults = dict(catalog.lookup("PII.y0").params_exact)
 
         class Poisoned(fe.Kernel):
             __slots__ = ()
 
             def __call__(self, x, t):
-                (got,) = super().__call__(x, t)
+                G, h, f = super().__call__(x, t)
                 if np.shape(x) == (9,):
-                    got = got.copy()
-                    got[4] = complex("nan")
-                return (got,)
+                    G = G.copy()
+                    G[4] = complex("nan")
+                return G, h, f
 
         for taped in (False, True):
             kernels = []
 
-            def poisoned(dec):
-                kernel = Poisoned(kernel_of_g(dec).expr)
-                if taped:
-                    kernel(np.zeros(2), 0j)     # a call before the report's
-                kernels.append(kernel)
-                return kernel
+            def poisoned_view(kernel, first):
+                view = real_view(kernel, first)
+                if first == 3 and len(kernel.exprs) == 6:  # the coefficients' (G, h, f)
+                    view.__class__ = Poisoned
+                    if taped:
+                        view(np.zeros(2), 0j)     # a call before the report's
+                    kernels.append(view)
+                return view
 
-            monkeypatch.setattr(red_mod.Decomposition, "_G_array", property(poisoned))
+            monkeypatch.setattr(fe.Kernel, "view", poisoned_view)
             rep = verify.full_report("PII.y0", overrides=defaults)
             assert not rep.passed
             assert rep.cross_validation_residual is None
@@ -1094,6 +1110,18 @@ class TestFullReport:
         assert strict.frame_residual > 1e-18
         assert not strict.passed
         assert strict.errors == []
+
+    def test_failed_draw_keeps_the_invariance_reading(self):
+        # On this box x0 = 0 is a zero of phi = 2x, so every draw of a
+        # sample is rejected.  The invariance reading depends on the
+        # decomposition alone, and the report keeps it.
+        config = Config(box_x=(-0.5, 0.5, -0.2, 0.2))
+        rep = verify.full_report("PII.y0", config)
+        assert rep.errors == ["t-independence: could only place 0/32 samples at x0 = 0+0j "
+                              "in 256 draws for PII.y0"]
+        reading = verify.prepare(catalog.lookup("PII.y0"), config).red.dec.invariance
+        assert rep.t_independence_max == reading <= Config().tol_independence
+        assert rep.match is None and not rep.passed
 
     def test_reduction_failure_is_recorded(self):
         # theta_inf = 1/2 makes the a-offdiag entry vanish: the reduction

@@ -9,21 +9,21 @@ times; the minimum is the reading, the median and maximum show its spread:
 
 * ``array``: one run of the coefficient kernel's rows (as the array form
   of ``expr.Kernel`` runs them) at 201 joint probes of the entry's boxes
-  (``reduction.joint_probes``);
+  (x on the x box's diagonal, t on the t box's, run in opposite directions);
 * ``tape: build``: the coefficient kernel's tape numbered from its DAGs
-  (a new ``expr.Kernel`` of them and h);
+  (a new ``expr.Kernel`` of its roots);
 * ``tape: jets``: first-order jets of that kernel (``expr._jets``) at the
   24 probes of ``Decomposition.invariance``;
 * ``tape: bind``: the binds a fresh entry makes on that kernel
   (``expr.Kernel._bind``, which picks the lines some of its roots read and
-  fuses them): of its views of (h, f) and of G, and of its own outputs
-  (phi, p_num, q_num);
+  fuses them): of its suffix views from its fourth and fifth roots, (G, h,
+  f) and (h, f), and of its own outputs (phi, p_num, q_num);
 * ``differentiate (x, t)``: the derivatives of the three DAGs in x and in
   t, one call per DAG;
 * ``differentiate (root sets)``: the derivatives a fresh entry takes of
   several expressions in one variable: (f, h, G) in x and, for an entry
   with a Lax pair, the four entries of A in t and of B in x; one call per
-  set where ``differentiate`` takes a tuple, else one per expression;
+  set;
 * ``decompose (fresh entries)``: ``reduction.decompose`` of the scalar
   pair of a fresh entry per free family of the bench's param-sweep
   workload, at its default value of the parameter plus n/4096 (as in
@@ -76,7 +76,7 @@ times; the minimum is the reading, the median and maximum show its spread:
   frame, the records) is in ``report`` alone.
 
 Run it from any directory, on a checkout whose ``expr.Kernel`` numbers its
-DAG, or on one whose kernels run an ``expr._Tape`` given to them:
+own DAG and whose ``differentiate`` takes a tuple of roots:
 
     python tools/expr_timing.py                      # this checkout
     python tools/expr_timing.py --root ../other      # another checkout
@@ -146,19 +146,6 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
     from fuchsreduce.config import Config
     from workloads import FREE_FAMILIES, _latin_hypercube
 
-    try:
-        fe.differentiate((fe.X,), "x")
-        tupled = True
-    except AttributeError:      # a checkout whose differentiate takes one root
-        tupled = False
-    # A checkout whose kernels run an ``expr._Tape`` given to them: the tape
-    # is what numbers a DAG, and compile_expr takes expressions and a tape.
-    numbering = getattr(fe, "_Tape", fe.Kernel)
-    if numbering is fe.Kernel:
-        tape_of, compile_kernel = (lambda kernel: kernel), fe.compile_expr
-    else:
-        tape_of = lambda kernel: kernel.tape
-        compile_kernel = lambda kernel: fe.compile_expr(kernel.expr, kernel.tape)
     cases = []
     walks = []
     jet_cases = []
@@ -171,11 +158,11 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
             a, b = entry.lax.a, entry.lax.b
             root_sets += [((*a[0], *a[1]), "t"), ((*b[0], *b[1]), "x")]
         dags = dec._coeff_array.expr
-        grid = reduction.joint_probes(entry.box_x, entry.box_t, ARRAY_POINTS)
-        cases.append((dags, np.array([p.x for p in grid]), np.array([p.t for p in grid])))
+        cases.append((dags, np.array(entry.box_x.diagonal(ARRAY_POINTS)),
+                      np.array(entry.box_t.diagonal(ARRAY_POINTS)[::-1])))
         walks.append((dec, entry.basepoint_x, entry.box_x.diagonal(WALK_POINTS)))
         n = reduction._INVARIANCE_PROBES
-        jet_cases.append(((*dags, dec.h), tape_of(dec._coeff_array),
+        jet_cases.append((dec._coeff_array.exprs, dec._coeff_array,
                           np.array(dec.box_x.diagonal(n)),
                           np.array(dec.box_t.diagonal(n)[::-1])))
     nodes = sum(fe._tree_sizes(e)[1] for dags, *_ in cases for e in dags)
@@ -186,7 +173,7 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
         lattices.append((entry, _latin_hypercube(entry.box_x, LATTICE[0], rng),
                          _latin_hypercube(entry.box_t, LATTICE[1], rng)))
     counts = {entry.id: stage_counts(entry.decomposition._coeff_stages,
-                                     tape_of(entry.decomposition._coeff_array))
+                                     entry.decomposition._coeff_array)
               for entry, *_ in lattices}
     # Two reports per entry, so every kernel a report calls has run (and,
     # in a checkout whose flow kernel walks and then compiles, compiled).
@@ -213,7 +200,7 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
         return run
 
     def point(calls):
-        staged = [(compile_kernel(kernel), xs.tolist(), ts.tolist())
+        staged = [(fe.compile_expr(kernel), xs.tolist(), ts.tolist())
                   for kernel, xs, ts in calls]
 
         def run():
@@ -229,7 +216,7 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
 
     def build_tapes():
         for roots, *_ in jet_cases:
-            numbering(roots, 3)
+            fe.Kernel(roots, 3)
 
     def jets():
         for roots, tape, xs, ts in jet_cases:
@@ -238,9 +225,9 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
     def bind():
         for _, tape, _, _ in jet_cases:
             roots = tape.roots
-            # The views of (h, f) and of G, then the kernel's own outputs
-            # again, which leaves it as it was.
-            for outputs in (roots[3:5], roots[5:], roots[:3]):
+            # The views of (G, h, f) and of (h, f), then the kernel's own
+            # outputs again, which leaves it as it was.
+            for outputs in (roots[3:], roots[4:], roots[:3]):
                 tape._bind(outputs)
 
     def derive():
@@ -251,11 +238,7 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
 
     def derive_sets():
         for roots, var in root_sets:
-            if tupled:
-                fe.differentiate(roots, var)
-            else:
-                for e in roots:
-                    fe.differentiate(e, var)
+            fe.differentiate(roots, var)
 
     fresh_values, decompose_values = itertools.count(1), itertools.count(1)
     defaults = [(entry_id, name, catalog.lookup(entry_id).params_exact[name])
@@ -362,13 +345,13 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
     # One round of fresh reports with the numberings of a DAG and the
     # binds of a kernel's outputs counted.
     builds, binds = [], []
-    real_init, real_bind = numbering.__init__, numbering._bind
-    numbering.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
-    numbering._bind = lambda tape, outputs: binds.append(tape) or real_bind(tape, outputs)
+    real_init, real_bind = fe.Kernel.__init__, fe.Kernel._bind
+    fe.Kernel.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
+    fe.Kernel._bind = lambda tape, outputs: binds.append(tape) or real_bind(tape, outputs)
     try:
         fresh_report()
     finally:
-        numbering.__init__, numbering._bind = real_init, real_bind
+        fe.Kernel.__init__, fe.Kernel._bind = real_init, real_bind
     numbered, bound = len(builds) / len(defaults), len(binds) / len(defaults)
     for job in (*jobs.values(), report_stages):
         job()   # warm-up
