@@ -126,8 +126,9 @@ class LaxPair:
 
     A matrix entry's pair is traceless by construction
     (:func:`_matrix_entry`); a direct scalar pair's companion system
-    (``CatalogEntry.linear_systems``) is not.  Its dA/dt and its two
-    kernels are built on first use.
+    (``CatalogEntry.linear_systems``) is not.  Its dA/dt, its two
+    kernels and the scalar pair of each solution component
+    (:meth:`scalar_pair`) are built on first use.
 
     The Frobenius residuals read every entry of A and of dA/dt, so the
     Frobenius kernel numbers the four residuals and then A's and dA/dt's
@@ -154,6 +155,15 @@ class LaxPair:
         dA/dt: the ``matrix`` of a linear-system walk."""
         return (self.frobenius_fns.view(4) if self.frobenius_checked
                 else fe.Kernel((*self.a[0], *self.a[1], *self.dadt)))
+
+    def scalar_pair(self, component: str) -> ScalarPair:
+        """The scalar pair of one solution component, "first" or "second",
+        scalarized on first use and kept; of two first uses that race, each
+        returns the pair the first to finish stored."""
+        pairs = self.__dict__.setdefault("_scalar_pairs", {})
+        if component not in pairs:
+            pairs.setdefault(component, scal.scalar_coefficients(self, component))
+        return pairs[component]
 
     @cached_property
     def frobenius_fns(self) -> fe.Kernel:
@@ -184,7 +194,6 @@ class CatalogEntry:
 
     id: str
     family: str
-    component: str                      # which solution component scalarizes
     params_exact: dict[str, Fraction | float | complex]
     closed_forms: dict[str, Expr]       # y, z, u/w as functions of t
     lax: LaxPair | None = None
@@ -216,19 +225,19 @@ class CatalogEntry:
         """This entry on a run's boxes (``config.box_x``, ``.box_t``): itself if
         the config keeps them, else a copy, which derives its own
         decomposition; applied to its own result it returns it.  The copy
-        shares the box-independent ``flow_fns``, ``scalar_pair`` and
-        ``linear_systems`` this entry has already built."""
+        shares the box-independent ``flow_fns`` and ``linear_systems`` this
+        entry has already built, and its Lax pair with the scalar pairs
+        that holds."""
         boxes = {name: rect for name in ("box_x", "box_t")
                  if (box := getattr(config, name)) is not None
                  and (rect := ComplexRect(*box)) != getattr(self, name)}
         if not boxes:
             return self
         copy = replace(self, **boxes)
-        # Saves the flow kernel, the scalar pair's derivatives and a direct
-        # pair's companion systems with the kernel of A, dA/dt; a matrix
-        # entry's systems are its lax, which replace already shares.
-        copy.__dict__.update({name: self.__dict__[name]
-                              for name in ("flow_fns", "scalar_pair", "linear_systems")
+        # Saves the flow kernel and a direct pair's companion systems with
+        # the kernel of A, dA/dt; a matrix entry's systems are its lax,
+        # which replace already shares with its scalar pairs.
+        copy.__dict__.update({name: self.__dict__[name] for name in ("flow_fns", "linear_systems")
                               if name in self.__dict__})
         return copy
 
@@ -242,14 +251,6 @@ class CatalogEntry:
         gives, bit for bit, the values of the array forms of one kernel per
         expression."""
         return fe.Kernel(tuple(self.flow_exprs))
-
-    @cached_property
-    def scalar_pair(self) -> ScalarPair:
-        """The scalar pair the reduction acts on: scalarized from the
-        matrices, or the direct one."""
-        if self.lax is None:
-            return self.scalar
-        return scal.scalar_coefficients(self.lax, self.component)
 
     @cached_property
     def linear_systems(self) -> LaxPair:
@@ -271,8 +272,22 @@ class CatalogEntry:
 
     @cached_property
     def decomposition(self) -> red_mod.Decomposition:
-        """The decomposition of the scalar pair on the entry's own boxes."""
-        return red_mod.decompose(self.scalar_pair, self.box_x, self.box_t)
+        """The decomposition, on the entry's own boxes, of its direct scalar
+        pair or of the scalar pair of the first solution component, in the
+        order (first, second), that meets the hypotheses ``decompose``
+        checks; the second is scalarized only when the first fails them.
+        When both fail, it raises the first's exception class with both
+        failures in its message.  Any other exception propagates from the
+        component that raised it."""
+        if self.lax is None:
+            return red_mod.decompose(self.scalar, self.box_x, self.box_t)
+        try:
+            return red_mod.decompose(self.lax.scalar_pair("first"), self.box_x, self.box_t)
+        except (scal.ScalarizeError, red_mod.DecompositionError) as first:
+            try:
+                return red_mod.decompose(self.lax.scalar_pair("second"), self.box_x, self.box_t)
+            except (scal.ScalarizeError, red_mod.DecompositionError) as second:
+                raise type(first)(f"first component: {first}; second component: {second}")
 
 
 def _c(v) -> Expr:
@@ -388,12 +403,12 @@ def _matrix_entry(template: Callable, p: Mapping, closed_forms: dict[str, Expr],
                         params_exact=dict(p), **documented)
 
 
-def _pii_entry(p, entry_id: str, component: str, y: Expr, u: Expr,
+def _pii_entry(p, entry_id: str, y: Expr, u: Expr,
                singular_t: tuple[complex, ...], solution: str) -> CatalogEntry:
     """A PII entry at z = -t/2, reducing to Airy as PII.y0 does."""
     return _matrix_entry(
         _pii_template, p, {"y": y, "z": fe.neg(T / 2), "u": u}, (p["theta"],),
-        id=entry_id, family="PII", component=component,
+        id=entry_id, family="PII",
         basepoint_x=1.0 + 0j, singular_x=(0j,), singular_t=singular_t,
         expected_target=ClassicalTarget.airy(4 ** (1 / 3)),
         documented_target_scale="4^(1/3)",
@@ -405,11 +420,11 @@ def _pii_entry(p, entry_id: str, component: str, y: Expr, u: Expr,
 
 
 def _build_pii_y0(p) -> CatalogEntry:
-    return _pii_entry(p, "PII.y0", "first", _c(0), _c(1), (), "y = 0 at alpha = 0")
+    return _pii_entry(p, "PII.y0", _c(0), _c(1), (), "y = 0 at alpha = 0")
 
 
 def _build_pii_y_inv_t(p) -> CatalogEntry:
-    return _pii_entry(p, "PII.y_inv_t", "second", fe.neg(1 / T), T, (0j,),
+    return _pii_entry(p, "PII.y_inv_t", fe.neg(1 / T), T, (0j,),
                       "y = -1/t at alpha = 1; second component")
 
 
@@ -420,7 +435,7 @@ def _build_piii_y1(p) -> CatalogEntry:
         _piii_template, p,
         {"y": _c(1), "z": _c((1 - 2 * thi) / 4), "w": fe.exp(2 * T) * fe.pow_any(T, thi)},
         (thi - 1, thi),
-        id="PIII.y1", family="PIII", component="first",
+        id="PIII.y1", family="PIII",
         basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j, -1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.whittaker((thi_c - 1) / 2, 1 / 16),
         expected_case="EQ2", expected_exponent_a=thi_c - 1,
@@ -441,7 +456,7 @@ def _build_piv_y_m2t(p) -> CatalogEntry:
     return _matrix_entry(
         _piv_template, p, {"y": -2 * T, "z": _c(1), "u": _c(1)},
         (p["theta0"], p["theta_inf"]),
-        id="PIV.y_m2t", family="PIV", component="first",
+        id="PIV.y_m2t", family="PIV",
         basepoint_x=1.0 + 0j, singular_x=(0j,), singular_t=(),
         expected_target=ClassicalTarget.constant(1),
         expected_case="mixed", expected_exponent_a=0j,
@@ -465,7 +480,7 @@ def _build_piv_y_m2t3(p) -> CatalogEntry:
         _piv_template, p,
         {"y": -2 * T / 3, "z": -2 * T**2 / 9, "u": fe.exp(-2 * T**2 / 3)},
         (p["theta0"], p["theta_inf"]),
-        id="PIV.y_m2t3", family="PIV", component="first",
+        id="PIV.y_m2t3", family="PIV",
         basepoint_x=1.0 + 0j, singular_x=(0j,), singular_t=(0j,),
         expected_target=ClassicalTarget.airy((3 / 4) ** (1 / 3)),
         documented_target_scale="(3/4)^(1/3)",
@@ -496,7 +511,7 @@ def _build_pv_y_lin(p) -> CatalogEntry:
     u = fe.pow_any(T, thi) * fe.exp(T) / (_c(th1_c - 1) - T)
     return _matrix_entry(
         _pv_template, p, {"y": 1 - T / _c(th1_c - 1), "z": _c(0), "u": u}, (0, th1, thi),
-        id="PV.y_lin", family="PV", component="first",
+        id="PV.y_lin", family="PV",
         basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j), singular_t=(0j, th1_c - 1),
         expected_target=ClassicalTarget.whittaker((1 - th1_c) / 2, th1_c**2 / 4),
         expected_case="EQ2", expected_exponent_a=1 - th1_c,
@@ -519,7 +534,7 @@ def _build_pv_y_m1(p) -> CatalogEntry:
         _pv_template, p,
         {"y": _c(-1), "z": fe.neg((T + 2 + 2 * _c(thi_c)) / 8), "u": fe.exp(T / 2)},
         (F(1, 2), F(1, 2), thi),
-        id="PV.y_m1", family="PV", component="first",
+        id="PV.y_m1", family="PV",
         basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j), singular_t=(0j,),
         expected_target=ClassicalTarget.constant(0.25),
         expected_case="generic_EQ", expected_exponent_a=0j,
@@ -559,7 +574,7 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
     )
     p2 = 1 / (2 * k_ * X * (X - 1)) + T / (2 * (X - 1))
     q2 = fe.neg(1 / (4 * (X - 1))) + (1 / (2 * T)) * p2
-    sp = ScalarPair(p1=p1, q1=q1, p2=p2, q2=q2, component="first")
+    sp = ScalarPair(p1=p1, q1=q1, p2=p2, q2=q2)
 
     # Closed forms of the matrix residue data at y = 1 + kappa*z; the first
     # coefficient ODE certifies them (the a1 relation with the free constant
@@ -578,7 +593,7 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
     )
 
     return CatalogEntry(
-        id="PVdeg.kitaev_sqrt", family="PV_Kitaev", component="first",
+        id="PVdeg.kitaev_sqrt", family="PV_Kitaev",
         params_exact=dict(p),
         closed_forms={"a2": a2, "a1": a1},
         scalar=sp, flow_exprs=(flow,),
@@ -604,7 +619,7 @@ def _build_negative_pii_bad_y1(p) -> CatalogEntry:
     # so the integrability condition fails at order one.
     return _matrix_entry(
         _pii_template, p, {"y": _c(1), "z": fe.neg(T / 2), "u": _c(1)}, (p["theta"],),
-        id="negative.PII_bad_y1", family="PII", component="first",
+        id="negative.PII_bad_y1", family="PII",
         basepoint_x=2.0 + 0j, singular_x=(0j, 1 + 0j), singular_t=(),
         expected_target=ClassicalTarget.none(),
         expected_case="EQ3", expected_exponent_a=None,
@@ -691,7 +706,6 @@ def manifest(entry: CatalogEntry) -> dict:
         "schema": SCHEMA,
         "id": entry.id,
         "family": entry.family,
-        "component": entry.component,
         "negative_control": entry.is_negative,
         "parameters": {k: _param_json(v) for k, v in sorted(entry.params_exact.items())},
         "closed_forms": {k: fe.to_string(v) for k, v in sorted(entry.closed_forms.items())},

@@ -136,8 +136,7 @@ def cmd_list(args, out) -> int:
     for i in ids:
         e = cat.lookup(i)
         pars = ", ".join(f"{k}={v}" for k, v in sorted(e.params_exact.items()))
-        out.write(f"{e.id:22s} family={e.family:10s} component={e.component:6s} "
-                  f"target={e.expected_target.kind:10s} {pars}\n")
+        out.write(f"{e.id:22s} family={e.family:10s} target={e.expected_target.kind:10s} {pars}\n")
     for i in neg:
         e = cat.lookup(i)
         out.write(f"{e.id:22s} family={e.family:10s} NEGATIVE CONTROL "

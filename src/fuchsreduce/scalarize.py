@@ -126,32 +126,20 @@ def scalar_coefficients(lp: "LaxPair", component: str = "first") -> ScalarPair:
     It assumes the off-diagonal entries it divides by do not vanish;
     ``reduction.decompose`` checks that on its probes and raises
     :class:`VanishingOffDiagonalError` where they do."""
-    if component not in ("first", "second"):
-        raise ValueError("component must be 'first' or 'second'")
     a, b = lp.a, lp.b
     a11, b11 = a[0][0], b[0][0]
-    if component == "first":
-        aoff, boff = a[0][1], b[0][1]
-    else:
-        aoff, boff = a[1][0], b[1][0]
+    first = component == "first"
+    aoff, boff = (a[0][1], b[0][1]) if first else (a[1][0], b[1][0])
 
     det_a = fe.sub(fe.mul(a[0][0], a[1][1]), fe.mul(a[0][1], a[1][0]))
     aoff_x, a11_x = fe.differentiate((aoff, a11), "x")
     dlog_off = fe.div(aoff_x, aoff)
     p1 = fe.neg(dlog_off)
-    if component == "first":
-        q1 = fe.add(
-            fe.sub(det_a, a11_x),
-            fe.mul(a11, dlog_off),
-        )
-    else:
-        q1 = fe.sub(
-            fe.add(det_a, a11_x),
-            fe.mul(a11, dlog_off),
-        )
+    q1 = (fe.add(fe.sub(det_a, a11_x), fe.mul(a11, dlog_off)) if first
+          else fe.sub(fe.add(det_a, a11_x), fe.mul(a11, dlog_off)))
     p2 = fe.div(aoff, boff)
     q2_core = fe.sub(a11, fe.mul(b11, p2))
-    q2 = q2_core if component == "first" else fe.neg(q2_core)
+    q2 = q2_core if first else fe.neg(q2_core)
 
     return ScalarPair(
         p1=p1, q1=q1, p2=p2, q2=q2,

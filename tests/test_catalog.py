@@ -7,7 +7,7 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
-from fuchsreduce import catalog, expr as fe
+from fuchsreduce import catalog, expr as fe, reduction, scalarize
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding
 from fuchsreduce.scalarize import ScalarPair
@@ -348,11 +348,85 @@ class TestWithBoxes:
         # Scalarizing probes no box, so a copy on other boxes reads the
         # entry's own scalar pair once the entry has built it.
         entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
-        sp = entry.scalar_pair
+        sp = entry.decomposition.sp
         copy = entry.with_boxes(Config(box_t=(0.8, 1.8, -0.1, 0.3)))
         assert copy is not entry
-        assert copy.scalar_pair is sp
+        assert copy.lax.scalar_pair("first") is sp
         assert copy.decomposition.sp is sp
+
+
+# The components whose scalar pair ``decompose`` accepts, per matrix entry
+# (at its default parameters, or at the overrides given).
+COMPONENT_TABLE = [
+    ("PII.y0", None, ["first"]),
+    ("PII.y_inv_t", None, ["second"]),
+    ("PIII.y1", None, ["first"]),
+    ("PIV.y_m2t", None, ["first"]),
+    ("PIV.y_m2t3", None, ["first"]),
+    ("PV.y_lin", None, ["first", "second"]),
+    ("PV.y_m1", None, ["first", "second"]),
+    ("negative.PII_bad_y1", None, ["first"]),
+    ("PIII.y1", {"theta_inf": Fraction(1, 2)}, []),
+]
+
+
+def _fresh(entry_id, overrides=None):
+    """A new entry, nothing cached, at its defaults or at ``overrides``."""
+    return catalog.lookup(entry_id, overrides or dict(catalog.lookup(entry_id).params_exact))
+
+
+def _scalarized(monkeypatch) -> list[str]:
+    """The components scalarized from here on, in order."""
+    done, real = [], scalarize.scalar_coefficients
+    monkeypatch.setattr(scalarize, "scalar_coefficients",
+                        lambda lp, component: done.append(component) or real(lp, component))
+    return done
+
+
+class TestComponentChoice:
+    """An entry reduces through the first component, in the order (first,
+    second), whose scalar pair meets the hypotheses ``decompose`` checks;
+    the second is scalarized only when the first fails them."""
+
+    @pytest.mark.parametrize("entry_id, overrides, accepted", COMPONENT_TABLE)
+    def test_component_table(self, monkeypatch, entry_id, overrides, accepted):
+        entry = _fresh(entry_id, overrides)
+        scalarized = _scalarized(monkeypatch)
+        if accepted:
+            chosen = entry.decomposition.sp
+        else:
+            with pytest.raises(scalarize.VanishingOffDiagonalError) as neither:
+                entry.decomposition
+        choosing = list(scalarized)
+        got = []
+        for component in ("first", "second"):
+            try:
+                reduction.decompose(entry.lax.scalar_pair(component), entry.box_x, entry.box_t)
+            except (scalarize.ScalarizeError, reduction.DecompositionError):
+                continue
+            got.append(component)
+        assert got == accepted
+        if accepted:
+            assert chosen is entry.lax.scalar_pair(accepted[0])
+            assert chosen.component == accepted[0]
+            assert choosing == ["first", "second"][:1 + (accepted[0] == "second")]
+        else:
+            # Neither: the first's class, with each component's failure once.
+            assert str(neither.value) == (
+                "first component: a-offdiag entry vanishes on the probe set; cannot scalarize "
+                "the first component; second component: the off-diagonal ratio p2 is not "
+                "affine in the deformation variable")
+            assert choosing == ["first", "second"]
+
+    def test_a_singular_probe_does_not_fall_through(self, monkeypatch):
+        # theta1 = 2 puts a 0/0 of the first component's p2 on a probe: the
+        # walk's exception is no hypothesis failure, so it propagates from
+        # the first component, and the second is never scalarized.
+        entry = _fresh("PV.y_lin", {"theta1": Fraction(2)})
+        scalarized = _scalarized(monkeypatch)
+        with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
+            entry.decomposition
+        assert scalarized == ["first"]
 
 
 def _random_point(box, rng) -> complex:

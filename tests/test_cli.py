@@ -151,16 +151,19 @@ class TestVerify:
         assert rc == 1
 
     def test_reduction_failure_prints_the_stage_error(self):
-        # theta_inf = 1/2 makes an off-diagonal entry vanish: the report
-        # fails at the reduction stage, with the flow and Frobenius
-        # residuals still printed.
+        # theta_inf = 1/2 makes the first component's a-offdiag entry
+        # vanish, and the second's p2 is not affine in t: the report fails
+        # at the reduction stage, with the flow and Frobenius residuals
+        # still printed.
         rc, out, err = run_cli(["verify", "PIII.y1", "--param", "theta_inf=1/2"])
         assert (rc, err) == (1, "")
         status, error = out.splitlines()
         assert status.startswith("FAIL PIII.y1 ")
         assert "frobenius=" in status and "flow=" in status and "t-indep" not in status
-        assert error == ("     PIII.y1: reduction: a-offdiag entry vanishes on the probe "
-                         "set; cannot scalarize the first component")
+        assert error == ("     PIII.y1: reduction: first component: a-offdiag entry vanishes "
+                         "on the probe set; cannot scalarize the first component; second "
+                         "component: the off-diagonal ratio p2 is not affine in the "
+                         "deformation variable")
 
     @pytest.mark.parametrize("argv, fields", [
         (["verify", "PV.y_m1", "--param", "theta_inf=1e308", "--json"],
@@ -477,8 +480,10 @@ class TestSample:
         rc, out, err = run_cli(["sample", "PIII.y1", "--param", "theta_inf=1/2",
                                 "--count", "2"])
         assert (rc, out) == (2, "")
-        assert err == ("error: decomposition failed for PIII.y1: a-offdiag entry "
-                       "vanishes on the probe set; cannot scalarize the first component\n")
+        assert err == ("error: decomposition failed for PIII.y1: first component: a-offdiag "
+                       "entry vanishes on the probe set; cannot scalarize the first component; "
+                       "second component: the off-diagonal ratio p2 is not affine in the "
+                       "deformation variable\n")
 
     def test_box_overrides_bound_the_draws(self):
         # Rows are drawn from the boxes the run decomposed on, not from the

@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "1f3380297324383d444b2d87fca5032c659be35a47ad315c0c37ac1be07cfc49"
+PINNED = "20b0113efe9145537a9d021140a03653aa6fcc9541fe617fe411d9e810066220"
 
 
 def _load(monkeypatch, path: Path, name: str):

@@ -538,13 +538,13 @@ class TestKernelLifetime:
         # decomposes on its own boxes the scalar pair it shares with the
         # entry: scalarizing probes no box.
         entry = catalog.lookup("PII.y0")
-        sp = entry.scalar_pair
+        sp = entry.decomposition.sp
         prep = verify.prepare(entry, Config(box_x=(1.2, 2.4, -0.1, 0.1)))
         assert prep.entry is not entry
         assert prep.entry.box_x == catalog.ComplexRect(1.2, 2.4, -0.1, 0.1)
         assert prep.red.dec is not entry.decomposition
         assert prep.red.dec is prep.entry.decomposition
-        assert prep.red.dec.sp is prep.entry.scalar_pair is sp
+        assert prep.red.dec.sp is sp
 
     @pytest.mark.parametrize("entry_id, box_t", [
         ("PIII.y1", (0.6, 1.6, -0.2, 0.2)), ("PVdeg.kitaev_sqrt", (0.7, 1.7, -0.2, 0.2))])
@@ -575,7 +575,7 @@ class TestKernelLifetime:
         assert json.dumps(verify.full_report(entry_id, config).to_json()) == afresh
         copy = entry.with_boxes(config)
         assert copy.flow_fns is entry.flow_fns
-        assert copy.scalar_pair is entry.scalar_pair
+        assert copy.decomposition.sp is entry.decomposition.sp
         assert copy.linear_systems.a_dadt_array is entry.linear_systems.a_dadt_array
         # Every kernel it calls runs in array form.
         assert compiled == []

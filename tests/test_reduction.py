@@ -20,7 +20,7 @@ def scalar_pair_for(entry_id, overrides=None):
     entry = catalog.lookup(entry_id, overrides)
     if entry.lax is None:
         return entry.scalar, entry
-    sp = scalarize.scalar_coefficients(entry.lax, entry.component)
+    sp = scalarize.scalar_coefficients(entry.lax, entry.decomposition.sp.component)
     return sp, entry
 
 
@@ -246,7 +246,7 @@ class TestOneEvaluator:
             default = catalog.lookup(entry_id).params_exact[name]
             entries += [catalog.lookup(entry_id, {name: default + shift})
                         for shift in (Fraction(1, 3), Fraction(-5, 7))]
-        pairs = [(entry.scalar_pair, entry.box_x, entry.box_t) for entry in entries]
+        pairs = [(entry.decomposition.sp, entry.box_x, entry.box_t) for entry in entries]
         kernels, walks = [], []
         real_init, real_walk = fe.Kernel.__init__, fe._evaluate
 

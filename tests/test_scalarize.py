@@ -122,12 +122,13 @@ class TestOffDiagonalPair:
         # A pair scalarized from matrices carries the entries it divides,
         # (a12, b12) or (a21, b21); the direct Kitaev pair carries None.
         entry = catalog.lookup(entry_id)
-        off = entry.scalar_pair.off_diag
+        off = entry.decomposition.sp.off_diag
         if entry.lax is None:
             assert off is None
             return
         a, b = entry.lax.a, entry.lax.b
-        want = (a[0][1], b[0][1]) if entry.component == "first" else (a[1][0], b[1][0])
+        first = entry.decomposition.sp.component == "first"
+        want = (a[0][1], b[0][1]) if first else (a[1][0], b[1][0])
         assert isinstance(off, tuple) and len(off) == 2
         assert off[0] is want[0] and off[1] is want[1]
 
@@ -263,15 +264,15 @@ class TestScalarCoefficients:
 
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_scalarizing_numbers_no_kernel(self, monkeypatch, entry_id):
-        # A fresh entry's scalar pair is expressions alone: no kernel
+        # A fresh entry's scalar pairs are expressions alone: no kernel
         # numbers them, and no value of them is computed.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         numbered = []
         real_init = fe.Kernel.__init__
         monkeypatch.setattr(fe.Kernel, "__init__", lambda kernel, *args: numbered.append(args)
                             or real_init(kernel, *args))
-        entry.scalar_pair
-        scalarize.scalar_coefficients(entry.lax, "second")
+        entry.lax.scalar_pair("first")
+        entry.lax.scalar_pair("second")
         assert numbered == []
 
     @pytest.mark.parametrize("entry_id", LAX_IDS)
@@ -279,10 +280,10 @@ class TestScalarCoefficients:
         # q2 must also equal the half-difference form forced by the
         # integrability condition on the off-diagonal entries.
         entry = catalog.lookup(entry_id)
-        sp = scalarize.scalar_coefficients(entry.lax, entry.component)
+        sp = scalarize.scalar_coefficients(entry.lax, entry.decomposition.sp.component)
         aoff, boff = sp.off_diag
         core = sp.q2_decomposable()
-        if entry.component == "first":
+        if sp.component == "first":
             alt = (fe.differentiate(boff, "x") / boff
                    - fe.differentiate(aoff, "t") / boff) / 2
         else:
@@ -322,7 +323,7 @@ def leg_values(p, x, t, anchor):
     x, t, anchor = complex(x), complex(t), complex(anchor)
     u = (x - anchor) / abs(x - anchor) if x != anchor else 1.0
     leg = verify._walk_leg(p, t, anchor, x + 0.3 * u)
-    comp = 0 if p.entry.component == "first" else 1
+    comp = 0 if p.red.dec.sp.component == "first" else 1
     vals = leg(abs(x - anchor), derivatives=2)
     return vals[0, comp], vals[1, comp] / u, vals[2, comp] / u**2, vals[0, 2 + comp]
 
@@ -370,7 +371,7 @@ class TestScalarResidual:
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_p2_is_offdiagonal_ratio(self, entry_id):
         entry = catalog.lookup(entry_id)
-        sp = scalarize.scalar_coefficients(entry.lax, entry.component)
+        sp = scalarize.scalar_coefficients(entry.lax, entry.decomposition.sp.component)
         aoff, boff = sp.off_diag
         for b in joint_probes(entry.box_x, entry.box_t, 10):
             ratio = fe.evaluate(aoff, b) / fe.evaluate(boff, b)

@@ -648,7 +648,7 @@ def _dop853_joint(prep, x_anchor, t_center, dt=5e-3, span=0.6):
     lax = prep.entry.lax
     a_entries = compiled((*lax.a[0], *lax.a[1]))
     b = compiled((*lax.b[0], *lax.b[1]))
-    comp = 0 if prep.entry.component == "first" else 1
+    comp = 0 if prep.red.dec.sp.component == "first" else 1
 
     def solve(matrix, y0):
         res = verify.solve_ivp(lambda u, y: _times(matrix(u), y), (0.0, 1.0),
@@ -691,7 +691,7 @@ class TestJointSolution:
     def test_legs_match_dop853(self, prep, entry_id, x_anchor, t_center):
         p = prep(entry_id)
         oracle = _dop853_joint(p, x_anchor, t_center)
-        comp = 0 if p.entry.component == "first" else 1
+        comp = 0 if p.red.dec.sp.component == "first" else 1
         dt = 5e-3
         for side in (1, -1):
             leg = verify._walk_leg(p, t_center, x_anchor, x_anchor + side * 0.6)
@@ -755,11 +755,11 @@ class TestCrossValidate:
 
     def test_leg_reads_the_component_its_decomposition_reduced(self, prep):
         # PV.y_m1 reduces through either component.  Decomposed through the
-        # second, which its entry does not declare, the leg reads the
-        # second component of the solution, and passes as the first does.
+        # second, which its entry does not choose, the leg reads the second
+        # component of the solution, and passes as the first does.
         p = prep("PV.y_m1")
         entry = p.entry
-        assert entry.component == "first"
+        assert p.red.dec.sp.component == "first"
         sp = scalarize.scalar_coefficients(entry.lax, "second")
         dec = red_mod.decompose(sp, entry.box_x, entry.box_t)
         second = dataclasses.replace(p, red=red_mod.build_reduced(dec, p.red.basepoint_x))
@@ -773,7 +773,7 @@ class TestCrossValidate:
         p = verify.prepare(catalog.lookup("PIV.y_m2t"))
         t = 1.0
         leg = verify._walk_leg(p, t, 1.0, 2.4)
-        obs = 0 if p.entry.component == "first" else 1
+        obs = 0 if p.red.dec.sp.component == "first" else 1
         ss = np.linspace(0.05, leg.edges[-1] - 0.05, 80)
         xs = 1.0 + ss
         taus = np.array([p.frame_a * p.red.tau_at(x, t) + p.frame_b for x in xs])
@@ -802,7 +802,7 @@ class TestCrossValidateCanFail:
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_perturbed_trace_fails(self, prep, entry_id):
         p = prep(entry_id)
-        obs = 0 if p.entry.component == "first" else 1
+        obs = 0 if p.red.dec.sp.component == "first" else 1
         real_walk = verify._walk_leg
         for perturb in (_add_quadratic_to_observable, _scale_t_variation):
             def perturbed_walk(*args):
@@ -1124,12 +1124,15 @@ class TestFullReport:
         assert rep.match is None and not rep.passed
 
     def test_reduction_failure_is_recorded(self):
-        # theta_inf = 1/2 makes the a-offdiag entry vanish: the reduction
-        # stage fails, the stages before it are recorded and none after it
-        # runs.
+        # theta_inf = 1/2 makes the first component's a-offdiag entry
+        # vanish, and the second's p2 is not affine in t: the reduction
+        # stage fails, naming both, the stages before it are recorded and
+        # none after it runs.
         rep = verify.full_report("PIII.y1", overrides={"theta_inf": Fraction(1, 2)})
-        assert rep.errors == ["reduction: a-offdiag entry vanishes on the probe set; "
-                              "cannot scalarize the first component"]
+        assert rep.errors == ["reduction: first component: a-offdiag entry vanishes on the "
+                              "probe set; cannot scalarize the first component; second "
+                              "component: the off-diagonal ratio p2 is not affine in the "
+                              "deformation variable"]
         assert rep.flow_max is not None and rep.frobenius_max is not None
         assert (rep.case_tag, rep.frame, rep.t_independence_max, rep.match,
                 rep.cross_validation_residual) == (None,) * 5

@@ -27,8 +27,9 @@ times; the minimum is the reading, the median and maximum show its spread:
 * ``decompose (fresh entries)``: ``reduction.decompose`` of the scalar
   pair of a fresh entry per free family of the bench's param-sweep
   workload, at its default value of the parameter plus n/4096 (as in
-  ``fresh report``, on a counter of its own); the entries and their scalar
-  pairs are built outside the timed part;
+  ``fresh report``, on a counter of its own); the entries and the scalar
+  pairs they reduce through (``entry.decomposition.sp``, so once
+  decomposed) are built outside the timed part;
 * ``walk``: E and S (``ReducedEquation._ES``) at 32 x on the diagonal of
   the entry's x box, one panel walk per x from the basepoint, on a fresh
   reduced equation (so no memo hit) whose (h, f) kernel has run before;
@@ -250,7 +251,7 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
         step, elapsed = next(decompose_values) * FRESH_STEP, 0
         for entry_id, name, default in defaults:
             entry = catalog.lookup(entry_id, {name: default + step})
-            sp = entry.scalar_pair
+            sp = entry.decomposition.sp
             start = time.perf_counter_ns()
             reduction.decompose(sp, entry.box_x, entry.box_t)
             elapsed += time.perf_counter_ns() - start
