@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import numbers
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -126,9 +127,9 @@ class LaxPair:
 
     A matrix entry's pair is traceless by construction
     (:func:`_matrix_entry`); a direct scalar pair's companion system
-    (``CatalogEntry.linear_systems``) is not.  Its dA/dt, its two
-    kernels and the scalar pair of each solution component
-    (:meth:`scalar_pair`) are built on first use.
+    (:func:`_companion_system`) is not.  Its dA/dt, its two kernels and the
+    scalar pair of each solution component (:meth:`scalar_pair`) are built
+    on first use.
 
     The Frobenius residuals read every entry of A and of dA/dt, so the
     Frobenius kernel numbers the four residuals and then A's and dA/dt's
@@ -136,9 +137,9 @@ class LaxPair:
     ``a_dadt_array`` is a view of it (``expr.Kernel.view``) that runs only
     the lines A and dA/dt read, so a pole of B never rejects a leg panel.
     ``frobenius_checked`` is false for a pair whose integrability no report
-    checks (a direct scalar pair's companion system): its A and dA/dt take
-    a kernel of their own, and its residuals are derived only when asked
-    for."""
+    checks (a swapped system, or a direct scalar pair's companion system):
+    its A and dA/dt take a kernel of their own, and its residuals are
+    derived only when asked for."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
@@ -156,14 +157,28 @@ class LaxPair:
         return (self.frobenius_fns.view(4) if self.frobenius_checked
                 else fe.Kernel((*self.a[0], *self.a[1], *self.dadt)))
 
+    def swapped(self) -> "LaxPair":
+        """The system of (phi2, phi1): A and B with both indices swapped.  It
+        is compatible exactly when this one is, so no report checks it."""
+        (a11, a12), (a21, a22) = self.a
+        (b11, b12), (b21, b22) = self.b
+        return LaxPair(((a22, a21), (a12, a11)), ((b22, b21), (b12, b11)),
+                       frobenius_checked=False)
+
     def scalar_pair(self, component: str) -> ScalarPair:
         """The scalar pair of one solution component, "first" or "second",
-        scalarized on first use and kept; of two first uses that race, each
-        returns the pair the first to finish stored."""
-        pairs = self.__dict__.setdefault("_scalar_pairs", {})
-        if component not in pairs:
-            pairs.setdefault(component, scal.scalar_coefficients(self, component))
-        return pairs[component]
+        scalarized on first use and kept while anything else holds it (an
+        entry's decomposition holds the pair it reduced): the first
+        component's pair holds this system (``ScalarPair.system``), so a
+        strong reference from here would make a cycle.  Two first uses that
+        race may each scalarize and return equal pairs."""
+        pairs = self.__dict__.get("_scalar_pairs")
+        if pairs is None:
+            pairs = self.__dict__.setdefault("_scalar_pairs", weakref.WeakValueDictionary())
+        sp = pairs.get(component)
+        if sp is None:
+            sp = pairs.setdefault(component, scal.scalar_coefficients(self, component))
+        return sp
 
     @cached_property
     def frobenius_fns(self) -> fe.Kernel:
@@ -225,20 +240,17 @@ class CatalogEntry:
         """This entry on a run's boxes (``config.box_x``, ``.box_t``): itself if
         the config keeps them, else a copy, which derives its own
         decomposition; applied to its own result it returns it.  The copy
-        shares the box-independent ``flow_fns`` and ``linear_systems`` this
-        entry has already built, and its Lax pair with the scalar pairs
-        that holds."""
+        shares the box-independent ``flow_fns`` this entry has already
+        built, and its Lax pair or direct scalar pair, with the systems and
+        scalar pairs those hold."""
         boxes = {name: rect for name in ("box_x", "box_t")
                  if (box := getattr(config, name)) is not None
                  and (rect := ComplexRect(*box)) != getattr(self, name)}
         if not boxes:
             return self
         copy = replace(self, **boxes)
-        # Saves the flow kernel and a direct pair's companion systems with
-        # the kernel of A, dA/dt; a matrix entry's systems are its lax,
-        # which replace already shares with its scalar pairs.
-        copy.__dict__.update({name: self.__dict__[name] for name in ("flow_fns", "linear_systems")
-                              if name in self.__dict__})
+        if "flow_fns" in self.__dict__:
+            copy.flow_fns = self.flow_fns
         return copy
 
     def grid_points(self, n: int = 5) -> list[tuple[complex, complex]]:
@@ -251,24 +263,6 @@ class CatalogEntry:
         gives, bit for bit, the values of the array forms of one kernel per
         expression."""
         return fe.Kernel(tuple(self.flow_exprs))
-
-    @cached_property
-    def linear_systems(self) -> LaxPair:
-        """The x- and t-systems the entry's solutions solve: its matrices or,
-        for a direct scalar pair, the companion system of phi'' + p1 phi'
-        + q1 phi = 0 on (phi, phi') with the t-system that phi' = p2 phi_t
-        + q2 phi implies.  That relation reads phi_t = alpha phi + beta phi'
-        with alpha = -q2/p2 and beta = 1/p2; differentiating it in x and
-        eliminating phi'' gives (phi')_t = (alpha' - beta q1) phi
-        + (alpha + beta' - beta p1) phi'."""
-        if self.lax is not None:
-            return self.lax
-        p1, q1, p2, q2 = self.scalar.p1, self.scalar.q1, self.scalar.p2, self.scalar.q2
-        alpha, beta = -q2 / p2, 1 / p2
-        alpha_x, beta_x = fe.differentiate((alpha, beta), "x")
-        a = ((_c(0), _c(1)), (-q1, -p1))
-        b = ((alpha, beta), (alpha_x - beta * q1, alpha + beta_x - beta * p1))
-        return LaxPair(a, b, frobenius_checked=False)
 
     @cached_property
     def decomposition(self) -> red_mod.Decomposition:
@@ -292,6 +286,20 @@ class CatalogEntry:
 
 def _c(v) -> Expr:
     return fe.const(complex(v))
+
+
+def _companion_system(p1: Expr, q1: Expr, p2: Expr, q2: Expr) -> LaxPair:
+    """The x- and t-systems whose first component is the scalar pair (p1,
+    q1, p2, q2): the companion system of phi'' + p1 phi' + q1 phi = 0 on
+    (phi, phi') with the t-system that phi' = p2 phi_t + q2 phi implies.
+    That relation reads phi_t = alpha phi + beta phi' with alpha = -q2/p2
+    and beta = 1/p2; differentiating it in x and eliminating phi'' gives
+    (phi')_t = (alpha' - beta q1) phi + (alpha + beta' - beta p1) phi'."""
+    alpha, beta = -q2 / p2, 1 / p2
+    alpha_x, beta_x = fe.differentiate((alpha, beta), "x")
+    a = ((_c(0), _c(1)), (-q1, -p1))
+    b = ((alpha, beta), (alpha_x - beta * q1, alpha + beta_x - beta * p1))
+    return LaxPair(a, b, frobenius_checked=False)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +582,7 @@ def _build_pvdeg_kitaev(p) -> CatalogEntry:
     )
     p2 = 1 / (2 * k_ * X * (X - 1)) + T / (2 * (X - 1))
     q2 = fe.neg(1 / (4 * (X - 1))) + (1 / (2 * T)) * p2
-    sp = ScalarPair(p1=p1, q1=q1, p2=p2, q2=q2)
+    sp = ScalarPair(p1=p1, q1=q1, p2=p2, q2=q2, system=_companion_system(p1, q1, p2, q2))
 
     # Closed forms of the matrix residue data at y = 1 + kappa*z; the first
     # coefficient ODE certifies them (the a1 relation with the free constant

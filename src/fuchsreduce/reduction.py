@@ -11,7 +11,7 @@ the cross-relation coefficient splits as
 
 and the change of variables
 
-    phi = exp(+- int R dx) w,
+    phi = exp(int R dx) w,
     tau = t exp(int h dx) + int f exp(int h dx) dx
 
 turns the second-order equation in x into  w'' + P(tau) w' + Q(tau) w = 0
@@ -19,6 +19,9 @@ with coefficients that no longer depend on the deformation parameter.
 This module recovers (f, h, R, M) numerically-symbolically from the scalar
 pair alone, R and M by one rule in which the case picks only M(t1)
 (:func:`decompose`), so pairs that differ by a gauge in t reduce alike.
+A scalar pair is always the first component of its system
+(``ScalarPair.system``), so the same formulas serve either solution
+component.
 :func:`decompose` also makes every numeric check of the scalar pair's
 hypotheses: that neither off-diagonal entry vanishes, that p2 is affine in
 t, that g does not depend on x and that a_off factors as g (P1 + t P2),
@@ -29,7 +32,7 @@ cumulative integration on adaptive Chebyshev panels, with one stage form
 by the chain rule:
 
     P = (tau_xx + (p1 + 2G) tau_x) / tau_x^2
-    Q = (G' + G^2 + p1 G + q1) / tau_x^2,     G = +-R (by component),
+    Q = (G' + G^2 + p1 G + q1) / tau_x^2,     G = R,
 
 with tau_x = (f + t h) exp(int h) taken symbolically, so the only numerics
 in P and Q are the integral defining exp(int h).
@@ -105,8 +108,8 @@ class Decomposition:
     M is constant (None otherwise).  ``box_x`` and ``box_t`` are the probe
     boxes (``catalog.ComplexRect``) the data was recovered on.  ``sp`` is
     the scalar pair the data was recovered from; it is required, because
-    the reduced coefficients are compiled from its p1 and q1, and its
-    component signs the gauge exponent.
+    the reduced coefficients are compiled from its p1 and q1.  The gauge
+    exponent G of exp(int G dx) is R.
 
     The case flags ``f_zero``, ``h_zero``, ``M_zero`` and ``M_constant`` are
     those :func:`decompose` measured; a copy (``dataclasses.replace``)
@@ -134,10 +137,6 @@ class Decomposition:
     box_x: object
     box_t: object
     sp: ScalarPair = field(repr=False, compare=False)
-
-    def gauge_exponent(self) -> Expr:
-        """The integrand G of exp(int G dx): R, or -R for the second component."""
-        return self.R if self.sp.component == "first" else fe.neg(self.R)
 
     @cached_property
     def _fh_flags(self) -> tuple[bool, bool]:
@@ -168,7 +167,7 @@ class Decomposition:
 
     @cached_property
     def _coeff_array(self) -> fe.Kernel:
-        G = self.gauge_exponent()
+        G = self.R
         p1, q1 = self.sp.p1, self.sp.q1
         f_x, h_x, G_x = fe.differentiate((self.f, self.h, G), "x")
         phi = fe.add(self.f, fe.mul(T, self.h))
@@ -278,9 +277,8 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     xs, tdiag = box_x.diagonal(7), box_t.diagonal(7)
     t1, t2, t3 = tdiag[1], tdiag[5], tdiag[3]
     jt = box_t.diagonal(12)[::-1]       # the joint probes' t
-    q2d = sp.q2_decomposable()
     aoff, boff = sp.off_diag or (sp.p2, fe.const(1))
-    roots = (sp.p2, q2d, aoff, boff)
+    roots = (sp.p2, sp.q2, aoff, boff)
     kernel = fe.Kernel(roots)
 
     def reader(vals, px, pt):
@@ -322,7 +320,7 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
     # --- R and M from q2 = R + M (f + t h): the case picks only m1
     split, m1 = not (f_zero and h_zero), 0j
     if not split:
-        R, M = fe.substitute(q2d, t=t1), fe.const(0)
+        R, M = fe.substitute(sp.q2, t=t1), fe.const(0)
     else:
         # phi at (x, t1) and (x, t2): p2 there.
         phi_x7 = p2_x7.tolist()
@@ -347,10 +345,10 @@ def decompose(sp: ScalarPair, box_x, box_t) -> Decomposition:
                 q_t1, q_t2 = read1(1, np.s_[ia, :2]).tolist()
                 m1 = (q_t2 - q_t1) / ((t2 - t1) * h_x7[ia].item())
         # phi(., t1) is p2(., t1), and phi(xa, .) is f(xa) + t h(xa).
-        R = fe.sub(fe.substitute(q2d, t=t1), fe.mul(fe.const(m1), p2_t1))
+        R = fe.sub(fe.substitute(sp.q2, t=t1), fe.mul(fe.const(m1), p2_t1))
         r_xa = read1(1, np.s_[ia, :1])[0].item() - m1 * phi_x7[ia][0]
         phi_xa = fe.add(fe.const(f_x7[ia]), fe.mul(T, fe.const(h_x7[ia])))
-        M = fe.div(fe.sub(fe.substitute(q2d, x=xs[ia]), fe.const(r_xa)), phi_xa)
+        M = fe.div(fe.sub(fe.substitute(sp.q2, x=xs[ia]), fe.const(r_xa)), phi_xa)
 
     # The second call: rows of x, the x of largest |P3|, the next and xa,
     # each at the 9 t probes (T9), the joint t's (TJ) and the two t's of A.

@@ -4,30 +4,31 @@ A completely integrable system
 
     dPhi/dx = A(x,t) Phi,    dPhi/dt = B(x,t) Phi
 
-with traceless 2x2 coefficient matrices is rewritten, componentwise, as one
-second-order equation in x plus one first-order cross relation tying the
-x- and t-derivatives together:
+with traceless 2x2 coefficient matrices is rewritten, for its first
+component, as one second-order equation in x plus one first-order cross
+relation tying the x- and t-derivatives together:
 
     phi'' + p1 phi' + q1 phi = 0
     phi'  = p2 dphi/dt + q2 phi
 
-For the first component the coefficients are
+with the coefficients
 
     p1 = -d/dx log a12
     q1 = det A - d/dx a11 + a11 d/dx log a12
     p2 = a12 / b12
-    q2 = a11 - b11 a12 / b12
+    q2 = a11 - b11 a12 / b12.
 
-and the second component uses the mirrored formulas with the (2,1) entries
-and flipped signs.  Scalarizing is symbolic: it evaluates nothing, and the
-one numeric check of its hypothesis, that the off-diagonal entries feeding
-it do not vanish, is made by ``reduction.decompose`` from its first array
-call.  Only the Frobenius residuals are evaluated here.
+The second component is the first of the swapped system, the system of
+(phi2, phi1) (``catalog.LaxPair.swapped``), so one set of formulas serves
+both.  Scalarizing is symbolic: it evaluates nothing, and the one numeric
+check of its hypothesis, that the off-diagonal entries feeding it do not
+vanish, is made by ``reduction.decompose`` from its first array call.
+Only the Frobenius residuals are evaluated here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -58,17 +59,18 @@ class VanishingOffDiagonalError(ScalarizeError):
 
 @dataclass(frozen=True)
 class ScalarPair:
-    """Coefficients of the scalar form of a 2x2 system.
+    """Coefficients of the scalar form of a 2x2 system, for its first
+    component: ``phi'' + p1 phi' + q1 phi = 0`` and ``phi' = p2 dphi/dt + q2
+    phi``.
 
-    ``q2`` is stored exactly as it appears in the first-order relation
-    ``phi' = p2 dphi/dt + q2 phi``.  For the second component this carries
-    an extra sign relative to the combination ``a11 - b11 a21/b21``; use
-    :meth:`q2_decomposable` when splitting off the deformation profile.
-
-    ``off_diag`` is the pair (a_off, b_off) it was scalarized from, (a12,
-    b12) or (a21, b21), and None for a pair given directly, which
-    ``reduction.decompose`` reads as ``(p2, 1)``: the first rows of the x-
-    and t-systems on (phi, phi_t), (q2, p2) and (0, 1).
+    ``system`` is the system (``catalog.LaxPair``) the pair is the first
+    component of: the Lax pair for the first solution component, its
+    swapped system for the second (``component`` names which), and the
+    companion system for a pair given directly; None for a pair no report
+    walks.  ``off_diag`` is the pair (a_off, b_off) it was scalarized from,
+    the (1,2) entries of ``system``, and None for a pair given directly,
+    which ``reduction.decompose`` reads as ``(p2, 1)``: the first rows of
+    the x- and t-systems on (phi, phi_t), (q2, p2) and (0, 1).
     """
 
     p1: Expr
@@ -77,16 +79,11 @@ class ScalarPair:
     q2: Expr
     component: str = "first"
     off_diag: tuple[Expr, Expr] | None = None
+    system: "LaxPair | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.component not in ("first", "second"):
             raise ValueError("component must be 'first' or 'second'")
-
-    def q2_decomposable(self) -> Expr:
-        """The combination that splits as R(x) + M(t) (f(x) + t h(x))."""
-        if self.component == "first":
-            return self.q2
-        return fe.neg(self.q2)
 
 
 def _matmul(a, b):
@@ -121,29 +118,26 @@ def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, compl
 
 
 def scalar_coefficients(lp: "LaxPair", component: str = "first") -> ScalarPair:
-    """Build the scalar pair for one solution component, symbolically.
+    """Build the scalar pair for one solution component, symbolically: the
+    first component's pair of ``lp``, or of ``lp.swapped()`` for the second.
 
     It assumes the off-diagonal entries it divides by do not vanish;
     ``reduction.decompose`` checks that on its probes and raises
     :class:`VanishingOffDiagonalError` where they do."""
-    a, b = lp.a, lp.b
-    a11, b11 = a[0][0], b[0][0]
-    first = component == "first"
-    aoff, boff = (a[0][1], b[0][1]) if first else (a[1][0], b[1][0])
+    system = lp if component == "first" else lp.swapped()
+    (a11, aoff), (a21, a22) = system.a
+    b11, boff = system.b[0]
 
-    det_a = fe.sub(fe.mul(a[0][0], a[1][1]), fe.mul(a[0][1], a[1][0]))
+    det_a = fe.sub(fe.mul(a11, a22), fe.mul(aoff, a21))
     aoff_x, a11_x = fe.differentiate((aoff, a11), "x")
     dlog_off = fe.div(aoff_x, aoff)
-    p1 = fe.neg(dlog_off)
-    q1 = (fe.add(fe.sub(det_a, a11_x), fe.mul(a11, dlog_off)) if first
-          else fe.sub(fe.add(det_a, a11_x), fe.mul(a11, dlog_off)))
     p2 = fe.div(aoff, boff)
-    q2_core = fe.sub(a11, fe.mul(b11, p2))
-    q2 = q2_core if first else fe.neg(q2_core)
-
     return ScalarPair(
-        p1=p1, q1=q1, p2=p2, q2=q2,
+        p1=fe.neg(dlog_off),
+        q1=fe.add(fe.sub(det_a, a11_x), fe.mul(a11, dlog_off)),
+        p2=p2,
+        q2=fe.sub(a11, fe.mul(b11, p2)),
         component=component,
         off_diag=(aoff, boff),
+        system=system,
     )
-

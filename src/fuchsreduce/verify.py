@@ -363,8 +363,9 @@ _MU_POINTS = 9
 
 def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
               ) -> fe._PiecewiseChebyshev:
-    """One solution of the entry's systems (``entry.linear_systems``) at
-    fixed t along the straight segment [x0, x1], with its t-derivative.
+    """One solution of the system the decomposed scalar pair is the first
+    component of (``ScalarPair.system`` of ``prep.red.dec.sp``) at fixed t
+    along the straight segment [x0, x1], with its t-derivative.
 
     On the panel walker (``expr._walk_panels``) it solves Phi' = A Phi
     from Phi(x0) = ``_PHI0`` together with the t-variation
@@ -377,7 +378,7 @@ def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
     as from B at the start; a segment of zero
     length, an unresolved panel, an exhausted panel budget or a non-finite
     coefficient or solution value raises :class:`expr.QuadratureError`."""
-    systems = prep.entry.linear_systems
+    systems = prep.red.dec.sp.system
     x0, x1, t = complex(x0), complex(x1), complex(t)
     # B's four entries, walked in order on one memo of the walk.
     at, memo = fe.Binding(x0, t), {}
@@ -399,8 +400,8 @@ def cross_validate(prep: Prepared) -> float:
     at t the midpoint of the real range of the t box, along the leg from
     the centre of the x box to 1/14 of its real width short of its right
     edge (2.4 on the default box), a leg of nonzero length on every box.
-    phi is the component of the scalar pair the decomposition reduced
-    (``ScalarPair.component``); phi and phi_x come from the leg's
+    phi is the first component of the leg's system, the solution
+    component the decomposition reduced; phi and phi_x come from the leg's
     Chebyshev series, phi_t from Psi, and G, h and f from one call of the
     coefficient kernel's view of them.  Returns the spread
     max |mu - mean mu| / max(1, |mean mu|) over ``_MU_POINTS`` interior
@@ -430,10 +431,9 @@ def cross_validate(prep: Prepared) -> float:
         raise VerifyError(f"the walk on {where} failed: {exc}") from exc
     except fe._SAMPLE_ERRORS as exc:
         raise VerifyError(f"singular coefficient on {where}: {exc}") from exc
-    comp = 0 if dec.sp.component == "first" else 1
     rows = leg(s, derivatives=1)
-    phi, psi = rows[0, comp], rows[0, 2 + comp]
-    phi_x = rows[1, comp] * length / (x1 - x0)
+    phi, psi = rows[0, 0], rows[0, 2]
+    phi_x = rows[1, 0] * length / (x1 - x0)
     with np.errstate(all="ignore"):
         mu = psi / phi - (phi_x / phi - G) / f_th
         mean = complex(np.mean(mu))

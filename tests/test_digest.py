@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "20b0113efe9145537a9d021140a03653aa6fcc9541fe617fe411d9e810066220"
+PINNED = "4f582cdfa9b4bc70518721847be718c490fa3ad4e3bd7ed1ed190ed40efeb48d"
 
 
 def _load(monkeypatch, path: Path, name: str):

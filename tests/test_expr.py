@@ -204,7 +204,8 @@ class TestDifferentiateRootSets:
     @pytest.mark.parametrize("entry_id", catalog.list_entries())
     def test_f_h_g_in_x(self, entry_id):
         dec = catalog.lookup(entry_id).decomposition
-        self._assert_as_one_root_calls((dec.f, dec.h, dec.gauge_exponent()), "x")
+        # The gauge exponent G is R.
+        self._assert_as_one_root_calls((dec.f, dec.h, dec.R), "x")
 
     @pytest.mark.parametrize("entry_id", [i for i in _ALL_ENTRIES
                                           if catalog.lookup(i).lax is not None])
@@ -256,16 +257,17 @@ class TestTapeNumbering:
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
         # Each kernel a report keeps, from its roots: the coefficients with
-        # G, h and f, the flow, and the Frobenius residuals with A and
-        # dA/dt or, for a direct scalar pair, A and dA/dt alone.
+        # G, h and f, the flow, the Frobenius residuals with A and dA/dt,
+        # and the walk matrix, A and dA/dt alone, of a leg's system that is
+        # not the Lax pair (a swapped or a companion system).
         entry = catalog.lookup(entry_id)
-        dec, systems = entry.decomposition, entry.linear_systems
+        dec, systems = entry.decomposition, entry.decomposition.sp.system
         tapes = [(dec._coeff_array, (*dec._coeff_array.expr, *dec._coeff_array.view(3).expr), 3),
                  (entry.flow_fns, entry.flow_fns.expr, None)]
         if entry.lax is not None:
             frobenius = entry.lax.frobenius_fns
-            tapes.append((frobenius, (*frobenius.expr, *systems.a_dadt_array.expr), 4))
-        else:
+            tapes.append((frobenius, (*frobenius.expr, *entry.lax.a_dadt_array.expr), 4))
+        if systems is not entry.lax:
             tapes.append((systems.a_dadt_array, systems.a_dadt_array.expr, None))
         for kernel, roots, n_out in tapes:
             _assert_reference_numbering(roots, n_out)
@@ -981,11 +983,12 @@ class TestArrayForm:
     of its compiled lines evaluated on arrays."""
 
     def test_matches_scalar_on_catalog_coefficients(self, prep):
-        # The walk matrix (A, then dA/dt) of three entries; PVdeg's is the
-        # companion system of its direct scalar pair, with constant entries.
+        # The walk matrix (A, then dA/dt) of the leg's system of three
+        # entries; PVdeg's is the companion system of its direct scalar
+        # pair, with constant entries.
         rng = np.random.default_rng(3)
         for entry_id in ("PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"):
-            systems = catalog.lookup(entry_id).linear_systems
+            systems = catalog.lookup(entry_id).decomposition.sp.system
             a = (*systems.a[0], *systems.a[1])
             scalar = compiled((*a, *(fe.differentiate(e, "t") for e in a)))
             box = prep(entry_id).entry.box_x

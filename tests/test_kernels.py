@@ -174,7 +174,7 @@ class TestKernelLifetime:
         if entry.lax is not None:
             owners[id(entry.lax.frobenius_fns)] = "Frobenius"
         else:
-            owners[id(entry.linear_systems.a_dadt_array)] = "companion A, dA/dt"
+            owners[id(dec.sp.system.a_dadt_array)] = "companion A, dA/dt"
 
         def owner(kernel):
             if kernel.exprs[0] is dec.sp.p2 and len(kernel.exprs) == 4:
@@ -202,8 +202,8 @@ class TestKernelLifetime:
             for seed in (42, 7, 1):
                 verify.full_report(entry_id, Config(seed=seed))
             assert compiled == [], entry_id
-            dec, systems = entry.decomposition, entry.linear_systems
-            if entry.lax is not None:
+            dec, systems = entry.decomposition, entry.decomposition.sp.system
+            if systems is entry.lax:
                 # The walk matrix is a view of the Frobenius kernel.
                 assert systems.a_dadt_array.lines is entry.lax.frobenius_fns.lines
             assert "_coeff_stages" not in dec.__dict__, entry_id
@@ -418,7 +418,7 @@ class TestKernelLifetime:
         # reader that is not an add (or is one of the outputs).  A fresh
         # entry, so no other test meets the kernels compiled here.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
-        dec, systems = entry.decomposition, entry.linear_systems
+        dec, systems = entry.decomposition, entry.decomposition.sp.system
         kernels = [dec._coeff_array, dec._hf_array, dec._coeff_array.view(3), entry.flow_fns,
                    systems.a_dadt_array]
         if entry.lax is not None:
@@ -457,13 +457,14 @@ class TestKernelLifetime:
         # compiles as many lines as a kernel of its expressions alone, to
         # the same values.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
-        dec, systems = entry.decomposition, entry.linear_systems
+        dec, systems = entry.decomposition, entry.decomposition.sp.system
         kernels = [dec._coeff_array, entry.flow_fns]
         views = [dec._coeff_array.view(3), dec._hf_array]
         if entry.lax is not None:
             kernels.append(entry.lax.frobenius_fns)
-            views.append(systems.a_dadt_array)
-        else:
+            views.append(entry.lax.a_dadt_array)
+        if systems is not entry.lax:
+            # The walk matrix of a swapped or companion system.
             kernels.append(systems.a_dadt_array)
         sources = []
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
@@ -549,9 +550,10 @@ class TestKernelLifetime:
     @pytest.mark.parametrize("entry_id, box_t", [
         ("PIII.y1", (0.6, 1.6, -0.2, 0.2)), ("PVdeg.kitaev_sqrt", (0.7, 1.7, -0.2, 0.2))])
     def test_box_override_compiles_only_its_decomposition(self, monkeypatch, entry_id, box_t):
-        # The copy on the run's boxes keeps the entry's flow kernel, scalar
-        # pair and linear systems (with the Kitaev pair's kernel of A,
-        # dA/dt); only the decomposition probes the boxes.  Its report is
+        # The copy on the run's boxes keeps the entry's flow kernel and
+        # scalar pair, with the system it is the first component of (with
+        # the Kitaev pair's kernel of A, dA/dt); only the decomposition
+        # probes the boxes.  Its report is
         # the one of a copy that builds everything afresh.  Two reports on
         # the entry first, each with the entry's record cleared, so that the
         # stages it certifies once (the Frobenius grid and cross-validation)
@@ -576,7 +578,8 @@ class TestKernelLifetime:
         copy = entry.with_boxes(config)
         assert copy.flow_fns is entry.flow_fns
         assert copy.decomposition.sp is entry.decomposition.sp
-        assert copy.linear_systems.a_dadt_array is entry.linear_systems.a_dadt_array
+        systems = entry.decomposition.sp.system
+        assert copy.decomposition.sp.system.a_dadt_array is systems.a_dadt_array
         # Every kernel it calls runs in array form.
         assert compiled == []
         # Nothing is carried that the entry has not built.
@@ -740,10 +743,10 @@ def _reprs(value):
 
 
 # The expression kernels of an entry: Frobenius, flow, the walk matrix A,
-# dA/dt, and the decomposition's (h, f), G and (phi, p_num, q_num).  G's,
-# "_G_array", is the gauge exponent's own kernel, as the tests' gauge walk
-# (test_reduction.gauge_at) builds it; the leg reads G from the (G, h, f)
-# view.
+# dA/dt of the leg's system, and the decomposition's (h, f), G and (phi,
+# p_num, q_num).  G's, "_G_array", is the gauge exponent R's own kernel, as
+# the tests' gauge walk (test_reduction.gauge_at) builds it; the leg reads G
+# from the (G, h, f) view.
 _KERNELS = ("frobenius_fns", "flow_fns", "a_dadt_array", "_hf_array", "_G_array",
             "_coeff_array")
 
@@ -755,17 +758,17 @@ def _new_kernel_call(entry, name):
     the x box (for the coefficients, each with its own t in the t box)."""
     if name == "frobenius_fns":
         # The matrices, or the companion system of a direct scalar pair.
-        kernel = fe.Kernel(entry.linear_systems.frobenius_fns.expr)
+        kernel = fe.Kernel((entry.lax or entry.decomposition.sp.system).frobenius_fns.expr)
         xs, ts = (np.array(v) for v in zip(*entry.grid_points()))
         return kernel, (xs, ts)
     if name == "flow_fns":
         return fe.Kernel(entry.flow_fns.expr), (0j, np.array(entry.box_t.diagonal(16)))
     rows = np.array(entry.box_x.diagonal(3))[:, None] + 0.05 * fe._CHEB_NODES
     if name == "a_dadt_array":
-        kernel = fe.Kernel(entry.linear_systems.a_dadt_array.expr)
+        kernel = fe.Kernel(entry.decomposition.sp.system.a_dadt_array.expr)
         return kernel, (rows, entry.box_t.center)
     dec = entry.decomposition
-    kernel = fe.Kernel((dec.gauge_exponent(),) if name == "_G_array" else getattr(dec, name).expr)
+    kernel = fe.Kernel((dec.R,) if name == "_G_array" else getattr(dec, name).expr)
     if name == "_coeff_array":
         return kernel, (rows, rows[::-1] - entry.box_x.center + entry.box_t.center)
     return kernel, (rows, 0j)

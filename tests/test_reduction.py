@@ -80,14 +80,24 @@ class TestDecompose:
                 v1 = fe.evaluate(getattr(sp1, name), b)
                 assert abs(v0 - v1) <= 1e-10 * (1 + abs(v0))
 
+    @pytest.mark.parametrize("entry_id", ["PV.y_lin", "PV.y_m1"])
+    def test_second_component_exponent_a(self, entry_id):
+        # exponent_A = t (g'/g + 2 M) with the M of the pair's own relation
+        # q2 = R + M (f + t h): through the second component it is the
+        # constant 0 (to rounding at the two t it compares).
+        entry = catalog.lookup(entry_id)
+        dec = reduction.decompose(entry.lax.scalar_pair("second"), entry.box_x, entry.box_t)
+        assert dec.exponent_A is not None
+        assert abs(dec.exponent_A) <= 1e-12
+
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_split_and_factor_invariants(self, entry_id):
         sp, dec, entry = decomposition_for(entry_id)
         probes = joint_probes(entry.box_x, entry.box_t, 16)
         phi = dec.f + T * dec.h
-        split = sp.q2_decomposable() - (dec.R + dec.M * phi)
+        split = sp.q2 - (dec.R + dec.M * phi)
         assert fe.numerically_zero(walked(split, probes), tol=1e-9,
-                                   reference=walked(sp.q2_decomposable(), probes))
+                                   reference=walked(sp.q2, probes))
         # decompose reads a pair given directly (off_diag None) as (p2, 1).
         # The factorization a_off = g P3 (f + t h), b_off = g P3 with g in t
         # alone: a_off = b_off phi, and b_off(x, t) / b_off(x, t_ref) does
@@ -469,9 +479,9 @@ class TestOnePassStages:
 
 
 def gauge_at(dec, x0, x):
-    """exp(int_{x0}^{x} G), G the decomposition's gauge exponent, by one
+    """exp(int_{x0}^{x} G), G = R the decomposition's gauge exponent, by one
     panel walk."""
-    kernel = fe.Kernel(dec.gauge_exponent())
+    kernel = fe.Kernel(dec.R)
     stage = lambda z, prior: kernel(z, 0j)
     (val,) = fe._walk_panels((stage,), x0, x, reduction.ReducedEquation.quad_tol)
     return cmath.exp(val)
@@ -498,12 +508,21 @@ class TestGauge:
         assert got == pytest.approx(formula(4.0) / formula(2.0), rel=1e-10)
 
     def test_second_component_flips_sign(self):
-        sp, dec, _ = decomposition_for("PIV.y_m2t")
-        up = gauge_at(dataclasses.replace(
-            dec, sp=dataclasses.replace(dec.sp, component="first")), 1.0, 4.0)
-        dn = gauge_at(dataclasses.replace(
-            dec, sp=dataclasses.replace(dec.sp, component="second")), 1.0, 4.0)
-        assert up * dn == pytest.approx(1.0, abs=1e-10)
+        # The second component's sign lives in its q2, not in G: its pair is
+        # the first of the swapped system, whose q2 is a22 - b22 a21/b21 =
+        # -(a11 - b11 a21/b21).  A pair whose q2 is negated decomposes to
+        # -R, and as G = R its gauge is the reciprocal.
+        sp, dec, entry = decomposition_for("PV.y_m1")
+        flipped = reduction.decompose(dataclasses.replace(sp, q2=fe.neg(sp.q2)),
+                                      entry.box_x, entry.box_t)
+        assert gauge_at(dec, 2.0, 4.0) * gauge_at(flipped, 2.0, 4.0) == \
+            pytest.approx(1.0, abs=1e-10)
+        (a11, _), (a21, _) = entry.lax.a
+        (b11, _), (b21, _) = entry.lax.b
+        core = a11 - b11 * a21 / b21
+        probes = joint_probes(entry.box_x, entry.box_t, 8)
+        assert fe.numerically_zero(walked(entry.lax.scalar_pair("second").q2 + core, probes),
+                                   tol=1e-12, reference=walked(core, probes))
 
 
 def _bits_or_raised(kernel, xs):
@@ -524,18 +543,25 @@ class TestCoefficientViews:
         dec = catalog.lookup(entry_id).decomposition
         xs = np.concatenate([np.linspace(1.86, 2.34, 9), np.array(dec.box_x.diagonal(7))])
         ghf = dec._coeff_array.view(3)
-        assert ghf.expr == (dec.gauge_exponent(), dec.h, dec.f)
-        want = (_bits_or_raised(fe.Kernel((dec.gauge_exponent(),)), xs)
+        assert ghf.expr == (dec.R, dec.h, dec.f)
+        want = (_bits_or_raised(fe.Kernel((dec.R,)), xs)
                 + _bits_or_raised(fe.Kernel((dec.h, dec.f)), xs))
         assert _bits_or_raised(ghf, xs) == want
         assert _bits_or_raised(dec._hf_array, xs) == want[1:]
 
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_gauge_exponent_is_r(self, entry_id):
+        # G is R for every component: the coefficient kernel's fourth root
+        # is R itself.
+        dec = catalog.lookup(entry_id).decomposition
+        assert dec._coeff_array.exprs[3] is dec.R
+
     @pytest.mark.parametrize("component", ["first", "second"])
     def test_ghf_view_raises_as_its_parts_at_a_pole(self, component):
-        # G = +-log(x - 3/2) has a log of zero at 3/2 and h = 1/(x - 2) a
-        # pole at 2.  The view raises what G's own kernel raises where G is
-        # singular, first when both are, and what (h, f)'s raises where h
-        # alone is.
+        # G = R = log(x - 3/2), whichever the component, has a log of zero
+        # at 3/2 and h = 1/(x - 2) a pole at 2.  The view raises what G's
+        # own kernel raises where G is singular, first when both are, and
+        # what (h, f)'s raises where h alone is.
         zero = fe.const(0)
         R, f = fe.log(fe.sub(X, fe.const(1.5))), X
         h = fe.div(fe.const(1), fe.sub(X, fe.const(2)))
@@ -545,7 +571,7 @@ class TestCoefficientViews:
             sp=ScalarPair(p1=zero, q1=zero, p2=fe.add(f, fe.mul(T, h)), q2=zero,
                           component=component))
         ghf = dec._coeff_array.view(3)
-        of_g, of_hf = fe.Kernel((dec.gauge_exponent(),)), fe.Kernel((h, f))
+        of_g, of_hf = fe.Kernel((dec.R,)), fe.Kernel((h, f))
         for xs, want in (([1.25, 1.5, 1.75], of_g), ([1.5, 2.0], of_g), ([1.75, 2.0], of_hf),
                          ([2.0, 1.5], of_g)):
             xs = np.array(xs, dtype=complex)

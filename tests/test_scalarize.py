@@ -109,10 +109,11 @@ class TestFrobenius:
     ])
     def test_kitaev_systems_are_compatible(self, overrides):
         # full_report runs no Frobenius stage on the Kitaev pair, whose
-        # systems are built from its scalar pair; this gates them instead.
-        # Largest reading 7.5e-14, at kappa = -6 (6.7e-15 at the defaults).
+        # systems are built from its scalar pair (``ScalarPair.system``);
+        # this gates them instead.  Largest reading 7.5e-14, at kappa = -6
+        # (6.7e-15 at the defaults).
         entry = catalog.lookup("PVdeg.kitaev_sqrt", overrides)
-        worst = scalarize.frobenius_residual_grid(entry.linear_systems, entry.grid_points())
+        worst = scalarize.frobenius_residual_grid(entry.scalar.system, entry.grid_points())
         assert worst <= Config().tol_frobenius
 
 
@@ -278,19 +279,15 @@ class TestScalarCoefficients:
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_q2_integrability_identity(self, entry_id):
         # q2 must also equal the half-difference form forced by the
-        # integrability condition on the off-diagonal entries.
+        # integrability condition on the off-diagonal entries of the system
+        # the pair is the first component of.
         entry = catalog.lookup(entry_id)
         sp = scalarize.scalar_coefficients(entry.lax, entry.decomposition.sp.component)
         aoff, boff = sp.off_diag
-        core = sp.q2_decomposable()
-        if sp.component == "first":
-            alt = (fe.differentiate(boff, "x") / boff
-                   - fe.differentiate(aoff, "t") / boff) / 2
-        else:
-            alt = (fe.differentiate(aoff, "t") / boff
-                   - fe.differentiate(boff, "x") / boff) / 2
+        alt = (fe.differentiate(boff, "x") / boff
+               - fe.differentiate(aoff, "t") / boff) / 2
         for b in joint_probes(entry.box_x, entry.box_t, 9):
-            v1 = fe.evaluate(core, b)
+            v1 = fe.evaluate(sp.q2, b)
             v2 = fe.evaluate(alt, b)
             assert abs(v1 - v2) <= 1e-9 * (1 + abs(v2))
 
@@ -318,14 +315,14 @@ def scalar_residual(sp, values, x, t):
 def leg_values(p, x, t, anchor):
     """phi, phi_x, phi_xx and phi_t at (x, t) of the joint solution that
     cross-validation walks (``verify._walk_leg``), on the leg from
-    ``anchor`` through x: the x-derivatives from the leg's Chebyshev
-    series, phi_t from its t-variation Psi."""
+    ``anchor`` through x: phi is the first component of the leg's system,
+    the x-derivatives come from the leg's Chebyshev series, phi_t from its
+    t-variation Psi."""
     x, t, anchor = complex(x), complex(t), complex(anchor)
     u = (x - anchor) / abs(x - anchor) if x != anchor else 1.0
     leg = verify._walk_leg(p, t, anchor, x + 0.3 * u)
-    comp = 0 if p.red.dec.sp.component == "first" else 1
     vals = leg(abs(x - anchor), derivatives=2)
-    return vals[0, comp], vals[1, comp] / u, vals[2, comp] / u**2, vals[0, 2 + comp]
+    return vals[0, 0], vals[1, 0] / u, vals[2, 0] / u**2, vals[0, 2]
 
 
 class TestScalarResidual:

@@ -513,7 +513,7 @@ class TestSolveLinearSystem:
             assert np.max(np.abs(leg(s) - start)) <= 1e-12
 
     def test_round_trip_returns_to_start(self, prep):
-        a = prep("PII.y0").entry.linear_systems.a
+        a = prep("PII.y0").red.dec.sp.system.a
         fwd = _walk(a, 0.5, 1.0, 2.0, (1.0, 0.0, 0.0, 0.0))
         back = _walk(a, 0.5, 2.0, 1.0, fwd(fwd.edges[-1]))
         start = back(back.edges[-1])
@@ -522,7 +522,7 @@ class TestSolveLinearSystem:
     def test_against_second_integrator(self, prep):
         # Independent oracle: same system, different solver family and
         # tolerance, no shared dense machinery.
-        a = prep("PII.y0").entry.linear_systems.a
+        a = prep("PII.y0").red.dec.sp.system.a
         leg = _walk(a, 0.5, 1.0, 2.0, (1.0, 0.0, 0.0, 0.0))
         fns = _compiled_a_dadt(a)
         res = solve_ivp(lambda x, y: _tangent_rhs(fns(complex(x), 0.5 + 0j), y), (1.0, 2.0),
@@ -548,8 +548,8 @@ class TestSolveLinearSystem:
 def _dop853_leg(prep, t, x0, x1):
     """The rows (Phi1, Phi2, Psi1, Psi2) of ``verify._walk_leg`` by a
     DOP853 dense solve at the panel walk's tolerances, from the same
-    start: an independent oracle."""
-    systems = prep.entry.linear_systems
+    start, on the same system: an independent oracle."""
+    systems = prep.red.dec.sp.system
     fns = _compiled_a_dadt(systems.a)
     x0, x1, t = complex(x0), complex(x1), complex(t)
     length = abs(x1 - x0)
@@ -644,11 +644,11 @@ def _dop853_joint(prep, x_anchor, t_center, dt=5e-3, span=0.6):
     """phi(x, t_center + k dt), |k| <= 2, of one joint solution by DOP853
     dense solves: the transport along the straight t-segment from
     ``t_center`` with y_t = B(x_anchor, t) y, then each x-leg from the
-    anchor, as a function of the fraction u of the segment or leg."""
-    lax = prep.entry.lax
-    a_entries = compiled((*lax.a[0], *lax.a[1]))
-    b = compiled((*lax.b[0], *lax.b[1]))
-    comp = 0 if prep.red.dec.sp.component == "first" else 1
+    anchor, as a function of the fraction u of the segment or leg.  phi is
+    the first component of the leg's system (``ScalarPair.system``)."""
+    systems = prep.red.dec.sp.system
+    a_entries = compiled((*systems.a[0], *systems.a[1]))
+    b = compiled((*systems.b[0], *systems.b[1]))
 
     def solve(matrix, y0):
         res = verify.solve_ivp(lambda u, y: _times(matrix(u), y), (0.0, 1.0),
@@ -668,7 +668,7 @@ def _dop853_joint(prep, x_anchor, t_center, dt=5e-3, span=0.6):
 
     def phi(x, k):
         s = (x - x_anchor).real
-        return legs[k, 1 if s >= 0 else -1](abs(s) / span)[comp]
+        return legs[k, 1 if s >= 0 else -1](abs(s) / span)[0]
 
     return phi
 
@@ -691,13 +691,12 @@ class TestJointSolution:
     def test_legs_match_dop853(self, prep, entry_id, x_anchor, t_center):
         p = prep(entry_id)
         oracle = _dop853_joint(p, x_anchor, t_center)
-        comp = 0 if p.red.dec.sp.component == "first" else 1
         dt = 5e-3
         for side in (1, -1):
             leg = verify._walk_leg(p, t_center, x_anchor, x_anchor + side * 0.6)
             s = np.linspace(0.0, 0.6, 25)
             xs = x_anchor + side * s
-            phi, psi = leg(s)[[comp, 2 + comp]]
+            phi, psi = leg(s)[[0, 2]]
             want_phi = np.array([oracle(x, 0) for x in xs])
             want_psi = np.array([(oracle(x, -2) - 8 * oracle(x, -1) + 8 * oracle(x, 1)
                                   - oracle(x, 2)) / (12 * dt) for x in xs])
@@ -755,12 +754,15 @@ class TestCrossValidate:
 
     def test_leg_reads_the_component_its_decomposition_reduced(self, prep):
         # PV.y_m1 reduces through either component.  Decomposed through the
-        # second, which its entry does not choose, the leg reads the second
-        # component of the solution, and passes as the first does.
+        # second, which its entry does not choose, the leg walks the swapped
+        # system, whose first component is the second of the solution, and
+        # passes as the first does.
         p = prep("PV.y_m1")
         entry = p.entry
         assert p.red.dec.sp.component == "first"
+        assert p.red.dec.sp.system is entry.lax
         sp = scalarize.scalar_coefficients(entry.lax, "second")
+        assert sp.system.a[0][1] is entry.lax.a[1][0]
         dec = red_mod.decompose(sp, entry.box_x, entry.box_t)
         second = dataclasses.replace(p, red=red_mod.build_reduced(dec, p.red.basepoint_x))
         assert verify.cross_validate(second) <= 1e-11
@@ -773,25 +775,24 @@ class TestCrossValidate:
         p = verify.prepare(catalog.lookup("PIV.y_m2t"))
         t = 1.0
         leg = verify._walk_leg(p, t, 1.0, 2.4)
-        obs = 0 if p.red.dec.sp.component == "first" else 1
         ss = np.linspace(0.05, leg.edges[-1] - 0.05, 80)
         xs = 1.0 + ss
         taus = np.array([p.frame_a * p.red.tau_at(x, t) + p.frame_b for x in xs])
-        ws = leg(ss)[obs] / np.array([gauge_at(p.red.dec, p.red.basepoint_x, x) for x in xs])
+        ws = leg(ss)[0] / np.array([gauge_at(p.red.dec, p.red.basepoint_x, x) for x in xs])
         basis = np.column_stack([np.exp(taus), np.exp(-taus)])
         coef, *_ = np.linalg.lstsq(basis, ws, rcond=None)
         resid = np.max(np.abs(basis @ coef - ws)) / np.max(np.abs(ws))
         assert resid <= 1e-6
 
 
-def _add_quadratic_to_observable(coeffs, obs):
-    # A T_2 term on every panel: continuous across panel edges (T_2(+-1) = 1)
-    # but no longer a solution of the system.
-    coeffs[:, obs, 2] += 1e-3 * np.max(np.abs(coeffs[:, obs, 0]))
+def _add_quadratic_to_observable(coeffs):
+    # A T_2 term on every panel of phi, the first row: continuous across
+    # panel edges (T_2(+-1) = 1) but no longer a solution of the system.
+    coeffs[:, 0, 2] += 1e-3 * np.max(np.abs(coeffs[:, 0, 0]))
 
 
-def _scale_t_variation(coeffs, obs):
-    coeffs[:, 2 + obs] *= 1.001
+def _scale_t_variation(coeffs):
+    coeffs[:, 2] *= 1.001
 
 
 class TestCrossValidateCanFail:
@@ -802,12 +803,11 @@ class TestCrossValidateCanFail:
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_perturbed_trace_fails(self, prep, entry_id):
         p = prep(entry_id)
-        obs = 0 if p.red.dec.sp.component == "first" else 1
         real_walk = verify._walk_leg
         for perturb in (_add_quadratic_to_observable, _scale_t_variation):
             def perturbed_walk(*args):
                 got = real_walk(*args)
-                perturb(got.coeffs, obs)
+                perturb(got.coeffs)
                 return got
 
             with pytest.MonkeyPatch.context() as mp:

@@ -154,7 +154,8 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
     for entry_id in catalog.list_entries():
         entry = catalog.lookup(entry_id)
         dec = entry.decomposition
-        root_sets.append(((dec.f, dec.h, dec.gauge_exponent()), "x"))
+        # G, the gauge exponent, is the coefficient kernel's fourth root.
+        root_sets.append(((dec.f, dec.h, dec._coeff_array.exprs[3]), "x"))
         if entry.lax is not None:
             a, b = entry.lax.a, entry.lax.b
             root_sets += [((*a[0], *a[1]), "t"), ((*b[0], *b[1]), "x")]
