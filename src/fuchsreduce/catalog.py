@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import numbers
-import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -127,23 +126,20 @@ class LaxPair:
 
     A matrix entry's pair is traceless by construction
     (:func:`_matrix_entry`); a direct scalar pair's companion system
-    (:func:`_companion_system`) is not.  Its dA/dt, its two kernels and the
-    scalar pair of each solution component (:meth:`scalar_pair`) are built
-    on first use.
+    (:func:`_companion_system`) is not.  Its dA/dt, its Frobenius kernel
+    and its swapped system are built on first use.
 
     The Frobenius residuals read every entry of A and of dA/dt, so the
     Frobenius kernel numbers the four residuals and then A's and dA/dt's
     entries, which adds no line to the residuals' own.  The walk matrix
     ``a_dadt_array`` is a view of it (``expr.Kernel.view``) that runs only
     the lines A and dA/dt read, so a pole of B never rejects a leg panel.
-    ``frobenius_checked`` is false for a pair whose integrability no report
-    checks (a swapped system, or a direct scalar pair's companion system):
-    its A and dA/dt take a kernel of their own, and its residuals are
-    derived only when asked for."""
+    Every system walks and is checked through that one kernel: a report's
+    Frobenius stage and a cross-validation leg on the same system share
+    it."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
-    frobenius_checked: bool = True
 
     @cached_property
     def dadt(self) -> tuple[Expr, Expr, Expr, Expr]:
@@ -154,31 +150,16 @@ class LaxPair:
     def a_dadt_array(self) -> fe.Kernel:
         """The kernel of (a11, a12, a21, a22) and then the same entries of
         dA/dt: the ``matrix`` of a linear-system walk."""
-        return (self.frobenius_fns.view(4) if self.frobenius_checked
-                else fe.Kernel((*self.a[0], *self.a[1], *self.dadt)))
+        return self.frobenius_fns.view(4)
 
+    @cached_property
     def swapped(self) -> "LaxPair":
-        """The system of (phi2, phi1): A and B with both indices swapped.  It
-        is compatible exactly when this one is, so no report checks it."""
+        """The system of (phi2, phi1): A and B with both indices swapped,
+        compatible exactly when this one is.  Built on first use and kept,
+        so every holder of this pair shares it and its kernels."""
         (a11, a12), (a21, a22) = self.a
         (b11, b12), (b21, b22) = self.b
-        return LaxPair(((a22, a21), (a12, a11)), ((b22, b21), (b12, b11)),
-                       frobenius_checked=False)
-
-    def scalar_pair(self, component: str) -> ScalarPair:
-        """The scalar pair of one solution component, "first" or "second",
-        scalarized on first use and kept while anything else holds it (an
-        entry's decomposition holds the pair it reduced): the first
-        component's pair holds this system (``ScalarPair.system``), so a
-        strong reference from here would make a cycle.  Two first uses that
-        race may each scalarize and return equal pairs."""
-        pairs = self.__dict__.get("_scalar_pairs")
-        if pairs is None:
-            pairs = self.__dict__.setdefault("_scalar_pairs", weakref.WeakValueDictionary())
-        sp = pairs.get(component)
-        if sp is None:
-            sp = pairs.setdefault(component, scal.scalar_coefficients(self, component))
-        return sp
+        return LaxPair(((a22, a21), (a12, a11)), ((b22, b21), (b12, b11)))
 
     @cached_property
     def frobenius_fns(self) -> fe.Kernel:
@@ -199,7 +180,7 @@ class CatalogEntry:
     already holds.  ``singular_x`` and ``singular_t`` list the points every
     probe, path and grid must avoid (poles of entries plus zeros of the
     off-diagonal entries used for scalarization).  ``certified`` records,
-    by stage name, the outcomes of the at most 4 report stages that do not
+    by stage name, the outcomes of the 4 report stages that do not
     depend on the probe seed (see :func:`verify.full_report`): the Frobenius
     grid, the frame fit, E and S at x0 (the t-independence stage's walk)
     and cross-validation.  A stage runs until it first succeeds, and a run
@@ -242,7 +223,8 @@ class CatalogEntry:
         decomposition; applied to its own result it returns it.  The copy
         shares the box-independent ``flow_fns`` this entry has already
         built, and its Lax pair or direct scalar pair, with the systems and
-        scalar pairs those hold."""
+        kernels those hold; it scalarizes again, which is symbolic and
+        probes no box."""
         boxes = {name: rect for name in ("box_x", "box_t")
                  if (box := getattr(config, name)) is not None
                  and (rect := ComplexRect(*box)) != getattr(self, name)}
@@ -276,10 +258,12 @@ class CatalogEntry:
         if self.lax is None:
             return red_mod.decompose(self.scalar, self.box_x, self.box_t)
         try:
-            return red_mod.decompose(self.lax.scalar_pair("first"), self.box_x, self.box_t)
+            return red_mod.decompose(scal.scalar_coefficients(self.lax, "first"),
+                                     self.box_x, self.box_t)
         except (scal.ScalarizeError, red_mod.DecompositionError) as first:
             try:
-                return red_mod.decompose(self.lax.scalar_pair("second"), self.box_x, self.box_t)
+                return red_mod.decompose(scal.scalar_coefficients(self.lax, "second"),
+                                         self.box_x, self.box_t)
             except (scal.ScalarizeError, red_mod.DecompositionError) as second:
                 raise type(first)(f"first component: {first}; second component: {second}")
 
@@ -294,12 +278,14 @@ def _companion_system(p1: Expr, q1: Expr, p2: Expr, q2: Expr) -> LaxPair:
     (phi, phi') with the t-system that phi' = p2 phi_t + q2 phi implies.
     That relation reads phi_t = alpha phi + beta phi' with alpha = -q2/p2
     and beta = 1/p2; differentiating it in x and eliminating phi'' gives
-    (phi')_t = (alpha' - beta q1) phi + (alpha + beta' - beta p1) phi'."""
+    (phi')_t = (alpha' - beta q1) phi + (alpha + beta' - beta p1) phi'.
+    It stands for the entry's system: a report's Frobenius stage checks
+    it, and the cross-validation leg walks it, through one kernel."""
     alpha, beta = -q2 / p2, 1 / p2
     alpha_x, beta_x = fe.differentiate((alpha, beta), "x")
     a = ((_c(0), _c(1)), (-q1, -p1))
     b = ((alpha, beta), (alpha_x - beta * q1, alpha + beta_x - beta * p1))
-    return LaxPair(a, b, frobenius_checked=False)
+    return LaxPair(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -66,11 +66,12 @@ class ScalarPair:
     ``system`` is the system (``catalog.LaxPair``) the pair is the first
     component of: the Lax pair for the first solution component, its
     swapped system for the second (``component`` names which), and the
-    companion system for a pair given directly; None for a pair no report
-    walks.  ``off_diag`` is the pair (a_off, b_off) it was scalarized from,
-    the (1,2) entries of ``system``, and None for a pair given directly,
-    which ``reduction.decompose`` reads as ``(p2, 1)``: the first rows of
-    the x- and t-systems on (phi, phi_t), (q2, p2) and (0, 1).
+    companion system for a pair given directly, which a report checks and
+    walks; None for a pair no report uses.  ``off_diag`` is the pair
+    (a_off, b_off) it was scalarized from, the (1,2) entries of
+    ``system``, and None for a pair given directly, which
+    ``reduction.decompose`` reads as ``(p2, 1)``: the first rows of the x-
+    and t-systems on (phi, phi_t), (q2, p2) and (0, 1).
     """
 
     p1: Expr
@@ -119,12 +120,12 @@ def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, compl
 
 def scalar_coefficients(lp: "LaxPair", component: str = "first") -> ScalarPair:
     """Build the scalar pair for one solution component, symbolically: the
-    first component's pair of ``lp``, or of ``lp.swapped()`` for the second.
+    first component's pair of ``lp``, or of ``lp.swapped`` for the second.
 
     It assumes the off-diagonal entries it divides by do not vanish;
     ``reduction.decompose`` checks that on its probes and raises
     :class:`VanishingOffDiagonalError` where they do."""
-    system = lp if component == "first" else lp.swapped()
+    system = lp if component == "first" else lp.swapped
     (a11, aoff), (a21, a22) = system.a
     b11, boff = system.b[0]
 

@@ -3,7 +3,8 @@
 For each catalog entry this module certifies, with explicit tolerances:
 
 1. the closed forms solve the nonlinear flow (flow residuals),
-2. the two linear systems are compatible (Frobenius residuals),
+2. the two linear systems are compatible (Frobenius residuals): the Lax
+   pair, or the companion system of a scalar pair given directly,
 3. the reduced coefficients P, Q depend on tau alone (the actual
    reduction claim), by the invariance identities, with no quadrature
    (``reduction.Decomposition.invariance``),
@@ -535,7 +536,9 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
     """Run every stage for one entry, on the config's boxes (applied once, by
     :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised.
-    What depends on the entry alone runs once per entry (:func:`_once`)."""
+    What depends on the entry alone runs once per entry (:func:`_once`).
+    The Frobenius stage checks the entry's system: its Lax pair, or the
+    companion system of its direct scalar pair (``ScalarPair.system``)."""
     entry = cat.lookup(entry_id, overrides).with_boxes(config)
     seed = config.entry_seed(entry.id)
     rep = VerificationReport(
@@ -559,10 +562,9 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
     (flow_ts,) = cat.random_points(rng, (entry.box_t,), 16)
     rng.bit_generator.advance(-32)
     rep.flow_max = stage("flow", lambda: cat.flow_residual(entry, flow_ts))
-    if entry.lax is not None:
-        rep.frobenius_max = stage("frobenius", lambda: _once(
-            entry, "frobenius",
-            lambda: scal.frobenius_residual_grid(entry.lax, entry.grid_points())))
+    system = entry.lax or entry.scalar.system
+    rep.frobenius_max = stage("frobenius", lambda: _once(
+        entry, "frobenius", lambda: scal.frobenius_residual_grid(system, entry.grid_points())))
 
     prep = stage("reduction", lambda: prepare(entry, config))
     if prep is None:

@@ -100,7 +100,7 @@ def test_bench_reads_the_verdict_the_report_records(seed):
     reports = [verify.full_report(i, Config(seed=seed))
                for i in (*catalog.list_entries(), *catalog.list_negative_entries())]
     docs = [v.to_json() for rep in reports for v in _variants(rep)]
-    assert len(docs) == 133
+    assert len(docs) == 135
     for doc in docs:
         got = workloads._report_failure(doc, True, ClassicalTarget)
         assert (got is None) == doc["passed"], (doc["entry"], got)

@@ -344,15 +344,27 @@ class TestWithBoxes:
         # Only the overridden box changes.
         assert entry.with_boxes(Config(box_t=(0.8, 1.8, -0.1, 0.3))).box_x == entry.box_x
 
-    def test_copy_shares_the_scalar_pair(self):
-        # Scalarizing probes no box, so a copy on other boxes reads the
-        # entry's own scalar pair once the entry has built it.
+    def test_copy_shares_the_scalar_pair(self, monkeypatch):
+        # Scalarizing probes no box, so a copy on other boxes scalarizes
+        # the entry's own Lax pair to an equal pair.  The copy shares the
+        # pair's swapped system and the walk matrix of each, and numbers
+        # no kernel of A and dA/dt: only decompose's and the coefficient
+        # kernel, on its own boxes.
         entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
         sp = entry.decomposition.sp
+        swapped = entry.lax.swapped
+        walks = (entry.lax.a_dadt_array, swapped.a_dadt_array)
+        numbered, real_init = [], fe.Kernel.__init__
+        monkeypatch.setattr(fe.Kernel, "__init__", lambda kernel, *args: numbered.append(args)
+                            or real_init(kernel, *args))
         copy = entry.with_boxes(Config(box_t=(0.8, 1.8, -0.1, 0.3)))
         assert copy is not entry
-        assert copy.lax.scalar_pair("first") is sp
-        assert copy.decomposition.sp is sp
+        assert copy.lax is entry.lax and copy.lax.swapped is swapped
+        assert copy.decomposition.sp == sp
+        assert copy.decomposition.sp.system is entry.lax
+        copy.decomposition._coeff_array
+        assert (copy.lax.a_dadt_array, copy.lax.swapped.a_dadt_array) == walks
+        assert [len(args[0]) for args in numbered] == [4, 6]
 
 
 # The components whose scalar pair ``decompose`` accepts, per matrix entry
@@ -401,13 +413,15 @@ class TestComponentChoice:
         got = []
         for component in ("first", "second"):
             try:
-                reduction.decompose(entry.lax.scalar_pair(component), entry.box_x, entry.box_t)
+                reduction.decompose(scalarize.scalar_coefficients(entry.lax, component),
+                                    entry.box_x, entry.box_t)
             except (scalarize.ScalarizeError, reduction.DecompositionError):
                 continue
             got.append(component)
         assert got == accepted
         if accepted:
-            assert chosen is entry.lax.scalar_pair(accepted[0])
+            assert chosen == scalarize.scalar_coefficients(entry.lax, accepted[0])
+            assert chosen.system is (entry.lax if accepted[0] == "first" else entry.lax.swapped)
             assert chosen.component == accepted[0]
             assert choosing == ["first", "second"][:1 + (accepted[0] == "second")]
         else:

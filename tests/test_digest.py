@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "4f582cdfa9b4bc70518721847be718c490fa3ad4e3bd7ed1ed190ed40efeb48d"
+PINNED = "dda170427669709e0b6aed31bca83460fdf4979a1bc29508de58b221a707f6f5"
 
 
 def _load(monkeypatch, path: Path, name: str):

@@ -229,6 +229,15 @@ class TestDifferentiateRootSets:
         assert fe.differentiate((), "t") == ()
 
 
+def frobenius_systems(entry):
+    """The systems whose Frobenius kernel a report on ``entry`` numbers: the
+    one its Frobenius stage checks (the Lax pair, or a direct pair's
+    companion system), then the leg's system when that is another (a
+    swapped system)."""
+    checked, leg = entry.lax or entry.scalar.system, entry.decomposition.sp.system
+    return (checked,) if leg is checked else (checked, leg)
+
+
 class TestTapeNumbering:
     """``Kernel`` numbers in its own pass and keys a constant on its bits,
     slot for slot as :func:`_reference_tape` numbers."""
@@ -257,18 +266,17 @@ class TestTapeNumbering:
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
         # Each kernel a report keeps, from its roots: the coefficients with
-        # G, h and f, the flow, the Frobenius residuals with A and dA/dt,
-        # and the walk matrix, A and dA/dt alone, of a leg's system that is
-        # not the Lax pair (a swapped or a companion system).
+        # G, h and f, the flow, and the Frobenius residuals with A and
+        # dA/dt of the system the report checks (the Lax pair or a direct
+        # pair's companion system) and of the leg's system when that is
+        # another (a swapped system).
         entry = catalog.lookup(entry_id)
-        dec, systems = entry.decomposition, entry.decomposition.sp.system
+        dec = entry.decomposition
         tapes = [(dec._coeff_array, (*dec._coeff_array.expr, *dec._coeff_array.view(3).expr), 3),
                  (entry.flow_fns, entry.flow_fns.expr, None)]
-        if entry.lax is not None:
-            frobenius = entry.lax.frobenius_fns
-            tapes.append((frobenius, (*frobenius.expr, *entry.lax.a_dadt_array.expr), 4))
-        if systems is not entry.lax:
-            tapes.append((systems.a_dadt_array, systems.a_dadt_array.expr, None))
+        for system in frobenius_systems(entry):
+            frobenius = system.frobenius_fns
+            tapes.append((frobenius, (*frobenius.expr, *system.a_dadt_array.expr), 4))
         for kernel, roots, n_out in tapes:
             _assert_reference_numbering(roots, n_out)
             assert kernel.lines == fe.Kernel(roots, n_out).lines

@@ -31,7 +31,8 @@ import pytest
 import fuchsreduce
 from fuchsreduce import catalog, expr as fe, reduction, verify
 from fuchsreduce.config import Config
-from test_expr import _compile_text, _n_statements, _single_use_statements, _stage_ops, compiled
+from test_expr import (_compile_text, _n_statements, _single_use_statements, _stage_ops, compiled,
+                       frobenius_systems)
 from test_bench_contract import _load_bench
 
 ALL_WITH_NEGATIVE = catalog.list_entries() + catalog.list_negative_entries()
@@ -148,8 +149,9 @@ class TestKernelLifetime:
     def test_fresh_report_numbers_five_kernels(self, monkeypatch, family):
         # A fresh report on a family the param-sweep workload varies, at a
         # value no default has, numbers five kernels, one per owner: the
-        # flow's, the Frobenius kernel or the direct pair's companion
-        # systems (A and dA/dt), decompose's, the frame fit's and the
+        # flow's, the Frobenius kernel of the entry's system (the Lax pair
+        # or the direct pair's companion system), whose view is the leg's
+        # walk matrix, decompose's, the frame fit's and the
         # decomposition's.  Scalarizing numbers none.
         entry_id, name = family
         value = catalog.lookup(entry_id).params_exact[name] + Fraction(1, 4096)
@@ -170,11 +172,11 @@ class TestKernelLifetime:
         assert rep.passed, rep.errors
         (entry,) = entries
         dec = entry.decomposition
-        owners = {id(entry.flow_fns): "flow", id(dec._coeff_array): "decomposition"}
-        if entry.lax is not None:
-            owners[id(entry.lax.frobenius_fns)] = "Frobenius"
-        else:
-            owners[id(dec.sp.system.a_dadt_array)] = "companion A, dA/dt"
+        system = entry.lax or entry.scalar.system
+        assert dec.sp.system is system
+        assert system.a_dadt_array.lines is system.frobenius_fns.lines
+        owners = {id(entry.flow_fns): "flow", id(dec._coeff_array): "decomposition",
+                  id(system.frobenius_fns): "Frobenius"}
 
         def owner(kernel):
             if kernel.exprs[0] is dec.sp.p2 and len(kernel.exprs) == 4:
@@ -183,9 +185,33 @@ class TestKernelLifetime:
                 return "frame"
             return owners.get(id(kernel), "other")
 
-        systems = "Frobenius" if entry.lax is not None else "companion A, dA/dt"
         assert sorted(map(owner, numbered)) == sorted(
-            ["flow", systems, "decompose", "frame", "decomposition"])
+            ["flow", "Frobenius", "decompose", "frame", "decomposition"])
+
+    def test_second_component_report_numbers_seven_kernels(self, monkeypatch):
+        # PII.y_inv_t reduces through its second component: a fresh report
+        # numbers decompose's kernel for each component, and the leg walks
+        # the swapped system through a Frobenius kernel of its own, which
+        # the Lax pair's does not serve.
+        entry = catalog.lookup("PII.y_inv_t", dict(catalog.lookup("PII.y_inv_t").params_exact))
+        monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
+        numbered, real_init = [], fe.Kernel.__init__
+
+        def recording_init(kernel, e, n_out=None):
+            real_init(kernel, e, n_out)
+            numbered.append(kernel)
+
+        monkeypatch.setattr(fe.Kernel, "__init__", recording_init)
+        rep = verify.full_report("PII.y_inv_t", Config(seed=1))
+        assert rep.passed, rep.errors
+        lax, dec = entry.lax, entry.decomposition
+        assert dec.sp.system is lax.swapped
+        assert lax.swapped.a_dadt_array.lines is lax.swapped.frobenius_fns.lines
+        ids = [id(kernel) for kernel in numbered]
+        assert len(ids) == 7
+        for kept in (entry.flow_fns, lax.frobenius_fns, lax.swapped.frobenius_fns,
+                     dec._coeff_array):
+            assert id(kept) in ids
 
     def test_three_reports_compile_nothing(self, monkeypatch):
         # On a fresh copy of each entry, served as the entry by lookup,
@@ -203,9 +229,9 @@ class TestKernelLifetime:
                 verify.full_report(entry_id, Config(seed=seed))
             assert compiled == [], entry_id
             dec, systems = entry.decomposition, entry.decomposition.sp.system
-            if systems is entry.lax:
-                # The walk matrix is a view of the Frobenius kernel.
-                assert systems.a_dadt_array.lines is entry.lax.frobenius_fns.lines
+            # Every leg's walk matrix is a view of its system's Frobenius
+            # kernel.
+            assert systems.a_dadt_array.lines is systems.frobenius_fns.lines
             assert "_coeff_stages" not in dec.__dict__, entry_id
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
@@ -418,11 +444,10 @@ class TestKernelLifetime:
         # reader that is not an add (or is one of the outputs).  A fresh
         # entry, so no other test meets the kernels compiled here.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
-        dec, systems = entry.decomposition, entry.decomposition.sp.system
-        kernels = [dec._coeff_array, dec._hf_array, dec._coeff_array.view(3), entry.flow_fns,
-                   systems.a_dadt_array]
-        if entry.lax is not None:
-            kernels.append(entry.lax.frobenius_fns)
+        dec = entry.decomposition
+        kernels = [dec._coeff_array, dec._hf_array, dec._coeff_array.view(3), entry.flow_fns]
+        for system in frobenius_systems(entry):
+            kernels += [system.frobenius_fns, system.a_dadt_array]
         for kernel in kernels:
             assert [row[0] for row in kernel._x_rows + kernel._xt_rows] == \
                 [line[0] for line in sorted(kernel.fused, key=lambda line: line[5] != fe._X_DEP)]
@@ -452,20 +477,17 @@ class TestKernelLifetime:
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
         # Each kernel of a fresh entry compiles to the text of a kernel of
         # its expressions alone.  A view whose outputs are not the first
-        # roots of the kernel it shares (the walk matrix of a Lax pair,
+        # roots of the kernel it shares (the walk matrix of every system,
         # (G, h, f) and (h, f)) numbers its lines in the shared order: it
         # compiles as many lines as a kernel of its expressions alone, to
         # the same values.
         entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
-        dec, systems = entry.decomposition, entry.decomposition.sp.system
+        dec = entry.decomposition
         kernels = [dec._coeff_array, entry.flow_fns]
         views = [dec._coeff_array.view(3), dec._hf_array]
-        if entry.lax is not None:
-            kernels.append(entry.lax.frobenius_fns)
-            views.append(entry.lax.a_dadt_array)
-        if systems is not entry.lax:
-            # The walk matrix of a swapped or companion system.
-            kernels.append(systems.a_dadt_array)
+        for system in frobenius_systems(entry):
+            kernels.append(system.frobenius_fns)
+            views.append(system.a_dadt_array)
         sources = []
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
                             or compile(src, *args), raising=False)
@@ -536,8 +558,8 @@ class TestKernelLifetime:
 
     def test_box_override_decomposes_afresh(self):
         # An override is a copy of the entry on the run's boxes, which
-        # decomposes on its own boxes the scalar pair it shares with the
-        # entry: scalarizing probes no box.
+        # decomposes on its own boxes a scalar pair equal to the entry's,
+        # of the same system: scalarizing probes no box.
         entry = catalog.lookup("PII.y0")
         sp = entry.decomposition.sp
         prep = verify.prepare(entry, Config(box_x=(1.2, 2.4, -0.1, 0.1)))
@@ -545,15 +567,17 @@ class TestKernelLifetime:
         assert prep.entry.box_x == catalog.ComplexRect(1.2, 2.4, -0.1, 0.1)
         assert prep.red.dec is not entry.decomposition
         assert prep.red.dec is prep.entry.decomposition
-        assert prep.red.dec.sp is sp
+        assert prep.red.dec.sp == sp
+        assert prep.red.dec.sp.system is sp.system is entry.lax
 
     @pytest.mark.parametrize("entry_id, box_t", [
         ("PIII.y1", (0.6, 1.6, -0.2, 0.2)), ("PVdeg.kitaev_sqrt", (0.7, 1.7, -0.2, 0.2))])
     def test_box_override_compiles_only_its_decomposition(self, monkeypatch, entry_id, box_t):
-        # The copy on the run's boxes keeps the entry's flow kernel and
-        # scalar pair, with the system it is the first component of (with
-        # the Kitaev pair's kernel of A, dA/dt); only the decomposition
-        # probes the boxes.  Its report is
+        # The copy on the run's boxes keeps the entry's flow kernel and its
+        # Lax pair or direct scalar pair, so it reduces an equal scalar
+        # pair of the same system, whose Frobenius kernel (the walk
+        # matrix's too) it shares; only the decomposition probes the
+        # boxes.  Its report is
         # the one of a copy that builds everything afresh.  Two reports on
         # the entry first, each with the entry's record cleared, so that the
         # stages it certifies once (the Frobenius grid and cross-validation)
@@ -577,9 +601,11 @@ class TestKernelLifetime:
         assert json.dumps(verify.full_report(entry_id, config).to_json()) == afresh
         copy = entry.with_boxes(config)
         assert copy.flow_fns is entry.flow_fns
-        assert copy.decomposition.sp is entry.decomposition.sp
+        assert copy.decomposition.sp == entry.decomposition.sp
         systems = entry.decomposition.sp.system
+        assert copy.decomposition.sp.system is systems
         assert copy.decomposition.sp.system.a_dadt_array is systems.a_dadt_array
+        assert systems.frobenius_fns is (copy.lax or copy.scalar.system).frobenius_fns
         # Every kernel it calls runs in array form.
         assert compiled == []
         # Nothing is carried that the entry has not built.

@@ -86,7 +86,8 @@ class TestDecompose:
         # q2 = R + M (f + t h): through the second component it is the
         # constant 0 (to rounding at the two t it compares).
         entry = catalog.lookup(entry_id)
-        dec = reduction.decompose(entry.lax.scalar_pair("second"), entry.box_x, entry.box_t)
+        dec = reduction.decompose(scalarize.scalar_coefficients(entry.lax, "second"),
+                                  entry.box_x, entry.box_t)
         assert dec.exponent_A is not None
         assert abs(dec.exponent_A) <= 1e-12
 
@@ -521,7 +522,8 @@ class TestGauge:
         (b11, _), (b21, _) = entry.lax.b
         core = a11 - b11 * a21 / b21
         probes = joint_probes(entry.box_x, entry.box_t, 8)
-        assert fe.numerically_zero(walked(entry.lax.scalar_pair("second").q2 + core, probes),
+        second = scalarize.scalar_coefficients(entry.lax, "second")
+        assert fe.numerically_zero(walked(second.q2 + core, probes),
                                    tol=1e-12, reference=walked(core, probes))
 
 

@@ -108,13 +108,28 @@ class TestFrobenius:
         {"mu": Fraction(-6)}, {"mu": Fraction(11, 2)},
     ])
     def test_kitaev_systems_are_compatible(self, overrides):
-        # full_report runs no Frobenius stage on the Kitaev pair, whose
-        # systems are built from its scalar pair (``ScalarPair.system``);
-        # this gates them instead.  Largest reading 7.5e-14, at kappa = -6
-        # (6.7e-15 at the defaults).
+        # The report's Frobenius stage checks the Kitaev pair's companion
+        # system (``ScalarPair.system``), on the entry's grid.  Largest
+        # reading 1.0e-13, at kappa = -6 (4.5e-15 at the defaults).
+        rep = verify.full_report("PVdeg.kitaev_sqrt", overrides=overrides)
         entry = catalog.lookup("PVdeg.kitaev_sqrt", overrides)
         worst = scalarize.frobenius_residual_grid(entry.scalar.system, entry.grid_points())
-        assert worst <= Config().tol_frobenius
+        assert rep.frobenius_max == worst <= Config().tol_frobenius
+        assert rep.passed, rep.errors
+
+    def test_kitaev_system_with_wrong_q2_fails_the_report(self, monkeypatch):
+        # A companion system built from a q2 off by 1e-3 x is not
+        # compatible: the report fails on its Frobenius gate (2.0e-2).
+        entry = catalog.lookup("PVdeg.kitaev_sqrt")
+        sp = entry.scalar
+        q2 = sp.q2 + 1e-3 * X
+        wrong = dataclasses.replace(sp, q2=q2, system=catalog._companion_system(
+            sp.p1, sp.q1, sp.p2, q2))
+        monkeypatch.setattr(catalog, "lookup",
+                            lambda *_: dataclasses.replace(entry, scalar=wrong))
+        rep = verify.full_report("PVdeg.kitaev_sqrt")
+        assert rep.frobenius_max > 100 * rep.tolerances["frobenius"]
+        assert not rep.passed
 
 
 class TestOffDiagonalPair:
@@ -272,8 +287,8 @@ class TestScalarCoefficients:
         real_init = fe.Kernel.__init__
         monkeypatch.setattr(fe.Kernel, "__init__", lambda kernel, *args: numbered.append(args)
                             or real_init(kernel, *args))
-        entry.lax.scalar_pair("first")
-        entry.lax.scalar_pair("second")
+        scalarize.scalar_coefficients(entry.lax, "first")
+        scalarize.scalar_coefficients(entry.lax, "second")
         assert numbered == []
 
     @pytest.mark.parametrize("entry_id", LAX_IDS)

@@ -746,10 +746,13 @@ class TestCrossValidate:
 
     def test_singular_coefficient_names_the_leg(self):
         # kappa t + 1 = 0 at the stage's t = 1 when kappa = -1: q1 and the
-        # t-system have a pole for every x.
+        # t-system have a pole for every x.  The Frobenius grid holds t = 1
+        # too, so that stage fails first.
         rep = verify.full_report("PVdeg.kitaev_sqrt", overrides={"kappa": Fraction(-1)})
-        assert rep.errors == ["cross-validation: singular coefficient on the leg "
+        assert rep.errors == ["frobenius: division by zero",
+                              "cross-validation: singular coefficient on the leg "
                               "[1.8+0j, 2.4+0j] at t = 1+0j: division by zero"]
+        assert rep.frobenius_max is None
         assert rep.cross_validation_residual is None
 
     def test_leg_reads_the_component_its_decomposition_reduced(self, prep):
@@ -1191,8 +1194,7 @@ class TestCertifiedRecord:
     def test_warm_record_reports_as_a_fresh_entry(self, monkeypatch, entry_id):
         entry = catalog.lookup(entry_id)
         verify.full_report(entry_id)
-        assert set(entry.certified) == ({"frame", "x0", "cross-validation"}
-                                        | ({"frobenius"} if entry.lax is not None else set()))
+        assert set(entry.certified) == set(self.STAGES)
         calls = []
 
         def counted(name, fn):

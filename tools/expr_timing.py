@@ -45,8 +45,9 @@ times; the minimum is the reading, the median and maximum show its spread:
   checks a report makes, on kernels that have run before: the flow
   kernel's array form at the 16 t of ``entry.box_t.diagonal(16)``, for the
   9 entries with the negative control, and the Frobenius kernel's array
-  form on the 25-point grid (``entry.grid_points()``) of the 7 entries
-  with a Lax pair; ``point: flow`` and ``point: Frobenius`` are the same
+  form on the 25-point grid (``entry.grid_points()``) of the system of each
+  of the 8 entries (its Lax pair, or the companion system of its direct
+  scalar pair); ``point: flow`` and ``point: Frobenius`` are the same
   values from the compiled code of the kernels (``expr.compile_expr``),
   one staged call per point (the form the flow and Frobenius stages
   called before they ran the array form);
@@ -191,9 +192,8 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
     grids = []
     for entry_id in catalog.list_entries():
         entry = catalog.lookup(entry_id)
-        if entry.lax is not None:
-            xs, ts = (np.array(v, dtype=complex) for v in zip(*entry.grid_points()))
-            grids.append((entry.lax.frobenius_fns, xs, ts))
+        xs, ts = (np.array(v, dtype=complex) for v in zip(*entry.grid_points()))
+        grids.append(((entry.lax or entry.scalar.system).frobenius_fns, xs, ts))
 
     def batch(calls):
         def run():
