@@ -126,49 +126,33 @@ class LaxPair:
 
     A matrix entry's pair is traceless by construction
     (:func:`_matrix_entry`); a direct scalar pair's companion system
-    (:func:`_companion_system`) is not.  Its dA/dt, its Frobenius kernel
-    and its swapped system are built on first use.
+    (:func:`_companion_system`) is not.  Its kernel and its swapped system
+    are built on first use.
 
-    The Frobenius residuals read every entry of A and of dA/dt, so the
-    Frobenius kernel numbers the four residuals and then A's and dA/dt's
-    entries, which adds no line to the residuals' own.  The walk matrix
-    ``a_dadt_array`` is a view of it (``expr.Kernel.view``) that runs only
-    the lines A and dA/dt read, so a pole of B never rejects a leg panel.
-    Every system walks and is checked through that one kernel: a report's
-    Frobenius stage and a cross-validation leg on the same system share
-    it."""
+    The kernel numbers the eight entries, B's and then A's, and every
+    system is checked and walked through it, from first-order jets
+    (``expr._walked_jets``) with no derivative built: a report's Frobenius
+    stage reads the jets of all eight (A_t and B_x), and a cross-validation
+    leg on the same system those of its ``view(4)`` (A and A_t), whose
+    array form runs only the lines A reads, so a pole of B never rejects a
+    leg panel."""
 
     a: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
     b: tuple[tuple[Expr, Expr], tuple[Expr, Expr]]
 
     @cached_property
-    def dadt(self) -> tuple[Expr, Expr, Expr, Expr]:
-        """dA/dt as (a11, a12, a21, a22), built once for both kernels."""
-        return fe.differentiate((*self.a[0], *self.a[1]), "t")
-
-    @cached_property
-    def a_dadt_array(self) -> fe.Kernel:
-        """The kernel of (a11, a12, a21, a22) and then the same entries of
-        dA/dt: the ``matrix`` of a linear-system walk."""
-        return self.frobenius_fns.view(4)
+    def kernel(self) -> fe.Kernel:
+        """The kernel of (b11, b12, b21, b22, a11, a12, a21, a22)."""
+        return fe.Kernel((*self.b[0], *self.b[1], *self.a[0], *self.a[1]))
 
     @cached_property
     def swapped(self) -> "LaxPair":
         """The system of (phi2, phi1): A and B with both indices swapped,
         compatible exactly when this one is.  Built on first use and kept,
-        so every holder of this pair shares it and its kernels."""
+        so every holder of this pair shares it and its kernel."""
         (a11, a12), (a21, a22) = self.a
         (b11, b12), (b21, b22) = self.b
         return LaxPair(((a22, a21), (a12, a11)), ((b22, b21), (b12, b11)))
-
-    @cached_property
-    def frobenius_fns(self) -> fe.Kernel:
-        """The kernel of the four entries of dA/dt - dB/dx + [A, B], which
-        also numbers those of A and dA/dt for ``a_dadt_array``; its array
-        form gives, bit for bit, the values of the array forms of one
-        kernel per entry."""
-        return fe.Kernel((*scal.frobenius_residual_exprs(self),
-                          *self.a[0], *self.a[1], *self.dadt), 4)
 
 
 @dataclass(kw_only=True)

@@ -528,11 +528,12 @@ def _jets(kernel: Kernel, xs: np.ndarray, ts: np.ndarray
     ``differentiate`` folds it to the constant 0, and a line whose
     operands all have it is not derived.
     Evaluated under ``np.errstate(all="ignore")``: a value is NaN at each
-    point where some line's is not finite (their sum is not), and
-    everywhere when the run raises (a zero base to a non-positive
-    fractional power, or a constant line dividing by zero), so a singular
-    point is never hidden behind a finite value (1 / inf); the caller
-    decides (:func:`_finite`)."""
+    point where some line's is not finite (their sum is not), and a value
+    and its gradient are NaN everywhere when the run raises (a zero base
+    to a non-positive fractional power, or a constant line dividing by
+    zero), so a singular point is never hidden behind a finite value
+    (1 / inf) or behind a gradient the run never reached; the caller
+    decides (:func:`_finite`, :func:`_walked_jets`)."""
     shape = np.broadcast(xs, ts).shape
     vals, grads = kernel.start.copy(), [None] * len(kernel.start)
     vals[0], vals[1] = xs, ts
@@ -550,7 +551,8 @@ def _jets(kernel: Kernel, xs: np.ndarray, ts: np.ndarray
                     grads[slot] = row.jet(v, c0, c1, d0, d1, q)
             bad = ~np.isfinite(sum([vals[line[0]] for line in kernel.fused], 0j))
     except ArithmeticError:
-        vals, grads, bad = [0j] * len(vals), [None] * len(vals), True
+        nan = np.full((2, 1), np.nan, dtype=complex)
+        vals, grads, bad = [0j] * len(vals), [nan] * len(vals), True
 
     def rows(slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # np.broadcast_to costs microseconds: only where a shape falls short.
@@ -561,6 +563,22 @@ def _jets(kernel: Kernel, xs: np.ndarray, ts: np.ndarray
         return np.where(bad, np.nan, value), *grad
 
     return [rows(slot) for slot in kernel.outputs]
+
+
+def _walked_jets(kernel: Kernel, xs, ts) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The jets of :func:`_jets`, with each output's value walked
+    (:func:`_finite`) at each point where it is not finite: a singular
+    point raises the walk's exception, the one a loop of :func:`evaluate`
+    over the outputs, in order, and the points raises first.  Where the
+    walk gives a value, the gradient stays as the jets give it, so a value
+    that is finite where its derivative is not (a square root at zero)
+    leaves the gradient not finite for the caller to read."""
+    jets = _jets(kernel, xs, ts)
+    if np.isfinite([value for value, _, _ in jets]).all():
+        return jets
+    exprs = kernel.expr if isinstance(kernel.expr, tuple) else (kernel.expr,)
+    xs, ts = np.broadcast_arrays(xs, ts)
+    return [(_finite(e, value, xs, ts), dx, dt) for e, (value, dx, dt) in zip(exprs, jets)]
 
 
 def _sample(kernel: Kernel, xs: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:

@@ -23,7 +23,9 @@ The second component is the first of the swapped system, the system of
 both.  Scalarizing is symbolic: it evaluates nothing, and the one numeric
 check of its hypothesis, that the off-diagonal entries feeding it do not
 vanish, is made by ``reduction.decompose`` from its first array call.
-Only the Frobenius residuals are evaluated here.
+Only the Frobenius defect is evaluated here, numerically, from the
+first-order jets of the system's eight entries
+(:func:`frobenius_residual_grid`).
 """
 
 from __future__ import annotations
@@ -87,35 +89,23 @@ class ScalarPair:
             raise ValueError("component must be 'first' or 'second'")
 
 
-def _matmul(a, b):
-    return (
-        (
-            fe.add(fe.mul(a[0][0], b[0][0]), fe.mul(a[0][1], b[1][0])),
-            fe.add(fe.mul(a[0][0], b[0][1]), fe.mul(a[0][1], b[1][1])),
-        ),
-        (
-            fe.add(fe.mul(a[1][0], b[0][0]), fe.mul(a[1][1], b[1][0])),
-            fe.add(fe.mul(a[1][0], b[0][1]), fe.mul(a[1][1], b[1][1])),
-        ),
-    )
-
-
-def frobenius_residual_exprs(lp: "LaxPair") -> list[Expr]:
-    """The four entries of dA/dt - dB/dx + AB - BA, on ``lp.dadt``."""
-    a, b = lp.a, lp.b
-    ab, ba = _matmul(a, b), _matmul(b, a)
-    dbdx = fe.differentiate((*b[0], *b[1]), "x")
-    return [fe.add(fe.sub(lp.dadt[k], dbdx[k]), fe.sub(ab[k // 2][k % 2], ba[k // 2][k % 2]))
-            for k in range(4)]
-
-
 def frobenius_residual_grid(lp: "LaxPair", points: Sequence[tuple[complex, complex]]) -> float:
-    """Max-entry modulus of the integrability defect over ``points``, from
-    one array call of ``lp.frobenius_fns``, NaN if one is NaN (as in
-    :func:`catalog.flow_residual`).  Zero (to rounding) exactly when the two
-    linear systems are jointly solvable near every point."""
+    """Max-entry modulus of the integrability defect dA/dt - dB/dx + AB - BA
+    over ``points``, NaN if one is NaN (as in :func:`catalog.flow_residual`),
+    from one run of the jets of ``lp.kernel`` (``expr._walked_jets``): A_t
+    and B_x are the jets' gradients, so no derivative is built.  Zero (to
+    rounding) exactly when the two linear systems are jointly solvable near
+    every point.  A singular entry raises the walk's exception; an entry
+    that is finite where its derivative is not gives a reading that is not
+    finite (inf for a square root at zero, NaN for a fractional power)."""
     xs, ts = (np.array(v, dtype=complex) for v in zip(*points))
-    return float(np.abs(lp.frobenius_fns(xs, ts)).max())
+    jets = fe._walked_jets(lp.kernel, xs, ts)
+    b, b_x = (np.reshape([jet[k] for jet in jets[:4]], (2, 2, -1)) for k in (0, 1))
+    a, a_t = (np.reshape([jet[k] for jet in jets[4:]], (2, 2, -1)) for k in (0, 2))
+    with np.errstate(all="ignore"):
+        defect = a_t - b_x + np.einsum("ikn,kjn->ijn", a, b) - np.einsum("ikn,kjn->ijn", b, a)
+    # np.max, unlike max, keeps a NaN.
+    return float(np.abs(defect).max())
 
 
 def scalar_coefficients(lp: "LaxPair", component: str = "first") -> ScalarPair:

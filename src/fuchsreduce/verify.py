@@ -362,6 +362,21 @@ _PHI0 = (1.0 + 0j, 0.4 + 0.1j)
 _MU_POINTS = 9
 
 
+def _leg_matrix(system: cat.LaxPair, t: complex):
+    """The ``matrix`` of a walk of ``system`` at fixed t
+    (``expr._walk_panels``): at panel points z, A's entries and then
+    A_t's, the values and t-gradients of the jets of ``system.kernel``'s
+    view of A (``expr._walked_jets``), so a pole of A on a panel node
+    raises the walk's exception."""
+    view = system.kernel.view(4)
+
+    def matrix(z):
+        jets = fe._walked_jets(view, z, t)
+        return [value for value, _, _ in jets] + [a_t for _, _, a_t in jets]
+
+    return matrix
+
+
 def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
               ) -> fe._PiecewiseChebyshev:
     """One solution of the system the decomposed scalar pair is the first
@@ -370,24 +385,23 @@ def _walk_leg(prep: Prepared, t: complex, x0: complex, x1: complex
 
     On the panel walker (``expr._walk_panels``) it solves Phi' = A Phi
     from Phi(x0) = ``_PHI0`` together with the t-variation
-    Psi' = A Psi + (dA/dt) Phi from Psi(x0) = B(x0, t) Phi(x0).  So Psi is
-    the exact t-derivative of the solutions transported in t; it equals
-    B Phi along the segment only where the two systems are compatible.
-    Returns the dense output over the arclength [0, |x1 - x0|], with rows
+    Psi' = A Psi + (dA/dt) Phi from Psi(x0) = B(x0, t) Phi(x0), with A and
+    dA/dt from :func:`_leg_matrix` and B from the first four outputs of
+    one call of the system's kernel at (x0, t).  So Psi is the exact
+    t-derivative of the solutions transported in t; it equals B Phi along
+    the segment only where the two systems are compatible.  Returns the
+    dense output over the arclength [0, |x1 - x0|], with rows
     (Phi1, Phi2, Psi1, Psi2).  A singular coefficient raises the one-point
-    walk's exception (``expr.evaluate``), from the kernel's batch on a panel
-    as from B at the start; a segment of zero
-    length, an unresolved panel, an exhausted panel budget or a non-finite
-    coefficient or solution value raises :class:`expr.QuadratureError`."""
-    systems = prep.red.dec.sp.system
+    walk's exception (``expr.evaluate``), on a panel as at the start; a
+    segment of zero length, an unresolved panel, an exhausted panel budget
+    or a non-finite coefficient or solution value raises
+    :class:`expr.QuadratureError`."""
+    system = prep.red.dec.sp.system
     x0, x1, t = complex(x0), complex(x1), complex(t)
-    # B's four entries, walked in order on one memo of the walk.
-    at, memo = fe.Binding(x0, t), {}
-    b11, b12, b21, b22 = (fe._evaluate(e, at, memo) for row in systems.b for e in row)
+    b11, b12, b21, b22 = (v[0] for v in system.kernel(np.array([x0]), np.array([t]))[:4])
     u, v = _PHI0
     start = (u, v, b11 * u + b12 * v, b21 * u + b22 * v)
-    a_dadt = systems.a_dadt_array
-    return fe._walk_panels((), x0, x1, fe._ATOL, (lambda z: a_dadt(z, t), start))
+    return fe._walk_panels((), x0, x1, fe._ATOL, (_leg_matrix(system, t), start))
 
 
 def cross_validate(prep: Prepared) -> float:

@@ -347,13 +347,13 @@ class TestWithBoxes:
     def test_copy_shares_the_scalar_pair(self, monkeypatch):
         # Scalarizing probes no box, so a copy on other boxes scalarizes
         # the entry's own Lax pair to an equal pair.  The copy shares the
-        # pair's swapped system and the walk matrix of each, and numbers
-        # no kernel of A and dA/dt: only decompose's and the coefficient
-        # kernel, on its own boxes.
+        # pair's swapped system and the kernel of each, and numbers no
+        # kernel of a system: only decompose's and the coefficient kernel,
+        # on its own boxes.
         entry = catalog.lookup("PIII.y1", dict(catalog.lookup("PIII.y1").params_exact))
         sp = entry.decomposition.sp
         swapped = entry.lax.swapped
-        walks = (entry.lax.a_dadt_array, swapped.a_dadt_array)
+        walks = (entry.lax.kernel, swapped.kernel)
         numbered, real_init = [], fe.Kernel.__init__
         monkeypatch.setattr(fe.Kernel, "__init__", lambda kernel, *args: numbered.append(args)
                             or real_init(kernel, *args))
@@ -363,7 +363,7 @@ class TestWithBoxes:
         assert copy.decomposition.sp == sp
         assert copy.decomposition.sp.system is entry.lax
         copy.decomposition._coeff_array
-        assert (copy.lax.a_dadt_array, copy.lax.swapped.a_dadt_array) == walks
+        assert (copy.lax.kernel, copy.lax.swapped.kernel) == walks
         assert [len(args[0]) for args in numbered] == [4, 6]
 
 

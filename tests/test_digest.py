@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "dda170427669709e0b6aed31bca83460fdf4979a1bc29508de58b221a707f6f5"
+PINNED = "fbaf64f9ca3eeb569f359e4aeead7e52056dd11ff5e00b4f4e048e3c77a7edfc"
 
 
 def _load(monkeypatch, path: Path, name: str):

@@ -230,7 +230,7 @@ class TestDifferentiateRootSets:
 
 
 def frobenius_systems(entry):
-    """The systems whose Frobenius kernel a report on ``entry`` numbers: the
+    """The systems whose kernel a report on ``entry`` numbers: the
     one its Frobenius stage checks (the Lax pair, or a direct pair's
     companion system), then the leg's system when that is another (a
     swapped system)."""
@@ -266,17 +266,16 @@ class TestTapeNumbering:
     @pytest.mark.parametrize("entry_id", _ALL_ENTRIES)
     def test_shipped_kernels_match_the_reference_numbering(self, entry_id):
         # Each kernel a report keeps, from its roots: the coefficients with
-        # G, h and f, the flow, and the Frobenius residuals with A and
-        # dA/dt of the system the report checks (the Lax pair or a direct
-        # pair's companion system) and of the leg's system when that is
-        # another (a swapped system).
+        # G, h and f, the flow, and the entries of B and A of the system
+        # the report checks (the Lax pair or a direct pair's companion
+        # system) and of the leg's system when that is another (a swapped
+        # system).
         entry = catalog.lookup(entry_id)
         dec = entry.decomposition
         tapes = [(dec._coeff_array, (*dec._coeff_array.expr, *dec._coeff_array.view(3).expr), 3),
                  (entry.flow_fns, entry.flow_fns.expr, None)]
         for system in frobenius_systems(entry):
-            frobenius = system.frobenius_fns
-            tapes.append((frobenius, (*frobenius.expr, *system.a_dadt_array.expr), 4))
+            tapes.append((system.kernel, system.kernel.expr, None))
         for kernel, roots, n_out in tapes:
             _assert_reference_numbering(roots, n_out)
             assert kernel.lines == fe.Kernel(roots, n_out).lines
@@ -992,7 +991,8 @@ class TestArrayForm:
 
     def test_matches_scalar_on_catalog_coefficients(self, prep):
         # The walk matrix (A, then dA/dt) of the leg's system of three
-        # entries; PVdeg's is the companion system of its direct scalar
+        # entries, A from the array form of the view of A and dA/dt from
+        # its jets; PVdeg's is the companion system of its direct scalar
         # pair, with constant entries.
         rng = np.random.default_rng(3)
         for entry_id in ("PIII.y1", "PV.y_m1", "PVdeg.kitaev_sqrt"):
@@ -1003,7 +1003,9 @@ class TestArrayForm:
             xs = (rng.uniform(box.re_lo, box.re_hi, 50)
                   + 1j * rng.uniform(box.im_lo, box.im_hi, 50))
             ts = rng.uniform(0.5, 1.5, 50) + 0j
-            got = called_twice(fe.Kernel(systems.a_dadt_array.expr), xs, ts)
+            view = systems.kernel.view(4)
+            got = [*called_twice(fe.Kernel(view.expr), xs, ts),
+                   *(a_t for _, _, a_t in fe._walked_jets(view, xs, ts))]
             want = np.array([scalar(x, t) for x, t in zip(xs.tolist(), ts.tolist())]).T
             assert len(got) == 8 and all(g.shape == (50,) for g in got)
             scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))

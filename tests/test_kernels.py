@@ -7,11 +7,13 @@ a prepare call owns only its memos.  An expression kernel
 for bit the values of its compiled lines run on the same arrays; a batch
 that raises or is not finite is answered by the one-point walk, and
 compiled code serves ``coefficients_at`` alone.  Every kernel a report
-calls runs in batch form, the flow and Frobenius kernels included, so no
-report compiles anything, a fresh entry's or a warm one's; the Frobenius
-kernel and the walk matrix (A, dA/dt) share one numbering, the second a
-view of the first, as do the kernels of (h, f) and of G.  An override entry takes its kernels with it
-when it is collected, and no report depends on what ran before it.
+calls runs in batch form or as jets, the flow's and its system's
+included, so no report compiles anything, a fresh entry's or a warm
+one's; a system's one kernel of its eight entries serves its Frobenius
+stage and, through a view of A, its leg's walk matrix, and the kernels of
+(h, f) and of G are views of the decomposition's.  An override entry
+takes its kernels with it when it is collected, and no report depends on
+what ran before it.
 """
 
 import cmath
@@ -104,13 +106,13 @@ class TestKernelLifetime:
 
     def test_fresh_report_compiles_nothing(self, monkeypatch):
         # A --param report builds a fresh entry.  Its report numbers the
-        # kernels it calls: the flow's, the Lax pair's one kernel of the
-        # Frobenius residuals, A and dA/dt (the walk matrix on the leg is a
-        # view of it) and the decomposition's one kernel of the
-        # coefficients, h, f and G, for the t-independence stage's one
+        # kernels it calls: the flow's, the Lax pair's one kernel of B and
+        # A, whose jets the Frobenius stage reads (and those of its view of
+        # A the leg's walk matrix), and the decomposition's one kernel of
+        # the coefficients, h, f and G, for the t-independence stage's one
         # batch and the invariance jets (the E/S walks and the leg read its
-        # views of (h, f) and of G).  It numbers no kernel of A and dA/dt
-        # alone, none to scalarize, and compiles nothing.  The other kernels
+        # views of (h, f) and of G).  It numbers no derivative of A or B,
+        # none to scalarize, and compiles nothing.  The other kernels
         # it numbers live for one array call of a decision: decompose's one
         # kernel of (p2, q2, a_off, b_off) and the frame fit's kernel of
         # the documented tau.
@@ -138,10 +140,10 @@ class TestKernelLifetime:
         (entry,) = entries
         dec, lax = entry.decomposition, entry.lax
         assert compiled == []
-        kept = [entry.flow_fns, lax.frobenius_fns, dec._coeff_array]
+        kept = [entry.flow_fns, lax.kernel, dec._coeff_array]
         assert [k for k in numbered if any(k is kk for kk in kept)] == kept
         assert [len(k.outputs) for k in numbered if not any(k is kk for kk in kept)] == [4, 1]
-        assert lax.a_dadt_array.lines is lax.frobenius_fns.lines
+        assert lax.kernel.exprs == (*lax.b[0], *lax.b[1], *lax.a[0], *lax.a[1])
         assert dec._hf_array.lines is dec._coeff_array.lines
         assert "_coeff_stages" not in dec.__dict__
 
@@ -149,9 +151,9 @@ class TestKernelLifetime:
     def test_fresh_report_numbers_five_kernels(self, monkeypatch, family):
         # A fresh report on a family the param-sweep workload varies, at a
         # value no default has, numbers five kernels, one per owner: the
-        # flow's, the Frobenius kernel of the entry's system (the Lax pair
-        # or the direct pair's companion system), whose view is the leg's
-        # walk matrix, decompose's, the frame fit's and the
+        # flow's, the kernel of the entry's system (the Lax pair or the
+        # direct pair's companion system), whose jets the Frobenius stage
+        # and the leg read, decompose's, the frame fit's and the
         # decomposition's.  Scalarizing numbers none.
         entry_id, name = family
         value = catalog.lookup(entry_id).params_exact[name] + Fraction(1, 4096)
@@ -174,9 +176,8 @@ class TestKernelLifetime:
         dec = entry.decomposition
         system = entry.lax or entry.scalar.system
         assert dec.sp.system is system
-        assert system.a_dadt_array.lines is system.frobenius_fns.lines
         owners = {id(entry.flow_fns): "flow", id(dec._coeff_array): "decomposition",
-                  id(system.frobenius_fns): "Frobenius"}
+                  id(system.kernel): "Frobenius"}
 
         def owner(kernel):
             if kernel.exprs[0] is dec.sp.p2 and len(kernel.exprs) == 4:
@@ -191,8 +192,8 @@ class TestKernelLifetime:
     def test_second_component_report_numbers_seven_kernels(self, monkeypatch):
         # PII.y_inv_t reduces through its second component: a fresh report
         # numbers decompose's kernel for each component, and the leg walks
-        # the swapped system through a Frobenius kernel of its own, which
-        # the Lax pair's does not serve.
+        # the swapped system through a kernel of its own, which the Lax
+        # pair's does not serve.
         entry = catalog.lookup("PII.y_inv_t", dict(catalog.lookup("PII.y_inv_t").params_exact))
         monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
         numbered, real_init = [], fe.Kernel.__init__
@@ -206,11 +207,9 @@ class TestKernelLifetime:
         assert rep.passed, rep.errors
         lax, dec = entry.lax, entry.decomposition
         assert dec.sp.system is lax.swapped
-        assert lax.swapped.a_dadt_array.lines is lax.swapped.frobenius_fns.lines
         ids = [id(kernel) for kernel in numbered]
         assert len(ids) == 7
-        for kept in (entry.flow_fns, lax.frobenius_fns, lax.swapped.frobenius_fns,
-                     dec._coeff_array):
+        for kept in (entry.flow_fns, lax.kernel, lax.swapped.kernel, dec._coeff_array):
             assert id(kept) in ids
 
     def test_three_reports_compile_nothing(self, monkeypatch):
@@ -228,11 +227,7 @@ class TestKernelLifetime:
             for seed in (42, 7, 1):
                 verify.full_report(entry_id, Config(seed=seed))
             assert compiled == [], entry_id
-            dec, systems = entry.decomposition, entry.decomposition.sp.system
-            # Every leg's walk matrix is a view of its system's Frobenius
-            # kernel.
-            assert systems.a_dadt_array.lines is systems.frobenius_fns.lines
-            assert "_coeff_stages" not in dec.__dict__, entry_id
+            assert "_coeff_stages" not in entry.decomposition.__dict__, entry_id
 
     @pytest.mark.parametrize("entry_id", ALL_WITH_NEGATIVE)
     def test_coefficient_kernel_tiers(self, monkeypatch, entry_id):
@@ -447,7 +442,7 @@ class TestKernelLifetime:
         dec = entry.decomposition
         kernels = [dec._coeff_array, dec._hf_array, dec._coeff_array.view(3), entry.flow_fns]
         for system in frobenius_systems(entry):
-            kernels += [system.frobenius_fns, system.a_dadt_array]
+            kernels += [system.kernel, system.kernel.view(4)]
         for kernel in kernels:
             assert [row[0] for row in kernel._x_rows + kernel._xt_rows] == \
                 [line[0] for line in sorted(kernel.fused, key=lambda line: line[5] != fe._X_DEP)]
@@ -477,7 +472,7 @@ class TestKernelLifetime:
     def test_kernels_compile_their_own_tape_to_the_same_text(self, monkeypatch, entry_id):
         # Each kernel of a fresh entry compiles to the text of a kernel of
         # its expressions alone.  A view whose outputs are not the first
-        # roots of the kernel it shares (the walk matrix of every system,
+        # roots of the kernel it shares (the view of A of every system,
         # (G, h, f) and (h, f)) numbers its lines in the shared order: it
         # compiles as many lines as a kernel of its expressions alone, to
         # the same values.
@@ -486,8 +481,8 @@ class TestKernelLifetime:
         kernels = [dec._coeff_array, entry.flow_fns]
         views = [dec._coeff_array.view(3), dec._hf_array]
         for system in frobenius_systems(entry):
-            kernels.append(system.frobenius_fns)
-            views.append(system.a_dadt_array)
+            kernels.append(system.kernel)
+            views.append(system.kernel.view(4))
         sources = []
         monkeypatch.setattr(fe, "compile", lambda src, *args: sources.append(src)
                             or compile(src, *args), raising=False)
@@ -575,8 +570,8 @@ class TestKernelLifetime:
     def test_box_override_compiles_only_its_decomposition(self, monkeypatch, entry_id, box_t):
         # The copy on the run's boxes keeps the entry's flow kernel and its
         # Lax pair or direct scalar pair, so it reduces an equal scalar
-        # pair of the same system, whose Frobenius kernel (the walk
-        # matrix's too) it shares; only the decomposition probes the
+        # pair of the same system, whose kernel (the Frobenius stage's and
+        # the leg's) it shares; only the decomposition probes the
         # boxes.  Its report is
         # the one of a copy that builds everything afresh.  Two reports on
         # the entry first, each with the entry's record cleared, so that the
@@ -604,8 +599,7 @@ class TestKernelLifetime:
         assert copy.decomposition.sp == entry.decomposition.sp
         systems = entry.decomposition.sp.system
         assert copy.decomposition.sp.system is systems
-        assert copy.decomposition.sp.system.a_dadt_array is systems.a_dadt_array
-        assert systems.frobenius_fns is (copy.lax or copy.scalar.system).frobenius_fns
+        assert systems.kernel is (copy.lax or copy.scalar.system).kernel
         # Every kernel it calls runs in array form.
         assert compiled == []
         # Nothing is carried that the entry has not built.
@@ -768,11 +762,15 @@ def _reprs(value):
     return repr(value)
 
 
-# The expression kernels of an entry: Frobenius, flow, the walk matrix A,
-# dA/dt of the leg's system, and the decomposition's (h, f), G and (phi,
-# p_num, q_num).  G's, "_G_array", is the gauge exponent R's own kernel, as
-# the tests' gauge walk (test_reduction.gauge_at) builds it; the leg reads G
-# from the (G, h, f) view.
+# The expression kernels of an entry: its system's, on the Frobenius grid,
+# the flow's, the view of A of the leg's system, on panel points, and the
+# decomposition's (h, f), G and (phi, p_num, q_num).  A label is the name
+# the kernel had as an attribute: "frobenius_fns" and "a_dadt_array" for
+# the system's kernel of (B, A) and its view of A (the Frobenius stage and
+# the leg read their jets, ``expr._walked_jets``, which take their t- and
+# x-derivatives from these lines), and "_G_array" for the gauge exponent
+# R's own kernel, as the tests' gauge walk (test_reduction.gauge_at) builds
+# it; the leg reads G from the (G, h, f) view.
 _KERNELS = ("frobenius_fns", "flow_fns", "a_dadt_array", "_hf_array", "_G_array",
             "_coeff_array")
 
@@ -784,14 +782,14 @@ def _new_kernel_call(entry, name):
     the x box (for the coefficients, each with its own t in the t box)."""
     if name == "frobenius_fns":
         # The matrices, or the companion system of a direct scalar pair.
-        kernel = fe.Kernel((entry.lax or entry.decomposition.sp.system).frobenius_fns.expr)
+        kernel = fe.Kernel((entry.lax or entry.decomposition.sp.system).kernel.expr)
         xs, ts = (np.array(v) for v in zip(*entry.grid_points()))
         return kernel, (xs, ts)
     if name == "flow_fns":
         return fe.Kernel(entry.flow_fns.expr), (0j, np.array(entry.box_t.diagonal(16)))
     rows = np.array(entry.box_x.diagonal(3))[:, None] + 0.05 * fe._CHEB_NODES
     if name == "a_dadt_array":
-        kernel = fe.Kernel(entry.decomposition.sp.system.a_dadt_array.expr)
+        kernel = fe.Kernel(entry.decomposition.sp.system.kernel.view(4).expr)
         return kernel, (rows, entry.box_t.center)
     dec = entry.decomposition
     kernel = fe.Kernel((dec.R,) if name == "_G_array" else getattr(dec, name).expr)
@@ -906,15 +904,18 @@ class TestTierEquivalence:
 
     def test_singular_frobenius_grid_raises_alike(self):
         # theta1 = 2 puts a pole of PV.y_lin's matrices on the 5 x 5 grid.
-        # The batch raises there, so each call is answered by the walk,
-        # which raises its exception; the report records it.
+        # The batch of the system's kernel raises there, and its jets are
+        # not finite there, so each call, the batch's and the Frobenius
+        # grid's, is answered by the walk, which raises its exception; the
+        # report records it.
         overrides = {"theta1": Fraction(2)}
         entry = catalog.lookup("PV.y_lin", overrides)
-        kernel = entry.lax.frobenius_fns
-        xs, ts = (np.array(v) for v in zip(*entry.grid_points()))
-        for _ in range(2):
+        grid = entry.grid_points()
+        xs, ts = (np.array(v) for v in zip(*grid))
+        for call in (lambda: entry.lax.kernel(xs, ts),
+                     lambda: verify.scal.frobenius_residual_grid(entry.lax, grid)) * 2:
             with pytest.raises(fe.SingularEvaluationError, match="^division by zero$"):
-                kernel(xs, ts)
+                call()
         rep = verify.full_report("PV.y_lin", overrides=overrides)
         assert "frobenius: division by zero" in rep.errors
 

@@ -283,7 +283,7 @@ class TestOneEvaluator:
         # theta1 = 2 puts a pole of PV.y_lin's matrices on the Frobenius
         # grid, and a 0/0 in p2 at t = 1, one of the 9 t probes: the array
         # values there are NaN, and the walk of p2 at (xa, 1) raises.  The
-        # Frobenius kernel's batch is answered by the walk too.
+        # Frobenius stage's jets are answered by the walk too.
         rep = verify.full_report("PV.y_lin", overrides={"theta1": Fraction(2)})
         assert rep.errors == ["frobenius: division by zero",
                               "reduction: division by zero"]
@@ -962,9 +962,12 @@ class TestInvariance:
 
     def test_warm_reports_make_no_jet_walk(self, monkeypatch):
         # A decomposition runs its jets once, on its coefficient kernel; a
-        # warm report reads the reading it kept, a fresh entry runs them
-        # again, after decompose took those of b_off alone (a view of its
-        # kernel of (p2, q2, a_off, b_off)) for the exponent A.
+        # warm report reads the reading it kept, and runs no other jets.  A
+        # fresh entry runs them again, after the Frobenius stage took those
+        # of its system's eight entries and decompose those of b_off alone
+        # (a view of its kernel of (p2, q2, a_off, b_off)) for the exponent
+        # A; then the leg takes those of the view of A, once per panel (one
+        # panel on PIII.y1's leg).
         verify.full_report("PIII.y1")
         walks = []
         jets = fe._jets
@@ -980,9 +983,9 @@ class TestInvariance:
         params = dict(catalog.lookup("PIII.y1").params_exact)
         for _ in range(3):
             assert verify.full_report("PIII.y1", overrides=params).passed
-        assert len(walks) == 6
+        assert len(walks) == 12
         assert all(isinstance(kernel, fe.Kernel) for kernel in walks)
-        assert [len(kernel.outputs) for kernel in walks] == [1, 3] * 3
+        assert [len(kernel.outputs) for kernel in walks] == [8, 1, 3, 4] * 3
 
     def test_replaced_decomposition_reads_its_own(self):
         # dataclasses.replace starts without the reading, so a mutated copy

@@ -8,7 +8,7 @@ from fuchsreduce import catalog, expr as fe, reduction, scalarize, verify
 from fuchsreduce.catalog import LaxPair
 from fuchsreduce.config import Config
 from fuchsreduce.expr import Binding, T, X
-from test_expr import compiled, joint_probes
+from test_expr import joint_probes
 
 LAX_IDS = ["PII.y0", "PII.y_inv_t", "PIII.y1", "PIV.y_m2t", "PIV.y_m2t3",
            "PV.y_lin", "PV.y_m1"]
@@ -25,6 +25,18 @@ def hand_frobenius_pii(x, t, y_const):
     Bx = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
     R = At - Bx + A @ B - B @ A
     return float(np.max(np.abs(R)))
+
+
+def symbolic_residual(lp):
+    """Reference oracle: the four entries of dA/dt - dB/dx + AB - BA built
+    as expressions, by ``differentiate``, for the one-point walk."""
+    a, b = lp.a, lp.b
+    dadt = fe.differentiate((*a[0], *a[1]), "t")
+    dbdx = fe.differentiate((*b[0], *b[1]), "x")
+    return [dadt[2 * i + j] - dbdx[2 * i + j]
+            + (a[i][0] * b[0][j] + a[i][1] * b[1][j])
+            - (b[i][0] * a[0][j] + b[i][1] * a[1][j])
+            for i in range(2) for j in range(2)]
 
 
 def zero_lax():
@@ -51,51 +63,73 @@ class TestFrobenius:
         assert got == pytest.approx(oracle, rel=1e-10)
         assert got >= 1e-2
 
-    @pytest.mark.parametrize("entry_id", (*LAX_IDS, "negative.PII_bad_y1"))
-    def test_fused_kernel_is_bit_identical(self, entry_id):
-        # On the report's 5 x 5 grid and the 12 joint probes, the one tuple
-        # kernel on the pair's shared tape gives in array form the bits of
-        # the array forms of one kernel per entry, and agrees with the
-        # compiled code to rounding; the grid maximum is the maximum over
-        # the per-entry kernels, on the entry's pair and on a fresh one.
-        entry = catalog.lookup(entry_id)
-        lp = entry.lax
-        exprs = scalarize.frobenius_residual_exprs(lp)
-        singles = [fe.Kernel(r) for r in exprs]
-        compiled_residuals = [compiled(r) for r in exprs]
+    @pytest.mark.parametrize("entry_id", (*LAX_IDS, "negative.PII_bad_y1",
+                                          "PVdeg.kitaev_sqrt", "PII.y_inv_t/swapped"))
+    def test_matches_the_symbolic_residual(self, entry_id):
+        # On the report's 5 x 5 grid and the 12 joint probes, the reading
+        # from the jets of the system's kernel is the walk of the
+        # symbolic defect at each point and over the grid, to a relative
+        # error of 1e-12 (floored at 1; the largest gap, PIII.y1's, is
+        # 5.6e-14): on every entry's system, a swapped system and the
+        # companion system of a direct pair, on the entry's pair and on a
+        # fresh one.
+        entry = catalog.lookup(entry_id.split("/")[0])
+        lp = entry.lax or entry.scalar.system
+        if entry_id.endswith("/swapped"):
+            lp = lp.swapped
+        residual = symbolic_residual(lp)
         probes = joint_probes(entry.box_x, entry.box_t, 12)
-        points = entry.grid_points(5) + [(b.x, b.t) for b in probes]
-        xs, ts = (np.array(v, dtype=complex) for v in zip(*points))
-        want = [single(xs, ts) for single in singles]
-        for kernel in (lp.frobenius_fns, LaxPair(lp.a, lp.b).frobenius_fns):
-            got = kernel(xs, ts)
-            assert [[repr(v) for v in row.tolist()] for row in got] == \
-                [[repr(v) for v in row.tolist()] for row in want]
-        for row, f in zip(want, compiled_residuals):
-            ref = np.array([f(x, t) for x, t in zip(xs.tolist(), ts.tolist())])
-            assert np.all(np.abs(row - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
-        for k, (x, t) in enumerate(points):
-            worst = repr(max(float(np.abs(row)[k]) for row in want))
-            assert repr(scalarize.frobenius_residual_grid(lp, [(x, t)])) == worst
         grid = entry.grid_points(5)
-        want_max = max(float(np.abs(row[:len(grid)]).max()) for row in want)
-        assert repr(scalarize.frobenius_residual_grid(lp, grid)) == repr(want_max)
-        fresh = LaxPair(lp.a, lp.b)
-        assert repr(scalarize.frobenius_residual_grid(fresh, grid)) == repr(want_max)
 
-    def test_nan_entry_is_the_reading(self):
+        def want(points):
+            return max(abs(fe.evaluate(r, Binding(x, t))) for r in residual for x, t in points)
+
+        for x, t in grid + [(b.x, b.t) for b in probes]:
+            got = scalarize.frobenius_residual_grid(lp, [(x, t)])
+            assert abs(got - want([(x, t)])) <= 1e-12 * max(1.0, got)
+        worst = want(grid)
+        for system in (lp, LaxPair(lp.a, lp.b)):
+            got = scalarize.frobenius_residual_grid(system, grid)
+            assert abs(got - worst) <= 1e-12 * max(1.0, worst)
+
+    def test_nan_entry_is_the_reading(self, monkeypatch):
         # A NaN entry of the defect is the reading even at the last point,
-        # where Python's max would drop it and the gate would pass.
-        class Rows:
-            def __call__(self, xs, ts):
-                assert xs.shape == ts.shape == (2,)
-                rows = [(1e-16, 0j, 0j, 0j), (0j, 2e-16, 0j, complex(float("nan"), 0))]
-                return tuple(np.array(col, dtype=complex) for col in zip(*rows))
+        # where Python's max would drop it and the gate would pass: here a
+        # NaN t-derivative of a22 in the jets of the kernel.
+        real = fe._walked_jets
 
-        lax = catalog.lookup("PII.y0").lax
-        lp = LaxPair(lax.a, lax.b)
-        lp.__dict__["frobenius_fns"] = Rows()
-        assert np.isnan(scalarize.frobenius_residual_grid(lp, [(1.5, 1.0), (2.0, 1.2)]))
+        def nan_at_last(kernel, xs, ts):
+            jets = real(kernel, xs, ts)
+            value, dx, dt = jets[-1]
+            jets[-1] = (value, dx, np.where(np.arange(dt.size) == dt.size - 1, np.nan, dt))
+            return jets
+
+        lp = catalog.lookup("PII.y0").lax
+        points = [(1.5, 1.0), (2.0, 1.2)]
+        assert scalarize.frobenius_residual_grid(lp, points) <= 1e-12
+        monkeypatch.setattr(fe, "_walked_jets", nan_at_last)
+        assert np.isnan(scalarize.frobenius_residual_grid(lp, points))
+
+    @pytest.mark.parametrize("root, reading", [(fe.sqrt, "inf"),
+                                               (lambda u: fe.fpow(u, Fraction(1, 2)), "nan")],
+                             ids=["sqrt", "fpow"])
+    def test_singular_derivative_fails_the_report(self, monkeypatch, root, reading):
+        # A B entry sqrt(x - x_k), with x_k on the grid's diagonal, is
+        # finite at every grid point, its x-derivative not: the jets give
+        # the complex infinity 1 / (2 * 0j) for sqrt (reading inf), and for
+        # a fractional power their run raises and every gradient is NaN
+        # (reading NaN).  The walk of the values passes, the reading is not
+        # finite, the report records it in non_finite and fails.
+        entry = catalog.lookup("PII.y0")
+        ((b11, b12), row2), x_k = entry.lax.b, entry.box_x.diagonal(5)[2]
+        lp = LaxPair(entry.lax.a, ((b11, b12 + root(X - x_k)), row2))
+        got = scalarize.frobenius_residual_grid(lp, entry.grid_points())
+        assert repr(got) == reading
+        monkeypatch.setattr(catalog, "lookup",
+                            lambda *_: dataclasses.replace(entry, lax=lp))
+        doc = verify.full_report("PII.y0").to_json()
+        assert doc["frobenius_max"] is None and doc["non_finite"]["frobenius_max"] == reading
+        assert not doc["passed"]
 
     @pytest.mark.parametrize("entry_id", LAX_IDS)
     def test_probe_grid_25_points(self, entry_id):

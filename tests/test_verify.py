@@ -460,10 +460,10 @@ class TestMatchClassical:
 
 
 def _walk_matrix(a, t):
-    """The ``matrix`` of a system walk of the x-matrix ``a`` at fixed t:
-    A and dA/dt in array form."""
-    kernel = LaxPair(a, a).a_dadt_array
-    return lambda z: kernel(z, t)
+    """The ``matrix`` of a system walk of the x-matrix ``a`` at fixed t,
+    built as the leg builds its own: A and dA/dt from the jets of the
+    system's kernel."""
+    return verify._leg_matrix(LaxPair(a, a), t)
 
 
 def _walk(a, t, x0, x1, start):

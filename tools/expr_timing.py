@@ -22,8 +22,8 @@ times; the minimum is the reading, the median and maximum show its spread:
   t, one call per DAG;
 * ``differentiate (root sets)``: the derivatives a fresh entry takes of
   several expressions in one variable: (f, h, G) in x and, for an entry
-  with a Lax pair, the four entries of A in t and of B in x; one call per
-  set;
+  with a Lax pair, (a12, a11) in x, as scalarizing its first component
+  takes them; one call per set;
 * ``decompose (fresh entries)``: ``reduction.decompose`` of the scalar
   pair of a fresh entry per free family of the bench's param-sweep
   workload, at its default value of the parameter plus n/4096 (as in
@@ -44,13 +44,15 @@ times; the minimum is the reading, the median and maximum show its spread:
 * ``batch: flow`` and ``batch: Frobenius``: the calls of the two entry
   checks a report makes, on kernels that have run before: the flow
   kernel's array form at the 16 t of ``entry.box_t.diagonal(16)``, for the
-  9 entries with the negative control, and the Frobenius kernel's array
-  form on the 25-point grid (``entry.grid_points()``) of the system of each
-  of the 8 entries (its Lax pair, or the companion system of its direct
-  scalar pair); ``point: flow`` and ``point: Frobenius`` are the same
-  values from the compiled code of the kernels (``expr.compile_expr``),
-  one staged call per point (the form the flow and Frobenius stages
-  called before they ran the array form);
+  9 entries with the negative control, and
+  ``scalarize.frobenius_residual_grid`` on the 25-point grid
+  (``entry.grid_points()``) of the system of each of the 8 entries (its
+  Lax pair, or the companion system of its direct scalar pair);
+  ``point: flow`` is the same values from the compiled code of the flow
+  kernel (``expr.compile_expr``), one staged call per point (the form the
+  flow stage called before it ran the array form), and ``point:
+  Frobenius`` the same readings from one ``frobenius_residual_grid`` call
+  per point;
 * ``second report``: one ``verify.full_report`` per entry on a fresh copy
   of the entry (overrides equal to its defaults) that has made exactly one
   report, at another seed: a report that meets each kernel for the second
@@ -62,8 +64,10 @@ times; the minimum is the reading, the median and maximum show its spread:
   the rounds, so no round meets a value an earlier one built: the op of
   the param-sweep workload, in process and without the CLI.  The tool
   also prints the kernels such a report numbers (``expr.Kernel.__init__``;
-  a view numbers nothing) and the binds it makes (``expr.Kernel._bind``,
-  one per kernel and one per view), over one untimed round;
+  a view numbers nothing), the lines of those its Frobenius stage
+  (``scalarize.frobenius_residual_grid``) numbers, and the binds it makes
+  (``expr.Kernel._bind``, one per kernel and one per view), over one
+  untimed round;
 * ``report``: one ``verify.full_report`` per entry at a seed no earlier
   run used, on entries that have made two reports, so every stage that
   runs once per entry reads its record and every kernel a report calls
@@ -136,14 +140,14 @@ def stage_counts(staged, tape) -> list[tuple[int, int]]:
     return [(n, masks.count(mask)) for n, mask in zip(statements, (1, 2, 3))]
 
 
-def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]]],
+def readings() -> tuple[int, tuple[float, float, float], dict[str, list[tuple[int, int]]],
                         dict[str, list[float]]]:
-    """The number of distinct DAG nodes, the kernels numbered and the binds
-    made per fresh report, the statements and operations of each
-    coefficient kernel's compiled stages (:func:`stage_counts`), and per
-    reading its times in ms.  A job returns None, and is timed whole, or
-    the ms of its timed part."""
-    from fuchsreduce import catalog, reduction, verify
+    """The number of distinct DAG nodes, the kernels numbered, the binds
+    made and the lines the Frobenius stage numbers per fresh report, the
+    statements and operations of each coefficient kernel's compiled
+    stages (:func:`stage_counts`), and per reading its times in ms.  A job
+    returns None, and is timed whole, or the ms of its timed part."""
+    from fuchsreduce import catalog, reduction, scalarize, verify
     from fuchsreduce import expr as fe
     from fuchsreduce.config import Config
     from workloads import FREE_FAMILIES, _latin_hypercube
@@ -158,8 +162,8 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
         # G, the gauge exponent, is the coefficient kernel's fourth root.
         root_sets.append(((dec.f, dec.h, dec._coeff_array.exprs[3]), "x"))
         if entry.lax is not None:
-            a, b = entry.lax.a, entry.lax.b
-            root_sets += [((*a[0], *a[1]), "t"), ((*b[0], *b[1]), "x")]
+            (a11, a12), _ = entry.lax.a
+            root_sets.append(((a12, a11), "x"))
         dags = dec._coeff_array.expr
         cases.append((dags, np.array(entry.box_x.diagonal(ARRAY_POINTS)),
                       np.array(entry.box_t.diagonal(ARRAY_POINTS)[::-1])))
@@ -192,8 +196,7 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
     grids = []
     for entry_id in catalog.list_entries():
         entry = catalog.lookup(entry_id)
-        xs, ts = (np.array(v, dtype=complex) for v in zip(*entry.grid_points()))
-        grids.append(((entry.lax or entry.scalar.system).frobenius_fns, xs, ts))
+        grids.append((entry.lax or entry.scalar.system, entry.grid_points()))
 
     def batch(calls):
         def run():
@@ -209,6 +212,13 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
             for (pre_x, pre_t, post), xs, ts in staged:
                 for x, t in zip(xs, ts):
                     post(x, t, pre_x(x), pre_t(t))
+        return run
+
+    def frobenius(per_point):
+        def run():
+            for system, grid in grids:
+                for points in ([p] for p in grid) if per_point else (grid,):
+                    scalarize.frobenius_residual_grid(system, points)
         return run
 
     def walk_array():
@@ -338,23 +348,35 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
             f"lattice ({LATTICE[0]} x {LATTICE[1]})": lattice,
             f"batch: flow ({len(flows)} x 16 t)": batch(flows),
             f"point: flow ({len(flows)} x 16 t)": point(flows),
-            f"batch: Frobenius ({len(grids)} x 25 points)": batch(grids),
-            f"point: Frobenius ({len(grids)} x 25 points)": point(grids),
+            f"batch: Frobenius ({len(grids)} x 25 points)": frobenius(False),
+            f"point: Frobenius ({len(grids)} x 25 points)": frobenius(True),
             "fresh report": fresh_report,
             "report (warm)": report,
             "second report": second_report}
     times: dict[str, list[float]] = {name: [] for name in (*jobs, *stages)}
-    # One round of fresh reports with the numberings of a DAG and the
-    # binds of a kernel's outputs counted.
-    builds, binds = [], []
+    # One round of fresh reports with the numberings of a DAG, the binds of
+    # a kernel's outputs and the lines the Frobenius stage numbers counted.
+    builds, binds, frobenius_builds = [], [], []
     real_init, real_bind = fe.Kernel.__init__, fe.Kernel._bind
+    real_grid = scalarize.frobenius_residual_grid
+
+    def counted_grid(*args):
+        start = len(builds)
+        try:
+            return real_grid(*args)
+        finally:
+            frobenius_builds.extend(builds[start:])
+
     fe.Kernel.__init__ = lambda tape, *args: builds.append(tape) or real_init(tape, *args)
     fe.Kernel._bind = lambda tape, outputs: binds.append(tape) or real_bind(tape, outputs)
+    scalarize.frobenius_residual_grid = counted_grid
     try:
         fresh_report()
     finally:
         fe.Kernel.__init__, fe.Kernel._bind = real_init, real_bind
+        scalarize.frobenius_residual_grid = real_grid
     numbered, bound = len(builds) / len(defaults), len(binds) / len(defaults)
+    frobenius_lines = sum(len(tape.lines) for tape in frobenius_builds) / len(defaults)
     for job in (*jobs.values(), report_stages):
         job()   # warm-up
     gc.disable()
@@ -370,7 +392,7 @@ def readings() -> tuple[int, tuple[float, float], dict[str, list[tuple[int, int]
                 times[name].append(ms)
     finally:
         gc.enable()
-    return nodes, (numbered, bound), counts, times
+    return nodes, (numbered, bound, frobenius_lines), counts, times
 
 
 def print_counts(counts: dict[str, list[tuple[int, int]]], label: str = "") -> None:
@@ -401,10 +423,10 @@ def compare(root: Path, against: Path) -> None:
     print(f"{root} against {against}: {PAIRS} pairs of child runs, {REPEAT} runs each")
     print_counts(runs[against][0]["counts"], f" of {against.name}")
     print_counts(runs[root][0]["counts"], f" of {root.name}")
-    print(f"kernels numbered per fresh report: {runs[against][0]['numbered']:.2f} of "
-          f"{against.name}, {runs[root][0]['numbered']:.2f} of {root.name}; binds: "
-          f"{runs[against][0]['binds']:.2f} of {against.name}, {runs[root][0]['binds']:.2f} "
-          f"of {root.name}")
+    for key, what in (("numbered", "kernels numbered per fresh report"), ("binds", "binds"),
+                      ("frobenius_lines", "lines the Frobenius stage numbers")):
+        print(f"{what}: {runs[against][0][key]:.2f} of {against.name}, "
+              f"{runs[root][0][key]:.2f} of {root.name}")
     times = runs[root][0]["times"]
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'other ms':>9}  {'this ms':>9}  {'change':>7}  {'pairs':>15}")
@@ -429,13 +451,15 @@ def main(argv: list[str] | None = None) -> None:
         compare(root, args.against.resolve())
         return
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
-    nodes, (numbered, bound), counts, times = readings()
+    nodes, (numbered, bound, frobenius_lines), counts, times = readings()
     if args.json:
         print(json.dumps({"nodes": nodes, "numbered": numbered, "binds": bound,
-                          "counts": counts, "times": times}))
+                          "frobenius_lines": frobenius_lines, "counts": counts,
+                          "times": times}))
         return
     print(f"{nodes} distinct DAG nodes over the positive entries, {REPEAT} runs each")
-    print(f"{numbered:.2f} kernels numbered per fresh report, {bound:.2f} binds")
+    print(f"{numbered:.2f} kernels numbered per fresh report, {bound:.2f} binds, "
+          f"{frobenius_lines:.2f} lines numbered by its Frobenius stage")
     print_counts(counts)
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'min ms':>9}  {'median ms':>9}  {'max ms':>9}")
