@@ -19,13 +19,13 @@ tau; the quadrature-defined tau differs from it by an affine map (a, b)
 which is fitted from two points and checked on two more, so basepoint
 choices never affect pass/fail or matched parameters.
 
-The Frobenius grid, the frame fit, the walk of E and S to x0 (the centre of
-the x box, where the samples sit) and cross-validation depend on the entry
-alone, so each runs once per entry (``CatalogEntry.certified``), and the
-identity reading and the coefficient kernel's x-rows at x0 once per
-decomposition.  A warm report runs only what depends on the seed, the flow
-stage and the samples match reads, in one pass each: no panel walk and no
-compile.
+The flow stage (16 t on the diagonal of the t box), the Frobenius grid, the
+frame fit, the walk of E and S to x0 (the centre of the x box, where the
+samples sit) and cross-validation depend on the entry alone, so each runs
+once per entry (``CatalogEntry.certified``), and the identity reading and
+the coefficient kernel's x-rows at x0 once per decomposition.  The seed
+feeds only the 32 t of match's samples, so a warm report draws them and
+runs their coefficients in one pass: no panel walk and no compile.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ _DRAWS_PER_SAMPLE = 8
 _SINGULAR_T_GAP = 0.15
 
 
-def check_t_independence(prep: Prepared, n_points: int = 32, seed: int | np.random.Generator = 42
+def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
                          ) -> tuple[float, list[tuple[complex, complex, complex]]]:
     """``Decomposition.invariance``, the reading that certifies P and Q
     depend on tau alone, and ``n_points`` samples (tau, P, Q) for match, in
@@ -184,10 +184,10 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int | np.rand
     tau = E(x0) t + S(x0) is affine in t.  E and S at x0 take one walk, run
     once per entry at the entry's own basepoint (:func:`_once`), and on
     every call at any other or on another decomposition.  The t are drawn
-    from ``seed`` (an int, or the generator to draw from) in the t box, in
-    order, skipping those within ``_SINGULAR_T_GAP`` of a singular t (each
-    draw is tested only against the singular t that near the box: no other
-    can reject it); their coefficients come from one ``coefficients_at_x0``
+    in the t box from one generator seeded with the int ``seed``, in order,
+    skipping those within ``_SINGULAR_T_GAP`` of a singular t (each draw is
+    tested only against the singular t that near the box: no other can
+    reject it); their coefficients come from one ``coefficients_at_x0``
     call, and a t it rejects (by one of ``expr._SAMPLE_ERRORS``) is
     replaced by the next draw.  Raises :class:`VerifyError` when the walk
     to x0 fails (a failed walk records nothing) or ``_DRAWS_PER_SAMPLE *
@@ -253,30 +253,17 @@ def _detect_first_derivative_form(taus, Ps, qscale, tol):
 def _distinct_taus(taus: Sequence[complex]) -> list[complex]:
     """Each tau more than 1e-10 from every tau kept before it, in order.
 
-    The scan keeps every tau when the sorted real parts are each more than
-    1e-10 above the one before (|a - b| >= |Re a - Re b|), so that early
-    exit keeps the scan's list; an exact repeat (a gap of 0) or a NaN (no
-    gap above 1e-10) falls through to the scan.  The scan drops exact
-    repeats first, which keeps its list: a repeat is as close to the kept
-    values as its first occurrence, which is kept or within 1e-10 of a kept
-    value.  Its distances are one array of ``np.hypot`` of the parts,
-    Python's ``abs`` bit for bit (numpy's complex ``abs`` is not); only a
-    tau within 1e-10 of an earlier one needs the greedy, in order."""
+    When the sorted real parts are each more than 1e-10 above the one
+    before, every tau is kept (|a - b| >= |Re a - Re b|); an exact repeat
+    or a NaN takes the greedy scan."""
     reals = sorted([tau.real for tau in taus])
     if all(b - a > 1e-10 for a, b in zip(reals, reals[1:])):
         return list(taus)
-    uniq = list(dict.fromkeys(taus))
-    z = np.array(uniq, dtype=complex)
-    # An infinite tau's distances include inf - inf, a NaN: not more than
-    # 1e-10, as Python's abs of the difference would have it.
-    with np.errstate(invalid="ignore"):
-        d = z[:, None] - z[None, :]
-    # near[i, j]: tau j, before tau i, is not more than 1e-10 from it.
-    near = np.tril(~(np.hypot(d.real, d.imag) > 1e-10), -1)
-    kept = np.ones(len(uniq), dtype=bool)
-    for i in np.flatnonzero(near.any(axis=1)):
-        kept[i] = not near[i, kept].any()
-    return [tau for tau, keep in zip(uniq, kept) if keep]
+    kept: list[complex] = []
+    for tau in taus:
+        if all(abs(tau - k) > 1e-10 for k in kept):
+            kept.append(tau)
+    return kept
 
 
 def match_classical(samples: Sequence[tuple[complex, complex, complex]],
@@ -550,9 +537,10 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
     """Run every stage for one entry, on the config's boxes (applied once, by
     :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised.
-    What depends on the entry alone runs once per entry (:func:`_once`).
-    The Frobenius stage checks the entry's system: its Lax pair, or the
-    companion system of its direct scalar pair (``ScalarPair.system``)."""
+    What depends on the entry alone runs once per entry (:func:`_once`);
+    the seed feeds only the t of match's samples.  The Frobenius stage
+    checks the entry's system: its Lax pair, or the companion system of its
+    direct scalar pair (``ScalarPair.system``)."""
     entry = cat.lookup(entry_id, overrides).with_boxes(config)
     seed = config.entry_seed(entry.id)
     rep = VerificationReport(
@@ -569,13 +557,8 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
             rep.errors.append(f"{name}: {exc}")
             return None
 
-    # One generator per report: random_points draws row by row, so the
-    # flow stage's 16 t are the first 16 of the 32 that t-independence
-    # draws first, and the generator is rewound over their 32 doubles.
-    rng = np.random.default_rng(seed)
-    (flow_ts,) = cat.random_points(rng, (entry.box_t,), 16)
-    rng.bit_generator.advance(-32)
-    rep.flow_max = stage("flow", lambda: cat.flow_residual(entry, flow_ts))
+    rep.flow_max = stage("flow", lambda: _once(
+        entry, "flow", lambda: cat.flow_residual(entry, entry.box_t.diagonal(16))))
     system = entry.lax or entry.scalar.system
     rep.frobenius_max = stage("frobenius", lambda: _once(
         entry, "frobenius", lambda: scal.frobenius_residual_grid(system, entry.grid_points())))
@@ -592,7 +575,7 @@ def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
         # The reading depends on the decomposition alone: a failed draw
         # does not hide it.
         rep.t_independence_max = prep.red.dec.invariance
-        _, samples = check_t_independence(prep, seed=rng)
+        _, samples = check_t_independence(prep, seed=seed)
         return prep.to_paper_frame(samples)
 
     samples_paper = stage("t-independence", independence)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-PINNED = "fbaf64f9ca3eeb569f359e4aeead7e52056dd11ff5e00b4f4e048e3c77a7edfc"
+PINNED = "b95fede77503e567058783342cc75951fa63ecd1abceacfe39392a65d331f9ea"
 
 
 def _load(monkeypatch, path: Path, name: str):

@@ -1030,26 +1030,49 @@ class TestLazyScipy:
 class TestFullReport:
     @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
     def test_one_generator_per_report(self, monkeypatch, entry_id):
-        # A report seeds one generator.  Its flow stage reads the first 16
-        # t of the entry seed, and t-independence gets what a call seeded
-        # with the entry seed itself returns.
+        # A report seeds one generator, inside check_t_independence, with
+        # the entry seed; the flow stage reads 16 t on the t box's diagonal.
         config = Config(seed=3)
-        entry = catalog.lookup(entry_id)
+        entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
         seed = config.entry_seed(entry_id)
-        (ts,) = catalog.random_points(np.random.default_rng(seed), (entry.box_t,), 16)
-        want_flow = catalog.flow_residual(entry, ts)
+        want_flow = catalog.flow_residual(entry, entry.box_t.diagonal(16))
         want = verify.check_t_independence(verify.prepare(entry, config), seed=seed)
-        seeded, got = [], []
+        seeded, got, flow_ts = [], [], []
         real_rng, real_check = np.random.default_rng, verify.check_t_independence
+        real_flow = catalog.flow_residual
+
+        def check(prep, **kw):
+            seeded.append("enter")
+            got.append(real_check(prep, **kw))
+            seeded.append("exit")
+            return got[-1]
+
+        monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
         monkeypatch.setattr(np.random, "default_rng", lambda *args: seeded.append(
             args) or real_rng(*args))
-        monkeypatch.setattr(verify, "check_t_independence", lambda prep, **kw: got.append(
-            real_check(prep, **kw)) or got[-1])
+        monkeypatch.setattr(verify, "check_t_independence", check)
+        monkeypatch.setattr(catalog, "flow_residual", lambda e, ts: flow_ts.append(
+            list(ts)) or real_flow(e, ts))
         rep = verify.full_report(entry_id, config)
-        assert [args for args in seeded if not isinstance(args[0], np.random.Generator)] \
-            == [(seed,)]
+        assert seeded == ["enter", (seed,), "exit"]
+        assert flow_ts == [entry.box_t.diagonal(16)]
         assert rep.flow_max == want_flow
         assert got == [want]
+
+    @pytest.mark.parametrize("entry_id", ALL_IDS + catalog.list_negative_entries())
+    def test_flow_reading_is_the_entrys(self, monkeypatch, entry_id):
+        # The flow reading does not depend on the seed, and after an
+        # entry's first report no later report runs the flow stage.
+        entry = catalog.lookup(entry_id, dict(catalog.lookup(entry_id).params_exact))
+        monkeypatch.setattr(catalog, "lookup", lambda *_: entry)
+        first = verify.full_report(entry_id, Config(seed=42))
+        calls = []
+        real_flow = catalog.flow_residual
+        monkeypatch.setattr(catalog, "flow_residual", lambda e, ts: calls.append(
+            e) or real_flow(e, ts))
+        second = verify.full_report(entry_id, Config(seed=7))
+        assert calls == []
+        assert second.flow_max == first.flow_max is not None
 
     @pytest.mark.parametrize("entry_id", ALL_IDS)
     def test_positive_entries_pass(self, report, entry_id):
@@ -1157,9 +1180,8 @@ class TestFullReport:
         monkeypatch.setattr(catalog, "flow_residual", recording)
         rep = verify.full_report("PII.y0", cfg)
         assert rep.passed, rep.errors
-        # One call takes the report's 16 t's.
-        (flow_ts,) = flow_calls
-        assert len(flow_ts) == 16 and all(rect.distance(t) == 0 for t in flow_ts)
+        # One call takes the 16 t on the override box's diagonal.
+        assert flow_calls == [rect.diagonal(16)]
         entry = catalog.lookup("PII.y0")
         grid = [(x, t) for x in entry.box_x.diagonal(5) for t in rect.diagonal(5)]
         assert rep.frobenius_max == scalarize.frobenius_residual_grid(entry.lax, grid)
@@ -1177,11 +1199,11 @@ class TestFullReport:
 
 
 class TestCertifiedRecord:
-    """The stages that depend on the entry alone (Frobenius, frame fit, the
-    E/S walk to x0, cross-validation) run once per entry, and their
-    outcomes are kept in its record, ``CatalogEntry.certified``."""
+    """The stages that depend on the entry alone (flow, Frobenius, frame
+    fit, the E/S walk to x0, cross-validation) run once per entry, and
+    their outcomes are kept in its record, ``CatalogEntry.certified``."""
 
-    STAGES = ("frobenius", "frame", "x0", "cross-validation")
+    STAGES = ("flow", "frobenius", "frame", "x0", "cross-validation")
 
     @staticmethod
     def _fresh(entry_id, config=Config()):
@@ -1205,6 +1227,7 @@ class TestCertifiedRecord:
 
         # ReducedEquation.E is called by the walk to x0 alone.
         for module, name in ((verify, "cross_validate"), (verify, "_tau_frame"),
+                             (catalog, "flow_residual"),
                              (scalarize, "frobenius_residual_grid"),
                              (red_mod.ReducedEquation, "E")):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -1217,13 +1240,13 @@ class TestCertifiedRecord:
     def test_box_and_basepoint_runs_leave_the_record_alone(self, monkeypatch):
         # Poisoned outcomes in the default entry's record: a run on other
         # boxes reads none of them, and a run at another basepoint reads
-        # neither the frame nor E and S at x0.  Frobenius and
+        # neither the frame nor E and S at x0.  Flow, Frobenius and
         # cross-validation do not depend on the basepoint, so that run reads
         # them; they are restored first.
         entry = catalog.lookup("PIII.y1")
         verify.full_report("PIII.y1")
         kept = dict(entry.certified)
-        poison = {"frobenius": 1.0, "frame": (3j, 3j, 1.0), "x0": (3j, 3j),
+        poison = {"flow": 1.0, "frobenius": 1.0, "frame": (3j, 3j, 1.0), "x0": (3j, 3j),
                   "cross-validation": 1.0}
         for stage, value in poison.items():
             monkeypatch.setitem(entry.certified, stage, value)

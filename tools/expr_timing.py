@@ -74,12 +74,12 @@ times; the minimum is the reading, the median and maximum show its spread:
   has run before (the op of the bench's catalog-verify workload, without
   the negative entry);
 * ``report: flow``, ``report: t-independence`` and ``report: match``: the
-  time a further round of such reports spends in the function of each
-  stage that depends on the seed (``catalog.flow_residual``,
-  ``verify.check_t_independence`` and ``verify.match_classical``), taken
-  by wrapping each for that round only, so a change can be traced to its
-  stage.  What a report does around them (its draws, the map to the paper
-  frame, the records) is in ``report`` alone.
+  time a further round of such reports spends in ``catalog.flow_residual``
+  (0 on a checkout that records the flow stage per entry),
+  ``verify.check_t_independence`` (its generator and draws included) and
+  ``verify.match_classical``, taken by wrapping each for that round only,
+  so a change can be traced to its stage.  What a report does around them
+  (the map to the paper frame, the records) is in ``report`` alone.
 
 Run it from any directory, on a checkout whose ``expr.Kernel`` numbers its
 own DAG and whose ``differentiate`` takes a tuple of roots:
