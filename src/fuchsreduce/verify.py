@@ -19,6 +19,17 @@ tau; the quadrature-defined tau differs from it by an affine map (a, b)
 which is fitted from two points and checked on two more, so basepoint
 choices never affect pass/fail or matched parameters.
 
+One table, :data:`STAGES`, holds a report's stages in the order they
+run: flow, frobenius, reduction (the workspace and its frame fit),
+t-independence, match and cross-validation.  Each row names the stage
+(its error prefix, and its key in ``CatalogEntry.certified`` when it runs
+once per entry), the report field of its gated reading, that gate's
+tolerance key and the earlier stage whose output it reads.
+:func:`full_report` loops over the rows: a stage that raises is recorded
+as an error, and a stage whose input stage failed is skipped, so a failed
+reduction ends the report and a failed t-independence draw skips match
+alone.  ``VerificationReport.passed`` reads the same rows' gates.
+
 The flow stage (16 t on the diagonal of the t box), the Frobenius grid, the
 frame fit, the walk of E and S to x0 (the centre of the x box, where the
 samples sit) and cross-validation depend on the entry alone, so each runs
@@ -33,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,15 +126,12 @@ def _tau_frame(entry: cat.CatalogEntry, red: red_mod.ReducedEquation
         raise VerifyError("degenerate tau samples for the frame fit")
     a = (paper[1] - paper[0]) / (ours[1] - ours[0])
     b = paper[0] - a * ours[0]
-    resid = max(
-        abs(paper[k] - (a * ours[k] + b)) / (1 + abs(paper[k]))
-        for k in (2, 3)
-    )
+    resid = max(abs(paper[k] - (a * ours[k] + b)) / (1 + abs(paper[k])) for k in (2, 3))
     return a, b, resid
 
 
-def _once(entry: cat.CatalogEntry, stage: str, run):
-    """The outcome of a stage that depends on the entry alone: ``run()``
+def _once(entry: cat.CatalogEntry, stage: str, run, *args):
+    """The outcome of a stage that depends on the entry alone: ``run(*args)``
     on the first call for this entry and stage, kept in the entry's record
     (``CatalogEntry.certified``) and read from it on every later call.  A
     run that raises keeps nothing, so the next call runs it again and
@@ -131,7 +139,7 @@ def _once(entry: cat.CatalogEntry, stage: str, run):
     both run it, which is harmless because the outcome is deterministic."""
     record = entry.certified
     if stage not in record:
-        record[stage] = run()
+        record[stage] = run(*args)
     return record[stage]
 
 
@@ -159,10 +167,8 @@ def prepare(entry: cat.CatalogEntry, config: Config = DEFAULT_CONFIG) -> Prepare
     entry = entry.with_boxes(config)
     basepoint = config.basepoint if config.basepoint is not None else entry.basepoint_x
     red = red_mod.build_reduced(entry.decomposition, basepoint)
-    if basepoint == entry.basepoint_x:
-        a, b, resid = _once(entry, "frame", lambda: _tau_frame(entry, red))
-    else:
-        a, b, resid = _tau_frame(entry, red)
+    a, b, resid = (_once(entry, "frame", _tau_frame, entry, red)
+                   if basepoint == entry.basepoint_x else _tau_frame(entry, red))
     return Prepared(entry=entry, red=red, frame_a=a, frame_b=b, frame_residual=resid)
 
 
@@ -204,10 +210,8 @@ def check_t_independence(prep: Prepared, n_points: int = 32, seed: int = 42
         except fe._SAMPLE_ERRORS as exc:
             raise VerifyError(f"the E/S walk to x0 = {x0:.6g} failed: {exc}") from exc
 
-    if red.dec is entry.decomposition and red.basepoint_x == entry.basepoint_x:
-        e0, s0 = _once(entry, "x0", walk)
-    else:
-        e0, s0 = walk()
+    at_entry = red.dec is entry.decomposition and red.basepoint_x == entry.basepoint_x
+    e0, s0 = _once(entry, "x0", walk) if at_entry else walk()
     # A draw can lie a rounding outside the box: the margin keeps every
     # singular t that could reject one.
     near = [s for s in entry.singular_t if entry.box_t.distance(s) < _SINGULAR_T_GAP + 1e-9]
@@ -450,10 +454,68 @@ def cross_validate(prep: Prepared) -> float:
 # ---------------------------------------------------------------------------
 # Aggregated report
 
-# Each gated field of a report, with the key of its tolerance.
-_GATES = (("flow_max", "flow"), ("frobenius_max", "frobenius"),
-          ("frame_residual", "frame"), ("t_independence_max", "independence"),
-          ("match_residual", "match"), ("cross_validation_residual", "crossval"))
+class Stage(NamedTuple):
+    """One row of :data:`STAGES`, a stage of :func:`full_report`.
+
+    ``name`` prefixes the stage's errors and, for a stage that depends on
+    the entry alone (``once``), keys its outcome in the entry's record
+    (``CatalogEntry.certified``, through :func:`_once`).  ``field`` is the
+    report field of its gated reading and ``gate`` that gate's key in the
+    report's ``tolerances``.  ``run(rep, entry, config, given)`` takes as
+    ``given`` the output of the stage ``reads`` names; it looks the
+    functions it calls up in their modules when it runs, so a module
+    attribute replaced from outside is the one a report calls.  A once
+    stage's run returns its reading, which the report loop writes to
+    ``field``; any other fills the report itself and returns the output a
+    later stage reads, if one does."""
+
+    name: str
+    field: str
+    gate: str
+    once: bool
+    reads: str | None
+    run: Callable
+
+
+def _reduction(rep, entry, config, _):
+    """The workspace (:func:`prepare`), with its case, exponent and frame
+    recorded."""
+    prep = prepare(entry, config)
+    rep.case_tag, rep.exponent_a = prep.red.case_tag, prep.red.dec.exponent_A
+    rep.frame, rep.frame_residual = (prep.frame_a, prep.frame_b), prep.frame_residual
+    return prep
+
+
+def _independence(rep, entry, config, prep):
+    """Match's samples in the documented frame (:func:`check_t_independence`,
+    on the entry seed).  The reading depends on the decomposition alone, so
+    it is recorded first: a failed draw does not hide it."""
+    rep.t_independence_max = prep.red.dec.invariance
+    _, samples = check_t_independence(prep, seed=config.entry_seed(entry.id))
+    return prep.to_paper_frame(samples)
+
+
+def _match(rep, entry, config, samples):
+    """The classical target the samples match, and the fit's residual."""
+    rep.match, rep.match_residual = match_classical(samples, tol=config.tol_match)
+
+
+# The stages of a report, in the order they run; the verdict reads their
+# gates (``VerificationReport.passed``).  The Frobenius stage
+# checks the entry's system: its Lax pair, or the companion system of its
+# direct scalar pair (``ScalarPair.system``).
+STAGES = (
+    Stage("flow", "flow_max", "flow", True, None, lambda rep, entry, config, _:
+          cat.flow_residual(entry, entry.box_t.diagonal(16))),
+    Stage("frobenius", "frobenius_max", "frobenius", True, None, lambda rep, entry, config, _:
+          scal.frobenius_residual_grid(entry.lax or entry.scalar.system, entry.grid_points())),
+    Stage("reduction", "frame_residual", "frame", False, None, _reduction),
+    Stage("t-independence", "t_independence_max", "independence", False, "reduction",
+          _independence),
+    Stage("match", "match_residual", "match", False, "t-independence", _match),
+    Stage("cross-validation", "cross_validation_residual", "crossval", True, "reduction",
+          lambda rep, entry, config, prep: cross_validate(prep)),
+)
 
 
 @dataclass
@@ -483,7 +545,7 @@ class VerificationReport:
         """No stage error, every recorded gate value at most its tolerance
         (NaN fails), and a recorded match agrees with the expected target."""
         tols = self.tolerances
-        gated = ((getattr(self, name), tols[key]) for name, key in _GATES)
+        gated = ((getattr(self, st.field), tols[st.gate]) for st in STAGES)
         return (not self.errors and all(v is None or v <= tol for v, tol in gated)
                 and (self.match is None or self.match.agrees_with(
                     self.expected_target, tol=tols["target_param"])))
@@ -535,53 +597,26 @@ def _finite_json(doc, path: str, non_finite: dict):
 
 def full_report(entry_id: str, config: Config = DEFAULT_CONFIG,
                 overrides=None) -> VerificationReport:
-    """Run every stage for one entry, on the config's boxes (applied once, by
-    :meth:`catalog.CatalogEntry.with_boxes`); failures are recorded, not raised.
-    What depends on the entry alone runs once per entry (:func:`_once`);
-    the seed feeds only the t of match's samples.  The Frobenius stage
-    checks the entry's system: its Lax pair, or the companion system of its
-    direct scalar pair (``ScalarPair.system``)."""
+    """Run the :data:`STAGES` in order for one entry, on the config's boxes
+    (applied once, by :meth:`catalog.CatalogEntry.with_boxes`); failures are
+    recorded, not raised.  A stage that raises is recorded as an error
+    under its name, and a stage whose input stage failed or was skipped is
+    skipped: a failed reduction ends the report, a failed t-independence
+    draw skips match alone.  What depends on the entry alone runs once per
+    entry (:func:`_once`); the seed feeds only the t of match's samples."""
     entry = cat.lookup(entry_id, overrides).with_boxes(config)
-    seed = config.entry_seed(entry.id)
-    rep = VerificationReport(
-        entry_id=entry.id, family=entry.family,
-        expected_target=entry.expected_target,
-        tolerances=config.tolerances_json(), seed=config.seed,
-    )
-
-    def stage(name, run):
-        """``run()``, or None with the exception recorded as a stage error."""
+    rep = VerificationReport(entry.id, entry.family, entry.expected_target,
+                             config.tolerances_json(), config.seed)
+    outputs: dict[str, object] = {}
+    for st in STAGES:
+        if st.reads is not None and st.reads not in outputs:
+            continue
+        args = (rep, entry, config, outputs.get(st.reads))
         try:
-            return run()
+            outputs[st.name] = _once(entry, st.name, st.run, *args) if st.once else st.run(*args)
         except Exception as exc:  # noqa: BLE001 - reports must never raise
-            rep.errors.append(f"{name}: {exc}")
-            return None
-
-    rep.flow_max = stage("flow", lambda: _once(
-        entry, "flow", lambda: cat.flow_residual(entry, entry.box_t.diagonal(16))))
-    system = entry.lax or entry.scalar.system
-    rep.frobenius_max = stage("frobenius", lambda: _once(
-        entry, "frobenius", lambda: scal.frobenius_residual_grid(system, entry.grid_points())))
-
-    prep = stage("reduction", lambda: prepare(entry, config))
-    if prep is None:
-        return rep
-    rep.case_tag = prep.red.case_tag
-    rep.exponent_a = prep.red.dec.exponent_A
-    rep.frame = (prep.frame_a, prep.frame_b)
-    rep.frame_residual = prep.frame_residual
-
-    def independence():
-        # The reading depends on the decomposition alone: a failed draw
-        # does not hide it.
-        rep.t_independence_max = prep.red.dec.invariance
-        _, samples = check_t_independence(prep, seed=seed)
-        return prep.to_paper_frame(samples)
-
-    samples_paper = stage("t-independence", independence)
-    if samples_paper is not None:
-        rep.match, rep.match_residual = stage("match", lambda: match_classical(
-            samples_paper, tol=config.tol_match)) or (None, None)
-    rep.cross_validation_residual = stage("cross-validation", lambda: _once(
-        entry, "cross-validation", lambda: cross_validate(prep)))
+            rep.errors.append(f"{st.name}: {exc}")
+            continue
+        if st.once:
+            setattr(rep, st.field, outputs[st.name])
     return rep

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import fuchsreduce
-from fuchsreduce import catalog, verify
+from fuchsreduce import catalog, config, verify
 from fuchsreduce.config import Config
 from fuchsreduce.targets import ClassicalTarget
 
@@ -79,13 +79,35 @@ def test_warmup_op_runs_and_checks_under_the_tracer(name):
         assert op.check(op.run()) is None
 
 
+class TestBenchReadsTheStageTable:
+    """The bench keeps its own copies of the report's stages; they must be
+    the stage table's (``verify.STAGES``)."""
+
+    def test_gates_are_the_tables(self):
+        # The bench names a failed gate in pipeline order, with the frame
+        # fit (the reduction row) checked on its own.
+        workloads = _load_bench("workloads")
+        assert workloads._GATES == tuple((stage.name, stage.field, stage.gate)
+                                         for stage in verify.STAGES
+                                         if stage.name != "reduction")
+        assert workloads._FRAME_TOL == config.FRAME_TOL
+
+    def test_stage_spans_name_rows(self):
+        names = {stage.name for stage in verify.STAGES}
+        assert set(_load_bench("workloads").STAGE_SPANS) <= names
+
+    def test_gate_keys_are_the_settable_gates_and_the_frame(self):
+        assert sorted(stage.gate for stage in verify.STAGES) == \
+            sorted((*config.GATES, "frame"))
+
+
 def _variants(rep):
     """The report and copies of it that break its verdict one way each."""
     yield rep
-    for name, key in verify._GATES:
-        if getattr(rep, name) is not None:
-            yield dataclasses.replace(rep, **{name: 2 * rep.tolerances[key]})
-            yield dataclasses.replace(rep, **{name: float("nan")})
+    for stage in verify.STAGES:
+        if getattr(rep, stage.field) is not None:
+            yield dataclasses.replace(rep, **{stage.field: 2 * rep.tolerances[stage.gate]})
+            yield dataclasses.replace(rep, **{stage.field: float("nan")})
     yield dataclasses.replace(rep, errors=[*rep.errors, "flow: injected"])
     if rep.match is not None:
         yield dataclasses.replace(rep, match=ClassicalTarget.none())

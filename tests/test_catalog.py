@@ -217,17 +217,19 @@ class TestFlow:
 
     @pytest.mark.parametrize("entry_id", (*EXPECTED_IDS, "negative.PII_bad_y1"))
     def test_fused_kernel_is_bit_identical(self, entry_id):
-        # On the 16 probes full_report draws for this entry at three seeds,
-        # the one tuple kernel's array form gives the bits of the array
-        # forms of one kernel per expression, and agrees with the compiled
-        # code to rounding; the reading is the max over the single kernels.
+        # On the 16 probes full_report reads (the t box's diagonal), and on
+        # 16 drawn from the entry seed at three seeds, the one tuple
+        # kernel's array form gives the bits of the array forms of one
+        # kernel per expression, and agrees with the compiled code to
+        # rounding; the reading is the max over the single kernels.
         entry = catalog.lookup(entry_id)
         singles = [fe.Kernel(e) for e in entry.flow_exprs]
         compiled_flows = [compiled(e) for e in entry.flow_exprs]
         kernel = fe.Kernel(entry.flow_fns.expr)
-        for seed in (42, 7, 1):
-            rng = np.random.default_rng(Config(seed=seed).entry_seed(entry_id))
-            (ts,) = catalog.random_points(rng, (entry.box_t,), 16)
+        drawn = [catalog.random_points(
+            np.random.default_rng(Config(seed=seed).entry_seed(entry_id)), (entry.box_t,), 16)[0]
+            for seed in (42, 7, 1)]
+        for ts in (entry.box_t.diagonal(16), *drawn):
             got = kernel(0j, np.array(ts))
             want = [single(0j, np.array(ts)) for single in singles]
             assert [[repr(v) for v in row.tolist()] for row in got] == \

@@ -1149,6 +1149,22 @@ class TestFullReport:
         assert rep.t_independence_max == reading <= Config().tol_independence
         assert rep.match is None and not rep.passed
 
+    def test_failed_draw_skips_match_alone(self):
+        # Match reads the failed draw's samples and is skipped;
+        # cross-validation reads the reduction and still runs.
+        rep = verify.full_report("PII.y0", Config(box_x=(-0.5, 0.5, -0.2, 0.2)))
+        assert [e.partition(": ")[0] for e in rep.errors] == ["t-independence"]
+        assert rep.match is None and rep.match_residual is None
+        assert rep.cross_validation_residual <= Config().tol_crossval
+
+    def test_stage_table_runs_in_pipeline_order(self):
+        names = [stage.name for stage in verify.STAGES]
+        assert names == ["flow", "frobenius", "reduction", "t-independence", "match",
+                         "cross-validation"]
+        # Each stage reads the output of an earlier one, or none.
+        for k, stage in enumerate(verify.STAGES):
+            assert stage.reads is None or stage.reads in names[:k], stage.name
+
     def test_reduction_failure_is_recorded(self):
         # theta_inf = 1/2 makes the first component's a-offdiag entry
         # vanish, and the second's p2 is not affine in t: the reduction
@@ -1203,7 +1219,9 @@ class TestCertifiedRecord:
     fit, the E/S walk to x0, cross-validation) run once per entry, and
     their outcomes are kept in its record, ``CatalogEntry.certified``."""
 
-    STAGES = ("flow", "frobenius", "frame", "x0", "cross-validation")
+    # The table's once rows, and the frame fit and the walk to x0, which
+    # prepare and check_t_independence record.
+    STAGES = (*(stage.name for stage in verify.STAGES if stage.once), "frame", "x0")
 
     @staticmethod
     def _fresh(entry_id, config=Config()):

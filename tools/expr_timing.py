@@ -73,13 +73,13 @@ times; the minimum is the reading, the median and maximum show its spread:
   runs once per entry reads its record and every kernel a report calls
   has run before (the op of the bench's catalog-verify workload, without
   the negative entry);
-* ``report: flow``, ``report: t-independence`` and ``report: match``: the
-  time a further round of such reports spends in ``catalog.flow_residual``
-  (0 on a checkout that records the flow stage per entry),
-  ``verify.check_t_independence`` (its generator and draws included) and
-  ``verify.match_classical``, taken by wrapping each for that round only,
-  so a change can be traced to its stage.  What a report does around them
-  (the map to the paper frame, the records) is in ``report`` alone.
+* ``report: t-independence`` and ``report: match``: the time a further
+  round of such reports spends in ``verify.check_t_independence`` (its
+  generator and draws included) and ``verify.match_classical``, taken by
+  wrapping each for that round only, so a change can be traced to its
+  stage.  What a report does around them (the map to the paper frame, the
+  records) is in ``report`` alone; the stages that run once per entry
+  read their record there and take no time of their own.
 
 Run it from any directory, on a checkout whose ``expr.Kernel`` numbers its
 own DAG and whose ``differentiate`` takes a tuple of roots:
@@ -95,7 +95,9 @@ and an effect of running first or second does not read as a change.  Per
 reading it prints the median over the children of each checkout's
 minimum, and the median and range over the pairs of the change, this
 checkout's minimum over the other's: a change that every pair shows,
-beyond the range, is resolved.  ``--json`` prints
+beyond the range, is resolved.  A reading both checkouts do not take is
+left out, and the change of one whose minimum on the other checkout is
+0 prints as n/a.  ``--json`` prints
 one run's readings as one JSON object, which is what the children print.
 """
 
@@ -311,8 +313,7 @@ def readings() -> tuple[int, tuple[float, float, float], dict[str, list[tuple[in
             catalog.lookup = lookup
         return elapsed / 1e6
 
-    stages = {"report: flow": (catalog, "flow_residual"),
-              "report: t-independence": (verify, "check_t_independence"),
+    stages = {"report: t-independence": (verify, "check_t_independence"),
               "report: match": (verify, "match_classical")}
     stage_ms = dict.fromkeys(stages, 0.0)
 
@@ -430,11 +431,15 @@ def compare(root: Path, against: Path) -> None:
     times = runs[root][0]["times"]
     width = max(len(name) for name in times)
     print(f"{'reading':<{width}}  {'other ms':>9}  {'this ms':>9}  {'change':>7}  {'pairs':>15}")
-    for name in times:
+    for name in (name for name in times if name in runs[against][0]["times"]):
         this, other = ([min(run["times"][name]) for run in runs[side]] for side in (root, against))
+        row = f"{name:<{width}}  {statistics.median(other):>9.3f}  {statistics.median(this):>9.3f}"
+        if 0 in other:
+            print(f"{row}  {'n/a':>7}  {'n/a':>15}")
+            continue
         change = [100 * (a / b - 1) for a, b in zip(this, other)]
-        print(f"{name:<{width}}  {statistics.median(other):>9.3f}  {statistics.median(this):>9.3f}"
-              f"  {statistics.median(change):>+6.1f}%  {min(change):>+6.1f}%..{max(change):>+5.1f}%")
+        print(f"{row}  {statistics.median(change):>+6.1f}%  "
+              f"{min(change):>+6.1f}%..{max(change):>+5.1f}%")
 
 
 def main(argv: list[str] | None = None) -> None:
